@@ -114,16 +114,18 @@
 //! engine — the ablation knob behind the `ablation_batch` benchmark.
 //! Survivors, emission order and pruning statistics are bit-identical either
 //! way; only the `lane_evals`/`lanes_masked`/`scalar_fallbacks`/`super_hits`
-//! telemetry drops to zero. Note that the adaptive schedule (this binary's
-//! default) never builds batch plans, so `--no-batch` only changes behaviour
-//! under `--schedule declared` or `--schedule static`.
+//! telemetry drops to zero. The lane tier composes with every schedule
+//! mode, this binary's adaptive default included.
 //!
 //! The global `--schedule {declared,static,adaptive}` flag picks the
 //! constraint-schedule mode for the same subcommands (default: `adaptive`,
-//! the profile-guided mode behind the `ablation_schedule` benchmark). The
-//! chosen per-level check order is printed alongside the results; survivors
-//! and emission order are identical in every mode. Composes with
-//! `--no-intervals`.
+//! the profile-guided mode behind the `ablation_schedule` benchmark: one
+//! bounded calibration pass at engine-build time measures kill rates, and
+//! the learned order is compiled into the same batched op stream a declared
+//! schedule runs). The initial and learned per-level check orders are
+//! printed alongside the results; survivors and emission order are
+//! identical in every mode, and all counters are identical at every thread
+//! and chunk count. Composes with `--no-intervals` and `--no-batch`.
 //!
 //! The global `--engine {walker,compiled,native}` flag picks the evaluation
 //! tier for `sweep` (default: `compiled`). `native` lowers the plan to a
@@ -558,7 +560,7 @@ fn headline(dim: i64, engine: EngineOptions) {
             comp_out.blocks.subtree_skips, comp_out.blocks.points_skipped
         );
     }
-    print_schedule(&compiled.schedule_telemetry(comp_out.schedule.as_deref()));
+    print_schedule(&compiled.schedule_telemetry());
     println!("{:<26} {:>10} {:>10}", "backend", "seconds", "speedup");
     println!("{:<26} {:>10.3} {:>9.1}x", "walker (Python model)", t_walker, 1.0);
     println!("{:<26} {:>10.3} {:>9.1}x", "VM (Lua model)", t_vm, t_walker / t_vm);
@@ -1231,7 +1233,7 @@ fn funnel(dim: i64, engine: EngineOptions) {
             out.blocks.checks_elided
         );
     }
-    print_schedule(&compiled.schedule_telemetry(out.schedule.as_deref()));
+    print_schedule(&compiled.schedule_telemetry());
 }
 
 // ---------------------------------------------------------------------------

@@ -32,8 +32,11 @@
 //!   so every consumer — interpreters, the threaded-code engine, and the
 //!   C/Rust source generators — inherits the schedule for free.
 //!
-//! The *online* half (epoch-based re-sorting by observed kill rate per op)
-//! lives in the engines; it starts from the static order produced here.
+//! The *measured* half lives in the compiled engine: a bounded calibration
+//! pass at engine-build time starts from the static order produced here,
+//! re-sorts each region by observed kill rate per op, and writes the learned
+//! order back into the plan with [`apply_order`] — so an adaptive schedule
+//! is, like a static one, just a step order every consumer inherits.
 
 use std::cmp::Ordering;
 
@@ -51,9 +54,10 @@ pub enum ScheduleMode {
     /// Cost-model order: each reorder-safe group sorted by ascending
     /// expected-cost-to-kill at plan-lowering time ([`static_schedule`]).
     Static,
-    /// Static order as the starting point, then periodic re-sorting by the
-    /// kill rates actually observed while sweeping (worker-local, so results
-    /// stay deterministic at any thread count).
+    /// Static order as the starting point, then re-sorted by the kill rates
+    /// observed in one bounded calibration pass at engine-build time — a
+    /// pure function of plan and options, so every thread, chunk and worker
+    /// process runs the same learned order.
     Adaptive,
 }
 
@@ -533,8 +537,9 @@ pub fn check_ranks(lp: &LoweredPlan) -> Vec<usize> {
 /// `region.checks`, given as the step indices to place first, second, …):
 /// each check is preceded by the not-yet-emitted defines of its closure,
 /// and the defines no check needed come last — exactly the execution
-/// discipline [`check_regions`] proves safe. Used by [`static_schedule`]
-/// and by the permutation property tests.
+/// discipline [`check_regions`] proves safe. Used by [`static_schedule`],
+/// by the compiled engine to freeze its calibrated order, and by the
+/// permutation property tests.
 ///
 /// # Panics
 /// If `order` is not a permutation of `region.checks`.

@@ -30,10 +30,11 @@
 //! the per-constraint `evaluated` totals shrink when whole subtrees are
 //! skipped (reported separately in [`BlockStats`]).
 //!
-//! The outermost loop is deliberately *not* guarded: its entry analysis
-//! would see a chunk-dependent subdomain under the parallel driver, and
-//! constraints hoisted to level 0 are re-checked per outer value anyway.
-//! Skipping it keeps serial and chunked runs bit-for-bit identical.
+//! The outermost loop is deliberately *not* guarded (nor lane-batched): its
+//! entry analysis would see a chunk-dependent subdomain under the parallel
+//! driver, and constraints hoisted to level 0 are re-checked per outer value
+//! anyway. Skipping it keeps serial and chunked runs bit-for-bit identical,
+//! telemetry counters included.
 //!
 //! Opaque (deferred/closure) definitions are supported by calling back into
 //! the Rust closures through a slot-backed [`Bindings`] view; such calls
@@ -83,7 +84,7 @@ use crate::fault::{CancelProbe, FaultAction, FaultInjector, FaultKind, FaultPoli
 use crate::lanes::{EvalScratch, Lane, LaneProg, LANES};
 use crate::stats::{BlockStats, LaneStats, PruneStats};
 use crate::telemetry::{GroupSchedule, ScheduleTelemetry};
-use crate::visit::Visitor;
+use crate::visit::{CountVisitor, Visitor};
 use crate::walker::SweepOutcome;
 
 /// Which evaluation tier executes a sweep (see
@@ -155,8 +156,12 @@ pub struct EngineOptions {
     /// statistics exactly. `Static`/`Adaptive` reorder reorder-safe groups,
     /// which never changes survivors or emission order but does shift
     /// *which* constraint gets credit for a kill, so `PruneStats` may
-    /// differ from declared-order runs (and, under `Adaptive`, between
-    /// serial and chunked runs of the same sweep).
+    /// differ from declared-order runs. Every mode is a *compile-time*
+    /// decision: `Adaptive` learns its order in one bounded calibration
+    /// pass inside [`Compiled::with_options`] (a pure function of plan and
+    /// options) and writes it into the plan before guards, lane plans and
+    /// fusion are built, so all counters are invariant across thread and
+    /// chunk counts in every mode.
     pub schedule: ScheduleMode,
     /// Track the congruence domain (`x ≡ r (mod m)`) alongside intervals in
     /// the block-pruning guards, so divisibility constraints can skip
@@ -180,10 +185,10 @@ pub struct EngineOptions {
     /// the determinism suite and the `ablation_batch` bench). Turning it off
     /// also skips superinstruction fusion, reproducing the pre-batching
     /// engine instruction-for-instruction — only useful for ablations and
-    /// the `--no-batch` CLI flag. The tier disables itself at runtime for
-    /// chunks with a fault injector attached (injected faults are keyed on
-    /// per-point visit ordinals) and under the adaptive schedule (group
-    /// dispatch rewrites the instruction stream mid-run).
+    /// the `--no-batch` CLI flag. The tier composes with every schedule
+    /// mode; it disables itself at runtime only for chunks with a fault
+    /// injector attached (injected faults are keyed on per-point visit
+    /// ordinals).
     pub batch: bool,
     /// Lane-block width for the batch tier, clamped to `1..=64` (the
     /// survivor-bitmask width). The default of 64 maximizes slab
@@ -304,29 +309,26 @@ enum Op {
     Check { constraint: u32, expr: Postfix, elide_bit: Option<u8>, on_reject: u32 },
     /// Evaluate an opaque constraint through the closure callback.
     CheckOpaque { constraint: u32, on_reject: u32 },
-    /// Adaptive-schedule check group: evaluate the members of
-    /// `agroups[group]` in the group's *current* per-run order — each
-    /// member preceded by the not-yet-run defines of its closure — jumping
-    /// to the shared reject target on the first rejection, and executing
-    /// the remaining defines before falling through when every member
-    /// passes (survivor points must carry all derived slots). Replaces the
-    /// first op of a reorder-safe region; the remaining region positions
-    /// keep their original (now unreachable) ops — the only jump into a
-    /// region targets its first position (`Enter + 1` when the region
-    /// opens the loop body), since reject targets are always a `Next`, an
-    /// `Enter + 1`, or `Halt`. Once a group's order freezes mid-run, the
-    /// whole span is patched back to straight-line `Define`/`Check` ops in
-    /// the learned order (see `patch_frozen`), so this dispatch only pays
-    /// for itself while the order is still being learned.
+    /// Calibration-only check group: evaluate the members of
+    /// `agroups[group]` in the group's *current* order — each member
+    /// preceded by the not-yet-run defines of its closure — jumping to the
+    /// shared reject target on the first rejection, and executing the
+    /// remaining defines before falling through when every member passes
+    /// (descendant levels read all derived slots). Replaces the first op of
+    /// a reorder-safe region; the remaining region positions keep their
+    /// original (now unreachable) ops — the only jump into a region targets
+    /// its first position (`Enter + 1` when the region opens the loop
+    /// body), since reject targets are always a `Next`, an `Enter + 1`, or
+    /// `Halt`. Only the probe engine of [`Compiled::with_options`]'s
+    /// adaptive calibration pass contains this op; the engine that sweeps
+    /// runs the learned order as straight-line `Define`/`Check` ops.
     CheckGroup { group: u32 },
     /// Fused superinstruction for an adjacent `Define` + `Check` pair: one
     /// dispatch evaluates the define into its slot, then the constraint.
     /// Semantically identical to the two ops it replaces (same stats, same
     /// elision, same fault sites); `fuse_id` indexes the per-run
     /// [`LaneStats::super_hits`] counter. Never emitted inside batchable
-    /// innermost bodies (the batch tier's lane plans address unfused ops)
-    /// or under the adaptive schedule (group patching assumes the original
-    /// op spans).
+    /// bodies (the batch tier's lane plans address unfused ops).
     FusedDefineCheck {
         /// Destination slot of the define half.
         slot: u32,
@@ -401,7 +403,7 @@ enum LaneCheck {
     Scalar(Postfix),
 }
 
-/// One member of an adaptive check group.
+/// One member of a calibration check group.
 #[derive(Debug, Clone)]
 struct AMember {
     /// Constraint index (also the `PruneStats` row and elision-bit key).
@@ -419,7 +421,7 @@ struct AMember {
     deps: Vec<u16>,
 }
 
-/// One lazily-executed define of an adaptive check group's region.
+/// One lazily-executed define of a calibration check group's region.
 #[derive(Debug, Clone)]
 struct ADefine {
     /// Destination slot.
@@ -429,67 +431,58 @@ struct ADefine {
 }
 
 /// A reorder-safe region (checks + interleaved defines) executed through
-/// [`Op::CheckGroup`].
+/// [`Op::CheckGroup`] during calibration.
 ///
 /// All members share one loop scope, hence one reject target; members and
 /// defines are infallible, so evaluating units in any order — defines on
 /// demand, the rest before falling through — is semantics-preserving (AND
 /// over pure predicates; defines are pure functions of bound slots).
-/// Orders and counters live in per-run [`State`] — worker-local under the
-/// parallel driver — so adapting the order can never perturb survivors or
-/// emission order at any thread count.
 #[derive(Debug, Clone)]
 struct AGroup {
-    /// Members in static-schedule order (the initial per-run order).
+    /// Members in static-schedule order (the initial order).
     members: Vec<AMember>,
     /// The region's defines in dependency order, run at most once per
     /// group execution (tracked in a bitmask, hence ≤ 64 per region).
     defines: Vec<ADefine>,
     /// Shared reject target (the enclosing loop's `Next`).
     on_reject: u32,
-    /// Instruction index of the region's first op (the `CheckGroup`).
-    start: u32,
     /// Instruction index just past the region (the all-pass successor).
     end: u32,
 }
 
-/// Per-run mutable state of one adaptive group.
+/// Calibration state of one check group.
 #[derive(Debug, Clone)]
 struct GroupState {
     /// Current evaluation order (member indices).
     order: Vec<u16>,
-    /// Per-member evaluations this run.
+    /// Per-member evaluations so far.
     evaluated: Vec<u64>,
-    /// Per-member rejections this run.
+    /// Per-member rejections so far.
     killed: Vec<u64>,
-    /// Group executions since the run started; every
-    /// [`ADAPT_EPOCH`]th execution re-sorts `order`.
+    /// Group executions so far; every [`ADAPT_EPOCH`]th re-sorts `order`.
     ticks: u32,
-    /// Consecutive re-sorts that left `order` unchanged. At
-    /// [`ADAPT_FREEZE`] the group is converged: counter updates and
-    /// re-sorts stop, so the steady-state dispatch costs the same as the
-    /// plain per-check path (the counters are only read by `resort`).
-    stable: u8,
 }
 
-/// Group executions between adaptive re-sorts. Small enough to adapt within
-/// one scheduler chunk, large enough that sorting cost vanishes against the
-/// member evaluations it amortizes.
+/// Group executions between calibration re-sorts: large enough that sorting
+/// cost vanishes against the member evaluations it amortizes, small enough
+/// that members starved behind a deadlier one get re-ranked within the
+/// calibration budget.
 const ADAPT_EPOCH: u32 = 256;
 
-/// Consecutive no-change re-sorts after which a group's order is frozen
-/// for the rest of the run (chunk-local, like all adaptive state).
-const ADAPT_FREEZE: u8 = 4;
+/// Level-0 values the calibration pass samples first, evenly strided over
+/// the realized outer domain; each may spend `CALIB_BUDGET / CALIB_SAMPLES`.
+const CALIB_SAMPLES: usize = 8;
+
+/// Interpreter work units (loop advances + group executions) the whole
+/// calibration pass may spend. Fixed, so calibration costs at most the same
+/// 2–3 ms on every space (≈ 1 % of a reduced(32) GEMM sweep).
+const CALIB_BUDGET: u64 = 1 << 14;
 
 /// Re-sort a group's evaluation order by observed kill rate per unit cost,
-/// descending — the online analogue of the static expected-cost-to-kill
-/// ordering. Members never evaluated this run (everything ahead of them
-/// always killed first) sink to the back; ties keep static-schedule order.
-/// Tracks convergence: an unchanged order bumps [`GroupState::stable`],
-/// a changed one resets it.
+/// descending — the measured analogue of the static expected-cost-to-kill
+/// ordering. Members never evaluated (everything ahead of them always
+/// killed first) sink to the back; ties keep static-schedule order.
 fn resort(g: &AGroup, gs: &mut GroupState) {
-    let mut order = std::mem::take(&mut gs.order);
-    let before = order.clone();
     let score = |mi: u16| {
         let mi = mi as usize;
         if gs.evaluated[mi] == 0 {
@@ -498,20 +491,20 @@ fn resort(g: &AGroup, gs: &mut GroupState) {
         let kill_rate = gs.killed[mi] as f64 / gs.evaluated[mi] as f64;
         kill_rate / g.members[mi].cost as f64
     };
-    order.sort_by(|&a, &b| {
-        score(b).partial_cmp(&score(a)).unwrap().then_with(|| a.cmp(&b))
-    });
-    gs.stable = if order == before { gs.stable.saturating_add(1) } else { 0 };
+    let mut order = std::mem::take(&mut gs.order);
+    order.sort_by(|&a, &b| score(b).total_cmp(&score(a)).then_with(|| a.cmp(&b)));
     gs.order = order;
 }
 
-/// A reorder-safe check group as reported in telemetry: its loop level and
-/// member constraints in scheduled order (tracked for every mode, not just
-/// adaptive, so reports can always show the per-level order).
+/// A reorder-safe check group as reported in telemetry (tracked in every
+/// mode, so reports can always show the per-level order): its loop level
+/// and member constraints in declared/static order and in executed order —
+/// the two differ only where adaptive calibration re-ranked the group.
 #[derive(Debug, Clone)]
 struct SchedGroup {
     level: usize,
-    constraints: Vec<u32>,
+    initial: Vec<u32>,
+    executed: Vec<u32>,
 }
 
 /// One step of a loop's precompiled interval-guard program: the lowered
@@ -635,16 +628,15 @@ pub struct Compiled {
     /// Instruction index of the outermost `Enter` (None for loop-free
     /// programs, which cannot occur for valid spaces).
     first_enter: Option<usize>,
-    /// Per-loop batch plans (`None` for non-innermost loops, bodies with
-    /// opaque or grouped ops, or when the adaptive schedule owns the
-    /// instruction stream).
+    /// Per-loop batch plans (`None` for loops whose body prefix holds an
+    /// opaque op or no slab-translatable check, and with `batch` off).
     plans: Vec<Option<BatchPlan>>,
     /// Number of fused superinstructions in `ops` (sizes the per-run
     /// [`LaneStats::super_hits`] table).
     n_fused: usize,
-    /// Adaptive check groups (empty unless `opts.schedule` is `Adaptive`).
+    /// Calibration check groups (empty except in the adaptive probe engine).
     agroups: Vec<AGroup>,
-    /// Reorder-safe groups in scheduled order, for telemetry (all modes).
+    /// Reorder-safe groups, for telemetry (all modes).
     sched_groups: Vec<SchedGroup>,
     point_names: Arc<[Arc<str>]>,
     /// Space-linter summary recorded at compile time (`None` when
@@ -661,13 +653,64 @@ impl Compiled {
     }
 
     /// Build the flat program with explicit engine options.
+    ///
+    /// The constraint schedule is fixed here, before anything is built on
+    /// top of it: `Static`/`Adaptive` first apply the cost-model order, and
+    /// `Adaptive` then measures real kill rates in one bounded calibration
+    /// pass (`Compiled::calibrate`) and writes each learned order back
+    /// into the lowered plan. Guards, batch plans and fusion are built over
+    /// that straight-line plan exactly as for a declared schedule, so every
+    /// chunk, thread, worker process and resumed run executes one shared
+    /// immutable op stream.
     pub fn with_options(mut lp: LoweredPlan, opts: EngineOptions) -> Compiled {
-        // Static constraint scheduling happens on the lowered plan itself,
-        // before ops and guards are built, so both see the scheduled order
-        // (adaptive mode starts from the static order).
         if opts.schedule != ScheduleMode::Declared {
             schedule::static_schedule(&mut lp);
         }
+        let regions = schedule::check_regions(&lp);
+        let mut sched_groups: Vec<SchedGroup> = regions
+            .iter()
+            .map(|r| {
+                let initial: Vec<u32> = r
+                    .checks
+                    .iter()
+                    .map(|&si| match &lp.steps[si] {
+                        LStep::Check { constraint, .. } => *constraint as u32,
+                        other => unreachable!("check group holds non-check step {other:?}"),
+                    })
+                    .collect();
+                let level = schedule::group_level(&lp, &r.checks);
+                SchedGroup { level, executed: initial.clone(), initial }
+            })
+            .collect();
+        if opts.schedule == ScheduleMode::Adaptive {
+            // The probe runs the scalar interpreter over group dispatch; it
+            // is never linted (same plan as the real engine, up to order).
+            let probe_opts = EngineOptions { batch: false, lint: LintGate::Allow, ..opts };
+            let probe = Compiled::build(lp, probe_opts, &regions, Vec::new());
+            let orders = probe.calibrate().unwrap_or_default();
+            lp = probe.lp;
+            for ((region, order), group) in regions.iter().zip(&orders).zip(&mut sched_groups) {
+                let steps: Vec<usize> =
+                    order.iter().map(|&k| region.checks[k as usize]).collect();
+                schedule::apply_order(&mut lp, region, &steps);
+                group.executed = order.iter().map(|&k| group.initial[k as usize]).collect();
+            }
+        }
+        Compiled::build(lp, opts, &[], sched_groups)
+    }
+
+    /// Lower `lp` — already in its final step order — to the flat program.
+    /// `groups` is empty for every engine that sweeps; the adaptive probe
+    /// passes the plan's reorder-safe regions, each of which is rewired
+    /// through one [`Op::CheckGroup`] so [`Compiled::calibrate`] can
+    /// re-order its members between executions. `sched_groups` is telemetry,
+    /// stored as given.
+    fn build(
+        lp: LoweredPlan,
+        opts: EngineOptions,
+        groups: &[schedule::Region],
+        sched_groups: Vec<SchedGroup>,
+    ) -> Compiled {
         // Pre-sweep lint gate: analyze the exact plan the engine will
         // execute. `Deny` is enforced lazily in `run` so compilation itself
         // stays infallible.
@@ -772,28 +815,11 @@ impl Compiled {
         }
         debug_assert!(pending_rejects.is_empty());
 
-        // Reorder-safe regions: recorded for telemetry in every mode; in
-        // adaptive mode each region is additionally rewired through a
+        // Calibration probe only: rewire each reorder-safe region through a
         // single `CheckGroup` dispatch so the member order can change
-        // per-run without touching the instruction stream.
-        let mut agroups: Vec<AGroup> = Vec::new();
-        let mut sched_groups: Vec<SchedGroup> = Vec::new();
-        for region in schedule::check_regions(&lp) {
-            let constraints: Vec<u32> = region
-                .checks
-                .iter()
-                .map(|&si| match &lp.steps[si] {
-                    LStep::Check { constraint, .. } => *constraint as u32,
-                    other => unreachable!("check group holds non-check step {other:?}"),
-                })
-                .collect();
-            sched_groups.push(SchedGroup {
-                level: schedule::group_level(&lp, &region.checks),
-                constraints,
-            });
-            if opts.schedule != ScheduleMode::Adaptive {
-                continue;
-            }
+        // between executions without touching the instruction stream.
+        let mut agroups: Vec<AGroup> = Vec::with_capacity(groups.len());
+        for region in groups {
             let first_ip = step_ops[region.start] as usize;
             let defines: Vec<ADefine> = region
                 .defines
@@ -831,13 +857,7 @@ impl Compiled {
             }
             let end = (first_ip + (region.end - region.start)) as u32;
             ops[first_ip] = Op::CheckGroup { group: agroups.len() as u32 };
-            agroups.push(AGroup {
-                members,
-                defines,
-                on_reject: reject,
-                start: first_ip as u32,
-                end,
-            });
+            agroups.push(AGroup { members, defines, on_reject: reject, end });
         }
 
         // Batched lane tier + superinstruction fusion. Order matters: lane
@@ -845,13 +865,11 @@ impl Compiled {
         // plain Define/Check ops one-to-one), then the fusion pass skips
         // every batchable body, then the plans' instruction anchors are
         // remapped through the fusion's old→new index map. Both passes are
-        // skipped entirely under the adaptive schedule (`CheckGroup`
-        // dispatch and mid-run patching assume the original op spans) and
-        // with `batch` off, which therefore reproduces the pre-batching
-        // engine instruction-for-instruction.
+        // skipped entirely with `batch` off, which therefore reproduces the
+        // pre-batching engine instruction-for-instruction.
         let mut plans: Vec<Option<BatchPlan>> = vec![None; n_loops as usize];
         let mut n_fused = 0usize;
-        if opts.batch && agroups.is_empty() {
+        if opts.batch {
             plans = build_batch_plans(&ops);
             if plans.len() < n_loops as usize {
                 plans.resize(n_loops as usize, None);
@@ -941,9 +959,7 @@ impl Compiled {
         self.opts
     }
 
-    /// Fresh per-run interpreter state. Adaptive group orders start from
-    /// the static schedule on every run — chunk-local under the parallel
-    /// driver, which keeps results deterministic at any thread count.
+    /// Fresh per-run interpreter state.
     fn fresh_state<V: Visitor>(&self, visitor: V) -> State<V> {
         State {
             stats: PruneStats::new(self.lp.plan.space().constraints().len()),
@@ -960,39 +976,85 @@ impl Compiled {
             gstack: Vec::new(),
             gpstack: Vec::new(),
             elide: 0,
-            sched: self
-                .agroups
-                .iter()
-                .map(|g| GroupState {
-                    order: (0..g.members.len() as u16).collect(),
-                    evaluated: vec![0; g.members.len()],
-                    killed: vec![0; g.members.len()],
-                    ticks: 0,
-                    stable: 0,
-                })
-                .collect(),
+            sched: Vec::new(),
+            budget: u64::MAX,
             faults: Vec::new(),
             visit_ordinal: 0,
             poll: 0,
         }
     }
 
-    /// The final adaptive group orders of a finished run, as constraint
-    /// indices (`None` unless running with an adaptive schedule).
-    fn final_orders<V>(&self, state: &State<V>) -> Option<Vec<Vec<u32>>> {
-        if self.opts.schedule != ScheduleMode::Adaptive {
+    /// The adaptive schedule's calibration pass, run on the probe engine:
+    /// sweep level-0 values — [`CALIB_SAMPLES`] evenly strided ones first —
+    /// through the [`Op::CheckGroup`] dispatch with a discarded visitor,
+    /// each under at most an equal share of [`CALIB_BUDGET`] and until the
+    /// budget is spent, re-sorting every group by observed kill rate per op
+    /// as it goes. Returns each group's final member order. Sample and
+    /// budget depend on nothing but the plan and the options — never on the
+    /// chunk grid, thread count or wall clock — so every build of the same
+    /// plan learns the same orders. `None` keeps the static order: an
+    /// evaluation error ends calibration, and the real run reports it under
+    /// its own fault policy.
+    fn calibrate(&self) -> Option<Vec<Vec<u16>>> {
+        let mut sched: Vec<GroupState> = self
+            .agroups
+            .iter()
+            .map(|g| GroupState {
+                order: (0..g.members.len() as u16).collect(),
+                evaluated: vec![0; g.members.len()],
+                killed: vec![0; g.members.len()],
+                ticks: 0,
+            })
+            .collect();
+        let first_enter = self.first_enter?;
+        let outer = self.outer_domain().ok()?;
+        let mut slots = vec![0i64; self.lp.n_slots as usize];
+        if !self.preamble(&mut slots, &mut Vec::new(), None).ok()? {
             return None;
         }
-        Some(
-            state
-                .sched
-                .iter()
-                .zip(&self.agroups)
-                .map(|(gs, g)| {
-                    gs.order.iter().map(|&k| g.members[k as usize].constraint).collect()
-                })
-                .collect(),
-        )
+        // Evenly strided values first, then the rest in order: a sample that
+        // dies early passes its unused share on instead of wasting it.
+        let samples = outer.len().min(CALIB_SAMPLES);
+        let strided: Vec<usize> = (0..samples).map(|k| k * outer.len() / samples).collect();
+        let rest = (0..outer.len()).filter(|i| !strided.contains(i));
+        let mut left = CALIB_BUDGET;
+        for i in strided.iter().copied().chain(rest) {
+            if left == 0 {
+                break;
+            }
+            // A fresh state per sample: a budget stop leaves elision masks
+            // and guard caches mid-subtree.
+            let mut state = self.fresh_state(CountVisitor::default());
+            state.sched = sched;
+            state.budget = left.min(CALIB_BUDGET / samples as u64);
+            left -= state.budget;
+            let run = self.exec(
+                first_enter,
+                usize::MAX,
+                Some(&[outer[i]]),
+                &mut slots,
+                &mut state,
+                &ChunkCtx::plain(),
+            );
+            left += state.budget;
+            sched = state.sched;
+            if !matches!(run, Ok(()) | Err(EvalError::Cancelled)) {
+                return None;
+            }
+        }
+        for (g, gs) in self.agroups.iter().zip(&mut sched) {
+            resort(g, gs);
+        }
+        Some(sched.into_iter().map(|gs| gs.order).collect())
+    }
+
+    /// Per reorder-safe group, the member constraints in the order the
+    /// adaptive calibration pass learned — the order this engine executes
+    /// (`None` unless built with an adaptive schedule). A property of the
+    /// engine, identical for every run, chunk and worker of a sweep.
+    pub fn learned_orders(&self) -> Option<Vec<Vec<u32>>> {
+        (self.opts.schedule == ScheduleMode::Adaptive)
+            .then(|| self.sched_groups.iter().map(|g| g.executed.clone()).collect())
     }
 
     /// Run the full sweep.
@@ -1001,12 +1063,11 @@ impl Compiled {
         let mut slots = vec![0i64; self.lp.n_slots as usize];
         let mut state = self.fresh_state(visitor);
         self.exec(0, usize::MAX, None, &mut slots, &mut state, &ChunkCtx::plain())?;
-        let schedule = self.final_orders(&state);
         Ok(SweepOutcome {
             stats: state.stats,
             blocks: state.blocks,
             lanes: state.lanes,
-            schedule,
+            schedule: self.learned_orders(),
             visitor: state.visitor,
         })
     }
@@ -1018,7 +1079,9 @@ impl Compiled {
     /// re-executed per chunk; they are loop-invariant so this is correct,
     /// and they are evaluated against constants so it is cheap. Their
     /// constraint counters are *not* re-recorded to keep merged statistics
-    /// meaningful.
+    /// meaningful. Chunk outcomes carry no `schedule`: the learned order is
+    /// a property of the engine ([`Compiled::learned_orders`]), reported
+    /// once per sweep.
     pub fn run_outer_chunk<V: Visitor>(
         &self,
         outer_values: &[i64],
@@ -1041,40 +1104,19 @@ impl Compiled {
     ) -> Result<ChunkRun<V>, EvalError> {
         let mut slots = vec![0i64; self.lp.n_slots as usize];
         let mut state = self.fresh_state(visitor);
-        let Some(first_enter) = self.first_enter else {
-            return Ok(ChunkRun {
-                outcome: SweepOutcome {
-                    stats: state.stats,
-                    blocks: state.blocks,
-                    lanes: state.lanes,
-                    schedule: None,
-                    visitor: state.visitor,
-                },
-                faults: Vec::new(),
-            });
-        };
-        // Execute the preamble quietly.
-        if !self.preamble(&mut slots, &mut state.stack, None)? {
-            // A constants-only constraint rejected everything.
-            return Ok(ChunkRun {
-                outcome: SweepOutcome {
-                    stats: state.stats,
-                    blocks: state.blocks,
-                    lanes: state.lanes,
-                    schedule: None,
-                    visitor: state.visitor,
-                },
-                faults: Vec::new(),
-            });
+        if let Some(first_enter) = self.first_enter {
+            // Execute the preamble quietly; a constants-only constraint that
+            // rejects leaves the chunk empty.
+            if self.preamble(&mut slots, &mut state.stack, None)? {
+                self.exec(first_enter, usize::MAX, Some(outer_values), &mut slots, &mut state, ctx)?;
+            }
         }
-        self.exec(first_enter, usize::MAX, Some(outer_values), &mut slots, &mut state, ctx)?;
-        let schedule = self.final_orders(&state);
         Ok(ChunkRun {
             outcome: SweepOutcome {
                 stats: state.stats,
                 blocks: state.blocks,
                 lanes: state.lanes,
-                schedule,
+                schedule: None,
                 visitor: state.visitor,
             },
             faults: state.faults,
@@ -1167,29 +1209,22 @@ impl Compiled {
     }
 
     /// The constraint schedule this backend runs, for
-    /// [`SweepReport`](crate::telemetry::SweepReport)s:
-    /// mode, per-constraint ranks in the flattened (scheduled) check order,
-    /// and per-group initial/final member orders. `final_orders` — the
-    /// [`SweepOutcome::schedule`] of a finished adaptive run — substitutes
-    /// the observed final orders; without it (or for declared/static modes)
-    /// the final order equals the initial one.
-    pub fn schedule_telemetry(
-        &self,
-        final_orders: Option<&[Vec<u32>]>,
-    ) -> ScheduleTelemetry {
+    /// [`SweepReport`](crate::telemetry::SweepReport)s: mode, per-constraint
+    /// ranks in the executed check order, and per-group initial (static or
+    /// declared) and final member orders — the final order differs from the
+    /// initial one only where adaptive calibration re-ranked a group.
+    pub fn schedule_telemetry(&self) -> ScheduleTelemetry {
         let constraints = self.lp.plan.space().constraints();
-        let name = |c: &u32| constraints[*c as usize].name.to_string();
+        let names = |order: &[u32]| -> Vec<String> {
+            order.iter().map(|&c| constraints[c as usize].name.to_string()).collect()
+        };
         let groups = self
             .sched_groups
             .iter()
-            .enumerate()
-            .map(|(i, g)| {
-                let initial: Vec<String> = g.constraints.iter().map(name).collect();
-                let final_order = final_orders
-                    .and_then(|f| f.get(i))
-                    .map(|o| o.iter().map(name).collect())
-                    .unwrap_or_else(|| initial.clone());
-                GroupSchedule { level: g.level, initial, final_order }
+            .map(|g| GroupSchedule {
+                level: g.level,
+                initial: names(&g.initial),
+                final_order: names(&g.executed),
             })
             .collect();
         ScheduleTelemetry {
@@ -1322,13 +1357,9 @@ impl Compiled {
         frames: &mut [Frame],
     ) -> Result<(), EvalError> {
         let poll_cancel = ctx.cancel.is_some_and(|p| p.armed());
-        // Adaptive runs execute a run-local copy of the instruction stream:
-        // when a group's order freezes, its learned order is patched back
-        // into this copy as straight-line `Define`/`Check` ops, removing
-        // the `CheckGroup` dispatch from the steady state. Other modes run
-        // the shared ops directly.
-        let mut owned_ops: Option<Vec<Op>> =
-            (!self.agroups.is_empty()).then(|| self.ops.clone());
+        // Calibration runs spend a work budget; sweeps never do.
+        let budgeted = state.budget != u64::MAX;
+        let ops: &[Op] = &self.ops;
         let mut ip = start_ip;
         // Evaluate a fallible expression; on error, hand the fault to
         // `fault_recover`, which either yields a recovery ip (SkipPoint:
@@ -1363,10 +1394,6 @@ impl Compiled {
             if ip == end_ip {
                 return Ok(());
             }
-            let ops: &[Op] = owned_ops.as_deref().unwrap_or(&self.ops);
-            // Group index to patch after the match releases its borrow of
-            // the op array (set only when a group just froze).
-            let mut freeze: Option<usize> = None;
             match &ops[ip] {
                 Op::Enter { loop_id, slot, domain, next } => {
                     let l = *loop_id as usize;
@@ -1503,9 +1530,7 @@ impl Compiled {
                     // filter plans descend per surviving lane. Disabled per
                     // chunk when a fault injector
                     // is attached (injected faults are keyed on per-point
-                    // visit ordinals, which blocks don't advance one by one)
-                    // and under the adaptive schedule (plans are never built
-                    // there; `owned_ops` may diverge from `self.ops`).
+                    // visit ordinals, which blocks don't advance one by one).
                     if self.opts.batch
                         && ctx.injector.is_none()
                         && len >= MIN_BATCH_LEN
@@ -1529,6 +1554,9 @@ impl Compiled {
                     ip += 1;
                 }
                 Op::Next { loop_id, slot, body } => {
+                    if budgeted && !state.spend() {
+                        return Err(EvalError::Cancelled);
+                    }
                     if poll_cancel {
                         state.poll += 1;
                         if state.poll >= CANCEL_POLL_EVERY {
@@ -1629,6 +1657,9 @@ impl Compiled {
                     ip = if rejected { *on_reject as usize } else { ip + 1 };
                 }
                 Op::CheckGroup { group } => {
+                    if !state.spend() {
+                        return Err(EvalError::Cancelled);
+                    }
                     let gi = *group as usize;
                     let g = &self.agroups[gi];
                     let gs = &mut state.sched[gi];
@@ -1643,7 +1674,7 @@ impl Compiled {
                             if state.elide & (1u64 << bit) != 0 {
                                 // As on Op::Check: count the pass the
                                 // per-point engine would have recorded.
-                                // Elided members don't feed the adaptive
+                                // Elided members don't feed the kill-rate
                                 // counters — no expression actually ran.
                                 state.stats.record(m.constraint as usize, false);
                                 state.blocks.checks_elided += 1;
@@ -1667,10 +1698,8 @@ impl Compiled {
                             m.expr.eval(slots, &mut state.stack)
                         ) != 0;
                         state.stats.record(m.constraint as usize, r);
-                        if gs.stable < ADAPT_FREEZE {
-                            gs.evaluated[mi] += 1;
-                            gs.killed[mi] += r as u64;
-                        }
+                        gs.evaluated[mi] += 1;
+                        gs.killed[mi] += r as u64;
                         if r {
                             rejected = true;
                             break;
@@ -1690,14 +1719,9 @@ impl Compiled {
                             }
                         }
                     }
-                    if gs.stable < ADAPT_FREEZE {
-                        gs.ticks = gs.ticks.wrapping_add(1);
-                        if gs.ticks.is_multiple_of(ADAPT_EPOCH) {
-                            resort(g, gs);
-                            if gs.stable >= ADAPT_FREEZE {
-                                freeze = Some(gi);
-                            }
-                        }
+                    gs.ticks = gs.ticks.wrapping_add(1);
+                    if gs.ticks.is_multiple_of(ADAPT_EPOCH) {
+                        resort(g, gs);
                     }
                     ip = if rejected { g.on_reject as usize } else { g.end as usize };
                 }
@@ -1723,13 +1747,6 @@ impl Compiled {
                     ip += 1;
                 }
                 Op::Halt => return Ok(()),
-            }
-            if let Some(gi) = freeze {
-                self.patch_frozen(
-                    owned_ops.as_mut().expect("check groups imply owned ops"),
-                    gi,
-                    &state.sched[gi].order,
-                );
             }
         }
     }
@@ -2179,50 +2196,6 @@ impl Compiled {
         Ok(())
     }
 
-    /// Patch a frozen group's learned order back into the run-local
-    /// instruction stream: the region's op span is rewritten as
-    /// straight-line `Define`/`Check` ops in unit-linearized frozen order
-    /// — each member preceded by its not-yet-emitted define closure, the
-    /// remaining defines last — and the `CheckGroup` dispatch disappears,
-    /// so the steady state costs exactly what a statically scheduled plan
-    /// costs. The patched sequence evaluates the same expressions and
-    /// records the same `PruneStats` on every path as group execution; the
-    /// only divergence is that an elided member's closure defines now run
-    /// unconditionally, which is unobservable (they are infallible, and
-    /// every define runs before the span is left on the all-pass path
-    /// either way).
-    fn patch_frozen(&self, ops: &mut [Op], gi: usize, order: &[u16]) {
-        let g = &self.agroups[gi];
-        let span = g.start as usize..g.end as usize;
-        let mut seq: Vec<Op> = Vec::with_capacity(span.len());
-        let mut emitted = 0u64;
-        for &mi in order {
-            let m = &g.members[mi as usize];
-            for &d in &m.deps {
-                if emitted & (1u64 << d) == 0 {
-                    emitted |= 1u64 << d;
-                    let def = &g.defines[d as usize];
-                    seq.push(Op::Define { slot: def.slot, expr: def.expr.clone() });
-                }
-            }
-            seq.push(Op::Check {
-                constraint: m.constraint,
-                expr: m.expr.clone(),
-                elide_bit: m.elide_bit,
-                on_reject: g.on_reject,
-            });
-        }
-        for (d, def) in g.defines.iter().enumerate() {
-            if emitted & (1u64 << d) == 0 {
-                seq.push(Op::Define { slot: def.slot, expr: def.expr.clone() });
-            }
-        }
-        debug_assert_eq!(seq.len(), span.len(), "patched region must fill its span");
-        for (dst, op) in ops[span].iter_mut().zip(seq) {
-            *dst = op;
-        }
-    }
-
     /// Run one loop's guard program against the current outer slot values
     /// and the just-realized domain interval and congruence.
     ///
@@ -2435,9 +2408,7 @@ impl Compiled {
     /// The `Next` ip of the innermost loop whose body contains `ip`, or
     /// `None` when `ip` is outside every loop. A loop with `Enter` at `e`
     /// and `Next` at `n` is *open* at `ip` iff `e < ip <= n`; closed loops
-    /// entirely before `ip` are skipped over wholesale. Scans the shared op
-    /// array — adaptive patching never rewrites `Enter`/`Next`, so the loop
-    /// structure is identical in the run-local copy.
+    /// entirely before `ip` are skipped over wholesale.
     fn innermost_open_next(&self, ip: usize) -> Option<usize> {
         let mut best = None;
         let mut i = 0;
@@ -2699,8 +2670,8 @@ fn build_guards(
 /// loop (no inner `Enter`) is batchable when its whole body lowers to
 /// expression defines, expression checks rejecting to the loop's own
 /// `Next`, and visits — no opaque callbacks (their closure re-entry is
-/// priced per point and can observe slot state lane-by-lane) and no
-/// adaptive group dispatch. A non-innermost loop gets a *filter* plan when
+/// priced per point and can observe slot state lane-by-lane). A
+/// non-innermost loop gets a *filter* plan when
 /// its body prefix (everything before the first inner `Enter`) meets the
 /// same bar and at least one prefix check is slab-translatable — without a
 /// slab check every lane would still pay a scalar evaluation and the
@@ -2715,6 +2686,12 @@ fn build_batch_plans(ops: &[Op]) -> Vec<Option<BatchPlan>> {
     let mut plans: Vec<Option<BatchPlan>> = vec![None; n_loops];
     for (ip, op) in ops.iter().enumerate() {
         let Op::Enter { loop_id, slot, next, .. } = op else { continue };
+        // Like guards, lane plans skip the outermost loop: its blocks would
+        // follow the parallel driver's chunk boundaries, and `LaneStats`
+        // must not depend on the chunk grid.
+        if *loop_id == 0 {
+            continue;
+        }
         let body = ip + 1..*next as usize;
         let descend = ops[body.clone()]
             .iter()
@@ -2946,8 +2923,11 @@ struct State<V> {
     gpstack: Vec<Product>,
     /// Bitmask of currently elided checks (bit = constraint index).
     elide: u64,
-    /// Per-group adaptive schedule state (empty unless adaptive).
+    /// Per-group calibration state (empty outside [`Compiled::calibrate`]).
     sched: Vec<GroupState>,
+    /// Calibration work units left — loop advances plus group executions
+    /// (`u64::MAX` = unbounded, every real sweep).
+    budget: u64,
     /// Faults recovered from during this run (only under
     /// [`FaultPolicy::SkipPoint`]); drained by the supervisor.
     faults: Vec<FaultRecord>,
@@ -2956,6 +2936,16 @@ struct State<V> {
     visit_ordinal: u64,
     /// Countdown for intra-chunk cancel polling (see `CANCEL_POLL_EVERY`).
     poll: u32,
+}
+
+impl<V> State<V> {
+    /// Spend one calibration work unit; `false` once the budget is gone.
+    #[inline]
+    fn spend(&mut self) -> bool {
+        let left = self.budget > 0;
+        self.budget = self.budget.saturating_sub(1);
+        left
+    }
 }
 
 /// Reusable batch-tier buffers (see [`State::lscratch`]): `lrows` holds one
@@ -3367,14 +3357,14 @@ mod tests {
     #[test]
     fn static_schedule_reorders_checks_by_expected_cost_to_kill() {
         let space = sched_space();
-        let tele = scheduled(&space, ScheduleMode::Static).schedule_telemetry(None);
+        let tele = scheduled(&space, ScheduleMode::Static).schedule_telemetry();
         assert_eq!(tele.mode, "static");
         assert_eq!(tele.groups.len(), 1);
         // The deadliest check moves to the front of its group.
         assert_eq!(tele.groups[0].initial[0], "deadly");
         assert_eq!(tele.groups[0].initial.len(), 3);
         // Declared mode reports the declared order untouched.
-        let declared = scheduled(&space, ScheduleMode::Declared).schedule_telemetry(None);
+        let declared = scheduled(&space, ScheduleMode::Declared).schedule_telemetry();
         assert_eq!(declared.groups[0].initial, vec!["rare", "mid", "deadly"]);
     }
 
@@ -3384,12 +3374,17 @@ mod tests {
         let c = scheduled(&space, ScheduleMode::Adaptive);
         let out = c.run(CountVisitor::default()).unwrap();
         let finals = out.schedule.as_ref().expect("adaptive runs report a schedule");
+        assert_eq!(Some(finals), c.learned_orders().as_ref());
         assert_eq!(finals.len(), 1);
-        // 9^3 = 729 group executions > ADAPT_EPOCH, so at least one re-sort
-        // ran; "deadly" (constraint 2) has by far the best kill rate per op
-        // and must end up first.
-        let tele = c.schedule_telemetry(Some(finals));
+        // 9^3 = 729 calibration group executions > ADAPT_EPOCH; "deadly"
+        // (constraint 2) has by far the best kill rate per op and must end
+        // up first — in the report and in the executed check order.
+        let tele = c.schedule_telemetry();
         assert_eq!(tele.groups[0].final_order[0], "deadly");
+        assert_eq!(tele.ranks[2], 0);
+        // The learned order is compiled in: no group dispatch survives.
+        assert!(c.agroups.is_empty());
+        assert!(!c.ops.iter().any(|op| matches!(op, Op::CheckGroup { .. })));
         // Declared-mode runs don't carry a schedule.
         let d = scheduled(&space, ScheduleMode::Declared);
         assert!(d.run(CountVisitor::default()).unwrap().schedule.is_none());

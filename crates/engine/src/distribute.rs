@@ -55,7 +55,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use beast_core::error::EvalError;
@@ -290,30 +290,6 @@ fn eval_chunk_local<V: Visitor>(
 // Frame (de)serialization
 // ---------------------------------------------------------------------------
 
-fn schedule_json(out: &mut String, schedule: Option<&[Vec<u32>]>) {
-    use std::fmt::Write as _;
-    match schedule {
-        None => out.push_str("null"),
-        Some(groups) => {
-            out.push('[');
-            for (i, group) in groups.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push('[');
-                for (j, c) in group.iter().enumerate() {
-                    if j > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "{c}");
-                }
-                out.push(']');
-            }
-            out.push(']');
-        }
-    }
-}
-
 /// Serialize a finished chunk into a `done` frame payload.
 fn done_frame<V: Visitor + SaveState>(chunk: usize, done: &ChunkDone<V>) -> String {
     use std::fmt::Write as _;
@@ -333,9 +309,7 @@ fn done_frame<V: Visitor + SaveState>(chunk: usize, done: &ChunkDone<V>) -> Stri
                 o.lanes.lane_evals, o.lanes.lanes_masked, o.lanes.scalar_fallbacks
             );
             u64_array(&mut out, &o.lanes.super_hits);
-            out.push_str("},\"schedule\":");
-            schedule_json(&mut out, o.schedule.as_deref());
-            out.push_str(",\"visitor\":");
+            out.push_str("},\"visitor\":");
             out.push_str(&o.visitor.save_state());
             out.push('}');
         }
@@ -376,7 +350,7 @@ fn parse_lanes(doc: &JsonValue) -> Result<LaneStats, String> {
 /// Fully validate a worker's `done` frame against what the supervisor
 /// dispatched before anything is folded: the chunk index must match, counter
 /// arrays must cover exactly the plan's constraints, and every nested block
-/// (blocks, lanes, schedule, visitor state, fault records) must parse. Any
+/// (blocks, lanes, visitor state, fault records) must parse. Any
 /// violation is a [`FaultKind::ProtocolError`] — the shard is re-dealt and
 /// nothing from the lying worker reaches the merge.
 fn parse_done<V: Visitor + SaveState>(
@@ -422,33 +396,11 @@ fn parse_done<V: Visitor + SaveState>(
             let lanes = parse_lanes(
                 o.get("lanes").ok_or_else(|| "worker: outcome.lanes missing".to_string())?,
             )?;
-            let schedule = match o.get("schedule") {
-                None => return Err("worker: outcome.schedule missing".to_string()),
-                Some(JsonValue::Null) => None,
-                Some(s) => Some(
-                    s.items()
-                        .ok_or_else(|| "worker: schedule is not an array".to_string())?
-                        .iter()
-                        .map(|group| {
-                            group
-                                .items()
-                                .ok_or_else(|| "worker: schedule group is not an array".to_string())?
-                                .iter()
-                                .map(|c| {
-                                    c.as_u64()
-                                        .and_then(|c| u32::try_from(c).ok())
-                                        .ok_or_else(|| "worker: schedule entry not a u32".to_string())
-                                })
-                                .collect::<Result<Vec<u32>, _>>()
-                        })
-                        .collect::<Result<Vec<Vec<u32>>, _>>()?,
-                ),
-            };
             let mut visitor = make_visitor();
             visitor
                 .load_state(o.get("visitor").ok_or_else(|| "worker: outcome.visitor missing".to_string())?)
                 .map_err(|e| format!("worker: {e}"))?;
-            Some(SweepOutcome { stats, blocks, lanes, schedule, visitor })
+            Some(SweepOutcome { stats, blocks, lanes, schedule: None, visitor })
         }
     };
     Ok(ChunkDone { outcome, faults })
@@ -507,13 +459,17 @@ where
     write_frame(&mut *out.lock().unwrap(), &ready).map_err(|e| format!("ready: {e}"))?;
 
     let busy: Mutex<Option<usize>> = Mutex::new(None);
-    let stop = AtomicBool::new(false);
+    let (stop, wake) = (Mutex::new(false), Condvar::new());
     std::thread::scope(|scope| {
         scope.spawn(|| {
             let tick = Duration::from_millis((hb_ms / 4).clamp(10, 1_000));
+            let mut stopped = stop.lock().unwrap();
             loop {
-                std::thread::sleep(tick);
-                if stop.load(Ordering::Relaxed) {
+                // Sleeps one tick, or until `stop` is raised: the scope joins
+                // this thread, so the worker must not outlive its serve loop
+                // by the rest of a tick.
+                stopped = wake.wait_timeout_while(stopped, tick, |s| !*s).unwrap().0;
+                if *stopped {
                     break;
                 }
                 let current = *busy.lock().unwrap();
@@ -526,7 +482,8 @@ where
             }
         });
         let result = serve_shards(&compiled, policy, &make_visitor, chaos, &mut input, &out, &busy);
-        stop.store(true, Ordering::Relaxed);
+        *stop.lock().unwrap() = true;
+        wake.notify_all();
         result
     })
 }
@@ -695,15 +652,20 @@ impl Link {
 
     /// Graceful shutdown: send `bye`, give the worker a short grace period
     /// to exit on its own, then kill and reap — children are never leaked.
+    /// The reader thread hangs up at the worker's stdout EOF, i.e. as it
+    /// exits, so a healthy worker is reaped the moment it is gone.
     fn shutdown(self) {
-        let Link { mut child, mut stdin, rx: _rx } = self;
+        let Link { mut child, mut stdin, rx } = self;
         let _ = write_frame(&mut stdin, &format!("{{\"v\":{PROTOCOL_VERSION},\"bye\":{{}}}}"));
         drop(stdin);
-        for _ in 0..50 {
+        let grace = Instant::now() + Duration::from_millis(500);
+        // Stray frames are drained; hang-up and expiry both end the wait.
+        while rx.recv_timeout(grace.saturating_duration_since(Instant::now())).is_ok() {}
+        while Instant::now() < grace {
             if let Ok(Some(_)) = child.try_wait() {
                 return;
             }
-            std::thread::sleep(Duration::from_millis(10));
+            std::thread::sleep(Duration::from_millis(1));
         }
         let _ = child.kill();
         let _ = child.wait();
@@ -858,7 +820,7 @@ where
             0,
             t_start.elapsed(),
             vec![],
-            compiled.schedule_telemetry(None),
+            compiled.schedule_telemetry(),
             compiled.lint_summary(),
         );
         report.resumed_at = resumed_at;
@@ -919,7 +881,6 @@ where
         lanes: LaneStats::default(),
         faults: seed_faults,
         visitor: seed_visitor,
-        schedule: None,
         outer_len: outer.len(),
         chunk_len,
         chunks: chunks.len(),
@@ -1221,7 +1182,7 @@ where
     if let Some(sink) = sink {
         collector.save(sink).map_err(SweepError::Checkpoint)?;
     }
-    let Collector { stats, blocks, lanes, faults, visitor, schedule, .. } = collector;
+    let Collector { stats, blocks, lanes, faults, visitor, .. } = collector;
 
     let mut report = SweepReport::new(
         space,
@@ -1233,7 +1194,7 @@ where
         chunks.len(),
         t_start.elapsed(),
         workers,
-        compiled.schedule_telemetry(schedule.as_deref()),
+        compiled.schedule_telemetry(),
         compiled.lint_summary(),
     );
     report.partial = partial;
@@ -1245,7 +1206,13 @@ where
     report.faults = faults;
     report.lanes = lanes.clone();
     Ok((
-        SweepOutcome { stats, blocks, lanes, schedule, visitor: visitor.unwrap_or_else(make_visitor) },
+        SweepOutcome {
+            stats,
+            blocks,
+            lanes,
+            schedule: compiled.learned_orders(),
+            visitor: visitor.unwrap_or_else(make_visitor),
+        },
         report,
     ))
 }
@@ -1508,7 +1475,7 @@ mod tests {
                     \"pruned\":[0,1],\"survivors\":1},\"blocks\":{\"subtree_skips\":0,\
                     \"congruence_skips\":0,\"points_skipped\":0,\"checks_elided\":0},\
                     \"lanes\":{\"lane_evals\":0,\"lanes_masked\":0,\"scalar_fallbacks\":0,\
-                    \"super_hits\":[]},\"schedule\":null,\"visitor\":{\"hash\":1,\"pow\":2,\
+                    \"super_hits\":[]},\"visitor\":{\"hash\":1,\"pow\":2,\
                     \"count\":1}},\"faults\":[]}}";
         let doc = JsonValue::parse(good).unwrap();
         assert!(parse_done::<FingerprintVisitor>(&doc, 3, 2, &mk).is_ok());

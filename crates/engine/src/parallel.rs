@@ -273,7 +273,6 @@ pub(crate) struct Collector<V> {
     pub(crate) lanes: LaneStats,
     pub(crate) faults: Vec<FaultRecord>,
     pub(crate) visitor: Option<V>,
-    pub(crate) schedule: Option<Vec<Vec<u32>>>,
     pub(crate) outer_len: usize,
     pub(crate) chunk_len: usize,
     pub(crate) chunks: usize,
@@ -294,9 +293,6 @@ impl<V: Visitor> Collector<V> {
         let mut advanced = false;
         while let Some(done) = self.pending.remove(&self.next) {
             if let Some(out) = done.outcome {
-                if self.next == 0 {
-                    self.schedule = out.schedule;
-                }
                 self.stats.merge(&out.stats);
                 self.blocks.merge(&out.blocks);
                 self.lanes.merge(&out.lanes);
@@ -449,7 +445,7 @@ where
             0,
             t_start.elapsed(),
             vec![],
-            compiled.schedule_telemetry(None),
+            compiled.schedule_telemetry(),
             compiled.lint_summary(),
         );
         report.resumed_at = resumed_at;
@@ -533,7 +529,6 @@ where
         lanes: LaneStats::default(),
         faults: seed_faults,
         visitor: seed_visitor,
-        schedule: None,
         outer_len: outer.len(),
         chunk_len,
         chunks: chunks.len(),
@@ -768,7 +763,7 @@ where
         // Final flush so the file always reflects the folded prefix edge.
         collector.save(sink).map_err(SweepError::Checkpoint)?;
     }
-    let Collector { stats, blocks, lanes, faults, visitor, schedule, .. } = collector;
+    let Collector { stats, blocks, lanes, faults, visitor, .. } = collector;
 
     let mut report = SweepReport::new(
         space,
@@ -780,7 +775,7 @@ where
         chunks.len(),
         t_start.elapsed(),
         workers,
-        compiled.schedule_telemetry(schedule.as_deref()),
+        compiled.schedule_telemetry(),
         compiled.lint_summary(),
     );
     report.partial = partial;
@@ -797,7 +792,7 @@ where
             stats,
             blocks,
             lanes,
-            schedule,
+            schedule: compiled.learned_orders(),
             visitor: visitor.unwrap_or_else(make_visitor),
         },
         report,

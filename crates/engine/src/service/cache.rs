@@ -276,12 +276,12 @@ impl<V: Visitor + SaveState + Clone + Send + Sync> ChunkMemo<V> for ScopedMemo<'
                 Some(SweepOutcome {
                     stats: e.stats.clone(),
                     blocks: e.blocks,
-                    // Telemetry-only, like `schedule`: lane counters describe
-                    // work actually executed, and a replayed chunk executed
-                    // none, so the default (all-zero) value is reported.
+                    // Telemetry-only: lane counters describe work actually
+                    // executed, and a replayed chunk executed none, so the
+                    // default (all-zero) value is reported.
                     lanes: LaneStats::default(),
-                    // Telemetry-only: the adaptive-schedule final order is
-                    // not stored, so replayed chunk 0 reports no reorder.
+                    // Per sweep, not per chunk: the driver reports the
+                    // engine's learned order whether or not chunks replay.
                     schedule: None,
                     visitor: e.visitor.clone(),
                 })

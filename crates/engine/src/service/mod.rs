@@ -8,15 +8,15 @@
 //! `docs/PROTOCOL.md`; the architecture and the cache-soundness argument in
 //! `DESIGN.md` §8. In brief:
 //!
-//! | Route                      | Purpose                                    |
-//! |----------------------------|--------------------------------------------|
-//! | `GET  /healthz`            | liveness + job count                       |
-//! | `POST /sweeps`             | submit a sweep (`"wait": true` to block)   |
-//! | `GET  /sweeps`             | list all jobs                              |
-//! | `GET  /sweeps/{id}`        | job state; full report once done           |
-//! | `GET  /sweeps/{id}/progress` | chunked stream of progress JSON lines    |
-//! | `GET  /cache/stats`        | sub-sweep cache counters                   |
-//! | `POST /shutdown`           | graceful stop                              |
+//! | Route                        | Purpose                                       |
+//! |------------------------------|-----------------------------------------------|
+//! | `GET  /healthz`              | liveness + retained job count                 |
+//! | `POST /sweeps`               | submit a sweep (`"wait": true` to block)      |
+//! | `GET  /sweeps`               | list retained jobs (live + 64 newest finished) |
+//! | `GET  /sweeps/{id}`          | job state; full report once done; 404 once evicted |
+//! | `GET  /sweeps/{id}/progress` | chunked stream of progress JSON lines         |
+//! | `GET  /cache/stats`          | sub-sweep cache counters                      |
+//! | `POST /shutdown`             | graceful stop                                 |
 //!
 //! The daemon is generic over *what spaces it can build*: callers supply a
 //! [`SpaceResolver`] that turns the request's `"space"` JSON object into a
@@ -27,8 +27,8 @@
 pub mod cache;
 pub mod http;
 
-use std::collections::{HashMap, VecDeque};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::collections::{BTreeMap, VecDeque};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -200,12 +200,19 @@ impl Job {
     }
 }
 
+/// Jobs the table retains. Past this, registering a job evicts the oldest
+/// *terminal* ones (their result JSON is the bulk of the daemon's memory); a
+/// queued or running job is never evicted, and an evicted id answers 404.
+const MAX_JOBS: usize = 64;
+
 /// Everything the listener, connection handlers and executors share.
 struct ServerState {
     cfg: ServiceConfig,
+    /// The realized bind address (the shutdown wake-up connects to it).
+    addr: SocketAddr,
     resolver: SpaceResolver,
     cache: SweepCache<FingerprintVisitor>,
-    jobs: Mutex<HashMap<u64, Arc<Job>>>,
+    jobs: Mutex<BTreeMap<u64, Arc<Job>>>,
     queue: Mutex<VecDeque<u64>>,
     queue_cv: Condvar,
     next_id: AtomicU64,
@@ -215,6 +222,42 @@ struct ServerState {
 impl ServerState {
     fn job(&self, id: u64) -> Option<Arc<Job>> {
         self.jobs.lock().unwrap().get(&id).cloned()
+    }
+
+    /// Add a job to the table, keeping it within [`MAX_JOBS`].
+    fn register(&self, job: Arc<Job>) {
+        let mut jobs = self.jobs.lock().unwrap();
+        jobs.insert(job.id, job);
+        let excess = jobs.len().saturating_sub(MAX_JOBS);
+        let evict: Vec<u64> = jobs
+            .iter()
+            .filter(|(_, job)| job.state.lock().unwrap().is_terminal())
+            .map(|(id, _)| *id)
+            .take(excess)
+            .collect();
+        for id in evict {
+            jobs.remove(&id);
+        }
+    }
+
+    /// Flag the stop and wake every thread that could be blocked on it: idle
+    /// executors through the queue condvar, the acceptor through a throwaway
+    /// loopback connection to its own listener.
+    fn request_shutdown(&self) {
+        // Raised under the queue lock, so an executor is either still ahead
+        // of its flag check or already waiting when the notify lands.
+        let queue = self.queue.lock().unwrap();
+        self.shutdown.store(true, Ordering::SeqCst);
+        drop(queue);
+        self.queue_cv.notify_all();
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
     }
 }
 
@@ -248,16 +291,14 @@ impl SweepService {
         let addr = listener
             .local_addr()
             .map_err(|e| format!("cannot read bound address: {e}"))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| format!("cannot set nonblocking: {e}"))?;
 
         let executors = cfg.executors.max(1);
         let state = Arc::new(ServerState {
             cfg,
+            addr,
             resolver,
             cache,
-            jobs: Mutex::new(HashMap::new()),
+            jobs: Mutex::new(BTreeMap::new()),
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
             next_id: AtomicU64::new(1),
@@ -295,8 +336,7 @@ impl SweepService {
 
     /// Request a graceful stop, exactly like `POST /shutdown`.
     pub fn shutdown(&self) {
-        self.state.shutdown.store(true, Ordering::SeqCst);
-        self.state.queue_cv.notify_all();
+        self.state.request_shutdown();
     }
 
     /// Block until every daemon thread has exited (after a shutdown was
@@ -313,20 +353,23 @@ impl SweepService {
     }
 }
 
-/// Accept loop: poll the nonblocking listener, hand each connection to a
-/// short-lived handler thread, exit when shutdown is flagged.
+/// Accept loop: block in `accept`, hand each connection to a short-lived
+/// handler thread, exit when shutdown is flagged (the wake-up connection of
+/// [`ServerState::request_shutdown`] is what unblocks the last `accept`).
 fn listener_loop(listener: TcpListener, state: &Arc<ServerState>) {
-    while !state.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if state.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 let state = Arc::clone(state);
                 let _ = std::thread::Builder::new()
                     .name("sweep-conn".to_string())
                     .spawn(move || handle_connection(stream, &state));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
+            // Transient (e.g. descriptor exhaustion): back off, retry.
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
     }
@@ -340,19 +383,14 @@ fn executor_loop(state: &Arc<ServerState>) {
             let mut queue = state.queue.lock().unwrap();
             loop {
                 if let Some(id) = queue.pop_front() {
-                    break Some(id);
+                    break id;
                 }
                 if state.shutdown.load(Ordering::SeqCst) {
-                    break None;
+                    return;
                 }
-                let (q, _timeout) = state
-                    .queue_cv
-                    .wait_timeout(queue, Duration::from_millis(50))
-                    .unwrap();
-                queue = q;
+                queue = state.queue_cv.wait(queue).unwrap();
             }
         };
-        let Some(id) = id else { return };
         let Some(job) = state.job(id) else { continue };
         run_job(state, &job);
     }
@@ -408,11 +446,6 @@ fn run_job(state: &ServerState, job: &Job) {
 
 /// Serve one connection: read a single request, dispatch, close.
 fn handle_connection(mut stream: TcpStream, state: &Arc<ServerState>) {
-    // Accepted sockets inherit O_NONBLOCK from the listener on some
-    // platforms; request parsing needs blocking reads.
-    if stream.set_nonblocking(false).is_err() {
-        return;
-    }
     // Socket timeouts in both directions, so a silent or undraining client
     // cannot pin this handler thread indefinitely.
     if crate::service::http::configure_stream(&stream).is_err() {
@@ -451,14 +484,12 @@ fn dispatch(
         ("POST", ["sweeps"]) => submit(stream, request, state),
         ("GET", ["sweeps"]) => {
             let jobs = state.jobs.lock().unwrap();
-            let mut ids: Vec<u64> = jobs.keys().copied().collect();
-            ids.sort_unstable();
             let mut body = String::from("{\"jobs\":[");
-            for (i, id) in ids.iter().enumerate() {
+            for (i, job) in jobs.values().enumerate() {
                 if i > 0 {
                     body.push(',');
                 }
-                body.push_str(&jobs[id].to_json());
+                body.push_str(&job.to_json());
             }
             body.push_str("]}");
             drop(jobs);
@@ -483,8 +514,7 @@ fn dispatch(
         }
         ("POST", ["shutdown"]) => {
             let reply = write_json(stream, 200, "{\"ok\":true,\"shutting_down\":true}");
-            state.shutdown.store(true, Ordering::SeqCst);
-            state.queue_cv.notify_all();
+            state.request_shutdown();
             reply.map_err(io)
         }
         ("GET" | "POST", _) => {
@@ -537,7 +567,7 @@ fn submit(
         state: Mutex::new(JobState::Queued),
         state_cv: Condvar::new(),
     });
-    state.jobs.lock().unwrap().insert(id, Arc::clone(&job));
+    state.register(Arc::clone(&job));
     state.queue.lock().unwrap().push_back(id);
     state.queue_cv.notify_one();
 

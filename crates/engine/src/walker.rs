@@ -49,15 +49,17 @@ pub struct SweepOutcome<V> {
     /// block pruning (walker, VM) and for the compiled engine with
     /// intervals disabled.
     pub blocks: BlockStats,
-    /// Final per-group check order observed by an adaptive-schedule run
-    /// (constraint indices, one inner `Vec` per reorder-safe check group).
-    /// `None` for backends and modes without online scheduling (walker, VM,
-    /// and the compiled engine under declared/static schedules).
+    /// Per-group check order an adaptive-schedule engine learned at compile
+    /// time and ran (constraint indices, one inner `Vec` per reorder-safe
+    /// check group; see `Compiled::learned_orders`). One value per sweep:
+    /// `None` on per-chunk outcomes, and for backends and modes without
+    /// measured scheduling (walker, VM, and the compiled engine under
+    /// declared/static schedules).
     pub schedule: Option<Vec<Vec<u32>>>,
     /// Batched-lane-tier and superinstruction telemetry. All-zero for
     /// backends without the tier (walker, VM) and for the compiled engine
     /// with batching off; replayed cached chunks also report the default
-    /// (telemetry-only, like `schedule`).
+    /// (telemetry-only).
     pub lanes: crate::stats::LaneStats,
     /// The visitor, holding whatever it accumulated.
     pub visitor: V,

@@ -598,3 +598,142 @@ fn chunk_granularity_is_invisible() {
         }
     }
 }
+
+/// The adaptive schedule is a compile-time decision: calibration is a pure
+/// function of plan and options, and the learned order is compiled into
+/// the same batched op stream a declared schedule runs. So — strictly
+/// stronger than "credit may move" — with batching on or off, at every
+/// thread count and on every chunk grid, survivors and emission order equal
+/// the walker's, and `PruneStats`, `BlockStats`, `LaneStats` and the
+/// reported schedule are *equal across all grids*.
+#[test]
+fn adaptive_counters_are_invariant_across_threads_and_chunk_grids() {
+    use beast_core::schedule::ScheduleMode;
+    for (name, space) in all_spaces() {
+        let lp = lower(&space);
+        let plan = Plan::new(&space, PlanOptions::default()).unwrap();
+        let walker = Walker::new(&plan, LoopStyle::RangeLazy);
+        let names = walker.point_names().clone();
+        let reference = walker
+            .run(CollectVisitor::new(names.clone(), usize::MAX))
+            .unwrap()
+            .visitor
+            .points;
+        for batch in [true, false] {
+            let engine = EngineOptions {
+                schedule: ScheduleMode::Adaptive,
+                batch,
+                ..EngineOptions::default()
+            };
+            let mut baseline = None;
+            for threads in THREAD_COUNTS {
+                for chunk_count in [1, 7, 32] {
+                    let opts = ParallelOptions {
+                        threads,
+                        chunk_count,
+                        engine,
+                        ..ParallelOptions::default()
+                    };
+                    let (par, _) = run_parallel_report(&lp, &opts, || {
+                        CollectVisitor::new(names.clone(), usize::MAX)
+                    })
+                    .unwrap();
+                    let at = format!("{name}: batch={batch} threads={threads} chunks={chunk_count}");
+                    assert_eq!(par.visitor.points, reference, "{at}: survivors or order");
+                    assert!(par.schedule.is_some(), "{at}: adaptive sweeps report a schedule");
+                    if !batch {
+                        assert_eq!(par.lanes, LaneStats::default(), "{at}");
+                    }
+                    let counters = (par.stats, par.blocks, par.lanes, par.schedule);
+                    match &baseline {
+                        None => baseline = Some(counters),
+                        Some(b) => assert_eq!(&counters, b, "{at}: counters moved"),
+                    }
+                }
+            }
+            let (_, _, lanes, schedule) = baseline.unwrap();
+            // The serial engine agrees with every grid, and the tiers compose.
+            let serial = Compiled::with_options(lp.clone(), engine);
+            assert_eq!(serial.learned_orders(), schedule, "{name}");
+            if batch && name == "gemm" {
+                assert!(lanes.lane_evals > 0, "adaptive gemm never hit the slab path");
+            }
+        }
+    }
+}
+
+/// Two builds of the same plan calibrate to the same engine: identical
+/// learned orders, identical executed check ranks, identical counters.
+#[test]
+fn adaptive_calibration_is_deterministic() {
+    use beast_core::schedule::ScheduleMode;
+    for (name, space) in all_spaces() {
+        let lp = lower(&space);
+        let engine = EngineOptions::scheduled(ScheduleMode::Adaptive);
+        let a = Compiled::with_options(lp.clone(), engine);
+        let b = Compiled::with_options(lp.clone(), engine);
+        assert_eq!(a.learned_orders(), b.learned_orders(), "{name}");
+        assert_eq!(a.schedule_telemetry().ranks, b.schedule_telemetry().ranks, "{name}");
+        let (ra, rb) = (
+            a.run(CountVisitor::default()).unwrap(),
+            b.run(CountVisitor::default()).unwrap(),
+        );
+        assert_eq!((ra.stats, ra.blocks, ra.lanes), (rb.stats, rb.blocks, rb.lanes), "{name}");
+    }
+}
+
+/// A space whose very first calibration sample raises an evaluation error
+/// still compiles (calibration keeps the static order), and the error
+/// surfaces from the real run exactly as under a declared schedule, for
+/// each fault policy.
+#[test]
+fn calibration_errors_surface_from_the_real_run_under_each_policy() {
+    use beast_core::schedule::ScheduleMode;
+    use beast_engine::fault::FaultPolicy;
+    let space = Space::builder("det_calib_err")
+        .range("x", 0, 12)
+        .derived("inv", lit(60) / var("x"))
+        .range("y", 1, 9)
+        .range("z", 1, 9)
+        .derived("yz", var("y") * var("z") + var("inv"))
+        .constraint("rare", ConstraintClass::Soft, var("yz").gt(120))
+        .constraint("deadly", ConstraintClass::Hard, var("yz").gt(30))
+        .build()
+        .unwrap();
+    let lp = lower(&space);
+    let adaptive = EngineOptions::scheduled(ScheduleMode::Adaptive);
+    let engine = Compiled::with_options(lp.clone(), adaptive);
+    let names = engine.point_names().clone();
+    assert_eq!(engine.learned_orders().map(|o| o.len()), Some(1), "one reorder-safe group");
+    for policy in [
+        FaultPolicy::Abort,
+        FaultPolicy::SkipPoint,
+        FaultPolicy::QuarantineChunk,
+        FaultPolicy::Retry { max: 1, backoff_ms: 0 },
+    ] {
+        let run = |engine| {
+            let opts = ParallelOptions {
+                threads: 2,
+                chunk_count: 4,
+                fault_policy: policy,
+                engine,
+                ..ParallelOptions::default()
+            };
+            run_parallel_report(&lp, &opts, || CollectVisitor::new(names.clone(), usize::MAX))
+        };
+        match (run(adaptive), run(EngineOptions::default())) {
+            (Err(a), Err(d)) => {
+                assert_eq!(policy, FaultPolicy::Abort);
+                assert_eq!(a.to_string(), d.to_string());
+                assert!(a.to_string().contains("division by zero"), "{a}");
+            }
+            (Ok((a, ra)), Ok((d, rd))) => {
+                assert_ne!(policy, FaultPolicy::Abort);
+                assert_eq!(a.visitor.points, d.visitor.points, "{policy:?}");
+                assert_eq!(ra.faults, rd.faults, "{policy:?}");
+                assert!(!ra.faults.is_empty(), "{policy:?}: the x = 0 fault must be recorded");
+            }
+            _ => panic!("{policy:?}: adaptive and declared disagree on failing"),
+        }
+    }
+}

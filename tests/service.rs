@@ -275,3 +275,51 @@ fn progress_stream_terminates_with_the_full_result() {
     service.shutdown();
     service.wait().unwrap();
 }
+
+/// `wait()` on a separate thread, so a daemon that fails to stop fails the
+/// test instead of hanging it.
+fn wait_within(service: SweepService, limit: std::time::Duration) {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(service.wait()));
+    rx.recv_timeout(limit).expect("daemon threads did not exit").unwrap();
+}
+
+/// The acceptor blocks in `accept` (no polling): both shutdown paths must
+/// wake it, even on a daemon that never saw a request.
+#[test]
+fn shutdown_wakes_a_blocked_acceptor() {
+    let limit = std::time::Duration::from_secs(5);
+    let (service, _) = start_service();
+    service.shutdown();
+    wait_within(service, limit);
+
+    let (service, addr) = start_service();
+    let (status, _) = http(&addr, "POST", "/shutdown", "");
+    assert_eq!(status, 200);
+    wait_within(service, limit);
+}
+
+/// The job table is bounded: finished jobs past the newest 64 are evicted
+/// (their ids then answer 404), so a long-lived daemon's memory does not
+/// grow with the number of requests it has served.
+#[test]
+fn job_table_is_bounded_and_evicted_ids_answer_404() {
+    let (service, addr) = start_service();
+    let mut last = 0;
+    for _ in 0..200 {
+        last = submit_wait(&addr, 16).get("id").and_then(JsonValue::as_u64).unwrap();
+    }
+    let (status, health) = http(&addr, "GET", "/healthz", "");
+    assert_eq!(status, 200);
+    let health = JsonValue::parse(&health).unwrap();
+    assert_eq!(health.get("jobs").and_then(JsonValue::as_u64), Some(64), "{health:?}");
+
+    let status_of = |id: u64| http(&addr, "GET", &format!("/sweeps/{id}"), "").0;
+    assert_eq!(status_of(last), 200, "the newest job is retained");
+    assert_eq!(status_of(last - 63), 200, "the 64th newest job is retained");
+    assert_eq!(status_of(last - 64), 404, "the 65th newest job was evicted");
+    assert_eq!(status_of(1), 404, "the oldest job was evicted");
+
+    service.shutdown();
+    wait_within(service, std::time::Duration::from_secs(5));
+}
