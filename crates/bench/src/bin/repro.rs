@@ -134,7 +134,9 @@
 //! processes — bit-identical survivors, order and fingerprints, with a
 //! silent fallback to the in-process engine when no compiler is installed.
 //! `walker` runs the serial interpreting backend (no parallel driver, no
-//! fault tolerance) as a ground-truth reference.
+//! fault tolerance) as a ground-truth reference and prints its
+//! per-constraint funnel, which `--schedule declared --no-intervals`
+//! reproduces count for count on the other tiers.
 //!
 //! Numbers are machine-relative; the paper's *shape* (ordering, rough
 //! factors) is the reproduction target. See EXPERIMENTS.md.
@@ -860,6 +862,9 @@ fn sweep(args: &[String], engine: EngineOptions) {
             out.visitor.hash,
             t.elapsed().as_secs_f64()
         );
+        // The reference funnel: a `--schedule declared --no-intervals` run
+        // of any other tier must reproduce these rows count for count.
+        println!("\n{}", out.stats.render_funnel(&space));
         return;
     }
 
@@ -1224,13 +1229,15 @@ fn funnel(dim: i64, engine: EngineOptions) {
     let compiled = Compiled::with_options(lp, engine);
     let out = compiled.run(CountVisitor::default()).unwrap();
     println!("{}", out.stats.render_funnel(&space));
-    if out.blocks.subtree_skips > 0 || out.blocks.checks_elided > 0 {
+    if out.blocks.subtree_skips > 0 || out.blocks.checks_elided > 0 || out.blocks.loops_solved > 0 {
         println!(
-            "block pruning: {} subtree skips ({} by congruence, ≥ {} points never enumerated), {} checks elided",
+            "block pruning: {} subtree skips ({} by congruence, ≥ {} points never enumerated), {} checks elided, {} loops solved ({} values never enumerated)",
             out.blocks.subtree_skips,
             out.blocks.congruence_skips,
             out.blocks.points_skipped,
-            out.blocks.checks_elided
+            out.blocks.checks_elided,
+            out.blocks.loops_solved,
+            out.blocks.points_solved
         );
     }
     print_schedule(&compiled.schedule_telemetry());

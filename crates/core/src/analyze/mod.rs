@@ -34,6 +34,7 @@
 pub mod congruence;
 pub mod count;
 pub mod diagnostics;
+pub mod narrow;
 
 use crate::interval::{Interval, IvProg};
 use crate::ir::{IntBinOp, IntExpr, LBody, LIter, LStep, LoweredPlan};

@@ -366,7 +366,7 @@ pub struct Region {
 }
 
 /// Collect the slots an expression reads.
-fn expr_slots(e: &IntExpr, out: &mut Vec<u32>) {
+pub(crate) fn expr_slots(e: &IntExpr, out: &mut Vec<u32>) {
     match e {
         IntExpr::Const(_) => {}
         IntExpr::Slot(s) => out.push(*s),

@@ -188,6 +188,9 @@ impl Value {
         match (self, rhs) {
             (Value::Str(a), Value::Str(b)) => a == b,
             (Value::Str(_), _) | (_, Value::Str(_)) => false,
+            // Exact for ints, like `compare`: widening to f64 would equate
+            // integers beyond 2^53 that differ.
+            (a, b) if !a.is_float() && !b.is_float() => a.as_int().ok() == b.as_int().ok(),
             (a, b) => match (a.as_float(), b.as_float()) {
                 (Ok(x), Ok(y)) => x == y,
                 _ => false,
@@ -318,6 +321,15 @@ mod tests {
         assert!(!s.value_eq(&Value::Int(1)));
         assert!(s.as_int().is_err());
         assert!(s.compare(&Value::Int(1)).is_err());
+    }
+
+    #[test]
+    fn integer_equality_is_exact_beyond_f64_precision() {
+        let a = Value::Int(i64::MAX - 4);
+        assert!(!a.value_eq(&Value::Int(i64::MAX - 5)));
+        assert!(a.value_eq(&Value::Int(i64::MAX - 4)));
+        assert!(Value::Bool(true).value_eq(&Value::Int(1)));
+        assert!(Value::Int(2).value_eq(&Value::Float(2.0)));
     }
 
     #[test]

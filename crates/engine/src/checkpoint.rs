@@ -519,11 +519,14 @@ pub(crate) fn blocks_json(out: &mut String, blocks: &BlockStats) {
     let _ = write!(
         out,
         "{{\"subtree_skips\":{},\"congruence_skips\":{},\
-         \"points_skipped\":{},\"checks_elided\":{}}}",
+         \"points_skipped\":{},\"checks_elided\":{},\
+         \"loops_solved\":{},\"points_solved\":{}}}",
         blocks.subtree_skips,
         blocks.congruence_skips,
         blocks.points_skipped,
-        blocks.checks_elided
+        blocks.checks_elided,
+        blocks.loops_solved,
+        blocks.points_solved
     );
 }
 
@@ -552,18 +555,26 @@ pub(crate) fn parse_stats(doc: &JsonValue, ctx: &str) -> Result<PruneStats, Stri
     Ok(stats)
 }
 
-/// Parse a [`BlockStats`] object written by [`blocks_json`].
+/// Parse a [`BlockStats`] object written by [`blocks_json`]. The narrowing
+/// counters are optional (absent ⇒ 0): checkpoints, cache files and `done`
+/// frames written before they existed still load.
 pub(crate) fn parse_blocks(doc: &JsonValue, ctx: &str) -> Result<BlockStats, String> {
     let block = |key: &str| {
         doc.get(key)
             .and_then(JsonValue::as_u64)
             .ok_or_else(|| format!("{ctx}: blocks.{key} missing"))
     };
+    let optional = |key: &str| match doc.get(key) {
+        None => Ok(0),
+        Some(v) => v.as_u64().ok_or_else(|| format!("{ctx}: blocks.{key} not an integer")),
+    };
     Ok(BlockStats {
         subtree_skips: block("subtree_skips")?,
         congruence_skips: block("congruence_skips")?,
         points_skipped: block("points_skipped")?,
         checks_elided: block("checks_elided")?,
+        loops_solved: optional("loops_solved")?,
+        points_solved: optional("points_solved")?,
     })
 }
 
@@ -648,8 +659,14 @@ fn verify_crc(text: &str, doc: &JsonValue) -> Result<(), String> {
         .get("crc")
         .and_then(JsonValue::as_str)
         .ok_or_else(|| "checkpoint: format 2 requires a `crc` field".to_string())?;
+    // Exactly what the writer emits (`{:016x}`): a case-flipped digit would
+    // parse to the same value, and a flipped bit must never resume.
+    let canonical = recorded.len() == 16
+        && recorded.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
     let recorded = u64::from_str_radix(recorded, 16)
-        .map_err(|_| "checkpoint: `crc` is not 64-bit hex".to_string())?;
+        .ok()
+        .filter(|_| canonical)
+        .ok_or_else(|| "checkpoint: `crc` is not 16 lowercase hex digits".to_string())?;
     // The writer emits the crc as the final field, so the last occurrence
     // of the marker is the real suffix boundary even if a string payload
     // earlier in the file happens to contain the same bytes.
@@ -763,6 +780,31 @@ mod tests {
         assert_eq!(parsed, record);
     }
 
+    /// Block counters written before the narrowing counters existed (parent
+    /// checkpoints, cache files, `done` frames) still load, as zeros.
+    #[test]
+    fn blocks_without_narrowing_counters_still_parse() {
+        let old = r#"{"subtree_skips":4,"congruence_skips":1,"points_skipped":99,"checks_elided":6}"#;
+        let blocks = parse_blocks(&JsonValue::parse(old).unwrap(), "test").unwrap();
+        assert_eq!(
+            blocks,
+            BlockStats {
+                subtree_skips: 4,
+                congruence_skips: 1,
+                points_skipped: 99,
+                checks_elided: 6,
+                ..BlockStats::default()
+            }
+        );
+        let mut out = String::new();
+        blocks_json(&mut out, &BlockStats { loops_solved: 3, points_solved: 57, ..blocks });
+        let back = parse_blocks(&JsonValue::parse(&out).unwrap(), "test").unwrap();
+        assert_eq!((back.loops_solved, back.points_solved), (3, 57));
+        // Present but malformed is still an error, not a silent zero.
+        let bad = old.replace('}', r#","loops_solved":"many"}"#);
+        assert!(parse_blocks(&JsonValue::parse(&bad).unwrap(), "test").is_err());
+    }
+
     #[test]
     fn checkpoint_file_round_trips() {
         let dir = std::env::temp_dir().join("beast-ck-unit");
@@ -778,6 +820,8 @@ mod tests {
             congruence_skips: 1,
             points_skipped: 99,
             checks_elided: 6,
+            loops_solved: 7,
+            points_solved: 140,
         };
         let visitor = FingerprintVisitor { hash: 0xdead_beef_dead_beef, pow: 3, count: 27 };
         let faults = vec![FaultRecord {

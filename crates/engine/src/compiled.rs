@@ -82,6 +82,7 @@ use crate::postfix::Postfix;
 
 use crate::fault::{CancelProbe, FaultAction, FaultInjector, FaultKind, FaultPolicy, FaultRecord};
 use crate::lanes::{EvalScratch, Lane, LaneProg, LANES};
+use crate::narrow::{self, LoopSolve};
 use crate::stats::{BlockStats, LaneStats, PruneStats};
 use crate::telemetry::{GroupSchedule, ScheduleTelemetry};
 use crate::visit::{CountVisitor, Visitor};
@@ -355,8 +356,10 @@ enum Op {
 /// [`EngineOptions::batch`]). An *innermost* plan (`descend == None`)
 /// covers the whole body through `Visit`; a *filter* plan covers the
 /// body's define/check prefix and descends into the remaining subtree —
-/// from the first inner `Enter` — per surviving lane, so high-kill checks
-/// at non-leaf levels still run as whole-block slabs.
+/// from the first inner `Enter` — per surviving lane, so checks at
+/// non-leaf levels still run as whole-block slabs. (A loop whose first
+/// check is a reject-unless-equal predicate never gets here: it is solved
+/// at `Enter`, see `crate::narrow`; lanes serve the `%`/`<` filters.)
 #[derive(Debug, Clone)]
 struct BatchPlan {
     /// Slots that vary per lane: `rows[0]` is the loop's bind slot, then
@@ -634,6 +637,9 @@ pub struct Compiled {
     /// Number of fused superinstructions in `ops` (sizes the per-run
     /// [`LaneStats::super_hits`] table).
     n_fused: usize,
+    /// Per-loop narrowing table (all `None` in the adaptive probe engine,
+    /// whose regions run through reorderable group dispatch).
+    narrow: Vec<Option<LoopSolve>>,
     /// Calibration check groups (empty except in the adaptive probe engine).
     agroups: Vec<AGroup>,
     /// Reorder-safe groups, for telemetry (all modes).
@@ -901,6 +907,11 @@ impl Compiled {
         let (gmaster, guards) =
             build_guards(&lp, n_loops as usize, &fanout_below, opts.min_guard_fanout);
 
+        let narrow = if groups.is_empty() {
+            narrow::build_table(&lp)
+        } else {
+            vec![None; n_loops as usize]
+        };
         let point_names: Arc<[Arc<str>]> =
             Arc::from(lp.slot_names.clone().into_boxed_slice());
         Compiled {
@@ -912,6 +923,7 @@ impl Compiled {
             first_enter,
             plans,
             n_fused,
+            narrow,
             agroups,
             sched_groups,
             point_names,
@@ -1398,22 +1410,15 @@ impl Compiled {
                 Op::Enter { loop_id, slot, domain, next } => {
                     let l = *loop_id as usize;
                     let exit = *next as usize + 1;
-                    // Realize the domain into the loop frame and compute the
-                    // exact value interval for the guard.
+                    // Realize the domain into the loop frame.
                     let f = &mut frames[l];
-                    let (first, iv, cg, len): (Option<i64>, Interval, Congruence, u64) =
+                    let (first, len): (Option<i64>, u64) =
                         if let (0, Some(chunk)) = (l, outer_override) {
                             f.kind = FrameKind::Buffer;
                             f.buf.clear();
                             f.buf.extend_from_slice(chunk);
                             f.idx = 0;
-                            // The outer loop is never guarded; TOP is fine.
-                            (
-                                chunk.first().copied(),
-                                Interval::TOP,
-                                Congruence::top(),
-                                chunk.len() as u64,
-                            )
+                            (chunk.first().copied(), chunk.len() as u64)
                         } else {
                             match domain {
                                 CDomain::Range { start, stop, step } => {
@@ -1437,33 +1442,13 @@ impl Compiled {
                                     f.stop = stop;
                                     f.step = step;
                                     let n = range_len(start, stop, step);
-                                    if n == 0 {
-                                        (None, Interval::TOP, Congruence::top(), 0)
-                                    } else {
-                                        let last = (start as i128
-                                            + step as i128 * (n as i128 - 1))
-                                            as i64;
-                                        // Every yielded value is
-                                        // `≡ start (mod |step|)` — the
-                                        // residue fact the interval hull
-                                        // throws away.
-                                        let cg = cg_of_bind(
-                                            Congruence::point(start),
-                                            Congruence::point(step),
-                                        );
-                                        (Some(start), Interval::new(start, last), cg, n)
-                                    }
+                                    ((n > 0).then_some(start), n)
                                 }
-                                CDomain::Values { values, lo, hi, cg } => {
+                                CDomain::Values { values, .. } => {
                                     f.kind = FrameKind::Values;
                                     f.vals = values.clone();
                                     f.idx = 0;
-                                    (
-                                        values.first().copied(),
-                                        Interval { lo: *lo, hi: *hi },
-                                        *cg,
-                                        values.len() as u64,
-                                    )
+                                    (values.first().copied(), values.len() as u64)
                                 }
                                 CDomain::Opaque { iter } => {
                                     f.buf.clear();
@@ -1484,16 +1469,7 @@ impl Compiled {
                                     }
                                     f.kind = FrameKind::Buffer;
                                     f.idx = 0;
-                                    let (lo, hi) = (
-                                        f.buf.iter().copied().min().unwrap_or(0),
-                                        f.buf.iter().copied().max().unwrap_or(0),
-                                    );
-                                    (
-                                        f.buf.first().copied(),
-                                        Interval { lo, hi },
-                                        cg_of_values(&f.buf),
-                                        f.buf.len() as u64,
-                                    )
+                                    (f.buf.first().copied(), f.buf.len() as u64)
                                 }
                             }
                         };
@@ -1505,6 +1481,10 @@ impl Compiled {
                     let mut elide_add = 0u64;
                     if self.opts.intervals {
                         if let Some(info) = &self.guards[l] {
+                            // Only the guard reads the domain's exact value
+                            // hull and residue class, so unguarded loops
+                            // never pay for them.
+                            let (iv, cg) = domain_facts(domain, &frames[l], len);
                             match self.run_guard(l, info, iv, cg, slots, state) {
                                 GuardVerdict::Skip { by_congruence } => {
                                     state.blocks.subtree_skips += 1;
@@ -1525,6 +1505,31 @@ impl Compiled {
                     let f = &mut frames[l];
                     f.saved_elide = state.elide;
                     state.elide |= elide_add;
+                    // Loop narrowing: when the body opens with a reject-
+                    // unless-equal check affine in the loop slot, solve for
+                    // the ≤ 1 passing value instead of enumerating (see
+                    // `crate::narrow`). Unprovable entries enumerate below.
+                    if let Some(ns) = &self.narrow[l] {
+                        let range = (f.cur, f.step, len);
+                        if let Some(sol) = ns.solve(state.elide, slots, &mut state.stack, range) {
+                            ns.credit(&mut state.stats, &mut state.blocks, len, &sol);
+                            if let Some(x) = sol.hit {
+                                // Run the body once; `Next` then finds the
+                                // frame dry and parks the slot on `last`.
+                                f.kind = FrameKind::Solved;
+                                f.cur = sol.last;
+                                slots[*slot as usize] = x;
+                                ip += 2;
+                            } else {
+                                // The common case leaves directly (an extra
+                                // `Next` dispatch per entry measured ≈ 5 %).
+                                slots[*slot as usize] = sol.last;
+                                state.elide = f.saved_elide;
+                                ip = exit;
+                            }
+                            continue;
+                        }
+                    }
                     // Batched lane tier: consume the whole loop in lane
                     // blocks — innermost plans emit survivors directly,
                     // filter plans descend per surviving lane. Disabled per
@@ -1573,6 +1578,9 @@ impl Compiled {
                             ip = *body as usize;
                         }
                         None => {
+                            if let FrameKind::Solved = f.kind {
+                                slots[*slot as usize] = f.cur;
+                            }
                             state.elide = f.saved_elide;
                             ip += 1;
                         }
@@ -1985,8 +1993,7 @@ impl Compiled {
             // final replay below then reconstructs each row from its last
             // writer, which is exactly where sequential per-lane replay
             // would have left it. This keeps emission cost proportional to
-            // survivors, not lanes — on high-kill levels that is the
-            // difference between ~1% and 100% of lanes walked.
+            // survivors, not lanes.
             if fb == 0 && plan.fast_emit {
                 let survivors = match plan.descend {
                     // `fast_emit` guarantees the `Visit` is the last step.
@@ -2843,6 +2850,26 @@ fn range_len(start: i64, stop: i64, step: i64) -> u64 {
     }
 }
 
+/// The exact value hull and residue class of a just-realized, non-empty
+/// domain of `len` values — the guard's view of the loop slot.
+fn domain_facts(domain: &CDomain, f: &Frame, len: u64) -> (Interval, Congruence) {
+    match domain {
+        CDomain::Range { .. } => {
+            let last = (f.cur as i128 + f.step as i128 * (len as i128 - 1)) as i64;
+            // Every yielded value is `≡ start (mod |step|)` — the residue
+            // fact the interval hull throws away.
+            let cg = cg_of_bind(Congruence::point(f.cur), Congruence::point(f.step));
+            (Interval::new(f.cur, last), cg)
+        }
+        CDomain::Values { lo, hi, cg, .. } => (Interval { lo: *lo, hi: *hi }, *cg),
+        CDomain::Opaque { .. } => {
+            let lo = f.buf.iter().copied().min().unwrap_or(0);
+            let hi = f.buf.iter().copied().max().unwrap_or(0);
+            (Interval { lo, hi }, cg_of_values(&f.buf))
+        }
+    }
+}
+
 /// Runtime iteration state for one loop of the flat program.
 struct Frame {
     kind: FrameKind,
@@ -2865,6 +2892,9 @@ enum FrameKind {
     Range,
     Values,
     Buffer,
+    /// A narrowed range running its body for the one solved value: dry,
+    /// with `cur` holding the range's last value for the slot's exit state.
+    Solved,
 }
 
 /// One loop advance — the single definition of `Op::Next`'s stepping
@@ -2874,11 +2904,15 @@ enum FrameKind {
 #[inline]
 fn advance_frame(f: &mut Frame) -> Option<i64> {
     match f.kind {
+        // A step past `i64` is past `stop`: overflow is exhaustion, as in
+        // the walker's `RealizedIter` (a wrapped value would pass the bound
+        // test and the loop would never end).
         FrameKind::Range => {
-            let x = f.cur.wrapping_add(f.step);
+            let x = f.cur.checked_add(f.step)?;
             f.cur = x;
             ((f.step > 0 && x < f.stop) || (f.step < 0 && x > f.stop)).then_some(x)
         }
+        FrameKind::Solved => None,
         FrameKind::Values => {
             f.idx += 1;
             f.vals.get(f.idx).copied()
@@ -2969,7 +3003,8 @@ const CANCEL_POLL_EVERY: u32 = 1024;
 /// Realized domains shorter than this run scalar even when the loop has a
 /// lane plan: block fill, step masks, and the ordered emission pass are
 /// per-block overheads that only amortize across enough lanes. Purely a
-/// cost switch — both tiers produce bit-identical results.
+/// cost switch — both tiers produce bit-identical results. Loops solved
+/// by narrowing never reach this choice, whatever their length.
 const MIN_BATCH_LEN: u64 = 8;
 
 /// Per-chunk supervision context threaded through `exec`: the fault policy,

@@ -42,6 +42,7 @@ pub mod compiled;
 pub mod distribute;
 pub mod fault;
 pub mod lanes;
+mod narrow;
 pub mod native;
 pub mod parallel;
 pub mod point;

@@ -54,6 +54,15 @@ pub struct BlockStats {
     /// Per-point check evaluations avoided because a constraint was
     /// statically true (never rejecting) over the remaining subdomain.
     pub checks_elided: u64,
+    /// Loop entries *solved* instead of enumerated: the loop's first check
+    /// was a reject-unless-equal predicate affine in the loop variable, so
+    /// the at most one passing value was computed in closed form (see
+    /// `crate::narrow`). The check is still credited in [`PruneStats`] as
+    /// evaluated once per value of the realized range.
+    pub loops_solved: u64,
+    /// Loop values covered by those solved entries (the sum of their
+    /// realized range lengths) — check evaluations credited, not executed.
+    pub points_solved: u64,
 }
 
 impl BlockStats {
@@ -63,6 +72,8 @@ impl BlockStats {
         self.congruence_skips += other.congruence_skips;
         self.points_skipped = self.points_skipped.saturating_add(other.points_skipped);
         self.checks_elided += other.checks_elided;
+        self.loops_solved += other.loops_solved;
+        self.points_solved += other.points_solved;
     }
 }
 

@@ -199,6 +199,13 @@ pub struct SweepReport {
     /// Per-point constraint evaluations elided because the check was
     /// statically true over its subtree (still counted in `evaluated`).
     pub checks_elided: u64,
+    /// Loop entries solved in closed form instead of enumerated (their
+    /// first check was a reject-unless-equal predicate affine in the loop
+    /// variable; see [`BlockStats::loops_solved`]).
+    pub loops_solved: u64,
+    /// Loop values those solved entries covered — check evaluations
+    /// credited to `evaluated` without being executed.
+    pub points_solved: u64,
     /// Chunks satisfied from the sub-sweep cache instead of re-enumeration
     /// (0 unless the sweep ran under `crate::service`'s memo).
     pub cache_hits: u64,
@@ -298,6 +305,8 @@ impl SweepReport {
             congruence_skips: blocks.congruence_skips,
             points_skipped: blocks.points_skipped,
             checks_elided: blocks.checks_elided,
+            loops_solved: blocks.loops_solved,
+            points_solved: blocks.points_solved,
             cache_hits: 0,
             cache_misses: 0,
             lanes: LaneStats::default(),
@@ -382,6 +391,10 @@ impl SweepReport {
         json_num(&mut out, "points_skipped", self.points_skipped as f64);
         out.push(',');
         json_num(&mut out, "checks_elided", self.checks_elided as f64);
+        out.push(',');
+        json_num(&mut out, "loops_solved", self.loops_solved as f64);
+        out.push(',');
+        json_num(&mut out, "points_solved", self.points_solved as f64);
         out.push(',');
         json_num(&mut out, "cache_hits", self.cache_hits as f64);
         out.push(',');
@@ -561,11 +574,16 @@ impl SweepReport {
             self.pruned,
             self.imbalance()
         );
-        if self.subtree_skips > 0 || self.checks_elided > 0 {
+        if self.subtree_skips > 0 || self.checks_elided > 0 || self.loops_solved > 0 {
             let _ = writeln!(
                 out,
-                "block pruning: {} subtree skips ({} by congruence, ≥ {} points never enumerated), {} checks elided",
-                self.subtree_skips, self.congruence_skips, self.points_skipped, self.checks_elided
+                "block pruning: {} subtree skips ({} by congruence, ≥ {} points never enumerated), {} checks elided, {} loops solved ({} values never enumerated)",
+                self.subtree_skips,
+                self.congruence_skips,
+                self.points_skipped,
+                self.checks_elided,
+                self.loops_solved,
+                self.points_solved
             );
         }
         if self.cache_hits + self.cache_misses > 0 {
@@ -838,6 +856,8 @@ mod tests {
             congruence_skips: 1,
             points_skipped: 120,
             checks_elided: 5,
+            loops_solved: 4,
+            points_solved: 76,
         };
         let schedule = ScheduleTelemetry {
             mode: "adaptive".to_string(),
@@ -911,6 +931,8 @@ mod tests {
             "\"congruence_skips\":1",
             "\"points_skipped\":120",
             "\"checks_elided\":5",
+            "\"loops_solved\":4",
+            "\"points_solved\":76",
             "\"lint\":{\"errors\":0,\"warnings\":2,\"infos\":5}",
             "\"schedule_rank\":",
             "\"schedule\":{\"mode\":\"adaptive\"",
@@ -997,14 +1019,17 @@ mod tests {
     }
 
     /// The lint block degrades to an explicit `null` (not a missing key)
-    /// when the gate skipped the analyzer, and the congruence counter sits
-    /// next to `subtree_skips` in the pinned key order.
+    /// when the gate skipped the analyzer, and the congruence and narrowing
+    /// counters sit next to `subtree_skips` in the pinned key order.
     #[test]
     fn lint_block_and_congruence_counter_have_pinned_shape() {
         let mut r = sample_report();
         let json = r.to_json();
         assert!(
-            json.contains("\"subtree_skips\":3,\"congruence_skips\":1,\"points_skipped\":120"),
+            json.contains(
+                "\"subtree_skips\":3,\"congruence_skips\":1,\"points_skipped\":120,\
+                 \"checks_elided\":5,\"loops_solved\":4,\"points_solved\":76,\"cache_hits\""
+            ),
             "block-pruning key order changed: {json}"
         );
         r.lint = None;
@@ -1012,6 +1037,7 @@ mod tests {
         assert!(json.contains("\"lint\":null"), "{json}");
         let text = sample_report().render_text();
         assert!(text.contains("3 subtree skips (1 by congruence"), "{text}");
+        assert!(text.contains("5 checks elided, 4 loops solved (76 values never enumerated)"), "{text}");
         assert!(text.contains("lint: 0 error(s), 2 warning(s), 5 info(s)"), "{text}");
     }
 

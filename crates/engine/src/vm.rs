@@ -424,14 +424,16 @@ fn h_for_loop<V: Visitor>(ex: &mut Exec<'_, V>, op: &Op) -> Result<Ctl, EvalErro
     let Op::ForLoop { base, slot, to } = op else { unreachable!("mis-dispatched opcode") };
     let base = *base as usize;
     let step = ex.regs[base + 2];
-    let next = ex.regs[base].wrapping_add(step);
-    ex.regs[base] = next;
     let stop = ex.regs[base + 1];
-    if (step > 0 && next < stop) || (step < 0 && next > stop) {
-        ex.regs[*slot as usize] = next;
-        Ok(Ctl::Jump(*to as usize))
-    } else {
-        Ok(Ctl::Next)
+    // A step past `i64` is past `stop`: overflow is exhaustion (a wrapped
+    // value would pass the bound test and the loop would never end).
+    match ex.regs[base].checked_add(step) {
+        Some(next) if (step > 0 && next < stop) || (step < 0 && next > stop) => {
+            ex.regs[base] = next;
+            ex.regs[*slot as usize] = next;
+            Ok(Ctl::Jump(*to as usize))
+        }
+        _ => Ok(Ctl::Next),
     }
 }
 
@@ -534,13 +536,14 @@ impl Cursor {
                 if *step == 0 {
                     return Ok(None);
                 }
-                let v = start.wrapping_add((self.idx as i64).wrapping_mul(*step));
-                let in_range = if *step > 0 { v < *stop } else { v > *stop };
-                if in_range {
-                    self.idx += 1;
-                    Ok(Some(v))
-                } else {
-                    Ok(None)
+                // Overflow is exhaustion, as in `h_for_loop`.
+                let v = (self.idx as i64).checked_mul(*step).and_then(|d| start.checked_add(d));
+                match v {
+                    Some(v) if (*step > 0 && v < *stop) || (*step < 0 && v > *stop) => {
+                        self.idx += 1;
+                        Ok(Some(v))
+                    }
+                    _ => Ok(None),
                 }
             }
             Realized::Values(values) => {

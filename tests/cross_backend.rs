@@ -260,6 +260,59 @@ fn closure_iterator_space() {
     assert_all_agree(space);
 }
 
+/// Ranges whose last value lies within one stride of `i64::MAX` / `MIN`:
+/// stepping past the end overflows, which must read as exhaustion (the
+/// walker's `RealizedIter` semantics), not wrap around and keep yielding.
+/// One value and — so the lane tier's block fill is exercised too — eight,
+/// upward and downward, under an outer loop. The compiled engine and the
+/// VM's numeric-for hung here before they stepped with `checked_add`.
+#[test]
+fn ranges_ending_at_the_i64_extremes_terminate_and_agree() {
+    let cases: [(i64, i64, i64, usize); 4] = [
+        (i64::MAX - 1, i64::MAX, 5, 1),
+        (i64::MAX - 38, i64::MAX, 5, 8),
+        (i64::MIN + 1, i64::MIN, -5, 1),
+        (i64::MIN + 38, i64::MIN, -5, 8),
+    ];
+    for (start, stop, step, len) in cases {
+        let space = Space::builder("cross_extreme")
+            .range("o", 0, 2)
+            .range_step("x", start, stop, step)
+            .constraint("odd", ConstraintClass::Soft, ((var("x") % 2 + var("o")) % 2).ne(0))
+            .build()
+            .unwrap();
+        let plan = Plan::new(&space, PlanOptions::default()).unwrap();
+        let lowered = LoweredPlan::new(&plan).unwrap();
+        let walker = Walker::new(&plan, LoopStyle::RangeLazy);
+        let want = walker
+            .run(CollectVisitor::new(walker.point_names().clone(), usize::MAX))
+            .unwrap();
+        assert_eq!(want.stats.evaluated, [2 * len as u64], "range({start}, {stop}, {step})");
+        assert!(!want.visitor.points.is_empty());
+
+        let vm = Vm::compile(&lowered, VmStyle::NumericFor);
+        let out = vm.run(CollectVisitor::new(vm.point_names().clone(), usize::MAX)).unwrap();
+        assert_eq!(out.visitor.points, want.visitor.points, "vm, step {step}, len {len}");
+        assert_eq!(out.stats, want.stats, "vm, step {step}, len {len}");
+
+        for opts in [
+            EngineOptions::default(),
+            EngineOptions::no_batch(),
+            EngineOptions::no_intervals(),
+        ] {
+            let compiled = Compiled::with_options(lowered.clone(), opts);
+            let out = compiled
+                .run(CollectVisitor::new(compiled.point_names().clone(), usize::MAX))
+                .unwrap();
+            assert_eq!(out.visitor.points, want.visitor.points, "{opts:?}, step {step}, len {len}");
+            assert_eq!(out.stats, want.stats, "{opts:?}, step {step}, len {len}");
+            if opts.batch && len >= 8 {
+                assert!(out.lanes.lane_evals > 0, "{opts:?}: lane fill not exercised");
+            }
+        }
+    }
+}
+
 #[test]
 fn reduced_gemm_space_full_agreement() {
     let params = beast::gemm::GemmSpaceParams::reduced(10);

@@ -180,6 +180,75 @@ fn injected_panics_never_poison_the_orchestrator() {
     }
 }
 
+/// A space whose `x` loop is narrowed (`spelled` = false) or, spelled with a
+/// redundant `|| 0` the recogniser does not see through, enumerated
+/// (`spelled` = true). Same names, same evaluation order, same survivors —
+/// and the check's coefficient `12 / (o - 2)` divides by zero at `o = 2`.
+fn narrowable_space(spelled: bool) -> LoweredPlan {
+    let first = (var("x") * (lit(12) / (var("o") - 2))).ne(var("t"));
+    let space = Space::builder("ft_narrow")
+        .range("o", 0, 12)
+        .derived("t", var("o") * 3)
+        .range("x", 1, lit(20) + var("o"))
+        .constraint(
+            "first",
+            ConstraintClass::Correctness,
+            if spelled { first.or(lit(0)) } else { first },
+        )
+        .range("y", 0, 6)
+        .constraint("odd", ConstraintClass::Soft, ((var("x") + var("y")) % 2).ne(0))
+        .build()
+        .unwrap();
+    let plan = Plan::new(&space, PlanOptions::default()).unwrap();
+    LoweredPlan::new(&plan).unwrap()
+}
+
+/// Narrowing under every fault policy, with and without the injector: a
+/// coefficient that fails to evaluate falls through to the enumerating
+/// path, so the narrowed engine reports the same survivors, stats and
+/// `FaultRecord`s — sites, ordinals, bindings — as the enumerating
+/// reference, and injected faults (keyed on visit ordinals, which narrowing
+/// does not move) land on the same points.
+#[test]
+fn narrowed_loops_fault_exactly_like_enumerated_ones() {
+    let (narrowed, reference) = (narrowable_space(false), narrowable_space(true));
+    for policy in [FaultPolicy::SkipPoint, FaultPolicy::QuarantineChunk, FaultPolicy::Abort] {
+        for inject in [false, true] {
+            for threads in THREAD_COUNTS {
+                let run = |lp: &LoweredPlan| {
+                    let mut o = opts(threads);
+                    o.chunk_count = 4;
+                    o.fault_policy = policy;
+                    if inject {
+                        o.injector = Some(FaultInjector::new(7).error_rate(0.05));
+                    }
+                    run_parallel_report(lp, &o, FingerprintVisitor::default)
+                };
+                let at = format!("{policy:?}, inject={inject}, {threads} threads");
+                match (run(&narrowed), run(&reference)) {
+                    (Ok((n, n_report)), Ok((r, r_report))) => {
+                        assert_ne!(policy, FaultPolicy::Abort, "{at}: o = 2 must fault");
+                        assert_eq!(n.visitor, r.visitor, "{at}: fingerprint");
+                        assert_eq!(n.stats, r.stats, "{at}: PruneStats");
+                        assert_eq!(n_report.faults, r_report.faults, "{at}: fault records");
+                        assert!(
+                            n_report.faults.iter().any(|f| f.site == "first"),
+                            "{at}: the faulting coefficient never fired"
+                        );
+                        assert!(n.blocks.loops_solved > 0, "{at}: nothing narrowed");
+                        assert_eq!(r.blocks.loops_solved, 0, "{at}: reference narrowed");
+                    }
+                    (Err(n), Err(r)) => {
+                        assert_eq!(policy, FaultPolicy::Abort, "{at}: {n}");
+                        assert_eq!(n.to_string(), r.to_string(), "{at}: abort error");
+                    }
+                    (n, r) => panic!("{at}: one side failed: {:?} vs {:?}", n.is_ok(), r.is_ok()),
+                }
+            }
+        }
+    }
+}
+
 /// An already-expired deadline degrades to an empty partial result instead
 /// of an error — the graceful-degradation contract.
 #[test]
