@@ -157,10 +157,11 @@ use beast_engine::distribute::{
 use beast_engine::fault::{FaultInjector, FaultPolicy};
 use beast_engine::parallel::{run_parallel_report, ParallelOptions};
 use beast_engine::service::{ServiceConfig, SweepService};
+use beast_engine::sweep::SweepError;
 use beast_engine::telemetry::{ScheduleTelemetry, SweepReport};
 use beast_engine::visit::{CountVisitor, FingerprintVisitor};
 use beast_engine::vm::{Vm, VmStyle};
-use beast_engine::walker::{LoopStyle, Walker};
+use beast_engine::walker::{LoopStyle, SweepOutcome, Walker};
 use beast_gemm::{build_gemm_space, gemm_resolver, GemmSpaceParams};
 use beast_gpu_sim::Transpose;
 use beast_kernels::{
@@ -752,70 +753,132 @@ fn count(dim: Option<i64>, json_path: Option<String>) {
 }
 
 // ---------------------------------------------------------------------------
+// §X-C / §X-D: what `sweep`, `distribute` and `worker` share — flag lookup,
+// the reduced-GEMM plan, checkpoint wiring and the report tail
+// ---------------------------------------------------------------------------
+
+/// `--name value` lookup over one subcommand's arguments.
+struct Flags<'a>(&'a [String]);
+
+impl Flags<'_> {
+    fn get(&self, name: &str) -> Option<String> {
+        self.0.iter().position(|a| a == name).and_then(|i| self.0.get(i + 1)).cloned()
+    }
+
+    fn has(&self, name: &str) -> bool {
+        self.0.iter().any(|a| a == name)
+    }
+
+    /// The flag's value as `T` (exit 2 when malformed), `None` when absent.
+    fn parsed<T: std::str::FromStr>(&self, name: &str, what: &str) -> Option<T> {
+        self.get(name).map(|s| {
+            s.parse().unwrap_or_else(|_| {
+                eprintln!("error: {name} needs {what}, got `{s}`");
+                std::process::exit(2);
+            })
+        })
+    }
+
+    fn uint(&self, name: &str, default: u64) -> u64 {
+        self.parsed(name, "an unsigned integer").unwrap_or(default)
+    }
+
+    /// The positional `[DIM]` (default 32).
+    fn dim(&self) -> i64 {
+        self.0.get(1).filter(|s| !s.starts_with("--")).and_then(|s| s.parse().ok()).unwrap_or(32)
+    }
+
+    fn policy(&self) -> FaultPolicy {
+        match self.get("--policy") {
+            Some(s) => FaultPolicy::parse(&s).unwrap_or_else(|| {
+                eprintln!(
+                    "error: --policy: unknown policy `{s}` (abort, skip, quarantine, retry[:MAX[:BACKOFF_MS]])"
+                );
+                std::process::exit(2);
+            }),
+            None => FaultPolicy::Abort,
+        }
+    }
+
+    /// `--checkpoint PATH [--resume] [--every N]`, announced on stdout.
+    fn checkpoint(&self) -> Option<CheckpointConfig> {
+        let mut ck = CheckpointConfig::new(self.get("--checkpoint")?);
+        ck.resume = self.has("--resume");
+        ck.every_chunks = self.uint("--every", ck.every_chunks as u64).max(1) as usize;
+        println!(
+            "checkpoint: {} (every {} chunk(s){})",
+            ck.path.display(),
+            ck.every_chunks,
+            if ck.resume { ", resuming" } else { "" }
+        );
+        Some(ck)
+    }
+}
+
+/// The GEMM space on the reduced(`dim`) device, planned and lowered.
+fn reduced_gemm(dim: i64) -> (Plan, LoweredPlan) {
+    let space = build_gemm_space(&GemmSpaceParams::reduced(dim)).unwrap();
+    let plan = Plan::new(&space, PlanOptions::default()).unwrap();
+    let lp = LoweredPlan::new(&plan).unwrap();
+    (plan, lp)
+}
+
+/// The tail of `sweep` and `distribute`: fingerprint line, report, `--json`
+/// dump, and exit 3 when the result is partial — a distinct code so scripts
+/// (and the CI smoke job) can tell a resumable partial result from success
+/// (0) and failure (1). `kind` / `noun` name the subcommand in messages.
+fn finish_sweep(
+    result: Result<(SweepOutcome<FingerprintVisitor>, SweepReport), SweepError>,
+    json_path: Option<String>,
+    (kind, noun): (&str, &str),
+) -> FingerprintVisitor {
+    let (out, report) = result.unwrap_or_else(|e| {
+        eprintln!("error: {kind} failed: {e}");
+        std::process::exit(1);
+    });
+    println!("survivors: {}  fingerprint: {:016x}", out.visitor.count, out.visitor.hash);
+    println!("\n{}", report.render_text());
+    if let Some(path) = json_path {
+        let json = format!(
+            "{{\"fingerprint\":\"{:016x}\",\"survivors\":{},\"partial\":{},\"report\":{}}}",
+            out.visitor.hash,
+            out.visitor.count,
+            report.partial,
+            report.to_json()
+        );
+        if let Err(e) = std::fs::write(&path, &json) {
+            eprintln!("error: cannot write {noun} JSON to {path}: {e}");
+            std::process::exit(1);
+        }
+        println!("wrote {noun} JSON to {path}");
+    }
+    if report.partial {
+        std::process::exit(3);
+    }
+    out.visitor
+}
+
+// ---------------------------------------------------------------------------
 // §X-C: fault-tolerant sweep driver (checkpoint/resume, policies, injection)
 // ---------------------------------------------------------------------------
 
 fn sweep(args: &[String], engine: EngineOptions) {
-    let flag = |name: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let has = |name: &str| args.iter().any(|a| a == name);
-    let parsed = |name: &str, default: u64| -> u64 {
-        match flag(name) {
-            Some(s) => s.parse().unwrap_or_else(|_| {
-                eprintln!("error: {name} needs an unsigned integer, got `{s}`");
-                std::process::exit(2);
-            }),
-            None => default,
-        }
-    };
-    let rate = |name: &str| -> f64 {
-        match flag(name) {
-            Some(s) => s.parse().unwrap_or_else(|_| {
-                eprintln!("error: {name} needs a probability in [0,1], got `{s}`");
-                std::process::exit(2);
-            }),
-            None => 0.0,
-        }
-    };
-
-    let dim: i64 = args
-        .get(1)
-        .filter(|s| !s.starts_with("--"))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(32);
-    let policy = match flag("--policy") {
-        Some(s) => FaultPolicy::parse(&s).unwrap_or_else(|| {
-            eprintln!(
-                "error: --policy: unknown policy `{s}` (abort, skip, quarantine, retry[:MAX[:BACKOFF_MS]])"
-            );
-            std::process::exit(2);
-        }),
-        None => FaultPolicy::Abort,
-    };
-
-    let mut opts = ParallelOptions::new(parsed("--threads", 4).max(1) as usize);
+    let flags = Flags(args);
+    let dim = flags.dim();
+    let mut opts = ParallelOptions::new(flags.uint("--threads", 4).max(1) as usize);
     opts.engine = engine;
-    opts.chunk_count = parsed("--chunks", 0) as usize;
-    opts.fault_policy = policy;
-    opts.stop_after_chunks = parsed("--stop-after", 0) as usize;
-    if let Some(secs) = flag("--deadline") {
-        let secs: f64 = secs.parse().unwrap_or_else(|_| {
-            eprintln!("error: --deadline needs seconds, got `{secs}`");
-            std::process::exit(2);
-        });
-        opts.deadline = Some(std::time::Duration::from_secs_f64(secs));
-    }
+    opts.chunk_count = flags.uint("--chunks", 0) as usize;
+    opts.fault_policy = flags.policy();
+    opts.stop_after_chunks = flags.uint("--stop-after", 0) as usize;
+    opts.deadline = flags.parsed("--deadline", "seconds").map(std::time::Duration::from_secs_f64);
+    let rate = |name: &str| flags.parsed(name, "a probability in [0,1]").unwrap_or(0.0);
     let (err_rate, panic_rate) = (rate("--inject-errors"), rate("--inject-panics"));
     if err_rate > 0.0 || panic_rate > 0.0 {
         opts.injector = Some(
-            FaultInjector::new(parsed("--seed", 0))
+            FaultInjector::new(flags.uint("--seed", 0))
                 .error_rate(err_rate)
                 .panic_rate(panic_rate)
-                .transient(has("--transient")),
+                .transient(flags.has("--transient")),
         );
     }
 
@@ -835,15 +898,12 @@ fn sweep(args: &[String], engine: EngineOptions) {
             None => String::new(),
         }
     );
-    let params = GemmSpaceParams::reduced(dim);
-    let space = build_gemm_space(&params).unwrap();
-    let plan = Plan::new(&space, PlanOptions::default()).unwrap();
-    let lp = LoweredPlan::new(&plan).unwrap();
+    let (plan, lp) = reduced_gemm(dim);
 
     // The walker tier is the serial ground-truth reference: no parallel
     // driver, so no fault policies, checkpointing or chunk scheduling.
     if engine.engine == EngineTier::Walker {
-        if opts.injector.is_some() || flag("--checkpoint").is_some() {
+        if opts.injector.is_some() || flags.has("--checkpoint") {
             eprintln!(
                 "error: --engine walker is serial-only and composes with \
                  neither fault injection nor checkpointing"
@@ -864,55 +924,16 @@ fn sweep(args: &[String], engine: EngineOptions) {
         );
         // The reference funnel: a `--schedule declared --no-intervals` run
         // of any other tier must reproduce these rows count for count.
-        println!("\n{}", out.stats.render_funnel(&space));
+        println!("\n{}", out.stats.render_funnel(plan.space()));
         return;
     }
 
-    let result = match flag("--checkpoint") {
-        Some(path) => {
-            let mut ck = CheckpointConfig::new(path);
-            ck.resume = has("--resume");
-            ck.every_chunks = parsed("--every", ck.every_chunks as u64).max(1) as usize;
-            println!(
-                "checkpoint: {} (every {} chunk(s){})",
-                ck.path.display(),
-                ck.every_chunks,
-                if ck.resume { ", resuming" } else { "" }
-            );
-            run_checkpointed(&lp, &opts, &ck, FingerprintVisitor::default)
-        }
+    let result = match flags.checkpoint() {
+        Some(ck) => run_checkpointed(&lp, &opts, &ck, FingerprintVisitor::default),
         None => run_parallel_report(&lp, &opts, FingerprintVisitor::default),
     };
-    let (out, report) = result.unwrap_or_else(|e| {
-        eprintln!("error: sweep failed: {e}");
-        std::process::exit(1);
-    });
-
-    println!(
-        "survivors: {}  fingerprint: {:016x}",
-        out.visitor.count, out.visitor.hash
-    );
-    println!("\n{}", report.render_text());
-    if let Some(path) = flag("--json") {
-        let json = format!(
-            "{{\"fingerprint\":\"{:016x}\",\"survivors\":{},\"partial\":{},\"report\":{}}}",
-            out.visitor.hash,
-            out.visitor.count,
-            report.partial,
-            report.to_json()
-        );
-        if let Err(e) = std::fs::write(&path, &json) {
-            eprintln!("error: cannot write sweep JSON to {path}: {e}");
-            std::process::exit(1);
-        }
-        println!("wrote sweep JSON to {path}");
-    }
-    if report.partial {
-        // Distinct exit code so scripts (and the CI smoke job) can tell a
-        // resumable partial result from success (0) and failure (1).
-        std::process::exit(3);
-    }
-    if has("--verify") {
+    let got = finish_sweep(result, flags.get("--json"), ("sweep", "sweep"));
+    if flags.has("--verify") {
         // Re-run on the in-process compiled tier with otherwise identical
         // options and demand the exact bit-identity contract the native
         // tier is built around. Exit 6 is distinct from partial (3) and the
@@ -926,16 +947,16 @@ fn sweep(args: &[String], engine: EngineOptions) {
                 eprintln!("error: verification sweep failed: {e}");
                 std::process::exit(1);
             });
-        if vout.visitor.count != out.visitor.count || vout.visitor.hash != out.visitor.hash {
+        if vout.visitor.count != got.count || vout.visitor.hash != got.hash {
             eprintln!(
                 "verify FAILED: {} tier gave {} survivors / {:016x}, compiled tier gave {} / {:016x}",
-                engine.engine, out.visitor.count, out.visitor.hash, vout.visitor.count, vout.visitor.hash
+                engine.engine, got.count, got.hash, vout.visitor.count, vout.visitor.hash
             );
             std::process::exit(6);
         }
         println!(
             "verify: {} tier matches compiled tier ({} survivors, fingerprint {:016x})",
-            engine.engine, out.visitor.count, out.visitor.hash
+            engine.engine, got.count, got.hash
         );
     }
 }
@@ -970,36 +991,8 @@ fn worker_engine_flags(engine: EngineOptions) -> Vec<String> {
 }
 
 fn distribute(args: &[String], engine: EngineOptions) {
-    let flag = |name: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let has = |name: &str| args.iter().any(|a| a == name);
-    let parsed = |name: &str, default: u64| -> u64 {
-        match flag(name) {
-            Some(s) => s.parse().unwrap_or_else(|_| {
-                eprintln!("error: {name} needs an unsigned integer, got `{s}`");
-                std::process::exit(2);
-            }),
-            None => default,
-        }
-    };
-    let dim: i64 = args
-        .get(1)
-        .filter(|s| !s.starts_with("--"))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(32);
-    let policy = match flag("--policy") {
-        Some(s) => FaultPolicy::parse(&s).unwrap_or_else(|| {
-            eprintln!(
-                "error: --policy: unknown policy `{s}` (abort, skip, quarantine, retry[:MAX[:BACKOFF_MS]])"
-            );
-            std::process::exit(2);
-        }),
-        None => FaultPolicy::Abort,
-    };
+    let flags = Flags(args);
+    let dim = flags.dim();
 
     // The worker command is this very binary in its hidden `worker` mode,
     // with the supervisor's engine configuration replicated so the
@@ -1011,27 +1004,22 @@ fn distribute(args: &[String], engine: EngineOptions) {
     let mut worker_cmd = vec![exe.to_string_lossy().into_owned(), "worker".to_string(), dim.to_string()];
     worker_cmd.extend(worker_engine_flags(engine));
     for chaos_flag in ["--die-after", "--stall-after"] {
-        if let Some(v) = flag(chaos_flag) {
+        if let Some(v) = flags.get(chaos_flag) {
             worker_cmd.push(chaos_flag.to_string());
             worker_cmd.push(v);
         }
     }
 
-    let mut opts = DistributeOptions::new(parsed("--workers", 4).max(1) as usize, worker_cmd);
+    let mut opts = DistributeOptions::new(flags.uint("--workers", 4).max(1) as usize, worker_cmd);
     opts.engine = engine;
-    opts.chunk_count = parsed("--chunks", 0) as usize;
-    opts.fault_policy = policy;
-    opts.heartbeat = std::time::Duration::from_millis(parsed("--heartbeat-ms", 10_000).max(1));
-    opts.shard_retry_max = parsed("--retry", 3) as u32;
-    opts.shard_backoff_ms = parsed("--backoff", 50);
-    opts.restart_max = parsed("--restarts", 0) as usize;
-    opts.stop_after_chunks = parsed("--stop-after", 0) as usize;
-    opts.chaos_kill_after = flag("--chaos-kill-after").map(|s| {
-        s.parse().unwrap_or_else(|_| {
-            eprintln!("error: --chaos-kill-after needs a shard ordinal, got `{s}`");
-            std::process::exit(2);
-        })
-    });
+    opts.chunk_count = flags.uint("--chunks", 0) as usize;
+    opts.fault_policy = flags.policy();
+    opts.heartbeat = std::time::Duration::from_millis(flags.uint("--heartbeat-ms", 10_000).max(1));
+    opts.shard_retry_max = flags.uint("--retry", 3) as u32;
+    opts.shard_backoff_ms = flags.uint("--backoff", 50);
+    opts.restart_max = flags.uint("--restarts", 0) as usize;
+    opts.stop_after_chunks = flags.uint("--stop-after", 0) as usize;
+    opts.chaos_kill_after = flags.parsed("--chaos-kill-after", "a shard ordinal");
 
     header(&format!(
         "§X-D — distributed sweep, GEMM space on reduced({dim}) device"
@@ -1045,75 +1033,24 @@ fn distribute(args: &[String], engine: EngineOptions) {
         opts.shard_retry_max,
         opts.shard_backoff_ms,
     );
-    let params = GemmSpaceParams::reduced(dim);
-    let space = build_gemm_space(&params).unwrap();
-    let plan = Plan::new(&space, PlanOptions::default()).unwrap();
-    let lp = LoweredPlan::new(&plan).unwrap();
+    let (_, lp) = reduced_gemm(dim);
 
-    let result = match flag("--checkpoint") {
-        Some(path) => {
-            let mut ck = CheckpointConfig::new(path);
-            ck.resume = has("--resume");
-            ck.every_chunks = parsed("--every", ck.every_chunks as u64).max(1) as usize;
-            println!(
-                "checkpoint: {} (every {} chunk(s){})",
-                ck.path.display(),
-                ck.every_chunks,
-                if ck.resume { ", resuming" } else { "" }
-            );
-            run_distributed_checkpointed(&lp, &opts, &ck, FingerprintVisitor::default)
-        }
+    let result = match flags.checkpoint() {
+        Some(ck) => run_distributed_checkpointed(&lp, &opts, &ck, FingerprintVisitor::default),
         None => run_distributed(&lp, &opts, FingerprintVisitor::default),
     };
-    let (out, report) = result.unwrap_or_else(|e| {
-        eprintln!("error: distributed sweep failed: {e}");
-        std::process::exit(1);
-    });
-
-    println!(
-        "survivors: {}  fingerprint: {:016x}",
-        out.visitor.count, out.visitor.hash
-    );
-    println!("\n{}", report.render_text());
-    if let Some(path) = flag("--json") {
-        let json = format!(
-            "{{\"fingerprint\":\"{:016x}\",\"survivors\":{},\"partial\":{},\"report\":{}}}",
-            out.visitor.hash,
-            out.visitor.count,
-            report.partial,
-            report.to_json()
-        );
-        if let Err(e) = std::fs::write(&path, &json) {
-            eprintln!("error: cannot write distribute JSON to {path}: {e}");
-            std::process::exit(1);
-        }
-        println!("wrote distribute JSON to {path}");
-    }
-    if report.partial {
-        std::process::exit(3);
-    }
+    finish_sweep(result, flags.get("--json"), ("distributed sweep", "distribute"));
 }
 
 /// Hidden worker mode: serve protocol-v1 shards for the GEMM space over
 /// stdin/stdout until `bye` or EOF. Spawned by `repro distribute`; all
 /// diagnostics go to stderr (stdout carries frames only).
 fn worker_mode(args: &[String], engine: EngineOptions) {
-    let flag = |name: &str| -> Option<u64> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .and_then(|s| s.parse().ok())
-    };
-    let dim: i64 = args
-        .get(1)
-        .filter(|s| !s.starts_with("--"))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(32);
-    let chaos = WorkerChaos { die_after: flag("--die-after"), stall_after: flag("--stall-after") };
-    let params = GemmSpaceParams::reduced(dim);
-    let space = build_gemm_space(&params).unwrap();
-    let plan = Plan::new(&space, PlanOptions::default()).unwrap();
-    let lp = LoweredPlan::new(&plan).unwrap();
+    let flags = Flags(args);
+    let ordinal = |name: &str| flags.get(name).and_then(|s| s.parse().ok());
+    let chaos =
+        WorkerChaos { die_after: ordinal("--die-after"), stall_after: ordinal("--stall-after") };
+    let (_, lp) = reduced_gemm(flags.dim());
     let stdin = std::io::stdin().lock();
     let stdout = std::io::stdout();
     if let Err(e) = serve_worker(&lp, engine, FingerprintVisitor::default, &chaos, stdin, stdout) {

@@ -36,42 +36,53 @@ pub struct Fnv1a(u64);
 
 /// FNV-1a 64-bit offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64-bit prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// FNV-1a 64-bit prime (also the rolling-hash base of the engine's survivor
+/// fingerprint).
+pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 impl Fnv1a {
     /// Fresh hasher at the FNV offset basis.
+    #[inline]
     pub fn new() -> Fnv1a {
         Fnv1a(FNV_OFFSET)
     }
 
     /// Absorb one byte.
+    #[inline]
     pub fn write_u8(&mut self, b: u8) {
         self.0 = (self.0 ^ u64::from(b)).wrapping_mul(FNV_PRIME);
     }
 
     /// Absorb a 64-bit value, little-endian.
+    #[inline]
     pub fn write_u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.write_u8(b);
-        }
+        self.write_raw(&v.to_le_bytes());
     }
 
     /// Absorb a signed 64-bit value, little-endian two's complement.
+    #[inline]
     pub fn write_i64(&mut self, v: i64) {
         self.write_u64(v as u64);
+    }
+
+    /// Absorb bytes as they are, with no length prefix: hashing a whole
+    /// byte string this way gives its plain FNV-1a digest.
+    #[inline]
+    pub fn write_raw(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u8(b);
+        }
     }
 
     /// Absorb a length-prefixed byte string (prefix prevents concatenation
     /// ambiguity between adjacent variable-length fields).
     pub fn write_bytes(&mut self, bytes: &[u8]) {
         self.write_u64(bytes.len() as u64);
-        for &b in bytes {
-            self.write_u8(b);
-        }
+        self.write_raw(bytes);
     }
 
     /// Current digest.
+    #[inline]
     pub fn finish(&self) -> u64 {
         self.0
     }

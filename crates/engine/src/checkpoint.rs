@@ -26,35 +26,31 @@
 
 use std::path::{Path, PathBuf};
 
+use beast_core::hash::Fnv1a;
 use beast_core::ir::LoweredPlan;
 
+use crate::compiled::EngineOptions;
 use crate::fault::{FaultAction, FaultKind, FaultRecord};
-use crate::parallel::{run_supervised, CkSink, CkSnapshot, ParallelOptions, ResumeSeed};
+use crate::parallel::{run_threaded, CkSink, CkSnapshot, ParallelOptions, ResumeSeed};
 use crate::stats::{BlockStats, PruneStats};
 use crate::sweep::SweepError;
 use crate::telemetry::{fault_record_json, json_str, SweepReport};
 use crate::visit::{CountVisitor, FingerprintVisitor, Visitor};
 use crate::walker::SweepOutcome;
 
-/// Current checkpoint file format version.
+/// Current (and only supported) checkpoint file format version.
 ///
-/// Format 2 appends a trailing `"crc"` field — FNV-1a 64 over every byte
-/// before the `,"crc":"` suffix — so truncation and bit flips are detected
-/// on resume instead of merging silently wrong counters. Format 1 files
-/// (no crc) remain readable.
+/// Format 2 ends with a `"crc"` field — FNV-1a 64 ([`Fnv1a`], the digest the
+/// structural fingerprint uses) over every byte before the `,"crc":"` suffix
+/// — so truncation and bit flips are detected on resume instead of merging
+/// silently wrong counters.
 const FORMAT: i128 = 2;
 
-/// FNV-1a 64-bit over `bytes`: the checkpoint integrity checksum. Chosen
-/// because it is std-only, byte-order free, and already the hashing idiom
-/// of the crate (the structural fingerprint in [`crate::service`] is the
-/// same construction).
-pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+/// The checkpoint integrity checksum of `bytes`.
+fn crc64(bytes: &[u8]) -> u64 {
+    let mut h = Fnv1a::new();
+    h.write_raw(bytes);
+    h.finish()
 }
 
 /// A parsed JSON value (minimal, std-only).
@@ -421,12 +417,31 @@ where
     V: Visitor + Send + SaveState,
     F: Fn() -> V + Sync,
 {
+    with_checkpoint(lp, &opts.engine, ck, &make_visitor, |seed, sink| {
+        run_threaded(lp, opts, &make_visitor, seed, Some(sink), None)
+    })
+}
+
+/// The checkpoint wiring shared by [`run_checkpointed`] and
+/// [`crate::distribute::run_distributed_checkpointed`]: read and validate
+/// the resume seed when [`CheckpointConfig::resume`] is set, build the write
+/// sink, and hand both to `run`.
+pub(crate) fn with_checkpoint<V, T>(
+    lp: &LoweredPlan,
+    engine: &EngineOptions,
+    ck: &CheckpointConfig,
+    make_visitor: &dyn Fn() -> V,
+    run: impl FnOnce(Option<ResumeSeed<V>>, &CkSink<'_, V>) -> Result<T, SweepError>,
+) -> Result<T, SweepError>
+where
+    V: Visitor + SaveState,
+{
     let space_name = lp.plan.space().name().to_string();
     // The same execution-options fingerprint that scopes the sub-sweep cache
     // is recorded in every checkpoint: resuming a prefix evaluated under
     // different options (another engine tier, pruning toggles, schedule)
     // would merge counters with incompatible accounting.
-    let engine_sig = opts.engine.signature();
+    let engine_sig = engine.signature();
     let seed = if ck.resume {
         let text = std::fs::read_to_string(&ck.path).map_err(|e| {
             SweepError::Checkpoint(format!(
@@ -434,15 +449,14 @@ where
                 ck.path.display()
             ))
         })?;
-        parse_checkpoint(&text, &space_name, &engine_sig, &make_visitor)
+        parse_checkpoint(&text, &space_name, &engine_sig, make_visitor)
             .map_err(SweepError::Checkpoint)?
     } else {
         None
     };
     let writer =
         |snap: &CkSnapshot<'_, V>| write_checkpoint(&ck.path, &space_name, &engine_sig, snap);
-    let sink = CkSink { every: ck.every_chunks.max(1), write: &writer };
-    run_supervised(lp, opts, make_visitor, seed, Some(&sink), None)
+    run(seed, &CkSink { every: ck.every_chunks.max(1), write: &writer })
 }
 
 /// Serialize and atomically persist one snapshot.
@@ -478,7 +492,7 @@ pub(crate) fn write_checkpoint<V: SaveState>(
     out.push_str(&snap.visitor.save_state());
     // Format 2 integrity suffix: the checksum covers every byte before it,
     // so the parser can recompute the same prefix with a single `rfind`.
-    let crc = fnv64(out.as_bytes());
+    let crc = crc64(out.as_bytes());
     let _ = write!(out, ",\"crc\":\"{crc:016x}\"}}");
 
     let mut tmp = path.as_os_str().to_os_string();
@@ -595,31 +609,25 @@ pub(crate) fn parse_checkpoint<V: Visitor + SaveState>(
     let format = field("format")?
         .as_i64()
         .ok_or_else(|| "checkpoint: `format` is not an integer".to_string())?;
-    if format != 1 && format != FORMAT as i64 {
+    if format != FORMAT as i64 {
         return Err(format!("checkpoint: unsupported format {format}"));
     }
-    // Format 1 predates the checksum and stays readable; format 2 files
-    // must carry a valid crc before any counter is trusted.
-    if format >= 2 {
-        verify_crc(text, &doc)?;
-    }
+    // A valid crc comes before any counter is trusted.
+    verify_crc(text, &doc)?;
     let recorded_space = field("space")?.as_str().unwrap_or_default();
     if recorded_space != space {
         return Err(format!(
             "checkpoint is for space `{recorded_space}`, not `{space}`"
         ));
     }
-    // `engine` was added after format 1 shipped: absent means an older file
-    // written before options were recorded, which stays resumable; present
-    // and different means the prefix counters were produced under other
-    // execution options and cannot be merged.
-    if let Some(recorded_engine) = doc.get("engine").and_then(JsonValue::as_str) {
-        if recorded_engine != engine_sig {
-            return Err(format!(
-                "checkpoint was written with engine options `{recorded_engine}`, \
-                 current options are `{engine_sig}`"
-            ));
-        }
+    // A prefix whose counters were produced under other execution options
+    // cannot be merged.
+    let recorded_engine = field("engine")?.as_str().unwrap_or_default();
+    if recorded_engine != engine_sig {
+        return Err(format!(
+            "checkpoint was written with engine options `{recorded_engine}`, \
+             current options are `{engine_sig}`"
+        ));
     }
     let outer_len = usize_field("outer_len")?;
     let chunk_len = usize_field("chunk_len")?;
@@ -674,7 +682,7 @@ fn verify_crc(text: &str, doc: &JsonValue) -> Result<(), String> {
     let pos = text
         .rfind(marker)
         .ok_or_else(|| "checkpoint: `crc` suffix missing".to_string())?;
-    let computed = fnv64(&text.as_bytes()[..pos]);
+    let computed = crc64(&text.as_bytes()[..pos]);
     if computed != recorded {
         return Err(format!(
             "checkpoint: crc mismatch (recorded {recorded:016x}, computed {computed:016x}) \
@@ -883,23 +891,27 @@ mod tests {
             Err(err) => assert!(err.contains("engine options"), "{err}"),
             Ok(_) => panic!("engine-options mismatch must be refused"),
         }
-        // A pre-options checkpoint (no `engine` key) stays resumable. Such
-        // files are format 1 and carry no crc, so rebuild one by downgrading
-        // the format and stripping both newer fields.
+        // A file that merely *declares* format 1 (no crc, no `engine` key —
+        // what a pre-options writer produced, or a hand edit) is refused:
+        // nothing about its counters or options could be verified.
         let legacy = text
             .replacen("{\"format\":2,", "{\"format\":1,", 1)
             .replacen(&format!(",\"engine\":\"{sig}\""), "", 1);
         assert_ne!(legacy, text, "engine key must be present to strip");
         let crc_at = legacy.rfind(",\"crc\":\"").expect("crc suffix must be present to strip");
         let legacy = format!("{}}}", &legacy[..crc_at]);
-        assert!(parse_checkpoint::<FingerprintVisitor>(
-            &legacy,
-            "unit",
-            &sig,
-            &FingerprintVisitor::new
-        )
-        .unwrap()
-        .is_some());
+        let parse = |t: &str| {
+            parse_checkpoint::<FingerprintVisitor>(t, "unit", &sig, &FingerprintVisitor::new)
+        };
+        let err = parse(&legacy).err().expect("a format-1 file must be refused");
+        assert!(err.contains("unsupported format 1"), "{err}");
+        // Format 2 without the `engine` key is refused too, even under a crc
+        // recomputed to match the edit.
+        let body = text[..text.rfind(",\"crc\":\"").unwrap()]
+            .replacen(&format!(",\"engine\":\"{sig}\""), "", 1);
+        let no_engine = format!("{body},\"crc\":\"{:016x}\"}}", crc64(body.as_bytes()));
+        let err = parse(&no_engine).err().expect("a file without `engine` must be refused");
+        assert!(err.contains("missing `engine`"), "{err}");
         std::fs::remove_file(&path).ok();
     }
 

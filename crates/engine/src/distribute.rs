@@ -1,19 +1,19 @@
-//! Distributed sharded sweeps: a multi-process supervisor that deals level-0
-//! chunk shards to worker *processes* and folds their results bit-identically
-//! to a serial run.
+//! Distributed sharded sweeps: the sweep supervisor dealing level-0 chunk
+//! shards to worker *processes*, folding their results bit-identically to a
+//! serial run.
 //!
-//! [`crate::parallel`] scales a sweep across threads; this module scales it
-//! across processes — the unit of isolation that survives `kill -9`, OOM
-//! kills, and hung evaluations. The supervisor re-invokes a worker command
-//! (normally the `repro` binary in its hidden `worker` mode), speaks a
-//! length-prefixed JSON protocol over the worker's stdin/stdout, and deals
-//! shards dynamically: each shard is one scheduler chunk of the level-0
-//! domain, the same unit [`crate::parallel::run_parallel`]'s supervisor
-//! schedules across threads. Workers run the existing fault-tolerant chunk
-//! loop and stream back per-chunk outcomes ([`SaveState`] visitor blocks
-//! plus [`FaultRecord`]s), which the supervisor validates fully before
-//! folding **in chunk order** through the same collector the thread pool
-//! uses.
+//! [`crate::parallel`] holds the one sweep frame — set-up, deal, chunk-order
+//! fold, report — and asks an executor where each chunk runs. This module is
+//! the executor whose answer is "in another process", the unit of isolation
+//! that survives `kill -9`, OOM kills, and hung evaluations: each worker
+//! slot owns one re-invoked worker command (normally the `repro` binary in
+//! its hidden `worker` mode) and speaks a length-prefixed JSON protocol over
+//! its stdin/stdout. A shard is one scheduler chunk of the level-0 domain,
+//! the same unit a threaded sweep schedules. Workers run the same chunk
+//! attempt loop the frame runs in-thread and stream back per-chunk outcomes
+//! ([`SaveState`] visitor blocks plus
+//! [`FaultRecord`](crate::fault::FaultRecord)s), which are validated fully
+//! before the frame folds them **in chunk order**.
 //!
 //! # Wire protocol v1
 //!
@@ -30,30 +30,31 @@
 //!
 //! Worker death (crash, `kill -9`, closed pipe), silence (heartbeat/read
 //! deadline expired) and lies (malformed or mismatched replies) are all
-//! *worker-level faults*: the in-flight shard is re-dealt with exponential
-//! backoff — to a respawned worker while the restart budget lasts, then to
-//! the supervisor's own in-process engine — and recorded as a [`FaultRecord`]
-//! with kind [`FaultKind::WorkerExit`] / [`FaultKind::WorkerTimeout`] /
-//! [`FaultKind::ProtocolError`]. After [`DistributeOptions::shard_retry_max`]
-//! failed attempts the shard is quarantined exactly like a chunk under
-//! [`FaultPolicy::QuarantineChunk`]. When spawning fails entirely the run
-//! degrades to in-process evaluation and still completes. Because nothing
-//! from a failed attempt is ever folded (a worker's reply is validated
-//! in full first, and evaluation is deterministic), retries cannot change
-//! the merged outcome: survivors, emission order, statistics and
-//! fingerprints are bit-identical to a serial run at any worker count.
+//! *worker-level faults*, which is all this module says about them: the
+//! frame records each as a `FaultRecord` with kind
+//! [`FaultKind::WorkerExit`] / [`FaultKind::WorkerTimeout`] /
+//! [`FaultKind::ProtocolError`] and has the slot re-deal the shard with
+//! exponential backoff — to a respawned worker while the restart budget
+//! lasts, then to the supervisor's own in-process engine. After
+//! [`DistributeOptions::shard_retry_max`] failed deals the shard is
+//! quarantined exactly like a chunk under [`FaultPolicy::QuarantineChunk`].
+//! When spawning fails entirely the run degrades to in-process evaluation
+//! and still completes. Because nothing from a failed attempt is ever folded
+//! (a worker's reply is validated in full first, and evaluation is
+//! deterministic), retries cannot change the merged outcome: survivors,
+//! emission order, statistics and fingerprints are bit-identical to a serial
+//! run at any worker count.
 //!
-//! Checkpoint integration reuses [`crate::checkpoint`] unchanged — the
-//! supervisor folds in chunk order, so `kill -9` of the *supervisor* is
-//! resumable with [`run_distributed_checkpointed`], and a resumed run is
-//! bit-identical to an uninterrupted one (`tests/distribute.rs` in
-//! `beast-bench` asserts this end to end).
+//! Checkpointing is the frame's too: [`run_distributed_checkpointed`] and
+//! [`crate::checkpoint::run_checkpointed`] share one wiring and one file
+//! format, so `kill -9` of the *supervisor* is resumable, either entry point
+//! resumes the other's files, and a resumed run is bit-identical to an
+//! uninterrupted one (`tests/fault_tolerance.rs`, and end to end
+//! `tests/distribute.rs` in `beast-bench`).
 
-use std::collections::{BTreeMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::{Child, ChildStdin, Command, Stdio};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -62,17 +63,18 @@ use beast_core::error::EvalError;
 use beast_core::ir::LoweredPlan;
 
 use crate::checkpoint::{
-    blocks_json, parse_blocks, parse_checkpoint, parse_fault_record, parse_stats, stats_json,
-    u64_array, write_checkpoint, CheckpointConfig, JsonValue, SaveState,
+    blocks_json, parse_blocks, parse_fault_record, parse_stats, stats_json, u64_array,
+    with_checkpoint, CheckpointConfig, JsonValue, SaveState,
 };
-use crate::compiled::{ChunkCtx, Compiled, EngineOptions, EngineTier};
-use crate::fault::{FaultAction, FaultKind, FaultPolicy, FaultRecord};
+use crate::compiled::{Compiled, EngineOptions, EngineTier};
+use crate::fault::{FaultKind, FaultPolicy};
 use crate::parallel::{
-    chunk_len_for, panic_message, ChunkDone, CkSink, Collector, ResumeSeed,
+    attempt_chunk, run_supervised, Answer, ChunkDone, ChunkExecutor, CkSink, ParallelOptions,
+    ResumeSeed,
 };
-use crate::stats::{BlockStats, FaultCounters, LaneStats, PruneStats};
+use crate::stats::LaneStats;
 use crate::sweep::SweepError;
-use crate::telemetry::{fault_record_json, json_str, SweepProgress, SweepReport, WorkerTelemetry};
+use crate::telemetry::{fault_record_json, json_str, SweepProgress, SweepReport};
 use crate::visit::Visitor;
 use crate::walker::SweepOutcome;
 
@@ -82,10 +84,6 @@ pub const PROTOCOL_VERSION: u64 = 1;
 /// Upper bound on a single frame payload (64 MiB). A length prefix beyond
 /// this is treated as a protocol violation, not an allocation request.
 const MAX_FRAME: u32 = 64 * 1024 * 1024;
-
-/// Hard ceiling on one retry backoff sleep, so exponential growth cannot
-/// stall the deal for minutes.
-const MAX_BACKOFF_MS: u64 = 2_000;
 
 /// Configuration for [`run_distributed`].
 #[derive(Debug, Clone)]
@@ -112,7 +110,8 @@ pub struct DistributeOptions {
     /// declared hung, killed, and the shard re-dealt.
     pub heartbeat: Duration,
     /// Worker-level attempts per shard beyond the first; when exhausted the
-    /// shard is quarantined as a [`FaultAction::QuarantinedChunk`].
+    /// shard is quarantined as a
+    /// [`FaultAction::QuarantinedChunk`](crate::fault::FaultAction::QuarantinedChunk).
     pub shard_retry_max: u32,
     /// Base backoff before re-dealing a failed shard; doubles per attempt,
     /// capped at 2 s.
@@ -202,88 +201,6 @@ fn read_frame<R: Read + ?Sized>(r: &mut R) -> Result<Option<String>, String> {
     let mut payload = vec![0u8; len as usize];
     r.read_exact(&mut payload).map_err(|e| format!("read frame payload: {e}"))?;
     String::from_utf8(payload).map(Some).map_err(|_| "frame is not UTF-8".to_string())
-}
-
-// ---------------------------------------------------------------------------
-// Shared chunk evaluation (worker side and in-process degradation)
-// ---------------------------------------------------------------------------
-
-/// Why a chunk evaluation aborted under [`FaultPolicy::Abort`] — the only
-/// information that can cross a process boundary.
-pub(crate) enum ChunkAbort {
-    /// An [`EvalError`] (rendered, since the structured error cannot be
-    /// serialized across the pipe).
-    Error(String),
-    /// A caught panic payload.
-    Panic(String),
-}
-
-/// Evaluate one chunk exactly like a thread in
-/// [`crate::parallel::run_supervised`] would: per-policy retry loop, panic
-/// isolation, structured fault records. Shared by [`serve_worker`] and the
-/// supervisor's in-process degradation path so both produce bit-identical
-/// outcomes and fault records.
-fn eval_chunk_local<V: Visitor>(
-    compiled: &Compiled,
-    values: &[i64],
-    chunk: usize,
-    policy: FaultPolicy,
-    make_visitor: &dyn Fn() -> V,
-) -> Result<ChunkDone<V>, ChunkAbort> {
-    let (retry_max, backoff_ms) = match policy {
-        FaultPolicy::Retry { max, backoff_ms } => (max, backoff_ms),
-        _ => (0, 0),
-    };
-    let mut faults: Vec<FaultRecord> = Vec::new();
-    let mut outcome: Option<SweepOutcome<V>> = None;
-    for attempt in 0..=retry_max {
-        if attempt > 0 && backoff_ms > 0 {
-            std::thread::sleep(Duration::from_millis(backoff_ms));
-        }
-        let ctx = ChunkCtx { policy, injector: None, chunk, attempt, cancel: None };
-        let attempt_result = catch_unwind(AssertUnwindSafe(|| {
-            compiled.run_outer_chunk_supervised(values, make_visitor(), &ctx)
-        }));
-        let (kind, error, site, bindings) = match attempt_result {
-            Ok(Ok(run)) => {
-                faults.extend(run.faults);
-                outcome = Some(run.outcome);
-                break;
-            }
-            Ok(Err(e)) => {
-                if policy == FaultPolicy::Abort {
-                    return Err(ChunkAbort::Error(e.root().to_string()));
-                }
-                let (site, bindings) = match e.point_context() {
-                    Some(ctx) => (ctx.site.clone(), ctx.bindings.clone()),
-                    None => ("chunk".to_string(), Vec::new()),
-                };
-                (FaultKind::Error, e.root().to_string(), site, bindings)
-            }
-            Err(payload) => {
-                let message = panic_message(payload);
-                if policy == FaultPolicy::Abort {
-                    return Err(ChunkAbort::Panic(message));
-                }
-                (FaultKind::Panic, message, "chunk".to_string(), Vec::new())
-            }
-        };
-        let exhausted = attempt == retry_max;
-        faults.push(FaultRecord {
-            chunk,
-            ordinal: 0,
-            attempt,
-            kind,
-            action: if exhausted { FaultAction::QuarantinedChunk } else { FaultAction::Retried },
-            site,
-            error,
-            bindings,
-        });
-        if exhausted {
-            break;
-        }
-    }
-    Ok(ChunkDone { outcome, faults })
 }
 
 // ---------------------------------------------------------------------------
@@ -541,21 +458,24 @@ where
             }
         }
         *busy.lock().unwrap() = Some(chunk);
-        let evaluated = eval_chunk_local(compiled, &values, chunk, policy, make_visitor);
+        let evaluated = attempt_chunk(compiled, &values, chunk, policy, None, None, make_visitor);
         *busy.lock().unwrap() = None;
         let reply = match &evaluated {
             Ok(done) => done_frame(chunk, done),
+            // Only here, at the pipe, is an abort flattened to text: the
+            // structured error cannot be serialized across it.
             Err(abort) => {
                 let (kind, message) = match abort {
-                    ChunkAbort::Error(m) => ("error", m),
-                    ChunkAbort::Panic(m) => ("panic", m),
+                    SweepError::WorkerPanic { message, .. } => ("panic", message.clone()),
+                    SweepError::Eval(e) => ("error", e.root().to_string()),
+                    other => ("error", other.to_string()),
                 };
                 let mut f = String::with_capacity(64 + message.len());
                 use std::fmt::Write as _;
                 let _ = write!(f, "{{\"v\":{PROTOCOL_VERSION},\"fail\":{{\"chunk\":{chunk},");
                 json_str(&mut f, "kind", kind);
                 f.push(',');
-                json_str(&mut f, "error", message);
+                json_str(&mut f, "error", &message);
                 f.push_str("}}");
                 f
             }
@@ -672,24 +592,30 @@ impl Link {
     }
 }
 
-/// One shard in flight or queued for re-dealing: the chunk index, the
-/// worker-level attempt counter, and the fault records accumulated by
-/// earlier failed attempts (folded with the chunk when it completes, so the
-/// recovery history survives in chunk order).
-struct Shard {
-    chunk: usize,
-    attempt: u32,
-    faults: Vec<FaultRecord>,
+/// What one worker slot holds between shards.
+#[derive(Default)]
+struct LinkSlot {
+    link: Option<Link>,
+    /// A worker was spawned for this slot before (a new one is a respawn).
+    started: bool,
+    /// Permanent degradation to in-process evaluation: entered when spawning
+    /// fails or the restart budget is spent (or with no worker command).
+    inproc: bool,
 }
 
-/// Shared dealing state across driver threads.
-struct Deal {
-    /// Next fresh chunk index.
-    cursor: AtomicUsize,
-    /// Shards re-queued after a worker-level fault, dealt before fresh ones.
-    retry: Mutex<VecDeque<Shard>>,
-    /// Chunks submitted to the collector (folded, quarantined or aborted).
-    completed: AtomicUsize,
+/// The distribute executor of the sweep frame: slot *s* owns at most one
+/// worker process, to which its chunk is written as a `shard` frame and whose
+/// reply is awaited under the heartbeat deadline. Worker death, silence and
+/// lies are answered as worker-level faults — the frame re-deals or
+/// quarantines — and a slot that cannot (re)spawn answers *evaluate locally*.
+struct LinkExecutor<'a> {
+    opts: &'a DistributeOptions,
+    hello: String,
+    structural: String,
+    engine_sig: String,
+    n_constraints: usize,
+    restart_budget: usize,
+    slots: Vec<Mutex<LinkSlot>>,
     /// Shards dispatched to worker processes (the chaos-kill ordinal).
     dealt: AtomicU64,
     /// Worker respawns consumed from the restart budget.
@@ -698,6 +624,99 @@ struct Deal {
     spawned: AtomicU64,
     /// Successful re-spawns after a worker died mid-run.
     respawned: AtomicU64,
+}
+
+impl<V: Visitor + SaveState> ChunkExecutor<V> for LinkExecutor<'_> {
+    fn run(
+        &self,
+        slot: usize,
+        chunk: usize,
+        values: &[i64],
+        _compiled: &Compiled,
+        make_visitor: &dyn Fn() -> V,
+    ) -> Answer<V> {
+        let mut slot = self.slots[slot].lock().unwrap();
+        // Worker acquisition: first spawn is free, respawns draw on the
+        // shared restart budget; failures degrade this slot permanently.
+        if !slot.inproc && slot.link.is_none() {
+            if slot.started && self.restarts.fetch_add(1, Ordering::Relaxed) >= self.restart_budget {
+                slot.inproc = true;
+            } else {
+                match Link::connect(
+                    &self.opts.worker_cmd,
+                    &self.hello,
+                    &self.structural,
+                    &self.engine_sig,
+                    self.opts.heartbeat,
+                ) {
+                    Ok(l) => {
+                        self.spawned.fetch_add(1, Ordering::Relaxed);
+                        if slot.started {
+                            self.respawned.fetch_add(1, Ordering::Relaxed);
+                        }
+                        slot.started = true;
+                        slot.link = Some(l);
+                    }
+                    Err(_) => slot.inproc = true,
+                }
+            }
+        }
+        // Graceful degradation: the supervisor's own engine evaluates the
+        // shard — bit-identical by the determinism contract, merely slower.
+        let Some(l) = slot.link.as_mut() else { return Answer::Local };
+
+        let shard_no = self.dealt.fetch_add(1, Ordering::Relaxed) + 1;
+        let mut frame = String::with_capacity(64 + values.len() * 8);
+        {
+            use std::fmt::Write as _;
+            let _ = write!(
+                frame,
+                "{{\"v\":{PROTOCOL_VERSION},\"shard\":{{\"chunk\":{chunk},\"values\":"
+            );
+            frame.push('[');
+            for (i, v) in values.iter().enumerate() {
+                if i > 0 {
+                    frame.push(',');
+                }
+                let _ = write!(frame, "{v}");
+            }
+            frame.push_str("]}}");
+        }
+        let dispatched = write_frame(&mut l.stdin, &frame);
+        if self.opts.chaos_kill_after == Some(shard_no) {
+            // Deterministic chaos: SIGKILL our own worker with the shard
+            // in flight. Recovery must be indistinguishable from a real
+            // crash.
+            let _ = l.child.kill();
+        }
+        let answer = if dispatched.is_err() {
+            Answer::Fault { kind: FaultKind::WorkerExit, error: "worker closed its pipe".to_string() }
+        } else {
+            await_reply(l, chunk, self.n_constraints, make_visitor, self.opts.heartbeat)
+        };
+        if matches!(answer, Answer::Fault { .. }) {
+            // Nothing this worker says can be trusted now.
+            if let Some(mut l) = slot.link.take() {
+                l.kill();
+            }
+        }
+        answer
+    }
+
+    fn redeal(&self) -> (u32, u64) {
+        (self.opts.shard_retry_max, self.opts.shard_backoff_ms)
+    }
+
+    fn close(&self, slot: usize) {
+        if let Some(l) = self.slots[slot].lock().unwrap().link.take() {
+            l.shutdown();
+        }
+    }
+
+    fn stamp(&self, report: &mut SweepReport) {
+        report.fault_counters.workers_spawned = self.spawned.load(Ordering::Relaxed);
+        report.fault_counters.worker_restarts = self.respawned.load(Ordering::Relaxed);
+    }
 }
 
 /// Run a lowered plan across worker processes; see the module docs for the
@@ -717,7 +736,7 @@ where
     V: Visitor + Send + SaveState,
     F: Fn() -> V + Sync,
 {
-    distribute_supervised(lp, opts, make_visitor, None, None)
+    deal_to_workers(lp, opts, make_visitor, None, None)
 }
 
 /// [`run_distributed`] with checkpoint persistence and optional resume —
@@ -733,25 +752,15 @@ where
     V: Visitor + Send + SaveState,
     F: Fn() -> V + Sync,
 {
-    let space_name = lp.plan.space().name().to_string();
-    let engine_sig = opts.engine.signature();
-    let seed = if ck.resume {
-        let text = std::fs::read_to_string(&ck.path).map_err(|e| {
-            SweepError::Checkpoint(format!("cannot read checkpoint {}: {e}", ck.path.display()))
-        })?;
-        parse_checkpoint(&text, &space_name, &engine_sig, &make_visitor)
-            .map_err(SweepError::Checkpoint)?
-    } else {
-        None
-    };
-    let writer = |snap: &crate::parallel::CkSnapshot<'_, V>| {
-        write_checkpoint(&ck.path, &space_name, &engine_sig, snap)
-    };
-    let sink = CkSink { every: ck.every_chunks.max(1), write: &writer };
-    distribute_supervised(lp, opts, make_visitor, seed, Some(&sink))
+    with_checkpoint(lp, &opts.engine, ck, &make_visitor, |seed, sink| {
+        deal_to_workers(lp, opts, &make_visitor, seed, Some(sink))
+    })
 }
 
-fn distribute_supervised<V, F>(
+/// Map [`DistributeOptions`] onto the shared sweep frame: the frame options
+/// (one slot per worker, no injector, cancel or deadline) plus the link
+/// executor that carries everything process-specific.
+fn deal_to_workers<V, F>(
     lp: &LoweredPlan,
     opts: &DistributeOptions,
     make_visitor: F,
@@ -762,7 +771,6 @@ where
     V: Visitor + Send + SaveState,
     F: Fn() -> V + Sync,
 {
-    let t_start = Instant::now();
     match opts.engine.engine {
         EngineTier::Walker => {
             return Err(SweepError::Config(
@@ -779,125 +787,8 @@ where
         }
         _ => {}
     }
-    let n_slots = opts.workers.max(1);
-    let compiled = Compiled::with_options(lp.clone(), opts.engine);
-    compiled.lint_denied()?;
+    let workers = opts.workers.max(1);
     let space = lp.plan.space();
-    let n_constraints = space.constraints().len();
-    let policy = opts.fault_policy;
-
-    let resumed_at = resume.as_ref().map(|r| r.next);
-    let (mut stats, seed_blocks, seed_faults, seed_visitor, pinned) = match resume {
-        Some(seed) => (
-            seed.stats,
-            seed.blocks,
-            seed.faults,
-            Some(seed.visitor),
-            Some((seed.chunk_len, seed.outer_len)),
-        ),
-        None => {
-            (PruneStats::new(n_constraints), BlockStats::default(), Vec::new(), None, None)
-        }
-    };
-
-    // Preamble constraints run once, supervisor-side (workers evaluate only
-    // chunk bodies). A resumed run's seed already includes them.
-    let preamble_ok = if resumed_at.is_some() {
-        let mut scratch = PruneStats::new(n_constraints);
-        compiled.preamble_record(&mut scratch).map_err(SweepError::Eval)?
-    } else {
-        compiled.preamble_record(&mut stats).map_err(SweepError::Eval)?
-    };
-
-    let finish_early = |stats: &PruneStats, blocks: BlockStats, faults: Vec<FaultRecord>| {
-        let mut report = SweepReport::new(
-            space,
-            stats,
-            &blocks,
-            n_slots,
-            0,
-            0,
-            0,
-            t_start.elapsed(),
-            vec![],
-            compiled.schedule_telemetry(),
-            compiled.lint_summary(),
-        );
-        report.resumed_at = resumed_at;
-        report.fault_policy = policy.name();
-        report.fault_counters = FaultCounters::from_records(&faults);
-        report.faults = faults;
-        report
-    };
-
-    let outer = if preamble_ok { compiled.outer_domain().map_err(SweepError::Eval)? } else { Vec::new() };
-    if outer.is_empty() {
-        let report = finish_early(&stats, seed_blocks, seed_faults.clone());
-        return Ok((
-            SweepOutcome {
-                stats,
-                blocks: seed_blocks,
-                lanes: LaneStats::default(),
-                schedule: None,
-                visitor: seed_visitor.unwrap_or_else(&make_visitor),
-            },
-            report,
-        ));
-    }
-
-    if let Some((_, expected_outer)) = pinned {
-        if outer.len() != expected_outer {
-            return Err(SweepError::Checkpoint(format!(
-                "checkpointed level-0 domain has {expected_outer} value(s) but the realized \
-                 domain has {}; the space changed since the checkpoint",
-                outer.len()
-            )));
-        }
-    }
-    let chunk_len = pinned
-        .map(|(len, _)| len)
-        .unwrap_or_else(|| chunk_len_for(lp, outer.len(), n_slots, 0, opts.chunk_count));
-    let chunks: Vec<&[i64]> = outer.chunks(chunk_len.max(1)).collect();
-    let start = resumed_at.unwrap_or(0).min(chunks.len());
-    let limit = if opts.stop_after_chunks > 0 {
-        (start + opts.stop_after_chunks).min(chunks.len())
-    } else {
-        chunks.len()
-    };
-    if let Some(progress) = &opts.progress {
-        progress.chunks_total.store(chunks.len(), Ordering::Relaxed);
-        progress.chunks_done.store(start, Ordering::Relaxed);
-        progress.tuples_decided.store(stats.survivors + stats.total_pruned(), Ordering::Relaxed);
-    }
-
-    let goal = limit - start;
-    let abort = AtomicBool::new(false);
-    let first_error: Mutex<Option<SweepError>> = Mutex::new(None);
-    let collector = Mutex::new(Collector {
-        next: start,
-        pending: BTreeMap::new(),
-        stats,
-        blocks: seed_blocks,
-        lanes: LaneStats::default(),
-        faults: seed_faults,
-        visitor: seed_visitor,
-        outer_len: outer.len(),
-        chunk_len,
-        chunks: chunks.len(),
-        since_save: 0,
-    });
-    let deal = Deal {
-        cursor: AtomicUsize::new(start),
-        retry: Mutex::new(VecDeque::new()),
-        completed: AtomicUsize::new(0),
-        dealt: AtomicU64::new(0),
-        restarts: AtomicUsize::new(0),
-        spawned: AtomicU64::new(0),
-        respawned: AtomicU64::new(0),
-    };
-    let restart_budget =
-        if opts.restart_max > 0 { opts.restart_max } else { 2 * n_slots };
-
     let structural = format!("{:016x}", lp.structural_hash());
     let engine_sig = opts.engine.signature();
     let hello = {
@@ -909,347 +800,43 @@ where
             h,
             ",\"structural\":\"{structural}\",\"engine\":\"{engine_sig}\",\"policy\":\"{}\",\
              \"hb_ms\":{}}}}}",
-            policy.spec(),
+            opts.fault_policy.spec(),
             u64::try_from(opts.heartbeat.as_millis()).unwrap_or(u64::MAX).max(1)
         );
         h
     };
-
-    let fail = |err: SweepError| {
-        let mut slot = first_error.lock().unwrap();
-        if slot.is_none() {
-            *slot = Some(err);
-        }
-        abort.store(true, Ordering::Relaxed);
+    let exec = LinkExecutor {
+        opts,
+        hello,
+        structural,
+        engine_sig,
+        n_constraints: space.constraints().len(),
+        restart_budget: if opts.restart_max > 0 { opts.restart_max } else { 2 * workers },
+        slots: (0..workers)
+            .map(|_| Mutex::new(LinkSlot { inproc: opts.worker_cmd.is_empty(), ..LinkSlot::default() }))
+            .collect(),
+        dealt: AtomicU64::new(0),
+        restarts: AtomicUsize::new(0),
+        spawned: AtomicU64::new(0),
+        respawned: AtomicU64::new(0),
     };
-
-    // One driver thread per worker slot. A driver owns at most one child
-    // process and one in-flight shard at a time; finished shards are folded
-    // in chunk order by the shared collector, so which worker evaluated a
-    // chunk never affects the merged outcome.
-    let drive = |slot: usize| -> WorkerTelemetry {
-        let mut telemetry = WorkerTelemetry {
-            worker: slot,
-            chunks: 0,
-            busy: Duration::ZERO,
-            evaluated: 0,
-            survivors: 0,
-        };
-        let mut link: Option<Link> = None;
-        let mut started = false;
-        // Permanent degradation to in-process evaluation: entered when
-        // spawning fails or the restart budget is spent.
-        let mut inproc = opts.worker_cmd.is_empty();
-        'serve: loop {
-            if abort.load(Ordering::Relaxed) {
-                break;
-            }
-            let shard = {
-                let mut queue = deal.retry.lock().unwrap();
-                match queue.pop_front() {
-                    Some(s) => Some(s),
-                    None => {
-                        drop(queue);
-                        let i = deal.cursor.fetch_add(1, Ordering::Relaxed);
-                        if i < limit {
-                            Some(Shard { chunk: i, attempt: 0, faults: Vec::new() })
-                        } else {
-                            None
-                        }
-                    }
-                }
-            };
-            let mut shard = match shard {
-                Some(s) => s,
-                None => {
-                    if deal.completed.load(Ordering::Relaxed) >= goal {
-                        break;
-                    }
-                    // Another driver's in-flight shard may yet be re-queued;
-                    // stay available instead of exiting early.
-                    std::thread::sleep(Duration::from_millis(5));
-                    continue;
-                }
-            };
-            let t0 = Instant::now();
-
-            // Worker acquisition: first spawn is free, respawns draw on the
-            // shared restart budget; failures degrade this slot permanently.
-            if !inproc && link.is_none() {
-                if started {
-                    let used = deal.restarts.fetch_add(1, Ordering::Relaxed);
-                    if used >= restart_budget {
-                        inproc = true;
-                    }
-                }
-                if !inproc {
-                    match Link::connect(
-                        &opts.worker_cmd,
-                        &hello,
-                        &structural,
-                        &engine_sig,
-                        opts.heartbeat,
-                    ) {
-                        Ok(l) => {
-                            deal.spawned.fetch_add(1, Ordering::Relaxed);
-                            if started {
-                                deal.respawned.fetch_add(1, Ordering::Relaxed);
-                            }
-                            started = true;
-                            link = Some(l);
-                        }
-                        Err(_) => inproc = true,
-                    }
-                }
-            }
-
-            if inproc {
-                // Graceful degradation: evaluate the shard with the
-                // supervisor's own engine — bit-identical by the determinism
-                // contract, merely slower.
-                let done = match eval_chunk_local(
-                    &compiled,
-                    chunks[shard.chunk],
-                    shard.chunk,
-                    policy,
-                    &make_visitor,
-                ) {
-                    Ok(mut done) => {
-                        let mut faults = std::mem::take(&mut shard.faults);
-                        faults.extend(done.faults);
-                        done.faults = faults;
-                        done
-                    }
-                    Err(ChunkAbort::Error(message)) => {
-                        fail(SweepError::Eval(EvalError::Custom(message)));
-                        break;
-                    }
-                    Err(ChunkAbort::Panic(message)) => {
-                        fail(SweepError::WorkerPanic { chunk: Some(shard.chunk), message });
-                        break;
-                    }
-                };
-                telemetry.busy += t0.elapsed();
-                if !submit(&collector, &deal, opts, sink, &fail, shard.chunk, done, &mut telemetry)
-                {
-                    break;
-                }
-                continue;
-            }
-
-            // Dispatch the shard to the worker.
-            let l = link.as_mut().expect("link acquired above");
-            let shard_no = deal.dealt.fetch_add(1, Ordering::Relaxed) + 1;
-            let mut frame = String::with_capacity(64 + chunks[shard.chunk].len() * 8);
-            {
-                use std::fmt::Write as _;
-                let _ = write!(
-                    frame,
-                    "{{\"v\":{PROTOCOL_VERSION},\"shard\":{{\"chunk\":{},\"values\":",
-                    shard.chunk
-                );
-                frame.push('[');
-                for (i, v) in chunks[shard.chunk].iter().enumerate() {
-                    if i > 0 {
-                        frame.push(',');
-                    }
-                    let _ = write!(frame, "{v}");
-                }
-                frame.push_str("]}}");
-            }
-            let dispatched = write_frame(&mut l.stdin, &frame);
-            if opts.chaos_kill_after == Some(shard_no) {
-                // Deterministic chaos: SIGKILL our own worker with the shard
-                // in flight. Recovery must be indistinguishable from a real
-                // crash.
-                let _ = l.child.kill();
-            }
-            let verdict: Result<ChunkDone<V>, (FaultKind, String)> = if dispatched.is_err() {
-                Err((FaultKind::WorkerExit, "worker closed its pipe".to_string()))
-            } else {
-                await_reply(l, shard.chunk, n_constraints, &make_visitor, opts.heartbeat)
-            };
-
-            match verdict {
-                Ok(mut done) => {
-                    telemetry.busy += t0.elapsed();
-                    let mut faults = std::mem::take(&mut shard.faults);
-                    faults.extend(done.faults);
-                    done.faults = faults;
-                    if !submit(
-                        &collector,
-                        &deal,
-                        opts,
-                        sink,
-                        &fail,
-                        shard.chunk,
-                        done,
-                        &mut telemetry,
-                    ) {
-                        break;
-                    }
-                }
-                Err((FaultKind::Error, message)) => {
-                    // Abort-policy fail frame relayed by the worker.
-                    fail(SweepError::Eval(EvalError::Custom(message)));
-                    break;
-                }
-                Err((FaultKind::Panic, message)) => {
-                    fail(SweepError::WorkerPanic { chunk: Some(shard.chunk), message });
-                    break;
-                }
-                Err((kind, error)) => {
-                    // Worker-level fault: kill the worker (nothing it says
-                    // can be trusted now), record the fault, and either
-                    // re-deal with backoff or quarantine the shard.
-                    telemetry.busy += t0.elapsed();
-                    if let Some(mut l) = link.take() {
-                        l.kill();
-                    }
-                    let exhausted = shard.attempt >= opts.shard_retry_max;
-                    shard.faults.push(FaultRecord {
-                        chunk: shard.chunk,
-                        ordinal: 0,
-                        attempt: shard.attempt,
-                        kind,
-                        action: if exhausted {
-                            FaultAction::QuarantinedChunk
-                        } else {
-                            FaultAction::Retried
-                        },
-                        site: "worker".to_string(),
-                        error,
-                        bindings: Vec::new(),
-                    });
-                    if exhausted {
-                        let done =
-                            ChunkDone { outcome: None, faults: std::mem::take(&mut shard.faults) };
-                        if !submit(
-                            &collector,
-                            &deal,
-                            opts,
-                            sink,
-                            &fail,
-                            shard.chunk,
-                            done,
-                            &mut telemetry,
-                        ) {
-                            break;
-                        }
-                    } else {
-                        let backoff = opts
-                            .shard_backoff_ms
-                            .saturating_mul(1u64 << shard.attempt.min(5))
-                            .min(MAX_BACKOFF_MS);
-                        if backoff > 0 {
-                            std::thread::sleep(Duration::from_millis(backoff));
-                        }
-                        shard.attempt += 1;
-                        deal.retry.lock().unwrap().push_back(shard);
-                    }
-                    continue 'serve;
-                }
-            }
-        }
-        if let Some(l) = link.take() {
-            l.shutdown();
-        }
-        telemetry
+    let frame = ParallelOptions {
+        threads: workers,
+        chunk_count: opts.chunk_count,
+        progress: opts.progress.clone(),
+        engine: opts.engine,
+        fault_policy: opts.fault_policy,
+        stop_after_chunks: opts.stop_after_chunks,
+        ..ParallelOptions::default()
     };
-
-    let mut workers: Vec<WorkerTelemetry> = std::thread::scope(|scope| {
-        let handles: Vec<_> =
-            (0..n_slots.min(goal.max(1))).map(|s| scope.spawn(move || drive(s))).collect();
-        handles
-            .into_iter()
-            .filter_map(|h| match h.join() {
-                Ok(telemetry) => Some(telemetry),
-                Err(payload) => {
-                    fail(SweepError::WorkerPanic { chunk: None, message: panic_message(payload) });
-                    None
-                }
-            })
-            .collect()
-    });
-    workers.sort_by_key(|w| w.worker);
-
-    if let Some(err) = first_error.into_inner().unwrap() {
-        return Err(err);
-    }
-
-    let mut collector = collector.into_inner().unwrap();
-    let partial = collector.next < chunks.len();
-    if let Some(sink) = sink {
-        collector.save(sink).map_err(SweepError::Checkpoint)?;
-    }
-    let Collector { stats, blocks, lanes, faults, visitor, .. } = collector;
-
-    let mut report = SweepReport::new(
-        space,
-        &stats,
-        &blocks,
-        n_slots,
-        outer.len(),
-        chunk_len,
-        chunks.len(),
-        t_start.elapsed(),
-        workers,
-        compiled.schedule_telemetry(),
-        compiled.lint_summary(),
-    );
-    report.partial = partial;
-    report.resumed_at = resumed_at;
-    report.fault_policy = policy.name();
-    report.fault_counters = FaultCounters::from_records(&faults);
-    report.fault_counters.workers_spawned = deal.spawned.into_inner();
-    report.fault_counters.worker_restarts = deal.respawned.into_inner();
-    report.faults = faults;
-    report.lanes = lanes.clone();
-    Ok((
-        SweepOutcome {
-            stats,
-            blocks,
-            lanes,
-            schedule: compiled.learned_orders(),
-            visitor: visitor.unwrap_or_else(make_visitor),
-        },
-        report,
-    ))
-}
-
-/// Fold one finished shard into the collector and bump the completion
-/// counter; returns `false` when the sweep must abort (checkpoint write
-/// failure).
-#[allow(clippy::too_many_arguments)]
-fn submit<V: Visitor>(
-    collector: &Mutex<Collector<V>>,
-    deal: &Deal,
-    opts: &DistributeOptions,
-    sink: Option<&CkSink<'_, V>>,
-    fail: &dyn Fn(SweepError),
-    chunk: usize,
-    done: ChunkDone<V>,
-    telemetry: &mut WorkerTelemetry,
-) -> bool {
-    if let Some(out) = &done.outcome {
-        telemetry.evaluated += out.stats.evaluated.iter().sum::<u64>();
-        telemetry.survivors += out.stats.survivors;
-    }
-    telemetry.chunks += 1;
-    let folded = collector.lock().unwrap().add(chunk, done, opts.progress.as_ref(), sink);
-    deal.completed.fetch_add(1, Ordering::Relaxed);
-    if let Err(msg) = folded {
-        fail(SweepError::Checkpoint(msg));
-        return false;
-    }
-    true
+    run_supervised(lp, &frame, make_visitor, resume, sink, None, &exec)
 }
 
 /// Wait for the worker's reply to an in-flight shard, treating heartbeat
 /// frames as liveness and everything unexpected as a fault:
 ///
-/// * `done` — fully validated, then returned for folding;
-/// * `fail` — mapped to `FaultKind::Error`/`Panic` (abort policy);
+/// * `done` — fully validated, then answered for folding;
+/// * `fail` — the worker's abort-policy error or panic aborts the sweep;
 /// * silence past the deadline — `WorkerTimeout`;
 /// * closed pipe / read error — `WorkerExit`;
 /// * anything malformed — `ProtocolError`.
@@ -1259,24 +846,25 @@ fn await_reply<V: Visitor + SaveState>(
     n_constraints: usize,
     make_visitor: &dyn Fn() -> V,
     deadline: Duration,
-) -> Result<ChunkDone<V>, (FaultKind, String)> {
+) -> Answer<V> {
+    let fault = |kind, error| Answer::Fault { kind, error };
     loop {
         let frame = match link.rx.recv_timeout(deadline) {
             Ok(Ok(f)) => f,
-            Ok(Err(e)) => return Err((FaultKind::WorkerExit, format!("worker pipe error: {e}"))),
+            Ok(Err(e)) => return fault(FaultKind::WorkerExit, format!("worker pipe error: {e}")),
             Err(RecvTimeoutError::Timeout) => {
-                return Err((
+                return fault(
                     FaultKind::WorkerTimeout,
                     format!("no frame within {deadline:?} while chunk {chunk} was in flight"),
-                ))
+                )
             }
             Err(RecvTimeoutError::Disconnected) => {
-                return Err((FaultKind::WorkerExit, "worker exited with a shard in flight".to_string()))
+                return fault(FaultKind::WorkerExit, "worker exited with a shard in flight".to_string())
             }
         };
         let doc = match JsonValue::parse(&frame) {
             Ok(d) => d,
-            Err(e) => return Err((FaultKind::ProtocolError, format!("malformed frame: {e}"))),
+            Err(e) => return fault(FaultKind::ProtocolError, format!("malformed frame: {e}")),
         };
         if doc.get("hb").is_some() {
             continue;
@@ -1287,17 +875,18 @@ fn await_reply<V: Visitor + SaveState>(
                 .and_then(JsonValue::as_str)
                 .unwrap_or("unspecified worker failure")
                 .to_string();
-            let kind = match failed.get("kind").and_then(JsonValue::as_str) {
-                Some("panic") => FaultKind::Panic,
-                _ => FaultKind::Error,
-            };
-            return Err((kind, message));
+            return Answer::Abort(match failed.get("kind").and_then(JsonValue::as_str) {
+                Some("panic") => SweepError::WorkerPanic { chunk: Some(chunk), message },
+                _ => SweepError::Eval(EvalError::Custom(message)),
+            });
         }
         if doc.get("done").is_some() {
-            return parse_done(&doc, chunk, n_constraints, make_visitor)
-                .map_err(|e| (FaultKind::ProtocolError, e));
+            return match parse_done(&doc, chunk, n_constraints, make_visitor) {
+                Ok(done) => Answer::Done(done),
+                Err(e) => fault(FaultKind::ProtocolError, e),
+            };
         }
-        return Err((FaultKind::ProtocolError, "unexpected frame type".to_string()));
+        return fault(FaultKind::ProtocolError, "unexpected frame type".to_string());
     }
 }
 
@@ -1402,11 +991,13 @@ mod tests {
 
         // The whole domain as one chunk equals a serial in-process run's
         // chunk outcome.
-        let direct = eval_chunk_local(
+        let direct = attempt_chunk(
             &compiled,
             &outer,
             0,
             FaultPolicy::Abort,
+            None,
+            None,
             &FingerprintVisitor::new,
         )
         .ok()
@@ -1452,6 +1043,30 @@ mod tests {
                 None => reference = Some(out.visitor),
                 Some(r) => assert_eq!(&out.visitor, r, "divergence at {workers} workers"),
             }
+        }
+    }
+
+    /// Under `FaultPolicy::Abort`, a distributed sweep that never crossed a
+    /// process boundary (no worker command; a command that cannot spawn)
+    /// returns the same structured error — root, site, bindings — as the
+    /// threaded sweep, not a flattened `Custom` rendering of it.
+    #[test]
+    fn in_process_abort_keeps_the_structured_error() {
+        let space = Space::builder("dz")
+            .range("x", 0, 64)
+            .derived("bad", var("x") / (var("x") - 10))
+            .build()
+            .unwrap();
+        let lp = LoweredPlan::new(&Plan::new(&space, PlanOptions::default()).unwrap()).unwrap();
+        let threaded = run_parallel_report(&lp, &ParallelOptions::new(2), FingerprintVisitor::new);
+        let Err(SweepError::Eval(want)) = threaded else { panic!("dz must abort the threaded sweep") };
+        assert!(want.point_context().is_some());
+        for cmd in [Vec::new(), vec!["/nonexistent/beast-worker-binary".to_string()]] {
+            let opts = DistributeOptions::new(2, cmd.clone());
+            let err = run_distributed(&lp, &opts, FingerprintVisitor::new).err().unwrap();
+            let SweepError::Eval(got) = err else { panic!("{cmd:?}: expected Eval, got {err:?}") };
+            assert_eq!(got.root(), want.root(), "{cmd:?}");
+            assert_eq!(got.point_context(), want.point_context(), "{cmd:?}");
         }
     }
 

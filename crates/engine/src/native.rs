@@ -28,9 +28,11 @@ use beast_codegen::{emit_chunk_worker, lower, toolchain, Program, PROTOCOL_VERSI
 use beast_core::hash::Fnv1a;
 use beast_core::ir::LoweredPlan;
 
-use crate::compiled::EngineOptions;
+use crate::compiled::{Compiled, EngineOptions};
+use crate::parallel::{Answer, ChunkDone, ChunkExecutor};
 use crate::point::PointRef;
 use crate::stats::PruneStats;
+use crate::telemetry::SweepReport;
 use crate::visit::Visitor;
 use crate::walker::SweepOutcome;
 
@@ -146,11 +148,6 @@ impl NativeContext {
         }
     }
 
-    /// Record that a chunk fell back to the in-process engine.
-    pub fn note_fallback(&self) {
-        self.chunks_fallback.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Evaluate one level-0 chunk in a worker process and replay its
     /// survivor rows into `visitor`.
     ///
@@ -262,6 +259,34 @@ impl NativeContext {
     }
 }
 
+/// The native-process executor of the sweep frame: one worker process per
+/// chunk. Any worker-side failure (spawn, crash, protocol violation) is
+/// counted and answered *evaluate locally* — the frame re-evaluates from
+/// scratch, and no visit happened yet because the worker's output is fully
+/// validated before replay.
+impl<V: Visitor> ChunkExecutor<V> for NativeContext {
+    fn run(
+        &self,
+        _slot: usize,
+        _chunk: usize,
+        values: &[i64],
+        compiled: &Compiled,
+        make_visitor: &dyn Fn() -> V,
+    ) -> Answer<V> {
+        match self.run_chunk(values, compiled.point_names(), make_visitor()) {
+            Ok(out) => Answer::Done(ChunkDone { outcome: Some(out), faults: Vec::new() }),
+            Err(_) => {
+                self.chunks_fallback.fetch_add(1, Ordering::Relaxed);
+                Answer::Local
+            }
+        }
+    }
+
+    fn stamp(&self, report: &mut SweepReport) {
+        report.native = Some(self.stats());
+    }
+}
+
 /// Cursor over the worker's stdout bytes; every read is bounds-checked so a
 /// truncated or corrupt stream becomes a clean protocol error.
 struct StreamReader<'a> {
@@ -295,7 +320,6 @@ impl StreamReader<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compiled::Compiled;
     use crate::visit::{CollectVisitor, CountVisitor};
     use beast_core::constraint::ConstraintClass;
     use beast_core::expr::var;

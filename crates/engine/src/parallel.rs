@@ -1,16 +1,21 @@
-//! Multithreaded sweep evaluation — the paper's Section X-B observation that
+//! The sweep supervisor — the paper's Section X-B observation that
 //! parallelization "can be very beneficial at the outermost loop nests,
-//! close to level 0" — plus the fault-tolerant supervisor that keeps a
-//! multi-hour sweep alive across bad points, panicking chunks, deadlines and
-//! process restarts.
+//! close to level 0", implemented once: one frame (`run_supervised`: set-up
+//! → deal → chunk-order fold → report) that keeps a multi-hour sweep alive
+//! across bad points, panicking chunks, dead workers, deadlines and process
+//! restarts, and one question it asks per chunk — *where does this chunk
+//! run?* — answered by a crate-private `ChunkExecutor`: on the slot's own
+//! thread, in a native C worker process ([`crate::native`]), or in a
+//! distribute worker over a pipe ([`crate::distribute`]).
 //!
 //! # Dynamic scheduling
 //!
 //! The driver realizes the outermost loop's domain once (level-0 iterators
 //! depend only on constants by construction) and splits it into chunks that
-//! are deliberately *finer* than one-per-thread. Workers then pull chunks
-//! from a shared [`AtomicUsize`] cursor as they finish — a work-stealing-style
-//! dynamic schedule with a single global queue.
+//! are deliberately *finer* than one-per-slot. Slots then pull chunks from a
+//! shared cursor as they finish — a work-stealing-style dynamic schedule
+//! with a single global queue. A one-slot sweep runs inline on the caller's
+//! thread.
 //!
 //! Static one-chunk-per-thread splitting (what this module did originally)
 //! assumes the cost below each level-0 value is uniform. DAG-hoisted pruning
@@ -29,6 +34,20 @@
 //! *thread-invariant* grid (fault injection, checkpoint/resume) pin it with
 //! [`ParallelOptions::chunk_count`].
 //!
+//! # Who owns what
+//!
+//! An executor answers one of four things for a dealt chunk: *done* (a
+//! validated outcome from elsewhere), *local* (evaluate here), *worker-level
+//! fault* (the worker died, stalled or lied) or *abort*. Everything else is
+//! the frame's and exists once: the cursor, re-dealing with backoff,
+//! [`FaultRecord`] bookkeeping and quarantine, memo lookup and store, worker
+//! telemetry, cancellation, and the single call that folds a chunk into the
+//! chunk-order collector (which also drives checkpoint writes). Local
+//! evaluation is one function, `attempt_chunk` — the per-policy retry loop
+//! under [`std::panic::catch_unwind`] — which a distribute worker process
+//! calls too, so a chunk's outcome and fault records do not depend on where
+//! it ran.
+//!
 //! # Fault supervision
 //!
 //! [`ParallelOptions::fault_policy`] decides what an
@@ -37,9 +56,8 @@
 //! [`SweepError::WorkerPanic`] instead of poisoning the orchestrator), skip
 //! the failing point, quarantine the chunk, or retry the chunk with backoff.
 //! Every recovered fault becomes a [`FaultRecord`] merged in chunk order and
-//! surfaced in the [`SweepReport`]. Panics are caught per chunk attempt with
-//! [`std::panic::catch_unwind`]; per-chunk state is private, so a poisoned
-//! chunk never corrupts the merged outcome.
+//! surfaced in the [`SweepReport`]. Per-chunk state is private, so a
+//! poisoned chunk never corrupts the merged outcome.
 //!
 //! Cooperative cancellation ([`ParallelOptions::cancel`]) and wall-clock
 //! deadlines ([`ParallelOptions::deadline`]) are polled both between chunks
@@ -57,8 +75,8 @@
 //!
 //! * each chunk is evaluated with a private visitor and statistics block
 //!   (no shared mutable state on the hot path);
-//! * per-chunk results are merged *in chunk order* — which worker happened
-//!   to execute a chunk never affects the merged outcome;
+//! * per-chunk results are merged *in chunk order* — which slot happened
+//!   to take a chunk, and where it ran, never affects the merged outcome;
 //! * chunk boundaries only partition the level-0 domain, so concatenating
 //!   chunk results in order reproduces the serial visit order exactly;
 //! * preamble (constants-only) constraints are recorded once, not per chunk.
@@ -73,9 +91,9 @@
 //! `tests/determinism.rs` and `tests/fault_tolerance.rs`.
 //!
 //! The same contract is what makes chunk-level *memoization* sound: the
-//! supervisor exposes an internal `ChunkMemo` hook consulted at each chunk
-//! boundary, and because a stored fault-free outcome is folded exactly where
-//! evaluation would have folded, a cache hit cannot change the merge. The
+//! frame consults an internal `ChunkMemo` hook at each chunk boundary, and
+//! because a stored fault-free outcome is folded exactly where evaluation
+//! would have folded, a cache hit cannot change the merge. The
 //! fingerprint-keyed cache in [`crate::service::cache`] builds on this;
 //! per-run hit/miss traffic lands in
 //! [`SweepReport::cache_hits`]/[`SweepReport::cache_misses`].
@@ -187,7 +205,7 @@ where
     V: Visitor + Send,
     F: Fn() -> V + Sync,
 {
-    run_supervised(lp, opts, make_visitor, None, None, None)
+    run_threaded(lp, opts, make_visitor, None, None, None)
 }
 
 /// Merged state an interrupted sweep hands back to [`run_supervised`] so the
@@ -348,11 +366,148 @@ impl<V: Visitor> Collector<V> {
     }
 }
 
-/// Full-control sweep driver behind [`run_parallel_report`] and
-/// [`crate::checkpoint::run_checkpointed`]: dynamic chunk scheduling with
-/// fault policies, panic isolation, cancellation/deadline, resume seeding
-/// and periodic checkpoint persistence.
-pub(crate) fn run_supervised<V, F>(
+/// What a slot's [`ChunkExecutor`] answers for one dealt chunk. Everything
+/// that follows an answer — re-dealing, backoff, fault records, memo store,
+/// telemetry, the fold — is the frame's, so it exists once.
+pub(crate) enum Answer<V> {
+    /// Evaluated elsewhere and validated in full: fold it.
+    Done(ChunkDone<V>),
+    /// Evaluate on this thread with [`attempt_chunk`] (the in-thread
+    /// executor always; a native fallback; a degraded distribute slot).
+    Local,
+    /// Worker-level fault (death, silence, lie): the frame records it and
+    /// re-deals the chunk or, with the budget spent, quarantines it.
+    Fault { kind: FaultKind, error: String },
+    /// Stop the sweep with this error.
+    Abort(SweepError),
+}
+
+/// "Evaluate chunk *k* somewhere": the seam between the one sweep frame
+/// ([`run_supervised`]) and where a chunk actually runs. Three
+/// implementations: [`InThread`], [`NativeContext`] (one C worker process
+/// per chunk) and the distribute link in [`crate::distribute`].
+pub(crate) trait ChunkExecutor<V>: Sync {
+    /// Answer for `chunk` (covering `values`) dealt to worker slot `slot`.
+    fn run(
+        &self,
+        slot: usize,
+        chunk: usize,
+        values: &[i64],
+        compiled: &Compiled,
+        make_visitor: &dyn Fn() -> V,
+    ) -> Answer<V>;
+
+    /// `(deals beyond the first, base backoff ms)` for a chunk answered with
+    /// [`Answer::Fault`]; the backoff doubles per deal.
+    fn redeal(&self) -> (u32, u64) {
+        (0, 0)
+    }
+
+    /// Slot `slot` pulls no more chunks: release what it holds.
+    fn close(&self, _slot: usize) {}
+
+    /// Add this executor's counters to the sweep report.
+    fn stamp(&self, _report: &mut SweepReport) {}
+}
+
+/// The in-thread executor: every chunk runs on the slot's own thread.
+pub(crate) struct InThread;
+
+impl<V> ChunkExecutor<V> for InThread {
+    fn run(&self, _: usize, _: usize, _: &[i64], _: &Compiled, _: &dyn Fn() -> V) -> Answer<V> {
+        Answer::Local
+    }
+}
+
+/// Hard ceiling on one re-deal backoff sleep, so exponential growth cannot
+/// stall the deal for minutes.
+const MAX_BACKOFF_MS: u64 = 2_000;
+
+/// Evaluate one chunk on the calling thread: the per-policy retry loop with
+/// panic isolation and structured fault records. The only copy — the sweep
+/// frame runs it for [`Answer::Local`], and a distribute worker process
+/// runs it for every shard — so outcomes and records are bit-identical
+/// wherever a chunk lands.
+///
+/// `Err` is what stops a sweep: the structured [`SweepError::Eval`] (site and
+/// bindings intact) or [`SweepError::WorkerPanic`] under
+/// [`FaultPolicy::Abort`], and a bare `Eval(EvalError::Cancelled)` under any
+/// policy when `cancel` tripped mid-chunk.
+pub(crate) fn attempt_chunk<V: Visitor>(
+    compiled: &Compiled,
+    values: &[i64],
+    chunk: usize,
+    policy: FaultPolicy,
+    injector: Option<&FaultInjector>,
+    cancel: Option<&CancelProbe>,
+    make_visitor: &dyn Fn() -> V,
+) -> Result<ChunkDone<V>, SweepError> {
+    let (retry_max, backoff_ms) = match policy {
+        FaultPolicy::Retry { max, backoff_ms } => (max, backoff_ms),
+        _ => (0, 0),
+    };
+    let mut faults: Vec<FaultRecord> = Vec::new();
+    let mut outcome: Option<SweepOutcome<V>> = None;
+    for attempt in 0..=retry_max {
+        if attempt > 0 && backoff_ms > 0 {
+            std::thread::sleep(Duration::from_millis(backoff_ms));
+        }
+        let ctx = ChunkCtx { policy, injector, chunk, attempt, cancel };
+        let attempt_result = catch_unwind(AssertUnwindSafe(|| {
+            if injector.is_some_and(|inj| inj.chunk_panic(chunk, attempt)) {
+                panic!("injected panic (chunk {chunk})");
+            }
+            compiled.run_outer_chunk_supervised(values, make_visitor(), &ctx)
+        }));
+        let (kind, error, site, bindings) = match attempt_result {
+            Ok(Ok(run)) => {
+                faults.extend(run.faults);
+                outcome = Some(run.outcome);
+                break;
+            }
+            // Cancel/deadline tripped mid-chunk: the caller drops the chunk
+            // entirely (it is re-run on resume).
+            Ok(Err(e)) if policy == FaultPolicy::Abort || matches!(e, EvalError::Cancelled) => {
+                return Err(SweepError::Eval(e));
+            }
+            Ok(Err(e)) => {
+                let (site, bindings) = match e.point_context() {
+                    Some(ctx) => (ctx.site.clone(), ctx.bindings.clone()),
+                    None => ("chunk".to_string(), Vec::new()),
+                };
+                (FaultKind::Error, e.root().to_string(), site, bindings)
+            }
+            Err(payload) => {
+                let message = panic_message(payload);
+                if policy == FaultPolicy::Abort {
+                    return Err(SweepError::WorkerPanic { chunk: Some(chunk), message });
+                }
+                (FaultKind::Panic, message, "chunk".to_string(), Vec::new())
+            }
+        };
+        let exhausted = attempt == retry_max;
+        faults.push(FaultRecord {
+            chunk,
+            ordinal: 0,
+            attempt,
+            kind,
+            action: if exhausted { FaultAction::QuarantinedChunk } else { FaultAction::Retried },
+            site,
+            error,
+            bindings,
+        });
+        if exhausted {
+            break;
+        }
+    }
+    Ok(ChunkDone { outcome, faults })
+}
+
+/// The threaded entry behind [`run_parallel_report`],
+/// [`crate::checkpoint::run_checkpointed`] and
+/// [`crate::service::cache::run_cached`]: picks the in-thread or the native
+/// executor and hands the sweep to [`run_supervised`].
+pub(crate) fn run_threaded<V, F>(
     lp: &LoweredPlan,
     opts: &ParallelOptions,
     make_visitor: F,
@@ -364,8 +519,6 @@ where
     V: Visitor + Send,
     F: Fn() -> V + Sync,
 {
-    let threads = opts.threads.max(1);
-    let t_start = Instant::now();
     if opts.engine.engine == EngineTier::Walker {
         return Err(SweepError::Config(
             "the walker tier is serial-only; use the compiled or native tier \
@@ -379,29 +532,52 @@ where
     // accelerator, never a requirement. Fault injection stays in-process:
     // injected faults are keyed to evaluation sites the worker binary cannot
     // observe.
-    let native: Option<NativeContext> =
-        if opts.engine.engine == EngineTier::Native && opts.injector.is_none() {
-            NativeContext::prepare(lp, &opts.engine).ok()
-        } else {
-            None
-        };
+    let native = if opts.engine.engine == EngineTier::Native && opts.injector.is_none() {
+        NativeContext::prepare(lp, &opts.engine).ok()
+    } else {
+        None
+    };
+    let Some(native) = &native else {
+        return run_supervised(lp, opts, make_visitor, resume, sink, memo, &InThread);
+    };
     // Native workers account per point in declared order (no block pruning,
     // no reordering), so when the tier is active the in-process engine that
     // evaluates fallback chunks is normalized to the same accounting —
     // otherwise a fallback chunk's PruneStats would diverge from its
     // worker-evaluated twin. Survivors, order and fingerprints are identical
     // under any options; only the evaluated/pruned split is at stake.
-    let engine_opts = if native.is_some() {
-        EngineOptions {
-            intervals: false,
-            congruence: false,
-            schedule: Default::default(),
-            ..opts.engine
-        }
-    } else {
-        opts.engine
+    let engine = EngineOptions {
+        intervals: false,
+        congruence: false,
+        schedule: Default::default(),
+        ..opts.engine
     };
-    let compiled = Compiled::with_options(lp.clone(), engine_opts);
+    let opts = ParallelOptions { engine, ..opts.clone() };
+    run_supervised(lp, &opts, make_visitor, resume, sink, memo, native)
+}
+
+/// The one sweep frame: set-up (resume seeding, once-only preamble, level-0
+/// grid) → deal (`opts.threads` slots drain one cursor, each asking `exec`
+/// where its chunk runs and re-dealing it after a worker-level fault) →
+/// chunk-order fold (the single [`Collector::add`] call site, with periodic
+/// checkpoints) → report.
+/// Threaded, native-process and distributed sweeps differ only in `exec`.
+pub(crate) fn run_supervised<V, F>(
+    lp: &LoweredPlan,
+    opts: &ParallelOptions,
+    make_visitor: F,
+    resume: Option<ResumeSeed<V>>,
+    sink: Option<&CkSink<'_, V>>,
+    memo: Option<&dyn ChunkMemo<V>>,
+    exec: &dyn ChunkExecutor<V>,
+) -> Result<(SweepOutcome<V>, SweepReport), SweepError>
+where
+    V: Visitor + Send,
+    F: Fn() -> V + Sync,
+{
+    let threads = opts.threads.max(1);
+    let t_start = Instant::now();
+    let compiled = Compiled::with_options(lp.clone(), opts.engine);
     compiled.lint_denied()?;
     let space = lp.plan.space();
     let policy = opts.fault_policy;
@@ -424,9 +600,10 @@ where
         ),
     };
 
-    // Preamble constraints (constants only) run once per sweep. A resumed
-    // run's seed statistics already include them, so it re-executes the
-    // preamble (errors still surface) but records into scratch counters.
+    // Preamble constraints (constants only) run once per sweep, on the
+    // supervisor. A resumed run's seed statistics already include them, so it
+    // re-executes the preamble (errors still surface) but records into
+    // scratch counters.
     let preamble_ok = if resumed_at.is_some() {
         let mut scratch = PruneStats::new(space.constraints().len());
         compiled.preamble_record(&mut scratch).map_err(SweepError::Eval)?
@@ -434,17 +611,23 @@ where
         compiled.preamble_record(&mut stats).map_err(SweepError::Eval)?
     };
 
-    let finish_early = |stats: PruneStats, blocks: BlockStats, faults: Vec<FaultRecord>| {
+    // `grid` is (level-0 values, chunk length, chunks): zeros when the sweep
+    // ends before any chunk is cut.
+    let report = |stats: &PruneStats,
+                  blocks: &BlockStats,
+                  faults: Vec<FaultRecord>,
+                  grid: (usize, usize, usize),
+                  workers: Vec<WorkerTelemetry>| {
         let mut report = SweepReport::new(
             space,
-            &stats,
-            &blocks,
+            stats,
+            blocks,
             threads,
-            0,
-            0,
-            0,
+            grid.0,
+            grid.1,
+            grid.2,
             t_start.elapsed(),
-            vec![],
+            workers,
             compiled.schedule_telemetry(),
             compiled.lint_summary(),
         );
@@ -452,27 +635,14 @@ where
         report.fault_policy = policy.name();
         report.fault_counters = FaultCounters::from_records(&faults);
         report.faults = faults;
-        report.native = native.as_ref().map(|n| n.stats());
+        exec.stamp(&mut report);
         report
     };
 
-    if !preamble_ok {
-        let report = finish_early(stats.clone(), seed_blocks, seed_faults.clone());
-        return Ok((
-            SweepOutcome {
-                stats,
-                blocks: seed_blocks,
-                lanes: LaneStats::default(),
-                schedule: None,
-                visitor: seed_visitor.unwrap_or_else(&make_visitor),
-            },
-            report,
-        ));
-    }
-
-    let outer = compiled.outer_domain().map_err(SweepError::Eval)?;
+    let outer =
+        if preamble_ok { compiled.outer_domain().map_err(SweepError::Eval)? } else { Vec::new() };
     if outer.is_empty() {
-        let report = finish_early(stats.clone(), seed_blocks, seed_faults.clone());
+        let report = report(&stats, &seed_blocks, seed_faults, (0, 0, 0), vec![]);
         return Ok((
             SweepOutcome {
                 stats,
@@ -513,7 +683,8 @@ where
     }
 
     let probe = CancelProbe::new(opts.cancel.clone(), opts.deadline.map(|d| t_start + d));
-    let n_workers = threads.min((limit - start).max(1));
+    let n_slots = threads.min((limit - start).max(1));
+    let (redeal_max, redeal_backoff_ms) = exec.redeal();
     let cursor = AtomicUsize::new(start);
     let memo_hits = AtomicU64::new(0);
     let memo_misses = AtomicU64::new(0);
@@ -543,23 +714,97 @@ where
         abort.store(true, Ordering::Relaxed);
     };
 
-    // Each worker drains the shared cursor; finished chunks are folded in
-    // chunk-index order by the collector, so the merged result is
-    // independent of the race for chunks. Errors and panics are resolved
-    // per the fault policy right here, at the chunk boundary.
-    let worker_loop = |worker: usize| -> WorkerTelemetry {
+    // Get chunk `i` evaluated for `slot`, wherever `exec` says. The slot that
+    // dealt a chunk re-deals it until it is done or quarantined, so a dead
+    // worker is replaced (or its slot degraded) by the slot that lost it and
+    // no sibling ever waits for a chunk to come back. `Err` stops the slot:
+    // with the error that fails the sweep, or `None` when cancelled.
+    let evaluate = |slot: usize, i: usize| -> Result<ChunkDone<V>, Option<SweepError>> {
+        // Worker-level faults of this chunk's earlier deals: folded with the
+        // chunk when it completes, so the recovery history survives in chunk
+        // order.
+        let mut dealt_faults: Vec<FaultRecord> = Vec::new();
+        let mut done = loop {
+            match exec.run(slot, i, chunks[i], &compiled, &make_visitor) {
+                Answer::Done(done) => break done,
+                Answer::Local => {
+                    let ran = attempt_chunk(
+                        &compiled,
+                        chunks[i],
+                        i,
+                        policy,
+                        opts.injector.as_ref(),
+                        Some(&probe),
+                        &make_visitor,
+                    );
+                    match ran {
+                        Ok(done) => break done,
+                        // Cancel/deadline tripped mid-chunk: drop the chunk
+                        // (it is re-run on resume) and stop.
+                        Err(SweepError::Eval(EvalError::Cancelled)) => return Err(None),
+                        Err(e) => return Err(Some(e)),
+                    }
+                }
+                Answer::Fault { kind, error } => {
+                    let attempt = dealt_faults.len() as u32;
+                    let exhausted = attempt >= redeal_max;
+                    dealt_faults.push(FaultRecord {
+                        chunk: i,
+                        ordinal: 0,
+                        attempt,
+                        kind,
+                        action: if exhausted {
+                            FaultAction::QuarantinedChunk
+                        } else {
+                            FaultAction::Retried
+                        },
+                        site: "worker".to_string(),
+                        error,
+                        bindings: Vec::new(),
+                    });
+                    if exhausted {
+                        break ChunkDone { outcome: None, faults: Vec::new() };
+                    }
+                    let backoff_ms = redeal_backoff_ms
+                        .saturating_mul(1u64 << attempt.min(5))
+                        .min(MAX_BACKOFF_MS);
+                    if backoff_ms > 0 {
+                        std::thread::sleep(Duration::from_millis(backoff_ms));
+                    }
+                    if abort.load(Ordering::Relaxed) {
+                        return Err(None);
+                    }
+                }
+                Answer::Abort(e) => return Err(Some(e)),
+            }
+        };
+        dealt_faults.append(&mut done.faults);
+        done.faults = dealt_faults;
+        if let (Some(memo), Some(out)) = (memo, &done.outcome) {
+            // Only clean chunks are cacheable: an outcome shaped by a fault
+            // policy (skipped points, retries) must be recomputed, not
+            // replayed under a possibly different policy.
+            if done.faults.is_empty() {
+                memo.store(i, chunks[i], out);
+            }
+        }
+        Ok(done)
+    };
+
+    // Each slot drains the shared cursor; finished chunks are folded in
+    // chunk-index order by the collector, so the merged result is independent
+    // of the race for chunks and of where a chunk was evaluated. Errors,
+    // panics and worker-level faults are resolved right here, at the chunk
+    // boundary.
+    let run_slot = |slot: usize| -> WorkerTelemetry {
         let mut telemetry = WorkerTelemetry {
-            worker,
+            worker: slot,
             chunks: 0,
             busy: Duration::ZERO,
             evaluated: 0,
             survivors: 0,
         };
-        let (retry_max, backoff_ms) = match policy {
-            FaultPolicy::Retry { max, backoff_ms } => (max, backoff_ms),
-            _ => (0, 0),
-        };
-        'pull: loop {
+        loop {
             if abort.load(Ordering::Relaxed) || probe.cancelled() {
                 break;
             }
@@ -568,177 +813,59 @@ where
                 break;
             }
             let t0 = Instant::now();
-            let mut chunk_faults: Vec<FaultRecord> = Vec::new();
-            let mut outcome: Option<SweepOutcome<V>> = None;
             // Sub-sweep cache: a hit replaces evaluation of this chunk with
             // the memoized outcome, folded exactly where a fresh one would
             // be — the merge path cannot tell the difference.
-            if let Some(memo) = memo {
-                if let Some(cached) = memo.lookup(i, chunks[i]) {
-                    memo_hits.fetch_add(1, Ordering::Relaxed);
-                    telemetry.busy += t0.elapsed();
-                    telemetry.chunks += 1;
-                    // Replayed work still counts toward the merged totals,
-                    // so worker sums keep matching the report.
-                    telemetry.evaluated += cached.stats.evaluated.iter().sum::<u64>();
-                    telemetry.survivors += cached.stats.survivors;
-                    let folded = collector.lock().unwrap().add(
-                        i,
-                        ChunkDone { outcome: Some(cached), faults: Vec::new() },
-                        opts.progress.as_ref(),
-                        sink,
-                    );
-                    if let Err(msg) = folded {
-                        fail(SweepError::Checkpoint(msg));
-                        break;
-                    }
-                    continue 'pull;
-                }
-                memo_misses.fetch_add(1, Ordering::Relaxed);
-            }
-            // Native tier: dispatch the chunk to a worker process. Any
-            // worker-side failure (spawn, crash, protocol violation) is
-            // counted and falls through to the in-process path below — the
-            // fallback re-evaluates from scratch, and no visit happened yet
-            // because the worker's output is fully validated before replay.
-            if let Some(nat) = &native {
-                match nat.run_chunk(chunks[i], compiled.point_names(), make_visitor()) {
-                    Ok(out) => {
-                        if let Some(memo) = memo {
-                            memo.store(i, chunks[i], &out);
+            let cached = memo.and_then(|memo| {
+                let hit = memo.lookup(i, chunks[i]);
+                let counter = if hit.is_some() { &memo_hits } else { &memo_misses };
+                counter.fetch_add(1, Ordering::Relaxed);
+                hit
+            });
+            let done = match cached {
+                Some(cached) => ChunkDone { outcome: Some(cached), faults: Vec::new() },
+                None => match evaluate(slot, i) {
+                    Ok(done) => done,
+                    Err(stop) => {
+                        if let Some(e) = stop {
+                            fail(e);
                         }
                         telemetry.busy += t0.elapsed();
-                        telemetry.chunks += 1;
-                        telemetry.evaluated += out.stats.evaluated.iter().sum::<u64>();
-                        telemetry.survivors += out.stats.survivors;
-                        let folded = collector.lock().unwrap().add(
-                            i,
-                            ChunkDone { outcome: Some(out), faults: Vec::new() },
-                            opts.progress.as_ref(),
-                            sink,
-                        );
-                        if let Err(msg) = folded {
-                            fail(SweepError::Checkpoint(msg));
-                            break;
-                        }
-                        continue 'pull;
-                    }
-                    Err(_) => nat.note_fallback(),
-                }
-            }
-            for attempt in 0..=retry_max {
-                if attempt > 0 && backoff_ms > 0 {
-                    std::thread::sleep(Duration::from_millis(backoff_ms));
-                }
-                let ctx = ChunkCtx {
-                    policy,
-                    injector: opts.injector.as_ref(),
-                    chunk: i,
-                    attempt,
-                    cancel: Some(&probe),
-                };
-                let attempt_result = catch_unwind(AssertUnwindSafe(|| {
-                    if let Some(inj) = &opts.injector {
-                        if inj.chunk_panic(i, attempt) {
-                            panic!("injected panic (chunk {i})");
-                        }
-                    }
-                    compiled.run_outer_chunk_supervised(chunks[i], make_visitor(), &ctx)
-                }));
-                let (kind, error, site, bindings) = match attempt_result {
-                    Ok(Ok(run)) => {
-                        chunk_faults.extend(run.faults);
-                        outcome = Some(run.outcome);
                         break;
                     }
-                    Ok(Err(EvalError::Cancelled)) => {
-                        // Cancel/deadline tripped mid-chunk: drop the chunk
-                        // entirely (it will be re-run on resume) and stop.
-                        telemetry.busy += t0.elapsed();
-                        break 'pull;
-                    }
-                    Ok(Err(e)) => {
-                        if policy == FaultPolicy::Abort {
-                            fail(SweepError::Eval(e));
-                            telemetry.busy += t0.elapsed();
-                            break 'pull;
-                        }
-                        let (site, bindings) = match e.point_context() {
-                            Some(ctx) => (ctx.site.clone(), ctx.bindings.clone()),
-                            None => ("chunk".to_string(), Vec::new()),
-                        };
-                        (FaultKind::Error, e.root().to_string(), site, bindings)
-                    }
-                    Err(payload) => {
-                        let message = panic_message(payload);
-                        if policy == FaultPolicy::Abort {
-                            fail(SweepError::WorkerPanic { chunk: Some(i), message });
-                            telemetry.busy += t0.elapsed();
-                            break 'pull;
-                        }
-                        (FaultKind::Panic, message, "chunk".to_string(), Vec::new())
-                    }
-                };
-                let exhausted = attempt == retry_max;
-                chunk_faults.push(FaultRecord {
-                    chunk: i,
-                    ordinal: 0,
-                    attempt,
-                    kind,
-                    action: if exhausted {
-                        FaultAction::QuarantinedChunk
-                    } else {
-                        FaultAction::Retried
-                    },
-                    site,
-                    error,
-                    bindings,
-                });
-                if exhausted {
-                    break;
-                }
-            }
-            if let (Some(memo), Some(out)) = (memo, &outcome) {
-                // Only clean chunks are cacheable: an outcome shaped by a
-                // fault policy (skipped points, retries) must be recomputed,
-                // not replayed under a possibly different policy.
-                if chunk_faults.is_empty() {
-                    memo.store(i, chunks[i], out);
-                }
-            }
+                },
+            };
             telemetry.busy += t0.elapsed();
             telemetry.chunks += 1;
-            if let Some(out) = &outcome {
+            if let Some(out) = &done.outcome {
+                // Replayed (memoized) work counts too, so worker sums keep
+                // matching the report.
                 telemetry.evaluated += out.stats.evaluated.iter().sum::<u64>();
                 telemetry.survivors += out.stats.survivors;
             }
-            let folded = collector.lock().unwrap().add(
-                i,
-                ChunkDone { outcome, faults: chunk_faults },
-                opts.progress.as_ref(),
-                sink,
-            );
+            let folded = collector.lock().unwrap().add(i, done, opts.progress.as_ref(), sink);
             if let Err(msg) = folded {
                 fail(SweepError::Checkpoint(msg));
                 break;
             }
         }
+        exec.close(slot);
         telemetry
     };
 
-    let mut workers: Vec<WorkerTelemetry> = if n_workers == 1 {
-        vec![worker_loop(0)]
+    // One slot runs inline on the caller's thread (no spawn).
+    let mut workers: Vec<WorkerTelemetry> = if n_slots == 1 {
+        vec![run_slot(0)]
     } else {
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..n_workers)
-                .map(|w| scope.spawn(move || worker_loop(w)))
-                .collect();
+            let handles: Vec<_> =
+                (0..n_slots).map(|s| scope.spawn(move || run_slot(s))).collect();
             handles
                 .into_iter()
                 .filter_map(|h| match h.join() {
                     Ok(telemetry) => Some(telemetry),
                     Err(payload) => {
-                        // The supervisor loop itself panicked (outside the
+                        // The slot loop itself panicked (outside the
                         // per-chunk catch_unwind). Surface it as a structured
                         // error instead of re-panicking in the orchestrator.
                         fail(SweepError::WorkerPanic {
@@ -765,28 +892,11 @@ where
     }
     let Collector { stats, blocks, lanes, faults, visitor, .. } = collector;
 
-    let mut report = SweepReport::new(
-        space,
-        &stats,
-        &blocks,
-        threads,
-        outer.len(),
-        chunk_len,
-        chunks.len(),
-        t_start.elapsed(),
-        workers,
-        compiled.schedule_telemetry(),
-        compiled.lint_summary(),
-    );
+    let mut report = report(&stats, &blocks, faults, (outer.len(), chunk_len, chunks.len()), workers);
     report.partial = partial;
-    report.resumed_at = resumed_at;
-    report.fault_policy = policy.name();
-    report.fault_counters = FaultCounters::from_records(&faults);
-    report.faults = faults;
     report.cache_hits = memo_hits.into_inner();
     report.cache_misses = memo_misses.into_inner();
     report.lanes = lanes.clone();
-    report.native = native.as_ref().map(|n| n.stats());
     Ok((
         SweepOutcome {
             stats,

@@ -49,7 +49,7 @@ use beast_core::hash::Fnv1a;
 use beast_core::ir::LoweredPlan;
 
 use crate::checkpoint::{blocks_json, parse_blocks, parse_stats, stats_json, JsonValue, SaveState};
-use crate::parallel::{run_supervised, ChunkMemo, ParallelOptions};
+use crate::parallel::{run_threaded, ChunkMemo, ParallelOptions};
 use crate::stats::{BlockStats, LaneStats, PruneStats};
 use crate::sweep::SweepError;
 use crate::telemetry::{json_num, json_str, SweepReport};
@@ -227,7 +227,7 @@ impl<V: Visitor + SaveState + Clone> SweepCache<V> {
     }
 
     /// Bind this cache to one (plan, scope) pair, yielding the `ChunkMemo`
-    /// view [`run_supervised`] consults at each chunk boundary.
+    /// view the sweep frame consults at each chunk boundary.
     fn scoped(&self, plan_hash: u64, scope: &str) -> ScopedMemo<'_, V> {
         ScopedMemo { cache: self, plan_hash, scope: scope.to_string() }
     }
@@ -334,7 +334,7 @@ where
     F: Fn() -> V + Sync,
 {
     if lp.has_opaque_steps() || opts.injector.is_some() {
-        return run_supervised(lp, opts, make_visitor, None, None, None);
+        return run_threaded(lp, opts, make_visitor, None, None, None);
     }
     // [`EngineOptions::signature`] is the single execution-options
     // fingerprint shared with the checkpoint compatibility check; folding it
@@ -342,7 +342,7 @@ where
     // whose PruneStats accounting differs) from sharing cache entries.
     let scope = format!("{scope}|{}", opts.engine.signature());
     let memo = cache.scoped(lp.structural_hash(), &scope);
-    run_supervised(lp, opts, make_visitor, None, None, Some(&memo))
+    run_threaded(lp, opts, make_visitor, None, None, Some(&memo))
 }
 
 #[cfg(test)]

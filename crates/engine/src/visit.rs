@@ -2,6 +2,7 @@
 
 use std::sync::Arc;
 
+use beast_core::hash::{Fnv1a, FNV_PRIME};
 use rand::Rng;
 
 use crate::point::{Point, PointRef};
@@ -102,11 +103,6 @@ pub struct FingerprintVisitor {
     pub count: u64,
 }
 
-/// FNV-1a 64-bit offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64-bit prime; also the (odd) rolling-hash base.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
 impl Default for FingerprintVisitor {
     fn default() -> Self {
         FingerprintVisitor { hash: 0, pow: 1, count: 0 }
@@ -120,26 +116,14 @@ impl FingerprintVisitor {
     }
 
     fn hash_point(point: &PointRef<'_>) -> u64 {
-        let mut h = FNV_OFFSET;
-        let mut byte = |b: u8| {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        };
+        let mut h = Fnv1a::new();
         for i in 0..point.names().len() {
             match point.value(i) {
-                beast_core::value::Value::Int(x) => {
-                    for b in x.to_le_bytes() {
-                        byte(b);
-                    }
-                }
-                other => {
-                    for b in other.to_string().bytes() {
-                        byte(b);
-                    }
-                }
+                beast_core::value::Value::Int(x) => h.write_i64(x),
+                other => h.write_raw(other.to_string().as_bytes()),
             }
         }
-        h
+        h.finish()
     }
 }
 

@@ -128,6 +128,29 @@ fn duplicated_keys_never_parse() {
     assert!(try_resume(&lp, &path).is_err());
 }
 
+/// Format 1 had no crc and no recorded engine options, so a file that
+/// merely *declares* it — the two-bit flip `'2'` → `'1'`, or a hand edit
+/// that also strips the `crc` and `engine` fields to look the part — would
+/// resume with unverified counters. Both are refused.
+#[test]
+fn downgrade_to_format_1_is_refused() {
+    let lp = gemm_lowered();
+    let (path, text, _) = valid_checkpoint("downgrade.json");
+    let declared = text.replacen("{\"format\":2,", "{\"format\":1,", 1);
+    assert_ne!(declared, text, "the fixture must open with its format key");
+    let engine_at = declared.find(",\"engine\":\"").expect("the fixture records its engine");
+    let engine_end = engine_at + 11 + declared[engine_at + 11..].find('"').unwrap() + 1;
+    let crc_at = declared.rfind(",\"crc\":\"").expect("the fixture ends with its crc");
+    let stripped =
+        format!("{}{}}}", &declared[..engine_at], &declared[engine_end..crc_at]);
+    assert!(JsonValue::parse(&stripped).is_ok(), "the doctored file must still be JSON");
+    for doctored in [declared, stripped] {
+        std::fs::write(&path, &doctored).unwrap();
+        let err = try_resume(&lp, &path).expect_err("a format-1 file must be refused");
+        assert!(err.contains("unsupported format 1"), "{err}");
+    }
+}
+
 /// A checkpoint written under different engine options (a different chunk
 /// semantics) or for a different space must be refused, not resumed into
 /// subtly wrong results.

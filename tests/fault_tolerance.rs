@@ -15,12 +15,17 @@
 //! - An interrupted checkpointed sweep, resumed, is bit-identical to an
 //!   uninterrupted run: same survivors, same emission order (fingerprint),
 //!   same merged [`PruneStats`].
+//! - The dispatcher is invisible: a distributed sweep whose slots evaluate
+//!   in-process shares the threaded sweep's frame and attempt loop, so it
+//!   gives the same outcome and fault records, and either side resumes the
+//!   other's checkpoints.
 
 use std::sync::Arc;
 
 use beast::prelude::*;
 use beast_core::ir::LoweredPlan;
 use beast_engine::checkpoint::{run_checkpointed, CheckpointConfig};
+use beast_engine::distribute::{run_distributed, run_distributed_checkpointed, DistributeOptions};
 use beast_engine::fault::{FaultKind, FaultPolicy};
 use beast_engine::parallel::{run_parallel_report, ParallelOptions};
 use beast_gemm::{build_gemm_space, GemmSpaceParams};
@@ -330,4 +335,92 @@ fn resume_refuses_a_mismatched_checkpoint() {
         "expected a checkpoint error, got {err}"
     );
     let _ = std::fs::remove_file(&path);
+}
+
+/// In-process distribute options (no worker command) on the suite's grid.
+fn dist_opts(slots: usize) -> DistributeOptions {
+    let mut o = DistributeOptions::new(slots, Vec::new());
+    o.chunk_count = CHUNKS;
+    o
+}
+
+/// Dispatcher equivalence: the injector-free recovery cases — a check whose
+/// coefficient divides by zero at `o = 2`, under skip / quarantine / retry —
+/// and the clean GEMM sweep give the same survivors, fingerprint,
+/// `PruneStats`, `BlockStats` and full `FaultRecord` list through
+/// `run_distributed` with 1 and 3 in-process slots as through
+/// `run_parallel_report`.
+#[test]
+fn in_process_distribute_equals_the_threaded_dispatcher() {
+    let policies = [
+        FaultPolicy::SkipPoint,
+        FaultPolicy::QuarantineChunk,
+        FaultPolicy::Retry { max: 2, backoff_ms: 0 },
+    ];
+    for (name, lp) in [("narrowable", narrowable_space(false)), ("gemm", gemm_lowered())] {
+        for policy in policies {
+            let mut o = opts(2);
+            o.fault_policy = policy;
+            let (want, want_report) =
+                run_parallel_report(&lp, &o, FingerprintVisitor::default).unwrap();
+            assert_eq!(
+                want_report.faults.is_empty(),
+                name == "gemm",
+                "{name}: only the narrowable space faults"
+            );
+            for slots in [1, 3] {
+                let mut d = dist_opts(slots);
+                d.fault_policy = policy;
+                let (got, report) = run_distributed(&lp, &d, FingerprintVisitor::default).unwrap();
+                let at = format!("{name}, {policy:?}, {slots} slot(s)");
+                assert_eq!(got.visitor, want.visitor, "{at}: survivors / fingerprint");
+                assert_eq!(got.stats, want.stats, "{at}: PruneStats");
+                assert_eq!(got.blocks, want.blocks, "{at}: BlockStats");
+                assert_eq!(report.faults, want_report.faults, "{at}: fault records");
+                assert_eq!(report.fault_counters, want_report.fault_counters, "{at}: counters");
+                assert!(!report.partial, "{at}");
+            }
+        }
+    }
+}
+
+/// One checkpoint format, one wiring: an in-process distributed sweep
+/// stopped after 5 chunks and resumed equals the uninterrupted threaded run,
+/// and a checkpoint written by the threaded path resumes through distribute
+/// (and the other way round).
+#[test]
+fn checkpoints_cross_between_threaded_and_distributed_sweeps() {
+    let lp = gemm_lowered();
+    let (full, _) = run_parallel_report(&lp, &opts(2), FingerprintVisitor::default).unwrap();
+    // One leg of a sweep through either dispatcher, 2 threads or 3 slots.
+    let leg = |distributed: bool, path: &std::path::Path, stop: usize, resume: bool| {
+        let ck = CheckpointConfig { path: path.to_path_buf(), every_chunks: 2, resume };
+        if distributed {
+            let mut d = dist_opts(3);
+            d.stop_after_chunks = stop;
+            run_distributed_checkpointed(&lp, &d, &ck, FingerprintVisitor::default).unwrap()
+        } else {
+            let mut o = opts(2);
+            o.stop_after_chunks = stop;
+            run_checkpointed(&lp, &o, &ck, FingerprintVisitor::default).unwrap()
+        }
+    };
+    let cases = [
+        ("distribute → distribute", true, true),
+        ("threaded → distribute", false, true),
+        ("distribute → threaded", true, false),
+    ];
+    for (i, (name, first, second)) in cases.into_iter().enumerate() {
+        let path = scratch(&format!("cross-{i}.json"));
+        let _ = std::fs::remove_file(&path);
+        let (_, partial) = leg(first, &path, 5, false);
+        assert!(partial.partial, "{name}: the first leg must stop early");
+        let (resumed, report) = leg(second, &path, 0, true);
+        assert!(!report.partial, "{name}: the resumed leg must finish");
+        assert_eq!(report.resumed_at, Some(5), "{name}");
+        assert_eq!(resumed.visitor, full.visitor, "{name}: fingerprint");
+        assert_eq!(resumed.stats, full.stats, "{name}: PruneStats");
+        assert_eq!(resumed.blocks, full.blocks, "{name}: BlockStats");
+        let _ = std::fs::remove_file(&path);
+    }
 }
