@@ -111,7 +111,7 @@ fn emit(w: &mut CodeWriter, nodes: &[SNode], program: &LoweredProgram, loop_dept
                 }
                 w.close("}");
             }
-            SNode::RangeLoop { var, start, stop, step, const_positive_step, body } => {
+            SNode::RangeLoop { var, start, stop, step, const_positive_step, body, .. } => {
                 if *const_positive_step {
                     w.open(format!("for ({var} = {start}; {var} < {stop}; {var} += {step}) {{"));
                 } else {

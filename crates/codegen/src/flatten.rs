@@ -94,15 +94,28 @@ pub enum FStmt {
 }
 
 /// Generates fresh temporary names (`_t0`, `_t1`, ...).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct TempGen {
+    prefix: &'static str,
     counter: usize,
 }
 
+impl Default for TempGen {
+    fn default() -> Self {
+        TempGen::with_prefix("_t")
+    }
+}
+
 impl TempGen {
+    /// A generator in its own namespace (`<prefix>0`, `<prefix>1`, ...), for
+    /// temporaries that must not renumber the default `_t` sequence.
+    pub fn with_prefix(prefix: &'static str) -> Self {
+        TempGen { prefix, counter: 0 }
+    }
+
     /// A fresh temporary name.
     pub fn fresh(&mut self) -> String {
-        let name = format!("_t{}", self.counter);
+        let name = format!("{}{}", self.prefix, self.counter);
         self.counter += 1;
         name
     }

@@ -48,6 +48,10 @@ pub enum SNode {
         /// backends emit a plain `<` loop instead of the sign-dispatching
         /// form).
         const_positive_step: bool,
+        /// The loop's narrowing, when its body opens with a solvable
+        /// equality check (see [`SNarrow`]). Advisory: a backend that
+        /// ignores it enumerates, which is always correct.
+        narrow: Option<SNarrow>,
         /// Loop body.
         body: Vec<SNode>,
     },
@@ -70,6 +74,26 @@ pub enum SNode {
     Visit,
 }
 
+/// A range loop whose first body statement is the check of constraint
+/// `constraint`, rejecting iff `coeff · var + offset ≢ 0 (mod 2⁶⁴)`
+/// (`beast_core::analyze::narrow`). Both operands are invariant for the
+/// duration of the loop; evaluating them is only sound once the realised
+/// range is known to be non-empty, because the check they stand for would
+/// not have run at all otherwise.
+#[derive(Debug, Clone)]
+pub struct SNarrow {
+    /// Constraint index of the solved check.
+    pub constraint: usize,
+    /// Statements assigning the temporaries `coeff` / `offset` read (lazy
+    /// operators flattened out). Their names are in
+    /// [`LoweredProgram::narrow_temps`], not `temps`.
+    pub setup: Vec<SNode>,
+    /// Multiplier of the loop variable.
+    pub coeff: PExpr,
+    /// Slot-independent remainder.
+    pub offset: PExpr,
+}
+
 /// The backend-ready program.
 #[derive(Debug, Clone)]
 pub struct LoweredProgram {
@@ -83,6 +107,10 @@ pub struct LoweredProgram {
     pub pools: Vec<Vec<i64>>,
     /// Every temporary name appearing in `Declare` nodes, in order.
     pub temps: Vec<String>,
+    /// Temporaries of the [`SNarrow::setup`] statements — a namespace of
+    /// their own (`_n0`, …), so a backend that ignores narrowing prints the
+    /// same program with or without it.
+    pub narrow_temps: Vec<String>,
     /// The statement tree.
     pub body: Vec<SNode>,
 }
@@ -94,19 +122,35 @@ pub fn lower(program: &Program) -> LoweredProgram {
         .iter()
         .map(|v| std::sync::Arc::<str>::from(v.as_str()))
         .collect();
-    let mut gen = TempGen::default();
-    let mut pools = Vec::new();
-    let mut temps = Vec::new();
-    let body =
-        lower_nodes(&program.roots, &names, &mut gen, &mut pools, &mut temps);
+    let mut cx = LowerCx {
+        names: &names,
+        gen: TempGen::default(),
+        narrow_gen: TempGen::with_prefix("_n"),
+        pools: Vec::new(),
+        temps: Vec::new(),
+        narrow_temps: Vec::new(),
+    };
+    let body = lower_nodes(&program.roots, &mut cx);
+    let LowerCx { pools, temps, narrow_temps, .. } = cx;
     LoweredProgram {
         name: program.name.clone(),
         vars: program.vars.clone(),
         constraint_names: program.constraints.iter().map(|c| c.name.clone()).collect(),
         pools,
         temps,
+        narrow_temps,
         body,
     }
+}
+
+/// What [`lower_nodes`] threads through the tree.
+struct LowerCx<'a> {
+    names: &'a [std::sync::Arc<str>],
+    gen: TempGen,
+    narrow_gen: TempGen,
+    pools: Vec<Vec<i64>>,
+    temps: Vec<String>,
+    narrow_temps: Vec<String>,
 }
 
 fn fstmts_to_snodes(stmts: Vec<FStmt>, temps: &mut Vec<String>) -> Vec<SNode> {
@@ -127,26 +171,20 @@ fn fstmts_to_snodes(stmts: Vec<FStmt>, temps: &mut Vec<String>) -> Vec<SNode> {
         .collect()
 }
 
-fn lower_nodes(
-    nodes: &[GNode],
-    names: &[std::sync::Arc<str>],
-    gen: &mut TempGen,
-    pools: &mut Vec<Vec<i64>>,
-    temps: &mut Vec<String>,
-) -> Vec<SNode> {
+fn lower_nodes(nodes: &[GNode], cx: &mut LowerCx<'_>) -> Vec<SNode> {
     let mut out = Vec::new();
     for node in nodes {
         match node {
             GNode::Define { var, expr } => {
                 let mut stmts = Vec::new();
-                let value = flatten(expr, names, gen, &mut stmts);
-                out.extend(fstmts_to_snodes(stmts, temps));
+                let value = flatten(expr, cx.names, &mut cx.gen, &mut stmts);
+                out.extend(fstmts_to_snodes(stmts, &mut cx.temps));
                 out.push(SNode::Assign { var: var.clone(), value });
             }
             GNode::Check { idx, expr } => {
                 let mut stmts = Vec::new();
-                let cond = flatten(expr, names, gen, &mut stmts);
-                out.extend(fstmts_to_snodes(stmts, temps));
+                let cond = flatten(expr, cx.names, &mut cx.gen, &mut stmts);
+                out.extend(fstmts_to_snodes(stmts, &mut cx.temps));
                 out.push(SNode::If {
                     cond,
                     then: vec![SNode::Prune { idx: *idx }],
@@ -154,44 +192,57 @@ fn lower_nodes(
                 });
             }
             GNode::Visit => out.push(SNode::Visit),
-            GNode::Loop { var, domain, body } => match domain {
+            GNode::Loop { var, domain, narrow, body } => match domain {
                 GDomain::Range { start, stop, step } => {
                     let const_positive_step =
                         matches!(step.as_const(), Some(k) if k > 0);
                     let mut emit_bound = |e: &beast_core::ir::IntExpr,
                                           suffix: &str,
-                                          out: &mut Vec<SNode>,
-                                          temps: &mut Vec<String>|
+                                          out: &mut Vec<SNode>|
                      -> String {
                         let name = format!("_{suffix}_{var}_{}", {
-                            let t = gen.fresh();
+                            let t = cx.gen.fresh();
                             t.trim_start_matches("_t").to_string()
                         });
                         let mut stmts = Vec::new();
-                        let value = flatten(e, names, gen, &mut stmts);
-                        out.extend(fstmts_to_snodes(stmts, temps));
-                        temps.push(name.clone());
+                        let value = flatten(e, cx.names, &mut cx.gen, &mut stmts);
+                        out.extend(fstmts_to_snodes(stmts, &mut cx.temps));
+                        cx.temps.push(name.clone());
                         out.push(SNode::Declare { var: name.clone() });
                         out.push(SNode::Assign { var: name.clone(), value });
                         name
                     };
-                    let start_t = emit_bound(start, "start", &mut out, temps);
-                    let stop_t = emit_bound(stop, "stop", &mut out, temps);
-                    let step_t = emit_bound(step, "step", &mut out, temps);
-                    let lowered_body = lower_nodes(body, names, gen, pools, temps);
+                    let start_t = emit_bound(start, "start", &mut out);
+                    let stop_t = emit_bound(stop, "stop", &mut out);
+                    let step_t = emit_bound(step, "step", &mut out);
+                    let narrow = narrow.as_ref().map(|n| {
+                        let mut stmts = Vec::new();
+                        let coeff =
+                            flatten(&n.check.coeff, cx.names, &mut cx.narrow_gen, &mut stmts);
+                        let offset =
+                            flatten(&n.check.offset, cx.names, &mut cx.narrow_gen, &mut stmts);
+                        SNarrow {
+                            constraint: n.constraint,
+                            setup: fstmts_to_snodes(stmts, &mut cx.narrow_temps),
+                            coeff,
+                            offset,
+                        }
+                    });
+                    let lowered_body = lower_nodes(body, cx);
                     out.push(SNode::RangeLoop {
                         var: var.clone(),
                         start: start_t,
                         stop: stop_t,
                         step: step_t,
                         const_positive_step,
+                        narrow,
                         body: lowered_body,
                     });
                 }
                 GDomain::Values(values) => {
-                    let pool = pools.len();
-                    pools.push(values.clone());
-                    let lowered_body = lower_nodes(body, names, gen, pools, temps);
+                    let pool = cx.pools.len();
+                    cx.pools.push(values.clone());
+                    let lowered_body = lower_nodes(body, cx);
                     out.push(SNode::ValuesLoop {
                         var: var.clone(),
                         pool,

@@ -76,7 +76,7 @@ fn emit(
                 }
                 w.close("end");
             }
-            SNode::RangeLoop { var, start, stop, step, const_positive_step, body } => {
+            SNode::RangeLoop { var, start, stop, step, const_positive_step, body, .. } => {
                 let label = format!("cont_{var}");
                 if *const_positive_step {
                     // Lua's numeric for is inclusive: [start, stop) with a

@@ -7,6 +7,7 @@
 //! the same boundary: its translator consumes the declarative description,
 //! not arbitrary host-language code.
 
+use beast_core::analyze::narrow::{narrowable_loops, Narrowing};
 use beast_core::constraint::ConstraintClass;
 use beast_core::ir::{IntExpr, LBody, LIter, LStep, LoweredPlan};
 
@@ -54,6 +55,12 @@ pub enum GNode {
         var: String,
         /// The domain.
         domain: GDomain,
+        /// Set when the body opens with a reject-unless-equal check affine
+        /// in `var` ([`narrowable_loops`]; never on the outermost loop, as in
+        /// the engine's table): an emitter may solve the loop for its ≤ 1
+        /// passing value instead of enumerating it. Only
+        /// [`crate::native`] does.
+        narrow: Option<Narrowing>,
         /// Loop body.
         body: Vec<GNode>,
     },
@@ -112,8 +119,9 @@ impl Program {
             .map(|c| GConstraint { name: c.name.to_string(), class: c.class })
             .collect();
 
+        let mut narrowings = narrowable_loops(lp).into_iter().enumerate();
         let mut stack: Vec<Vec<GNode>> = vec![Vec::new()];
-        let mut open: Vec<(String, GDomain)> = Vec::new();
+        let mut open: Vec<(String, GDomain, Option<Narrowing>)> = Vec::new();
         for step in &lp.steps {
             match step {
                 LStep::Bind { slot, domain, iter, .. } => {
@@ -131,7 +139,9 @@ impl Program {
                             ))
                         }
                     };
-                    open.push((var, domain));
+                    // One table entry per bind, in bind order.
+                    let narrow = narrowings.next().and_then(|(l, n)| n.filter(|_| l > 0));
+                    open.push((var, domain, narrow));
                     stack.push(Vec::new());
                 }
                 LStep::Define { slot, body, derived } => {
@@ -163,9 +173,9 @@ impl Program {
                 LStep::Visit => stack.last_mut().expect("body").push(GNode::Visit),
             }
         }
-        while let Some((var, domain)) = open.pop() {
+        while let Some((var, domain, narrow)) = open.pop() {
             let body = stack.pop().expect("loop body");
-            stack.last_mut().expect("outer").push(GNode::Loop { var, domain, body });
+            stack.last_mut().expect("outer").push(GNode::Loop { var, domain, narrow, body });
         }
         let roots = stack.pop().expect("roots");
         debug_assert!(stack.is_empty());

@@ -8,21 +8,29 @@
 //! survivors, emission order, per-constraint [`PruneStats`] and visitor
 //! fingerprints must match the compiled engine exactly — so the worker's C
 //! arithmetic helpers mirror the engine's wrapping/Euclidean semantics
-//! operator for operator, and the host decodes each worker's entire output
-//! and validates it before a single visit is replayed.
+//! operator for operator, and the host decodes each reply in full and
+//! validates it before a single visit is replayed.
+//!
+//! Workers are *resident* (worker protocol v2, `beast_codegen::native`): a
+//! [`NativeContext`] keeps the worker processes it spawned parked on a
+//! request boundary between chunks, so a sweep spawns at most one process
+//! per slot instead of one per chunk, and the emitted C solves the same
+//! equality loops the in-process engine solves (its `narrow` module) with the
+//! same closed-form credit.
 //!
 //! The tier is best-effort by design: any failure to prepare (no compiler on
 //! `PATH`, opaque plan steps, compile error) or to run a chunk (spawn
 //! failure, protocol violation, worker crash) falls back to the in-process
 //! compiled engine, silently for preparation and counted per chunk in
-//! [`NativeStats`] for execution. A sweep therefore never fails *because*
-//! the native tier exists.
+//! [`NativeStats`] for execution — and the worker involved is killed and
+//! reaped, never reused. A sweep therefore never fails *because* the native
+//! tier exists.
 
-use std::io::Write;
-use std::path::PathBuf;
-use std::process::{Command, Stdio};
+use std::io::{BufReader, Read, Write};
+use std::path::{Path, PathBuf};
+use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use beast_codegen::{emit_chunk_worker, lower, toolchain, Program, PROTOCOL_VERSION, ROW_SENTINEL};
 use beast_core::hash::Fnv1a;
@@ -31,7 +39,7 @@ use beast_core::ir::LoweredPlan;
 use crate::compiled::{Compiled, EngineOptions};
 use crate::parallel::{Answer, ChunkDone, ChunkExecutor};
 use crate::point::PointRef;
-use crate::stats::PruneStats;
+use crate::stats::{BlockStats, PruneStats};
 use crate::telemetry::SweepReport;
 use crate::visit::Visitor;
 use crate::walker::SweepOutcome;
@@ -53,10 +61,14 @@ pub struct NativeStats {
     /// Chunks that fell back to the in-process compiled engine after a
     /// worker-side failure.
     pub chunks_fallback: u64,
+    /// Worker processes spawned. Workers are resident, so a fault-free
+    /// sweep spawns at most one per slot however many chunks it deals.
+    pub workers_spawned: u64,
 }
 
-/// A prepared native tier for one plan: the compiled worker binary plus the
-/// stream-shape facts needed to decode its output.
+/// A prepared native tier for one plan: the compiled worker binary, the
+/// stream-shape facts needed to decode its replies, and the idle resident
+/// worker processes.
 pub struct NativeContext {
     bin: PathBuf,
     n_vars: usize,
@@ -66,6 +78,12 @@ pub struct NativeContext {
     chunks_native: AtomicU64,
     rows_streamed: AtomicU64,
     chunks_fallback: AtomicU64,
+    workers_spawned: AtomicU64,
+    /// Idle workers, each parked on a request boundary. [`Self::run_chunk`]
+    /// checks one out (spawning when none is idle) and returns it only
+    /// after a fully validated reply, so a worker in here is never mid-
+    /// stream; one that failed in any way is killed and reaped instead.
+    idle: Mutex<Vec<Worker>>,
 }
 
 /// Directory holding compiled worker binaries, keyed by plan structure.
@@ -79,12 +97,25 @@ fn cache_dir() -> PathBuf {
     }
 }
 
+/// Distinguishes the temp files of concurrent [`NativeContext::prepare`]
+/// calls within one process (the pid distinguishes processes).
+static PREPARE_SEQ: AtomicU64 = AtomicU64::new(0);
+
 impl NativeContext {
     /// Lower `lp` to a chunk worker, compile it (or reuse a cached binary),
     /// and return a ready-to-dispatch context. Any `Err` means the caller
     /// should fall back to the in-process compiled engine; the message is
     /// diagnostic only.
     pub fn prepare(lp: &LoweredPlan, opts: &EngineOptions) -> Result<NativeContext, String> {
+        Self::prepare_in(lp, opts, &cache_dir())
+    }
+
+    /// [`Self::prepare`] with the artifact cache at `dir`.
+    fn prepare_in(
+        lp: &LoweredPlan,
+        opts: &EngineOptions,
+        dir: &Path,
+    ) -> Result<NativeContext, String> {
         if lp.has_opaque_steps() {
             return Err("plan has opaque host-closure steps; no printable source".into());
         }
@@ -106,23 +137,35 @@ impl NativeContext {
         h.write_bytes(cc.to_string_lossy().as_bytes());
         let key = h.finish();
 
-        let dir = cache_dir();
-        std::fs::create_dir_all(&dir).map_err(|e| format!("cache dir: {e}"))?;
+        std::fs::create_dir_all(dir).map_err(|e| format!("cache dir: {e}"))?;
         let bin = dir.join(format!("worker-{key:016x}"));
 
         let (compile_ms, cache_hit) = if bin.is_file() {
             (0, true)
         } else {
-            let src_path = dir.join(format!("worker-{key:016x}.c"));
-            toolchain::write_source(&src_path, &source).map_err(|e| e.to_string())?;
-            // Compile to a pid-suffixed temp name, then atomically rename:
-            // concurrent sweeps of the same plan race benignly (last rename
-            // wins, both binaries are identical).
-            let tmp = dir.join(format!("worker-{key:016x}.tmp.{}", std::process::id()));
-            let took = toolchain::compile(&cc, &["-O2"], &src_path, &tmp)
-                .map_err(|e| e.to_string())?;
-            std::fs::rename(&tmp, &bin).map_err(|e| format!("install binary: {e}"))?;
-            (took.as_millis() as u64, false)
+            // Source and binary go to names no other `prepare` — in this
+            // process or another — can be using, then are renamed into
+            // place: concurrent preparations of one plan race benignly
+            // (last rename wins, every candidate is identical).
+            let unique =
+                format!("{}-{}", std::process::id(), PREPARE_SEQ.fetch_add(1, Ordering::Relaxed));
+            let tmp_src = dir.join(format!("worker-{key:016x}.tmp.{unique}.c"));
+            let tmp_bin = dir.join(format!("worker-{key:016x}.tmp.{unique}"));
+            toolchain::write_source(&tmp_src, &source).map_err(|e| e.to_string())?;
+            let built = toolchain::compile(&cc, &["-O2"], &tmp_src, &tmp_bin)
+                .map_err(|e| e.to_string())
+                .and_then(|took| {
+                    std::fs::rename(&tmp_bin, &bin).map_err(|e| format!("install binary: {e}"))?;
+                    Ok(took)
+                });
+            if built.is_ok() {
+                // The source is kept beside the binary for inspection only.
+                let _ = std::fs::rename(&tmp_src, dir.join(format!("worker-{key:016x}.c")));
+            } else {
+                let _ = std::fs::remove_file(&tmp_src);
+                let _ = std::fs::remove_file(&tmp_bin);
+            }
+            (built?.as_millis() as u64, false)
         };
 
         Ok(NativeContext {
@@ -134,6 +177,8 @@ impl NativeContext {
             chunks_native: AtomicU64::new(0),
             rows_streamed: AtomicU64::new(0),
             chunks_fallback: AtomicU64::new(0),
+            workers_spawned: AtomicU64::new(0),
+            idle: Mutex::new(Vec::new()),
         })
     }
 
@@ -145,100 +190,66 @@ impl NativeContext {
             chunks_native: self.chunks_native.load(Ordering::Relaxed),
             rows_streamed: self.rows_streamed.load(Ordering::Relaxed),
             chunks_fallback: self.chunks_fallback.load(Ordering::Relaxed),
+            workers_spawned: self.workers_spawned.load(Ordering::Relaxed),
         }
     }
 
-    /// Evaluate one level-0 chunk in a worker process and replay its
-    /// survivor rows into `visitor`.
-    ///
-    /// The worker's whole output is read and validated — row lengths, the
-    /// sentinel, the counter trailer, the survivor count, absence of
-    /// trailing bytes — *before* any visit happens, so a failed chunk can
-    /// be retried in-process without double-visiting.
-    pub fn run_chunk<V: Visitor>(
-        &self,
-        chunk: &[i64],
-        names: &[Arc<str>],
-        mut visitor: V,
-    ) -> Result<SweepOutcome<V>, String> {
+    fn idle(&self) -> std::sync::MutexGuard<'_, Vec<Worker>> {
+        // Every update is a single push or pop, so the list is valid even
+        // if a holder panicked.
+        self.idle.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// An idle resident worker, or a freshly spawned one.
+    fn checkout(&self) -> Result<Worker, String> {
+        if let Some(worker) = self.idle().pop() {
+            return Ok(worker);
+        }
         let mut child = Command::new(&self.bin)
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
             .stderr(Stdio::piped())
             .spawn()
             .map_err(|e| format!("spawn worker: {e}"))?;
+        self.workers_spawned.fetch_add(1, Ordering::Relaxed);
+        let stdin = child.stdin.take().expect("piped stdin");
+        let stdout = child.stdout.take().expect("piped stdout");
+        Ok(Worker { child, stdin, stdout: BufReader::with_capacity(1 << 16, stdout), served: 0 })
+    }
 
-        {
-            let stdin = child.stdin.as_mut().expect("piped stdin");
-            let n = u32::try_from(chunk.len()).map_err(|_| "chunk too large".to_string())?;
-            let mut buf = Vec::with_capacity(4 + chunk.len() * 8);
-            buf.extend_from_slice(&n.to_ne_bytes());
-            for v in chunk {
-                buf.extend_from_slice(&v.to_ne_bytes());
-            }
-            stdin.write_all(&buf).map_err(|e| format!("write chunk: {e}"))?;
+    /// Evaluate one level-0 chunk in a resident worker process and replay
+    /// its survivor rows into `visitor`.
+    ///
+    /// The worker's whole reply is read and validated — row lengths, the
+    /// sentinel, the counter trailer, the survivor count, the echoed
+    /// request ordinal, nothing buffered past the trailer — *before* any
+    /// visit happens, so a failed chunk can be retried in-process without
+    /// double-visiting. On any error the worker that served (or failed to
+    /// serve) the chunk has been killed and reaped by the time this returns.
+    pub fn run_chunk<V: Visitor>(
+        &self,
+        chunk: &[i64],
+        names: &[Arc<str>],
+        mut visitor: V,
+    ) -> Result<SweepOutcome<V>, String> {
+        let n = u32::try_from(chunk.len()).map_err(|_| "chunk too large".to_string())?;
+        let mut request = Vec::with_capacity(4 + chunk.len() * 8);
+        request.extend_from_slice(&n.to_ne_bytes());
+        for v in chunk {
+            request.extend_from_slice(&v.to_ne_bytes());
         }
-        drop(child.stdin.take());
 
-        let out = child.wait_with_output().map_err(|e| format!("wait worker: {e}"))?;
-        if !out.status.success() {
-            return Err(format!(
-                "worker exited with {}: {}",
-                out.status,
-                String::from_utf8_lossy(&out.stderr).trim()
-            ));
-        }
-
-        let mut r = StreamReader { buf: &out.stdout, pos: 0 };
-        let row_len = self.n_vars.max(1);
-        let mut rows: Vec<i64> = Vec::new();
-        let mut n_rows: u64 = 0;
-        loop {
-            let len = r.u32()?;
-            if len == ROW_SENTINEL {
-                break;
-            }
-            if len as usize != 8 * self.n_vars {
-                return Err(format!(
-                    "bad row length {len} (expected {})",
-                    8 * self.n_vars
-                ));
-            }
-            for _ in 0..self.n_vars {
-                rows.push(r.i64()?);
-            }
-            n_rows += 1;
-        }
-        let nc = r.u32()? as usize;
-        if nc != self.n_constraints {
-            return Err(format!(
-                "trailer reports {nc} constraints (expected {})",
-                self.n_constraints
-            ));
-        }
-        let mut stats = PruneStats {
-            evaluated: vec![0; nc],
-            pruned: vec![0; nc],
-            survivors: 0,
+        let mut worker = self.checkout()?;
+        let reply = match worker.exchange(&request, self.n_vars, self.n_constraints) {
+            Ok(reply) => reply,
+            Err(e) => return Err(worker.discard(e)),
         };
-        for i in 0..nc {
-            stats.evaluated[i] = r.u64()?;
-            stats.pruned[i] = r.u64()?;
-        }
-        stats.survivors = r.u64()?;
-        if r.pos != r.buf.len() {
-            return Err(format!("{} trailing bytes after trailer", r.buf.len() - r.pos));
-        }
-        if stats.survivors != n_rows {
-            return Err(format!(
-                "trailer claims {} survivors but {} rows streamed",
-                stats.survivors, n_rows
-            ));
-        }
+        self.idle().push(worker);
 
         // Fully validated: replay the rows in worker emission order.
+        let n_rows = reply.stats.survivors;
         if self.n_vars > 0 {
-            for slots in rows.chunks_exact(row_len) {
+            for slots in reply.rows.chunks_exact(self.n_vars) {
                 visitor.visit(&PointRef::Slots { names, slots });
             }
         } else {
@@ -250,8 +261,8 @@ impl NativeContext {
         self.rows_streamed.fetch_add(n_rows, Ordering::Relaxed);
 
         Ok(SweepOutcome {
-            stats,
-            blocks: Default::default(),
+            stats: reply.stats,
+            blocks: reply.blocks,
             schedule: None,
             lanes: Default::default(),
             visitor,
@@ -259,11 +270,21 @@ impl NativeContext {
     }
 }
 
-/// The native-process executor of the sweep frame: one worker process per
-/// chunk. Any worker-side failure (spawn, crash, protocol violation) is
-/// counted and answered *evaluate locally* — the frame re-evaluates from
-/// scratch, and no visit happened yet because the worker's output is fully
-/// validated before replay.
+/// Shut every idle worker down: closing stdin on a request boundary is the
+/// protocol's orderly exit.
+impl Drop for NativeContext {
+    fn drop(&mut self) {
+        for worker in self.idle().drain(..) {
+            worker.retire();
+        }
+    }
+}
+
+/// The native-process executor of the sweep frame: one resident worker
+/// process per busy slot. Any worker-side failure (spawn, crash, protocol
+/// violation) is counted and answered *evaluate locally* — the frame
+/// re-evaluates from scratch, and no visit happened yet because the
+/// worker's reply is fully validated before replay.
 impl<V: Visitor> ChunkExecutor<V> for NativeContext {
     fn run(
         &self,
@@ -282,78 +303,192 @@ impl<V: Visitor> ChunkExecutor<V> for NativeContext {
         }
     }
 
+    /// A slot that stops pulling chunks needs its worker no longer: retire
+    /// one idle worker (any — they are interchangeable).
+    fn close(&self, _slot: usize) {
+        // Popped in its own statement: the pool is unlocked while waiting.
+        let worker = self.idle().pop();
+        if let Some(worker) = worker {
+            worker.retire();
+        }
+    }
+
     fn stamp(&self, report: &mut SweepReport) {
         report.native = Some(self.stats());
     }
 }
 
-/// Cursor over the worker's stdout bytes; every read is bounds-checked so a
-/// truncated or corrupt stream becomes a clean protocol error.
-struct StreamReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// One resident worker process, parked on a request boundary.
+struct Worker {
+    child: Child,
+    stdin: ChildStdin,
+    stdout: BufReader<ChildStdout>,
+    /// Requests answered so far — the ordinal the next reply must echo.
+    served: u32,
 }
 
-impl StreamReader<'_> {
-    fn take<const N: usize>(&mut self) -> Result<[u8; N], String> {
-        let end = self.pos.checked_add(N).filter(|&e| e <= self.buf.len());
-        let end = end.ok_or_else(|| "truncated worker stream".to_string())?;
+/// One decoded, validated reply.
+#[derive(Debug)]
+struct Reply {
+    /// Survivor rows, `n_vars` slots each, in emission order.
+    rows: Vec<i64>,
+    stats: PruneStats,
+    /// The narrowing counters; everything else is zero, as with block
+    /// pruning off.
+    blocks: BlockStats,
+}
+
+impl Worker {
+    /// Send one request and read its reply in full.
+    fn exchange(
+        &mut self,
+        request: &[u8],
+        n_vars: usize,
+        n_constraints: usize,
+    ) -> Result<Reply, String> {
+        self.stdin.write_all(request).map_err(|e| format!("write chunk: {e}"))?;
+        let reply = read_reply(&mut self.stdout, n_vars, n_constraints, self.served)?;
+        self.served = self.served.wrapping_add(1);
+        Ok(reply)
+    }
+
+    /// Orderly shutdown of an idle worker: EOF on a request boundary makes
+    /// it exit 0; reap it.
+    fn retire(self) {
+        let Worker { mut child, stdin, .. } = self;
+        drop(stdin);
+        let _ = child.wait();
+    }
+
+    /// A worker that failed mid-request is in an unknown state: kill it,
+    /// reap it, and return `error` extended with how the process ended.
+    fn discard(self, error: String) -> String {
+        let Worker { mut child, stdin, stdout, .. } = self;
+        drop((stdin, stdout));
+        let _ = child.kill();
+        let status = child.wait().map_or_else(|e| e.to_string(), |s| s.to_string());
+        let mut stderr = String::new();
+        if let Some(mut pipe) = child.stderr.take() {
+            let _ = pipe.read_to_string(&mut stderr);
+        }
+        format!("{error} (worker: {status}) {}", stderr.trim()).trim_end().to_string()
+    }
+}
+
+/// Read one reply from a worker's stdout and validate all of it: every row
+/// length, the sentinel, the constraint count, survivors = rows streamed,
+/// the echoed request ordinal, and that nothing is buffered behind the
+/// trailer (a resident worker's stream has no EOF to delimit a reply; bytes
+/// that arrive later corrupt the *next* reply's framing and are refused
+/// there). Every read is exact, so a truncated stream is a clean error.
+fn read_reply<R: Read>(
+    r: &mut BufReader<R>,
+    n_vars: usize,
+    n_constraints: usize,
+    ordinal: u32,
+) -> Result<Reply, String> {
+    fn take<const N: usize>(r: &mut impl Read) -> Result<[u8; N], String> {
         let mut out = [0u8; N];
-        out.copy_from_slice(&self.buf[self.pos..end]);
-        self.pos = end;
+        r.read_exact(&mut out).map_err(|e| format!("truncated worker stream: {e}"))?;
         Ok(out)
     }
+    let u32_of = |r: &mut BufReader<R>| take(r).map(u32::from_ne_bytes);
+    let u64_of = |r: &mut BufReader<R>| take(r).map(u64::from_ne_bytes);
 
-    fn u32(&mut self) -> Result<u32, String> {
-        self.take().map(u32::from_ne_bytes)
+    let mut rows: Vec<i64> = Vec::new();
+    let mut row = vec![0u8; 8 * n_vars];
+    let mut n_rows: u64 = 0;
+    loop {
+        let len = u32_of(r)?;
+        if len == ROW_SENTINEL {
+            break;
+        }
+        if len as usize != row.len() {
+            return Err(format!("bad row length {len} (expected {})", row.len()));
+        }
+        r.read_exact(&mut row).map_err(|e| format!("truncated worker stream: {e}"))?;
+        rows.extend(
+            row.chunks_exact(8).map(|b| i64::from_ne_bytes(b.try_into().expect("8 bytes"))),
+        );
+        n_rows += 1;
     }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        self.take().map(u64::from_ne_bytes)
+    let nc = u32_of(r)? as usize;
+    if nc != n_constraints {
+        return Err(format!("trailer reports {nc} constraints (expected {n_constraints})"));
     }
-
-    fn i64(&mut self) -> Result<i64, String> {
-        self.take().map(i64::from_ne_bytes)
+    let mut stats = PruneStats { evaluated: vec![0; nc], pruned: vec![0; nc], survivors: 0 };
+    for i in 0..nc {
+        stats.evaluated[i] = u64_of(r)?;
+        stats.pruned[i] = u64_of(r)?;
     }
+    stats.survivors = u64_of(r)?;
+    let loops_solved = u64_of(r)?;
+    let points_solved = u64_of(r)?;
+    let echoed = u32_of(r)?;
+    if stats.survivors != n_rows {
+        return Err(format!(
+            "trailer claims {} survivors but {n_rows} rows streamed",
+            stats.survivors
+        ));
+    }
+    if echoed != ordinal {
+        return Err(format!("reply echoes request {echoed} (expected {ordinal})"));
+    }
+    if !r.buffer().is_empty() {
+        return Err(format!("{} trailing bytes after trailer", r.buffer().len()));
+    }
+    let blocks = BlockStats { loops_solved, points_solved, ..BlockStats::default() };
+    Ok(Reply { rows, stats, blocks })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::visit::{CollectVisitor, CountVisitor};
+    use crate::parallel::{run_supervised, ParallelOptions};
+    use crate::visit::{CollectVisitor, CountVisitor, FingerprintVisitor};
     use beast_core::constraint::ConstraintClass;
     use beast_core::expr::var;
     use beast_core::plan::{Plan, PlanOptions};
     use beast_core::space::Space;
 
+    /// Three loops; `b`'s opens with a solvable check, so every test here
+    /// also runs the narrowed C.
     fn small_plan() -> LoweredPlan {
         let s = Space::builder("native-unit")
             .range("a", 1, 9)
             .range("b", 1, 9)
-            .derived("ab", var("a") * var("b"))
-            .constraint("cap", ConstraintClass::Hard, var("ab").gt(30))
+            .constraint("ab12", ConstraintClass::Hard, (var("a") * var("b")).ne(12))
+            .range("c", 1, 7)
+            .derived("bc", var("b") * var("c"))
+            .constraint("cap", ConstraintClass::Hard, var("bc").gt(30))
             .build()
             .unwrap();
         let plan = Plan::new(&s, PlanOptions::default()).unwrap();
         LoweredPlan::new(&plan).unwrap()
     }
 
-    #[test]
-    fn prepare_and_run_chunk_matches_in_process_engine() {
-        let Some(_) = toolchain::find_c_compiler() else { return };
-        let lp = small_plan();
-        let opts = EngineOptions::native();
-        let ctx = NativeContext::prepare(&lp, &opts).expect("prepare");
-
-        // Reference: the in-process compiled engine over the full space,
-        // normalized the way the parallel driver does for native runs.
+    /// The in-process engine normalized the way `run_threaded` does for
+    /// native runs.
+    fn reference_engine(lp: &LoweredPlan) -> Compiled {
         let norm = EngineOptions {
             intervals: false,
             congruence: false,
             schedule: Default::default(),
-            ..opts
+            ..EngineOptions::native()
         };
-        let compiled = Compiled::with_options(lp.clone(), norm);
+        Compiled::with_options(lp.clone(), norm)
+    }
+
+    fn process_exists(pid: u32) -> bool {
+        Path::new("/proc").join(pid.to_string()).exists()
+    }
+
+    #[test]
+    fn prepare_and_run_chunk_matches_in_process_engine() {
+        let Some(_) = toolchain::find_c_compiler() else { return };
+        let lp = small_plan();
+        let ctx = NativeContext::prepare(&lp, &EngineOptions::native()).expect("prepare");
+        let compiled = reference_engine(&lp);
         let names = compiled.point_names().clone();
         let outer = compiled.outer_domain().expect("outer domain");
         assert!(!outer.is_empty());
@@ -368,6 +503,8 @@ mod tests {
         assert_eq!(nat.visitor.total, reference.visitor.total);
         assert_eq!(nat.visitor.points, reference.visitor.points);
         assert_eq!(nat.stats, reference.stats);
+        assert!(nat.blocks.loops_solved > 0, "the `b` loop was not narrowed");
+        assert_eq!(nat.blocks, reference.blocks);
         assert_eq!(ctx.stats().chunks_native, 1);
         assert_eq!(ctx.stats().rows_streamed, nat.stats.survivors);
     }
@@ -386,31 +523,187 @@ mod tests {
         assert_eq!(second.stats().compile_ms, 0);
     }
 
+    /// Two executors of one process preparing one plan on a cold cache used
+    /// to share a temp name: one `rename` failed and that sweep silently
+    /// lost its native tier.
     #[test]
-    fn corrupt_stream_is_rejected_before_any_visit() {
-        let mut r = StreamReader { buf: &[1, 2, 3], pos: 0 };
-        assert!(r.u32().is_err());
-
-        // A bad row length must error rather than visiting garbage; emulate
-        // by decoding a hand-built stream through the same reader paths.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&7u32.to_ne_bytes()); // not a multiple of 8
-        let mut r = StreamReader { buf: &buf, pos: 0 };
-        let len = r.u32().unwrap();
-        assert_ne!(len, ROW_SENTINEL);
-        assert_ne!(len as usize % 8, 0);
+    fn concurrent_cold_prepares_of_one_plan_all_succeed() {
+        let Some(_) = toolchain::find_c_compiler() else { return };
+        let lp = small_plan();
+        let dir =
+            std::env::temp_dir().join(format!("beast-native-prepare-race-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let barrier = std::sync::Barrier::new(4);
+        let results: Vec<Result<NativeStats, String>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        NativeContext::prepare_in(&lp, &EngineOptions::native(), &dir)
+                            .map(|ctx| ctx.stats())
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("prepare thread")).collect()
+        });
+        for r in &results {
+            assert!(r.is_ok(), "a concurrent prepare failed: {results:?}");
+        }
+        // Nothing but the installed binary and its source is left behind.
+        let left: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|n| n.contains(".tmp."))
+            .collect();
+        assert!(left.is_empty(), "temp files left behind: {left:?}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// (a) A resident worker answers each request for that request alone:
+    /// the counters are zeroed in between, and an empty chunk reports zero
+    /// everything.
     #[test]
-    fn run_chunk_on_empty_chunk_reports_zero_everything() {
+    fn one_resident_worker_equals_fresh_workers_chunk_by_chunk() {
+        let Some(_) = toolchain::find_c_compiler() else { return };
+        let lp = small_plan();
+        let opts = EngineOptions::native();
+        let names = reference_engine(&lp).point_names().clone();
+        let run = |ctx: &NativeContext, chunk: &[i64]| {
+            let out = ctx
+                .run_chunk(chunk, &names, CollectVisitor::new(names.clone(), 10_000))
+                .expect("native chunk");
+            (out.visitor.points, out.stats, out.blocks)
+        };
+
+        let resident = NativeContext::prepare(&lp, &opts).expect("prepare");
+        let first = run(&resident, &[1, 2, 3]);
+        let empty = run(&resident, &[]);
+        let second = run(&resident, &[4, 5, 6, 7, 8]);
+        assert_eq!(resident.stats().workers_spawned, 1);
+        assert_eq!(resident.stats().chunks_native, 3);
+
+        assert!(empty.0.is_empty());
+        assert_eq!(empty.1, PruneStats::new(2));
+        assert_eq!(empty.2, BlockStats::default());
+        assert!(first.1.survivors > 0 && second.1.survivors > 0);
+        assert!(first.2.loops_solved > 0 && second.2.loops_solved > 0);
+        assert_ne!(first.1, second.1);
+        for (chunk, got) in [(&[1i64, 2, 3][..], &first), (&[4i64, 5, 6, 7, 8][..], &second)] {
+            let fresh = NativeContext::prepare(&lp, &opts).expect("prepare");
+            assert_eq!(&run(&fresh, chunk), got, "chunk {chunk:?}");
+            assert_eq!(fresh.stats().workers_spawned, 1);
+        }
+    }
+
+    /// Every error path reaps the process it held: after a protocol error
+    /// the pool is empty and the worker is gone, not a zombie.
+    #[test]
+    fn a_protocol_error_kills_and_reaps_the_worker() {
+        let Some(_) = toolchain::find_c_compiler() else { return };
+        let lp = small_plan();
+        let mut ctx = NativeContext::prepare(&lp, &EngineOptions::native()).expect("prepare");
+        let names = reference_engine(&lp).point_names().clone();
+        ctx.run_chunk(&[1, 2], &names, CountVisitor::default()).expect("healthy chunk");
+        let pid = ctx.idle()[0].child.id();
+        assert!(!Path::new("/proc/self").exists() || process_exists(pid));
+
+        // The host now expects wider rows than the worker writes.
+        ctx.n_vars += 1;
+        let err = ctx.run_chunk(&[1, 2], &names, CountVisitor::default()).map(|_| ()).unwrap_err();
+        assert!(err.contains("bad row length"), "{err}");
+        assert!(ctx.idle().is_empty(), "a failed worker went back to the pool");
+        assert!(!process_exists(pid), "worker {pid} was not reaped");
+        assert_eq!(ctx.stats().chunks_native, 1);
+
+        // The next chunk gets a fresh worker.
+        ctx.n_vars -= 1;
+        ctx.run_chunk(&[3], &names, CountVisitor::default()).expect("respawned");
+        assert_eq!(ctx.stats().workers_spawned, 2);
+    }
+
+    /// (b) A resident worker that dies between chunks costs exactly one
+    /// local chunk: the frame answers it in-process, the next chunk gets a
+    /// fresh worker, and nothing observable changes.
+    #[test]
+    fn a_worker_killed_between_chunks_falls_back_once_and_respawns() {
         let Some(_) = toolchain::find_c_compiler() else { return };
         let lp = small_plan();
         let ctx = NativeContext::prepare(&lp, &EngineOptions::native()).expect("prepare");
-        let names: Vec<Arc<str>> = Vec::new();
-        let out = ctx
-            .run_chunk(&[], &names, CountVisitor::default())
-            .expect("empty chunk");
-        assert_eq!(out.stats.survivors, 0);
-        assert_eq!(out.visitor.count, 0);
+        let reference = reference_engine(&lp);
+        let serial = reference.run(FingerprintVisitor::new()).expect("serial");
+
+        // The frame asks for a chunk's visitor right before it asks the
+        // executor for a worker, i.e. while the resident worker is idle.
+        let calls = AtomicU64::new(0);
+        let make_visitor = || {
+            if calls.fetch_add(1, Ordering::Relaxed) == 1 {
+                let mut idle = ctx.idle();
+                idle[0].child.kill().expect("kill resident worker");
+            }
+            FingerprintVisitor::new()
+        };
+        let opts = ParallelOptions {
+            threads: 1,
+            chunk_count: 4,
+            engine: reference.options(),
+            ..ParallelOptions::default()
+        };
+        let (out, report) =
+            run_supervised(&lp, &opts, make_visitor, None, None, None, &ctx).expect("sweep");
+
+        assert_eq!(out.visitor, serial.visitor);
+        assert_eq!(out.stats, serial.stats);
+        assert_eq!(out.blocks, serial.blocks, "fallback and native chunks count alike");
+        let native = report.native.expect("stamped");
+        assert_eq!(
+            (native.chunks_native, native.chunks_fallback, native.workers_spawned),
+            (3, 1, 2)
+        );
+        assert!(ctx.idle().is_empty(), "the frame's close() retires the slot's worker");
+    }
+
+    fn encode_reply(rows: &[&[i64]], counts: &[(u64, u64)], tail: (u64, u64, u64, u32)) -> Vec<u8> {
+        let mut out = Vec::new();
+        for row in rows {
+            out.extend_from_slice(&(8 * row.len() as u32).to_ne_bytes());
+            row.iter().for_each(|v| out.extend_from_slice(&v.to_ne_bytes()));
+        }
+        out.extend_from_slice(&ROW_SENTINEL.to_ne_bytes());
+        out.extend_from_slice(&(counts.len() as u32).to_ne_bytes());
+        for (evaluated, pruned) in counts {
+            out.extend_from_slice(&evaluated.to_ne_bytes());
+            out.extend_from_slice(&pruned.to_ne_bytes());
+        }
+        let (survivors, loops_solved, points_solved, ordinal) = tail;
+        out.extend_from_slice(&survivors.to_ne_bytes());
+        out.extend_from_slice(&loops_solved.to_ne_bytes());
+        out.extend_from_slice(&points_solved.to_ne_bytes());
+        out.extend_from_slice(&ordinal.to_ne_bytes());
+        out
+    }
+
+    /// `read_reply` has no visitor to call: whatever it refuses is refused
+    /// before any visit.
+    #[test]
+    fn malformed_replies_are_refused_before_any_visit() {
+        let decode = |bytes: &[u8]| read_reply(&mut BufReader::new(bytes), 2, 1, 5);
+        let rows: [&[i64]; 2] = [&[1, 2], &[3, -4]];
+        let good = encode_reply(&rows, &[(9, 7)], (2, 3, 8, 5));
+        let reply = decode(&good).expect("well-formed reply");
+        assert_eq!(reply.rows, [1, 2, 3, -4]);
+        assert_eq!(reply.stats, PruneStats { evaluated: vec![9], pruned: vec![7], survivors: 2 });
+        assert_eq!((reply.blocks.loops_solved, reply.blocks.points_solved), (3, 8));
+
+        let refused = |bytes: Vec<u8>, why: &str| {
+            let err = decode(&bytes).expect_err(why);
+            assert!(err.contains(why), "{err}");
+        };
+        refused(encode_reply(&rows, &[(9, 7)], (2, 3, 8, 4)), "echoes request 4");
+        refused(encode_reply(&[&[1, 2], &[3]], &[(9, 7)], (2, 3, 8, 5)), "bad row length 8");
+        refused(encode_reply(&rows, &[(9, 7)], (3, 3, 8, 5)), "claims 3 survivors");
+        refused(encode_reply(&rows, &[(9, 7), (1, 1)], (2, 3, 8, 5)), "2 constraints");
+        refused([good.clone(), vec![0]].concat(), "1 trailing bytes");
+        refused(good[..good.len() - 1].to_vec(), "truncated worker stream");
+        refused(good[..5].to_vec(), "truncated worker stream");
     }
 }

@@ -5,8 +5,9 @@
 //! across bad points, panicking chunks, dead workers, deadlines and process
 //! restarts, and one question it asks per chunk — *where does this chunk
 //! run?* — answered by a crate-private `ChunkExecutor`: on the slot's own
-//! thread, in a native C worker process ([`crate::native`]), or in a
-//! distribute worker over a pipe ([`crate::distribute`]).
+//! thread, in a resident native C worker process ([`crate::native`]: one
+//! process per busy slot, not per chunk), or in a distribute worker over a
+//! pipe ([`crate::distribute`]).
 //!
 //! # Dynamic scheduling
 //!
@@ -384,8 +385,9 @@ pub(crate) enum Answer<V> {
 
 /// "Evaluate chunk *k* somewhere": the seam between the one sweep frame
 /// ([`run_supervised`]) and where a chunk actually runs. Three
-/// implementations: [`InThread`], [`NativeContext`] (one C worker process
-/// per chunk) and the distribute link in [`crate::distribute`].
+/// implementations: [`InThread`], [`NativeContext`] (a pool of resident C
+/// worker processes, one per busy slot) and the distribute link in
+/// [`crate::distribute`].
 pub(crate) trait ChunkExecutor<V>: Sync {
     /// Answer for `chunk` (covering `values`) dealt to worker slot `slot`.
     fn run(

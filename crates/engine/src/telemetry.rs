@@ -430,6 +430,8 @@ impl SweepReport {
                 out.push_str(&n.rows_streamed.to_string());
                 out.push_str(",\"chunks_fallback\":");
                 out.push_str(&n.chunks_fallback.to_string());
+                out.push_str(",\"workers_spawned\":");
+                out.push_str(&n.workers_spawned.to_string());
                 out.push('}');
             }
             None => out.push_str("null"),
@@ -596,12 +598,13 @@ impl SweepReport {
         if let Some(n) = self.native {
             let _ = writeln!(
                 out,
-                "native tier: {} chunk(s) in worker processes ({} fallback), {} row(s) streamed, compile {} ms{}",
+                "native tier: {} chunk(s) in worker processes ({} fallback), {} row(s) streamed, compile {} ms{}, {} worker(s) spawned",
                 n.chunks_native,
                 n.chunks_fallback,
                 n.rows_streamed,
                 n.compile_ms,
-                if n.artifact_cache_hits > 0 { " (artifact cache hit)" } else { "" }
+                if n.artifact_cache_hits > 0 { " (artifact cache hit)" } else { "" },
+                n.workers_spawned
             );
         }
         if self.lanes.lane_evals > 0 || self.lanes.total_super_hits() > 0 {
@@ -1142,13 +1145,14 @@ mod tests {
             chunks_native: 7,
             rows_streamed: 4096,
             chunks_fallback: 1,
+            workers_spawned: 2,
         });
         let json = r.to_json();
         assert!(
             json.contains(
                 ",\"native\":{\"compile_ms\":120,\"artifact_cache_hits\":1,\
                  \"chunks_native\":7,\"rows_streamed\":4096,\
-                 \"chunks_fallback\":1},\"partial\":"
+                 \"chunks_fallback\":1,\"workers_spawned\":2},\"partial\":"
             ),
             "native counter key order changed: {json}"
         );
@@ -1156,7 +1160,8 @@ mod tests {
         assert!(
             text.contains(
                 "native tier: 7 chunk(s) in worker processes (1 fallback), \
-                 4096 row(s) streamed, compile 120 ms (artifact cache hit)"
+                 4096 row(s) streamed, compile 120 ms (artifact cache hit), \
+                 2 worker(s) spawned"
             ),
             "{text}"
         );

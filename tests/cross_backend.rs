@@ -535,6 +535,159 @@ fn native_tier_fingerprints_all_precision_transpose_cases() {
     }
 }
 
+#[path = "common/narrow_gen.rs"]
+mod narrow_gen;
+
+/// The native worker *solves* equality loops in the emitted C
+/// (`beast_codegen::native`, `b_narrow`). On the loop-narrowing suite's
+/// seeded spaces — zero / negative / run-time-zero / `i64`-extreme
+/// coefficients, negative-step and empty ranges, hits first / last /
+/// off-stride, and the list-domain and define-before-check shapes that must
+/// *not* narrow — the worker equals the enumerating oracles in survivors,
+/// order and per-constraint `PruneStats`, and reports the narrowing counters
+/// of the in-process engine it falls back to. No generated operand can
+/// fault, so the enumerating worker never falls back and neither may the
+/// narrowed one.
+#[test]
+fn narrowed_native_worker_matches_the_enumerating_oracles_on_seeded_spaces() {
+    if beast_codegen::find_c_compiler().is_none() {
+        eprintln!("skipping: no C compiler on PATH");
+        return;
+    }
+    let ints = |points: &[Point]| -> Vec<Vec<i64>> {
+        points.iter().map(|p| p.values().iter().map(|v| v.as_int().unwrap()).collect()).collect()
+    };
+    let (mut solved_seeds, mut must_enumerate, mut walker_ok, mut with_survivors) = (0, 0, 0, 0);
+    // Every fifth seed plus a block: all nine check shapes, list domains
+    // and empty ranges occur (asserted below).
+    for seed in (0..240u64).filter(|s| s % 5 == 0 || *s < 12) {
+        let g = narrow_gen::generate(seed);
+        let plan = Plan::new(&g.space, PlanOptions::default()).unwrap();
+        let lp = LoweredPlan::new(&plan).unwrap();
+
+        // Oracle 1: the VM over the same wrapping IR, which never narrows.
+        let vm = Vm::compile(&lp, VmStyle::NumericFor);
+        let vm_out = vm.run(CollectVisitor::new(vm.point_names().clone(), usize::MAX)).unwrap();
+        let want = ints(&vm_out.visitor.points);
+        // What a fallback chunk would report: the normalized in-process engine.
+        let twin = Compiled::with_options(lp.clone(), EngineOptions::no_intervals())
+            .run(FingerprintVisitor::new())
+            .unwrap();
+
+        let names = vm.point_names().clone();
+        let opts = ParallelOptions {
+            threads: 2,
+            chunk_count: 3,
+            engine: EngineOptions::native(),
+            ..ParallelOptions::default()
+        };
+        let (out, report) = run_parallel_report(&lp, &opts, || {
+            CollectVisitor::new(names.clone(), usize::MAX)
+        })
+        .unwrap();
+        assert_eq!(ints(&out.visitor.points), want, "seed {seed}: survivors/order differ");
+        assert_eq!(out.stats, vm_out.stats, "seed {seed}: PruneStats differ from the VM");
+        assert_eq!(out.blocks, twin.blocks, "seed {seed}: narrowing counters differ");
+        let native = report.native.expect("compiler present: the native tier is active");
+        assert_eq!(native.chunks_fallback, 0, "seed {seed}: a worker fell back");
+        assert_eq!(native.chunks_native as usize, report.chunks, "seed {seed}");
+        assert!(native.workers_spawned <= 2, "seed {seed}: {native:?}");
+
+        // Oracle 2: the walker, wherever checked arithmetic does not trip.
+        let walker = Walker::new(&plan, LoopStyle::default());
+        if let Ok(w) = walker.run(CollectVisitor::new(walker.point_names().clone(), usize::MAX)) {
+            walker_ok += 1;
+            assert_eq!(want, ints(&w.visitor.points), "seed {seed}: differs from the walker");
+            assert_eq!(out.stats, w.stats, "seed {seed}: PruneStats differ from the walker");
+        }
+        if g.must_enumerate {
+            must_enumerate += 1;
+            assert_eq!(out.blocks.loops_solved, 0, "seed {seed}: narrowed an opaque shape");
+        }
+        solved_seeds += u32::from(out.blocks.loops_solved > 0);
+        with_survivors += u32::from(out.blocks.loops_solved > 0 && !want.is_empty());
+    }
+    assert!(solved_seeds >= 24, "only {solved_seeds} seeds had a loop solved in C");
+    assert!(with_survivors >= 5, "only {with_survivors} solved seeds had survivors");
+    assert!(must_enumerate >= 3, "only {must_enumerate} must-enumerate seeds");
+    assert!(walker_ok >= 24, "walker oracle covered only {walker_ok} seeds");
+}
+
+/// One request through a compiled chunk worker, raw: the reply bytes.
+fn drive_worker(bin: &std::path::Path, chunk: &[i64]) -> Vec<u8> {
+    use std::io::Write;
+    let mut child = std::process::Command::new(bin)
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut request = (chunk.len() as u32).to_ne_bytes().to_vec();
+    chunk.iter().for_each(|v| request.extend_from_slice(&v.to_ne_bytes()));
+    child.stdin.take().unwrap().write_all(&request).unwrap();
+    let out = child.wait_with_output().unwrap();
+    assert!(out.status.success(), "worker exited with {}", out.status);
+    out.stdout
+}
+
+/// The narrowed GEMM worker's reply over the whole level-0 domain is, byte
+/// for byte through the rows and the per-constraint trailer, the
+/// enumerating worker's (the same program with the narrowings stripped);
+/// only the two narrowing counters behind `survivors` differ.
+#[test]
+fn narrowed_gemm_worker_streams_the_enumerating_workers_bytes() {
+    use beast_codegen::tree::GNode;
+    use beast_codegen::{emit_chunk_worker, lower, toolchain, Program};
+
+    let Some(cc) = beast_codegen::find_c_compiler() else {
+        eprintln!("skipping: no C compiler on PATH");
+        return;
+    };
+    fn strip(nodes: &mut [GNode]) -> usize {
+        let mut stripped = 0;
+        for node in nodes {
+            if let GNode::Loop { narrow, body, .. } = node {
+                stripped += usize::from(narrow.take().is_some()) + strip(body);
+            }
+        }
+        stripped
+    }
+    let space = beast::gemm::build_gemm_space(&beast::gemm::GemmSpaceParams::reduced(16)).unwrap();
+    let plan = Plan::new(&space, PlanOptions::default()).unwrap();
+    let lp = LoweredPlan::new(&plan).unwrap();
+    let outer = Compiled::new(lp.clone()).outer_domain().unwrap();
+    let mut program = Program::from_lowered(&lp).unwrap();
+    let narrowed = emit_chunk_worker(&lower(&program)).unwrap();
+    assert_eq!(strip(&mut program.roots), 2, "both reshape loops narrow");
+    let plain = emit_chunk_worker(&lower(&program)).unwrap();
+
+    let dir = std::env::temp_dir().join(format!("beast-gemm-workers-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let replies: Vec<Vec<u8>> = [("narrowed", &narrowed), ("plain", &plain)]
+        .iter()
+        .map(|(name, source)| {
+            let (src, bin) = (dir.join(format!("{name}.c")), dir.join(name));
+            toolchain::write_source(&src, source).unwrap();
+            toolchain::compile(&cc, &["-O2"], &src, &bin).unwrap();
+            drive_worker(&bin, &outer)
+        })
+        .collect();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // Behind `survivors`: u64 loops_solved, u64 points_solved, u32 ordinal.
+    let (narrowed, plain) = (&replies[0], &replies[1]);
+    assert_eq!(narrowed.len(), plain.len());
+    let shared = plain.len() - 20;
+    assert!(narrowed[..shared] == plain[..shared], "rows or per-constraint trailer differ");
+    let counters = |reply: &[u8]| {
+        let at = |i: usize| u64::from_ne_bytes(reply[i..i + 8].try_into().unwrap());
+        (at(shared), at(shared + 8))
+    };
+    assert_eq!(counters(plain), (0, 0));
+    let (loops_solved, points_solved) = counters(narrowed);
+    assert!(loops_solved > 0 && points_solved > loops_solved);
+    assert_eq!(narrowed[shared + 16..], plain[shared + 16..], "both answered request 0");
+}
+
 #[test]
 fn unhoisted_plans_agree_on_survivors() {
     let space = Space::builder("hoist_eq")

@@ -487,8 +487,12 @@ fn batch_on_and_off_agree_at_every_thread_count() {
 /// processes) reproduces the compiled tier bit for bit at every thread
 /// count: same survivors, same emission order, and — against a compiled
 /// engine normalized to the worker's per-point declared-order accounting —
-/// identical `PruneStats`. On hosts without a C compiler the tier must
-/// silently fall back and still produce the identical outcome.
+/// identical `PruneStats` and identical `BlockStats`: the emitted C solves
+/// the same reshape loops the in-process engine solves, so a native chunk
+/// and its in-process fallback twin report the same `loops_solved` /
+/// `points_solved`. Workers are resident: at most one process per thread.
+/// On hosts without a C compiler the tier must silently fall back and
+/// still produce the identical outcome.
 #[test]
 fn native_tier_matches_compiled_bit_for_bit() {
     use beast_core::schedule::ScheduleMode;
@@ -537,12 +541,24 @@ fn native_tier_matches_compiled_bit_for_bit() {
             par.stats, normalized.stats,
             "native PruneStats diverged from declared-order compiled at {threads} threads"
         );
+        assert!(normalized.blocks.loops_solved > 0, "reduced(16) solves its reshape loops");
+        assert_eq!(
+            par.blocks, normalized.blocks,
+            "native narrowing counters diverged from the fallback engine's at {threads} threads"
+        );
+        assert_eq!(report.loops_solved, normalized.blocks.loops_solved);
         if beast_codegen::find_c_compiler().is_some() {
             let n = report
                 .native
                 .expect("a C compiler is present: the native tier must be active");
             assert!(n.chunks_native > 0, "no chunks ran in worker processes");
             assert_eq!(n.chunks_fallback, 0, "healthy workers must not fall back");
+            assert!(
+                (1..=n.chunks_native.min(threads as u64)).contains(&n.workers_spawned),
+                "{} worker(s) for {} chunk(s) at {threads} threads",
+                n.workers_spawned,
+                n.chunks_native
+            );
             assert_eq!(
                 n.rows_streamed, par.stats.survivors,
                 "streamed rows must equal survivors at {threads} threads"
