@@ -1,5 +1,5 @@
 //! Scaling record for the distributed supervisor: `repro distribute` at
-//! 1, 2 and 4 worker processes on the reduced(32) GEMM space.
+//! 1, 2 and 4 worker processes on the reduced(64) GEMM space.
 //!
 //! Before any timing, the merge contract is asserted: every worker count
 //! must reproduce the serial compiled engine's survivor count and
@@ -23,7 +23,10 @@ use beast_engine::distribute::{run_distributed, DistributeOptions};
 use beast_engine::visit::FingerprintVisitor;
 use beast_gemm::{build_gemm_space, GemmSpaceParams};
 
-const DIM: i64 = 32;
+/// Large enough that one worker takes ≥ 0.2 s: since the engine replays
+/// unread loops a reduced(32) sweep is ≈ 45 ms, where the ≥ 2× floor below
+/// would measure process spawns, not scaling.
+const DIM: i64 = 64;
 const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 /// Pinned grid: enough chunks that 4 workers stay busy, identical across
 /// worker counts so the shard protocol (not the grid) is the only variable.

@@ -172,6 +172,30 @@ use beast_kernels::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// Write to stdout, treating a closed pipe (`repro sweep 16 | head -1`) as a
+/// normal end of output: exit quietly instead of panicking the way
+/// `println!` does. Every line this binary prints goes through here.
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write as _;
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
+
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => { write_stdout(format_args!($($arg)*)) };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    () => { write_stdout(format_args!("\n")) };
+    ($($arg:tt)*) => { write_stdout(format_args!("{}\n", format_args!($($arg)*))) };
+}
+
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let no_intervals = args.iter().any(|a| a == "--no-intervals");
@@ -294,7 +318,7 @@ fn main() {
 }
 
 fn header(title: &str) {
-    println!("\n=== {title} ===");
+    outln!("\n=== {title} ===");
 }
 
 /// Print the engine's per-level check order (and, for adaptive runs, the
@@ -303,13 +327,13 @@ fn print_schedule(tele: &ScheduleTelemetry) {
     if tele.groups.is_empty() {
         return;
     }
-    println!("check schedule ({}):", tele.mode);
+    outln!("check schedule ({}):", tele.mode);
     for g in &tele.groups {
         let mut line = format!("  level {}: {}", g.level, g.initial.join(" → "));
         if g.final_order != g.initial {
             line.push_str(&format!("   (final: {})", g.final_order.join(" → ")));
         }
-        println!("{line}");
+        outln!("{line}");
     }
 }
 
@@ -320,22 +344,22 @@ fn print_schedule(tele: &ScheduleTelemetry) {
 fn device() {
     header("Fig. 8/9 — device query and compute-capability lookup (Tesla K40c)");
     let d = DeviceProps::tesla_k40c();
-    println!("max_threads_per_block             = {}", d.max_threads_per_block);
-    println!("max_threads_dim_x                 = {}", d.max_threads_dim_x);
-    println!("max_threads_dim_y                 = {}", d.max_threads_dim_y);
-    println!("max_shared_mem_per_block          = {}", d.max_shared_mem_per_block);
-    println!("warp_size                         = {}", d.warp_size);
-    println!("max_regs_per_block                = {}", d.max_regs_per_block);
-    println!("max_threads_per_multi_processor   = {}", d.max_threads_per_multi_processor);
-    println!("cudamajor                         = {}", d.cuda_major);
-    println!("cudaminor                         = {}", d.cuda_minor);
-    println!("max_registers_per_multi_processor = {}", d.max_registers_per_multi_processor);
-    println!("max_shmem_per_multi_processor     = {}", d.max_shmem_per_multi_processor);
-    println!("float_size                        = {}", d.float_size);
+    outln!("max_threads_per_block             = {}", d.max_threads_per_block);
+    outln!("max_threads_dim_x                 = {}", d.max_threads_dim_x);
+    outln!("max_threads_dim_y                 = {}", d.max_threads_dim_y);
+    outln!("max_shared_mem_per_block          = {}", d.max_shared_mem_per_block);
+    outln!("warp_size                         = {}", d.warp_size);
+    outln!("max_regs_per_block                = {}", d.max_regs_per_block);
+    outln!("max_threads_per_multi_processor   = {}", d.max_threads_per_multi_processor);
+    outln!("cudamajor                         = {}", d.cuda_major);
+    outln!("cudaminor                         = {}", d.cuda_minor);
+    outln!("max_registers_per_multi_processor = {}", d.max_registers_per_multi_processor);
+    outln!("max_shmem_per_multi_processor     = {}", d.max_shmem_per_multi_processor);
+    outln!("float_size                        = {}", d.float_size);
     let cc = CcLimits::for_cc(d.cuda_major, d.cuda_minor).unwrap();
-    println!("max_blocks_per_multi_processor    = {}", cc.max_blocks_per_multi_processor);
-    println!("max_warps_per_multi_processor     = {}", cc.max_warps_per_multi_processor);
-    println!("max_registers_per_thread          = {}", cc.max_registers_per_thread);
+    outln!("max_blocks_per_multi_processor    = {}", cc.max_blocks_per_multi_processor);
+    outln!("max_warps_per_multi_processor     = {}", cc.max_warps_per_multi_processor);
+    outln!("max_registers_per_thread          = {}", cc.max_registers_per_thread);
 }
 
 // ---------------------------------------------------------------------------
@@ -346,26 +370,26 @@ fn space() {
     header("Fig. 10/11 — GEMM search space (dgemm_nn on Tesla K40c)");
     let params = GemmSpaceParams::paper_default();
     let s = build_gemm_space(&params).unwrap();
-    println!("space: {}", s.name());
-    println!(
+    outln!("space: {}", s.name());
+    outln!(
         "settings: precision={} arithmetic={} trans_a={} trans_b={}",
         params.precision.precision_str(),
         params.precision.arithmetic_str(),
         i32::from(params.transpose.a),
         i32::from(params.transpose.b)
     );
-    println!("{} iterators:", s.iters().len());
+    outln!("{} iterators:", s.iters().len());
     for (i, it) in s.iters().iter().enumerate() {
-        println!(
+        outln!(
             "  [{i:2}] {:<12} level {}  {:?}",
             it.name,
             s.dag().level(s.iter_node(i)),
             it.kind
         );
     }
-    println!("{} derived variables, {} constraints", s.deriveds().len(), s.constraints().len());
+    outln!("{} derived variables, {} constraints", s.deriveds().len(), s.constraints().len());
     for c in s.constraints() {
-        println!("  [{:<11}] {}", c.class.to_string(), c.name);
+        outln!("  [{:<11}] {}", c.class.to_string(), c.name);
     }
 }
 
@@ -377,7 +401,7 @@ fn fig16() {
     header("Fig. 16 — dependency DAG of the GEMM space");
     let s = build_gemm_space(&GemmSpaceParams::paper_default()).unwrap();
     let dag = s.dag();
-    println!("level sets (iterators ○, derived □, constraints ⬣):");
+    outln!("level sets (iterators ○, derived □, constraints ⬣):");
     for (level, nodes) in dag.level_sets().iter().enumerate() {
         let names: Vec<String> = nodes
             .iter()
@@ -390,10 +414,10 @@ fn fig16() {
                 format!("{marker}{}", dag.name(v))
             })
             .collect();
-        println!("  L{level}: {}", names.join("  "));
+        outln!("  L{level}: {}", names.join("  "));
     }
-    println!("\nGraphviz DOT (pipe into `dot -Tsvg`):\n");
-    println!("{}", dag.to_dot(s.name()));
+    outln!("\nGraphviz DOT (pipe into `dot -Tsvg`):\n");
+    outln!("{}", dag.to_dot(s.name()));
 }
 
 // ---------------------------------------------------------------------------
@@ -404,7 +428,7 @@ fn fig17(total: u64) {
     header(&format!(
         "Fig. 17 — AST-walker loop styles (Python cost model), {total} iterations"
     ));
-    println!(
+    outln!(
         "{:<18} {:>12} {:>12} {:>12} {:>12}",
         "style", "1 loop", "2 loops", "3 loops", "4 loops"
     );
@@ -424,7 +448,7 @@ fn fig17(total: u64) {
             assert_eq!(out.visitor.count, iters);
             cells.push(format!("{:>9.2} M/s", miters_per_sec(iters, dt)));
         }
-        println!("{:<18} {}", label, cells.join(" "));
+        outln!("{:<18} {}", label, cells.join(" "));
     }
 }
 
@@ -436,7 +460,7 @@ fn fig18(total: u64) {
     header(&format!(
         "Fig. 18 — bytecode-VM loop styles (Lua cost model), {total} iterations"
     ));
-    println!(
+    outln!(
         "{:<18} {:>12} {:>12} {:>12} {:>12}",
         "style", "1 loop", "2 loops", "3 loops", "4 loops"
     );
@@ -456,7 +480,7 @@ fn fig18(total: u64) {
             assert_eq!(out.visitor.count, iters);
             cells.push(format!("{:>9.2} M/s", miters_per_sec(iters, dt)));
         }
-        println!("{:<18} {}", label, cells.join(" "));
+        outln!("{:<18} {}", label, cells.join(" "));
     }
 }
 
@@ -468,7 +492,7 @@ fn fig19(total: u64) {
     header(&format!(
         "Fig. 19 — compiled evaluation, {total} iterations (in-process engine + generated code where toolchains exist)"
     ));
-    println!("{:<22} {:>12} {:>12} {:>12} {:>12}", "backend", "1 loop", "2 loops", "3 loops", "4 loops");
+    outln!("{:<22} {:>12} {:>12} {:>12} {:>12}", "backend", "1 loop", "2 loops", "3 loops", "4 loops");
 
     // In-process compiled engine.
     let mut cells = Vec::new();
@@ -482,7 +506,7 @@ fn fig19(total: u64) {
         assert_eq!(out.visitor.count, iters);
         cells.push(format!("{:>9.2} M/s", miters_per_sec(iters, dt)));
     }
-    println!("{:<22} {}", "in-process compiled", cells.join(" "));
+    outln!("{:<22} {}", "in-process compiled", cells.join(" "));
 
     // Generated source through real toolchains (includes build time in a
     // separate column-free note; rates measure the run only).
@@ -512,13 +536,13 @@ fn fig19(total: u64) {
             }
         }
         if available {
-            println!(
+            outln!(
                 "{:<22} {}   (run only; excl. compile)",
                 format!("generated {}", backend.language()),
                 cells.join(" ")
             );
         } else {
-            println!("{:<22} (toolchain not installed)", format!("generated {}", backend.language()));
+            outln!("{:<22} (toolchain not installed)", format!("generated {}", backend.language()));
         }
     }
 }
@@ -531,7 +555,7 @@ fn headline(dim: i64, engine: EngineOptions) {
     header(&format!(
         "§XI headline — GEMM space sweep on reduced({dim}) device: interpreted vs compiled"
     ));
-    println!("(paper: 66 948 s Python → 264 s generated C, ≈253×; shape target: orders of magnitude)");
+    outln!("(paper: 66 948 s Python → 264 s generated C, ≈253×; shape target: orders of magnitude)");
     let params = GemmSpaceParams::reduced(dim);
     let space = build_gemm_space(&params).unwrap();
     let plan = Plan::new(&space, PlanOptions::default()).unwrap();
@@ -556,18 +580,18 @@ fn headline(dim: i64, engine: EngineOptions) {
     assert_eq!(walker_out.visitor.count, comp_out.visitor.count);
     assert_eq!(vm_out.visitor.count, comp_out.visitor.count);
 
-    println!("survivors: {}", comp_out.visitor.count);
+    outln!("survivors: {}", comp_out.visitor.count);
     if comp_out.blocks.subtree_skips > 0 {
-        println!(
+        outln!(
             "(compiled engine skipped {} subtrees ≈ {} points via interval analysis)",
             comp_out.blocks.subtree_skips, comp_out.blocks.points_skipped
         );
     }
     print_schedule(&compiled.schedule_telemetry());
-    println!("{:<26} {:>10} {:>10}", "backend", "seconds", "speedup");
-    println!("{:<26} {:>10.3} {:>9.1}x", "walker (Python model)", t_walker, 1.0);
-    println!("{:<26} {:>10.3} {:>9.1}x", "VM (Lua model)", t_vm, t_walker / t_vm);
-    println!("{:<26} {:>10.3} {:>9.1}x", "compiled (C model)", t_comp, t_walker / t_comp);
+    outln!("{:<26} {:>10} {:>10}", "backend", "seconds", "speedup");
+    outln!("{:<26} {:>10.3} {:>9.1}x", "walker (Python model)", t_walker, 1.0);
+    outln!("{:<26} {:>10.3} {:>9.1}x", "VM (Lua model)", t_vm, t_walker / t_vm);
+    outln!("{:<26} {:>10.3} {:>9.1}x", "compiled (C model)", t_comp, t_walker / t_comp);
 
     // Generated C through gcc, when available — the paper's actual artifact.
     // Codegen consumes the lowered steps in order, so statically scheduling
@@ -584,7 +608,7 @@ fn headline(dim: i64, engine: EngineOptions) {
         ToolchainResult::Ran { counts, build, run } => {
             assert_eq!(counts.survivors, comp_out.visitor.count);
             let t_run = run.as_secs_f64();
-            println!(
+            outln!(
                 "{:<26} {:>10.3} {:>9.1}x  (+ {:.2} s gcc -O2 compile)",
                 "generated C (gcc)",
                 t_run,
@@ -593,7 +617,7 @@ fn headline(dim: i64, engine: EngineOptions) {
             );
         }
         ToolchainResult::Unavailable(_) => {
-            println!("{:<26} (gcc not installed)", "generated C (gcc)");
+            outln!("{:<26} (gcc not installed)", "generated C (gcc)");
         }
         ToolchainResult::Failed { stage, detail } => {
             panic!("generated C failed at {stage}: {detail}");
@@ -615,13 +639,13 @@ fn lint(dim: Option<i64>, json_path: Option<String>) {
     let plan = Plan::new(&space, PlanOptions::default()).unwrap();
     let lp = LoweredPlan::new(&plan).unwrap();
     let report = beast_core::analyze::analyze_with_counts(&lp);
-    print!("{}", report.render_text());
+    out!("{}", report.render_text());
     if let Some(path) = json_path {
         if let Err(e) = std::fs::write(&path, report.to_json()) {
             eprintln!("error: cannot write lint JSON to {path}: {e}");
             std::process::exit(1);
         }
-        println!("wrote lint JSON to {path}");
+        outln!("wrote lint JSON to {path}");
     }
     if report.has_errors() {
         std::process::exit(1);
@@ -656,8 +680,8 @@ fn count(dim: Option<i64>, json_path: Option<String>) {
     let t_tuples = t0.elapsed();
 
     match survivors {
-        Some(n) => println!("survivors {n}  ({:.3}s)", t_surv.as_secs_f64()),
-        None => println!(
+        Some(n) => outln!("survivors {n}  ({:.3}s)", t_surv.as_secs_f64()),
+        None => outln!(
             "survivors: counting budget exhausted after {:.3}s (enumerated {}, memo entries {})",
             t_surv.as_secs_f64(),
             stats.enumerated,
@@ -665,19 +689,19 @@ fn count(dim: Option<i64>, json_path: Option<String>) {
         ),
     }
     match tuples {
-        Some(n) => println!("tuples    {n}  ({:.3}s)", t_tuples.as_secs_f64()),
-        None => println!(
+        Some(n) => outln!("tuples    {n}  ({:.3}s)", t_tuples.as_secs_f64()),
+        None => outln!(
             "tuples:    counting budget exhausted after {:.3}s",
             t_tuples.as_secs_f64()
         ),
     }
     if let (Some(s), Some(t)) = (survivors, tuples) {
         if t > 0 {
-            println!("survival rate {:.3e}", s as f64 / t as f64);
+            outln!("survival rate {:.3e}", s as f64 / t as f64);
         }
     }
 
-    println!(
+    outln!(
         "cache: {} hits, {} misses ({} values enumerated, {} whole domains rejected, {} residue classes pruned)",
         stats.cache_hits,
         stats.cache_misses,
@@ -686,12 +710,12 @@ fn count(dim: Option<i64>, json_path: Option<String>) {
         stats.residue_classes_pruned
     );
     if !stats.levels.is_empty() {
-        println!(
+        outln!(
             "{:<16} {:>5} {:>9} {:>9} {:>9} {:>9}",
             "level", "depth", "entries", "domain", "feasible", "res-skip"
         );
         for l in &stats.levels {
-            println!(
+            outln!(
                 "{:<16} {:>5} {:>9} {:>9} {:>9} {:>9}",
                 l.name, l.depth, l.entries, l.domain_values, l.feasible_values, l.residue_skipped
             );
@@ -707,14 +731,14 @@ fn count(dim: Option<i64>, json_path: Option<String>) {
             .unwrap()
             .visitor
             .count as u128;
-        println!("sweep cross-check: {swept} survivors ({:.3}s)", t0.elapsed().as_secs_f64());
+        outln!("sweep cross-check: {swept} survivors ({:.3}s)", t0.elapsed().as_secs_f64());
         if swept != s {
             eprintln!("error: exact count {s} disagrees with engine sweep {swept}");
             std::process::exit(6);
         }
-        println!("count matches the engine sweep");
+        outln!("count matches the engine sweep");
     } else {
-        println!("sweep cross-check skipped (no exact count to compare)");
+        outln!("sweep cross-check skipped (no exact count to compare)");
     }
 
     if let Some(path) = json_path {
@@ -748,7 +772,7 @@ fn count(dim: Option<i64>, json_path: Option<String>) {
             eprintln!("error: cannot write count JSON to {path}: {e}");
             std::process::exit(1);
         }
-        println!("wrote count JSON to {path}");
+        outln!("wrote count JSON to {path}");
     }
 }
 
@@ -805,7 +829,7 @@ impl Flags<'_> {
         let mut ck = CheckpointConfig::new(self.get("--checkpoint")?);
         ck.resume = self.has("--resume");
         ck.every_chunks = self.uint("--every", ck.every_chunks as u64).max(1) as usize;
-        println!(
+        outln!(
             "checkpoint: {} (every {} chunk(s){})",
             ck.path.display(),
             ck.every_chunks,
@@ -836,8 +860,8 @@ fn finish_sweep(
         eprintln!("error: {kind} failed: {e}");
         std::process::exit(1);
     });
-    println!("survivors: {}  fingerprint: {:016x}", out.visitor.count, out.visitor.hash);
-    println!("\n{}", report.render_text());
+    outln!("survivors: {}  fingerprint: {:016x}", out.visitor.count, out.visitor.hash);
+    outln!("\n{}", report.render_text());
     if let Some(path) = json_path {
         let json = format!(
             "{{\"fingerprint\":\"{:016x}\",\"survivors\":{},\"partial\":{},\"report\":{}}}",
@@ -850,7 +874,7 @@ fn finish_sweep(
             eprintln!("error: cannot write {noun} JSON to {path}: {e}");
             std::process::exit(1);
         }
-        println!("wrote {noun} JSON to {path}");
+        outln!("wrote {noun} JSON to {path}");
     }
     if report.partial {
         std::process::exit(3);
@@ -885,7 +909,7 @@ fn sweep(args: &[String], engine: EngineOptions) {
     header(&format!(
         "§X-C — fault-tolerant sweep, GEMM space on reduced({dim}) device"
     ));
-    println!(
+    outln!(
         "threads={} policy={} chunks={}{}",
         opts.threads,
         opts.fault_policy.name(),
@@ -916,7 +940,7 @@ fn sweep(args: &[String], engine: EngineOptions) {
             eprintln!("error: walker sweep failed: {e}");
             std::process::exit(1);
         });
-        println!(
+        outln!(
             "walker tier (serial): survivors: {}  fingerprint: {:016x}  elapsed {:.3} s",
             out.visitor.count,
             out.visitor.hash,
@@ -924,7 +948,7 @@ fn sweep(args: &[String], engine: EngineOptions) {
         );
         // The reference funnel: a `--schedule declared --no-intervals` run
         // of any other tier must reproduce these rows count for count.
-        println!("\n{}", out.stats.render_funnel(plan.space()));
+        outln!("\n{}", out.stats.render_funnel(plan.space()));
         return;
     }
 
@@ -954,7 +978,7 @@ fn sweep(args: &[String], engine: EngineOptions) {
             );
             std::process::exit(6);
         }
-        println!(
+        outln!(
             "verify: {} tier matches compiled tier ({} survivors, fingerprint {:016x})",
             engine.engine, got.count, got.hash
         );
@@ -1024,7 +1048,7 @@ fn distribute(args: &[String], engine: EngineOptions) {
     header(&format!(
         "§X-D — distributed sweep, GEMM space on reduced({dim}) device"
     ));
-    println!(
+    outln!(
         "workers={} policy={} chunks={} heartbeat={}ms retry={} backoff={}ms",
         opts.workers,
         opts.fault_policy.name(),
@@ -1095,14 +1119,14 @@ fn bench_native(dim: i64, engine: EngineOptions) {
     // run measures dispatch + evaluation, not the one-off gcc invocation.
     let (_, warm_fp, warm_report) = run_tier(native_engine);
     match warm_report.native {
-        Some(n) => println!(
+        Some(n) => outln!(
             "native worker ready: compile {} ms{}, {} chunk(s) native / {} fallback in warmup",
             n.compile_ms,
             if n.artifact_cache_hits > 0 { " (artifact cache hit)" } else { "" },
             n.chunks_native,
             n.chunks_fallback
         ),
-        None => println!(
+        None => outln!(
             "native tier unavailable (no C compiler on PATH?) — the `native` \
              row below re-measures the in-process engine"
         ),
@@ -1125,19 +1149,19 @@ fn bench_native(dim: i64, engine: EngineOptions) {
             "{label} diverged from the compiled tier"
         );
     }
-    println!(
+    outln!(
         "fingerprints agree across all tiers: {} survivors, {:016x}\n",
         fp_compiled.count, fp_compiled.hash
     );
 
     let rate = |t: f64| (fp_compiled.count as f64) / t / 1e3;
-    println!("{:<22} {:>10} {:>14} {:>10}", "engine", "time (s)", "survivors/ms", "vs native");
+    outln!("{:<22} {:>10} {:>14} {:>10}", "engine", "time (s)", "survivors/ms", "vs native");
     for (label, t) in [
         ("native (C worker)", t_native),
         ("compiled (in-proc)", t_compiled),
         ("scalar (--no-batch)", t_scalar),
     ] {
-        println!(
+        outln!(
             "{:<22} {:>10.3} {:>14.1} {:>9.2}x",
             label,
             t,
@@ -1146,7 +1170,7 @@ fn bench_native(dim: i64, engine: EngineOptions) {
         );
     }
     if let Some(n) = report_native.native {
-        println!(
+        outln!(
             "\nnative run: {} chunk(s) in worker processes, {} row(s) streamed, {} fallback",
             n.chunks_native, n.rows_streamed, n.chunks_fallback
         );
@@ -1165,17 +1189,9 @@ fn funnel(dim: i64, engine: EngineOptions) {
     let lp = LoweredPlan::new(&plan).unwrap();
     let compiled = Compiled::with_options(lp, engine);
     let out = compiled.run(CountVisitor::default()).unwrap();
-    println!("{}", out.stats.render_funnel(&space));
-    if out.blocks.subtree_skips > 0 || out.blocks.checks_elided > 0 || out.blocks.loops_solved > 0 {
-        println!(
-            "block pruning: {} subtree skips ({} by congruence, ≥ {} points never enumerated), {} checks elided, {} loops solved ({} values never enumerated)",
-            out.blocks.subtree_skips,
-            out.blocks.congruence_skips,
-            out.blocks.points_skipped,
-            out.blocks.checks_elided,
-            out.blocks.loops_solved,
-            out.blocks.points_solved
-        );
+    outln!("{}", out.stats.render_funnel(&space));
+    if let Some(line) = out.blocks.render_line() {
+        outln!("{line}");
     }
     print_schedule(&compiled.schedule_telemetry());
 }
@@ -1186,14 +1202,14 @@ fn funnel(dim: i64, engine: EngineOptions) {
 
 fn table1() {
     header("Table I — performance levels achieved with the BEAST autotuner");
-    println!("(paper: GEMM 80% of peak; small batched up to 1000%; medium batched up to 300%)\n");
+    outln!("(paper: GEMM 80% of peak; small batched up to 1000%; medium batched up to 300%)\n");
 
     // Row 1: GEMM — autotune the simulated Kepler kernel; report the best
     // configuration's fraction of the device's model peak.
     let params = GemmSpaceParams::reduced(64);
     let outcome = beast_gemm::tune_gemm(&params, 1, 2).unwrap();
     let best = outcome.best.first().expect("survivors exist");
-    println!(
+    outln!(
         "GEMM (simulated Kepler dgemm_nn): best {:.0} GFLOP/s = {:.0}% of model peak ({:.0} GFLOP/s), {} survivors swept",
         best.perf.gflops,
         100.0 * best.perf.fraction_of_peak,
@@ -1201,7 +1217,7 @@ fn table1() {
         outcome.survivors
     );
     let err = beast_gemm::verify_config(&best.config, Transpose::default());
-    println!("  winning configuration numerically verified: max error {err:.2e}\n");
+    outln!("  winning configuration numerically verified: max error {err:.2e}\n");
 
     // Rows 2–3: batched Cholesky, small and medium, on real CPU hardware.
     // Baseline: a general-purpose library-style kernel (blocked for large
@@ -1216,19 +1232,19 @@ fn table1() {
         ("medium", 256, 12),
     ] {
         let (baseline, tuned, strategy) = tune_batched_cholesky(n, count);
-        println!(
+        outln!(
             "Batched Cholesky ({label}, n={n} ×{count}): baseline {:>8.3} ms, tuned {:>8.3} ms → {:.0}% improvement  [{strategy}]",
             baseline * 1e3,
             tuned * 1e3,
             100.0 * (baseline / tuned - 1.0)
         );
     }
-    println!();
+    outln!();
 
     // Row 4 (methodology demo): the CPU GEMM substrate tuned end-to-end.
     let (naive_s, tuned_s, params_str, n) = tune_cpu_gemm();
     let gf = gemm_flops(n, n, n) as f64 / 1e9;
-    println!(
+    outln!(
         "CPU GEMM substrate (n={n}): naive {:.1} ms ({:.2} GF/s) → tuned {:.1} ms ({:.2} GF/s), {:.1}x  [{params_str}]",
         naive_s * 1e3,
         gf / naive_s,
@@ -1341,16 +1357,16 @@ fn batched(n: i64) {
     let params = BatchedCholeskyParams::small(n, 1024);
     let space = build_batched_cholesky_space(&params).unwrap();
     let (survivors, stats) = beast_engine::sweep::count(&space).unwrap();
-    println!(
+    outln!(
         "{} iterators, {} constraints; {survivors} survivors, {:.1}% of evaluated tuples pruned",
         space.iters().len(),
         space.constraints().len(),
         100.0 * stats.pruned_fraction()
     );
     let best = tune_batched_cholesky(&params, 5).unwrap();
-    println!("top configurations (model matrices/µs):");
+    outln!("top configurations (model matrices/µs):");
     for (score, config) in &best {
-        println!("  {score:>8.2}  {config:?}");
+        outln!("  {score:>8.2}  {config:?}");
     }
 }
 
@@ -1372,7 +1388,7 @@ fn viz(dim: i64) {
         [("funnel.svg", funnel), ("radial.svg", radial), ("dag.dot", dot)]
     {
         std::fs::write(name, &contents).expect("write visualization");
-        println!("wrote {name} ({} bytes)", contents.len());
+        outln!("wrote {name} ({} bytes)", contents.len());
     }
 }
 
@@ -1384,7 +1400,7 @@ fn search(dim: i64, sampler: beast_search::SamplerKind) {
     header(&format!(
         "§XII extension — statistical search vs exhaustive, GEMM on reduced({dim}) device"
     ));
-    println!("sampler: {sampler:?}");
+    outln!("sampler: {sampler:?}");
     use beast_engine::point::{Point, PointRef};
     use beast_gemm::pointref_to_config;
     use beast_gpu_sim::estimate;
@@ -1411,11 +1427,11 @@ fn search(dim: i64, sampler: beast_search::SamplerKind) {
     };
 
     let budget = SearchBudget { evaluations: 300, attempts_per_sample: 100_000, sampler };
-    println!(
+    outln!(
         "{:<22} {:>12} {:>12} {:>14} {:>9}",
         "method", "evals", "seconds", "best GFLOP/s", "vs exh."
     );
-    println!(
+    outln!(
         "{:<22} {:>12} {:>12.3} {:>14.1} {:>8.1}%",
         "exhaustive",
         exhaustive.survivors,
@@ -1426,7 +1442,7 @@ fn search(dim: i64, sampler: beast_search::SamplerKind) {
     let run = |name: &str, f: &dyn Fn() -> beast_search::SearchOutcome| {
         let t0 = Instant::now();
         let out = f();
-        println!(
+        outln!(
             "{:<22} {:>12} {:>12.3} {:>14.1} {:>8.1}%",
             name,
             out.evaluations,
@@ -1461,7 +1477,7 @@ fn search(dim: i64, sampler: beast_search::SamplerKind) {
 fn threads(dim: i64, only: Option<usize>, json_path: Option<String>, engine: EngineOptions) {
     header(&format!("§X-B — multithreaded sweep of the GEMM space, reduced({dim}) device"));
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    println!("(host has {cores} hardware thread(s); scaling saturates there)");
+    outln!("(host has {cores} hardware thread(s); scaling saturates there)");
     let params = GemmSpaceParams::reduced(dim);
     let space = build_gemm_space(&params).unwrap();
     let plan = Plan::new(&space, PlanOptions::default()).unwrap();
@@ -1480,7 +1496,7 @@ fn threads(dim: i64, only: Option<usize>, json_path: Option<String>, engine: Eng
         if threads == counts[0] {
             t1 = dt; // speedups are relative to the first count run
         }
-        println!(
+        outln!(
             "{threads:>2} thread(s): {dt:>8.3} s  speedup {:>5.2}x  imbalance {:>4.2}  \
              {} chunk(s) of {}  ({} survivors)",
             t1 / dt,
@@ -1493,7 +1509,7 @@ fn threads(dim: i64, only: Option<usize>, json_path: Option<String>, engine: Eng
     }
     if only.is_some() {
         // Single-count mode: print the full telemetry tables.
-        println!("\n{}", reports[0].render_text());
+        outln!("\n{}", reports[0].render_text());
     }
     if let Some(path) = json_path {
         let json = match reports.as_slice() {
@@ -1507,7 +1523,7 @@ fn threads(dim: i64, only: Option<usize>, json_path: Option<String>, engine: Eng
             eprintln!("error: cannot write SweepReport JSON to {path}: {e}");
             std::process::exit(1);
         }
-        println!("\nwrote SweepReport JSON to {path}");
+        outln!("\nwrote SweepReport JSON to {path}");
     }
 }
 
@@ -1546,7 +1562,7 @@ fn serve(args: &[String]) {
         eprintln!("error: cannot start service: {e}");
         std::process::exit(1);
     });
-    println!(
+    outln!(
         "repro serve: listening on http://{}{cache_note} (POST /shutdown to stop)",
         service.addr()
     );
@@ -1554,7 +1570,7 @@ fn serve(args: &[String]) {
         eprintln!("error: service shutdown: {e}");
         std::process::exit(1);
     }
-    println!("repro serve: stopped");
+    outln!("repro serve: stopped");
 }
 
 /// One HTTP/1.1 exchange against the daemon: send, read to EOF (the server
@@ -1659,7 +1675,7 @@ fn client(args: &[String]) {
             .and_then(|f| f.get("hash"))
             .and_then(JsonValue::as_u64)
             .unwrap_or_else(|| die(format!("run {run}: response missing fingerprint")));
-        println!(
+        outln!(
             "run {run}: survivors {}  elapsed {secs:.3} s  cache {} hit(s) / {} miss(es)  \
              fingerprint {fp:016x}",
             num("survivors"),
@@ -1672,17 +1688,17 @@ fn client(args: &[String]) {
 
     let (status, stats) = http_call(&addr, "GET", "/cache/stats", "").unwrap_or_else(|e| die(e));
     if status == 200 {
-        println!("cache stats: {stats}");
+        outln!("cache stats: {stats}");
     }
 
     if fingerprints.windows(2).any(|w| w[0] != w[1]) {
         eprintln!("error: fingerprints differ across runs: {fingerprints:?}");
         std::process::exit(4);
     }
-    println!("fingerprints identical across {runs} run(s): {}", fingerprints[0]);
+    outln!("fingerprints identical across {runs} run(s): {}", fingerprints[0]);
     if runs > 1 {
         let speedup = elapsed[0] / elapsed[runs - 1];
-        println!("warm speedup: {speedup:.1}x (cold {:.3} s, warm {:.3} s)", elapsed[0], elapsed[runs - 1]);
+        outln!("warm speedup: {speedup:.1}x (cold {:.3} s, warm {:.3} s)", elapsed[0], elapsed[runs - 1]);
         if let Some(want) = expect_speedup {
             if speedup < want {
                 eprintln!("error: warm speedup {speedup:.1}x below required {want}x");
@@ -1692,6 +1708,6 @@ fn client(args: &[String]) {
     }
     if has("--shutdown") {
         let (status, _) = http_call(&addr, "POST", "/shutdown", "").unwrap_or_else(|e| die(e));
-        println!("shutdown: HTTP {status}");
+        outln!("shutdown: HTTP {status}");
     }
 }

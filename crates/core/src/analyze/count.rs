@@ -44,6 +44,7 @@ use crate::iterator::Realized;
 use crate::value::Value;
 
 use super::congruence::{cg_of_bind, cg_of_values, eval_product, Congruence, Product};
+use super::footprint::suffix_footprints;
 
 /// Work limits for a counting run. Exceeding either limit aborts the
 /// analysis ([`Counter::total`] returns `None`) rather than degrading to an
@@ -243,80 +244,10 @@ impl<'a> Counter<'a> {
     fn build(lp: &'a LoweredPlan, budget: CountBudget, ignore_checks: bool) -> Counter<'a> {
         let space = lp.plan.space();
         let n_steps = lp.steps.len();
-        let slot_of: HashMap<&str, u32> = lp
-            .slot_names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (&**n, i as u32))
-            .collect();
-
-        // Declared dependency names of an opaque step, mapped to slots
-        // (constant deps vanish at lowering and carry no slot).
-        let deps_to_slots = |names: &BTreeSet<Arc<str>>, out: &mut BTreeSet<u32>| {
-            for n in names {
-                if let Some(&s) = slot_of.get(&**n) {
-                    out.insert(s);
-                }
-            }
-        };
-
-        // Suffix footprints: fp[i] = reads(step i) ∪ (fp[i+1] \ writes(step i)).
-        // A step's own reads happen before its write, so they are added
-        // after the write's removal.
-        let mut footprints: Vec<Arc<[u32]>> = vec![Arc::from(&[] as &[u32]); n_steps];
-        let mut fp: BTreeSet<u32> = BTreeSet::new();
-        let mut deps = BTreeSet::new();
-        for i in (0..n_steps).rev() {
-            match &lp.steps[i] {
-                LStep::Bind { slot, domain, iter, .. } => {
-                    fp.remove(slot);
-                    match domain {
-                        LIter::Range { start, stop, step } => {
-                            for e in [start, stop, step] {
-                                super::for_each_slot(e, &mut |s| {
-                                    fp.insert(s);
-                                });
-                            }
-                        }
-                        LIter::Values(_) => {}
-                        LIter::Opaque { .. } => {
-                            deps.clear();
-                            space.iters()[*iter].kind.collect_deps(&mut deps);
-                            deps_to_slots(&deps, &mut fp);
-                        }
-                    }
-                }
-                LStep::Define { slot, body, derived } => {
-                    fp.remove(slot);
-                    match body {
-                        LBody::Expr(e) => super::for_each_slot(e, &mut |s| {
-                            fp.insert(s);
-                        }),
-                        LBody::Opaque => {
-                            deps.clear();
-                            space.deriveds()[*derived].kind.collect_deps(&mut deps);
-                            deps_to_slots(&deps, &mut fp);
-                        }
-                    }
-                }
-                // In tuple mode checks never run, so their reads do not
-                // constrain the subtree: leaving them out both widens cache
-                // sharing and enables the uniform-level product shortcut.
-                LStep::Check { .. } if ignore_checks => {}
-                LStep::Check { body, constraint } => match body {
-                    LBody::Expr(e) => super::for_each_slot(e, &mut |s| {
-                        fp.insert(s);
-                    }),
-                    LBody::Opaque => {
-                        deps.clear();
-                        space.constraints()[*constraint].kind.collect_deps(&mut deps);
-                        deps_to_slots(&deps, &mut fp);
-                    }
-                },
-                LStep::Visit => {}
-            }
-            footprints[i] = fp.iter().copied().collect::<Vec<u32>>().into();
-        }
+        // In tuple mode checks never run, so their reads do not constrain
+        // the subtree: leaving them out both widens cache sharing and
+        // enables the uniform-level product shortcut.
+        let footprints = suffix_footprints(lp, !ignore_checks);
 
         // Compiled abstract programs for every expression body.
         let progs: Vec<Option<IvProg>> = lp
@@ -367,7 +298,7 @@ impl<'a> Counter<'a> {
                     LStep::Check { body: LBody::Expr(e), .. } => {
                         collect_rem_divisors(e, &mut |d| {
                             let mut ok = true;
-                            super::for_each_slot(d, &mut |s| {
+                            d.for_each_slot(&mut |s| {
                                 ok &= written_before[i][s as usize];
                             });
                             if ok {

@@ -26,6 +26,10 @@
 //! only emitted by [`analyze_with_counts`] — the engine's pre-sweep gate
 //! runs the abstract passes alone, so building an engine stays cheap.
 //!
+//! [`footprint`] holds the suffix-footprint pass — which outer slots the
+//! rest of the plan reads — shared by the counter's memo keys and the
+//! engine's replay recogniser.
+//!
 //! The congruence half ([`congruence`]) is shared with
 //! `beast_engine::compiled`'s subtree guards, where residue facts prune
 //! divisibility constraints (`% == 0`, `!=` against a multiple) that
@@ -34,6 +38,7 @@
 pub mod congruence;
 pub mod count;
 pub mod diagnostics;
+pub mod footprint;
 pub mod narrow;
 
 use crate::interval::{Interval, IvProg};
@@ -158,24 +163,6 @@ fn eval_expr(
     eval_product(&IvProg::compile(e), iv_env, cg_env, stack)
 }
 
-/// Apply `f` to every slot the expression reads.
-fn for_each_slot(e: &IntExpr, f: &mut impl FnMut(u32)) {
-    match e {
-        IntExpr::Const(_) => {}
-        IntExpr::Slot(s) => f(*s),
-        IntExpr::Neg(a) | IntExpr::Not(a) | IntExpr::Abs(a) => for_each_slot(a, f),
-        IntExpr::Bin(_, a, b) | IntExpr::Call2(_, a, b) => {
-            for_each_slot(a, f);
-            for_each_slot(b, f);
-        }
-        IntExpr::Ternary(c, t, x) => {
-            for_each_slot(c, f);
-            for_each_slot(t, f);
-            for_each_slot(x, f);
-        }
-    }
-}
-
 /// The single env walk: tracks the interval × congruence hull of every slot
 /// across the plan and emits the environment-dependent diagnostics
 /// (BE001 empty space, BE002 dead check, BE006 hoistable check, BE007
@@ -194,7 +181,7 @@ fn walk_passes(lp: &LoweredPlan, diags: &mut Vec<Diagnostic>) {
 
     let needed_level = |e: &IntExpr, slot_level: &[i64]| -> i64 {
         let mut need = -1i64;
-        for_each_slot(e, &mut |s| need = need.max(slot_level[s as usize]));
+        e.for_each_slot(&mut |s| need = need.max(slot_level[s as usize]));
         need
     };
 

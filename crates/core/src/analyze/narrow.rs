@@ -20,7 +20,6 @@
 //! answered by the engine (`beast_engine::narrow`).
 
 use crate::ir::{IntBinOp, IntExpr, LBody, LIter, LStep, LoweredPlan};
-use crate::schedule::expr_slots;
 
 /// `coeff · slot + offset` under wrapping (mod 2⁶⁴) arithmetic. `None`
 /// stands for a literal zero, so the common shapes carry no synthetic
@@ -117,9 +116,9 @@ pub fn affine_in(e: &IntExpr, slot: u32) -> Option<Affine> {
             }
         }
         _ => {
-            let mut reads = Vec::new();
-            expr_slots(e, &mut reads);
-            if reads.contains(&slot) {
+            let mut reads_slot = false;
+            e.for_each_slot(&mut |s| reads_slot |= s == slot);
+            if reads_slot {
                 return None;
             }
             whole()
@@ -167,10 +166,8 @@ pub fn narrowable_loops(lp: &LoweredPlan) -> Vec<Option<Narrowing>> {
                         LIter::Range { .. },
                         Some(LStep::Check { constraint, body: LBody::Expr(e) }),
                     ) => {
-                        let mut reads = Vec::new();
-                        expr_slots(e, &mut reads);
-                        let invariant =
-                            reads.iter().all(|&r| r == *slot || written[r as usize]);
+                        let mut invariant = true;
+                        e.for_each_slot(&mut |r| invariant &= r == *slot || written[r as usize]);
                         equality_check(e, *slot)
                             .filter(|_| invariant)
                             .map(|check| Narrowing { constraint: *constraint, check })

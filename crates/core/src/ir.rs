@@ -185,6 +185,26 @@ impl IntExpr {
         }
     }
 
+    /// Apply `f` to every slot the expression reads, in operand order (a
+    /// slot read twice is reported twice). The one slot walker: scheduling,
+    /// narrowing, footprints and the linter all read slots through it.
+    pub fn for_each_slot(&self, f: &mut impl FnMut(u32)) {
+        match self {
+            IntExpr::Const(_) => {}
+            IntExpr::Slot(s) => f(*s),
+            IntExpr::Neg(a) | IntExpr::Not(a) | IntExpr::Abs(a) => a.for_each_slot(f),
+            IntExpr::Bin(_, a, b) | IntExpr::Call2(_, a, b) => {
+                a.for_each_slot(f);
+                b.for_each_slot(f);
+            }
+            IntExpr::Ternary(c, t, x) => {
+                c.for_each_slot(f);
+                t.for_each_slot(f);
+                x.for_each_slot(f);
+            }
+        }
+    }
+
     /// Number of IR nodes — the cost proxy used by the constraint scheduler
     /// (`crate::schedule`). Tracks the length of the postfix program an
     /// engine compiles this expression to, up to peephole folding.
@@ -463,6 +483,20 @@ pub enum LStep {
     Visit,
 }
 
+impl LStep {
+    /// True if the step calls back into an opaque Rust closure: an opaque
+    /// domain, define body or check body.
+    pub fn is_opaque(&self) -> bool {
+        match self {
+            LStep::Bind { domain, .. } => domain.is_opaque(),
+            LStep::Define { body, .. } | LStep::Check { body, .. } => {
+                matches!(body, LBody::Opaque)
+            }
+            LStep::Visit => false,
+        }
+    }
+}
+
 /// A plan lowered to slots and integer expressions.
 #[derive(Debug, Clone)]
 pub struct LoweredPlan {
@@ -617,13 +651,7 @@ impl LoweredPlan {
 
     /// True if any step requires calling back into an opaque Rust closure.
     pub fn has_opaque_steps(&self) -> bool {
-        self.steps.iter().any(|s| match s {
-            LStep::Bind { domain, .. } => domain.is_opaque(),
-            LStep::Define { body, .. } | LStep::Check { body, .. } => {
-                matches!(body, LBody::Opaque)
-            }
-            LStep::Visit => false,
-        })
+        self.steps.iter().any(LStep::is_opaque)
     }
 }
 

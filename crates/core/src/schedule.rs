@@ -365,24 +365,6 @@ pub struct Region {
     pub deps: Vec<Vec<usize>>,
 }
 
-/// Collect the slots an expression reads.
-pub(crate) fn expr_slots(e: &IntExpr, out: &mut Vec<u32>) {
-    match e {
-        IntExpr::Const(_) => {}
-        IntExpr::Slot(s) => out.push(*s),
-        IntExpr::Neg(a) | IntExpr::Not(a) | IntExpr::Abs(a) => expr_slots(a, out),
-        IntExpr::Bin(_, a, b) | IntExpr::Call2(_, a, b) => {
-            expr_slots(a, out);
-            expr_slots(b, out);
-        }
-        IntExpr::Ternary(c, t, f) => {
-            expr_slots(c, out);
-            expr_slots(t, out);
-            expr_slots(f, out);
-        }
-    }
-}
-
 /// The maximal reorder-safe regions of a lowered plan.
 ///
 /// A step joins the current region only if it is inside at least one loop
@@ -480,13 +462,13 @@ fn build_region(lp: &LoweredPlan, checks: Vec<usize>, defines: Vec<usize>) -> Re
         .iter()
         .map(|&c| {
             let mut want: Vec<u32> = Vec::new();
-            expr_slots(body_of(c), &mut want);
+            body_of(c).for_each_slot(&mut |s| want.push(s));
             let mut closure = vec![false; defines.len()];
             while let Some(slot) = want.pop() {
                 if let Some(d) = def_slot.iter().position(|&s| s == slot) {
                     if !closure[d] {
                         closure[d] = true;
-                        expr_slots(body_of(defines[d]), &mut want);
+                        body_of(defines[d]).for_each_slot(&mut |s| want.push(s));
                     }
                 }
             }

@@ -534,13 +534,16 @@ pub(crate) fn blocks_json(out: &mut String, blocks: &BlockStats) {
         out,
         "{{\"subtree_skips\":{},\"congruence_skips\":{},\
          \"points_skipped\":{},\"checks_elided\":{},\
-         \"loops_solved\":{},\"points_solved\":{}}}",
+         \"loops_solved\":{},\"points_solved\":{},\
+         \"loops_replayed\":{},\"rows_replayed\":{}}}",
         blocks.subtree_skips,
         blocks.congruence_skips,
         blocks.points_skipped,
         blocks.checks_elided,
         blocks.loops_solved,
-        blocks.points_solved
+        blocks.points_solved,
+        blocks.loops_replayed,
+        blocks.rows_replayed
     );
 }
 
@@ -570,7 +573,7 @@ pub(crate) fn parse_stats(doc: &JsonValue, ctx: &str) -> Result<PruneStats, Stri
 }
 
 /// Parse a [`BlockStats`] object written by [`blocks_json`]. The narrowing
-/// counters are optional (absent ⇒ 0): checkpoints, cache files and `done`
+/// and replay counters are optional (absent ⇒ 0): checkpoints, cache files and `done`
 /// frames written before they existed still load.
 pub(crate) fn parse_blocks(doc: &JsonValue, ctx: &str) -> Result<BlockStats, String> {
     let block = |key: &str| {
@@ -589,6 +592,8 @@ pub(crate) fn parse_blocks(doc: &JsonValue, ctx: &str) -> Result<BlockStats, Str
         checks_elided: block("checks_elided")?,
         loops_solved: optional("loops_solved")?,
         points_solved: optional("points_solved")?,
+        loops_replayed: optional("loops_replayed")?,
+        rows_replayed: optional("rows_replayed")?,
     })
 }
 
@@ -788,8 +793,9 @@ mod tests {
         assert_eq!(parsed, record);
     }
 
-    /// Block counters written before the narrowing counters existed (parent
-    /// checkpoints, cache files, `done` frames) still load, as zeros.
+    /// Block counters written before the narrowing and replay counters
+    /// existed (older checkpoints, cache files, `done` frames) still load,
+    /// as zeros.
     #[test]
     fn blocks_without_narrowing_counters_still_parse() {
         let old = r#"{"subtree_skips":4,"congruence_skips":1,"points_skipped":99,"checks_elided":6}"#;
@@ -805,12 +811,20 @@ mod tests {
             }
         );
         let mut out = String::new();
-        blocks_json(&mut out, &BlockStats { loops_solved: 3, points_solved: 57, ..blocks });
-        let back = parse_blocks(&JsonValue::parse(&out).unwrap(), "test").unwrap();
-        assert_eq!((back.loops_solved, back.points_solved), (3, 57));
+        let new = BlockStats {
+            loops_solved: 3,
+            points_solved: 57,
+            loops_replayed: 2,
+            rows_replayed: 11,
+            ..blocks
+        };
+        blocks_json(&mut out, &new);
+        assert_eq!(parse_blocks(&JsonValue::parse(&out).unwrap(), "test").unwrap(), new);
         // Present but malformed is still an error, not a silent zero.
-        let bad = old.replace('}', r#","loops_solved":"many"}"#);
-        assert!(parse_blocks(&JsonValue::parse(&bad).unwrap(), "test").is_err());
+        for key in ["loops_solved", "rows_replayed"] {
+            let bad = old.replace('}', &format!(r#","{key}":"many"}}"#));
+            assert!(parse_blocks(&JsonValue::parse(&bad).unwrap(), "test").is_err());
+        }
     }
 
     #[test]
@@ -830,6 +844,8 @@ mod tests {
             checks_elided: 6,
             loops_solved: 7,
             points_solved: 140,
+            loops_replayed: 5,
+            rows_replayed: 19,
         };
         let visitor = FingerprintVisitor { hash: 0xdead_beef_dead_beef, pow: 3, count: 27 };
         let faults = vec![FaultRecord {

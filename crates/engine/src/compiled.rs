@@ -83,6 +83,7 @@ use crate::postfix::Postfix;
 use crate::fault::{CancelProbe, FaultAction, FaultInjector, FaultKind, FaultPolicy, FaultRecord};
 use crate::lanes::{EvalScratch, Lane, LaneProg, LANES};
 use crate::narrow::{self, LoopSolve};
+use crate::replay::{self, Closed};
 use crate::stats::{BlockStats, LaneStats, PruneStats};
 use crate::telemetry::{GroupSchedule, ScheduleTelemetry};
 use crate::visit::{CountVisitor, Visitor};
@@ -640,6 +641,8 @@ pub struct Compiled {
     /// Per-loop narrowing table (all `None` in the adaptive probe engine,
     /// whose regions run through reorderable group dispatch).
     narrow: Vec<Option<LoopSolve>>,
+    /// Per-loop replay table (empty, like `narrow`, in the probe engine).
+    replay: replay::Table,
     /// Calibration check groups (empty except in the adaptive probe engine).
     agroups: Vec<AGroup>,
     /// Reorder-safe groups, for telemetry (all modes).
@@ -907,10 +910,10 @@ impl Compiled {
         let (gmaster, guards) =
             build_guards(&lp, n_loops as usize, &fanout_below, opts.min_guard_fanout);
 
-        let narrow = if groups.is_empty() {
-            narrow::build_table(&lp)
+        let (narrow, replay) = if groups.is_empty() {
+            (narrow::build_table(&lp), replay::Table::build(&lp))
         } else {
-            vec![None; n_loops as usize]
+            (vec![None; n_loops as usize], replay::Table::none(n_loops as usize))
         };
         let point_names: Arc<[Arc<str>]> =
             Arc::from(lp.slot_names.clone().into_boxed_slice());
@@ -924,6 +927,7 @@ impl Compiled {
             plans,
             n_fused,
             narrow,
+            replay,
             agroups,
             sched_groups,
             point_names,
@@ -993,7 +997,26 @@ impl Compiled {
             faults: Vec::new(),
             visit_ordinal: 0,
             poll: 0,
+            replay: self.replay.new_log(self.lp.n_slots as usize),
         }
+    }
+
+    /// Record one survivor: count it, log its row for any open recording
+    /// (see [`crate::replay`]), and hand it to the visitor. Every emission
+    /// site of the engine goes through here.
+    #[inline]
+    fn emit<V: Visitor>(&self, slots: &[i64], state: &mut State<V>) {
+        state.stats.record_survivor();
+        state.replay.record(slots);
+        state.visitor.visit(&PointRef::Slots { names: &self.lp.slot_names, slots });
+    }
+
+    /// Test hook for `crate::replay`'s suites: the same engine with its
+    /// replay table swapped (declined, or recording under a tiny cap).
+    #[cfg(test)]
+    pub(crate) fn map_replay(mut self, f: impl FnOnce(replay::Table) -> replay::Table) -> Self {
+        self.replay = f(self.replay);
+        self
     }
 
     /// The adaptive schedule's calibration pass, run on the probe engine:
@@ -1555,6 +1578,21 @@ impl Compiled {
                             continue;
                         }
                     }
+                    // Replay: nothing below reads this loop's slot, so run
+                    // the body for the first value with a recording open and
+                    // let `Next` re-emit its survivors for the other values
+                    // (see `crate::replay`). Loops the lane tier just took
+                    // never get here, so lane telemetry is unchanged; with an
+                    // injector attached faults are keyed on visit ordinals.
+                    if self.replay.replays(l) && len >= 2 && ctx.injector.is_none() {
+                        state.replay.open(
+                            *loop_id,
+                            state.faults.len(),
+                            &mut state.stats,
+                            &mut state.blocks,
+                            &mut state.lanes,
+                        );
+                    }
                     slots[*slot as usize] = first;
                     ip += 1;
                 }
@@ -1572,6 +1610,43 @@ impl Compiled {
                         }
                     }
                     let f = &mut frames[*loop_id as usize];
+                    // A recording this entry opened (and nothing abandoned
+                    // since): replay the remaining values instead of
+                    // advancing through them.
+                    if state.replay.is_open(*loop_id) {
+                        let names = &self.lp.slot_names;
+                        let State { replay, stats, blocks, lanes, visitor, faults, poll, .. } =
+                            &mut *state;
+                        let closed = replay.close(
+                            *slot,
+                            slots[*slot as usize],
+                            faults.len(),
+                            || advance_frame(f),
+                            stats,
+                            blocks,
+                            lanes,
+                            |row| {
+                                visitor.visit(&PointRef::Slots { names, slots: row });
+                                // One poll tick per replayed point, as one
+                                // per loop advance elsewhere.
+                                *poll += u32::from(poll_cancel);
+                                *poll >= CANCEL_POLL_EVERY && {
+                                    *poll = 0;
+                                    ctx.cancel.is_some_and(|p| p.cancelled())
+                                }
+                            },
+                        );
+                        match closed {
+                            Closed::Replayed(last) => {
+                                slots[*slot as usize] = last;
+                                state.elide = f.saved_elide;
+                                ip += 1;
+                                continue;
+                            }
+                            Closed::Cancelled => return Err(EvalError::Cancelled),
+                            Closed::Declined => {}
+                        }
+                    }
                     match advance_frame(f) {
                         Some(v) => {
                             slots[*slot as usize] = v;
@@ -1749,9 +1824,7 @@ impl Compiled {
                             );
                         }
                     }
-                    state.stats.record_survivor();
-                    let view = PointRef::Slots { names: &self.lp.slot_names, slots };
-                    state.visitor.visit(&view);
+                    self.emit(slots, state);
                     ip += 1;
                 }
                 Op::Halt => return Ok(()),
@@ -2008,14 +2081,7 @@ impl Compiled {
                         slots[plan.rows[r] as usize] = scr.lrows[r][i];
                     }
                     match plan.descend {
-                        None => {
-                            state.stats.record_survivor();
-                            let view = PointRef::Slots {
-                                names: &self.lp.slot_names,
-                                slots,
-                            };
-                            state.visitor.visit(&view);
-                        }
+                        None => self.emit(slots, state),
                         Some(d) => self.exec_frames(
                             d as usize,
                             plan.next_ip as usize,
@@ -2086,12 +2152,7 @@ impl Compiled {
                         }
                         LaneStep::Visit => {
                             if scr.lmasks[si][0] & bit != 0 {
-                                state.stats.record_survivor();
-                                let view = PointRef::Slots {
-                                    names: &self.lp.slot_names,
-                                    slots,
-                                };
-                                state.visitor.visit(&view);
+                                self.emit(slots, state);
                             }
                         }
                         LaneStep::Check { .. } => {}
@@ -2192,9 +2253,7 @@ impl Compiled {
                     // No injector here: the batch tier is disabled whenever
                     // one is attached, so this mirrors the scalar arm with
                     // `ctx.injector == None` (no ordinal advance).
-                    state.stats.record_survivor();
-                    let view = PointRef::Slots { names: &self.lp.slot_names, slots };
-                    state.visitor.visit(&view);
+                    self.emit(slots, state);
                     ip += 1;
                 }
                 other => unreachable!("non-batchable op {other:?} in a batched body"),
@@ -2970,6 +3029,8 @@ struct State<V> {
     visit_ordinal: u64,
     /// Countdown for intra-chunk cancel polling (see `CANCEL_POLL_EVERY`).
     poll: u32,
+    /// Open recordings and their survivor log (see [`crate::replay`]).
+    replay: replay::Log,
 }
 
 impl<V> State<V> {

@@ -47,6 +47,7 @@ pub mod native;
 pub mod parallel;
 pub mod point;
 pub mod postfix;
+mod replay;
 pub mod service;
 pub mod stats;
 pub mod sweep;

@@ -63,6 +63,16 @@ pub struct BlockStats {
     /// Loop values covered by those solved entries (the sum of their
     /// realized range lengths) — check evaluations credited, not executed.
     pub points_solved: u64,
+    /// Replay events: a loop whose variable nothing below it reads ran its
+    /// body for the first value only, and the survivors that pass recorded
+    /// were re-emitted for every other value (see `crate::replay`). Counted
+    /// where a replay executes — never scaled by an enclosing replay — so
+    /// the number is exact and chunk-grid invariant.
+    pub loops_replayed: u64,
+    /// Survivor visits emitted from a recording instead of by evaluation;
+    /// `PruneStats::survivors` minus this is the number of survivors the
+    /// engine actually evaluated.
+    pub rows_replayed: u64,
 }
 
 impl BlockStats {
@@ -74,6 +84,32 @@ impl BlockStats {
         self.checks_elided += other.checks_elided;
         self.loops_solved += other.loops_solved;
         self.points_solved += other.points_solved;
+        self.loops_replayed += other.loops_replayed;
+        self.rows_replayed += other.rows_replayed;
+    }
+
+    /// The `block pruning:` line of sweep and funnel reports; `None` when
+    /// the block pruner, narrowing and replay all had nothing to do.
+    pub fn render_line(&self) -> Option<String> {
+        let active = self.subtree_skips > 0
+            || self.checks_elided > 0
+            || self.loops_solved > 0
+            || self.loops_replayed > 0;
+        active.then(|| {
+            format!(
+                "block pruning: {} subtree skips ({} by congruence, ≥ {} points never enumerated), \
+                 {} checks elided, {} loops solved ({} values never enumerated), \
+                 {} loops replayed ({} survivors re-emitted)",
+                self.subtree_skips,
+                self.congruence_skips,
+                self.points_skipped,
+                self.checks_elided,
+                self.loops_solved,
+                self.points_solved,
+                self.loops_replayed,
+                self.rows_replayed
+            )
+        })
     }
 }
 

@@ -206,6 +206,11 @@ pub struct SweepReport {
     /// Loop values those solved entries covered — check evaluations
     /// credited to `evaluated` without being executed.
     pub points_solved: u64,
+    /// Replay events: loops nothing below reads, whose body ran for the
+    /// first value only (see [`BlockStats::loops_replayed`]).
+    pub loops_replayed: u64,
+    /// Survivor visits re-emitted from a recording instead of evaluated.
+    pub rows_replayed: u64,
     /// Chunks satisfied from the sub-sweep cache instead of re-enumeration
     /// (0 unless the sweep ran under `crate::service`'s memo).
     pub cache_hits: u64,
@@ -307,6 +312,8 @@ impl SweepReport {
             checks_elided: blocks.checks_elided,
             loops_solved: blocks.loops_solved,
             points_solved: blocks.points_solved,
+            loops_replayed: blocks.loops_replayed,
+            rows_replayed: blocks.rows_replayed,
             cache_hits: 0,
             cache_misses: 0,
             lanes: LaneStats::default(),
@@ -395,6 +402,10 @@ impl SweepReport {
         json_num(&mut out, "loops_solved", self.loops_solved as f64);
         out.push(',');
         json_num(&mut out, "points_solved", self.points_solved as f64);
+        out.push(',');
+        json_num(&mut out, "loops_replayed", self.loops_replayed as f64);
+        out.push(',');
+        json_num(&mut out, "rows_replayed", self.rows_replayed as f64);
         out.push(',');
         json_num(&mut out, "cache_hits", self.cache_hits as f64);
         out.push(',');
@@ -576,17 +587,18 @@ impl SweepReport {
             self.pruned,
             self.imbalance()
         );
-        if self.subtree_skips > 0 || self.checks_elided > 0 || self.loops_solved > 0 {
-            let _ = writeln!(
-                out,
-                "block pruning: {} subtree skips ({} by congruence, ≥ {} points never enumerated), {} checks elided, {} loops solved ({} values never enumerated)",
-                self.subtree_skips,
-                self.congruence_skips,
-                self.points_skipped,
-                self.checks_elided,
-                self.loops_solved,
-                self.points_solved
-            );
+        let blocks = BlockStats {
+            subtree_skips: self.subtree_skips,
+            congruence_skips: self.congruence_skips,
+            points_skipped: self.points_skipped,
+            checks_elided: self.checks_elided,
+            loops_solved: self.loops_solved,
+            points_solved: self.points_solved,
+            loops_replayed: self.loops_replayed,
+            rows_replayed: self.rows_replayed,
+        };
+        if let Some(line) = blocks.render_line() {
+            let _ = writeln!(out, "{line}");
         }
         if self.cache_hits + self.cache_misses > 0 {
             let _ = writeln!(
@@ -861,6 +873,8 @@ mod tests {
             checks_elided: 5,
             loops_solved: 4,
             points_solved: 76,
+            loops_replayed: 2,
+            rows_replayed: 9,
         };
         let schedule = ScheduleTelemetry {
             mode: "adaptive".to_string(),
@@ -936,6 +950,8 @@ mod tests {
             "\"checks_elided\":5",
             "\"loops_solved\":4",
             "\"points_solved\":76",
+            "\"loops_replayed\":2",
+            "\"rows_replayed\":9",
             "\"lint\":{\"errors\":0,\"warnings\":2,\"infos\":5}",
             "\"schedule_rank\":",
             "\"schedule\":{\"mode\":\"adaptive\"",
@@ -1022,8 +1038,8 @@ mod tests {
     }
 
     /// The lint block degrades to an explicit `null` (not a missing key)
-    /// when the gate skipped the analyzer, and the congruence and narrowing
-    /// counters sit next to `subtree_skips` in the pinned key order.
+    /// when the gate skipped the analyzer, and the congruence, narrowing and
+    /// replay counters sit next to `subtree_skips` in the pinned key order.
     #[test]
     fn lint_block_and_congruence_counter_have_pinned_shape() {
         let mut r = sample_report();
@@ -1031,7 +1047,8 @@ mod tests {
         assert!(
             json.contains(
                 "\"subtree_skips\":3,\"congruence_skips\":1,\"points_skipped\":120,\
-                 \"checks_elided\":5,\"loops_solved\":4,\"points_solved\":76,\"cache_hits\""
+                 \"checks_elided\":5,\"loops_solved\":4,\"points_solved\":76,\
+                 \"loops_replayed\":2,\"rows_replayed\":9,\"cache_hits\""
             ),
             "block-pruning key order changed: {json}"
         );
@@ -1041,6 +1058,7 @@ mod tests {
         let text = sample_report().render_text();
         assert!(text.contains("3 subtree skips (1 by congruence"), "{text}");
         assert!(text.contains("5 checks elided, 4 loops solved (76 values never enumerated)"), "{text}");
+        assert!(text.contains("2 loops replayed (9 survivors re-emitted)"), "{text}");
         assert!(text.contains("lint: 0 error(s), 2 warning(s), 5 info(s)"), "{text}");
     }
 

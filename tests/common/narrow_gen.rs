@@ -1,7 +1,9 @@
 //! The seeded space generator of the loop-narrowing suites: shared by
-//! `tests/narrowing.rs` (compiled engine vs VM / walker) and
-//! `tests/cross_backend.rs` (narrowed native C worker vs the same oracles),
-//! which include this file by path.
+//! `tests/narrowing.rs` (compiled engine vs VM / walker),
+//! `tests/cross_backend.rs` (narrowed native C worker vs the same oracles)
+//! and `tests/replay.rs` (its `y` loop is read by nothing whenever `dy` is
+//! absent), which include this file by path. `replay_gen.rs` draws from the
+//! same [`Lcg`].
 
 use std::sync::Arc;
 
@@ -9,17 +11,17 @@ use beast::prelude::*;
 
 /// Seeded generator (the vendored `rand` shim would do; a local LCG keeps
 /// the seeds stable across shim changes).
-struct Lcg(u64);
+pub struct Lcg(pub u64);
 
 impl Lcg {
     fn next(&mut self) -> u64 {
         self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
         self.0 >> 33
     }
-    fn below(&mut self, n: usize) -> usize {
+    pub fn below(&mut self, n: usize) -> usize {
         self.next() as usize % n
     }
-    fn of<T: Clone>(&mut self, xs: &[T]) -> T {
+    pub fn of<T: Clone>(&mut self, xs: &[T]) -> T {
         xs[self.below(xs.len())].clone()
     }
 }

@@ -195,10 +195,16 @@ fn intervals_on_and_off_agree_at_every_thread_count() {
                 "{name}: intervals *increased* rejections of constraint {i}"
             );
         }
-        // Loop narrowing is not an interval feature: it stays on, and its
-        // two counters are all an intervals-off run may report.
+        // Loop narrowing and replay are not interval features: they stay
+        // on, and their counters are all an intervals-off run may report.
         assert_eq!(
-            BlockStats { loops_solved: 0, points_solved: 0, ..serial_off.blocks },
+            BlockStats {
+                loops_solved: 0,
+                points_solved: 0,
+                loops_replayed: 0,
+                rows_replayed: 0,
+                ..serial_off.blocks
+            },
             BlockStats::default(),
             "{name}: off mode counted blocks"
         );
@@ -542,8 +548,10 @@ fn native_tier_matches_compiled_bit_for_bit() {
             "native PruneStats diverged from declared-order compiled at {threads} threads"
         );
         assert!(normalized.blocks.loops_solved > 0, "reduced(16) solves its reshape loops");
+        // The worker neither guards nor replays: compare what both define.
         assert_eq!(
-            par.blocks, normalized.blocks,
+            par.blocks,
+            BlockStats { loops_replayed: 0, rows_replayed: 0, ..normalized.blocks },
             "native narrowing counters diverged from the fallback engine's at {threads} threads"
         );
         assert_eq!(report.loops_solved, normalized.blocks.loops_solved);

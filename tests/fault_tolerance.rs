@@ -254,6 +254,157 @@ fn narrowed_loops_fault_exactly_like_enumerated_ones() {
     }
 }
 
+/// A space whose `u` and `v` loops are read by nothing, so the engine
+/// replays them (`spelled` = false) — or, with `u - u` spelled into a later
+/// bind bound (never folded, always zero), enumerates `u` like any other
+/// loop (`spelled` = true). Same names, same evaluation order, same
+/// survivors — and `bad` divides by zero at `o = 2, x = 3` (one chunk, so an
+/// aborting sweep has one error to report at any thread count), inside `u`'s
+/// body and outside `v`'s.
+fn replayable_space(spelled: bool) -> LoweredPlan {
+    let y_stop = if spelled { lit(4) + (var("u") - var("u")) } else { lit(4) };
+    let space = Space::builder("ft_replay")
+        .range("o", 0, 6)
+        .range("u", 0, 3)
+        .range("x", 1, 8)
+        .derived(
+            "bad",
+            lit(12) / ((var("x") - 3) * (var("x") - 3) + (var("o") - 2) * (var("o") - 2)),
+        )
+        .constraint("big", ConstraintClass::Hard, var("bad").gt(5))
+        .range("v", 0, 2)
+        .range("y", 0, y_stop)
+        .constraint("odd", ConstraintClass::Soft, ((var("x") + var("y")) % 2).ne(0))
+        .build()
+        .unwrap();
+    let order = LoopOrder::Explicit(["o", "u", "x", "v", "y"].map(String::from).to_vec());
+    let plan = Plan::new(&space, PlanOptions { order, ..PlanOptions::default() }).unwrap();
+    LoweredPlan::new(&plan).unwrap()
+}
+
+/// Replay under every fault policy, with and without the injector: a body
+/// that faults abandons its recording and every value faults for itself,
+/// so the replaying engine reports the same survivors, counters and
+/// `FaultRecord`s — sites, ordinals, bindings, order — as the enumerating
+/// reference, while the fault-free `v` loop below the fault site still
+/// replays. With an injector attached nothing replays at all.
+#[test]
+fn replayed_loops_fault_exactly_like_enumerated_ones() {
+    let (replayed, reference) = (replayable_space(false), replayable_space(true));
+    let policies = [
+        FaultPolicy::SkipPoint,
+        FaultPolicy::Retry { max: 1, backoff_ms: 0 },
+        FaultPolicy::QuarantineChunk,
+        FaultPolicy::Abort,
+    ];
+    for policy in policies {
+        for inject in [false, true] {
+            for threads in THREAD_COUNTS {
+                let run = |lp: &LoweredPlan| {
+                    let mut o = opts(threads);
+                    o.chunk_count = 3;
+                    o.fault_policy = policy;
+                    if inject {
+                        o.injector = Some(FaultInjector::new(7).error_rate(0.05));
+                    }
+                    run_parallel_report(lp, &o, FingerprintVisitor::default)
+                };
+                let at = format!("{policy:?}, inject={inject}, {threads} threads");
+                match (run(&replayed), run(&reference)) {
+                    (Ok((n, n_report)), Ok((r, r_report))) => {
+                        assert_ne!(policy, FaultPolicy::Abort, "{at}: o = 2, x = 3 must fault");
+                        assert_eq!(n.visitor, r.visitor, "{at}: fingerprint");
+                        assert_eq!(n.stats, r.stats, "{at}: PruneStats");
+                        assert_eq!(n_report.faults, r_report.faults, "{at}: fault records");
+                        assert_eq!(n_report.fault_counters, r_report.fault_counters, "{at}");
+                        assert!(
+                            n_report.faults.iter().any(|f| f.site == "bad"),
+                            "{at}: the faulting define never fired"
+                        );
+                        // Replay is invisible in every other counter, and
+                        // happens: `v` on both sides, `u` only in the plain
+                        // spelling and only where its body did not fault.
+                        let quiet = |b: BlockStats| BlockStats {
+                            loops_replayed: 0,
+                            rows_replayed: 0,
+                            ..b
+                        };
+                        assert_eq!(quiet(n.blocks), quiet(r.blocks), "{at}: BlockStats");
+                        assert_eq!(n.blocks.loops_replayed > 0, !inject, "{at}");
+                        assert_eq!(r.blocks.loops_replayed > 0, !inject, "{at}");
+                        assert_eq!(n.blocks.rows_replayed > r.blocks.rows_replayed, !inject, "{at}");
+                    }
+                    (Err(n), Err(r)) => {
+                        assert_eq!(policy, FaultPolicy::Abort, "{at}: {n}");
+                        // Injected faults hit every chunk; with threads to
+                        // race, which chunk aborts the sweep first is open.
+                        if !inject || threads == 1 {
+                            assert_eq!(n.to_string(), r.to_string(), "{at}: abort error");
+                        }
+                    }
+                    (n, r) => panic!("{at}: one side failed: {:?} vs {:?}", n.is_ok(), r.is_ok()),
+                }
+            }
+        }
+    }
+    // The premise: the plain spelling may replay `u` and `v`, the reference
+    // only `v` (loops in nest order: o u x v y).
+    use beast::core::analyze::footprint::replayable_loops;
+    assert_eq!(replayable_loops(&replayed), [false, true, false, true, false]);
+    assert_eq!(replayable_loops(&reference), [false, false, false, true, false]);
+}
+
+/// A visitor that trips a cancel token on its `after`-th survivor.
+struct CancelAfter {
+    token: Arc<CancelToken>,
+    after: u64,
+    seen: u64,
+}
+
+impl Visitor for CancelAfter {
+    fn visit(&mut self, _: &PointRef<'_>) {
+        self.seen += 1;
+        if self.seen == self.after {
+            self.token.cancel();
+        }
+    }
+
+    fn merge(&mut self, other: Self) {
+        self.seen += other.seen;
+    }
+}
+
+/// Cancel mid-replay: one chunk whose 5000 survivors are one evaluated
+/// point and 4999 replayed rows. The token trips on the tenth survivor;
+/// only the replay's own poll can notice before the chunk completes (its
+/// two loop advances are far below the poll cadence), so the chunk is
+/// dropped and the sweep degrades to partial.
+#[test]
+fn cancel_mid_replay_drops_the_chunk() {
+    let space = Space::builder("ft_replay_cancel")
+        .range("o", 0, 1)
+        .range("u", 0, 5000)
+        .build()
+        .unwrap();
+    let lp = LoweredPlan::new(&Plan::new(&space, PlanOptions::default()).unwrap()).unwrap();
+    let mut o = opts(1);
+    o.engine = EngineOptions::no_batch();
+    let (full, report) = run_parallel_report(&lp, &o, CountVisitor::default).unwrap();
+    assert_eq!((full.visitor.count, report.rows_replayed, report.partial), (5000, 4999, false));
+
+    let token = Arc::new(CancelToken::new());
+    o.cancel = Some(token.clone());
+    let (out, report) = run_parallel_report(&lp, &o, || CancelAfter {
+        token: token.clone(),
+        after: 10,
+        seen: 0,
+    })
+    .unwrap();
+    assert!(report.partial, "the cancel was not noticed inside the replay");
+    assert_eq!(out.visitor.seen, 0, "a cancelled chunk must not be folded");
+    assert_eq!(out.stats.survivors, 0);
+}
+
 /// An already-expired deadline degrades to an empty partial result instead
 /// of an error — the graceful-degradation contract.
 #[test]
