@@ -1,10 +1,10 @@
 //! Ablation: constraint-schedule modes on the full GEMM sweep — the
-//! declared plan order vs the cost-model static order vs online adaptive
-//! re-sorting.
+//! declared plan order vs the adaptive order (cost-model seed, re-sorted by
+//! one calibration pass at engine-build time).
 //!
 //! Before timing anything, the invariant the scheduler is sold on is
 //! asserted: identical survivor count *and identical visit order* across
-//! all three modes, at 1/2/8 threads, with interval pruning on and off.
+//! both modes, at 1/2/8 threads, with interval pruning on and off.
 //! Then each mode is timed (criterion, serial sweep, both interval
 //! settings) and a `schedule_ablation` JSON record with the median
 //! wall-clock per mode is appended to `BENCH_sweep.json` (run the
@@ -24,8 +24,7 @@ use beast_engine::visit::{CountVisitor, Visitor};
 use beast_gemm::{build_gemm_space, GemmSpaceParams};
 
 const DIM: i64 = 16;
-const MODES: [ScheduleMode; 3] =
-    [ScheduleMode::Declared, ScheduleMode::Static, ScheduleMode::Adaptive];
+const MODES: [ScheduleMode; 2] = [ScheduleMode::Declared, ScheduleMode::Adaptive];
 
 /// Order-sensitive survivor fingerprint: an FNV-style rolling hash over the
 /// visited points *in order* (chunk merges fold partial hashes in chunk

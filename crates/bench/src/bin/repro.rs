@@ -76,8 +76,7 @@
 //! repro bench-native [DIM]
 //!                         §XI        native-tier ablation: GEMM sweep via
 //!                                    the runtime-native C worker vs the
-//!                                    in-process compiled engine vs the
-//!                                    scalar (--no-batch) engine, with
+//!                                    in-process compiled engine, with
 //!                                    fingerprint equality asserted before
 //!                                    any timing is reported
 //! repro serve [--addr A] [--threads N] [--executors E] [--chunks M]
@@ -109,23 +108,18 @@
 //! the `ablation_congruence` benchmark. Survivors are identical either way;
 //! only `congruence_skips` drops to zero.
 //!
-//! The global `--no-batch` flag disables the compiled engine's batched lane
-//! tier *and* superinstruction fusion, reproducing the pre-batching scalar
-//! engine — the ablation knob behind the `ablation_batch` benchmark.
-//! Survivors, emission order and pruning statistics are bit-identical either
-//! way; only the `lane_evals`/`lanes_masked`/`scalar_fallbacks`/`super_hits`
-//! telemetry drops to zero. The lane tier composes with every schedule
-//! mode, this binary's adaptive default included.
-//!
-//! The global `--schedule {declared,static,adaptive}` flag picks the
+//! The global `--schedule {declared,adaptive}` flag picks the
 //! constraint-schedule mode for the same subcommands (default: `adaptive`,
 //! the profile-guided mode behind the `ablation_schedule` benchmark: one
 //! bounded calibration pass at engine-build time measures kill rates, and
-//! the learned order is compiled into the same batched op stream a declared
+//! the learned order is compiled into the same scalar op stream a declared
 //! schedule runs). The initial and learned per-level check orders are
 //! printed alongside the results; survivors and emission order are
-//! identical in every mode, and all counters are identical at every thread
-//! and chunk count. Composes with `--no-intervals` and `--no-batch`.
+//! identical in both modes, and all counters are identical at every thread
+//! and chunk count. Composes with `--no-intervals` and `--no-congruence`.
+//!
+//! Any other `--flag` a subcommand does not read is an error (exit 2), so a
+//! typo such as `--thread 2` never silently runs the defaults.
 //!
 //! The global `--engine {walker,compiled,native}` flag picks the evaluation
 //! tier for `sweep` (default: `compiled`). `native` lowers the plan to a
@@ -202,12 +196,10 @@ fn main() {
     args.retain(|a| a != "--no-intervals");
     let no_congruence = args.iter().any(|a| a == "--no-congruence");
     args.retain(|a| a != "--no-congruence");
-    let no_batch = args.iter().any(|a| a == "--no-batch");
-    args.retain(|a| a != "--no-batch");
     let mut schedule = ScheduleMode::Adaptive;
     if let Some(i) = args.iter().position(|a| a == "--schedule") {
         let Some(value) = args.get(i + 1) else {
-            eprintln!("error: --schedule needs a value: declared, static or adaptive");
+            eprintln!("error: --schedule needs a value: declared or adaptive");
             std::process::exit(2);
         };
         schedule = value.parse().unwrap_or_else(|e| {
@@ -234,7 +226,6 @@ fn main() {
         EngineOptions::default()
     };
     engine.congruence = !no_congruence;
-    engine.batch = !no_batch;
     engine.schedule = schedule;
     engine.engine = tier;
     let cmd = args.first().map(String::as_str).unwrap_or("all");
@@ -258,13 +249,17 @@ fn main() {
         "headline" => headline(arg_num(32) as i64, engine),
         "funnel" => funnel(arg_num(32) as i64, engine),
         "table1" => table1(),
-        "threads" => threads(
-            arg_num(48) as i64,
-            flag("--threads").and_then(|s| s.parse().ok()),
-            flag("--json"),
-            engine,
-        ),
+        "threads" => {
+            reject_unknown_flags(&args, &[("--threads", true), ("--json", true)]);
+            threads(
+                arg_num(48) as i64,
+                flag("--threads").and_then(|s| s.parse().ok()),
+                flag("--json"),
+                engine,
+            )
+        }
         "search" => {
+            reject_unknown_flags(&args, &[("--sampler", true)]);
             let sampler = match flag("--sampler").as_deref() {
                 None | Some("rejection") => beast_search::SamplerKind::Rejection,
                 Some("direct") => beast_search::SamplerKind::Direct,
@@ -280,14 +275,16 @@ fn main() {
         }
         "viz" => viz(arg_num(24) as i64),
         "batched" => batched(arg_num(32) as i64),
-        "lint" => lint(
-            args.get(1).filter(|s| !s.starts_with("--")).and_then(|s| s.parse().ok()),
-            flag("--json"),
-        ),
-        "count" => count(
-            args.get(1).filter(|s| !s.starts_with("--")).and_then(|s| s.parse().ok()),
-            flag("--json"),
-        ),
+        "lint" | "count" => {
+            reject_unknown_flags(&args, &[("--json", true)]);
+            let dim =
+                args.get(1).filter(|s| !s.starts_with("--")).and_then(|s| s.parse().ok());
+            if cmd == "lint" {
+                lint(dim, flag("--json"))
+            } else {
+                count(dim, flag("--json"))
+            }
+        }
         "sweep" => sweep(&args, engine),
         "distribute" => distribute(&args, engine),
         "worker" => worker_mode(&args, engine),
@@ -313,6 +310,29 @@ fn main() {
         other => {
             eprintln!("unknown subcommand `{other}`; see the module docs");
             std::process::exit(2);
+        }
+    }
+}
+
+/// Exit 2 on the first `--flag` among a subcommand's arguments that `known`
+/// — `(name, takes a value)` — does not list, so a typo never silently runs
+/// the defaults. `main` has already consumed the global engine flags.
+fn reject_unknown_flags(args: &[String], known: &[(&str, bool)]) {
+    let mut rest = args.iter().skip(1);
+    while let Some(arg) = rest.next() {
+        if !arg.starts_with("--") {
+            continue;
+        }
+        match known.iter().find(|(name, _)| name == arg) {
+            Some((_, takes_value)) => {
+                if *takes_value {
+                    rest.next();
+                }
+            }
+            None => {
+                eprintln!("error: unknown flag `{arg}` for `repro {}`", args[0]);
+                std::process::exit(2);
+            }
         }
     }
 }
@@ -887,6 +907,25 @@ fn finish_sweep(
 // ---------------------------------------------------------------------------
 
 fn sweep(args: &[String], engine: EngineOptions) {
+    reject_unknown_flags(
+        args,
+        &[
+            ("--threads", true),
+            ("--chunks", true),
+            ("--policy", true),
+            ("--seed", true),
+            ("--inject-errors", true),
+            ("--inject-panics", true),
+            ("--transient", false),
+            ("--checkpoint", true),
+            ("--resume", false),
+            ("--every", true),
+            ("--deadline", true),
+            ("--stop-after", true),
+            ("--json", true),
+            ("--verify", false),
+        ],
+    );
     let flags = Flags(args);
     let dim = flags.dim();
     let mut opts = ParallelOptions::new(flags.uint("--threads", 4).max(1) as usize);
@@ -999,22 +1038,32 @@ fn worker_engine_flags(engine: EngineOptions) -> Vec<String> {
     if !engine.congruence {
         flags.push("--no-congruence".to_string());
     }
-    if !engine.batch {
-        flags.push("--no-batch".to_string());
-    }
     flags.push("--schedule".to_string());
-    flags.push(
-        match engine.schedule {
-            ScheduleMode::Declared => "declared",
-            ScheduleMode::Static => "static",
-            ScheduleMode::Adaptive => "adaptive",
-        }
-        .to_string(),
-    );
+    flags.push(engine.schedule.to_string());
     flags
 }
 
 fn distribute(args: &[String], engine: EngineOptions) {
+    reject_unknown_flags(
+        args,
+        &[
+            ("--workers", true),
+            ("--chunks", true),
+            ("--policy", true),
+            ("--heartbeat-ms", true),
+            ("--retry", true),
+            ("--backoff", true),
+            ("--restarts", true),
+            ("--checkpoint", true),
+            ("--resume", false),
+            ("--every", true),
+            ("--stop-after", true),
+            ("--json", true),
+            ("--chaos-kill-after", true),
+            ("--die-after", true),
+            ("--stall-after", true),
+        ],
+    );
     let flags = Flags(args);
     let dim = flags.dim();
 
@@ -1070,6 +1119,7 @@ fn distribute(args: &[String], engine: EngineOptions) {
 /// stdin/stdout until `bye` or EOF. Spawned by `repro distribute`; all
 /// diagnostics go to stderr (stdout carries frames only).
 fn worker_mode(args: &[String], engine: EngineOptions) {
+    reject_unknown_flags(args, &[("--die-after", true), ("--stall-after", true)]);
     let flags = Flags(args);
     let ordinal = |name: &str| flags.get(name).and_then(|s| s.parse().ok());
     let chaos =
@@ -1112,8 +1162,6 @@ fn bench_native(dim: i64, engine: EngineOptions) {
     native_engine.engine = EngineTier::Native;
     let mut compiled_engine = engine;
     compiled_engine.engine = EngineTier::Compiled;
-    let mut scalar_engine = compiled_engine;
-    scalar_engine.batch = false;
 
     // Warmup run: populates the on-disk artifact cache so the timed native
     // run measures dispatch + evaluation, not the one-off gcc invocation.
@@ -1134,15 +1182,10 @@ fn bench_native(dim: i64, engine: EngineOptions) {
 
     let (t_native, fp_native, report_native) = run_tier(native_engine);
     let (t_compiled, fp_compiled, _) = run_tier(compiled_engine);
-    let (t_scalar, fp_scalar, _) = run_tier(scalar_engine);
 
     // Bit-identity is asserted before a single number is reported: a timing
     // table over divergent sweeps would be meaningless.
-    for (label, fp) in [
-        ("native warmup", &warm_fp),
-        ("native", &fp_native),
-        ("scalar (--no-batch)", &fp_scalar),
-    ] {
+    for (label, fp) in [("native warmup", &warm_fp), ("native", &fp_native)] {
         assert_eq!(
             (fp.count, fp.hash),
             (fp_compiled.count, fp_compiled.hash),
@@ -1156,11 +1199,7 @@ fn bench_native(dim: i64, engine: EngineOptions) {
 
     let rate = |t: f64| (fp_compiled.count as f64) / t / 1e3;
     outln!("{:<22} {:>10} {:>14} {:>10}", "engine", "time (s)", "survivors/ms", "vs native");
-    for (label, t) in [
-        ("native (C worker)", t_native),
-        ("compiled (in-proc)", t_compiled),
-        ("scalar (--no-batch)", t_scalar),
-    ] {
+    for (label, t) in [("native (C worker)", t_native), ("compiled (in-proc)", t_compiled)] {
         outln!(
             "{:<22} {:>10.3} {:>14.1} {:>9.2}x",
             label,
@@ -1532,6 +1571,16 @@ fn threads(dim: i64, only: Option<usize>, json_path: Option<String>, engine: Eng
 // ---------------------------------------------------------------------------
 
 fn serve(args: &[String]) {
+    reject_unknown_flags(
+        args,
+        &[
+            ("--addr", true),
+            ("--threads", true),
+            ("--executors", true),
+            ("--chunks", true),
+            ("--cache", true),
+        ],
+    );
     let flag = |name: &str| -> Option<String> {
         args.iter()
             .position(|a| a == name)
@@ -1620,6 +1669,10 @@ fn http_call(addr: &str, method: &str, path: &str, body: &str) -> Result<(u16, S
 }
 
 fn client(args: &[String]) {
+    reject_unknown_flags(
+        args,
+        &[("--addr", true), ("--runs", true), ("--expect-speedup", true), ("--shutdown", false)],
+    );
     let flag = |name: &str| -> Option<String> {
         args.iter()
             .position(|a| a == name)

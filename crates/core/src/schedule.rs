@@ -51,13 +51,11 @@ pub enum ScheduleMode {
     /// order the planner emitted them.
     #[default]
     Declared,
-    /// Cost-model order: each reorder-safe group sorted by ascending
-    /// expected-cost-to-kill at plan-lowering time ([`static_schedule`]).
-    Static,
-    /// Static order as the starting point, then re-sorted by the kill rates
-    /// observed in one bounded calibration pass at engine-build time — a
-    /// pure function of plan and options, so every thread, chunk and worker
-    /// process runs the same learned order.
+    /// The cost-model order ([`static_schedule`]: each reorder-safe group
+    /// by ascending expected-cost-to-kill) as the starting point, then
+    /// re-sorted by the kill rates observed in one bounded calibration pass
+    /// at engine-build time — a pure function of plan and options, so every
+    /// thread, chunk and worker process runs the same learned order.
     Adaptive,
 }
 
@@ -66,7 +64,6 @@ impl ScheduleMode {
     pub fn as_str(self) -> &'static str {
         match self {
             ScheduleMode::Declared => "declared",
-            ScheduleMode::Static => "static",
             ScheduleMode::Adaptive => "adaptive",
         }
     }
@@ -84,10 +81,9 @@ impl std::str::FromStr for ScheduleMode {
     fn from_str(s: &str) -> Result<ScheduleMode, String> {
         match s {
             "declared" => Ok(ScheduleMode::Declared),
-            "static" => Ok(ScheduleMode::Static),
             "adaptive" => Ok(ScheduleMode::Adaptive),
             other => Err(format!(
-                "unknown schedule mode `{other}` (expected declared, static or adaptive)"
+                "unknown schedule mode `{other}` (expected declared or adaptive)"
             )),
         }
     }

@@ -504,7 +504,7 @@ pub(crate) fn write_checkpoint<V: SaveState>(
         .map_err(|e| format!("cannot rename {} over {}: {e}", tmp.display(), path.display()))
 }
 
-pub(crate) fn u64_array(out: &mut String, values: &[u64]) {
+fn u64_array(out: &mut String, values: &[u64]) {
     use std::fmt::Write as _;
     out.push('[');
     for (i, v) in values.iter().enumerate() {

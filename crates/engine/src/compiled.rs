@@ -30,7 +30,7 @@
 //! the per-constraint `evaluated` totals shrink when whole subtrees are
 //! skipped (reported separately in [`BlockStats`]).
 //!
-//! The outermost loop is deliberately *not* guarded (nor lane-batched): its
+//! The outermost loop is deliberately *not* guarded: its
 //! entry analysis would see a chunk-dependent subdomain under the parallel
 //! driver, and constraints hoisted to level 0 are re-checked per outer value
 //! anyway. Skipping it keeps serial and chunked runs bit-for-bit identical,
@@ -81,10 +81,9 @@ use crate::point::PointRef;
 use crate::postfix::Postfix;
 
 use crate::fault::{CancelProbe, FaultAction, FaultInjector, FaultKind, FaultPolicy, FaultRecord};
-use crate::lanes::{EvalScratch, Lane, LaneProg, LANES};
 use crate::narrow::{self, LoopSolve};
 use crate::replay::{self, Closed};
-use crate::stats::{BlockStats, LaneStats, PruneStats};
+use crate::stats::{BlockStats, PruneStats};
 use crate::telemetry::{GroupSchedule, ScheduleTelemetry};
 use crate::visit::{CountVisitor, Visitor};
 use crate::walker::SweepOutcome;
@@ -155,15 +154,14 @@ pub struct EngineOptions {
     /// How to order the checks within each loop level (see
     /// [`beast_core::schedule`]). `Declared` — the library default — runs
     /// checks in plan order and reproduces the walker's per-constraint
-    /// statistics exactly. `Static`/`Adaptive` reorder reorder-safe groups,
-    /// which never changes survivors or emission order but does shift
-    /// *which* constraint gets credit for a kill, so `PruneStats` may
-    /// differ from declared-order runs. Every mode is a *compile-time*
-    /// decision: `Adaptive` learns its order in one bounded calibration
-    /// pass inside [`Compiled::with_options`] (a pure function of plan and
-    /// options) and writes it into the plan before guards, lane plans and
-    /// fusion are built, so all counters are invariant across thread and
-    /// chunk counts in every mode.
+    /// statistics exactly. `Adaptive` reorders reorder-safe groups, which
+    /// never changes survivors or emission order but does shift *which*
+    /// constraint gets credit for a kill, so `PruneStats` may differ from
+    /// declared-order runs. Either mode is a *compile-time* decision:
+    /// `Adaptive` learns its order in one bounded calibration pass inside
+    /// [`Compiled::with_options`] (a pure function of plan and options) and
+    /// writes it into the plan before the guards are built, so all counters
+    /// are invariant across thread and chunk counts in both modes.
     pub schedule: ScheduleMode,
     /// Track the congruence domain (`x ≡ r (mod m)`) alongside intervals in
     /// the block-pruning guards, so divisibility constraints can skip
@@ -177,25 +175,6 @@ pub struct EngineOptions {
     /// to sweep on error-severity findings (`Deny`), or skip the analyzer
     /// (`Allow`).
     pub lint: LintGate,
-    /// Batched lane evaluation: at each innermost loop whose body lowers to
-    /// straight-line defines and checks, realize the domain into fixed-width
-    /// lane blocks and evaluate every slab-translatable postfix program once
-    /// per block instead of once per point (see [`crate::lanes`]). Lanes a
-    /// slab evaluation cannot prove infallible fall back to the per-lane
-    /// scalar path, so survivors, emission order, [`PruneStats`] and
-    /// [`BlockStats`] are bit-identical with batching on or off (asserted by
-    /// the determinism suite and the `ablation_batch` bench). Turning it off
-    /// also skips superinstruction fusion, reproducing the pre-batching
-    /// engine instruction-for-instruction — only useful for ablations and
-    /// the `--no-batch` CLI flag. The tier composes with every schedule
-    /// mode; it disables itself at runtime only for chunks with a fault
-    /// injector attached (injected faults are keyed on per-point visit
-    /// ordinals).
-    pub batch: bool,
-    /// Lane-block width for the batch tier, clamped to `1..=64` (the
-    /// survivor-bitmask width). The default of 64 maximizes slab
-    /// utilization; smaller widths only matter for experiments.
-    pub lane_width: u32,
     /// Which evaluation tier executes the sweep. `Compiled` (the default)
     /// runs in process; `Native` dispatches chunks to a gcc-compiled worker
     /// binary with graceful fallback; `Walker` is serial-only. Results are
@@ -211,8 +190,6 @@ impl Default for EngineOptions {
             schedule: ScheduleMode::Declared,
             congruence: true,
             lint: LintGate::Warn,
-            batch: true,
-            lane_width: 64,
             engine: EngineTier::Compiled,
         }
     }
@@ -236,10 +213,12 @@ impl EngineOptions {
         EngineOptions { schedule: mode, ..EngineOptions::default() }
     }
 
-    /// Options with the batched lane tier disabled (used by the
-    /// `ablation_batch` bench and `--no-batch`).
+    /// Alias of [`EngineOptions::default`]: the lane tier it used to switch
+    /// off is gone, but the untouchable `benchmark/` crate still compiles
+    /// against the name (goes with ROADMAP item 5d).
+    #[doc(hidden)]
     pub fn no_batch() -> EngineOptions {
-        EngineOptions { batch: false, ..EngineOptions::default() }
+        EngineOptions::default()
     }
 
     /// Default options on the runtime-native tier (used by the
@@ -260,13 +239,11 @@ impl EngineOptions {
     /// never alters sweep results.
     pub fn signature(&self) -> String {
         format!(
-            "iv{}cg{}g{}{:?}b{}w{}e{}",
+            "iv{}cg{}g{}{:?}e{}",
             u8::from(self.intervals),
             u8::from(self.congruence),
             self.min_guard_fanout,
             self.schedule,
-            u8::from(self.batch),
-            self.lane_width,
             self.engine.as_str()
         )
     }
@@ -325,86 +302,10 @@ enum Op {
     /// adaptive calibration pass contains this op; the engine that sweeps
     /// runs the learned order as straight-line `Define`/`Check` ops.
     CheckGroup { group: u32 },
-    /// Fused superinstruction for an adjacent `Define` + `Check` pair: one
-    /// dispatch evaluates the define into its slot, then the constraint.
-    /// Semantically identical to the two ops it replaces (same stats, same
-    /// elision, same fault sites); `fuse_id` indexes the per-run
-    /// [`LaneStats::super_hits`] counter. Never emitted inside batchable
-    /// bodies (the batch tier's lane plans address unfused ops).
-    FusedDefineCheck {
-        /// Destination slot of the define half.
-        slot: u32,
-        /// Compiled define body.
-        def: Postfix,
-        /// Constraint index of the check half.
-        constraint: u32,
-        /// Compiled predicate.
-        expr: Postfix,
-        /// Elision bit, as on [`Op::Check`].
-        elide_bit: Option<u8>,
-        /// Reject target, as on [`Op::Check`].
-        on_reject: u32,
-        /// Index into [`LaneStats::super_hits`].
-        fuse_id: u32,
-    },
     /// Record a survivor and invoke the visitor.
     Visit,
     /// End of program.
     Halt,
-}
-
-/// Slab translation of one batchable loop, executed by `run_batched` (see
-/// [`EngineOptions::batch`]). An *innermost* plan (`descend == None`)
-/// covers the whole body through `Visit`; a *filter* plan covers the
-/// body's define/check prefix and descends into the remaining subtree —
-/// from the first inner `Enter` — per surviving lane, so checks at
-/// non-leaf levels still run as whole-block slabs. (A loop whose first
-/// check is a reject-unless-equal predicate never gets here: it is solved
-/// at `Enter`, see `crate::narrow`; lanes serve the `%`/`<` filters.)
-#[derive(Debug, Clone)]
-struct BatchPlan {
-    /// Slots that vary per lane: `rows[0]` is the loop's bind slot, then
-    /// one row per body define in op order.
-    rows: Vec<u32>,
-    /// Body (or body-prefix) steps in op order.
-    steps: Vec<LaneStep>,
-    /// Instruction index of the first body op (for scalar lane reruns).
-    body_start: u32,
-    /// Instruction index of the loop's `Next` (the shared reject target).
-    next_ip: u32,
-    /// Filter plans only: instruction index of the first subtree op (the
-    /// first inner `Enter`), executed per surviving lane through a bounded
-    /// interpreter re-entry.
-    descend: Option<u32>,
-    /// When no lane fell back, emission may iterate surviving lanes only
-    /// and reconstruct the block-final slot state from each row's last
-    /// writer, instead of replaying every lane's writes sequentially. True
-    /// for all filter plans and for innermost plans whose single `Visit`
-    /// is the final step (see `build_batch_plans`).
-    fast_emit: bool,
-}
-
-/// One step of a [`BatchPlan`].
-#[derive(Debug, Clone)]
-enum LaneStep {
-    /// Slab-translatable define; writes the next lane row.
-    Define { prog: LaneProg },
-    /// Control-flow-bearing define, evaluated per lane through the scalar
-    /// evaluator; writes the next lane row.
-    DefineScalar { expr: Postfix },
-    /// Constraint check.
-    Check { constraint: u32, elide_bit: Option<u8>, kind: LaneCheck },
-    /// Survivor emission point.
-    Visit,
-}
-
-/// How a [`LaneStep::Check`] predicate is evaluated.
-#[derive(Debug, Clone)]
-enum LaneCheck {
-    /// Whole-block slab evaluation.
-    Slab(LaneProg),
-    /// Per-lane scalar evaluation (control-flow-bearing predicate).
-    Scalar(Postfix),
 }
 
 /// One member of a calibration check group.
@@ -632,12 +533,6 @@ pub struct Compiled {
     /// Instruction index of the outermost `Enter` (None for loop-free
     /// programs, which cannot occur for valid spaces).
     first_enter: Option<usize>,
-    /// Per-loop batch plans (`None` for loops whose body prefix holds an
-    /// opaque op or no slab-translatable check, and with `batch` off).
-    plans: Vec<Option<BatchPlan>>,
-    /// Number of fused superinstructions in `ops` (sizes the per-run
-    /// [`LaneStats::super_hits`] table).
-    n_fused: usize,
     /// Per-loop narrowing table (all `None` in the adaptive probe engine,
     /// whose regions run through reorderable group dispatch).
     narrow: Vec<Option<LoopSolve>>,
@@ -664,15 +559,15 @@ impl Compiled {
     /// Build the flat program with explicit engine options.
     ///
     /// The constraint schedule is fixed here, before anything is built on
-    /// top of it: `Static`/`Adaptive` first apply the cost-model order, and
-    /// `Adaptive` then measures real kill rates in one bounded calibration
-    /// pass (`Compiled::calibrate`) and writes each learned order back
-    /// into the lowered plan. Guards, batch plans and fusion are built over
-    /// that straight-line plan exactly as for a declared schedule, so every
+    /// top of it: `Adaptive` first applies the cost-model order
+    /// ([`schedule::static_schedule`]), then measures real kill rates in one
+    /// bounded calibration pass (`Compiled::calibrate`) and writes each
+    /// learned order back into the lowered plan. Guards are built over that
+    /// straight-line plan exactly as for a declared schedule, so every
     /// chunk, thread, worker process and resumed run executes one shared
     /// immutable op stream.
     pub fn with_options(mut lp: LoweredPlan, opts: EngineOptions) -> Compiled {
-        if opts.schedule != ScheduleMode::Declared {
+        if opts.schedule == ScheduleMode::Adaptive {
             schedule::static_schedule(&mut lp);
         }
         let regions = schedule::check_regions(&lp);
@@ -692,9 +587,9 @@ impl Compiled {
             })
             .collect();
         if opts.schedule == ScheduleMode::Adaptive {
-            // The probe runs the scalar interpreter over group dispatch; it
-            // is never linted (same plan as the real engine, up to order).
-            let probe_opts = EngineOptions { batch: false, lint: LintGate::Allow, ..opts };
+            // The probe is never linted (same plan as the real engine, up
+            // to order).
+            let probe_opts = EngineOptions { lint: LintGate::Allow, ..opts };
             let probe = Compiled::build(lp, probe_opts, &regions, Vec::new());
             let orders = probe.calibrate().unwrap_or_default();
             lp = probe.lp;
@@ -869,42 +764,6 @@ impl Compiled {
             agroups.push(AGroup { members, defines, on_reject: reject, end });
         }
 
-        // Batched lane tier + superinstruction fusion. Order matters: lane
-        // plans are detected on the *unfused* stream (their steps mirror
-        // plain Define/Check ops one-to-one), then the fusion pass skips
-        // every batchable body, then the plans' instruction anchors are
-        // remapped through the fusion's old→new index map. Both passes are
-        // skipped entirely with `batch` off, which therefore reproduces the
-        // pre-batching engine instruction-for-instruction.
-        let mut plans: Vec<Option<BatchPlan>> = vec![None; n_loops as usize];
-        let mut n_fused = 0usize;
-        if opts.batch {
-            plans = build_batch_plans(&ops);
-            if plans.len() < n_loops as usize {
-                plans.resize(n_loops as usize, None);
-            }
-            if let Some(fe) = first_enter {
-                // Filter plans only shield their prefix: the subtree they
-                // descend into runs through the interpreter and may fuse.
-                let skip: Vec<(usize, usize)> = plans
-                    .iter()
-                    .flatten()
-                    .map(|p| {
-                        (p.body_start as usize, p.descend.unwrap_or(p.next_ip) as usize)
-                    })
-                    .collect();
-                let (fused, map, nf) = fuse_ops(ops, fe, &skip);
-                ops = fused;
-                n_fused = nf;
-                first_enter = Some(map[fe]);
-                for p in plans.iter_mut().flatten() {
-                    p.body_start = map[p.body_start as usize] as u32;
-                    p.next_ip = map[p.next_ip as usize] as u32;
-                    p.descend = p.descend.map(|d| map[d as usize] as u32);
-                }
-            }
-        }
-
         let fanout_below: Vec<u64> =
             (0..n_loops as usize).map(|l| lp.static_fanout_below(l)).collect();
         let (gmaster, guards) =
@@ -924,8 +783,6 @@ impl Compiled {
             guards,
             fanout_below,
             first_enter,
-            plans,
-            n_fused,
             narrow,
             replay,
             agroups,
@@ -980,11 +837,8 @@ impl Compiled {
         State {
             stats: PruneStats::new(self.lp.plan.space().constraints().len()),
             blocks: BlockStats::default(),
-            lanes: LaneStats { super_hits: vec![0; self.n_fused], ..LaneStats::default() },
             visitor,
             stack: Vec::new(),
-            lscratch: Vec::new(),
-            frame_pool: Vec::new(),
             ivals: vec![Interval::TOP; self.lp.n_slots as usize],
             cvals: vec![Congruence::top(); self.lp.n_slots as usize],
             gcache: vec![GCache::default(); self.gmaster.len()],
@@ -999,16 +853,6 @@ impl Compiled {
             poll: 0,
             replay: self.replay.new_log(self.lp.n_slots as usize),
         }
-    }
-
-    /// Record one survivor: count it, log its row for any open recording
-    /// (see [`crate::replay`]), and hand it to the visitor. Every emission
-    /// site of the engine goes through here.
-    #[inline]
-    fn emit<V: Visitor>(&self, slots: &[i64], state: &mut State<V>) {
-        state.stats.record_survivor();
-        state.replay.record(slots);
-        state.visitor.visit(&PointRef::Slots { names: &self.lp.slot_names, slots });
     }
 
     /// Test hook for `crate::replay`'s suites: the same engine with its
@@ -1065,7 +909,6 @@ impl Compiled {
             left -= state.budget;
             let run = self.exec(
                 first_enter,
-                usize::MAX,
                 Some(&[outer[i]]),
                 &mut slots,
                 &mut state,
@@ -1097,11 +940,10 @@ impl Compiled {
         self.lint_denied()?;
         let mut slots = vec![0i64; self.lp.n_slots as usize];
         let mut state = self.fresh_state(visitor);
-        self.exec(0, usize::MAX, None, &mut slots, &mut state, &ChunkCtx::plain())?;
+        self.exec(0, None, &mut slots, &mut state, &ChunkCtx::plain())?;
         Ok(SweepOutcome {
             stats: state.stats,
             blocks: state.blocks,
-            lanes: state.lanes,
             schedule: self.learned_orders(),
             visitor: state.visitor,
         })
@@ -1143,14 +985,13 @@ impl Compiled {
             // Execute the preamble quietly; a constants-only constraint that
             // rejects leaves the chunk empty.
             if self.preamble(&mut slots, &mut state.stack, None)? {
-                self.exec(first_enter, usize::MAX, Some(outer_values), &mut slots, &mut state, ctx)?;
+                self.exec(first_enter, Some(outer_values), &mut slots, &mut state, ctx)?;
             }
         }
         Ok(ChunkRun {
             outcome: SweepOutcome {
                 stats: state.stats,
                 blocks: state.blocks,
-                lanes: state.lanes,
                 schedule: None,
                 visitor: state.visitor,
             },
@@ -1234,9 +1075,6 @@ impl Compiled {
                 Op::CheckGroup { .. } => {
                     unreachable!("check groups require an enclosing loop")
                 }
-                Op::FusedDefineCheck { .. } => {
-                    unreachable!("fusion never touches the preamble")
-                }
                 Op::Visit | Op::Enter { .. } | Op::Next { .. } | Op::Halt => break,
             }
         }
@@ -1314,9 +1152,8 @@ impl Compiled {
     }
 
     /// The threaded-code interpreter: a single `ip` cursor over the flat
-    /// instruction array, running from `start_ip` until `Halt` or until the
-    /// cursor lands on `end_ip` (exclusive; pass `usize::MAX` to run to
-    /// `Halt`). `outer_override`, when given, replaces the outermost loop's
+    /// instruction array, running from `start_ip` until `Halt`.
+    /// `outer_override`, when given, replaces the outermost loop's
     /// domain with an explicit value list (the parallel driver's chunk);
     /// `ctx` is the chunk's supervision context — under
     /// [`FaultPolicy::SkipPoint`] evaluation errors are recovered from by
@@ -1325,45 +1162,19 @@ impl Compiled {
     /// escaping error is annotated with point context, the injector can
     /// force faults at visited points, and an armed cancel probe is polled
     /// every [`CANCEL_POLL_EVERY`] loop advances.
-    ///
-    /// The bounded form is how filter plans descend: `run_batched` re-enters
-    /// the interpreter at a subtree's first `Enter` with `end_ip` set to the
-    /// enclosing loop's `Next`, whose frame this invocation never touches
-    /// (inner loop ids are disjoint, and the `end_ip` stop fires before the
-    /// `Next` op could execute). Loop frames are pooled on [`State`]
-    /// because those re-entries happen once per surviving lane.
     fn exec<V: Visitor>(
         &self,
         start_ip: usize,
-        end_ip: usize,
         outer_override: Option<&[i64]>,
         slots: &mut [i64],
         state: &mut State<V>,
         ctx: &ChunkCtx<'_>,
     ) -> Result<(), EvalError> {
-        let mut frames = self.checkout_frames(state);
-        let r = self.exec_frames(
-            start_ip,
-            end_ip,
-            outer_override,
-            slots,
-            state,
-            ctx,
-            &mut frames,
-        );
-        state.frame_pool.push(frames);
-        r
-    }
-
-    /// Take a loop-frame array from the pool (or grow a fresh one). The
-    /// caller runs `exec_frames` against it and pushes it back when done;
-    /// entries are fully initialized at each `Enter`, so recycled frames
-    /// never leak state between runs.
-    fn checkout_frames<V>(&self, state: &mut State<V>) -> Vec<Frame> {
-        let mut frames = state.frame_pool.pop().unwrap_or_default();
-        if frames.len() < self.guards.len() {
-            let empty: Arc<[i64]> = Arc::from([] as [i64; 0]);
-            frames.resize_with(self.guards.len(), || Frame {
+        // Loop frames, indexed by loop id and fully initialized at each
+        // `Enter`.
+        let empty: Arc<[i64]> = Arc::from([] as [i64; 0]);
+        let mut frames: Vec<Frame> = (0..self.guards.len())
+            .map(|_| Frame {
                 kind: FrameKind::Range,
                 cur: 0,
                 stop: 0,
@@ -1372,25 +1183,8 @@ impl Compiled {
                 vals: empty.clone(),
                 buf: Vec::new(),
                 saved_elide: 0,
-            });
-        }
-        frames
-    }
-
-    /// [`Compiled::exec`]'s body, with the loop-frame array supplied by the
-    /// pooling wrapper. Frames are indexed by loop id and fully initialized
-    /// at each `Enter`, so recycled frames never leak state between runs.
-    #[allow(clippy::too_many_arguments)]
-    fn exec_frames<V: Visitor>(
-        &self,
-        start_ip: usize,
-        end_ip: usize,
-        outer_override: Option<&[i64]>,
-        slots: &mut [i64],
-        state: &mut State<V>,
-        ctx: &ChunkCtx<'_>,
-        frames: &mut [Frame],
-    ) -> Result<(), EvalError> {
+            })
+            .collect();
         let poll_cancel = ctx.cancel.is_some_and(|p| p.armed());
         // Calibration runs spend a work budget; sweeps never do.
         let budgeted = state.budget != u64::MAX;
@@ -1426,9 +1220,6 @@ impl Compiled {
             };
         }
         'interp: loop {
-            if ip == end_ip {
-                return Ok(());
-            }
             match &ops[ip] {
                 Op::Enter { loop_id, slot, domain, next } => {
                     let l = *loop_id as usize;
@@ -1553,44 +1344,17 @@ impl Compiled {
                             continue;
                         }
                     }
-                    // Batched lane tier: consume the whole loop in lane
-                    // blocks — innermost plans emit survivors directly,
-                    // filter plans descend per surviving lane. Disabled per
-                    // chunk when a fault injector
-                    // is attached (injected faults are keyed on per-point
-                    // visit ordinals, which blocks don't advance one by one).
-                    if self.opts.batch
-                        && ctx.injector.is_none()
-                        && len >= MIN_BATCH_LEN
-                    {
-                        if let Some(plan) = self.plans[l].as_ref() {
-                            self.run_batched(
-                                plan,
-                                first,
-                                f,
-                                slots,
-                                state,
-                                ctx,
-                                poll_cancel,
-                            )?;
-                            state.elide = f.saved_elide;
-                            ip = exit;
-                            continue;
-                        }
-                    }
                     // Replay: nothing below reads this loop's slot, so run
                     // the body for the first value with a recording open and
                     // let `Next` re-emit its survivors for the other values
-                    // (see `crate::replay`). Loops the lane tier just took
-                    // never get here, so lane telemetry is unchanged; with an
-                    // injector attached faults are keyed on visit ordinals.
+                    // (see `crate::replay`). Not with an injector attached:
+                    // its faults are keyed on per-point visit ordinals.
                     if self.replay.replays(l) && len >= 2 && ctx.injector.is_none() {
                         state.replay.open(
                             *loop_id,
                             state.faults.len(),
                             &mut state.stats,
                             &mut state.blocks,
-                            &mut state.lanes,
                         );
                     }
                     slots[*slot as usize] = first;
@@ -1615,7 +1379,7 @@ impl Compiled {
                     // advancing through them.
                     if state.replay.is_open(*loop_id) {
                         let names = &self.lp.slot_names;
-                        let State { replay, stats, blocks, lanes, visitor, faults, poll, .. } =
+                        let State { replay, stats, blocks, visitor, faults, poll, .. } =
                             &mut *state;
                         let closed = replay.close(
                             *slot,
@@ -1624,7 +1388,6 @@ impl Compiled {
                             || advance_frame(f),
                             stats,
                             blocks,
-                            lanes,
                             |row| {
                                 visitor.visit(&PointRef::Slots { names, slots: row });
                                 // One poll tick per replayed point, as one
@@ -1705,37 +1468,6 @@ impl Compiled {
                             .kind
                             .rejects(&view)
                     });
-                    state.stats.record(*constraint as usize, rejected);
-                    ip = if rejected { *on_reject as usize } else { ip + 1 };
-                }
-                Op::FusedDefineCheck {
-                    slot,
-                    def,
-                    constraint,
-                    expr,
-                    elide_bit,
-                    on_reject,
-                    fuse_id,
-                } => {
-                    slots[*slot as usize] = try_eval!(
-                        'interp,
-                        Site::Slot(*slot),
-                        def.eval(slots, &mut state.stack)
-                    );
-                    state.lanes.super_hits[*fuse_id as usize] += 1;
-                    if let Some(bit) = elide_bit {
-                        if state.elide & (1u64 << bit) != 0 {
-                            state.stats.record(*constraint as usize, false);
-                            state.blocks.checks_elided += 1;
-                            ip += 1;
-                            continue;
-                        }
-                    }
-                    let rejected = try_eval!(
-                        'interp,
-                        Site::Constraint(*constraint),
-                        expr.eval(slots, &mut state.stack)
-                    ) != 0;
                     state.stats.record(*constraint as usize, rejected);
                     ip = if rejected { *on_reject as usize } else { ip + 1 };
                 }
@@ -1824,442 +1556,16 @@ impl Compiled {
                             );
                         }
                     }
-                    self.emit(slots, state);
+                    // Count the survivor, log its row for any open recording
+                    // (see `crate::replay`), and hand it to the visitor.
+                    state.stats.record_survivor();
+                    state.replay.record(slots);
+                    state.visitor.visit(&PointRef::Slots { names: &self.lp.slot_names, slots });
                     ip += 1;
                 }
                 Op::Halt => return Ok(()),
             }
         }
-    }
-
-    /// Execute one batchable loop entirely through the lane tier: realize
-    /// the domain into blocks of up to `lane_width` values, run every
-    /// slab-translatable program once per block, evaluate the rest per
-    /// lane, then emit in lane order so the result is bit-identical to the
-    /// scalar interpreter. Innermost plans visit survivors in place; filter
-    /// plans re-enter the interpreter per surviving lane to run the
-    /// subtree below the batched prefix (see [`BatchPlan::descend`]).
-    ///
-    /// # Determinism argument
-    ///
-    /// *Fold order*: every counter this path touches is a sum of per-lane
-    /// contributions ([`PruneStats`]/[`BlockStats`] increments commute), and
-    /// everything order-sensitive — visitor calls, fault records, the final
-    /// slot state "garbage" later sibling guards may seed-read — happens in
-    /// the lane-ordered emission pass at block end, in exactly the order the
-    /// scalar interpreter produces. *Fallibility*: a lane whose slab
-    /// evaluation cannot be proven panic- and error-free (zero divisor,
-    /// `div_euclid` overflow, unproven intermediate overflow, or any error
-    /// from a per-lane scalar evaluation) is routed to `rerun_lane`, which
-    /// re-executes the body ops scalar — reproducing the exact scalar
-    /// behavior including fault recovery — and its batch-side stats credits
-    /// are withheld (`credit = mask & !fallback`), so nothing is counted
-    /// twice.
-    #[allow(clippy::too_many_arguments)]
-    fn run_batched<V: Visitor>(
-        &self,
-        plan: &BatchPlan,
-        first: i64,
-        f: &mut Frame,
-        slots: &mut [i64],
-        state: &mut State<V>,
-        ctx: &ChunkCtx<'_>,
-        poll_cancel: bool,
-    ) -> Result<(), EvalError> {
-        let width = self.opts.lane_width.clamp(1, LANES as u32) as usize;
-        let mut scr = state.lscratch.pop().unwrap_or_default();
-        // Filter plans re-enter the interpreter once per surviving lane;
-        // checking out one frame array for the whole loop keeps that
-        // re-entry at plain-call cost.
-        let mut dframes = plan
-            .descend
-            .map(|_| self.checkout_frames(state))
-            .unwrap_or_default();
-        if scr.lrows.len() < plan.rows.len() {
-            scr.lrows.resize(plan.rows.len(), [0i64; LANES]);
-        }
-        if scr.lmasks.len() < plan.steps.len() {
-            scr.lmasks.resize(plan.steps.len(), [0u64; 2]);
-        }
-        let mut pending = Some(first);
-        let mut done = false;
-        while !done {
-            // Fill the next block, advancing the frame exactly as `Op::Next`
-            // would (the frame ends in the same exhausted state the scalar
-            // loop leaves behind).
-            let mut n = 0usize;
-            let mut advances = 0u32;
-            if let Some(v) = pending.take() {
-                scr.lrows[0][0] = v;
-                n = 1;
-            }
-            while n < width {
-                advances += 1;
-                match advance_frame(f) {
-                    Some(v) => {
-                        scr.lrows[0][n] = v;
-                        n += 1;
-                    }
-                    None => {
-                        done = true;
-                        break;
-                    }
-                }
-            }
-            // One poll increment per loop advance, like the scalar `Next`.
-            if poll_cancel && advances > 0 {
-                state.poll += advances;
-                if state.poll >= CANCEL_POLL_EVERY {
-                    state.poll = 0;
-                    if ctx.cancel.is_some_and(|p| p.cancelled()) {
-                        return Err(EvalError::Cancelled);
-                    }
-                }
-            }
-            if n == 0 {
-                break;
-            }
-            if n < width {
-                state.lanes.lanes_masked += (width - n) as u64;
-            }
-            let tail: u64 = if n == 64 { !0 } else { (1u64 << n) - 1 };
-
-            // Step-major evaluation: `alive` lanes are still candidates,
-            // `fb` lanes are deferred to the scalar rerun. Dead and tail
-            // lanes flow through slab evaluations harmlessly (they are
-            // total for any input); their garbage results are masked off.
-            let mut alive = tail;
-            let mut fb = 0u64;
-            let mut rows_filled = 1usize;
-            let mut out: Lane = [0i64; LANES];
-            for (si, step) in plan.steps.iter().enumerate() {
-                if alive == 0 {
-                    // Every lane is rejected or deferred: the scalar engine
-                    // would evaluate nothing past this point (fallback lanes
-                    // replay the whole body themselves), so zero the
-                    // remaining step masks and stop evaluating.
-                    for m in &mut scr.lmasks[si..plan.steps.len()] {
-                        *m = [0, 0];
-                    }
-                    break;
-                }
-                match step {
-                    LaneStep::Define { prog } => {
-                        let fall = prog.eval(
-                            slots,
-                            &scr.lrows[..rows_filled],
-                            n,
-                            &mut scr.lstack,
-                            &mut out,
-                        );
-                        state.lanes.lane_evals += n as u64;
-                        fb |= alive & fall;
-                        alive &= !fall;
-                        scr.lrows[rows_filled] = out;
-                        rows_filled += 1;
-                        // The scalar engine writes the slot only when the
-                        // define evaluates cleanly: `alive` post-fallibility
-                        // is exactly the wrote set.
-                        scr.lmasks[si] = [alive, 0];
-                    }
-                    LaneStep::DefineScalar { expr } => {
-                        let mut wrote = 0u64;
-                        let mut m = alive;
-                        while m != 0 {
-                            let i = m.trailing_zeros() as usize;
-                            m &= m - 1;
-                            for r in 0..rows_filled {
-                                slots[plan.rows[r] as usize] = scr.lrows[r][i];
-                            }
-                            match expr.eval(slots, &mut state.stack) {
-                                Ok(v) => {
-                                    scr.lrows[rows_filled][i] = v;
-                                    wrote |= 1u64 << i;
-                                }
-                                // Deferred: the rerun reproduces the error
-                                // through the standard fault path.
-                                Err(_) => fb |= 1u64 << i,
-                            }
-                        }
-                        alive = wrote;
-                        rows_filled += 1;
-                        scr.lmasks[si] = [wrote, 0];
-                    }
-                    LaneStep::Check { elide_bit, kind, .. } => {
-                        if elide_bit.is_some_and(|b| state.elide & (1u64 << b) != 0) {
-                            // Statically true over the subtree: credit the
-                            // evaluations without running anything.
-                            scr.lmasks[si] = [alive, 0];
-                            continue;
-                        }
-                        let evald = alive;
-                        let mut rej = 0u64;
-                        match kind {
-                            LaneCheck::Slab(prog) => {
-                                let fall = prog.eval(
-                                    slots,
-                                    &scr.lrows[..rows_filled],
-                                    n,
-                                    &mut scr.lstack,
-                                    &mut out,
-                                );
-                                state.lanes.lane_evals += n as u64;
-                                fb |= alive & fall;
-                                alive &= !fall;
-                                for (i, v) in out.iter().enumerate() {
-                                    rej |= u64::from(*v != 0) << i;
-                                }
-                                rej &= alive;
-                            }
-                            LaneCheck::Scalar(expr) => {
-                                let mut m = alive;
-                                while m != 0 {
-                                    let i = m.trailing_zeros() as usize;
-                                    m &= m - 1;
-                                    for r in 0..rows_filled {
-                                        slots[plan.rows[r] as usize] =
-                                            scr.lrows[r][i];
-                                    }
-                                    match expr.eval(slots, &mut state.stack) {
-                                        Ok(v) => rej |= u64::from(v != 0) << i,
-                                        Err(_) => {
-                                            fb |= 1u64 << i;
-                                            alive &= !(1u64 << i);
-                                        }
-                                    }
-                                }
-                                rej &= alive;
-                            }
-                        }
-                        alive &= !rej;
-                        scr.lmasks[si] = [evald, rej];
-                    }
-                    LaneStep::Visit => scr.lmasks[si] = [alive, 0],
-                }
-            }
-
-            // Deferred stats credit: a fallback lane's rerun records its own
-            // evaluations, so the batch credits only never-fallback lanes.
-            state.lanes.scalar_fallbacks += u64::from(fb.count_ones());
-            let live = !fb;
-            for (si, step) in plan.steps.iter().enumerate() {
-                if let LaneStep::Check { constraint, elide_bit, .. } = step {
-                    let c = *constraint as usize;
-                    let [evald, rej] = scr.lmasks[si];
-                    let e = u64::from((evald & live).count_ones());
-                    state.stats.evaluated[c] += e;
-                    if elide_bit.is_some_and(|b| state.elide & (1u64 << b) != 0) {
-                        state.blocks.checks_elided += e;
-                    } else {
-                        state.stats.pruned[c] += u64::from((rej & live).count_ones());
-                    }
-                }
-            }
-
-            // Lane-ordered emission. In the common case — no fallback lanes
-            // — a rejected lane has no observable effect except its slot
-            // writes, and those are visible only through the block-final
-            // state (each lane's replay would be overwritten by the next
-            // lane's before anything reads it). So iterate surviving lanes
-            // only: a survivor passed every step, hence wrote every row,
-            // and its slot state is just its own lane column. The block-
-            // final replay below then reconstructs each row from its last
-            // writer, which is exactly where sequential per-lane replay
-            // would have left it. This keeps emission cost proportional to
-            // survivors, not lanes.
-            if fb == 0 && plan.fast_emit {
-                let survivors = match plan.descend {
-                    // `fast_emit` guarantees the `Visit` is the last step.
-                    None => scr.lmasks[plan.steps.len() - 1][0],
-                    Some(_) => alive,
-                };
-                let mut m = survivors;
-                while m != 0 {
-                    let i = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    for r in 0..rows_filled {
-                        slots[plan.rows[r] as usize] = scr.lrows[r][i];
-                    }
-                    match plan.descend {
-                        None => self.emit(slots, state),
-                        Some(d) => self.exec_frames(
-                            d as usize,
-                            plan.next_ip as usize,
-                            None,
-                            slots,
-                            state,
-                            ctx,
-                            &mut dframes,
-                        )?,
-                    }
-                }
-                // Block-final slot state: the loop slot holds the last
-                // lane's value, each define row its last writer's (rows no
-                // lane wrote keep their pre-block value, as scalar would).
-                slots[plan.rows[0] as usize] = scr.lrows[0][n - 1];
-                let mut r = 1usize;
-                for (si, step) in plan.steps.iter().enumerate() {
-                    if matches!(
-                        step,
-                        LaneStep::Define { .. } | LaneStep::DefineScalar { .. }
-                    ) {
-                        let w = scr.lmasks[si][0];
-                        if w != 0 {
-                            let last = 63 - w.leading_zeros() as usize;
-                            slots[plan.rows[r] as usize] = scr.lrows[r][last];
-                        }
-                        r += 1;
-                    }
-                }
-                continue;
-            }
-
-            // Fallback-bearing (or oddly shaped) block: replay every lane in
-            // order. Fallback lanes re-execute the body ops scalar (visits,
-            // faults and slot writes happen naturally); for the rest, every
-            // slot write the scalar engine would have done is replayed from
-            // the lane rows — fallback reruns interleave with them, so even
-            // "garbage" writes of rejected lanes must land in sequence.
-            // Innermost plans visit survivors in place; filter plans descend
-            // into the subtree per surviving lane, which reproduces the
-            // scalar engine's depth-first order exactly.
-            for i in 0..n {
-                let bit = 1u64 << i;
-                slots[plan.rows[0] as usize] = scr.lrows[0][i];
-                if fb & bit != 0 {
-                    match plan.descend {
-                        None => self.rerun_lane(plan, slots, state, ctx)?,
-                        Some(_) => self.exec_frames(
-                            plan.body_start as usize,
-                            plan.next_ip as usize,
-                            None,
-                            slots,
-                            state,
-                            ctx,
-                            &mut dframes,
-                        )?,
-                    }
-                    continue;
-                }
-                let mut r = 1usize;
-                for (si, step) in plan.steps.iter().enumerate() {
-                    match step {
-                        LaneStep::Define { .. } | LaneStep::DefineScalar { .. } => {
-                            if scr.lmasks[si][0] & bit != 0 {
-                                slots[plan.rows[r] as usize] = scr.lrows[r][i];
-                            }
-                            r += 1;
-                        }
-                        LaneStep::Visit => {
-                            if scr.lmasks[si][0] & bit != 0 {
-                                self.emit(slots, state);
-                            }
-                        }
-                        LaneStep::Check { .. } => {}
-                    }
-                }
-                if alive & bit != 0 {
-                    if let Some(d) = plan.descend {
-                        self.exec_frames(
-                            d as usize,
-                            plan.next_ip as usize,
-                            None,
-                            slots,
-                            state,
-                            ctx,
-                            &mut dframes,
-                        )?;
-                    }
-                }
-            }
-        }
-        state.lscratch.push(scr);
-        if plan.descend.is_some() {
-            state.frame_pool.push(dframes);
-        }
-        Ok(())
-    }
-
-    /// Scalar re-execution of one fallback lane over the batched body's
-    /// ops: reproduces the exact per-point behavior — stats, elision
-    /// accounting, visitor calls, and the standard fault path (recovery
-    /// under [`FaultPolicy::SkipPoint`], propagation otherwise). The loop
-    /// slot must already hold the lane's value.
-    fn rerun_lane<V: Visitor>(
-        &self,
-        plan: &BatchPlan,
-        slots: &mut [i64],
-        state: &mut State<V>,
-        ctx: &ChunkCtx<'_>,
-    ) -> Result<(), EvalError> {
-        let end = plan.next_ip as usize;
-        let mut ip = plan.body_start as usize;
-        while ip != end {
-            match &self.ops[ip] {
-                Op::Define { slot, expr } => match expr.eval(slots, &mut state.stack) {
-                    Ok(v) => {
-                        slots[*slot as usize] = v;
-                        ip += 1;
-                    }
-                    Err(e) => {
-                        let nip = self.fault_recover(
-                            e,
-                            Site::Slot(*slot),
-                            ip,
-                            state.visit_ordinal,
-                            slots,
-                            ctx,
-                            &mut state.faults,
-                        )?;
-                        debug_assert_eq!(nip, end, "recovery resumes at the loop's Next");
-                        break;
-                    }
-                },
-                Op::Check { constraint, expr, elide_bit, on_reject } => {
-                    if let Some(bit) = elide_bit {
-                        if state.elide & (1u64 << bit) != 0 {
-                            state.stats.record(*constraint as usize, false);
-                            state.blocks.checks_elided += 1;
-                            ip += 1;
-                            continue;
-                        }
-                    }
-                    match expr.eval(slots, &mut state.stack) {
-                        Ok(v) => {
-                            let rejected = v != 0;
-                            state.stats.record(*constraint as usize, rejected);
-                            if rejected {
-                                debug_assert_eq!(*on_reject as usize, end);
-                                break;
-                            }
-                            ip += 1;
-                        }
-                        Err(e) => {
-                            let nip = self.fault_recover(
-                                e,
-                                Site::Constraint(*constraint),
-                                ip,
-                                state.visit_ordinal,
-                                slots,
-                                ctx,
-                                &mut state.faults,
-                            )?;
-                            debug_assert_eq!(nip, end, "recovery resumes at the loop's Next");
-                            break;
-                        }
-                    }
-                }
-                Op::Visit => {
-                    // No injector here: the batch tier is disabled whenever
-                    // one is attached, so this mirrors the scalar arm with
-                    // `ctx.injector == None` (no ordinal advance).
-                    self.emit(slots, state);
-                    ip += 1;
-                }
-                other => unreachable!("non-batchable op {other:?} in a batched body"),
-            }
-        }
-        Ok(())
     }
 
     /// Run one loop's guard program against the current outer slot values
@@ -2509,9 +1815,7 @@ impl Compiled {
                         i = n;
                     }
                 }
-                Op::Define { slot, .. }
-                | Op::DefineOpaque { slot, .. }
-                | Op::FusedDefineCheck { slot, .. } => {
+                Op::Define { slot, .. } | Op::DefineOpaque { slot, .. } => {
                     out.push(*slot);
                 }
                 _ => {}
@@ -2732,172 +2036,6 @@ fn build_guards(
     (master, guards)
 }
 
-/// Detect batchable loops and translate them to lane plans. An innermost
-/// loop (no inner `Enter`) is batchable when its whole body lowers to
-/// expression defines, expression checks rejecting to the loop's own
-/// `Next`, and visits — no opaque callbacks (their closure re-entry is
-/// priced per point and can observe slot state lane-by-lane). A
-/// non-innermost loop gets a *filter* plan when
-/// its body prefix (everything before the first inner `Enter`) meets the
-/// same bar and at least one prefix check is slab-translatable — without a
-/// slab check every lane would still pay a scalar evaluation and the
-/// batching overhead buys nothing. Slab-translatable programs get whole-
-/// block evaluation; control-flow-bearing ones stay per-lane scalar inside
-/// the same plan. Returned plans are indexed by loop id.
-fn build_batch_plans(ops: &[Op]) -> Vec<Option<BatchPlan>> {
-    let n_loops = ops
-        .iter()
-        .filter(|op| matches!(op, Op::Enter { .. }))
-        .count();
-    let mut plans: Vec<Option<BatchPlan>> = vec![None; n_loops];
-    for (ip, op) in ops.iter().enumerate() {
-        let Op::Enter { loop_id, slot, next, .. } = op else { continue };
-        // Like guards, lane plans skip the outermost loop: its blocks would
-        // follow the parallel driver's chunk boundaries, and `LaneStats`
-        // must not depend on the chunk grid.
-        if *loop_id == 0 {
-            continue;
-        }
-        let body = ip + 1..*next as usize;
-        let descend = ops[body.clone()]
-            .iter()
-            .position(|o| matches!(o, Op::Enter { .. }))
-            .map(|k| (ip + 1 + k) as u32);
-        let prefix = ip + 1..descend.map_or(body.end, |d| d as usize);
-        let mut rows: Vec<u32> = vec![*slot];
-        let mut steps: Vec<LaneStep> = Vec::with_capacity(prefix.len());
-        let mut ok = true;
-        let mut slab_checks = 0usize;
-        for bip in prefix {
-            match &ops[bip] {
-                Op::Define { slot, expr } => {
-                    let step = match LaneProg::compile(expr, &rows) {
-                        Some(prog) => LaneStep::Define { prog },
-                        None => LaneStep::DefineScalar { expr: expr.clone() },
-                    };
-                    rows.push(*slot);
-                    steps.push(step);
-                }
-                Op::Check { constraint, expr, elide_bit, on_reject } => {
-                    if *on_reject != *next {
-                        ok = false;
-                        break;
-                    }
-                    let kind = match LaneProg::compile(expr, &rows) {
-                        Some(prog) => {
-                            slab_checks += 1;
-                            LaneCheck::Slab(prog)
-                        }
-                        None => LaneCheck::Scalar(expr.clone()),
-                    };
-                    steps.push(LaneStep::Check {
-                        constraint: *constraint,
-                        elide_bit: *elide_bit,
-                        kind,
-                    });
-                }
-                Op::Visit if descend.is_none() => steps.push(LaneStep::Visit),
-                _ => {
-                    ok = false;
-                    break;
-                }
-            }
-        }
-        if descend.is_some() && slab_checks == 0 {
-            ok = false;
-        }
-        if ok {
-            // Survivor-only emission is sound when rejected lanes have no
-            // observable effect besides their slot writes (reconstructed
-            // from the last writer per row): filter plans always qualify
-            // (a `Visit` in the prefix rejects the plan above), innermost
-            // plans qualify when their single `Visit` is the final step,
-            // so a survivor is known to have written every row.
-            let fast_emit = descend.is_some()
-                || (steps.iter().filter(|s| matches!(s, LaneStep::Visit)).count() == 1
-                    && matches!(steps.last(), Some(LaneStep::Visit)));
-            plans[*loop_id as usize] = Some(BatchPlan {
-                rows,
-                steps,
-                body_start: (ip + 1) as u32,
-                next_ip: *next,
-                descend,
-                fast_emit,
-            });
-        }
-    }
-    plans
-}
-
-/// Fuse adjacent `Define` + `Check` pairs into [`Op::FusedDefineCheck`]
-/// superinstructions, greedy left-to-right and non-overlapping. The
-/// preamble (everything at or before `first_enter`) and the `skip` ip
-/// ranges (batchable bodies, whose lane plans address the unfused ops) are
-/// left untouched. Returns the fused stream, the old→new instruction index
-/// map (the dropped second op of a pair maps to its fused instruction;
-/// nothing ever jumps there — reject targets are always a `Next` or
-/// `Halt`, and body/exit targets follow an `Enter`/`Next`), and the fused
-/// pair count. All jump fields are rewritten through the map.
-fn fuse_ops(
-    ops: Vec<Op>,
-    first_enter: usize,
-    skip: &[(usize, usize)],
-) -> (Vec<Op>, Vec<usize>, usize) {
-    let in_skip = |ip: usize| skip.iter().any(|&(a, b)| (a..b).contains(&ip));
-    let mut fused: Vec<Op> = Vec::with_capacity(ops.len());
-    let mut map = vec![0usize; ops.len() + 1];
-    let mut n_fused = 0usize;
-    let mut ops = ops.into_iter().map(Some).collect::<Vec<_>>();
-    let mut i = 0;
-    while i < ops.len() {
-        map[i] = fused.len();
-        let fusable = i > first_enter
-            && !in_skip(i)
-            && !in_skip(i + 1)
-            && matches!(ops[i], Some(Op::Define { .. }))
-            && matches!(ops.get(i + 1), Some(Some(Op::Check { .. })));
-        if fusable {
-            let Some(Op::Define { slot, expr: def }) = ops[i].take() else {
-                unreachable!("checked above");
-            };
-            let Some(Op::Check { constraint, expr, elide_bit, on_reject }) =
-                ops[i + 1].take()
-            else {
-                unreachable!("checked above");
-            };
-            map[i + 1] = fused.len();
-            fused.push(Op::FusedDefineCheck {
-                slot,
-                def,
-                constraint,
-                expr,
-                elide_bit,
-                on_reject,
-                fuse_id: n_fused as u32,
-            });
-            n_fused += 1;
-            i += 2;
-        } else {
-            fused.push(ops[i].take().expect("each op consumed once"));
-            i += 1;
-        }
-    }
-    map[ops.len()] = fused.len();
-    for op in &mut fused {
-        match op {
-            Op::Enter { next, .. } => *next = map[*next as usize] as u32,
-            Op::Next { body, .. } => *body = map[*body as usize] as u32,
-            Op::Check { on_reject, .. }
-            | Op::CheckOpaque { on_reject, .. }
-            | Op::FusedDefineCheck { on_reject, .. } => {
-                *on_reject = map[*on_reject as usize] as u32;
-            }
-            _ => {}
-        }
-    }
-    (fused, map, n_fused)
-}
-
 /// Python-range length (0 for empty or zero-step ranges).
 fn range_len(start: i64, stop: i64, step: i64) -> u64 {
     if step > 0 && start < stop {
@@ -2957,8 +2095,8 @@ enum FrameKind {
 }
 
 /// One loop advance — the single definition of `Op::Next`'s stepping
-/// semantics, shared by the scalar interpreter and the batch tier's block
-/// fill so both walk identical value sequences and leave identical
+/// semantics, shared by the interpreter and replay's drain of the remaining
+/// values so both walk identical value sequences and leave identical
 /// exhausted frame state.
 #[inline]
 fn advance_frame(f: &mut Frame) -> Option<i64> {
@@ -2986,19 +2124,8 @@ fn advance_frame(f: &mut Frame) -> Option<i64> {
 struct State<V> {
     stats: PruneStats,
     blocks: BlockStats,
-    /// Batch-tier and superinstruction telemetry (see [`LaneStats`]).
-    lanes: LaneStats,
     visitor: V,
     stack: Vec<i64>,
-    /// Batch tier scratch pool, one [`LaneScratch`] per active batching
-    /// depth: a filter plan's descent can re-enter `run_batched` for an
-    /// inner plan while the outer block's rows and masks are still live,
-    /// so each invocation pops its own scratch and pushes it back on exit.
-    lscratch: Vec<LaneScratch>,
-    /// Loop-frame pool, one entry per active interpreter depth: filter-plan
-    /// descents re-enter `exec` once per surviving lane, so frames are
-    /// recycled instead of reallocated.
-    frame_pool: Vec<Vec<Frame>>,
     /// Per-slot interval environment for guard runs, maintained
     /// incrementally across runs (see [`GuardInfo`]).
     ivals: Vec<Interval>,
@@ -3043,30 +2170,9 @@ impl<V> State<V> {
     }
 }
 
-/// Reusable batch-tier buffers (see [`State::lscratch`]): `lrows` holds one
-/// lane slab per [`BatchPlan`] row, `lstack` the operand scratch for slab
-/// program evaluation (slab stack, prologue stack, broadcast temps), and
-/// `lmasks` the per-step
-/// `[evaluated-or-wrote, rejected]` lane masks recorded during step-major
-/// evaluation and consumed by the deferred stats credit and the ordered
-/// emission pass.
-#[derive(Default)]
-struct LaneScratch {
-    lrows: Vec<Lane>,
-    lstack: EvalScratch,
-    lmasks: Vec<[u64; 2]>,
-}
-
 /// How many loop advances may pass between two cancel/deadline polls: the
 /// bound on cancellation latency, in `Op::Next` executions.
 const CANCEL_POLL_EVERY: u32 = 1024;
-
-/// Realized domains shorter than this run scalar even when the loop has a
-/// lane plan: block fill, step masks, and the ordered emission pass are
-/// per-block overheads that only amortize across enough lanes. Purely a
-/// cost switch — both tiers produce bit-identical results. Loops solved
-/// by narrowing never reach this choice, whatever their length.
-const MIN_BATCH_LEN: u64 = 8;
 
 /// Per-chunk supervision context threaded through `exec`: the fault policy,
 /// the (optional) injector and cancel probe, and the chunk coordinates every
@@ -3432,7 +2538,7 @@ mod tests {
     fn schedule_modes_agree_on_survivors_and_order() {
         let space = sched_space();
         let mut baseline: Option<Vec<Vec<i64>>> = None;
-        for mode in [ScheduleMode::Declared, ScheduleMode::Static, ScheduleMode::Adaptive] {
+        for mode in [ScheduleMode::Declared, ScheduleMode::Adaptive] {
             let c = scheduled(&space, mode);
             let out = c
                 .run(CollectVisitor::new(c.point_names().clone(), usize::MAX))
@@ -3453,12 +2559,26 @@ mod tests {
     #[test]
     fn static_schedule_reorders_checks_by_expected_cost_to_kill() {
         let space = sched_space();
-        let tele = scheduled(&space, ScheduleMode::Static).schedule_telemetry();
-        assert_eq!(tele.mode, "static");
+        // The cost-model order is the adaptive schedule's *initial* order.
+        let tele = scheduled(&space, ScheduleMode::Adaptive).schedule_telemetry();
+        assert_eq!(tele.mode, "adaptive");
         assert_eq!(tele.groups.len(), 1);
         // The deadliest check moves to the front of its group.
         assert_eq!(tele.groups[0].initial[0], "deadly");
         assert_eq!(tele.groups[0].initial.len(), 3);
+        // ... and it is exactly what `static_schedule` writes into the plan.
+        let plan = Plan::new(&space, PlanOptions::default()).unwrap();
+        let mut lp = LoweredPlan::new(&plan).unwrap();
+        schedule::static_schedule(&mut lp);
+        let checks: Vec<usize> = lp
+            .steps
+            .iter()
+            .filter_map(|s| match s {
+                LStep::Check { constraint, .. } => Some(*constraint),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(checks, [2, 1, 0]);
         // Declared mode reports the declared order untouched.
         let declared = scheduled(&space, ScheduleMode::Declared).schedule_telemetry();
         assert_eq!(declared.groups[0].initial, vec!["rare", "mid", "deadly"]);
@@ -3512,18 +2632,13 @@ mod tests {
     #[test]
     fn engine_options_signature_is_pinned_and_injective_per_field() {
         let d = EngineOptions::default();
-        assert_eq!(d.signature(), "iv1cg1g4Declaredb1w64ecompiled");
-        assert_eq!(
-            EngineOptions::native().signature(),
-            "iv1cg1g4Declaredb1w64enative"
-        );
+        assert_eq!(d.signature(), "iv1cg1g4Declaredecompiled");
+        assert_eq!(EngineOptions::native().signature(), "iv1cg1g4Declaredenative");
         let variants = [
             EngineOptions { intervals: false, ..d },
             EngineOptions { congruence: false, ..d },
             EngineOptions { min_guard_fanout: 2, ..d },
             EngineOptions { schedule: ScheduleMode::Adaptive, ..d },
-            EngineOptions { batch: false, ..d },
-            EngineOptions { lane_width: 7, ..d },
             EngineOptions { engine: EngineTier::Native, ..d },
             EngineOptions { engine: EngineTier::Walker, ..d },
         ];
@@ -3536,7 +2651,7 @@ mod tests {
         // If this assertion fires you added a field to `EngineOptions`:
         // fold it into `signature()` (unless, like `lint`, it provably
         // cannot change sweep results) and update both pins here.
-        assert_eq!(std::mem::size_of::<EngineOptions>(), 24);
+        assert_eq!(std::mem::size_of::<EngineOptions>(), 16);
     }
 
     #[test]

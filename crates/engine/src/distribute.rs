@@ -63,8 +63,8 @@ use beast_core::error::EvalError;
 use beast_core::ir::LoweredPlan;
 
 use crate::checkpoint::{
-    blocks_json, parse_blocks, parse_fault_record, parse_stats, stats_json, u64_array,
-    with_checkpoint, CheckpointConfig, JsonValue, SaveState,
+    blocks_json, parse_blocks, parse_fault_record, parse_stats, stats_json, with_checkpoint,
+    CheckpointConfig, JsonValue, SaveState,
 };
 use crate::compiled::{Compiled, EngineOptions, EngineTier};
 use crate::fault::{FaultKind, FaultPolicy};
@@ -72,7 +72,6 @@ use crate::parallel::{
     attempt_chunk, run_supervised, Answer, ChunkDone, ChunkExecutor, CkSink, ParallelOptions,
     ResumeSeed,
 };
-use crate::stats::LaneStats;
 use crate::sweep::SweepError;
 use crate::telemetry::{fault_record_json, json_str, SweepProgress, SweepReport};
 use crate::visit::Visitor;
@@ -219,14 +218,7 @@ fn done_frame<V: Visitor + SaveState>(chunk: usize, done: &ChunkDone<V>) -> Stri
             stats_json(&mut out, &o.stats);
             out.push_str(",\"blocks\":");
             blocks_json(&mut out, &o.blocks);
-            let _ = write!(
-                out,
-                ",\"lanes\":{{\"lane_evals\":{},\"lanes_masked\":{},\"scalar_fallbacks\":{},\
-                 \"super_hits\":",
-                o.lanes.lane_evals, o.lanes.lanes_masked, o.lanes.scalar_fallbacks
-            );
-            u64_array(&mut out, &o.lanes.super_hits);
-            out.push_str("},\"visitor\":");
+            out.push_str(",\"visitor\":");
             out.push_str(&o.visitor.save_state());
             out.push('}');
         }
@@ -242,32 +234,10 @@ fn done_frame<V: Visitor + SaveState>(chunk: usize, done: &ChunkDone<V>) -> Stri
     out
 }
 
-/// Parse a `lanes` object written by [`done_frame`].
-fn parse_lanes(doc: &JsonValue) -> Result<LaneStats, String> {
-    let counter = |key: &str| {
-        doc.get(key)
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| format!("worker: lanes.{key} missing"))
-    };
-    let super_hits = doc
-        .get("super_hits")
-        .and_then(JsonValue::items)
-        .ok_or_else(|| "worker: lanes.super_hits missing".to_string())?
-        .iter()
-        .map(|v| v.as_u64().ok_or_else(|| "worker: lanes.super_hits not integers".to_string()))
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(LaneStats {
-        lane_evals: counter("lane_evals")?,
-        lanes_masked: counter("lanes_masked")?,
-        scalar_fallbacks: counter("scalar_fallbacks")?,
-        super_hits,
-    })
-}
-
 /// Fully validate a worker's `done` frame against what the supervisor
 /// dispatched before anything is folded: the chunk index must match, counter
 /// arrays must cover exactly the plan's constraints, and every nested block
-/// (blocks, lanes, visitor state, fault records) must parse. Any
+/// (blocks, visitor state, fault records) must parse. Any
 /// violation is a [`FaultKind::ProtocolError`] — the shard is re-dealt and
 /// nothing from the lying worker reaches the merge.
 fn parse_done<V: Visitor + SaveState>(
@@ -310,14 +280,11 @@ fn parse_done<V: Visitor + SaveState>(
                 o.get("blocks").ok_or_else(|| "worker: outcome.blocks missing".to_string())?,
                 "worker",
             )?;
-            let lanes = parse_lanes(
-                o.get("lanes").ok_or_else(|| "worker: outcome.lanes missing".to_string())?,
-            )?;
             let mut visitor = make_visitor();
             visitor
                 .load_state(o.get("visitor").ok_or_else(|| "worker: outcome.visitor missing".to_string())?)
                 .map_err(|e| format!("worker: {e}"))?;
-            Some(SweepOutcome { stats, blocks, lanes, schedule: None, visitor })
+            Some(SweepOutcome { stats, blocks, schedule: None, visitor })
         }
     };
     Ok(ChunkDone { outcome, faults })
@@ -1089,9 +1056,7 @@ mod tests {
         let good = "{\"v\":1,\"done\":{\"chunk\":3,\"outcome\":{\"stats\":{\"evaluated\":[1,2],\
                     \"pruned\":[0,1],\"survivors\":1},\"blocks\":{\"subtree_skips\":0,\
                     \"congruence_skips\":0,\"points_skipped\":0,\"checks_elided\":0},\
-                    \"lanes\":{\"lane_evals\":0,\"lanes_masked\":0,\"scalar_fallbacks\":0,\
-                    \"super_hits\":[]},\"visitor\":{\"hash\":1,\"pow\":2,\
-                    \"count\":1}},\"faults\":[]}}";
+                    \"visitor\":{\"hash\":1,\"pow\":2,\"count\":1}},\"faults\":[]}}";
         let doc = JsonValue::parse(good).unwrap();
         assert!(parse_done::<FingerprintVisitor>(&doc, 3, 2, &mk).is_ok());
         // Wrong chunk id.

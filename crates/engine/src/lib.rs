@@ -41,7 +41,6 @@ pub mod checkpoint;
 pub mod compiled;
 pub mod distribute;
 pub mod fault;
-pub mod lanes;
 mod narrow;
 pub mod native;
 pub mod parallel;
@@ -71,7 +70,7 @@ pub mod prelude {
     pub use crate::point::{Point, PointRef};
     pub use crate::service::cache::{run_cached, CacheStats, SweepCache};
     pub use crate::service::{ResolvedSpace, ServiceConfig, SpaceResolver, SweepService};
-    pub use crate::stats::{BlockStats, FaultCounters, LaneStats, PruneStats};
+    pub use crate::stats::{BlockStats, FaultCounters, PruneStats};
     pub use crate::sweep::SweepError;
     pub use crate::telemetry::{SweepProgress, SweepReport};
     pub use crate::visit::{

@@ -51,8 +51,8 @@ pub(crate) struct Solved {
 
 /// The per-loop narrowing table of a plan in its final step order, indexed
 /// by loop id. The outermost loop never narrows: the parallel driver feeds
-/// it chunk by chunk, and the narrowing counters — like guards and lane
-/// plans — must not depend on the chunk grid.
+/// it chunk by chunk, and the narrowing counters — like guards — must not
+/// depend on the chunk grid.
 pub(crate) fn build_table(lp: &LoweredPlan) -> Vec<Option<LoopSolve>> {
     narrowable_loops(lp)
         .into_iter()

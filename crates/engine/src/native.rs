@@ -264,7 +264,6 @@ impl NativeContext {
             stats: reply.stats,
             blocks: reply.blocks,
             schedule: None,
-            lanes: Default::default(),
             visitor,
         })
     }

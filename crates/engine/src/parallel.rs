@@ -113,7 +113,7 @@ use crate::fault::{
     CancelProbe, CancelToken, FaultAction, FaultInjector, FaultKind, FaultPolicy, FaultRecord,
 };
 use crate::native::NativeContext;
-use crate::stats::{BlockStats, FaultCounters, LaneStats, PruneStats};
+use crate::stats::{BlockStats, FaultCounters, PruneStats};
 use crate::sweep::SweepError;
 use crate::telemetry::{SweepProgress, SweepReport, WorkerTelemetry};
 use crate::visit::Visitor;
@@ -289,7 +289,6 @@ pub(crate) struct Collector<V> {
     pub(crate) pending: BTreeMap<usize, ChunkDone<V>>,
     pub(crate) stats: PruneStats,
     pub(crate) blocks: BlockStats,
-    pub(crate) lanes: LaneStats,
     pub(crate) faults: Vec<FaultRecord>,
     pub(crate) visitor: Option<V>,
     pub(crate) outer_len: usize,
@@ -314,7 +313,6 @@ impl<V: Visitor> Collector<V> {
             if let Some(out) = done.outcome {
                 self.stats.merge(&out.stats);
                 self.blocks.merge(&out.blocks);
-                self.lanes.merge(&out.lanes);
                 if let Some(progress) = progress {
                     progress.tuples_decided.fetch_add(
                         out.stats.survivors + out.stats.total_pruned(),
@@ -649,7 +647,6 @@ where
             SweepOutcome {
                 stats,
                 blocks: seed_blocks,
-                lanes: LaneStats::default(),
                 schedule: None,
                 visitor: seed_visitor.unwrap_or_else(&make_visitor),
             },
@@ -697,9 +694,6 @@ where
         pending: BTreeMap::new(),
         stats,
         blocks: seed_blocks,
-        // Lane telemetry is not checkpointed (it is observational only, like
-        // the schedule); a resumed run reports counters for its own chunks.
-        lanes: LaneStats::default(),
         faults: seed_faults,
         visitor: seed_visitor,
         outer_len: outer.len(),
@@ -892,18 +886,16 @@ where
         // Final flush so the file always reflects the folded prefix edge.
         collector.save(sink).map_err(SweepError::Checkpoint)?;
     }
-    let Collector { stats, blocks, lanes, faults, visitor, .. } = collector;
+    let Collector { stats, blocks, faults, visitor, .. } = collector;
 
     let mut report = report(&stats, &blocks, faults, (outer.len(), chunk_len, chunks.len()), workers);
     report.partial = partial;
     report.cache_hits = memo_hits.into_inner();
     report.cache_misses = memo_misses.into_inner();
-    report.lanes = lanes.clone();
     Ok((
         SweepOutcome {
             stats,
             blocks,
-            lanes,
             schedule: compiled.learned_orders(),
             visitor: visitor.unwrap_or_else(make_visitor),
         },

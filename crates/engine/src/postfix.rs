@@ -73,15 +73,6 @@ impl Postfix {
         Postfix { ops, max_stack }
     }
 
-    /// Assemble from raw ops (crate-internal: the batched lane compiler in
-    /// [`crate::lanes`] hoists lane-invariant subprograms into standalone
-    /// scalar prologue programs). Callers must pass a well-formed postfix
-    /// stream — segments sliced out of a compiled program qualify.
-    pub(crate) fn from_ops(ops: Vec<PfOp>) -> Postfix {
-        let max_stack = stack_bound(&ops);
-        Postfix { ops, max_stack }
-    }
-
     /// Number of operations (tests/diagnostics).
     pub fn len(&self) -> usize {
         self.ops.len()
@@ -95,12 +86,6 @@ impl Postfix {
     /// Worst-case stack depth.
     pub fn max_stack(&self) -> usize {
         self.max_stack
-    }
-
-    /// The compiled op stream (crate-internal: the batched lane evaluator
-    /// in [`crate::lanes`] translates it to slab form).
-    pub(crate) fn ops(&self) -> &[PfOp] {
-        &self.ops
     }
 
     /// Evaluate against a slot array, reusing `stack` as scratch.

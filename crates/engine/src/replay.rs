@@ -10,7 +10,7 @@
 //! survivor it emits ([`Log::record`]), and at the loop's `Next`
 //! ([`Log::close`]) patches the loop slot in the logged rows and visits them
 //! again, in order, once per remaining value. The additive counters
-//! ([`PruneStats`], [`BlockStats`], [`LaneStats`]) advance by exactly what
+//! ([`PruneStats`], [`BlockStats`]) advance by exactly what
 //! the first pass added, times the values replayed — the closed-form credit
 //! that keeps every funnel row bit-identical to enumeration.
 //!
@@ -40,7 +40,7 @@ use std::ops::Range;
 use beast_core::analyze::footprint::replayable_loops;
 use beast_core::ir::LoweredPlan;
 
-use crate::stats::{BlockStats, LaneStats, PruneStats};
+use crate::stats::{BlockStats, PruneStats};
 
 /// Row-log capacity in slots (`i64`s) per interpreter state — 512 KiB. The
 /// GEMM spaces the benchmark sweeps peak two orders of magnitude below it.
@@ -165,7 +165,6 @@ pub(crate) struct Log {
 fn for_each_counter(
     stats: &mut PruneStats,
     blocks: &mut BlockStats,
-    lanes: &mut LaneStats,
     mut f: impl FnMut(&mut u64, bool),
 ) {
     stats.evaluated.iter_mut().for_each(|c| f(c, false));
@@ -177,23 +176,13 @@ fn for_each_counter(
     f(&mut blocks.checks_elided, false);
     f(&mut blocks.loops_solved, false);
     f(&mut blocks.points_solved, false);
-    f(&mut lanes.lane_evals, false);
-    f(&mut lanes.lanes_masked, false);
-    f(&mut lanes.scalar_fallbacks, false);
-    lanes.super_hits.iter_mut().for_each(|c| f(c, false));
 }
 
 /// Add `(now − snap) × times` to every counter: the closed-form credit for
 /// `times` more passes that each count exactly what the recorded one did.
-fn scale_since(
-    snap: &[u64],
-    times: u64,
-    stats: &mut PruneStats,
-    blocks: &mut BlockStats,
-    lanes: &mut LaneStats,
-) {
+fn scale_since(snap: &[u64], times: u64, stats: &mut PruneStats, blocks: &mut BlockStats) {
     let mut snap = snap.iter();
-    for_each_counter(stats, blocks, lanes, |c, saturates| {
+    for_each_counter(stats, blocks, |c, saturates| {
         let delta = *c - snap.next().expect("snapshot covers every counter");
         *c = if saturates {
             c.saturating_add(delta.saturating_mul(times))
@@ -301,7 +290,6 @@ impl Log {
         faults: usize,
         stats: &mut PruneStats,
         blocks: &mut BlockStats,
-        lanes: &mut LaneStats,
     ) {
         let rec = Recording {
             loop_id,
@@ -316,7 +304,7 @@ impl Log {
             self.repeats.push(Repeat { rows: 0..0, slot: 0, values: 0..0, end: 0 });
         }
         let snaps = &mut self.snaps;
-        for_each_counter(stats, blocks, lanes, |c, _| snaps.push(*c));
+        for_each_counter(stats, blocks, |c, _| snaps.push(*c));
         self.open.push(rec);
     }
 
@@ -335,7 +323,6 @@ impl Log {
         mut next_value: impl FnMut() -> Option<i64>,
         stats: &mut PruneStats,
         blocks: &mut BlockStats,
-        lanes: &mut LaneStats,
         mut visit: impl FnMut(&[i64]) -> bool,
     ) -> Closed {
         let rec = self.open.pop().expect("close follows is_open");
@@ -376,7 +363,7 @@ impl Log {
                 overflow |= keep;
             }
         }
-        scale_since(&self.snaps[rec.snap0 as usize..], times, stats, blocks, lanes);
+        scale_since(&self.snaps[rec.snap0 as usize..], times, stats, blocks);
         self.snaps.truncate(rec.snap0 as usize);
         blocks.loops_replayed += 1;
         blocks.rows_replayed += emitted;
@@ -414,7 +401,6 @@ mod tests {
         out: Vec<Vec<i64>>,
         stats: PruneStats,
         blocks: BlockStats,
-        lanes: LaneStats,
     }
 
     impl Model {
@@ -424,7 +410,6 @@ mod tests {
                 self.stats.record(0, rejected);
                 self.blocks.points_skipped =
                     self.blocks.points_skipped.saturating_add(slots.len() as u64);
-                self.lanes.super_hits[0] += 2;
                 if !rejected {
                     self.stats.record_survivor();
                     self.log.record(slots);
@@ -438,7 +423,7 @@ mod tests {
             }
             let recording = self.replays[l] && len >= 2;
             if recording {
-                self.log.open(l as u32, 0, &mut self.stats, &mut self.blocks, &mut self.lanes);
+                self.log.open(l as u32, 0, &mut self.stats, &mut self.blocks);
             }
             slots[l] = 0;
             self.descend(l + 1, slots);
@@ -456,7 +441,6 @@ mod tests {
                     },
                     &mut self.stats,
                     &mut self.blocks,
-                    &mut self.lanes,
                     |row| {
                         out.push(row.to_vec());
                         false
@@ -483,7 +467,6 @@ mod tests {
             out: Vec::new(),
             stats: PruneStats::new(1),
             blocks: BlockStats::default(),
-            lanes: LaneStats { super_hits: vec![0], ..LaneStats::default() },
         };
         m.descend(0, &mut vec![0; lens.len()]);
         assert!(m.log.open.is_empty() && m.log.rows.is_empty() && m.log.snaps.is_empty());
@@ -500,7 +483,6 @@ mod tests {
         let at = format!("lens {lens:?} replays {replays:?} cap {cap}");
         assert_eq!(replayed.out, plain.out, "{at}");
         assert_eq!(replayed.stats, plain.stats, "{at}");
-        assert_eq!(replayed.lanes, plain.lanes, "{at}");
         assert_eq!(
             BlockStats { loops_replayed: 0, rows_replayed: 0, ..replayed.blocks },
             plain.blocks,
@@ -576,11 +558,10 @@ mod tests {
             out: Vec::new(),
             stats: PruneStats::new(1),
             blocks: BlockStats::default(),
-            lanes: LaneStats { super_hits: vec![0], ..LaneStats::default() },
         };
         // Drive loop 1's first pass by hand to look at the log mid-flight.
         let mut slots = vec![0i64; 4];
-        m.log.open(1, 0, &mut m.stats, &mut m.blocks, &mut m.lanes);
+        m.log.open(1, 0, &mut m.stats, &mut m.blocks);
         m.descend(2, &mut slots);
         assert_eq!(m.log.rows.len(), 4 * 4, "inner replay must not copy rows");
         assert_eq!(m.log.repeats.len(), 1);
@@ -597,7 +578,6 @@ mod tests {
             || pending.take(),
             &mut m.stats,
             &mut m.blocks,
-            &mut m.lanes,
             |row| {
                 replayed.push(row.to_vec());
                 false
@@ -624,37 +604,32 @@ mod tests {
             rows_replayed: 6,
             ..BlockStats::default()
         };
-        let mut lanes = LaneStats { lane_evals: 1, super_hits: vec![2, 0], ..LaneStats::default() };
         let mut snap = Vec::new();
-        for_each_counter(&mut stats, &mut blocks, &mut lanes, |c, _| snap.push(*c));
-        assert_eq!(snap.len(), 2 + 2 + 1 + 6 + 3 + 2);
+        for_each_counter(&mut stats, &mut blocks, |c, _| snap.push(*c));
+        assert_eq!(snap.len(), 2 + 2 + 1 + 6);
         stats.evaluated[0] += 5;
         stats.pruned[0] += 2;
         stats.survivors += 3;
         blocks.points_skipped += 4;
         blocks.checks_elided += 1;
         blocks.loops_replayed += 9;
-        lanes.super_hits[1] += 1;
-        scale_since(&snap, 3, &mut stats, &mut blocks, &mut lanes);
+        scale_since(&snap, 3, &mut stats, &mut blocks);
         assert_eq!(stats.evaluated, [10 + 5 * 4, 0]);
         assert_eq!(stats.pruned, [4 + 2 * 4, 0]);
         assert_eq!(stats.survivors, 3 + 3 * 4);
         assert_eq!(blocks.points_skipped, u64::MAX);
         assert_eq!(blocks.checks_elided, 7 + 4);
         assert_eq!((blocks.loops_replayed, blocks.rows_replayed), (14, 6), "never scaled");
-        assert_eq!(lanes.lane_evals, 1);
-        assert_eq!(lanes.super_hits, [2, 4]);
     }
 
     #[test]
     fn a_body_that_recorded_a_fault_or_a_tripped_probe_ends_the_replay() {
         let table = Table { loops: vec![], cap: usize::MAX };
         let (mut stats, mut blocks) = (PruneStats::new(0), BlockStats::default());
-        let mut lanes = LaneStats::default();
         // Two recordings open; the inner one's body pushed a fault record.
         let mut log = table.new_log(2);
-        log.open(1, 0, &mut stats, &mut blocks, &mut lanes);
-        log.open(2, 0, &mut stats, &mut blocks, &mut lanes);
+        log.open(1, 0, &mut stats, &mut blocks);
+        log.open(2, 0, &mut stats, &mut blocks);
         log.record(&[7, 0]);
         let closed = log.close(
             1,
@@ -663,7 +638,6 @@ mod tests {
             || panic!("an abandoned loop is advanced by the engine, not drained here"),
             &mut stats,
             &mut blocks,
-            &mut lanes,
             |_| panic!("nothing may be replayed"),
         );
         assert_eq!(closed, Closed::Declined);
@@ -672,7 +646,7 @@ mod tests {
 
         // A cancel reported by the visit callback stops at that row.
         let mut log = table.new_log(2);
-        log.open(1, 0, &mut stats, &mut blocks, &mut lanes);
+        log.open(1, 0, &mut stats, &mut blocks);
         log.record(&[7, 0]);
         log.record(&[8, 0]);
         let mut values = 1..4i64;
@@ -684,7 +658,6 @@ mod tests {
             || values.next(),
             &mut stats,
             &mut blocks,
-            &mut lanes,
             |_| {
                 seen += 1;
                 seen == 3
@@ -740,8 +713,8 @@ mod tests {
     }
 
     /// GEMM in miniature: unread binary loops above a narrowed pair, a
-    /// threshold block, an unread loop directly above a batchable one, and
-    /// unread innermost loops on both sides of the lane tier's length bar.
+    /// threshold block, an unread loop directly above a filtering one, and
+    /// unread innermost loops.
     fn shapes() -> Vec<(&'static str, LoweredPlan)> {
         let x = || var("x");
         let o = || var("o");
@@ -764,7 +737,7 @@ mod tests {
                 ),
             ),
             (
-                "above_a_batch_plan_and_being_one",
+                "above_a_filter_loop_and_innermost",
                 lowered_in(
                     Space::builder("r2")
                         .range("o", 0, 4)
@@ -803,7 +776,6 @@ mod tests {
     fn the_replaying_engine_equals_the_declined_engine_on_every_counter() {
         let options = [
             EngineOptions::default(),
-            EngineOptions::no_batch(),
             EngineOptions::no_intervals(),
             EngineOptions { min_guard_fanout: 1, ..EngineOptions::default() },
             EngineOptions::scheduled(ScheduleMode::Adaptive),
@@ -818,7 +790,6 @@ mod tests {
                 assert_eq!(a.visitor.points, b.visitor.points, "{at}: survivors / order");
                 assert_eq!(a.stats, b.stats, "{at}: PruneStats");
                 assert_eq!(quiet(a.blocks), b.blocks, "{at}: BlockStats");
-                assert_eq!(a.lanes, b.lanes, "{at}: LaneStats");
                 assert!(a.blocks.loops_replayed > 0, "{at}: nothing replayed");
                 assert!(a.blocks.rows_replayed < a.stats.survivors, "{at}: nothing evaluated");
                 assert_eq!((b.blocks.loops_replayed, b.blocks.rows_replayed), (0, 0), "{at}");
@@ -834,22 +805,6 @@ mod tests {
     }
 
     #[test]
-    fn a_loop_the_lane_tier_takes_is_left_to_it() {
-        // `w` (9 values, body = the visit) batches; with the tier off — or
-        // below its length bar — the same loop replays.
-        let lp = lowered_in(
-            Space::builder("lane").range("o", 0, 3).range("w", 0, 9),
-            &["o", "w"],
-        );
-        let batched = run_all(&Compiled::with_options(lp.clone(), EngineOptions::default()));
-        assert_eq!(batched.blocks.loops_replayed, 0);
-        assert!(batched.lanes.lanes_masked > 0);
-        let scalar = run_all(&Compiled::with_options(lp, EngineOptions::no_batch()));
-        assert_eq!((scalar.blocks.loops_replayed, scalar.blocks.rows_replayed), (3, 24));
-        assert_eq!(scalar.visitor.points, batched.visitor.points);
-    }
-
-    #[test]
     fn a_tiny_cap_changes_nothing_but_the_replay_counters() {
         for (name, lp) in shapes() {
             let full = run_all(&Compiled::new(lp.clone()));
@@ -861,7 +816,6 @@ mod tests {
                 assert_eq!(out.visitor.points, full.visitor.points, "{at}");
                 assert_eq!(out.stats, full.stats, "{at}");
                 assert_eq!(quiet(out.blocks), quiet(full.blocks), "{at}");
-                assert_eq!(out.lanes, full.lanes, "{at}");
                 assert!(out.blocks.rows_replayed <= full.blocks.rows_replayed, "{at}");
             }
         }
@@ -877,7 +831,7 @@ mod tests {
             Space::builder("cancel").range("o", 0, 1).range("u", 0, 5000),
             &["o", "u"],
         );
-        let c = Compiled::with_options(lp, EngineOptions::no_batch());
+        let c = Compiled::new(lp);
         assert_eq!(c.run(CountVisitor::default()).unwrap().blocks.rows_replayed, 4999);
         let token = Arc::new(CancelToken::new());
         token.cancel();

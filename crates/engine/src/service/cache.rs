@@ -17,7 +17,7 @@
 //! 3. **The evaluation scope** — a caller-supplied string naming the device/
 //!    request scope plus [`crate::compiled::EngineOptions::signature`] — the execution-options
 //!    fingerprint (schedule mode, interval/congruence pruning, guard fanout,
-//!    batching, engine tier) shared with the checkpoint compatibility check.
+//!    engine tier) shared with the checkpoint compatibility check.
 //!    This is belt-and-suspenders on top of (1): the structural hash already
 //!    separates devices, but the scope string keeps the key auditable and
 //!    protects against option changes that alter *statistics* without
@@ -50,7 +50,7 @@ use beast_core::ir::LoweredPlan;
 
 use crate::checkpoint::{blocks_json, parse_blocks, parse_stats, stats_json, JsonValue, SaveState};
 use crate::parallel::{run_threaded, ChunkMemo, ParallelOptions};
-use crate::stats::{BlockStats, LaneStats, PruneStats};
+use crate::stats::{BlockStats, PruneStats};
 use crate::sweep::SweepError;
 use crate::telemetry::{json_num, json_str, SweepReport};
 use crate::visit::Visitor;
@@ -276,10 +276,6 @@ impl<V: Visitor + SaveState + Clone + Send + Sync> ChunkMemo<V> for ScopedMemo<'
                 Some(SweepOutcome {
                     stats: e.stats.clone(),
                     blocks: e.blocks,
-                    // Telemetry-only: lane counters describe work actually
-                    // executed, and a replayed chunk executed none, so the
-                    // default (all-zero) value is reported.
-                    lanes: LaneStats::default(),
                     // Per sweep, not per chunk: the driver reports the
                     // engine's learned order whether or not chunks replay.
                     schedule: None,

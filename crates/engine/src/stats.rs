@@ -113,53 +113,6 @@ impl BlockStats {
     }
 }
 
-/// Telemetry counters for the compiled engine's batched lane tier and the
-/// fused superinstruction dispatch. Purely observational: survivors, visit
-/// order, [`PruneStats`] and [`BlockStats`] are bit-identical with batching
-/// on or off, so these counters only describe *how* the work was executed
-/// (slab-evaluated lanes vs per-lane scalar fallbacks). Backends without
-/// the tier — walker, VM, the compiled engine with `batch` off — report the
-/// default (all-zero) value.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct LaneStats {
-    /// Lane-point evaluations performed by slab (batched) program runs:
-    /// each slab evaluation of one postfix program over an `n`-lane block
-    /// adds `n`.
-    pub lane_evals: u64,
-    /// Tail lanes masked off in partial blocks (domain length not a
-    /// multiple of the lane width).
-    pub lanes_masked: u64,
-    /// Lanes routed back to the scalar path because a fallible op (zero
-    /// divisor, overflow the slab cannot prove absent, or a jumpy
-    /// program's evaluation error) made slab results untrustworthy for
-    /// that lane.
-    pub scalar_fallbacks: u64,
-    /// Per-superinstruction execution counts, indexed by fused-op id in
-    /// program order (empty when the program has no fused Define→Check
-    /// pairs).
-    pub super_hits: Vec<u64>,
-}
-
-impl LaneStats {
-    /// Merge counters from another sweep chunk (parallel workers).
-    pub fn merge(&mut self, other: &LaneStats) {
-        self.lane_evals += other.lane_evals;
-        self.lanes_masked += other.lanes_masked;
-        self.scalar_fallbacks += other.scalar_fallbacks;
-        if self.super_hits.len() < other.super_hits.len() {
-            self.super_hits.resize(other.super_hits.len(), 0);
-        }
-        for (a, b) in self.super_hits.iter_mut().zip(&other.super_hits) {
-            *a += b;
-        }
-    }
-
-    /// Total fused-superinstruction executions across all fused ops.
-    pub fn total_super_hits(&self) -> u64 {
-        self.super_hits.iter().sum()
-    }
-}
-
 /// Per-policy fault counters for one sweep, aggregated from the structured
 /// [`FaultRecord`] list the supervisor collects. Like the other stats these
 /// are deterministic for a pinned chunk grid, so they can be asserted in

@@ -19,7 +19,7 @@ use beast_core::analyze::LintSummary;
 use beast_core::space::Space;
 
 use crate::fault::FaultRecord;
-use crate::stats::{BlockStats, FaultCounters, LaneStats, PruneStats};
+use crate::stats::{BlockStats, FaultCounters, PruneStats};
 
 /// Shared progress counters for a running sweep.
 ///
@@ -217,11 +217,6 @@ pub struct SweepReport {
     /// Chunks that consulted the sub-sweep cache and missed (0 when no
     /// cache was attached).
     pub cache_misses: u64,
-    /// Batched-lane and superinstruction counters (all zero when the
-    /// compiled engine ran with `batch` off or another backend ran the
-    /// sweep). Purely observational — survivors and pruning counters are
-    /// bit-identical with batching on or off.
-    pub lanes: LaneStats,
     /// Space-linter summary recorded at engine compile time (`None` when
     /// the lint gate is `Allow`).
     pub lint: Option<LintSummary>,
@@ -316,7 +311,6 @@ impl SweepReport {
             rows_replayed: blocks.rows_replayed,
             cache_hits: 0,
             cache_misses: 0,
-            lanes: LaneStats::default(),
             lint,
             constraints,
             levels,
@@ -410,21 +404,6 @@ impl SweepReport {
         json_num(&mut out, "cache_hits", self.cache_hits as f64);
         out.push(',');
         json_num(&mut out, "cache_misses", self.cache_misses as f64);
-        out.push(',');
-        json_num(&mut out, "lane_evals", self.lanes.lane_evals as f64);
-        out.push(',');
-        json_num(&mut out, "lanes_masked", self.lanes.lanes_masked as f64);
-        out.push(',');
-        json_num(&mut out, "scalar_fallbacks", self.lanes.scalar_fallbacks as f64);
-        out.push_str(",\"super_hits\":[");
-        for (i, h) in self.lanes.super_hits.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            // Exact decimal integers, never through f64 (rounds above 2^53).
-            out.push_str(&h.to_string());
-        }
-        out.push(']');
         out.push(',');
         json_num(&mut out, "imbalance", self.imbalance());
         out.push_str(",\"native\":");
@@ -617,16 +596,6 @@ impl SweepReport {
                 n.compile_ms,
                 if n.artifact_cache_hits > 0 { " (artifact cache hit)" } else { "" },
                 n.workers_spawned
-            );
-        }
-        if self.lanes.lane_evals > 0 || self.lanes.total_super_hits() > 0 {
-            let _ = writeln!(
-                out,
-                "lane batching: {} lane evals, {} tail lanes masked, {} scalar fallbacks, {} superinstruction hit(s)",
-                self.lanes.lane_evals,
-                self.lanes.lanes_masked,
-                self.lanes.scalar_fallbacks,
-                self.lanes.total_super_hits()
             );
         }
         if let Some(s) = self.lint {
@@ -1105,44 +1074,14 @@ mod tests {
         assert!(!json.contains(":inf") && !json.contains(":NaN"), "{json}");
     }
 
-    /// Lane-batching counters serialize with a pinned shape: zeros plus an
-    /// empty `super_hits` array by default, keyed between the cache
-    /// counters and `imbalance`; populated counters keep the exact key
-    /// order and surface in the text rendering.
+    /// The counter run of the report JSON has a pinned shape: the cache
+    /// counters are followed directly by `imbalance`.
     #[test]
-    fn lane_counters_have_pinned_json_shape() {
-        let mut r = sample_report();
-        let json = r.to_json();
+    fn counter_run_has_pinned_json_shape() {
+        let json = sample_report().to_json();
         assert!(
-            json.contains(
-                "\"cache_misses\":0,\"lane_evals\":0,\"lanes_masked\":0,\
-                 \"scalar_fallbacks\":0,\"super_hits\":[],\"imbalance\":"
-            ),
-            "lane counter key order changed: {json}"
-        );
-        let text = r.render_text();
-        assert!(!text.contains("lane batching"), "{text}");
-        r.lanes = LaneStats {
-            lane_evals: 1000,
-            lanes_masked: 12,
-            scalar_fallbacks: 3,
-            super_hits: vec![40, 0],
-        };
-        let json = r.to_json();
-        assert!(
-            json.contains(
-                "\"lane_evals\":1000,\"lanes_masked\":12,\
-                 \"scalar_fallbacks\":3,\"super_hits\":[40,0]"
-            ),
-            "{json}"
-        );
-        let text = r.render_text();
-        assert!(
-            text.contains(
-                "lane batching: 1000 lane evals, 12 tail lanes masked, \
-                 3 scalar fallbacks, 40 superinstruction hit(s)"
-            ),
-            "{text}"
+            json.contains("\"cache_hits\":0,\"cache_misses\":0,\"imbalance\":"),
+            "counter key order changed: {json}"
         );
     }
 

@@ -27,7 +27,7 @@ use beast_core::iterator::Realized;
 
 use crate::compiled::SlotBindings;
 use crate::point::PointRef;
-use crate::stats::{BlockStats, LaneStats, PruneStats};
+use crate::stats::{BlockStats, PruneStats};
 use crate::visit::Visitor;
 use crate::walker::SweepOutcome;
 
@@ -198,7 +198,6 @@ impl Vm {
         Ok(SweepOutcome {
             stats,
             blocks: BlockStats::default(),
-            lanes: LaneStats::default(),
             schedule: None,
             visitor,
         })

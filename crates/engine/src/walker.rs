@@ -54,13 +54,8 @@ pub struct SweepOutcome<V> {
     /// check group; see `Compiled::learned_orders`). One value per sweep:
     /// `None` on per-chunk outcomes, and for backends and modes without
     /// measured scheduling (walker, VM, and the compiled engine under
-    /// declared/static schedules).
+    /// a declared schedule).
     pub schedule: Option<Vec<Vec<u32>>>,
-    /// Batched-lane-tier and superinstruction telemetry. All-zero for
-    /// backends without the tier (walker, VM) and for the compiled engine
-    /// with batching off; replayed cached chunks also report the default
-    /// (telemetry-only).
-    pub lanes: crate::stats::LaneStats,
     /// The visitor, holding whatever it accumulated.
     pub visitor: V,
 }
@@ -104,7 +99,6 @@ impl<'p> Walker<'p> {
             stats: state.stats,
             blocks: BlockStats::default(),
             schedule: None,
-            lanes: crate::stats::LaneStats::default(),
             visitor: state.visitor,
         })
     }

@@ -29,7 +29,7 @@ pub struct Generated {
 ///     x in 1..13/p+2 | 0..6
 ///       [check p * x != 12]             opens the body: x is narrowed
 ///       t = x * o ; check t > thr
-///       y in 0..3 | 0..9                check (y + o) % 3 == 0 — a lane plan
+///       y in 0..3 | 0..9                check (y + o) % 3 == 0 — a filter loop
 ///         [b in 1..3 ; z in 0..b+1]     b read only by a bind bound; z by nothing
 ///         [c in 0..3 ; check c == 1]    c read only by a check
 ///           [opaque define | constraint | iterator over y]

@@ -263,8 +263,7 @@ fn closure_iterator_space() {
 /// Ranges whose last value lies within one stride of `i64::MAX` / `MIN`:
 /// stepping past the end overflows, which must read as exhaustion (the
 /// walker's `RealizedIter` semantics), not wrap around and keep yielding.
-/// One value and — so the lane tier's block fill is exercised too — eight,
-/// upward and downward, under an outer loop. The compiled engine and the
+/// One value and eight, upward and downward, under an outer loop. The compiled engine and the
 /// VM's numeric-for hung here before they stepped with `checked_add`.
 #[test]
 fn ranges_ending_at_the_i64_extremes_terminate_and_agree() {
@@ -295,20 +294,13 @@ fn ranges_ending_at_the_i64_extremes_terminate_and_agree() {
         assert_eq!(out.visitor.points, want.visitor.points, "vm, step {step}, len {len}");
         assert_eq!(out.stats, want.stats, "vm, step {step}, len {len}");
 
-        for opts in [
-            EngineOptions::default(),
-            EngineOptions::no_batch(),
-            EngineOptions::no_intervals(),
-        ] {
+        for opts in [EngineOptions::default(), EngineOptions::no_intervals()] {
             let compiled = Compiled::with_options(lowered.clone(), opts);
             let out = compiled
                 .run(CollectVisitor::new(compiled.point_names().clone(), usize::MAX))
                 .unwrap();
             assert_eq!(out.visitor.points, want.visitor.points, "{opts:?}, step {step}, len {len}");
             assert_eq!(out.stats, want.stats, "{opts:?}, step {step}, len {len}");
-            if opts.batch && len >= 8 {
-                assert!(out.lanes.lane_evals > 0, "{opts:?}: lane fill not exercised");
-            }
         }
     }
 }

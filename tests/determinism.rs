@@ -312,11 +312,11 @@ fn congruence_on_and_off_agree_at_every_thread_count() {
     );
 }
 
-/// Constraint scheduling is invisible in results: static and adaptive
+/// Constraint scheduling is invisible in results: declared and adaptive
 /// check ordering — with intervals on or off, serial and parallel at every
-/// thread count — reproduces the declared-order survivors in the identical
-/// emission order. Only the per-constraint kill *credit* may move between
-/// the members of a reorder-safe group.
+/// thread count — reproduce the same survivors in the identical emission
+/// order. Only the per-constraint kill *credit* may move between the
+/// members of a reorder-safe group.
 #[test]
 fn schedule_modes_agree_at_every_thread_count() {
     use beast_core::schedule::ScheduleMode;
@@ -327,7 +327,7 @@ fn schedule_modes_agree_at_every_thread_count() {
         let baseline = baseline_engine
             .run(CollectVisitor::new(names.clone(), usize::MAX))
             .unwrap();
-        for mode in [ScheduleMode::Static, ScheduleMode::Adaptive] {
+        for mode in [ScheduleMode::Declared, ScheduleMode::Adaptive] {
             for intervals in [true, false] {
                 let mut engine = if intervals {
                     EngineOptions::default()
@@ -403,89 +403,75 @@ fn faulted_sweeps_are_thread_count_invariant() {
     }
 }
 
-/// Batched lane evaluation is invisible in results: with the batch tier on
-/// or off, serial and parallel sweeps at every thread count produce the
-/// same survivors in the same order with identical `PruneStats` *and*
-/// identical `BlockStats` (the slab path defers stats crediting so even
-/// per-constraint evaluation counts match the scalar path exactly). The
-/// lane counters are the only permitted difference: batch-off runs must
-/// report zero lane activity, and the GEMM space must actually exercise
-/// the slab path.
+/// The one scalar engine, pinned: on the GEMM reduced(16) and reduced(32)
+/// spaces the fingerprint, survivor count, every `PruneStats` row and every
+/// `BlockStats` counter (replay's included) equal the values the last
+/// commit that still had a lane tier printed, with the tier switched off,
+/// for `repro sweep DIM --threads 1 --chunks 32` under each schedule mode
+/// with intervals on and off. Deleting the tier may not move one of them.
 #[test]
-fn batch_on_and_off_agree_at_every_thread_count() {
-    for (name, space) in all_spaces() {
-        let lp = lower(&space);
-        let on = Compiled::new(lp.clone());
-        let off = Compiled::with_options(lp.clone(), EngineOptions::no_batch());
-        let names = on.point_names().clone();
-        let serial_on = on.run(CollectVisitor::new(names.clone(), usize::MAX)).unwrap();
-        let serial_off = off.run(CollectVisitor::new(names.clone(), usize::MAX)).unwrap();
-
-        assert_eq!(
-            serial_on.visitor.points, serial_off.visitor.points,
-            "{name}: batching changed survivors or their order"
-        );
-        assert_eq!(serial_on.stats, serial_off.stats, "{name}: batching changed PruneStats");
-        assert_eq!(serial_on.blocks, serial_off.blocks, "{name}: batching changed BlockStats");
-        assert_eq!(
-            serial_off.lanes,
-            LaneStats::default(),
-            "{name}: batch-off mode counted lane activity"
-        );
-        if name == "gemm" {
-            assert!(serial_on.lanes.lane_evals > 0, "gemm never hit the slab path");
-        }
-
-        // A deliberately odd lane width stresses tail masking (almost every
-        // block is partial) and must still be invisible in results.
-        let w7 = Compiled::with_options(
-            lp.clone(),
-            EngineOptions { lane_width: 7, ..EngineOptions::default() },
-        );
-        let serial_w7 = w7.run(CollectVisitor::new(names.clone(), usize::MAX)).unwrap();
-        assert_eq!(
-            serial_w7.visitor.points, serial_on.visitor.points,
-            "{name}: lane_width=7 changed survivors or their order"
-        );
-        assert_eq!(serial_w7.stats, serial_on.stats, "{name}: lane_width=7 changed PruneStats");
-        assert_eq!(serial_w7.blocks, serial_on.blocks, "{name}: lane_width=7 changed BlockStats");
-
-        for threads in THREAD_COUNTS {
-            for (mode, engine, serial) in [
-                ("on", EngineOptions::default(), &serial_on),
-                ("off", EngineOptions::no_batch(), &serial_off),
-            ] {
-                let opts = ParallelOptions { threads, engine, ..ParallelOptions::default() };
-                let (par, report) = run_parallel_report(&lp, &opts, || {
-                    CollectVisitor::new(names.clone(), usize::MAX)
-                })
-                .unwrap();
-                assert_eq!(
-                    par.visitor.points, serial.visitor.points,
-                    "{name}: batch-{mode} visit order diverged at {threads} threads"
-                );
-                assert_eq!(
-                    par.stats, serial.stats,
-                    "{name}: batch-{mode} stats diverged at {threads} threads"
-                );
-                assert_eq!(
-                    par.blocks, serial.blocks,
-                    "{name}: batch-{mode} block counters diverged at {threads} threads"
-                );
-                if mode == "off" {
-                    assert_eq!(
-                        report.lanes,
-                        LaneStats::default(),
-                        "{name}: batch-off parallel run counted lane activity at {threads} threads"
-                    );
-                } else if name == "gemm" {
-                    assert!(
-                        report.lanes.lane_evals > 0,
-                        "{name}: parallel batch run never hit the slab path at {threads} threads"
-                    );
-                }
-            }
-        }
+fn scalar_engine_reproduces_the_pinned_gemm_fingerprints_and_counters() {
+    use beast_core::schedule::ScheduleMode::{Adaptive, Declared};
+    // (dim, schedule, intervals, evaluated, pruned, [subtree_skips,
+    // congruence_skips, points_skipped, checks_elided, loops_solved,
+    // points_solved, loops_replayed, rows_replayed]).
+    #[rustfmt::skip]
+    let pins = [
+        (16, Declared, true,
+         [256, 16064, 16064, 16064, 16064, 16064, 16064, 256, 109440, 91136, 2240, 2112],
+         [0, 0, 0, 0, 0, 0, 15312, 236, 107200, 89024, 1120, 288],
+         [370, 57, 7536, 48448, 17344, 200576, 723, 1767]),
+        (16, Declared, false,
+         [256, 32256, 32256, 32256, 32256, 32256, 32256, 256, 222912, 91136, 3904, 2112],
+         [0, 0, 0, 0, 0, 0, 30048, 236, 219008, 89024, 2784, 288],
+         [0, 0, 0, 0, 37568, 314048, 2698, 1767]),
+        (16, Adaptive, true,
+         [20, 16064, 16064, 16064, 752, 752, 16064, 256, 109440, 91136, 2240, 2112],
+         [0, 0, 0, 0, 0, 0, 15312, 236, 107200, 89024, 1120, 288],
+         [370, 57, 7536, 48212, 17344, 200576, 723, 1767]),
+        (16, Adaptive, false,
+         [20, 32256, 32256, 32256, 2208, 2208, 32256, 256, 222912, 91136, 3904, 2112],
+         [0, 0, 0, 0, 0, 0, 30048, 236, 219008, 89024, 2784, 288],
+         [0, 0, 0, 0, 37568, 314048, 2698, 1767]),
+        (32, Declared, true,
+         [1024, 346240, 346240, 346240, 346240, 346240, 282208, 1024, 8043776, 4744128, 90560, 61792],
+         [0, 0, 0, 0, 0, 64032, 257824, 912, 7953216, 4682336, 61472, 29920],
+         [3952, 718, 81856, 1039744, 817936, 12787904, 9488, 30693]),
+        (32, Declared, false,
+         [1024, 587776, 587776, 587776, 587776, 587776, 503488, 1024, 15501856, 4744128, 162016, 61792],
+         [0, 0, 0, 0, 0, 84288, 450912, 912, 15339840, 4682336, 132928, 29920],
+         [0, 0, 0, 0, 1503472, 20245984, 31714, 30693]),
+        (32, Adaptive, true,
+         [112, 346240, 346240, 346240, 24384, 38624, 346240, 1024, 8043776, 4744128, 90560, 61792],
+         [0, 0, 0, 0, 0, 14240, 307616, 912, 7953216, 4682336, 61472, 29920],
+         [3952, 718, 81856, 1038832, 817936, 12787904, 9488, 30693]),
+        (32, Adaptive, false,
+         [112, 587776, 587776, 587776, 52576, 75584, 587776, 1024, 15501856, 4744128, 162016, 61792],
+         [0, 0, 0, 0, 0, 23008, 512192, 912, 15339840, 4682336, 132928, 29920],
+         [0, 0, 0, 0, 1503472, 20245984, 31714, 30693]),
+    ];
+    for (dim, schedule, intervals, evaluated, pruned, b) in pins {
+        let (hash, survivors) =
+            if dim == 16 { (0x1096600c503f5220, 1824) } else { (0x828fe8248da94e00, 31872) };
+        let lp = lower(&build_gemm_space(&GemmSpaceParams::reduced(dim)).unwrap());
+        let engine = EngineOptions { intervals, schedule, ..EngineOptions::default() };
+        let opts = ParallelOptions { threads: 1, chunk_count: 32, engine, ..Default::default() };
+        let (out, _) = run_parallel_report(&lp, &opts, FingerprintVisitor::new).unwrap();
+        let at = format!("reduced({dim}) {schedule} intervals={intervals}");
+        assert_eq!((out.visitor.hash, out.visitor.count), (hash, survivors), "{at}");
+        let stats = PruneStats { evaluated: evaluated.into(), pruned: pruned.into(), survivors };
+        assert_eq!(out.stats, stats, "{at}: PruneStats");
+        let blocks = BlockStats {
+            subtree_skips: b[0],
+            congruence_skips: b[1],
+            points_skipped: b[2],
+            checks_elided: b[3],
+            loops_solved: b[4],
+            points_solved: b[5],
+            loops_replayed: b[6],
+            rows_replayed: b[7],
+        };
+        assert_eq!(out.blocks, blocks, "{at}: BlockStats");
     }
 }
 
@@ -631,11 +617,10 @@ fn chunk_granularity_is_invisible() {
 
 /// The adaptive schedule is a compile-time decision: calibration is a pure
 /// function of plan and options, and the learned order is compiled into
-/// the same batched op stream a declared schedule runs. So — strictly
-/// stronger than "credit may move" — with batching on or off, at every
-/// thread count and on every chunk grid, survivors and emission order equal
-/// the walker's, and `PruneStats`, `BlockStats`, `LaneStats` and the
-/// reported schedule are *equal across all grids*.
+/// the same op stream a declared schedule runs. So — strictly stronger than
+/// "credit may move" — at every thread count and on every chunk grid,
+/// survivors and emission order equal the walker's, and `PruneStats`,
+/// `BlockStats` and the reported schedule are *equal across all grids*.
 #[test]
 fn adaptive_counters_are_invariant_across_threads_and_chunk_grids() {
     use beast_core::schedule::ScheduleMode;
@@ -649,46 +634,34 @@ fn adaptive_counters_are_invariant_across_threads_and_chunk_grids() {
             .unwrap()
             .visitor
             .points;
-        for batch in [true, false] {
-            let engine = EngineOptions {
-                schedule: ScheduleMode::Adaptive,
-                batch,
-                ..EngineOptions::default()
-            };
-            let mut baseline = None;
-            for threads in THREAD_COUNTS {
-                for chunk_count in [1, 7, 32] {
-                    let opts = ParallelOptions {
-                        threads,
-                        chunk_count,
-                        engine,
-                        ..ParallelOptions::default()
-                    };
-                    let (par, _) = run_parallel_report(&lp, &opts, || {
-                        CollectVisitor::new(names.clone(), usize::MAX)
-                    })
-                    .unwrap();
-                    let at = format!("{name}: batch={batch} threads={threads} chunks={chunk_count}");
-                    assert_eq!(par.visitor.points, reference, "{at}: survivors or order");
-                    assert!(par.schedule.is_some(), "{at}: adaptive sweeps report a schedule");
-                    if !batch {
-                        assert_eq!(par.lanes, LaneStats::default(), "{at}");
-                    }
-                    let counters = (par.stats, par.blocks, par.lanes, par.schedule);
-                    match &baseline {
-                        None => baseline = Some(counters),
-                        Some(b) => assert_eq!(&counters, b, "{at}: counters moved"),
-                    }
+        let engine = EngineOptions::scheduled(ScheduleMode::Adaptive);
+        let mut baseline = None;
+        for threads in THREAD_COUNTS {
+            for chunk_count in [1, 7, 32] {
+                let opts = ParallelOptions {
+                    threads,
+                    chunk_count,
+                    engine,
+                    ..ParallelOptions::default()
+                };
+                let (par, _) = run_parallel_report(&lp, &opts, || {
+                    CollectVisitor::new(names.clone(), usize::MAX)
+                })
+                .unwrap();
+                let at = format!("{name}: threads={threads} chunks={chunk_count}");
+                assert_eq!(par.visitor.points, reference, "{at}: survivors or order");
+                assert!(par.schedule.is_some(), "{at}: adaptive sweeps report a schedule");
+                let counters = (par.stats, par.blocks, par.schedule);
+                match &baseline {
+                    None => baseline = Some(counters),
+                    Some(b) => assert_eq!(&counters, b, "{at}: counters moved"),
                 }
             }
-            let (_, _, lanes, schedule) = baseline.unwrap();
-            // The serial engine agrees with every grid, and the tiers compose.
-            let serial = Compiled::with_options(lp.clone(), engine);
-            assert_eq!(serial.learned_orders(), schedule, "{name}");
-            if batch && name == "gemm" {
-                assert!(lanes.lane_evals > 0, "adaptive gemm never hit the slab path");
-            }
         }
+        let (_, _, schedule) = baseline.unwrap();
+        // The serial engine agrees with every grid.
+        let serial = Compiled::with_options(lp.clone(), engine);
+        assert_eq!(serial.learned_orders(), schedule, "{name}");
     }
 }
 
@@ -708,7 +681,7 @@ fn adaptive_calibration_is_deterministic() {
             a.run(CountVisitor::default()).unwrap(),
             b.run(CountVisitor::default()).unwrap(),
         );
-        assert_eq!((ra.stats, ra.blocks, ra.lanes), (rb.stats, rb.blocks, rb.lanes), "{name}");
+        assert_eq!((ra.stats, ra.blocks), (rb.stats, rb.blocks), "{name}");
     }
 }
 

@@ -388,7 +388,6 @@ fn cancel_mid_replay_drops_the_chunk() {
         .unwrap();
     let lp = LoweredPlan::new(&Plan::new(&space, PlanOptions::default()).unwrap()).unwrap();
     let mut o = opts(1);
-    o.engine = EngineOptions::no_batch();
     let (full, report) = run_parallel_report(&lp, &o, CountVisitor::default).unwrap();
     assert_eq!((full.visitor.count, report.rows_replayed, report.partial), (5000, 4999, false));
 

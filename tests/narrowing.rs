@@ -43,8 +43,7 @@ const SEEDS: u64 = 240;
 
 /// (a) Narrowed `Compiled` equals the enumerating oracles in points, order
 /// and `PruneStats`; with default options it equals itself on every
-/// thread × chunk grid, counters included; and `--no-batch` changes
-/// nothing but the lane counters.
+/// thread × chunk grid, counters included.
 #[test]
 fn narrowed_loops_match_the_enumerating_backends_on_seeded_spaces() {
     let (mut solved_total, mut walker_ok, mut with_survivors) = (0u64, 0u32, 0u32);
@@ -95,17 +94,10 @@ fn narrowed_loops_match_the_enumerating_backends_on_seeded_spaces() {
                 assert_eq!(ints(&out.visitor.points), want, "{at}: survivors");
                 assert_eq!(out.stats, serial.stats, "{at}: PruneStats");
                 assert_eq!(out.blocks, serial.blocks, "{at}: BlockStats");
-                assert_eq!(out.lanes, serial.lanes, "{at}: LaneStats");
                 assert_eq!(report.loops_solved, serial.blocks.loops_solved, "{at}: report");
                 assert_eq!(report.points_solved, serial.blocks.points_solved, "{at}: report");
             }
         }
-
-        // Narrowing does not depend on the batch tier.
-        let (unbatched, points) = compiled_points(&lp, EngineOptions::no_batch());
-        assert_eq!(points, want, "seed {seed}: --no-batch changed survivors");
-        assert_eq!(unbatched.stats, serial.stats, "seed {seed}: --no-batch PruneStats");
-        assert_eq!(unbatched.blocks, serial.blocks, "seed {seed}: --no-batch BlockStats");
 
         solved_total += serial.blocks.loops_solved;
         with_survivors += u32::from(serial.blocks.loops_solved > 0 && !want.is_empty());
@@ -146,7 +138,7 @@ fn a_solved_loop_leaves_its_last_value_in_the_slot() {
     let z_col = vm.point_names().iter().position(|n| &**n == "z").unwrap();
     assert!(want.iter().any(|p| p[z_col] > 1), "z never saw a stale x: {want:?}");
 
-    for opts in [EngineOptions::default(), EngineOptions::no_intervals(), EngineOptions::no_batch()] {
+    for opts in [EngineOptions::default(), EngineOptions::no_intervals()] {
         let (out, points) = compiled_points(&lp, opts);
         assert!(out.blocks.loops_solved > 0, "{opts:?}: x loop was not narrowed");
         assert_eq!(points, want, "{opts:?}: stale slot state diverged from the VM");

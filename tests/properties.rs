@@ -14,12 +14,7 @@
 //!   arithmetic, the interval × congruence reduced product never drops a
 //!   member, and the product evaluator keeps the interval half bit-identical
 //!   to interval-only evaluation (the contract congruence subtree skips and
-//!   the determinism suite rely on);
-//! * the batched lane evaluator agrees lane-for-lane with the scalar
-//!   postfix interpreter on random programs and arbitrary (including
-//!   `i64`-extreme) lane values, and its fallible mask is sound: a lane
-//!   left unflagged always evaluates cleanly to the identical value (the
-//!   contract the compiled engine's batch tier relies on).
+//!   the determinism suite rely on).
 //!
 //! Cases are generated from a fixed-seed [`StdRng`] (the vendored std-only
 //! shim), so every run exercises the same case set — failures reproduce
@@ -33,11 +28,10 @@ use rand::{Rng, SeedableRng};
 
 use beast::prelude::*;
 use beast_core::analyze::{cg_of_bind, cg_of_values, eval_product, reduce, Congruence};
-use beast_core::expr::{lit, max2, min2, ternary, Bindings, Builtin, Expr, E};
+use beast_core::expr::{lit, max2, min2, ternary, Bindings, Expr, E};
 use beast_core::interval::{interval_of, Interval, IntervalOutcome, IvProg};
-use beast_core::ir::{IntBinOp, IntExpr, LBody, LIter, LStep};
+use beast_core::ir::{LBody, LIter, LStep};
 use beast_core::iterator::Realized;
-use beast_engine::lanes::{EvalScratch, LaneProg, LANES};
 use beast_engine::parallel::run_parallel;
 use beast_engine::postfix::Postfix;
 
@@ -426,140 +420,6 @@ fn gemm_postfix_peephole_reduces_ops() {
         opt_total < raw_total,
         "peephole found nothing to fold in the GEMM plan ({opt_total} vs {raw_total} ops)"
     );
-}
-
-/// Random lowered integer expressions over three slots, spanning every
-/// non-jumpy postfix op (wrapping arithmetic, all division flavors,
-/// comparisons, two-argument builtins) plus the occasional ternary — which
-/// compiles to jumps and therefore exercises the "program refuses to lane-
-/// compile" path.
-fn arb_int_expr(rng: &mut StdRng, depth: usize) -> IntExpr {
-    if depth == 0 || rng.gen_bool(0.3) {
-        return if rng.gen_bool(0.4) {
-            IntExpr::Const(rng.gen_range(-5i64..6))
-        } else {
-            IntExpr::Slot(rng.gen_range(0u32..3))
-        };
-    }
-    let a = Box::new(arb_int_expr(rng, depth - 1));
-    let b = Box::new(arb_int_expr(rng, depth - 1));
-    match rng.gen_range(0u32..20) {
-        0 => IntExpr::Bin(IntBinOp::Add, a, b),
-        1 => IntExpr::Bin(IntBinOp::Sub, a, b),
-        2 => IntExpr::Bin(IntBinOp::Mul, a, b),
-        3 => IntExpr::Bin(IntBinOp::Div, a, b),
-        4 => IntExpr::Bin(IntBinOp::FloorDiv, a, b),
-        5 => IntExpr::Bin(IntBinOp::Rem, a, b),
-        6 => IntExpr::Bin(IntBinOp::Lt, a, b),
-        7 => IntExpr::Bin(IntBinOp::Le, a, b),
-        8 => IntExpr::Bin(IntBinOp::Gt, a, b),
-        9 => IntExpr::Bin(IntBinOp::Ge, a, b),
-        10 => IntExpr::Bin(IntBinOp::Eq, a, b),
-        11 => IntExpr::Bin(IntBinOp::Ne, a, b),
-        12 => IntExpr::Call2(Builtin::Min, a, b),
-        13 => IntExpr::Call2(Builtin::Max, a, b),
-        14 => IntExpr::Call2(Builtin::DivCeil, a, b),
-        15 => IntExpr::Call2(Builtin::Gcd, a, b),
-        16 => IntExpr::Call2(Builtin::RoundUp, a, b),
-        17 => IntExpr::Neg(a),
-        18 => IntExpr::Abs(a),
-        _ => IntExpr::Ternary(Box::new(arb_int_expr(rng, depth - 1)), a, b),
-    }
-}
-
-/// Lane values spanning the full `i64` range: mostly small magnitudes (so
-/// divisions and gcds take interesting values), with a steady stream of the
-/// extremes that make wrapping arithmetic and `MIN / -1` overflow bite.
-fn arb_lane_value(rng: &mut StdRng) -> i64 {
-    const EXTREMES: [i64; 6] = [i64::MIN, i64::MIN + 1, i64::MAX, -1, 0, 1];
-    if rng.gen_bool(0.25) {
-        EXTREMES[rng.gen_range(0usize..EXTREMES.len())]
-    } else {
-        rng.gen_range(-30i64..31)
-    }
-}
-
-/// The batched lane evaluator agrees lane-for-lane with the scalar postfix
-/// interpreter — the exact invariant the compiled engine's batch tier rests
-/// on:
-///
-/// * a lane whose fallible bit is *clear* must evaluate scalar-cleanly to
-///   the bit-identical value (this is what lets the engine trust slab
-///   results without re-running them);
-/// * a lane whose fallible bit is *set* must actually fail scalar
-///   evaluation — error or arithmetic panic — in debug builds, where raw
-///   arithmetic traps exactly where the slab's checked probes look. (In
-///   release builds raw `+`/`-` wrap where the slab stays conservative, so
-///   only the soundness direction holds there.)
-///
-/// Slots 0 and 1 vary per lane; slot 2 is a broadcast scalar, so both the
-/// `Row` and `Slot` operand paths are exercised.
-#[test]
-fn lane_slab_agrees_with_scalar_postfix() {
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-    let mut rng = StdRng::seed_from_u64(0xBEA5_7009);
-    let rows: [u32; 2] = [0, 1];
-    let mut lane_programs = 0u64;
-    let mut refused_programs = 0u64;
-    let mut fallible_lanes = 0u64;
-    for case in 0..256 {
-        let e = arb_int_expr(&mut rng, 3);
-        let pf = Postfix::compile(&e);
-        let Some(prog) = LaneProg::compile(&pf, &rows) else {
-            refused_programs += 1;
-            continue;
-        };
-        lane_programs += 1;
-
-        let mut r0 = [0i64; LANES];
-        let mut r1 = [0i64; LANES];
-        for i in 0..LANES {
-            r0[i] = arb_lane_value(&mut rng);
-            r1[i] = arb_lane_value(&mut rng);
-        }
-        let broadcast = arb_lane_value(&mut rng);
-        // Slots 0/1 hold garbage the `Row` operands must shadow.
-        let slots = [i64::MIN, i64::MAX, broadcast];
-        let mut scratch = EvalScratch::default();
-        let mut out = [0i64; LANES];
-        let fall = prog.eval(&slots, &[r0, r1], LANES, &mut scratch, &mut out);
-
-        for i in 0..LANES {
-            let lane_slots = [r0[i], r1[i], broadcast];
-            let scalar = catch_unwind(AssertUnwindSafe(|| {
-                let mut s = Vec::new();
-                pf.eval(&lane_slots, &mut s)
-            }));
-            if fall & (1u64 << i) == 0 {
-                match scalar {
-                    Ok(Ok(v)) => assert_eq!(
-                        v, out[i],
-                        "case {case} lane {i}: slab value diverged for {e:?} on {lane_slots:?}"
-                    ),
-                    Ok(Err(err)) => panic!(
-                        "case {case} lane {i}: unflagged lane errored ({err:?}) for {e:?} on {lane_slots:?}"
-                    ),
-                    Err(_) => panic!(
-                        "case {case} lane {i}: unflagged lane panicked for {e:?} on {lane_slots:?}"
-                    ),
-                }
-            } else {
-                fallible_lanes += 1;
-                // In debug builds the slab's checked probes match the raw
-                // arithmetic traps exactly; in release raw ops wrap where
-                // the probes stay conservative, so exactness only holds
-                // here.
-                #[cfg(debug_assertions)]
-                assert!(
-                    !matches!(scalar, Ok(Ok(_))),
-                    "case {case} lane {i}: flagged lane evaluated cleanly for {e:?} on {lane_slots:?}"
-                );
-            }
-        }
-    }
-    assert!(lane_programs > 100, "degenerate case set: {lane_programs} lane programs");
-    assert!(refused_programs > 0, "no jumpy programs exercised the refusal path");
-    assert!(fallible_lanes > 0, "no lane ever went fallible");
 }
 
 /// Random congruence-domain elements: exact points and small progressions.

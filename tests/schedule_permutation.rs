@@ -119,15 +119,15 @@ fn random_check_permutations_preserve_survivors_and_order() {
     }
 }
 
-/// The engine's own scheduling modes (static reorder at compile time,
-/// adaptive re-sorting at run time) stay on the declared baseline too, with
+/// The engine's own scheduling modes (declared, and the adaptive order
+/// learned at engine-build time) stay on the declared baseline too, with
 /// intervals on and off.
 #[test]
 fn engine_schedule_modes_match_declared_baseline() {
     for (name, space) in all_spaces() {
         let lp = lower(&space);
         let baseline = collect(&lp);
-        for mode in [ScheduleMode::Static, ScheduleMode::Adaptive] {
+        for mode in [ScheduleMode::Declared, ScheduleMode::Adaptive] {
             for intervals in [true, false] {
                 let mut engine = if intervals {
                     EngineOptions::default()
