@@ -33,8 +33,9 @@
 //!                                    space by model counting over the
 //!                                    lowered plan: survivors, dependent
 //!                                    tuples, survival rate, per-level
-//!                                    feasible-domain sizes and cache
-//!                                    stats, cross-checked against a full
+//!                                    stored / solved entries, feasible-
+//!                                    domain sizes and cache stats,
+//!                                    cross-checked against a full
 //!                                    engine sweep (exit 6 on mismatch)
 //! repro sweep [DIM] [--threads N] [--chunks M] [--policy P] [--seed S]
 //!             [--inject-errors R] [--inject-panics R] [--transient]
@@ -731,13 +732,19 @@ fn count(dim: Option<i64>, json_path: Option<String>) {
     );
     if !stats.levels.is_empty() {
         outln!(
-            "{:<16} {:>5} {:>9} {:>9} {:>9} {:>9}",
-            "level", "depth", "entries", "domain", "feasible", "res-skip"
+            "{:<16} {:>5} {:>9} {:>9} {:>9} {:>9} {:>9}",
+            "level", "depth", "entries", "solved", "domain", "feasible", "res-skip"
         );
         for l in &stats.levels {
             outln!(
-                "{:<16} {:>5} {:>9} {:>9} {:>9} {:>9}",
-                l.name, l.depth, l.entries, l.domain_values, l.feasible_values, l.residue_skipped
+                "{:<16} {:>5} {:>9} {:>9} {:>9} {:>9} {:>9}",
+                l.name,
+                l.depth,
+                l.entries,
+                l.solved,
+                l.domain_values,
+                l.feasible_values,
+                l.residue_skipped
             );
         }
     }
@@ -768,8 +775,8 @@ fn count(dim: Option<i64>, json_path: Option<String>) {
             .iter()
             .map(|l| {
                 format!(
-                    "{{\"name\":\"{}\",\"depth\":{},\"entries\":{},\"domain_values\":{},\"feasible_values\":{},\"residue_skipped\":{}}}",
-                    l.name, l.depth, l.entries, l.domain_values, l.feasible_values, l.residue_skipped
+                    "{{\"name\":\"{}\",\"depth\":{},\"entries\":{},\"solved\":{},\"domain_values\":{},\"feasible_values\":{},\"residue_skipped\":{}}}",
+                    l.name, l.depth, l.entries, l.solved, l.domain_values, l.feasible_values, l.residue_skipped
                 )
             })
             .collect();

@@ -187,7 +187,7 @@ fn emit(w: &mut CodeWriter, nodes: &[SNode], program: &LoweredProgram) {
 }
 
 /// The solve step shared by every narrowed loop of a worker: the C
-/// rendition of `beast_engine::narrow::solve_affine` plus its closed-form
+/// rendition of `beast_core::analyze::narrow::solve_affine` plus its closed-form
 /// credit. Called with a realised range the caller proved non-empty.
 fn emit_narrow_helper(w: &mut CodeWriter) {
     w.line("/* Solve a loop whose body opens with check `c`, rejecting iff a*x + k != 0");
@@ -482,7 +482,7 @@ mod tests {
     }
 
     /// The emitted `b_narrow` against enumeration under the check's own
-    /// (wrapping) semantics, on the grid `beast_engine::narrow` tests its
+    /// (wrapping) semantics, on the grid `beast_core::analyze::narrow` tests its
     /// solver with: it declines exactly when `a = 0` or `a·x + k` leaves
     /// `i64` at an end of the range, and otherwise leaves a range holding
     /// exactly the hits, with everything else credited.

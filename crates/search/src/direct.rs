@@ -3,14 +3,18 @@
 //! [`DirectSampler`] front-loads one exact counting pass
 //! (`beast_core::analyze::count`) and then draws **exactly uniform**
 //! survivors with no rejections at all: a single uniform index in
-//! `[0, total)` decomposes level by level through the cached cumulative
+//! `[0, total)` decomposes level by level through the counter's cumulative
 //! count tables — at each loop level the index selects the feasible value
 //! whose cumulative-count bracket contains it and the remainder indexes
 //! into that value's subtree. Every survivor corresponds to exactly one
 //! index, so the draw is uniform over the *survivor set* (not merely
 //! per-dimension given the prefix, the documented bias of the rejection
 //! [`Sampler`](crate::Sampler)), and each sample costs O(depth × log
-//! level-width) with every level answered from the footprint cache.
+//! level-width). Each level is read through a borrowed
+//! [`LevelView`] of the counter's flat tables: a stored level is one
+//! in-place memo probe, and a *solved* level (an equality check the
+//! counter solves instead of storing) is solved again, its one value
+//! passing the index through unchanged.
 //!
 //! The trade: counting up front costs a budgeted analysis pass (milliseconds
 //! on the paper's GEMM spaces, aborted with an error on spaces past the
@@ -19,7 +23,7 @@
 
 use std::sync::Arc;
 
-use beast_core::analyze::count::{Counter, DescentStep};
+use beast_core::analyze::count::{Counter, DescentStep, LevelView};
 use beast_core::error::EvalError;
 use beast_core::ir::{LStep, LoweredPlan};
 use beast_engine::point::Point;
@@ -79,11 +83,17 @@ impl<'a, R: Rng> DirectSampler<'a, R> {
         Ok(Some(p))
     }
 
-    /// The `idx`-th survivor in loop order (`idx < total`): the descent
-    /// that [`DirectSampler::sample`] runs on a random index. Exposing it
-    /// makes uniformity testable — distinct indices yield distinct points.
+    /// The `idx`-th survivor in loop order: the descent that
+    /// [`DirectSampler::sample`] runs on a random index. Exposing it makes
+    /// uniformity testable — distinct indices yield distinct points. An
+    /// index outside `[0, total)` is an error.
     pub fn point_at(&mut self, mut idx: u128) -> Result<Point, EvalError> {
-        debug_assert!(idx < self.total);
+        if idx >= self.total {
+            return Err(EvalError::Custom(format!(
+                "direct sampler: index {idx} is out of range (the space has {} survivors)",
+                self.total
+            )));
+        }
         let mut slots = vec![0i64; self.lp.n_slots as usize];
         let mut i = 0usize;
         loop {
@@ -93,7 +103,7 @@ impl<'a, R: Rng> DirectSampler<'a, R> {
                     return Ok(Point::new(Arc::clone(&self.names), values));
                 }
                 DescentStep::Level { step, slot, entry } => {
-                    let (value, rem) = entry.pick(idx);
+                    let (value, rem) = pick(self.counter.entry(&entry), idx)?;
                     slots[slot as usize] = value;
                     idx = rem;
                     i = step + 1;
@@ -153,6 +163,7 @@ impl<'a, R: Rng> DirectSampler<'a, R> {
                 }
                 DescentStep::Dead => unreachable!("descent picked an infeasible value"),
                 DescentStep::Level { step, slot, entry } => {
+                    let entry = self.counter.entry(&entry);
                     let reference_value = reference
                         .get(&self.lp.slot_names[slot as usize])
                         .and_then(|v| v.as_int().ok());
@@ -181,7 +192,7 @@ impl<'a, R: Rng> DirectSampler<'a, R> {
                         // Invalidated by the mutation: count-weighted redraw
                         // so the repaired suffix stays survivor-uniform.
                         let r = uniform_u128(&mut self.rng, entry.total());
-                        entry.pick(r).0
+                        pick(entry, r)?.0
                     };
                     slots[slot as usize] = value;
                     i = step + 1;
@@ -194,11 +205,22 @@ impl<'a, R: Rng> DirectSampler<'a, R> {
     /// cache. After the eager count in [`DirectSampler::new`], the counter
     /// can no longer abort — map that impossible state to an error instead
     /// of panicking.
-    fn step(&mut self, i: usize, slots: &mut Vec<i64>) -> Result<DescentStep, EvalError> {
+    fn step(&mut self, i: usize, slots: &mut [i64]) -> Result<DescentStep, EvalError> {
         self.counter.descend(i, slots)?.ok_or_else(|| {
             EvalError::Custom("direct sampler: counting budget exhausted mid-descent".into())
         })
     }
+}
+
+/// One weighted-descent step, with an index past the level's count — which
+/// a consistent descent never produces — reported instead of indexed.
+fn pick(entry: LevelView<'_>, idx: u128) -> Result<(i64, u128), EvalError> {
+    entry.pick(idx).ok_or_else(|| {
+        EvalError::Custom(format!(
+            "direct sampler: index {idx} past a level's {} survivors",
+            entry.total()
+        ))
+    })
 }
 
 /// Uniform draw in `[0, bound)`. Bounds above `u64::MAX` combine two raw
@@ -272,6 +294,22 @@ mod tests {
             assert!(seen.insert((p.get_int("a"), p.get_int("b"))), "duplicate at {idx}");
         }
         assert_eq!(seen.len() as u128, total);
+    }
+
+    #[test]
+    fn indices_past_the_total_are_errors_not_panics() {
+        let space = mini();
+        let lp = lowered(&space);
+        let mut sampler = DirectSampler::new(&lp, StdRng::seed_from_u64(2)).unwrap();
+        let total = sampler.total();
+        for idx in [total, total + 1, u128::MAX] {
+            assert!(
+                matches!(sampler.point_at(idx), Err(EvalError::Custom(_))),
+                "point_at({idx}) of {total}"
+            );
+        }
+        // The sampler is still usable afterwards.
+        assert!(sampler.point_at(total - 1).is_ok());
     }
 
     #[test]

@@ -7,6 +7,7 @@ use std::sync::Arc;
 
 use beast::gemm::{build_gemm_space, GemmSpaceParams};
 use beast::prelude::*;
+use beast::search::DirectSampler;
 use beast_core::analyze::{analyze_with_counts, CountBudget, Counter};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -178,4 +179,67 @@ fn budget_exhaustion_is_explicit() {
     );
     assert_eq!(counter.total().unwrap(), None);
     assert!(counter.aborted());
+}
+
+#[path = "common/narrow_gen.rs"]
+mod narrow_gen;
+
+/// The loop-narrowing suite's 240 seeded spaces — solvable first checks
+/// with zero, negative, run-time-zero and `i64`-extreme coefficients,
+/// empty and negative-step ranges, hits at either end, inside, outside and
+/// off stride — counted with solved levels. The total equals the walker's
+/// survivor count or both fail; where the walker's *checked* arithmetic
+/// trips on a wrap the lowered plan computes (`i64`-extreme coefficients),
+/// the VM, which wraps like the counter, is the oracle. On small spaces the
+/// index↔survivor bijection enumerates exactly the oracle's survivors, in
+/// its order.
+#[test]
+fn narrowing_spaces_count_and_index_like_the_walker() {
+    let (mut solved, mut walked, mut indexed) = (0u64, 0u32, 0u32);
+    for seed in 0..240u64 {
+        let g = narrow_gen::generate(seed);
+        let lp = lower(&g.space);
+        let mut counter = Counter::new(&lp);
+        let counted = counter.total();
+        let levels_solved: u64 = counter.stats().levels.iter().map(|l| l.solved).sum();
+        if g.must_enumerate {
+            assert_eq!(levels_solved, 0, "seed {seed}: solved an unnarrowable level");
+        }
+        solved += levels_solved;
+
+        let walker = Walker::new(&lp.plan, LoopStyle::default());
+        let by_walker = walker.run(CollectVisitor::new(walker.point_names().clone(), usize::MAX));
+        let vm = Vm::compile(&lp, VmStyle::NumericFor);
+        let by_vm = vm.run(CollectVisitor::new(vm.point_names().clone(), usize::MAX));
+        let want = match (&counted, by_walker, by_vm) {
+            (Ok(n), Ok(w), _) => {
+                walked += 1;
+                assert_eq!(*n, Some(w.visitor.points.len() as u128), "seed {seed}: walker");
+                w.visitor.points
+            }
+            (Ok(n), Err(EvalError::Overflow), Ok(v)) => {
+                assert_eq!(*n, Some(v.visitor.points.len() as u128), "seed {seed}: VM");
+                v.visitor.points
+            }
+            (Err(_), Err(_), Err(_)) => continue,
+            (n, w, v) => {
+                panic!("seed {seed}: counter {n:?}, walker {:?}, VM {:?}", w.err(), v.err())
+            }
+        };
+        if want.len() > 64 {
+            continue;
+        }
+        indexed += 1;
+        let mut sampler = DirectSampler::new(&lp, StdRng::seed_from_u64(seed)).unwrap();
+        for (k, want) in want.iter().enumerate() {
+            let got = sampler.point_at(k as u128).unwrap();
+            for name in want.names().iter() {
+                assert_eq!(got.get(name), want.get(name), "seed {seed}: point {k}, `{name}`");
+            }
+        }
+    }
+    assert!(
+        solved > 0 && walked > 100 && indexed > 100,
+        "solved {solved} levels, walker agreed on {walked} spaces, indexed {indexed}"
+    );
 }

@@ -157,3 +157,41 @@ fn search_algorithms_are_deterministic_per_seed_under_both_samplers() {
         }
     }
 }
+
+/// FNV-1a over the little-endian bytes of every slot value of `points`.
+fn fnv1a(points: &[Point]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for p in points {
+        for v in p.values() {
+            for b in v.as_int().unwrap().to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+    h
+}
+
+/// The draws are pinned, not just deterministic: 20,000 seed-42 draws on
+/// reduced(32), then 1,000 neighbor moves from them, hash to what the
+/// counter's `HashMap`-of-`Arc` tables drew before the flat, solved tables
+/// replaced them (checksums computed on that commit). Any change to the
+/// counts, the order of a level's feasible values or the descent would
+/// move them.
+#[test]
+fn direct_draws_and_neighbors_are_pinned_on_reduced32() {
+    let lp = lower(&build_gemm_space(&GemmSpaceParams::reduced(32)).unwrap());
+    let mut sampler = DirectSampler::new(&lp, StdRng::seed_from_u64(42)).unwrap();
+    assert_eq!(sampler.total(), 31_872);
+    let draws: Vec<Point> = (0..20_000).map(|_| sampler.sample().unwrap().unwrap()).collect();
+    let moves: Vec<Point> = draws[..1_000]
+        .iter()
+        .map(|p| sampler.neighbor(p, 16).unwrap().expect("reduced(32) points have neighbors"))
+        .collect();
+    assert_eq!(
+        (format!("{:016x}", fnv1a(&draws)), format!("{:016x}", fnv1a(&moves))),
+        (DRAWS_FNV.to_string(), NEIGHBORS_FNV.to_string())
+    );
+}
+
+const DRAWS_FNV: &str = "a595b963e7c45bf8";
+const NEIGHBORS_FNV: &str = "2d56e0ff9051cf78";
