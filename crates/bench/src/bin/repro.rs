@@ -74,12 +74,6 @@
 //!                                    its Sth shard (--die-after /
 //!                                    --stall-after, forwarded worker-side);
 //!                                    exit codes match `sweep` (3 partial)
-//! repro bench-native [DIM]
-//!                         §XI        native-tier ablation: GEMM sweep via
-//!                                    the runtime-native C worker vs the
-//!                                    in-process compiled engine, with
-//!                                    fingerprint equality asserted before
-//!                                    any timing is reported
 //! repro serve [--addr A] [--threads N] [--executors E] [--chunks M]
 //!             [--cache PATH]
 //!                         service    sweep-as-a-service HTTP daemon
@@ -101,20 +95,19 @@
 //!
 //! The global `--no-intervals` flag disables the compiled engine's interval
 //! block pruning in the subcommands that use it (`headline`, `funnel`,
-//! `threads`) — the ablation knob behind the `ablation_intervals` benchmark.
-//! Survivor counts are identical either way.
+//! `threads`) — the interval-pruning ablation. Survivor counts are
+//! identical either way.
 //!
 //! The global `--no-congruence` flag keeps interval pruning but disables the
-//! congruence (divisibility) half of the reduced product — the knob behind
-//! the `ablation_congruence` benchmark. Survivors are identical either way;
-//! only `congruence_skips` drops to zero.
+//! congruence (divisibility) half of the reduced product — the congruence
+//! ablation. Survivors are identical either way; only `congruence_skips`
+//! drops to zero.
 //!
 //! The global `--schedule {declared,adaptive}` flag picks the
 //! constraint-schedule mode for the same subcommands (default: `adaptive`,
-//! the profile-guided mode behind the `ablation_schedule` benchmark: one
-//! bounded calibration pass at engine-build time measures kill rates, and
-//! the learned order is compiled into the same scalar op stream a declared
-//! schedule runs). The initial and learned per-level check orders are
+//! the profile-guided mode: one bounded calibration pass at engine-build
+//! time measures kill rates, and the learned order is compiled into the
+//! same scalar op stream a declared schedule runs). The initial and learned per-level check orders are
 //! printed alongside the results; survivors and emission order are
 //! identical in both modes, and all counters are identical at every thread
 //! and chunk count. Composes with `--no-intervals` and `--no-congruence`.
@@ -138,10 +131,10 @@
 
 use std::time::Instant;
 
-use beast_bench::{loop_nest_space, lower_default, miters_per_sec};
+use beast_bench::{loop_nest_space, miters_per_sec, plan_default};
 use beast_codegen::{all_backends, all_toolchains, ToolchainResult};
 use beast_core::ir::LoweredPlan;
-use beast_core::plan::{Plan, PlanOptions};
+use beast_core::plan::Plan;
 use beast_cuda::{CcLimits, DeviceProps};
 use beast_core::schedule::ScheduleMode;
 use beast_engine::checkpoint::{run_checkpointed, CheckpointConfig, JsonValue};
@@ -230,6 +223,11 @@ fn main() {
     engine.schedule = schedule;
     engine.engine = tier;
     let cmd = args.first().map(String::as_str).unwrap_or("all");
+    let Some((_, known)) = SUBCOMMANDS.iter().find(|(name, _)| *name == cmd) else {
+        eprintln!("unknown subcommand `{cmd}`; see the module docs");
+        std::process::exit(2);
+    };
+    reject_unknown_flags(&args, known);
     let arg_num = |default: u64| -> u64 {
         args.get(1).and_then(|s| s.parse().ok()).unwrap_or(default)
     };
@@ -250,17 +248,13 @@ fn main() {
         "headline" => headline(arg_num(32) as i64, engine),
         "funnel" => funnel(arg_num(32) as i64, engine),
         "table1" => table1(),
-        "threads" => {
-            reject_unknown_flags(&args, &[("--threads", true), ("--json", true)]);
-            threads(
-                arg_num(48) as i64,
-                flag("--threads").and_then(|s| s.parse().ok()),
-                flag("--json"),
-                engine,
-            )
-        }
+        "threads" => threads(
+            arg_num(48) as i64,
+            flag("--threads").and_then(|s| s.parse().ok()),
+            flag("--json"),
+            engine,
+        ),
         "search" => {
-            reject_unknown_flags(&args, &[("--sampler", true)]);
             let sampler = match flag("--sampler").as_deref() {
                 None | Some("rejection") => beast_search::SamplerKind::Rejection,
                 Some("direct") => beast_search::SamplerKind::Direct,
@@ -277,7 +271,6 @@ fn main() {
         "viz" => viz(arg_num(24) as i64),
         "batched" => batched(arg_num(32) as i64),
         "lint" | "count" => {
-            reject_unknown_flags(&args, &[("--json", true)]);
             let dim =
                 args.get(1).filter(|s| !s.starts_with("--")).and_then(|s| s.parse().ok());
             if cmd == "lint" {
@@ -289,7 +282,6 @@ fn main() {
         "sweep" => sweep(&args, engine),
         "distribute" => distribute(&args, engine),
         "worker" => worker_mode(&args, engine),
-        "bench-native" => bench_native(arg_num(16) as i64, engine),
         "serve" => serve(&args),
         "client" => client(&args),
         "all" => {
@@ -308,12 +300,85 @@ fn main() {
             threads(32, None, None, engine);
             search(24, beast_search::SamplerKind::Rejection);
         }
-        other => {
-            eprintln!("unknown subcommand `{other}`; see the module docs");
-            std::process::exit(2);
-        }
+        other => unreachable!("`{other}` is in SUBCOMMANDS but not dispatched"),
     }
 }
+
+/// Every subcommand and the flags it reads — `(name, takes a value)` — on
+/// top of the global engine flags `main` consumes itself. `main` refuses any
+/// other `--flag` before dispatch, and any subcommand missing here.
+const SUBCOMMANDS: &[(&str, &[(&str, bool)])] = &[
+    ("device", &[]),
+    ("space", &[]),
+    ("fig16", &[]),
+    ("fig17", &[]),
+    ("fig18", &[]),
+    ("fig19", &[]),
+    ("headline", &[]),
+    ("funnel", &[]),
+    ("table1", &[]),
+    ("threads", &[("--threads", true), ("--json", true)]),
+    ("search", &[("--sampler", true)]),
+    ("viz", &[]),
+    ("batched", &[]),
+    ("lint", &[("--json", true)]),
+    ("count", &[("--json", true)]),
+    (
+        "sweep",
+        &[
+            ("--threads", true),
+            ("--chunks", true),
+            ("--policy", true),
+            ("--seed", true),
+            ("--inject-errors", true),
+            ("--inject-panics", true),
+            ("--transient", false),
+            ("--checkpoint", true),
+            ("--resume", false),
+            ("--every", true),
+            ("--deadline", true),
+            ("--stop-after", true),
+            ("--json", true),
+            ("--verify", false),
+        ],
+    ),
+    (
+        "distribute",
+        &[
+            ("--workers", true),
+            ("--chunks", true),
+            ("--policy", true),
+            ("--heartbeat-ms", true),
+            ("--retry", true),
+            ("--backoff", true),
+            ("--restarts", true),
+            ("--checkpoint", true),
+            ("--resume", false),
+            ("--every", true),
+            ("--stop-after", true),
+            ("--json", true),
+            ("--chaos-kill-after", true),
+            ("--die-after", true),
+            ("--stall-after", true),
+        ],
+    ),
+    ("worker", &[("--die-after", true), ("--stall-after", true)]),
+    (
+        "serve",
+        &[
+            ("--addr", true),
+            ("--threads", true),
+            ("--executors", true),
+            ("--chunks", true),
+            ("--cache", true),
+        ],
+    ),
+    (
+        "client",
+        &[("--addr", true), ("--runs", true), ("--expect-speedup", true), ("--shutdown", false)],
+    ),
+    ("all", &[]),
+];
 
 /// Exit 2 on the first `--flag` among a subcommand's arguments that `known`
 /// — `(name, takes a value)` — does not list, so a typo never silently runs
@@ -340,6 +405,12 @@ fn reject_unknown_flags(args: &[String], known: &[(&str, bool)]) {
 
 fn header(title: &str) {
     outln!("\n=== {title} ===");
+}
+
+/// The GEMM space for `params`, planned and lowered — every subcommand that
+/// evaluates the GEMM space starts here.
+fn gemm(params: &GemmSpaceParams) -> (Plan, LoweredPlan) {
+    plan_default(&build_gemm_space(params).unwrap())
 }
 
 /// Print the engine's per-level check order (and, for adaptive runs, the
@@ -461,7 +532,7 @@ fn fig17(total: u64) {
         let mut cells = Vec::new();
         for depth in 1..=4 {
             let (space, iters) = loop_nest_space(depth, total);
-            let plan = Plan::new(&space, PlanOptions::default()).unwrap();
+            let (plan, _) = plan_default(&space);
             let walker = Walker::new(&plan, style);
             let t0 = Instant::now();
             let out = walker.run(CountVisitor::default()).unwrap();
@@ -493,7 +564,7 @@ fn fig18(total: u64) {
         let mut cells = Vec::new();
         for depth in 1..=4 {
             let (space, iters) = loop_nest_space(depth, total);
-            let lp = lower_default(&space);
+            let (_, lp) = plan_default(&space);
             let vm = Vm::compile(&lp, style);
             let t0 = Instant::now();
             let out = vm.run(CountVisitor::default()).unwrap();
@@ -519,7 +590,7 @@ fn fig19(total: u64) {
     let mut cells = Vec::new();
     for depth in 1..=4 {
         let (space, iters) = loop_nest_space(depth, total);
-        let lp = lower_default(&space);
+        let (_, lp) = plan_default(&space);
         let compiled = Compiled::new(lp);
         let t0 = Instant::now();
         let out = compiled.run(CountVisitor::default()).unwrap();
@@ -536,7 +607,7 @@ fn fig19(total: u64) {
         let mut available = true;
         for depth in 1..=4 {
             let (space, iters) = loop_nest_space(depth, total);
-            let lp = lower_default(&space);
+            let (_, lp) = plan_default(&space);
             let program =
                 beast_codegen::lower(&beast_codegen::Program::from_lowered(&lp).unwrap());
             match beast_codegen::generate_and_run(backend.as_ref(), &toolchain, &program) {
@@ -577,10 +648,7 @@ fn headline(dim: i64, engine: EngineOptions) {
         "§XI headline — GEMM space sweep on reduced({dim}) device: interpreted vs compiled"
     ));
     outln!("(paper: 66 948 s Python → 264 s generated C, ≈253×; shape target: orders of magnitude)");
-    let params = GemmSpaceParams::reduced(dim);
-    let space = build_gemm_space(&params).unwrap();
-    let plan = Plan::new(&space, PlanOptions::default()).unwrap();
-    let lp = LoweredPlan::new(&plan).unwrap();
+    let (plan, lp) = gemm(&GemmSpaceParams::reduced(dim));
 
     let t0 = Instant::now();
     let walker_out = Walker::new(&plan, LoopStyle::RangeLazy)
@@ -656,9 +724,7 @@ fn lint(dim: Option<i64>, json_path: Option<String>) {
         None => ("paper-default".to_string(), GemmSpaceParams::paper_default()),
     };
     header(&format!("space linter — GEMM space, {label} device"));
-    let space = build_gemm_space(&params).unwrap();
-    let plan = Plan::new(&space, PlanOptions::default()).unwrap();
-    let lp = LoweredPlan::new(&plan).unwrap();
+    let (_, lp) = gemm(&params);
     let report = beast_core::analyze::analyze_with_counts(&lp);
     out!("{}", report.render_text());
     if let Some(path) = json_path {
@@ -685,9 +751,7 @@ fn count(dim: Option<i64>, json_path: Option<String>) {
         None => ("paper-default".to_string(), GemmSpaceParams::paper_default()),
     };
     header(&format!("exact survivor count — GEMM space, {label} device"));
-    let space = build_gemm_space(&params).unwrap();
-    let plan = Plan::new(&space, PlanOptions::default()).unwrap();
-    let lp = LoweredPlan::new(&plan).unwrap();
+    let (_, lp) = gemm(&params);
 
     let t0 = Instant::now();
     let mut counter = Counter::new(&lp);
@@ -805,7 +869,7 @@ fn count(dim: Option<i64>, json_path: Option<String>) {
 
 // ---------------------------------------------------------------------------
 // §X-C / §X-D: what `sweep`, `distribute` and `worker` share — flag lookup,
-// the reduced-GEMM plan, checkpoint wiring and the report tail
+// checkpoint wiring and the report tail
 // ---------------------------------------------------------------------------
 
 /// `--name value` lookup over one subcommand's arguments.
@@ -866,14 +930,6 @@ impl Flags<'_> {
     }
 }
 
-/// The GEMM space on the reduced(`dim`) device, planned and lowered.
-fn reduced_gemm(dim: i64) -> (Plan, LoweredPlan) {
-    let space = build_gemm_space(&GemmSpaceParams::reduced(dim)).unwrap();
-    let plan = Plan::new(&space, PlanOptions::default()).unwrap();
-    let lp = LoweredPlan::new(&plan).unwrap();
-    (plan, lp)
-}
-
 /// The tail of `sweep` and `distribute`: fingerprint line, report, `--json`
 /// dump, and exit 3 when the result is partial — a distinct code so scripts
 /// (and the CI smoke job) can tell a resumable partial result from success
@@ -914,25 +970,6 @@ fn finish_sweep(
 // ---------------------------------------------------------------------------
 
 fn sweep(args: &[String], engine: EngineOptions) {
-    reject_unknown_flags(
-        args,
-        &[
-            ("--threads", true),
-            ("--chunks", true),
-            ("--policy", true),
-            ("--seed", true),
-            ("--inject-errors", true),
-            ("--inject-panics", true),
-            ("--transient", false),
-            ("--checkpoint", true),
-            ("--resume", false),
-            ("--every", true),
-            ("--deadline", true),
-            ("--stop-after", true),
-            ("--json", true),
-            ("--verify", false),
-        ],
-    );
     let flags = Flags(args);
     let dim = flags.dim();
     let mut opts = ParallelOptions::new(flags.uint("--threads", 4).max(1) as usize);
@@ -968,7 +1005,7 @@ fn sweep(args: &[String], engine: EngineOptions) {
             None => String::new(),
         }
     );
-    let (plan, lp) = reduced_gemm(dim);
+    let (plan, lp) = gemm(&GemmSpaceParams::reduced(dim));
 
     // The walker tier is the serial ground-truth reference: no parallel
     // driver, so no fault policies, checkpointing or chunk scheduling.
@@ -1051,26 +1088,6 @@ fn worker_engine_flags(engine: EngineOptions) -> Vec<String> {
 }
 
 fn distribute(args: &[String], engine: EngineOptions) {
-    reject_unknown_flags(
-        args,
-        &[
-            ("--workers", true),
-            ("--chunks", true),
-            ("--policy", true),
-            ("--heartbeat-ms", true),
-            ("--retry", true),
-            ("--backoff", true),
-            ("--restarts", true),
-            ("--checkpoint", true),
-            ("--resume", false),
-            ("--every", true),
-            ("--stop-after", true),
-            ("--json", true),
-            ("--chaos-kill-after", true),
-            ("--die-after", true),
-            ("--stall-after", true),
-        ],
-    );
     let flags = Flags(args);
     let dim = flags.dim();
 
@@ -1113,7 +1130,7 @@ fn distribute(args: &[String], engine: EngineOptions) {
         opts.shard_retry_max,
         opts.shard_backoff_ms,
     );
-    let (_, lp) = reduced_gemm(dim);
+    let (_, lp) = gemm(&GemmSpaceParams::reduced(dim));
 
     let result = match flags.checkpoint() {
         Some(ck) => run_distributed_checkpointed(&lp, &opts, &ck, FingerprintVisitor::default),
@@ -1126,12 +1143,11 @@ fn distribute(args: &[String], engine: EngineOptions) {
 /// stdin/stdout until `bye` or EOF. Spawned by `repro distribute`; all
 /// diagnostics go to stderr (stdout carries frames only).
 fn worker_mode(args: &[String], engine: EngineOptions) {
-    reject_unknown_flags(args, &[("--die-after", true), ("--stall-after", true)]);
     let flags = Flags(args);
     let ordinal = |name: &str| flags.get(name).and_then(|s| s.parse().ok());
     let chaos =
         WorkerChaos { die_after: ordinal("--die-after"), stall_after: ordinal("--stall-after") };
-    let (_, lp) = reduced_gemm(flags.dim());
+    let (_, lp) = gemm(&GemmSpaceParams::reduced(flags.dim()));
     let stdin = std::io::stdin().lock();
     let stdout = std::io::stdout();
     if let Err(e) = serve_worker(&lp, engine, FingerprintVisitor::default, &chaos, stdin, stdout) {
@@ -1141,101 +1157,15 @@ fn worker_mode(args: &[String], engine: EngineOptions) {
 }
 
 // ---------------------------------------------------------------------------
-// §XI: native-tier ablation (runtime-generated C vs in-process engines)
-// ---------------------------------------------------------------------------
-
-fn bench_native(dim: i64, engine: EngineOptions) {
-    header(&format!(
-        "§XI — native-tier ablation, GEMM sweep on reduced({dim}) device"
-    ));
-    let params = GemmSpaceParams::reduced(dim);
-    let space = build_gemm_space(&params).unwrap();
-    let plan = Plan::new(&space, PlanOptions::default()).unwrap();
-    let lp = LoweredPlan::new(&plan).unwrap();
-
-    let run_tier = |tier_engine: EngineOptions| {
-        let mut opts = ParallelOptions::new(1);
-        opts.engine = tier_engine;
-        let t = Instant::now();
-        let (out, report) =
-            run_parallel_report(&lp, &opts, FingerprintVisitor::default).unwrap_or_else(|e| {
-                eprintln!("error: sweep failed: {e}");
-                std::process::exit(1);
-            });
-        (t.elapsed().as_secs_f64(), out.visitor, report)
-    };
-
-    let mut native_engine = engine;
-    native_engine.engine = EngineTier::Native;
-    let mut compiled_engine = engine;
-    compiled_engine.engine = EngineTier::Compiled;
-
-    // Warmup run: populates the on-disk artifact cache so the timed native
-    // run measures dispatch + evaluation, not the one-off gcc invocation.
-    let (_, warm_fp, warm_report) = run_tier(native_engine);
-    match warm_report.native {
-        Some(n) => outln!(
-            "native worker ready: compile {} ms{}, {} chunk(s) native / {} fallback in warmup",
-            n.compile_ms,
-            if n.artifact_cache_hits > 0 { " (artifact cache hit)" } else { "" },
-            n.chunks_native,
-            n.chunks_fallback
-        ),
-        None => outln!(
-            "native tier unavailable (no C compiler on PATH?) — the `native` \
-             row below re-measures the in-process engine"
-        ),
-    }
-
-    let (t_native, fp_native, report_native) = run_tier(native_engine);
-    let (t_compiled, fp_compiled, _) = run_tier(compiled_engine);
-
-    // Bit-identity is asserted before a single number is reported: a timing
-    // table over divergent sweeps would be meaningless.
-    for (label, fp) in [("native warmup", &warm_fp), ("native", &fp_native)] {
-        assert_eq!(
-            (fp.count, fp.hash),
-            (fp_compiled.count, fp_compiled.hash),
-            "{label} diverged from the compiled tier"
-        );
-    }
-    outln!(
-        "fingerprints agree across all tiers: {} survivors, {:016x}\n",
-        fp_compiled.count, fp_compiled.hash
-    );
-
-    let rate = |t: f64| (fp_compiled.count as f64) / t / 1e3;
-    outln!("{:<22} {:>10} {:>14} {:>10}", "engine", "time (s)", "survivors/ms", "vs native");
-    for (label, t) in [("native (C worker)", t_native), ("compiled (in-proc)", t_compiled)] {
-        outln!(
-            "{:<22} {:>10.3} {:>14.1} {:>9.2}x",
-            label,
-            t,
-            rate(t),
-            t / t_native
-        );
-    }
-    if let Some(n) = report_native.native {
-        outln!(
-            "\nnative run: {} chunk(s) in worker processes, {} row(s) streamed, {} fallback",
-            n.chunks_native, n.rows_streamed, n.chunks_fallback
-        );
-    }
-}
-
-// ---------------------------------------------------------------------------
 // §VI: pruning funnel
 // ---------------------------------------------------------------------------
 
 fn funnel(dim: i64, engine: EngineOptions) {
     header(&format!("§VI — pruning funnel, GEMM space on reduced({dim}) device"));
-    let params = GemmSpaceParams::reduced(dim);
-    let space = build_gemm_space(&params).unwrap();
-    let plan = Plan::new(&space, PlanOptions::default()).unwrap();
-    let lp = LoweredPlan::new(&plan).unwrap();
+    let (plan, lp) = gemm(&GemmSpaceParams::reduced(dim));
     let compiled = Compiled::with_options(lp, engine);
     let out = compiled.run(CountVisitor::default()).unwrap();
-    outln!("{}", out.stats.render_funnel(&space));
+    outln!("{}", out.stats.render_funnel(plan.space()));
     if let Some(line) = out.blocks.render_line() {
         outln!("{line}");
     }
@@ -1422,13 +1352,11 @@ fn batched(n: i64) {
 
 fn viz(dim: i64) {
     header(&format!("[7] — pruning visualizations, GEMM on reduced({dim}) device"));
-    let params = GemmSpaceParams::reduced(dim);
-    let space = build_gemm_space(&params).unwrap();
-    let plan = Plan::new(&space, PlanOptions::default()).unwrap();
-    let lp = LoweredPlan::new(&plan).unwrap();
+    let (plan, lp) = gemm(&GemmSpaceParams::reduced(dim));
+    let space = plan.space();
     let out = Compiled::new(lp).run(CountVisitor::default()).unwrap();
-    let funnel = beast_engine::viz::funnel_svg(&out.stats, &space);
-    let radial = beast_engine::viz::radial_svg(&out.stats, &space);
+    let funnel = beast_engine::viz::funnel_svg(&out.stats, space);
+    let radial = beast_engine::viz::radial_svg(&out.stats, space);
     let dot = space.dag().to_dot(space.name());
     for (name, contents) in
         [("funnel.svg", funnel), ("radial.svg", radial), ("dag.dot", dot)]
@@ -1453,9 +1381,7 @@ fn search(dim: i64, sampler: beast_search::SamplerKind) {
     use beast_search::{hill_climb, random_search, simulated_annealing, SearchBudget};
 
     let params = GemmSpaceParams::reduced(dim);
-    let space = build_gemm_space(&params).unwrap();
-    let plan = Plan::new(&space, PlanOptions::default()).unwrap();
-    let lp = LoweredPlan::new(&plan).unwrap();
+    let (_, lp) = gemm(&params);
 
     let t0 = Instant::now();
     let exhaustive = beast_gemm::tune_gemm(&params, 1, 2).unwrap();
@@ -1524,10 +1450,7 @@ fn threads(dim: i64, only: Option<usize>, json_path: Option<String>, engine: Eng
     header(&format!("§X-B — multithreaded sweep of the GEMM space, reduced({dim}) device"));
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     outln!("(host has {cores} hardware thread(s); scaling saturates there)");
-    let params = GemmSpaceParams::reduced(dim);
-    let space = build_gemm_space(&params).unwrap();
-    let plan = Plan::new(&space, PlanOptions::default()).unwrap();
-    let lp = LoweredPlan::new(&plan).unwrap();
+    let (_, lp) = gemm(&GemmSpaceParams::reduced(dim));
 
     let counts: Vec<usize> = match only {
         Some(n) => vec![n.max(1)],
@@ -1578,16 +1501,6 @@ fn threads(dim: i64, only: Option<usize>, json_path: Option<String>, engine: Eng
 // ---------------------------------------------------------------------------
 
 fn serve(args: &[String]) {
-    reject_unknown_flags(
-        args,
-        &[
-            ("--addr", true),
-            ("--threads", true),
-            ("--executors", true),
-            ("--chunks", true),
-            ("--cache", true),
-        ],
-    );
     let flag = |name: &str| -> Option<String> {
         args.iter()
             .position(|a| a == name)
@@ -1676,10 +1589,6 @@ fn http_call(addr: &str, method: &str, path: &str, body: &str) -> Result<(u16, S
 }
 
 fn client(args: &[String]) {
-    reject_unknown_flags(
-        args,
-        &[("--addr", true), ("--runs", true), ("--expect-speedup", true), ("--shutdown", false)],
-    );
     let flag = |name: &str| -> Option<String> {
         args.iter()
             .position(|a| a == name)

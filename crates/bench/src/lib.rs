@@ -1,5 +1,4 @@
-//! Shared workload builders for the benchmark harness and the `repro`
-//! binary.
+//! Shared workload builders for the `repro` binary.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -41,10 +40,12 @@ pub fn loop_nest_space(depth: usize, total: u64) -> (Arc<Space>, u64) {
     (space, actual)
 }
 
-/// Plan and lower a space with default options.
-pub fn lower_default(space: &Arc<Space>) -> LoweredPlan {
+/// Plan and lower a space with default options: the one set-up every `repro`
+/// subcommand runs before it evaluates anything.
+pub fn plan_default(space: &Arc<Space>) -> (Plan, LoweredPlan) {
     let plan = Plan::new(space, PlanOptions::default()).expect("planning succeeds");
-    LoweredPlan::new(&plan).expect("lowering succeeds")
+    let lp = LoweredPlan::new(&plan).expect("lowering succeeds");
+    (plan, lp)
 }
 
 /// Format an iterations-per-second figure the way the paper's plots do
@@ -63,7 +64,7 @@ mod tests {
     fn loop_nest_counts_match() {
         for depth in 1..=4 {
             let (space, expected) = loop_nest_space(depth, 10_000);
-            let lp = lower_default(&space);
+            let (_, lp) = plan_default(&space);
             let out = Compiled::new(lp).run(CountVisitor::default()).unwrap();
             assert_eq!(out.visitor.count, expected, "depth {depth}");
             assert!(expected >= 10_000);

@@ -1,7 +1,8 @@
 //! `repro` refuses a `--flag` it does not read (exit 2, one line on stderr
 //! naming the flag) instead of silently running the defaults — a typo like
 //! `--thread 2`, or a stale `--no-batch` / `--schedule static` from before
-//! the lane tier and the static mode were deleted. Drives the real binary
+//! the lane tier and the static mode were deleted — on every subcommand,
+//! flagless ones included. Drives the real binary
 //! (`CARGO_BIN_EXE_repro`); every flag-reading subcommand also gets its
 //! full flag set through.
 
@@ -51,8 +52,18 @@ fn unknown_and_retired_flags_exit_2_naming_the_flag() {
     for cmd in ["distribute", "worker", "threads", "search", "lint", "count", "serve", "client"] {
         assert_refused(&[cmd, "16", "--bogus"], "`--bogus`");
     }
+    // Subcommands that read no flag of their own refuse every one.
+    for cmd in [
+        "device", "space", "fig16", "fig17", "fig18", "fig19", "headline", "funnel", "table1",
+        "viz", "batched", "all",
+    ] {
+        assert_refused(&[cmd, "16", "--bogus"], "`--bogus`");
+    }
+    assert_refused(&["funnel", "8", "--thread", "2"], "`--thread`");
     // A value that looks like a flag is still the known flag's value.
     assert_refused(&["lint", "16", "--json", "--bogus", "--bogus"], "`--bogus`");
+    // An unknown subcommand is refused too, not silently something else.
+    assert_eq!(repro(&["bogus", "16"]).0, Some(2));
 }
 
 #[test]

@@ -111,15 +111,19 @@ impl LintReport {
                 out.push(',');
             }
             out.push_str(&format!(
-                "\n    {{\"severity\": \"{}\", \"code\": \"{}\", \"name\": \"{}\", \"message\": \"{}\"",
-                d.severity,
-                d.code,
-                json_escape(&d.name),
-                json_escape(&d.message)
+                "\n    {{\"severity\": \"{}\", \"code\": \"{}\", \"name\": \"",
+                d.severity, d.code
             ));
+            json_escape_into(&mut out, &d.name);
+            out.push_str("\", \"message\": \"");
+            json_escape_into(&mut out, &d.message);
             match &d.suggestion {
-                Some(s) => out.push_str(&format!(", \"suggestion\": \"{}\"}}", json_escape(s))),
-                None => out.push_str(", \"suggestion\": null}"),
+                Some(s) => {
+                    out.push_str("\", \"suggestion\": \"");
+                    json_escape_into(&mut out, s);
+                    out.push_str("\"}");
+                }
+                None => out.push_str("\", \"suggestion\": null}"),
             }
         }
         let sum = self.summary();
@@ -131,9 +135,11 @@ impl LintReport {
     }
 }
 
-/// Escape a string for embedding in a JSON literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// Append `s` to `out` escaped for the inside of a JSON string literal
+/// (quotes not included): `"`, `\`, `\n`, `\t`, `\r`, and every other
+/// control character as `\u00XX`. The workspace's one JSON escaper — the
+/// lint report and the engine's telemetry both write through it.
+pub fn json_escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -145,7 +151,6 @@ fn json_escape(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 //! The paper's DAG construction (Section X) decides *where* each constraint
 //! is evaluated — the shallowest loop at which its inputs are bound — but is
 //! silent on the order of checks sharing a level, and measured kill rates at
-//! one level routinely span 0 % to 98 % (see `BENCH_sweep.json`). Since the
+//! one level routinely span 0 % to 98 % (see `repro funnel`). Since the
 //! checks of a level form a pure conjunction over already-bound slots,
 //! *any* order yields the same survivors in the same emission order; cost,
 //! however, differs wildly: the cheapest-deadliest check first means most

@@ -54,7 +54,7 @@
 //! subtree exactly like an interval verdict (counted separately as
 //! `congruence_skips`). The congruence half never influences the interval
 //! half, so interval verdicts — and survivors and visit order — are
-//! bit-identical with `congruence` on or off (`ablation_congruence`
+//! bit-identical with `congruence` on or off (`tests/determinism.rs`
 //! asserts this).
 //!
 //! # Lint gate
@@ -149,7 +149,7 @@ pub struct EngineOptions {
     /// the guard set — and therefore every skip/elide decision — identical
     /// across serial and parallel runs at any thread count. The default of
     /// 4 sits in the middle of the 2–8 plateau measured on the GEMM space
-    /// (`ablation_intervals`); 1 guards every eligible loop.
+    /// (see EXPERIMENTS.md); 1 guards every eligible loop.
     pub min_guard_fanout: u64,
     /// How to order the checks within each loop level (see
     /// [`beast_core::schedule`]). `Declared` — the library default — runs
@@ -197,13 +197,13 @@ impl Default for EngineOptions {
 
 impl EngineOptions {
     /// Options with block pruning disabled (the paper's plain per-point
-    /// engine; used by the `ablation_intervals` bench and `--no-intervals`).
+    /// engine; behind `--no-intervals` and `compiled.run_nointervals_s`).
     pub fn no_intervals() -> EngineOptions {
         EngineOptions { intervals: false, ..EngineOptions::default() }
     }
 
     /// Options with interval pruning on but the congruence half disabled
-    /// (used by the `ablation_congruence` bench and `--no-congruence`).
+    /// (behind `--no-congruence`).
     pub fn no_congruence() -> EngineOptions {
         EngineOptions { congruence: false, ..EngineOptions::default() }
     }
@@ -221,8 +221,8 @@ impl EngineOptions {
         EngineOptions::default()
     }
 
-    /// Default options on the runtime-native tier (used by the
-    /// `ablation_native` bench and `--engine native`).
+    /// Default options on the runtime-native tier (behind `--engine
+    /// native`).
     pub fn native() -> EngineOptions {
         EngineOptions { engine: EngineTier::Native, ..EngineOptions::default() }
     }

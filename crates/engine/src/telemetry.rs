@@ -15,6 +15,7 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
 
+use beast_core::analyze::diagnostics::json_escape_into;
 use beast_core::analyze::LintSummary;
 use beast_core::space::Space;
 
@@ -166,7 +167,7 @@ pub struct ScheduleTelemetry {
 /// funnel, per-worker load, and throughput.
 ///
 /// Produced by [`crate::parallel::run_parallel_report`], printed by
-/// `repro threads`, and consumed by the `parallel_scaling` benchmark.
+/// `repro threads` / `repro sweep`, and read by the `benchmark/` probes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepReport {
     /// Space name.
@@ -741,19 +742,7 @@ pub(crate) fn fault_record_json(out: &mut String, r: &FaultRecord) {
 /// Append a bare escaped JSON string (no key).
 pub(crate) fn json_str_value(out: &mut String, value: &str) {
     out.push('"');
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
+    json_escape_into(out, value);
     out.push('"');
 }
 

@@ -531,8 +531,8 @@ fn reduce_never_drops_members() {
 ///
 /// * the interval half is bit-identical to the interval-only program, so
 ///   guard worthiness/elision verdicts cannot shift when the congruence
-///   domain is enabled (the survivors-identical contract of
-///   `ablation_congruence` and the determinism suite);
+///   domain is enabled (the survivors-identical contract of the
+///   determinism suite);
 /// * whenever concrete evaluation succeeds, the result is a member of the
 ///   reduced congruence (what makes a congruence subtree skip safe).
 #[test]
