@@ -25,9 +25,7 @@
 //! evaluator's wrapping ops exactly, so points are always exact.
 
 use crate::expr::Builtin;
-use crate::interval::{
-    iv_abs, iv_bin, iv_call2, iv_neg, iv_not, iv_ternary, Interval, IntervalOutcome, IvOp, IvProg,
-};
+use crate::interval::{Interval, IntervalOutcome, IvProg, IvScratch};
 use crate::ir::IntBinOp;
 
 /// An element of the congruence domain: the set `{x : x ≡ r (mod m)}`.
@@ -44,25 +42,44 @@ pub struct Congruence {
     pub r: i64,
 }
 
-/// `gcd` over `i128` magnitudes (total: `gcd(0, 0) == 0`).
+/// `gcd` over `i128` magnitudes (total: `gcd(0, 0) == 0`). Operands that
+/// fit a machine word — nearly all of them — stay off the 128-bit division
+/// libcalls.
 fn gcd_i128(a: i128, b: i128) -> i128 {
-    let (mut a, mut b) = (a.abs(), b.abs());
-    while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
+    let (mut a, mut b) = (a.unsigned_abs(), b.unsigned_abs());
+    // A point operand (modulus 0) makes most calls `gcd(0, x)`, and a ⊤
+    // one (modulus 1) `gcd(1, x)`.
+    if a == 0 || b == 0 {
+        return (a | b) as i128;
     }
-    a
+    if a == 1 || b == 1 {
+        return 1;
+    }
+    if let (Ok(mut x), Ok(mut y)) = (u64::try_from(a), u64::try_from(b)) {
+        while y != 0 {
+            (x, y) = (y, x % y);
+        }
+        return i128::from(x);
+    }
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a as i128
 }
 
 /// Build `(m, r mod m)` from `i128` parts, giving up (⊤) when the modulus
 /// does not fit `i64`.
 fn make(m: i128, r: i128) -> Congruence {
     debug_assert!(m >= 1);
-    if m > i64::MAX as i128 {
+    if m == 1 || m > i64::MAX as i128 {
         return Congruence::top();
     }
-    Congruence { m: m as i64, r: r.rem_euclid(m) as i64 }
+    let r = match i64::try_from(r) {
+        Ok(r) if (0..m as i64).contains(&r) => r,
+        Ok(r) => r.rem_euclid(m as i64),
+        Err(_) => r.rem_euclid(m) as i64,
+    };
+    Congruence { m: m as i64, r }
 }
 
 impl Congruence {
@@ -125,10 +142,11 @@ impl Congruence {
     pub fn never_equal(self, other: Congruence) -> bool {
         let g = gcd_i128(self.m as i128, other.m as i128);
         let diff = self.r as i128 - other.r as i128;
-        if g == 0 {
-            diff != 0
-        } else {
-            diff.rem_euclid(g) != 0
+        match (g, i64::try_from(diff)) {
+            (0, _) => diff != 0,
+            // `g` is a gcd of two moduli, so it fits `i64` too.
+            (g, Ok(d)) => d.rem_euclid(g as i64) != 0,
+            (g, Err(_)) => diff.rem_euclid(g) != 0,
         }
     }
 }
@@ -273,12 +291,20 @@ pub fn cg_of_values(values: &[i64]) -> Congruence {
 /// touches the interval half, so interval verdicts are bit-identical with
 /// the congruence domain on or off.
 pub fn reduce(iv: &IntervalOutcome, cg: Congruence) -> Congruence {
+    reduce_with(iv, || cg)
+}
+
+/// [`reduce`] with the congruence computed only where the reduction keeps
+/// it: a point or widened interval decides the result on its own, so the
+/// product evaluator skips the congruence transfer there.
+#[inline]
+pub(crate) fn reduce_with(iv: &IntervalOutcome, cg: impl FnOnce() -> Congruence) -> Congruence {
     if iv.iv.is_point() {
         Congruence::point(iv.iv.lo)
     } else if iv.widened {
         Congruence::top()
     } else {
-        cg
+        cg()
     }
 }
 
@@ -298,123 +324,92 @@ fn truth(iv: &IntervalOutcome, cg: Congruence) -> Option<bool> {
 /// One product-domain value: the interval outcome plus the congruence.
 pub type Product = (IntervalOutcome, Congruence);
 
-/// Evaluate a flattened interval program over the product domain.
+/// Evaluate an interval program over the product domain.
 ///
-/// The interval half runs the exact transfer functions of
-/// [`crate::interval`] — outcomes are bit-identical to [`IvProg::eval`] —
-/// while the congruence half runs in lockstep and is reduced against the
-/// interval after every instruction. `stack` is caller-provided scratch.
+/// The interval half is [`IvProg::eval`]'s, bit for bit; the congruence
+/// half runs in lockstep through the transfers below and is reduced against
+/// the interval after every instruction ([`reduce`]), so it is computed
+/// only where the reduction keeps it. `scratch` is caller-owned registers.
 pub fn eval_product(
     prog: &IvProg,
     iv_env: &[Interval],
     cg_env: &[Congruence],
-    stack: &mut Vec<Product>,
+    scratch: &mut IvScratch,
 ) -> Product {
-    stack.clear();
-    for op in prog.ops() {
-        let out: Product = match op {
-            IvOp::Const(c) => (
-                IntervalOutcome::new(Interval::point(*c), true),
-                Congruence::point(*c),
-            ),
-            IvOp::Slot(s) => (
-                IntervalOutcome::new(iv_env[*s as usize], true),
-                cg_env[*s as usize],
-            ),
-            IvOp::Neg => {
-                let (a_iv, a_cg) = stack.pop().expect("cg stack");
-                (iv_neg(a_iv), -a_cg)
-            }
-            IvOp::Not => {
-                let (a_iv, a_cg) = stack.pop().expect("cg stack");
-                let out = iv_not(a_iv);
-                let cg = match truth(&a_iv, a_cg) {
-                    Some(t) => Congruence::point(i64::from(!t)),
-                    None => Congruence::top(),
-                };
-                (out, cg)
-            }
-            IvOp::Abs => {
-                let (a_iv, a_cg) = stack.pop().expect("cg stack");
-                (iv_abs(a_iv), a_cg.join(-a_cg))
-            }
-            IvOp::Bin(o) => {
-                let (b_iv, b_cg) = stack.pop().expect("cg stack");
-                let (a_iv, a_cg) = stack.pop().expect("cg stack");
-                let out = iv_bin(*o, a_iv, b_iv);
-                let cg = match o {
-                    IntBinOp::Add => a_cg + b_cg,
-                    IntBinOp::Sub => a_cg - b_cg,
-                    IntBinOp::Mul => a_cg * b_cg,
-                    IntBinOp::Div | IntBinOp::FloorDiv => a_cg / b_cg,
-                    IntBinOp::Rem => a_cg % b_cg,
-                    IntBinOp::Eq => {
-                        if a_cg.never_equal(b_cg) {
-                            Congruence::point(0)
-                        } else {
-                            Congruence::top()
-                        }
-                    }
-                    IntBinOp::Ne => {
-                        if a_cg.never_equal(b_cg) {
-                            Congruence::point(1)
-                        } else {
-                            Congruence::top()
-                        }
-                    }
-                    IntBinOp::And => match (truth(&a_iv, a_cg), truth(&b_iv, b_cg)) {
-                        (Some(false), _) | (_, Some(false)) => Congruence::point(0),
-                        (Some(true), Some(true)) => Congruence::point(1),
-                        _ => Congruence::top(),
-                    },
-                    IntBinOp::Or => match (truth(&a_iv, a_cg), truth(&b_iv, b_cg)) {
-                        (Some(true), _) | (Some(false), Some(true)) => Congruence::point(1),
-                        (Some(false), Some(false)) => Congruence::point(0),
-                        _ => Congruence::top(),
-                    },
-                    IntBinOp::Lt | IntBinOp::Le | IntBinOp::Gt | IntBinOp::Ge => {
-                        Congruence::top()
-                    }
-                };
-                (out, cg)
-            }
-            IvOp::Call2(bi) => {
-                let (b_iv, b_cg) = stack.pop().expect("cg stack");
-                let (a_iv, a_cg) = stack.pop().expect("cg stack");
-                let out = iv_call2(*bi, a_iv, b_iv);
-                let cg = match bi {
-                    // min/max pick one of the two values.
-                    Builtin::Min | Builtin::Max => a_cg.join(b_cg),
-                    // round_up(a, b) = floor((a+b-1)/b)·b: a multiple of b,
-                    // hence of b's content.
-                    Builtin::RoundUp => {
-                        let c = b_cg.content();
-                        if c >= 1 {
-                            make(c, 0)
-                        } else {
-                            Congruence::top()
-                        }
-                    }
-                    Builtin::DivCeil | Builtin::Gcd | Builtin::Abs => Congruence::top(),
-                };
-                (out, cg)
-            }
-            IvOp::Ternary => {
-                let (f_iv, f_cg) = stack.pop().expect("cg stack");
-                let (t_iv, t_cg) = stack.pop().expect("cg stack");
-                let (c_iv, c_cg) = stack.pop().expect("cg stack");
-                let out = iv_ternary(c_iv, t_iv, f_iv);
-                let cg = match truth(&c_iv, c_cg) {
-                    Some(true) => t_cg,
-                    Some(false) => f_cg,
-                    None => t_cg.join(f_cg),
-                };
-                (out, cg)
-            }
-        };
-        stack.push((out.0, reduce(&out.0, out.1)));
+    prog.run::<true>(iv_env, cg_env, scratch)
+}
+
+/// Congruence of `!a`: a point once either half decides `a`'s truth.
+pub(crate) fn cg_not(a: &IntervalOutcome, a_cg: Congruence) -> Congruence {
+    match truth(a, a_cg) {
+        Some(t) => Congruence::point(i64::from(!t)),
+        None => Congruence::top(),
     }
-    stack.pop().expect("nonempty program")
+}
+
+/// Congruence of `a op b` (operands already reduced).
+pub(crate) fn cg_bin(
+    op: IntBinOp,
+    a: &IntervalOutcome,
+    a_cg: Congruence,
+    b: &IntervalOutcome,
+    b_cg: Congruence,
+) -> Congruence {
+    match op {
+        IntBinOp::Add => a_cg + b_cg,
+        IntBinOp::Sub => a_cg - b_cg,
+        IntBinOp::Mul => a_cg * b_cg,
+        IntBinOp::Div | IntBinOp::FloorDiv => a_cg / b_cg,
+        IntBinOp::Rem => a_cg % b_cg,
+        IntBinOp::Eq if a_cg.never_equal(b_cg) => Congruence::point(0),
+        IntBinOp::Ne if a_cg.never_equal(b_cg) => Congruence::point(1),
+        IntBinOp::And => match (truth(a, a_cg), truth(b, b_cg)) {
+            (Some(false), _) | (_, Some(false)) => Congruence::point(0),
+            (Some(true), Some(true)) => Congruence::point(1),
+            _ => Congruence::top(),
+        },
+        IntBinOp::Or => match (truth(a, a_cg), truth(b, b_cg)) {
+            (Some(true), _) | (Some(false), Some(true)) => Congruence::point(1),
+            (Some(false), Some(false)) => Congruence::point(0),
+            _ => Congruence::top(),
+        },
+        IntBinOp::Eq | IntBinOp::Ne | IntBinOp::Lt | IntBinOp::Le | IntBinOp::Gt | IntBinOp::Ge => {
+            Congruence::top()
+        }
+    }
+}
+
+/// Congruence of a builtin call.
+pub(crate) fn cg_call2(bi: Builtin, a_cg: Congruence, b_cg: Congruence) -> Congruence {
+    match bi {
+        // min/max pick one of the two values.
+        Builtin::Min | Builtin::Max => a_cg.join(b_cg),
+        // round_up(a, b) = floor((a+b-1)/b)·b: a multiple of b, hence of
+        // b's content.
+        Builtin::RoundUp => {
+            let c = b_cg.content();
+            if c >= 1 {
+                make(c, 0)
+            } else {
+                Congruence::top()
+            }
+        }
+        Builtin::DivCeil | Builtin::Gcd | Builtin::Abs => Congruence::top(),
+    }
+}
+
+/// Congruence of `c ? t : f`: the live branch's once `c` is decided.
+pub(crate) fn cg_ternary(
+    c: &IntervalOutcome,
+    c_cg: Congruence,
+    t_cg: Congruence,
+    f_cg: Congruence,
+) -> Congruence {
+    match truth(c, c_cg) {
+        Some(true) => t_cg,
+        Some(false) => f_cg,
+        None => t_cg.join(f_cg),
+    }
 }
 
 #[cfg(test)]

@@ -53,12 +53,12 @@ use std::sync::Arc;
 
 use crate::error::EvalError;
 use crate::expr::Bindings;
-use crate::interval::{Interval, IvProg};
+use crate::interval::{Interval, IvProg, IvScratch};
 use crate::ir::{IntBinOp, IntExpr, LBody, LIter, LStep, LoweredPlan};
 use crate::iterator::Realized;
 use crate::value::Value;
 
-use super::congruence::{cg_of_bind, cg_of_values, eval_product, Congruence, Product};
+use super::congruence::{cg_of_bind, cg_of_values, eval_product, Congruence};
 use super::footprint::suffix_footprints;
 use super::narrow::{narrowable_loops, solve_affine, EqualityCheck, Solved};
 
@@ -399,7 +399,7 @@ pub struct Counter<'a> {
     /// Reused environments of the abstract pre-pass.
     iv_env: Vec<Interval>,
     cg_env: Vec<Congruence>,
-    stack: Vec<Product>,
+    scratch: IvScratch,
     stats: CountStats,
 }
 
@@ -508,7 +508,7 @@ impl<'a> Counter<'a> {
             memo_len: 0,
             iv_env: Vec::new(),
             cg_env: Vec::new(),
-            stack: Vec::new(),
+            scratch: IvScratch::default(),
             stats: CountStats { levels: level_stats, ..CountStats::default() },
         }
     }
@@ -824,7 +824,7 @@ impl<'a> Counter<'a> {
         x_iv: Interval,
         x_cg: Congruence,
     ) -> bool {
-        let (iv_env, cg_env, stack) = (&mut self.iv_env, &mut self.cg_env, &mut self.stack);
+        let (iv_env, cg_env, scratch) = (&mut self.iv_env, &mut self.cg_env, &mut self.scratch);
         iv_env.clear();
         iv_env.extend(slots.iter().map(|&v| Interval::point(v)));
         cg_env.clear();
@@ -838,7 +838,7 @@ impl<'a> Counter<'a> {
                 LStep::Define { slot, body, .. } => match body {
                     LBody::Expr(_) => {
                         let prog = self.progs[j].as_ref().expect("expr body compiled");
-                        let (o, cg) = eval_product(prog, iv_env, cg_env, stack);
+                        let (o, cg) = eval_product(prog, iv_env, cg_env, scratch);
                         run_clean &= o.clean;
                         iv_env[*slot as usize] = o.iv;
                         cg_env[*slot as usize] = cg;
@@ -852,7 +852,7 @@ impl<'a> Counter<'a> {
                 LStep::Check { body, .. } => match body {
                     LBody::Expr(_) => {
                         let prog = self.progs[j].as_ref().expect("expr body compiled");
-                        let (o, cg) = eval_product(prog, iv_env, cg_env, stack);
+                        let (o, cg) = eval_product(prog, iv_env, cg_env, scratch);
                         if run_clean && o.clean && (!o.iv.contains(0) || cg.always_nonzero())
                         {
                             return true;

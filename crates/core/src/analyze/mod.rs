@@ -41,7 +41,7 @@ pub mod diagnostics;
 pub mod footprint;
 pub mod narrow;
 
-use crate::interval::{Interval, IvProg};
+use crate::interval::{Interval, IvProg, IvScratch};
 use crate::ir::{IntBinOp, IntExpr, LBody, LIter, LStep, LoweredPlan};
 use crate::space::NodeTarget;
 
@@ -158,9 +158,9 @@ fn eval_expr(
     e: &IntExpr,
     iv_env: &[Interval],
     cg_env: &[Congruence],
-    stack: &mut Vec<Product>,
+    scratch: &mut IvScratch,
 ) -> Product {
-    eval_product(&IvProg::compile(e), iv_env, cg_env, stack)
+    eval_product(&IvProg::compile(e), iv_env, cg_env, scratch)
 }
 
 /// The single env walk: tracks the interval × congruence hull of every slot
@@ -172,7 +172,7 @@ fn walk_passes(lp: &LoweredPlan, diags: &mut Vec<Diagnostic>) {
     let n = lp.n_slots as usize;
     let mut iv_env = vec![Interval::TOP; n];
     let mut cg_env = vec![Congruence::top(); n];
-    let mut stack = Vec::new();
+    let mut scratch = IvScratch::default();
     // Loop level at which each slot's value becomes available (-1 =
     // preamble); for derived slots, the transitive max over their reads, so
     // hoistability judgments see through defines.
@@ -192,9 +192,9 @@ fn walk_passes(lp: &LoweredPlan, diags: &mut Vec<Diagnostic>) {
                 slot_level[*slot as usize] = cur_level;
                 let (iv, cg) = match domain {
                     LIter::Range { start, stop, step } => {
-                        let (sa, cga) = eval_expr(start, &iv_env, &cg_env, &mut stack);
-                        let (so, _) = eval_expr(stop, &iv_env, &cg_env, &mut stack);
-                        let (_, cgs) = eval_expr(step, &iv_env, &cg_env, &mut stack);
+                        let (sa, cga) = eval_expr(start, &iv_env, &cg_env, &mut scratch);
+                        let (so, _) = eval_expr(stop, &iv_env, &cg_env, &mut scratch);
+                        let (_, cgs) = eval_expr(step, &iv_env, &cg_env, &mut scratch);
                         // Stride-aware value hull, mirroring the constraint
                         // scheduler's `env_step`: a constant-sign stride
                         // bounds executed iterations on the start side.
@@ -227,7 +227,7 @@ fn walk_passes(lp: &LoweredPlan, diags: &mut Vec<Diagnostic>) {
                 let name = &space.deriveds()[*derived].name;
                 match body {
                     LBody::Expr(e) => {
-                        let (o, cg) = eval_expr(e, &iv_env, &cg_env, &mut stack);
+                        let (o, cg) = eval_expr(e, &iv_env, &cg_env, &mut scratch);
                         if !o.clean {
                             diags.push(Diagnostic {
                                 severity: Severity::Warning,
@@ -259,7 +259,7 @@ fn walk_passes(lp: &LoweredPlan, diags: &mut Vec<Diagnostic>) {
             LStep::Check { constraint, body } => {
                 let name = &space.constraints()[*constraint].name;
                 let LBody::Expr(e) = body else { continue };
-                let (o, cg) = eval_expr(e, &iv_env, &cg_env, &mut stack);
+                let (o, cg) = eval_expr(e, &iv_env, &cg_env, &mut scratch);
                 if o.clean && (!o.iv.contains(0) || cg.always_nonzero()) {
                     diags.push(Diagnostic {
                         severity: Severity::Error,

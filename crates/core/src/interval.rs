@@ -21,6 +21,7 @@
 //! computation could leave the `i64` range; `/`, `%`, `min`, `max` and
 //! opaque bodies are approximated conservatively, never exactly wrongly.
 
+use crate::analyze::congruence::{cg_bin, cg_call2, cg_not, cg_ternary, reduce_with, Congruence};
 use crate::expr::Builtin;
 use crate::ir::{IntBinOp, IntExpr};
 
@@ -145,8 +146,8 @@ fn truth(iv: Interval) -> Truth {
 /// Compute a sound interval for `e` given per-slot intervals `env`
 /// (indexed by slot id, like the slot array passed to [`IntExpr::eval`]).
 ///
-/// This is the recursive reference evaluator; the engine's hot path uses
-/// the flattened [`IvProg`] form, which produces identical outcomes.
+/// This is the recursive reference evaluator; the hot paths use the
+/// register-form [`IvProg`], which produces identical outcomes.
 pub fn interval_of(e: &IntExpr, env: &[Interval]) -> IntervalOutcome {
     match e {
         IntExpr::Const(c) => IntervalOutcome::new(Interval::point(*c), true),
@@ -429,130 +430,347 @@ pub fn range_value_hull(start: Interval, stop: Interval) -> Interval {
     start.hull(stop)
 }
 
-/// One instruction of a flattened interval program (see [`IvProg`]).
+/// An operand of a register instruction (see [`IvProg`]). Leaves are read
+/// where they live, never copied into a register first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IvOp {
-    /// Push a point interval.
+pub enum IvArg {
+    /// A literal: the clean point interval `[c, c]`.
     Const(i64),
-    /// Push the slot's environment interval.
+    /// The slot's environment interval (clean, not widened).
     Slot(u32),
-    /// Pop one outcome, push its arithmetic negation.
+    /// The register an earlier instruction of the same program wrote.
+    Reg(u32),
+}
+
+/// What a register instruction computes (see [`IvOp`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum IvKind {
+    /// Arithmetic negation of `args[0]`.
     Neg,
-    /// Pop one outcome, push its logical negation (`!= 0` semantics).
+    /// Logical negation (`!= 0` semantics) of `args[0]`.
     Not,
-    /// Pop one outcome, push its absolute value.
+    /// Absolute value of `args[0]`.
     Abs,
-    /// Pop right then left, push the binary transfer result.
+    /// `args[0] op args[1]`.
     Bin(IntBinOp),
-    /// Pop right then left, push the builtin transfer result.
+    /// The builtin applied to `args[0]`, `args[1]`.
     Call2(Builtin),
-    /// Pop else, then, condition; push the ternary transfer result.
+    /// `args[0] ? args[1] : args[2]`.
     Ternary,
 }
 
-/// A flattened postfix compilation of an [`IntExpr`] for interval
-/// evaluation: one linear instruction array walked with an explicit operand
-/// stack, no tree recursion and no pointer chasing on the hot path.
-///
-/// Unlike the point-wise postfix programs, there are no jumps: interval
-/// analysis must look at *both* branches of undecided conditionals anyway,
-/// so every operator is strict and the short-circuit/branch semantics live
-/// entirely in the combine functions ([`iv_bin`], [`iv_ternary`]), which
-/// discard a dead operand's cleanliness exactly like the lazy point
-/// evaluator. Outcomes are identical to [`interval_of`] by construction
-/// (same transfer functions, same traversal order).
-#[derive(Debug, Clone)]
-pub struct IvProg {
-    ops: Vec<IvOp>,
+/// One instruction of a register-form interval program: fixed operands,
+/// result written to one register.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IvOp {
+    /// What it computes.
+    pub kind: IvKind,
+    /// The register it writes.
+    pub dst: u32,
+    /// Its operands; those `kind` does not read are `Const(0)`.
+    pub args: [IvArg; 3],
 }
 
-impl IvProg {
-    /// Flatten `e` post-order into a linear program.
-    pub fn compile(e: &IntExpr) -> IvProg {
-        fn go(e: &IntExpr, ops: &mut Vec<IvOp>) {
-            match e {
-                IntExpr::Const(c) => ops.push(IvOp::Const(*c)),
-                IntExpr::Slot(s) => ops.push(IvOp::Slot(*s)),
-                IntExpr::Neg(a) => {
-                    go(a, ops);
-                    ops.push(IvOp::Neg);
-                }
-                IntExpr::Not(a) => {
-                    go(a, ops);
-                    ops.push(IvOp::Not);
-                }
-                IntExpr::Abs(a) => {
-                    go(a, ops);
-                    ops.push(IvOp::Abs);
-                }
-                IntExpr::Bin(op, a, b) => {
-                    go(a, ops);
-                    go(b, ops);
-                    ops.push(IvOp::Bin(*op));
-                }
-                IntExpr::Call2(bi, a, b) => {
-                    go(a, ops);
-                    go(b, ops);
-                    ops.push(IvOp::Call2(*bi));
-                }
-                IntExpr::Ternary(c, t, f) => {
-                    go(c, ops);
-                    go(t, ops);
-                    go(f, ops);
-                    ops.push(IvOp::Ternary);
+/// Caller-owned registers for [`IvProg::eval`] and
+/// [`crate::analyze::eval_product`]: plain interval-endpoint and congruence
+/// arrays, grown to the largest program evaluated and then reused, so
+/// repeated evaluation never allocates.
+#[derive(Debug, Clone, Default)]
+pub struct IvScratch {
+    lo: Vec<i64>,
+    hi: Vec<i64>,
+    /// `CLEAN | WIDENED` bits of each register's outcome.
+    flags: Vec<u8>,
+    /// Congruence modulus and representative (product evaluation only).
+    m: Vec<i64>,
+    r: Vec<i64>,
+}
+
+const CLEAN: u8 = 1;
+const WIDENED: u8 = 2;
+
+impl IvScratch {
+    #[inline]
+    fn fit(&mut self, regs: usize, cg: bool) {
+        if self.lo.len() < regs || (cg && self.m.len() < regs) {
+            self.grow(regs);
+        }
+    }
+
+    #[cold]
+    fn grow(&mut self, regs: usize) {
+        for v in [&mut self.lo, &mut self.hi, &mut self.m, &mut self.r] {
+            v.resize(v.len().max(regs), 0);
+        }
+        self.flags.resize(self.flags.len().max(regs), 0);
+    }
+
+    #[inline]
+    fn iv(&self, a: IvArg, env: &[Interval]) -> IntervalOutcome {
+        match a {
+            IvArg::Const(c) => IntervalOutcome::new(Interval::point(c), true),
+            IvArg::Slot(s) => IntervalOutcome::new(env[s as usize], true),
+            IvArg::Reg(r) => {
+                let (r, f) = (r as usize, self.flags[r as usize]);
+                IntervalOutcome {
+                    iv: Interval { lo: self.lo[r], hi: self.hi[r] },
+                    clean: f & CLEAN != 0,
+                    widened: f & WIDENED != 0,
                 }
             }
         }
-        let mut ops = Vec::new();
-        go(e, &mut ops);
-        IvProg { ops }
     }
 
-    /// The flattened instruction sequence, for analyses that walk the same
-    /// program with a richer abstract domain (see `analyze::congruence`).
+    /// The operand's congruence, reduced against its interval like every
+    /// product value (a slot whose interval is a point is that point).
+    #[inline]
+    fn cg(&self, a: IvArg, iv_env: &[Interval], cg_env: &[Congruence]) -> Congruence {
+        match a {
+            IvArg::Const(c) => Congruence::point(c),
+            IvArg::Slot(s) => {
+                let iv = iv_env[s as usize];
+                if iv.is_point() {
+                    Congruence::point(iv.lo)
+                } else {
+                    cg_env[s as usize]
+                }
+            }
+            IvArg::Reg(r) => Congruence { m: self.m[r as usize], r: self.r[r as usize] },
+        }
+    }
+
+    #[inline]
+    fn set(&mut self, dst: u32, o: IntervalOutcome) {
+        let d = dst as usize;
+        self.lo[d] = o.iv.lo;
+        self.hi[d] = o.iv.hi;
+        self.flags[d] = if o.clean { CLEAN } else { 0 } | if o.widened { WIDENED } else { 0 };
+    }
+
+    #[inline]
+    fn set_cg(&mut self, dst: u32, cg: Congruence) {
+        self.m[dst as usize] = cg.m;
+        self.r[dst as usize] = cg.r;
+    }
+}
+
+/// [`iv_neg`] with the endpoints negated in `i64`; the reference transfer
+/// runs only when one of them overflows.
+#[inline]
+fn neg_fast(a: IntervalOutcome) -> IntervalOutcome {
+    match (a.iv.hi.checked_neg(), a.iv.lo.checked_neg()) {
+        (Some(lo), Some(hi)) => IntervalOutcome { iv: Interval { lo, hi }, ..a },
+        _ => iv_neg(a),
+    }
+}
+
+/// [`iv_bin`] with `+`, `-`, `*` and division by a nonzero point computed
+/// in `i64` with checked ops. When every endpoint fits, it equals the
+/// reference's `i128` endpoint (trunc division included); when one
+/// overflows, the reference transfer — `i128` and widening — runs instead.
+/// Every other operator is the reference.
+#[inline]
+fn bin_fast(op: IntBinOp, a: IntervalOutcome, b: IntervalOutcome) -> IntervalOutcome {
+    let (x, y) = (a.iv, b.iv);
+    let hull = |p: [Option<i64>; 4]| match p {
+        [Some(p), Some(q), Some(r), Some(s)] => {
+            Some((p.min(q).min(r).min(s), p.max(q).max(r).max(s)))
+        }
+        _ => None,
+    };
+    let ends = match op {
+        IntBinOp::Add => x.lo.checked_add(y.lo).zip(x.hi.checked_add(y.hi)),
+        IntBinOp::Sub => x.lo.checked_sub(y.hi).zip(x.hi.checked_sub(y.lo)),
+        IntBinOp::Mul => hull([
+            x.lo.checked_mul(y.lo),
+            x.lo.checked_mul(y.hi),
+            x.hi.checked_mul(y.lo),
+            x.hi.checked_mul(y.hi),
+        ]),
+        IntBinOp::Div if y.is_point() && y.lo != 0 => {
+            let (p, q) = (x.lo.checked_div(y.lo), x.hi.checked_div(y.lo));
+            p.zip(q).map(|(p, q)| (p.min(q), p.max(q)))
+        }
+        _ => None,
+    };
+    match ends {
+        Some((lo, hi)) => IntervalOutcome {
+            iv: Interval { lo, hi },
+            clean: a.clean && b.clean,
+            widened: a.widened || b.widened,
+        },
+        None => iv_bin(op, a, b),
+    }
+}
+
+/// A register-form compilation of an [`IntExpr`] for abstract evaluation:
+/// the interval guards of `beast_engine`'s compiled engine, the counter's
+/// abstract pre-pass and the analyzer all run it.
+///
+/// Instructions read their operands in place — a leaf slot or constant is
+/// an operand of its parent, not a push — and write one register each.
+/// Registers are allocated like stack depths, so their count (the deepest
+/// nesting) is known at compile time and [`IvScratch`] is plain arrays
+/// sized once. There are no jumps: interval analysis must look at *both*
+/// branches of undecided conditionals anyway, so every operator is strict
+/// and the short-circuit/branch semantics live in the combine functions
+/// ([`iv_bin`], [`iv_ternary`]), which discard a dead operand's cleanliness
+/// exactly like the lazy point evaluator.
+///
+/// Outcomes are identical to the recursive reference [`interval_of`]: the
+/// same transfer functions, with `i64` fast paths for `-x`, `+`, `-`, `*`
+/// and division by a point that fall back to them on overflow. Under the
+/// product (`eval_product`) the congruence transfer runs only where
+/// [`crate::analyze::reduce`] keeps it: not when the interval result is a
+/// point or widened.
+#[derive(Debug, Clone)]
+pub struct IvProg {
+    ops: Vec<IvOp>,
+    /// Where the expression's value is read: `Reg(0)`, or the leaf itself
+    /// when the expression is a bare slot or constant (no instructions).
+    root: IvArg,
+    /// Registers the program writes.
+    regs: u32,
+}
+
+impl IvProg {
+    /// Compile `e` post-order into register form.
+    pub fn compile(e: &IntExpr) -> IvProg {
+        /// The register a following sibling operand may use.
+        fn after(d: u32, a: IvArg) -> u32 {
+            d + u32::from(matches!(a, IvArg::Reg(_)))
+        }
+        /// Emit `e`'s instructions with `d` as the lowest free register;
+        /// returns the operand its parent reads.
+        fn go(e: &IntExpr, d: u32, ops: &mut Vec<IvOp>, regs: &mut u32) -> IvArg {
+            const NONE: IvArg = IvArg::Const(0);
+            let (kind, args) = match e {
+                IntExpr::Const(c) => return IvArg::Const(*c),
+                IntExpr::Slot(s) => return IvArg::Slot(*s),
+                IntExpr::Neg(a) => (IvKind::Neg, [go(a, d, ops, regs), NONE, NONE]),
+                IntExpr::Not(a) => (IvKind::Not, [go(a, d, ops, regs), NONE, NONE]),
+                IntExpr::Abs(a) => (IvKind::Abs, [go(a, d, ops, regs), NONE, NONE]),
+                IntExpr::Bin(op, a, b) => {
+                    let a = go(a, d, ops, regs);
+                    (IvKind::Bin(*op), [a, go(b, after(d, a), ops, regs), NONE])
+                }
+                IntExpr::Call2(bi, a, b) => {
+                    let a = go(a, d, ops, regs);
+                    (IvKind::Call2(*bi), [a, go(b, after(d, a), ops, regs), NONE])
+                }
+                IntExpr::Ternary(c, t, f) => {
+                    let c = go(c, d, ops, regs);
+                    let t = go(t, after(d, c), ops, regs);
+                    (IvKind::Ternary, [c, t, go(f, after(after(d, c), t), ops, regs)])
+                }
+            };
+            *regs = (*regs).max(d + 1);
+            ops.push(IvOp { kind, dst: d, args });
+            IvArg::Reg(d)
+        }
+        let (mut ops, mut regs) = (Vec::new(), 0);
+        let root = go(e, 0, &mut ops, &mut regs);
+        IvProg { ops, root, regs }
+    }
+
+    /// The instruction sequence.
     pub fn ops(&self) -> &[IvOp] {
         &self.ops
     }
 
     /// The slots the program reads.
     pub fn read_slots(&self) -> impl Iterator<Item = u32> + '_ {
-        self.ops.iter().filter_map(|op| match op {
-            IvOp::Slot(s) => Some(*s),
+        let args = self.ops.iter().flat_map(|op| op.args);
+        args.chain([self.root]).filter_map(|a| match a {
+            IvArg::Slot(s) => Some(s),
             _ => None,
         })
     }
 
-    /// Evaluate against per-slot intervals. `stack` is caller-provided
-    /// scratch (cleared here) so repeated evaluation never reallocates.
-    pub fn eval(&self, env: &[Interval], stack: &mut Vec<IntervalOutcome>) -> IntervalOutcome {
-        stack.clear();
+    /// Evaluate against per-slot intervals.
+    pub fn eval(&self, env: &[Interval], scratch: &mut IvScratch) -> IntervalOutcome {
+        self.run::<false>(env, &[], scratch).0
+    }
+
+    /// The evaluator: the interval half always, the congruence half of the
+    /// reduced product when `CG` (the congruence returned is ⊤ otherwise).
+    #[inline]
+    pub(crate) fn run<const CG: bool>(
+        &self,
+        iv_env: &[Interval],
+        cg_env: &[Congruence],
+        s: &mut IvScratch,
+    ) -> (IntervalOutcome, Congruence) {
+        s.fit(self.regs as usize, CG);
         for op in &self.ops {
-            let out = match op {
-                IvOp::Const(c) => IntervalOutcome::new(Interval::point(*c), true),
-                IvOp::Slot(s) => IntervalOutcome::new(env[*s as usize], true),
-                IvOp::Neg => iv_neg(stack.pop().expect("iv stack")),
-                IvOp::Not => iv_not(stack.pop().expect("iv stack")),
-                IvOp::Abs => iv_abs(stack.pop().expect("iv stack")),
-                IvOp::Bin(o) => {
-                    let b = stack.pop().expect("iv stack");
-                    let a = stack.pop().expect("iv stack");
-                    iv_bin(*o, a, b)
+            let (dst, [a, b, c]) = (op.dst, op.args);
+            match op.kind {
+                IvKind::Neg => {
+                    let o = neg_fast(s.iv(a, iv_env));
+                    if CG {
+                        let cg = reduce_with(&o, || -s.cg(a, iv_env, cg_env));
+                        s.set_cg(dst, cg);
+                    }
+                    s.set(dst, o);
                 }
-                IvOp::Call2(bi) => {
-                    let b = stack.pop().expect("iv stack");
-                    let a = stack.pop().expect("iv stack");
-                    iv_call2(*bi, a, b)
+                IvKind::Not => {
+                    let ao = s.iv(a, iv_env);
+                    let o = iv_not(ao);
+                    if CG {
+                        let cg = reduce_with(&o, || cg_not(&ao, s.cg(a, iv_env, cg_env)));
+                        s.set_cg(dst, cg);
+                    }
+                    s.set(dst, o);
                 }
-                IvOp::Ternary => {
-                    let f = stack.pop().expect("iv stack");
-                    let t = stack.pop().expect("iv stack");
-                    let c = stack.pop().expect("iv stack");
-                    iv_ternary(c, t, f)
+                IvKind::Abs => {
+                    let o = iv_abs(s.iv(a, iv_env));
+                    if CG {
+                        let cg = reduce_with(&o, || {
+                            let x = s.cg(a, iv_env, cg_env);
+                            x.join(-x)
+                        });
+                        s.set_cg(dst, cg);
+                    }
+                    s.set(dst, o);
                 }
-            };
-            stack.push(out);
+                IvKind::Bin(op) => {
+                    let (ao, bo) = (s.iv(a, iv_env), s.iv(b, iv_env));
+                    let o = bin_fast(op, ao, bo);
+                    if CG {
+                        let cg = reduce_with(&o, || {
+                            cg_bin(op, &ao, s.cg(a, iv_env, cg_env), &bo, s.cg(b, iv_env, cg_env))
+                        });
+                        s.set_cg(dst, cg);
+                    }
+                    s.set(dst, o);
+                }
+                IvKind::Call2(bi) => {
+                    let o = iv_call2(bi, s.iv(a, iv_env), s.iv(b, iv_env));
+                    if CG {
+                        let cg = reduce_with(&o, || {
+                            cg_call2(bi, s.cg(a, iv_env, cg_env), s.cg(b, iv_env, cg_env))
+                        });
+                        s.set_cg(dst, cg);
+                    }
+                    s.set(dst, o);
+                }
+                IvKind::Ternary => {
+                    // Operands in source order: condition, then, else.
+                    let (co, to, fo) = (s.iv(a, iv_env), s.iv(b, iv_env), s.iv(c, iv_env));
+                    let o = iv_ternary(co, to, fo);
+                    if CG {
+                        let cg = reduce_with(&o, || {
+                            let pick = |x| s.cg(x, iv_env, cg_env);
+                            cg_ternary(&co, pick(a), pick(b), pick(c))
+                        });
+                        s.set_cg(dst, cg);
+                    }
+                    s.set(dst, o);
+                }
+            }
         }
-        stack.pop().expect("nonempty program")
+        let cg = if CG { s.cg(self.root, iv_env, cg_env) } else { Congruence::top() };
+        (s.iv(self.root, iv_env), cg)
     }
 }
 
@@ -712,10 +930,10 @@ mod tests {
                 Box::new(slot(2)),
             ),
         ];
-        let mut stack = Vec::new();
+        let mut scratch = IvScratch::default();
         for e in &exprs {
             let walk = interval_of(e, &env);
-            let flat = IvProg::compile(e).eval(&env, &mut stack);
+            let flat = IvProg::compile(e).eval(&env, &mut scratch);
             assert_eq!(walk, flat, "flat/walk divergence on {e:?}");
         }
     }

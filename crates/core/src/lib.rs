@@ -72,7 +72,7 @@ pub mod prelude {
     pub use crate::error::{EvalError, SpaceError};
     pub use crate::expr::{lit, max2, min2, ternary, var, Bindings, Expr, VarRef, E};
     pub use crate::hash::Fnv1a;
-    pub use crate::interval::{interval_of, Interval, IntervalOutcome, IvProg};
+    pub use crate::interval::{interval_of, Interval, IntervalOutcome, IvProg, IvScratch};
     pub use crate::ir::{IntExpr, LoweredPlan};
     pub use crate::iterator::{build as iter_build, IterKind, Realized};
     pub use crate::plan::{LoopOrder, Plan, PlanOptions, Step};

@@ -533,13 +533,14 @@ pub(crate) fn blocks_json(out: &mut String, blocks: &BlockStats) {
     let _ = write!(
         out,
         "{{\"subtree_skips\":{},\"congruence_skips\":{},\
-         \"points_skipped\":{},\"checks_elided\":{},\
+         \"points_skipped\":{},\"checks_elided\":{},\"guard_runs\":{},\
          \"loops_solved\":{},\"points_solved\":{},\
          \"loops_replayed\":{},\"rows_replayed\":{}}}",
         blocks.subtree_skips,
         blocks.congruence_skips,
         blocks.points_skipped,
         blocks.checks_elided,
+        blocks.guard_runs,
         blocks.loops_solved,
         blocks.points_solved,
         blocks.loops_replayed,
@@ -572,9 +573,9 @@ pub(crate) fn parse_stats(doc: &JsonValue, ctx: &str) -> Result<PruneStats, Stri
     Ok(stats)
 }
 
-/// Parse a [`BlockStats`] object written by [`blocks_json`]. The narrowing
-/// and replay counters are optional (absent ⇒ 0): checkpoints, cache files and `done`
-/// frames written before they existed still load.
+/// Parse a [`BlockStats`] object written by [`blocks_json`]. The guard,
+/// narrowing and replay counters are optional (absent ⇒ 0): checkpoints,
+/// cache files and `done` frames written before they existed still load.
 pub(crate) fn parse_blocks(doc: &JsonValue, ctx: &str) -> Result<BlockStats, String> {
     let block = |key: &str| {
         doc.get(key)
@@ -590,6 +591,7 @@ pub(crate) fn parse_blocks(doc: &JsonValue, ctx: &str) -> Result<BlockStats, Str
         congruence_skips: block("congruence_skips")?,
         points_skipped: block("points_skipped")?,
         checks_elided: block("checks_elided")?,
+        guard_runs: optional("guard_runs")?,
         loops_solved: optional("loops_solved")?,
         points_solved: optional("points_solved")?,
         loops_replayed: optional("loops_replayed")?,
@@ -793,9 +795,9 @@ mod tests {
         assert_eq!(parsed, record);
     }
 
-    /// Block counters written before the narrowing and replay counters
-    /// existed (older checkpoints, cache files, `done` frames) still load,
-    /// as zeros.
+    /// Block counters written before the guard, narrowing and replay
+    /// counters existed (older checkpoints, cache files, `done` frames)
+    /// still load, as zeros.
     #[test]
     fn blocks_without_narrowing_counters_still_parse() {
         let old = r#"{"subtree_skips":4,"congruence_skips":1,"points_skipped":99,"checks_elided":6}"#;
@@ -812,6 +814,7 @@ mod tests {
         );
         let mut out = String::new();
         let new = BlockStats {
+            guard_runs: 8,
             loops_solved: 3,
             points_solved: 57,
             loops_replayed: 2,
@@ -821,7 +824,7 @@ mod tests {
         blocks_json(&mut out, &new);
         assert_eq!(parse_blocks(&JsonValue::parse(&out).unwrap(), "test").unwrap(), new);
         // Present but malformed is still an error, not a silent zero.
-        for key in ["loops_solved", "rows_replayed"] {
+        for key in ["guard_runs", "loops_solved", "rows_replayed"] {
             let bad = old.replace('}', &format!(r#","{key}":"many"}}"#));
             assert!(parse_blocks(&JsonValue::parse(&bad).unwrap(), "test").is_err());
         }
@@ -838,6 +841,7 @@ mod tests {
             survivors: 27,
         };
         let blocks = BlockStats {
+            guard_runs: 12,
             subtree_skips: 4,
             congruence_skips: 1,
             points_skipped: 99,

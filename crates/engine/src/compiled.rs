@@ -68,10 +68,12 @@
 
 use std::sync::Arc;
 
-use beast_core::analyze::{self, cg_of_bind, cg_of_values, eval_product, Congruence, LintGate, LintSummary, Product};
+use beast_core::analyze::{
+    self, cg_of_bind, cg_of_values, eval_product, Congruence, LintGate, LintSummary,
+};
 use beast_core::error::EvalError;
 use beast_core::expr::Bindings;
-use beast_core::interval::{range_value_hull, Interval, IntervalOutcome, IvProg};
+use beast_core::interval::{range_value_hull, Interval, IntervalOutcome, IvProg, IvScratch};
 use beast_core::ir::{LBody, LIter, LStep, LoweredPlan};
 use beast_core::iterator::Realized;
 use beast_core::schedule::{self, ScheduleMode};
@@ -843,8 +845,7 @@ impl Compiled {
             cvals: vec![Congruence::top(); self.lp.n_slots as usize],
             gcache: vec![GCache::default(); self.gmaster.len()],
             gprimed: vec![false; self.guards.len()],
-            gstack: Vec::new(),
-            gpstack: Vec::new(),
+            gscratch: IvScratch::default(),
             elide: 0,
             sched: Vec::new(),
             budget: u64::MAX,
@@ -1299,6 +1300,7 @@ impl Compiled {
                             // hull and residue class, so unguarded loops
                             // never pay for them.
                             let (iv, cg) = domain_facts(domain, &frames[l], len);
+                            state.blocks.guard_runs += 1;
                             match self.run_guard(l, info, iv, cg, slots, state) {
                                 GuardVerdict::Skip { by_congruence } => {
                                     state.blocks.subtree_skips += 1;
@@ -1830,17 +1832,17 @@ impl Compiled {
 
 /// Evaluate one guard program over the interval domain, or — when the
 /// congruence half is on — over the reduced product. The interval outcome
-/// is bit-identical either way ([`eval_product`]'s interval half runs the
-/// same transfer functions as [`IvProg::eval`]).
+/// is bit-identical either way ([`eval_product`]'s interval half is
+/// [`IvProg::eval`]).
 fn eval_guard<V>(
     prog: &IvProg,
     state: &mut State<V>,
     cg_on: bool,
 ) -> (IntervalOutcome, Congruence) {
     if cg_on {
-        eval_product(prog, &state.ivals, &state.cvals, &mut state.gpstack)
+        eval_product(prog, &state.ivals, &state.cvals, &mut state.gscratch)
     } else {
-        (prog.eval(&state.ivals, &mut state.gstack), Congruence::top())
+        (prog.eval(&state.ivals, &mut state.gscratch), Congruence::top())
     }
 }
 
@@ -2038,13 +2040,16 @@ fn build_guards(
 
 /// Python-range length (0 for empty or zero-step ranges).
 fn range_len(start: i64, stop: i64, step: i64) -> u64 {
-    if step > 0 && start < stop {
-        ((stop as i128 - start as i128 - 1) / step as i128 + 1) as u64
+    // The span lies in `1..2^64`, so it is exact in `u64` and the division
+    // needs no 128-bit libcall on this per-entry path.
+    let span = if step > 0 && start < stop {
+        stop.wrapping_sub(start) as u64
     } else if step < 0 && start > stop {
-        ((start as i128 - stop as i128 - 1) / (-(step as i128)) + 1) as u64
+        start.wrapping_sub(stop) as u64
     } else {
-        0
-    }
+        return 0;
+    };
+    (span - 1) / step.unsigned_abs() + 1
 }
 
 /// The exact value hull and residue class of a just-realized, non-empty
@@ -2137,10 +2142,8 @@ struct State<V> {
     /// Per-loop flag: this guard has completed at least one full scan, so
     /// every position in its range has a cached outcome.
     gprimed: Vec<bool>,
-    /// Reusable operand stack for [`IvProg`] guard evaluations.
-    gstack: Vec<IntervalOutcome>,
-    /// Reusable operand stack for product-domain guard evaluations.
-    gpstack: Vec<Product>,
+    /// Registers of the [`IvProg`] guard evaluations.
+    gscratch: IvScratch,
     /// Bitmask of currently elided checks (bit = constraint index).
     elide: u64,
     /// Per-group calibration state (empty outside [`Compiled::calibrate`]).

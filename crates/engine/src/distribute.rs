@@ -1049,16 +1049,20 @@ mod tests {
         }
     }
 
-    /// A lying worker reply (wrong chunk, short stats) is a protocol error.
+    /// A lying worker reply (wrong chunk, short stats) is a protocol error;
+    /// a well-formed one carries its block counters through, `guard_runs`
+    /// included.
     #[test]
     fn done_validation_rejects_lies() {
         let mk = FingerprintVisitor::new;
         let good = "{\"v\":1,\"done\":{\"chunk\":3,\"outcome\":{\"stats\":{\"evaluated\":[1,2],\
                     \"pruned\":[0,1],\"survivors\":1},\"blocks\":{\"subtree_skips\":0,\
-                    \"congruence_skips\":0,\"points_skipped\":0,\"checks_elided\":0},\
+                    \"congruence_skips\":0,\"points_skipped\":0,\"checks_elided\":0,\
+                    \"guard_runs\":5},\
                     \"visitor\":{\"hash\":1,\"pow\":2,\"count\":1}},\"faults\":[]}}";
         let doc = JsonValue::parse(good).unwrap();
-        assert!(parse_done::<FingerprintVisitor>(&doc, 3, 2, &mk).is_ok());
+        let done = parse_done::<FingerprintVisitor>(&doc, 3, 2, &mk).unwrap();
+        assert_eq!(done.outcome.unwrap().blocks.guard_runs, 5);
         // Wrong chunk id.
         assert!(parse_done::<FingerprintVisitor>(&doc, 4, 2, &mk).is_err());
         // Counter arrays shorter than the constraint list.

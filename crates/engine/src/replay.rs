@@ -170,6 +170,7 @@ fn for_each_counter(
     stats.evaluated.iter_mut().for_each(|c| f(c, false));
     stats.pruned.iter_mut().for_each(|c| f(c, false));
     f(&mut stats.survivors, false);
+    f(&mut blocks.guard_runs, false);
     f(&mut blocks.subtree_skips, false);
     f(&mut blocks.congruence_skips, false);
     f(&mut blocks.points_skipped, true);
@@ -598,6 +599,7 @@ mod tests {
     fn counters_scale_by_the_recorded_delta_and_saturate_where_marked() {
         let mut stats = PruneStats { evaluated: vec![10, 0], pruned: vec![4, 0], survivors: 3 };
         let mut blocks = BlockStats {
+            guard_runs: 2,
             points_skipped: u64::MAX - 10,
             checks_elided: 7,
             loops_replayed: 5,
@@ -606,8 +608,9 @@ mod tests {
         };
         let mut snap = Vec::new();
         for_each_counter(&mut stats, &mut blocks, |c, _| snap.push(*c));
-        assert_eq!(snap.len(), 2 + 2 + 1 + 6);
+        assert_eq!(snap.len(), 2 + 2 + 1 + 7);
         stats.evaluated[0] += 5;
+        blocks.guard_runs += 3;
         stats.pruned[0] += 2;
         stats.survivors += 3;
         blocks.points_skipped += 4;
@@ -619,6 +622,7 @@ mod tests {
         assert_eq!(stats.survivors, 3 + 3 * 4);
         assert_eq!(blocks.points_skipped, u64::MAX);
         assert_eq!(blocks.checks_elided, 7 + 4);
+        assert_eq!(blocks.guard_runs, 2 + 3 * 4);
         assert_eq!((blocks.loops_replayed, blocks.rows_replayed), (14, 6), "never scaled");
     }
 

@@ -41,6 +41,11 @@ pub struct PruneStats {
 /// subtrees make `evaluated` totals diverge.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BlockStats {
+    /// Guard verdicts: one per run of a loop's interval × congruence guard
+    /// program (every verdict, skip or not). Scaled through replay like the
+    /// other additive counters, so it counts what a full enumeration would
+    /// have run and is chunk-grid invariant.
+    pub guard_runs: u64,
     /// Loop subtrees skipped because a constraint was statically false
     /// (always rejecting) over the remaining subdomain.
     pub subtree_skips: u64,
@@ -78,6 +83,7 @@ pub struct BlockStats {
 impl BlockStats {
     /// Merge counters from another sweep chunk (parallel workers).
     pub fn merge(&mut self, other: &BlockStats) {
+        self.guard_runs += other.guard_runs;
         self.subtree_skips += other.subtree_skips;
         self.congruence_skips += other.congruence_skips;
         self.points_skipped = self.points_skipped.saturating_add(other.points_skipped);
@@ -89,17 +95,20 @@ impl BlockStats {
     }
 
     /// The `block pruning:` line of sweep and funnel reports; `None` when
-    /// the block pruner, narrowing and replay all had nothing to do.
+    /// no guard ran and narrowing and replay had nothing to do.
     pub fn render_line(&self) -> Option<String> {
-        let active = self.subtree_skips > 0
+        let active = self.guard_runs > 0
+            || self.subtree_skips > 0
             || self.checks_elided > 0
             || self.loops_solved > 0
             || self.loops_replayed > 0;
         active.then(|| {
             format!(
-                "block pruning: {} subtree skips ({} by congruence, ≥ {} points never enumerated), \
+                "block pruning: {} guard runs, \
+                 {} subtree skips ({} by congruence, ≥ {} points never enumerated), \
                  {} checks elided, {} loops solved ({} values never enumerated), \
                  {} loops replayed ({} survivors re-emitted)",
+                self.guard_runs,
                 self.subtree_skips,
                 self.congruence_skips,
                 self.points_skipped,

@@ -200,6 +200,9 @@ pub struct SweepReport {
     /// Per-point constraint evaluations elided because the check was
     /// statically true over its subtree (still counted in `evaluated`).
     pub checks_elided: u64,
+    /// Interval × congruence guard verdicts (see
+    /// [`BlockStats::guard_runs`]; 0 with `--no-intervals`).
+    pub guard_runs: u64,
     /// Loop entries solved in closed form instead of enumerated (their
     /// first check was a reject-unless-equal predicate affine in the loop
     /// variable; see [`BlockStats::loops_solved`]).
@@ -306,6 +309,7 @@ impl SweepReport {
             congruence_skips: blocks.congruence_skips,
             points_skipped: blocks.points_skipped,
             checks_elided: blocks.checks_elided,
+            guard_runs: blocks.guard_runs,
             loops_solved: blocks.loops_solved,
             points_solved: blocks.points_solved,
             loops_replayed: blocks.loops_replayed,
@@ -393,6 +397,8 @@ impl SweepReport {
         json_num(&mut out, "points_skipped", self.points_skipped as f64);
         out.push(',');
         json_num(&mut out, "checks_elided", self.checks_elided as f64);
+        out.push(',');
+        json_num(&mut out, "guard_runs", self.guard_runs as f64);
         out.push(',');
         json_num(&mut out, "loops_solved", self.loops_solved as f64);
         out.push(',');
@@ -568,6 +574,7 @@ impl SweepReport {
             self.imbalance()
         );
         let blocks = BlockStats {
+            guard_runs: self.guard_runs,
             subtree_skips: self.subtree_skips,
             congruence_skips: self.congruence_skips,
             points_skipped: self.points_skipped,
@@ -825,6 +832,7 @@ mod tests {
             },
         ];
         let blocks = BlockStats {
+            guard_runs: 11,
             subtree_skips: 3,
             congruence_skips: 1,
             points_skipped: 120,
@@ -906,6 +914,7 @@ mod tests {
             "\"congruence_skips\":1",
             "\"points_skipped\":120",
             "\"checks_elided\":5",
+            "\"guard_runs\":11",
             "\"loops_solved\":4",
             "\"points_solved\":76",
             "\"loops_replayed\":2",
@@ -996,8 +1005,9 @@ mod tests {
     }
 
     /// The lint block degrades to an explicit `null` (not a missing key)
-    /// when the gate skipped the analyzer, and the congruence, narrowing and
-    /// replay counters sit next to `subtree_skips` in the pinned key order.
+    /// when the gate skipped the analyzer, and the congruence, guard,
+    /// narrowing and replay counters sit next to `subtree_skips` in the
+    /// pinned key order.
     #[test]
     fn lint_block_and_congruence_counter_have_pinned_shape() {
         let mut r = sample_report();
@@ -1005,8 +1015,9 @@ mod tests {
         assert!(
             json.contains(
                 "\"subtree_skips\":3,\"congruence_skips\":1,\"points_skipped\":120,\
-                 \"checks_elided\":5,\"loops_solved\":4,\"points_solved\":76,\
-                 \"loops_replayed\":2,\"rows_replayed\":9,\"cache_hits\""
+                 \"checks_elided\":5,\"guard_runs\":11,\"loops_solved\":4,\
+                 \"points_solved\":76,\"loops_replayed\":2,\"rows_replayed\":9,\
+                 \"cache_hits\""
             ),
             "block-pruning key order changed: {json}"
         );
@@ -1014,7 +1025,10 @@ mod tests {
         let json = r.to_json();
         assert!(json.contains("\"lint\":null"), "{json}");
         let text = sample_report().render_text();
-        assert!(text.contains("3 subtree skips (1 by congruence"), "{text}");
+        assert!(
+            text.contains("block pruning: 11 guard runs, 3 subtree skips (1 by congruence"),
+            "{text}"
+        );
         assert!(text.contains("5 checks elided, 4 loops solved (76 values never enumerated)"), "{text}");
         assert!(text.contains("2 loops replayed (9 survivors re-emitted)"), "{text}");
         assert!(text.contains("lint: 0 error(s), 2 warning(s), 5 info(s)"), "{text}");

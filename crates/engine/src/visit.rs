@@ -117,10 +117,20 @@ impl FingerprintVisitor {
 
     fn hash_point(point: &PointRef<'_>) -> u64 {
         let mut h = Fnv1a::new();
-        for i in 0..point.names().len() {
-            match point.value(i) {
-                beast_core::value::Value::Int(x) => h.write_i64(x),
-                other => h.write_raw(other.to_string().as_bytes()),
+        match point {
+            // The engines' survivors: integers straight from the slot file.
+            PointRef::Slots { names, slots } => {
+                for &x in &slots[..names.len()] {
+                    h.write_i64(x);
+                }
+            }
+            PointRef::Env { .. } => {
+                for i in 0..point.names().len() {
+                    match point.value(i) {
+                        beast_core::value::Value::Int(x) => h.write_i64(x),
+                        other => h.write_raw(other.to_string().as_bytes()),
+                    }
+                }
             }
         }
         h.finish()

@@ -16,6 +16,13 @@ use beast_engine::compiled::EngineOptions;
 use beast_engine::parallel::{run_parallel, run_parallel_report, ParallelOptions};
 use beast_gemm::{build_gemm_space, GemmSpaceParams};
 
+#[path = "common/narrow_gen.rs"]
+#[allow(dead_code)]
+mod narrow_gen;
+#[path = "common/replay_gen.rs"]
+#[allow(dead_code)]
+mod replay_gen;
+
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
 fn lower(space: &Arc<Space>) -> LoweredPlan {
@@ -408,47 +415,50 @@ fn faulted_sweeps_are_thread_count_invariant() {
 /// `BlockStats` counter (replay's included) equal the values the last
 /// commit that still had a lane tier printed, with the tier switched off,
 /// for `repro sweep DIM --threads 1 --chunks 32` under each schedule mode
-/// with intervals on and off. Deleting the tier may not move one of them.
+/// with intervals on and off. Deleting the tier may not move one of them,
+/// nor may the register-form guard evaluator. `guard_runs` counts the
+/// sweep's own verdicts, so it is the same on both schedules (adaptive
+/// calibration runs guards at engine-build time, outside every sweep).
 #[test]
 fn scalar_engine_reproduces_the_pinned_gemm_fingerprints_and_counters() {
     use beast_core::schedule::ScheduleMode::{Adaptive, Declared};
-    // (dim, schedule, intervals, evaluated, pruned, [subtree_skips,
-    // congruence_skips, points_skipped, checks_elided, loops_solved,
-    // points_solved, loops_replayed, rows_replayed]).
+    // (dim, schedule, intervals, evaluated, pruned, [guard_runs,
+    // subtree_skips, congruence_skips, points_skipped, checks_elided,
+    // loops_solved, points_solved, loops_replayed, rows_replayed]).
     #[rustfmt::skip]
     let pins = [
         (16, Declared, true,
          [256, 16064, 16064, 16064, 16064, 16064, 16064, 256, 109440, 91136, 2240, 2112],
          [0, 0, 0, 0, 0, 0, 15312, 236, 107200, 89024, 1120, 288],
-         [370, 57, 7536, 48448, 17344, 200576, 723, 1767]),
+         [794, 370, 57, 7536, 48448, 17344, 200576, 723, 1767]),
         (16, Declared, false,
          [256, 32256, 32256, 32256, 32256, 32256, 32256, 256, 222912, 91136, 3904, 2112],
          [0, 0, 0, 0, 0, 0, 30048, 236, 219008, 89024, 2784, 288],
-         [0, 0, 0, 0, 37568, 314048, 2698, 1767]),
+         [0, 0, 0, 0, 0, 37568, 314048, 2698, 1767]),
         (16, Adaptive, true,
          [20, 16064, 16064, 16064, 752, 752, 16064, 256, 109440, 91136, 2240, 2112],
          [0, 0, 0, 0, 0, 0, 15312, 236, 107200, 89024, 1120, 288],
-         [370, 57, 7536, 48212, 17344, 200576, 723, 1767]),
+         [794, 370, 57, 7536, 48212, 17344, 200576, 723, 1767]),
         (16, Adaptive, false,
          [20, 32256, 32256, 32256, 2208, 2208, 32256, 256, 222912, 91136, 3904, 2112],
          [0, 0, 0, 0, 0, 0, 30048, 236, 219008, 89024, 2784, 288],
-         [0, 0, 0, 0, 37568, 314048, 2698, 1767]),
+         [0, 0, 0, 0, 0, 37568, 314048, 2698, 1767]),
         (32, Declared, true,
          [1024, 346240, 346240, 346240, 346240, 346240, 282208, 1024, 8043776, 4744128, 90560, 61792],
          [0, 0, 0, 0, 0, 64032, 257824, 912, 7953216, 4682336, 61472, 29920],
-         [3952, 718, 81856, 1039744, 817936, 12787904, 9488, 30693]),
+         [8568, 3952, 718, 81856, 1039744, 817936, 12787904, 9488, 30693]),
         (32, Declared, false,
          [1024, 587776, 587776, 587776, 587776, 587776, 503488, 1024, 15501856, 4744128, 162016, 61792],
          [0, 0, 0, 0, 0, 84288, 450912, 912, 15339840, 4682336, 132928, 29920],
-         [0, 0, 0, 0, 1503472, 20245984, 31714, 30693]),
+         [0, 0, 0, 0, 0, 1503472, 20245984, 31714, 30693]),
         (32, Adaptive, true,
          [112, 346240, 346240, 346240, 24384, 38624, 346240, 1024, 8043776, 4744128, 90560, 61792],
          [0, 0, 0, 0, 0, 14240, 307616, 912, 7953216, 4682336, 61472, 29920],
-         [3952, 718, 81856, 1038832, 817936, 12787904, 9488, 30693]),
+         [8568, 3952, 718, 81856, 1038832, 817936, 12787904, 9488, 30693]),
         (32, Adaptive, false,
          [112, 587776, 587776, 587776, 52576, 75584, 587776, 1024, 15501856, 4744128, 162016, 61792],
          [0, 0, 0, 0, 0, 23008, 512192, 912, 15339840, 4682336, 132928, 29920],
-         [0, 0, 0, 0, 1503472, 20245984, 31714, 30693]),
+         [0, 0, 0, 0, 0, 1503472, 20245984, 31714, 30693]),
     ];
     for (dim, schedule, intervals, evaluated, pruned, b) in pins {
         let (hash, survivors) =
@@ -462,16 +472,92 @@ fn scalar_engine_reproduces_the_pinned_gemm_fingerprints_and_counters() {
         let stats = PruneStats { evaluated: evaluated.into(), pruned: pruned.into(), survivors };
         assert_eq!(out.stats, stats, "{at}: PruneStats");
         let blocks = BlockStats {
-            subtree_skips: b[0],
-            congruence_skips: b[1],
-            points_skipped: b[2],
-            checks_elided: b[3],
-            loops_solved: b[4],
-            points_solved: b[5],
-            loops_replayed: b[6],
-            rows_replayed: b[7],
+            guard_runs: b[0],
+            subtree_skips: b[1],
+            congruence_skips: b[2],
+            points_skipped: b[3],
+            checks_elided: b[4],
+            loops_solved: b[5],
+            points_solved: b[6],
+            loops_replayed: b[7],
+            rows_replayed: b[8],
         };
         assert_eq!(out.blocks, blocks, "{at}: BlockStats");
+    }
+}
+
+/// Guard verdicts pinned beyond GEMM: three seeded spaces from each of the
+/// narrowing and replay generators, with a guard on every eligible loop
+/// (`min_guard_fanout: 1` — at the default the generators' small nests get
+/// no guard at all), reproduce the fingerprint, `PruneStats` and every
+/// `BlockStats` counter that the stack-machine guard evaluator produced
+/// before the register form replaced it, with congruence on and off, at
+/// threads {1, 2} × chunks {1, 7}. The narrowing seeds carry interval and
+/// congruence-only subtree skips and elisions that congruence moves; the
+/// replay seeds carry elisions under replayed and solved loops.
+#[test]
+fn guard_verdicts_are_pinned_on_generated_spaces() {
+    // (generator, seed, congruence, fingerprint, survivors, evaluated,
+    // pruned, [guard_runs, subtree_skips, congruence_skips, points_skipped,
+    // checks_elided, loops_solved, points_solved, loops_replayed,
+    // rows_replayed]).
+    type Pin = (&'static str, u64, bool, u64, u64, &'static [u64], &'static [u64], [u64; 9]);
+    #[rustfmt::skip]
+    let pins: [Pin; 12] = [
+        ("narrow", 137, true, 0, 0, &[0, 0], &[0, 0], [3, 3, 3, 12, 0, 0, 0, 0, 0]),
+        ("narrow", 137, false, 0, 0, &[12, 0], &[12, 0], [3, 0, 0, 0, 0, 3, 12, 0, 0]),
+        ("narrow", 43, true, 0x10fa0237bfda7433, 2, &[1, 1, 2], &[0, 0, 0], [3, 1, 0, 1, 2, 0, 0, 0, 0]),
+        ("narrow", 43, false, 0x10fa0237bfda7433, 2, &[1, 1, 2], &[0, 0, 0], [3, 1, 0, 1, 1, 0, 0, 0, 0]),
+        ("narrow", 158, true, 0xfefba46b928bb2d8, 13, &[12, 6], &[6, 1], [3, 0, 0, 0, 9, 2, 8, 5, 8]),
+        ("narrow", 158, false, 0xfefba46b928bb2d8, 13, &[12, 6], &[6, 1], [3, 0, 0, 0, 4, 2, 8, 5, 8]),
+        ("replay", 9, true, 0xf1f3f091506ebf00, 1056, &[360, 48, 396, 1584], &[312, 4, 132, 528],
+         [652, 0, 0, 0, 44, 48, 360, 156, 792]),
+        ("replay", 9, false, 0xf1f3f091506ebf00, 1056, &[360, 48, 396, 1584], &[312, 4, 132, 528],
+         [652, 0, 0, 0, 44, 48, 360, 156, 792]),
+        ("replay", 10, true, 0x84f1a4b7ea827fd8, 11880, &[90, 12, 54, 1080], &[78, 6, 18, 360],
+         [381, 0, 0, 0, 4, 12, 90, 3780, 5400]),
+        ("replay", 10, false, 0x84f1a4b7ea827fd8, 11880, &[90, 12, 54, 1080], &[78, 6, 18, 360],
+         [381, 0, 0, 0, 4, 12, 90, 3780, 5400]),
+        ("replay", 22, true, 0x9f72058a264243b0, 80, &[600, 80, 120], &[520, 60, 40],
+         [142, 0, 0, 0, 10, 80, 600, 4, 76]),
+        ("replay", 22, false, 0x9f72058a264243b0, 80, &[600, 80, 120], &[520, 60, 40],
+         [142, 0, 0, 0, 10, 80, 600, 4, 76]),
+    ];
+    for (family, seed, congruence, hash, survivors, evaluated, pruned, b) in pins {
+        let (space, order) = if family == "narrow" {
+            (narrow_gen::generate(seed).space, PlanOptions::default().order)
+        } else {
+            let g = replay_gen::generate(seed);
+            (g.space, LoopOrder::Explicit(g.order))
+        };
+        let plan = Plan::new(&space, PlanOptions { order, ..PlanOptions::default() }).unwrap();
+        let lp = LoweredPlan::new(&plan).unwrap();
+        let engine = EngineOptions { congruence, min_guard_fanout: 1, ..EngineOptions::default() };
+        let stats =
+            PruneStats { evaluated: evaluated.to_vec(), pruned: pruned.to_vec(), survivors };
+        let blocks = BlockStats {
+            guard_runs: b[0],
+            subtree_skips: b[1],
+            congruence_skips: b[2],
+            points_skipped: b[3],
+            checks_elided: b[4],
+            loops_solved: b[5],
+            points_solved: b[6],
+            loops_replayed: b[7],
+            rows_replayed: b[8],
+        };
+        for threads in [1, 2] {
+            for chunk_count in [1, 7] {
+                let opts = ParallelOptions { threads, chunk_count, engine, ..Default::default() };
+                let (out, _) = run_parallel_report(&lp, &opts, FingerprintVisitor::new).unwrap();
+                let at = format!(
+                    "{family} seed {seed}, congruence={congruence}, {threads} threads × {chunk_count} chunks"
+                );
+                assert_eq!((out.visitor.hash, out.visitor.count), (hash, survivors), "{at}");
+                assert_eq!(out.stats, stats, "{at}: PruneStats");
+                assert_eq!(out.blocks, blocks, "{at}: BlockStats");
+            }
+        }
     }
 }
 

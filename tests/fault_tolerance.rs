@@ -324,7 +324,10 @@ fn replayed_loops_fault_exactly_like_enumerated_ones() {
                         // Replay is invisible in every other counter, and
                         // happens: `v` on both sides, `u` only in the plain
                         // spelling and only where its body did not fault.
+                        // Guard runs are left out: the spelled bound makes
+                        // a different plan, with guards at other loops.
                         let quiet = |b: BlockStats| BlockStats {
+                            guard_runs: 0,
                             loops_replayed: 0,
                             rows_replayed: 0,
                             ..b

@@ -14,7 +14,9 @@
 //!   arithmetic, the interval × congruence reduced product never drops a
 //!   member, and the product evaluator keeps the interval half bit-identical
 //!   to interval-only evaluation (the contract congruence subtree skips and
-//!   the determinism suite rely on).
+//!   the determinism suite rely on);
+//! * the register-form interval program is outcome-identical to the
+//!   recursive reference evaluators, interval and product halves alike.
 //!
 //! Cases are generated from a fixed-seed [`StdRng`] (the vendored std-only
 //! shim), so every run exercises the same case set — failures reproduce
@@ -28,9 +30,12 @@ use rand::{Rng, SeedableRng};
 
 use beast::prelude::*;
 use beast_core::analyze::{cg_of_bind, cg_of_values, eval_product, reduce, Congruence};
-use beast_core::expr::{lit, max2, min2, ternary, Bindings, Expr, E};
-use beast_core::interval::{interval_of, Interval, IntervalOutcome, IvProg};
-use beast_core::ir::{LBody, LIter, LStep};
+use beast_core::expr::{lit, max2, min2, ternary, Bindings, Builtin, Expr, E};
+use beast_core::interval::{
+    interval_of, iv_abs, iv_bin, iv_call2, iv_neg, iv_not, iv_ternary, Interval, IntervalOutcome,
+    IvProg, IvScratch,
+};
+use beast_core::ir::{IntBinOp, IntExpr, LBody, LIter, LStep};
 use beast_core::iterator::Realized;
 use beast_engine::parallel::run_parallel;
 use beast_engine::postfix::Postfix;
@@ -582,10 +587,9 @@ fn product_eval_is_sound_and_interval_identical() {
             continue;
         };
         let prog = IvProg::compile(&expr);
-        let mut iv_stack = Vec::new();
-        let mut prod_stack = Vec::new();
-        let iv_only = prog.eval(&ivals, &mut iv_stack);
-        let (prod_iv, prod_cg) = eval_product(&prog, &ivals, &cvals, &mut prod_stack);
+        let mut scratch = IvScratch::default();
+        let iv_only = prog.eval(&ivals, &mut scratch);
+        let (prod_iv, prod_cg) = eval_product(&prog, &ivals, &cvals, &mut scratch);
         assert_eq!(
             prod_iv, iv_only,
             "case {case}: congruence changed the interval half for {expr:?}"
@@ -629,4 +633,232 @@ fn product_eval_is_sound_and_interval_identical() {
     }
     assert!(checked_points > 1000, "degenerate case set: {checked_points} points");
     assert!(residue_facts > 0, "congruence half never learned a residue fact");
+}
+
+/// Leaf constants for the evaluator-identity test: the `i64` extremes the
+/// fast paths must hand to the reference transfers, next to ordinary values.
+const LEAVES: [i64; 10] =
+    [i64::MIN, i64::MIN + 1, -(1 << 40), -3, -1, 0, 1, 7, i64::MAX - 1, i64::MAX];
+
+/// Random lowered expressions over four slots, every operator and builtin.
+fn arb_int_expr(rng: &mut StdRng, depth: usize) -> IntExpr {
+    if depth == 0 || rng.gen_bool(0.25) {
+        return if rng.gen_bool(0.4) {
+            IntExpr::Const(LEAVES[rng.gen_range(0..LEAVES.len())])
+        } else {
+            IntExpr::Slot(rng.gen_range(0u32..4))
+        };
+    }
+    use Builtin::{DivCeil, Gcd, Max, Min, RoundUp};
+    use IntBinOp::*;
+    const OPS: [IntBinOp; 14] =
+        [Add, Sub, Mul, Div, FloorDiv, Rem, Lt, Le, Gt, Ge, Eq, Ne, And, Or];
+    const BUILTINS: [Builtin; 6] = [Min, Max, Builtin::Abs, DivCeil, Gcd, RoundUp];
+    let pick = rng.gen_range(0usize..24);
+    let mut sub = || Box::new(arb_int_expr(rng, depth - 1));
+    match pick {
+        0..=13 => IntExpr::Bin(OPS[pick], sub(), sub()),
+        14 => IntExpr::Neg(sub()),
+        15 => IntExpr::Not(sub()),
+        16 => IntExpr::Abs(sub()),
+        17 => IntExpr::Ternary(sub(), sub(), sub()),
+        _ => IntExpr::Call2(BUILTINS[pick - 18], sub(), sub()),
+    }
+}
+
+/// Slot intervals: ⊤, points (zero and the extremes among them), ranges
+/// hugging either end of `i64`, and small ranges on and off zero.
+fn arb_interval(rng: &mut StdRng) -> Interval {
+    match rng.gen_range(0u32..7) {
+        0 => Interval::TOP,
+        1 => Interval::point(LEAVES[rng.gen_range(0..LEAVES.len())]),
+        2 => Interval { lo: i64::MAX - rng.gen_range(0i64..4), hi: i64::MAX },
+        3 => Interval { lo: i64::MIN, hi: i64::MIN + rng.gen_range(0i64..4) },
+        4 => Interval { lo: -rng.gen_range(0i64..5), hi: rng.gen_range(0i64..5) },
+        _ => {
+            let lo = rng.gen_range(1i64..9);
+            Interval { lo, hi: lo + rng.gen_range(0i64..40) }
+        }
+    }
+}
+
+/// Slot congruences: the small elements of [`arb_cg`] plus ⊤, extreme
+/// points and a modulus far beyond any interval width.
+fn arb_cg_wide(rng: &mut StdRng) -> Congruence {
+    match rng.gen_range(0u32..6) {
+        0 => Congruence::top(),
+        1 => Congruence::point(LEAVES[rng.gen_range(0..LEAVES.len())]),
+        2 => Congruence { m: 1 << 40, r: rng.gen_range(0i64..5) },
+        _ => arb_cg(rng),
+    }
+}
+
+/// Three-valued truth of a product value (the reduced product's `truth`).
+fn product_truth(o: &IntervalOutcome, cg: Congruence) -> Option<bool> {
+    if !o.iv.contains(0) || cg.always_nonzero() {
+        Some(true)
+    } else if o.iv == Interval::point(0) || cg.as_point() == Some(0) {
+        Some(false)
+    } else {
+        None
+    }
+}
+
+/// The interval × congruence product, evaluated recursively from the public
+/// transfer functions and reduced after every node — the composition the
+/// register-form evaluator must reproduce.
+fn product_reference(
+    e: &IntExpr,
+    iv: &[Interval],
+    cg: &[Congruence],
+) -> (IntervalOutcome, Congruence) {
+    let rec = |e: &IntExpr| product_reference(e, iv, cg);
+    let point_if = |known: bool, value: i64| {
+        if known {
+            Congruence::point(value)
+        } else {
+            Congruence::top()
+        }
+    };
+    let (o, c) = match e {
+        IntExpr::Const(k) => (interval_of(e, iv), Congruence::point(*k)),
+        IntExpr::Slot(s) => (interval_of(e, iv), cg[*s as usize]),
+        IntExpr::Neg(a) => {
+            let (ao, ac) = rec(a);
+            (iv_neg(ao), -ac)
+        }
+        IntExpr::Not(a) => {
+            let (ao, ac) = rec(a);
+            let c = match product_truth(&ao, ac) {
+                Some(t) => Congruence::point(i64::from(!t)),
+                None => Congruence::top(),
+            };
+            (iv_not(ao), c)
+        }
+        IntExpr::Abs(a) => {
+            let (ao, ac) = rec(a);
+            (iv_abs(ao), ac.join(-ac))
+        }
+        IntExpr::Bin(op, a, b) => {
+            let ((ao, ac), (bo, bc)) = (rec(a), rec(b));
+            let (ta, tb) = (product_truth(&ao, ac), product_truth(&bo, bc));
+            let c = match op {
+                IntBinOp::Add => ac + bc,
+                IntBinOp::Sub => ac - bc,
+                IntBinOp::Mul => ac * bc,
+                IntBinOp::Div | IntBinOp::FloorDiv => ac / bc,
+                IntBinOp::Rem => ac % bc,
+                IntBinOp::Eq => point_if(ac.never_equal(bc), 0),
+                IntBinOp::Ne => point_if(ac.never_equal(bc), 1),
+                IntBinOp::And if ta == Some(false) || tb == Some(false) => Congruence::point(0),
+                IntBinOp::And => point_if(ta == Some(true) && tb == Some(true), 1),
+                IntBinOp::Or if ta == Some(true) || (ta == Some(false) && tb == Some(true)) => {
+                    Congruence::point(1)
+                }
+                IntBinOp::Or => point_if(ta == Some(false) && tb == Some(false), 0),
+                IntBinOp::Lt | IntBinOp::Le | IntBinOp::Gt | IntBinOp::Ge => Congruence::top(),
+            };
+            (iv_bin(*op, ao, bo), c)
+        }
+        IntExpr::Call2(bi, a, b) => {
+            let ((ao, ac), (bo, bc)) = (rec(a), rec(b));
+            let c = match bi {
+                Builtin::Min | Builtin::Max => ac.join(bc),
+                Builtin::RoundUp => {
+                    // A multiple of b's content gcd(m, |r|), while it fits.
+                    let (mut x, mut y) = ((bc.m as i128).abs(), (bc.r as i128).abs());
+                    while y != 0 {
+                        (x, y) = (y, x % y);
+                    }
+                    match i64::try_from(x) {
+                        Ok(m) if m >= 1 => Congruence { m, r: 0 },
+                        _ => Congruence::top(),
+                    }
+                }
+                Builtin::DivCeil | Builtin::Gcd | Builtin::Abs => Congruence::top(),
+            };
+            (iv_call2(*bi, ao, bo), c)
+        }
+        IntExpr::Ternary(c, t, f) => {
+            let ((co, cc), (to, tc), (fo, fc)) = (rec(c), rec(t), rec(f));
+            let c = match product_truth(&co, cc) {
+                Some(true) => tc,
+                Some(false) => fc,
+                None => tc.join(fc),
+            };
+            (iv_ternary(co, to, fo), c)
+        }
+    };
+    // The reduction: a point interval is that point, a widened one ⊤.
+    let c = if o.iv.is_point() {
+        Congruence::point(o.iv.lo)
+    } else if o.widened {
+        Congruence::top()
+    } else {
+        c
+    };
+    (o, c)
+}
+
+/// The register-form `IvProg` is outcome-identical to the recursive
+/// references: its interval half to [`interval_of`] and its product half to
+/// [`product_reference`], every field (`iv`, `clean`, `widened`, `m`, `r`)
+/// compared, on random expressions over `i64`-extreme constants and slot
+/// intervals, divisors and remainders whose interval holds 0, ternaries,
+/// short-circuit `&&` / `||`, and every builtin — plus a fixed list of the
+/// shapes each fast path must hand back to the reference.
+#[test]
+fn register_evaluator_matches_the_recursive_references() {
+    use IntExpr::{Call2, Const, Slot, Ternary};
+    let b = Box::new;
+    let bin = |op, x, y| IntExpr::Bin(op, b(x), b(y));
+    let mut exprs = vec![
+        IntExpr::Neg(b(Const(i64::MIN))),
+        bin(IntBinOp::Div, Const(i64::MIN), Const(-1)),
+        bin(IntBinOp::Mul, Slot(0), Const(2)),
+        bin(IntBinOp::Add, Const(i64::MAX), Slot(1)),
+        bin(IntBinOp::Sub, Const(i64::MIN), Slot(1)),
+        // A decided left operand discards the unclean right one.
+        bin(IntBinOp::And, Slot(2), bin(IntBinOp::Div, Const(1), Slot(1))),
+        bin(IntBinOp::Or, Const(1), bin(IntBinOp::Rem, Const(1), Slot(1))),
+        Ternary(b(Const(0)), b(bin(IntBinOp::Div, Const(1), Slot(1))), b(Const(5))),
+        Call2(Builtin::RoundUp, b(Slot(3)), b(Const(8))),
+        Call2(Builtin::Min, b(Const(i64::MIN)), b(Slot(0))),
+        Call2(Builtin::Max, b(Slot(1)), b(Const(i64::MAX))),
+    ];
+    let fixed = exprs.len();
+    let mut rng = StdRng::seed_from_u64(0xBEA5_7009);
+    exprs.extend((0..3000).map(|_| arb_int_expr(&mut rng, 4)));
+
+    let mut scratch = IvScratch::default();
+    let (mut widened, mut unclean, mut residues, mut short_circuits) = (0u32, 0u32, 0u32, 0u32);
+    for (case, e) in exprs.iter().enumerate() {
+        let prog = IvProg::compile(e);
+        for env_case in 0..4 {
+            let mut iv: Vec<Interval> = (0..4).map(|_| arb_interval(&mut rng)).collect();
+            let cg: Vec<Congruence> = (0..4).map(|_| arb_cg_wide(&mut rng)).collect();
+            if case < fixed && env_case == 0 {
+                // The fixed shapes' intended environment: slot 1 holds 0,
+                // slot 2 is the point 0, slot 3 hugs `i64::MAX`.
+                let near_max = Interval { lo: i64::MAX - 3, hi: i64::MAX };
+                iv = vec![Interval::TOP, Interval { lo: -2, hi: 3 }, Interval::point(0), near_max];
+            }
+            let want = interval_of(e, &iv);
+            let at = format!("case {case}.{env_case}: {e:?} over {iv:?} × {cg:?}");
+            assert_eq!(prog.eval(&iv, &mut scratch), want, "{at}: interval half");
+            let product = eval_product(&prog, &iv, &cg, &mut scratch);
+            assert_eq!(product, product_reference(e, &iv, &cg), "{at}: product");
+
+            widened += u32::from(want.widened);
+            unclean += u32::from(!want.clean);
+            residues += u32::from(product.1.m > 1);
+            if let IntExpr::Bin(IntBinOp::And | IntBinOp::Or, _, rhs) = e {
+                short_circuits += u32::from(want.clean && !interval_of(rhs, &iv).clean);
+            }
+        }
+    }
+    // The case set must reach every branch the fast paths hand back.
+    assert!(widened > 100 && unclean > 100, "widened {widened}, unclean {unclean}");
+    assert!(residues > 100, "only {residues} residue facts");
+    assert!(short_circuits > 0, "no short-circuit discarded an unclean operand");
 }
