@@ -72,14 +72,16 @@ fn expr(e: &PExpr) -> String {
 /// Emit the arithmetic runtime shared by every C-family emitter (plain C,
 /// OpenMP, and the native chunk worker).
 ///
-/// The helpers replicate the engine's postfix interpreter bit for bit, i64
-/// extremes included: `+`/`-`/`*`/negate/abs wrap modulo 2^64 (via unsigned
-/// arithmetic, so no signed-overflow UB); `/` and `%` are the wrapping
-/// truncated forms (`INT64_MIN / -1 == INT64_MIN`, `INT64_MIN % -1 == 0`);
-/// floor-division is *Euclidean* (`div_euclid`, remainder always
-/// non-negative), not C99/Python floor semantics. Division by zero and the
-/// one unrepresentable Euclidean quotient abort through `b_fail` (exit 2),
-/// mirroring the interpreter's evaluation error / overflow panic.
+/// The helpers replicate the engine's point programs (`beast_core::ir`'s
+/// `eval_bin` / `eval_call2`) bit for bit, i64 extremes included:
+/// `+`/`-`/`*`/negate/abs wrap modulo 2^64 (via unsigned arithmetic, so no
+/// signed-overflow UB); `/` and `%` are the wrapping truncated forms
+/// (`INT64_MIN / -1 == INT64_MIN`, `INT64_MIN % -1 == 0`); floor-division
+/// is *Euclidean* (`div_euclid`, remainder always non-negative), not
+/// C99/Python floor semantics, and `div_ceil` / `round_up` wrap their inner
+/// sum and product. Division by zero and the one unrepresentable Euclidean
+/// quotient abort through `b_fail` (exit 2), mirroring the engine's
+/// `DivisionByZero` / `Overflow` evaluation errors.
 pub(crate) fn emit_c_helpers(w: &mut CodeWriter) {
     w.line("static int64_t b_add(int64_t a, int64_t b) { return (int64_t)((uint64_t)a + (uint64_t)b); }");
     w.line("static int64_t b_sub(int64_t a, int64_t b) { return (int64_t)((uint64_t)a - (uint64_t)b); }");

@@ -52,15 +52,15 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use crate::error::EvalError;
-use crate::expr::Bindings;
 use crate::interval::{Interval, IvProg, IvScratch};
 use crate::ir::{IntBinOp, IntExpr, LBody, LIter, LStep, LoweredPlan};
 use crate::iterator::Realized;
+use crate::pointprog::{PointProg, StepProgs};
 use crate::value::Value;
 
 use super::congruence::{cg_of_bind, cg_of_values, eval_product, Congruence};
 use super::footprint::suffix_footprints;
-use super::narrow::{narrowable_loops, solve_affine, EqualityCheck, Solved};
+use super::narrow::{narrowable_loops, solve_affine, Solved};
 
 /// Work limits for a counting run. Exceeding either limit aborts the
 /// analysis ([`Counter::total`] returns `None`) rather than degrading to an
@@ -208,24 +208,6 @@ pub enum DescentStep {
     Dead,
 }
 
-/// Positional slot view over the space's constants — the counting analog of
-/// the engine's `SlotBindings`, used to realize opaque iterators and
-/// evaluate deferred defines/checks.
-struct SlotView<'a> {
-    names: &'a [Arc<str>],
-    slots: &'a [i64],
-    consts: &'a [(Arc<str>, Value)],
-}
-
-impl Bindings for SlotView<'_> {
-    fn get(&self, name: &str) -> Option<Value> {
-        if let Some(i) = self.names.iter().position(|n| &**n == name) {
-            return Some(Value::Int(self.slots[i]));
-        }
-        self.consts.iter().find(|(n, _)| &**n == name).map(|(_, v)| v.clone())
-    }
-}
-
 /// Maximum residue classes the abstract pre-pass will test per level.
 const MAX_RESIDUE_CLASSES: u64 = 64;
 
@@ -365,16 +347,17 @@ impl Domain<'_> {
 }
 
 /// Per loop level: what [`Counter::build`] learned about it, and its memo.
-struct Level<'a> {
-    /// The equality check opening the level's body, when the level is
-    /// solved rather than enumerated (survivor mode only).
-    solve: Option<EqualityCheck>,
+struct Level {
+    /// The coefficient and offset of the equality check opening the level's
+    /// body, when the level is solved rather than enumerated (survivor mode
+    /// only).
+    solve: Option<[PointProg; 2]>,
     /// The level's run (defines and checks up to the next loop) holds an
     /// expression check, which the abstract pre-pass could decide.
     run_has_check: bool,
     /// `%`-divisor expressions inside the run whose reads are all bound
     /// before the level — residue-filter candidates.
-    rem_divisors: Vec<&'a IntExpr>,
+    rem_divisors: Vec<PointProg>,
     table: Table,
 }
 
@@ -391,9 +374,11 @@ pub struct Counter<'a> {
     footprints: Vec<Arc<[u32]>>,
     /// Per step: compiled interval program for expression bodies.
     progs: Vec<Option<IvProg>>,
+    /// Per step: the concrete evaluator of defines, checks and bounds.
+    points: StepProgs<'a>,
     /// Per `Bind` step: level ordinal (outermost first).
     level_of: Vec<usize>,
-    levels: Vec<Level<'a>>,
+    levels: Vec<Level>,
     /// Memo entries stored across all levels.
     memo_len: usize,
     /// Reused environments of the abstract pre-pass.
@@ -477,7 +462,7 @@ impl<'a> Counter<'a> {
                                 let mut ok = true;
                                 d.for_each_slot(&mut |s| ok &= written[s as usize]);
                                 if ok {
-                                    rem_divisors.push(d);
+                                    rem_divisors.push(PointProg::compile(d));
                                 }
                             });
                         }
@@ -485,7 +470,9 @@ impl<'a> Counter<'a> {
                     }
                 }
                 levels.push(Level {
-                    solve: narrowings.next().flatten().map(|n| n.check),
+                    solve: narrowings.next().flatten().map(|n| {
+                        [PointProg::compile(&n.check.coeff), PointProg::compile(&n.check.offset)]
+                    }),
                     run_has_check,
                     rem_divisors,
                     table: Table::default(),
@@ -503,6 +490,7 @@ impl<'a> Counter<'a> {
             aborted: false,
             footprints,
             progs,
+            points: StepProgs::new(lp),
             level_of,
             levels,
             memo_len: 0,
@@ -543,17 +531,16 @@ impl<'a> Counter<'a> {
         slots: &mut [i64],
     ) -> Result<Option<DescentStep>, EvalError> {
         let lp = self.lp;
-        let space = lp.plan.space();
         let mut i = from;
         loop {
             match &lp.steps[i] {
                 LStep::Visit => return Ok(Some(DescentStep::Done)),
-                LStep::Define { slot, body, derived } => {
-                    slots[*slot as usize] = eval_define(lp, space, *derived, body, slots)?;
+                LStep::Define { slot, .. } => {
+                    slots[*slot as usize] = self.points.define(i, slots)?;
                     i += 1;
                 }
-                LStep::Check { constraint, body } => {
-                    if !self.ignore_checks && eval_check(lp, space, *constraint, body, slots)? {
+                LStep::Check { .. } => {
+                    if !self.ignore_checks && self.points.rejects(i, slots)? {
                         return Ok(Some(DescentStep::Dead));
                     }
                     i += 1;
@@ -587,7 +574,6 @@ impl<'a> Counter<'a> {
     /// prefix in `slots`.
     fn count_from(&mut self, from: usize, slots: &mut [i64]) -> Result<u128, EvalError> {
         let lp = self.lp;
-        let space = lp.plan.space();
         let mut i = from;
         loop {
             if self.aborted {
@@ -595,12 +581,12 @@ impl<'a> Counter<'a> {
             }
             match &lp.steps[i] {
                 LStep::Visit => return Ok(1),
-                LStep::Define { slot, body, derived } => {
-                    slots[*slot as usize] = eval_define(lp, space, *derived, body, slots)?;
+                LStep::Define { slot, .. } => {
+                    slots[*slot as usize] = self.points.define(i, slots)?;
                     i += 1;
                 }
-                LStep::Check { constraint, body } => {
-                    if !self.ignore_checks && eval_check(lp, space, *constraint, body, slots)? {
+                LStep::Check { .. } => {
+                    if !self.ignore_checks && self.points.rejects(i, slots)? {
                         return Ok(0);
                     }
                     i += 1;
@@ -620,12 +606,12 @@ impl<'a> Counter<'a> {
     fn entry_at(&mut self, i: usize, slots: &mut [i64]) -> Result<EntryRef, EvalError> {
         let level = self.level_of[i];
         let lp = self.lp;
-        let LStep::Bind { slot, iter, domain, .. } = &lp.steps[i] else {
+        let LStep::Bind { slot, domain, .. } = &lp.steps[i] else {
             unreachable!("entry_at is only called on Bind steps")
         };
         let slot = *slot as usize;
 
-        if let Some(solved) = self.solve_level(level, domain, slots) {
+        if let Some(solved) = self.solve_level(level, i, domain, slots) {
             self.stats.levels[level].solved += 1;
             let Some(x) = solved.hit else { return Ok(EntryRef::EMPTY) };
             if !self.charge_value() {
@@ -654,7 +640,7 @@ impl<'a> Counter<'a> {
         let mark = table.mark();
         table.keys.extend(fp.iter().map(|&s| slots[s as usize]));
 
-        let filled = self.fill(i, level, slot, *iter, domain, slots);
+        let filled = self.fill(i, level, slot, domain, slots);
         let table = &mut self.levels[level].table;
         let (len, residue_skipped) = match filled {
             Ok(filled) if !self.aborted => filled,
@@ -686,14 +672,19 @@ impl<'a> Counter<'a> {
     /// solvable, when the range bounds, `a` or `k` fail to evaluate (the
     /// enumerating path reproduces the error where it arises, or finds the
     /// range empty), or when [`solve_affine`] cannot decide the entry.
-    fn solve_level(&self, level: usize, domain: &LIter, slots: &[i64]) -> Option<Solved> {
-        let (Some(check), LIter::Range { start, stop, step }) = (&self.levels[level].solve, domain)
+    fn solve_level(
+        &self,
+        level: usize,
+        i: usize,
+        domain: &LIter,
+        slots: &[i64],
+    ) -> Option<Solved> {
+        let (Some([coeff, offset]), LIter::Range { .. }) = (&self.levels[level].solve, domain)
         else {
             return None;
         };
-        let (start, stop, step) =
-            (start.eval(slots).ok()?, stop.eval(slots).ok()?, step.eval(slots).ok()?);
-        let (a, k) = (check.coeff.eval(slots).ok()?, check.offset.eval(slots).ok()?);
+        let (start, stop, step) = self.points.bounds(i, slots).ok()?;
+        let (a, k) = (coeff.eval(slots).ok()?, offset.eval(slots).ok()?);
         let len = Realized::Range { start, stop, step }.len() as u64;
         solve_affine(a, k, start, step, len)
     }
@@ -715,11 +706,10 @@ impl<'a> Counter<'a> {
         i: usize,
         level: usize,
         slot: usize,
-        iter: usize,
         domain: &'a LIter,
         slots: &mut [i64],
     ) -> Result<(u64, u64), EvalError> {
-        let dom = self.realize(iter, domain, slots)?;
+        let dom = self.realize(i, domain, slots)?;
         let len = dom.len();
         if len == 0 {
             return Ok((0, 0));
@@ -784,28 +774,20 @@ impl<'a> Counter<'a> {
         Ok((len as u64, residue_skipped))
     }
 
-    /// Realize a level's domain under `slots`.
-    fn realize(
-        &self,
-        iter: usize,
-        domain: &'a LIter,
-        slots: &[i64],
-    ) -> Result<Domain<'a>, EvalError> {
+    /// Realize the domain of the level bound at step `i` under `slots`.
+    fn realize(&self, i: usize, domain: &'a LIter, slots: &[i64]) -> Result<Domain<'a>, EvalError> {
         Ok(match domain {
-            LIter::Range { start, stop, step } => {
-                Domain::range(start.eval(slots)?, stop.eval(slots)?, step.eval(slots)?)
+            LIter::Range { .. } => {
+                let (start, stop, step) = self.points.bounds(i, slots)?;
+                Domain::range(start, stop, step)
             }
             LIter::Values(v) => Domain::Ints(Cow::Borrowed(v)),
-            LIter::Opaque { .. } => {
-                let space = self.lp.plan.space();
-                let view = SlotView { names: &self.lp.slot_names, slots, consts: space.consts() };
-                match space.realize_iter(iter, &view)? {
-                    Realized::Range { start, stop, step } => Domain::range(start, stop, step),
-                    Realized::Values(vs) => Domain::Ints(Cow::Owned(
-                        vs.iter().map(Value::as_int).collect::<Result<_, _>>()?,
-                    )),
-                }
-            }
+            LIter::Opaque { .. } => match self.points.realize(i, slots)? {
+                Realized::Range { start, stop, step } => Domain::range(start, stop, step),
+                Realized::Values(vs) => Domain::Ints(Cow::Owned(
+                    vs.iter().map(Value::as_int).collect::<Result<_, _>>()?,
+                )),
+            },
         })
     }
 
@@ -932,40 +914,6 @@ impl<'a> Counter<'a> {
     }
 }
 
-/// Concrete evaluation of a define body (expression or deferred closure).
-fn eval_define(
-    lp: &LoweredPlan,
-    space: &crate::space::Space,
-    derived: usize,
-    body: &LBody,
-    slots: &[i64],
-) -> Result<i64, EvalError> {
-    match body {
-        LBody::Expr(e) => e.eval(slots),
-        LBody::Opaque => {
-            let view = SlotView { names: &lp.slot_names, slots, consts: space.consts() };
-            space.deriveds()[derived].kind.eval(&view)?.as_int()
-        }
-    }
-}
-
-/// Concrete evaluation of a check body; `true` means reject.
-fn eval_check(
-    lp: &LoweredPlan,
-    space: &crate::space::Space,
-    constraint: usize,
-    body: &LBody,
-    slots: &[i64],
-) -> Result<bool, EvalError> {
-    match body {
-        LBody::Expr(e) => Ok(e.eval(slots)? != 0),
-        LBody::Opaque => {
-            let view = SlotView { names: &lp.slot_names, slots, consts: space.consts() };
-            space.constraints()[constraint].kind.rejects(&view)
-        }
-    }
-}
-
 /// The whole-domain abstraction of a non-empty realized domain: value hull
 /// interval plus the exact progression congruence.
 fn domain_product(dom: &Domain<'_>) -> (Interval, Congruence) {
@@ -1024,6 +972,7 @@ mod tests {
     use crate::constraint::ConstraintClass;
     use crate::expr::var;
     use crate::plan::{Plan, PlanOptions};
+    use crate::pointprog::SlotView;
     use crate::space::Space;
 
     fn lower(space: &Arc<Space>) -> LoweredPlan {
@@ -1031,19 +980,35 @@ mod tests {
         LoweredPlan::new(&plan).unwrap()
     }
 
-    /// Brute-force survivor count by walking the plan recursively.
+    /// Brute-force survivor count by walking the plan recursively, every
+    /// expression through the reference tree evaluator.
     fn brute_force(lp: &LoweredPlan) -> u128 {
+        fn view<'v>(lp: &'v LoweredPlan, slots: &'v [i64]) -> SlotView<'v> {
+            SlotView { names: &lp.slot_names, slots, consts: lp.plan.space().consts() }
+        }
         fn walk(lp: &LoweredPlan, i: usize, slots: &mut Vec<i64>) -> u128 {
             let space = lp.plan.space();
             match &lp.steps[i] {
                 LStep::Visit => 1,
                 LStep::Define { slot, body, derived } => {
-                    slots[*slot as usize] =
-                        eval_define(lp, space, *derived, body, slots).unwrap();
+                    slots[*slot as usize] = match body {
+                        LBody::Expr(e) => e.eval(slots).unwrap(),
+                        LBody::Opaque => {
+                            let v = space.deriveds()[*derived].kind.eval(&view(lp, slots));
+                            v.unwrap().as_int().unwrap()
+                        }
+                    };
                     walk(lp, i + 1, slots)
                 }
                 LStep::Check { constraint, body } => {
-                    if eval_check(lp, space, *constraint, body, slots).unwrap() {
+                    let rejects = match body {
+                        LBody::Expr(e) => e.eval(slots).unwrap() != 0,
+                        LBody::Opaque => space.constraints()[*constraint]
+                            .kind
+                            .rejects(&view(lp, slots))
+                            .unwrap(),
+                    };
+                    if rejects {
                         0
                     } else {
                         walk(lp, i + 1, slots)
@@ -1060,12 +1025,7 @@ mod tests {
                             Realized::Values(v.iter().map(|&x| Value::Int(x)).collect())
                         }
                         LIter::Opaque { .. } => {
-                            let view = SlotView {
-                                names: &lp.slot_names,
-                                slots,
-                                consts: space.consts(),
-                            };
-                            space.realize_iter(*iter, &view).unwrap()
+                            space.realize_iter(*iter, &view(lp, slots)).unwrap()
                         }
                     };
                     let mut total = 0u128;

@@ -273,11 +273,7 @@ impl Expr {
                     Builtin::DivCeil => {
                         let a = args[0].eval(env)?.as_int()?;
                         let d = args[1].eval(env)?.as_int()?;
-                        if d == 0 {
-                            return Err(EvalError::DivisionByZero);
-                        }
-                        // Positive-operand ceil division.
-                        Ok(Value::Int((a + d - 1).div_euclid(d)))
+                        Ok(Value::Int(crate::ir::div_ceil(a, d)?))
                     }
                     Builtin::Gcd => {
                         let mut a = args[0].eval(env)?.as_int()?.unsigned_abs();
@@ -292,10 +288,7 @@ impl Expr {
                     Builtin::RoundUp => {
                         let a = args[0].eval(env)?.as_int()?;
                         let m = args[1].eval(env)?.as_int()?;
-                        if m == 0 {
-                            return Err(EvalError::DivisionByZero);
-                        }
-                        Ok(Value::Int((a + m - 1).div_euclid(m) * m))
+                        Ok(Value::Int(crate::ir::round_up(a, m)?))
                     }
                 }
             }

@@ -15,8 +15,8 @@
 //! Soundness contract: for every slot assignment consistent with the
 //! environment, if [`IntExpr::eval`] returns `Ok(v)` then `v` lies inside
 //! the computed interval; and if the analysis reports the expression
-//! *clean*, evaluation cannot return an error (division by zero) or panic
-//! (debug-mode overflow in the `div_ceil`/`round_up` builtins). Wrapping
+//! *clean*, evaluation cannot return an error (division by zero, or the
+//! `i64::MIN // -1` overflow of floor division and its builtins). Wrapping
 //! arithmetic is handled by widening to [`Interval::TOP`] whenever a bound
 //! computation could leave the `i64` range; `/`, `%`, `min`, `max` and
 //! opaque bodies are approximated conservatively, never exactly wrongly.
@@ -43,8 +43,8 @@ pub struct Interval {
 pub struct IntervalOutcome {
     /// Conservative bounds on the expression's value.
     pub iv: Interval,
-    /// True when evaluation can neither return an error (division by zero)
-    /// nor panic (builtin intermediate overflow) for any consistent point.
+    /// True when evaluation cannot return an error (division by zero,
+    /// floor-division overflow) for any consistent point.
     pub clean: bool,
     /// True when some arithmetic step *provably* could leave the `i64`
     /// range for a point in the environment, so the runtime value wraps and
@@ -300,8 +300,9 @@ pub fn iv_bin(op: IntBinOp, a: IntervalOutcome, b: IntervalOutcome) -> IntervalO
                 return IntervalOutcome::top(false).widen_if(wide);
             }
             if a.iv.lo == i64::MIN && b.iv.contains(-1) {
-                // floor(i64::MIN / -1) = 2^63 leaves the i64 range.
-                return IntervalOutcome::top(clean).widen_if(true);
+                // floor(i64::MIN / -1) = 2^63 leaves the i64 range: an
+                // `Overflow` error at run time.
+                return IntervalOutcome::top(false).widen_if(true);
             }
             // |floor(a / b)| <= |a| + 1 for |b| >= 1.
             let m = (a.iv.max_abs().min(i64::MAX as u64 - 1) + 1) as i64;
@@ -384,12 +385,17 @@ pub fn iv_call2(bi: Builtin, a: IntervalOutcome, b: IntervalOutcome) -> Interval
             if b.iv.contains(0) {
                 return IntervalOutcome::top(false).widen_if(wide);
             }
-            // Evaluation computes `a + b - 1` with plain (panicking in
-            // debug) arithmetic; prove it stays in range or give up.
+            // Evaluation floor-divides the wrapping `a + b - 1`; the bounds
+            // below need it in range, so give up (conservatively unclean)
+            // when it may wrap. In range, `floor_div` still fails at
+            // `i64::MIN / -1`.
             let pre_lo = a.iv.lo as i128 + b.iv.lo as i128 - 1;
             let pre_hi = a.iv.hi as i128 + b.iv.hi as i128 - 1;
             if Interval::from_i128(pre_lo.min(pre_hi), pre_lo.max(pre_hi)).is_none() {
                 return IntervalOutcome::top(false).widen_if(true);
+            }
+            if pre_lo.min(pre_hi) == i64::MIN as i128 && b.iv.contains(-1) {
+                return IntervalOutcome::top(false).widen_if(wide);
             }
             match bi {
                 Builtin::DivCeil => {

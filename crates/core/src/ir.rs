@@ -75,9 +75,96 @@ pub enum IntExpr {
     Abs(Box<IntExpr>),
 }
 
+/// Euclidean floor division (`div_euclid`: the remainder is never
+/// negative). `DivisionByZero` for a zero divisor and `Overflow` for
+/// `i64::MIN / -1`, whose quotient 2⁶³ has no `i64` — the error the walker's
+/// checked `Value::floor_div` and generated C's `b_floordiv` raise there.
+#[inline]
+pub fn floor_div(a: i64, b: i64) -> Result<i64, EvalError> {
+    if b == 0 {
+        return Err(EvalError::DivisionByZero);
+    }
+    a.checked_div_euclid(b).ok_or(EvalError::Overflow)
+}
+
+/// `div_ceil(a, b)` = `floor_div(a + b - 1, b)`, the inner sum wrapping like
+/// C's `b_add` / `b_sub`.
+#[inline]
+pub fn div_ceil(a: i64, b: i64) -> Result<i64, EvalError> {
+    floor_div(a.wrapping_add(b).wrapping_sub(1), b)
+}
+
+/// `round_up(a, b)` = `div_ceil(a, b) · b`, the product wrapping like C's
+/// `b_mul`.
+#[inline]
+pub fn round_up(a: i64, b: i64) -> Result<i64, EvalError> {
+    Ok(div_ceil(a, b)?.wrapping_mul(b))
+}
+
+/// `a op b` on already-evaluated operands, with the lowered IR's C
+/// semantics: `+ - *` wrap, `/` and `%` truncate (wrapping at
+/// `i64::MIN / -1`), `//` is [`floor_div`], comparisons and logic yield
+/// 0/1. The one definition of every operator, shared by [`IntExpr::eval`],
+/// the point programs and the VM; for `&&` / `||` it is the strict combine
+/// — short-circuiting is the caller's business.
+#[inline(always)]
+pub fn eval_bin(op: IntBinOp, x: i64, y: i64) -> Result<i64, EvalError> {
+    Ok(match op {
+        IntBinOp::Add => x.wrapping_add(y),
+        IntBinOp::Sub => x.wrapping_sub(y),
+        IntBinOp::Mul => x.wrapping_mul(y),
+        IntBinOp::Div => {
+            if y == 0 {
+                return Err(EvalError::DivisionByZero);
+            }
+            x.wrapping_div(y)
+        }
+        IntBinOp::FloorDiv => return floor_div(x, y),
+        IntBinOp::Rem => {
+            if y == 0 {
+                return Err(EvalError::DivisionByZero);
+            }
+            x.wrapping_rem(y)
+        }
+        IntBinOp::Lt => i64::from(x < y),
+        IntBinOp::Le => i64::from(x <= y),
+        IntBinOp::Gt => i64::from(x > y),
+        IntBinOp::Ge => i64::from(x >= y),
+        IntBinOp::Eq => i64::from(x == y),
+        IntBinOp::Ne => i64::from(x != y),
+        IntBinOp::And => i64::from(x != 0 && y != 0),
+        IntBinOp::Or => i64::from(x != 0 || y != 0),
+    })
+}
+
+/// A two-argument builtin on already-evaluated operands (see [`eval_bin`]).
+#[inline(always)]
+pub fn eval_call2(f: Builtin, x: i64, y: i64) -> Result<i64, EvalError> {
+    Ok(match f {
+        Builtin::Min => x.min(y),
+        Builtin::Max => x.max(y),
+        Builtin::DivCeil => return div_ceil(x, y),
+        Builtin::Gcd => {
+            let (mut a, mut b) = (x.unsigned_abs(), y.unsigned_abs());
+            while b != 0 {
+                let t = a % b;
+                a = b;
+                b = t;
+            }
+            a as i64
+        }
+        Builtin::RoundUp => return round_up(x, y),
+        Builtin::Abs => unreachable!("Abs is unary"),
+    })
+}
+
 impl IntExpr {
-    /// Evaluate against a slot array. Arithmetic wraps like C; division by
-    /// zero is a checked error.
+    /// Evaluate against a slot array. Arithmetic wraps like C; a zero
+    /// divisor and `i64::MIN // -1` are checked errors.
+    ///
+    /// The recursive reference evaluator: the engine, the counter and the
+    /// samplers run the register-form [`crate::pointprog::PointProg`],
+    /// which produces identical outcomes.
     pub fn eval(&self, slots: &[i64]) -> Result<i64, EvalError> {
         match self {
             IntExpr::Const(c) => Ok(*c),
@@ -92,88 +179,15 @@ impl IntExpr {
                 }
             }
             IntExpr::Abs(a) => Ok(a.eval(slots)?.wrapping_abs()),
-            IntExpr::Bin(op, a, b) => {
-                // Short-circuit first.
-                match op {
-                    IntBinOp::And => {
-                        return Ok(if a.eval(slots)? == 0 {
-                            0
-                        } else {
-                            i64::from(b.eval(slots)? != 0)
-                        })
-                    }
-                    IntBinOp::Or => {
-                        return Ok(if a.eval(slots)? != 0 {
-                            1
-                        } else {
-                            i64::from(b.eval(slots)? != 0)
-                        })
-                    }
-                    _ => {}
-                }
-                let x = a.eval(slots)?;
-                let y = b.eval(slots)?;
-                Ok(match op {
-                    IntBinOp::Add => x.wrapping_add(y),
-                    IntBinOp::Sub => x.wrapping_sub(y),
-                    IntBinOp::Mul => x.wrapping_mul(y),
-                    IntBinOp::Div => {
-                        if y == 0 {
-                            return Err(EvalError::DivisionByZero);
-                        }
-                        x.wrapping_div(y)
-                    }
-                    IntBinOp::FloorDiv => {
-                        if y == 0 {
-                            return Err(EvalError::DivisionByZero);
-                        }
-                        x.div_euclid(y)
-                    }
-                    IntBinOp::Rem => {
-                        if y == 0 {
-                            return Err(EvalError::DivisionByZero);
-                        }
-                        x.wrapping_rem(y)
-                    }
-                    IntBinOp::Lt => i64::from(x < y),
-                    IntBinOp::Le => i64::from(x <= y),
-                    IntBinOp::Gt => i64::from(x > y),
-                    IntBinOp::Ge => i64::from(x >= y),
-                    IntBinOp::Eq => i64::from(x == y),
-                    IntBinOp::Ne => i64::from(x != y),
-                    IntBinOp::And | IntBinOp::Or => unreachable!("handled above"),
-                })
+            // Short-circuit: the right operand runs only when it decides.
+            IntExpr::Bin(IntBinOp::And, a, b) => {
+                Ok(if a.eval(slots)? == 0 { 0 } else { i64::from(b.eval(slots)? != 0) })
             }
-            IntExpr::Call2(b, x, y) => {
-                let a = x.eval(slots)?;
-                let c = y.eval(slots)?;
-                Ok(match b {
-                    Builtin::Min => a.min(c),
-                    Builtin::Max => a.max(c),
-                    Builtin::DivCeil => {
-                        if c == 0 {
-                            return Err(EvalError::DivisionByZero);
-                        }
-                        (a + c - 1).div_euclid(c)
-                    }
-                    Builtin::Gcd => {
-                        let (mut a, mut b2) = (a.unsigned_abs(), c.unsigned_abs());
-                        while b2 != 0 {
-                            let t = a % b2;
-                            a = b2;
-                            b2 = t;
-                        }
-                        a as i64
-                    }
-                    Builtin::RoundUp => {
-                        if c == 0 {
-                            return Err(EvalError::DivisionByZero);
-                        }
-                        (a + c - 1).div_euclid(c) * c
-                    }
-                    Builtin::Abs => unreachable!("Abs is unary"),
-                })
+            IntExpr::Bin(IntBinOp::Or, a, b) => {
+                Ok(if a.eval(slots)? != 0 { 1 } else { i64::from(b.eval(slots)? != 0) })
             }
+            IntExpr::Bin(op, a, b) => eval_bin(*op, a.eval(slots)?, b.eval(slots)?),
+            IntExpr::Call2(f, x, y) => eval_call2(*f, x.eval(slots)?, y.eval(slots)?),
         }
     }
 
@@ -205,9 +219,9 @@ impl IntExpr {
         }
     }
 
-    /// Number of IR nodes — the cost proxy used by the constraint scheduler
-    /// (`crate::schedule`). Tracks the length of the postfix program an
-    /// engine compiles this expression to, up to peephole folding.
+    /// Number of IR nodes — the cost unit of the constraint scheduler
+    /// (`crate::schedule`) and of the compiled engine's adaptive
+    /// calibration: every operator and every leaf operand it reads.
     pub fn op_count(&self) -> u32 {
         match self {
             IntExpr::Const(_) | IntExpr::Slot(_) => 1,
@@ -219,9 +233,10 @@ impl IntExpr {
         }
     }
 
-    /// True if evaluation can never fail or panic for *any* slot values:
-    /// no division/remainder by a possibly-zero divisor, and no `div_ceil`/
-    /// `round_up` (whose `a + b - 1` can overflow in debug builds).
+    /// True if evaluation can never fail for *any* slot values: no
+    /// division/remainder by a possibly-zero divisor, no floor division
+    /// that can reach `i64::MIN // -1`, and no `div_ceil`/`round_up` (whose
+    /// inner floor division can reach either).
     ///
     /// Only infallible checks may be reordered by the constraint scheduler —
     /// a rejection by a reordered check must not mask (or unmask) an
@@ -233,7 +248,7 @@ impl IntExpr {
             IntExpr::Bin(IntBinOp::Div | IntBinOp::Rem, a, b) => {
                 a.infallible() && matches!(b.as_const(), Some(k) if k != 0)
             }
-            // `div_euclid` panics on `i64::MIN / -1` in every build profile.
+            // `i64::MIN // -1` is an `Overflow` error.
             IntExpr::Bin(IntBinOp::FloorDiv, a, b) => {
                 a.infallible() && matches!(b.as_const(), Some(k) if k != 0 && k != -1)
             }

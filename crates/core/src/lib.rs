@@ -59,6 +59,7 @@ pub mod ir;
 pub mod iterator;
 mod macros;
 pub mod plan;
+pub mod pointprog;
 pub mod schedule;
 pub mod space;
 pub mod value;
@@ -76,6 +77,7 @@ pub mod prelude {
     pub use crate::ir::{IntExpr, LoweredPlan};
     pub use crate::iterator::{build as iter_build, IterKind, Realized};
     pub use crate::plan::{LoopOrder, Plan, PlanOptions, Step};
+    pub use crate::pointprog::PointProg;
     pub use crate::schedule::ScheduleMode;
     pub use crate::space::{Space, SpaceBuilder};
     pub use crate::value::Value;

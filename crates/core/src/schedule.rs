@@ -23,8 +23,8 @@
 //!   therefore skips not just the remaining *checks* but their entire
 //!   define chains — on the GEMM space that is 9 defines (divisions
 //!   included) per point killed by the one deadly check of the level;
-//! * [`CostModel`] — per-constraint cost (IR op count, a proxy for the
-//!   engines' postfix program length) and a *kill prior* estimated by
+//! * [`CostModel`] — per-constraint cost (IR op count, also the unit of the
+//!   compiled engine's adaptive calibration) and a *kill prior* estimated by
 //!   pushing the domain bounds through the interval analysis of
 //!   [`crate::interval`];
 //! * [`static_schedule`] — linearizes each region by ascending
@@ -196,10 +196,10 @@ fn env_step(step: &LStep, env: &mut [Interval]) {
 /// (const-divisor only): a division is safe here whenever the divisor's
 /// interval excludes 0 — e.g. `x % (a * b)` with positive loop iterators
 /// `a`, `b`, the shape of the GEMM reshape constraints. The `i64::MIN / -1`
-/// corner is excluded intervalically too, since backends disagree on it
-/// (wrap vs. overflow error vs. panic). `div_ceil`/`round_up` additionally
-/// need a provably positive divisor and `a + c - 1` provably in range
-/// (their evaluation uses plain arithmetic that may panic in debug builds).
+/// corner is excluded intervalically too: `//` raises `Overflow` there, and
+/// `/` and `%` (which wrap) are excluded conservatively alongside it.
+/// `div_ceil`/`round_up` additionally need a provably positive divisor and
+/// their wrapping inner sum `a + c - 1` provably in range.
 pub fn infallible_in(e: &IntExpr, env: &[Interval]) -> bool {
     match e {
         IntExpr::Const(_) | IntExpr::Slot(_) => true,
@@ -547,10 +547,11 @@ pub fn apply_order(lp: &mut LoweredPlan, region: &Region, order: &[usize]) {
     lp.steps[region.start..region.end].clone_from_slice(&steps);
 }
 
-/// A check's scheduling cost within its region: its own op count plus the
-/// op counts of every define in its closure — the price of running its
-/// unit first on a fresh point.
-fn unit_cost(lp: &LoweredPlan, region: &Region, k: usize, check_cost: u32) -> u32 {
+/// A check's scheduling cost within its region: `check_cost` (its own op
+/// count) plus the op counts of every define in its closure — the price of
+/// running region check `k`'s unit first on a fresh point. The unit of
+/// both [`static_schedule`] and the compiled engine's adaptive calibration.
+pub fn unit_cost(lp: &LoweredPlan, region: &Region, k: usize, check_cost: u32) -> u32 {
     region.deps[k]
         .iter()
         .map(|&d| match &lp.steps[region.defines[d]] {

@@ -8,7 +8,8 @@
 //! generated C (a single function of nested `for` loops and `continue`s).
 //! Loop bounds are evaluated once at loop entry (they are invariant inside
 //! the loop by the planner's dependency ordering), and every expression is a
-//! peephole-optimized postfix program. This is the backend that turns the
+//! constant-folded register program ([`PointProg`]) reading its leaves in
+//! place. This is the backend that turns the
 //! paper's 18.5-hour Python sweep into minutes (Section XI-D), and the one
 //! the multithreaded driver parallelizes.
 //!
@@ -37,7 +38,8 @@
 //! telemetry counters included.
 //!
 //! Opaque (deferred/closure) definitions are supported by calling back into
-//! the Rust closures through a slot-backed [`Bindings`] view; such calls
+//! the Rust closures through a slot-backed [`Bindings`](beast_core::expr::Bindings)
+//! view ([`SlotView`]); such calls
 //! happen once per realization, not per point, so they do not change the
 //! asymptotic cost profile. Opaque steps are treated as unknowable by the
 //! interval analysis (top interval, possibly failing), which disables block
@@ -72,15 +74,13 @@ use beast_core::analyze::{
     self, cg_of_bind, cg_of_values, eval_product, Congruence, LintGate, LintSummary,
 };
 use beast_core::error::EvalError;
-use beast_core::expr::Bindings;
 use beast_core::interval::{range_value_hull, Interval, IntervalOutcome, IvProg, IvScratch};
 use beast_core::ir::{LBody, LIter, LStep, LoweredPlan};
 use beast_core::iterator::Realized;
+use beast_core::pointprog::{PointProg, SlotView};
 use beast_core::schedule::{self, ScheduleMode};
-use beast_core::value::Value;
 
 use crate::point::PointRef;
-use crate::postfix::Postfix;
 
 use crate::fault::{CancelProbe, FaultAction, FaultInjector, FaultKind, FaultPolicy, FaultRecord};
 use crate::narrow::{self, LoopSolve};
@@ -254,8 +254,8 @@ impl EngineOptions {
 /// A loop domain in the flat program.
 #[derive(Debug, Clone)]
 enum CDomain {
-    /// Range with postfix-compiled bounds evaluated once at loop entry.
-    Range { start: Postfix, stop: Postfix, step: Postfix },
+    /// Range with compiled bounds evaluated once at loop entry.
+    Range { start: PointProg, stop: PointProg, step: PointProg },
     /// Static list of values, shared (not deep-copied) across clones and
     /// parallel chunk runs. `lo`/`hi`/`cg` are the precomputed interval and
     /// congruence hulls for the guard.
@@ -281,13 +281,13 @@ enum Op {
     /// fall through when exhausted.
     Next { loop_id: u32, slot: u32, body: u32 },
     /// Evaluate a derived expression into a slot.
-    Define { slot: u32, expr: Postfix },
+    Define { slot: u32, expr: PointProg },
     /// Evaluate an opaque derived through the closure callback.
     DefineOpaque { slot: u32, derived: usize },
     /// Evaluate a constraint; on rejection jump to `on_reject`. `elide_bit`
     /// is this check's position in the block pruner's elision bitmask
     /// (`None` for preamble checks or beyond 64 constraints).
-    Check { constraint: u32, expr: Postfix, elide_bit: Option<u8>, on_reject: u32 },
+    Check { constraint: u32, expr: PointProg, elide_bit: Option<u8>, on_reject: u32 },
     /// Evaluate an opaque constraint through the closure callback.
     CheckOpaque { constraint: u32, on_reject: u32 },
     /// Calibration-only check group: evaluate the members of
@@ -316,11 +316,12 @@ struct AMember {
     /// Constraint index (also the `PruneStats` row and elision-bit key).
     constraint: u32,
     /// Compiled predicate.
-    expr: Postfix,
+    expr: PointProg,
     /// Elision bit, as on [`Op::Check`].
     elide_bit: Option<u8>,
-    /// Unit cost — postfix op count of the predicate plus its define
-    /// closure, the denominator for kill-rate-per-op.
+    /// Unit cost — IR op count of the predicate plus its define closure
+    /// ([`schedule::unit_cost`], the static cost model's unit), the
+    /// denominator for kill-rate-per-op.
     cost: u32,
     /// Ascending indices into [`AGroup::defines`]: the transitive closure
     /// of region defines this predicate reads, executed on demand before
@@ -334,7 +335,7 @@ struct ADefine {
     /// Destination slot.
     slot: u32,
     /// Compiled body (infallible over the subtree by region construction).
-    expr: Postfix,
+    expr: PointProg,
 }
 
 /// A reorder-safe region (checks + interleaved defines) executed through
@@ -638,9 +639,9 @@ impl Compiled {
                 LStep::Bind { slot, domain, iter, .. } => {
                     let d = match domain {
                         LIter::Range { start, stop, step } => CDomain::Range {
-                            start: Postfix::compile(start),
-                            stop: Postfix::compile(stop),
-                            step: Postfix::compile(step),
+                            start: PointProg::compile(start),
+                            stop: PointProg::compile(stop),
+                            step: PointProg::compile(step),
                         },
                         LIter::Values(v) => CDomain::Values {
                             values: Arc::from(v.as_slice()),
@@ -658,7 +659,7 @@ impl Compiled {
                     ops.push(Op::Enter { loop_id, slot: *slot, domain: d, next: 0 });
                 }
                 LStep::Define { slot, body, derived } => ops.push(match body {
-                    LBody::Expr(e) => Op::Define { slot: *slot, expr: Postfix::compile(e) },
+                    LBody::Expr(e) => Op::Define { slot: *slot, expr: PointProg::compile(e) },
                     LBody::Opaque => Op::DefineOpaque { slot: *slot, derived: *derived },
                 }),
                 LStep::Check { constraint, body } => {
@@ -672,7 +673,7 @@ impl Compiled {
                     ops.push(match body {
                         LBody::Expr(e) => Op::Check {
                             constraint: *constraint as u32,
-                            expr: Postfix::compile(e),
+                            expr: PointProg::compile(e),
                             elide_bit,
                             on_reject: 0,
                         },
@@ -750,15 +751,15 @@ impl Compiled {
                 };
                 debug_assert!(k == 0 || reject == *on_reject, "members share one scope");
                 reject = *on_reject;
-                let deps: Vec<u16> = region.deps[k].iter().map(|&d| d as u16).collect();
-                let closure_cost: usize =
-                    deps.iter().map(|&d| defines[d as usize].expr.len()).sum();
+                let LStep::Check { body: LBody::Expr(check), .. } = &lp.steps[si] else {
+                    unreachable!("check group member without an expression body");
+                };
                 members.push(AMember {
                     constraint: *constraint,
                     expr: expr.clone(),
                     elide_bit: *elide_bit,
-                    cost: (expr.len() + closure_cost).max(1) as u32,
-                    deps,
+                    cost: schedule::unit_cost(&lp, region, k, check.op_count()).max(1),
+                    deps: region.deps[k].iter().map(|&d| d as u16).collect(),
                 });
             }
             let end = (first_ip + (region.end - region.start)) as u32;
@@ -840,7 +841,6 @@ impl Compiled {
             stats: PruneStats::new(self.lp.plan.space().constraints().len()),
             blocks: BlockStats::default(),
             visitor,
-            stack: Vec::new(),
             ivals: vec![Interval::TOP; self.lp.n_slots as usize],
             cvals: vec![Congruence::top(); self.lp.n_slots as usize],
             gcache: vec![GCache::default(); self.gmaster.len()],
@@ -889,7 +889,7 @@ impl Compiled {
         let first_enter = self.first_enter?;
         let outer = self.outer_domain().ok()?;
         let mut slots = vec![0i64; self.lp.n_slots as usize];
-        if !self.preamble(&mut slots, &mut Vec::new(), None).ok()? {
+        if !self.preamble(&mut slots, None).ok()? {
             return None;
         }
         // Evenly strided values first, then the rest in order: a sample that
@@ -985,7 +985,7 @@ impl Compiled {
         if let Some(first_enter) = self.first_enter {
             // Execute the preamble quietly; a constants-only constraint that
             // rejects leaves the chunk empty.
-            if self.preamble(&mut slots, &mut state.stack, None)? {
+            if self.preamble(&mut slots, None)? {
                 self.exec(first_enter, Some(outer_values), &mut slots, &mut state, ctx)?;
             }
         }
@@ -1007,15 +1007,13 @@ impl Compiled {
     /// serial run (workers execute the preamble quietly).
     pub(crate) fn preamble_record(&self, stats: &mut PruneStats) -> Result<bool, EvalError> {
         let mut slots = vec![0i64; self.lp.n_slots as usize];
-        let mut stack = Vec::new();
-        self.preamble(&mut slots, &mut stack, Some(stats))
+        self.preamble(&mut slots, Some(stats))
     }
 
     /// Shared preamble executor; records into `stats` when provided.
     fn preamble(
         &self,
         slots: &mut [i64],
-        stack: &mut Vec<i64>,
         mut stats: Option<&mut PruneStats>,
     ) -> Result<bool, EvalError> {
         let end = self.first_enter.unwrap_or(self.ops.len().saturating_sub(1));
@@ -1025,9 +1023,8 @@ impl Compiled {
         for op in &self.ops[..end] {
             match op {
                 Op::Define { slot, expr } => {
-                    slots[*slot as usize] = expr
-                        .eval(slots, stack)
-                        .map_err(|e| e.with_point(at(slot), Vec::new()))?;
+                    slots[*slot as usize] =
+                        expr.eval(slots).map_err(|e| e.with_point(at(slot), Vec::new()))?;
                 }
                 Op::DefineOpaque { slot, derived } => {
                     let v = {
@@ -1041,7 +1038,7 @@ impl Compiled {
                         v.as_int().map_err(|e| e.with_point(at(slot), Vec::new()))?;
                 }
                 Op::Check { constraint, expr, .. } => {
-                    let rejected = expr.eval(slots, stack).map_err(|e| {
+                    let rejected = expr.eval(slots).map_err(|e| {
                         let name =
                             &self.lp.plan.space().constraints()[*constraint as usize].name;
                         e.with_point(name.to_string(), Vec::new())
@@ -1127,11 +1124,10 @@ impl Compiled {
         };
         match domain {
             CDomain::Range { start, stop, step } => {
-                let mut stack = Vec::new();
                 let r = Realized::Range {
-                    start: start.eval(&slots, &mut stack).map_err(at)?,
-                    stop: stop.eval(&slots, &mut stack).map_err(at)?,
-                    step: step.eval(&slots, &mut stack).map_err(at)?,
+                    start: start.eval(&slots).map_err(at)?,
+                    stop: stop.eval(&slots).map_err(at)?,
+                    step: step.eval(&slots).map_err(at)?,
                 };
                 r.iter().map(|v| v.as_int().map_err(at)).collect()
             }
@@ -1144,8 +1140,8 @@ impl Compiled {
         }
     }
 
-    fn bindings_view<'a>(&'a self, slots: &'a [i64]) -> SlotBindings<'a> {
-        SlotBindings {
+    fn bindings_view<'a>(&'a self, slots: &'a [i64]) -> SlotView<'a> {
+        SlotView {
             names: &self.lp.slot_names,
             slots,
             consts: self.lp.plan.space().consts(),
@@ -1237,21 +1233,12 @@ impl Compiled {
                         } else {
                             match domain {
                                 CDomain::Range { start, stop, step } => {
-                                    let start = try_eval!(
-                                        'interp,
-                                        Site::Slot(*slot),
-                                        start.eval(slots, &mut state.stack)
-                                    );
-                                    let stop = try_eval!(
-                                        'interp,
-                                        Site::Slot(*slot),
-                                        stop.eval(slots, &mut state.stack)
-                                    );
-                                    let step = try_eval!(
-                                        'interp,
-                                        Site::Slot(*slot),
-                                        step.eval(slots, &mut state.stack)
-                                    );
+                                    let start =
+                                        try_eval!('interp, Site::Slot(*slot), start.eval(slots));
+                                    let stop =
+                                        try_eval!('interp, Site::Slot(*slot), stop.eval(slots));
+                                    let step =
+                                        try_eval!('interp, Site::Slot(*slot), step.eval(slots));
                                     f.kind = FrameKind::Range;
                                     f.cur = start;
                                     f.stop = stop;
@@ -1268,7 +1255,7 @@ impl Compiled {
                                 CDomain::Opaque { iter } => {
                                     f.buf.clear();
                                     let realized = try_eval!('interp, Site::Slot(*slot), {
-                                        let view = SlotBindings {
+                                        let view = SlotView {
                                             names: &self.lp.slot_names,
                                             slots,
                                             consts: self.lp.plan.space().consts(),
@@ -1327,7 +1314,7 @@ impl Compiled {
                     // `crate::narrow`). Unprovable entries enumerate below.
                     if let Some(ns) = &self.narrow[l] {
                         let range = (f.cur, f.step, len);
-                        if let Some(sol) = ns.solve(state.elide, slots, &mut state.stack, range) {
+                        if let Some(sol) = ns.solve(state.elide, slots, range) {
                             ns.credit(&mut state.stats, &mut state.blocks, len, &sol);
                             if let Some(x) = sol.hit {
                                 // Run the body once; `Next` then finds the
@@ -1427,11 +1414,7 @@ impl Compiled {
                     }
                 }
                 Op::Define { slot, expr } => {
-                    slots[*slot as usize] = try_eval!(
-                        'interp,
-                        Site::Slot(*slot),
-                        expr.eval(slots, &mut state.stack)
-                    );
+                    slots[*slot as usize] = try_eval!('interp, Site::Slot(*slot), expr.eval(slots));
                     ip += 1;
                 }
                 Op::DefineOpaque { slot, derived } => {
@@ -1455,11 +1438,8 @@ impl Compiled {
                             continue;
                         }
                     }
-                    let rejected = try_eval!(
-                        'interp,
-                        Site::Constraint(*constraint),
-                        expr.eval(slots, &mut state.stack)
-                    ) != 0;
+                    let rejected =
+                        try_eval!('interp, Site::Constraint(*constraint), expr.eval(slots)) != 0;
                     state.stats.record(*constraint as usize, rejected);
                     ip = if rejected { *on_reject as usize } else { ip + 1 };
                 }
@@ -1502,18 +1482,13 @@ impl Compiled {
                             if done & (1u64 << d) == 0 {
                                 done |= 1u64 << d;
                                 let def = &g.defines[d as usize];
-                                slots[def.slot as usize] = try_eval!(
-                                    'interp,
-                                    Site::Slot(def.slot),
-                                    def.expr.eval(slots, &mut state.stack)
-                                );
+                                slots[def.slot as usize] =
+                                    try_eval!('interp, Site::Slot(def.slot), def.expr.eval(slots));
                             }
                         }
-                        let r = try_eval!(
-                            'interp,
-                            Site::Constraint(m.constraint),
-                            m.expr.eval(slots, &mut state.stack)
-                        ) != 0;
+                        let r =
+                            try_eval!('interp, Site::Constraint(m.constraint), m.expr.eval(slots))
+                                != 0;
                         state.stats.record(m.constraint as usize, r);
                         gs.evaluated[mi] += 1;
                         gs.killed[mi] += r as u64;
@@ -1528,11 +1503,8 @@ impl Compiled {
                         // below this level) sees all derived slots.
                         for (d, def) in g.defines.iter().enumerate() {
                             if done & (1u64 << d) == 0 {
-                                slots[def.slot as usize] = try_eval!(
-                                    'interp,
-                                    Site::Slot(def.slot),
-                                    def.expr.eval(slots, &mut state.stack)
-                                );
+                                slots[def.slot as usize] =
+                                    try_eval!('interp, Site::Slot(def.slot), def.expr.eval(slots));
                             }
                         }
                     }
@@ -2130,7 +2102,6 @@ struct State<V> {
     stats: PruneStats,
     blocks: BlockStats,
     visitor: V,
-    stack: Vec<i64>,
     /// Per-slot interval environment for guard runs, maintained
     /// incrementally across runs (see [`GuardInfo`]).
     ivals: Vec<Interval>,
@@ -2221,29 +2192,6 @@ enum Site {
     Visit,
 }
 
-/// [`Bindings`] view over the compiled backend's slots plus the constant
-/// table, used when calling back into opaque closures.
-pub struct SlotBindings<'a> {
-    /// Slot names.
-    pub names: &'a [Arc<str>],
-    /// Slot values.
-    pub slots: &'a [i64],
-    /// The space's constants.
-    pub consts: &'a [(Arc<str>, Value)],
-}
-
-impl Bindings for SlotBindings<'_> {
-    fn get(&self, name: &str) -> Option<Value> {
-        if let Some(i) = self.names.iter().position(|n| &**n == name) {
-            return Some(Value::Int(self.slots[i]));
-        }
-        self.consts
-            .iter()
-            .find(|(n, _)| &**n == name)
-            .map(|(_, v)| v.clone())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2251,6 +2199,7 @@ mod tests {
     use beast_core::expr::var;
     use beast_core::plan::{Plan, PlanOptions};
     use beast_core::space::Space;
+    use beast_core::value::Value;
 
     use crate::visit::{CollectVisitor, CountVisitor};
     use crate::walker::{LoopStyle, Walker};

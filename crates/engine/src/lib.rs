@@ -45,6 +45,7 @@ mod narrow;
 pub mod native;
 pub mod parallel;
 pub mod point;
+#[doc(hidden)]
 pub mod postfix;
 mod replay;
 pub mod service;

@@ -14,8 +14,8 @@
 
 use beast_core::analyze::narrow::{narrowable_loops, solve_affine, Solved};
 use beast_core::ir::LoweredPlan;
+use beast_core::pointprog::PointProg;
 
-use crate::postfix::Postfix;
 use crate::stats::{BlockStats, PruneStats};
 
 /// One narrowable loop of a compiled program (see the module docs).
@@ -28,9 +28,9 @@ pub(crate) struct LoopSolve {
     /// — nothing to solve — and is credited through the elision counters.
     elide_mask: u64,
     /// Multiplier of the loop slot, invariant for the duration of the loop.
-    coeff: Postfix,
+    coeff: PointProg,
     /// Slot-independent remainder, likewise invariant.
-    offset: Postfix,
+    offset: PointProg,
 }
 
 /// The per-loop narrowing table of a plan in its final step order, indexed
@@ -46,8 +46,8 @@ pub(crate) fn build_table(lp: &LoweredPlan) -> Vec<Option<LoopSolve>> {
             Some(LoopSolve {
                 constraint: n.constraint as u32,
                 elide_mask: if n.constraint < 64 { 1u64 << n.constraint } else { 0 },
-                coeff: Postfix::compile(&n.check.coeff),
-                offset: Postfix::compile(&n.check.offset),
+                coeff: PointProg::compile(&n.check.coeff),
+                offset: PointProg::compile(&n.check.offset),
             })
         })
         .collect()
@@ -65,14 +65,13 @@ impl LoopSolve {
         &self,
         elide: u64,
         slots: &[i64],
-        stack: &mut Vec<i64>,
         (start, step, len): (i64, i64, u64),
     ) -> Option<Solved> {
         if elide & self.elide_mask != 0 {
             return None;
         }
-        let a = self.coeff.eval(slots, stack).ok()?;
-        let k = self.offset.eval(slots, stack).ok()?;
+        let a = self.coeff.eval(slots).ok()?;
+        let k = self.offset.eval(slots).ok()?;
         solve_affine(a, k, start, step, len)
     }
 

@@ -22,10 +22,10 @@ use std::sync::Arc;
 
 use beast_core::error::EvalError;
 use beast_core::expr::Builtin;
-use beast_core::ir::{IntBinOp, IntExpr, LBody, LIter, LStep, LoweredPlan};
+use beast_core::ir::{eval_bin, eval_call2, IntBinOp, IntExpr, LBody, LIter, LStep, LoweredPlan};
 use beast_core::iterator::Realized;
 
-use crate::compiled::SlotBindings;
+use beast_core::pointprog::SlotView;
 use crate::point::PointRef;
 use crate::stats::{BlockStats, PruneStats};
 use crate::visit::Visitor;
@@ -302,40 +302,7 @@ fn h_move<V: Visitor>(ex: &mut Exec<'_, V>, op: &Op) -> Result<Ctl, EvalError> {
 
 fn h_bin<V: Visitor>(ex: &mut Exec<'_, V>, op: &Op) -> Result<Ctl, EvalError> {
     let Op::Bin { op: bin, dst, a, b } = op else { unreachable!("mis-dispatched opcode") };
-    let x = ex.regs[*a as usize];
-    let y = ex.regs[*b as usize];
-    ex.regs[*dst as usize] = match bin {
-        IntBinOp::Add => x.wrapping_add(y),
-        IntBinOp::Sub => x.wrapping_sub(y),
-        IntBinOp::Mul => x.wrapping_mul(y),
-        IntBinOp::Div => {
-            if y == 0 {
-                return Err(EvalError::DivisionByZero);
-            }
-            x.wrapping_div(y)
-        }
-        IntBinOp::FloorDiv => {
-            if y == 0 {
-                return Err(EvalError::DivisionByZero);
-            }
-            x.div_euclid(y)
-        }
-        IntBinOp::Rem => {
-            if y == 0 {
-                return Err(EvalError::DivisionByZero);
-            }
-            x.wrapping_rem(y)
-        }
-        IntBinOp::Lt => i64::from(x < y),
-        IntBinOp::Le => i64::from(x <= y),
-        IntBinOp::Gt => i64::from(x > y),
-        IntBinOp::Ge => i64::from(x >= y),
-        IntBinOp::Eq => i64::from(x == y),
-        IntBinOp::Ne => i64::from(x != y),
-        IntBinOp::And | IntBinOp::Or => {
-            unreachable!("short-circuit ops compile to jumps")
-        }
-    };
+    ex.regs[*dst as usize] = eval_bin(*bin, ex.regs[*a as usize], ex.regs[*b as usize])?;
     Ok(Ctl::Next)
 }
 
@@ -359,34 +326,7 @@ fn h_abs<V: Visitor>(ex: &mut Exec<'_, V>, op: &Op) -> Result<Ctl, EvalError> {
 
 fn h_call2<V: Visitor>(ex: &mut Exec<'_, V>, op: &Op) -> Result<Ctl, EvalError> {
     let Op::Call2 { f, dst, a, b } = op else { unreachable!("mis-dispatched opcode") };
-    let x = ex.regs[*a as usize];
-    let y = ex.regs[*b as usize];
-    ex.regs[*dst as usize] = match f {
-        Builtin::Min => x.min(y),
-        Builtin::Max => x.max(y),
-        Builtin::DivCeil => {
-            if y == 0 {
-                return Err(EvalError::DivisionByZero);
-            }
-            (x + y - 1).div_euclid(y)
-        }
-        Builtin::Gcd => {
-            let (mut a, mut b) = (x.unsigned_abs(), y.unsigned_abs());
-            while b != 0 {
-                let t = a % b;
-                a = b;
-                b = t;
-            }
-            a as i64
-        }
-        Builtin::RoundUp => {
-            if y == 0 {
-                return Err(EvalError::DivisionByZero);
-            }
-            (x + y - 1).div_euclid(y) * y
-        }
-        Builtin::Abs => unreachable!("unary"),
-    };
+    ex.regs[*dst as usize] = eval_call2(*f, ex.regs[*a as usize], ex.regs[*b as usize])?;
     Ok(Ctl::Next)
 }
 
@@ -440,7 +380,7 @@ fn h_iter_init<V: Visitor>(ex: &mut Exec<'_, V>, op: &Op) -> Result<Ctl, EvalErr
     let Op::IterInit { state, iter } = op else { unreachable!("mis-dispatched opcode") };
     let space = ex.lp.plan.space();
     let realized = {
-        let view = SlotBindings {
+        let view = SlotView {
             names: &ex.lp.slot_names,
             slots: &ex.regs[..ex.n_slots],
             consts: space.consts(),
@@ -466,7 +406,7 @@ fn h_define_opaque<V: Visitor>(ex: &mut Exec<'_, V>, op: &Op) -> Result<Ctl, Eva
     let Op::DefineOpaque { derived, dst } = op else { unreachable!("mis-dispatched opcode") };
     let space = ex.lp.plan.space();
     let v = {
-        let view = SlotBindings {
+        let view = SlotView {
             names: &ex.lp.slot_names,
             slots: &ex.regs[..ex.n_slots],
             consts: space.consts(),
@@ -488,7 +428,7 @@ fn h_check_opaque<V: Visitor>(ex: &mut Exec<'_, V>, op: &Op) -> Result<Ctl, Eval
     let Op::CheckOpaque { constraint, to } = op else { unreachable!("mis-dispatched opcode") };
     let space = ex.lp.plan.space();
     let rejected = {
-        let view = SlotBindings {
+        let view = SlotView {
             names: &ex.lp.slot_names,
             slots: &ex.regs[..ex.n_slots],
             consts: space.consts(),

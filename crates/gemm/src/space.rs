@@ -461,16 +461,16 @@ mod tests {
         assert_eq!((soft, correctness), (4, 4));
     }
 
-    /// The peephole pass must pay for itself on the paper's own workload:
+    /// Point programs pay for themselves on the paper's own workload:
     /// across the lowered GEMM plan's derived/constraint expressions and
-    /// range bounds, optimized programs are never longer than the raw
-    /// flattening and are strictly shorter in aggregate (constant folds in
-    /// the `(dim + tile - 1) / tile`-style derived chains and redundant
-    /// bool normalization in the `&&`-chained constraints).
+    /// range bounds, a program has at most one instruction per operator of
+    /// its tree and strictly fewer in aggregate (leaves are operands, the
+    /// `|| 0` and `!= 0` of the reshape constraints fold away), and a
+    /// constant subtree in place of any literal folds back to that literal.
     #[test]
-    fn peephole_shrinks_lowered_gemm_programs() {
-        use beast_core::ir::{IntExpr, LBody, LIter, LStep, LoweredPlan};
-        use beast_engine::postfix::Postfix;
+    fn point_programs_fold_lowered_gemm_expressions() {
+        use beast_core::ir::{IntBinOp, IntExpr, LBody, LIter, LStep, LoweredPlan};
+        use beast_core::pointprog::PointProg;
 
         let space = build_gemm_space(&GemmSpaceParams::paper_default()).unwrap();
         let plan = Plan::new(&space, PlanOptions::default()).unwrap();
@@ -489,19 +489,57 @@ mod tests {
         }
         assert!(!exprs.is_empty(), "lowered GEMM plan has no integer expressions");
 
-        let mut raw_total = 0usize;
-        let mut opt_total = 0usize;
-        for e in exprs {
-            let raw = Postfix::compile_unoptimized(e).len();
-            let opt = Postfix::compile(e).len();
-            assert!(opt <= raw, "peephole grew a program ({opt} > {raw}) for {e:?}");
-            raw_total += raw;
-            opt_total += opt;
+        /// Operator (non-leaf) nodes of a tree.
+        fn operators(e: &IntExpr) -> usize {
+            let mut leaves = 0;
+            e.for_each_slot(&mut |_| leaves += 1);
+            e.op_count() as usize - leaves - consts(e)
         }
-        assert!(
-            opt_total < raw_total,
-            "peephole removed no ops across the GEMM plan ({opt_total} vs {raw_total})"
-        );
+        fn consts(e: &IntExpr) -> usize {
+            match e {
+                IntExpr::Const(_) => 1,
+                IntExpr::Slot(_) => 0,
+                IntExpr::Neg(a) | IntExpr::Not(a) | IntExpr::Abs(a) => consts(a),
+                IntExpr::Bin(_, a, b) | IntExpr::Call2(_, a, b) => consts(a) + consts(b),
+                IntExpr::Ternary(c, t, f) => consts(c) + consts(t) + consts(f),
+            }
+        }
+        /// `e` with its first literal `k` spelled `(k * 3) - (k * 2)`.
+        fn splice(e: &IntExpr) -> Option<IntExpr> {
+            let b = Box::new;
+            match e {
+                IntExpr::Const(k) => Some(IntExpr::Bin(
+                    IntBinOp::Sub,
+                    b(IntExpr::Bin(IntBinOp::Mul, b(IntExpr::Const(*k)), b(IntExpr::Const(3)))),
+                    b(IntExpr::Bin(IntBinOp::Mul, b(IntExpr::Const(*k)), b(IntExpr::Const(2)))),
+                )),
+                IntExpr::Slot(_) => None,
+                IntExpr::Neg(a) => splice(a).map(|a| IntExpr::Neg(b(a))),
+                IntExpr::Not(a) => splice(a).map(|a| IntExpr::Not(b(a))),
+                IntExpr::Abs(a) => splice(a).map(|a| IntExpr::Abs(b(a))),
+                IntExpr::Bin(op, x, y) => splice(x)
+                    .map(|x| IntExpr::Bin(*op, b(x), y.clone()))
+                    .or_else(|| splice(y).map(|y| IntExpr::Bin(*op, x.clone(), b(y)))),
+                IntExpr::Call2(f, x, y) => splice(x)
+                    .map(|x| IntExpr::Call2(*f, b(x), y.clone()))
+                    .or_else(|| splice(y).map(|y| IntExpr::Call2(*f, x.clone(), b(y)))),
+                IntExpr::Ternary(..) => None,
+            }
+        }
+
+        let (mut ins, mut ops, mut spliced) = (0usize, 0usize, 0usize);
+        for e in exprs {
+            let p = PointProg::compile(e);
+            assert!(p.len() <= operators(e), "{} instructions for {e}", p.len());
+            ins += p.len();
+            ops += operators(e);
+            if let Some(s) = splice(e) {
+                assert_eq!(PointProg::compile(&s), p, "spliced constant in {e}");
+                spliced += 1;
+            }
+        }
+        assert!(spliced > 0, "no GEMM expression holds a literal");
+        assert!(ins < ops, "nothing folded across the GEMM plan ({ins} vs {ops} operators)");
     }
 
     #[test]

@@ -11,9 +11,9 @@
 use std::sync::Arc;
 
 use beast_core::error::EvalError;
-use beast_core::ir::{LBody, LIter, LStep, LoweredPlan};
+use beast_core::ir::{LStep, LoweredPlan};
 use beast_core::iterator::Realized;
-use beast_engine::compiled::SlotBindings;
+use beast_core::pointprog::StepProgs;
 use beast_engine::point::Point;
 use rand::Rng;
 
@@ -38,6 +38,8 @@ pub struct SampleStats {
 /// sampling O(depth) instead of O(space).
 pub struct Sampler<'a, R: Rng> {
     lp: &'a LoweredPlan,
+    /// The plan's expressions, compiled once to point programs.
+    progs: StepProgs<'a>,
     rng: R,
     names: Arc<[Arc<str>]>,
     /// Counters.
@@ -48,7 +50,7 @@ impl<'a, R: Rng> Sampler<'a, R> {
     /// Create a sampler over a lowered plan.
     pub fn new(lp: &'a LoweredPlan, rng: R) -> Sampler<'a, R> {
         let names: Arc<[Arc<str>]> = Arc::from(lp.slot_names.clone().into_boxed_slice());
-        Sampler { lp, rng, names, stats: SampleStats::default() }
+        Sampler { lp, progs: StepProgs::new(lp), rng, names, stats: SampleStats::default() }
     }
 
     /// Variable names of produced points (slot order).
@@ -132,7 +134,6 @@ impl<'a, R: Rng> Sampler<'a, R> {
         const TRIES_PER_LEVEL: usize = 6;
         const BACKTRACK_BUDGET: usize = 4096;
 
-        let space = self.lp.plan.space();
         let mut slots = vec![0i64; self.lp.n_slots as usize];
         let mut frames: Vec<Frame> = Vec::new();
         let mut backtracks = BACKTRACK_BUDGET;
@@ -146,25 +147,8 @@ impl<'a, R: Rng> Sampler<'a, R> {
 
         loop {
             match &self.lp.steps[i] {
-                LStep::Bind { slot, domain, iter, .. } => {
-                    let realized = match domain {
-                        LIter::Range { start, stop, step } => Realized::Range {
-                            start: start.eval(&slots)?,
-                            stop: stop.eval(&slots)?,
-                            step: step.eval(&slots)?,
-                        },
-                        LIter::Values(v) => {
-                            Realized::Values(v.iter().map(|&x| x.into()).collect())
-                        }
-                        LIter::Opaque { .. } => {
-                            let view = SlotBindings {
-                                names: &self.lp.slot_names,
-                                slots: &slots,
-                                consts: space.consts(),
-                            };
-                            space.realize_iter(*iter, &view)?
-                        }
-                    };
+                LStep::Bind { slot, .. } => {
+                    let realized = self.progs.realize(i, &slots)?;
                     let len = realized.len();
                     if len == 0 {
                         self.stats.dead_ends += 1;
@@ -208,33 +192,12 @@ impl<'a, R: Rng> Sampler<'a, R> {
                     });
                     i += 1;
                 }
-                LStep::Define { slot, body, derived } => {
-                    slots[*slot as usize] = match body {
-                        LBody::Expr(e) => e.eval(&slots)?,
-                        LBody::Opaque => {
-                            let view = SlotBindings {
-                                names: &self.lp.slot_names,
-                                slots: &slots,
-                                consts: space.consts(),
-                            };
-                            space.deriveds()[*derived].kind.eval(&view)?.as_int()?
-                        }
-                    };
+                LStep::Define { slot, .. } => {
+                    slots[*slot as usize] = self.progs.define(i, &slots)?;
                     i += 1;
                 }
-                LStep::Check { constraint, body } => {
-                    let rejected = match body {
-                        LBody::Expr(e) => e.eval(&slots)? != 0,
-                        LBody::Opaque => {
-                            let view = SlotBindings {
-                                names: &self.lp.slot_names,
-                                slots: &slots,
-                                consts: space.consts(),
-                            };
-                            space.constraints()[*constraint].kind.rejects(&view)?
-                        }
-                    };
-                    if rejected {
+                LStep::Check { .. } => {
+                    if self.progs.rejects(i, &slots)? {
                         if !backtrack(&mut frames, &mut slots, &mut i, &mut backtracks, &mut self.rng) {
                             return Ok(None);
                         }
@@ -259,7 +222,6 @@ impl<'a, R: Rng> Sampler<'a, R> {
         iter_values: &[(u32, i64)],
     ) -> Result<Option<Point>, EvalError> {
         let mut slots = vec![0i64; self.lp.n_slots as usize];
-        let space = self.lp.plan.space();
         let value_of = |slot: u32| -> i64 {
             iter_values
                 .iter()
@@ -267,59 +229,20 @@ impl<'a, R: Rng> Sampler<'a, R> {
                 .map(|(_, v)| *v)
                 .expect("assignment covers every iterator slot")
         };
-        for step in &self.lp.steps {
+        for (i, step) in self.lp.steps.iter().enumerate() {
             match step {
-                LStep::Bind { slot, domain, iter, .. } => {
-                    let realized = match domain {
-                        LIter::Range { start, stop, step } => Realized::Range {
-                            start: start.eval(&slots)?,
-                            stop: stop.eval(&slots)?,
-                            step: step.eval(&slots)?,
-                        },
-                        LIter::Values(v) => {
-                            Realized::Values(v.iter().map(|&x| x.into()).collect())
-                        }
-                        LIter::Opaque { .. } => {
-                            let view = SlotBindings {
-                                names: &self.lp.slot_names,
-                                slots: &slots,
-                                consts: space.consts(),
-                            };
-                            space.realize_iter(*iter, &view)?
-                        }
-                    };
+                LStep::Bind { slot, .. } => {
                     let v = value_of(*slot);
-                    if !realized.contains_int(v) {
+                    if !self.progs.realize(i, &slots)?.contains_int(v) {
                         return Ok(None);
                     }
                     slots[*slot as usize] = v;
                 }
-                LStep::Define { slot, body, derived } => {
-                    slots[*slot as usize] = match body {
-                        LBody::Expr(e) => e.eval(&slots)?,
-                        LBody::Opaque => {
-                            let view = SlotBindings {
-                                names: &self.lp.slot_names,
-                                slots: &slots,
-                                consts: space.consts(),
-                            };
-                            space.deriveds()[*derived].kind.eval(&view)?.as_int()?
-                        }
-                    };
+                LStep::Define { slot, .. } => {
+                    slots[*slot as usize] = self.progs.define(i, &slots)?;
                 }
-                LStep::Check { constraint, body } => {
-                    let rejected = match body {
-                        LBody::Expr(e) => e.eval(&slots)? != 0,
-                        LBody::Opaque => {
-                            let view = SlotBindings {
-                                names: &self.lp.slot_names,
-                                slots: &slots,
-                                consts: space.consts(),
-                            };
-                            space.constraints()[*constraint].kind.rejects(&view)?
-                        }
-                    };
-                    if rejected {
+                LStep::Check { .. } => {
+                    if self.progs.rejects(i, &slots)? {
                         return Ok(None);
                     }
                 }

@@ -383,8 +383,8 @@ fn random_compare(rng: &mut Lcg, a: E, b: E) -> E {
     }
 }
 
-/// Property test: random postfix expressions over i64 extremes evaluated by
-/// the generated-and-compiled C program must agree with the IR interpreter
+/// Property test: random expressions over i64 extremes evaluated by the
+/// generated-and-compiled C program must agree with the compiled engine
 /// on survivors, per-constraint prune counts, and the XOR checksum of every
 /// variable at every surviving point. Exercises wrapping `+ - *` and the
 /// `/` / `%` edge cases (negative operands, `MIN / -1`, `MIN % -1`) that a

@@ -37,8 +37,8 @@ use beast_core::interval::{
 };
 use beast_core::ir::{IntBinOp, IntExpr, LBody, LIter, LStep};
 use beast_core::iterator::Realized;
+use beast_core::pointprog::PointProg;
 use beast_engine::parallel::run_parallel;
-use beast_engine::postfix::Postfix;
 
 const VARS: [&str; 3] = ["va", "vb", "vc"];
 
@@ -390,19 +390,63 @@ fn interval_analysis_is_sound() {
     assert!(unclean_cases > 0, "no possibly-failing expressions generated");
 }
 
-/// The peephole pass shortens the real GEMM plan's postfix programs: every
-/// program is no longer than its unoptimized form, and the plan as a whole
-/// gets strictly shorter (folded constant subtrees, elided `Jmp 0`s and
-/// redundant boolean normalizations).
+/// `e` with every constant leaf read from a fresh slot instead (numbered
+/// from `first`, values appended to `consts`): the same value, but nothing
+/// left for the point-program compiler to fold.
+fn hide_consts(e: &IntExpr, first: u32, consts: &mut Vec<i64>) -> IntExpr {
+    let mut rec = |x: &IntExpr| Box::new(hide_consts(x, first, consts));
+    match e {
+        IntExpr::Const(k) => {
+            consts.push(*k);
+            IntExpr::Slot(first + consts.len() as u32 - 1)
+        }
+        IntExpr::Slot(s) => IntExpr::Slot(*s),
+        IntExpr::Neg(a) => IntExpr::Neg(rec(a)),
+        IntExpr::Not(a) => IntExpr::Not(rec(a)),
+        IntExpr::Abs(a) => IntExpr::Abs(rec(a)),
+        IntExpr::Bin(op, a, b) => IntExpr::Bin(*op, rec(a), rec(b)),
+        IntExpr::Call2(f, a, b) => IntExpr::Call2(*f, rec(a), rec(b)),
+        IntExpr::Ternary(c, t, f) => IntExpr::Ternary(rec(c), rec(t), rec(f)),
+    }
+}
+
+/// Compile-time folding shortens the real GEMM plan's point programs: every
+/// program is no longer than the one compiled from the same tree with its
+/// constants hidden behind slots (where nothing folds), computes the same
+/// value, and the plan as a whole gets strictly shorter (`x || 0` and a
+/// `!= 0` after a 0/1 operand fold away). A constant subtree spliced in for
+/// any constant folds back to the same leaf operand, so the program does
+/// not change.
 #[test]
-fn gemm_postfix_peephole_reduces_ops() {
+fn gemm_point_program_folding_reduces_ops() {
     let params = beast::gemm::GemmSpaceParams::reduced(12);
     let space = beast::gemm::build_gemm_space(&params).unwrap();
     let plan = Plan::new(&space, PlanOptions::default()).unwrap();
     let lp = LoweredPlan::new(&plan).unwrap();
+    let n = lp.n_slots;
 
-    let mut raw_total = 0usize;
-    let mut opt_total = 0usize;
+    /// `c` spelled `(c + 7) - 7`.
+    fn splice(e: &IntExpr) -> IntExpr {
+        let b = Box::new;
+        let rec = |x: &IntExpr| b(splice(x));
+        match e {
+            IntExpr::Const(k) => IntExpr::Bin(
+                IntBinOp::Sub,
+                b(IntExpr::Bin(IntBinOp::Add, b(IntExpr::Const(*k)), b(IntExpr::Const(7)))),
+                b(IntExpr::Const(7)),
+            ),
+            IntExpr::Slot(_) => e.clone(),
+            IntExpr::Neg(a) => IntExpr::Neg(rec(a)),
+            IntExpr::Not(a) => IntExpr::Not(rec(a)),
+            IntExpr::Abs(a) => IntExpr::Abs(rec(a)),
+            IntExpr::Bin(op, x, y) => IntExpr::Bin(*op, rec(x), rec(y)),
+            IntExpr::Call2(f, x, y) => IntExpr::Call2(*f, rec(x), rec(y)),
+            IntExpr::Ternary(c, t, f) => IntExpr::Ternary(rec(c), rec(t), rec(f)),
+        }
+    }
+
+    let mut rng = StdRng::seed_from_u64(0xBEA5_700C);
+    let (mut folded_total, mut hidden_total, mut leaves) = (0usize, 0usize, 0usize);
     for step in &lp.steps {
         let exprs = match step {
             LStep::Define { body: LBody::Expr(e), .. }
@@ -413,17 +457,26 @@ fn gemm_postfix_peephole_reduces_ops() {
             _ => vec![],
         };
         for e in exprs {
-            let raw = Postfix::compile_unoptimized(e).len();
-            let opt = Postfix::compile(e).len();
-            assert!(opt <= raw, "peephole grew a program: {opt} > {raw} for {e:?}");
-            raw_total += raw;
-            opt_total += opt;
+            let folded = PointProg::compile(e);
+            let mut consts = Vec::new();
+            let hidden = PointProg::compile(&hide_consts(e, n, &mut consts));
+            assert!(folded.len() <= hidden.len(), "folding grew {e}: {folded:?} vs {hidden:?}");
+            for _ in 0..8 {
+                let mut slots: Vec<i64> = (0..n).map(|_| rng.gen_range(1i64..64)).collect();
+                let want = folded.eval(&slots);
+                slots.extend(&consts);
+                assert_eq!(hidden.eval(&slots), want, "{e} at {slots:?}");
+            }
+            assert_eq!(PointProg::compile(&splice(e)), folded, "a spliced constant in {e}");
+            folded_total += folded.len();
+            hidden_total += hidden.len();
+            leaves += usize::from(folded.is_empty());
         }
     }
-    assert!(raw_total > 0, "GEMM plan lowered to no programs at all");
+    assert!(leaves > 0, "no GEMM expression compiled to a leaf");
     assert!(
-        opt_total < raw_total,
-        "peephole found nothing to fold in the GEMM plan ({opt_total} vs {raw_total} ops)"
+        folded_total < hidden_total,
+        "folding found nothing in the GEMM plan ({folded_total} vs {hidden_total} instructions)"
     );
 }
 
@@ -861,4 +914,195 @@ fn register_evaluator_matches_the_recursive_references() {
     assert!(widened > 100 && unclean > 100, "widened {widened}, unclean {unclean}");
     assert!(residues > 100, "only {residues} residue facts");
     assert!(short_circuits > 0, "no short-circuit discarded an unclean operand");
+}
+
+/// Leaves of the point-program identity test: the `i64` extremes, the two
+/// divisors that fault (`0`, and `-1` under `i64::MIN`), and small values.
+const POINT_LEAVES: [i64; 9] = [i64::MIN, i64::MIN + 2, -7, -1, 0, 1, 3, i64::MAX - 1, i64::MAX];
+
+/// Random lowered expressions over four slots: every `IntBinOp`, every
+/// builtin, the unary operators and the ternary, over [`POINT_LEAVES`].
+fn arb_point_expr(rng: &mut StdRng, depth: usize) -> IntExpr {
+    if depth == 0 || rng.gen_bool(0.2) {
+        return if rng.gen_bool(0.4) {
+            IntExpr::Const(POINT_LEAVES[rng.gen_range(0..POINT_LEAVES.len())])
+        } else {
+            IntExpr::Slot(rng.gen_range(0u32..4))
+        };
+    }
+    use Builtin::{DivCeil, Gcd, Max, Min, RoundUp};
+    use IntBinOp::*;
+    const OPS: [IntBinOp; 14] =
+        [Add, Sub, Mul, Div, FloorDiv, Rem, Lt, Le, Gt, Ge, Eq, Ne, And, Or];
+    const BUILTINS: [Builtin; 5] = [Min, Max, DivCeil, Gcd, RoundUp];
+    let pick = rng.gen_range(0usize..23);
+    let mut sub = || Box::new(arb_point_expr(rng, depth - 1));
+    match pick {
+        0..=13 => IntExpr::Bin(OPS[pick], sub(), sub()),
+        14 => IntExpr::Neg(sub()),
+        15 => IntExpr::Not(sub()),
+        16 => IntExpr::Abs(sub()),
+        17 => IntExpr::Ternary(sub(), sub(), sub()),
+        _ => IntExpr::Call2(BUILTINS[pick - 18], sub(), sub()),
+    }
+}
+
+/// A right spine 24 operators deep whose left operands are computed, so
+/// every level holds a register while the rest of the spine runs: more
+/// registers than the local array, so the heap evaluator runs.
+fn deep_point_expr(rng: &mut StdRng) -> IntExpr {
+    use IntBinOp::*;
+    const SPINE: [IntBinOp; 8] = [Add, Sub, Mul, Lt, Ne, And, Or, Rem];
+    let mut e = arb_point_expr(rng, 2);
+    for _ in 0..24 {
+        let left = loop {
+            let l = arb_point_expr(rng, 2);
+            if !matches!(l, IntExpr::Const(_) | IntExpr::Slot(_)) {
+                break Box::new(l);
+            }
+        };
+        e = match rng.gen_range(0u32..10) {
+            0 => IntExpr::Call2(Builtin::Max, left, Box::new(e)),
+            1 => IntExpr::Ternary(left, Box::new(arb_point_expr(rng, 1)), Box::new(e)),
+            k => IntExpr::Bin(SPINE[k as usize - 2], left, Box::new(e)),
+        };
+    }
+    e
+}
+
+/// Is some slot-free subtree of `e` an evaluation that fails — the kind the
+/// constant folder must leave in the program?
+fn holds_failing_constant(e: &IntExpr) -> bool {
+    let mut reads = false;
+    e.for_each_slot(&mut |_| reads = true);
+    if !reads && e.eval(&[]).is_err() {
+        return true;
+    }
+    match e {
+        IntExpr::Const(_) | IntExpr::Slot(_) => false,
+        IntExpr::Neg(a) | IntExpr::Not(a) | IntExpr::Abs(a) => holds_failing_constant(a),
+        IntExpr::Bin(_, a, b) | IntExpr::Call2(_, a, b) => {
+            holds_failing_constant(a) || holds_failing_constant(b)
+        }
+        IntExpr::Ternary(c, t, f) => {
+            holds_failing_constant(c) || holds_failing_constant(t) || holds_failing_constant(f)
+        }
+    }
+}
+
+/// Does `e`'s root short-circuit past an operand that would have failed?
+fn skips_a_failing_operand(e: &IntExpr, slots: &[i64]) -> bool {
+    let fails = |x: &IntExpr| x.eval(slots).is_err();
+    match e {
+        IntExpr::Bin(IntBinOp::And, a, b) => a.eval(slots) == Ok(0) && fails(b),
+        IntExpr::Bin(IntBinOp::Or, a, b) => matches!(a.eval(slots), Ok(v) if v != 0) && fails(b),
+        IntExpr::Ternary(c, t, f) => match c.eval(slots) {
+            Ok(0) => fails(t),
+            Ok(_) => fails(f),
+            Err(_) => false,
+        },
+        _ => false,
+    }
+}
+
+/// The register-form point program is outcome-identical to the recursive
+/// reference: `PointProg::eval` returns exactly what `IntExpr::eval` does,
+/// error variant included, on random trees over every operator and
+/// builtin, `i64::MIN` / `MAX` constants and slots, zero and `-1` divisors
+/// — under `&&` / `||` / ternaries whose dead operand would fault, and in
+/// constant subtrees the folder must keep — and on spines deep enough to
+/// run the heap evaluator.
+#[test]
+fn point_programs_match_the_tree_evaluator() {
+    let mut rng = StdRng::seed_from_u64(0xBEA5_700B);
+    let mut exprs: Vec<IntExpr> = (0..4000).map(|_| arb_point_expr(&mut rng, 5)).collect();
+    exprs.extend((0..300).map(|_| deep_point_expr(&mut rng)));
+
+    let (mut div0, mut overflow, mut dead, mut kept, mut heap, mut heap_ok) = (0, 0, 0, 0, 0, 0);
+    for (case, e) in exprs.iter().enumerate() {
+        let prog = PointProg::compile(e);
+        let deep = prog.regs() as usize > beast_core::pointprog::LOCAL_REGS;
+        kept += u32::from(holds_failing_constant(e));
+        for _ in 0..6 {
+            let slots: Vec<i64> = (0..4)
+                .map(|_| match rng.gen_range(0u32..3) {
+                    0 => POINT_LEAVES[rng.gen_range(0..POINT_LEAVES.len())],
+                    _ => rng.gen_range(-9i64..10),
+                })
+                .collect();
+            let want = e.eval(&slots);
+            assert_eq!(prog.eval(&slots), want, "case {case}: {e} at {slots:?}");
+            div0 += u32::from(want == Err(beast_core::error::EvalError::DivisionByZero));
+            overflow += u32::from(want == Err(beast_core::error::EvalError::Overflow));
+            dead += u32::from(want.is_ok() && skips_a_failing_operand(e, &slots));
+            heap += u32::from(deep);
+            heap_ok += u32::from(deep && want.is_ok());
+        }
+    }
+    // The case set must reach every corner the evaluators could part on.
+    assert!(div0 > 100 && overflow > 10, "{div0} zero divisors, {overflow} overflows");
+    assert!(dead > 100, "only {dead} short-circuits past a failing operand");
+    assert!(kept > 100, "only {kept} trees hold a failing constant subtree");
+    assert!(heap > 100 && heap_ok > 10, "{heap} heap evaluations, {heap_ok} of them Ok");
+}
+
+/// `i64::MIN // -1` (and `div_ceil` / `round_up` reaching it) is an
+/// `Overflow` error in every evaluator — the walker, the VM, the compiled
+/// engine, the counter and both samplers — never a panic: a skip-point
+/// sweep records it as an `Error` fault and keeps the other points.
+#[test]
+fn floor_division_overflow_is_an_error_in_every_evaluator() {
+    use beast::search::{DirectSampler, Sampler};
+    use beast_core::analyze::count::Counter;
+    use beast_core::error::EvalError;
+    use beast_engine::fault::{FaultKind, FaultPolicy};
+    use beast_engine::parallel::{run_parallel_report, ParallelOptions};
+
+    let call = |f, x: E, y: E| E(Expr::Call(f, vec![x.0, y.0]));
+    for (name, q) in [
+        ("floor_div", var("a").floor_div(var("b"))),
+        ("div_ceil", call(Builtin::DivCeil, var("a") + 2, var("b"))),
+        ("round_up", call(Builtin::RoundUp, var("a") + 2, var("b"))),
+    ] {
+        let space = Space::builder("floor_overflow")
+            .list("a", [i64::MIN, 7])
+            .list("b", [-1i64, 2])
+            .derived("q", q)
+            .build()
+            .unwrap();
+        let plan = Plan::new(&space, PlanOptions::default()).unwrap();
+        let lp = LoweredPlan::new(&plan).unwrap();
+        fn root<T>(r: Result<T, EvalError>) -> Result<(), EvalError> {
+            r.map(|_| ()).map_err(|e| e.root().clone())
+        }
+        let overflow = Err(EvalError::Overflow);
+
+        let walker = Walker::new(&plan, LoopStyle::default());
+        assert_eq!(root(walker.run(CountVisitor::default())), overflow, "{name}: walker");
+        let vm = Vm::compile(&lp, VmStyle::NumericFor);
+        assert_eq!(root(vm.run(CountVisitor::default())), overflow, "{name}: VM");
+        let compiled = Compiled::new(lp.clone());
+        assert_eq!(root(compiled.run(CountVisitor::default())), overflow, "{name}: compiled");
+        assert_eq!(root(Counter::new(&lp).total()), overflow, "{name}: counter");
+        let direct = DirectSampler::new(&lp, StdRng::seed_from_u64(1));
+        assert_eq!(root(direct), overflow, "{name}: direct sampler");
+        let mut rejection = Sampler::new(&lp, StdRng::seed_from_u64(1));
+        assert_eq!(
+            root(rejection.evaluate_assignment(&[(0, i64::MIN), (1, -1)])),
+            overflow,
+            "{name}: rejection sampler"
+        );
+
+        let opts = ParallelOptions {
+            threads: 2,
+            chunk_count: 2,
+            fault_policy: FaultPolicy::SkipPoint,
+            ..ParallelOptions::default()
+        };
+        let (out, report) = run_parallel_report(&lp, &opts, CountVisitor::default).unwrap();
+        assert_eq!(out.visitor.count, 3, "{name}: the three other points survive");
+        assert_eq!(report.faults.len(), 1, "{name}: {:?}", report.faults);
+        assert_eq!(report.faults[0].kind, FaultKind::Error, "{name}");
+        assert_eq!(report.faults[0].error, EvalError::Overflow.to_string(), "{name}");
+    }
 }

@@ -238,3 +238,20 @@ fn direct_draws_and_neighbors_are_pinned_on_reduced32() {
 
 const DRAWS_FNV: &str = "a595b963e7c45bf8";
 const NEIGHBORS_FNV: &str = "2d56e0ff9051cf78";
+
+/// The rejection sampler's draws are pinned too: 1,000 seed-42 draws on
+/// reduced(16) hash to what the tree-walking sampler drew before its
+/// expressions became point programs (checksum computed on that commit).
+/// Any change to a realized domain, a define, a check or the random walk
+/// would move it.
+#[test]
+fn rejection_draws_are_pinned_on_reduced16() {
+    let lp = gemm16();
+    let mut sampler = Sampler::new(&lp, StdRng::seed_from_u64(42));
+    let draws: Vec<Point> =
+        (0..1_000).map(|_| sampler.sample(1_000_000).unwrap().expect("nonempty")).collect();
+    assert_eq!(format!("{:016x}", fnv1a(&draws)), REJECTION_FNV);
+    assert_eq!((sampler.stats.accepted, sampler.stats.rejected), (1_000, 9_717));
+}
+
+const REJECTION_FNV: &str = "650d25584578770a";
