@@ -23,7 +23,21 @@
 //!   value per entry. The counter solves for it with the engine's solver and
 //!   its no-wrap obligation ([`super::narrow::solve_affine`]) instead of
 //!   enumerating and storing the level; whatever the solver cannot prove
-//!   falls through to enumeration, which reproduces any error.
+//!   falls through to enumeration, which reproduces any error. When the
+//!   level's parent binds it as its very next step and the coefficient is
+//!   affine in the parent's slot ([`super::narrow::child_solves`]), the
+//!   parent evaluates the child's bounds, offset and coefficient parts once
+//!   per entry and solves the child from its own value loop: a value with
+//!   no hit is charged and counted as the child's solve would count it,
+//!   without descending.
+//! * **Free levels** — a uniform level (nothing below reads its slot) whose
+//!   run is empty (the next step binds or visits) and whose domain is a
+//!   range or a static list has no memo: no key, no hash, no index slot.
+//!   Its entry is the realized domain, one per-value count and the child's
+//!   link, recomputed on every visit; the child's memo already provides the
+//!   sharing, because the child's key is a subset of the free level's.
+//!   Survivor mode only: a tuple counter, which never draws, keeps the memo
+//!   at every level.
 //! * **Product-domain restriction** — before enumerating a level's realized
 //!   domain, the straight-line run of defines and checks at that level is
 //!   evaluated once over the interval × congruence product with the loop
@@ -38,10 +52,14 @@
 //!   `MIN_ABSTRACT_FANOUT` values.
 //!
 //! The per-level entries keep the feasible values with cumulative subtree
-//! counts, which is exactly the table a count-weighted *direct sampler*
-//! needs to draw uniform survivors with zero rejections in O(depth): see
-//! [`Counter::descend`], [`Counter::entry`] and `beast_search`'s
-//! `DirectSampler`.
+//! counts, and every feasible value links to the entry its subtree opens
+//! with (an [`EntryRef`]; the leaf below the innermost level). Once
+//! [`Counter::total`] returns, the tables are a linked structure from
+//! [`Counter::root`]: a count-weighted *direct sampler* draws uniform
+//! survivors with zero rejections in O(depth) by picking a value, writing
+//! its slot and following its link, without evaluating, hashing or solving
+//! anything — see [`Counter::entry`], [`Counter::fill_derived`] and
+//! `beast_search`'s `DirectSampler`.
 //!
 //! Counts saturate at `u128::MAX` (unreachable for any space that could
 //! ever be enumerated); work is bounded by a [`CountBudget`] so the linter
@@ -60,7 +78,7 @@ use crate::value::Value;
 
 use super::congruence::{cg_of_bind, cg_of_values, eval_product, Congruence};
 use super::footprint::suffix_footprints;
-use super::narrow::{narrowable_loops, solve_affine, Solved};
+use super::narrow::{child_solves, narrowable_loops, solve_affine, Solved};
 
 /// Work limits for a counting run. Exceeding either limit aborts the
 /// analysis ([`Counter::total`] returns `None`) rather than degrading to an
@@ -69,7 +87,7 @@ use super::narrow::{narrowable_loops, solve_affine, Solved};
 pub struct CountBudget {
     /// Maximum concrete values recursed into across the whole run.
     pub max_enumerated: u64,
-    /// Maximum memo entries kept alive.
+    /// Maximum memo entries kept alive, a free level's entries included.
     pub max_memo_entries: usize,
 }
 
@@ -88,12 +106,16 @@ pub struct LevelStats {
     pub depth: usize,
     /// Memo entries computed at this level (cache misses).
     pub entries: u64,
+    /// Entries of a free level, computed in closed form on every visit:
+    /// neither memo entries nor cache misses.
+    pub free: u64,
     /// Entries answered by solving the level's opening equality check:
     /// neither memo entries nor cache misses.
     pub solved: u64,
-    /// Realized domain values summed over computed entries.
+    /// Realized domain values summed over computed (memo and free) entries.
     pub domain_values: u64,
-    /// Values whose subtree count is nonzero, summed over computed entries.
+    /// Values whose subtree count is nonzero, summed over computed (memo
+    /// and free) entries.
     pub feasible_values: u64,
     /// Values skipped wholesale because their residue class was rejected by
     /// the abstract pass.
@@ -105,8 +127,9 @@ pub struct LevelStats {
 pub struct CountStats {
     /// Subtree counts answered from the footprint cache.
     pub cache_hits: u64,
-    /// Subtree counts computed by enumeration and stored (solved levels
-    /// are neither hits nor misses: see [`LevelStats::solved`]).
+    /// Subtree counts computed by enumeration and stored (solved and free
+    /// levels are neither hits nor misses: see [`LevelStats::solved`] and
+    /// [`LevelStats::free`]).
     pub cache_misses: u64,
     /// Concrete values recursed into.
     pub enumerated: u64,
@@ -118,8 +141,10 @@ pub struct CountStats {
     pub levels: Vec<LevelStats>,
 }
 
-/// A handle on the feasible domain of one loop level under one prefix, as
-/// [`Counter::descend`] finds it. [`Counter::entry`] reads it; it is only
+/// A link to the feasible domain of one loop level under one prefix, or to
+/// the leaf — the visit — below the innermost level. Every stored feasible
+/// value links to the entry its subtree opens with, and [`Counter::root`]
+/// to the outermost one; [`Counter::entry`] reads it. It is only
 /// meaningful to the counter that issued it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EntryRef(Repr);
@@ -128,84 +153,115 @@ pub struct EntryRef(Repr);
 enum Repr {
     /// No feasible value.
     Empty,
-    /// `len` pairs of level `level`'s arena, from `start`.
+    /// The visit: the prefix is one survivor.
+    Leaf,
+    /// `len` values of level `level`'s arena, from `start`.
     Stored { level: u32, start: u32, len: u32 },
-    /// A solved level's one feasible value and its (nonzero) subtree count.
-    Solved { value: [i64; 1], count: [u128; 1] },
+    /// Entry `index` of free level `level`.
+    Free { level: u32, index: u32 },
 }
 
 impl EntryRef {
     const EMPTY: EntryRef = EntryRef(Repr::Empty);
+    const LEAF: EntryRef = EntryRef(Repr::Leaf);
 }
 
 /// The feasible domain of one loop level under one dependency footprint:
-/// every value with a nonzero subtree count, in domain order, paired with
-/// the *cumulative* count up to and including that value. The last
-/// cumulative value is the level's total; cumulative form makes a
-/// count-weighted draw a binary search.
-#[derive(Debug, Clone, Copy)]
+/// every value with a nonzero subtree count, in domain order, with the
+/// *cumulative* count up to and including that value and the link to the
+/// entry its subtree opens with. The last cumulative value is the level's
+/// total; cumulative form makes a count-weighted draw a binary search, and
+/// on a free level, where every value has the same count, a division.
+#[derive(Debug, Clone)]
 pub struct LevelView<'a> {
-    values: &'a [i64],
-    cum: &'a [u128],
+    slot: u32,
+    values: Values<'a>,
+}
+
+#[derive(Debug, Clone)]
+enum Values<'a> {
+    Stored { values: &'a [i64], cum: &'a [u128], child: &'a [EntryRef] },
+    /// A free level's whole realized domain: every value opens the same
+    /// `count` survivors at `child`.
+    Free { domain: Domain<'a>, count: u128, child: EntryRef },
 }
 
 impl LevelView<'_> {
+    /// The slot the level binds.
+    pub fn slot(&self) -> u32 {
+        self.slot
+    }
+
     /// Total survivor count below this level.
     pub fn total(&self) -> u128 {
-        self.cum.last().copied().unwrap_or(0)
+        match &self.values {
+            Values::Stored { cum, .. } => cum.last().copied().unwrap_or(0),
+            Values::Free { domain, count, .. } => count.saturating_mul(domain.len() as u128),
+        }
     }
 
     /// Number of feasible values.
     pub fn len(&self) -> usize {
-        self.values.len()
+        match &self.values {
+            Values::Stored { values, .. } => values.len(),
+            Values::Free { domain, .. } => domain.len(),
+        }
     }
 
     /// True when no value survives.
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.len() == 0
     }
 
     /// The `i`-th feasible value (panics when `i ≥ len()`).
     pub fn value_at(&self, i: usize) -> i64 {
-        self.values[i]
+        match &self.values {
+            Values::Stored { values, .. } => values[i],
+            Values::Free { domain, .. } => {
+                assert!(i < domain.len(), "value {i} of a {}-value level", domain.len());
+                domain.nth(i)
+            }
+        }
     }
 
     /// Position of a feasible value.
     pub fn position_of(&self, v: i64) -> Option<usize> {
-        self.values.iter().position(|&x| x == v)
+        match &self.values {
+            Values::Stored { values, .. } => values.iter().position(|&x| x == v),
+            Values::Free { domain, .. } => domain.position_of(v),
+        }
+    }
+
+    /// The link below the `i`-th feasible value (panics when `i ≥ len()`).
+    pub fn child(&self, i: usize) -> EntryRef {
+        match &self.values {
+            Values::Stored { child, .. } => child[i],
+            Values::Free { domain, child, .. } => {
+                assert!(i < domain.len(), "value {i} of a {}-value level", domain.len());
+                *child
+            }
+        }
     }
 
     /// Count-weighted selection: map a survivor index `idx` in
-    /// `[0, total)` to `(value, remainder)` where `remainder` indexes the
-    /// survivors below that value — `None` when `idx ≥ total`. This is the
-    /// weighted-descent step: a single uniform index over the whole subtree
-    /// decomposes level by level into a unique survivor.
-    pub fn pick(&self, idx: u128) -> Option<(i64, u128)> {
-        let p = self.cum.partition_point(|&cum| cum <= idx);
-        let value = *self.values.get(p)?;
-        let prev = if p == 0 { 0 } else { self.cum[p - 1] };
-        Some((value, idx - prev))
+    /// `[0, total)` to `(position, remainder)` where `remainder` indexes the
+    /// survivors below the value at `position` — `None` when
+    /// `idx ≥ total`. This is the weighted-descent step: a single uniform
+    /// index over the whole subtree decomposes level by level into a unique
+    /// survivor.
+    pub fn pick(&self, idx: u128) -> Option<(usize, u128)> {
+        match &self.values {
+            Values::Stored { cum, .. } => {
+                let p = cum.partition_point(|&cum| cum <= idx);
+                let prev = if p == 0 { 0 } else { cum[p - 1] };
+                (p < cum.len()).then(|| (p, idx - prev))
+            }
+            Values::Free { domain, count, .. } => {
+                let k = idx.checked_div(*count)?;
+                (k < domain.len() as u128).then(|| (k as usize, idx % count))
+            }
+        }
     }
-}
-
-/// One step of a count-weighted descent (see [`Counter::descend`]).
-pub enum DescentStep {
-    /// The walk reached a loop level: pick a feasible value from
-    /// [`Counter::entry`]`(&entry)`, write it to `slot`, and continue from
-    /// `step + 1`.
-    Level {
-        /// Index of the `Bind` step in `lp.steps`.
-        step: usize,
-        /// Slot the level binds.
-        slot: u32,
-        /// The level's feasible values with cumulative subtree counts.
-        entry: EntryRef,
-    },
-    /// A survivor was reached; the slot array holds its values.
-    Done,
-    /// A check rejected the prefix (unreachable when every level picked a
-    /// feasible value).
-    Dead,
 }
 
 /// Maximum residue classes the abstract pre-pass will test per level.
@@ -232,8 +288,10 @@ fn key_hash(key: impl Iterator<Item = i64>) -> u64 {
 /// One loop level's memo. Entry `e`'s footprint key is
 /// `keys[e·w .. (e+1)·w]` (`w` = the level's footprint width) and its
 /// feasible values are the span `spans[e]` of the level's one `values` /
-/// `cum` arena. `index` holds entry ids, open-addressed with linear probing
-/// at load ≤ ½ over a power-of-two length.
+/// `cum` / `child` arena. `index` holds entry ids, open-addressed with
+/// linear probing at load ≤ ½ over a power-of-two length. A solved level's
+/// hits are one-value spans of the same arena that nothing looks up: only
+/// links reach them.
 ///
 /// Entries of one level are computed one at a time — computing one only
 /// recurses into deeper levels — so the entry being filled always owns the
@@ -245,6 +303,7 @@ struct Table {
     index: Vec<u32>,
     values: Vec<i64>,
     cum: Vec<u128>,
+    child: Vec<EntryRef>,
 }
 
 impl Table {
@@ -285,6 +344,19 @@ impl Table {
         self.keys.truncate(keys);
         self.values.truncate(values);
         self.cum.truncate(values);
+        self.child.truncate(values);
+    }
+
+    /// Append a feasible value to the arena.
+    fn push(&mut self, value: i64, cum: u128, child: EntryRef) {
+        self.values.push(value);
+        self.cum.push(cum);
+        self.child.push(child);
+    }
+
+    /// The arena from `start` to its end as a span; `None` past `u32`.
+    fn tail(&self, start: usize) -> Option<(u32, u32)> {
+        Some((u32::try_from(start).ok()?, u32::try_from(self.values.len() - start).ok()?))
     }
 
     /// Store the entry begun at `mark` — its key and values already at the
@@ -292,7 +364,7 @@ impl Table {
     /// `u32` index.
     fn insert(&mut self, w: usize, h: u64, (_, start): (usize, usize)) -> Option<u32> {
         let e = u32::try_from(self.spans.len()).ok().filter(|&e| e != VACANT)?;
-        let span = (u32::try_from(start).ok()?, u32::try_from(self.values.len() - start).ok()?);
+        let span = self.tail(start)?;
         if (self.spans.len() + 1) * 2 > self.index.len() {
             self.index = vec![VACANT; (self.index.len() * 2).max(16)];
             for old in 0..e {
@@ -320,7 +392,40 @@ impl Table {
     }
 }
 
+/// One entry of a free level: every value of its realized domain opens the
+/// same `count > 0` survivors at `child`. The domain is `len` values from
+/// `start` by `step` on a range level, the level's static list otherwise.
+struct FreeEntry {
+    start: i64,
+    step: i64,
+    len: usize,
+    count: u128,
+    child: EntryRef,
+}
+
+/// A child solve evaluated for one entry of its parent: the child's range,
+/// offset `k` and coefficient `c·x + d`, all independent of the parent's
+/// value `x`.
+struct ChildEntry {
+    c: i64,
+    d: i64,
+    k: i64,
+    start: i64,
+    step: i64,
+    len: u64,
+}
+
+impl ChildEntry {
+    /// The child's solve under parent value `x` (`None`: enumerate instead).
+    #[inline]
+    fn solve(&self, x: i64) -> Option<Solved> {
+        let a = self.c.wrapping_mul(x).wrapping_add(self.d);
+        solve_affine(a, self.k, self.start, self.step, self.len)
+    }
+}
+
 /// A realized loop domain in integer form.
+#[derive(Debug, Clone)]
 enum Domain<'a> {
     Range { start: i64, step: i64, len: usize },
     Ints(Cow<'a, [i64]>),
@@ -344,14 +449,33 @@ impl Domain<'_> {
             Domain::Ints(v) => v[k],
         }
     }
+
+    fn position_of(&self, v: i64) -> Option<usize> {
+        match self {
+            Domain::Range { start, step, len } => {
+                let (off, step) = (v as i128 - *start as i128, *step as i128);
+                let k = (step != 0 && off % step == 0).then(|| off / step)?;
+                (0..*len as i128).contains(&k).then_some(k as usize)
+            }
+            Domain::Ints(vs) => vs.iter().position(|&x| x == v),
+        }
+    }
 }
 
 /// Per loop level: what [`Counter::build`] learned about it, and its memo.
 struct Level {
+    /// Index of the level's `Bind` step, and the slot it binds.
+    step: usize,
+    slot: u32,
     /// The coefficient and offset of the equality check opening the level's
     /// body, when the level is solved rather than enumerated (survivor mode
     /// only).
     solve: Option<[PointProg; 2]>,
+    /// `c` and `d` of the next level's coefficient `c·x + d`, when this
+    /// level solves its child from its own value loop (survivor mode only).
+    child_solve: Option<[PointProg; 2]>,
+    /// A free level: entries in closed form, no memo (survivor mode only).
+    free: bool,
     /// The level's run (defines and checks up to the next loop) holds an
     /// expression check, which the abstract pre-pass could decide.
     run_has_check: bool,
@@ -359,6 +483,8 @@ struct Level {
     /// before the level — residue-filter candidates.
     rem_divisors: Vec<PointProg>,
     table: Table,
+    /// A free level's entries.
+    frees: Vec<FreeEntry>,
 }
 
 /// Memoized exact survivor counter over a lowered plan.
@@ -379,8 +505,10 @@ pub struct Counter<'a> {
     /// Per `Bind` step: level ordinal (outermost first).
     level_of: Vec<usize>,
     levels: Vec<Level>,
-    /// Memo entries stored across all levels.
+    /// Memo and free entries stored across all levels.
     memo_len: usize,
+    /// The link of the outermost level, set by [`Counter::total`].
+    root: EntryRef,
     /// Reused environments of the abstract pre-pass.
     iv_env: Vec<Interval>,
     cg_env: Vec<Congruence>,
@@ -417,10 +545,14 @@ impl<'a> Counter<'a> {
         // In tuple mode checks never run, so their reads do not constrain
         // the subtree: leaving them out both widens cache sharing and
         // enables the uniform-level product shortcut. For the same reason
-        // no level is solved there.
+        // no level is solved there; and a tuple counter never draws, so
+        // every level keeps its memo (a free level's per-visit recursion
+        // would cost tuple counts far more than the memo it saves).
         let footprints = suffix_footprints(lp, !ignore_checks);
-        let mut narrowings =
-            if ignore_checks { Vec::new() } else { narrowable_loops(lp) }.into_iter();
+        let narrowings = if ignore_checks { Vec::new() } else { narrowable_loops(lp) };
+        let mut parents = child_solves(lp, &narrowings).into_iter();
+        let mut narrowings = narrowings.into_iter();
+        let compile = |[a, b]: [&IntExpr; 2]| [PointProg::compile(a), PointProg::compile(b)];
 
         // Compiled abstract programs for every expression body.
         let progs: Vec<Option<IvProg>> = lp
@@ -440,12 +572,13 @@ impl<'a> Counter<'a> {
         // divisors must be fully bound when their level opens.
         let mut written = vec![false; lp.n_slots as usize];
         for (i, s) in lp.steps.iter().enumerate() {
-            if let LStep::Bind { depth, iter, .. } = s {
+            if let LStep::Bind { depth, iter, slot, domain } = s {
                 level_of[i] = levels.len();
                 level_stats.push(LevelStats {
                     name: space.iters()[*iter].name.clone(),
                     depth: *depth,
                     entries: 0,
+                    free: 0,
                     solved: 0,
                     domain_values: 0,
                     feasible_values: 0,
@@ -469,13 +602,25 @@ impl<'a> Counter<'a> {
                         _ => {}
                     }
                 }
+                // Uniform (as in `fill`) with an empty run, over a domain that
+                // realizes without a closure.
+                let free = !ignore_checks
+                    && matches!(domain, LIter::Range { .. } | LIter::Values(_))
+                    && matches!(lp.steps[i + 1], LStep::Bind { .. } | LStep::Visit)
+                    && footprints[i + 1].binary_search(slot).is_err();
                 levels.push(Level {
-                    solve: narrowings.next().flatten().map(|n| {
-                        [PointProg::compile(&n.check.coeff), PointProg::compile(&n.check.offset)]
-                    }),
+                    step: i,
+                    slot: *slot,
+                    solve: narrowings
+                        .next()
+                        .flatten()
+                        .map(|n| compile([&n.check.coeff, &n.check.offset])),
+                    child_solve: parents.next().flatten().map(|s| compile([&s.c, &s.d])),
+                    free,
                     run_has_check,
                     rem_divisors,
                     table: Table::default(),
+                    frees: Vec::new(),
                 });
             }
             if let LStep::Bind { slot, .. } | LStep::Define { slot, .. } = s {
@@ -494,6 +639,7 @@ impl<'a> Counter<'a> {
             level_of,
             levels,
             memo_len: 0,
+            root: EntryRef::EMPTY,
             iv_env: Vec::new(),
             cg_env: Vec::new(),
             scratch: IvScratch::default(),
@@ -502,11 +648,16 @@ impl<'a> Counter<'a> {
     }
 
     /// Exact survivor count of the whole space; `None` when the work budget
-    /// was exhausted before the count completed.
+    /// was exhausted before the count completed. A decided count also sets
+    /// [`Counter::root`].
     pub fn total(&mut self) -> Result<Option<u128>, EvalError> {
         let mut slots = vec![0i64; self.lp.n_slots as usize];
-        let c = self.count_from(0, &mut slots)?;
-        Ok((!self.aborted).then_some(c))
+        let (count, root) = self.count_from(0, &mut slots)?;
+        if self.aborted {
+            return Ok(None);
+        }
+        self.root = root;
+        Ok(Some(count))
     }
 
     /// Counters accumulated so far.
@@ -519,81 +670,91 @@ impl<'a> Counter<'a> {
         self.aborted
     }
 
-    /// Walk the straight-line steps from `from`, evaluating defines and
-    /// checks concretely against `slots`, until a loop level, a survivor or
-    /// a rejection is reached. Returns `None` when the work budget aborts
-    /// the underlying count (never happens after a successful
-    /// [`Counter::total`], whose tables then answer every level: stored
-    /// levels from the memo, solved levels by solving again).
-    pub fn descend(
-        &mut self,
-        from: usize,
-        slots: &mut [i64],
-    ) -> Result<Option<DescentStep>, EvalError> {
-        let lp = self.lp;
-        let mut i = from;
-        loop {
-            match &lp.steps[i] {
-                LStep::Visit => return Ok(Some(DescentStep::Done)),
-                LStep::Define { slot, .. } => {
-                    slots[*slot as usize] = self.points.define(i, slots)?;
-                    i += 1;
-                }
-                LStep::Check { .. } => {
-                    if !self.ignore_checks && self.points.rejects(i, slots)? {
-                        return Ok(Some(DescentStep::Dead));
-                    }
-                    i += 1;
-                }
-                LStep::Bind { slot, .. } => {
-                    let slot = *slot;
-                    let entry = self.entry_at(i, slots)?;
-                    if self.aborted {
-                        return Ok(None);
-                    }
-                    return Ok(Some(DescentStep::Level { step: i, slot, entry }));
-                }
-            }
-        }
+    /// The link a walk starts from once [`Counter::total`] has decided the
+    /// count: the outermost level's entry, the leaf when the plan binds
+    /// nothing, empty when nothing survives (or before the count).
+    pub fn root(&self) -> EntryRef {
+        self.root
     }
 
-    /// The feasible values behind a handle from [`Counter::descend`].
-    pub fn entry<'e>(&'e self, entry: &'e EntryRef) -> LevelView<'e> {
-        match &entry.0 {
-            Repr::Empty => LevelView { values: &[], cum: &[] },
-            Repr::Stored { level, start, len } => {
-                let table = &self.levels[*level as usize].table;
-                let span = *start as usize..*start as usize + *len as usize;
-                LevelView { values: &table.values[span.clone()], cum: &table.cum[span] }
+    /// The level behind a link; `None` at the leaf, where the walk has
+    /// written every bind slot of one survivor. The empty link reads as a
+    /// level without values.
+    pub fn entry(&self, link: EntryRef) -> Option<LevelView<'_>> {
+        let (lvl, values) = match link.0 {
+            Repr::Leaf => return None,
+            Repr::Empty => {
+                let values = Values::Stored { values: &[], cum: &[], child: &[] };
+                return Some(LevelView { slot: 0, values });
             }
-            Repr::Solved { value, count } => LevelView { values: value, cum: count },
+            Repr::Stored { level, start, len } => {
+                let lvl = &self.levels[level as usize];
+                let span = start as usize..start as usize + len as usize;
+                let values = Values::Stored {
+                    values: &lvl.table.values[span.clone()],
+                    cum: &lvl.table.cum[span.clone()],
+                    child: &lvl.table.child[span],
+                };
+                (lvl, values)
+            }
+            Repr::Free { level, index } => {
+                let lvl = &self.levels[level as usize];
+                let f = &lvl.frees[index as usize];
+                let domain = match &self.lp.steps[lvl.step] {
+                    LStep::Bind { domain: LIter::Values(v), .. } => Domain::Ints(Cow::Borrowed(v)),
+                    _ => Domain::Range { start: f.start, step: f.step, len: f.len },
+                };
+                (lvl, Values::Free { domain, count: f.count, child: f.child })
+            }
+        };
+        Some(LevelView { slot: lvl.slot, values })
+    }
+
+    /// Evaluate every define of the plan in step order against `slots`,
+    /// whose bind slots hold a survivor (a walk at the leaf): the derived
+    /// values that survivor carries.
+    pub fn fill_derived(&self, slots: &mut [i64]) -> Result<(), EvalError> {
+        for (i, step) in self.lp.steps.iter().enumerate() {
+            if let LStep::Define { slot, .. } = step {
+                slots[*slot as usize] = self.points.define(i, slots)?;
+            }
         }
+        Ok(())
+    }
+
+    /// Survivors below a link.
+    fn link_total(&self, link: EntryRef) -> u128 {
+        self.entry(link).map_or(1, |level| level.total())
     }
 
     /// Count survivors of the subtree rooted at step `from` under the bound
-    /// prefix in `slots`.
-    fn count_from(&mut self, from: usize, slots: &mut [i64]) -> Result<u128, EvalError> {
+    /// prefix in `slots`, with the link to the entry the subtree opens with.
+    fn count_from(
+        &mut self,
+        from: usize,
+        slots: &mut [i64],
+    ) -> Result<(u128, EntryRef), EvalError> {
         let lp = self.lp;
         let mut i = from;
         loop {
             if self.aborted {
-                return Ok(0);
+                return Ok((0, EntryRef::EMPTY));
             }
             match &lp.steps[i] {
-                LStep::Visit => return Ok(1),
+                LStep::Visit => return Ok((1, EntryRef::LEAF)),
                 LStep::Define { slot, .. } => {
                     slots[*slot as usize] = self.points.define(i, slots)?;
                     i += 1;
                 }
                 LStep::Check { .. } => {
                     if !self.ignore_checks && self.points.rejects(i, slots)? {
-                        return Ok(0);
+                        return Ok((0, EntryRef::EMPTY));
                     }
                     i += 1;
                 }
                 LStep::Bind { .. } => {
                     let entry = self.entry_at(i, slots)?;
-                    return Ok(self.entry(&entry).total());
+                    return Ok((self.link_total(entry), entry));
                 }
             }
         }
@@ -601,8 +762,9 @@ impl<'a> Counter<'a> {
 
     /// The feasible-domain entry of the loop level at step `i` under the
     /// bound prefix in `slots`: solved when the level opens with a solvable
-    /// equality check, answered from the footprint cache when the footprint
-    /// values match a previous subtree, computed (and stored) otherwise.
+    /// equality check, in closed form on a free level, answered from the
+    /// footprint cache when the footprint values match a previous subtree,
+    /// computed (and stored) otherwise.
     fn entry_at(&mut self, i: usize, slots: &mut [i64]) -> Result<EntryRef, EvalError> {
         let level = self.level_of[i];
         let lp = self.lp;
@@ -612,19 +774,10 @@ impl<'a> Counter<'a> {
         let slot = *slot as usize;
 
         if let Some(solved) = self.solve_level(level, i, domain, slots) {
-            self.stats.levels[level].solved += 1;
-            let Some(x) = solved.hit else { return Ok(EntryRef::EMPTY) };
-            if !self.charge_value() {
-                return Ok(EntryRef::EMPTY);
-            }
-            slots[slot] = x;
-            // Step `i + 1` is the solved check, which `x` passes.
-            let count = self.count_from(i + 2, slots)?;
-            return Ok(if count > 0 {
-                EntryRef(Repr::Solved { value: [x], count: [count] })
-            } else {
-                EntryRef::EMPTY
-            });
+            return self.solved_entry(level, i, solved, slots);
+        }
+        if self.levels[level].free {
+            return self.free_entry(level, i, domain, slots);
         }
 
         let fp = &self.footprints[i];
@@ -667,6 +820,89 @@ impl<'a> Counter<'a> {
         Ok(table.entry_ref(level, e))
     }
 
+    /// The entry of solved level `level` (bound at step `i`) once `solved`
+    /// is known: empty without a hit, otherwise the hit as a one-value span
+    /// of the level's arena, which only links reach.
+    fn solved_entry(
+        &mut self,
+        level: usize,
+        i: usize,
+        solved: Solved,
+        slots: &mut [i64],
+    ) -> Result<EntryRef, EvalError> {
+        self.stats.levels[level].solved += 1;
+        let Some(x) = solved.hit else { return Ok(EntryRef::EMPTY) };
+        if !self.charge_value() {
+            return Ok(EntryRef::EMPTY);
+        }
+        slots[self.levels[level].slot as usize] = x;
+        // Step `i + 1` is the solved check, which `x` passes.
+        let (count, child) = self.count_from(i + 2, slots)?;
+        if count == 0 {
+            return Ok(EntryRef::EMPTY);
+        }
+        let table = &mut self.levels[level].table;
+        let start = table.values.len();
+        table.push(x, count, child);
+        Ok(self.link_tail(level, start))
+    }
+
+    /// The entry of free level `level` (bound at step `i`): its realized
+    /// domain and one recursion for the first value, whose count and link
+    /// every value shares. Counted against the memo budget like the memo
+    /// entry it replaces, because it is kept alive the same way.
+    fn free_entry(
+        &mut self,
+        level: usize,
+        i: usize,
+        domain: &'a LIter,
+        slots: &mut [i64],
+    ) -> Result<EntryRef, EvalError> {
+        let dom = self.realize(i, domain, slots)?;
+        let len = dom.len();
+        let (count, child) = if len > 0 && self.charge_value() {
+            slots[self.levels[level].slot as usize] = dom.nth(0);
+            self.count_from(i + 1, slots)?
+        } else {
+            (0, EntryRef::EMPTY)
+        };
+        if self.aborted || self.memo_len >= self.budget.max_memo_entries {
+            self.aborted = true;
+            return Ok(EntryRef::EMPTY);
+        }
+        self.memo_len += 1;
+        let lvl = &mut self.stats.levels[level];
+        lvl.free += 1;
+        lvl.domain_values += len as u64;
+        if count == 0 {
+            return Ok(EntryRef::EMPTY);
+        }
+        lvl.feasible_values += len as u64;
+        let (start, step) = match dom {
+            Domain::Range { start, step, .. } => (start, step),
+            Domain::Ints(_) => (0, 0),
+        };
+        let frees = &mut self.levels[level].frees;
+        let Ok(index) = u32::try_from(frees.len()) else {
+            self.aborted = true;
+            return Ok(EntryRef::EMPTY);
+        };
+        frees.push(FreeEntry { start, step, len, count, child });
+        Ok(EntryRef(Repr::Free { level: level as u32, index }))
+    }
+
+    /// Link `level`'s arena from `start` to its end; a span past `u32`
+    /// aborts the count.
+    fn link_tail(&mut self, level: usize, start: usize) -> EntryRef {
+        match self.levels[level].table.tail(start) {
+            Some((start, len)) => EntryRef(Repr::Stored { level: level as u32, start, len }),
+            None => {
+                self.aborted = true;
+                EntryRef::EMPTY
+            }
+        }
+    }
+
     /// Solve level `level`'s opening equality check over its realized range
     /// under `slots`. `None` — enumerate instead — when the level is not
     /// solvable, when the range bounds, `a` or `k` fail to evaluate (the
@@ -689,6 +925,23 @@ impl<'a> Counter<'a> {
         solve_affine(a, k, start, step, len)
     }
 
+    /// The child solve of level `level` (bound at step `i`) for the entry
+    /// `slots` opens; `None` — every value takes the child's own path —
+    /// when the level has none or anything fails to evaluate.
+    fn child_entry(&self, level: usize, i: usize, slots: &[i64]) -> Option<ChildEntry> {
+        let [c, d] = self.levels[level].child_solve.as_ref()?;
+        let [_, offset] = self.levels[level + 1].solve.as_ref()?;
+        let (start, stop, step) = self.points.bounds(i + 1, slots).ok()?;
+        Some(ChildEntry {
+            c: c.eval(slots).ok()?,
+            d: d.eval(slots).ok()?,
+            k: offset.eval(slots).ok()?,
+            start,
+            step,
+            len: Realized::Range { start, stop, step }.len() as u64,
+        })
+    }
+
     /// Charge one concrete value to the budget; `false` once it is spent.
     fn charge_value(&mut self) -> bool {
         self.stats.enumerated += 1;
@@ -699,8 +952,9 @@ impl<'a> Counter<'a> {
     }
 
     /// Enumerate the level bound at step `i` under `slots` into the tail of
-    /// its arena: every feasible value with its cumulative subtree count.
-    /// Returns the realized length and the values residue classes skipped.
+    /// its arena: every feasible value with its cumulative subtree count and
+    /// its link. Returns the realized length and the values residue classes
+    /// skipped.
     fn fill(
         &mut self,
         i: usize,
@@ -721,14 +975,13 @@ impl<'a> Counter<'a> {
         if self.footprints[i + 1].binary_search(&(slot as u32)).is_err() {
             if self.charge_value() {
                 slots[slot] = dom.nth(0);
-                let c = self.count_from(i + 1, slots)?;
+                let (c, child) = self.count_from(i + 1, slots)?;
                 if c > 0 {
                     let table = &mut self.levels[level].table;
                     let mut cum = 0u128;
                     for k in 0..len {
                         cum = cum.saturating_add(c);
-                        table.values.push(dom.nth(k));
-                        table.cum.push(cum);
+                        table.push(dom.nth(k), cum, child);
                     }
                 }
             }
@@ -749,6 +1002,7 @@ impl<'a> Counter<'a> {
             }
             rejected_classes = self.rejected_residue_classes(i, level, slots, slot, &dom, iv);
         }
+        let child_solve = self.child_entry(level, i, slots);
         let mut cum = 0u128;
         let mut residue_skipped = 0u64;
         for k in 0..len {
@@ -763,12 +1017,18 @@ impl<'a> Counter<'a> {
                 break;
             }
             slots[slot] = v;
-            let c = self.count_from(i + 1, slots)?;
+            // The child's own solve, minus its evaluations; anything it
+            // declines goes down the child's own path.
+            let (c, child) = match child_solve.as_ref().and_then(|s| s.solve(v)) {
+                Some(solved) => {
+                    let child = self.solved_entry(level + 1, i + 1, solved, slots)?;
+                    (self.link_total(child), child)
+                }
+                None => self.count_from(i + 1, slots)?,
+            };
             if c > 0 {
                 cum = cum.saturating_add(c);
-                let table = &mut self.levels[level].table;
-                table.values.push(v);
-                table.cum.push(cum);
+                self.levels[level].table.push(v, cum, child);
             }
         }
         Ok((len as u64, residue_skipped))
@@ -971,7 +1231,7 @@ mod tests {
     use super::*;
     use crate::constraint::ConstraintClass;
     use crate::expr::var;
-    use crate::plan::{Plan, PlanOptions};
+    use crate::plan::{LoopOrder, Plan, PlanOptions};
     use crate::pointprog::SlotView;
     use crate::space::Space;
 
@@ -983,13 +1243,18 @@ mod tests {
     /// Brute-force survivor count by walking the plan recursively, every
     /// expression through the reference tree evaluator.
     fn brute_force(lp: &LoweredPlan) -> u128 {
+        brute_survivors(lp).len() as u128
+    }
+
+    /// Every survivor's slots, in loop order, by the same brute-force walk.
+    fn brute_survivors(lp: &LoweredPlan) -> Vec<Vec<i64>> {
         fn view<'v>(lp: &'v LoweredPlan, slots: &'v [i64]) -> SlotView<'v> {
             SlotView { names: &lp.slot_names, slots, consts: lp.plan.space().consts() }
         }
-        fn walk(lp: &LoweredPlan, i: usize, slots: &mut Vec<i64>) -> u128 {
+        fn walk(lp: &LoweredPlan, i: usize, slots: &mut Vec<i64>, out: &mut Vec<Vec<i64>>) {
             let space = lp.plan.space();
             match &lp.steps[i] {
-                LStep::Visit => 1,
+                LStep::Visit => out.push(slots.clone()),
                 LStep::Define { slot, body, derived } => {
                     slots[*slot as usize] = match body {
                         LBody::Expr(e) => e.eval(slots).unwrap(),
@@ -998,7 +1263,7 @@ mod tests {
                             v.unwrap().as_int().unwrap()
                         }
                     };
-                    walk(lp, i + 1, slots)
+                    walk(lp, i + 1, slots, out)
                 }
                 LStep::Check { constraint, body } => {
                     let rejects = match body {
@@ -1008,10 +1273,8 @@ mod tests {
                             .rejects(&view(lp, slots))
                             .unwrap(),
                     };
-                    if rejects {
-                        0
-                    } else {
-                        walk(lp, i + 1, slots)
+                    if !rejects {
+                        walk(lp, i + 1, slots, out)
                     }
                 }
                 LStep::Bind { slot, iter, domain, .. } => {
@@ -1028,18 +1291,43 @@ mod tests {
                             space.realize_iter(*iter, &view(lp, slots)).unwrap()
                         }
                     };
-                    let mut total = 0u128;
                     for k in 0..realized.len() {
                         slots[*slot as usize] =
                             realized.nth_value(k).unwrap().as_int().unwrap();
-                        total += walk(lp, i + 1, slots);
+                        walk(lp, i + 1, slots, out);
                     }
-                    total
                 }
             }
         }
-        let mut slots = vec![0i64; lp.n_slots as usize];
-        walk(lp, 0, &mut slots)
+        let (mut slots, mut out) = (vec![0i64; lp.n_slots as usize], Vec::new());
+        walk(lp, 0, &mut slots, &mut out);
+        out
+    }
+
+    /// The survivor at index `idx`, by walking the links from the root.
+    fn walk_links(counter: &Counter<'_>, mut idx: u128) -> Vec<i64> {
+        let mut slots = vec![0i64; counter.lp.n_slots as usize];
+        let mut link = counter.root();
+        while let Some(level) = counter.entry(link) {
+            let (k, rem) = level.pick(idx).expect("index inside the level");
+            slots[level.slot() as usize] = level.value_at(k);
+            link = level.child(k);
+            idx = rem;
+        }
+        counter.fill_derived(&mut slots).unwrap();
+        slots
+    }
+
+    /// Count `lp`, then check the total and that the link walk of every
+    /// index is the brute-force survivor of the same index.
+    fn assert_links_index_the_survivors(lp: &LoweredPlan) -> CountStats {
+        let want = brute_survivors(lp);
+        let mut counter = Counter::new(lp);
+        assert_eq!(counter.total().unwrap(), Some(want.len() as u128));
+        for (k, want) in want.iter().enumerate() {
+            assert_eq!(&walk_links(&counter, k as u128), want, "survivor {k}");
+        }
+        counter.stats().clone()
     }
 
     #[test]
@@ -1052,9 +1340,7 @@ mod tests {
             .constraint("over", ConstraintClass::Hard, var("ab").gt(var("cap")))
             .build()
             .unwrap();
-        let lp = lower(&space);
-        let mut counter = Counter::new(&lp);
-        assert_eq!(counter.total().unwrap(), Some(brute_force(&lp)));
+        assert_links_index_the_survivors(&lower(&space));
     }
 
     #[test]
@@ -1139,10 +1425,13 @@ mod tests {
 
     #[test]
     fn level_view_pick_is_a_weighted_inverse() {
-        let view = LevelView { values: &[10, 20, 40], cum: &[2, 3, 7] };
+        let child = [EntryRef::LEAF; 3];
+        let values = Values::Stored { values: &[10, 20, 40], cum: &[2, 3, 7], child: &child };
+        let view = LevelView { slot: 0, values };
         assert_eq!(view.total(), 7);
         assert_eq!(view.len(), 3);
-        let picks: Vec<(i64, u128)> = (0..7).map(|i| view.pick(i).unwrap()).collect();
+        let picks: Vec<(i64, u128)> =
+            (0..7).map(|i| view.pick(i).map(|(k, r)| (view.value_at(k), r)).unwrap()).collect();
         assert_eq!(
             picks,
             vec![(10, 0), (10, 1), (20, 0), (40, 0), (40, 1), (40, 2), (40, 3)]
@@ -1152,7 +1441,21 @@ mod tests {
         // Past the end, and on an empty level, `pick` answers `None`.
         assert_eq!(view.pick(7), None);
         assert_eq!(view.pick(u128::MAX), None);
-        assert_eq!(LevelView { values: &[], cum: &[] }.pick(0), None);
+        let empty = Values::Stored { values: &[], cum: &[], child: &[] };
+        assert_eq!(LevelView { slot: 0, values: empty }.pick(0), None);
+
+        // A free level: 4, 7, 10 with 3 survivors below each.
+        let domain = Domain::Range { start: 4, step: 3, len: 3 };
+        let values = Values::Free { domain, count: 3, child: EntryRef::LEAF };
+        let view = LevelView { slot: 0, values };
+        assert_eq!((view.total(), view.len()), (9, 3));
+        let picks: Vec<(i64, u128)> =
+            (0..9).map(|i| view.pick(i).map(|(k, r)| (view.value_at(k), r)).unwrap()).collect();
+        assert_eq!(picks[..4], [(4, 0), (4, 1), (4, 2), (7, 0)]);
+        assert_eq!(picks[8], (10, 2));
+        assert_eq!(view.pick(9), None);
+        let positions = [7, 8, 13, 1].map(|v| view.position_of(v));
+        assert_eq!(positions, [Some(1), None, None, None]);
     }
 
     #[test]
@@ -1175,8 +1478,7 @@ mod tests {
     fn insert_key(t: &mut Table, key: [i64; 2], h: u64, value: i64) -> u32 {
         let mark = t.mark();
         t.keys.extend(key);
-        t.values.push(value);
-        t.cum.push(1);
+        t.push(value, 1, EntryRef::LEAF);
         t.insert(2, h, mark).unwrap()
     }
 
@@ -1220,10 +1522,10 @@ mod tests {
         // A rolled-back entry leaves no trace in the arena or the keys.
         let mark = t.mark();
         t.keys.extend([1, 2]);
-        t.values.push(5);
-        t.cum.push(5);
+        t.push(5, 5, EntryRef::LEAF);
         t.rollback(mark);
         assert_eq!((t.keys.len(), t.values.len(), t.cum.len()), (20_000, 10_000, 10_000));
+        assert_eq!(t.child.len(), 10_000);
     }
 
     /// `x` opens with `o·x != t`: solved per entry, never stored, and the
@@ -1278,5 +1580,163 @@ mod tests {
         assert_eq!(Counter::new(&spelled).total().unwrap_err(), err);
         let x = counter.stats().levels.iter().find(|l| &*l.name == "x").unwrap();
         assert!(x.solved > 0, "o = 0 and 1 solve before o = 2 fails: {x:?}");
+    }
+
+    /// The links index exactly the brute-force survivors through a solved
+    /// level's one-value spans and a stored static list.
+    #[test]
+    fn links_index_solved_levels_and_lists() {
+        let space = Space::builder("links_solved")
+            .range("o", 1, 7)
+            .derived("t", var("o") * 12)
+            .range("x", 0, 40)
+            .constraint("ox", ConstraintClass::Hard, (var("o") * var("x")).ne(var("t")))
+            .list("w", [3i64, -1, 8])
+            .constraint("wx", ConstraintClass::Soft, (var("w") + var("x")).lt(0))
+            .build()
+            .unwrap();
+        assert_links_index_the_survivors(&lower(&space));
+    }
+
+    /// `u`, `v` and `s` are read by nothing and open empty runs: free levels
+    /// with no memo entry, over a range whose bounds read `a`, a static list
+    /// and a constant range. Unhoisted, every check runs after `s`, which
+    /// then keeps its memo. Tuple mode keeps a memo at every level.
+    #[test]
+    fn free_levels_are_counted_in_closed_form_and_indexed() {
+        let space = Space::builder("count_free")
+            .range("a", 1, 5)
+            .range("u", var("a"), var("a") * 2)
+            .range("b", 0, 6)
+            .constraint("ab", ConstraintClass::Hard, ((var("a") + var("b")) % 3).eq(0))
+            .list("v", [4i64, -4, 9])
+            .range("s", 0, 2)
+            .constraint("b4", ConstraintClass::Hard, var("b").gt(4))
+            .build()
+            .unwrap();
+        let order = LoopOrder::Explicit(["a", "u", "b", "v", "s"].map(String::from).to_vec());
+        let lower_with = |hoist| {
+            let options = PlanOptions { hoist, order: order.clone(), ..PlanOptions::default() };
+            LoweredPlan::new(&Plan::new(&space, options).unwrap()).unwrap()
+        };
+        let lp = lower_with(true);
+        let stats = assert_links_index_the_survivors(&lp);
+        let level = |name: &str| stats.levels.iter().find(|l| &*l.name == name).unwrap().clone();
+        for (name, free) in [("a", false), ("u", true), ("b", false), ("v", true), ("s", true)] {
+            let l = level(name);
+            assert_eq!((l.free > 0, l.entries > 0), (free, !free), "{l:?}");
+        }
+        // Each visit of `u` is one free entry: `a` has four values.
+        assert_eq!((level("u").free, level("u").domain_values), (4, 1 + 2 + 3 + 4));
+        let stats = assert_links_index_the_survivors(&lower_with(false));
+        let frees: Vec<bool> = stats.levels.iter().map(|l| l.free > 0).collect();
+        assert_eq!(frees, [false, true, false, true, false], "{stats:?}");
+        let mut tuples = Counter::tuples(&lp);
+        assert_eq!(tuples.total().unwrap(), Some(brute_tuples(&lp)));
+        assert!(tuples.stats().levels.iter().all(|l| l.free == 0), "{:?}", tuples.stats());
+    }
+
+    /// The tuple count of `lp` by brute force: the survivor walk of the
+    /// same plan with every check removed.
+    fn brute_tuples(lp: &LoweredPlan) -> u128 {
+        let mut unchecked = lp.clone();
+        unchecked.steps.retain(|s| !matches!(s, LStep::Check { .. }));
+        brute_force(&unchecked)
+    }
+
+    /// A free level's entries count against the memo budget, so a run
+    /// that fits only without them aborts.
+    #[test]
+    fn free_entries_count_against_the_memo_budget() {
+        let space = Space::builder("count_free_budget")
+            .range("a", 0, 40)
+            .range("u", 0, 3)
+            .range("b", 0, var("a") + 1)
+            .constraint("ab", ConstraintClass::Hard, (var("a") + var("b")).gt(50))
+            .build()
+            .unwrap();
+        let lp = lower(&space);
+        let mut free = Counter::new(&lp);
+        assert_eq!(free.total().unwrap(), Some(brute_force(&lp)));
+        let needed: u64 = free.stats().levels.iter().map(|l| l.entries + l.free).sum();
+        let needed = needed as usize;
+        let budget = |max_memo_entries| CountBudget { max_memo_entries, ..CountBudget::default() };
+        assert!(Counter::with_budget(&lp, budget(needed)).total().unwrap().is_some());
+        let mut short = Counter::with_budget(&lp, budget(needed - 1));
+        assert_eq!(short.total().unwrap(), None);
+    }
+
+    /// `n` opens with `m·n != t` and `m`'s next step binds it: `m` solves
+    /// `n` from its own value loop. Every counter equals the count of the
+    /// same space with `n`'s bound spelled to read `m` (`+ 0·m`), which the
+    /// recogniser refuses, so `n` solves itself; `c·x + d` zero at `m = 3`
+    /// takes `n`'s own path (enumeration) in both.
+    #[test]
+    fn a_parent_solves_its_child_with_the_childs_own_counters() {
+        let lowered = |spelled: bool, coeff: crate::expr::E| {
+            // `(m + 2) / 100` is 0 for every `m`, but reads it.
+            let stop = crate::expr::lit(30);
+            let stop = if spelled { stop + (var("m") + 2) / 100 } else { stop };
+            lower(
+                &Space::builder("count_parent")
+                    .constant("t", 24)
+                    .range("o", 1, 4)
+                    .range("m", -2, 9)
+                    .range("n", 1, stop)
+                    .constraint("mn", ConstraintClass::Hard, (coeff * var("n")).ne(var("t")))
+                    .range("y", 0, var("n") % 3 + 1)
+                    .constraint("oy", ConstraintClass::Soft, ((var("o") + var("y")) % 2).eq(0))
+                    .build()
+                    .unwrap(),
+            )
+        };
+        for coeff in [|| var("m"), || var("m") - 3, || var("o") * var("m") + var("o")] {
+            let (solved, spelled) = (lowered(false, coeff()), lowered(true, coeff()));
+            let loops = narrowable_loops(&solved);
+            assert!(child_solves(&solved, &loops)[1].is_some());
+            assert!(child_solves(&spelled, &narrowable_loops(&spelled))[1].is_none());
+            let stats = assert_links_index_the_survivors(&solved);
+            let mut reference = Counter::new(&spelled);
+            reference.total().unwrap();
+            assert_eq!(format!("{stats:?}"), format!("{:?}", reference.stats()));
+            assert!(stats.levels[2].solved > 0, "{stats:?}");
+        }
+    }
+
+    /// A coefficient part or an offset that faults at run time (`o = 2`)
+    /// sends the whole entry down the child's own path, which fails exactly
+    /// as the same check spelled past the recogniser fails.
+    #[test]
+    fn a_faulting_parent_solve_fails_like_enumeration() {
+        let lowered = |spelled: bool, offset: bool| {
+            let div = crate::expr::lit(12) / (var("o") - 2);
+            let first = if offset {
+                (var("m") * var("n")).ne(div)
+            } else {
+                (var("m") * div * var("n")).ne(var("t"))
+            };
+            lower(
+                &Space::builder("count_parent_fault")
+                    .constant("t", 12)
+                    .range("o", 0, 5)
+                    .range("m", 1, 7)
+                    .range("n", 1, 20)
+                    .constraint(
+                        "first",
+                        ConstraintClass::Correctness,
+                        if spelled { first.or(crate::expr::lit(0)) } else { first },
+                    )
+                    .build()
+                    .unwrap(),
+            )
+        };
+        for offset in [false, true] {
+            let (solved, spelled) = (lowered(false, offset), lowered(true, offset));
+            assert!(child_solves(&solved, &narrowable_loops(&solved))[1].is_some());
+            let mut counter = Counter::new(&solved);
+            let err = counter.total().unwrap_err();
+            assert_eq!(Counter::new(&spelled).total().unwrap_err(), err);
+            assert!(counter.stats().levels[2].solved > 0, "o = 0 and 1 solve before o = 2");
+        }
     }
 }

@@ -46,7 +46,7 @@ use crate::ir::{IntBinOp, IntExpr, LBody, LIter, LStep, LoweredPlan};
 use crate::space::NodeTarget;
 
 pub use congruence::{cg_of_bind, cg_of_values, eval_product, reduce, Congruence, Product};
-pub use count::{CountBudget, CountStats, Counter, DescentStep, EntryRef, LevelStats, LevelView};
+pub use count::{CountBudget, CountStats, Counter, EntryRef, LevelStats, LevelView};
 pub use diagnostics::{Diagnostic, LintReport, LintSummary, Severity};
 
 /// What the engine does with lint findings before a sweep (configured via

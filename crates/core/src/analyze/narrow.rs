@@ -21,6 +21,12 @@
 //! engine (`beast_engine::narrow`), the exact counter
 //! ([`super::count`]) and, as emitted C, the native worker.
 //!
+//! [`child_solves`] recognises one more shape on top: a loop whose very
+//! next step binds a narrowable loop with a coefficient affine in the
+//! parent's slot (GEMM's `dim_m_a` → `dim_n_a`). The counter then evaluates
+//! the child's bounds, offset and coefficient parts once per parent entry
+//! and solves the child from the parent's value loop.
+//!
 //! # The no-wrap proof obligation
 //!
 //! The check compares in ring arithmetic; the solver divides in ℤ. The two
@@ -195,6 +201,62 @@ pub fn narrowable_loops(lp: &LoweredPlan) -> Vec<Option<Narrowing>> {
     out
 }
 
+/// A loop that can run its child's solve itself: the very next step binds a
+/// [`Narrowing`] loop whose coefficient is `c · x + d` in this loop's slot
+/// `x`. Neither part reads `x`, and neither do the child's offset and range
+/// bounds, so one evaluation per entry of the parent serves every `x`; the
+/// child's coefficient at `x` is `c·x + d` in wrapping arithmetic.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ChildSolve {
+    /// Multiplier of the parent's slot in the child's coefficient.
+    pub c: IntExpr,
+    /// The parent-slot-free rest of the child's coefficient.
+    pub d: IntExpr,
+}
+
+/// Per loop of the plan (in bind order): the [`ChildSolve`] it admits, if
+/// any, given `loops` = [`narrowable_loops`]`(lp)`.
+///
+/// A loop qualifies when the step right after its bind binds a narrowable
+/// loop, that loop's coefficient is [`affine_in`] the parent's slot and
+/// actually reads it, and every slot read by `c`, `d`, the child's offset
+/// and its range bounds is written before the parent's bind. A define or a
+/// check between the two binds disqualifies the pair, and so do bounds that
+/// read the parent's slot.
+pub fn child_solves(lp: &LoweredPlan, loops: &[Option<Narrowing>]) -> Vec<Option<ChildSolve>> {
+    let mut written = vec![false; lp.n_slots as usize];
+    let mut out = Vec::with_capacity(loops.len());
+    for (i, step) in lp.steps.iter().enumerate() {
+        match step {
+            LStep::Bind { slot, .. } => {
+                let child = match lp.steps.get(i + 1) {
+                    Some(LStep::Bind { domain: LIter::Range { start, stop, step }, .. }) => {
+                        let n = loops.get(out.len() + 1).cloned().flatten();
+                        n.map(|n| (n, [start, stop, step]))
+                    }
+                    _ => None,
+                };
+                let solve = child.and_then(|(n, bounds)| {
+                    let Affine { coeff: Some(c), offset } = affine_in(&n.check.coeff, *slot)? else {
+                        return None;
+                    };
+                    let d = offset.unwrap_or(IntExpr::Const(0));
+                    let mut invariant = true;
+                    for e in [&c, &d, &n.check.offset].into_iter().chain(bounds) {
+                        e.for_each_slot(&mut |r| invariant &= written[r as usize]);
+                    }
+                    invariant.then_some(ChildSolve { c, d })
+                });
+                out.push(solve);
+                written[*slot as usize] = true;
+            }
+            LStep::Define { slot, .. } => written[*slot as usize] = true,
+            LStep::Check { .. } | LStep::Visit => {}
+        }
+    }
+    out
+}
+
 /// What [`solve_affine`] proved about one entry of a narrowable loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Solved {
@@ -233,7 +295,7 @@ pub fn solve_affine(a: i64, k: i64, start: i64, step: i64, len: u64) -> Option<S
 mod tests {
     use super::*;
     use crate::constraint::ConstraintClass;
-    use crate::expr::{lit, var};
+    use crate::expr::{lit, var, E};
     use crate::plan::{Plan, PlanOptions};
     use crate::space::Space;
 
@@ -389,6 +451,97 @@ mod tests {
             .unwrap();
         behind.steps.insert(bind_y + 1, define);
         assert!(narrowable_loops(&behind).iter().all(Option::is_none));
+    }
+
+    /// The child solves of the nest `o`, `m`, `n` whose first check on `n`
+    /// is `check`, with `n` ranging over `1..stop`.
+    fn child_solves_of(check: E, stop: E) -> Vec<Option<ChildSolve>> {
+        let space = Space::builder("child")
+            .constant("t", 12)
+            .range("o", 1, 4)
+            .range("m", 1, 9)
+            .range("n", 1, stop)
+            .constraint("mn", ConstraintClass::Hard, check)
+            .build()
+            .unwrap();
+        let lp = lowered(&space);
+        child_solves(&lp, &narrowable_loops(&lp))
+    }
+
+    #[test]
+    fn child_solves_recognise_a_coefficient_affine_in_the_parent() {
+        // m·n != t: the coefficient is m itself, c = 1 and d = 0.
+        let solves = child_solves_of((var("m") * var("n")).ne(var("t")), lit(9));
+        assert_eq!(solves, [None, Some(ChildSolve { c: c(1), d: c(0) }), None]);
+        // (o + 2·m)·n != t - o: d and the offset read only the grandparent.
+        let e = ((var("o") + var("m") * 2) * var("n")).ne(var("t") - var("o"));
+        let space = Space::builder("child_o")
+            .constant("t", 12)
+            .range("o", 1, 4)
+            .range("m", 1, 9)
+            .range("n", var("o"), 9)
+            .constraint("mn", ConstraintClass::Hard, e)
+            .build()
+            .unwrap();
+        let lp = lowered(&space);
+        let loops = narrowable_loops(&lp);
+        let solve = child_solves(&lp, &loops)[1].clone().expect("recognised");
+        // c·m + d is the child's coefficient, in wrapping arithmetic, at
+        // every m the probe reaches.
+        let coeff = &loops[2].as_ref().unwrap().check.coeff;
+        let slot = |name: &str| lp.slot_names.iter().position(|n| &**n == name).unwrap();
+        let (o, m) = (slot("o"), slot("m"));
+        let mut slots = vec![0i64; lp.n_slots as usize];
+        for (ov, mv) in [(1, 1), (3, -7), (2, i64::MAX), (1, i64::MIN)] {
+            slots[o] = ov;
+            slots[m] = mv;
+            let (cv, dv) = (solve.c.eval(&slots).unwrap(), solve.d.eval(&slots).unwrap());
+            assert_eq!(cv.wrapping_mul(mv).wrapping_add(dv), coeff.eval(&slots).unwrap());
+        }
+    }
+
+    #[test]
+    fn child_solves_refuse_what_one_entry_evaluation_cannot_serve() {
+        // n's bounds read m.
+        let solves = child_solves_of((var("m") * var("n")).ne(var("t")), var("m") + 1);
+        assert_eq!(solves[1], None);
+        // The offset reads m.
+        let solves = child_solves_of((var("m") * var("n")).ne(var("m") + 12), lit(9));
+        assert_eq!(solves[1], None);
+        // The coefficient does not read m.
+        let solves = child_solves_of((var("n") * 3).ne(var("t")), lit(9));
+        assert_eq!(solves[1], None);
+        // m only reaches the coefficient through `m * m`.
+        let solves = child_solves_of((var("m") * var("m") * var("n")).ne(var("t")), lit(9));
+        assert_eq!(solves[1], None);
+
+        // A define between the two binds.
+        let space = Space::builder("child_define")
+            .constant("t", 12)
+            .range("m", 1, 9)
+            .range("n", 1, 9)
+            .derived("mm", var("m") * 2)
+            .constraint("mn", ConstraintClass::Hard, (var("mm") * var("n")).ne(var("t")))
+            .build()
+            .unwrap();
+        let lp = lowered(&space);
+        assert!(matches!(lp.steps[1], LStep::Define { .. }), "{:?}", lp.steps);
+        assert!(child_solves(&lp, &narrowable_loops(&lp)).iter().all(Option::is_none));
+        // A recognised pair with a define spliced in between is refused.
+        let space = Space::builder("child_splice")
+            .constant("t", 12)
+            .range("m", 1, 9)
+            .range("n", 1, 9)
+            .derived("nn", var("n") + 1)
+            .constraint("mn", ConstraintClass::Hard, (var("m") * var("n")).ne(var("t")))
+            .constraint("nn_big", ConstraintClass::Hard, var("nn").gt(5))
+            .build()
+            .unwrap();
+        let mut lp = lowered(&space);
+        assert!(child_solves(&lp, &narrowable_loops(&lp))[0].is_some(), "{:?}", lp.steps);
+        let define = lp.steps.iter().find(|s| matches!(s, LStep::Define { .. })).cloned();
+        lp.steps.insert(1, define.unwrap());
+        assert!(child_solves(&lp, &narrowable_loops(&lp)).iter().all(Option::is_none));
     }
 
     /// Ground truth by enumeration under the check's own (wrapping)

@@ -382,8 +382,10 @@ const ADAPT_EPOCH: u32 = 256;
 const CALIB_SAMPLES: usize = 8;
 
 /// Interpreter work units (loop advances + group executions) the whole
-/// calibration pass may spend. Fixed, so calibration costs at most the same
-/// 2–3 ms on every space (≈ 1 % of a reduced(32) GEMM sweep).
+/// calibration pass may spend. Fixed, so calibration costs about the same
+/// on every space: ≈ 1.2 ms of engine build on reduced(32) GEMM against
+/// 0.06 ms declared, about a tenth of a whole one-thread `repro sweep 32`
+/// (EXPERIMENTS.md, constraint scheduling).
 const CALIB_BUDGET: u64 = 1 << 14;
 
 /// Re-sort a group's evaluation order by observed kill rate per unit cost,

@@ -10,11 +10,17 @@
 //! index, so the draw is uniform over the *survivor set* (not merely
 //! per-dimension given the prefix, the documented bias of the rejection
 //! [`Sampler`](crate::Sampler)), and each sample costs O(depth × log
-//! level-width). Each level is read through a borrowed
-//! [`LevelView`] of the counter's flat tables: a stored level is one
-//! in-place memo probe, and a *solved* level (an equality check the
-//! counter solves instead of storing) is solved again, its one value
-//! passing the index through unchanged.
+//! level-width).
+//!
+//! A draw is a pure walk of the linked tables: from [`Counter::root`], read
+//! the level through a borrowed [`LevelView`], pick a value, write its slot
+//! and follow the value's child link, until the leaf. Nothing is evaluated,
+//! hashed or solved on the way — every value a link offers is one the count
+//! proved to survive, so no check runs either. At the leaf the plan's
+//! defines run once, in step order, to fill the derived slots
+//! ([`Counter::fill_derived`]). A free level (no memo: its entry is its
+//! domain, one count and one link) picks by a division, a solved level is a
+//! one-value span whose value passes the index through unchanged.
 //!
 //! The trade: counting up front costs a budgeted analysis pass (milliseconds
 //! on the paper's GEMM spaces, aborted with an error on spaces past the
@@ -23,7 +29,7 @@
 
 use std::sync::Arc;
 
-use beast_core::analyze::count::{Counter, DescentStep, LevelView};
+use beast_core::analyze::count::{Counter, LevelView};
 use beast_core::error::EvalError;
 use beast_core::ir::{LStep, LoweredPlan};
 use beast_engine::point::Point;
@@ -95,22 +101,14 @@ impl<'a, R: Rng> DirectSampler<'a, R> {
             )));
         }
         let mut slots = vec![0i64; self.lp.n_slots as usize];
-        let mut i = 0usize;
-        loop {
-            match self.step(i, &mut slots)? {
-                DescentStep::Done => {
-                    let values = slots.iter().map(|&v| v.into()).collect();
-                    return Ok(Point::new(Arc::clone(&self.names), values));
-                }
-                DescentStep::Level { step, slot, entry } => {
-                    let (value, rem) = pick(self.counter.entry(&entry), idx)?;
-                    slots[slot as usize] = value;
-                    idx = rem;
-                    i = step + 1;
-                }
-                DescentStep::Dead => unreachable!("descent picked an infeasible value"),
-            }
+        let mut link = self.counter.root();
+        while let Some(level) = self.counter.entry(link) {
+            let (k, rem) = pick(&level, idx)?;
+            slots[level.slot() as usize] = level.value_at(k);
+            link = level.child(k);
+            idx = rem;
         }
+        self.point(slots)
     }
 
     /// Draw a random neighbor of a surviving point: one iterator dimension
@@ -154,67 +152,50 @@ impl<'a, R: Rng> DirectSampler<'a, R> {
         mutate: u32,
     ) -> Result<Option<Point>, EvalError> {
         let mut slots = vec![0i64; self.lp.n_slots as usize];
-        let mut i = 0usize;
-        loop {
-            match self.step(i, &mut slots)? {
-                DescentStep::Done => {
-                    let values = slots.iter().map(|&v| v.into()).collect();
-                    return Ok(Some(Point::new(Arc::clone(&self.names), values)));
+        let mut link = self.counter.root();
+        while let Some(level) = self.counter.entry(link) {
+            let slot = level.slot();
+            let reference_value =
+                reference.get(&self.lp.slot_names[slot as usize]).and_then(|v| v.as_int().ok());
+            let k = if slot == mutate {
+                // Forced move: a different feasible value.
+                let cur = reference_value.and_then(|c| level.position_of(c));
+                if level.len() == usize::from(cur.is_some()) {
+                    return Ok(None);
                 }
-                DescentStep::Dead => unreachable!("descent picked an infeasible value"),
-                DescentStep::Level { step, slot, entry } => {
-                    let entry = self.counter.entry(&entry);
-                    let reference_value = reference
-                        .get(&self.lp.slot_names[slot as usize])
-                        .and_then(|v| v.as_int().ok());
-                    let value = if slot == mutate {
-                        // Forced move: a different feasible value.
-                        let cur = reference_value;
-                        let n = entry.len();
-                        let alternatives =
-                            n - usize::from(cur.is_some_and(|c| entry.position_of(c).is_some()));
-                        if alternatives == 0 {
-                            return Ok(None);
-                        }
-                        loop {
-                            let k = self.rng.gen_range(0..n);
-                            let cand = entry.value_at(k);
-                            if Some(cand) != cur {
-                                break cand;
-                            }
-                        }
-                    } else if let Some(cur) =
-                        reference_value.filter(|c| entry.position_of(*c).is_some())
-                    {
-                        // Keep the reference value while it stays feasible.
-                        cur
-                    } else {
-                        // Invalidated by the mutation: count-weighted redraw
-                        // so the repaired suffix stays survivor-uniform.
-                        let r = uniform_u128(&mut self.rng, entry.total());
-                        pick(entry, r)?.0
-                    };
-                    slots[slot as usize] = value;
-                    i = step + 1;
+                loop {
+                    let k = self.rng.gen_range(0..level.len());
+                    if cur.is_none_or(|c| level.value_at(k) != level.value_at(c)) {
+                        break k;
+                    }
                 }
-            }
+            } else if let Some(k) = reference_value.and_then(|c| level.position_of(c)) {
+                // Keep the reference value while it stays feasible.
+                k
+            } else {
+                // Invalidated by the mutation: count-weighted redraw so the
+                // repaired suffix stays survivor-uniform.
+                let r = uniform_u128(&mut self.rng, level.total());
+                pick(&level, r)?.0
+            };
+            slots[slot as usize] = level.value_at(k);
+            link = level.child(k);
         }
+        self.point(slots).map(Some)
     }
 
-    /// Advance the concrete walk to the next loop level via the counter's
-    /// cache. After the eager count in [`DirectSampler::new`], the counter
-    /// can no longer abort — map that impossible state to an error instead
-    /// of panicking.
-    fn step(&mut self, i: usize, slots: &mut [i64]) -> Result<DescentStep, EvalError> {
-        self.counter.descend(i, slots)?.ok_or_else(|| {
-            EvalError::Custom("direct sampler: counting budget exhausted mid-descent".into())
-        })
+    /// The survivor whose bind slots a walk wrote, with its derived slots
+    /// filled in.
+    fn point(&self, mut slots: Vec<i64>) -> Result<Point, EvalError> {
+        self.counter.fill_derived(&mut slots)?;
+        let values = slots.iter().map(|&v| v.into()).collect();
+        Ok(Point::new(Arc::clone(&self.names), values))
     }
 }
 
 /// One weighted-descent step, with an index past the level's count — which
-/// a consistent descent never produces — reported instead of indexed.
-fn pick(entry: LevelView<'_>, idx: u128) -> Result<(i64, u128), EvalError> {
+/// a consistent walk never produces — reported instead of indexed.
+fn pick(entry: &LevelView<'_>, idx: u128) -> Result<(usize, u128), EvalError> {
     entry.pick(idx).ok_or_else(|| {
         EvalError::Custom(format!(
             "direct sampler: index {idx} past a level's {} survivors",

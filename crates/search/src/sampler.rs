@@ -216,23 +216,24 @@ impl<'a, R: Rng> Sampler<'a, R> {
     /// Re-evaluate a *complete* assignment of iterator values: recompute
     /// derived variables and constraints, returning the full point if every
     /// constraint passes and every iterator value lies in its (re-realized)
-    /// domain.
+    /// domain. An assignment missing an iterator the walk reaches is
+    /// [`EvalError::Unbound`] with that iterator's name.
     pub fn evaluate_assignment(
         &mut self,
         iter_values: &[(u32, i64)],
     ) -> Result<Option<Point>, EvalError> {
         let mut slots = vec![0i64; self.lp.n_slots as usize];
-        let value_of = |slot: u32| -> i64 {
+        let value_of = |slot: u32| -> Result<i64, EvalError> {
             iter_values
                 .iter()
                 .find(|(s, _)| *s == slot)
                 .map(|(_, v)| *v)
-                .expect("assignment covers every iterator slot")
+                .ok_or_else(|| EvalError::Unbound(self.lp.slot_names[slot as usize].to_string()))
         };
         for (i, step) in self.lp.steps.iter().enumerate() {
             match step {
                 LStep::Bind { slot, .. } => {
-                    let v = value_of(*slot);
+                    let v = value_of(*slot)?;
                     if !self.progs.realize(i, &slots)?.contains_int(v) {
                         return Ok(None);
                     }
@@ -386,6 +387,19 @@ mod tests {
         assert!(sampler.evaluate_assignment(&[(0, 2), (1, 5)]).unwrap().is_none());
         // a=7, b=28: ab=196 > 30 → constraint rejects.
         assert!(sampler.evaluate_assignment(&[(0, 7), (1, 28)]).unwrap().is_none());
+    }
+
+    #[test]
+    fn a_partial_assignment_names_the_missing_iterator() {
+        let space = mini();
+        let lp = lowered(&space);
+        let mut sampler = Sampler::new(&lp, StdRng::seed_from_u64(5));
+        let slot = |name: &str| lp.slot_names.iter().position(|n| &**n == name).unwrap() as u32;
+        let missing_b = sampler.evaluate_assignment(&[(slot("a"), 2)]);
+        assert_eq!(missing_b, Err(EvalError::Unbound("b".into())));
+        assert_eq!(sampler.evaluate_assignment(&[]), Err(EvalError::Unbound("a".into())));
+        // A value outside its domain still answers before a later gap.
+        assert_eq!(sampler.evaluate_assignment(&[(slot("a"), 20)]), Ok(None));
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! `tests/cross_backend.rs` (narrowed native C worker vs the same oracles)
 //! and `tests/replay.rs` (its `y` loop is read by nothing whenever `dy` is
 //! absent), which include this file by path. `replay_gen.rs` draws from the
-//! same [`Lcg`].
+//! same [`Lcg`]. [`generate_parent`] draws the parent-coefficient shapes
+//! `tests/counting.rs` runs the exact counter's in-parent solve on.
 
 use std::sync::Arc;
 
@@ -127,4 +128,95 @@ pub fn generate(seed: u64) -> Generated {
         b = b.constraint("dy", ConstraintClass::Soft, ((var("d") + var("y")) % 3).eq(0));
     }
     Generated { space: b.build().unwrap(), must_enumerate: as_list || shape == 8 }
+}
+
+/// What [`generate_parent`] built.
+#[allow(dead_code)]
+pub struct ParentGenerated {
+    pub space: Arc<Space>,
+    /// The exact counter solves `x` from `o`'s value loop: the recogniser
+    /// must accept the pair exactly then.
+    pub in_parent: bool,
+}
+
+/// One random space around a solvable child `x` whose coefficient is
+/// affine in its parent `o`:
+///
+/// ```text
+/// g in 0..g_len
+///   o in o_start .. o_start + o_len
+///     [oo = c·o + d]                 a define between the binds: refused
+///     x in range_step(start, stop [+ o], step)        bounds over o: refused
+///       check (c·o + d)·x != k       spelled four ways
+///       d = 3x + o
+///       y in 0 .. 1 + |x| % 2
+///         [check (d + y) % 3 == 0]
+/// ```
+///
+/// `c·o + d` is small, zero at one `o`, over the grandparent `g`, faulting
+/// at `g = 1` (`c = 12 / (g - 1)`) or wrap-adjacent; `k` is a constant, a
+/// multiple of `g` or faults at `g = 1`. `spelled` writes the check as
+/// `… || 0`, which nothing narrows: the enumerating path's twin.
+#[allow(dead_code)]
+pub fn generate_parent(seed: u64, spelled: bool) -> ParentGenerated {
+    let mut rng = Lcg(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x0C0C);
+    let g = || var("g");
+    let o = || var("o");
+    let x = || var("x");
+
+    let g_len = 1 + rng.below(3) as i64;
+    let o_start = rng.of(&[-3i64, -1, 0, 1, 2]);
+    let o_len = 1 + rng.below(8) as i64;
+    let start = rng.of(&[-6i64, -1, 0, 1, 3]);
+    let step = rng.of(&[1i64, 1, 2, 3, -1, -2]);
+    let len = rng.below(14) as i64;
+    let c0 = rng.of(&[1i64, 2, -1, 3, -2]);
+    let zero_at = o_start + rng.below(o_len as usize) as i64;
+    let (c, d) = match rng.below(6) {
+        0 => (lit(c0), lit(rng.of(&[0i64, 1, -2, 5]))),
+        1 => (lit(c0), lit(-c0 * zero_at)),
+        2 => (g() + 1, lit(0) - g()),
+        3 => (lit(12) / (g() - 1), lit(1)),
+        4 => (lit(rng.of(&[1i64 << 62, i64::MAX / 3, i64::MIN / 2])), lit(rng.of(&[0i64, 1]))),
+        _ => (lit(c0), g()),
+    };
+    let k = match rng.below(6) {
+        0 => lit(12) / (g() - 1),
+        1 => g() * 6,
+        _ => lit(rng.of(&[0i64, 12, 24, -36, 7, 60])),
+    };
+    let bounds_read_o = rng.below(6) == 0;
+    let define_between = rng.below(6) == 0;
+
+    let mut b = Space::builder(&format!("parent_{seed}"))
+        .range("g", 0, g_len)
+        .range("o", o_start, o_start + o_len);
+    let coeff = if rng.below(2) == 0 { c * o() + d } else { d + o() * c };
+    let coeff = if define_between {
+        b = b.derived("oo", coeff);
+        var("oo")
+    } else {
+        coeff
+    };
+    let stop = lit(start + step * len);
+    b = b.range_step("x", start, if bounds_read_o { stop + o() } else { stop }, step);
+    let first = match rng.below(4) {
+        0 => (coeff * x()).ne(k),
+        1 => (x() * coeff).ne(k),
+        2 => k.ne(coeff * x()),
+        _ => (coeff * x() - k).ne(0),
+    };
+    b = b.constraint(
+        "first",
+        ConstraintClass::Correctness,
+        if spelled { first.or(lit(0)) } else { first },
+    );
+    b = b.derived("d", x() * 3 + o()).range("y", 0, lit(1) + (x() % 2 + 2) % 2 + 1);
+    if rng.below(2) == 0 {
+        b = b.constraint("dy", ConstraintClass::Soft, ((var("d") + var("y")) % 3).eq(0));
+    }
+    ParentGenerated {
+        space: b.build().unwrap(),
+        in_parent: !spelled && !bounds_read_o && !define_between,
+    }
 }

@@ -18,6 +18,10 @@ pub struct Generated {
     /// The loops that must replay, in nest order: read by nothing, not
     /// outermost, nothing opaque below.
     pub replayable: Vec<String>,
+    /// Every loop read by nothing, in nest order, but the opaque iterator:
+    /// the exact counter's free levels wherever the level's run is empty.
+    #[allow(dead_code)]
+    pub unread: Vec<String>,
 }
 
 /// One loop of the skeleton every space shares (each optional but `o`, `x`
@@ -153,5 +157,7 @@ pub fn generate(seed: u64) -> Generated {
         .filter(|(i, (_, read))| *i > 0 && !read && !opaque_below(*i))
         .map(|(_, (n, _))| n.clone())
         .collect();
-    Generated { space: b.build().unwrap(), order, replayable }
+    let unread =
+        nest.iter().filter(|(n, read)| !read && n != "q").map(|(n, _)| n.clone()).collect();
+    Generated { space: b.build().unwrap(), order, replayable, unread }
 }

@@ -8,6 +8,7 @@ use std::sync::Arc;
 use beast::gemm::{build_gemm_space, GemmSpaceParams};
 use beast::prelude::*;
 use beast::search::DirectSampler;
+use beast_core::analyze::narrow::{child_solves, narrowable_loops};
 use beast_core::analyze::{analyze_with_counts, CountBudget, Counter};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -184,6 +185,52 @@ fn budget_exhaustion_is_explicit() {
 #[path = "common/narrow_gen.rs"]
 mod narrow_gen;
 
+/// The survivors a count must equal: the walker's, or the VM's where the
+/// walker's *checked* arithmetic trips on a wrap the lowered plan computes
+/// (the VM wraps like the counter). Asserts `counted` against them, and
+/// says whether the walker answered; `None` when the count and every
+/// oracle fail.
+fn oracle_survivors(
+    lp: &LoweredPlan,
+    seed: u64,
+    counted: &Result<Option<u128>, EvalError>,
+) -> Option<(Vec<Point>, bool)> {
+    let walker = Walker::new(&lp.plan, LoopStyle::default());
+    let by_walker = walker.run(CollectVisitor::new(walker.point_names().clone(), usize::MAX));
+    let vm = Vm::compile(lp, VmStyle::NumericFor);
+    let by_vm = vm.run(CollectVisitor::new(vm.point_names().clone(), usize::MAX));
+    match (counted, by_walker, by_vm) {
+        (Ok(n), Ok(w), _) => {
+            assert_eq!(*n, Some(w.visitor.points.len() as u128), "seed {seed}: walker");
+            Some((w.visitor.points, true))
+        }
+        (Ok(n), Err(EvalError::Overflow), Ok(v)) => {
+            assert_eq!(*n, Some(v.visitor.points.len() as u128), "seed {seed}: VM");
+            Some((v.visitor.points, false))
+        }
+        (Err(_), Err(_), Err(_)) => None,
+        (n, w, v) => {
+            panic!("seed {seed}: counter {n:?}, walker {:?}, VM {:?}", w.err(), v.err())
+        }
+    }
+}
+
+/// On at most 64 survivors, check that `point_at` enumerates exactly
+/// `want`, in order, on every slot; returns whether it checked.
+fn indexes_like(lp: &LoweredPlan, seed: u64, want: &[Point]) -> bool {
+    if want.len() > 64 {
+        return false;
+    }
+    let mut sampler = DirectSampler::new(lp, StdRng::seed_from_u64(seed)).unwrap();
+    for (k, want) in want.iter().enumerate() {
+        let got = sampler.point_at(k as u128).unwrap();
+        for name in want.names().iter() {
+            assert_eq!(got.get(name), want.get(name), "seed {seed}: point {k}, `{name}`");
+        }
+    }
+    true
+}
+
 /// The loop-narrowing suite's 240 seeded spaces — solvable first checks
 /// with zero, negative, run-time-zero and `i64`-extreme coefficients,
 /// empty and negative-step ranges, hits at either end, inside, outside and
@@ -207,39 +254,96 @@ fn narrowing_spaces_count_and_index_like_the_walker() {
         }
         solved += levels_solved;
 
-        let walker = Walker::new(&lp.plan, LoopStyle::default());
-        let by_walker = walker.run(CollectVisitor::new(walker.point_names().clone(), usize::MAX));
-        let vm = Vm::compile(&lp, VmStyle::NumericFor);
-        let by_vm = vm.run(CollectVisitor::new(vm.point_names().clone(), usize::MAX));
-        let want = match (&counted, by_walker, by_vm) {
-            (Ok(n), Ok(w), _) => {
-                walked += 1;
-                assert_eq!(*n, Some(w.visitor.points.len() as u128), "seed {seed}: walker");
-                w.visitor.points
-            }
-            (Ok(n), Err(EvalError::Overflow), Ok(v)) => {
-                assert_eq!(*n, Some(v.visitor.points.len() as u128), "seed {seed}: VM");
-                v.visitor.points
-            }
-            (Err(_), Err(_), Err(_)) => continue,
-            (n, w, v) => {
-                panic!("seed {seed}: counter {n:?}, walker {:?}, VM {:?}", w.err(), v.err())
-            }
-        };
-        if want.len() > 64 {
-            continue;
-        }
-        indexed += 1;
-        let mut sampler = DirectSampler::new(&lp, StdRng::seed_from_u64(seed)).unwrap();
-        for (k, want) in want.iter().enumerate() {
-            let got = sampler.point_at(k as u128).unwrap();
-            for name in want.names().iter() {
-                assert_eq!(got.get(name), want.get(name), "seed {seed}: point {k}, `{name}`");
-            }
-        }
+        let Some((want, by_walker)) = oracle_survivors(&lp, seed, &counted) else { continue };
+        walked += u32::from(by_walker);
+        indexed += u32::from(indexes_like(&lp, seed, &want));
     }
     assert!(
         solved > 0 && walked > 100 && indexed > 100,
         "solved {solved} levels, walker agreed on {walked} spaces, indexed {indexed}"
+    );
+}
+
+/// Tuple mode keeps its memo at every level (no free levels): reduced(24)'s
+/// dependent tuple space stays decided within the default budget.
+#[test]
+fn gemm_reduced24_tuple_count_is_decided() {
+    let lp = lower(&build_gemm_space(&GemmSpaceParams::reduced(24)).unwrap());
+    let mut tuples = Counter::tuples(&lp);
+    assert_eq!(tuples.total().unwrap(), Some(165_294_930_944));
+    assert!(tuples.stats().levels.iter().all(|l| l.free == 0), "{:?}", tuples.stats());
+}
+
+#[path = "common/replay_gen.rs"]
+#[allow(dead_code)]
+mod replay_gen;
+
+/// Free levels on the replay suite's seeded spaces: unread loops at varied
+/// depths, adjacent or alone, outermost or not, with opaque steps below.
+/// Hoisted, every unread loop opens an empty run; unhoisted, the innermost
+/// loop's run holds every check. The count equals the walker's, the
+/// links index its survivors, and a level is counted in closed form
+/// (`free`, never `entries`) exactly where an unread loop opens an empty
+/// run.
+#[test]
+fn free_levels_count_and_index_like_the_walker() {
+    let (mut free_levels, mut kept, mut indexed) = (0u32, 0u32, 0u32);
+    for seed in 0..160u64 {
+        let g = replay_gen::generate(seed);
+        let innermost = g.order.last().unwrap();
+        for hoist in [true, false] {
+            let order = LoopOrder::Explicit(g.order.clone());
+            let options = PlanOptions { hoist, order, ..PlanOptions::default() };
+            let lp = LoweredPlan::new(&Plan::new(&g.space, options).unwrap()).unwrap();
+            let mut counter = Counter::new(&lp);
+            let counted = counter.total();
+            let (want, _) = oracle_survivors(&lp, seed, &counted)
+                .unwrap_or_else(|| panic!("seed {seed}: {counted:?}"));
+            indexed += u32::from(indexes_like(&lp, seed, &want));
+            for l in &counter.stats().levels {
+                let unread = g.unread.iter().any(|u| *u == *l.name);
+                if unread && (hoist || *innermost != *l.name) {
+                    assert_eq!((l.entries, l.solved), (0, 0), "seed {seed}, hoist {hoist}: {l:?}");
+                    free_levels += u32::from(l.free > 0);
+                } else {
+                    assert_eq!(l.free, 0, "seed {seed}, hoist {hoist}: {l:?}");
+                    kept += u32::from(unread && l.entries > 0);
+                }
+            }
+        }
+    }
+    assert!(
+        free_levels > 500 && kept > 40 && indexed > 80,
+        "{free_levels} free levels, {kept} unread levels kept a memo, {indexed} spaces indexed"
+    );
+}
+
+/// The in-parent solve on seeded parent-coefficient shapes: counts and
+/// indices equal the walker's (the VM's across a wrap), the recogniser
+/// accepts exactly the pairs the generator built to be solved from the
+/// parent, and a fault in `c` or `k` is the enumerating path's error.
+#[test]
+fn parent_solves_count_and_index_like_the_walker() {
+    let (mut in_parent, mut failed, mut indexed) = (0u32, 0u32, 0u32);
+    for seed in 0..240u64 {
+        let g = narrow_gen::generate_parent(seed, false);
+        let lp = lower(&g.space);
+        let solves = child_solves(&lp, &narrowable_loops(&lp));
+        assert_eq!(solves[1].is_some(), g.in_parent, "seed {seed}: {:?}", lp.steps);
+        in_parent += u32::from(g.in_parent);
+        let counted = Counter::new(&lp).total();
+        match oracle_survivors(&lp, seed, &counted) {
+            Some((want, _)) => indexed += u32::from(indexes_like(&lp, seed, &want)),
+            None => {
+                failed += 1;
+                let spelled = lower(&narrow_gen::generate_parent(seed, true).space);
+                let err = Counter::new(&spelled).total().unwrap_err();
+                assert_eq!(counted.unwrap_err(), err, "seed {seed}");
+            }
+        }
+    }
+    assert!(
+        in_parent > 120 && failed > 30 && indexed > 120,
+        "{in_parent} solved from the parent, {failed} failed, {indexed} indexed"
     );
 }

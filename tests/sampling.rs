@@ -116,6 +116,26 @@ fn gemm_sampling_is_deterministic_per_seed() {
     assert_ne!(draw(3), draw(4));
 }
 
+/// The index↔survivor bijection through the count tables' links, on every
+/// slot: on reduced(16), `point_at(k)` is the walker's `k`-th survivor for
+/// every `k`, bind slots and the derived slots filled at the leaf alike.
+#[test]
+fn gemm_point_at_is_the_walkers_kth_survivor_on_every_slot() {
+    let lp = gemm16();
+    let walker = Walker::new(&lp.plan, LoopStyle::default());
+    let run = walker.run(CollectVisitor::new(walker.point_names().clone(), usize::MAX));
+    let want = run.unwrap().visitor.points;
+    assert_eq!(want.len(), 1824);
+    let mut sampler = DirectSampler::new(&lp, StdRng::seed_from_u64(0)).unwrap();
+    for (k, want) in want.iter().enumerate() {
+        let got = sampler.point_at(k as u128).unwrap();
+        assert_eq!(got.names().len(), want.names().len(), "point {k}");
+        for name in want.names().iter() {
+            assert_eq!(got.get(name), want.get(name), "point {k}, `{name}`");
+        }
+    }
+}
+
 /// A small dependent space whose survivors can be enumerated outright:
 /// `a ∈ 1..9`, `b ∈ a..33 step a`, pruning `a·b > 30` — 42 survivors.
 fn small_space() -> Arc<Space> {
