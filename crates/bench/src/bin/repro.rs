@@ -767,7 +767,7 @@ fn count(dim: Option<i64>, json_path: Option<String>) {
     match survivors {
         Some(n) => outln!("survivors {n}  ({:.3}s)", t_surv.as_secs_f64()),
         None => outln!(
-            "survivors: counting budget exhausted after {:.3}s (enumerated {}, memo entries {}, free entries {})",
+            "survivors: counting budget exhausted after {:.3}s (enumerated {}, entries {}, free entries {})",
             t_surv.as_secs_f64(),
             stats.enumerated,
             stats.cache_misses,
@@ -797,14 +797,17 @@ fn count(dim: Option<i64>, json_path: Option<String>) {
     );
     if !stats.levels.is_empty() {
         outln!(
-            "{:<16} {:>5} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
-            "level", "depth", "entries", "free", "solved", "domain", "feasible", "res-skip"
+            "{:<16} {:>5} {:>5} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
+            "level", "depth", "memo", "hits", "entries", "free", "solved", "domain", "feasible",
+            "res-skip"
         );
         for l in &stats.levels {
             outln!(
-                "{:<16} {:>5} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
+                "{:<16} {:>5} {:>5} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
                 l.name,
                 l.depth,
+                l.memo,
+                l.hits,
                 l.entries,
                 l.free,
                 l.solved,
@@ -843,8 +846,8 @@ fn count(dim: Option<i64>, json_path: Option<String>) {
                 let mut name = String::new();
                 beast_core::analyze::diagnostics::json_escape_into(&mut name, &l.name);
                 format!(
-                    "{{\"name\":\"{name}\",\"depth\":{},\"entries\":{},\"free\":{},\"solved\":{},\"domain_values\":{},\"feasible_values\":{},\"residue_skipped\":{}}}",
-                    l.depth, l.entries, l.free, l.solved, l.domain_values, l.feasible_values, l.residue_skipped
+                    "{{\"name\":\"{name}\",\"depth\":{},\"memo\":{},\"hits\":{},\"entries\":{},\"free\":{},\"solved\":{},\"domain_values\":{},\"feasible_values\":{},\"residue_skipped\":{}}}",
+                    l.depth, l.memo, l.hits, l.entries, l.free, l.solved, l.domain_values, l.feasible_values, l.residue_skipped
                 )
             })
             .collect();

@@ -26,7 +26,7 @@
 
 use crate::expr::Builtin;
 use crate::interval::{Interval, IntervalOutcome, IvProg, IvScratch};
-use crate::ir::IntBinOp;
+use crate::ir::{IntBinOp, IntExpr, LBody, LIter, LStep};
 
 /// An element of the congruence domain: the set `{x : x ≡ r (mod m)}`.
 ///
@@ -412,6 +412,60 @@ pub(crate) fn cg_ternary(
     }
 }
 
+/// Is a check's verdict over the product always the interval half's own?
+/// True when the predicate's top operator is `<`, `<=`, `>`, `>=`, or
+/// `&&` / `||` / `!` over such predicates: the product's transfer answers
+/// ⊤ for a comparison, so after the reduction its congruence is a point
+/// exactly when its interval is one, and the logical operators' congruence
+/// decides exactly where their interval does. Such a check gains nothing
+/// from the congruence half.
+pub fn interval_decides(e: &IntExpr) -> bool {
+    match e {
+        IntExpr::Bin(IntBinOp::Lt | IntBinOp::Le | IntBinOp::Gt | IntBinOp::Ge, ..) => true,
+        IntExpr::Bin(IntBinOp::And | IntBinOp::Or, a, b) => {
+            interval_decides(a) && interval_decides(b)
+        }
+        IntExpr::Not(a) => interval_decides(a),
+        _ => false,
+    }
+}
+
+/// The congruence slice of a straight window of plan steps, evaluated in
+/// order over the product: per step, whether its congruence half can reach
+/// a verdict. Roots are the checks congruence can decide (every check but
+/// the [`interval_decides`] ones); the slice follows their reads backwards
+/// through defines and range binds (a bind's congruence reads its start and
+/// step, never its stop). A step outside the slice may run interval-only and
+/// leave ⊤ for its slot: nothing in the slice reads it. `n_slots` sizes the
+/// slot table.
+pub fn product_slice(steps: &[LStep], n_slots: usize) -> Vec<bool> {
+    let mut needed = vec![false; n_slots];
+    let mut slice = vec![false; steps.len()];
+    for (k, step) in steps.iter().enumerate().rev() {
+        let (kept, reads) = match step {
+            LStep::Check { body: LBody::Expr(e), .. } => (!interval_decides(e), [Some(e), None]),
+            LStep::Check { body: LBody::Opaque, .. } => (true, [None, None]),
+            LStep::Define { slot, body: LBody::Expr(e), .. } => {
+                (needed[*slot as usize], [Some(e), None])
+            }
+            LStep::Bind { slot, domain: LIter::Range { start, step, .. }, .. } => {
+                (needed[*slot as usize], [Some(start), Some(step)])
+            }
+            LStep::Define { slot, .. } | LStep::Bind { slot, .. } => {
+                (needed[*slot as usize], [None, None])
+            }
+            LStep::Visit => (false, [None, None]),
+        };
+        if kept {
+            for e in reads.into_iter().flatten() {
+                e.for_each_slot(&mut |s| needed[s as usize] = true);
+            }
+        }
+        slice[k] = kept;
+    }
+    slice
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -497,5 +551,47 @@ mod tests {
         assert_eq!(cg_of_values(&[6, 18, 30]), Congruence { m: 12, r: 6 });
         assert_eq!(cg_of_values(&[5]).as_point(), Some(5));
         assert!(cg_of_values(&[]).is_top());
+    }
+
+    /// The slice keeps the `%` and `==` checks with what they read — a
+    /// range bind through its start and step, never its stop — and drops
+    /// the comparisons, `&&` / `!` over comparisons, and the defines only
+    /// they read.
+    #[test]
+    fn the_slice_keeps_divisibility_and_equality_and_drops_comparisons() {
+        use crate::constraint::ConstraintClass;
+        use crate::expr::var;
+        use crate::ir::LoweredPlan;
+        use crate::plan::{Plan, PlanOptions};
+        use crate::space::Space;
+
+        let space = Space::builder("slice")
+            .range("a", 0, 10)
+            .derived("t", var("a") * 3)
+            .derived("u", var("t") + 1)
+            .constraint("u_big", ConstraintClass::Hard, var("u").gt(5))
+            .derived("v", var("a") + 2)
+            .constraint("v_rem", ConstraintClass::Hard, (var("v") % 4).ne(0))
+            .derived("w", var("t") - var("a"))
+            .constraint("w_and", ConstraintClass::Soft, var("w").lt(2).and(var("u").ge(9).not()))
+            .derived("s", var("a") + 1)
+            .range_step("b", var("a"), var("u"), var("s"))
+            .constraint("b_eq", ConstraintClass::Soft, var("b").eq(7))
+            .build()
+            .unwrap();
+        let lp = LoweredPlan::new(&Plan::new(&space, PlanOptions::default()).unwrap()).unwrap();
+        let label = |step: &LStep| match step {
+            LStep::Check { constraint, .. } => space.constraints()[*constraint].name.to_string(),
+            LStep::Visit => "visit".to_string(),
+            _ => lp.slot_names[step.written_slot().unwrap() as usize].to_string(),
+        };
+        let slice = product_slice(&lp.steps, lp.n_slots as usize);
+        let mut kept: Vec<String> =
+            lp.steps.iter().zip(&slice).filter(|(_, &k)| k).map(|(s, _)| label(s)).collect();
+        kept.sort();
+        assert_eq!(kept, ["a", "b", "b_eq", "s", "v", "v_rem"], "{:?}", lp.steps);
+        // One window of comparisons alone: nothing to evaluate over the product.
+        let u_big = lp.steps.iter().position(|s| label(s) == "u_big").unwrap();
+        assert_eq!(product_slice(&lp.steps[u_big - 1..=u_big], lp.n_slots as usize), [false; 2]);
     }
 }

@@ -18,6 +18,12 @@
 //!   the slots in place (no key is built to look one up), and every entry a
 //!   span of the level's one arena of `(value, cumulative count)` pairs. An
 //!   empty entry costs only its key, and the whole memo drops in O(levels).
+//! * **Unique-key levels** — where no two visits can present the same key
+//!   (`footprint::unique_key_levels`: the outermost level, and any
+//!   level whose key determines its nearest non-free ancestor's key and
+//!   value), a lookup could never hit. Such a level keeps no key, hash or
+//!   index slot: its entries are plain arena spans that only links reach.
+//!   Each still counts as a miss and against the memo budget.
 //! * **Solved levels** — a level whose body opens with a reject-unless-equal
 //!   check affine in its slot ([`super::narrow`]) has at most one feasible
 //!   value per entry. The counter solves for it with the engine's solver and
@@ -36,8 +42,8 @@
 //!   Its entry is the realized domain, one per-value count and the child's
 //!   link, recomputed on every visit; the child's memo already provides the
 //!   sharing, because the child's key is a subset of the free level's.
-//!   Survivor mode only: a tuple counter, which never draws, keeps the memo
-//!   at every level.
+//!   Survivor mode only: a tuple counter, which never draws, has no free
+//!   level.
 //! * **Product-domain restriction** — before enumerating a level's realized
 //!   domain, the straight-line run of defines and checks at that level is
 //!   evaluated once over the interval × congruence product with the loop
@@ -49,7 +55,9 @@
 //!   wholesale — the counting analog of the engine's congruence guards. Like
 //!   the engine's guards the pass runs only where it can pay: the run holds
 //!   a check, the level is not uniform, and the realized domain has at least
-//!   `MIN_ABSTRACT_FANOUT` values.
+//!   `MIN_ABSTRACT_FANOUT` values. Only the run's congruence slice
+//!   ([`super::congruence::product_slice`]) evaluates over the product; the
+//!   rest — a run of comparisons, typically — runs interval-only.
 //!
 //! The per-level entries keep the feasible values with cumulative subtree
 //! counts, and every feasible value links to the entry its subtree opens
@@ -76,8 +84,8 @@ use crate::iterator::Realized;
 use crate::pointprog::{PointProg, StepProgs};
 use crate::value::Value;
 
-use super::congruence::{cg_of_bind, cg_of_values, eval_product, Congruence};
-use super::footprint::suffix_footprints;
+use super::congruence::{cg_of_bind, cg_of_values, eval_product, product_slice, Congruence};
+use super::footprint::{suffix_footprints, unique_key_levels};
 use super::narrow::{child_solves, narrowable_loops, solve_affine, Solved};
 
 /// Work limits for a counting run. Exceeding either limit aborts the
@@ -87,7 +95,8 @@ use super::narrow::{child_solves, narrowable_loops, solve_affine, Solved};
 pub struct CountBudget {
     /// Maximum concrete values recursed into across the whole run.
     pub max_enumerated: u64,
-    /// Maximum memo entries kept alive, a free level's entries included.
+    /// Maximum table entries kept alive: memo entries, a unique-key level's
+    /// entries and a free level's entries.
     pub max_memo_entries: usize,
 }
 
@@ -104,7 +113,13 @@ pub struct LevelStats {
     pub name: Arc<str>,
     /// Loop depth.
     pub depth: usize,
-    /// Memo entries computed at this level (cache misses).
+    /// The level keeps a memo: its entries are looked up by footprint key.
+    /// Free and unique-key levels keep none.
+    pub memo: bool,
+    /// Entries answered from this level's memo (cache hits).
+    pub hits: u64,
+    /// Entries computed and stored at this level (cache misses), memoised
+    /// or, on a unique-key level, reached only by links.
     pub entries: u64,
     /// Entries of a free level, computed in closed form on every visit:
     /// neither memo entries nor cache misses.
@@ -127,9 +142,9 @@ pub struct LevelStats {
 pub struct CountStats {
     /// Subtree counts answered from the footprint cache.
     pub cache_hits: u64,
-    /// Subtree counts computed by enumeration and stored (solved and free
-    /// levels are neither hits nor misses: see [`LevelStats::solved`] and
-    /// [`LevelStats::free`]).
+    /// Subtree counts computed by enumeration and stored, memoised or not
+    /// (solved and free levels are neither hits nor misses: see
+    /// [`LevelStats::solved`] and [`LevelStats::free`]).
     pub cache_misses: u64,
     /// Concrete values recursed into.
     pub enumerated: u64,
@@ -291,7 +306,8 @@ fn key_hash(key: impl Iterator<Item = i64>) -> u64 {
 /// `cum` / `child` arena. `index` holds entry ids, open-addressed with
 /// linear probing at load ≤ ½ over a power-of-two length. A solved level's
 /// hits are one-value spans of the same arena that nothing looks up: only
-/// links reach them.
+/// links reach them. So are a unique-key level's entries, which store no
+/// key, span or index slot at all.
 ///
 /// Entries of one level are computed one at a time — computing one only
 /// recurses into deeper levels — so the entry being filled always owns the
@@ -476,6 +492,8 @@ struct Level {
     child_solve: Option<[PointProg; 2]>,
     /// A free level: entries in closed form, no memo (survivor mode only).
     free: bool,
+    /// Entries are looked up by footprint key: neither free nor unique-key.
+    memo: bool,
     /// The level's run (defines and checks up to the next loop) holds an
     /// expression check, which the abstract pre-pass could decide.
     run_has_check: bool,
@@ -500,6 +518,9 @@ pub struct Counter<'a> {
     footprints: Vec<Arc<[u32]>>,
     /// Per step: compiled interval program for expression bodies.
     progs: Vec<Option<IvProg>>,
+    /// Per step: in its level run's congruence slice, so the abstract
+    /// pre-pass evaluates it over the product rather than interval-only.
+    product: Vec<bool>,
     /// Per step: the concrete evaluator of defines, checks and bounds.
     points: StepProgs<'a>,
     /// Per `Bind` step: level ordinal (outermost first).
@@ -507,8 +528,10 @@ pub struct Counter<'a> {
     levels: Vec<Level>,
     /// Memo and free entries stored across all levels.
     memo_len: usize,
-    /// The link of the outermost level, set by [`Counter::total`].
+    /// The link of the outermost level and the count behind it, set once
+    /// [`Counter::total`] decides.
     root: EntryRef,
+    decided: Option<u128>,
     /// Reused environments of the abstract pre-pass.
     iv_env: Vec<Interval>,
     cg_env: Vec<Congruence>,
@@ -545,9 +568,9 @@ impl<'a> Counter<'a> {
         // In tuple mode checks never run, so their reads do not constrain
         // the subtree: leaving them out both widens cache sharing and
         // enables the uniform-level product shortcut. For the same reason
-        // no level is solved there; and a tuple counter never draws, so
-        // every level keeps its memo (a free level's per-visit recursion
-        // would cost tuple counts far more than the memo it saves).
+        // no level is solved there; and a tuple counter never draws, so no
+        // level is free (a free level's per-visit recursion would cost
+        // tuple counts far more than the memo it saves).
         let footprints = suffix_footprints(lp, !ignore_checks);
         let narrowings = if ignore_checks { Vec::new() } else { narrowable_loops(lp) };
         let mut parents = child_solves(lp, &narrowings).into_iter();
@@ -568,6 +591,7 @@ impl<'a> Counter<'a> {
         let mut level_of = vec![usize::MAX; lp.steps.len()];
         let mut levels = Vec::new();
         let mut level_stats = Vec::new();
+        let mut product = vec![false; lp.steps.len()];
         // Slots written strictly before the current step: residue-filter
         // divisors must be fully bound when their level opens.
         let mut written = vec![false; lp.n_slots as usize];
@@ -577,6 +601,8 @@ impl<'a> Counter<'a> {
                 level_stats.push(LevelStats {
                     name: space.iters()[*iter].name.clone(),
                     depth: *depth,
+                    memo: false,
+                    hits: 0,
                     entries: 0,
                     free: 0,
                     solved: 0,
@@ -584,22 +610,27 @@ impl<'a> Counter<'a> {
                     feasible_values: 0,
                     residue_skipped: 0,
                 });
+                // The level's run: its defines and checks up to the next
+                // loop or the visit.
+                let len = lp.steps[i + 1..]
+                    .iter()
+                    .position(|s| matches!(s, LStep::Bind { .. } | LStep::Visit))
+                    .expect("a plan ends with its visit");
+                let run = i + 1..i + 1 + len;
+                product[run.clone()]
+                    .copy_from_slice(&product_slice(&lp.steps[run.clone()], lp.n_slots as usize));
                 let mut run_has_check = false;
                 let mut rem_divisors = Vec::new();
-                for step in &lp.steps[i + 1..] {
-                    match step {
-                        LStep::Bind { .. } | LStep::Visit => break,
-                        LStep::Check { body: LBody::Expr(e), .. } => {
-                            run_has_check = true;
-                            collect_rem_divisors(e, &mut |d| {
-                                let mut ok = true;
-                                d.for_each_slot(&mut |s| ok &= written[s as usize]);
-                                if ok {
-                                    rem_divisors.push(PointProg::compile(d));
-                                }
-                            });
-                        }
-                        _ => {}
+                for step in &lp.steps[run] {
+                    if let LStep::Check { body: LBody::Expr(e), .. } = step {
+                        run_has_check = true;
+                        collect_rem_divisors(e, &mut |d| {
+                            let mut ok = true;
+                            d.for_each_slot(&mut |s| ok &= written[s as usize]);
+                            if ok {
+                                rem_divisors.push(PointProg::compile(d));
+                            }
+                        });
                     }
                 }
                 // Uniform (as in `fill`) with an empty run, over a domain that
@@ -617,15 +648,24 @@ impl<'a> Counter<'a> {
                         .map(|n| compile([&n.check.coeff, &n.check.offset])),
                     child_solve: parents.next().flatten().map(|s| compile([&s.c, &s.d])),
                     free,
+                    memo: !free,
                     run_has_check,
                     rem_divisors,
                     table: Table::default(),
                     frees: Vec::new(),
                 });
             }
-            if let LStep::Bind { slot, .. } | LStep::Define { slot, .. } = s {
-                written[*slot as usize] = true;
+            if let Some(slot) = s.written_slot() {
+                written[slot as usize] = true;
             }
+        }
+
+        let free: Vec<bool> = levels.iter().map(|l| l.free).collect();
+        let solved: Vec<bool> = levels.iter().map(|l| l.solve.is_some()).collect();
+        let unique = unique_key_levels(lp, &footprints, &free, &solved);
+        for ((level, stats), unique) in levels.iter_mut().zip(&mut level_stats).zip(unique) {
+            level.memo &= !unique;
+            stats.memo = level.memo;
         }
 
         Counter {
@@ -635,11 +675,13 @@ impl<'a> Counter<'a> {
             aborted: false,
             footprints,
             progs,
+            product,
             points: StepProgs::new(lp),
             level_of,
             levels,
             memo_len: 0,
             root: EntryRef::EMPTY,
+            decided: None,
             iv_env: Vec::new(),
             cg_env: Vec::new(),
             scratch: IvScratch::default(),
@@ -650,14 +692,21 @@ impl<'a> Counter<'a> {
     /// Exact survivor count of the whole space; `None` when the work budget
     /// was exhausted before the count completed. A decided count also sets
     /// [`Counter::root`].
+    ///
+    /// Once decided, later calls return the same count without a walk: a
+    /// second walk would refill every level that keeps no memo.
     pub fn total(&mut self) -> Result<Option<u128>, EvalError> {
+        if self.decided.is_some() {
+            return Ok(self.decided);
+        }
         let mut slots = vec![0i64; self.lp.n_slots as usize];
         let (count, root) = self.count_from(0, &mut slots)?;
         if self.aborted {
             return Ok(None);
         }
         self.root = root;
-        Ok(Some(count))
+        self.decided = Some(count);
+        Ok(self.decided)
     }
 
     /// Counters accumulated so far.
@@ -668,6 +717,25 @@ impl<'a> Counter<'a> {
     /// True when a budget limit stopped the analysis.
     pub fn aborted(&self) -> bool {
         self.aborted
+    }
+
+    /// Test hook: the same counter with a memo at every level that is not
+    /// free — unique-key levels included.
+    #[cfg(test)]
+    fn with_every_memo(mut self) -> Self {
+        for (level, stats) in self.levels.iter_mut().zip(&mut self.stats.levels) {
+            level.memo = !level.free;
+            stats.memo = level.memo;
+        }
+        self
+    }
+
+    /// Test hook: the same counter with every pre-pass step evaluated over
+    /// the product, as if every step were in its run's congruence slice.
+    #[cfg(test)]
+    fn with_full_product(mut self) -> Self {
+        self.product.fill(true);
+        self
     }
 
     /// The link a walk starts from once [`Counter::total`] has decided the
@@ -764,7 +832,8 @@ impl<'a> Counter<'a> {
     /// bound prefix in `slots`: solved when the level opens with a solvable
     /// equality check, in closed form on a free level, answered from the
     /// footprint cache when the footprint values match a previous subtree,
-    /// computed (and stored) otherwise.
+    /// computed (and stored) otherwise — on a unique-key level, without a
+    /// lookup or a key.
     fn entry_at(&mut self, i: usize, slots: &mut [i64]) -> Result<EntryRef, EvalError> {
         let level = self.level_of[i];
         let lp = self.lp;
@@ -780,18 +849,25 @@ impl<'a> Counter<'a> {
             return self.free_entry(level, i, domain, slots);
         }
 
+        let memo = self.levels[level].memo;
         let fp = &self.footprints[i];
-        let h = key_hash(fp.iter().map(|&s| slots[s as usize]));
         let table = &mut self.levels[level].table;
-        if let Some(e) = table.find(fp, slots, h) {
-            self.stats.cache_hits += 1;
-            return Ok(table.entry_ref(level, e));
+        let mut h = 0;
+        if memo {
+            h = key_hash(fp.iter().map(|&s| slots[s as usize]));
+            if let Some(e) = table.find(fp, slots, h) {
+                self.stats.cache_hits += 1;
+                self.stats.levels[level].hits += 1;
+                return Ok(table.entry_ref(level, e));
+            }
         }
         self.stats.cache_misses += 1;
-        // The key is read before the level runs: a bind's bounds may read
-        // its own, stale slot.
         let mark = table.mark();
-        table.keys.extend(fp.iter().map(|&s| slots[s as usize]));
+        if memo {
+            // The key is read before the level runs: a bind's bounds may
+            // read its own, stale slot.
+            table.keys.extend(fp.iter().map(|&s| slots[s as usize]));
+        }
 
         let filled = self.fill(i, level, slot, domain, slots);
         let table = &mut self.levels[level].table;
@@ -803,10 +879,17 @@ impl<'a> Counter<'a> {
                 return Ok(EntryRef::EMPTY);
             }
         };
-        let stored = (self.memo_len < self.budget.max_memo_entries)
-            .then(|| table.insert(self.footprints[i].len(), h, mark))
-            .flatten();
-        let Some(e) = stored else {
+        let feasible = (table.values.len() - mark.1) as u64;
+        let stored = if self.memo_len >= self.budget.max_memo_entries {
+            None
+        } else if memo {
+            table.insert(self.footprints[i].len(), h, mark).map(|e| table.entry_ref(level, e))
+        } else {
+            table
+                .tail(mark.1)
+                .map(|(start, len)| EntryRef(Repr::Stored { level: level as u32, start, len }))
+        };
+        let Some(link) = stored else {
             table.rollback(mark);
             self.aborted = true;
             return Ok(EntryRef::EMPTY);
@@ -815,9 +898,9 @@ impl<'a> Counter<'a> {
         let lvl = &mut self.stats.levels[level];
         lvl.entries += 1;
         lvl.domain_values += len;
-        lvl.feasible_values += u64::from(table.spans[e as usize].1);
+        lvl.feasible_values += feasible;
         lvl.residue_skipped += residue_skipped;
-        Ok(table.entry_ref(level, e))
+        Ok(link)
     }
 
     /// The entry of solved level `level` (bound at step `i`) once `solved`
@@ -1058,6 +1141,10 @@ impl<'a> Counter<'a> {
     /// rejects every concretization — and no step before it could have
     /// raised a runtime error instead (`clean` tracking), so skipping the
     /// whole class is observationally identical to enumerating it.
+    ///
+    /// Steps outside the run's congruence slice evaluate interval-only and
+    /// leave the congruence environment alone: nothing in the slice reads
+    /// them, and a check outside it gains no verdict from congruence.
     fn run_rejects(
         &mut self,
         bind_step: usize,
@@ -1075,26 +1162,37 @@ impl<'a> Counter<'a> {
         cg_env[bind_slot] = x_cg;
         let mut run_clean = true;
         for (j, step) in self.lp.steps.iter().enumerate().skip(bind_step + 1) {
+            let product = self.product[j];
+            let mut eval = || {
+                let prog = self.progs[j].as_ref().expect("expr body compiled");
+                if product {
+                    eval_product(prog, iv_env, cg_env, scratch)
+                } else {
+                    (prog.eval(iv_env, scratch), Congruence::top())
+                }
+            };
             match step {
                 LStep::Bind { .. } | LStep::Visit => break,
                 LStep::Define { slot, body, .. } => match body {
                     LBody::Expr(_) => {
-                        let prog = self.progs[j].as_ref().expect("expr body compiled");
-                        let (o, cg) = eval_product(prog, iv_env, cg_env, scratch);
+                        let (o, cg) = eval();
                         run_clean &= o.clean;
                         iv_env[*slot as usize] = o.iv;
-                        cg_env[*slot as usize] = cg;
+                        if product {
+                            cg_env[*slot as usize] = cg;
+                        }
                     }
                     LBody::Opaque => {
                         run_clean = false;
                         iv_env[*slot as usize] = Interval::TOP;
-                        cg_env[*slot as usize] = Congruence::top();
+                        if product {
+                            cg_env[*slot as usize] = Congruence::top();
+                        }
                     }
                 },
                 LStep::Check { body, .. } => match body {
                     LBody::Expr(_) => {
-                        let prog = self.progs[j].as_ref().expect("expr body compiled");
-                        let (o, cg) = eval_product(prog, iv_env, cg_env, scratch);
+                        let (o, cg) = eval();
                         if run_clean && o.clean && (!o.iv.contains(0) || cg.always_nonzero())
                         {
                             return true;
@@ -1738,5 +1836,109 @@ mod tests {
             assert_eq!(Counter::new(&spelled).total().unwrap_err(), err);
             assert!(counter.stats().levels[2].solved > 0, "o = 0 and 1 solve before o = 2");
         }
+    }
+
+    /// Values stored across every level's arena and free entries.
+    fn arena_len(counter: &Counter<'_>) -> (usize, usize, usize) {
+        let levels = &counter.levels;
+        let values = levels.iter().map(|l| l.table.values.len()).sum();
+        let keys = levels.iter().map(|l| l.table.keys.len()).sum();
+        (values, keys, levels.iter().map(|l| l.frees.len()).sum())
+    }
+
+    /// A second `total` returns the decided count and root without a walk:
+    /// the outermost level keeps no memo, so a walk would refill every
+    /// unique-key level below it.
+    #[test]
+    fn total_is_idempotent() {
+        let space = Space::builder("count_twice")
+            .range("a", 1, 9)
+            .range("u", 0, 3)
+            .range_step("b", var("a"), 33, var("a"))
+            .derived("ab", var("a") * var("b"))
+            .constraint("over", ConstraintClass::Hard, var("ab").gt(30))
+            .build()
+            .unwrap();
+        let lp = lower(&space);
+        for mut counter in [Counter::new(&lp), Counter::tuples(&lp)] {
+            let first = counter.total().unwrap();
+            let (stats, root, arena) =
+                (format!("{:?}", counter.stats()), counter.root(), arena_len(&counter));
+            assert!(first.is_some() && !counter.stats().levels[0].memo);
+            assert_eq!(counter.total().unwrap(), first);
+            assert_eq!(format!("{:?}", counter.stats()), stats);
+            assert_eq!((counter.root(), arena_len(&counter)), (root, arena));
+        }
+    }
+
+    /// Outcomes a count must reproduce with either change turned off: the
+    /// total or error, every counter (the `memo` flags aside) and, on a
+    /// decided count, the survivor behind every index.
+    fn outcome(counter: &mut Counter<'_>) -> (String, String, Vec<Vec<i64>>) {
+        let total = counter.total();
+        let mut stats = counter.stats().clone();
+        for level in &mut stats.levels {
+            level.memo = false;
+        }
+        let walks = match total {
+            Ok(Some(n)) => (0..n.min(300)).map(|k| walk_links(counter, k)).collect(),
+            _ => Vec::new(),
+        };
+        (format!("{total:?}"), format!("{stats:?}"), walks)
+    }
+
+    /// Both changes are invisible on the seeded spaces of the narrowing and
+    /// replay suites — solved, free, stepped and opaque levels, errors
+    /// included — in survivor and tuple mode, under budgets that abort at
+    /// varied points: the counter with a memo at every level, and the one
+    /// evaluating every pre-pass step over the product, agree with the
+    /// counter as built on every outcome, and a level left without a memo
+    /// would never have hit it.
+    #[test]
+    fn unique_keys_and_the_congruence_slice_change_no_count() {
+        let mut plans = Vec::new();
+        for seed in 0..120u64 {
+            plans.push(lower(&crate::narrow_gen::generate(seed).space));
+            plans.push(lower(&crate::narrow_gen::generate_parent(seed, false).space));
+            let g = crate::replay_gen::generate(seed);
+            let options = PlanOptions {
+                order: LoopOrder::Explicit(g.order.clone()),
+                ..PlanOptions::default()
+            };
+            plans.push(LoweredPlan::new(&Plan::new(&g.space, options).unwrap()).unwrap());
+        }
+        let budgets = [
+            CountBudget::default(),
+            CountBudget { max_enumerated: 40, ..CountBudget::default() },
+            CountBudget { max_memo_entries: 6, ..CountBudget::default() },
+        ];
+        let (mut unmemoised, mut sliced_out, mut aborted) = (0u32, 0u32, 0u32);
+        for (n, lp) in plans.iter().enumerate() {
+            let product = Counter::new(lp).product;
+            let mut checks = lp.steps.iter().zip(product);
+            sliced_out += u32::from(checks.any(|(s, p)| matches!(s, LStep::Check { .. }) && !p));
+            for (budget, tuples) in budgets.iter().flat_map(|&b| [(b, false), (b, true)]) {
+                let at = format!("plan {n}, {budget:?}, tuples {tuples}");
+                let with_budget =
+                    if tuples { Counter::tuples_with_budget } else { Counter::with_budget };
+                let build = || with_budget(lp, budget);
+                let mut built = build();
+                let want = outcome(&mut built);
+                aborted += u32::from(built.aborted());
+                let mut every_memo = build().with_every_memo();
+                assert_eq!(outcome(&mut every_memo), want, "{at}");
+                let pairs = built.stats().levels.iter().zip(&every_memo.stats().levels);
+                for (level, reference) in pairs.filter(|(l, _)| !l.memo && l.free == 0) {
+                    unmemoised += 1;
+                    assert_eq!((level.hits, reference.hits), (0, 0), "{at}: {reference:?}");
+                }
+                assert_eq!(outcome(&mut build().with_full_product()), want, "{at}");
+            }
+        }
+        assert!(
+            unmemoised > 3000 && sliced_out > 80 && aborted > 400,
+            "{unmemoised} unmemoised levels, {sliced_out} plans with checks outside the \
+             slice, {aborted} aborts"
+        );
     }
 }

@@ -10,15 +10,17 @@
 //!
 //! Two consumers read the one table. [`super::count::Counter`] keys its memo
 //! on the footprint values and collapses a level whose slot escapes the
-//! footprint below it to one recursion × domain size. The compiled engine
-//! asks [`replayable_loops`] for the same fact per loop and, where it holds,
-//! evaluates the loop body once and *replays* its survivors for the
-//! remaining values (`beast_engine`'s `replay` module).
+//! footprint below it to one recursion × domain size; `unique_key_levels`
+//! tells it where a key can never repeat, so no memo is kept there. The
+//! compiled engine asks [`replayable_loops`] for the same fact per loop and,
+//! where it holds, evaluates the loop body once and *replays* its survivors
+//! for the remaining values (`beast_engine`'s `replay` module).
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
-use crate::ir::{IntExpr, LBody, LIter, LStep, LoweredPlan};
+use crate::interval::{interval_of, range_value_hull, Interval};
+use crate::ir::{IntBinOp, IntExpr, LBody, LIter, LStep, LoweredPlan};
 
 /// Per step `i`: the sorted slots the plan suffix starting at step `i`
 /// reads from outside it. A step's own reads happen before its write, so a
@@ -117,6 +119,181 @@ pub fn replayable_loops(lp: &LoweredPlan) -> Vec<bool> {
                 && footprints[i + 1].binary_search(&slot).is_err()
         })
         .collect()
+}
+
+/// Per loop level (bind order) of a counter keyed on `footprints`: can no
+/// two visits of the level present the same footprint key? Such a
+/// *unique-key* level never hits its memo, so the counter keeps none.
+///
+/// `free` and `solved` mark the counter's free levels and the levels that
+/// solve their opening check (a parent that solves its child has a solved
+/// child); neither kind is a candidate. For a candidate `L`, walk up
+/// through free levels to the nearest ancestor `P`:
+///
+/// * none — `L` is entered once per count: unique;
+/// * `P` is solved — its entries are recomputed per visit: not unique;
+/// * otherwise unique iff the values of `key(P)` and `slot(P)` are
+///   recoverable from `key(L)`: every slot of `key(P) ∪ {slot(P)}` is in
+///   the determined-slot closure of `key(L)` (`determined`), and none of
+///   `key(P)` is written between `P`'s bind and `L`'s.
+///
+/// Why that suffices, by induction from the outermost level: `P`'s fill
+/// runs once per distinct `key(P)` — memoised, or itself unique-key — and
+/// enters `L` at most once per value of `P` (a free level recurses once per
+/// visit), so `L` sees each `(key(P), value(P))` at most once, and that
+/// pair is a function of `key(L)`. Plans whose slots are not written once,
+/// each before its reads, keep every memo.
+pub(crate) fn unique_key_levels(
+    lp: &LoweredPlan,
+    footprints: &[Arc<[u32]>],
+    free: &[bool],
+    solved: &[bool],
+) -> Vec<bool> {
+    let binds: Vec<(usize, u32)> = lp
+        .steps
+        .iter()
+        .enumerate()
+        .filter_map(|(i, s)| match s {
+            LStep::Bind { slot, .. } => Some((i, *slot)),
+            _ => None,
+        })
+        .collect();
+    if !single_assignment(lp) {
+        return vec![false; binds.len()];
+    }
+    let ivs = static_intervals(lp);
+    (0..binds.len())
+        .map(|l| {
+            if free[l] || solved[l] {
+                return false;
+            }
+            let Some(p) = (0..l).rev().find(|&p| !free[p]) else { return true };
+            if solved[p] {
+                return false;
+            }
+            let ((l_step, _), (p_step, p_slot)) = (binds[l], binds[p]);
+            let key_p = &footprints[p_step];
+            let rewritten = lp.steps[p_step..l_step]
+                .iter()
+                .any(|s| s.written_slot().is_some_and(|w| key_p.binary_search(&w).is_ok()));
+            let d = determined(lp, l_step, &footprints[l_step], &ivs);
+            !rewritten && key_p.iter().chain([&p_slot]).all(|&s| d[s as usize])
+        })
+        .collect()
+}
+
+/// Every slot is written by at most one step, and every expression define
+/// reads only slots written before it (or never): the shape under which a
+/// define's relation holds at every later step.
+fn single_assignment(lp: &LoweredPlan) -> bool {
+    let n = lp.n_slots as usize;
+    let mut writer = vec![None; n];
+    for (i, s) in lp.steps.iter().enumerate() {
+        if let Some(w) = s.written_slot() {
+            if writer[w as usize].replace(i).is_some() {
+                return false;
+            }
+        }
+    }
+    lp.steps.iter().enumerate().all(|(i, s)| match s {
+        LStep::Define { body: LBody::Expr(e), .. } => {
+            let mut ok = true;
+            e.for_each_slot(&mut |r| ok &= writer[r as usize].is_none_or(|w| w < i));
+            ok
+        }
+        _ => true,
+    })
+}
+
+/// Sound per-slot value intervals over the whole plan: bind hulls of their
+/// bounds, define intervals (⊤ once a wrap is reachable), ⊤ for anything
+/// opaque or never written.
+fn static_intervals(lp: &LoweredPlan) -> Vec<Interval> {
+    let mut env = vec![Interval::TOP; lp.n_slots as usize];
+    for step in &lp.steps {
+        let (slot, iv) = match step {
+            LStep::Bind { slot, domain: LIter::Range { start, stop, .. }, .. } => {
+                (slot, range_value_hull(interval_of(start, &env).iv, interval_of(stop, &env).iv))
+            }
+            LStep::Bind { slot, domain: LIter::Values(v), .. } => {
+                let hull = v.iter().map(|&x| Interval::point(x)).reduce(|a, b| a.hull(b));
+                (slot, hull.unwrap_or(Interval::TOP))
+            }
+            LStep::Define { slot, body: LBody::Expr(e), .. } => (slot, interval_of(e, &env).iv),
+            LStep::Bind { slot, .. } | LStep::Define { slot, .. } => (slot, Interval::TOP),
+            LStep::Check { .. } | LStep::Visit => continue,
+        };
+        env[*slot as usize] = iv;
+    }
+    env
+}
+
+/// The determined-slot closure of `key` at step `upto`: the slots whose
+/// values the key's values fix, through the expression defines written
+/// before `upto`, iterated to a fixpoint. Forward, a define whose reads are
+/// all determined determines its slot. Backward, a determined define
+/// determines what [`invert`] can recover of its body.
+fn determined(lp: &LoweredPlan, upto: usize, key: &[u32], ivs: &[Interval]) -> Vec<bool> {
+    let mut d = vec![false; lp.n_slots as usize];
+    for &s in key {
+        d[s as usize] = true;
+    }
+    loop {
+        let mut grew = false;
+        for step in &lp.steps[..upto] {
+            let LStep::Define { slot, body: LBody::Expr(e), .. } = step else { continue };
+            let s = *slot as usize;
+            if !d[s] && known(e, &d) {
+                d[s] = true;
+                grew = true;
+            }
+            if d[s] {
+                grew |= invert(e, &mut d, ivs);
+            }
+        }
+        if !grew {
+            return d;
+        }
+    }
+}
+
+/// Every slot `e` reads is determined.
+fn known(e: &IntExpr, d: &[bool]) -> bool {
+    let mut ok = true;
+    e.for_each_slot(&mut |s| ok &= d[s as usize]);
+    ok
+}
+
+/// Given that `e`'s value is determined, determine what it pins down:
+/// a bare slot; the operand of `-x`; the other operand of `a + b` and
+/// `a − b` (wrapping, so bijective in each); and the other factor of
+/// `a · b` when the known factor's interval excludes 0 and the product
+/// cannot wrap, so the division is exact. Returns whether `d` grew.
+fn invert(e: &IntExpr, d: &mut [bool], ivs: &[Interval]) -> bool {
+    match e {
+        IntExpr::Slot(s) => !std::mem::replace(&mut d[*s as usize], true),
+        IntExpr::Neg(a) => invert(a, d, ivs),
+        IntExpr::Bin(IntBinOp::Add | IntBinOp::Sub, a, b) => {
+            if known(a, d) {
+                invert(b, d, ivs)
+            } else if known(b, d) {
+                invert(a, d, ivs)
+            } else {
+                false
+            }
+        }
+        IntExpr::Bin(IntBinOp::Mul, a, b) if !interval_of(e, ivs).widened => {
+            let nonzero = |x: &IntExpr| !interval_of(x, ivs).iv.contains(0);
+            if known(a, d) && nonzero(a) {
+                invert(b, d, ivs)
+            } else if known(b, d) && nonzero(b) {
+                invert(a, d, ivs)
+            } else {
+                false
+            }
+        }
+        _ => false,
+    }
 }
 
 #[cfg(test)]
@@ -292,5 +469,94 @@ mod tests {
             &["o", "z", "u", "x"],
         );
         assert_eq!(replayable_names(&above), ["z", "u", "x"]);
+    }
+
+    /// `a { b { t = f(a, b) [u = g(t, b)]; c(0 .. key) { check (c + b) % 2 } } }`
+    /// with `c`'s bound reading `key` (`t` or `u`): `c`'s footprint key is
+    /// `{b, key}`, its parent `b`'s is `{a}`. `c` is unique-key exactly
+    /// when `a` is recoverable from `b` and the key.
+    fn unique_with(defines: impl FnOnce(SpaceBuilder) -> SpaceBuilder, key: &str) -> Vec<bool> {
+        unique_over(1, crate::expr::lit(9), defines, key)
+    }
+
+    fn unique_over(
+        b_start: i64,
+        a_stop: crate::expr::E,
+        defines: impl FnOnce(SpaceBuilder) -> SpaceBuilder,
+        key: &str,
+    ) -> Vec<bool> {
+        let space = Space::builder("uk").range("a", 1, a_stop).range("b", b_start, 4);
+        let lp = lowered_in(
+            defines(space)
+                .range("c", 0, var(key))
+                .constraint("cb", ConstraintClass::Soft, ((var("c") + var("b")) % 2).eq(0)),
+            &["a", "b", "c"],
+        );
+        let fps = suffix_footprints(&lp, true);
+        let none = vec![false; lp.n_loops()];
+        unique_key_levels(&lp, &fps, &none, &none)
+    }
+
+    #[test]
+    fn unique_keys_invert_wrapping_sums_differences_and_negations() {
+        let t = |e: crate::expr::E| move |b: SpaceBuilder| b.derived("t", e);
+        for e in [var("a") + var("b"), var("b") - var("a"), -var("a") + 5, var("a") * 3] {
+            // `a` is visited once; `b`'s key `{a}` is its parent's value.
+            assert_eq!(unique_with(t(e.clone()), "t"), [true, true, true], "{e:?}");
+        }
+        // Forward then backward: `u` gives `t = u − b`, then `a = t / 3`.
+        let chained = |b: SpaceBuilder| {
+            b.derived("t", var("a") * 3).derived("u", var("t") + var("b"))
+        };
+        assert_eq!(unique_with(chained, "u"), [true, true, true]);
+        // Nothing below `b` reads `a`: `b`'s empty key repeats for every
+        // `a`, while `c`'s key `{b, t}` holds all of `b`'s.
+        assert_eq!(unique_with(t(var("b") * 2), "t"), [true, false, true]);
+    }
+
+    #[test]
+    fn unique_keys_invert_a_product_only_by_a_nonzero_factor_without_wrap() {
+        let t = || |b: SpaceBuilder| b.derived("t", var("a") * var("b"));
+        assert_eq!(unique_over(1, crate::expr::lit(9), t(), "t"), [true, true, true]);
+        // `b` may be 0: `t = 0` forgets `a`.
+        assert_eq!(unique_over(0, crate::expr::lit(9), t(), "t"), [true, true, false]);
+        // `a · b` may wrap: the division is not exact.
+        let huge = crate::expr::lit(i64::MAX);
+        assert_eq!(unique_over(1, huge, t(), "t"), [true, true, false]);
+    }
+
+    #[test]
+    fn unique_keys_never_invert_division_remainder_or_opaque_defines() {
+        for e in [var("a") / var("b"), var("a") % var("b"), var("b") / var("a")] {
+            let t = move |b: SpaceBuilder| b.derived("t", e.clone());
+            assert_eq!(unique_with(t, "t"), [true, true, false]);
+        }
+        let opaque = |b: SpaceBuilder| {
+            b.derived_fn("t", &["a", "b"], |env| {
+                Ok(Value::Int(env.require_int("a")? + env.require_int("b")?))
+            })
+        };
+        assert_eq!(unique_with(opaque, "t"), [true, true, false]);
+    }
+
+    /// Free levels are walked through; a solved parent or a solved or free
+    /// candidate is never unique-key.
+    #[test]
+    fn unique_keys_look_through_free_levels_and_stop_at_solved_ones() {
+        let lp = lowered_in(
+            Space::builder("uk_free")
+                .range("a", 1, 5)
+                .range("u", 0, 2)
+                .range("b", 0, var("a"))
+                .constraint("ab", ConstraintClass::Soft, ((var("a") + var("b")) % 2).eq(0)),
+            &["a", "u", "b"],
+        );
+        let fps = suffix_footprints(&lp, true);
+        let (free, none) = (vec![false, true, false], vec![false; 3]);
+        assert_eq!(unique_key_levels(&lp, &fps, &free, &none), [true, false, true]);
+        let solved_u = vec![false, true, false];
+        assert_eq!(unique_key_levels(&lp, &fps, &none, &solved_u), [true, false, false]);
+        // Without the free level, `b`'s key `{a}` misses `u`'s value.
+        assert_eq!(unique_key_levels(&lp, &fps, &none, &none), [true, true, false]);
     }
 }

@@ -510,6 +510,14 @@ impl LStep {
             LStep::Visit => false,
         }
     }
+
+    /// The slot a bind or define writes.
+    pub fn written_slot(&self) -> Option<u32> {
+        match self {
+            LStep::Bind { slot, .. } | LStep::Define { slot, .. } => Some(*slot),
+            LStep::Check { .. } | LStep::Visit => None,
+        }
+    }
 }
 
 /// A plan lowered to slots and integer expressions.

@@ -82,3 +82,17 @@ pub mod prelude {
     pub use crate::space::{Space, SpaceBuilder};
     pub use crate::value::Value;
 }
+
+// The seeded space generators of the workspace's integration tests, for
+// unit tests that need this crate's test-only hooks. They import
+// `beast::prelude`, which here is this crate's.
+#[cfg(test)]
+extern crate self as beast;
+#[cfg(test)]
+#[allow(dead_code)]
+#[path = "../../../tests/common/narrow_gen.rs"]
+mod narrow_gen;
+#[cfg(test)]
+#[allow(dead_code)]
+#[path = "../../../tests/common/replay_gen.rs"]
+mod replay_gen;

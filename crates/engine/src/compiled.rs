@@ -57,7 +57,10 @@
 //! `congruence_skips`). The congruence half never influences the interval
 //! half, so interval verdicts — and survivors and visit order — are
 //! bit-identical with `congruence` on or off (`tests/determinism.rs`
-//! asserts this).
+//! asserts this). The product runs only on the guard steps of the
+//! congruence slice ([`beast_core::analyze::congruence::product_slice`]):
+//! the checks congruence can decide and what they read. A comparison gains
+//! no verdict from it, so a run of comparisons stays interval-only.
 //!
 //! # Lint gate
 //!
@@ -527,6 +530,10 @@ pub struct Compiled {
     ops: Vec<Op>,
     /// Shared interval-guard step list; each loop's guard range is a suffix.
     gmaster: Vec<GStep>,
+    /// Per master position: in the congruence slice
+    /// ([`analyze::congruence::product_slice`]), so evaluated over the
+    /// product when `opts.congruence` is on; interval-only otherwise.
+    gproduct: Vec<bool>,
     /// Per-loop interval guards (`None` for the outermost loop, for loops
     /// with nothing decidable below them, for loops whose guard could never
     /// decide anything its nearest guarded ancestor didn't already decide,
@@ -771,7 +778,7 @@ impl Compiled {
 
         let fanout_below: Vec<u64> =
             (0..n_loops as usize).map(|l| lp.static_fanout_below(l)).collect();
-        let (gmaster, guards) =
+        let (gmaster, gproduct, guards) =
             build_guards(&lp, n_loops as usize, &fanout_below, opts.min_guard_fanout);
 
         let (narrow, replay) = if groups.is_empty() {
@@ -785,6 +792,7 @@ impl Compiled {
             lp,
             ops,
             gmaster,
+            gproduct,
             guards,
             fanout_below,
             first_enter,
@@ -863,6 +871,14 @@ impl Compiled {
     #[cfg(test)]
     pub(crate) fn map_replay(mut self, f: impl FnOnce(replay::Table) -> replay::Table) -> Self {
         self.replay = f(self.replay);
+        self
+    }
+
+    /// Test hook: the same engine with every guard step in the congruence
+    /// slice, as before the slice existed.
+    #[cfg(test)]
+    pub(crate) fn with_full_product(mut self) -> Self {
+        self.gproduct.fill(true);
         self
     }
 
@@ -1555,11 +1571,14 @@ impl Compiled {
     /// unprimed — safe, because a skip means no deeper guard runs under
     /// this entry, and the next entry re-scans.
     ///
-    /// With `opts.congruence` on, every evaluation runs over the
-    /// interval×congruence reduced product ([`eval_product`]); the interval
-    /// halves are bit-identical to the interval-only path, so the
-    /// congruence can only add verdicts (`worthy` where the interval was
-    /// inconclusive, flagged `by_cg`), never change interval ones.
+    /// With `opts.congruence` on, every step of the congruence slice
+    /// (`gproduct`) runs over the interval×congruence reduced product
+    /// ([`eval_product`]); the interval halves are bit-identical to the
+    /// interval-only path, so the congruence can only add verdicts (`worthy`
+    /// where the interval was inconclusive, flagged `by_cg`), never change
+    /// interval ones. Steps outside the slice run interval-only and leave
+    /// the congruence environment alone: no step in the slice reads them,
+    /// and their checks gain no verdict from congruence.
     fn run_guard<V>(
         &self,
         loop_id: usize,
@@ -1601,11 +1620,13 @@ impl Compiled {
             // inputs may have changed, or when the cached entry was written
             // by a deeper guard: deeper runs compute over a strict subset of
             // this subtree, so their outcomes don't over-approximate it.
+            let cg_on = cg_on && self.gproduct[i];
             if !primed || info.dirty[i] || state.gcache[i].writer > w {
                 let entry = match step {
                     GStep::BindRange { slot, start, stop, step } => {
                         let (s, s_cg) = eval_guard(start, state, cg_on);
-                        let (e, _) = eval_guard(stop, state, cg_on);
+                        // The bound's congruence never reaches the slot's.
+                        let (e, _) = eval_guard(stop, state, false);
                         let (st, st_cg) = eval_guard(step, state, cg_on);
                         let iv = range_value_hull(s.iv, e.iv);
                         state.ivals[*slot as usize] = iv;
@@ -1912,7 +1933,7 @@ fn build_guards(
     n_loops: usize,
     fanout_below: &[u64],
     min_guard_fanout: u64,
-) -> (Vec<GStep>, Vec<Option<GuardInfo>>) {
+) -> (Vec<GStep>, Vec<bool>, Vec<Option<GuardInfo>>) {
     let mut guards: Vec<Option<GuardInfo>> = vec![None; n_loops];
     // Indices into lp.steps of each bind, to slice the subtree per loop.
     let bind_positions: Vec<(usize, u32)> = lp
@@ -1934,7 +1955,7 @@ fn build_guards(
         })
     });
     let Some(first) = first else {
-        return (Vec::new(), guards);
+        return (Vec::new(), Vec::new(), guards);
     };
 
     // Master step list: everything after the first candidate's bind. Each
@@ -1957,6 +1978,11 @@ fn build_guards(
     }
     let deps: Vec<(std::collections::BTreeSet<u32>, Option<u32>)> =
         master.iter().map(gstep_deps).collect();
+    // Every guard range is a suffix of the master list, so one slice over
+    // the whole list serves them all (the trailing `Visit` lifts to nothing).
+    let below_first = &lp.steps[bind_positions[first].0 + 1..];
+    let mut product = analyze::congruence::product_slice(below_first, lp.n_slots as usize);
+    product.truncate(master.len());
 
     // `prev_kept` tracks the nearest enclosing kept guard; its bind position
     // starts the seed tile (inclusive, so the ancestor's own loop slot —
@@ -2009,7 +2035,7 @@ fn build_guards(
             prev_kept = Some(l);
         }
     }
-    (master, guards)
+    (master, product, guards)
 }
 
 /// Python-range length (0 for empty or zero-step ranges).
@@ -2616,5 +2642,71 @@ mod tests {
         }
         assert_eq!(EngineTier::parse("turbo"), None);
         assert_eq!(EngineTier::default(), EngineTier::Compiled);
+    }
+
+    /// The congruence slice changes no sweep: on the seeded spaces of the
+    /// narrowing and replay suites, with a guard on every eligible loop,
+    /// on either schedule, the engine as built and the one evaluating every
+    /// guard step over the product agree on the survivors' fingerprint, the
+    /// prune and block counters and the learned orders — or fail alike.
+    #[test]
+    fn the_congruence_slice_changes_no_sweep() {
+        use crate::visit::FingerprintVisitor;
+
+        let mut plans = Vec::new();
+        for seed in 0..100u64 {
+            plans.push((PlanOptions::default(), crate::narrow_gen::generate(seed).space));
+            let g = crate::replay_gen::generate(seed);
+            let order = beast_core::plan::LoopOrder::Explicit(g.order);
+            plans.push((PlanOptions { order, ..PlanOptions::default() }, g.space));
+        }
+        // Stepped ranges whose residue decides `b % a != 0` (off = 1), next
+        // to comparisons the slice leaves out.
+        for (k, off) in [(1, 0), (1, 1), (2, 1), (3, 0)] {
+            let space = Space::builder("cg_slice")
+                .range("a", 2, 7)
+                .derived("t", var("a") * 3)
+                .constraint("t_small", ConstraintClass::Soft, (var("t") + 1).lt(8))
+                .range_step("b", var("a") + off, 60, var("a") * k)
+                .derived("d", var("b") * 2)
+                .constraint("d_big", ConstraintClass::Soft, var("d").gt(100))
+                .constraint("b_rem", ConstraintClass::Hard, (var("b") % var("a")).ne(0))
+                .range("y", 0, 3)
+                .constraint(
+                    "by",
+                    ConstraintClass::Soft,
+                    ((var("b") + var("y")) % 2).eq(0).and(var("y").lt(2)),
+                )
+                .build()
+                .unwrap();
+            plans.push((PlanOptions::default(), space));
+        }
+        let (mut sliced_out, mut congruence_skips) = (0u32, 0u64);
+        for (n, (options, space)) in plans.iter().enumerate() {
+            let lp = LoweredPlan::new(&Plan::new(space, options.clone()).unwrap()).unwrap();
+            for schedule in [ScheduleMode::Declared, ScheduleMode::Adaptive] {
+                let opts =
+                    EngineOptions { min_guard_fanout: 1, schedule, ..EngineOptions::default() };
+                let built = Compiled::with_options(lp.clone(), opts);
+                sliced_out += u32::from(built.gproduct.contains(&false));
+                let outcome = |c: &Compiled| match c.run(FingerprintVisitor::new()) {
+                    Ok(out) => {
+                        let v = &out.visitor;
+                        Ok((v.hash, v.count, out.stats, out.blocks, out.schedule))
+                    }
+                    Err(e) => Err(e.to_string()),
+                };
+                let want = outcome(&built);
+                if let Ok((.., blocks, _)) = &want {
+                    congruence_skips += blocks.congruence_skips;
+                }
+                let full = Compiled::with_options(lp.clone(), opts).with_full_product();
+                assert_eq!(outcome(&full), want, "plan {n}, {schedule:?}");
+            }
+        }
+        assert!(
+            sliced_out > 100 && congruence_skips > 0,
+            "{sliced_out} engines with steps outside the slice, {congruence_skips} congruence skips"
+        );
     }
 }

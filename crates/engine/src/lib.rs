@@ -80,3 +80,17 @@ pub mod prelude {
     pub use crate::vm::{Vm, VmStyle};
     pub use crate::walker::{LoopStyle, SweepOutcome, Walker};
 }
+
+// The seeded space generators of the workspace's integration tests, for
+// unit tests that need this crate's test-only hooks. They import
+// `beast::prelude`, which here is the core crate's.
+#[cfg(test)]
+extern crate beast_core as beast;
+#[cfg(test)]
+#[allow(dead_code)]
+#[path = "../../../tests/common/narrow_gen.rs"]
+mod narrow_gen;
+#[cfg(test)]
+#[allow(dead_code)]
+#[path = "../../../tests/common/replay_gen.rs"]
+mod replay_gen;

@@ -4,7 +4,11 @@
 //! and `tests/replay.rs` (its `y` loop is read by nothing whenever `dy` is
 //! absent), which include this file by path. `replay_gen.rs` draws from the
 //! same [`Lcg`]. [`generate_parent`] draws the parent-coefficient shapes
-//! `tests/counting.rs` runs the exact counter's in-parent solve on.
+//! `tests/counting.rs` runs the exact counter's in-parent solve on. The
+//! core and engine crates include both files in their unit tests too, where
+//! `beast::prelude` names the core crate's prelude: the differential tests
+//! that turn a counter or guard optimisation off through a `#[cfg(test)]`
+//! hook run on these spaces.
 
 use std::sync::Arc;
 

@@ -44,6 +44,64 @@ fn gemm_reduced16_count_is_pinned() {
     assert_eq!(Counter::tuples(&lp).total().unwrap(), Some(8_259_231_744));
 }
 
+/// Unique-key levels on GEMM reduced(48): the six levels whose footprint
+/// key fixes their nearest non-free ancestor's key and value — `blk_n`'s
+/// through `threads_per_block = dim_m · dim_n`, `blk_m`'s through the free
+/// `tex_*` / `shmem_*` levels — keep no memo and could never have hit it.
+/// The reshape levels `dim_m_a` / `dim_m_b`, whose keys forget `dim_n`,
+/// keep theirs and take every hit.
+#[test]
+fn gemm_reduced48_keeps_a_memo_only_where_keys_repeat() {
+    let lp = lower(&build_gemm_space(&GemmSpaceParams::reduced(48)).unwrap());
+    let mut counter = Counter::new(&lp);
+    assert_eq!(counter.total().unwrap(), Some(91_872));
+    let stats = counter.stats();
+    let level = |name: &str| stats.levels.iter().find(|l| &*l.name == name).unwrap();
+    for name in ["dim_m", "dim_n", "blk_k", "dim_vec", "blk_m", "blk_n"] {
+        let l = level(name);
+        assert!(!l.memo && l.hits == 0 && l.entries > 0, "{l:?}");
+    }
+    let reshape = ["dim_m_a", "dim_m_b"].map(|name| (level(name).memo, level(name).hits));
+    assert_eq!(reshape, [(true, 3903), (true, 1281)]);
+    assert_eq!(stats.cache_hits, 3903 + 1281);
+    assert!(stats.levels.iter().filter(|l| l.free > 0).all(|l| !l.memo), "{stats:?}");
+}
+
+/// The congruence slice of GEMM: `partial_warps`, the four reshape checks
+/// and the steps they read evaluate over the product; every comparison,
+/// and every define only comparisons read, runs interval-only — the whole
+/// of `blk_n`'s run among them.
+#[test]
+fn gemm_congruence_slice_keeps_divisibility_and_drops_comparisons() {
+    use beast_core::analyze::congruence::product_slice;
+    use beast_core::ir::LStep;
+
+    let space = build_gemm_space(&GemmSpaceParams::reduced(48)).unwrap();
+    let lp = lower(&space);
+    let label = |step: &LStep| match step {
+        LStep::Check { constraint, .. } => space.constraints()[*constraint].name.to_string(),
+        LStep::Visit => "visit".to_string(),
+        _ => lp.slot_names[step.written_slot().unwrap() as usize].to_string(),
+    };
+    let slice = product_slice(&lp.steps, lp.n_slots as usize);
+    let mut kept: Vec<String> =
+        lp.steps.iter().zip(&slice).filter(|(_, &k)| k).map(|(s, _)| label(s)).collect();
+    kept.sort();
+    let mut want = [
+        "dim_m", "dim_n", "threads_per_block", "partial_warps", "blk_k", "dim_vec", "blk_m",
+        "blk_n", "dim_m_a", "dim_n_a", "cant_reshape_a1", "cant_reshape_a2", "dim_m_b",
+        "dim_n_b", "cant_reshape_b1", "cant_reshape_b2",
+    ];
+    want.sort();
+    assert_eq!(kept, want);
+    // The counter's pre-pass slices each level's run on its own.
+    let blk_n = lp.steps.iter().position(|s| label(s) == "blk_n").unwrap();
+    let run = lp.steps[blk_n + 1..].iter().position(|s| matches!(s, LStep::Bind { .. }));
+    let end = blk_n + 1 + run.unwrap();
+    assert!(end - blk_n > 10, "blk_n's run holds the register and occupancy checks");
+    assert!(!product_slice(&lp.steps[blk_n + 1..end], lp.n_slots as usize).contains(&true));
+}
+
 /// Same agreement on the reduced(32) device, where the survivor set is
 /// larger and differently shaped.
 #[test]

@@ -29,6 +29,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use beast::prelude::*;
+use beast_core::analyze::congruence::interval_decides;
 use beast_core::analyze::{cg_of_bind, cg_of_values, eval_product, reduce, Congruence};
 use beast_core::expr::{lit, max2, min2, ternary, Bindings, Builtin, Expr, E};
 use beast_core::interval::{
@@ -914,6 +915,70 @@ fn register_evaluator_matches_the_recursive_references() {
     assert!(widened > 100 && unclean > 100, "widened {widened}, unclean {unclean}");
     assert!(residues > 100, "only {residues} residue facts");
     assert!(short_circuits > 0, "no short-circuit discarded an unclean operand");
+}
+
+/// Random predicates whose top is a comparison, or `&&` / `||` / `!` over
+/// such predicates, the comparisons over arbitrary operands.
+fn arb_comparison_predicate(rng: &mut StdRng, depth: usize) -> IntExpr {
+    use IntBinOp::{And, Ge, Gt, Le, Lt, Or};
+    if depth == 0 || rng.gen_bool(0.4) {
+        let op = [Lt, Le, Gt, Ge][rng.gen_range(0usize..4)];
+        return IntExpr::Bin(op, Box::new(arb_int_expr(rng, 3)), Box::new(arb_int_expr(rng, 3)));
+    }
+    let pick = rng.gen_range(0u32..3);
+    let mut sub = || Box::new(arb_comparison_predicate(rng, depth - 1));
+    match pick {
+        0 => IntExpr::Bin(And, sub(), sub()),
+        1 => IntExpr::Bin(Or, sub(), sub()),
+        _ => IntExpr::Not(sub()),
+    }
+}
+
+/// The verdicts a product value gives a check: rejects (`always_nonzero`
+/// or an interval without 0) and passes (`as_point() == Some(0)` or the
+/// interval `[0, 0]`), congruence half first.
+fn congruence_verdicts(cg: Congruence) -> (bool, bool) {
+    (cg.always_nonzero(), cg.as_point() == Some(0))
+}
+
+/// The congruence slice's premise: on a check whose predicate
+/// `interval_decides`, the product's congruence half decides a verdict
+/// only where its interval half decides the same one, so evaluating such a
+/// check interval-only loses nothing. Over arbitrary predicates it is not
+/// so — `!=`, `==` and `%` gain verdicts from congruence — and every such
+/// case is one the recogniser keeps.
+#[test]
+fn comparison_predicates_gain_no_verdict_from_congruence() {
+    let mut rng = StdRng::seed_from_u64(0x51_1CE);
+    let mut scratch = IvScratch::default();
+    let (mut decided, mut gained) = (0u32, 0u32);
+    for case in 0..4000 {
+        let comparison = case % 2 == 0;
+        let e = if comparison {
+            arb_comparison_predicate(&mut rng, 3)
+        } else {
+            arb_int_expr(&mut rng, 4)
+        };
+        let prog = IvProg::compile(&e);
+        for _ in 0..4 {
+            let iv: Vec<Interval> = (0..4).map(|_| arb_interval(&mut rng)).collect();
+            let cg: Vec<Congruence> = (0..4).map(|_| arb_cg_wide(&mut rng)).collect();
+            let (o, c) = eval_product(&prog, &iv, &cg, &mut scratch);
+            assert_eq!(o, prog.eval(&iv, &mut scratch), "{e:?}: interval half");
+            let (rejects, passes) = congruence_verdicts(c);
+            let by_interval = (!o.iv.contains(0), o.iv == Interval::point(0));
+            let alone = (rejects && !by_interval.0) || (passes && !by_interval.1);
+            if comparison {
+                assert!(interval_decides(&e), "{e:?}");
+                assert!(!alone, "case {case}: {e:?} over {iv:?} × {cg:?}: {o:?}, {c:?}");
+                decided += u32::from(rejects || passes);
+            } else if alone {
+                assert!(!interval_decides(&e), "case {case}: {e:?} over {iv:?} × {cg:?}");
+                gained += 1;
+            }
+        }
+    }
+    assert!(decided > 1500 && gained > 200, "{decided} decided comparisons, {gained} gains");
 }
 
 /// Leaves of the point-program identity test: the `i64` extremes, the two
