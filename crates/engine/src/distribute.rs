@@ -791,12 +791,14 @@ where
         threads: workers,
         chunk_count: opts.chunk_count,
         progress: opts.progress.clone(),
-        engine: opts.engine,
         fault_policy: opts.fault_policy,
         stop_after_chunks: opts.stop_after_chunks,
         ..ParallelOptions::default()
     };
-    run_supervised(lp, &frame, make_visitor, resume, sink, None, &exec)
+    // In-process slots evaluate on this engine; workers build their own.
+    let t_start = Instant::now();
+    let compiled = Compiled::with_options(lp.clone(), opts.engine);
+    run_supervised(&compiled, t_start, &frame, make_visitor, resume, sink, None, &exec)
 }
 
 /// Wait for the worker's reply to an in-flight shard, treating heartbeat

@@ -69,7 +69,7 @@ pub mod prelude {
     pub use crate::native::{NativeContext, NativeStats};
     pub use crate::parallel::{run_parallel, run_parallel_report, ParallelOptions};
     pub use crate::point::{Point, PointRef};
-    pub use crate::service::cache::{run_cached, CacheStats, SweepCache};
+    pub use crate::service::cache::{run_cached, run_cached_on, CacheStats, SweepCache};
     pub use crate::service::{ResolvedSpace, ServiceConfig, SpaceResolver, SweepService};
     pub use crate::stats::{BlockStats, FaultCounters, PruneStats};
     pub use crate::sweep::SweepError;

@@ -647,14 +647,18 @@ mod tests {
             }
             FingerprintVisitor::new()
         };
-        let opts = ParallelOptions {
-            threads: 1,
-            chunk_count: 4,
-            engine: reference.options(),
-            ..ParallelOptions::default()
-        };
-        let (out, report) =
-            run_supervised(&lp, &opts, make_visitor, None, None, None, &ctx).expect("sweep");
+        let opts = ParallelOptions { threads: 1, chunk_count: 4, ..ParallelOptions::default() };
+        let (out, report) = run_supervised(
+            &reference,
+            std::time::Instant::now(),
+            &opts,
+            make_visitor,
+            None,
+            None,
+            None,
+            &ctx,
+        )
+        .expect("sweep");
 
         assert_eq!(out.visitor, serial.visitor);
         assert_eq!(out.stats, serial.stats);

@@ -506,7 +506,7 @@ pub(crate) fn attempt_chunk<V: Visitor>(
 /// The threaded entry behind [`run_parallel_report`],
 /// [`crate::checkpoint::run_checkpointed`] and
 /// [`crate::service::cache::run_cached`]: picks the in-thread or the native
-/// executor and hands the sweep to [`run_supervised`].
+/// executor, builds the engine and hands the sweep to [`run_supervised`].
 pub(crate) fn run_threaded<V, F>(
     lp: &LoweredPlan,
     opts: &ParallelOptions,
@@ -537,8 +537,20 @@ where
     } else {
         None
     };
+    // The report clock starts before the engine build, so `elapsed` covers it.
+    let t_start = Instant::now();
     let Some(native) = &native else {
-        return run_supervised(lp, opts, make_visitor, resume, sink, memo, &InThread);
+        let compiled = Compiled::with_options(lp.clone(), opts.engine);
+        return run_supervised(
+            &compiled,
+            t_start,
+            opts,
+            make_visitor,
+            resume,
+            sink,
+            memo,
+            &InThread,
+        );
     };
     // Native workers account per point in declared order (no block pruning,
     // no reordering), so when the tier is active the in-process engine that
@@ -552,8 +564,8 @@ where
         schedule: Default::default(),
         ..opts.engine
     };
-    let opts = ParallelOptions { engine, ..opts.clone() };
-    run_supervised(lp, &opts, make_visitor, resume, sink, memo, native)
+    let compiled = Compiled::with_options(lp.clone(), engine);
+    run_supervised(&compiled, t_start, opts, make_visitor, resume, sink, memo, native)
 }
 
 /// The one sweep frame: set-up (resume seeding, once-only preamble, level-0
@@ -562,8 +574,15 @@ where
 /// chunk-order fold (the single [`Collector::add`] call site, with periodic
 /// checkpoints) → report.
 /// Threaded, native-process and distributed sweeps differ only in `exec`.
+///
+/// The frame sweeps an engine its caller built: `opts.engine` is not read,
+/// `compiled`'s own options are what runs. `t_start` is the report clock and
+/// the deadline's origin; callers start it before the build they want
+/// `elapsed` to cover.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_supervised<V, F>(
-    lp: &LoweredPlan,
+    compiled: &Compiled,
+    t_start: Instant,
     opts: &ParallelOptions,
     make_visitor: F,
     resume: Option<ResumeSeed<V>>,
@@ -576,9 +595,8 @@ where
     F: Fn() -> V + Sync,
 {
     let threads = opts.threads.max(1);
-    let t_start = Instant::now();
-    let compiled = Compiled::with_options(lp.clone(), opts.engine);
     compiled.lint_denied()?;
+    let lp = compiled.lowered();
     let space = lp.plan.space();
     let policy = opts.fault_policy;
 
@@ -721,11 +739,11 @@ where
         // order.
         let mut dealt_faults: Vec<FaultRecord> = Vec::new();
         let mut done = loop {
-            match exec.run(slot, i, chunks[i], &compiled, &make_visitor) {
+            match exec.run(slot, i, chunks[i], compiled, &make_visitor) {
                 Answer::Done(done) => break done,
                 Answer::Local => {
                     let ran = attempt_chunk(
-                        &compiled,
+                        compiled,
                         chunks[i],
                         i,
                         policy,

@@ -156,22 +156,24 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Write a complete fixed-length response and flush it.
+/// Write a complete fixed-length response, head and body in one write, and
+/// flush it.
 pub fn write_response(
     stream: &mut TcpStream,
     status: u16,
     content_type: &str,
     body: &str,
 ) -> std::io::Result<()> {
-    let head = format!(
+    let mut out = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         status,
         reason(status),
         content_type,
         body.len()
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    out.reserve_exact(body.len());
+    out.push_str(body);
+    stream.write_all(out.as_bytes())?;
     stream.flush()
 }
 
