@@ -121,10 +121,11 @@
 //! (cached on disk across runs), and evaluates level-0 chunks in worker
 //! processes — bit-identical survivors, order and fingerprints, with a
 //! silent fallback to the in-process engine when no compiler is installed.
-//! `walker` runs the serial interpreting backend (no parallel driver, no
-//! fault tolerance) as a ground-truth reference and prints its
-//! per-constraint funnel, which `--schedule declared --no-intervals`
-//! reproduces count for count on the other tiers.
+//! `walker` (for `sweep` only; any other subcommand exits 2) runs the serial
+//! interpreting backend (no parallel driver, no fault tolerance) as a
+//! ground-truth reference and prints its per-constraint funnel, which
+//! `--schedule declared --no-intervals` reproduces count for count on the
+//! other tiers.
 //!
 //! Numbers are machine-relative; the paper's *shape* (ordering, rough
 //! factors) is the reproduction target. See EXPERIMENTS.md.
@@ -202,16 +203,22 @@ fn main() {
         });
         args.drain(i..=i + 1);
     }
+    // `walker` is not an engine tier: it selects `repro sweep`'s serial
+    // reference run, which no driver takes.
     let mut tier = EngineTier::Compiled;
+    let mut walker = false;
     if let Some(i) = args.iter().position(|a| a == "--engine") {
         let Some(value) = args.get(i + 1) else {
             eprintln!("error: --engine needs a value: walker, compiled or native");
             std::process::exit(2);
         };
-        tier = EngineTier::parse(value).unwrap_or_else(|| {
-            eprintln!("error: --engine: unknown tier `{value}` (walker, compiled, native)");
-            std::process::exit(2);
-        });
+        walker = value == "walker";
+        if !walker {
+            tier = EngineTier::parse(value).unwrap_or_else(|| {
+                eprintln!("error: --engine: unknown tier `{value}` (walker, compiled, native)");
+                std::process::exit(2);
+            });
+        }
         args.drain(i..=i + 1);
     }
     let mut engine = if no_intervals {
@@ -228,6 +235,10 @@ fn main() {
         std::process::exit(2);
     };
     reject_unknown_flags(&args, known);
+    if walker && cmd != "sweep" {
+        eprintln!("error: --engine walker is only for `repro sweep` (the serial reference run)");
+        std::process::exit(2);
+    }
     let arg_num = |default: u64| -> u64 {
         args.get(1).and_then(|s| s.parse().ok()).unwrap_or(default)
     };
@@ -279,7 +290,7 @@ fn main() {
                 count(dim, flag("--json"))
             }
         }
-        "sweep" => sweep(&args, engine),
+        "sweep" => sweep(&args, engine, walker),
         "distribute" => distribute(&args, engine),
         "worker" => worker_mode(&args, engine),
         "serve" => serve(&args),
@@ -976,7 +987,7 @@ fn finish_sweep(
 // §X-C: fault-tolerant sweep driver (checkpoint/resume, policies, injection)
 // ---------------------------------------------------------------------------
 
-fn sweep(args: &[String], engine: EngineOptions) {
+fn sweep(args: &[String], engine: EngineOptions, walker: bool) {
     let flags = Flags(args);
     let dim = flags.dim();
     let mut opts = ParallelOptions::new(flags.uint("--threads", 4).max(1) as usize);
@@ -1014,9 +1025,9 @@ fn sweep(args: &[String], engine: EngineOptions) {
     );
     let (plan, lp) = gemm(&GemmSpaceParams::reduced(dim));
 
-    // The walker tier is the serial ground-truth reference: no parallel
-    // driver, so no fault policies, checkpointing or chunk scheduling.
-    if engine.engine == EngineTier::Walker {
+    // The walker is the serial ground-truth reference: no parallel driver,
+    // so no fault policies, checkpointing or chunk scheduling.
+    if walker {
         if opts.injector.is_some() || flags.has("--checkpoint") {
             eprintln!(
                 "error: --engine walker is serial-only and composes with \

@@ -43,9 +43,9 @@
 //!
 //! A range loop carrying an [`SNarrow`](crate::lower::SNarrow) is *solved*
 //! rather than enumerated, exactly as the compiled engine does
-//! (`beast_engine::narrow`): once the realised range is known non-empty, the
-//! emitted code evaluates the check's `coeff` / `offset` and calls the
-//! `b_narrow` helper, which — when `coeff ≠ 0` and `coeff·x + offset`,
+//! (`beast_core::analyze::narrow`): once the realised range is known
+//! non-empty, the emitted code evaluates the check's `coeff` / `offset` and
+//! calls the `b_narrow` helper, which — when `coeff ≠ 0` and `coeff·x + offset`,
 //! computed in `__int128`, stays inside `int64_t` at both ends of the range
 //! — shrinks the loop's bounds to the at most one value that passes and
 //! pre-credits the check `evaluated += skipped, pruned += skipped` for the

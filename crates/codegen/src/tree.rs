@@ -7,7 +7,8 @@
 //! the same boundary: its translator consumes the declarative description,
 //! not arbitrary host-language code.
 
-use beast_core::analyze::narrow::{narrowable_loops, Narrowing};
+use beast_core::analyze::levels::levels;
+use beast_core::analyze::narrow::Narrowing;
 use beast_core::constraint::ConstraintClass;
 use beast_core::ir::{IntExpr, LBody, LIter, LStep, LoweredPlan};
 
@@ -56,9 +57,9 @@ pub enum GNode {
         /// The domain.
         domain: GDomain,
         /// Set when the body opens with a reject-unless-equal check affine
-        /// in `var` ([`narrowable_loops`]; never on the outermost loop, as in
-        /// the engine's table): an emitter may solve the loop for its ≤ 1
-        /// passing value instead of enumerating it. Only
+        /// in `var` (the level plan's `narrowing`; never on the outermost
+        /// loop, as in the engine's table): an emitter may solve the loop
+        /// for its ≤ 1 passing value instead of enumerating it. Only
         /// [`crate::native`] does.
         narrow: Option<Narrowing>,
         /// Loop body.
@@ -119,7 +120,7 @@ impl Program {
             .map(|c| GConstraint { name: c.name.to_string(), class: c.class })
             .collect();
 
-        let mut narrowings = narrowable_loops(lp).into_iter().enumerate();
+        let mut levels = levels(lp).levels.into_iter().enumerate();
         let mut stack: Vec<Vec<GNode>> = vec![Vec::new()];
         let mut open: Vec<(String, GDomain, Option<Narrowing>)> = Vec::new();
         for step in &lp.steps {
@@ -139,8 +140,8 @@ impl Program {
                             ))
                         }
                     };
-                    // One table entry per bind, in bind order.
-                    let narrow = narrowings.next().and_then(|(l, n)| n.filter(|_| l > 0));
+                    // One level per bind, in bind order.
+                    let narrow = levels.next().and_then(|(l, p)| p.narrowing.filter(|_| l > 0));
                     open.push((var, domain, narrow));
                     stack.push(Vec::new());
                 }

@@ -25,25 +25,25 @@
 //!   index slot: its entries are plain arena spans that only links reach.
 //!   Each still counts as a miss and against the memo budget.
 //! * **Solved levels** — a level whose body opens with a reject-unless-equal
-//!   check affine in its slot ([`super::narrow`]) has at most one feasible
-//!   value per entry. The counter solves for it with the engine's solver and
-//!   its no-wrap obligation ([`super::narrow::solve_affine`]) instead of
+//!   check affine in its slot (its [`LevelPlan::narrowing`]) has at most one
+//!   feasible value per entry. The counter solves for it with the engine's
+//!   solve and its no-wrap obligation ([`super::narrow::Solve`]) instead of
 //!   enumerating and storing the level; whatever the solver cannot prove
 //!   falls through to enumeration, which reproduces any error. When the
 //!   level's parent binds it as its very next step and the coefficient is
-//!   affine in the parent's slot ([`super::narrow::child_solves`]), the
-//!   parent evaluates the child's bounds, offset and coefficient parts once
-//!   per entry and solves the child from its own value loop: a value with
-//!   no hit is charged and counted as the child's solve would count it,
+//!   affine in the parent's slot ([`LevelPlan::child_solve`]), the parent
+//!   evaluates the child's bounds, offset and coefficient parts once per
+//!   entry and solves the child from its own value loop: a value with no
+//!   hit is charged and counted as the child's solve would count it,
 //!   without descending.
 //! * **Free levels** — a uniform level (nothing below reads its slot) whose
 //!   run is empty (the next step binds or visits) and whose domain is a
-//!   range or a static list has no memo: no key, no hash, no index slot.
-//!   Its entry is the realized domain, one per-value count and the child's
-//!   link, recomputed on every visit; the child's memo already provides the
-//!   sharing, because the child's key is a subset of the free level's.
-//!   Survivor mode only: a tuple counter, which never draws, has no free
-//!   level.
+//!   range or a static list ([`LevelPlan::free`]) has no memo: no key, no
+//!   hash, no index slot. Its entry is the realized domain, one per-value
+//!   count and the child's link, recomputed on every visit; the child's
+//!   memo already provides the sharing, because the child's key is a
+//!   subset of the free level's. Survivor mode only: a tuple counter, which
+//!   never draws, has no free level.
 //! * **Product-domain restriction** — before enumerating a level's realized
 //!   domain, the straight-line run of defines and checks at that level is
 //!   evaluated once over the interval × congruence product with the loop
@@ -80,13 +80,16 @@ use std::sync::Arc;
 use crate::error::EvalError;
 use crate::interval::{Interval, IvProg, IvScratch};
 use crate::ir::{IntBinOp, IntExpr, LBody, LIter, LStep, LoweredPlan};
-use crate::iterator::Realized;
+use crate::iterator::{range_len, Realized};
 use crate::pointprog::{PointProg, StepProgs};
 use crate::value::Value;
 
 use super::congruence::{cg_of_bind, cg_of_values, eval_product, product_slice, Congruence};
 use super::footprint::{suffix_footprints, unique_key_levels};
-use super::narrow::{child_solves, narrowable_loops, solve_affine, Solved};
+use super::levels::{levels, LevelTable};
+#[cfg(doc)]
+use super::levels::LevelPlan;
+use super::narrow::{solve_affine, Solve, Solved};
 
 /// Work limits for a counting run. Exceeding either limit aborts the
 /// analysis ([`Counter::total`] returns `None`) rather than degrading to an
@@ -449,7 +452,7 @@ enum Domain<'a> {
 
 impl Domain<'_> {
     fn range(start: i64, stop: i64, step: i64) -> Self {
-        Domain::Range { start, step, len: Realized::Range { start, stop, step }.len() }
+        Domain::Range { start, step, len: range_len(start, stop, step) as usize }
     }
 
     fn len(&self) -> usize {
@@ -483,15 +486,17 @@ struct Level {
     /// Index of the level's `Bind` step, and the slot it binds.
     step: usize,
     slot: u32,
-    /// The coefficient and offset of the equality check opening the level's
-    /// body, when the level is solved rather than enumerated (survivor mode
-    /// only).
-    solve: Option<[PointProg; 2]>,
+    /// The equality check opening the level's body, when the level is
+    /// solved rather than enumerated (survivor mode only).
+    solve: Option<Solve>,
     /// `c` and `d` of the next level's coefficient `c·x + d`, when this
     /// level solves its child from its own value loop (survivor mode only).
     child_solve: Option<[PointProg; 2]>,
     /// A free level: entries in closed form, no memo (survivor mode only).
     free: bool,
+    /// Nothing after the bind reads the slot, so every value has the same
+    /// subtree count (checks left out in tuple mode, where they never run).
+    uniform: bool,
     /// Entries are looked up by footprint key: neither free nor unique-key.
     memo: bool,
     /// The level's run (defines and checks up to the next loop) holds an
@@ -571,11 +576,9 @@ impl<'a> Counter<'a> {
         // no level is solved there; and a tuple counter never draws, so no
         // level is free (a free level's per-visit recursion would cost
         // tuple counts far more than the memo it saves).
-        let footprints = suffix_footprints(lp, !ignore_checks);
-        let narrowings = if ignore_checks { Vec::new() } else { narrowable_loops(lp) };
-        let mut parents = child_solves(lp, &narrowings).into_iter();
-        let mut narrowings = narrowings.into_iter();
-        let compile = |[a, b]: [&IntExpr; 2]| [PointProg::compile(a), PointProg::compile(b)];
+        let survivors = !ignore_checks;
+        let LevelTable { levels: plan, footprints } = levels(lp);
+        let footprints = if survivors { footprints } else { suffix_footprints(lp, false) };
 
         // Compiled abstract programs for every expression body.
         let progs: Vec<Option<IvProg>> = lp
@@ -589,80 +592,77 @@ impl<'a> Counter<'a> {
             .collect();
 
         let mut level_of = vec![usize::MAX; lp.steps.len()];
-        let mut levels = Vec::new();
-        let mut level_stats = Vec::new();
+        let mut levels = Vec::with_capacity(plan.len());
+        let mut level_stats = Vec::with_capacity(plan.len());
         let mut product = vec![false; lp.steps.len()];
-        // Slots written strictly before the current step: residue-filter
-        // divisors must be fully bound when their level opens.
+        // Slots written strictly before the current level's bind: residue-
+        // filter divisors must be fully bound when their level opens.
         let mut written = vec![false; lp.n_slots as usize];
-        for (i, s) in lp.steps.iter().enumerate() {
-            if let LStep::Bind { depth, iter, slot, domain } = s {
-                level_of[i] = levels.len();
-                level_stats.push(LevelStats {
-                    name: space.iters()[*iter].name.clone(),
-                    depth: *depth,
-                    memo: false,
-                    hits: 0,
-                    entries: 0,
-                    free: 0,
-                    solved: 0,
-                    domain_values: 0,
-                    feasible_values: 0,
-                    residue_skipped: 0,
-                });
-                // The level's run: its defines and checks up to the next
-                // loop or the visit.
-                let len = lp.steps[i + 1..]
-                    .iter()
-                    .position(|s| matches!(s, LStep::Bind { .. } | LStep::Visit))
-                    .expect("a plan ends with its visit");
-                let run = i + 1..i + 1 + len;
-                product[run.clone()]
-                    .copy_from_slice(&product_slice(&lp.steps[run.clone()], lp.n_slots as usize));
-                let mut run_has_check = false;
-                let mut rem_divisors = Vec::new();
-                for step in &lp.steps[run] {
-                    if let LStep::Check { body: LBody::Expr(e), .. } = step {
-                        run_has_check = true;
-                        collect_rem_divisors(e, &mut |d| {
-                            let mut ok = true;
-                            d.for_each_slot(&mut |s| ok &= written[s as usize]);
-                            if ok {
-                                rem_divisors.push(PointProg::compile(d));
-                            }
-                        });
-                    }
+        let mut written_upto = 0;
+        for (l, p) in plan.iter().enumerate() {
+            for s in &lp.steps[written_upto..p.step] {
+                if let Some(slot) = s.written_slot() {
+                    written[slot as usize] = true;
                 }
-                // Uniform (as in `fill`) with an empty run, over a domain that
-                // realizes without a closure.
-                let free = !ignore_checks
-                    && matches!(domain, LIter::Range { .. } | LIter::Values(_))
-                    && matches!(lp.steps[i + 1], LStep::Bind { .. } | LStep::Visit)
-                    && footprints[i + 1].binary_search(slot).is_err();
-                levels.push(Level {
-                    step: i,
-                    slot: *slot,
-                    solve: narrowings
-                        .next()
-                        .flatten()
-                        .map(|n| compile([&n.check.coeff, &n.check.offset])),
-                    child_solve: parents.next().flatten().map(|s| compile([&s.c, &s.d])),
-                    free,
-                    memo: !free,
-                    run_has_check,
-                    rem_divisors,
-                    table: Table::default(),
-                    frees: Vec::new(),
-                });
             }
-            if let Some(slot) = s.written_slot() {
-                written[slot as usize] = true;
+            written_upto = p.step;
+            let LStep::Bind { depth, iter, .. } = &lp.steps[p.step] else {
+                unreachable!("a level opens with its bind")
+            };
+            level_of[p.step] = l;
+            level_stats.push(LevelStats {
+                name: space.iters()[*iter].name.clone(),
+                depth: *depth,
+                memo: false,
+                hits: 0,
+                entries: 0,
+                free: 0,
+                solved: 0,
+                domain_values: 0,
+                feasible_values: 0,
+                residue_skipped: 0,
+            });
+            let run = &lp.steps[p.run.clone()];
+            product[p.run.clone()].copy_from_slice(&product_slice(run, lp.n_slots as usize));
+            let mut run_has_check = false;
+            let mut rem_divisors = Vec::new();
+            for step in run {
+                if let LStep::Check { body: LBody::Expr(e), .. } = step {
+                    run_has_check = true;
+                    collect_rem_divisors(e, &mut |d| {
+                        let mut ok = true;
+                        d.for_each_slot(&mut |s| ok &= written[s as usize]);
+                        if ok {
+                            rem_divisors.push(PointProg::compile(d));
+                        }
+                    });
+                }
             }
+            let free = survivors && p.free;
+            levels.push(Level {
+                step: p.step,
+                slot: p.slot,
+                solve: p.narrowing.as_ref().filter(|_| survivors).map(Solve::new),
+                child_solve: p.child_solve.as_ref().filter(|_| survivors).map(|s| {
+                    [PointProg::compile(&s.c), PointProg::compile(&s.d)]
+                }),
+                free,
+                uniform: if survivors {
+                    p.unread_below
+                } else {
+                    footprints[p.step + 1].binary_search(&p.slot).is_err()
+                },
+                memo: !free,
+                run_has_check,
+                rem_divisors,
+                table: Table::default(),
+                frees: Vec::new(),
+            });
         }
 
         let free: Vec<bool> = levels.iter().map(|l| l.free).collect();
         let solved: Vec<bool> = levels.iter().map(|l| l.solve.is_some()).collect();
-        let unique = unique_key_levels(lp, &footprints, &free, &solved);
+        let unique = unique_key_levels(lp, &plan, &footprints, &free, &solved);
         for ((level, stats), unique) in levels.iter_mut().zip(&mut level_stats).zip(unique) {
             level.memo &= !unique;
             stats.memo = level.memo;
@@ -842,7 +842,7 @@ impl<'a> Counter<'a> {
         };
         let slot = *slot as usize;
 
-        if let Some(solved) = self.solve_level(level, i, domain, slots) {
+        if let Some(solved) = self.solve_level(level, i, slots) {
             return self.solved_entry(level, i, solved, slots);
         }
         if self.levels[level].free {
@@ -990,22 +990,11 @@ impl<'a> Counter<'a> {
     /// under `slots`. `None` — enumerate instead — when the level is not
     /// solvable, when the range bounds, `a` or `k` fail to evaluate (the
     /// enumerating path reproduces the error where it arises, or finds the
-    /// range empty), or when [`solve_affine`] cannot decide the entry.
-    fn solve_level(
-        &self,
-        level: usize,
-        i: usize,
-        domain: &LIter,
-        slots: &[i64],
-    ) -> Option<Solved> {
-        let (Some([coeff, offset]), LIter::Range { .. }) = (&self.levels[level].solve, domain)
-        else {
-            return None;
-        };
+    /// range empty), or when the solve cannot decide the entry.
+    fn solve_level(&self, level: usize, i: usize, slots: &[i64]) -> Option<Solved> {
+        let solve = self.levels[level].solve.as_ref()?;
         let (start, stop, step) = self.points.bounds(i, slots).ok()?;
-        let (a, k) = (coeff.eval(slots).ok()?, offset.eval(slots).ok()?);
-        let len = Realized::Range { start, stop, step }.len() as u64;
-        solve_affine(a, k, start, step, len)
+        solve.solve(slots, start, step, range_len(start, stop, step))
     }
 
     /// The child solve of level `level` (bound at step `i`) for the entry
@@ -1013,15 +1002,15 @@ impl<'a> Counter<'a> {
     /// when the level has none or anything fails to evaluate.
     fn child_entry(&self, level: usize, i: usize, slots: &[i64]) -> Option<ChildEntry> {
         let [c, d] = self.levels[level].child_solve.as_ref()?;
-        let [_, offset] = self.levels[level + 1].solve.as_ref()?;
+        let child = self.levels[level + 1].solve.as_ref()?;
         let (start, stop, step) = self.points.bounds(i + 1, slots).ok()?;
         Some(ChildEntry {
             c: c.eval(slots).ok()?,
             d: d.eval(slots).ok()?,
-            k: offset.eval(slots).ok()?,
+            k: child.offset(slots)?,
             start,
             step,
-            len: Realized::Range { start, stop, step }.len() as u64,
+            len: range_len(start, stop, step),
         })
     }
 
@@ -1051,11 +1040,9 @@ impl<'a> Counter<'a> {
         if len == 0 {
             return Ok((0, 0));
         }
-        // Uniform-level shortcut: when nothing after this bind reads the
-        // bound slot (checks included — in tuple mode they are excluded
-        // from footprints because they never run), every value has the
-        // same subtree count: recurse once and replicate.
-        if self.footprints[i + 1].binary_search(&(slot as u32)).is_err() {
+        // Uniform-level shortcut: every value has the same subtree count,
+        // so recurse once and replicate.
+        if self.levels[level].uniform {
             if self.charge_value() {
                 slots[slot] = dom.nth(0);
                 let (c, child) = self.count_from(i + 1, slots)?;
@@ -1790,9 +1777,8 @@ mod tests {
         };
         for coeff in [|| var("m"), || var("m") - 3, || var("o") * var("m") + var("o")] {
             let (solved, spelled) = (lowered(false, coeff()), lowered(true, coeff()));
-            let loops = narrowable_loops(&solved);
-            assert!(child_solves(&solved, &loops)[1].is_some());
-            assert!(child_solves(&spelled, &narrowable_loops(&spelled))[1].is_none());
+            assert!(levels(&solved).levels[1].child_solve.is_some());
+            assert!(levels(&spelled).levels[1].child_solve.is_none());
             let stats = assert_links_index_the_survivors(&solved);
             let mut reference = Counter::new(&spelled);
             reference.total().unwrap();
@@ -1830,7 +1816,7 @@ mod tests {
         };
         for offset in [false, true] {
             let (solved, spelled) = (lowered(false, offset), lowered(true, offset));
-            assert!(child_solves(&solved, &narrowable_loops(&solved))[1].is_some());
+            assert!(levels(&solved).levels[1].child_solve.is_some());
             let mut counter = Counter::new(&solved);
             let err = counter.total().unwrap_err();
             assert_eq!(Counter::new(&spelled).total().unwrap_err(), err);

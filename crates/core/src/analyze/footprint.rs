@@ -8,19 +8,18 @@
 //! fp[i] = reads(step i) ∪ (fp[i + 1] \ writes(step i))
 //! ```
 //!
-//! Two consumers read the one table. [`super::count::Counter`] keys its memo
-//! on the footprint values and collapses a level whose slot escapes the
-//! footprint below it to one recursion × domain size; `unique_key_levels`
-//! tells it where a key can never repeat, so no memo is kept there. The
-//! compiled engine asks [`replayable_loops`] for the same fact per loop and,
-//! where it holds, evaluates the loop body once and *replays* its survivors
-//! for the remaining values (`beast_engine`'s `replay` module).
+//! The level plan ([`super::levels`]) reads its unread, replayable and free
+//! levels off the table, and [`super::count::Counter`] keys its memo on the
+//! footprint values; `unique_key_levels` tells it where a key can never
+//! repeat, so no memo is kept there.
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 use crate::interval::{interval_of, range_value_hull, Interval};
 use crate::ir::{IntBinOp, IntExpr, LBody, LIter, LStep, LoweredPlan};
+
+use super::levels::LevelPlan;
 
 /// Per step `i`: the sorted slots the plan suffix starting at step `i`
 /// reads from outside it. A step's own reads happen before its write, so a
@@ -30,7 +29,7 @@ use crate::ir::{IntBinOp, IntExpr, LBody, LIter, LStep, LoweredPlan};
 ///
 /// With `with_checks` off, check reads are left out: the footprint of the
 /// *unconstrained* tuple space, in which checks never run.
-pub fn suffix_footprints(lp: &LoweredPlan, with_checks: bool) -> Vec<Arc<[u32]>> {
+pub(crate) fn suffix_footprints(lp: &LoweredPlan, with_checks: bool) -> Vec<Arc<[u32]>> {
     let space = lp.plan.space();
     let slot_of: HashMap<&str, u32> =
         lp.slot_names.iter().enumerate().map(|(i, n)| (&**n, i as u32)).collect();
@@ -90,38 +89,7 @@ pub fn suffix_footprints(lp: &LoweredPlan, with_checks: bool) -> Vec<Arc<[u32]>>
     footprints
 }
 
-/// Per loop of the plan (in bind order): may an engine evaluate the loop's
-/// body once and replay the survivors for every other value?
-///
-/// Loop `l ≥ 1` qualifies when its slot escapes the footprint below its
-/// bind — no later bind bound, define body or check body reads it — and no
-/// later step is opaque: a closure reads through a by-name view of *every*
-/// slot, which its declared dependencies do not bound. The outermost loop
-/// never qualifies: the parallel driver deals it chunk by chunk, and replay
-/// counters, like guards and narrowing, must not follow the chunk grid.
-pub fn replayable_loops(lp: &LoweredPlan) -> Vec<bool> {
-    let footprints = suffix_footprints(lp, true);
-    // The plan is one nest: "nothing opaque below this bind" means the last
-    // opaque step, if any, is the bind itself or above it.
-    let last_opaque = lp.steps.iter().rposition(LStep::is_opaque);
-    lp.steps
-        .iter()
-        .enumerate()
-        .filter_map(|(i, step)| match step {
-            LStep::Bind { slot, .. } => Some((i, *slot)),
-            _ => None,
-        })
-        .enumerate()
-        .map(|(l, (i, slot))| {
-            // A `Visit` always follows the last bind, so `i + 1` exists.
-            l > 0
-                && last_opaque.is_none_or(|o| o <= i)
-                && footprints[i + 1].binary_search(&slot).is_err()
-        })
-        .collect()
-}
-
-/// Per loop level (bind order) of a counter keyed on `footprints`: can no
+/// Per level of `levels` of a counter keyed on `footprints`: can no
 /// two visits of the level present the same footprint key? Such a
 /// *unique-key* level never hits its memo, so the counter keeps none.
 ///
@@ -145,24 +113,16 @@ pub fn replayable_loops(lp: &LoweredPlan) -> Vec<bool> {
 /// each before its reads, keep every memo.
 pub(crate) fn unique_key_levels(
     lp: &LoweredPlan,
+    levels: &[LevelPlan],
     footprints: &[Arc<[u32]>],
     free: &[bool],
     solved: &[bool],
 ) -> Vec<bool> {
-    let binds: Vec<(usize, u32)> = lp
-        .steps
-        .iter()
-        .enumerate()
-        .filter_map(|(i, s)| match s {
-            LStep::Bind { slot, .. } => Some((i, *slot)),
-            _ => None,
-        })
-        .collect();
     if !single_assignment(lp) {
-        return vec![false; binds.len()];
+        return vec![false; levels.len()];
     }
     let ivs = static_intervals(lp);
-    (0..binds.len())
+    (0..levels.len())
         .map(|l| {
             if free[l] || solved[l] {
                 return false;
@@ -171,7 +131,7 @@ pub(crate) fn unique_key_levels(
             if solved[p] {
                 return false;
             }
-            let ((l_step, _), (p_step, p_slot)) = (binds[l], binds[p]);
+            let (l_step, p_step, p_slot) = (levels[l].step, levels[p].step, levels[p].slot);
             let key_p = &footprints[p_step];
             let rewritten = lp.steps[p_step..l_step]
                 .iter()
@@ -299,6 +259,7 @@ fn invert(e: &IntExpr, d: &mut [bool], ivs: &[Interval]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analyze::levels::{levels, LevelTable};
     use crate::constraint::ConstraintClass;
     use crate::expr::var;
     use crate::plan::{LoopOrder, Plan, PlanOptions};
@@ -389,88 +350,6 @@ mod tests {
         assert_eq!(&*suffix_footprints(&lp, false)[c_bind], &[slot("b")]);
     }
 
-    fn replayable_names(lp: &LoweredPlan) -> Vec<&str> {
-        let names: Vec<&str> = lp
-            .steps
-            .iter()
-            .filter_map(|s| match s {
-                LStep::Bind { slot, .. } => Some(&*lp.slot_names[*slot as usize]),
-                _ => None,
-            })
-            .collect();
-        let table = replayable_loops(lp);
-        assert_eq!(table.len(), lp.n_loops());
-        names.into_iter().zip(table).filter_map(|(n, r)| r.then_some(n)).collect()
-    }
-
-    #[test]
-    fn unread_inner_loops_replay_and_read_ones_do_not() {
-        // `u` and `v` are read by nothing. `a` is loop 0; `b` is read by a
-        // define and a bind bound; `c` only by a check.
-        assert_eq!(replayable_names(&nest()), ["u", "v"]);
-
-        // Read only by a later bind bound: not replayable. The innermost
-        // loop's body is `Visit` alone: replayable.
-        let lp = lowered_in(
-            Space::builder("bound_only")
-                .range("o", 0, 3)
-                .range("n", 1, 4)
-                .range("w", 0, var("n")),
-            &["o", "n", "w"],
-        );
-        assert_eq!(replayable_names(&lp), ["w"]);
-
-        // Loop 0 never qualifies, read or not.
-        let lp = lowered_in(Space::builder("outer").range("o", 0, 3).range("p", 0, 3), &["o", "p"]);
-        assert_eq!(replayable_names(&lp), ["p"]);
-    }
-
-    #[test]
-    fn anything_opaque_below_a_loop_declines_it() {
-        let base = || Space::builder("opq").range("o", 0, 3).range("u", 0, 2).range("x", 0, 4);
-        // An opaque define, constraint or iterator below `u` — even one that
-        // declares no dependency on `u` — could read it by name.
-        let define = lowered_in(
-            base().derived_fn("f", &["x"], |env| Ok(Value::Int(env.require_int("x")? + 1))),
-            &["o", "u", "x"],
-        );
-        let check = lowered_in(
-            base().constraint_fn("k", ConstraintClass::Soft, &["x"], |env| {
-                Ok(env.require_int("x")? > 2)
-            }),
-            &["o", "u", "x"],
-        );
-        let iter = lowered_in(
-            base().deferred_iter("z", &["x"], |env| {
-                let x = env.require_int("x")?;
-                Ok(crate::iterator::Realized::Range { start: 0, stop: x, step: 1 })
-            }),
-            &["o", "u", "x", "z"],
-        );
-        for lp in [&define, &check] {
-            assert!(lp.has_opaque_steps());
-            assert!(replayable_names(lp).is_empty(), "{:?}", lp.steps);
-        }
-        // An opaque domain is realized before its own loop's first value
-        // runs, so `z` itself — innermost, read by nothing — still replays.
-        assert_eq!(replayable_names(&iter), ["z"]);
-        // The same opaque iterator *above* the unread loops does not: it
-        // ran before they were entered. Its own loop is read by nothing
-        // below it either.
-        let above = lowered_in(
-            Space::builder("opq_above")
-                .range("o", 0, 3)
-                .deferred_iter("z", &["o"], |env| {
-                    let o = env.require_int("o")?;
-                    Ok(crate::iterator::Realized::Range { start: 0, stop: o + 1, step: 1 })
-                })
-                .range("u", 0, 2)
-                .range("x", 0, 4),
-            &["o", "z", "u", "x"],
-        );
-        assert_eq!(replayable_names(&above), ["z", "u", "x"]);
-    }
-
     /// `a { b { t = f(a, b) [u = g(t, b)]; c(0 .. key) { check (c + b) % 2 } } }`
     /// with `c`'s bound reading `key` (`t` or `u`): `c`'s footprint key is
     /// `{b, key}`, its parent `b`'s is `{a}`. `c` is unique-key exactly
@@ -492,9 +371,9 @@ mod tests {
                 .constraint("cb", ConstraintClass::Soft, ((var("c") + var("b")) % 2).eq(0)),
             &["a", "b", "c"],
         );
-        let fps = suffix_footprints(&lp, true);
+        let table = levels(&lp);
         let none = vec![false; lp.n_loops()];
-        unique_key_levels(&lp, &fps, &none, &none)
+        unique_key_levels(&lp, &table.levels, &table.footprints, &none, &none)
     }
 
     #[test]
@@ -551,12 +430,15 @@ mod tests {
                 .constraint("ab", ConstraintClass::Soft, ((var("a") + var("b")) % 2).eq(0)),
             &["a", "u", "b"],
         );
-        let fps = suffix_footprints(&lp, true);
+        let LevelTable { levels, footprints: fps } = levels(&lp);
+        let unique = |free: &[bool], solved: &[bool]| {
+            unique_key_levels(&lp, &levels, &fps, free, solved)
+        };
         let (free, none) = (vec![false, true, false], vec![false; 3]);
-        assert_eq!(unique_key_levels(&lp, &fps, &free, &none), [true, false, true]);
+        assert_eq!(unique(&free, &none), [true, false, true]);
         let solved_u = vec![false, true, false];
-        assert_eq!(unique_key_levels(&lp, &fps, &none, &solved_u), [true, false, false]);
+        assert_eq!(unique(&none, &solved_u), [true, false, false]);
         // Without the free level, `b`'s key `{a}` misses `u`'s value.
-        assert_eq!(unique_key_levels(&lp, &fps, &none, &none), [true, true, false]);
+        assert_eq!(unique(&none, &none), [true, true, false]);
     }
 }

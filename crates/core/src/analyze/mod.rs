@@ -26,9 +26,11 @@
 //! only emitted by [`analyze_with_counts`] — the engine's pre-sweep gate
 //! runs the abstract passes alone, so building an engine stays cheap.
 //!
-//! [`footprint`] holds the suffix-footprint pass — which outer slots the
-//! rest of the plan reads — shared by the counter's memo keys and the
-//! engine's replay recogniser.
+//! [`levels`] derives every per-level fact the engine, the counter and the
+//! emitted C read — narrowing, child solves, unread, replayable and free
+//! levels, static fanouts — in one pass, from the shapes in [`narrow`] and
+//! the suffix footprints of [`footprint`], which also key the counter's
+//! memo.
 //!
 //! The congruence half ([`congruence`]) is shared with
 //! `beast_engine::compiled`'s subtree guards, where residue facts prune
@@ -39,6 +41,7 @@ pub mod congruence;
 pub mod count;
 pub mod diagnostics;
 pub mod footprint;
+pub mod levels;
 pub mod narrow;
 
 use crate::interval::{Interval, IvProg, IvScratch};

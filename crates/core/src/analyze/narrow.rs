@@ -1,5 +1,6 @@
-//! Loop narrowing: recognise loops whose first body step is a
-//! *reject-unless-equal* check that is affine in the loop variable.
+//! Loop narrowing: the shapes of a loop whose first body step is a
+//! *reject-unless-equal* check that is affine in the loop variable, and the
+//! one solve every consumer runs.
 //!
 //! The paper hoists every constraint to the earliest loop level but still
 //! enumerates that level. A check of the shape `A·x + C != B` (`x` the loop
@@ -9,23 +10,18 @@
 //! search-space construction. GEMM's reshape constraints
 //! (`dim_m_a * dim_n_a != threads_per_block`) are the motivating case.
 //!
-//! Everything here is a pure function of the lowered plan. Lowered
-//! arithmetic wraps, i.e. it is ring arithmetic modulo 2⁶⁴, and in a ring
-//! affine forms compose exactly: [`affine_in`] rewrites an expression as
-//! `coeff · slot + offset` (mod 2⁶⁴) with loop-invariant `coeff`/`offset`
-//! sub-expressions, and [`equality_check`] normalises both sides of a
+//! Lowered arithmetic wraps, i.e. it is ring arithmetic modulo 2⁶⁴, and in
+//! a ring affine forms compose exactly: `affine_in` rewrites an expression
+//! as `coeff · slot + offset` (mod 2⁶⁴) with loop-invariant `coeff`/`offset`
+//! sub-expressions, and `equality_check` normalises both sides of a
 //! `!=` / `!(… == …)` predicate into one such form compared against zero.
-//! Whether the congruence has a solution in a *realized* range — and
-//! whether it can be decided without wrap-around — is a run-time question
-//! answered by [`solve_affine`], shared by its three consumers: the compiled
-//! engine (`beast_engine::narrow`), the exact counter
-//! ([`super::count`]) and, as emitted C, the native worker.
-//!
-//! [`child_solves`] recognises one more shape on top: a loop whose very
-//! next step binds a narrowable loop with a coefficient affine in the
-//! parent's slot (GEMM's `dim_m_a` → `dim_n_a`). The counter then evaluates
-//! the child's bounds, offset and coefficient parts once per parent entry
-//! and solves the child from the parent's value loop.
+//! Which loops qualify — a [`Narrowing`], and a parent that can solve its
+//! child ([`ChildSolve`]) — is a fact of the level plan
+//! ([`super::levels`]). Whether the congruence has a solution in a
+//! *realized* range — and whether it can be decided without wrap-around —
+//! is a run-time question answered by [`Solve`], the point programs of `a`
+//! and `k` plus `solve_affine`, which the compiled engine and the exact
+//! counter ([`super::count`]) share; the native worker runs it as emitted C.
 //!
 //! # The no-wrap proof obligation
 //!
@@ -36,17 +32,18 @@
 //! the two endpoints (in `i128`, where `|a·x + k| < 2¹²⁷` cannot overflow)
 //! covers the range. A wrapped or wrapping candidate is never guessed at.
 
-use crate::ir::{IntBinOp, IntExpr, LBody, LIter, LStep, LoweredPlan};
+use crate::ir::{IntBinOp, IntExpr};
+use crate::pointprog::PointProg;
 
 /// `coeff · slot + offset` under wrapping (mod 2⁶⁴) arithmetic. `None`
 /// stands for a literal zero, so the common shapes carry no synthetic
 /// `0 + …` / `1 * …` nodes. Neither part reads the slot.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Affine {
+pub(crate) struct Affine {
     /// Multiplier of the slot (`None` = the expression does not read it).
-    pub coeff: Option<IntExpr>,
+    pub(crate) coeff: Option<IntExpr>,
     /// Slot-independent addend.
-    pub offset: Option<IntExpr>,
+    pub(crate) offset: Option<IntExpr>,
 }
 
 /// A reject-unless-equal predicate in normal form: the check rejects iff
@@ -62,8 +59,9 @@ pub struct EqualityCheck {
     pub offset: IntExpr,
 }
 
-/// A loop that can be narrowed: its first body step is constraint
-/// `constraint`, an [`EqualityCheck`] in the loop's own slot.
+/// A loop that can be narrowed: its domain is a lowered range and its first
+/// body step is constraint `constraint`, an [`EqualityCheck`] in the loop's
+/// own slot whose other reads are all written before the bind.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Narrowing {
     /// Constraint index of the solved check (its `PruneStats` row).
@@ -97,7 +95,7 @@ fn scale(a: Option<IntExpr>, k: &IntExpr) -> Option<IntExpr> {
 /// Decompose `e` as an affine form in `slot`, or `None` when `e` reads the
 /// slot through anything but `+`, `-`, unary `-` and multiplication by a
 /// slot-free factor. A slot-free `e` is returned whole as the offset.
-pub fn affine_in(e: &IntExpr, slot: u32) -> Option<Affine> {
+pub(crate) fn affine_in(e: &IntExpr, slot: u32) -> Option<Affine> {
     let whole = || Affine { coeff: None, offset: Some(e.clone()) };
     Some(match e {
         IntExpr::Slot(s) if *s == slot => {
@@ -147,7 +145,7 @@ pub fn affine_in(e: &IntExpr, slot: u32) -> Option<Affine> {
 /// `!(l == r)` with both sides affine in the slot and the slot actually
 /// read. (`true` means *reject*, so such a check passes for at most one
 /// slot value per setting of the other slots.)
-pub fn equality_check(e: &IntExpr, slot: u32) -> Option<EqualityCheck> {
+pub(crate) fn equality_check(e: &IntExpr, slot: u32) -> Option<EqualityCheck> {
     let (l, r) = match e {
         IntExpr::Bin(IntBinOp::Ne, l, r) => (l, r),
         IntExpr::Not(inner) => match &**inner {
@@ -163,44 +161,6 @@ pub fn equality_check(e: &IntExpr, slot: u32) -> Option<EqualityCheck> {
     })
 }
 
-/// Per loop of the plan (in bind order): the narrowing it admits, if any.
-///
-/// A loop qualifies when its domain is a lowered range, the step right
-/// after its bind is an expression check, that check is an
-/// [`equality_check`] in the loop's slot, and every other slot the check
-/// reads is written before the bind — so `coeff` and `offset` are
-/// invariant for the duration of the loop. A check preceded by a define
-/// (or anything else) does not qualify: the engine would have to replay
-/// that step for every value it no longer enumerates.
-pub fn narrowable_loops(lp: &LoweredPlan) -> Vec<Option<Narrowing>> {
-    let mut written = vec![false; lp.n_slots as usize];
-    let mut out = Vec::new();
-    for (i, step) in lp.steps.iter().enumerate() {
-        match step {
-            LStep::Bind { slot, domain, .. } => {
-                let narrowing = match (domain, lp.steps.get(i + 1)) {
-                    (
-                        LIter::Range { .. },
-                        Some(LStep::Check { constraint, body: LBody::Expr(e) }),
-                    ) => {
-                        let mut invariant = true;
-                        e.for_each_slot(&mut |r| invariant &= r == *slot || written[r as usize]);
-                        equality_check(e, *slot)
-                            .filter(|_| invariant)
-                            .map(|check| Narrowing { constraint: *constraint, check })
-                    }
-                    _ => None,
-                };
-                out.push(narrowing);
-                written[*slot as usize] = true;
-            }
-            LStep::Define { slot, .. } => written[*slot as usize] = true,
-            LStep::Check { .. } | LStep::Visit => {}
-        }
-    }
-    out
-}
-
 /// A loop that can run its child's solve itself: the very next step binds a
 /// [`Narrowing`] loop whose coefficient is `c · x + d` in this loop's slot
 /// `x`. Neither part reads `x`, and neither do the child's offset and range
@@ -214,50 +174,7 @@ pub struct ChildSolve {
     pub d: IntExpr,
 }
 
-/// Per loop of the plan (in bind order): the [`ChildSolve`] it admits, if
-/// any, given `loops` = [`narrowable_loops`]`(lp)`.
-///
-/// A loop qualifies when the step right after its bind binds a narrowable
-/// loop, that loop's coefficient is [`affine_in`] the parent's slot and
-/// actually reads it, and every slot read by `c`, `d`, the child's offset
-/// and its range bounds is written before the parent's bind. A define or a
-/// check between the two binds disqualifies the pair, and so do bounds that
-/// read the parent's slot.
-pub fn child_solves(lp: &LoweredPlan, loops: &[Option<Narrowing>]) -> Vec<Option<ChildSolve>> {
-    let mut written = vec![false; lp.n_slots as usize];
-    let mut out = Vec::with_capacity(loops.len());
-    for (i, step) in lp.steps.iter().enumerate() {
-        match step {
-            LStep::Bind { slot, .. } => {
-                let child = match lp.steps.get(i + 1) {
-                    Some(LStep::Bind { domain: LIter::Range { start, stop, step }, .. }) => {
-                        let n = loops.get(out.len() + 1).cloned().flatten();
-                        n.map(|n| (n, [start, stop, step]))
-                    }
-                    _ => None,
-                };
-                let solve = child.and_then(|(n, bounds)| {
-                    let Affine { coeff: Some(c), offset } = affine_in(&n.check.coeff, *slot)? else {
-                        return None;
-                    };
-                    let d = offset.unwrap_or(IntExpr::Const(0));
-                    let mut invariant = true;
-                    for e in [&c, &d, &n.check.offset].into_iter().chain(bounds) {
-                        e.for_each_slot(&mut |r| invariant &= written[r as usize]);
-                    }
-                    invariant.then_some(ChildSolve { c, d })
-                });
-                out.push(solve);
-                written[*slot as usize] = true;
-            }
-            LStep::Define { slot, .. } => written[*slot as usize] = true,
-            LStep::Check { .. } | LStep::Visit => {}
-        }
-    }
-    out
-}
-
-/// What [`solve_affine`] proved about one entry of a narrowable loop.
+/// What the solve proved about one entry of a narrowable loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Solved {
     /// The one value of the realized range that passes the check, if any.
@@ -273,7 +190,7 @@ pub struct Solved {
 /// (`a = 0`, an empty or zero-step range, or the no-wrap obligation of the
 /// module docs failing).
 #[inline]
-pub fn solve_affine(a: i64, k: i64, start: i64, step: i64, len: u64) -> Option<Solved> {
+pub(crate) fn solve_affine(a: i64, k: i64, start: i64, step: i64, len: u64) -> Option<Solved> {
     if a == 0 || step == 0 || len == 0 {
         return None;
     }
@@ -291,13 +208,49 @@ pub fn solve_affine(a: i64, k: i64, start: i64, step: i64, len: u64) -> Option<S
     Some(Solved { hit: hit.map(|x| x as i64), last: last as i64 })
 }
 
+/// A [`Narrowing`] compiled for evaluation: the point programs of `a` and
+/// `k`, solved over a realized range by `solve_affine`. The one solve the
+/// compiled engine and the exact counter run.
+#[derive(Debug, Clone)]
+pub struct Solve {
+    /// Constraint index of the solved check (its `PruneStats` row).
+    pub constraint: usize,
+    a: PointProg,
+    k: PointProg,
+}
+
+impl Solve {
+    /// Compile `n`'s coefficient and offset.
+    pub fn new(n: &Narrowing) -> Solve {
+        Solve {
+            constraint: n.constraint,
+            a: PointProg::compile(&n.check.coeff),
+            k: PointProg::compile(&n.check.offset),
+        }
+    }
+
+    /// Solve one entry of the loop over `start, start + step, …` (`len`
+    /// values) under `slots`. `None` — enumerate instead — when `a` or `k`
+    /// fails to evaluate (the enumerating path reproduces the error where it
+    /// arises), when `a = 0`, or when the no-wrap obligation cannot be
+    /// discharged.
+    #[inline]
+    pub fn solve(&self, slots: &[i64], start: i64, step: i64, len: u64) -> Option<Solved> {
+        let a = self.a.eval(slots).ok()?;
+        let k = self.k.eval(slots).ok()?;
+        solve_affine(a, k, start, step, len)
+    }
+
+    /// `k` alone under `slots`, for a parent that supplies `a` itself
+    /// ([`ChildSolve`]).
+    pub fn offset(&self, slots: &[i64]) -> Option<i64> {
+        self.k.eval(slots).ok()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::constraint::ConstraintClass;
-    use crate::expr::{lit, var, E};
-    use crate::plan::{Plan, PlanOptions};
-    use crate::space::Space;
 
     fn slot(s: u32) -> IntExpr {
         IntExpr::Slot(s)
@@ -403,145 +356,6 @@ mod tests {
         let eq = equality_check(&ne(mul(slot(0), e.clone()), slot(3)), 0).unwrap();
         assert_eq!(eq.coeff, e);
         assert!(eq.coeff.eval(&[1, 1, 0, 0]).is_err());
-    }
-
-    fn lowered(space: &std::sync::Arc<Space>) -> LoweredPlan {
-        LoweredPlan::new(&Plan::new(space, PlanOptions::default()).unwrap()).unwrap()
-    }
-
-    #[test]
-    fn plan_level_recognition_requires_the_check_to_open_the_body() {
-        // y's loop opens with `x * y != t`; z's loop computes a define
-        // first, so its equality check must not narrow; w iterates a list.
-        let space = Space::builder("narrow")
-            .range("x", 1, 9)
-            .range("y", 1, 9)
-            .range("z", 1, 9)
-            .list("w", [1i64, 2, 3])
-            .constant("t", 12)
-            .derived("zz", var("z") + var("y"))
-            .constraint("xy", ConstraintClass::Hard, (var("x") * var("y")).ne(var("t")))
-            .constraint("zzt", ConstraintClass::Hard, (var("zz") * lit(2)).ne(var("t")))
-            .constraint("wx", ConstraintClass::Hard, var("w").ne(var("x")))
-            .build()
-            .unwrap();
-        let lp = lowered(&space);
-        let loops = narrowable_loops(&lp);
-        assert_eq!(loops.len(), lp.n_loops());
-        let names: Vec<Option<&str>> = loops
-            .iter()
-            .map(|n| {
-                n.as_ref().map(|n| &*lp.plan.space().constraints()[n.constraint].name)
-            })
-            .collect();
-        assert_eq!(names, [None, Some("xy"), None, None], "{:?}", lp.steps);
-
-        // The same check behind a define no longer opens the body.
-        let mut behind = lp.clone();
-        let bind_y = behind
-            .steps
-            .iter()
-            .position(|s| matches!(s, LStep::Bind { depth: 1, .. }))
-            .unwrap();
-        let define = behind
-            .steps
-            .iter()
-            .find(|s| matches!(s, LStep::Define { .. }))
-            .cloned()
-            .unwrap();
-        behind.steps.insert(bind_y + 1, define);
-        assert!(narrowable_loops(&behind).iter().all(Option::is_none));
-    }
-
-    /// The child solves of the nest `o`, `m`, `n` whose first check on `n`
-    /// is `check`, with `n` ranging over `1..stop`.
-    fn child_solves_of(check: E, stop: E) -> Vec<Option<ChildSolve>> {
-        let space = Space::builder("child")
-            .constant("t", 12)
-            .range("o", 1, 4)
-            .range("m", 1, 9)
-            .range("n", 1, stop)
-            .constraint("mn", ConstraintClass::Hard, check)
-            .build()
-            .unwrap();
-        let lp = lowered(&space);
-        child_solves(&lp, &narrowable_loops(&lp))
-    }
-
-    #[test]
-    fn child_solves_recognise_a_coefficient_affine_in_the_parent() {
-        // m·n != t: the coefficient is m itself, c = 1 and d = 0.
-        let solves = child_solves_of((var("m") * var("n")).ne(var("t")), lit(9));
-        assert_eq!(solves, [None, Some(ChildSolve { c: c(1), d: c(0) }), None]);
-        // (o + 2·m)·n != t - o: d and the offset read only the grandparent.
-        let e = ((var("o") + var("m") * 2) * var("n")).ne(var("t") - var("o"));
-        let space = Space::builder("child_o")
-            .constant("t", 12)
-            .range("o", 1, 4)
-            .range("m", 1, 9)
-            .range("n", var("o"), 9)
-            .constraint("mn", ConstraintClass::Hard, e)
-            .build()
-            .unwrap();
-        let lp = lowered(&space);
-        let loops = narrowable_loops(&lp);
-        let solve = child_solves(&lp, &loops)[1].clone().expect("recognised");
-        // c·m + d is the child's coefficient, in wrapping arithmetic, at
-        // every m the probe reaches.
-        let coeff = &loops[2].as_ref().unwrap().check.coeff;
-        let slot = |name: &str| lp.slot_names.iter().position(|n| &**n == name).unwrap();
-        let (o, m) = (slot("o"), slot("m"));
-        let mut slots = vec![0i64; lp.n_slots as usize];
-        for (ov, mv) in [(1, 1), (3, -7), (2, i64::MAX), (1, i64::MIN)] {
-            slots[o] = ov;
-            slots[m] = mv;
-            let (cv, dv) = (solve.c.eval(&slots).unwrap(), solve.d.eval(&slots).unwrap());
-            assert_eq!(cv.wrapping_mul(mv).wrapping_add(dv), coeff.eval(&slots).unwrap());
-        }
-    }
-
-    #[test]
-    fn child_solves_refuse_what_one_entry_evaluation_cannot_serve() {
-        // n's bounds read m.
-        let solves = child_solves_of((var("m") * var("n")).ne(var("t")), var("m") + 1);
-        assert_eq!(solves[1], None);
-        // The offset reads m.
-        let solves = child_solves_of((var("m") * var("n")).ne(var("m") + 12), lit(9));
-        assert_eq!(solves[1], None);
-        // The coefficient does not read m.
-        let solves = child_solves_of((var("n") * 3).ne(var("t")), lit(9));
-        assert_eq!(solves[1], None);
-        // m only reaches the coefficient through `m * m`.
-        let solves = child_solves_of((var("m") * var("m") * var("n")).ne(var("t")), lit(9));
-        assert_eq!(solves[1], None);
-
-        // A define between the two binds.
-        let space = Space::builder("child_define")
-            .constant("t", 12)
-            .range("m", 1, 9)
-            .range("n", 1, 9)
-            .derived("mm", var("m") * 2)
-            .constraint("mn", ConstraintClass::Hard, (var("mm") * var("n")).ne(var("t")))
-            .build()
-            .unwrap();
-        let lp = lowered(&space);
-        assert!(matches!(lp.steps[1], LStep::Define { .. }), "{:?}", lp.steps);
-        assert!(child_solves(&lp, &narrowable_loops(&lp)).iter().all(Option::is_none));
-        // A recognised pair with a define spliced in between is refused.
-        let space = Space::builder("child_splice")
-            .constant("t", 12)
-            .range("m", 1, 9)
-            .range("n", 1, 9)
-            .derived("nn", var("n") + 1)
-            .constraint("mn", ConstraintClass::Hard, (var("m") * var("n")).ne(var("t")))
-            .constraint("nn_big", ConstraintClass::Hard, var("nn").gt(5))
-            .build()
-            .unwrap();
-        let mut lp = lowered(&space);
-        assert!(child_solves(&lp, &narrowable_loops(&lp))[0].is_some(), "{:?}", lp.steps);
-        let define = lp.steps.iter().find(|s| matches!(s, LStep::Define { .. })).cloned();
-        lp.steps.insert(1, define.unwrap());
-        assert!(child_solves(&lp, &narrowable_loops(&lp)).iter().all(Option::is_none));
     }
 
     /// Ground truth by enumeration under the check's own (wrapping)

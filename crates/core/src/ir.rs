@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use crate::error::{EvalError, SpaceError};
 use crate::expr::{BinOp, Builtin, Expr, UnOp};
-use crate::iterator::IterKind;
+use crate::iterator::{range_len, IterKind};
 use crate::plan::{Plan, Step};
 use crate::space::Space;
 use crate::value::Value;
@@ -453,6 +453,20 @@ impl LIter {
     pub fn is_opaque(&self) -> bool {
         matches!(self, LIter::Opaque { .. })
     }
+
+    /// The domain's length when no loop has to run to know it: a static
+    /// list, or a range whose bounds lowered to constants and whose step is
+    /// not zero.
+    pub fn static_len(&self) -> Option<u64> {
+        match self {
+            LIter::Values(v) => Some(v.len() as u64),
+            LIter::Range { start, stop, step } => {
+                let step = step.as_const().filter(|&s| s != 0)?;
+                Some(range_len(start.as_const()?, stop.as_const()?, step))
+            }
+            LIter::Opaque { .. } => None,
+        }
+    }
 }
 
 /// A lowered computation body: expression or opaque closure reference.
@@ -620,72 +634,18 @@ impl LoweredPlan {
     /// size its work-stealing chunks; see
     /// `beast_engine::parallel::run_parallel_report`.
     pub fn static_fanout_below_outer(&self) -> Option<u128> {
-        let mut fanout: u128 = 1;
-        let mut binds_seen = 0usize;
-        for step in &self.steps {
-            if let LStep::Bind { domain, .. } = step {
-                binds_seen += 1;
-                if binds_seen == 1 {
-                    // The outermost loop itself is the chunked dimension.
-                    continue;
-                }
-                let len = match domain {
-                    LIter::Values(v) => v.len() as u128,
-                    LIter::Range { start, stop, step } => {
-                        let (s, e, st) =
-                            (start.as_const()?, stop.as_const()?, step.as_const()?);
-                        range_len(s, e, st)? as u128
-                    }
-                    LIter::Opaque { .. } => return None,
-                };
-                fanout = fanout.saturating_mul(len);
-            }
-        }
-        Some(fanout)
-    }
-
-    /// Lower-bound estimate of the number of points below one iteration of
-    /// loop `loop_index` (0 = outermost): the product of the statically
-    /// known inner domain lengths, counting dependent or opaque domains
-    /// as `1`. The interval-based block pruner multiplies this by the
-    /// skipped domain length to estimate how many points a subtree skip
-    /// avoided.
-    pub fn static_fanout_below(&self, loop_index: usize) -> u64 {
-        let mut fanout: u64 = 1;
-        let mut binds_seen = 0usize;
-        for step in &self.steps {
-            if let LStep::Bind { domain, .. } = step {
-                binds_seen += 1;
-                if binds_seen <= loop_index + 1 {
-                    continue;
-                }
-                let len = match domain {
-                    LIter::Values(v) => Some(v.len() as u64),
-                    LIter::Range { start, stop, step } => (|| {
-                        range_len(start.as_const()?, stop.as_const()?, step.as_const()?)
-                    })(),
-                    LIter::Opaque { .. } => None,
-                };
-                fanout = fanout.saturating_mul(len.unwrap_or(1));
-            }
-        }
-        fanout
+        let mut domains = self.steps.iter().filter_map(|s| match s {
+            LStep::Bind { domain, .. } => Some(domain),
+            _ => None,
+        });
+        // The outermost loop itself is the chunked dimension.
+        domains.next();
+        domains.try_fold(1u128, |fanout, d| Some(fanout.saturating_mul(d.static_len()? as u128)))
     }
 
     /// True if any step requires calling back into an opaque Rust closure.
     pub fn has_opaque_steps(&self) -> bool {
         self.steps.iter().any(LStep::is_opaque)
-    }
-}
-
-/// Python-range length of `start..stop` by `step`; `None` for a zero step.
-fn range_len(start: i64, stop: i64, step: i64) -> Option<u64> {
-    if step > 0 {
-        Some(((stop.saturating_sub(start)).max(0) as u64).div_ceil(step as u64))
-    } else if step < 0 {
-        Some(((start.saturating_sub(stop)).max(0) as u64).div_ceil(step.unsigned_abs()))
-    } else {
-        None
     }
 }
 
@@ -1100,16 +1060,6 @@ mod tests {
         let plan = Plan::new(&s, PlanOptions::default()).unwrap();
         let lp = LoweredPlan::new(&plan).unwrap();
         assert_eq!(lp.static_fanout_below_outer(), None);
-    }
-
-    #[test]
-    fn range_len_matches_python() {
-        assert_eq!(range_len(0, 10, 1), Some(10));
-        assert_eq!(range_len(0, 10, 3), Some(4));
-        assert_eq!(range_len(10, 0, -3), Some(4));
-        assert_eq!(range_len(5, 5, 1), Some(0));
-        assert_eq!(range_len(5, 0, 1), Some(0));
-        assert_eq!(range_len(0, 1, 0), None);
     }
 
     #[test]

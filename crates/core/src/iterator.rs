@@ -24,6 +24,24 @@ use crate::error::EvalError;
 use crate::expr::{Bindings, Expr, E};
 use crate::value::Value;
 
+/// Python-range length of `start..stop` by `step`, exact over all of `i64`
+/// (0 for an empty range or a zero step). The one definition shared by
+/// [`Realized::len`], the static fanouts of the lowered plan and the
+/// compiled engine's `Op::Enter`.
+#[inline]
+pub fn range_len(start: i64, stop: i64, step: i64) -> u64 {
+    // The span lies in `1..2^64`, so it is exact in `u64` and the division
+    // needs no 128-bit libcall on the engine's per-entry path.
+    let span = if step > 0 && start < stop {
+        stop.wrapping_sub(start) as u64
+    } else if step < 0 && start > stop {
+        start.wrapping_sub(stop) as u64
+    } else {
+        return 0;
+    };
+    (span - 1) / step.unsigned_abs() + 1
+}
+
 /// A realized (concrete) iteration domain, produced once all dependencies of
 /// an iterator are bound.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,21 +69,7 @@ impl Realized {
     /// Number of points in the domain.
     pub fn len(&self) -> usize {
         match self {
-            Realized::Range { start, stop, step } => {
-                if *step == 0 {
-                    return 0;
-                }
-                let (lo, hi, s) = if *step > 0 {
-                    (*start, *stop, *step)
-                } else {
-                    (*stop, *start, -*step)
-                };
-                if hi <= lo {
-                    0
-                } else {
-                    ((hi - lo) as u64).div_ceil(s as u64) as usize
-                }
-            }
+            Realized::Range { start, stop, step } => range_len(*start, *stop, *step) as usize,
             Realized::Values(v) => v.len(),
         }
     }
@@ -601,5 +605,16 @@ mod tests {
     fn huge_range_len_does_not_overflow() {
         let r = Realized::Range { start: i64::MIN / 2, stop: i64::MAX / 2, step: 1 };
         assert_eq!(r.len(), i64::MAX as usize);
+        assert_eq!(range_len(0, 10, 3), 4);
+        assert_eq!(range_len(10, 0, -3), 4);
+        assert_eq!(range_len(5, 5, 1), 0);
+        assert_eq!(range_len(5, 0, 1), 0);
+        // Spans and strides past `i64` are exact too.
+        assert_eq!(range_len(i64::MIN, i64::MAX, 1), u64::MAX);
+        assert_eq!(range_len(-2, i64::MAX, 1), i64::MAX as u64 + 2);
+        assert_eq!(range_len(i64::MAX, i64::MIN, -1), u64::MAX);
+        assert_eq!(range_len(0, -10, i64::MIN), 1);
+        assert_eq!(range_len(i64::MIN, i64::MAX, i64::MAX), 3);
+        assert_eq!(range_len(0, 1, 0), 0);
     }
 }

@@ -73,20 +73,21 @@
 
 use std::sync::Arc;
 
+use beast_core::analyze::levels::{levels, LevelPlan};
+use beast_core::analyze::narrow::Solve;
 use beast_core::analyze::{
     self, cg_of_bind, cg_of_values, eval_product, Congruence, LintGate, LintSummary,
 };
 use beast_core::error::EvalError;
 use beast_core::interval::{range_value_hull, Interval, IntervalOutcome, IvProg, IvScratch};
 use beast_core::ir::{LBody, LIter, LStep, LoweredPlan};
-use beast_core::iterator::Realized;
+use beast_core::iterator::{range_len, Realized};
 use beast_core::pointprog::{PointProg, SlotView};
 use beast_core::schedule::{self, ScheduleMode};
 
 use crate::point::PointRef;
 
 use crate::fault::{CancelProbe, FaultAction, FaultInjector, FaultKind, FaultPolicy, FaultRecord};
-use crate::narrow::{self, LoopSolve};
 use crate::replay::{self, Closed};
 use crate::stats::{BlockStats, PruneStats};
 use crate::telemetry::{GroupSchedule, ScheduleTelemetry};
@@ -99,9 +100,6 @@ use crate::walker::SweepOutcome;
 /// telemetry differ.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EngineTier {
-    /// The serial interpreting walker. Supported only by serial drivers
-    /// (the parallel supervisor rejects it — there is nothing to chunk).
-    Walker,
     /// The in-process compiled (threaded-code) engine — the default.
     #[default]
     Compiled,
@@ -117,7 +115,6 @@ impl EngineTier {
     /// Stable lowercase name, used in signatures, CLI flags and telemetry.
     pub fn as_str(&self) -> &'static str {
         match self {
-            EngineTier::Walker => "walker",
             EngineTier::Compiled => "compiled",
             EngineTier::Native => "native",
         }
@@ -126,7 +123,6 @@ impl EngineTier {
     /// Parse a CLI-style tier name.
     pub fn parse(s: &str) -> Option<EngineTier> {
         match s {
-            "walker" => Some(EngineTier::Walker),
             "compiled" => Some(EngineTier::Compiled),
             "native" => Some(EngineTier::Native),
             _ => None,
@@ -148,7 +144,7 @@ pub struct EngineOptions {
     /// either way, so turning it off is only useful for ablations.
     pub intervals: bool,
     /// Minimum static fanout (points below one iteration, see
-    /// [`LoweredPlan::static_fanout_below`]) for a loop to get an interval
+    /// [`LevelPlan::fanout_below`]) for a loop to get an interval
     /// guard. Guards on deep loops with tiny subtrees cost more per entry
     /// than the few points they can skip; gating them *statically* keeps
     /// the guard set — and therefore every skip/elide decision — identical
@@ -182,8 +178,8 @@ pub struct EngineOptions {
     pub lint: LintGate,
     /// Which evaluation tier executes the sweep. `Compiled` (the default)
     /// runs in process; `Native` dispatches chunks to a gcc-compiled worker
-    /// binary with graceful fallback; `Walker` is serial-only. Results are
-    /// bit-identical across tiers.
+    /// binary with graceful fallback. Results are bit-identical across
+    /// tiers, and to the serial walker ([`crate::walker::Walker`]).
     pub engine: EngineTier,
 }
 
@@ -523,6 +519,19 @@ enum GuardVerdict {
     Elide(u64),
 }
 
+/// One narrowed loop: at `Op::Enter` the engine evaluates `a` and `k` and,
+/// when the solve can be decided without wrap-around, credits the check in
+/// closed form and runs the body for the at most one passing value.
+/// Anything it cannot prove enumerates, which is always correct.
+#[derive(Debug, Clone)]
+struct LoopSolve {
+    solve: Solve,
+    /// The check's bit in the block pruner's elision mask (0 when it has
+    /// none): a check the guard elided is statically true over the subtree
+    /// — nothing to solve — and is credited through the elision counters.
+    elide_mask: u64,
+}
+
 /// The compiled evaluation backend.
 pub struct Compiled {
     lp: LoweredPlan,
@@ -776,13 +785,21 @@ impl Compiled {
             agroups.push(AGroup { members, defines, on_reject: reject, end });
         }
 
-        let fanout_below: Vec<u64> =
-            (0..n_loops as usize).map(|l| lp.static_fanout_below(l)).collect();
-        let (gmaster, gproduct, guards) =
-            build_guards(&lp, n_loops as usize, &fanout_below, opts.min_guard_fanout);
+        let plan = levels(&lp).levels;
+        debug_assert_eq!(plan.len(), n_loops as usize);
+        let fanout_below: Vec<u64> = plan.iter().map(|p| p.fanout_below).collect();
+        let (gmaster, gproduct, guards) = build_guards(&lp, &plan, opts.min_guard_fanout);
 
+        // The outermost loop never narrows: the parallel driver feeds it
+        // chunk by chunk, and the narrowing counters — like guards — must
+        // not depend on the chunk grid.
         let (narrow, replay) = if groups.is_empty() {
-            (narrow::build_table(&lp), replay::Table::build(&lp))
+            let narrow = plan.iter().enumerate().map(|(l, p)| {
+                let n = p.narrowing.as_ref().filter(|_| l > 0)?;
+                let elide_mask = if n.constraint < 64 { 1u64 << n.constraint } else { 0 };
+                Some(LoopSolve { solve: Solve::new(n), elide_mask })
+            });
+            (narrow.collect(), replay::Table::build(&plan))
         } else {
             (vec![None; n_loops as usize], replay::Table::none(n_loops as usize))
         };
@@ -1329,11 +1346,20 @@ impl Compiled {
                     // Loop narrowing: when the body opens with a reject-
                     // unless-equal check affine in the loop slot, solve for
                     // the ≤ 1 passing value instead of enumerating (see
-                    // `crate::narrow`). Unprovable entries enumerate below.
+                    // `LoopSolve`). Unprovable entries enumerate below.
                     if let Some(ns) = &self.narrow[l] {
-                        let range = (f.cur, f.step, len);
-                        if let Some(sol) = ns.solve(state.elide, slots, range) {
-                            ns.credit(&mut state.stats, &mut state.blocks, len, &sol);
+                        let solved = (state.elide & ns.elide_mask == 0)
+                            .then(|| ns.solve.solve(slots, f.cur, f.step, len))
+                            .flatten();
+                        if let Some(sol) = solved {
+                            // Credit exactly what `len` scalar evaluations
+                            // of the check would: all evaluated, all but
+                            // the hit rejected.
+                            let c = ns.solve.constraint;
+                            state.stats.evaluated[c] += len;
+                            state.stats.pruned[c] += len - u64::from(sol.hit.is_some());
+                            state.blocks.loops_solved += 1;
+                            state.blocks.points_solved += len;
                             if let Some(x) = sol.hit {
                                 // Run the body once; `Next` then finds the
                                 // frame dry and parks the slot on `last`.
@@ -1930,27 +1956,16 @@ fn lift_gstep(step: &LStep) -> Option<GStep> {
 /// elided accordingly — so the dropped guard changes no decision.
 fn build_guards(
     lp: &LoweredPlan,
-    n_loops: usize,
-    fanout_below: &[u64],
+    plan: &[LevelPlan],
     min_guard_fanout: u64,
 ) -> (Vec<GStep>, Vec<bool>, Vec<Option<GuardInfo>>) {
+    let n_loops = plan.len();
     let mut guards: Vec<Option<GuardInfo>> = vec![None; n_loops];
-    // Indices into lp.steps of each bind, to slice the subtree per loop.
-    let bind_positions: Vec<(usize, u32)> = lp
-        .steps
-        .iter()
-        .enumerate()
-        .filter_map(|(i, s)| match s {
-            LStep::Bind { slot, .. } => Some((i, *slot)),
-            _ => None,
-        })
-        .collect();
-    debug_assert_eq!(bind_positions.len(), n_loops);
 
     // The first candidate: the shallowest loop l >= 1 with a non-opaque
     // check below its bind. Without one, no guard can ever decide anything.
-    let first = (1..bind_positions.len()).find(|&l| {
-        lp.steps[bind_positions[l].0 + 1..].iter().any(|s| {
+    let first = (1..n_loops).find(|&l| {
+        lp.steps[plan[l].step + 1..].iter().any(|s| {
             matches!(s, LStep::Check { body: LBody::Expr(_), .. })
         })
     });
@@ -1964,7 +1979,7 @@ fn build_guards(
     let mut m_start = vec![0u32; n_loops];
     {
         let mut loop_idx = first;
-        for step in &lp.steps[bind_positions[first].0 + 1..] {
+        for step in &lp.steps[plan[first].step + 1..] {
             if let LStep::Bind { .. } = step {
                 loop_idx += 1;
             }
@@ -1980,7 +1995,7 @@ fn build_guards(
         master.iter().map(gstep_deps).collect();
     // Every guard range is a suffix of the master list, so one slice over
     // the whole list serves them all (the trailing `Visit` lifts to nothing).
-    let below_first = &lp.steps[bind_positions[first].0 + 1..];
+    let below_first = &lp.steps[plan[first].step + 1..];
     let mut product = analyze::congruence::product_slice(below_first, lp.n_slots as usize);
     product.truncate(master.len());
 
@@ -1989,10 +2004,10 @@ fn build_guards(
     // a fresh point on every one of its iterations — is reseeded too).
     let mut prev_kept: Option<usize> = None;
     for l in first..n_loops {
-        let (pos, slot) = bind_positions[l];
+        let (pos, slot) = (plan[l].step, plan[l].slot);
         // Seed tile: slots bound/defined since the nearest kept guard's
         // bind (or since the start of the plan for the first kept guard).
-        let tile_begin = prev_kept.map_or(0, |p| bind_positions[p].0);
+        let tile_begin = prev_kept.map_or(0, |p| plan[p].step);
         let seed: Vec<u32> = lp.steps[tile_begin..pos]
             .iter()
             .filter_map(|s| match s {
@@ -2028,7 +2043,7 @@ fn build_guards(
         // ancestor verdict to inherit, so plain decidability suffices.
         // Either way, the subtree must be big enough that a skip pays for
         // the guard run (`min_guard_fanout` gates deep, tiny subtrees).
-        if fanout_below[l] >= min_guard_fanout
+        if plan[l].fanout_below >= min_guard_fanout
             && (any_dirty_check || (prev_kept.is_none() && any_check))
         {
             guards[l] = Some(GuardInfo { start: m_start[l], slot, seed, dirty });
@@ -2036,20 +2051,6 @@ fn build_guards(
         }
     }
     (master, product, guards)
-}
-
-/// Python-range length (0 for empty or zero-step ranges).
-fn range_len(start: i64, stop: i64, step: i64) -> u64 {
-    // The span lies in `1..2^64`, so it is exact in `u64` and the division
-    // needs no 128-bit libcall on this per-entry path.
-    let span = if step > 0 && start < stop {
-        stop.wrapping_sub(start) as u64
-    } else if step < 0 && start > stop {
-        start.wrapping_sub(stop) as u64
-    } else {
-        return 0;
-    };
-    (span - 1) / step.unsigned_abs() + 1
 }
 
 /// The exact value hull and residue class of a just-realized, non-empty
@@ -2620,7 +2621,6 @@ mod tests {
             EngineOptions { min_guard_fanout: 2, ..d },
             EngineOptions { schedule: ScheduleMode::Adaptive, ..d },
             EngineOptions { engine: EngineTier::Native, ..d },
-            EngineOptions { engine: EngineTier::Walker, ..d },
         ];
         let mut seen = vec![d.signature()];
         for v in variants {
@@ -2635,12 +2635,32 @@ mod tests {
     }
 
     #[test]
+    fn the_outermost_loop_never_narrows() {
+        // Both loops open with a solvable check; only the inner one may be
+        // solved, or the counters would follow the driver's chunk grid.
+        let space = Space::builder("narrow_outer")
+            .range("x", 1, 9)
+            .constraint("x4", ConstraintClass::Hard, var("x").ne(4))
+            .range("y", 1, var("x") + 9)
+            .constraint("yx", ConstraintClass::Hard, (var("y") * 2).ne(var("x") + 2))
+            .build()
+            .unwrap();
+        let lp = LoweredPlan::new(&Plan::new(&space, PlanOptions::default()).unwrap()).unwrap();
+        let recognised: Vec<bool> =
+            levels(&lp).levels.iter().map(|l| l.narrowing.is_some()).collect();
+        assert_eq!(recognised, [true, true]);
+        let table: Vec<bool> = Compiled::new(lp).narrow.iter().map(Option::is_some).collect();
+        assert_eq!(table, [false, true]);
+    }
+
+    #[test]
     fn engine_tier_parses_its_own_names() {
-        for tier in [EngineTier::Walker, EngineTier::Compiled, EngineTier::Native] {
+        for tier in [EngineTier::Compiled, EngineTier::Native] {
             assert_eq!(EngineTier::parse(tier.as_str()), Some(tier));
             assert_eq!(tier.to_string(), tier.as_str());
         }
         assert_eq!(EngineTier::parse("turbo"), None);
+        assert_eq!(EngineTier::parse("walker"), None);
         assert_eq!(EngineTier::default(), EngineTier::Compiled);
     }
 

@@ -738,21 +738,12 @@ where
     V: Visitor + Send + SaveState,
     F: Fn() -> V + Sync,
 {
-    match opts.engine.engine {
-        EngineTier::Walker => {
-            return Err(SweepError::Config(
-                "the walker tier is serial-only; distributed sweeps run the compiled tier"
-                    .to_string(),
-            ))
-        }
-        EngineTier::Native => {
-            return Err(SweepError::Config(
-                "the native tier cannot be distributed: shards already run in worker \
-                 processes; use the compiled tier"
-                    .to_string(),
-            ))
-        }
-        _ => {}
+    if opts.engine.engine == EngineTier::Native {
+        return Err(SweepError::Config(
+            "the native tier cannot be distributed: shards already run in worker \
+             processes; use the compiled tier"
+                .to_string(),
+        ));
     }
     let workers = opts.workers.max(1);
     let space = lp.plan.space();
@@ -1039,16 +1030,14 @@ mod tests {
         }
     }
 
-    /// Tier gating: walker and native tiers are refused with a config error.
+    /// Tier gating: the native tier is refused with a config error.
     #[test]
-    fn non_compiled_tiers_are_rejected() {
+    fn the_native_tier_is_rejected() {
         let lp = lowered();
-        for tier in [EngineTier::Walker, EngineTier::Native] {
-            let mut opts = DistributeOptions::new(1, Vec::new());
-            opts.engine.engine = tier;
-            let err = run_distributed(&lp, &opts, FingerprintVisitor::new).err().unwrap();
-            assert!(matches!(err, SweepError::Config(_)), "tier {tier:?} not rejected");
-        }
+        let mut opts = DistributeOptions::new(1, Vec::new());
+        opts.engine.engine = EngineTier::Native;
+        let err = run_distributed(&lp, &opts, FingerprintVisitor::new).err().unwrap();
+        assert!(matches!(err, SweepError::Config(_)), "native tier not rejected");
     }
 
     /// A lying worker reply (wrong chunk, short stats) is a protocol error;

@@ -41,7 +41,6 @@ pub mod checkpoint;
 pub mod compiled;
 pub mod distribute;
 pub mod fault;
-mod narrow;
 pub mod native;
 pub mod parallel;
 pub mod point;

@@ -519,13 +519,6 @@ where
     V: Visitor + Send,
     F: Fn() -> V + Sync,
 {
-    if opts.engine.engine == EngineTier::Walker {
-        return Err(SweepError::Config(
-            "the walker tier is serial-only; use the compiled or native tier \
-             for parallel sweeps"
-                .to_string(),
-        ));
-    }
     // Runtime-native tier: lower the plan to a C chunk worker and compile it
     // once up front. Preparation failure (no compiler, opaque steps, compile
     // error) silently falls back to the in-process engine — the tier is an

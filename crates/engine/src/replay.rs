@@ -1,8 +1,8 @@
 //! Replay, engine side: evaluate the subtree under a loop nothing reads
 //! *once*, then re-emit its survivors for every other value of the loop.
 //!
-//! [`beast_core::analyze::footprint::replayable_loops`] finds the loops whose
-//! slot no later step reads. Every iteration of such a loop runs the same
+//! The level plan ([`LevelPlan::replayable`]) marks the loops whose slot no
+//! later step reads. Every iteration of such a loop runs the same
 //! body on the same inputs: the same checks reject, the same guards skip,
 //! the same points survive — only the loop's own slot differs in what the
 //! visitor sees. So the compiled engine runs the body for the first value
@@ -37,8 +37,7 @@
 
 use std::ops::Range;
 
-use beast_core::analyze::footprint::replayable_loops;
-use beast_core::ir::LoweredPlan;
+use beast_core::analyze::levels::LevelPlan;
 
 use crate::stats::{BlockStats, PruneStats};
 
@@ -55,10 +54,10 @@ pub(crate) struct Table {
 }
 
 impl Table {
-    /// The table of a plan in its final step order (see
-    /// [`replayable_loops`]: never loop 0, nothing opaque below).
-    pub(crate) fn build(lp: &LoweredPlan) -> Table {
-        Table { loops: replayable_loops(lp), cap: LOG_CAP }
+    /// The table of a plan's levels in its final step order (see
+    /// [`LevelPlan::replayable`]: never loop 0, nothing opaque below).
+    pub(crate) fn build(levels: &[LevelPlan]) -> Table {
+        Table { loops: levels.iter().map(|l| l.replayable).collect(), cap: LOG_CAP }
     }
 
     /// A table that replays nothing: the adaptive probe engine's, so
@@ -686,7 +685,7 @@ mod tests {
             .build()
             .unwrap();
         let lp = LoweredPlan::new(&Plan::new(&space, PlanOptions::default()).unwrap()).unwrap();
-        let table = Table::build(&lp);
+        let table = Table::build(&beast_core::analyze::levels::levels(&lp).levels);
         let replays: Vec<bool> = (0..lp.n_loops()).map(|l| table.replays(l)).collect();
         assert_eq!(replays, [false, true, false, true]);
         let probe = Table::none(lp.n_loops());
@@ -700,6 +699,7 @@ mod tests {
 
     use beast_core::constraint::ConstraintClass;
     use beast_core::expr::{lit, var};
+    use beast_core::ir::LoweredPlan;
     use beast_core::plan::{LoopOrder, Plan, PlanOptions};
     use beast_core::schedule::ScheduleMode;
     use beast_core::space::{Space, SpaceBuilder};

@@ -62,8 +62,8 @@ pub struct BlockStats {
     /// Loop entries *solved* instead of enumerated: the loop's first check
     /// was a reject-unless-equal predicate affine in the loop variable, so
     /// the at most one passing value was computed in closed form (see
-    /// `crate::narrow`). The check is still credited in [`PruneStats`] as
-    /// evaluated once per value of the realized range.
+    /// `beast_core::analyze::narrow`). The check is still credited in
+    /// [`PruneStats`] as evaluated once per value of the realized range.
     pub loops_solved: u64,
     /// Loop values covered by those solved entries (the sum of their
     /// realized range lengths) — check evaluations credited, not executed.

@@ -37,7 +37,7 @@ pub enum SweepError {
     /// Reading, writing or validating a checkpoint file failed.
     Checkpoint(String),
     /// The requested engine options cannot drive this sweep (for example,
-    /// the serial walker tier handed to the parallel driver).
+    /// the native tier handed to the distributed driver).
     Config(String),
 }
 

@@ -8,8 +8,8 @@ use std::sync::Arc;
 use beast::gemm::{build_gemm_space, GemmSpaceParams};
 use beast::prelude::*;
 use beast::search::DirectSampler;
-use beast_core::analyze::narrow::{child_solves, narrowable_loops};
-use beast_core::analyze::{analyze_with_counts, CountBudget, Counter};
+use beast_core::analyze::levels::{levels, LevelPlan};
+use beast_core::analyze::{analyze_with_counts, CountBudget, Counter, LevelStats};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -65,6 +65,40 @@ fn gemm_reduced48_keeps_a_memo_only_where_keys_repeat() {
     assert_eq!(reshape, [(true, 3903), (true, 1281)]);
     assert_eq!(stats.cache_hits, 3903 + 1281);
     assert!(stats.levels.iter().filter(|l| l.free > 0).all(|l| !l.memo), "{stats:?}");
+}
+
+/// GEMM's level plan on reduced(32): the five unread iterators replay and
+/// are free, the two reshape levels are solved, and their parents solve
+/// them — the same levels `repro count 48` reports free and solved.
+#[test]
+fn gemm_level_plan_is_pinned() {
+    let names = |lp: &LoweredPlan, field: fn(&LevelPlan) -> bool| -> Vec<String> {
+        let plan = levels(lp).levels;
+        plan.iter().filter(|l| field(l)).map(|l| lp.slot_names[l.slot as usize].to_string()).collect()
+    };
+    let lp = lower(&build_gemm_space(&GemmSpaceParams::reduced(32)).unwrap());
+    let unread = ["tex_a", "tex_b", "shmem_l1", "shmem_banks", "vec_mul"];
+    assert_eq!(names(&lp, |l| l.replayable), unread);
+    assert_eq!(names(&lp, |l| l.free), unread);
+    assert_eq!(names(&lp, |l| l.narrowing.is_some()), ["dim_n_a", "dim_n_b"]);
+    let plan = levels(&lp).levels;
+    let child_solves: Vec<(&str, &str)> = plan
+        .windows(2)
+        .filter(|w| w[0].child_solve.is_some())
+        .map(|w| (&*lp.slot_names[w[0].slot as usize], &*lp.slot_names[w[1].slot as usize]))
+        .collect();
+    assert_eq!(child_solves, [("dim_m_a", "dim_n_a"), ("dim_m_b", "dim_n_b")]);
+
+    // The counter's own report on reduced(48) names the same levels.
+    let lp = lower(&build_gemm_space(&GemmSpaceParams::reduced(48)).unwrap());
+    let mut counter = Counter::new(&lp);
+    counter.total().unwrap();
+    let levels_with = |pick: fn(&LevelStats) -> u64| -> Vec<String> {
+        let stats = counter.stats().levels.iter();
+        stats.filter(|l| pick(l) > 0).map(|l| l.name.to_string()).collect()
+    };
+    assert_eq!(levels_with(|l| l.free), names(&lp, |l| l.free));
+    assert_eq!(levels_with(|l| l.solved), names(&lp, |l| l.narrowing.is_some()));
 }
 
 /// The congruence slice of GEMM: `partial_warps`, the four reshape checks
@@ -240,6 +274,24 @@ fn budget_exhaustion_is_explicit() {
     assert!(counter.aborted());
 }
 
+/// A range whose span or stride leaves `i64` has one exact length: the
+/// counter solves such a level without overflowing, in debug builds too.
+#[test]
+fn wide_ranges_count_without_overflow() {
+    let count = |b: SpaceBuilder| {
+        let lp = lower(&b.constraint("x5", ConstraintClass::Hard, var("x").ne(5)).build().unwrap());
+        let mut counter = Counter::new(&lp);
+        (counter.total().unwrap(), counter.stats().levels[0].solved)
+    };
+    assert_eq!(count(Space::builder("span").range("x", -2, i64::MAX)), (Some(1), 1));
+    // One value, 0, which the check rejects; the sweep agrees.
+    let stride = || Space::builder("stride").range_step("x", 0, -10, i64::MIN);
+    assert_eq!(count(stride()), (Some(0), 1));
+    let lp = lower(&stride().constraint("x5", ConstraintClass::Hard, var("x").ne(5)).build().unwrap());
+    assert_eq!(Counter::tuples(&lp).total().unwrap(), Some(1));
+    assert_eq!(sweep_count(&lp), 0);
+}
+
 #[path = "common/narrow_gen.rs"]
 mod narrow_gen;
 
@@ -386,8 +438,8 @@ fn parent_solves_count_and_index_like_the_walker() {
     for seed in 0..240u64 {
         let g = narrow_gen::generate_parent(seed, false);
         let lp = lower(&g.space);
-        let solves = child_solves(&lp, &narrowable_loops(&lp));
-        assert_eq!(solves[1].is_some(), g.in_parent, "seed {seed}: {:?}", lp.steps);
+        let solves = levels(&lp).levels;
+        assert_eq!(solves[1].child_solve.is_some(), g.in_parent, "seed {seed}: {:?}", lp.steps);
         in_parent += u32::from(g.in_parent);
         let counted = Counter::new(&lp).total();
         match oracle_survivors(&lp, seed, &counted) {

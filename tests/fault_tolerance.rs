@@ -352,9 +352,11 @@ fn replayed_loops_fault_exactly_like_enumerated_ones() {
     }
     // The premise: the plain spelling may replay `u` and `v`, the reference
     // only `v` (loops in nest order: o u x v y).
-    use beast::core::analyze::footprint::replayable_loops;
-    assert_eq!(replayable_loops(&replayed), [false, true, false, true, false]);
-    assert_eq!(replayable_loops(&reference), [false, false, false, true, false]);
+    let replayable = |lp: &LoweredPlan| -> Vec<bool> {
+        beast::core::analyze::levels::levels(lp).levels.iter().map(|l| l.replayable).collect()
+    };
+    assert_eq!(replayable(&replayed), [false, true, false, true, false]);
+    assert_eq!(replayable(&reference), [false, false, false, true, false]);
 }
 
 /// A visitor that trips a cancel token on its `after`-th survivor.

@@ -2,7 +2,7 @@
 //!
 //! The compiled engine *solves* a loop whose body opens with a
 //! reject-unless-equal check affine in the loop variable
-//! (`beast_core::analyze::narrow`, `beast_engine`'s `narrow` module) instead
+//! (`beast_core::analyze::{levels, narrow}`, `beast_engine::compiled`) instead
 //! of enumerating it. Nothing observable may change: survivors, emission
 //! order and per-constraint [`PruneStats`] must equal the enumerating
 //! backends', and every counter — the new `loops_solved` / `points_solved`

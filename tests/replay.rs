@@ -15,8 +15,6 @@
 //! faults are keyed on visit ordinals, so an attached injector turns replay
 //! off at run time without firing once.
 
-use beast::core::analyze::footprint::replayable_loops;
-use beast::core::ir::LStep;
 use beast::prelude::*;
 
 #[path = "common/narrow_gen.rs"]
@@ -55,11 +53,9 @@ fn collect(
 
 /// The names of the loops the recogniser marks, in nest order.
 fn replayable_names(lp: &LoweredPlan) -> Vec<String> {
-    let binds = lp.steps.iter().filter_map(|s| match s {
-        LStep::Bind { slot, .. } => Some(lp.slot_names[*slot as usize].to_string()),
-        _ => None,
-    });
-    binds.zip(replayable_loops(lp)).filter_map(|(n, r)| r.then_some(n)).collect()
+    let levels = beast::core::analyze::levels::levels(lp).levels;
+    let replayed = levels.iter().filter(|l| l.replayable);
+    replayed.map(|l| lp.slot_names[l.slot as usize].to_string()).collect()
 }
 
 /// Everything one space must satisfy; returns `(replay events, survivors)`
