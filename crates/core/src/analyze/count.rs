@@ -55,8 +55,9 @@
 //!   wholesale — the counting analog of the engine's congruence guards. Like
 //!   the engine's guards the pass runs only where it can pay: the run holds
 //!   a check, the level is not uniform, and the realized domain has at least
-//!   `MIN_ABSTRACT_FANOUT` values. Only the run's congruence slice
-//!   ([`super::congruence::product_slice`]) evaluates over the product; the
+//!   `MIN_ABSTRACT_FANOUT` values. The pass is a driver of the plan's
+//!   abstract step program ([`AbsSteps`]): only the steps of the plan's
+//!   congruence slice ([`AbsSteps::slice`]) evaluate over the product; the
 //!   rest — a run of comparisons, typically — runs interval-only.
 //!
 //! The per-level entries keep the feasible values with cumulative subtree
@@ -75,21 +76,23 @@
 
 use std::borrow::Cow;
 use std::collections::BTreeSet;
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::error::EvalError;
-use crate::interval::{Interval, IvProg, IvScratch};
+use crate::interval::Interval;
 use crate::ir::{IntBinOp, IntExpr, LBody, LIter, LStep, LoweredPlan};
 use crate::iterator::{range_len, Realized};
 use crate::pointprog::{PointProg, StepProgs};
 use crate::value::Value;
 
-use super::congruence::{cg_of_bind, cg_of_values, eval_product, product_slice, Congruence};
+use super::congruence::Congruence;
 use super::footprint::{suffix_footprints, unique_key_levels};
 use super::levels::{levels, LevelTable};
 #[cfg(doc)]
 use super::levels::LevelPlan;
 use super::narrow::{solve_affine, Solve, Solved};
+use super::steps::{range_box, values_box, AbsEnv, AbsSteps, BindHull};
 
 /// Work limits for a counting run. Exceeding either limit aborts the
 /// analysis ([`Counter::total`] returns `None`) rather than degrading to an
@@ -483,9 +486,10 @@ impl Domain<'_> {
 
 /// Per loop level: what [`Counter::build`] learned about it, and its memo.
 struct Level {
-    /// Index of the level's `Bind` step, and the slot it binds.
+    /// Index of the level's `Bind` step, the slot it binds, and its run.
     step: usize,
     slot: u32,
+    run: Range<usize>,
     /// The equality check opening the level's body, when the level is
     /// solved rather than enumerated (survivor mode only).
     solve: Option<Solve>,
@@ -521,11 +525,8 @@ pub struct Counter<'a> {
     /// Per step: sorted slots the suffix starting at this step reads from
     /// outside (the dependency footprint).
     footprints: Vec<Arc<[u32]>>,
-    /// Per step: compiled interval program for expression bodies.
-    progs: Vec<Option<IvProg>>,
-    /// Per step: in its level run's congruence slice, so the abstract
-    /// pre-pass evaluates it over the product rather than interval-only.
-    product: Vec<bool>,
+    /// The abstract step program the pre-pass runs.
+    abs: AbsSteps,
     /// Per step: the concrete evaluator of defines, checks and bounds.
     points: StepProgs<'a>,
     /// Per `Bind` step: level ordinal (outermost first).
@@ -537,10 +538,8 @@ pub struct Counter<'a> {
     /// [`Counter::total`] decides.
     root: EntryRef,
     decided: Option<u128>,
-    /// Reused environments of the abstract pre-pass.
-    iv_env: Vec<Interval>,
-    cg_env: Vec<Congruence>,
-    scratch: IvScratch,
+    /// The pre-pass's reused box.
+    env: AbsEnv,
     stats: CountStats,
 }
 
@@ -580,21 +579,9 @@ impl<'a> Counter<'a> {
         let LevelTable { levels: plan, footprints } = levels(lp);
         let footprints = if survivors { footprints } else { suffix_footprints(lp, false) };
 
-        // Compiled abstract programs for every expression body.
-        let progs: Vec<Option<IvProg>> = lp
-            .steps
-            .iter()
-            .map(|s| match s {
-                LStep::Define { body: LBody::Expr(e), .. }
-                | LStep::Check { body: LBody::Expr(e), .. } => Some(IvProg::compile(e)),
-                _ => None,
-            })
-            .collect();
-
         let mut level_of = vec![usize::MAX; lp.steps.len()];
         let mut levels = Vec::with_capacity(plan.len());
         let mut level_stats = Vec::with_capacity(plan.len());
-        let mut product = vec![false; lp.steps.len()];
         // Slots written strictly before the current level's bind: residue-
         // filter divisors must be fully bound when their level opens.
         let mut written = vec![false; lp.n_slots as usize];
@@ -623,7 +610,6 @@ impl<'a> Counter<'a> {
                 residue_skipped: 0,
             });
             let run = &lp.steps[p.run.clone()];
-            product[p.run.clone()].copy_from_slice(&product_slice(run, lp.n_slots as usize));
             let mut run_has_check = false;
             let mut rem_divisors = Vec::new();
             for step in run {
@@ -642,6 +628,7 @@ impl<'a> Counter<'a> {
             levels.push(Level {
                 step: p.step,
                 slot: p.slot,
+                run: p.run.clone(),
                 solve: p.narrowing.as_ref().filter(|_| survivors).map(Solve::new),
                 child_solve: p.child_solve.as_ref().filter(|_| survivors).map(|s| {
                     [PointProg::compile(&s.c), PointProg::compile(&s.d)]
@@ -662,7 +649,8 @@ impl<'a> Counter<'a> {
 
         let free: Vec<bool> = levels.iter().map(|l| l.free).collect();
         let solved: Vec<bool> = levels.iter().map(|l| l.solve.is_some()).collect();
-        let unique = unique_key_levels(lp, &plan, &footprints, &free, &solved);
+        let abs = AbsSteps::new(lp);
+        let unique = unique_key_levels(lp, &abs, &plan, &footprints, &free, &solved);
         for ((level, stats), unique) in levels.iter_mut().zip(&mut level_stats).zip(unique) {
             level.memo &= !unique;
             stats.memo = level.memo;
@@ -674,17 +662,14 @@ impl<'a> Counter<'a> {
             ignore_checks,
             aborted: false,
             footprints,
-            progs,
-            product,
+            abs,
             points: StepProgs::new(lp),
             level_of,
             levels,
             memo_len: 0,
             root: EntryRef::EMPTY,
             decided: None,
-            iv_env: Vec::new(),
-            cg_env: Vec::new(),
-            scratch: IvScratch::default(),
+            env: AbsEnv::default(),
             stats: CountStats { levels: level_stats, ..CountStats::default() },
         }
     }
@@ -731,10 +716,10 @@ impl<'a> Counter<'a> {
     }
 
     /// Test hook: the same counter with every pre-pass step evaluated over
-    /// the product, as if every step were in its run's congruence slice.
+    /// the product, as if every step were in the congruence slice.
     #[cfg(test)]
     fn with_full_product(mut self) -> Self {
-        self.product.fill(true);
+        self.abs = self.abs.with_full_product();
         self
     }
 
@@ -1065,12 +1050,15 @@ impl<'a> Counter<'a> {
         // skipped without recursion.
         let mut rejected_classes = None;
         if !self.ignore_checks && self.levels[level].run_has_check && len >= MIN_ABSTRACT_FANOUT {
-            let (iv, cg) = domain_product(&dom);
-            if self.run_rejects(i, slots, slot, iv, cg) {
+            let (iv, cg) = match &dom {
+                Domain::Range { start, step, len } => range_box(*start, *step, *len as u64),
+                Domain::Ints(vs) => values_box(vs),
+            };
+            if self.run_rejects(level, slots, iv, cg) {
                 self.stats.domains_rejected += 1;
                 return Ok((len as u64, 0));
             }
-            rejected_classes = self.rejected_residue_classes(i, level, slots, slot, &dom, iv);
+            rejected_classes = self.rejected_residue_classes(level, slots, &dom, iv);
         }
         let child_solve = self.child_entry(level, i, slots);
         let mut cum = 0u128;
@@ -1129,66 +1117,30 @@ impl<'a> Counter<'a> {
     /// raised a runtime error instead (`clean` tracking), so skipping the
     /// whole class is observationally identical to enumerating it.
     ///
-    /// Steps outside the run's congruence slice evaluate interval-only and
+    /// Steps outside the congruence slice evaluate interval-only and
     /// leave the congruence environment alone: nothing in the slice reads
     /// them, and a check outside it gains no verdict from congruence.
     fn run_rejects(
         &mut self,
-        bind_step: usize,
+        level: usize,
         slots: &[i64],
-        bind_slot: usize,
         x_iv: Interval,
         x_cg: Congruence,
     ) -> bool {
-        let (iv_env, cg_env, scratch) = (&mut self.iv_env, &mut self.cg_env, &mut self.scratch);
-        iv_env.clear();
-        iv_env.extend(slots.iter().map(|&v| Interval::point(v)));
-        cg_env.clear();
-        cg_env.extend(slots.iter().map(|&v| Congruence::point(v)));
-        iv_env[bind_slot] = x_iv;
-        cg_env[bind_slot] = x_cg;
-        let mut run_clean = true;
-        for (j, step) in self.lp.steps.iter().enumerate().skip(bind_step + 1) {
-            let product = self.product[j];
-            let mut eval = || {
-                let prog = self.progs[j].as_ref().expect("expr body compiled");
-                if product {
-                    eval_product(prog, iv_env, cg_env, scratch)
-                } else {
-                    (prog.eval(iv_env, scratch), Congruence::top())
-                }
-            };
-            match step {
-                LStep::Bind { .. } | LStep::Visit => break,
-                LStep::Define { slot, body, .. } => match body {
-                    LBody::Expr(_) => {
-                        let (o, cg) = eval();
-                        run_clean &= o.clean;
-                        iv_env[*slot as usize] = o.iv;
-                        if product {
-                            cg_env[*slot as usize] = cg;
-                        }
-                    }
-                    LBody::Opaque => {
-                        run_clean = false;
-                        iv_env[*slot as usize] = Interval::TOP;
-                        if product {
-                            cg_env[*slot as usize] = Congruence::top();
-                        }
-                    }
-                },
-                LStep::Check { body, .. } => match body {
-                    LBody::Expr(_) => {
-                        let (o, cg) = eval();
-                        if run_clean && o.clean && (!o.iv.contains(0) || cg.always_nonzero())
-                        {
-                            return true;
-                        }
-                        run_clean &= o.clean;
-                    }
-                    LBody::Opaque => run_clean = false,
-                },
+        let Level { slot, run, .. } = &self.levels[level];
+        let env = &mut self.env;
+        env.set_points(slots);
+        env.iv[*slot as usize] = x_iv;
+        env.cg[*slot as usize] = x_cg;
+        let mut clean = true;
+        for j in run.clone() {
+            let product = self.abs.slice()[j];
+            let fact = self.abs.eval(j, env, product, BindHull::Bounds);
+            if clean && fact.rejects_all {
+                return true;
             }
+            clean &= fact.out.clean;
+            env.write(&fact, product);
         }
         false
     }
@@ -1198,10 +1150,8 @@ impl<'a> Counter<'a> {
     /// and rejects something, `None` otherwise.
     fn rejected_residue_classes(
         &mut self,
-        bind_step: usize,
         level: usize,
         slots: &[i64],
-        bind_slot: usize,
         dom: &Domain<'_>,
         dom_iv: Interval,
     ) -> Option<(i64, Vec<i64>)> {
@@ -1249,30 +1199,13 @@ impl<'a> Counter<'a> {
         let mut rejected = Vec::new();
         for c in classes {
             let cg = Congruence { m: modulus, r: c.rem_euclid(modulus) };
-            if self.run_rejects(bind_step, slots, bind_slot, dom_iv, cg) {
+            if self.run_rejects(level, slots, dom_iv, cg) {
                 self.stats.residue_classes_pruned += 1;
                 rejected.push(c);
             }
         }
         rejected.sort_unstable();
         (!rejected.is_empty()).then_some((modulus, rejected))
-    }
-}
-
-/// The whole-domain abstraction of a non-empty realized domain: value hull
-/// interval plus the exact progression congruence.
-fn domain_product(dom: &Domain<'_>) -> (Interval, Congruence) {
-    match dom {
-        Domain::Range { start, step, len } => {
-            let last = start.wrapping_add((*len as i64 - 1).wrapping_mul(*step));
-            let cg = cg_of_bind(Congruence::point(*start), Congruence::point(*step));
-            (Interval::new(*start, last), cg)
-        }
-        Domain::Ints(vs) => {
-            let (lo, hi) =
-                vs.iter().fold((i64::MAX, i64::MIN), |(lo, hi), &v| (lo.min(v), hi.max(v)));
-            (Interval::new(lo, hi), cg_of_values(vs))
-        }
     }
 }
 
@@ -1900,8 +1833,8 @@ mod tests {
         ];
         let (mut unmemoised, mut sliced_out, mut aborted) = (0u32, 0u32, 0u32);
         for (n, lp) in plans.iter().enumerate() {
-            let product = Counter::new(lp).product;
-            let mut checks = lp.steps.iter().zip(product);
+            let abs = Counter::new(lp).abs;
+            let mut checks = lp.steps.iter().zip(abs.slice());
             sliced_out += u32::from(checks.any(|(s, p)| matches!(s, LStep::Check { .. }) && !p));
             for (budget, tuples) in budgets.iter().flat_map(|&b| [(b, false), (b, true)]) {
                 let at = format!("plan {n}, {budget:?}, tuples {tuples}");

@@ -16,10 +16,11 @@
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
-use crate::interval::{interval_of, range_value_hull, Interval};
+use crate::interval::{interval_of, Interval};
 use crate::ir::{IntBinOp, IntExpr, LBody, LIter, LStep, LoweredPlan};
 
 use super::levels::LevelPlan;
+use super::steps::AbsSteps;
 
 /// Per step `i`: the sorted slots the plan suffix starting at step `i`
 /// reads from outside it. A step's own reads happen before its write, so a
@@ -110,9 +111,11 @@ pub(crate) fn suffix_footprints(lp: &LoweredPlan, with_checks: bool) -> Vec<Arc<
 /// enters `L` at most once per value of `P` (a free level recurses once per
 /// visit), so `L` sees each `(key(P), value(P))` at most once, and that
 /// pair is a function of `key(L)`. Plans whose slots are not written once,
-/// each before its reads, keep every memo.
+/// each before its reads, keep every memo. The exact-division test reads
+/// the per-slot hulls of the static walk over `abs`, `lp`'s step program.
 pub(crate) fn unique_key_levels(
     lp: &LoweredPlan,
+    abs: &AbsSteps,
     levels: &[LevelPlan],
     footprints: &[Arc<[u32]>],
     free: &[bool],
@@ -121,7 +124,7 @@ pub(crate) fn unique_key_levels(
     if !single_assignment(lp) {
         return vec![false; levels.len()];
     }
-    let ivs = static_intervals(lp);
+    let ivs = abs.walk(false, |_, _, _| {}).iv;
     (0..levels.len())
         .map(|l| {
             if free[l] || solved[l] {
@@ -163,29 +166,6 @@ fn single_assignment(lp: &LoweredPlan) -> bool {
         }
         _ => true,
     })
-}
-
-/// Sound per-slot value intervals over the whole plan: bind hulls of their
-/// bounds, define intervals (⊤ once a wrap is reachable), ⊤ for anything
-/// opaque or never written.
-fn static_intervals(lp: &LoweredPlan) -> Vec<Interval> {
-    let mut env = vec![Interval::TOP; lp.n_slots as usize];
-    for step in &lp.steps {
-        let (slot, iv) = match step {
-            LStep::Bind { slot, domain: LIter::Range { start, stop, .. }, .. } => {
-                (slot, range_value_hull(interval_of(start, &env).iv, interval_of(stop, &env).iv))
-            }
-            LStep::Bind { slot, domain: LIter::Values(v), .. } => {
-                let hull = v.iter().map(|&x| Interval::point(x)).reduce(|a, b| a.hull(b));
-                (slot, hull.unwrap_or(Interval::TOP))
-            }
-            LStep::Define { slot, body: LBody::Expr(e), .. } => (slot, interval_of(e, &env).iv),
-            LStep::Bind { slot, .. } | LStep::Define { slot, .. } => (slot, Interval::TOP),
-            LStep::Check { .. } | LStep::Visit => continue,
-        };
-        env[*slot as usize] = iv;
-    }
-    env
 }
 
 /// The determined-slot closure of `key` at step `upto`: the slots whose
@@ -373,7 +353,7 @@ mod tests {
         );
         let table = levels(&lp);
         let none = vec![false; lp.n_loops()];
-        unique_key_levels(&lp, &table.levels, &table.footprints, &none, &none)
+        unique_key_levels(&lp, &AbsSteps::new(&lp), &table.levels, &table.footprints, &none, &none)
     }
 
     #[test]
@@ -431,8 +411,9 @@ mod tests {
             &["a", "u", "b"],
         );
         let LevelTable { levels, footprints: fps } = levels(&lp);
+        let abs = AbsSteps::new(&lp);
         let unique = |free: &[bool], solved: &[bool]| {
-            unique_key_levels(&lp, &levels, &fps, free, solved)
+            unique_key_levels(&lp, &abs, &levels, &fps, free, solved)
         };
         let (free, none) = (vec![false, true, false], vec![false; 3]);
         assert_eq!(unique(&free, &none), [true, false, true]);

@@ -5,9 +5,9 @@
 //! *before* enumeration; this module extends that from configurations to
 //! the space description itself. A space author who writes an impossible
 //! constraint today gets a slow sweep returning zero survivors and no clue
-//! why. [`analyze`] walks the lowered plan once with the interval ×
-//! congruence product domain and reports structured diagnostics with
-//! stable codes:
+//! why. [`analyze`] reads the static walk of the plan's abstract step
+//! program ([`steps`]) over the interval × congruence product domain and
+//! reports structured diagnostics with stable codes:
 //!
 //! | code  | severity | finding |
 //! |-------|----------|---------|
@@ -32,10 +32,13 @@
 //! the suffix footprints of [`footprint`], which also key the counter's
 //! memo.
 //!
-//! The congruence half ([`congruence`]) is shared with
-//! `beast_engine::compiled`'s subtree guards, where residue facts prune
-//! divisibility constraints (`% == 0`, `!=` against a multiple) that
-//! intervals alone cannot decide.
+//! [`steps`] compiles every plan step once for abstract evaluation
+//! ([`AbsSteps`]); its one transfer serves the compiled engine's subtree
+//! guards, the counter's pre-pass and the static walk the linter, the
+//! constraint scheduler and the unique-key recogniser read. Its congruence
+//! half ([`congruence`]) is where residue facts prune divisibility
+//! constraints (`% == 0`, `!=` against a multiple) that intervals alone
+//! cannot decide.
 
 pub mod congruence;
 pub mod count;
@@ -43,14 +46,15 @@ pub mod diagnostics;
 pub mod footprint;
 pub mod levels;
 pub mod narrow;
+pub mod steps;
 
-use crate::interval::{Interval, IvProg, IvScratch};
-use crate::ir::{IntBinOp, IntExpr, LBody, LIter, LStep, LoweredPlan};
+use crate::ir::{IntBinOp, IntExpr, LBody, LStep, LoweredPlan};
 use crate::space::NodeTarget;
 
 pub use congruence::{cg_of_bind, cg_of_values, eval_product, reduce, Congruence, Product};
 pub use count::{CountBudget, CountStats, Counter, EntryRef, LevelStats, LevelView};
 pub use diagnostics::{Diagnostic, LintReport, LintSummary, Severity};
+pub use steps::{AbsEnv, AbsSteps, BindHull, StepFact};
 
 /// What the engine does with lint findings before a sweep (configured via
 /// `EngineOptions` in `beast-engine`).
@@ -65,14 +69,6 @@ pub enum LintGate {
     Warn,
     /// Skip the analyzer entirely.
     Allow,
-}
-
-/// Pre-sweep gate entry point: run every pass over the lowered plan.
-///
-/// Identical to [`analyze`]; the alias exists so call sites read as what
-/// they are (`analyze::check_space(&lp)` guarding an engine build).
-pub fn check_space(lp: &LoweredPlan) -> LintReport {
-    analyze(lp)
 }
 
 /// Run all lint passes over a lowered plan and return the findings sorted
@@ -156,30 +152,16 @@ pub fn analyze_with_counts_budget(lp: &LoweredPlan, budget: CountBudget) -> Lint
     report
 }
 
-/// Evaluate one lowered expression over the product domain.
-fn eval_expr(
-    e: &IntExpr,
-    iv_env: &[Interval],
-    cg_env: &[Congruence],
-    scratch: &mut IvScratch,
-) -> Product {
-    eval_product(&IvProg::compile(e), iv_env, cg_env, scratch)
-}
-
-/// The single env walk: tracks the interval × congruence hull of every slot
-/// across the plan and emits the environment-dependent diagnostics
-/// (BE001 empty space, BE002 dead check, BE006 hoistable check, BE007
-/// fallible define, BE008 overflow risk).
+/// The linter's reading of the static walk ([`AbsSteps::walk`], over the
+/// product): the environment-dependent diagnostics (BE001 empty space,
+/// BE002 dead check, BE006 hoistable check, BE007 fallible define, BE008
+/// overflow risk).
 fn walk_passes(lp: &LoweredPlan, diags: &mut Vec<Diagnostic>) {
     let space = lp.plan.space();
-    let n = lp.n_slots as usize;
-    let mut iv_env = vec![Interval::TOP; n];
-    let mut cg_env = vec![Congruence::top(); n];
-    let mut scratch = IvScratch::default();
     // Loop level at which each slot's value becomes available (-1 =
     // preamble); for derived slots, the transitive max over their reads, so
     // hoistability judgments see through defines.
-    let mut slot_level: Vec<i64> = vec![-1; n];
+    let mut slot_level: Vec<i64> = vec![-1; lp.n_slots as usize];
     let mut cur_level: i64 = -1;
 
     let needed_level = |e: &IntExpr, slot_level: &[i64]| -> i64 {
@@ -188,134 +170,87 @@ fn walk_passes(lp: &LoweredPlan, diags: &mut Vec<Diagnostic>) {
         need
     };
 
-    for step in &lp.steps {
-        match step {
-            LStep::Bind { slot, depth, domain, .. } => {
-                cur_level = *depth as i64;
-                slot_level[*slot as usize] = cur_level;
-                let (iv, cg) = match domain {
-                    LIter::Range { start, stop, step } => {
-                        let (sa, cga) = eval_expr(start, &iv_env, &cg_env, &mut scratch);
-                        let (so, _) = eval_expr(stop, &iv_env, &cg_env, &mut scratch);
-                        let (_, cgs) = eval_expr(step, &iv_env, &cg_env, &mut scratch);
-                        // Stride-aware value hull, mirroring the constraint
-                        // scheduler's `env_step`: a constant-sign stride
-                        // bounds executed iterations on the start side.
-                        let iv = match step.as_const() {
-                            Some(k) if k > 0 => Interval {
-                                lo: sa.iv.lo,
-                                hi: so.iv.hi.saturating_sub(1).max(sa.iv.lo),
-                            },
-                            Some(k) if k < 0 => Interval {
-                                lo: so.iv.lo.saturating_add(1).min(sa.iv.hi),
-                                hi: sa.iv.hi,
-                            },
-                            _ => crate::interval::range_value_hull(sa.iv, so.iv),
-                        };
-                        (iv, cg_of_bind(cga, cgs))
-                    }
-                    LIter::Values(v) => (
-                        Interval {
-                            lo: v.iter().copied().min().unwrap_or(0),
-                            hi: v.iter().copied().max().unwrap_or(0),
-                        },
-                        cg_of_values(v),
-                    ),
-                    LIter::Opaque { .. } => (Interval::TOP, Congruence::top()),
-                };
-                iv_env[*slot as usize] = iv;
-                cg_env[*slot as usize] = cg;
-            }
-            LStep::Define { derived, slot, body } => {
-                let name = &space.deriveds()[*derived].name;
-                match body {
-                    LBody::Expr(e) => {
-                        let (o, cg) = eval_expr(e, &iv_env, &cg_env, &mut scratch);
-                        if !o.clean {
-                            diags.push(Diagnostic {
-                                severity: Severity::Warning,
-                                code: "BE007",
-                                name: name.to_string(),
-                                message: "may fail at runtime: a divisor's interval \
-                                          contains 0"
-                                    .into(),
-                                suggestion: Some(format!(
-                                    "guard the division in `{}` or constrain its \
-                                     divisor away from 0",
-                                    e.render_c(&lp.slot_names)
-                                )),
-                            });
-                        } else if o.widened {
-                            diags.push(overflow_diag(name, e, lp));
-                        }
-                        iv_env[*slot as usize] = o.iv;
-                        cg_env[*slot as usize] = cg;
-                        slot_level[*slot as usize] = needed_level(e, &slot_level);
-                    }
-                    LBody::Opaque => {
-                        iv_env[*slot as usize] = Interval::TOP;
-                        cg_env[*slot as usize] = Congruence::top();
-                        slot_level[*slot as usize] = cur_level;
-                    }
-                }
-            }
-            LStep::Check { constraint, body } => {
-                let name = &space.constraints()[*constraint].name;
-                let LBody::Expr(e) = body else { continue };
-                let (o, cg) = eval_expr(e, &iv_env, &cg_env, &mut scratch);
-                if o.clean && (!o.iv.contains(0) || cg.always_nonzero()) {
-                    diags.push(Diagnostic {
-                        severity: Severity::Error,
-                        code: "BE001",
-                        name: name.to_string(),
-                        message: "statically rejects every point: the search space \
-                                  is provably empty"
-                            .into(),
-                        suggestion: Some(format!(
-                            "the predicate `{}` is always true under the declared \
-                             domains; relax or remove it",
-                            e.render_c(&lp.slot_names)
-                        )),
-                    });
-                } else if o.clean
-                    && (o.iv == Interval::point(0) || cg.as_point() == Some(0))
-                {
-                    diags.push(Diagnostic {
-                        severity: Severity::Warning,
-                        code: "BE002",
-                        name: name.to_string(),
-                        message: "can never reject a point: dead check".into(),
-                        suggestion: Some(format!(
-                            "the predicate `{}` is always false under the declared \
-                             domains; remove it",
-                            e.render_c(&lp.slot_names)
-                        )),
-                    });
-                } else if o.clean && o.widened {
-                    diags.push(overflow_diag(name, e, lp));
-                }
-                let needed = needed_level(e, &slot_level);
-                if needed < cur_level {
-                    diags.push(Diagnostic {
-                        severity: Severity::Info,
-                        code: "BE006",
-                        name: name.to_string(),
-                        message: format!(
-                            "evaluated at loop level {cur_level} but (after \
-                             simplification) reads nothing bound below level \
-                             {needed}: hoistable"
-                        ),
-                        suggestion: Some(
-                            "rewrite the definitions it references so the planner \
-                             sees the smaller dependency set"
-                                .into(),
-                        ),
-                    });
-                }
-            }
-            LStep::Visit => {}
+    AbsSteps::new(lp).walk(true, |i, _, fact| match &lp.steps[i] {
+        LStep::Bind { slot, depth, .. } => {
+            cur_level = *depth as i64;
+            slot_level[*slot as usize] = cur_level;
         }
-    }
+        LStep::Define { derived, slot, body } => {
+            let name = &space.deriveds()[*derived].name;
+            slot_level[*slot as usize] = match body {
+                LBody::Expr(e) => {
+                    if !fact.out.clean {
+                        diags.push(Diagnostic {
+                            severity: Severity::Warning,
+                            code: "BE007",
+                            name: name.to_string(),
+                            message: "may fail at runtime: a divisor's interval contains 0"
+                                .into(),
+                            suggestion: Some(format!(
+                                "guard the division in `{}` or constrain its divisor away \
+                                 from 0",
+                                e.render_c(&lp.slot_names)
+                            )),
+                        });
+                    } else if fact.out.widened {
+                        diags.push(overflow_diag(name, e, lp));
+                    }
+                    needed_level(e, &slot_level)
+                }
+                LBody::Opaque => cur_level,
+            };
+        }
+        LStep::Check { constraint, body: LBody::Expr(e) } => {
+            let name = &space.constraints()[*constraint].name;
+            if fact.rejects_all {
+                diags.push(Diagnostic {
+                    severity: Severity::Error,
+                    code: "BE001",
+                    name: name.to_string(),
+                    message: "statically rejects every point: the search space is provably \
+                              empty"
+                        .into(),
+                    suggestion: Some(format!(
+                        "the predicate `{}` is always true under the declared domains; \
+                         relax or remove it",
+                        e.render_c(&lp.slot_names)
+                    )),
+                });
+            } else if fact.passes_all {
+                diags.push(Diagnostic {
+                    severity: Severity::Warning,
+                    code: "BE002",
+                    name: name.to_string(),
+                    message: "can never reject a point: dead check".into(),
+                    suggestion: Some(format!(
+                        "the predicate `{}` is always false under the declared domains; \
+                         remove it",
+                        e.render_c(&lp.slot_names)
+                    )),
+                });
+            } else if fact.out.clean && fact.out.widened {
+                diags.push(overflow_diag(name, e, lp));
+            }
+            let needed = needed_level(e, &slot_level);
+            if needed < cur_level {
+                diags.push(Diagnostic {
+                    severity: Severity::Info,
+                    code: "BE006",
+                    name: name.to_string(),
+                    message: format!(
+                        "evaluated at loop level {cur_level} but (after simplification) \
+                         reads nothing bound below level {needed}: hoistable"
+                    ),
+                    suggestion: Some(
+                        "rewrite the definitions it references so the planner sees the \
+                         smaller dependency set"
+                            .into(),
+                    ),
+                });
+            }
+        }
+        LStep::Check { body: LBody::Opaque, .. } | LStep::Visit => {}
+    });
 }
 
 fn overflow_diag(name: &str, e: &IntExpr, lp: &LoweredPlan) -> Diagnostic {

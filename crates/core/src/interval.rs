@@ -609,9 +609,10 @@ fn bin_fast(op: IntBinOp, a: IntervalOutcome, b: IntervalOutcome) -> IntervalOut
     }
 }
 
-/// A register-form compilation of an [`IntExpr`] for abstract evaluation:
-/// the interval guards of `beast_engine`'s compiled engine, the counter's
-/// abstract pre-pass and the analyzer all run it.
+/// A register-form compilation of an [`IntExpr`] for abstract evaluation.
+/// Plan steps are compiled once, in [`crate::analyze::AbsSteps`], which the
+/// interval guards of `beast_engine`'s compiled engine, the counter's
+/// abstract pre-pass and the static whole-plan walk all run.
 ///
 /// Instructions read their operands in place — a leaf slot or constant is
 /// an operand of its parent, not a push — and write one register each.

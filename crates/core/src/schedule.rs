@@ -40,9 +40,10 @@
 
 use std::cmp::Ordering;
 
-use crate::interval::{interval_of, range_value_hull, Interval};
+use crate::analyze::AbsSteps;
 use crate::expr::Builtin;
-use crate::ir::{IntBinOp, IntExpr, LBody, LIter, LStep, LoweredPlan};
+use crate::interval::{interval_of, Interval};
+use crate::ir::{IntBinOp, IntExpr, LBody, LStep, LoweredPlan};
 
 /// How an engine orders the checks within one loop level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -119,73 +120,19 @@ pub struct CostModel {
 }
 
 impl CostModel {
-    /// Score every expression constraint of a lowered plan.
-    ///
-    /// The plan's steps are walked once, maintaining a per-slot interval
-    /// environment: range binds contribute the hull of their bound
-    /// intervals, value-list binds their min/max, defines the interval of
-    /// their expression, and opaque steps ⊤. Each check is then scored
-    /// against the environment at its own position, i.e. with exactly the
-    /// slots it can read bound.
+    /// Score every expression constraint of a lowered plan, each against
+    /// the interval environment at its own position in the static walk
+    /// ([`AbsSteps::walk`]), i.e. with exactly the slots it can read bound.
     pub fn of(lp: &LoweredPlan) -> CostModel {
         let n = lp.plan.space().constraints().len();
         let mut scores: Vec<Option<CheckScore>> = vec![None; n];
-        let mut env = vec![Interval::TOP; lp.n_slots as usize];
-        for step in &lp.steps {
-            if let LStep::Check { constraint, body: LBody::Expr(e) } = step {
-                scores[*constraint] = Some(CheckScore {
-                    cost: e.op_count(),
-                    kill_prior: p_true(e, &env),
-                });
+        AbsSteps::new(lp).walk(false, |i, env, _| {
+            if let LStep::Check { constraint, body: LBody::Expr(e) } = &lp.steps[i] {
+                scores[*constraint] =
+                    Some(CheckScore { cost: e.op_count(), kill_prior: p_true(e, &env.iv) });
             }
-            env_step(step, &mut env);
-        }
+        });
         CostModel { scores }
-    }
-}
-
-/// Advance the per-slot interval environment across one lowered step: range
-/// binds write the hull of the bound intervals, value-list binds their
-/// min/max, defines the interval of their expression, and opaque steps ⊤.
-fn env_step(step: &LStep, env: &mut [Interval]) {
-    match step {
-        LStep::Bind { slot, domain, .. } => {
-            env[*slot as usize] = match domain {
-                LIter::Range { start, stop, step } => {
-                    let sa = interval_of(start, env).iv;
-                    let so = interval_of(stop, env).iv;
-                    // A constant-sign stride bounds executed iterations on
-                    // the start side: `start ..< stop` ascending never goes
-                    // below `start`, descending (exclusive stop) never
-                    // above it. `range_value_hull` must stay conservative
-                    // for unknown strides; empty ranges never run their
-                    // body, so clamping `hi >= lo` is safe.
-                    match step.as_const() {
-                        Some(k) if k > 0 => Interval {
-                            lo: sa.lo,
-                            hi: so.hi.saturating_sub(1).max(sa.lo),
-                        },
-                        Some(k) if k < 0 => Interval {
-                            lo: so.lo.saturating_add(1).min(sa.hi),
-                            hi: sa.hi,
-                        },
-                        _ => range_value_hull(sa, so),
-                    }
-                }
-                LIter::Values(v) => Interval {
-                    lo: v.iter().copied().min().unwrap_or(0),
-                    hi: v.iter().copied().max().unwrap_or(0),
-                },
-                LIter::Opaque { .. } => Interval::TOP,
-            };
-        }
-        LStep::Define { slot, body, .. } => {
-            env[*slot as usize] = match body {
-                LBody::Expr(e) => interval_of(e, env).iv,
-                LBody::Opaque => Interval::TOP,
-            };
-        }
-        LStep::Check { .. } | LStep::Visit => {}
     }
 }
 
@@ -382,7 +329,6 @@ pub fn check_regions(lp: &LoweredPlan) -> Vec<Region> {
     let mut regions: Vec<Region> = Vec::new();
     let mut run: Vec<usize> = Vec::new(); // step indices of the current run
     let mut in_loop = false;
-    let mut env = vec![Interval::TOP; lp.n_slots as usize];
     let mut flush = |run: &mut Vec<usize>, lp: &LoweredPlan| {
         // Trim trailing defines: the region ends at its last check.
         while matches!(run.last().map(|&i| &lp.steps[i]), Some(LStep::Define { .. })) {
@@ -403,30 +349,30 @@ pub fn check_regions(lp: &LoweredPlan) -> Vec<Region> {
         }
         run.clear();
     };
-    for (i, step) in lp.steps.iter().enumerate() {
+    AbsSteps::new(lp).walk(false, |i, env, _| {
+        let step = &lp.steps[i];
         let joins = in_loop
             && match step {
-                LStep::Check { body: LBody::Expr(e), .. } => infallible_in(e, &env),
+                LStep::Check { body: LBody::Expr(e), .. } => infallible_in(e, &env.iv),
                 LStep::Define { body: LBody::Expr(e), .. } => {
                     // One bitmask tracks define execution in the engines.
                     run.iter()
                         .filter(|&&j| matches!(lp.steps[j], LStep::Define { .. }))
                         .count()
                         < 64
-                        && infallible_in(e, &env)
+                        && infallible_in(e, &env.iv)
                 }
                 _ => false,
             };
-        env_step(step, &mut env);
         if joins {
             run.push(i);
-            continue;
+            return;
         }
         flush(&mut run, lp);
         if matches!(step, LStep::Bind { .. }) {
             in_loop = true;
         }
-    }
+    });
     flush(&mut run, lp);
     regions
 }

@@ -77,10 +77,12 @@ pub enum JsonValue {
 
 impl JsonValue {
     /// Parse a complete JSON document (trailing garbage is an error).
+    /// Arrays and objects nested deeper than [`MAX_DEPTH`] are an error,
+    /// so hostile input cannot exhaust the stack.
     pub fn parse(text: &str) -> Result<JsonValue, String> {
-        let mut p = Parser { b: text.as_bytes(), i: 0 };
+        let mut p = Parser { s: text, b: text.as_bytes(), i: 0 };
         p.skip_ws();
-        let v = p.value()?;
+        let v = p.value(0)?;
         p.skip_ws();
         if p.i != p.b.len() {
             return Err(format!("trailing data at byte {}", p.i));
@@ -147,12 +149,25 @@ impl JsonValue {
     }
 }
 
+/// How deeply arrays and objects may nest in a parsed document.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
+    s: &'a str,
     b: &'a [u8],
     i: usize,
 }
 
 impl Parser<'_> {
+    /// Open one more array or object inside `depth` open ones, refusing
+    /// past [`MAX_DEPTH`].
+    fn descend(&self, depth: usize) -> Result<usize, String> {
+        if depth >= MAX_DEPTH {
+            return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.i));
+        }
+        Ok(depth + 1)
+    }
+
     fn skip_ws(&mut self) {
         while matches!(self.b.get(self.i), Some(b' ' | b'\t' | b'\r' | b'\n')) {
             self.i += 1;
@@ -181,11 +196,12 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<JsonValue, String> {
+    /// The value at the cursor, inside `depth` open arrays and objects.
+    fn value(&mut self, depth: usize) -> Result<JsonValue, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.object(depth),
+            Some(b'[') => self.array(depth),
             Some(b'"') => self.string().map(JsonValue::Str),
             Some(b't') => self.eat_literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.eat_literal("false", JsonValue::Bool(false)),
@@ -195,8 +211,9 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<JsonValue, String> {
+    fn object(&mut self, depth: usize) -> Result<JsonValue, String> {
         self.expect(b'{')?;
+        let depth = self.descend(depth)?;
         let mut fields = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
@@ -215,7 +232,7 @@ impl Parser<'_> {
             }
             self.skip_ws();
             self.expect(b':')?;
-            let v = self.value()?;
+            let v = self.value(depth)?;
             fields.push((key, v));
             self.skip_ws();
             match self.peek() {
@@ -229,8 +246,9 @@ impl Parser<'_> {
         }
     }
 
-    fn array(&mut self) -> Result<JsonValue, String> {
+    fn array(&mut self, depth: usize) -> Result<JsonValue, String> {
         self.expect(b'[')?;
+        let depth = self.descend(depth)?;
         let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
@@ -238,7 +256,7 @@ impl Parser<'_> {
             return Ok(JsonValue::Arr(items));
         }
         loop {
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.i += 1,
@@ -288,13 +306,14 @@ impl Parser<'_> {
                     self.i += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so byte
-                    // boundaries are guaranteed valid).
-                    let rest = std::str::from_utf8(&self.b[self.i..])
-                        .map_err(|_| "invalid utf-8".to_string())?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.i += c.len_utf8();
+                    // Copy the run up to the next quote or escape in one go:
+                    // both are ASCII, so the run ends on a char boundary of
+                    // the `&str` input.
+                    let start = self.i;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.i += 1;
+                    }
+                    out.push_str(&self.s[start..self.i]);
                 }
             }
         }
@@ -762,6 +781,39 @@ mod tests {
         for bad in ["", "{", "[1,]", "{\"a\":}", "{} extra", "\"unterminated", "tru"] {
             assert!(JsonValue::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    /// Nesting is capped: a document [`MAX_DEPTH`] levels deep parses, one
+    /// level more is an error, and so is a 200 000-deep one, which would
+    /// otherwise overflow the parsing thread's stack.
+    #[test]
+    fn json_parser_refuses_nesting_past_the_cap() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(JsonValue::parse(&nested(MAX_DEPTH)).is_ok());
+        let objects = format!("{}1{}", "{\"k\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(JsonValue::parse(&objects).is_ok());
+        for bad in [nested(MAX_DEPTH + 1), "[".repeat(200_000), "{\"k\":".repeat(200_000)] {
+            let err = JsonValue::parse(&bad).unwrap_err();
+            assert!(err.contains("nesting deeper than 128"), "{err}");
+        }
+        // Depth is per path, not per document: siblings do not add up.
+        let wide = format!("[{}]", vec![nested(MAX_DEPTH - 1); 3].join(","));
+        assert!(JsonValue::parse(&wide).is_ok());
+    }
+
+    /// Strings parse in one pass: a 4 MiB string of multi-byte characters,
+    /// quotes and escapes round-trips, well inside the time a per-character
+    /// re-validation of the tail would take (minutes).
+    #[test]
+    fn json_parser_reads_long_strings_in_linear_time() {
+        let unit = "añ€𝄞\"\\\n";
+        let want = unit.repeat((4 << 20) / unit.len());
+        let mut doc = String::new();
+        crate::telemetry::json_str_value(&mut doc, &want);
+        let start = std::time::Instant::now();
+        let got = JsonValue::parse(&doc).unwrap();
+        assert_eq!(got.as_str(), Some(want.as_str()));
+        assert!(start.elapsed() < std::time::Duration::from_secs(5), "{:?}", start.elapsed());
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //! # Interval block pruning
 //!
 //! On top of the paper's per-point hoisted checks, the engine performs
-//! *block pruning* driven by the static interval analysis in
-//! [`beast_core::interval`]: at entry to every non-outermost loop it
+//! *block pruning* driven by the plan's abstract step program
+//! ([`beast_core::analyze::AbsSteps`], over the intervals of
+//! [`beast_core::interval`]): at entry to every non-outermost loop it
 //! propagates `[lo, hi]` bounds through the subtree's binds, defines and
 //! checks. A constraint whose interval excludes 0 rejects every point of
 //! the subtree, so the subtree is skipped without enumeration; a constraint
@@ -58,7 +59,7 @@
 //! half, so interval verdicts — and survivors and visit order — are
 //! bit-identical with `congruence` on or off (`tests/determinism.rs`
 //! asserts this). The product runs only on the guard steps of the
-//! congruence slice ([`beast_core::analyze::congruence::product_slice`]):
+//! congruence slice ([`beast_core::analyze::AbsSteps::slice`]):
 //! the checks congruence can decide and what they read. A comparison gains
 //! no verdict from it, so a run of comparisons stays interval-only.
 //!
@@ -75,11 +76,12 @@ use std::sync::Arc;
 
 use beast_core::analyze::levels::{levels, LevelPlan};
 use beast_core::analyze::narrow::Solve;
+use beast_core::analyze::steps::{range_box, values_box};
 use beast_core::analyze::{
-    self, cg_of_bind, cg_of_values, eval_product, Congruence, LintGate, LintSummary,
+    self, AbsEnv, AbsSteps, BindHull, Congruence, LintGate, LintSummary, StepFact,
 };
 use beast_core::error::EvalError;
-use beast_core::interval::{range_value_hull, Interval, IntervalOutcome, IvProg, IvScratch};
+use beast_core::interval::Interval;
 use beast_core::ir::{LBody, LIter, LStep, LoweredPlan};
 use beast_core::iterator::{range_len, Realized};
 use beast_core::pointprog::{PointProg, SlotView};
@@ -256,9 +258,8 @@ enum CDomain {
     /// Range with compiled bounds evaluated once at loop entry.
     Range { start: PointProg, stop: PointProg, step: PointProg },
     /// Static list of values, shared (not deep-copied) across clones and
-    /// parallel chunk runs. `lo`/`hi`/`cg` are the precomputed interval and
-    /// congruence hulls for the guard.
-    Values { values: Arc<[i64]>, lo: i64, hi: i64, cg: Congruence },
+    /// parallel chunk runs, with its box for the guard ([`values_box`]).
+    Values { values: Arc<[i64]>, iv: Interval, cg: Congruence },
     /// Opaque: realize through the space's iterator definition.
     Opaque { iter: usize },
 }
@@ -416,79 +417,27 @@ struct SchedGroup {
     executed: Vec<u32>,
 }
 
-/// One step of a loop's precompiled interval-guard program: the lowered
-/// steps of the subtree, lifted to interval semantics. Expressions are
-/// pre-flattened to [`IvProg`] so guard runs, like the point path, execute
-/// linear programs instead of walking boxed trees.
-#[derive(Debug, Clone)]
-enum GStep {
-    /// An inner loop bind over a range: the slot's interval becomes the
-    /// hull of the bound intervals.
-    BindRange { slot: u32, start: IvProg, stop: IvProg, step: IvProg },
-    /// An inner loop bind over a static list (bounds and congruence hull
-    /// precomputed).
-    BindValues { slot: u32, lo: i64, hi: i64, cg: Congruence },
-    /// An inner opaque bind: unknowable, possibly failing.
-    BindOpaque { slot: u32 },
-    /// A derived definition.
-    Define { slot: u32, prog: IvProg },
-    /// An opaque derived: unknowable, possibly failing.
-    DefineOpaque { slot: u32 },
-    /// A constraint check; `elide_bit` mirrors the flat program's bit.
-    Check { prog: IvProg, elide_bit: Option<u8> },
-    /// An opaque constraint: possibly failing, never decidable.
-    CheckOpaque,
-}
-
-/// Memoized outcome of one master guard step (see [`GuardInfo`]).
-#[derive(Debug, Clone, Copy)]
+/// Memoized outcome of one guard step (see [`GuardInfo`]).
+#[derive(Debug, Clone, Copy, Default)]
 struct GCache {
-    /// The step cannot raise an evaluation error for any point of the
-    /// subdomain it was last evaluated over.
-    clean: bool,
-    /// Checks only: the interval or congruence excludes 0, i.e. the
-    /// constraint statically rejects the whole subdomain (skip-worthy given
-    /// a clean prefix).
-    worthy: bool,
-    /// Checks only: `worthy` holds but only the congruence half proved it
-    /// (the interval was inconclusive) — counted as a congruence skip.
-    by_cg: bool,
-    /// Checks only: the interval is exactly [0,0] or the congruence is the
-    /// point 0 (statically passes).
-    elidable: bool,
+    /// What the step proved over the subdomain it was last evaluated over.
+    fact: StepFact,
+    /// The check's bit in the elision mask when it passes every point (0
+    /// otherwise).
+    elide: u64,
     /// Loop id of the guard run that last evaluated this position. A cache
     /// written by a *deeper* guard was computed with tighter, sibling-
     /// specific inputs (its point seeds and exact domain) and is not an
     /// over-approximation for a shallower guard, so a guard at loop `l`
     /// only reuses entries with `writer <= l`.
     writer: u16,
-    /// For write positions (binds/defines): the interval this step wrote,
-    /// restored into `ivals` on reuse so later dirty steps don't read a
-    /// slot clobbered by a deeper guard's run.
-    iv: Interval,
-    /// For write positions: the congruence this step wrote, restored into
-    /// `cvals` on reuse (mirrors `iv`).
-    cg: Congruence,
-}
-
-impl Default for GCache {
-    fn default() -> GCache {
-        GCache {
-            clean: false,
-            worthy: false,
-            by_cg: false,
-            elidable: false,
-            writer: 0,
-            iv: Interval::TOP,
-            cg: Congruence::top(),
-        }
-    }
 }
 
 /// The interval-guard program attached to one loop's entry.
 ///
-/// All guards share one master step list (each guard's range is a suffix of
-/// it), and step outcomes are memoized per position: a run re-evaluates only
+/// Every guard runs the plan's one abstract step program ([`AbsSteps`]) from
+/// the step after its loop's bind to the end of the plan, and step outcomes
+/// are memoized per step: a run re-evaluates only
 /// the `dirty` positions — those transitively depending on slots whose
 /// values can have changed since the nearest enclosing kept guard ran — and
 /// reads cached outcomes for the rest. The caches are pure functions of the
@@ -496,7 +445,7 @@ impl Default for GCache {
 /// (and hence identical across serial and chunked parallel runs).
 #[derive(Debug, Clone)]
 struct GuardInfo {
-    /// Master index of the first step after this loop's bind.
+    /// Index of the first step after this loop's bind.
     start: u32,
     /// Slot bound by the guarded loop (receives the domain interval).
     slot: u32,
@@ -504,8 +453,8 @@ struct GuardInfo {
     /// and this loop's bind: the only point values that can have changed
     /// since that guard ran, reseeded from `slots` on every run.
     seed: Vec<u32>,
-    /// Master positions whose inputs transitively depend on `seed` or this
-    /// loop's own slot; everything else reads its memoized outcome.
+    /// Per step: its inputs transitively depend on `seed` or this loop's
+    /// own slot; every other step reads its memoized outcome.
     dirty: Vec<bool>,
 }
 
@@ -537,12 +486,10 @@ pub struct Compiled {
     lp: LoweredPlan,
     /// The flat threaded-code program.
     ops: Vec<Op>,
-    /// Shared interval-guard step list; each loop's guard range is a suffix.
-    gmaster: Vec<GStep>,
-    /// Per master position: in the congruence slice
-    /// ([`analyze::congruence::product_slice`]), so evaluated over the
-    /// product when `opts.congruence` is on; interval-only otherwise.
-    gproduct: Vec<bool>,
+    /// The abstract step program every guard runs: steps in its suffix
+    /// slice ([`AbsSteps::slice`]) evaluate over the product when
+    /// `opts.congruence` is on, interval-only otherwise.
+    abs: AbsSteps,
     /// Per-loop interval guards (`None` for the outermost loop, for loops
     /// with nothing decidable below them, for loops whose guard could never
     /// decide anything its nearest guarded ancestor didn't already decide,
@@ -640,7 +587,7 @@ impl Compiled {
         // execute. `Deny` is enforced lazily in `run` so compilation itself
         // stays infallible.
         let lint = (opts.lint != LintGate::Allow)
-            .then(|| analyze::check_space(&lp).summary());
+            .then(|| analyze::analyze(&lp).summary());
         let mut ops: Vec<Op> = Vec::new();
         // Open loops: (loop_id, enter_ip, check ips awaiting this loop's
         // Next as their reject target).
@@ -661,12 +608,10 @@ impl Compiled {
                             stop: PointProg::compile(stop),
                             step: PointProg::compile(step),
                         },
-                        LIter::Values(v) => CDomain::Values {
-                            values: Arc::from(v.as_slice()),
-                            lo: v.iter().copied().min().unwrap_or(0),
-                            hi: v.iter().copied().max().unwrap_or(0),
-                            cg: cg_of_values(v),
-                        },
+                        LIter::Values(v) => {
+                            let (iv, cg) = values_box(v);
+                            CDomain::Values { values: Arc::from(v.as_slice()), iv, cg }
+                        }
                         LIter::Opaque { .. } => CDomain::Opaque { iter: *iter },
                     };
                     let loop_id = n_loops;
@@ -788,7 +733,8 @@ impl Compiled {
         let plan = levels(&lp).levels;
         debug_assert_eq!(plan.len(), n_loops as usize);
         let fanout_below: Vec<u64> = plan.iter().map(|p| p.fanout_below).collect();
-        let (gmaster, gproduct, guards) = build_guards(&lp, &plan, opts.min_guard_fanout);
+        let abs = AbsSteps::new(&lp);
+        let guards = build_guards(&lp, &abs, &plan, opts.min_guard_fanout);
 
         // The outermost loop never narrows: the parallel driver feeds it
         // chunk by chunk, and the narrowing counters — like guards — must
@@ -808,8 +754,7 @@ impl Compiled {
         Compiled {
             lp,
             ops,
-            gmaster,
-            gproduct,
+            abs,
             guards,
             fanout_below,
             first_enter,
@@ -868,11 +813,9 @@ impl Compiled {
             stats: PruneStats::new(self.lp.plan.space().constraints().len()),
             blocks: BlockStats::default(),
             visitor,
-            ivals: vec![Interval::TOP; self.lp.n_slots as usize],
-            cvals: vec![Congruence::top(); self.lp.n_slots as usize],
-            gcache: vec![GCache::default(); self.gmaster.len()],
+            genv: AbsEnv::top(self.lp.n_slots as usize),
+            gcache: vec![GCache::default(); self.lp.steps.len()],
             gprimed: vec![false; self.guards.len()],
-            gscratch: IvScratch::default(),
             elide: 0,
             sched: Vec::new(),
             budget: u64::MAX,
@@ -895,7 +838,7 @@ impl Compiled {
     /// slice, as before the slice existed.
     #[cfg(test)]
     pub(crate) fn with_full_product(mut self) -> Self {
-        self.gproduct.fill(true);
+        self.abs = self.abs.with_full_product();
         self
     }
 
@@ -1598,13 +1541,13 @@ impl Compiled {
     /// this entry, and the next entry re-scans.
     ///
     /// With `opts.congruence` on, every step of the congruence slice
-    /// (`gproduct`) runs over the interval×congruence reduced product
-    /// ([`eval_product`]); the interval halves are bit-identical to the
-    /// interval-only path, so the congruence can only add verdicts (`worthy`
-    /// where the interval was inconclusive, flagged `by_cg`), never change
-    /// interval ones. Steps outside the slice run interval-only and leave
-    /// the congruence environment alone: no step in the slice reads them,
-    /// and their checks gain no verdict from congruence.
+    /// ([`AbsSteps::slice`]) runs over the interval×congruence
+    /// reduced product; the interval halves are bit-identical to the
+    /// interval-only path, so the congruence can only add verdicts (a skip
+    /// where the interval was inconclusive, counted as a congruence skip),
+    /// never change interval ones. Steps outside the slice run interval-only
+    /// and leave the congruence environment alone: no step in the slice
+    /// reads them, and their checks gain no verdict from congruence.
     fn run_guard<V>(
         &self,
         loop_id: usize,
@@ -1616,20 +1559,21 @@ impl Compiled {
     ) -> GuardVerdict {
         let cg_on = self.opts.congruence;
         let primed = state.gprimed[loop_id];
+        let env = &mut state.genv;
         // Point values that can have changed since the enclosing kept guard
         // ran; everything deeper is overwritten by a (dirty) guard step
         // before any use (the planner's dependency order guarantees defs
         // precede uses), or holds a still-valid cached interval.
         for &q in &info.seed {
-            state.ivals[q as usize] = Interval::point(slots[q as usize]);
+            env.iv[q as usize] = Interval::point(slots[q as usize]);
             if cg_on {
-                state.cvals[q as usize] = Congruence::point(slots[q as usize]);
+                env.cg[q as usize] = Congruence::point(slots[q as usize]);
             }
         }
-        state.ivals[info.slot as usize] = domain_iv;
+        env.iv[info.slot as usize] = domain_iv;
         if cg_on {
             // Reduce the domain congruence against its (exact) interval.
-            state.cvals[info.slot as usize] = if domain_iv.is_point() {
+            env.cg[info.slot as usize] = if domain_iv.is_point() {
                 Congruence::point(domain_iv.lo)
             } else {
                 domain_cg
@@ -1641,104 +1585,35 @@ impl Compiled {
         let mut clean = true;
         let mut elide = 0u64;
         let w = loop_id as u16;
-        for (i, step) in self.gmaster.iter().enumerate().skip(info.start as usize) {
-            // Re-evaluate when nothing is cached yet, when the position's
-            // inputs may have changed, or when the cached entry was written
-            // by a deeper guard: deeper runs compute over a strict subset of
-            // this subtree, so their outcomes don't over-approximate it.
-            let cg_on = cg_on && self.gproduct[i];
-            if !primed || info.dirty[i] || state.gcache[i].writer > w {
-                let entry = match step {
-                    GStep::BindRange { slot, start, stop, step } => {
-                        let (s, s_cg) = eval_guard(start, state, cg_on);
-                        // The bound's congruence never reaches the slot's.
-                        let (e, _) = eval_guard(stop, state, false);
-                        let (st, st_cg) = eval_guard(step, state, cg_on);
-                        let iv = range_value_hull(s.iv, e.iv);
-                        state.ivals[*slot as usize] = iv;
-                        // The bind's residue fact, valid only while the
-                        // bound expressions are wrap-free (their product
-                        // congruences are already ⊤ when widened).
-                        let cg = if cg_on {
-                            let cg = cg_of_bind(s_cg, st_cg);
-                            if iv.is_point() { Congruence::point(iv.lo) } else { cg }
-                        } else {
-                            Congruence::top()
-                        };
-                        if cg_on {
-                            state.cvals[*slot as usize] = cg;
-                        }
-                        GCache {
-                            clean: s.clean && e.clean && st.clean,
-                            iv,
-                            cg,
-                            writer: w,
-                            ..GCache::default()
-                        }
-                    }
-                    GStep::BindValues { slot, lo, hi, cg } => {
-                        let iv = Interval { lo: *lo, hi: *hi };
-                        state.ivals[*slot as usize] = iv;
-                        if cg_on {
-                            state.cvals[*slot as usize] = *cg;
-                        }
-                        GCache { clean: true, iv, cg: *cg, writer: w, ..GCache::default() }
-                    }
-                    GStep::BindOpaque { slot } | GStep::DefineOpaque { slot } => {
-                        state.ivals[*slot as usize] = Interval::TOP;
-                        if cg_on {
-                            state.cvals[*slot as usize] = Congruence::top();
-                        }
-                        GCache { writer: w, ..GCache::default() }
-                    }
-                    GStep::Define { slot, prog } => {
-                        let (o, cg) = eval_guard(prog, state, cg_on);
-                        state.ivals[*slot as usize] = o.iv;
-                        if cg_on {
-                            state.cvals[*slot as usize] = cg;
-                        }
-                        GCache { clean: o.clean, iv: o.iv, cg, writer: w, ..GCache::default() }
-                    }
-                    GStep::Check { prog, .. } => {
-                        let (o, cg) = eval_guard(prog, state, cg_on);
-                        let worthy_iv = o.clean && !o.iv.contains(0);
-                        let by_cg = !worthy_iv && o.clean && cg.always_nonzero();
-                        GCache {
-                            clean: o.clean,
-                            worthy: worthy_iv || by_cg,
-                            by_cg,
-                            elidable: o.clean
-                                && (o.iv == Interval::point(0) || cg.as_point() == Some(0)),
-                            writer: w,
-                            ..GCache::default()
-                        }
-                    }
-                    GStep::CheckOpaque => GCache { writer: w, ..GCache::default() },
+        let slice = self.abs.slice();
+        for (i, &sliced) in slice.iter().enumerate().skip(info.start as usize) {
+            let product = cg_on && sliced;
+            // Re-evaluate when nothing is cached yet, when the step's inputs
+            // may have changed, or when the cached entry was written by a
+            // deeper guard: deeper runs compute over a strict subset of this
+            // subtree, so their outcomes don't over-approximate it.
+            let c = &mut state.gcache[i];
+            if !primed || info.dirty[i] || c.writer > w {
+                c.fact = self.abs.eval(i, env, product, BindHull::Bounds);
+                c.writer = w;
+                c.elide = match &self.lp.steps[i] {
+                    _ if !c.fact.passes_all => 0,
+                    LStep::Check { constraint, .. } if *constraint < 64 => 1u64 << constraint,
+                    _ => 0,
                 };
-                state.gcache[i] = entry;
-            } else if let Some(slot) = gstep_write_slot(step) {
-                // Reused write position: restore the slot's interval and
-                // congruence, which a deeper guard's run may have clobbered
-                // with tighter, sibling-specific values that later dirty
-                // steps must not read.
-                state.ivals[slot as usize] = state.gcache[i].iv;
-                if cg_on {
-                    state.cvals[slot as usize] = state.gcache[i].cg;
-                }
             }
-            let c = state.gcache[i];
-            if c.worthy && clean {
+            // A reused write restores the slot's interval and congruence,
+            // which a deeper guard's run may have clobbered with tighter,
+            // sibling-specific values that later dirty steps must not read.
+            env.write(&c.fact, product);
+            if c.fact.rejects_all && clean {
                 // Statically false (the expression is the rejection
                 // condition): every point of the subtree is rejected at or
                 // before this check, error-free.
-                return GuardVerdict::Skip { by_congruence: c.by_cg };
+                return GuardVerdict::Skip { by_congruence: c.fact.out.iv.contains(0) };
             }
-            if c.elidable {
-                if let GStep::Check { elide_bit: Some(bit), .. } = step {
-                    elide |= 1u64 << bit;
-                }
-            }
-            clean &= c.clean;
+            elide |= c.elide;
+            clean &= c.fact.out.clean;
         }
         state.gprimed[loop_id] = true;
         GuardVerdict::Elide(elide)
@@ -1851,153 +1726,33 @@ impl Compiled {
     }
 }
 
-/// Evaluate one guard program over the interval domain, or — when the
-/// congruence half is on — over the reduced product. The interval outcome
-/// is bit-identical either way ([`eval_product`]'s interval half is
-/// [`IvProg::eval`]).
-fn eval_guard<V>(
-    prog: &IvProg,
-    state: &mut State<V>,
-    cg_on: bool,
-) -> (IntervalOutcome, Congruence) {
-    if cg_on {
-        eval_product(prog, &state.ivals, &state.cvals, &mut state.gscratch)
-    } else {
-        (prog.eval(&state.ivals, &mut state.gscratch), Congruence::top())
-    }
-}
-
-/// The slot a guard step writes, if any (allocation-free hot-path variant
-/// of [`gstep_deps`]).
-fn gstep_write_slot(g: &GStep) -> Option<u32> {
-    match g {
-        GStep::BindRange { slot, .. }
-        | GStep::BindValues { slot, .. }
-        | GStep::BindOpaque { slot }
-        | GStep::Define { slot, .. }
-        | GStep::DefineOpaque { slot } => Some(*slot),
-        GStep::Check { .. } | GStep::CheckOpaque => None,
-    }
-}
-
-/// The slots a guard step reads, and the slot it writes (if any). Opaque
-/// steps read nothing *as far as dirtiness is concerned*: their outcome
-/// (TOP / unclean) is input-independent.
-fn gstep_deps(g: &GStep) -> (std::collections::BTreeSet<u32>, Option<u32>) {
-    let mut reads = std::collections::BTreeSet::new();
-    let writes = match g {
-        GStep::BindRange { slot, start, stop, step } => {
-            reads.extend(start.read_slots());
-            reads.extend(stop.read_slots());
-            reads.extend(step.read_slots());
-            Some(*slot)
-        }
-        GStep::BindValues { slot, .. }
-        | GStep::BindOpaque { slot }
-        | GStep::DefineOpaque { slot } => Some(*slot),
-        GStep::Define { slot, prog } => {
-            reads.extend(prog.read_slots());
-            Some(*slot)
-        }
-        GStep::Check { prog, .. } => {
-            reads.extend(prog.read_slots());
-            None
-        }
-        GStep::CheckOpaque => None,
-    };
-    (reads, writes)
-}
-
-/// Lift one lowered step to interval semantics (`None` for `Visit`).
-fn lift_gstep(step: &LStep) -> Option<GStep> {
-    match step {
-        LStep::Bind { slot, domain, .. } => Some(match domain {
-            LIter::Range { start, stop, step } => GStep::BindRange {
-                slot: *slot,
-                start: IvProg::compile(start),
-                stop: IvProg::compile(stop),
-                step: IvProg::compile(step),
-            },
-            LIter::Values(v) => GStep::BindValues {
-                slot: *slot,
-                lo: v.iter().copied().min().unwrap_or(0),
-                hi: v.iter().copied().max().unwrap_or(0),
-                cg: cg_of_values(v),
-            },
-            LIter::Opaque { .. } => GStep::BindOpaque { slot: *slot },
-        }),
-        LStep::Define { slot, body, .. } => Some(match body {
-            LBody::Expr(e) => GStep::Define { slot: *slot, prog: IvProg::compile(e) },
-            LBody::Opaque => GStep::DefineOpaque { slot: *slot },
-        }),
-        LStep::Check { constraint, body } => Some(match body {
-            LBody::Expr(e) => GStep::Check {
-                prog: IvProg::compile(e),
-                elide_bit: (*constraint < 64).then_some(*constraint as u8),
-            },
-            LBody::Opaque => GStep::CheckOpaque,
-        }),
-        LStep::Visit => None,
-    }
-}
-
-/// Build the per-loop guard programs: for loop `l >= 1` with a decidable
-/// (non-opaque) check below it, the lowered steps after its bind lifted to
-/// interval semantics. The outermost loop gets no guard — its subdomain is
+/// Place the per-loop guards: loop `l >= 1` with a decidable (non-opaque)
+/// check below it runs the abstract step program over the steps after its
+/// bind. The outermost loop gets no guard — its subdomain is
 /// chunk-dependent under the parallel driver, and determinism across thread
 /// counts takes priority over one extra level of block pruning.
 ///
-/// All guard ranges are suffixes of one shared master list, and each guard
-/// records which positions can evaluate differently than they did at the
-/// nearest enclosing *kept* guard: positions transitively depending on slots
-/// bound/defined since that guard's bind (plus this loop's own slot). A loop
-/// where no decidable check is dirty in this sense gets no guard at all —
-/// its verdict would always equal the ancestor's, which already skipped or
-/// elided accordingly — so the dropped guard changes no decision.
+/// Each guard records which steps can evaluate differently than they did at
+/// the nearest enclosing *kept* guard: steps transitively depending on
+/// slots bound/defined since that guard's bind (plus this loop's own slot).
+/// A loop where no decidable check is dirty in this sense gets no guard at
+/// all — its verdict would always equal the ancestor's, which already
+/// skipped or elided accordingly — so the dropped guard changes no
+/// decision.
 fn build_guards(
     lp: &LoweredPlan,
+    abs: &AbsSteps,
     plan: &[LevelPlan],
     min_guard_fanout: u64,
-) -> (Vec<GStep>, Vec<bool>, Vec<Option<GuardInfo>>) {
+) -> Vec<Option<GuardInfo>> {
     let n_loops = plan.len();
     let mut guards: Vec<Option<GuardInfo>> = vec![None; n_loops];
+    let decidable = |s: &LStep| matches!(s, LStep::Check { body: LBody::Expr(_), .. });
 
     // The first candidate: the shallowest loop l >= 1 with a non-opaque
     // check below its bind. Without one, no guard can ever decide anything.
-    let first = (1..n_loops).find(|&l| {
-        lp.steps[plan[l].step + 1..].iter().any(|s| {
-            matches!(s, LStep::Check { body: LBody::Expr(_), .. })
-        })
-    });
-    let Some(first) = first else {
-        return (Vec::new(), Vec::new(), guards);
-    };
-
-    // Master step list: everything after the first candidate's bind. Each
-    // deeper loop's guard range is the suffix starting after its own bind.
-    let mut master: Vec<GStep> = Vec::new();
-    let mut m_start = vec![0u32; n_loops];
-    {
-        let mut loop_idx = first;
-        for step in &lp.steps[plan[first].step + 1..] {
-            if let LStep::Bind { .. } = step {
-                loop_idx += 1;
-            }
-            if let Some(g) = lift_gstep(step) {
-                master.push(g);
-            }
-            if let LStep::Bind { .. } = step {
-                m_start[loop_idx] = master.len() as u32;
-            }
-        }
-    }
-    let deps: Vec<(std::collections::BTreeSet<u32>, Option<u32>)> =
-        master.iter().map(gstep_deps).collect();
-    // Every guard range is a suffix of the master list, so one slice over
-    // the whole list serves them all (the trailing `Visit` lifts to nothing).
-    let below_first = &lp.steps[plan[first].step + 1..];
-    let mut product = analyze::congruence::product_slice(below_first, lp.n_slots as usize);
-    product.truncate(master.len());
+    let first = (1..n_loops).find(|&l| lp.steps[plan[l].step + 1..].iter().any(decidable));
+    let Some(first) = first else { return guards };
 
     // `prev_kept` tracks the nearest enclosing kept guard; its bind position
     // starts the seed tile (inclusive, so the ancestor's own loop slot —
@@ -2008,34 +1763,24 @@ fn build_guards(
         // Seed tile: slots bound/defined since the nearest kept guard's
         // bind (or since the start of the plan for the first kept guard).
         let tile_begin = prev_kept.map_or(0, |p| plan[p].step);
-        let seed: Vec<u32> = lp.steps[tile_begin..pos]
-            .iter()
-            .filter_map(|s| match s {
-                LStep::Bind { slot, .. } | LStep::Define { slot, .. } => Some(*slot),
-                _ => None,
-            })
-            .collect();
+        let seed: Vec<u32> =
+            lp.steps[tile_begin..pos].iter().filter_map(LStep::written_slot).collect();
 
         // Forward dirtiness pass over this guard's range.
-        let mut dirty_slots: std::collections::BTreeSet<u32> =
-            seed.iter().copied().collect();
+        let mut dirty_slots: std::collections::BTreeSet<u32> = seed.iter().copied().collect();
         dirty_slots.insert(slot);
-        let mut dirty = vec![false; master.len()];
+        let mut dirty = vec![false; lp.steps.len()];
         let mut any_dirty_check = false;
         let mut any_check = false;
-        for i in m_start[l] as usize..master.len() {
-            let (reads, writes) = &deps[i];
-            if matches!(master[i], GStep::Check { .. }) {
-                any_check = true;
-            }
-            if reads.iter().any(|r| dirty_slots.contains(r)) {
+        for (i, step) in lp.steps.iter().enumerate().skip(pos + 1) {
+            let check = decidable(step);
+            any_check |= check;
+            if abs.reads(i).any(|r| dirty_slots.contains(&r)) {
                 dirty[i] = true;
-                if let Some(w) = writes {
-                    dirty_slots.insert(*w);
+                if let Some(w) = step.written_slot() {
+                    dirty_slots.insert(w);
                 }
-                if matches!(master[i], GStep::Check { .. }) {
-                    any_dirty_check = true;
-                }
+                any_dirty_check |= check;
             }
         }
         // Keep the guard if a decidable check can evaluate differently than
@@ -2046,30 +1791,20 @@ fn build_guards(
         if plan[l].fanout_below >= min_guard_fanout
             && (any_dirty_check || (prev_kept.is_none() && any_check))
         {
-            guards[l] = Some(GuardInfo { start: m_start[l], slot, seed, dirty });
+            guards[l] = Some(GuardInfo { start: (pos + 1) as u32, slot, seed, dirty });
             prev_kept = Some(l);
         }
     }
-    (master, product, guards)
+    guards
 }
 
-/// The exact value hull and residue class of a just-realized, non-empty
-/// domain of `len` values — the guard's view of the loop slot.
+/// The box of a just-realized, non-empty domain of `len` values — the
+/// guard's view of the loop slot.
 fn domain_facts(domain: &CDomain, f: &Frame, len: u64) -> (Interval, Congruence) {
     match domain {
-        CDomain::Range { .. } => {
-            let last = (f.cur as i128 + f.step as i128 * (len as i128 - 1)) as i64;
-            // Every yielded value is `≡ start (mod |step|)` — the residue
-            // fact the interval hull throws away.
-            let cg = cg_of_bind(Congruence::point(f.cur), Congruence::point(f.step));
-            (Interval::new(f.cur, last), cg)
-        }
-        CDomain::Values { lo, hi, cg, .. } => (Interval { lo: *lo, hi: *hi }, *cg),
-        CDomain::Opaque { .. } => {
-            let lo = f.buf.iter().copied().min().unwrap_or(0);
-            let hi = f.buf.iter().copied().max().unwrap_or(0);
-            (Interval { lo, hi }, cg_of_values(&f.buf))
-        }
+        CDomain::Range { .. } => range_box(f.cur, f.step, len),
+        CDomain::Values { iv, cg, .. } => (*iv, *cg),
+        CDomain::Opaque { .. } => values_box(&f.buf),
     }
 }
 
@@ -2131,19 +1866,15 @@ struct State<V> {
     stats: PruneStats,
     blocks: BlockStats,
     visitor: V,
-    /// Per-slot interval environment for guard runs, maintained
-    /// incrementally across runs (see [`GuardInfo`]).
-    ivals: Vec<Interval>,
-    /// Per-slot congruence environment, maintained in lockstep with
-    /// `ivals` (only touched when `opts.congruence` is on).
-    cvals: Vec<Congruence>,
-    /// Per-master-position memoized guard step outcomes.
+    /// The guards' box, maintained incrementally across runs (see
+    /// [`GuardInfo`]); its congruences are only touched when
+    /// `opts.congruence` is on.
+    genv: AbsEnv,
+    /// Per-step memoized guard outcomes.
     gcache: Vec<GCache>,
     /// Per-loop flag: this guard has completed at least one full scan, so
     /// every position in its range has a cached outcome.
     gprimed: Vec<bool>,
-    /// Registers of the [`IvProg`] guard evaluations.
-    gscratch: IvScratch,
     /// Bitmask of currently elided checks (bit = constraint index).
     elide: u64,
     /// Per-group calibration state (empty outside [`Compiled::calibrate`]).
@@ -2708,7 +2439,17 @@ mod tests {
                 let opts =
                     EngineOptions { min_guard_fanout: 1, schedule, ..EngineOptions::default() };
                 let built = Compiled::with_options(lp.clone(), opts);
-                sliced_out += u32::from(built.gproduct.contains(&false));
+                // A real step below the first guard that the slice leaves
+                // out (the trailing `Visit` is never in it).
+                let first = built.guards.iter().flatten().next();
+                let below = |g: &GuardInfo| {
+                    let window = (g.start as usize)..built.lp.steps.len();
+                    built.lp.steps[window.clone()]
+                        .iter()
+                        .zip(&built.abs.slice()[window])
+                        .any(|(s, &sliced)| !sliced && !matches!(s, LStep::Visit))
+                };
+                sliced_out += u32::from(first.is_some_and(below));
                 let outcome = |c: &Compiled| match c.run(FingerprintVisitor::new()) {
                     Ok(out) => {
                         let v = &out.visitor;

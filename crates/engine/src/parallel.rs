@@ -132,12 +132,9 @@ const CHUNKS_PER_THREAD_SKEWED: usize = 32;
 pub struct ParallelOptions {
     /// Worker threads (values below 1 are treated as 1).
     pub threads: usize,
-    /// Scheduler chunks per thread; 0 picks automatically from the plan's
-    /// static fanout (fine chunks for skewed spaces, coarser for uniform).
-    /// Ignored when [`ParallelOptions::chunk_count`] is set.
-    pub chunks_per_thread: usize,
     /// Explicit total number of scheduler chunks, independent of the thread
-    /// count (0 = derive from `threads × chunks_per_thread`). Fault
+    /// count (0 = pick chunks per thread from the plan's static fanout: fine
+    /// chunks for skewed spaces, coarser for uniform ones). Fault
     /// injection, checkpointing and the cross-thread-count determinism
     /// assertions all require a pinned grid, because chunk indices key both
     /// injector decisions and the completed-chunk prefix.
@@ -675,7 +672,7 @@ where
         }
     }
     let chunk_len = pinned.map(|(len, _)| len).unwrap_or_else(|| {
-        chunk_len_for(lp, outer.len(), threads, opts.chunks_per_thread, opts.chunk_count)
+        chunk_len_for(lp, outer.len(), threads, opts.chunk_count)
     });
     let chunks: Vec<&[i64]> = outer.chunks(chunk_len.max(1)).collect();
     let start = resumed_at.unwrap_or(0).min(chunks.len());
@@ -929,16 +926,15 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 ///
 /// An explicit `chunk_count` pins the grid regardless of thread count. With
 /// one thread the whole domain is otherwise one chunk (serial fast path).
-/// With more, the domain is cut into `threads × chunks_per_thread` pieces,
-/// where `chunks_per_thread` comes from the caller or, automatically, from
-/// whether the plan's inner loop domains are statically sized
+/// With more, the domain is cut into `threads × chunks per thread` pieces,
+/// where the chunks per thread follow from whether the plan's inner loop
+/// domains are statically sized
 /// ([`LoweredPlan::static_fanout_below_outer`]): dependent or opaque inner
 /// domains mean skewed subtree costs and get 4× finer chunks.
 pub(crate) fn chunk_len_for(
     lp: &LoweredPlan,
     outer_len: usize,
     threads: usize,
-    chunks_per_thread: usize,
     chunk_count: usize,
 ) -> usize {
     if chunk_count > 0 {
@@ -947,9 +943,7 @@ pub(crate) fn chunk_len_for(
     if threads <= 1 {
         return outer_len;
     }
-    let per_thread = if chunks_per_thread > 0 {
-        chunks_per_thread
-    } else if lp.static_fanout_below_outer().is_some() {
+    let per_thread = if lp.static_fanout_below_outer().is_some() {
         CHUNKS_PER_THREAD_UNIFORM
     } else {
         CHUNKS_PER_THREAD_SKEWED
@@ -1008,20 +1002,6 @@ mod tests {
     }
 
     #[test]
-    fn explicit_chunks_per_thread_respected() {
-        let lp = lowered(&space());
-        let opts = ParallelOptions {
-            threads: 2,
-            chunks_per_thread: 4,
-            ..ParallelOptions::default()
-        };
-        let (_, report) = run_parallel_report(&lp, &opts, CountVisitor::default).unwrap();
-        // 32 outer values into 2×4 = 8 target chunks → chunk_len 4.
-        assert_eq!(report.chunk_len, 4);
-        assert_eq!(report.chunks, 8);
-    }
-
-    #[test]
     fn explicit_chunk_count_pins_grid_across_thread_counts() {
         let lp = lowered(&space());
         let mut reports = Vec::new();
@@ -1045,7 +1025,7 @@ mod tests {
         let skewed = lowered(&space());
         assert_eq!(skewed.static_fanout_below_outer(), None);
         assert_eq!(
-            chunk_len_for(&skewed, 1024, 4, 0, 0),
+            chunk_len_for(&skewed, 1024, 4, 0),
             1024usize.div_ceil(4 * CHUNKS_PER_THREAD_SKEWED)
         );
         let uniform = lowered(
@@ -1057,12 +1037,12 @@ mod tests {
         );
         assert!(uniform.static_fanout_below_outer().is_some());
         assert_eq!(
-            chunk_len_for(&uniform, 1024, 4, 0, 0),
+            chunk_len_for(&uniform, 1024, 4, 0),
             1024usize.div_ceil(4 * CHUNKS_PER_THREAD_UNIFORM)
         );
         // Serial runs never split; an explicit chunk count overrides all.
-        assert_eq!(chunk_len_for(&uniform, 1024, 1, 0, 0), 1024);
-        assert_eq!(chunk_len_for(&uniform, 1024, 1, 0, 16), 64);
+        assert_eq!(chunk_len_for(&uniform, 1024, 1, 0), 1024);
+        assert_eq!(chunk_len_for(&uniform, 1024, 1, 16), 64);
     }
 
     #[test]
@@ -1093,7 +1073,6 @@ mod tests {
         let progress = Arc::new(SweepProgress::default());
         let opts = ParallelOptions {
             threads: 4,
-            chunks_per_thread: 0,
             progress: Some(progress.clone()),
             ..ParallelOptions::default()
         };

@@ -95,9 +95,21 @@ pub fn read_request_deadline(
 ) -> Result<Option<Request>, String> {
     let deadline = Instant::now() + max_duration;
     let mut reader = BufReader::new(DeadlineStream { inner: stream, deadline });
+    // Every head line is read through the head's remaining budget plus one
+    // byte, so a line that never ends stops at the cap instead of buffering
+    // until the deadline.
+    let mut head_bytes = 0usize;
+    let mut head_line = |line: &mut String, what: &str| {
+        let budget = (MAX_HEAD - head_bytes + 1) as u64;
+        let n = reader.by_ref().take(budget).read_line(line).map_err(|e| format!("{what}: {e}"))?;
+        head_bytes += n;
+        if head_bytes > MAX_HEAD {
+            return Err("request head too large".to_string());
+        }
+        Ok(n)
+    };
     let mut line = String::new();
-    let n = reader.read_line(&mut line).map_err(|e| format!("read request line: {e}"))?;
-    if n == 0 {
+    if head_line(&mut line, "read request line")? == 0 {
         return Ok(None);
     }
     let mut parts = line.split_whitespace();
@@ -109,16 +121,10 @@ pub fn read_request_deadline(
     let path = target.split('?').next().unwrap_or("").to_string();
 
     let mut content_length = 0usize;
-    let mut head_bytes = line.len();
     loop {
         let mut header = String::new();
-        let n = reader.read_line(&mut header).map_err(|e| format!("read header: {e}"))?;
-        if n == 0 {
+        if head_line(&mut header, "read header")? == 0 {
             return Err("connection closed mid-headers".to_string());
-        }
-        head_bytes += n;
-        if head_bytes > MAX_HEAD {
-            return Err("request head too large".to_string());
         }
         let header = header.trim_end();
         if header.is_empty() {
@@ -297,6 +303,33 @@ mod tests {
             .write_all(b"POST /x HTTP/1.1\r\nContent-Length: 99999999\r\n\r\n")
             .unwrap();
         assert!(read_request(&mut server).is_err());
+    }
+
+    /// A request line with no newline is refused once it passes the head
+    /// cap, while the client is still connected: it does not buffer until
+    /// the deadline.
+    #[test]
+    fn endless_request_line_is_refused_at_the_head_cap() {
+        let (mut client, mut server) = pair();
+        // The writer may block once the socket buffers fill; it ends when
+        // the server side closes.
+        let writer = std::thread::spawn(move || {
+            let _ = client.write_all(&vec![b'a'; 64 * 1024]);
+            client
+        });
+        let t = std::time::Instant::now();
+        let result = read_request_deadline(&mut server, Duration::from_secs(20));
+        assert_eq!(result.unwrap_err(), "request head too large");
+        assert!(t.elapsed() < Duration::from_secs(5), "took {:?}", t.elapsed());
+        drop(server);
+        drop(writer.join().unwrap());
+        // Headers count against the same cap.
+        let (mut client, mut server) = pair();
+        let header = format!("X: {}\r\n", "b".repeat(1024));
+        let head = format!("GET / HTTP/1.1\r\n{}\r\n", header.repeat(16));
+        client.write_all(head.as_bytes()).unwrap();
+        assert_eq!(read_request(&mut server).unwrap_err(), "request head too large");
+        drop(client);
     }
 
     /// A client that opens a connection, sends half a request, and then goes

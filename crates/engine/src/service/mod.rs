@@ -81,7 +81,7 @@ pub type SpaceResolver =
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Bind address, e.g. `127.0.0.1:7411` — port 0 picks a free port
-    /// (the realized address is available from [`ServiceHandle::addr`]).
+    /// (the realized address is available from [`SweepService::addr`]).
     pub addr: String,
     /// Worker threads per sweep (the `ParallelOptions::threads` each job
     /// runs with).
@@ -380,7 +380,7 @@ impl ServerState {
 
 /// A running daemon: the realized bind address plus join handles for every
 /// thread it owns. Dropping the handle without calling
-/// [`ServiceHandle::wait`] detaches the threads (they still honor
+/// [`SweepService::wait`] detaches the threads (they still honor
 /// `POST /shutdown`).
 pub struct SweepService {
     addr: SocketAddr,
@@ -388,10 +388,6 @@ pub struct SweepService {
     listener: Option<JoinHandle<()>>,
     executors: Vec<JoinHandle<()>>,
 }
-
-/// Alias kept for readability at call sites: `serve` returns the handle
-/// you shut the daemon down through.
-pub type ServiceHandle = SweepService;
 
 impl SweepService {
     /// Bind, spawn the executor pool and the listener, and return.

@@ -682,19 +682,15 @@ fn chunk_granularity_is_invisible() {
         let serial = compiled
             .run(CollectVisitor::new(names.clone(), usize::MAX))
             .unwrap();
-        for chunks_per_thread in [1, 7, 1024] {
-            let opts = ParallelOptions {
-                threads: 3,
-                chunks_per_thread,
-                ..ParallelOptions::default()
-            };
+        for chunk_count in [3, 21, 3072] {
+            let opts = ParallelOptions { threads: 3, chunk_count, ..ParallelOptions::default() };
             let (par, _) = run_parallel_report(&lp, &opts, || {
                 CollectVisitor::new(names.clone(), usize::MAX)
             })
             .unwrap();
             assert_eq!(
                 par.visitor.points, serial.visitor.points,
-                "{name}: chunks_per_thread={chunks_per_thread} changed results"
+                "{name}: chunk_count={chunk_count} changed results"
             );
             assert_eq!(par.stats, serial.stats, "{name}");
         }
@@ -825,4 +821,71 @@ fn calibration_errors_surface_from_the_real_run_under_each_policy() {
             _ => panic!("{policy:?}: adaptive and declared disagree on failing"),
         }
     }
+}
+
+/// One FNV-1a digest of every static decision the abstract step program
+/// feeds, on one lowered plan: the cost model's scores, the reorder-safe
+/// regions, the lint report, the counter's memo choices in survivor and
+/// tuple mode (the unique-key recogniser) with its survivor count and
+/// statistics, and the engine's `PruneStats` / `BlockStats` and fingerprint
+/// under a declared schedule with intervals on — at the default guard
+/// placement and with a guard on every eligible loop, congruence on and
+/// off.
+fn static_decisions(lp: &LoweredPlan, fnv: &mut u64) {
+    use beast_core::analyze::{self, Counter};
+    use beast_core::schedule::{check_regions, CostModel};
+    let mut text = format!(
+        "{:?}|{:?}|{:?}",
+        CostModel::of(lp).scores,
+        check_regions(lp),
+        analyze::analyze(lp)
+    );
+    for mut counter in [Counter::new(lp), Counter::tuples(lp)] {
+        let memo: Vec<bool> = counter.stats().levels.iter().map(|l| l.memo).collect();
+        let total = counter.total();
+        text += &format!("|{memo:?}|{total:?}|{:?}", counter.stats());
+    }
+    for (min_guard_fanout, congruence) in [(4, true), (1, true), (1, false)] {
+        let engine = EngineOptions { min_guard_fanout, congruence, ..EngineOptions::default() };
+        let out = Compiled::with_options(lp.clone(), engine).run(FingerprintVisitor::new());
+        text += &match out {
+            Ok(o) => {
+                let v = &o.visitor;
+                format!("|{:?}|{:?}|{:x}|{}", o.stats, o.blocks, v.hash, v.count)
+            }
+            Err(e) => format!("|{e}"),
+        };
+    }
+    for b in text.bytes() {
+        *fnv = (*fnv ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+    }
+}
+
+/// The static decisions — scores, regions, lint findings, memo choices,
+/// pre-pass and guard verdicts — are pinned on spaces nobody hand-picked:
+/// every seed the counter's differential suite draws from the narrowing,
+/// parent-solve and replay generators, plus GEMM reduced(16) and (32).
+#[test]
+fn static_decisions_are_pinned_on_generated_and_gemm_spaces() {
+    let fresh = || 0xcbf2_9ce4_8422_2325u64;
+    let (mut narrow, mut parent, mut replay) = (fresh(), fresh(), fresh());
+    for seed in 0..120u64 {
+        static_decisions(&lower(&narrow_gen::generate(seed).space), &mut narrow);
+        static_decisions(&lower(&narrow_gen::generate_parent(seed, false).space), &mut parent);
+        let g = replay_gen::generate(seed);
+        let options = PlanOptions { order: LoopOrder::Explicit(g.order), ..PlanOptions::default() };
+        let lp = LoweredPlan::new(&Plan::new(&g.space, options).unwrap()).unwrap();
+        static_decisions(&lp, &mut replay);
+    }
+    let mut gemm = [fresh(), fresh()];
+    for (fnv, dim) in gemm.iter_mut().zip([16, 32]) {
+        static_decisions(&lower(&build_gemm_space(&GemmSpaceParams::reduced(dim)).unwrap()), fnv);
+    }
+    let got = [narrow, parent, replay, gemm[0], gemm[1]];
+    #[rustfmt::skip]
+    let want = [
+        0x7751ae9ef0cd0943, 0x13e7dfc4c9564236, 0x249b06d4243e16b1,
+        0x2be850bbe3c26016, 0x70b3023c94890ac9,
+    ];
+    assert_eq!(got, want, "narrow, parent, replay, reduced(16), reduced(32)");
 }

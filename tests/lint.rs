@@ -98,7 +98,7 @@ fn be001_empty_space_by_interval() {
         .constraint("always_fires", ConstraintClass::Hard, var("x").ge(1))
         .build()
         .unwrap();
-    let report = analyze::check_space(&lower(&space));
+    let report = analyze::analyze(&lower(&space));
     assert!(has(&report, "BE001", "always_fires", Severity::Error));
     assert!(report.has_errors());
 }
@@ -115,7 +115,7 @@ fn be001_empty_space_by_congruence_only() {
         .constraint("parity_trap", ConstraintClass::Hard, (var("x") % 2).ne(1))
         .build()
         .unwrap();
-    let report = analyze::check_space(&lower(&space));
+    let report = analyze::analyze(&lower(&space));
     assert!(
         has(&report, "BE001", "parity_trap", Severity::Error),
         "congruence half missed a residue tautology:\n{}",
@@ -131,7 +131,7 @@ fn be002_dead_check() {
         .constraint("never_fires", ConstraintClass::Hard, var("x").gt(100))
         .build()
         .unwrap();
-    let report = analyze::check_space(&lower(&space));
+    let report = analyze::analyze(&lower(&space));
     assert!(has(&report, "BE002", "never_fires", Severity::Warning));
 }
 
@@ -145,7 +145,7 @@ fn be003_subsumed_constraint() {
         .constraint("tight", ConstraintClass::Hard, var("x").gt(10))
         .build()
         .unwrap();
-    let report = analyze::check_space(&lower(&space));
+    let report = analyze::analyze(&lower(&space));
     assert!(has(&report, "BE003", "tight", Severity::Warning));
     assert!(!has(&report, "BE003", "loose", Severity::Warning), "subsumption is directional");
 }
@@ -162,7 +162,7 @@ fn be004_unused_symbols() {
         .constraint("cap", ConstraintClass::Hard, var("x").gt(10))
         .build()
         .unwrap();
-    let report = analyze::check_space(&lower(&space));
+    let report = analyze::analyze(&lower(&space));
     assert!(has(&report, "BE004", "scratch", Severity::Warning));
     assert!(has(&report, "BE004", "seed", Severity::Info));
     assert!(!has(&report, "BE004", "x", Severity::Info), "x is read by `cap`");
@@ -178,7 +178,7 @@ fn be005_shadowed_names() {
         .constraint("uses_min", ConstraintClass::Hard, var("min").gt(var("while")))
         .build()
         .unwrap();
-    let report = analyze::check_space(&lower(&space));
+    let report = analyze::analyze(&lower(&space));
     assert!(has(&report, "BE005", "min", Severity::Warning));
     assert!(has(&report, "BE005", "while", Severity::Warning));
 }
@@ -198,7 +198,7 @@ fn be006_hoistable_check() {
         .constraint("late_check", ConstraintClass::Hard, var("folded").lt(3))
         .build()
         .unwrap();
-    let report = analyze::check_space(&lower(&space));
+    let report = analyze::analyze(&lower(&space));
     assert!(has(&report, "BE006", "late_check", Severity::Info));
 }
 
@@ -212,7 +212,7 @@ fn be007_fallible_define() {
         .constraint("cap", ConstraintClass::Hard, var("q").gt(50))
         .build()
         .unwrap();
-    let report = analyze::check_space(&lower(&space));
+    let report = analyze::analyze(&lower(&space));
     assert!(has(&report, "BE007", "q", Severity::Warning));
 }
 
@@ -226,7 +226,7 @@ fn be008_overflow_risk() {
         .constraint("cap", ConstraintClass::Hard, var("big").gt(10))
         .build()
         .unwrap();
-    let report = analyze::check_space(&lower(&space));
+    let report = analyze::analyze(&lower(&space));
     assert!(has(&report, "BE008", "big", Severity::Warning));
 }
 
@@ -244,7 +244,7 @@ fn be009_exact_count_info() {
     let d = report.diagnostics.iter().find(|d| d.code == "BE009").unwrap();
     assert!(d.message.contains("7 survivor(s) of 10 tuple(s)"), "{}", d.message);
     // The plain abstract entry point never counts.
-    assert!(!analyze::check_space(&lower(&space))
+    assert!(!analyze::analyze(&lower(&space))
         .diagnostics
         .iter()
         .any(|d| d.code == "BE009"));
@@ -284,7 +284,7 @@ fn be001_empty_space_by_exact_count_only() {
     let lp = lower(&space);
     // The abstract passes alone cannot prove emptiness...
     assert!(
-        !analyze::check_space(&lp).has_errors(),
+        !analyze::analyze(&lp).has_errors(),
         "abstract pass unexpectedly proved emptiness — the fixture no longer \
          isolates the counting witness"
     );

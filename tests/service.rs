@@ -17,7 +17,9 @@
 //! - the chunked progress stream terminates with the full result;
 //! - resubmissions of one space reuse one compiled engine, interleaved
 //!   spaces keep their own, and neither changes a fingerprint;
-//! - with a cache file, only a job that stored chunks rewrites it.
+//! - with a cache file, only a job that stored chunks rewrites it;
+//! - hostile input — a 200 000-deep JSON body, a 64 KiB request line — gets
+//!   400 and the daemon keeps serving.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -405,6 +407,47 @@ fn job_table_is_bounded_and_evicted_ids_answer_404() {
     assert_eq!(status_of(last - 64), 404, "the 65th newest job was evicted");
     assert_eq!(status_of(1), 404, "the oldest job was evicted");
 
+    service.shutdown();
+    wait_within(service, std::time::Duration::from_secs(5));
+}
+
+/// Send `bytes` raw from a writer thread (the server may stop reading and
+/// close first) and return everything the server answered before it
+/// closed.
+fn raw_exchange(addr: &str, bytes: Vec<u8>) -> String {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let send = std::thread::spawn(move || {
+        let _ = writer.write_all(&bytes);
+    });
+    let mut reply = Vec::new();
+    let mut buf = [0u8; 4096];
+    while let Ok(n @ 1..) = stream.read(&mut buf) {
+        reply.extend_from_slice(&buf[..n]);
+    }
+    send.join().unwrap();
+    String::from_utf8_lossy(&reply).into_owned()
+}
+
+/// A body nested 200 000 arrays deep would overflow the connection
+/// thread's stack and abort the daemon; a request line with no end would
+/// buffer until the request deadline. Both get 400 at once, and the daemon
+/// still answers `/healthz`.
+#[test]
+fn hostile_requests_get_400_and_the_daemon_keeps_serving() {
+    let (service, addr) = start_service();
+    let (status, body) = http(&addr, "POST", "/sweeps", &"[".repeat(200_000));
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("nesting deeper than 128"), "{body}");
+
+    let started = std::time::Instant::now();
+    let reply = raw_exchange(&addr, vec![b'G'; 64 * 1024]);
+    assert!(reply.starts_with("HTTP/1.1 400"), "{reply}");
+    assert!(reply.contains("request head too large"), "{reply}");
+    assert!(started.elapsed() < std::time::Duration::from_secs(10), "{:?}", started.elapsed());
+
+    let (status, _) = http(&addr, "GET", "/healthz", "");
+    assert_eq!(status, 200);
     service.shutdown();
     wait_within(service, std::time::Duration::from_secs(5));
 }
