@@ -548,11 +548,15 @@ impl Link {
         let grace = Instant::now() + Duration::from_millis(500);
         // Stray frames are drained; hang-up and expiry both end the wait.
         while rx.recv_timeout(grace.saturating_duration_since(Instant::now())).is_ok() {}
+        // A worker that hung up is microseconds from exiting: poll from
+        // 10 µs, doubling up to 1 ms, so it is reaped about when it is gone.
+        let mut pause = Duration::from_micros(10);
         while Instant::now() < grace {
             if let Ok(Some(_)) = child.try_wait() {
                 return;
             }
-            std::thread::sleep(Duration::from_millis(1));
+            std::thread::sleep(pause);
+            pause = (pause * 2).min(Duration::from_millis(1));
         }
         let _ = child.kill();
         let _ = child.wait();

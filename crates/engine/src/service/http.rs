@@ -20,7 +20,7 @@ const MAX_HEAD: usize = 16 * 1024;
 const MAX_BODY: usize = 4 * 1024 * 1024;
 /// Per-call socket I/O timeout applied to every accepted connection: a peer
 /// that goes fully silent (or never drains a response) is cut off after this
-/// long, instead of pinning a handler thread forever.
+/// long, instead of pinning an acceptor forever.
 pub const IO_TIMEOUT: Duration = Duration::from_secs(10);
 /// Hard ceiling on reading one complete request. The per-call timeout alone
 /// does not stop a slow-loris client that drips one byte per poll — each
@@ -162,10 +162,42 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
+/// A connection's write side that remembers whether any response byte was
+/// sent, so a handler that fails midway knows whether an error status can
+/// still go out.
+pub struct Reply<'a> {
+    /// The connection itself; the request is read from it directly.
+    pub stream: &'a mut TcpStream,
+    started: bool,
+}
+
+impl<'a> Reply<'a> {
+    /// Wrap an accepted connection; nothing is sent yet.
+    pub fn new(stream: &'a mut TcpStream) -> Reply<'a> {
+        Reply { stream, started: false }
+    }
+
+    /// Whether a response has begun: a write was attempted.
+    pub fn started(&self) -> bool {
+        self.started
+    }
+}
+
+impl Write for Reply<'_> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.started |= !buf.is_empty();
+        self.stream.write(buf)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.stream.flush()
+    }
+}
+
 /// Write a complete fixed-length response, head and body in one write, and
 /// flush it.
 pub fn write_response(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     status: u16,
     content_type: &str,
     body: &str,
@@ -184,12 +216,12 @@ pub fn write_response(
 }
 
 /// Shorthand for an `application/json` response.
-pub fn write_json(stream: &mut TcpStream, status: u16, body: &str) -> std::io::Result<()> {
+pub fn write_json(stream: &mut impl Write, status: u16, body: &str) -> std::io::Result<()> {
     write_response(stream, status, "application/json", body)
 }
 
 /// Shorthand for a JSON error payload `{"error": "..."}`.
-pub fn write_error(stream: &mut TcpStream, status: u16, message: &str) -> std::io::Result<()> {
+pub fn write_error(stream: &mut impl Write, status: u16, message: &str) -> std::io::Result<()> {
     let mut body = String::from("{");
     crate::telemetry::json_str(&mut body, "error", message);
     body.push('}');
@@ -198,18 +230,18 @@ pub fn write_error(stream: &mut TcpStream, status: u16, message: &str) -> std::i
 
 /// Incremental `Transfer-Encoding: chunked` response writer, used by the
 /// progress-stream endpoint so clients see updates while the sweep runs.
-pub struct ChunkedWriter<'a> {
-    stream: &'a mut TcpStream,
+pub struct ChunkedWriter<'a, W: Write> {
+    stream: &'a mut W,
     open: bool,
 }
 
-impl<'a> ChunkedWriter<'a> {
+impl<'a, W: Write> ChunkedWriter<'a, W> {
     /// Send the response head and switch the connection to chunked mode.
     pub fn begin(
-        stream: &'a mut TcpStream,
+        stream: &'a mut W,
         status: u16,
         content_type: &str,
-    ) -> std::io::Result<ChunkedWriter<'a>> {
+    ) -> std::io::Result<ChunkedWriter<'a, W>> {
         let head = format!(
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n",
             status,
@@ -241,7 +273,7 @@ impl<'a> ChunkedWriter<'a> {
     }
 }
 
-impl Drop for ChunkedWriter<'_> {
+impl<W: Write> Drop for ChunkedWriter<'_, W> {
     fn drop(&mut self) {
         if self.open {
             // Best effort: terminate the stream so well-behaved clients do

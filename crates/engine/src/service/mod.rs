@@ -10,7 +10,7 @@
 //!
 //! | Route                        | Purpose                                       |
 //! |------------------------------|-----------------------------------------------|
-//! | `GET  /healthz`              | liveness + retained job count                 |
+//! | `GET  /healthz`              | liveness, retained jobs, acceptor pool        |
 //! | `POST /sweeps`               | submit a sweep (`"wait": true` to block)      |
 //! | `GET  /sweeps`               | list retained jobs (live + 64 newest finished) |
 //! | `GET  /sweeps/{id}`          | job state; full report once done; 404 once evicted |
@@ -32,7 +32,9 @@ pub mod cache;
 pub mod http;
 
 use std::collections::{BTreeMap, VecDeque};
+use std::io::Write;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, Weak};
@@ -48,7 +50,7 @@ use crate::telemetry::{json_num, json_str, SweepProgress};
 use crate::visit::FingerprintVisitor;
 
 use cache::{run_cached_on, SweepCache};
-use http::{read_request, write_error, write_json, ChunkedWriter, Request};
+use http::{configure_stream, read_request, write_error, write_json, ChunkedWriter, Reply, Request};
 
 use beast_core::analyze::LintGate;
 
@@ -258,7 +260,23 @@ impl Job {
 /// queued or running job is never evicted, and an evicted id answers 404.
 const MAX_JOBS: usize = 64;
 
-/// Everything the listener, connection handlers and executors share.
+/// Idle acceptors the pool keeps: the daemon starts this many, and one that
+/// finishes a connection while this many others are idle exits.
+const IDLE_ACCEPTORS: usize = 2;
+
+/// The acceptor pool's counts (see [`acceptor_loop`]), read by `/healthz`.
+#[derive(Default)]
+struct AcceptorCounts {
+    /// Acceptor threads alive.
+    live: usize,
+    /// Of those, the ones in `accept` or on their way back to it.
+    idle: usize,
+    /// Acceptor threads started over the daemon's life, the first ones
+    /// included.
+    spawned: u64,
+}
+
+/// Everything the acceptors and executors share.
 struct ServerState {
     cfg: ServiceConfig,
     /// The realized bind address (the shutdown wake-up connects to it).
@@ -281,6 +299,10 @@ struct ServerState {
     queue_cv: Condvar,
     next_id: AtomicU64,
     shutdown: AtomicBool,
+    acceptors: Mutex<AcceptorCounts>,
+    /// Signalled when an idle acceptor exits and when the stop is flagged:
+    /// what [`SweepService::wait`] blocks on.
+    acceptors_cv: Condvar,
 }
 
 impl ServerState {
@@ -358,8 +380,8 @@ impl ServerState {
     }
 
     /// Flag the stop and wake every thread that could be blocked on it: idle
-    /// executors through the queue condvar, the acceptor through a throwaway
-    /// loopback connection to its own listener.
+    /// executors through the queue condvar, every idle acceptor through a
+    /// throwaway loopback connection to its own listener.
     fn request_shutdown(&self) {
         // Raised under the queue lock, so an executor is either still ahead
         // of its flag check or already waiting when the notify lands.
@@ -367,6 +389,14 @@ impl ServerState {
         self.shutdown.store(true, Ordering::SeqCst);
         drop(queue);
         self.queue_cv.notify_all();
+        // Read under the pool lock, after the flag: an acceptor that turned
+        // idle before is counted, and one that would turn idle after sees
+        // the flag and exits instead. A busy one exits when it finishes.
+        let idle = {
+            let pool = self.acceptors.lock().unwrap();
+            self.acceptors_cv.notify_all();
+            pool.idle
+        };
         let mut wake = self.addr;
         if wake.ip().is_unspecified() {
             wake.set_ip(match wake {
@@ -374,23 +404,43 @@ impl ServerState {
                 SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
             });
         }
-        let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
+        // One connection per idle acceptor: each takes one, sees the flag
+        // and exits without serving it.
+        for _ in 0..idle {
+            let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
+        }
+    }
+
+    /// `/healthz`: the retained job count, then the acceptor pool's counts.
+    fn health_json(&self) -> String {
+        let jobs = self.jobs.lock().unwrap().len();
+        let pool = self.acceptors.lock().unwrap();
+        let mut out = String::from("{\"ok\":true,");
+        json_num(&mut out, "jobs", jobs as f64);
+        out.push(',');
+        json_num(&mut out, "acceptors", pool.live as f64);
+        out.push(',');
+        json_num(&mut out, "idle", pool.idle as f64);
+        out.push(',');
+        json_num(&mut out, "acceptors_spawned", pool.spawned as f64);
+        out.push('}');
+        out
     }
 }
 
-/// A running daemon: the realized bind address plus join handles for every
-/// thread it owns. Dropping the handle without calling
-/// [`SweepService::wait`] detaches the threads (they still honor
+/// A running daemon: the realized bind address plus join handles for its
+/// executors (acceptors are detached; [`SweepService::wait`] waits for the
+/// idle ones through the pool's counts). Dropping the handle without
+/// calling [`SweepService::wait`] detaches every thread (they still honor
 /// `POST /shutdown`).
 pub struct SweepService {
     addr: SocketAddr,
     state: Arc<ServerState>,
-    listener: Option<JoinHandle<()>>,
     executors: Vec<JoinHandle<()>>,
 }
 
 impl SweepService {
-    /// Bind, spawn the executor pool and the listener, and return.
+    /// Bind, spawn the executor pool and the first acceptors, and return.
     ///
     /// Fails if the address cannot be bound or (when `cache_path` is set)
     /// the existing cache file is malformed.
@@ -420,6 +470,8 @@ impl SweepService {
             queue_cv: Condvar::new(),
             next_id: AtomicU64::new(1),
             shutdown: AtomicBool::new(false),
+            acceptors: Mutex::new(AcceptorCounts::default()),
+            acceptors_cv: Condvar::new(),
         });
 
         let executor_joins: Vec<JoinHandle<()>> = (0..executors)
@@ -432,18 +484,15 @@ impl SweepService {
             })
             .collect::<Result<_, _>>()?;
 
-        let listener_state = Arc::clone(&state);
-        let listener_join = std::thread::Builder::new()
-            .name("sweep-listener".to_string())
-            .spawn(move || listener_loop(listener, &listener_state))
-            .map_err(|e| format!("cannot spawn listener: {e}"))?;
+        let listener = Arc::new(listener);
+        let mut pool = state.acceptors.lock().unwrap();
+        for _ in 0..IDLE_ACCEPTORS {
+            spawn_acceptor(&state, &listener, &mut pool)
+                .map_err(|e| format!("cannot spawn acceptor: {e}"))?;
+        }
+        drop(pool);
 
-        Ok(SweepService {
-            addr,
-            state,
-            listener: Some(listener_join),
-            executors: executor_joins,
-        })
+        Ok(SweepService { addr, state, executors: executor_joins })
     }
 
     /// The realized bind address (useful with port 0).
@@ -456,39 +505,89 @@ impl SweepService {
         self.state.request_shutdown();
     }
 
-    /// Block until every daemon thread has exited (after a shutdown was
-    /// requested via [`SweepService::shutdown`] or `POST /shutdown`), then
-    /// persist the cache one final time if anything was stored since the
-    /// last write.
-    pub fn wait(mut self) -> Result<(), String> {
-        if let Some(listener) = self.listener.take() {
-            listener.join().map_err(|_| "listener thread panicked".to_string())?;
-        }
-        for join in self.executors.drain(..) {
+    /// Block until a shutdown was requested (via [`SweepService::shutdown`]
+    /// or `POST /shutdown`), every idle acceptor and every executor has
+    /// exited, then persist the cache one final time if anything was stored
+    /// since the last write. An acceptor still serving a connection is not
+    /// waited for: it exits when that connection ends.
+    pub fn wait(self) -> Result<(), String> {
+        let state = &self.state;
+        let pool = state.acceptors.lock().unwrap();
+        let running = |pool: &mut AcceptorCounts| {
+            !state.shutdown.load(Ordering::SeqCst) || pool.idle > 0
+        };
+        drop(state.acceptors_cv.wait_while(pool, running).unwrap());
+        for join in self.executors {
             join.join().map_err(|_| "executor thread panicked".to_string())?;
         }
         self.state.persist()
     }
 }
 
-/// Accept loop: block in `accept`, hand each connection to a short-lived
-/// handler thread, exit when shutdown is flagged (the wake-up connection of
-/// [`ServerState::request_shutdown`] is what unblocks the last `accept`).
-fn listener_loop(listener: TcpListener, state: &Arc<ServerState>) {
+/// Start one acceptor on `listener`. It is counted idle from the start,
+/// since it goes straight into `accept`; the caller holds the pool lock, so
+/// the thread cannot update the counts before this does.
+fn spawn_acceptor(
+    state: &Arc<ServerState>,
+    listener: &Arc<TcpListener>,
+    pool: &mut AcceptorCounts,
+) -> std::io::Result<()> {
+    let (state, listener) = (Arc::clone(state), Arc::clone(listener));
+    std::thread::Builder::new()
+        .name("sweep-acceptor".to_string())
+        .spawn(move || acceptor_loop(&listener, &state))?;
+    pool.live += 1;
+    pool.idle += 1;
+    pool.spawned += 1;
+    Ok(())
+}
+
+/// One acceptor: block in `accept`, serve the connection on this thread,
+/// accept again. The pool sizes itself: an acceptor that takes a connection
+/// while no other is idle first starts a replacement, so a stalled client
+/// never stops the daemon accepting, and one that finishes while
+/// [`IDLE_ACCEPTORS`] others are idle exits. Steady sequential traffic
+/// therefore starts no thread. After a stop is flagged an acceptor exits
+/// instead of serving or accepting again; the wake-up connections of
+/// [`ServerState::request_shutdown`] unblock the idle ones.
+fn acceptor_loop(listener: &Arc<TcpListener>, state: &Arc<ServerState>) {
     loop {
         let accepted = listener.accept();
+        let mut pool = state.acceptors.lock().unwrap();
         if state.shutdown.load(Ordering::SeqCst) {
+            pool.idle -= 1;
+            pool.live -= 1;
+            state.acceptors_cv.notify_all();
             return;
         }
-        match accepted {
-            Ok((stream, _)) => {
-                let state = Arc::clone(state);
-                let _ = std::thread::Builder::new()
-                    .name("sweep-conn".to_string())
-                    .spawn(move || handle_connection(stream, &state));
-            }
-            // Transient (e.g. descriptor exhaustion): back off, retry.
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
+        let Ok((mut stream, _)) = accepted else {
+            // Transient (e.g. descriptor exhaustion): back off and retry,
+            // counted idle throughout.
+            drop(pool);
+            std::thread::sleep(Duration::from_millis(10));
+            continue;
+        };
+        pool.idle -= 1;
+        if pool.idle == 0 {
+            // Should the spawn fail, connections wait in the backlog until
+            // an acceptor is free.
+            let _ = spawn_acceptor(state, listener, &mut pool);
+        }
+        drop(pool);
+        handle_connection(&mut stream, state);
+        let mut pool = state.acceptors.lock().unwrap();
+        let stay = !state.shutdown.load(Ordering::SeqCst) && pool.idle < IDLE_ACCEPTORS;
+        if stay {
+            pool.idle += 1;
+        } else {
+            pool.live -= 1;
+        }
+        drop(pool);
+        // Closed only now: a client that reads to EOF and comes straight back
+        // finds this acceptor counted idle, not a reason to spawn.
+        drop(stream);
+        if !stay {
+            return;
         }
     }
 }
@@ -574,43 +673,47 @@ fn run_job(state: &ServerState, job: &Job) {
     }
 }
 
-/// Serve one connection: read a single request, dispatch, close.
-fn handle_connection(mut stream: TcpStream, state: &Arc<ServerState>) {
+/// Serve one connection: read a single request and dispatch it. A handler
+/// that fails, or panics (say in the [`SpaceResolver`]), before sending a
+/// byte answers 500; the panic is caught here, on the acceptor, so it costs
+/// the client its answer and never the acceptor.
+fn handle_connection(stream: &mut TcpStream, state: &Arc<ServerState>) {
     // Socket timeouts in both directions, so a silent or undraining client
-    // cannot pin this handler thread indefinitely.
-    if crate::service::http::configure_stream(&stream).is_err() {
+    // cannot pin this acceptor indefinitely.
+    if configure_stream(stream).is_err() {
         return;
     }
-    let request = match read_request(&mut stream) {
-        Ok(Some(request)) => request,
-        Ok(None) => return,
-        Err(e) => {
-            let _ = write_error(&mut stream, 400, &e);
-            return;
-        }
+    let mut reply = Reply::new(stream);
+    let error = match catch_unwind(AssertUnwindSafe(|| serve(&mut reply, state))) {
+        Ok(Ok(())) => return,
+        Ok(Err(e)) => e,
+        Err(_) => "request handler panicked".to_string(),
     };
-    let result = dispatch(&mut stream, &request, state);
-    if let Err(e) = result {
-        // Head may already be on the wire; best effort.
-        let _ = write_error(&mut stream, 500, &e);
+    // Once a head is out, a second status line would only corrupt it.
+    if !reply.started() {
+        let _ = write_error(&mut reply, 500, &error);
+    }
+}
+
+/// Read the request and route it; a malformed one answers 400.
+fn serve(reply: &mut Reply<'_>, state: &Arc<ServerState>) -> Result<(), String> {
+    match read_request(reply.stream) {
+        Ok(Some(request)) => dispatch(reply, &request, state),
+        Ok(None) => Ok(()),
+        Err(e) => write_error(reply, 400, &e).map_err(|e| format!("write response: {e}")),
     }
 }
 
 /// Route one parsed request.
 fn dispatch(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     request: &Request,
     state: &Arc<ServerState>,
 ) -> Result<(), String> {
     let io = |e: std::io::Error| format!("write response: {e}");
     let segments: Vec<&str> = request.path.split('/').filter(|s| !s.is_empty()).collect();
     match (request.method.as_str(), segments.as_slice()) {
-        ("GET", ["healthz"]) => {
-            let mut body = String::from("{\"ok\":true,");
-            json_num(&mut body, "jobs", state.jobs.lock().unwrap().len() as f64);
-            body.push('}');
-            write_json(stream, 200, &body).map_err(io)
-        }
+        ("GET", ["healthz"]) => write_json(stream, 200, &state.health_json()).map_err(io),
         ("POST", ["sweeps"]) => submit(stream, request, state),
         ("GET", ["sweeps"]) => {
             let jobs = state.jobs.lock().unwrap();
@@ -661,7 +764,7 @@ fn parse_id(s: &str) -> Option<u64> {
 /// with the queued job — or, with `"wait": true`, block until terminal and
 /// answer `200` with the full result.
 fn submit(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     request: &Request,
     state: &Arc<ServerState>,
 ) -> Result<(), String> {
@@ -708,7 +811,7 @@ fn submit(
 /// `GET /sweeps/{id}/progress`: chunked JSON lines at ~25 ms cadence while
 /// the job runs, then one terminal line with the full result as soon as the
 /// job finishes.
-fn stream_progress(stream: &mut TcpStream, job: &Job) -> Result<(), String> {
+fn stream_progress(stream: &mut impl Write, job: &Job) -> Result<(), String> {
     let io = |e: std::io::Error| format!("stream progress: {e}");
     let mut writer = ChunkedWriter::begin(stream, 200, "application/json").map_err(io)?;
     let pause = Duration::from_millis(25);
@@ -742,12 +845,16 @@ mod tests {
     use beast_core::space::Space;
 
     /// Resolves `{"cap": N}` into a small two-loop space and counts its
-    /// calls; with a barrier, every call waits there for the others.
+    /// calls; with a barrier, every call waits there for the others. It
+    /// panics on `{"panic": true}`.
     fn toy_resolver(calls: Arc<AtomicUsize>, barrier: Option<Arc<Barrier>>) -> SpaceResolver {
         Arc::new(move |doc: &JsonValue| {
             calls.fetch_add(1, Ordering::SeqCst);
             if let Some(barrier) = &barrier {
                 barrier.wait();
+            }
+            if doc.get("panic").is_some() {
+                panic!("the toy resolver was asked to panic");
             }
             let cap = doc.get("cap").and_then(JsonValue::as_i64).ok_or("space needs `cap`")?;
             let space = Space::builder("toy")
@@ -794,6 +901,13 @@ mod tests {
         let stats = JsonValue::parse(&http(service, "GET", "/cache/stats", "").1).unwrap();
         let num = |key: &str| stats.get(key).and_then(JsonValue::as_u64).unwrap();
         (num("engines"), num("engine_builds"), num("engine_reuses"))
+    }
+
+    /// `(acceptors, idle, acceptors_spawned)` from `/healthz`.
+    fn acceptor_counts(service: &SweepService) -> (u64, u64, u64) {
+        let health = JsonValue::parse(&http(service, "GET", "/healthz", "").1).unwrap();
+        let num = |key: &str| health.get(key).and_then(JsonValue::as_u64).unwrap();
+        (num("acceptors"), num("idle"), num("acceptors_spawned"))
     }
 
     fn stop(service: SweepService) {
@@ -846,6 +960,20 @@ mod tests {
         assert_eq!(sweep(&service, 40), 200);
         assert_eq!(calls.load(Ordering::SeqCst), 3);
         assert_eq!(engine_counters(&service), (2, 3, MAX_JOBS as u64 - 1));
+        stop(service);
+    }
+
+    #[test]
+    fn a_panicking_resolver_answers_500_and_the_acceptor_serves_on() {
+        let service = start(1, toy_resolver(Arc::new(AtomicUsize::new(0)), None));
+        let before = acceptor_counts(&service);
+        assert_eq!(before, (2, 1, 2), "two acceptors, one of them answering");
+        let (status, body) =
+            http(&service, "POST", "/sweeps", "{\"space\":{\"panic\":true},\"wait\":true}");
+        assert_eq!(status, 500, "{body}");
+        assert!(body.contains("request handler panicked"), "{body}");
+        assert_eq!(sweep(&service, 40), 200);
+        assert_eq!(acceptor_counts(&service), before);
         stop(service);
     }
 }

@@ -19,7 +19,10 @@
 //!   spaces keep their own, and neither changes a fingerprint;
 //! - with a cache file, only a job that stored chunks rewrites it;
 //! - hostile input — a 200 000-deep JSON body, a 64 KiB request line — gets
-//!   400 and the daemon keeps serving.
+//!   400 and the daemon keeps serving;
+//! - the acceptor pool: sequential requests start no thread, stalled
+//!   sockets grow the pool without delaying anyone, and shutdown stops it
+//!   whatever its size.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -371,8 +374,45 @@ fn wait_within(service: SweepService, limit: std::time::Duration) {
     rx.recv_timeout(limit).expect("daemon threads did not exit").unwrap();
 }
 
-/// The acceptor blocks in `accept` (no polling): both shutdown paths must
-/// wake it, even on a daemon that never saw a request.
+/// `(acceptors, idle, acceptors_spawned)` from `/healthz`.
+fn acceptor_counts(addr: &str) -> (u64, u64, u64) {
+    let (status, health) = http(addr, "GET", "/healthz", "");
+    assert_eq!(status, 200);
+    let health = JsonValue::parse(&health).unwrap();
+    let num = |key: &str| health.get(key).and_then(JsonValue::as_u64).unwrap();
+    (num("acceptors"), num("idle"), num("acceptors_spawned"))
+}
+
+/// Poll `/healthz` until `until` holds of its acceptor counts, failing past
+/// `limit`.
+fn poll_acceptors(
+    addr: &str,
+    limit: std::time::Duration,
+    until: impl Fn((u64, u64, u64)) -> bool,
+) -> (u64, u64, u64) {
+    let deadline = std::time::Instant::now() + limit;
+    loop {
+        let counts = acceptor_counts(addr);
+        if until(counts) {
+            return counts;
+        }
+        assert!(std::time::Instant::now() < deadline, "acceptors stuck at {counts:?}");
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+}
+
+/// Open `n` connections that never send a byte, and wait until the daemon
+/// has taken them all: `n` busy acceptors plus the one answering the probe.
+fn stall(addr: &str, n: usize) -> Vec<TcpStream> {
+    let sockets = (0..n).map(|_| TcpStream::connect(addr).unwrap()).collect();
+    poll_acceptors(addr, std::time::Duration::from_secs(5), |(live, _, _)| live > n as u64);
+    sockets
+}
+
+/// Acceptors block in `accept` (no polling): both shutdown paths must wake
+/// every idle one — on a daemon that never saw a request, on one whose pool
+/// grew and shrank again, and with a stalled client still connected, whose
+/// acceptor `wait` does not wait for.
 #[test]
 fn shutdown_wakes_a_blocked_acceptor() {
     let limit = std::time::Duration::from_secs(5);
@@ -384,6 +424,55 @@ fn shutdown_wakes_a_blocked_acceptor() {
     let (status, _) = http(&addr, "POST", "/shutdown", "");
     assert_eq!(status, 200);
     wait_within(service, limit);
+
+    let (service, addr) = start_service();
+    drop(stall(&addr, 4));
+    // The dropped clients close their sockets, so their acceptors finish.
+    poll_acceptors(&addr, limit, |(live, _, spawned)| live <= 3 && spawned >= 4);
+    service.shutdown();
+    wait_within(service, limit);
+
+    let (service, addr) = start_service();
+    let stalled = stall(&addr, 4);
+    let (status, _) = http(&addr, "POST", "/shutdown", "");
+    assert_eq!(status, 200);
+    wait_within(service, limit);
+    drop(stalled);
+}
+
+/// Steady sequential traffic is served by the first acceptors: 200
+/// requests start no thread.
+#[test]
+fn sequential_requests_start_no_acceptor() {
+    let (service, addr) = start_service();
+    let (_, _, spawned) = acceptor_counts(&addr);
+    for _ in 0..200 {
+        submit_wait(&addr, 16);
+    }
+    assert_eq!(acceptor_counts(&addr), (2, 1, spawned), "(acceptors, idle, spawned)");
+    service.shutdown();
+    wait_within(service, std::time::Duration::from_secs(5));
+}
+
+/// Eight clients that connect and never send a byte hold eight acceptors
+/// until the socket timeout cuts them off. Meanwhile the pool grows past
+/// them, so `/healthz` answers at once; once they time out it shrinks back
+/// to at most two idle acceptors.
+#[test]
+fn stalled_sockets_neither_delay_others_nor_keep_the_pool_grown() {
+    let (service, addr) = start_service();
+    let stalled = stall(&addr, 8);
+    let started = std::time::Instant::now();
+    let (live, _, spawned) = acceptor_counts(&addr);
+    assert!(started.elapsed() < std::time::Duration::from_secs(1), "{:?}", started.elapsed());
+    assert!(live >= 9 && spawned >= 9, "the pool grew past the stalled sockets: {live}, {spawned}");
+
+    let limit = beast_engine::service::http::IO_TIMEOUT * 2;
+    let (live, idle, _) = poll_acceptors(&addr, limit, |(live, _, _)| live <= 3);
+    assert!(idle <= 2, "{live} acceptors, {idle} idle");
+    drop(stalled);
+    service.shutdown();
+    wait_within(service, std::time::Duration::from_secs(5));
 }
 
 /// The job table is bounded: finished jobs past the newest 64 are evicted
