@@ -694,13 +694,9 @@ fn headline(dim: i64, engine: EngineOptions) {
     outln!("{:<26} {:>10.3} {:>9.1}x", "compiled (C model)", t_comp, t_walker / t_comp);
 
     // Generated C through gcc, when available — the paper's actual artifact.
-    // Codegen consumes the lowered steps in order, so statically scheduling
-    // the plan first makes every backend emit the scheduled check order.
-    let mut cg_lp = lp.clone();
-    if engine.schedule != ScheduleMode::Declared {
-        beast_core::schedule::static_schedule(&mut cg_lp);
-    }
-    let program = beast_codegen::Program::from_lowered(&cg_lp).unwrap();
+    // Codegen consumes the lowered steps in order, so emitting from the
+    // engine's own plan makes the C run the check order the engine runs.
+    let program = beast_codegen::Program::from_lowered(compiled.lowered()).unwrap();
     let lowered = beast_codegen::lower(&program);
     let toolchain = beast_codegen::Toolchain::c();
     let backend = beast_codegen::CBackend;

@@ -74,8 +74,15 @@ pub enum LintGate {
 /// Run all lint passes over a lowered plan and return the findings sorted
 /// by (code, name) for deterministic output.
 pub fn analyze(lp: &LoweredPlan) -> LintReport {
+    analyze_steps(lp, &AbsSteps::new(lp))
+}
+
+/// [`analyze`] over the plan's already compiled abstract step program
+/// (`abs` must be [`AbsSteps::new`] of `lp`): the compiled engine's lint
+/// gate reads the program its guards run instead of compiling another.
+pub fn analyze_steps(lp: &LoweredPlan, abs: &AbsSteps) -> LintReport {
     let mut diags = Vec::new();
-    walk_passes(lp, &mut diags);
+    walk_passes(lp, abs, &mut diags);
     subsumption_pass(lp, &mut diags);
     unused_pass(lp, &mut diags);
     shadow_pass(lp, &mut diags);
@@ -156,7 +163,7 @@ pub fn analyze_with_counts_budget(lp: &LoweredPlan, budget: CountBudget) -> Lint
 /// product): the environment-dependent diagnostics (BE001 empty space,
 /// BE002 dead check, BE006 hoistable check, BE007 fallible define, BE008
 /// overflow risk).
-fn walk_passes(lp: &LoweredPlan, diags: &mut Vec<Diagnostic>) {
+fn walk_passes(lp: &LoweredPlan, abs: &AbsSteps, diags: &mut Vec<Diagnostic>) {
     let space = lp.plan.space();
     // Loop level at which each slot's value becomes available (-1 =
     // preamble); for derived slots, the transitive max over their reads, so
@@ -170,7 +177,7 @@ fn walk_passes(lp: &LoweredPlan, diags: &mut Vec<Diagnostic>) {
         need
     };
 
-    AbsSteps::new(lp).walk(true, |i, _, fact| match &lp.steps[i] {
+    abs.walk(true, |i, _, fact| match &lp.steps[i] {
         LStep::Bind { slot, depth, .. } => {
             cur_level = *depth as i64;
             slot_level[*slot as usize] = cur_level;

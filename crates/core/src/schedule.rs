@@ -23,22 +23,19 @@
 //!   therefore skips not just the remaining *checks* but their entire
 //!   define chains — on the GEMM space that is 9 defines (divisions
 //!   included) per point killed by the one deadly check of the level;
-//! * [`CostModel`] — per-constraint cost (IR op count, also the unit of the
-//!   compiled engine's adaptive calibration) and a *kill prior* estimated by
-//!   pushing the domain bounds through the interval analysis of
-//!   [`crate::interval`];
-//! * [`static_schedule`] — linearizes each region by ascending
-//!   expected-cost-to-kill (unit cost / prior) in the lowered plan itself,
-//!   so every consumer — interpreters, the threaded-code engine, and the
-//!   C/Rust source generators — inherits the schedule for free.
+//! * [`unit_cost`] — a unit's price (IR op count of the check and its
+//!   define closure), the cost unit of the compiled engine's calibration;
+//! * [`apply_order`] — linearizes a region in a given unit order in the
+//!   lowered plan itself, so every consumer — interpreters, the
+//!   threaded-code engine, and the C/Rust source generators — inherits the
+//!   schedule for free.
 //!
-//! The *measured* half lives in the compiled engine: a bounded calibration
-//! pass at engine-build time starts from the static order produced here,
-//! re-sorts each region by observed kill rate per op, and writes the learned
-//! order back into the plan with [`apply_order`] — so an adaptive schedule
-//! is, like a static one, just a step order every consumer inherits.
-
-use std::cmp::Ordering;
+//! The *measured* half — the only heuristic for the order — lives in the
+//! compiled engine: a bounded calibration pass at engine-build time starts
+//! from the declared order, re-sorts each region by observed kill rate per
+//! op, and writes the learned order back into the plan with
+//! [`apply_order`] — so an adaptive schedule is, like the declared one,
+//! just a step order every consumer inherits.
 
 use crate::analyze::AbsSteps;
 use crate::expr::Builtin;
@@ -52,11 +49,10 @@ pub enum ScheduleMode {
     /// order the planner emitted them.
     #[default]
     Declared,
-    /// The cost-model order ([`static_schedule`]: each reorder-safe group
-    /// by ascending expected-cost-to-kill) as the starting point, then
-    /// re-sorted by the kill rates observed in one bounded calibration pass
-    /// at engine-build time — a pure function of plan and options, so every
-    /// thread, chunk and worker process runs the same learned order.
+    /// The declared order as the starting point, re-sorted by the kill
+    /// rates observed in one bounded calibration pass at engine-build time
+    /// — a pure function of plan and options, so every thread, chunk and
+    /// worker process runs the same learned order.
     Adaptive,
 }
 
@@ -87,52 +83,6 @@ impl std::str::FromStr for ScheduleMode {
                 "unknown schedule mode `{other}` (expected declared or adaptive)"
             )),
         }
-    }
-}
-
-/// Cost and kill prior for one lowered constraint.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CheckScore {
-    /// IR op count of the predicate — proportional to what one evaluation
-    /// costs in every backend.
-    pub cost: u32,
-    /// Estimated probability that the predicate rejects a point, from
-    /// interval analysis of the domain bounds (0 = never kills, 1 = always).
-    pub kill_prior: f64,
-}
-
-impl CheckScore {
-    /// Expected evaluations-worth of work spent per killed point: checks
-    /// with the lowest value should run first. A floor on the prior keeps
-    /// never-killing checks finitely ranked (they simply sort last).
-    pub fn expected_cost_to_kill(&self) -> f64 {
-        self.cost as f64 / self.kill_prior.max(1e-4)
-    }
-}
-
-/// Per-constraint [`CheckScore`]s for one lowered plan, indexed by
-/// constraint index (`None` for opaque constraints, which have no lowered
-/// expression to score).
-#[derive(Debug, Clone)]
-pub struct CostModel {
-    /// Constraint index → score.
-    pub scores: Vec<Option<CheckScore>>,
-}
-
-impl CostModel {
-    /// Score every expression constraint of a lowered plan, each against
-    /// the interval environment at its own position in the static walk
-    /// ([`AbsSteps::walk`]), i.e. with exactly the slots it can read bound.
-    pub fn of(lp: &LoweredPlan) -> CostModel {
-        let n = lp.plan.space().constraints().len();
-        let mut scores: Vec<Option<CheckScore>> = vec![None; n];
-        AbsSteps::new(lp).walk(false, |i, env, _| {
-            if let LStep::Check { constraint, body: LBody::Expr(e) } = &lp.steps[i] {
-                scores[*constraint] =
-                    Some(CheckScore { cost: e.op_count(), kill_prior: p_true(e, &env.iv) });
-            }
-        });
-        CostModel { scores }
     }
 }
 
@@ -178,114 +128,6 @@ pub fn infallible_in(e: &IntExpr, env: &[Interval]) -> bool {
     }
 }
 
-/// Interval widths past this are treated as "unknown" rather than as a
-/// genuine uniform distribution — deriving a near-certain probability from a
-/// ⊤-ish operand would be false confidence.
-const HUGE_WIDTH: f64 = (1u64 << 32) as f64;
-
-/// Estimated probability that `e` evaluates nonzero (i.e. *rejects*, since
-/// lowered constraint bodies are rejection conditions) when each slot is
-/// drawn uniformly from its interval in `env`.
-///
-/// Logical structure is followed exactly (`and` → product, assuming
-/// independence; `or` → inclusion–exclusion; `not` → complement);
-/// comparisons get a geometric overlap estimate; anything else degrades to
-/// 1 / 0 / 0.5 by whether its interval excludes 0, is exactly `[0,0]`, or
-/// straddles.
-fn p_true(e: &IntExpr, env: &[Interval]) -> f64 {
-    let p = match e {
-        IntExpr::Bin(IntBinOp::And, a, b) => p_true(a, env) * p_true(b, env),
-        IntExpr::Bin(IntBinOp::Or, a, b) => {
-            let (pa, pb) = (p_true(a, env), p_true(b, env));
-            pa + pb - pa * pb
-        }
-        IntExpr::Not(a) => 1.0 - p_true(a, env),
-        IntExpr::Bin(
-            op @ (IntBinOp::Lt | IntBinOp::Le | IntBinOp::Gt | IntBinOp::Ge),
-            a,
-            b,
-        ) => {
-            let (ia, ib) = (interval_of(a, env).iv, interval_of(b, env).iv);
-            match op {
-                IntBinOp::Lt => p_less(ia, ib, 0),
-                IntBinOp::Le => p_less(ia, ib, 1),
-                IntBinOp::Gt => p_less(ib, ia, 0),
-                IntBinOp::Ge => p_less(ib, ia, 1),
-                _ => unreachable!("matched comparison"),
-            }
-        }
-        IntExpr::Bin(IntBinOp::Eq, a, b) => {
-            p_eq(interval_of(a, env).iv, interval_of(b, env).iv)
-        }
-        IntExpr::Bin(IntBinOp::Ne, a, b) => {
-            1.0 - p_eq(interval_of(a, env).iv, interval_of(b, env).iv)
-        }
-        other => {
-            let iv = interval_of(other, env).iv;
-            if !iv.contains(0) {
-                1.0
-            } else if iv == Interval::point(0) {
-                0.0
-            } else {
-                0.5
-            }
-        }
-    };
-    p.clamp(0.0, 1.0)
-}
-
-/// `P(x < y + slack)` for `x` uniform over `a` and `y` uniform over `b`
-/// (independent), via the continuous relaxation `x ~ U[lo, hi+1)`.
-/// Statically decided comparisons return exactly 0 or 1; otherwise operands
-/// wider than [`HUGE_WIDTH`] yield the uninformative 0.5.
-fn p_less(a: Interval, b: Interval, slack: i64) -> f64 {
-    // Exact decidedness first, in i128 so ⊤ bounds cannot overflow.
-    let (al, ah) = (a.lo as i128, a.hi as i128);
-    let (bl, bh) = (b.lo as i128 + slack as i128, b.hi as i128 + slack as i128);
-    if ah < bl {
-        return 1.0;
-    }
-    if al > bh {
-        return 0.0;
-    }
-    let (a0, a1) = (al as f64, (ah + 1) as f64);
-    let (b0, b1) = (bl as f64, (bh + 1) as f64);
-    if a1 - a0 > HUGE_WIDTH || b1 - b0 > HUGE_WIDTH {
-        return 0.5;
-    }
-    // P = (1 / |a|) ∫ over x in [a0, a1] of P(y + slack > x) dx, where the
-    // integrand is 1 below b0, 0 above b1, and linear in between.
-    let full = (a1.min(b0) - a0).max(0.0);
-    let x0 = a0.max(b0);
-    let x1 = a1.min(b1);
-    let ramp = if x1 > x0 {
-        ((b1 - x0).powi(2) - (b1 - x1).powi(2)) / (2.0 * (b1 - b0))
-    } else {
-        0.0
-    };
-    ((full + ramp) / (a1 - a0)).clamp(0.0, 1.0)
-}
-
-/// `P(x == y)` for independent uniforms over `a` and `b`: the overlap count
-/// divided by the product of the widths (0.5 when an operand is huge —
-/// "unknown", not "almost never").
-fn p_eq(a: Interval, b: Interval) -> f64 {
-    let lo = a.lo.max(b.lo) as i128;
-    let hi = a.hi.min(b.hi) as i128;
-    if hi < lo {
-        return 0.0;
-    }
-    if a.is_point() && b.is_point() {
-        return 1.0;
-    }
-    let wa = (a.hi as i128 - a.lo as i128 + 1) as f64;
-    let wb = (b.hi as i128 - b.lo as i128 + 1) as f64;
-    if wa > HUGE_WIDTH || wb > HUGE_WIDTH {
-        return 0.5;
-    }
-    (((hi - lo + 1) as f64) / (wa * wb)).clamp(0.0, 1.0)
-}
-
 /// A maximal reorder-safe run of lowered steps: ≥ 2 checks plus the derived
 /// definitions interleaved among them, all provably infallible over the
 /// subtree's intervals (see [`check_regions`]).
@@ -325,7 +167,10 @@ pub struct Region {
 /// preceded by its not-yet-run closure, all remaining defines before the
 /// region exits downward — preserves survivors, emission order (survivor
 /// points carry every derived slot), and error behaviour.
-pub fn check_regions(lp: &LoweredPlan) -> Vec<Region> {
+///
+/// `abs` is the plan's compiled abstract step program ([`AbsSteps::new`]
+/// of `lp`); its static walk supplies each step's interval environment.
+pub fn check_regions(lp: &LoweredPlan, abs: &AbsSteps) -> Vec<Region> {
     let mut regions: Vec<Region> = Vec::new();
     let mut run: Vec<usize> = Vec::new(); // step indices of the current run
     let mut in_loop = false;
@@ -349,7 +194,7 @@ pub fn check_regions(lp: &LoweredPlan) -> Vec<Region> {
         }
         run.clear();
     };
-    AbsSteps::new(lp).walk(false, |i, env, _| {
+    abs.walk(false, |i, env, _| {
         let step = &lp.steps[i];
         let joins = in_loop
             && match step {
@@ -420,13 +265,6 @@ fn build_region(lp: &LoweredPlan, checks: Vec<usize>, defines: Vec<usize>) -> Re
     Region { start, end, checks, defines, deps }
 }
 
-/// The reorder-safe check groups — each region's checks as step-index
-/// groups (each `Vec` holds ≥ 2 ascending indices into `lp.steps`). The
-/// check-only view of [`check_regions`], used by telemetry and tests.
-pub fn check_groups(lp: &LoweredPlan) -> Vec<Vec<usize>> {
-    check_regions(lp).into_iter().map(|r| r.checks).collect()
-}
-
 /// Loop level of a group: the number of `Bind` steps before its first check,
 /// minus one (level 0 = directly under the outermost loop — the same scale
 /// as the constraint DAG levels reported in telemetry).
@@ -461,9 +299,8 @@ pub fn check_ranks(lp: &LoweredPlan) -> Vec<usize> {
 /// `region.checks`, given as the step indices to place first, second, …):
 /// each check is preceded by the not-yet-emitted defines of its closure,
 /// and the defines no check needed come last — exactly the execution
-/// discipline [`check_regions`] proves safe. Used by [`static_schedule`],
-/// by the compiled engine to freeze its calibrated order, and by the
-/// permutation property tests.
+/// discipline [`check_regions`] proves safe. Used by the compiled engine to
+/// freeze its calibrated order and by the permutation property tests.
 ///
 /// # Panics
 /// If `order` is not a permutation of `region.checks`.
@@ -496,7 +333,7 @@ pub fn apply_order(lp: &mut LoweredPlan, region: &Region, order: &[usize]) {
 /// A check's scheduling cost within its region: `check_cost` (its own op
 /// count) plus the op counts of every define in its closure — the price of
 /// running region check `k`'s unit first on a fresh point. The unit of
-/// both [`static_schedule`] and the compiled engine's adaptive calibration.
+/// the compiled engine's adaptive calibration.
 pub fn unit_cost(lp: &LoweredPlan, region: &Region, k: usize, check_cost: u32) -> u32 {
     region.deps[k]
         .iter()
@@ -506,45 +343,6 @@ pub fn unit_cost(lp: &LoweredPlan, region: &Region, k: usize, check_cost: u32) -
         })
         .sum::<u32>()
         + check_cost
-}
-
-/// Reorder every reorder-safe region of `lp` by ascending
-/// expected-cost-to-kill — cheapest-deadliest unit first, where a unit's
-/// cost includes its define closure — and return the cost model used. Ties
-/// keep the declared order, so the transformation is deterministic.
-///
-/// Because the order is rewritten in the lowered plan itself, every
-/// downstream consumer (the threaded-code engine, the register VM, and the
-/// C/Rust source generators) emits the scheduled order with no further
-/// cooperation: a kill in the emitted order skips the remaining units'
-/// defines via the loop `continue`, with no dispatch at all.
-pub fn static_schedule(lp: &mut LoweredPlan) -> CostModel {
-    let model = CostModel::of(lp);
-    for region in check_regions(lp) {
-        let mut order: Vec<(f64, usize)> = region
-            .checks
-            .iter()
-            .enumerate()
-            .map(|(k, &i)| {
-                let key = match &lp.steps[i] {
-                    LStep::Check { constraint, .. } => model.scores[*constraint]
-                        .map(|s| {
-                            let cost = unit_cost(lp, &region, k, s.cost);
-                            CheckScore { cost, ..s }.expected_cost_to_kill()
-                        })
-                        .unwrap_or(f64::INFINITY),
-                    _ => f64::INFINITY,
-                };
-                (key, i)
-            })
-            .collect();
-        order.sort_by(|a, b| {
-            a.0.partial_cmp(&b.0).unwrap_or(Ordering::Equal).then(a.1.cmp(&b.1))
-        });
-        let order: Vec<usize> = order.into_iter().map(|(_, i)| i).collect();
-        apply_order(lp, &region, &order);
-    }
-    model
 }
 
 #[cfg(test)]
@@ -560,8 +358,12 @@ mod tests {
         LoweredPlan::new(&plan).unwrap()
     }
 
-    /// Two same-level constraints: `never` (kill prior ~0) is declared
-    /// before `always` (kill prior 1); the static schedule must swap them.
+    fn regions_of(lp: &LoweredPlan) -> Vec<Region> {
+        check_regions(lp, &AbsSteps::new(lp))
+    }
+
+    /// Two same-level constraints: `never` (rejects nothing) is declared
+    /// before `always` (rejects everything).
     fn swap_space() -> std::sync::Arc<Space> {
         Space::builder("sched")
             .range("a", 1, 10)
@@ -587,19 +389,6 @@ mod tests {
     }
 
     #[test]
-    fn static_schedule_puts_deadly_checks_first() {
-        let mut lp = lower(&swap_space());
-        assert_eq!(check_names(&lp), ["never", "always"]);
-        let model = static_schedule(&mut lp);
-        assert_eq!(check_names(&lp), ["always", "never"]);
-        let never = model.scores[0].unwrap();
-        let always = model.scores[1].unwrap();
-        assert!(never.kill_prior < 0.05, "ab <= 100 can never exceed 1000");
-        assert!((always.kill_prior - 1.0).abs() < 1e-9, "ab >= 0 always rejects");
-        assert!(always.expected_cost_to_kill() < never.expected_cost_to_kill());
-    }
-
-    #[test]
     fn groups_require_adjacency_and_infallibility() {
         // `mid` (fallible: its divisor `b - 5` straddles 0) splits the run
         // of five same-level checks into two flanking pairs.
@@ -619,7 +408,7 @@ mod tests {
             .iter()
             .position(|s| matches!(s, LStep::Check { constraint: 2, .. }))
             .unwrap();
-        let groups = check_groups(&lp);
+        let groups: Vec<Vec<usize>> = regions_of(&lp).into_iter().map(|r| r.checks).collect();
         assert_eq!(groups.len(), 2, "expected two flanking pairs, got {groups:?}");
         for group in &groups {
             assert_eq!(group.len(), 2);
@@ -644,9 +433,9 @@ mod tests {
             .build()
             .unwrap();
         let lp = lower(&space);
-        let groups = check_groups(&lp);
-        assert_eq!(groups.len(), 1, "expected one group, got {groups:?}");
-        assert_eq!(groups[0].len(), 3);
+        let regions = regions_of(&lp);
+        assert_eq!(regions.len(), 1, "expected one region, got {regions:?}");
+        assert_eq!(regions[0].checks.len(), 3);
     }
 
     #[test]
@@ -666,53 +455,15 @@ mod tests {
             .iter()
             .position(|s| matches!(s, LStep::Bind { .. }))
             .unwrap();
-        for group in check_groups(&lp) {
-            assert!(group.iter().all(|&i| i > first_bind));
+        for region in regions_of(&lp) {
+            assert!(region.checks.iter().all(|&i| i > first_bind));
         }
-    }
-
-    #[test]
-    fn kill_priors_track_geometry() {
-        // a in [1,10]: P(a > 8) = 2/10 discretely; the continuous
-        // relaxation lands near it (a prior needs ranking power, not
-        // calibration, so we only bracket it).
-        let space = Space::builder("geom")
-            .range("a", 1, 11)
-            .range("b", 1, 11)
-            .constraint("high", ConstraintClass::Soft, var("a").gt(8))
-            .constraint("any", ConstraintClass::Soft, var("b").ge(1))
-            .build()
-            .unwrap();
-        let model = CostModel::of(&lower(&space));
-        let high = model.scores[0].unwrap();
-        assert!(
-            high.kill_prior > 0.1 && high.kill_prior < 0.45,
-            "got {}",
-            high.kill_prior
-        );
-        let any = model.scores[1].unwrap();
-        assert!((any.kill_prior - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn probability_helpers_are_sane() {
-        let iv = |lo, hi| Interval { lo, hi };
-        assert_eq!(p_less(iv(0, 4), iv(10, 20), 0), 1.0);
-        assert_eq!(p_less(iv(10, 20), iv(0, 4), 0), 0.0);
-        // Symmetric overlap: P(x < y) + P(y < x) + P(x == y) = 1.
-        let (a, b) = (iv(0, 9), iv(0, 9));
-        let total = p_less(a, b, 0) + p_less(b, a, 0) + p_eq(a, b);
-        assert!((total - 1.0).abs() < 0.11, "got {total}");
-        // Unknown-width operands stay uninformative.
-        assert_eq!(p_less(Interval::TOP, Interval::TOP, 0), 0.5);
-        assert_eq!(p_eq(Interval::TOP, iv(0, 1)), 0.5);
-        assert_eq!(p_eq(iv(0, 4), iv(10, 12)), 0.0);
     }
 
     #[test]
     fn apply_order_permutes_and_ranks_follow() {
         let mut lp = lower(&swap_space());
-        let regions = check_regions(&lp);
+        let regions = regions_of(&lp);
         assert_eq!(regions.len(), 1);
         let region = regions[0].clone();
         let reversed: Vec<usize> = region.checks.iter().rev().copied().collect();
@@ -737,7 +488,7 @@ mod tests {
             .build()
             .unwrap();
         let mut lp = lower(&space);
-        let regions = check_regions(&lp);
+        let regions = regions_of(&lp);
         assert_eq!(regions.len(), 1, "got {regions:?}");
         let r = regions[0].clone();
         assert_eq!(r.checks.len(), 2);
@@ -754,7 +505,7 @@ mod tests {
         assert_eq!(names, ["late", "early"]);
         // Re-deriving regions on the transformed plan still works and the
         // new declared order is the applied one.
-        let again = check_regions(&lp);
+        let again = regions_of(&lp);
         assert_eq!(again.len(), 1);
         assert_eq!(again[0].checks.len(), 2);
     }

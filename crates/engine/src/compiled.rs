@@ -218,7 +218,7 @@ impl EngineOptions {
 
     /// Alias of [`EngineOptions::default`]: the lane tier it used to switch
     /// off is gone, but the untouchable `benchmark/` crate still compiles
-    /// against the name (goes with ROADMAP item 5d).
+    /// against the name (goes with ROADMAP item 1a).
     #[doc(hidden)]
     pub fn no_batch() -> EngineOptions {
         EngineOptions::default()
@@ -320,8 +320,7 @@ struct AMember {
     /// Elision bit, as on [`Op::Check`].
     elide_bit: Option<u8>,
     /// Unit cost — IR op count of the predicate plus its define closure
-    /// ([`schedule::unit_cost`], the static cost model's unit), the
-    /// denominator for kill-rate-per-op.
+    /// ([`schedule::unit_cost`]), the denominator for kill-rate-per-op.
     cost: u32,
     /// Ascending indices into [`AGroup::defines`]: the transitive closure
     /// of region defines this predicate reads, executed on demand before
@@ -347,7 +346,7 @@ struct ADefine {
 /// over pure predicates; defines are pure functions of bound slots).
 #[derive(Debug, Clone)]
 struct AGroup {
-    /// Members in static-schedule order (the initial order).
+    /// Members in declared order (the initial order).
     members: Vec<AMember>,
     /// The region's defines in dependency order, run at most once per
     /// group execution (tracked in a bitmask, hence ≤ 64 per region).
@@ -389,9 +388,8 @@ const CALIB_SAMPLES: usize = 8;
 const CALIB_BUDGET: u64 = 1 << 14;
 
 /// Re-sort a group's evaluation order by observed kill rate per unit cost,
-/// descending — the measured analogue of the static expected-cost-to-kill
-/// ordering. Members never evaluated (everything ahead of them always
-/// killed first) sink to the back; ties keep static-schedule order.
+/// descending. Members never evaluated (everything ahead of them always
+/// killed first) sink to the back; ties keep declared order.
 fn resort(g: &AGroup, gs: &mut GroupState) {
     let score = |mi: u16| {
         let mi = mi as usize;
@@ -408,7 +406,7 @@ fn resort(g: &AGroup, gs: &mut GroupState) {
 
 /// A reorder-safe check group as reported in telemetry (tracked in every
 /// mode, so reports can always show the per-level order): its loop level
-/// and member constraints in declared/static order and in executed order —
+/// and member constraints in declared order and in executed order —
 /// the two differ only where adaptive calibration re-ranked the group.
 #[derive(Debug, Clone)]
 struct SchedGroup {
@@ -527,18 +525,18 @@ impl Compiled {
     /// Build the flat program with explicit engine options.
     ///
     /// The constraint schedule is fixed here, before anything is built on
-    /// top of it: `Adaptive` first applies the cost-model order
-    /// ([`schedule::static_schedule`]), then measures real kill rates in one
-    /// bounded calibration pass (`Compiled::calibrate`) and writes each
-    /// learned order back into the lowered plan. Guards are built over that
-    /// straight-line plan exactly as for a declared schedule, so every
-    /// chunk, thread, worker process and resumed run executes one shared
-    /// immutable op stream.
+    /// top of it: `Adaptive` measures real kill rates, starting from the
+    /// declared order, in one bounded calibration pass
+    /// (`Compiled::calibrate`) and writes each learned order back into the
+    /// lowered plan. Guards are built over that straight-line plan exactly
+    /// as for a declared schedule, so every chunk, thread, worker process
+    /// and resumed run executes one shared immutable op stream. The plan's
+    /// abstract step program is compiled once per step order: once for the
+    /// declared plan (its regions, the probe's guards, and a declared
+    /// engine's guards and lint gate), and once more for a learned order.
     pub fn with_options(mut lp: LoweredPlan, opts: EngineOptions) -> Compiled {
-        if opts.schedule == ScheduleMode::Adaptive {
-            schedule::static_schedule(&mut lp);
-        }
-        let regions = schedule::check_regions(&lp);
+        let mut abs = AbsSteps::new(&lp);
+        let regions = schedule::check_regions(&lp, &abs);
         let mut sched_groups: Vec<SchedGroup> = regions
             .iter()
             .map(|r| {
@@ -558,7 +556,7 @@ impl Compiled {
             // The probe is never linted (same plan as the real engine, up
             // to order).
             let probe_opts = EngineOptions { lint: LintGate::Allow, ..opts };
-            let probe = Compiled::build(lp, probe_opts, &regions, Vec::new());
+            let probe = Compiled::build(lp, abs, probe_opts, &regions, Vec::new());
             let orders = probe.calibrate().unwrap_or_default();
             lp = probe.lp;
             for ((region, order), group) in regions.iter().zip(&orders).zip(&mut sched_groups) {
@@ -567,18 +565,21 @@ impl Compiled {
                 schedule::apply_order(&mut lp, region, &steps);
                 group.executed = order.iter().map(|&k| group.initial[k as usize]).collect();
             }
+            abs = AbsSteps::new(&lp);
         }
-        Compiled::build(lp, opts, &[], sched_groups)
+        Compiled::build(lp, abs, opts, &[], sched_groups)
     }
 
-    /// Lower `lp` — already in its final step order — to the flat program.
-    /// `groups` is empty for every engine that sweeps; the adaptive probe
-    /// passes the plan's reorder-safe regions, each of which is rewired
-    /// through one [`Op::CheckGroup`] so [`Compiled::calibrate`] can
-    /// re-order its members between executions. `sched_groups` is telemetry,
-    /// stored as given.
+    /// Lower `lp` — already in its final step order, with `abs` its
+    /// compiled abstract step program — to the flat program. `groups` is
+    /// empty for every engine that sweeps; the adaptive probe passes the
+    /// plan's reorder-safe regions, each of which is rewired through one
+    /// [`Op::CheckGroup`] so [`Compiled::calibrate`] can re-order its
+    /// members between executions. `sched_groups` is telemetry, stored as
+    /// given.
     fn build(
         lp: LoweredPlan,
+        abs: AbsSteps,
         opts: EngineOptions,
         groups: &[schedule::Region],
         sched_groups: Vec<SchedGroup>,
@@ -587,7 +588,7 @@ impl Compiled {
         // execute. `Deny` is enforced lazily in `run` so compilation itself
         // stays infallible.
         let lint = (opts.lint != LintGate::Allow)
-            .then(|| analyze::analyze(&lp).summary());
+            .then(|| analyze::analyze_steps(&lp, &abs).summary());
         let mut ops: Vec<Op> = Vec::new();
         // Open loops: (loop_id, enter_ip, check ips awaiting this loop's
         // Next as their reject target).
@@ -733,7 +734,6 @@ impl Compiled {
         let plan = levels(&lp).levels;
         debug_assert_eq!(plan.len(), n_loops as usize);
         let fanout_below: Vec<u64> = plan.iter().map(|p| p.fanout_below).collect();
-        let abs = AbsSteps::new(&lp);
         let guards = build_guards(&lp, &abs, &plan, opts.min_guard_fanout);
 
         // The outermost loop never narrows: the parallel driver feeds it
@@ -850,7 +850,7 @@ impl Compiled {
     /// as it goes. Returns each group's final member order. Sample and
     /// budget depend on nothing but the plan and the options — never on the
     /// chunk grid, thread count or wall clock — so every build of the same
-    /// plan learns the same orders. `None` keeps the static order: an
+    /// plan learns the same orders. `None` keeps the declared order: an
     /// evaluation error ends calibration, and the real run reports it under
     /// its own fault policy.
     fn calibrate(&self) -> Option<Vec<Vec<u16>>> {
@@ -2269,34 +2269,6 @@ mod tests {
     }
 
     #[test]
-    fn static_schedule_reorders_checks_by_expected_cost_to_kill() {
-        let space = sched_space();
-        // The cost-model order is the adaptive schedule's *initial* order.
-        let tele = scheduled(&space, ScheduleMode::Adaptive).schedule_telemetry();
-        assert_eq!(tele.mode, "adaptive");
-        assert_eq!(tele.groups.len(), 1);
-        // The deadliest check moves to the front of its group.
-        assert_eq!(tele.groups[0].initial[0], "deadly");
-        assert_eq!(tele.groups[0].initial.len(), 3);
-        // ... and it is exactly what `static_schedule` writes into the plan.
-        let plan = Plan::new(&space, PlanOptions::default()).unwrap();
-        let mut lp = LoweredPlan::new(&plan).unwrap();
-        schedule::static_schedule(&mut lp);
-        let checks: Vec<usize> = lp
-            .steps
-            .iter()
-            .filter_map(|s| match s {
-                LStep::Check { constraint, .. } => Some(*constraint),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(checks, [2, 1, 0]);
-        // Declared mode reports the declared order untouched.
-        let declared = scheduled(&space, ScheduleMode::Declared).schedule_telemetry();
-        assert_eq!(declared.groups[0].initial, vec!["rare", "mid", "deadly"]);
-    }
-
-    #[test]
     fn adaptive_run_reports_final_orders() {
         let space = sched_space();
         let c = scheduled(&space, ScheduleMode::Adaptive);
@@ -2304,18 +2276,43 @@ mod tests {
         let finals = out.schedule.as_ref().expect("adaptive runs report a schedule");
         assert_eq!(Some(finals), c.learned_orders().as_ref());
         assert_eq!(finals.len(), 1);
-        // 9^3 = 729 calibration group executions > ADAPT_EPOCH; "deadly"
-        // (constraint 2) has by far the best kill rate per op and must end
-        // up first — in the report and in the executed check order.
+        // Calibration starts from the declared order ...
         let tele = c.schedule_telemetry();
+        assert_eq!(tele.mode, "adaptive");
+        assert_eq!(tele.groups.len(), 1);
+        assert_eq!(tele.groups[0].initial, ["rare", "mid", "deadly"]);
+        // ... and 9^3 = 729 calibration group executions > ADAPT_EPOCH;
+        // "deadly" (constraint 2) has by far the best kill rate per op and
+        // must end up first — in the report and in the executed check order.
         assert_eq!(tele.groups[0].final_order[0], "deadly");
         assert_eq!(tele.ranks[2], 0);
         // The learned order is compiled in: no group dispatch survives.
         assert!(c.agroups.is_empty());
         assert!(!c.ops.iter().any(|op| matches!(op, Op::CheckGroup { .. })));
-        // Declared-mode runs don't carry a schedule.
+        // Declared-mode runs don't carry a schedule, and report the
+        // declared order untouched.
         let d = scheduled(&space, ScheduleMode::Declared);
         assert!(d.run(CountVisitor::default()).unwrap().schedule.is_none());
+        assert_eq!(d.schedule_telemetry().groups[0].final_order, ["rare", "mid", "deadly"]);
+        // Members that tie in calibration — here two checks that never
+        // reject — keep their declared order behind the deadly one,
+        // whichever way round they are declared.
+        for never in [["zeta", "alpha"], ["alpha", "zeta"]] {
+            let mut builder = Space::builder("ties")
+                .range("a", 1, 9)
+                .range("b", 1, 9)
+                .range("c", 1, 9)
+                .derived("abc", var("a") * var("b") * var("c"));
+            for name in never {
+                builder = builder.constraint(name, ConstraintClass::Soft, var("abc").gt(1000));
+            }
+            let space = builder
+                .constraint("deadly", ConstraintClass::Hard, var("abc").gt(60))
+                .build()
+                .unwrap();
+            let tele = scheduled(&space, ScheduleMode::Adaptive).schedule_telemetry();
+            assert_eq!(tele.groups[0].final_order, ["deadly", never[0], never[1]]);
+        }
     }
 
     #[test]

@@ -142,8 +142,8 @@ impl LevelTelemetry {
 pub struct GroupSchedule {
     /// Loop level of the group (0 = directly under the outermost loop).
     pub level: usize,
-    /// Constraint names in the order checks *started* executing (declared
-    /// order, or the cost-model order under static/adaptive scheduling).
+    /// Constraint names in the order checks *started* executing (the
+    /// declared order, under either schedule).
     pub initial: Vec<String>,
     /// Constraint names in the order in effect when the sweep finished
     /// (differs from `initial` only when adaptive re-sorting fired; under
@@ -154,7 +154,7 @@ pub struct GroupSchedule {
 /// The constraint schedule a sweep ran with.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ScheduleTelemetry {
-    /// Schedule mode name: `declared`, `static` or `adaptive`.
+    /// Schedule mode name: `declared` or `adaptive`.
     pub mode: String,
     /// Constraint index → rank in the engine's flattened check order
     /// (surfaced per constraint as `schedule_rank`).

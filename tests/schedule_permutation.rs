@@ -5,16 +5,17 @@
 //! every thread count.
 //!
 //! Random permutations are applied directly to the lowered plan via
-//! [`apply_order`] — the same mechanism [`static_schedule`] uses — so this
-//! exercises exactly the transformation the static scheduler is allowed to
-//! make, plus arbitrarily bad orders the cost model would never pick. The
-//! static and adaptive engine modes are then checked against the same
-//! baseline: whatever order they chose, results must be bit-for-bit the
-//! declared ones.
+//! [`apply_order`] — the same mechanism the adaptive schedule uses to
+//! freeze its learned order — so this exercises exactly the transformation
+//! the scheduler is allowed to make, plus arbitrarily bad orders
+//! calibration would never pick. The adaptive engine mode is then checked
+//! against the same baseline: whatever order it chose, results must be
+//! bit-for-bit the declared ones.
 
 use std::sync::Arc;
 
 use beast::prelude::*;
+use beast_core::analyze::AbsSteps;
 use beast_core::ir::LoweredPlan;
 use beast_core::schedule::{apply_order, check_regions, ScheduleMode};
 use beast_engine::compiled::EngineOptions;
@@ -79,7 +80,7 @@ fn random_check_permutations_preserve_survivors_and_order() {
     let mut rng = StdRng::seed_from_u64(0x5eed);
     for (name, space) in all_spaces() {
         let lp = lower(&space);
-        let regions = check_regions(&lp);
+        let regions = check_regions(&lp, &AbsSteps::new(&lp));
         assert!(
             !regions.is_empty(),
             "{name}: test space has no reorder-safe region — nothing exercised"
