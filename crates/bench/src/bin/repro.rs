@@ -147,7 +147,7 @@ use beast_engine::fault::{FaultInjector, FaultPolicy};
 use beast_engine::parallel::{run_parallel_report, ParallelOptions};
 use beast_engine::service::{ServiceConfig, SweepService};
 use beast_engine::sweep::SweepError;
-use beast_engine::telemetry::{ScheduleTelemetry, SweepReport};
+use beast_engine::telemetry::SweepReport;
 use beast_engine::visit::{CountVisitor, FingerprintVisitor};
 use beast_engine::vm::{Vm, VmStyle};
 use beast_engine::walker::{LoopStyle, SweepOutcome, Walker};
@@ -424,22 +424,6 @@ fn gemm(params: &GemmSpaceParams) -> (Plan, LoweredPlan) {
     plan_default(&build_gemm_space(params).unwrap())
 }
 
-/// Print the engine's per-level check order (and, for adaptive runs, the
-/// final order it converged to).
-fn print_schedule(tele: &ScheduleTelemetry) {
-    if tele.groups.is_empty() {
-        return;
-    }
-    outln!("check schedule ({}):", tele.mode);
-    for g in &tele.groups {
-        let mut line = format!("  level {}: {}", g.level, g.initial.join(" → "));
-        if g.final_order != g.initial {
-            line.push_str(&format!("   (final: {})", g.final_order.join(" → ")));
-        }
-        outln!("{line}");
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Fig. 8/9: device information
 // ---------------------------------------------------------------------------
@@ -687,7 +671,7 @@ fn headline(dim: i64, engine: EngineOptions) {
             comp_out.blocks.subtree_skips, comp_out.blocks.points_skipped
         );
     }
-    print_schedule(&compiled.schedule_telemetry());
+    out!("{}", compiled.schedule_telemetry().render_text());
     outln!("{:<26} {:>10} {:>10}", "backend", "seconds", "speedup");
     outln!("{:<26} {:>10.3} {:>9.1}x", "walker (Python model)", t_walker, 1.0);
     outln!("{:<26} {:>10.3} {:>9.1}x", "VM (Lua model)", t_vm, t_walker / t_vm);
@@ -1183,7 +1167,7 @@ fn funnel(dim: i64, engine: EngineOptions) {
     if let Some(line) = out.blocks.render_line() {
         outln!("{line}");
     }
-    print_schedule(&compiled.schedule_telemetry());
+    out!("{}", compiled.schedule_telemetry().render_text());
 }
 
 // ---------------------------------------------------------------------------

@@ -99,7 +99,15 @@ pub(crate) fn emit_c_helpers(w: &mut CodeWriter) {
     w.line("static int64_t b_gcd(int64_t a, int64_t b) { uint64_t x = a < 0 ? 0ULL - (uint64_t)a : (uint64_t)a; uint64_t y = b < 0 ? 0ULL - (uint64_t)b : (uint64_t)b; while (y != 0) { uint64_t t = x % y; x = y; y = t; } return (int64_t)x; }");
 }
 
-fn emit(w: &mut CodeWriter, nodes: &[SNode], program: &LoweredProgram, loop_depth: usize) {
+/// The C statements for `nodes`, shared by the serial and OpenMP backends:
+/// a rejection counts and `continue`s inside a loop (`loop_depth > 0`) and
+/// `return`s from `run` outside every loop.
+pub(crate) fn emit(
+    w: &mut CodeWriter,
+    nodes: &[SNode],
+    program: &LoweredProgram,
+    loop_depth: usize,
+) {
     for node in nodes {
         match node {
             SNode::Declare { .. } => {} // all temps pre-declared at the top

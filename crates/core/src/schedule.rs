@@ -31,11 +31,12 @@
 //!   schedule for free.
 //!
 //! The *measured* half — the only heuristic for the order — lives in the
-//! compiled engine: a bounded calibration pass at engine-build time starts
-//! from the declared order, re-sorts each region by observed kill rate per
-//! op, and writes the learned order back into the plan with
-//! [`apply_order`] — so an adaptive schedule is, like the declared one,
-//! just a step order every consumer inherits.
+//! compiled engine: at engine-build time the declared program itself runs
+//! a bounded calibration sample, each region's checks are sorted once by
+//! the kill rate per [`unit_cost`] that the sample's own per-constraint
+//! counters recorded, and the learned order is written back into the plan
+//! with [`apply_order`] — so an adaptive schedule is, like the declared
+//! one, just a step order every consumer inherits.
 
 use crate::analyze::AbsSteps;
 use crate::expr::Builtin;
@@ -141,7 +142,7 @@ pub struct Region {
     /// Step indices of the region's checks, in declared order (≥ 2).
     pub checks: Vec<usize>,
     /// Step indices of the region's defines, in declared (= dependency)
-    /// order. At most 64, so engines can track execution in one bitmask.
+    /// order.
     pub defines: Vec<usize>,
     /// Per check (parallel to `checks`): ascending indices into `defines`
     /// forming the transitive closure of region defines the check reads.
@@ -198,15 +199,8 @@ pub fn check_regions(lp: &LoweredPlan, abs: &AbsSteps) -> Vec<Region> {
         let step = &lp.steps[i];
         let joins = in_loop
             && match step {
-                LStep::Check { body: LBody::Expr(e), .. } => infallible_in(e, &env.iv),
-                LStep::Define { body: LBody::Expr(e), .. } => {
-                    // One bitmask tracks define execution in the engines.
-                    run.iter()
-                        .filter(|&&j| matches!(lp.steps[j], LStep::Define { .. }))
-                        .count()
-                        < 64
-                        && infallible_in(e, &env.iv)
-                }
+                LStep::Check { body: LBody::Expr(e), .. }
+                | LStep::Define { body: LBody::Expr(e), .. } => infallible_in(e, &env.iv),
                 _ => false,
             };
         if joins {
@@ -266,8 +260,10 @@ fn build_region(lp: &LoweredPlan, checks: Vec<usize>, defines: Vec<usize>) -> Re
 }
 
 /// Loop level of a group: the number of `Bind` steps before its first check,
-/// minus one (level 0 = directly under the outermost loop — the same scale
-/// as the constraint DAG levels reported in telemetry).
+/// minus one (level 0 = directly under the outermost loop). This counts
+/// enclosing loops, so it is not the constraint DAG level reported per
+/// constraint in telemetry: on reduced(32) GEMM `over_max_threads` sits at
+/// DAG level 2 and its group at loop level 1.
 pub fn group_level(lp: &LoweredPlan, group: &[usize]) -> usize {
     let first = group.first().copied().unwrap_or(0);
     lp.steps[..first]

@@ -290,119 +290,22 @@ enum Op {
     Check { constraint: u32, expr: PointProg, elide_bit: Option<u8>, on_reject: u32 },
     /// Evaluate an opaque constraint through the closure callback.
     CheckOpaque { constraint: u32, on_reject: u32 },
-    /// Calibration-only check group: evaluate the members of
-    /// `agroups[group]` in the group's *current* order — each member
-    /// preceded by the not-yet-run defines of its closure — jumping to the
-    /// shared reject target on the first rejection, and executing the
-    /// remaining defines before falling through when every member passes
-    /// (descendant levels read all derived slots). Replaces the first op of
-    /// a reorder-safe region; the remaining region positions keep their
-    /// original (now unreachable) ops — the only jump into a region targets
-    /// its first position (`Enter + 1` when the region opens the loop
-    /// body), since reject targets are always a `Next`, an `Enter + 1`, or
-    /// `Halt`. Only the probe engine of [`Compiled::with_options`]'s
-    /// adaptive calibration pass contains this op; the engine that sweeps
-    /// runs the learned order as straight-line `Define`/`Check` ops.
-    CheckGroup { group: u32 },
     /// Record a survivor and invoke the visitor.
     Visit,
     /// End of program.
     Halt,
 }
 
-/// One member of a calibration check group.
-#[derive(Debug, Clone)]
-struct AMember {
-    /// Constraint index (also the `PruneStats` row and elision-bit key).
-    constraint: u32,
-    /// Compiled predicate.
-    expr: PointProg,
-    /// Elision bit, as on [`Op::Check`].
-    elide_bit: Option<u8>,
-    /// Unit cost — IR op count of the predicate plus its define closure
-    /// ([`schedule::unit_cost`]), the denominator for kill-rate-per-op.
-    cost: u32,
-    /// Ascending indices into [`AGroup::defines`]: the transitive closure
-    /// of region defines this predicate reads, executed on demand before
-    /// the predicate (ascending = dependency order).
-    deps: Vec<u16>,
-}
-
-/// One lazily-executed define of a calibration check group's region.
-#[derive(Debug, Clone)]
-struct ADefine {
-    /// Destination slot.
-    slot: u32,
-    /// Compiled body (infallible over the subtree by region construction).
-    expr: PointProg,
-}
-
-/// A reorder-safe region (checks + interleaved defines) executed through
-/// [`Op::CheckGroup`] during calibration.
-///
-/// All members share one loop scope, hence one reject target; members and
-/// defines are infallible, so evaluating units in any order — defines on
-/// demand, the rest before falling through — is semantics-preserving (AND
-/// over pure predicates; defines are pure functions of bound slots).
-#[derive(Debug, Clone)]
-struct AGroup {
-    /// Members in declared order (the initial order).
-    members: Vec<AMember>,
-    /// The region's defines in dependency order, run at most once per
-    /// group execution (tracked in a bitmask, hence ≤ 64 per region).
-    defines: Vec<ADefine>,
-    /// Shared reject target (the enclosing loop's `Next`).
-    on_reject: u32,
-    /// Instruction index just past the region (the all-pass successor).
-    end: u32,
-}
-
-/// Calibration state of one check group.
-#[derive(Debug, Clone)]
-struct GroupState {
-    /// Current evaluation order (member indices).
-    order: Vec<u16>,
-    /// Per-member evaluations so far.
-    evaluated: Vec<u64>,
-    /// Per-member rejections so far.
-    killed: Vec<u64>,
-    /// Group executions so far; every [`ADAPT_EPOCH`]th re-sorts `order`.
-    ticks: u32,
-}
-
-/// Group executions between calibration re-sorts: large enough that sorting
-/// cost vanishes against the member evaluations it amortizes, small enough
-/// that members starved behind a deadlier one get re-ranked within the
-/// calibration budget.
-const ADAPT_EPOCH: u32 = 256;
-
 /// Level-0 values the calibration pass samples first, evenly strided over
 /// the realized outer domain; each may spend `CALIB_BUDGET / CALIB_SAMPLES`.
 const CALIB_SAMPLES: usize = 8;
 
-/// Interpreter work units (loop advances + group executions) the whole
-/// calibration pass may spend. Fixed, so calibration costs about the same
-/// on every space: ≈ 1.2 ms of engine build on reduced(32) GEMM against
-/// 0.06 ms declared, about a tenth of a whole one-thread `repro sweep 32`
-/// (EXPERIMENTS.md, constraint scheduling).
-const CALIB_BUDGET: u64 = 1 << 14;
-
-/// Re-sort a group's evaluation order by observed kill rate per unit cost,
-/// descending. Members never evaluated (everything ahead of them always
-/// killed first) sink to the back; ties keep declared order.
-fn resort(g: &AGroup, gs: &mut GroupState) {
-    let score = |mi: u16| {
-        let mi = mi as usize;
-        if gs.evaluated[mi] == 0 {
-            return -1.0;
-        }
-        let kill_rate = gs.killed[mi] as f64 / gs.evaluated[mi] as f64;
-        kill_rate / g.members[mi].cost as f64
-    };
-    let mut order = std::mem::take(&mut gs.order);
-    order.sort_by(|&a, &b| score(b).total_cmp(&score(a)).then_with(|| a.cmp(&b)));
-    gs.order = order;
-}
+/// Loop advances (`Op::Next` executions) the whole calibration pass may
+/// spend. Fixed, so calibration costs about the same on every space:
+/// ≈ 0.9–1.4 ms on reduced(32) GEMM. It is 8× the smallest power of two
+/// that learned the same orders on the 502 spaces checked when it was
+/// chosen (EXPERIMENTS.md, "One program calibrates").
+const CALIB_BUDGET: u64 = 1 << 12;
 
 /// A reorder-safe check group as reported in telemetry (tracked in every
 /// mode, so reports can always show the per-level order): its loop level
@@ -499,13 +402,12 @@ pub struct Compiled {
     /// Instruction index of the outermost `Enter` (None for loop-free
     /// programs, which cannot occur for valid spaces).
     first_enter: Option<usize>,
-    /// Per-loop narrowing table (all `None` in the adaptive probe engine,
-    /// whose regions run through reorderable group dispatch).
+    /// Per-loop narrowing table (all `None` in the adaptive probe engine:
+    /// a solved loop credits its check in closed form, which a budget of
+    /// loop advances would not see).
     narrow: Vec<Option<LoopSolve>>,
-    /// Per-loop replay table (empty, like `narrow`, in the probe engine).
+    /// Per-loop replay table (declined, like `narrow`, in the probe engine).
     replay: replay::Table,
-    /// Calibration check groups (empty except in the adaptive probe engine).
-    agroups: Vec<AGroup>,
     /// Reorder-safe groups, for telemetry (all modes).
     sched_groups: Vec<SchedGroup>,
     point_names: Arc<[Arc<str>]>,
@@ -528,12 +430,14 @@ impl Compiled {
     /// top of it: `Adaptive` measures real kill rates, starting from the
     /// declared order, in one bounded calibration pass
     /// (`Compiled::calibrate`) and writes each learned order back into the
-    /// lowered plan. Guards are built over that straight-line plan exactly
-    /// as for a declared schedule, so every chunk, thread, worker process
-    /// and resumed run executes one shared immutable op stream. The plan's
-    /// abstract step program is compiled once per step order: once for the
-    /// declared plan (its regions, the probe's guards, and a declared
-    /// engine's guards and lint gate), and once more for a learned order.
+    /// lowered plan. The probe that calibrates is the declared program
+    /// itself, and the engine that sweeps is built over the learned plan
+    /// exactly as for a declared schedule, so every chunk, thread, worker
+    /// process and resumed run executes one shared immutable op stream. The
+    /// plan's abstract step program is compiled once per step order: once
+    /// for the declared plan (its regions, the probe's guards, and a
+    /// declared engine's guards and lint gate), and once more for a learned
+    /// order.
     pub fn with_options(mut lp: LoweredPlan, opts: EngineOptions) -> Compiled {
         let mut abs = AbsSteps::new(&lp);
         let regions = schedule::check_regions(&lp, &abs);
@@ -556,32 +460,30 @@ impl Compiled {
             // The probe is never linted (same plan as the real engine, up
             // to order).
             let probe_opts = EngineOptions { lint: LintGate::Allow, ..opts };
-            let probe = Compiled::build(lp, abs, probe_opts, &regions, Vec::new());
-            let orders = probe.calibrate().unwrap_or_default();
+            let probe = Compiled::build(lp, abs, probe_opts, true, Vec::new());
+            let orders = probe.calibrate(&regions).unwrap_or_default();
             lp = probe.lp;
             for ((region, order), group) in regions.iter().zip(&orders).zip(&mut sched_groups) {
-                let steps: Vec<usize> =
-                    order.iter().map(|&k| region.checks[k as usize]).collect();
+                let steps: Vec<usize> = order.iter().map(|&k| region.checks[k]).collect();
                 schedule::apply_order(&mut lp, region, &steps);
-                group.executed = order.iter().map(|&k| group.initial[k as usize]).collect();
+                group.executed = order.iter().map(|&k| group.initial[k]).collect();
             }
             abs = AbsSteps::new(&lp);
         }
-        Compiled::build(lp, abs, opts, &[], sched_groups)
+        Compiled::build(lp, abs, opts, false, sched_groups)
     }
 
     /// Lower `lp` — already in its final step order, with `abs` its
-    /// compiled abstract step program — to the flat program. `groups` is
-    /// empty for every engine that sweeps; the adaptive probe passes the
-    /// plan's reorder-safe regions, each of which is rewired through one
-    /// [`Op::CheckGroup`] so [`Compiled::calibrate`] can re-order its
-    /// members between executions. `sched_groups` is telemetry, stored as
-    /// given.
+    /// compiled abstract step program — to the flat program. `probe` builds
+    /// the adaptive schedule's calibration engine ([`Compiled::calibrate`]):
+    /// the same program with narrowing and replay declined, so every check
+    /// it credits was evaluated (or elided) point by point. `sched_groups`
+    /// is telemetry, stored as given.
     fn build(
         lp: LoweredPlan,
         abs: AbsSteps,
         opts: EngineOptions,
-        groups: &[schedule::Region],
+        probe: bool,
         sched_groups: Vec<SchedGroup>,
     ) -> Compiled {
         // Pre-sweep lint gate: analyze the exact plan the engine will
@@ -595,12 +497,8 @@ impl Compiled {
         let mut open: Vec<(u32, usize)> = Vec::new();
         let mut pending_rejects: Vec<Vec<usize>> = vec![Vec::new()];
         let mut n_loops = 0u32;
-        // Step index → the instruction it emitted (every step emits exactly
-        // one op), for locating check-group runs after patching.
-        let mut step_ops: Vec<u32> = Vec::with_capacity(lp.steps.len());
 
         for step in &lp.steps {
-            step_ops.push(ops.len() as u32);
             match step {
                 LStep::Bind { slot, domain, iter, .. } => {
                     let d = match domain {
@@ -686,51 +584,6 @@ impl Compiled {
         }
         debug_assert!(pending_rejects.is_empty());
 
-        // Calibration probe only: rewire each reorder-safe region through a
-        // single `CheckGroup` dispatch so the member order can change
-        // between executions without touching the instruction stream.
-        let mut agroups: Vec<AGroup> = Vec::with_capacity(groups.len());
-        for region in groups {
-            let first_ip = step_ops[region.start] as usize;
-            let defines: Vec<ADefine> = region
-                .defines
-                .iter()
-                .map(|&si| {
-                    let Op::Define { slot, expr } = &ops[step_ops[si] as usize] else {
-                        unreachable!("region define lowered to a non-Define op");
-                    };
-                    ADefine { slot: *slot, expr: expr.clone() }
-                })
-                .collect();
-            let mut members = Vec::with_capacity(region.checks.len());
-            let mut reject = 0u32;
-            for (k, &si) in region.checks.iter().enumerate() {
-                let ip = step_ops[si] as usize;
-                debug_assert!(
-                    (first_ip..first_ip + (region.end - region.start)).contains(&ip),
-                    "region ops must be contiguous"
-                );
-                let Op::Check { constraint, expr, elide_bit, on_reject } = &ops[ip] else {
-                    unreachable!("check group step lowered to a non-Check op");
-                };
-                debug_assert!(k == 0 || reject == *on_reject, "members share one scope");
-                reject = *on_reject;
-                let LStep::Check { body: LBody::Expr(check), .. } = &lp.steps[si] else {
-                    unreachable!("check group member without an expression body");
-                };
-                members.push(AMember {
-                    constraint: *constraint,
-                    expr: expr.clone(),
-                    elide_bit: *elide_bit,
-                    cost: schedule::unit_cost(&lp, region, k, check.op_count()).max(1),
-                    deps: region.deps[k].iter().map(|&d| d as u16).collect(),
-                });
-            }
-            let end = (first_ip + (region.end - region.start)) as u32;
-            ops[first_ip] = Op::CheckGroup { group: agroups.len() as u32 };
-            agroups.push(AGroup { members, defines, on_reject: reject, end });
-        }
-
         let plan = levels(&lp).levels;
         debug_assert_eq!(plan.len(), n_loops as usize);
         let fanout_below: Vec<u64> = plan.iter().map(|p| p.fanout_below).collect();
@@ -739,7 +592,7 @@ impl Compiled {
         // The outermost loop never narrows: the parallel driver feeds it
         // chunk by chunk, and the narrowing counters — like guards — must
         // not depend on the chunk grid.
-        let (narrow, replay) = if groups.is_empty() {
+        let (narrow, replay) = if !probe {
             let narrow = plan.iter().enumerate().map(|(l, p)| {
                 let n = p.narrowing.as_ref().filter(|_| l > 0)?;
                 let elide_mask = if n.constraint < 64 { 1u64 << n.constraint } else { 0 };
@@ -760,7 +613,6 @@ impl Compiled {
             first_enter,
             narrow,
             replay,
-            agroups,
             sched_groups,
             point_names,
             lint,
@@ -817,7 +669,6 @@ impl Compiled {
             gcache: vec![GCache::default(); self.lp.steps.len()],
             gprimed: vec![false; self.guards.len()],
             elide: 0,
-            sched: Vec::new(),
             budget: u64::MAX,
             faults: Vec::new(),
             visit_ordinal: 0,
@@ -844,26 +695,17 @@ impl Compiled {
 
     /// The adaptive schedule's calibration pass, run on the probe engine:
     /// sweep level-0 values — [`CALIB_SAMPLES`] evenly strided ones first —
-    /// through the [`Op::CheckGroup`] dispatch with a discarded visitor,
-    /// each under at most an equal share of [`CALIB_BUDGET`] and until the
-    /// budget is spent, re-sorting every group by observed kill rate per op
-    /// as it goes. Returns each group's final member order. Sample and
-    /// budget depend on nothing but the plan and the options — never on the
-    /// chunk grid, thread count or wall clock — so every build of the same
-    /// plan learns the same orders. `None` keeps the declared order: an
-    /// evaluation error ends calibration, and the real run reports it under
-    /// its own fault policy.
-    fn calibrate(&self) -> Option<Vec<Vec<u16>>> {
-        let mut sched: Vec<GroupState> = self
-            .agroups
-            .iter()
-            .map(|g| GroupState {
-                order: (0..g.members.len() as u16).collect(),
-                evaluated: vec![0; g.members.len()],
-                killed: vec![0; g.members.len()],
-                ticks: 0,
-            })
-            .collect();
+    /// with a discarded visitor, each under at most an equal share of
+    /// [`CALIB_BUDGET`] and until the budget is spent, summing the
+    /// samples' [`PruneStats`]. Returns, per region, its check positions
+    /// sorted once by kill rate per op ([`schedule::unit_cost`]),
+    /// descending: a check never evaluated sinks, and ties keep the
+    /// declared order. Sample and budget depend on nothing but the plan and
+    /// the options — never on the chunk grid, thread count or wall clock —
+    /// so every build of the same plan learns the same orders. `None`
+    /// keeps the declared order: an evaluation error ends calibration, and
+    /// the real run reports it under its own fault policy.
+    fn calibrate(&self, regions: &[schedule::Region]) -> Option<Vec<Vec<usize>>> {
         let first_enter = self.first_enter?;
         let outer = self.outer_domain().ok()?;
         let mut slots = vec![0i64; self.lp.n_slots as usize];
@@ -875,6 +717,7 @@ impl Compiled {
         let samples = outer.len().min(CALIB_SAMPLES);
         let strided: Vec<usize> = (0..samples).map(|k| k * outer.len() / samples).collect();
         let rest = (0..outer.len()).filter(|i| !strided.contains(i));
+        let mut seen = PruneStats::new(self.lp.plan.space().constraints().len());
         let mut left = CALIB_BUDGET;
         for i in strided.iter().copied().chain(rest) {
             if left == 0 {
@@ -883,7 +726,6 @@ impl Compiled {
             // A fresh state per sample: a budget stop leaves elision masks
             // and guard caches mid-subtree.
             let mut state = self.fresh_state(CountVisitor::default());
-            state.sched = sched;
             state.budget = left.min(CALIB_BUDGET / samples as u64);
             left -= state.budget;
             let run = self.exec(
@@ -894,15 +736,32 @@ impl Compiled {
                 &ChunkCtx::plain(),
             );
             left += state.budget;
-            sched = state.sched;
+            seen.merge(&state.stats);
             if !matches!(run, Ok(()) | Err(EvalError::Cancelled)) {
                 return None;
             }
         }
-        for (g, gs) in self.agroups.iter().zip(&mut sched) {
-            resort(g, gs);
-        }
-        Some(sched.into_iter().map(|gs| gs.order).collect())
+        let orders = regions.iter().map(|region| {
+            let score: Vec<f64> = (0..region.checks.len())
+                .map(|k| {
+                    let LStep::Check { constraint, body: LBody::Expr(e) } =
+                        &self.lp.steps[region.checks[k]]
+                    else {
+                        unreachable!("region check without an expression body");
+                    };
+                    if seen.evaluated[*constraint] == 0 {
+                        return -1.0;
+                    }
+                    let cost = schedule::unit_cost(&self.lp, region, k, e.op_count()).max(1);
+                    seen.kill_rate(*constraint) / f64::from(cost)
+                })
+                .collect();
+            // A stable sort: ties keep the declared order.
+            let mut order: Vec<usize> = (0..region.checks.len()).collect();
+            order.sort_by(|&a, &b| score[b].total_cmp(&score[a]));
+            order
+        });
+        Some(orders.collect())
     }
 
     /// Per reorder-safe group, the member constraints in the order the
@@ -1047,9 +906,6 @@ impl Compiled {
                     if rejected {
                         return Ok(false);
                     }
-                }
-                Op::CheckGroup { .. } => {
-                    unreachable!("check groups require an enclosing loop")
                 }
                 Op::Visit | Op::Enter { .. } | Op::Next { .. } | Op::Halt => break,
             }
@@ -1440,67 +1296,6 @@ impl Compiled {
                     state.stats.record(*constraint as usize, rejected);
                     ip = if rejected { *on_reject as usize } else { ip + 1 };
                 }
-                Op::CheckGroup { group } => {
-                    if !state.spend() {
-                        return Err(EvalError::Cancelled);
-                    }
-                    let gi = *group as usize;
-                    let g = &self.agroups[gi];
-                    let gs = &mut state.sched[gi];
-                    let mut rejected = false;
-                    // Region defines already executed this point (lazily,
-                    // on first demand by a member's closure).
-                    let mut done = 0u64;
-                    for k in 0..gs.order.len() {
-                        let mi = gs.order[k] as usize;
-                        let m = &g.members[mi];
-                        if let Some(bit) = m.elide_bit {
-                            if state.elide & (1u64 << bit) != 0 {
-                                // As on Op::Check: count the pass the
-                                // per-point engine would have recorded.
-                                // Elided members don't feed the kill-rate
-                                // counters — no expression actually ran.
-                                state.stats.record(m.constraint as usize, false);
-                                state.blocks.checks_elided += 1;
-                                continue;
-                            }
-                        }
-                        for &d in &m.deps {
-                            if done & (1u64 << d) == 0 {
-                                done |= 1u64 << d;
-                                let def = &g.defines[d as usize];
-                                slots[def.slot as usize] =
-                                    try_eval!('interp, Site::Slot(def.slot), def.expr.eval(slots));
-                            }
-                        }
-                        let r =
-                            try_eval!('interp, Site::Constraint(m.constraint), m.expr.eval(slots))
-                                != 0;
-                        state.stats.record(m.constraint as usize, r);
-                        gs.evaluated[mi] += 1;
-                        gs.killed[mi] += r as u64;
-                        if r {
-                            rejected = true;
-                            break;
-                        }
-                    }
-                    if !rejected {
-                        // Every member passed: run the defines no closure
-                        // demanded, so the surviving point (and everything
-                        // below this level) sees all derived slots.
-                        for (d, def) in g.defines.iter().enumerate() {
-                            if done & (1u64 << d) == 0 {
-                                slots[def.slot as usize] =
-                                    try_eval!('interp, Site::Slot(def.slot), def.expr.eval(slots));
-                            }
-                        }
-                    }
-                    gs.ticks = gs.ticks.wrapping_add(1);
-                    if gs.ticks.is_multiple_of(ADAPT_EPOCH) {
-                        resort(g, gs);
-                    }
-                    ip = if rejected { g.on_reject as usize } else { g.end as usize };
-                }
                 Op::Visit => {
                     if let Some(inj) = ctx.injector {
                         let ord = state.visit_ordinal;
@@ -1877,10 +1672,8 @@ struct State<V> {
     gprimed: Vec<bool>,
     /// Bitmask of currently elided checks (bit = constraint index).
     elide: u64,
-    /// Per-group calibration state (empty outside [`Compiled::calibrate`]).
-    sched: Vec<GroupState>,
-    /// Calibration work units left — loop advances plus group executions
-    /// (`u64::MAX` = unbounded, every real sweep).
+    /// Calibration loop advances left (`u64::MAX` = unbounded, every real
+    /// sweep); see [`CALIB_BUDGET`].
     budget: u64,
     /// Faults recovered from during this run (only under
     /// [`FaultPolicy::SkipPoint`]); drained by the supervisor.
@@ -1895,7 +1688,7 @@ struct State<V> {
 }
 
 impl<V> State<V> {
-    /// Spend one calibration work unit; `false` once the budget is gone.
+    /// Spend one calibration loop advance; `false` once the budget is gone.
     #[inline]
     fn spend(&mut self) -> bool {
         let left = self.budget > 0;
@@ -2281,14 +2074,11 @@ mod tests {
         assert_eq!(tele.mode, "adaptive");
         assert_eq!(tele.groups.len(), 1);
         assert_eq!(tele.groups[0].initial, ["rare", "mid", "deadly"]);
-        // ... and 9^3 = 729 calibration group executions > ADAPT_EPOCH;
+        // ... and the calibration budget covers all 8^3 = 512 points;
         // "deadly" (constraint 2) has by far the best kill rate per op and
         // must end up first — in the report and in the executed check order.
         assert_eq!(tele.groups[0].final_order[0], "deadly");
         assert_eq!(tele.ranks[2], 0);
-        // The learned order is compiled in: no group dispatch survives.
-        assert!(c.agroups.is_empty());
-        assert!(!c.ops.iter().any(|op| matches!(op, Op::CheckGroup { .. })));
         // Declared-mode runs don't carry a schedule, and report the
         // declared order untouched.
         let d = scheduled(&space, ScheduleMode::Declared);

@@ -163,6 +163,28 @@ pub struct ScheduleTelemetry {
     pub groups: Vec<GroupSchedule>,
 }
 
+impl ScheduleTelemetry {
+    /// The human-readable schedule block: one line per group in its
+    /// declared order, plus a `(final)` line where calibration re-ranked
+    /// it. Empty when the plan has no reorder-safe group.
+    pub fn render_text(&self) -> String {
+        use std::fmt::Write as _;
+        let mut out = String::new();
+        if self.groups.is_empty() {
+            return out;
+        }
+        let _ = writeln!(out, "check schedule ({}):", self.mode);
+        for g in &self.groups {
+            let _ = writeln!(out, "  level {}: {}", g.level, g.initial.join(" → "));
+            if g.final_order != g.initial {
+                let order = g.final_order.join(" → ");
+                let _ = writeln!(out, "  level {} (final): {order}", g.level);
+            }
+        }
+        out
+    }
+}
+
 /// Machine-readable record of one parallel sweep: configuration, pruning
 /// funnel, per-worker load, and throughput.
 ///
@@ -682,19 +704,8 @@ impl SweepReport {
             );
         }
         if !self.schedule.groups.is_empty() {
-            let _ = writeln!(out, "\ncheck schedule ({}):", self.schedule.mode);
-            for g in &self.schedule.groups {
-                let _ =
-                    writeln!(out, "  level {}: {}", g.level, g.initial.join(" → "));
-                if g.final_order != g.initial {
-                    let _ = writeln!(
-                        out,
-                        "  level {} (final): {}",
-                        g.level,
-                        g.final_order.join(" → ")
-                    );
-                }
-            }
+            out.push('\n');
+            out.push_str(&self.schedule.render_text());
         }
         let _ = writeln!(
             out,

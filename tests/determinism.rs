@@ -823,9 +823,22 @@ fn calibration_errors_surface_from_the_real_run_under_each_policy() {
     }
 }
 
+/// A sweep's outcome as digest text: prune and block counters, the
+/// survivors' fingerprint and count, or the error.
+fn outcome_text(out: Result<SweepOutcome<FingerprintVisitor>, EvalError>) -> String {
+    match out {
+        Ok(o) => {
+            let v = &o.visitor;
+            format!("|{:?}|{:?}|{:x}|{}", o.stats, o.blocks, v.hash, v.count)
+        }
+        Err(e) => format!("|{e}"),
+    }
+}
+
 /// One FNV-1a digest of every static decision the abstract step program
 /// feeds, on one lowered plan: the reorder-safe regions, the lint report,
-/// the counter's memo choices in survivor and tuple mode (the unique-key
+/// the adaptive engine's learned orders and its sweep's outcome, the
+/// counter's memo choices in survivor and tuple mode (the unique-key
 /// recogniser) with its survivor count and statistics, and the engine's
 /// `PruneStats` / `BlockStats` and fingerprint under a declared schedule
 /// with intervals on — at the default guard placement and with a guard on
@@ -842,6 +855,10 @@ fn static_decisions(lp: &LoweredPlan, fnv: &mut u64) {
         let engine = Compiled::with_options(lp.clone(), EngineOptions::scheduled(schedule));
         let gate = Some(analyze::analyze(engine.lowered()).summary());
         assert_eq!(engine.lint_summary(), gate, "{schedule}");
+        if schedule == ScheduleMode::Adaptive {
+            text += &format!("|{:?}", engine.learned_orders());
+            text += &outcome_text(engine.run(FingerprintVisitor::new()));
+        }
     }
     for mut counter in [Counter::new(lp), Counter::tuples(lp)] {
         let memo: Vec<bool> = counter.stats().levels.iter().map(|l| l.memo).collect();
@@ -851,13 +868,7 @@ fn static_decisions(lp: &LoweredPlan, fnv: &mut u64) {
     for (min_guard_fanout, congruence) in [(4, true), (1, true), (1, false)] {
         let engine = EngineOptions { min_guard_fanout, congruence, ..EngineOptions::default() };
         let out = Compiled::with_options(lp.clone(), engine).run(FingerprintVisitor::new());
-        text += &match out {
-            Ok(o) => {
-                let v = &o.visitor;
-                format!("|{:?}|{:?}|{:x}|{}", o.stats, o.blocks, v.hash, v.count)
-            }
-            Err(e) => format!("|{e}"),
-        };
+        text += &outcome_text(out);
     }
     for b in text.bytes() {
         *fnv = (*fnv ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
@@ -865,7 +876,8 @@ fn static_decisions(lp: &LoweredPlan, fnv: &mut u64) {
 }
 
 /// The static decisions — regions, lint findings, memo choices,
-/// pre-pass and guard verdicts — are pinned on spaces nobody hand-picked:
+/// pre-pass and guard verdicts, the adaptive schedule's learned orders and
+/// the sweep they run — are pinned on spaces nobody hand-picked:
 /// every seed the counter's differential suite draws from the narrowing,
 /// parent-solve and replay generators, plus GEMM reduced(16) and (32).
 #[test]
@@ -887,8 +899,8 @@ fn static_decisions_are_pinned_on_generated_and_gemm_spaces() {
     let got = [narrow, parent, replay, gemm[0], gemm[1]];
     #[rustfmt::skip]
     let want = [
-        0x7bb7c858178c1fe1, 0xd6533b6c4a8f23e3, 0xc09e2fe4f73b8062,
-        0x43b264b7111ff77e, 0x3532842d72eca56b,
+        0x8fc2dbb4d44eefc8, 0x9b687b7fcd7e83b4, 0xa9d2a94bfed634e7,
+        0xcf35b6bb5b477cbb, 0xabdf832d2db483ac,
     ];
     assert_eq!(got, want, "narrow, parent, replay, reduced(16), reduced(32)");
 }
