@@ -1373,8 +1373,8 @@ fn search(dim: i64, sampler: beast_search::SamplerKind) {
         "§XII extension — statistical search vs exhaustive, GEMM on reduced({dim}) device"
     ));
     outln!("sampler: {sampler:?}");
-    use beast_engine::point::{Point, PointRef};
-    use beast_gemm::pointref_to_config;
+    use beast_engine::point::Point;
+    use beast_gemm::point_to_config;
     use beast_gpu_sim::estimate;
     use beast_search::{hill_climb, random_search, simulated_annealing, SearchBudget};
 
@@ -1389,12 +1389,7 @@ fn search(dim: i64, sampler: beast_search::SamplerKind) {
     let device = params.device.clone();
     let cc = params.cc();
     let precision = params.precision;
-    let score = move |p: &Point| {
-        let names: Vec<std::sync::Arc<str>> = p.names().to_vec();
-        let slots: Vec<i64> = p.values().iter().map(|v| v.as_int().unwrap()).collect();
-        let view = PointRef::Slots { names: &names, slots: &slots };
-        estimate(&device, &cc, &pointref_to_config(&view), precision).gflops
-    };
+    let score = move |p: &Point| estimate(&device, &cc, &point_to_config(p), precision).gflops;
 
     let budget = SearchBudget { evaluations: 300, attempts_per_sample: 100_000, sampler };
     outln!(

@@ -297,33 +297,41 @@ pub fn check_ranks(lp: &LoweredPlan) -> Vec<usize> {
 /// and the defines no check needed come last — exactly the execution
 /// discipline [`check_regions`] proves safe. Used by the compiled engine to
 /// freeze its calibrated order and by the permutation property tests.
+/// Returns whether any step moved: the declared check order can still sink
+/// a define no check reads.
 ///
 /// # Panics
 /// If `order` is not a permutation of `region.checks`.
-pub fn apply_order(lp: &mut LoweredPlan, region: &Region, order: &[usize]) {
+pub fn apply_order(lp: &mut LoweredPlan, region: &Region, order: &[usize]) -> bool {
     assert_eq!(region.checks.len(), order.len(), "order must permute the checks");
     let mut check = order.to_vec();
     check.sort_unstable();
     assert_eq!(check, region.checks, "order must permute the checks");
     let mut emitted = vec![false; region.defines.len()];
-    let mut steps: Vec<LStep> = Vec::with_capacity(region.end - region.start);
+    // Source step index of each position of the linearized region.
+    let mut src: Vec<usize> = Vec::with_capacity(region.end - region.start);
     for &c in order {
         let k = region.checks.iter().position(|&i| i == c).expect("member");
         for &d in &region.deps[k] {
             if !emitted[d] {
                 emitted[d] = true;
-                steps.push(lp.steps[region.defines[d]].clone());
+                src.push(region.defines[d]);
             }
         }
-        steps.push(lp.steps[c].clone());
+        src.push(c);
     }
     for (d, &di) in region.defines.iter().enumerate() {
         if !emitted[d] {
-            steps.push(lp.steps[di].clone());
+            src.push(di);
         }
     }
-    debug_assert_eq!(steps.len(), region.end - region.start);
+    debug_assert_eq!(src.len(), region.end - region.start);
+    if src.iter().copied().eq(region.start..region.end) {
+        return false;
+    }
+    let steps: Vec<LStep> = src.iter().map(|&i| lp.steps[i].clone()).collect();
     lp.steps[region.start..region.end].clone_from_slice(&steps);
+    true
 }
 
 /// A check's scheduling cost within its region: `check_cost` (its own op
@@ -464,7 +472,9 @@ mod tests {
         let region = regions[0].clone();
         let reversed: Vec<usize> = region.checks.iter().rev().copied().collect();
         let before = check_ranks(&lp);
-        apply_order(&mut lp, &region, &reversed);
+        assert!(!apply_order(&mut lp, &region, &region.checks), "the declared order moves nothing");
+        assert_eq!(check_ranks(&lp), before);
+        assert!(apply_order(&mut lp, &region, &reversed));
         let after = check_ranks(&lp);
         assert_ne!(before, after);
         assert_eq!(check_names(&lp), ["always", "never"]);

@@ -436,8 +436,8 @@ impl Compiled {
     /// process and resumed run executes one shared immutable op stream. The
     /// plan's abstract step program is compiled once per step order: once
     /// for the declared plan (its regions, the probe's guards, and a
-    /// declared engine's guards and lint gate), and once more for a learned
-    /// order.
+    /// declared engine's guards and lint gate), and once more only when the
+    /// learned order moved a step.
     pub fn with_options(mut lp: LoweredPlan, opts: EngineOptions) -> Compiled {
         let mut abs = AbsSteps::new(&lp);
         let regions = schedule::check_regions(&lp, &abs);
@@ -456,19 +456,23 @@ impl Compiled {
                 SchedGroup { level, executed: initial.clone(), initial }
             })
             .collect();
-        if opts.schedule == ScheduleMode::Adaptive {
+        // With no reorder-safe region there is nothing to learn: no probe.
+        if opts.schedule == ScheduleMode::Adaptive && !regions.is_empty() {
             // The probe is never linted (same plan as the real engine, up
             // to order).
             let probe_opts = EngineOptions { lint: LintGate::Allow, ..opts };
             let probe = Compiled::build(lp, abs, probe_opts, true, Vec::new());
             let orders = probe.calibrate(&regions).unwrap_or_default();
-            lp = probe.lp;
+            (lp, abs) = (probe.lp, probe.abs);
+            let mut moved = false;
             for ((region, order), group) in regions.iter().zip(&orders).zip(&mut sched_groups) {
                 let steps: Vec<usize> = order.iter().map(|&k| region.checks[k]).collect();
-                schedule::apply_order(&mut lp, region, &steps);
+                moved |= schedule::apply_order(&mut lp, region, &steps);
                 group.executed = order.iter().map(|&k| group.initial[k]).collect();
             }
-            abs = AbsSteps::new(&lp);
+            if moved {
+                abs = AbsSteps::new(&lp);
+            }
         }
         Compiled::build(lp, abs, opts, false, sched_groups)
     }

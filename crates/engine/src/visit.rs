@@ -313,7 +313,7 @@ mod tests {
         assert_eq!(c.points.len(), 2);
         assert_eq!(c.total, 4);
         assert!(c.truncated());
-        assert_eq!(c.points[0].get("x"), Some(&Value::Int(1)));
+        assert_eq!(c.points[0].get("x"), Some(Value::Int(1)));
     }
 
     #[test]

@@ -353,13 +353,22 @@ pub const ITERATOR_NAMES: [&str; 15] = [
 /// Extract a [`GemmConfig`] from a borrowed point view (used inside scoring
 /// closures on the hot path).
 pub fn pointref_to_config(point: &beast_engine::point::PointRef<'_>) -> GemmConfig {
-    let gi = |name: &str| -> i64 {
+    config_from(|name| {
         point
             .get(name)
             .unwrap_or_else(|| panic!("point missing `{name}`"))
             .as_int()
             .expect("gemm parameters are integers")
-    };
+    })
+}
+
+/// Extract a [`GemmConfig`] from a surviving point.
+pub fn point_to_config(point: &beast_engine::point::Point) -> GemmConfig {
+    config_from(|name| point.get_int(name))
+}
+
+/// A [`GemmConfig`] from the integer value of each named iterator.
+fn config_from(gi: impl Fn(&str) -> i64) -> GemmConfig {
     GemmConfig {
         dim_m: gi("dim_m"),
         dim_n: gi("dim_n"),
@@ -376,27 +385,6 @@ pub fn pointref_to_config(point: &beast_engine::point::PointRef<'_>) -> GemmConf
         tex_b: gi("tex_b") != 0,
         shmem_l1: gi("shmem_l1") != 0,
         shmem_banks: gi("shmem_banks") != 0,
-    }
-}
-
-/// Extract a [`GemmConfig`] from a surviving point.
-pub fn point_to_config(point: &beast_engine::point::Point) -> GemmConfig {
-    GemmConfig {
-        dim_m: point.get_int("dim_m"),
-        dim_n: point.get_int("dim_n"),
-        blk_m: point.get_int("blk_m"),
-        blk_n: point.get_int("blk_n"),
-        blk_k: point.get_int("blk_k"),
-        dim_vec: point.get_int("dim_vec"),
-        vec_mul: point.get_int("vec_mul") != 0,
-        dim_m_a: point.get_int("dim_m_a"),
-        dim_n_a: point.get_int("dim_n_a"),
-        dim_m_b: point.get_int("dim_m_b"),
-        dim_n_b: point.get_int("dim_n_b"),
-        tex_a: point.get_int("tex_a") != 0,
-        tex_b: point.get_int("tex_b") != 0,
-        shmem_l1: point.get_int("shmem_l1") != 0,
-        shmem_banks: point.get_int("shmem_banks") != 0,
     }
 }
 

@@ -35,7 +35,7 @@ use beast_core::ir::{LStep, LoweredPlan};
 use beast_engine::point::Point;
 use rand::Rng;
 
-use crate::sampler::SampleStats;
+use crate::sampler::{reference_int, SampleStats};
 
 /// An exactly-uniform, zero-rejection sampler over the survivors of a
 /// space, powered by the exact counting analysis.
@@ -137,7 +137,7 @@ impl<'a, R: Rng> DirectSampler<'a, R> {
         for _ in 0..max_attempts.max(1) {
             let mutate = bind_slots[self.rng.gen_range(0..bind_slots.len())];
             if let Some(p) = self.neighbor_walk(point, mutate)? {
-                if p.values() != point.values() {
+                if p != *point {
                     return Ok(Some(p));
                 }
             }
@@ -155,8 +155,7 @@ impl<'a, R: Rng> DirectSampler<'a, R> {
         let mut link = self.counter.root();
         while let Some(level) = self.counter.entry(link) {
             let slot = level.slot();
-            let reference_value =
-                reference.get(&self.lp.slot_names[slot as usize]).and_then(|v| v.as_int().ok());
+            let reference_value = reference_int(reference, &self.names, slot);
             let k = if slot == mutate {
                 // Forced move: a different feasible value.
                 let cur = reference_value.and_then(|c| level.position_of(c));
@@ -188,8 +187,7 @@ impl<'a, R: Rng> DirectSampler<'a, R> {
     /// filled in.
     fn point(&self, mut slots: Vec<i64>) -> Result<Point, EvalError> {
         self.counter.fill_derived(&mut slots)?;
-        let values = slots.iter().map(|&v| v.into()).collect();
-        Ok(Point::new(Arc::clone(&self.names), values))
+        Ok(Point::from_ints(Arc::clone(&self.names), slots))
     }
 }
 

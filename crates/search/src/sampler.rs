@@ -70,8 +70,7 @@ impl<'a, R: Rng> Sampler<'a, R> {
     /// independent sampling; backtracking recovers tractability while every
     /// produced point still satisfies every constraint.
     pub fn try_sample(&mut self) -> Result<Option<Point>, EvalError> {
-        let empty = Point::new(Arc::from(Vec::new().into_boxed_slice()), Vec::new());
-        let outcome = self.walk(None, &empty)?;
+        let outcome = self.walk(None)?;
         match &outcome {
             Some(_) => self.stats.accepted += 1,
             None => self.stats.rejected += 1,
@@ -101,9 +100,9 @@ impl<'a, R: Rng> Sampler<'a, R> {
         let iter_slots = self.iterator_slots();
         for _ in 0..max_attempts.max(1) {
             let pick = iter_slots[self.rng.gen_range(0..iter_slots.len())];
-            if let Some(p) = self.walk(Some(pick), point)? {
+            if let Some(p) = self.walk(Some((pick, point)))? {
                 // Guarantee the neighbor differs somewhere.
-                if p.values() != point.values() {
+                if p != *point {
                     return Ok(Some(p));
                 }
             }
@@ -122,15 +121,12 @@ impl<'a, R: Rng> Sampler<'a, R> {
             .collect()
     }
 
-    /// Core randomized-DFS walk. When `mutate_slot` is `Some(s)`, the walk
-    /// behaves as a neighborhood move around `reference`: slot `s` is forced
-    /// to a value different from the reference, every other slot prefers its
-    /// reference value (falling back to random when invalidated).
-    fn walk(
-        &mut self,
-        mutate_slot: Option<u32>,
-        reference: &Point,
-    ) -> Result<Option<Point>, EvalError> {
+    /// Core randomized-DFS walk. When `neighbor_of` is `Some((s, reference))`,
+    /// the walk behaves as a neighborhood move around `reference`: slot `s`
+    /// is forced to a value different from the reference, every other slot
+    /// prefers its reference value (falling back to random when
+    /// invalidated).
+    fn walk(&mut self, neighbor_of: Option<(u32, &Point)>) -> Result<Option<Point>, EvalError> {
         const TRIES_PER_LEVEL: usize = 6;
         const BACKTRACK_BUDGET: usize = 4096;
 
@@ -138,12 +134,7 @@ impl<'a, R: Rng> Sampler<'a, R> {
         let mut frames: Vec<Frame> = Vec::new();
         let mut backtracks = BACKTRACK_BUDGET;
         let mut i = 0usize;
-
-        let reference_of = |this: &Self, slot: u32| -> Option<i64> {
-            reference
-                .get(&this.lp.slot_names[slot as usize])
-                .and_then(|v| v.as_int().ok())
-        };
+        let mutate_slot = neighbor_of.map(|(m, _)| m);
 
         loop {
             match &self.lp.steps[i] {
@@ -157,11 +148,8 @@ impl<'a, R: Rng> Sampler<'a, R> {
                         }
                         continue;
                     }
-                    let reference_value = if mutate_slot.is_some() {
-                        reference_of(self, *slot)
-                    } else {
-                        None
-                    };
+                    let reference_value =
+                        neighbor_of.and_then(|(_, r)| reference_int(r, &self.names, *slot));
                     let value = match (mutate_slot, reference_value) {
                         (Some(m), Some(cur)) if m == *slot => {
                             // Forced move: a different value of this domain.
@@ -206,8 +194,7 @@ impl<'a, R: Rng> Sampler<'a, R> {
                     }
                 }
                 LStep::Visit => {
-                    let values = slots.iter().map(|&v| v.into()).collect();
-                    return Ok(Some(Point::new(Arc::clone(&self.names), values)));
+                    return Ok(Some(Point::from_ints(Arc::clone(&self.names), slots)));
                 }
             }
         }
@@ -248,12 +235,21 @@ impl<'a, R: Rng> Sampler<'a, R> {
                     }
                 }
                 LStep::Visit => {
-                    let values = slots.iter().map(|&v| v.into()).collect();
-                    return Ok(Some(Point::new(Arc::clone(&self.names), values)));
+                    return Ok(Some(Point::from_ints(Arc::clone(&self.names), slots)));
                 }
             }
         }
         unreachable!("plans always end in Visit")
+    }
+}
+
+/// The integer value of `slot` in a neighbor move's `reference`: read from
+/// its row by slot when the reference shares the sampler's name table
+/// `names`, looked up by name otherwise.
+pub(crate) fn reference_int(reference: &Point, names: &Arc<[Arc<str>]>, slot: u32) -> Option<i64> {
+    match reference.ints() {
+        Some(row) if reference.shares_names(names) => Some(row[slot as usize]),
+        _ => reference.get(&names[slot as usize]).and_then(|v| v.as_int().ok()),
     }
 }
 

@@ -5,7 +5,7 @@
 use beast_core::ir::LoweredPlan;
 use beast_core::plan::{Plan, PlanOptions};
 use beast_engine::point::Point;
-use beast_gemm::{build_gemm_space, pointref_to_config, tune_gemm, GemmSpaceParams};
+use beast_gemm::{build_gemm_space, point_to_config, tune_gemm, GemmSpaceParams};
 use beast_gpu_sim::estimate;
 use beast_search::{hill_climb, random_search, simulated_annealing, SearchBudget};
 use rand::rngs::StdRng;
@@ -26,17 +26,7 @@ fn scorer(params: &GemmSpaceParams) -> impl Fn(&Point) -> f64 + Clone {
     let device = params.device.clone();
     let cc = params.cc();
     let precision = params.precision;
-    move |p: &Point| {
-        let names: Vec<std::sync::Arc<str>> = p.names().to_vec();
-        let slots: Vec<i64> = p
-            .values()
-            .iter()
-            .map(|v| v.as_int().expect("integer point"))
-            .collect();
-        let view = beast_engine::point::PointRef::Slots { names: &names, slots: &slots };
-        let config = pointref_to_config(&view);
-        estimate(&device, &cc, &config, precision).gflops
-    }
+    move |p: &Point| estimate(&device, &cc, &point_to_config(p), precision).gflops
 }
 
 #[test]

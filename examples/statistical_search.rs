@@ -11,7 +11,7 @@ use beast::prelude::*;
 use beast::search::{
     hill_climb, random_search, simulated_annealing, SamplerKind, SearchBudget,
 };
-use beast_gemm::{build_gemm_space, pointref_to_config, tune_gemm, GemmSpaceParams};
+use beast_gemm::{build_gemm_space, point_to_config, tune_gemm, GemmSpaceParams};
 use beast_gpu_sim::estimate;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -43,13 +43,7 @@ fn main() {
     let device = params.device.clone();
     let cc = params.cc();
     let precision = params.precision;
-    let score = move |p: &Point| {
-        let names: Vec<std::sync::Arc<str>> = p.names().to_vec();
-        let slots: Vec<i64> =
-            p.values().iter().map(|v| v.as_int().expect("ints")).collect();
-        let view = PointRef::Slots { names: &names, slots: &slots };
-        estimate(&device, &cc, &pointref_to_config(&view), precision).gflops
-    };
+    let score = move |p: &Point| estimate(&device, &cc, &point_to_config(p), precision).gflops;
 
     let budget = SearchBudget { evaluations, attempts_per_sample: 100_000, sampler };
     println!(

@@ -312,6 +312,25 @@ fn reduced_gemm_space_full_agreement() {
     assert_all_agree(space);
 }
 
+/// Survivors compare as `Point`s, not as integer vectors: the walker's
+/// points (read from its binding environment) and the compiled engine's
+/// (copied from its slot file) are one integer-row representation, equal
+/// point for point in emission order.
+#[test]
+fn reduced16_gemm_walker_and_compiled_survivors_are_equal_points() {
+    let space =
+        beast::gemm::build_gemm_space(&beast::gemm::GemmSpaceParams::reduced(16)).unwrap();
+    let plan = Plan::new(&space, PlanOptions::default()).unwrap();
+    let walker = Walker::new(&plan, LoopStyle::While);
+    let want = walker.run(CollectVisitor::new(walker.point_names().clone(), usize::MAX)).unwrap();
+    let compiled = Compiled::new(LoweredPlan::new(&plan).unwrap());
+    let got =
+        compiled.run(CollectVisitor::new(compiled.point_names().clone(), usize::MAX)).unwrap();
+    assert_eq!(want.visitor.points.len(), 1824);
+    assert!(got.visitor.points == want.visitor.points, "compiled survivors differ from the walker's");
+    assert!(want.visitor.points.iter().all(|p| p.ints().is_some()));
+}
+
 /// Minimal deterministic LCG (PCG-XSH-style output) so the property test
 /// below needs no RNG crate and replays identical spaces on every run.
 struct Lcg(u64);

@@ -225,7 +225,7 @@ fn search_algorithms_are_deterministic_per_seed_under_both_samplers() {
 fn fnv1a(points: &[Point]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for p in points {
-        for v in p.values() {
+        for v in p.values().iter() {
             for b in v.as_int().unwrap().to_le_bytes() {
                 h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
             }
