@@ -83,7 +83,7 @@ use crate::error::EvalError;
 use crate::interval::Interval;
 use crate::ir::{IntBinOp, IntExpr, LBody, LIter, LStep, LoweredPlan};
 use crate::iterator::{range_len, Realized};
-use crate::pointprog::{PointProg, StepProgs};
+use crate::pointprog::{PointProg, RunExit, RunSpec, StepProgs};
 use crate::value::Value;
 
 use super::congruence::Congruence;
@@ -647,6 +647,9 @@ impl<'a> Counter<'a> {
             });
         }
 
+        // A solved entry resumes after its level's opening check.
+        let cuts: Vec<usize> =
+            levels.iter().filter(|l| l.solve.is_some()).map(|l| l.step + 1).collect();
         let free: Vec<bool> = levels.iter().map(|l| l.free).collect();
         let solved: Vec<bool> = levels.iter().map(|l| l.solve.is_some()).collect();
         let abs = AbsSteps::new(lp);
@@ -663,7 +666,15 @@ impl<'a> Counter<'a> {
             aborted: false,
             footprints,
             abs,
-            points: StepProgs::new(lp),
+            points: StepProgs::new(
+                lp,
+                RunSpec {
+                    checks: survivors,
+                    cuts: &cuts,
+                    skip_bit: &|_| None,
+                    derive: true,
+                },
+            ),
             level_of,
             levels,
             memo_len: 0,
@@ -684,7 +695,7 @@ impl<'a> Counter<'a> {
         if self.decided.is_some() {
             return Ok(self.decided);
         }
-        let mut slots = vec![0i64; self.lp.n_slots as usize];
+        let mut slots = self.file();
         let (count, root) = self.count_from(0, &mut slots)?;
         if self.aborted {
             return Ok(None);
@@ -763,16 +774,17 @@ impl<'a> Counter<'a> {
         Some(LevelView { slot: lvl.slot, values })
     }
 
-    /// Evaluate every define of the plan in step order against `slots`,
-    /// whose bind slots hold a survivor (a walk at the leaf): the derived
-    /// values that survivor carries.
-    pub fn fill_derived(&self, slots: &mut [i64]) -> Result<(), EvalError> {
-        for (i, step) in self.lp.steps.iter().enumerate() {
-            if let LStep::Define { slot, .. } = step {
-                slots[*slot as usize] = self.points.define(i, slots)?;
-            }
-        }
-        Ok(())
+    /// A fresh value file for [`Counter::fill_derived`]: the plan's slots
+    /// (zero), then the constants and temporaries of its run programs.
+    pub fn file(&self) -> Vec<i64> {
+        self.points.runs().file()
+    }
+
+    /// Evaluate every define of the plan in step order against `file`, a
+    /// value file ([`Counter::file`]) whose bind slots hold a survivor (a
+    /// walk at the leaf): the derived values that survivor carries.
+    pub fn fill_derived(&self, file: &mut [i64]) -> Result<(), EvalError> {
+        self.points.derive(file)
     }
 
     /// Survivors below a link.
@@ -793,14 +805,23 @@ impl<'a> Counter<'a> {
             if self.aborted {
                 return Ok((0, EntryRef::EMPTY));
             }
+            if let Some(run) = self.points.runs().at(i) {
+                match run.run(slots, 0) {
+                    Ok(RunExit::Pass) => i = run.end(),
+                    Ok(RunExit::Reject(_)) => return Ok((0, EntryRef::EMPTY)),
+                    Err(fault) => return Err(fault.error),
+                }
+                continue;
+            }
+            // Past the runs: opaque steps, binds and the visit.
             match &lp.steps[i] {
                 LStep::Visit => return Ok((1, EntryRef::LEAF)),
                 LStep::Define { slot, .. } => {
-                    slots[*slot as usize] = self.points.define(i, slots)?;
+                    slots[*slot as usize] = self.points.opaque_define(i, slots)?;
                     i += 1;
                 }
                 LStep::Check { .. } => {
-                    if !self.ignore_checks && self.points.rejects(i, slots)? {
+                    if !self.ignore_checks && self.points.opaque_rejects(i, slots)? {
                         return Ok((0, EntryRef::EMPTY));
                     }
                     i += 1;
@@ -1129,7 +1150,7 @@ impl<'a> Counter<'a> {
     ) -> bool {
         let Level { slot, run, .. } = &self.levels[level];
         let env = &mut self.env;
-        env.set_points(slots);
+        env.set_points(&slots[..self.lp.n_slots as usize]);
         env.iv[*slot as usize] = x_iv;
         env.cg[*slot as usize] = x_cg;
         let mut clean = true;
@@ -1324,7 +1345,7 @@ mod tests {
 
     /// The survivor at index `idx`, by walking the links from the root.
     fn walk_links(counter: &Counter<'_>, mut idx: u128) -> Vec<i64> {
-        let mut slots = vec![0i64; counter.lp.n_slots as usize];
+        let mut slots = counter.file();
         let mut link = counter.root();
         while let Some(level) = counter.entry(link) {
             let (k, rem) = level.pick(idx).expect("index inside the level");
@@ -1333,6 +1354,7 @@ mod tests {
             idx = rem;
         }
         counter.fill_derived(&mut slots).unwrap();
+        slots.truncate(counter.lp.n_slots as usize);
         slots
     }
 

@@ -163,8 +163,8 @@ impl IntExpr {
     /// divisor and `i64::MIN // -1` are checked errors.
     ///
     /// The recursive reference evaluator: the engine, the counter and the
-    /// samplers run the register-form [`crate::pointprog::PointProg`],
-    /// which produces identical outcomes.
+    /// samplers run the register-form [`crate::pointprog::PointProg`] and
+    /// [`crate::pointprog::RunProg`], which produce identical outcomes.
     pub fn eval(&self, slots: &[i64]) -> Result<i64, EvalError> {
         match self {
             IntExpr::Const(c) => Ok(*c),

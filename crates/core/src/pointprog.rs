@@ -13,8 +13,13 @@
 //! raises an error (a ternary choosing between two leaves, which cannot
 //! fail, is one select).
 //!
-//! The compiled engine, the exact counter and both samplers run these
-//! programs; [`StepProgs`] is the per-step table the counter and the
+//! A level's straight-line run of defines and checks is compiled once more,
+//! into one [`RunProg`]: the steps' programs back to back over one value
+//! file of slots, constants and temporaries, specialised per operator, a
+//! define writing its slot and a check leaving the run ([`RunProgs`]). The
+//! compiled engine, the exact counter and both samplers run those; a
+//! [`PointProg`] on its own evaluates range bounds and the analyses'
+//! coefficients, and [`StepProgs`] is the table the counter and the
 //! samplers share. [`IntExpr::eval`] stays the recursive reference, and the
 //! arithmetic is literally the same ([`eval_bin`], [`eval_call2`]), so every
 //! value and every error — including which error, when several subtrees
@@ -365,67 +370,651 @@ impl Bindings for SlotView<'_> {
     }
 }
 
-/// What [`StepProgs`] compiled for one step.
-#[derive(Debug, Clone)]
-enum StepProg {
-    /// A define body or a check predicate.
-    Expr(PointProg),
-    /// A range bind's start, stop and step.
-    Range([PointProg; 3]),
-    /// Nothing to compile: a value-list bind, an opaque body, the visit.
-    None,
+/// An index into a run's value file: the plan's slots, then the constants
+/// of its run programs, then the temporaries they share.
+type Vx = u32;
+
+/// One instruction of a [`RunProg`]: one variant per operator, operands and
+/// destinations are value-file indices, jump targets are instruction
+/// indices of the run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum RIns {
+    Add(Vx, Vx, Vx),
+    Sub(Vx, Vx, Vx),
+    Mul(Vx, Vx, Vx),
+    Div(Vx, Vx, Vx),
+    FloorDiv(Vx, Vx, Vx),
+    Rem(Vx, Vx, Vx),
+    Lt(Vx, Vx, Vx),
+    Le(Vx, Vx, Vx),
+    Gt(Vx, Vx, Vx),
+    Ge(Vx, Vx, Vx),
+    Eq(Vx, Vx, Vx),
+    Ne(Vx, Vx, Vx),
+    Min(Vx, Vx, Vx),
+    Max(Vx, Vx, Vx),
+    DivCeil(Vx, Vx, Vx),
+    Gcd(Vx, Vx, Vx),
+    RoundUp(Vx, Vx, Vx),
+    Neg(Vx, Vx),
+    Not(Vx, Vx),
+    Abs(Vx, Vx),
+    Mov(Vx, Vx),
+    Select { d: Vx, c: Vx, t: Vx, f: Vx },
+    JzSet { a: Vx, d: Vx, to: u32 },
+    JnzSet { a: Vx, d: Vx, to: u32 },
+    Jz { a: Vx, to: u32 },
+    Jmp { to: u32 },
+    /// An elidable check: jump past it when bit `bit` of the caller's skip
+    /// mask is set.
+    Skip { bit: u32, to: u32 },
+    /// Check `k` (an index into [`RunProg::steps`]) rejects when `a` is
+    /// nonzero: leave the run.
+    Exit { a: Vx, k: u32 },
+    /// A check whose root is a comparison, fused with its exit.
+    ExitLt { a: Vx, b: Vx, k: u32 },
+    ExitLe { a: Vx, b: Vx, k: u32 },
+    ExitGt { a: Vx, b: Vx, k: u32 },
+    ExitGe { a: Vx, b: Vx, k: u32 },
+    ExitEq { a: Vx, b: Vx, k: u32 },
+    ExitNe { a: Vx, b: Vx, k: u32 },
 }
 
-/// The point programs of every step of a lowered plan, compiled once: the
-/// concrete evaluator the exact counter (`analyze::count`) and the
-/// samplers of `beast_search` share. Opaque steps go through the space's
-/// closures.
+impl RIns {
+    /// The same (non-jump) instruction writing `d` instead.
+    fn retarget(self, d: Vx) -> RIns {
+        use RIns::*;
+        match self {
+            Add(_, a, b) => Add(d, a, b),
+            Sub(_, a, b) => Sub(d, a, b),
+            Mul(_, a, b) => Mul(d, a, b),
+            Div(_, a, b) => Div(d, a, b),
+            FloorDiv(_, a, b) => FloorDiv(d, a, b),
+            Rem(_, a, b) => Rem(d, a, b),
+            Lt(_, a, b) => Lt(d, a, b),
+            Le(_, a, b) => Le(d, a, b),
+            Gt(_, a, b) => Gt(d, a, b),
+            Ge(_, a, b) => Ge(d, a, b),
+            Eq(_, a, b) => Eq(d, a, b),
+            Ne(_, a, b) => Ne(d, a, b),
+            Min(_, a, b) => Min(d, a, b),
+            Max(_, a, b) => Max(d, a, b),
+            DivCeil(_, a, b) => DivCeil(d, a, b),
+            Gcd(_, a, b) => Gcd(d, a, b),
+            RoundUp(_, a, b) => RoundUp(d, a, b),
+            Neg(_, a) => Neg(d, a),
+            Not(_, a) => Not(d, a),
+            Abs(_, a) => Abs(d, a),
+            Mov(_, a) => Mov(d, a),
+            Select { c, t, f, .. } => Select { d, c, t, f },
+            other => unreachable!("retargeting {other:?}"),
+        }
+    }
+}
+
+/// How a [`RunProg`] left its run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RunExit {
+    /// Every check passed (or was skipped); every define wrote its slot.
+    Pass,
+    /// The check at this index of [`RunProg::steps`] rejected.
+    Reject(u32),
+}
+
+/// An evaluation error inside a run: the error per-step evaluation raises,
+/// at the step that raises it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RunFault {
+    /// Index into [`RunProg::steps`] of the failing define or check. The
+    /// defines before it have written their slots, the checks before it
+    /// have passed; the failing step wrote nothing.
+    pub step: u32,
+    /// The error.
+    pub error: EvalError,
+}
+
+/// One level's straight-line run of expression defines and checks,
+/// compiled into one flat register program over a value file (see
+/// [`RunProgs`]): each step's [`PointProg`] with its leaves resolved to
+/// file indices, a define's root writing its slot and a check's root
+/// leaving the run when nonzero.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RunProg {
+    ins: Box<[RIns]>,
+    /// Per step: the index of its first instruction.
+    step_pc: Box<[u32]>,
+    /// The plan steps the run executes, in order.
+    steps: Box<[u32]>,
+    /// The plan step a caller continues from once the run passes.
+    end: u32,
+}
+
+impl RunProg {
+    /// The plan steps the run executes, in order: what the step index of a
+    /// [`RunExit::Reject`] or a [`RunFault`] refers to.
+    pub fn steps(&self) -> &[u32] {
+        &self.steps
+    }
+
+    /// The plan step after the run: a bind, the visit, an opaque step, or
+    /// the step after a cut.
+    pub fn end(&self) -> usize {
+        self.end as usize
+    }
+
+    /// Run the program over `file`, a value file of its [`RunProgs`]. A
+    /// check whose skip bit is set in `skip` is not evaluated (it passes).
+    /// Values and errors are those of evaluating the steps one by one with
+    /// [`IntExpr::eval`](crate::ir::IntExpr::eval), in step order.
+    pub fn run(&self, file: &mut [i64], skip: u64) -> Result<RunExit, RunFault> {
+        let ins = &*self.ins;
+        let v = file;
+        let mut pc = 0;
+        macro_rules! bin {
+            ($d:expr, $a:expr, $b:expr, $f:expr) => {
+                match $f(v[$a as usize], v[$b as usize]) {
+                    Ok(x) => v[$d as usize] = x,
+                    Err(e) => return Err(self.fault(pc - 1, e)),
+                }
+            };
+        }
+        macro_rules! op {
+            ($d:expr, $a:expr, $b:expr, $op:ident) => {
+                bin!($d, $a, $b, |x, y| eval_bin(IntBinOp::$op, x, y))
+            };
+        }
+        macro_rules! call {
+            ($d:expr, $a:expr, $b:expr, $f:ident) => {
+                bin!($d, $a, $b, |x, y| eval_call2(Builtin::$f, x, y))
+            };
+        }
+        macro_rules! exit_if {
+            ($a:expr, $b:expr, $k:expr, $cmp:tt) => {
+                if v[$a as usize] $cmp v[$b as usize] {
+                    return Ok(RunExit::Reject($k));
+                }
+            };
+        }
+        while let Some(&i) = ins.get(pc) {
+            pc += 1;
+            match i {
+                RIns::Add(d, a, b) => op!(d, a, b, Add),
+                RIns::Sub(d, a, b) => op!(d, a, b, Sub),
+                RIns::Mul(d, a, b) => op!(d, a, b, Mul),
+                RIns::Div(d, a, b) => op!(d, a, b, Div),
+                RIns::FloorDiv(d, a, b) => op!(d, a, b, FloorDiv),
+                RIns::Rem(d, a, b) => op!(d, a, b, Rem),
+                RIns::Lt(d, a, b) => op!(d, a, b, Lt),
+                RIns::Le(d, a, b) => op!(d, a, b, Le),
+                RIns::Gt(d, a, b) => op!(d, a, b, Gt),
+                RIns::Ge(d, a, b) => op!(d, a, b, Ge),
+                RIns::Eq(d, a, b) => op!(d, a, b, Eq),
+                RIns::Ne(d, a, b) => op!(d, a, b, Ne),
+                RIns::Min(d, a, b) => call!(d, a, b, Min),
+                RIns::Max(d, a, b) => call!(d, a, b, Max),
+                RIns::DivCeil(d, a, b) => call!(d, a, b, DivCeil),
+                RIns::Gcd(d, a, b) => call!(d, a, b, Gcd),
+                RIns::RoundUp(d, a, b) => call!(d, a, b, RoundUp),
+                RIns::Neg(d, a) => v[d as usize] = v[a as usize].wrapping_neg(),
+                RIns::Not(d, a) => v[d as usize] = i64::from(v[a as usize] == 0),
+                RIns::Abs(d, a) => v[d as usize] = v[a as usize].wrapping_abs(),
+                RIns::Mov(d, a) => v[d as usize] = v[a as usize],
+                RIns::Select { d, c, t, f } => {
+                    v[d as usize] = if v[c as usize] != 0 { v[t as usize] } else { v[f as usize] };
+                }
+                RIns::JzSet { a, d, to } => {
+                    if v[a as usize] == 0 {
+                        v[d as usize] = 0;
+                        pc = to as usize;
+                    }
+                }
+                RIns::JnzSet { a, d, to } => {
+                    if v[a as usize] != 0 {
+                        v[d as usize] = 1;
+                        pc = to as usize;
+                    }
+                }
+                RIns::Jz { a, to } => {
+                    if v[a as usize] == 0 {
+                        pc = to as usize;
+                    }
+                }
+                RIns::Jmp { to } => pc = to as usize,
+                RIns::Skip { bit, to } => {
+                    if skip >> bit & 1 != 0 {
+                        pc = to as usize;
+                    }
+                }
+                RIns::Exit { a, k } => {
+                    if v[a as usize] != 0 {
+                        return Ok(RunExit::Reject(k));
+                    }
+                }
+                RIns::ExitLt { a, b, k } => exit_if!(a, b, k, <),
+                RIns::ExitLe { a, b, k } => exit_if!(a, b, k, <=),
+                RIns::ExitGt { a, b, k } => exit_if!(a, b, k, >),
+                RIns::ExitGe { a, b, k } => exit_if!(a, b, k, >=),
+                RIns::ExitEq { a, b, k } => exit_if!(a, b, k, ==),
+                RIns::ExitNe { a, b, k } => exit_if!(a, b, k, !=),
+            }
+        }
+        Ok(RunExit::Pass)
+    }
+
+    /// The fault of the instruction at `pc`: the step whose code holds it.
+    #[cold]
+    #[inline(never)]
+    fn fault(&self, pc: usize, error: EvalError) -> RunFault {
+        let step = self.step_pc.partition_point(|&s| s as usize <= pc) - 1;
+        RunFault { step: step as u32, error }
+    }
+}
+
+/// Which steps the run programs of a [`RunProgs`] execute, and where runs
+/// are cut.
+#[derive(Clone, Copy)]
+pub struct RunSpec<'a> {
+    /// Run expression checks. Without them a run executes its defines only
+    /// and passes over every check, opaque ones included (a tuple counter,
+    /// whose checks never run).
+    pub checks: bool,
+    /// Plan steps a run ends after: a narrowed loop's opening check, which
+    /// a solved entry skips.
+    pub cuts: &'a [usize],
+    /// Per check step: its bit in the caller's skip mask, if it has one.
+    pub skip_bit: &'a dyn Fn(usize) -> Option<u32>,
+    /// Also compile the derive program ([`RunProgs::derive_at`]).
+    pub derive: bool,
+}
+
+impl RunSpec<'_> {
+    /// Checks, no cuts, no skip bits, no derive program: the rejection
+    /// sampler's walk.
+    pub const CHECKED: RunSpec<'static> =
+        RunSpec { checks: true, cuts: &[], skip_bit: &|_| None, derive: false };
+}
+
+/// The run programs of a lowered plan (see [`RunProg`]), with the value
+/// file they share.
+///
+/// A run is a maximal straight-line sequence of the steps the
+/// [`RunSpec`] executes: it starts at a step that follows a bind, an opaque
+/// step or a cut (or at step 0), and ends before the next bind, visit or
+/// opaque step, or after a cut. The value file is `n_slots` slots, then
+/// every distinct constant of every run, then the temporaries, which runs
+/// share because none reads another's. [`RunProgs::file`] hands out a fresh
+/// file; its slot prefix is the plan's slot array.
+///
+/// Next to the runs may sit the plan's *derive* program: its expression
+/// defines in step order, across binds and checks, which fills the derived
+/// slots of a complete assignment ([`RunProgs::derive_at`]).
+#[derive(Debug, Clone)]
+pub struct RunProgs {
+    /// Per plan step: the run starting there, or `NONE`.
+    at: Box<[u32]>,
+    /// Per plan step: the derive run starting there, or `NONE`.
+    derive_at: Box<[u32]>,
+    runs: Box<[RunProg]>,
+    /// The value file a run starts from: zero slots, the constants, zero
+    /// temporaries.
+    file: Box<[i64]>,
+}
+
+const NONE: u32 = u32::MAX;
+
+impl RunProgs {
+    /// Compile the runs of `lp` under `spec`, and its derive program when
+    /// `spec` asks for it.
+    pub fn new(lp: &LoweredPlan, spec: RunSpec<'_>) -> RunProgs {
+        // What a run executes, and what it passes over without executing:
+        // unchecked checks, and in the derive program binds and checks.
+        let executes = |s: &LStep, derive: bool| match s {
+            LStep::Define { body: LBody::Expr(_), .. } => true,
+            LStep::Check { body: LBody::Expr(_), .. } => spec.checks && !derive,
+            _ => false,
+        };
+        let passes = |s: &LStep, derive: bool| match s {
+            LStep::Check { .. } => derive || !spec.checks,
+            LStep::Bind { .. } => derive,
+            _ => false,
+        };
+        // (derive, first step, executed steps, step after the run)
+        let mut segments: Vec<(bool, usize, Vec<usize>, usize)> = Vec::new();
+        let tables: &[bool] = if spec.derive { &[false, true] } else { &[false] };
+        for &derive in tables {
+            let mut i = 0;
+            while i < lp.steps.len() {
+                let start = i;
+                let mut members = Vec::new();
+                while let Some(s) = lp.steps.get(i) {
+                    if executes(s, derive) {
+                        members.push(i);
+                    } else if !passes(s, derive) {
+                        break;
+                    }
+                    i += 1;
+                    if !derive && spec.cuts.contains(&(i - 1)) {
+                        break;
+                    }
+                }
+                if i == start {
+                    i += 1;
+                } else {
+                    segments.push((derive, start, members, i));
+                }
+            }
+        }
+
+        // Compile every step once, then lay the constants out.
+        let mut progs: Vec<Option<PointProg>> = vec![None; lp.steps.len()];
+        let mut consts: Vec<i64> = Vec::new();
+        let mut pool = std::collections::HashMap::new();
+        let mut temps = 0;
+        for (_, _, members, _) in &segments {
+            for &s in members {
+                if progs[s].is_some() {
+                    continue;
+                }
+                let e = match &lp.steps[s] {
+                    LStep::Define { body: LBody::Expr(e), .. }
+                    | LStep::Check { body: LBody::Expr(e), .. } => e,
+                    _ => unreachable!("run step {s} has no expression"),
+                };
+                let p = PointProg::compile(e);
+                p.for_each_arg(&mut |a| {
+                    if let Arg::Const(c) = a {
+                        pool.entry(c).or_insert_with(|| {
+                            consts.push(c);
+                            consts.len() as u32 - 1
+                        });
+                    }
+                });
+                temps = temps.max(p.regs);
+                progs[s] = Some(p);
+            }
+        }
+        let n_slots = lp.n_slots;
+        let temp = n_slots + consts.len() as u32;
+        let vx = |a: Arg| match a {
+            Arg::Slot(s) => s,
+            Arg::Const(c) => n_slots + pool[&c],
+            Arg::Reg(r) => temp + r,
+        };
+
+        let mut at = vec![NONE; lp.steps.len()];
+        let mut derive_at = vec![NONE; lp.steps.len()];
+        let mut runs = Vec::with_capacity(segments.len());
+        for (derive, start, members, end) in segments {
+            let mut code: Vec<RIns> = Vec::new();
+            let mut step_pc = Vec::with_capacity(members.len());
+            for (k, &s) in members.iter().enumerate() {
+                step_pc.push(code.len() as u32);
+                let p = progs[s].as_ref().expect("compiled above");
+                match &lp.steps[s] {
+                    LStep::Define { slot, .. } => p.emit_define(&mut code, *slot, &vx),
+                    LStep::Check { .. } => {
+                        let skip = (spec.skip_bit)(s).map(|bit| {
+                            code.push(RIns::Skip { bit, to: 0 });
+                            (code.len() - 1, bit)
+                        });
+                        p.emit_check(&mut code, k as u32, &vx);
+                        if let Some((at, bit)) = skip {
+                            code[at] = RIns::Skip { bit, to: code.len() as u32 };
+                        }
+                    }
+                    _ => unreachable!("run step {s} is a define or a check"),
+                }
+            }
+            let table = if derive { &mut derive_at } else { &mut at };
+            table[start] = runs.len() as u32;
+            runs.push(RunProg {
+                ins: code.into(),
+                step_pc: step_pc.into(),
+                steps: members.iter().map(|&s| s as u32).collect(),
+                end: end as u32,
+            });
+        }
+        let mut file = vec![0; (temp + temps) as usize];
+        file[n_slots as usize..temp as usize].copy_from_slice(&consts);
+        RunProgs {
+            at: at.into(),
+            derive_at: derive_at.into(),
+            runs: runs.into(),
+            file: file.into(),
+        }
+    }
+
+    /// A fresh value file: zero slots, the constants, zero temporaries.
+    pub fn file(&self) -> Vec<i64> {
+        self.file.to_vec()
+    }
+
+    /// The index of the run starting at plan step `step`, if one does.
+    #[inline]
+    pub fn find(&self, step: usize) -> Option<usize> {
+        let r = self.at[step];
+        (r != NONE).then_some(r as usize)
+    }
+
+    /// The run starting at plan step `step`, if one does.
+    #[inline]
+    pub fn at(&self, step: usize) -> Option<&RunProg> {
+        self.find(step).map(|r| &self.runs[r])
+    }
+
+    /// The derive run starting at plan step `step`, if one does: the plan's
+    /// expression defines from there to the next opaque define or the
+    /// visit.
+    #[inline]
+    pub fn derive_at(&self, step: usize) -> Option<&RunProg> {
+        let r = self.derive_at[step];
+        (r != NONE).then(|| &self.runs[r as usize])
+    }
+}
+
+impl std::ops::Index<usize> for RunProgs {
+    type Output = RunProg;
+
+    fn index(&self, r: usize) -> &RunProg {
+        &self.runs[r]
+    }
+}
+
+impl PointProg {
+    /// Apply `f` to every operand of the program, the root included.
+    fn for_each_arg(&self, f: &mut impl FnMut(Arg)) {
+        f(self.root);
+        for i in &*self.ins {
+            match *i {
+                Ins::Neg { a, .. }
+                | Ins::Not { a, .. }
+                | Ins::Abs { a, .. }
+                | Ins::Mov { a, .. }
+                | Ins::JzSet { a, .. }
+                | Ins::JnzSet { a, .. }
+                | Ins::Jz { a, .. } => f(a),
+                Ins::Bin { a, b, .. } | Ins::Call2 { a, b, .. } => {
+                    f(a);
+                    f(b);
+                }
+                Ins::Select { c, t, f: e, .. } => {
+                    f(c);
+                    f(t);
+                    f(e);
+                }
+                Ins::Jmp { .. } => {}
+            }
+        }
+    }
+
+    fn has_jumps(&self) -> bool {
+        self.ins.iter().any(|i| {
+            matches!(i, Ins::JzSet { .. } | Ins::JnzSet { .. } | Ins::Jz { .. } | Ins::Jmp { .. })
+        })
+    }
+
+    /// Append the program's instructions to `code`, jumps relocated.
+    fn emit(&self, code: &mut Vec<RIns>, vx: &impl Fn(Arg) -> Vx) {
+        let base = code.len() as u32;
+        let r = |d: u32| vx(Arg::Reg(d));
+        code.extend(self.ins.iter().map(|i| match *i {
+            Ins::Bin { op, dst, a, b } => {
+                let (d, a, b) = (r(dst), vx(a), vx(b));
+                match op {
+                    IntBinOp::Add => RIns::Add(d, a, b),
+                    IntBinOp::Sub => RIns::Sub(d, a, b),
+                    IntBinOp::Mul => RIns::Mul(d, a, b),
+                    IntBinOp::Div => RIns::Div(d, a, b),
+                    IntBinOp::FloorDiv => RIns::FloorDiv(d, a, b),
+                    IntBinOp::Rem => RIns::Rem(d, a, b),
+                    IntBinOp::Lt => RIns::Lt(d, a, b),
+                    IntBinOp::Le => RIns::Le(d, a, b),
+                    IntBinOp::Gt => RIns::Gt(d, a, b),
+                    IntBinOp::Ge => RIns::Ge(d, a, b),
+                    IntBinOp::Eq => RIns::Eq(d, a, b),
+                    IntBinOp::Ne => RIns::Ne(d, a, b),
+                    IntBinOp::And | IntBinOp::Or => unreachable!("`&&` / `||` compile to jumps"),
+                }
+            }
+            Ins::Call2 { f, dst, a, b } => {
+                let (d, a, b) = (r(dst), vx(a), vx(b));
+                match f {
+                    Builtin::Min => RIns::Min(d, a, b),
+                    Builtin::Max => RIns::Max(d, a, b),
+                    Builtin::DivCeil => RIns::DivCeil(d, a, b),
+                    Builtin::Gcd => RIns::Gcd(d, a, b),
+                    Builtin::RoundUp => RIns::RoundUp(d, a, b),
+                    Builtin::Abs => unreachable!("Abs is unary"),
+                }
+            }
+            Ins::Neg { dst, a } => RIns::Neg(r(dst), vx(a)),
+            Ins::Not { dst, a } => RIns::Not(r(dst), vx(a)),
+            Ins::Abs { dst, a } => RIns::Abs(r(dst), vx(a)),
+            Ins::Mov { dst, a } => RIns::Mov(r(dst), vx(a)),
+            Ins::Select { dst, c, t, f } => {
+                RIns::Select { d: r(dst), c: vx(c), t: vx(t), f: vx(f) }
+            }
+            Ins::JzSet { a, dst, to } => RIns::JzSet { a: vx(a), d: r(dst), to: base + to },
+            Ins::JnzSet { a, dst, to } => RIns::JnzSet { a: vx(a), d: r(dst), to: base + to },
+            Ins::Jz { a, to } => RIns::Jz { a: vx(a), to: base + to },
+            Ins::Jmp { to } => RIns::Jmp { to: base + to },
+        }));
+    }
+
+    /// Append a define into `slot`: the root instruction writes the slot
+    /// itself unless a jump joins in its register, which then moves.
+    fn emit_define(&self, code: &mut Vec<RIns>, slot: u32, vx: &impl Fn(Arg) -> Vx) {
+        if self.ins.is_empty() {
+            code.push(RIns::Mov(slot, vx(self.root)));
+        } else if self.has_jumps() {
+            self.emit(code, vx);
+            code.push(RIns::Mov(slot, vx(self.root)));
+        } else {
+            self.emit(code, vx);
+            let last = code.pop().expect("a non-empty program");
+            code.push(last.retarget(slot));
+        }
+    }
+
+    /// Append check `k`: its root leaves the run when nonzero, a root
+    /// comparison fused with the exit.
+    fn emit_check(&self, code: &mut Vec<RIns>, k: u32, vx: &impl Fn(Arg) -> Vx) {
+        match (self.ins.last(), self.has_jumps()) {
+            (None, _) if self.root == Arg::Const(0) => {}
+            (Some(&Ins::Bin { op, a, b, .. }), false) if yields_cmp(op) => {
+                let body = &self.ins[..self.ins.len() - 1];
+                PointProg { ins: body.into(), root: self.root, regs: self.regs }.emit(code, vx);
+                let (a, b) = (vx(a), vx(b));
+                code.push(match op {
+                    IntBinOp::Lt => RIns::ExitLt { a, b, k },
+                    IntBinOp::Le => RIns::ExitLe { a, b, k },
+                    IntBinOp::Gt => RIns::ExitGt { a, b, k },
+                    IntBinOp::Ge => RIns::ExitGe { a, b, k },
+                    IntBinOp::Eq => RIns::ExitEq { a, b, k },
+                    _ => RIns::ExitNe { a, b, k },
+                });
+            }
+            _ => {
+                self.emit(code, vx);
+                code.push(RIns::Exit { a: vx(self.root), k });
+            }
+        }
+    }
+}
+
+/// Is `op` a comparison (its result the 0/1 a check exit tests)?
+fn yields_cmp(op: IntBinOp) -> bool {
+    use IntBinOp::*;
+    matches!(op, Lt | Le | Gt | Ge | Eq | Ne)
+}
+
+/// The concrete evaluator of a lowered plan's steps, compiled once: its
+/// [`RunProgs`], the bounds of its range binds, and the space's closures
+/// for opaque steps. The exact counter (`analyze::count`) and the samplers
+/// of `beast_search` run it.
 #[derive(Debug, Clone)]
 pub struct StepProgs<'a> {
     lp: &'a LoweredPlan,
-    progs: Vec<StepProg>,
+    /// Per step: a range bind's start, stop and step.
+    ranges: Vec<Option<[PointProg; 3]>>,
+    runs: RunProgs,
 }
 
 impl<'a> StepProgs<'a> {
-    /// Compile every expression of `lp`'s steps.
-    pub fn new(lp: &'a LoweredPlan) -> StepProgs<'a> {
-        let progs = lp
+    /// Compile `lp`'s range bounds and its runs under `spec`.
+    pub fn new(lp: &'a LoweredPlan, spec: RunSpec<'_>) -> StepProgs<'a> {
+        let ranges = lp
             .steps
             .iter()
             .map(|s| match s {
-                LStep::Define { body: LBody::Expr(e), .. }
-                | LStep::Check { body: LBody::Expr(e), .. } => StepProg::Expr(PointProg::compile(e)),
                 LStep::Bind { domain: LIter::Range { start, stop, step }, .. } => {
-                    StepProg::Range([start, stop, step].map(PointProg::compile))
+                    Some([start, stop, step].map(PointProg::compile))
                 }
-                _ => StepProg::None,
+                _ => None,
             })
             .collect();
-        StepProgs { lp, progs }
+        StepProgs { lp, ranges, runs: RunProgs::new(lp, spec) }
     }
 
-    /// The value of the define at step `i`.
-    #[inline]
-    pub fn define(&self, i: usize, slots: &[i64]) -> Result<i64, EvalError> {
-        if let StepProg::Expr(p) = &self.progs[i] {
-            return p.eval(slots);
-        }
-        let LStep::Define { derived, .. } = &self.lp.steps[i] else {
-            unreachable!("step {i} is not a define")
+    /// The plan's run programs.
+    pub fn runs(&self) -> &RunProgs {
+        &self.runs
+    }
+
+    /// The value of the opaque define at step `i`, through the space's
+    /// closure.
+    pub fn opaque_define(&self, i: usize, slots: &[i64]) -> Result<i64, EvalError> {
+        let LStep::Define { derived, body: LBody::Opaque, .. } = &self.lp.steps[i] else {
+            unreachable!("step {i} is not an opaque define")
         };
         self.lp.plan.space().deriveds()[*derived].kind.eval(&self.view(slots))?.as_int()
     }
 
-    /// Does the check at step `i` reject?
-    #[inline]
-    pub fn rejects(&self, i: usize, slots: &[i64]) -> Result<bool, EvalError> {
-        if let StepProg::Expr(p) = &self.progs[i] {
-            return Ok(p.eval(slots)? != 0);
-        }
-        let LStep::Check { constraint, .. } = &self.lp.steps[i] else {
-            unreachable!("step {i} is not a check")
+    /// Does the opaque check at step `i` reject?
+    pub fn opaque_rejects(&self, i: usize, slots: &[i64]) -> Result<bool, EvalError> {
+        let LStep::Check { constraint, body: LBody::Opaque } = &self.lp.steps[i] else {
+            unreachable!("step {i} is not an opaque check")
         };
         self.lp.plan.space().constraints()[*constraint].kind.rejects(&self.view(slots))
+    }
+
+    /// Fill the derived slots of a value file whose bind slots hold a
+    /// complete assignment: every define in step order.
+    pub fn derive(&self, file: &mut [i64]) -> Result<(), EvalError> {
+        let mut i = 0;
+        loop {
+            if let Some(run) = self.runs.derive_at(i) {
+                run.run(file, 0).map_err(|f| f.error)?;
+                i = run.end();
+                continue;
+            }
+            match &self.lp.steps[i] {
+                LStep::Visit => return Ok(()),
+                LStep::Define { slot, .. } => file[*slot as usize] = self.opaque_define(i, file)?,
+                _ => {}
+            }
+            i += 1;
+        }
     }
 
     /// `(start, stop, step)` of the range bind at step `i`, evaluated in
@@ -435,7 +1024,7 @@ impl<'a> StepProgs<'a> {
     /// If step `i` is not a bind over a range.
     #[inline]
     pub fn bounds(&self, i: usize, slots: &[i64]) -> Result<(i64, i64, i64), EvalError> {
-        let StepProg::Range([start, stop, step]) = &self.progs[i] else {
+        let Some([start, stop, step]) = &self.ranges[i] else {
             unreachable!("step {i} is not a range bind")
         };
         Ok((start.eval(slots)?, stop.eval(slots)?, step.eval(slots)?))
@@ -457,7 +1046,9 @@ impl<'a> StepProgs<'a> {
     }
 
     fn view<'s>(&'s self, slots: &'s [i64]) -> SlotView<'s> {
-        SlotView { names: &self.lp.slot_names, slots, consts: self.lp.plan.space().consts() }
+        let n = self.lp.n_slots as usize;
+        let consts = self.lp.plan.space().consts();
+        SlotView { names: &self.lp.slot_names, slots: &slots[..n], consts }
     }
 }
 

@@ -84,7 +84,7 @@ use beast_core::error::EvalError;
 use beast_core::interval::Interval;
 use beast_core::ir::{LBody, LIter, LStep, LoweredPlan};
 use beast_core::iterator::{range_len, Realized};
-use beast_core::pointprog::{PointProg, SlotView};
+use beast_core::pointprog::{PointProg, RunExit, RunProgs, RunSpec, SlotView};
 use beast_core::schedule::{self, ScheduleMode};
 
 use crate::point::PointRef;
@@ -280,20 +280,49 @@ enum Op {
     /// Advance loop `loop_id`; jump back to `body` (= its `Enter + 1`) or
     /// fall through when exhausted.
     Next { loop_id: u32, slot: u32, body: u32 },
-    /// Evaluate a derived expression into a slot.
-    Define { slot: u32, expr: PointProg },
+    /// Run program `run` of [`Compiled::runs`]: a straight-line run of
+    /// expression defines and checks; on a rejection jump to `on_reject`.
+    /// `checks` credits its checks in [`PruneStats`].
+    Run { run: u32, checks: Box<[RunCheck]>, on_reject: u32 },
     /// Evaluate an opaque derived through the closure callback.
     DefineOpaque { slot: u32, derived: usize },
-    /// Evaluate a constraint; on rejection jump to `on_reject`. `elide_bit`
-    /// is this check's position in the block pruner's elision bitmask
-    /// (`None` for preamble checks or beyond 64 constraints).
-    Check { constraint: u32, expr: PointProg, elide_bit: Option<u8>, on_reject: u32 },
     /// Evaluate an opaque constraint through the closure callback.
     CheckOpaque { constraint: u32, on_reject: u32 },
     /// Record a survivor and invoke the visitor.
     Visit,
     /// End of program.
     Halt,
+}
+
+/// One check of an [`Op::Run`], for crediting: its index into the run's
+/// steps, its constraint, and its bit in the block pruner's elision mask
+/// (0 for preamble checks and beyond 64 constraints), which the run
+/// program skips it under.
+#[derive(Debug, Clone, Copy)]
+struct RunCheck {
+    k: u32,
+    constraint: u32,
+    elide: u64,
+}
+
+/// Credit the checks of `checks` a run executed before its step `upto`:
+/// each passed, the elided ones (`elide` holds their bits) without being
+/// evaluated. Returns how many it credited and how many were elided.
+#[inline]
+fn credit_passes(
+    checks: &[RunCheck],
+    upto: u32,
+    elide: u64,
+    stats: &mut PruneStats,
+) -> (usize, u64) {
+    let mut elided = 0;
+    let mut n = 0;
+    for c in checks.iter().take_while(|c| c.k < upto) {
+        stats.record(c.constraint as usize, false);
+        elided += u64::from(c.elide & elide != 0);
+        n += 1;
+    }
+    (n, elided)
 }
 
 /// Level-0 values the calibration pass samples first, evenly strided over
@@ -387,6 +416,8 @@ pub struct Compiled {
     lp: LoweredPlan,
     /// The flat threaded-code program.
     ops: Vec<Op>,
+    /// The run programs its `Op::Run`s execute, and their value file.
+    runs: RunProgs,
     /// The abstract step program every guard runs: steps in its suffix
     /// slice ([`AbsSteps::slice`]) evaluate over the product when
     /// `opts.congruence` is on, interval-only otherwise.
@@ -495,6 +526,27 @@ impl Compiled {
         // stays infallible.
         let lint = (opts.lint != LintGate::Allow)
             .then(|| analyze::analyze_steps(&lp, &abs).summary());
+        let plan = levels(&lp).levels;
+        // A narrowed loop's `Enter` steps over its opening check (`ip += 2`),
+        // so that check is a run of its own. The outermost loop never
+        // narrows: the parallel driver feeds it chunk by chunk, and the
+        // narrowing counters — like guards — must not depend on the chunk
+        // grid.
+        let narrows = |l: usize, p: &LevelPlan| !probe && l > 0 && p.narrowing.is_some();
+        let cuts: Vec<usize> = (plan.iter().enumerate())
+            .filter(|(l, p)| narrows(*l, p))
+            .map(|(_, p)| p.step + 1)
+            .collect();
+        let first_bind = plan.first().map_or(usize::MAX, |p| p.step);
+        let elide_bit = |i: usize| match &lp.steps[i] {
+            LStep::Check { constraint, .. } if i > first_bind && *constraint < 64 => {
+                Some(*constraint as u32)
+            }
+            _ => None,
+        };
+        let spec = RunSpec { checks: true, cuts: &cuts, skip_bit: &elide_bit, derive: false };
+        let runs = RunProgs::new(&lp, spec);
+
         let mut ops: Vec<Op> = Vec::new();
         // Open loops: (loop_id, enter_ip, check ips awaiting this loop's
         // Next as their reject target).
@@ -502,8 +554,29 @@ impl Compiled {
         let mut pending_rejects: Vec<Vec<usize>> = vec![Vec::new()];
         let mut n_loops = 0u32;
 
-        for step in &lp.steps {
-            match step {
+        let mut i = 0;
+        while i < lp.steps.len() {
+            if let Some(r) = runs.find(i) {
+                let run = &runs[r];
+                let checks: Box<[RunCheck]> = (run.steps().iter().enumerate())
+                    .filter_map(|(k, &s)| match &lp.steps[s as usize] {
+                        LStep::Check { constraint, .. } => Some(RunCheck {
+                            k: k as u32,
+                            constraint: *constraint as u32,
+                            elide: elide_bit(s as usize).map_or(0, |b| 1 << b),
+                        }),
+                        _ => None,
+                    })
+                    .collect();
+                if !checks.is_empty() {
+                    pending_rejects.last_mut().expect("scope").push(ops.len());
+                }
+                // `on_reject` is patched when the enclosing scope closes.
+                ops.push(Op::Run { run: r as u32, checks, on_reject: 0 });
+                i = run.end();
+                continue;
+            }
+            match &lp.steps[i] {
                 LStep::Bind { slot, domain, iter, .. } => {
                     let d = match domain {
                         LIter::Range { start, stop, step } => CDomain::Range {
@@ -524,32 +597,17 @@ impl Compiled {
                     // `next` is patched when the loop closes.
                     ops.push(Op::Enter { loop_id, slot: *slot, domain: d, next: 0 });
                 }
-                LStep::Define { slot, body, derived } => ops.push(match body {
-                    LBody::Expr(e) => Op::Define { slot: *slot, expr: PointProg::compile(e) },
-                    LBody::Opaque => Op::DefineOpaque { slot: *slot, derived: *derived },
-                }),
-                LStep::Check { constraint, body } => {
+                // Expression defines and checks are in runs.
+                LStep::Define { slot, derived, .. } => {
+                    ops.push(Op::DefineOpaque { slot: *slot, derived: *derived })
+                }
+                LStep::Check { constraint, .. } => {
                     pending_rejects.last_mut().expect("scope").push(ops.len());
-                    let elide_bit = if open.is_empty() || *constraint >= 64 {
-                        None
-                    } else {
-                        Some(*constraint as u8)
-                    };
-                    // `on_reject` is patched when the enclosing scope closes.
-                    ops.push(match body {
-                        LBody::Expr(e) => Op::Check {
-                            constraint: *constraint as u32,
-                            expr: PointProg::compile(e),
-                            elide_bit,
-                            on_reject: 0,
-                        },
-                        LBody::Opaque => {
-                            Op::CheckOpaque { constraint: *constraint as u32, on_reject: 0 }
-                        }
-                    });
+                    ops.push(Op::CheckOpaque { constraint: *constraint as u32, on_reject: 0 });
                 }
                 LStep::Visit => ops.push(Op::Visit),
             }
+            i += 1;
         }
 
         // Close loops innermost-first: emit each Next, patch its Enter and
@@ -567,7 +625,7 @@ impl Compiled {
             }
             for check_ip in pending_rejects.pop().expect("scope") {
                 match &mut ops[check_ip] {
-                    Op::Check { on_reject, .. } | Op::CheckOpaque { on_reject, .. } => {
+                    Op::Run { on_reject, .. } | Op::CheckOpaque { on_reject, .. } => {
                         *on_reject = next_ip as u32;
                     }
                     _ => unreachable!("check ip points at a check"),
@@ -580,7 +638,7 @@ impl Compiled {
         // Preamble checks (outside every loop) reject the whole space.
         for check_ip in pending_rejects.pop().expect("preamble scope") {
             match &mut ops[check_ip] {
-                Op::Check { on_reject, .. } | Op::CheckOpaque { on_reject, .. } => {
+                Op::Run { on_reject, .. } | Op::CheckOpaque { on_reject, .. } => {
                     *on_reject = halt_ip as u32;
                 }
                 _ => unreachable!("check ip points at a check"),
@@ -588,17 +646,13 @@ impl Compiled {
         }
         debug_assert!(pending_rejects.is_empty());
 
-        let plan = levels(&lp).levels;
         debug_assert_eq!(plan.len(), n_loops as usize);
         let fanout_below: Vec<u64> = plan.iter().map(|p| p.fanout_below).collect();
         let guards = build_guards(&lp, &abs, &plan, opts.min_guard_fanout);
 
-        // The outermost loop never narrows: the parallel driver feeds it
-        // chunk by chunk, and the narrowing counters — like guards — must
-        // not depend on the chunk grid.
         let (narrow, replay) = if !probe {
             let narrow = plan.iter().enumerate().map(|(l, p)| {
-                let n = p.narrowing.as_ref().filter(|_| l > 0)?;
+                let n = p.narrowing.as_ref().filter(|_| narrows(l, p))?;
                 let elide_mask = if n.constraint < 64 { 1u64 << n.constraint } else { 0 };
                 Some(LoopSolve { solve: Solve::new(n), elide_mask })
             });
@@ -611,6 +665,7 @@ impl Compiled {
         Compiled {
             lp,
             ops,
+            runs,
             abs,
             guards,
             fanout_below,
@@ -712,7 +767,7 @@ impl Compiled {
     fn calibrate(&self, regions: &[schedule::Region]) -> Option<Vec<Vec<usize>>> {
         let first_enter = self.first_enter?;
         let outer = self.outer_domain().ok()?;
-        let mut slots = vec![0i64; self.lp.n_slots as usize];
+        let mut slots = self.runs.file();
         if !self.preamble(&mut slots, None).ok()? {
             return None;
         }
@@ -780,7 +835,7 @@ impl Compiled {
     /// Run the full sweep.
     pub fn run<V: Visitor>(&self, visitor: V) -> Result<SweepOutcome<V>, EvalError> {
         self.lint_denied()?;
-        let mut slots = vec![0i64; self.lp.n_slots as usize];
+        let mut slots = self.runs.file();
         let mut state = self.fresh_state(visitor);
         self.exec(0, None, &mut slots, &mut state, &ChunkCtx::plain())?;
         Ok(SweepOutcome {
@@ -821,7 +876,7 @@ impl Compiled {
         visitor: V,
         ctx: &ChunkCtx<'_>,
     ) -> Result<ChunkRun<V>, EvalError> {
-        let mut slots = vec![0i64; self.lp.n_slots as usize];
+        let mut slots = self.runs.file();
         let mut state = self.fresh_state(visitor);
         if let Some(first_enter) = self.first_enter {
             // Execute the preamble quietly; a constants-only constraint that
@@ -847,7 +902,7 @@ impl Compiled {
     /// parallel driver calls this once so that merged statistics match a
     /// serial run (workers execute the preamble quietly).
     pub(crate) fn preamble_record(&self, stats: &mut PruneStats) -> Result<bool, EvalError> {
-        let mut slots = vec![0i64; self.lp.n_slots as usize];
+        let mut slots = self.runs.file();
         self.preamble(&mut slots, Some(stats))
     }
 
@@ -863,9 +918,25 @@ impl Compiled {
         let at = |slot: &u32| self.lp.slot_names[*slot as usize].to_string();
         for op in &self.ops[..end] {
             match op {
-                Op::Define { slot, expr } => {
-                    slots[*slot as usize] =
-                        expr.eval(slots).map_err(|e| e.with_point(at(slot), Vec::new()))?;
+                Op::Run { run, checks, .. } => {
+                    let prog = &self.runs[*run as usize];
+                    let exit = prog.run(slots, 0).map_err(|f| {
+                        let site = self.step_site(prog.steps()[f.step as usize]);
+                        f.error.with_point(self.site_label(site), Vec::new())
+                    })?;
+                    let upto = match exit {
+                        RunExit::Pass => u32::MAX,
+                        RunExit::Reject(k) => k,
+                    };
+                    if let Some(stats) = stats.as_deref_mut() {
+                        let (n, _) = credit_passes(checks, upto, 0, stats);
+                        if upto != u32::MAX {
+                            stats.record(checks[n].constraint as usize, true);
+                        }
+                    }
+                    if upto != u32::MAX {
+                        return Ok(false);
+                    }
                 }
                 Op::DefineOpaque { slot, derived } => {
                     let v = {
@@ -877,19 +948,6 @@ impl Compiled {
                     };
                     slots[*slot as usize] =
                         v.as_int().map_err(|e| e.with_point(at(slot), Vec::new()))?;
-                }
-                Op::Check { constraint, expr, .. } => {
-                    let rejected = expr.eval(slots).map_err(|e| {
-                        let name =
-                            &self.lp.plan.space().constraints()[*constraint as usize].name;
-                        e.with_point(name.to_string(), Vec::new())
-                    })? != 0;
-                    if let Some(stats) = stats.as_deref_mut() {
-                        stats.record(*constraint as usize, rejected);
-                    }
-                    if rejected {
-                        return Ok(false);
-                    }
                 }
                 Op::CheckOpaque { constraint, .. } => {
                     let rejected = {
@@ -1039,6 +1097,7 @@ impl Compiled {
                             err,
                             $site,
                             ip,
+                            0,
                             state.visit_ordinal,
                             slots,
                             ctx,
@@ -1260,9 +1319,36 @@ impl Compiled {
                         }
                     }
                 }
-                Op::Define { slot, expr } => {
-                    slots[*slot as usize] = try_eval!('interp, Site::Slot(*slot), expr.eval(slots));
-                    ip += 1;
+                Op::Run { run, checks, on_reject } => {
+                    let prog = &self.runs[*run as usize];
+                    let exit = prog.run(slots, state.elide);
+                    let upto = match &exit {
+                        Ok(RunExit::Pass) => u32::MAX,
+                        Ok(RunExit::Reject(k)) => *k,
+                        Err(fault) => fault.step,
+                    };
+                    let (n, elided) = credit_passes(checks, upto, state.elide, &mut state.stats);
+                    state.blocks.checks_elided += elided;
+                    match exit {
+                        Ok(RunExit::Pass) => ip += 1,
+                        Ok(RunExit::Reject(_)) => {
+                            state.stats.record(checks[n].constraint as usize, true);
+                            ip = *on_reject as usize;
+                        }
+                        Err(fault) => {
+                            let site = self.step_site(prog.steps()[fault.step as usize]);
+                            ip = self.fault_recover(
+                                fault.error,
+                                site,
+                                ip,
+                                fault.step as usize,
+                                state.visit_ordinal,
+                                slots,
+                                ctx,
+                                &mut state.faults,
+                            )?;
+                        }
+                    }
                 }
                 Op::DefineOpaque { slot, derived } => {
                     let v = try_eval!('interp, Site::Slot(*slot), {
@@ -1272,23 +1358,6 @@ impl Compiled {
                     slots[*slot as usize] =
                         try_eval!('interp, Site::Slot(*slot), v.as_int());
                     ip += 1;
-                }
-                Op::Check { constraint, expr, elide_bit, on_reject } => {
-                    if let Some(bit) = elide_bit {
-                        if state.elide & (1u64 << bit) != 0 {
-                            // Statically true for this subtree: count the
-                            // evaluation the per-point engine would have
-                            // done (it always passes) without doing it.
-                            state.stats.record(*constraint as usize, false);
-                            state.blocks.checks_elided += 1;
-                            ip += 1;
-                            continue;
-                        }
-                    }
-                    let rejected =
-                        try_eval!('interp, Site::Constraint(*constraint), expr.eval(slots)) != 0;
-                    state.stats.record(*constraint as usize, rejected);
-                    ip = if rejected { *on_reject as usize } else { ip + 1 };
                 }
                 Op::CheckOpaque { constraint, on_reject } => {
                     let rejected = try_eval!('interp, Site::Constraint(*constraint), {
@@ -1318,9 +1387,11 @@ impl Compiled {
                     }
                     // Count the survivor, log its row for any open recording
                     // (see `crate::replay`), and hand it to the visitor.
+                    let row = &slots[..self.lp.n_slots as usize];
                     state.stats.record_survivor();
-                    state.replay.record(slots);
-                    state.visitor.visit(&PointRef::Slots { names: &self.lp.slot_names, slots });
+                    state.replay.record(row);
+                    let names = &self.lp.slot_names;
+                    state.visitor.visit(&PointRef::Slots { names, slots: row });
                     ip += 1;
                 }
                 Op::Halt => return Ok(()),
@@ -1424,6 +1495,8 @@ impl Compiled {
     /// the exact transition a check rejection takes, so frames, elision
     /// masks and guard caches stay consistent. Faults with no enclosing
     /// loop (chunk preamble) and [`EvalError::Cancelled`] always propagate.
+    /// `done` counts the steps of an `Op::Run` at `ip` that completed
+    /// before its fault.
     #[cold]
     #[inline(never)]
     #[allow(clippy::too_many_arguments)]
@@ -1432,6 +1505,7 @@ impl Compiled {
         e: EvalError,
         site: Site,
         ip: usize,
+        done: usize,
         ordinal: u64,
         slots: &[i64],
         ctx: &ChunkCtx<'_>,
@@ -1440,7 +1514,7 @@ impl Compiled {
         if matches!(e, EvalError::Cancelled) {
             return Err(e);
         }
-        let e = e.with_point(self.site_label(site), self.point_bindings(ip, slots));
+        let e = e.with_point(self.site_label(site), self.point_bindings(ip, done, slots));
         if ctx.policy == FaultPolicy::SkipPoint {
             if let Some(next_ip) = self.innermost_open_next(ip) {
                 let (site, bindings) = match e.point_context() {
@@ -1495,11 +1569,29 @@ impl Compiled {
         best
     }
 
-    /// `(name, value)` pairs for every slot bound at `ip`: the iterators of
+    /// Where a fault at plan step `step` (a run's define or check) is
+    /// reported.
+    fn step_site(&self, step: u32) -> Site {
+        match &self.lp.steps[step as usize] {
+            LStep::Define { slot, .. } => Site::Slot(*slot),
+            LStep::Check { constraint, .. } => Site::Constraint(*constraint as u32),
+            other => unreachable!("a run holds defines and checks, not {other:?}"),
+        }
+    }
+
+    /// `(name, value)` pairs for every slot bound at `ip`, where an
+    /// `Op::Run` has completed its first `done` steps: the iterators of
     /// open loops plus the defines already executed in open scopes, in
     /// program order. Defines inside closed inner loops are stale for the
     /// current point and are skipped along with their loop.
-    fn point_bindings(&self, ip: usize, slots: &[i64]) -> Vec<(String, i64)> {
+    fn point_bindings(&self, ip: usize, done: usize, slots: &[i64]) -> Vec<(String, i64)> {
+        let defines = |run: u32, upto: usize, out: &mut Vec<u32>| {
+            for &s in self.runs[run as usize].steps().iter().take(upto) {
+                if let LStep::Define { slot, .. } = &self.lp.steps[s as usize] {
+                    out.push(*slot);
+                }
+            }
+        };
         let mut out = Vec::new();
         let mut i = 0;
         while i < ip {
@@ -1512,12 +1604,14 @@ impl Compiled {
                         i = n;
                     }
                 }
-                Op::Define { slot, .. } | Op::DefineOpaque { slot, .. } => {
-                    out.push(*slot);
-                }
+                Op::Run { run, .. } => defines(*run, usize::MAX, &mut out),
+                Op::DefineOpaque { slot, .. } => out.push(*slot),
                 _ => {}
             }
             i += 1;
+        }
+        if let Some(Op::Run { run, .. }) = self.ops.get(ip) {
+            defines(*run, done, &mut out);
         }
         out.into_iter()
             .map(|s| (self.lp.slot_names[s as usize].to_string(), slots[s as usize]))

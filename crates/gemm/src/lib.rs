@@ -28,6 +28,7 @@ pub use batched::{
 };
 pub use resolve::{gemm_resolver, resolve_gemm_space};
 pub use space::{
-    build_gemm_space, point_to_config, pointref_to_config, GemmSpaceParams, ITERATOR_NAMES,
+    build_gemm_space, point_to_config, pointref_to_config, ConfigSlots, GemmSpaceParams,
+    ITERATOR_NAMES,
 };
 pub use tune::{count_survivors, tune_gemm, verify_config, verify_config_for, TuneOutcome, TunedKernel};

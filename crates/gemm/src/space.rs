@@ -350,10 +350,12 @@ pub const ITERATOR_NAMES: [&str; 15] = [
     "shmem_banks",
 ];
 
-/// Extract a [`GemmConfig`] from a borrowed point view (used inside scoring
-/// closures on the hot path).
+/// Extract a [`GemmConfig`] from a borrowed point view, by name. A scoring
+/// closure over one plan's survivors reads rows by index instead
+/// ([`ConfigSlots`]).
 pub fn pointref_to_config(point: &beast_engine::point::PointRef<'_>) -> GemmConfig {
-    config_from(|name| {
+    config_from(|i| {
+        let name = ITERATOR_NAMES[i];
         point
             .get(name)
             .unwrap_or_else(|| panic!("point missing `{name}`"))
@@ -364,27 +366,50 @@ pub fn pointref_to_config(point: &beast_engine::point::PointRef<'_>) -> GemmConf
 
 /// Extract a [`GemmConfig`] from a surviving point.
 pub fn point_to_config(point: &beast_engine::point::Point) -> GemmConfig {
-    config_from(|name| point.get_int(name))
+    config_from(|i| point.get_int(ITERATOR_NAMES[i]))
 }
 
-/// A [`GemmConfig`] from the integer value of each named iterator.
-fn config_from(gi: impl Fn(&str) -> i64) -> GemmConfig {
+/// GEMM's iterators ([`ITERATOR_NAMES`]) resolved to their slots once per
+/// plan, so a survivor's [`GemmConfig`] reads its row by index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ConfigSlots([usize; ITERATOR_NAMES.len()]);
+
+impl ConfigSlots {
+    /// Resolve every iterator among a plan's slot `names`; `None` when one
+    /// is missing.
+    pub fn new(names: &[Arc<str>]) -> Option<ConfigSlots> {
+        let mut slots = [0; ITERATOR_NAMES.len()];
+        for (slot, name) in slots.iter_mut().zip(ITERATOR_NAMES) {
+            *slot = names.iter().position(|n| &**n == name)?;
+        }
+        Some(ConfigSlots(slots))
+    }
+
+    /// The config of a survivor row, in the plan's slot order.
+    pub fn config(&self, row: &[i64]) -> GemmConfig {
+        config_from(|i| row[self.0[i]])
+    }
+}
+
+/// A [`GemmConfig`] from the integer value of each iterator, by its index
+/// in [`ITERATOR_NAMES`].
+fn config_from(gi: impl Fn(usize) -> i64) -> GemmConfig {
     GemmConfig {
-        dim_m: gi("dim_m"),
-        dim_n: gi("dim_n"),
-        blk_m: gi("blk_m"),
-        blk_n: gi("blk_n"),
-        blk_k: gi("blk_k"),
-        dim_vec: gi("dim_vec"),
-        vec_mul: gi("vec_mul") != 0,
-        dim_m_a: gi("dim_m_a"),
-        dim_n_a: gi("dim_n_a"),
-        dim_m_b: gi("dim_m_b"),
-        dim_n_b: gi("dim_n_b"),
-        tex_a: gi("tex_a") != 0,
-        tex_b: gi("tex_b") != 0,
-        shmem_l1: gi("shmem_l1") != 0,
-        shmem_banks: gi("shmem_banks") != 0,
+        dim_m: gi(0),
+        dim_n: gi(1),
+        blk_m: gi(2),
+        blk_n: gi(3),
+        blk_k: gi(4),
+        dim_vec: gi(5),
+        vec_mul: gi(6) != 0,
+        dim_m_a: gi(7),
+        dim_n_a: gi(8),
+        dim_m_b: gi(9),
+        dim_n_b: gi(10),
+        tex_a: gi(11) != 0,
+        tex_b: gi(12) != 0,
+        shmem_l1: gi(13) != 0,
+        shmem_banks: gi(14) != 0,
     }
 }
 

@@ -11,13 +11,15 @@ use beast_core::error::{EvalError, SpaceError};
 use beast_core::ir::LoweredPlan;
 use beast_core::plan::{Plan, PlanOptions};
 use beast_engine::parallel::run_parallel;
-use beast_engine::point::Point;
+use beast_engine::point::{Point, PointRef};
 use beast_engine::stats::PruneStats;
 use beast_engine::sweep::SweepError;
 use beast_engine::visit::BestK;
 use beast_gpu_sim::{estimate, model_peak, GemmConfig, Matrix, PerfEstimate};
 
-use crate::space::{build_gemm_space, point_to_config, GemmSpaceParams};
+use crate::space::{
+    build_gemm_space, point_to_config, pointref_to_config, ConfigSlots, GemmSpaceParams,
+};
 
 /// Errors from the tuning pipeline.
 #[derive(Debug)]
@@ -113,11 +115,16 @@ pub fn tune_gemm(
     let names: std::sync::Arc<[std::sync::Arc<str>]> =
         std::sync::Arc::from(lowered.slot_names.clone().into_boxed_slice());
 
+    let config_slots =
+        ConfigSlots::new(&lowered.slot_names).expect("a GEMM plan binds every GEMM iterator");
     let score_device = device.clone();
     let make = move || {
         let device = score_device.clone();
         BestK::new(names.clone(), k, move |point| {
-            let config = crate::space::pointref_to_config(point);
+            let config = match point {
+                PointRef::Slots { slots, .. } => config_slots.config(slots),
+                PointRef::Env { .. } => pointref_to_config(point),
+            };
             estimate(&device, &cc, &config, precision).gflops
         })
     };

@@ -56,14 +56,14 @@ impl Default for SearchBudget {
 /// draw/neighbor surface, so an algorithm is generic over the trade
 /// between up-front counting and per-sample rejections.
 enum AnySampler<'a, R: Rng> {
-    Rejection(Sampler<'a, R>),
+    Rejection(Box<Sampler<'a, R>>),
     Direct(Box<DirectSampler<'a, R>>),
 }
 
 impl<'a, R: Rng> AnySampler<'a, R> {
     fn new(lp: &'a LoweredPlan, rng: R, kind: SamplerKind) -> Result<Self, EvalError> {
         Ok(match kind {
-            SamplerKind::Rejection => AnySampler::Rejection(Sampler::new(lp, rng)),
+            SamplerKind::Rejection => AnySampler::Rejection(Box::new(Sampler::new(lp, rng))),
             SamplerKind::Direct => AnySampler::Direct(Box::new(DirectSampler::new(lp, rng)?)),
         })
     }

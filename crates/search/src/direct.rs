@@ -31,11 +31,11 @@ use std::sync::Arc;
 
 use beast_core::analyze::count::{Counter, LevelView};
 use beast_core::error::EvalError;
-use beast_core::ir::{LStep, LoweredPlan};
+use beast_core::ir::LoweredPlan;
 use beast_engine::point::Point;
 use rand::Rng;
 
-use crate::sampler::{reference_int, SampleStats};
+use crate::sampler::{bind_slots, reference_int, SampleStats};
 
 /// An exactly-uniform, zero-rejection sampler over the survivors of a
 /// space, powered by the exact counting analysis.
@@ -45,6 +45,10 @@ pub struct DirectSampler<'a, R: Rng> {
     names: Arc<[Arc<str>]>,
     counter: Counter<'a>,
     total: u128,
+    /// The slot of every bind, in step order.
+    bind_slots: Vec<u32>,
+    /// The value file a draw writes its bind slots into, reused.
+    file: Vec<i64>,
     /// Counters. `rejected` and `dead_ends` stay 0 by construction: the
     /// descent only ever picks values with a nonzero subtree count.
     pub stats: SampleStats,
@@ -64,7 +68,16 @@ impl<'a, R: Rng> DirectSampler<'a, R> {
                     .into(),
             )
         })?;
-        Ok(DirectSampler { lp, rng, names, counter, total, stats: SampleStats::default() })
+        Ok(DirectSampler {
+            lp,
+            rng,
+            names,
+            bind_slots: bind_slots(lp),
+            file: counter.file(),
+            counter,
+            total,
+            stats: SampleStats::default(),
+        })
     }
 
     /// Variable names of produced points (slot order).
@@ -100,7 +113,7 @@ impl<'a, R: Rng> DirectSampler<'a, R> {
                 self.total
             )));
         }
-        let mut slots = vec![0i64; self.lp.n_slots as usize];
+        let mut slots = self.fresh_file();
         let mut link = self.counter.root();
         while let Some(level) = self.counter.entry(link) {
             let (k, rem) = pick(&level, idx)?;
@@ -125,17 +138,8 @@ impl<'a, R: Rng> DirectSampler<'a, R> {
         if self.total == 0 {
             return Ok(None);
         }
-        let bind_slots: Vec<u32> = self
-            .lp
-            .steps
-            .iter()
-            .filter_map(|s| match s {
-                LStep::Bind { slot, .. } => Some(*slot),
-                _ => None,
-            })
-            .collect();
         for _ in 0..max_attempts.max(1) {
-            let mutate = bind_slots[self.rng.gen_range(0..bind_slots.len())];
+            let mutate = self.bind_slots[self.rng.gen_range(0..self.bind_slots.len())];
             if let Some(p) = self.neighbor_walk(point, mutate)? {
                 if p != *point {
                     return Ok(Some(p));
@@ -151,7 +155,7 @@ impl<'a, R: Rng> DirectSampler<'a, R> {
         reference: &Point,
         mutate: u32,
     ) -> Result<Option<Point>, EvalError> {
-        let mut slots = vec![0i64; self.lp.n_slots as usize];
+        let mut slots = self.fresh_file();
         let mut link = self.counter.root();
         while let Some(level) = self.counter.entry(link) {
             let slot = level.slot();
@@ -160,6 +164,7 @@ impl<'a, R: Rng> DirectSampler<'a, R> {
                 // Forced move: a different feasible value.
                 let cur = reference_value.and_then(|c| level.position_of(c));
                 if level.len() == usize::from(cur.is_some()) {
+                    self.file = slots;
                     return Ok(None);
                 }
                 loop {
@@ -183,11 +188,25 @@ impl<'a, R: Rng> DirectSampler<'a, R> {
         self.point(slots).map(Some)
     }
 
-    /// The survivor whose bind slots a walk wrote, with its derived slots
-    /// filled in.
-    fn point(&self, mut slots: Vec<i64>) -> Result<Point, EvalError> {
-        self.counter.fill_derived(&mut slots)?;
-        Ok(Point::from_ints(Arc::clone(&self.names), slots))
+    /// The reused value file, its slots zeroed as a fresh one's (a new one
+    /// after a draw that failed without handing it back).
+    fn fresh_file(&mut self) -> Vec<i64> {
+        let mut file = std::mem::take(&mut self.file);
+        if file.is_empty() {
+            file = self.counter.file();
+        }
+        file[..self.lp.n_slots as usize].fill(0);
+        file
+    }
+
+    /// The survivor whose bind slots a walk wrote into `file`, with its
+    /// derived slots filled in; the file goes back for the next draw.
+    fn point(&mut self, mut file: Vec<i64>) -> Result<Point, EvalError> {
+        let filled = self.counter.fill_derived(&mut file);
+        let point = filled
+            .map(|()| Point::from_ints(Arc::clone(&self.names), &file[..self.lp.n_slots as usize]));
+        self.file = file;
+        point
     }
 }
 

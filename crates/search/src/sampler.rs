@@ -13,7 +13,7 @@ use std::sync::Arc;
 use beast_core::error::EvalError;
 use beast_core::ir::{LStep, LoweredPlan};
 use beast_core::iterator::Realized;
-use beast_core::pointprog::StepProgs;
+use beast_core::pointprog::{RunExit, RunSpec, StepProgs};
 use beast_engine::point::Point;
 use rand::Rng;
 
@@ -38,10 +38,16 @@ pub struct SampleStats {
 /// sampling O(depth) instead of O(space).
 pub struct Sampler<'a, R: Rng> {
     lp: &'a LoweredPlan,
-    /// The plan's expressions, compiled once to point programs.
+    /// The plan's expressions, compiled once to run programs.
     progs: StepProgs<'a>,
     rng: R,
     names: Arc<[Arc<str>]>,
+    /// The slot of every bind, in step order: the dimensions a neighbor
+    /// move may mutate.
+    iter_slots: Vec<u32>,
+    /// The value file and open loops of a walk, reused across walks.
+    file: Vec<i64>,
+    frames: Vec<Frame>,
     /// Counters.
     pub stats: SampleStats,
 }
@@ -50,7 +56,17 @@ impl<'a, R: Rng> Sampler<'a, R> {
     /// Create a sampler over a lowered plan.
     pub fn new(lp: &'a LoweredPlan, rng: R) -> Sampler<'a, R> {
         let names: Arc<[Arc<str>]> = Arc::from(lp.slot_names.clone().into_boxed_slice());
-        Sampler { lp, progs: StepProgs::new(lp), rng, names, stats: SampleStats::default() }
+        let progs = StepProgs::new(lp, RunSpec::CHECKED);
+        Sampler {
+            lp,
+            file: progs.runs().file(),
+            progs,
+            rng,
+            names,
+            iter_slots: bind_slots(lp),
+            frames: Vec::new(),
+            stats: SampleStats::default(),
+        }
     }
 
     /// Variable names of produced points (slot order).
@@ -97,9 +113,8 @@ impl<'a, R: Rng> Sampler<'a, R> {
         point: &Point,
         max_attempts: usize,
     ) -> Result<Option<Point>, EvalError> {
-        let iter_slots = self.iterator_slots();
         for _ in 0..max_attempts.max(1) {
-            let pick = iter_slots[self.rng.gen_range(0..iter_slots.len())];
+            let pick = self.iter_slots[self.rng.gen_range(0..self.iter_slots.len())];
             if let Some(p) = self.walk(Some((pick, point)))? {
                 // Guarantee the neighbor differs somewhere.
                 if p != *point {
@@ -110,40 +125,58 @@ impl<'a, R: Rng> Sampler<'a, R> {
         Ok(None)
     }
 
-    fn iterator_slots(&self) -> Vec<u32> {
-        self.lp
-            .steps
-            .iter()
-            .filter_map(|s| match s {
-                LStep::Bind { slot, .. } => Some(*slot),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// Core randomized-DFS walk. When `neighbor_of` is `Some((s, reference))`,
     /// the walk behaves as a neighborhood move around `reference`: slot `s`
     /// is forced to a value different from the reference, every other slot
     /// prefers its reference value (falling back to random when
     /// invalidated).
     fn walk(&mut self, neighbor_of: Option<(u32, &Point)>) -> Result<Option<Point>, EvalError> {
+        let mut file = std::mem::take(&mut self.file);
+        let mut frames = std::mem::take(&mut self.frames);
+        let walked = self.walk_in(&mut file, &mut frames, neighbor_of);
+        (self.file, self.frames) = (file, frames);
+        walked
+    }
+
+    /// [`Sampler::walk`] over the reused value file and frame stack.
+    fn walk_in(
+        &mut self,
+        slots: &mut [i64],
+        frames: &mut Vec<Frame>,
+        neighbor_of: Option<(u32, &Point)>,
+    ) -> Result<Option<Point>, EvalError> {
         const TRIES_PER_LEVEL: usize = 6;
         const BACKTRACK_BUDGET: usize = 4096;
 
-        let mut slots = vec![0i64; self.lp.n_slots as usize];
-        let mut frames: Vec<Frame> = Vec::new();
+        let n = self.lp.n_slots as usize;
+        // Every walk starts from zero slots, as a fresh buffer would: a
+        // bind's bounds may read its own, not yet written slot.
+        slots[..n].fill(0);
+        frames.clear();
         let mut backtracks = BACKTRACK_BUDGET;
         let mut i = 0usize;
         let mutate_slot = neighbor_of.map(|(m, _)| m);
 
         loop {
+            if let Some(run) = self.progs.runs().at(i) {
+                match run.run(slots, 0).map_err(|f| f.error)? {
+                    RunExit::Pass => i = run.end(),
+                    RunExit::Reject(_) => {
+                        if !backtrack(frames, slots, &mut i, &mut backtracks, &mut self.rng) {
+                            return Ok(None);
+                        }
+                    }
+                }
+                continue;
+            }
+            // Past the runs: binds, opaque steps and the visit.
             match &self.lp.steps[i] {
                 LStep::Bind { slot, .. } => {
-                    let realized = self.progs.realize(i, &slots)?;
+                    let realized = self.progs.realize(i, slots)?;
                     let len = realized.len();
                     if len == 0 {
                         self.stats.dead_ends += 1;
-                        if !backtrack(&mut frames, &mut slots, &mut i, &mut backtracks, &mut self.rng) {
+                        if !backtrack(frames, slots, &mut i, &mut backtracks, &mut self.rng) {
                             return Ok(None);
                         }
                         continue;
@@ -181,12 +214,12 @@ impl<'a, R: Rng> Sampler<'a, R> {
                     i += 1;
                 }
                 LStep::Define { slot, .. } => {
-                    slots[*slot as usize] = self.progs.define(i, &slots)?;
+                    slots[*slot as usize] = self.progs.opaque_define(i, slots)?;
                     i += 1;
                 }
                 LStep::Check { .. } => {
-                    if self.progs.rejects(i, &slots)? {
-                        if !backtrack(&mut frames, &mut slots, &mut i, &mut backtracks, &mut self.rng) {
+                    if self.progs.opaque_rejects(i, slots)? {
+                        if !backtrack(frames, slots, &mut i, &mut backtracks, &mut self.rng) {
                             return Ok(None);
                         }
                     } else {
@@ -194,7 +227,7 @@ impl<'a, R: Rng> Sampler<'a, R> {
                     }
                 }
                 LStep::Visit => {
-                    return Ok(Some(Point::from_ints(Arc::clone(&self.names), slots)));
+                    return Ok(Some(Point::from_ints(Arc::clone(&self.names), &slots[..n])));
                 }
             }
         }
@@ -209,7 +242,24 @@ impl<'a, R: Rng> Sampler<'a, R> {
         &mut self,
         iter_values: &[(u32, i64)],
     ) -> Result<Option<Point>, EvalError> {
-        let mut slots = vec![0i64; self.lp.n_slots as usize];
+        let n = self.lp.n_slots as usize;
+        let mut slots = std::mem::take(&mut self.file);
+        slots[..n].fill(0);
+        let checked = self.check_assignment(&mut slots, iter_values);
+        let point =
+            checked.map(|ok| ok.then(|| Point::from_ints(Arc::clone(&self.names), &slots[..n])));
+        self.file = slots;
+        point
+    }
+
+    /// Walk every step of the plan over `slots` with the bind values of
+    /// `iter_values`: `false` when a value leaves its domain or a check
+    /// rejects.
+    fn check_assignment(
+        &self,
+        slots: &mut [i64],
+        iter_values: &[(u32, i64)],
+    ) -> Result<bool, EvalError> {
         let value_of = |slot: u32| -> Result<i64, EvalError> {
             iter_values
                 .iter()
@@ -217,30 +267,47 @@ impl<'a, R: Rng> Sampler<'a, R> {
                 .map(|(_, v)| *v)
                 .ok_or_else(|| EvalError::Unbound(self.lp.slot_names[slot as usize].to_string()))
         };
-        for (i, step) in self.lp.steps.iter().enumerate() {
-            match step {
+        let mut i = 0;
+        loop {
+            if let Some(run) = self.progs.runs().at(i) {
+                match run.run(slots, 0).map_err(|f| f.error)? {
+                    RunExit::Pass => i = run.end(),
+                    RunExit::Reject(_) => return Ok(false),
+                }
+                continue;
+            }
+            match &self.lp.steps[i] {
                 LStep::Bind { slot, .. } => {
                     let v = value_of(*slot)?;
-                    if !self.progs.realize(i, &slots)?.contains_int(v) {
-                        return Ok(None);
+                    if !self.progs.realize(i, slots)?.contains_int(v) {
+                        return Ok(false);
                     }
                     slots[*slot as usize] = v;
                 }
                 LStep::Define { slot, .. } => {
-                    slots[*slot as usize] = self.progs.define(i, &slots)?;
+                    slots[*slot as usize] = self.progs.opaque_define(i, slots)?;
                 }
                 LStep::Check { .. } => {
-                    if self.progs.rejects(i, &slots)? {
-                        return Ok(None);
+                    if self.progs.opaque_rejects(i, slots)? {
+                        return Ok(false);
                     }
                 }
-                LStep::Visit => {
-                    return Ok(Some(Point::from_ints(Arc::clone(&self.names), slots)));
-                }
+                LStep::Visit => return Ok(true),
             }
+            i += 1;
         }
-        unreachable!("plans always end in Visit")
     }
+}
+
+/// The slot of every bind of `lp`, in step order.
+pub(crate) fn bind_slots(lp: &LoweredPlan) -> Vec<u32> {
+    lp.steps
+        .iter()
+        .filter_map(|s| match s {
+            LStep::Bind { slot, .. } => Some(*slot),
+            _ => None,
+        })
+        .collect()
 }
 
 /// The integer value of `slot` in a neighbor move's `reference`: read from

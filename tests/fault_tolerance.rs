@@ -579,3 +579,148 @@ fn checkpoints_cross_between_threaded_and_distributed_sweeps() {
         let _ = std::fs::remove_file(&path);
     }
 }
+
+/// A space whose inner level is one run of five expression steps, two of
+/// which fault mid-run: the define `q` divides by zero where `x + y == 6`,
+/// after `s` and the check `small` ran, and the check `wrap` takes a
+/// remainder by zero at `x == 5`, after `q` and `r` were written.
+fn mid_run_fault_space() -> LoweredPlan {
+    let space = Space::builder("ft_mid_run")
+        .range("x", 0, 8)
+        .range("y", 0, 5)
+        .derived("s", var("x") + var("y"))
+        .constraint("small", ConstraintClass::Soft, var("s").lt(2))
+        .derived("q", lit(60) / (var("s") - 6))
+        .derived("r", var("q") * var("y"))
+        .constraint("wrap", ConstraintClass::Soft, ((var("r") * 7) % (var("x") - 5)).eq(3))
+        .build()
+        .unwrap();
+    let plan = Plan::new(&space, PlanOptions::default()).unwrap();
+    LoweredPlan::new(&plan).unwrap()
+}
+
+/// A fault as `(site, error, bindings)`.
+type FaultSeen = (String, String, Vec<(String, i64)>);
+
+/// What per-step evaluation of `lp` under `SkipPoint` reports, walked like
+/// the walker walks it: each expression on its own (`IntExpr::eval`), a
+/// fault dropping its point with the failing step's name and every slot
+/// bound before it, in step order. Returns `(evaluated, pruned)` per
+/// constraint, the survivors and the `(site, error, bindings)` of each
+/// fault.
+fn per_step_reference(lp: &LoweredPlan) -> (Vec<u64>, Vec<u64>, u64, Vec<FaultSeen>) {
+    use beast_core::ir::{LBody, LIter, LStep};
+    struct Walk<'a> {
+        lp: &'a LoweredPlan,
+        slots: Vec<i64>,
+        bound: Vec<u32>,
+        evaluated: Vec<u64>,
+        pruned: Vec<u64>,
+        survivors: u64,
+        faults: Vec<FaultSeen>,
+    }
+    impl Walk<'_> {
+        fn fault(&mut self, site: &str, e: beast_core::error::EvalError) {
+            let names = &self.lp.slot_names;
+            let bindings =
+                self.bound.iter().map(|&s| (names[s as usize].to_string(), self.slots[s as usize]));
+            self.faults.push((site.to_string(), e.to_string(), bindings.collect()));
+        }
+
+        fn go(&mut self, i: usize) {
+            let space = self.lp.plan.space().clone();
+            match &self.lp.steps[i] {
+                LStep::Bind { slot, domain: LIter::Range { start, stop, step }, .. } => {
+                    let bound = |e: &beast_core::ir::IntExpr| e.eval(&self.slots).unwrap();
+                    let (a, b, c) = (bound(start), bound(stop), bound(step));
+                    let mut v = a;
+                    self.bound.push(*slot);
+                    while v < b {
+                        self.slots[*slot as usize] = v;
+                        self.go(i + 1);
+                        v += c;
+                    }
+                    self.bound.pop();
+                }
+                LStep::Define { slot, body: LBody::Expr(e), .. } => match e.eval(&self.slots) {
+                    Ok(v) => {
+                        self.slots[*slot as usize] = v;
+                        self.bound.push(*slot);
+                        self.go(i + 1);
+                        self.bound.pop();
+                    }
+                    Err(err) => self.fault(&self.lp.slot_names[*slot as usize].clone(), err),
+                },
+                LStep::Check { constraint, body: LBody::Expr(e) } => match e.eval(&self.slots) {
+                    Ok(v) => {
+                        self.evaluated[*constraint] += 1;
+                        self.pruned[*constraint] += u64::from(v != 0);
+                        if v == 0 {
+                            self.go(i + 1);
+                        }
+                    }
+                    Err(err) => self.fault(&space.constraints()[*constraint].name, err),
+                },
+                LStep::Visit => self.survivors += 1,
+                other => panic!("the reference walks expression steps only: {other:?}"),
+            }
+        }
+    }
+    let n = lp.plan.space().constraints().len();
+    let mut walk = Walk {
+        lp,
+        slots: vec![0; lp.n_slots as usize],
+        bound: Vec::new(),
+        evaluated: vec![0; n],
+        pruned: vec![0; n],
+        survivors: 0,
+        faults: Vec::new(),
+    };
+    walk.go(0);
+    (walk.evaluated, walk.pruned, walk.survivors, walk.faults)
+}
+
+/// A `SkipPoint` fault in the middle of a level's run program drops the
+/// point exactly where per-step evaluation does: the same `FaultRecord`
+/// sites, errors and bindings (the defines the run wrote before the
+/// failing step, not after), and — on the declared schedule without
+/// intervals, which evaluates every point — the same `PruneStats`, the
+/// checks the run passed before the fault credited and the failing one
+/// not. With intervals on, guards and elision move no fault record.
+#[test]
+fn a_fault_inside_a_run_program_matches_per_step_evaluation() {
+    use beast_core::ir::LStep;
+    let lp = mid_run_fault_space();
+    let (evaluated, pruned, survivors, want) = per_step_reference(&lp);
+    // The faults really sit mid-run: one define and one check, each behind
+    // earlier steps of the same run.
+    let first_run = lp.steps.iter().rposition(|s| matches!(s, LStep::Bind { .. })).unwrap() + 1;
+    let run_len = lp.steps.len() - 1 - first_run;
+    assert!(run_len >= 4, "{:?}", lp.steps);
+    assert!(want.iter().any(|f| f.0 == "q") && want.iter().any(|f| f.0 == "wrap"), "{want:?}");
+
+    for engine in [EngineOptions::no_intervals(), EngineOptions::default()] {
+        let o = ParallelOptions {
+            threads: 1,
+            chunk_count: 1,
+            engine,
+            fault_policy: FaultPolicy::SkipPoint,
+            ..ParallelOptions::default()
+        };
+        let (out, report) = run_parallel_report(&lp, &o, CountVisitor::default).unwrap();
+        let got: Vec<FaultSeen> = report
+            .faults
+            .iter()
+            .map(|f| {
+                assert_eq!((f.chunk, f.ordinal, f.kind), (0, 0, FaultKind::Error));
+                (f.site.clone(), f.error.clone(), f.bindings.clone())
+            })
+            .collect();
+        assert_eq!(got, want, "{engine:?}: fault records");
+        assert_eq!(out.stats.survivors, survivors, "{engine:?}");
+        if !engine.intervals {
+            assert_eq!(out.stats.evaluated, evaluated, "{engine:?}: evaluated");
+            assert_eq!(out.stats.pruned, pruned, "{engine:?}: pruned");
+        }
+    }
+}

@@ -1111,6 +1111,145 @@ fn point_programs_match_the_tree_evaluator() {
     assert!(heap > 100 && heap_ok > 10, "{heap} heap evaluations, {heap_ok} of them Ok");
 }
 
+/// One randomly generated level run over 4 bound slots: expression defines
+/// writing slots 4.., each reading the slots written before it, and checks
+/// between them, `%` / `/` / `//` by zero and `i64::MIN // -1` reachable
+/// through the leaves, spines deep enough to overflow `LOCAL_REGS`.
+fn arb_run(rng: &mut StdRng) -> Vec<LStep> {
+    // Re-point a generated expression's slot reads at the `avail` slots
+    // written so far.
+    fn within(e: IntExpr, avail: u32) -> IntExpr {
+        let b = |x: Box<IntExpr>| Box::new(within(*x, avail));
+        match e {
+            IntExpr::Slot(s) => IntExpr::Slot(s % avail),
+            IntExpr::Const(c) => IntExpr::Const(c),
+            IntExpr::Neg(a) => IntExpr::Neg(b(a)),
+            IntExpr::Not(a) => IntExpr::Not(b(a)),
+            IntExpr::Abs(a) => IntExpr::Abs(b(a)),
+            IntExpr::Bin(op, x, y) => IntExpr::Bin(op, b(x), b(y)),
+            IntExpr::Call2(f, x, y) => IntExpr::Call2(f, b(x), b(y)),
+            IntExpr::Ternary(c, t, f) => IntExpr::Ternary(b(c), b(t), b(f)),
+        }
+    }
+    let bind = LStep::Bind { iter: 0, slot: 0, depth: 0, domain: LIter::Values(vec![0]) };
+    let mut steps = vec![bind];
+    let (mut slot, mut constraint) = (4u32, 0usize);
+    for _ in 0..rng.gen_range(1..9) {
+        let e = match rng.gen_range(0u32..12) {
+            0 => deep_point_expr(rng),
+            _ => arb_point_expr(rng, 4),
+        };
+        let e = within(e, slot);
+        if rng.gen_bool(0.5) {
+            steps.push(LStep::Define { derived: 0, slot, body: LBody::Expr(e) });
+            slot += 1;
+        } else {
+            steps.push(LStep::Check { constraint, body: LBody::Expr(e) });
+            constraint += 1;
+        }
+    }
+    steps.push(LStep::Visit);
+    steps
+}
+
+/// A level's run program is outcome-identical to evaluating its steps one
+/// by one with `IntExpr::eval`: the same slot writes, the same exit (the
+/// first rejecting check), the same error kind at the same step — with the
+/// defines before it written and nothing after — on generated runs whose
+/// `&&` / `||` / ternaries skip faulting operands and whose deep spines
+/// need more registers than `LOCAL_REGS`. Checks whose skip bit the mask
+/// sets pass unevaluated.
+#[test]
+fn run_programs_match_step_by_step_evaluation() {
+    use beast_core::pointprog::{RunExit, RunProgs, RunSpec};
+    let space = Space::builder("runs").range("x", 0, 1).build().unwrap();
+    let plan = Plan::new(&space, PlanOptions::default()).unwrap();
+    let mut lp = LoweredPlan::new(&plan).unwrap();
+    let mut rng = StdRng::seed_from_u64(0x5EED_0042);
+    let (mut rejects, mut faults, mut mid_faults, mut passes) = (0, 0, 0, 0);
+    let (mut deep, mut skipped, mut overflows) = (0, 0, 0);
+    for case in 0..3000 {
+        lp.steps = arb_run(&mut rng);
+        let defines = lp.steps.iter().filter(|s| matches!(s, LStep::Define { .. })).count();
+        lp.n_slots = 4 + defines as u32;
+        lp.slot_names = (0..lp.n_slots).map(|s| Arc::from(format!("v{s}"))).collect();
+        let bit = |i: usize| match &lp.steps[i] {
+            LStep::Check { constraint, .. } => Some(*constraint as u32 % 4),
+            _ => None,
+        };
+        let spec = RunSpec { checks: true, cuts: &[], skip_bit: &bit, derive: false };
+        let runs = RunProgs::new(&lp, spec);
+        let run = runs.at(1).expect("a run opens after the bind");
+        assert_eq!(run.end(), lp.steps.len() - 1, "case {case}");
+        deep += u32::from(lp.steps.iter().any(|s| match s {
+            LStep::Define { body: LBody::Expr(e), .. }
+            | LStep::Check { body: LBody::Expr(e), .. } => {
+                PointProg::compile(e).regs() as usize > beast_core::pointprog::LOCAL_REGS
+            }
+            _ => false,
+        }));
+        for _ in 0..4 {
+            let skip: u64 = if rng.gen_bool(0.3) { rng.gen_range(0..16) } else { 0 };
+            let mut slots: Vec<i64> = (0..lp.n_slots)
+                .map(|_| match rng.gen_range(0u32..3) {
+                    0 => POINT_LEAVES[rng.gen_range(0..POINT_LEAVES.len())],
+                    _ => rng.gen_range(-9i64..10),
+                })
+                .collect();
+            let mut file = runs.file();
+            file[..slots.len()].copy_from_slice(&slots);
+            // The reference: one step at a time.
+            let mut want = Ok(RunExit::Pass);
+            for (k, step) in lp.steps[1..lp.steps.len() - 1].iter().enumerate() {
+                let (k, i) = (k as u32, k + 1);
+                match step {
+                    LStep::Define { slot, body: LBody::Expr(e), .. } => match e.eval(&slots) {
+                        Ok(v) => slots[*slot as usize] = v,
+                        Err(e) => {
+                            want = Err((k, e));
+                            break;
+                        }
+                    },
+                    LStep::Check { body: LBody::Expr(e), .. } => {
+                        if bit(i).is_some_and(|b| skip >> b & 1 != 0) {
+                            skipped += 1;
+                            continue;
+                        }
+                        match e.eval(&slots) {
+                            Ok(0) => {}
+                            Ok(_) => {
+                                want = Ok(RunExit::Reject(k));
+                                break;
+                            }
+                            Err(e) => {
+                                want = Err((k, e));
+                                break;
+                            }
+                        }
+                    }
+                    other => unreachable!("{other:?}"),
+                }
+            }
+            let got = run.run(&mut file, skip).map_err(|f| (f.step, f.error));
+            assert_eq!(got, want, "case {case}: {:?}", lp.steps);
+            assert_eq!(&file[..slots.len()], &slots[..], "case {case}: slot writes");
+            match want {
+                Ok(RunExit::Pass) => passes += 1,
+                Ok(RunExit::Reject(_)) => rejects += 1,
+                Err((k, e)) => {
+                    faults += 1;
+                    mid_faults += u32::from(k > 0);
+                    overflows += u32::from(e == beast_core::error::EvalError::Overflow);
+                }
+            }
+        }
+    }
+    assert!(passes > 500 && rejects > 500, "{passes} passes, {rejects} rejections");
+    assert!(overflows > 10, "only {overflows} overflows");
+    assert!(faults > 500 && mid_faults > 200, "{faults} faults, {mid_faults} past step 0");
+    assert!(deep > 50 && skipped > 100, "{deep} deep runs, {skipped} skipped checks");
+}
+
 /// `i64::MIN // -1` (and `div_ceil` / `round_up` reaching it) is an
 /// `Overflow` error in every evaluator — the walker, the VM, the compiled
 /// engine, the counter and both samplers — never a panic: a skip-point
