@@ -340,6 +340,7 @@ pub fn eval_product(
 }
 
 /// Congruence of `!a`: a point once either half decides `a`'s truth.
+#[inline]
 pub(crate) fn cg_not(a: &IntervalOutcome, a_cg: Congruence) -> Congruence {
     match truth(a, a_cg) {
         Some(t) => Congruence::point(i64::from(!t)),
@@ -348,6 +349,7 @@ pub(crate) fn cg_not(a: &IntervalOutcome, a_cg: Congruence) -> Congruence {
 }
 
 /// Congruence of `a op b` (operands already reduced).
+#[inline]
 pub(crate) fn cg_bin(
     op: IntBinOp,
     a: &IntervalOutcome,
@@ -380,6 +382,7 @@ pub(crate) fn cg_bin(
 }
 
 /// Congruence of a builtin call.
+#[inline]
 pub(crate) fn cg_call2(bi: Builtin, a_cg: Congruence, b_cg: Congruence) -> Congruence {
     match bi {
         // min/max pick one of the two values.
@@ -399,6 +402,7 @@ pub(crate) fn cg_call2(bi: Builtin, a_cg: Congruence, b_cg: Congruence) -> Congr
 }
 
 /// Congruence of `c ? t : f`: the live branch's once `c` is decided.
+#[inline]
 pub(crate) fn cg_ternary(
     c: &IntervalOutcome,
     c_cg: Congruence,

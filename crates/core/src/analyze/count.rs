@@ -55,8 +55,9 @@
 //!   wholesale — the counting analog of the engine's congruence guards. Like
 //!   the engine's guards the pass runs only where it can pay: the run holds
 //!   a check, the level is not uniform, and the realized domain has at least
-//!   `MIN_ABSTRACT_FANOUT` values. The pass is a driver of the plan's
-//!   abstract step program ([`AbsSteps`]): only the steps of the plan's
+//!   `MIN_ABSTRACT_FANOUT` values. Each level run is one abstract program
+//!   ([`AbsProgs`]) compiled from the plan's abstract step program
+//!   ([`AbsSteps`]) when the counter is built: only the steps of the plan's
 //!   congruence slice ([`AbsSteps::slice`]) evaluate over the product; the
 //!   rest — a run of comparisons, typically — runs interval-only.
 //!
@@ -86,13 +87,14 @@ use crate::iterator::{range_len, Realized};
 use crate::pointprog::{PointProg, RunExit, RunSpec, StepProgs};
 use crate::value::Value;
 
+use super::absprog::{AbsFile, AbsProgs, Verdict, Window};
 use super::congruence::Congruence;
 use super::footprint::{suffix_footprints, unique_key_levels};
 use super::levels::{levels, LevelTable};
 #[cfg(doc)]
 use super::levels::LevelPlan;
 use super::narrow::{solve_affine, Solve, Solved};
-use super::steps::{range_box, values_box, AbsEnv, AbsSteps, BindHull};
+use super::steps::{range_box, values_box, AbsSteps};
 
 /// Work limits for a counting run. Exceeding either limit aborts the
 /// analysis ([`Counter::total`] returns `None`) rather than degrading to an
@@ -503,9 +505,11 @@ struct Level {
     uniform: bool,
     /// Entries are looked up by footprint key: neither free nor unique-key.
     memo: bool,
-    /// The level's run (defines and checks up to the next loop) holds an
-    /// expression check, which the abstract pre-pass could decide.
-    run_has_check: bool,
+    /// The abstract pre-pass's program, an index into `Counter::pre`: the
+    /// level's run (defines and checks up to the next loop) holds an
+    /// expression check, which the pre-pass could decide (survivor mode
+    /// only).
+    pre: Option<u32>,
     /// `%`-divisor expressions inside the run whose reads are all bound
     /// before the level — residue-filter candidates.
     rem_divisors: Vec<PointProg>,
@@ -525,8 +529,8 @@ pub struct Counter<'a> {
     /// Per step: sorted slots the suffix starting at this step reads from
     /// outside (the dependency footprint).
     footprints: Vec<Arc<[u32]>>,
-    /// The abstract step program the pre-pass runs.
-    abs: AbsSteps,
+    /// The pre-pass programs, one per level run holding a check.
+    pre: AbsProgs,
     /// Per step: the concrete evaluator of defines, checks and bounds.
     points: StepProgs<'a>,
     /// Per `Bind` step: level ordinal (outermost first).
@@ -538,8 +542,12 @@ pub struct Counter<'a> {
     /// [`Counter::total`] decides.
     root: EntryRef,
     decided: Option<u128>,
-    /// The pre-pass's reused box.
-    env: AbsEnv,
+    /// The file the pre-pass programs run over.
+    pfile: AbsFile,
+    /// Every pre-pass run — level, slots, box, verdict — for the
+    /// differential test.
+    #[cfg(test)]
+    pre_log: Vec<(usize, Vec<i64>, Interval, Congruence, bool)>,
     stats: CountStats,
 }
 
@@ -586,6 +594,7 @@ impl<'a> Counter<'a> {
         // filter divisors must be fully bound when their level opens.
         let mut written = vec![false; lp.n_slots as usize];
         let mut written_upto = 0;
+        let mut n_pre = 0;
         for (l, p) in plan.iter().enumerate() {
             for s in &lp.steps[written_upto..p.step] {
                 if let Some(slot) = s.written_slot() {
@@ -640,7 +649,10 @@ impl<'a> Counter<'a> {
                     footprints[p.step + 1].binary_search(&p.slot).is_err()
                 },
                 memo: !free,
-                run_has_check,
+                pre: (survivors && run_has_check).then(|| {
+                    n_pre += 1;
+                    n_pre - 1
+                }),
                 rem_divisors,
                 table: Table::default(),
                 frees: Vec::new(),
@@ -658,6 +670,7 @@ impl<'a> Counter<'a> {
             level.memo &= !unique;
             stats.memo = level.memo;
         }
+        let pre = pre_pass(lp, &abs, &levels);
 
         Counter {
             lp,
@@ -665,7 +678,10 @@ impl<'a> Counter<'a> {
             ignore_checks,
             aborted: false,
             footprints,
-            abs,
+            pfile: pre.file(),
+            #[cfg(test)]
+            pre_log: Vec::new(),
+            pre,
             points: StepProgs::new(
                 lp,
                 RunSpec {
@@ -680,7 +696,6 @@ impl<'a> Counter<'a> {
             memo_len: 0,
             root: EntryRef::EMPTY,
             decided: None,
-            env: AbsEnv::default(),
             stats: CountStats { levels: level_stats, ..CountStats::default() },
         }
     }
@@ -730,7 +745,9 @@ impl<'a> Counter<'a> {
     /// the product, as if every step were in the congruence slice.
     #[cfg(test)]
     fn with_full_product(mut self) -> Self {
-        self.abs = self.abs.with_full_product();
+        let abs = AbsSteps::new(self.lp).with_full_product();
+        self.pre = pre_pass(self.lp, &abs, &self.levels);
+        self.pfile = self.pre.file();
         self
     }
 
@@ -1070,7 +1087,7 @@ impl<'a> Counter<'a> {
         // domain are tested once each and values in rejected classes are
         // skipped without recursion.
         let mut rejected_classes = None;
-        if !self.ignore_checks && self.levels[level].run_has_check && len >= MIN_ABSTRACT_FANOUT {
+        if self.levels[level].pre.is_some() && len >= MIN_ABSTRACT_FANOUT {
             let (iv, cg) = match &dom {
                 Domain::Range { start, step, len } => range_box(*start, *step, *len as u64),
                 Domain::Ints(vs) => values_box(vs),
@@ -1133,14 +1150,11 @@ impl<'a> Counter<'a> {
     /// Evaluate the level's straight-line run (defines and checks up to the
     /// next loop or the visit) over the interval × congruence product, with
     /// the level's variable abstracted to `(x_iv, x_cg)` and every outer
-    /// slot an exact point. Returns `true` when some check *provably*
-    /// rejects every concretization — and no step before it could have
-    /// raised a runtime error instead (`clean` tracking), so skipping the
-    /// whole class is observationally identical to enumerating it.
-    ///
-    /// Steps outside the congruence slice evaluate interval-only and
-    /// leave the congruence environment alone: nothing in the slice reads
-    /// them, and a check outside it gains no verdict from congruence.
+    /// slot an exact point: the level's pre-pass program ([`pre_pass`]).
+    /// Returns `true` when some check *provably* rejects every
+    /// concretization — and no step before it could have raised a runtime
+    /// error instead (`clean` tracking), so skipping the whole class is
+    /// observationally identical to enumerating it.
     fn run_rejects(
         &mut self,
         level: usize,
@@ -1148,22 +1162,12 @@ impl<'a> Counter<'a> {
         x_iv: Interval,
         x_cg: Congruence,
     ) -> bool {
-        let Level { slot, run, .. } = &self.levels[level];
-        let env = &mut self.env;
-        env.set_points(&slots[..self.lp.n_slots as usize]);
-        env.iv[*slot as usize] = x_iv;
-        env.cg[*slot as usize] = x_cg;
-        let mut clean = true;
-        for j in run.clone() {
-            let product = self.abs.slice()[j];
-            let fact = self.abs.eval(j, env, product, BindHull::Bounds);
-            if clean && fact.rejects_all {
-                return true;
-            }
-            clean &= fact.out.clean;
-            env.write(&fact, product);
-        }
-        false
+        let pre = self.levels[level].pre.expect("a pre-pass program") as usize;
+        let verdict = self.pre.run(pre, &mut self.pfile, slots, x_iv, x_cg);
+        let rejects = matches!(verdict, Verdict::Skip { .. });
+        #[cfg(test)]
+        self.pre_log.push((level, slots[..self.lp.n_slots as usize].to_vec(), x_iv, x_cg, rejects));
+        rejects
     }
 
     /// Residue classes of the level's domain rejected by the abstract run:
@@ -1230,6 +1234,28 @@ impl<'a> Counter<'a> {
     }
 }
 
+/// Compile the pre-pass programs, in `Level::pre` order: one window per
+/// level whose run holds a check, seeded with every slot the run reads from
+/// outside itself, evaluated over the product on `abs`'s congruence slice.
+fn pre_pass(lp: &LoweredPlan, abs: &AbsSteps, levels: &[Level]) -> AbsProgs {
+    let windows: Vec<Window> = (levels.iter().filter(|l| l.pre.is_some()))
+        .map(|level| {
+            let run = level.run.clone();
+            let written: Vec<u32> =
+                lp.steps[run.clone()].iter().filter_map(LStep::written_slot).collect();
+            let mut seed: Vec<u32> = (run.clone())
+                .flat_map(|i| abs.reads(i).collect::<Vec<_>>())
+                .filter(|s| *s != level.slot && !written.contains(s))
+                .collect();
+            seed.sort_unstable();
+            seed.dedup();
+            let dirty = abs.dirty(run.start, seed.iter().copied().chain([level.slot]));
+            Window { start: run.start, end: run.end, slot: level.slot, seed, dirty, parent: None }
+        })
+        .collect();
+    AbsProgs::new(lp, abs, true, &windows)
+}
+
 /// Collect the divisor subexpressions of every `%` node.
 fn collect_rem_divisors<'e>(e: &'e IntExpr, f: &mut impl FnMut(&'e IntExpr)) {
     match e {
@@ -1269,7 +1295,7 @@ fn gcd(a: i64, b: i64) -> i64 {
 mod tests {
     use super::*;
     use crate::constraint::ConstraintClass;
-    use crate::expr::var;
+    use crate::expr::{lit, var};
     use crate::plan::{LoopOrder, Plan, PlanOptions};
     use crate::pointprog::SlotView;
     use crate::space::Space;
@@ -1828,6 +1854,67 @@ mod tests {
         (format!("{total:?}"), format!("{stats:?}"), walks)
     }
 
+    /// Every pre-pass verdict — whole domains and residue classes — is the
+    /// one walking the level's run one step at a time with the per-step
+    /// transfer (`AbsSteps::eval`) reaches over the same box, the `clean`
+    /// chain included, on the seeded spaces of the narrowing and replay
+    /// suites and on stepped divisibility checks behind a define that may
+    /// fail.
+    #[test]
+    fn pre_pass_programs_match_step_by_step_evaluation() {
+        use super::super::steps::{AbsEnv, BindHull};
+        let (mut runs, mut rejected) = (0u32, 0u32);
+        for seed in 0..120u64 {
+            let g = crate::replay_gen::generate(seed);
+            let options = PlanOptions {
+                order: LoopOrder::Explicit(g.order.clone()),
+                ..PlanOptions::default()
+            };
+            // A stepped, guarded divisor whose residue classes the pass
+            // rejects, behind a define that may divide by zero.
+            let (m, k) = (2 + seed as i64 % 5, seed as i64 % 3);
+            let residues = Space::builder("pre_residue")
+                .range("a", k - 1, 4)
+                .derived("q", lit(12) / var("a"))
+                .range_step("b", var("a"), 90, 1 + seed as i64 % 2)
+                .constraint("mult", ConstraintClass::Hard, (var("b") % m).ne(0))
+                .constraint("q_pos", ConstraintClass::Soft, (var("b") + var("q")).lt(0))
+                .build()
+                .unwrap();
+            for lp in [
+                lower(&crate::narrow_gen::generate(seed).space),
+                lower(&crate::narrow_gen::generate_parent(seed, false).space),
+                LoweredPlan::new(&Plan::new(&g.space, options).unwrap()).unwrap(),
+                lower(&residues),
+            ] {
+                let abs = AbsSteps::new(&lp);
+                let mut counter = Counter::new(&lp);
+                let _ = counter.total();
+                for (level, slots, iv, cg, got) in &counter.pre_log {
+                    let Level { slot, run, .. } = &counter.levels[*level];
+                    let mut env = AbsEnv::top(lp.n_slots as usize);
+                    env.set_points(slots);
+                    (env.iv[*slot as usize], env.cg[*slot as usize]) = (*iv, *cg);
+                    let (mut clean, mut want) = (true, false);
+                    for j in run.clone() {
+                        let product = abs.slice()[j];
+                        let fact = abs.eval(j, &mut env, product, BindHull::Bounds);
+                        if clean && fact.rejects_all {
+                            want = true;
+                            break;
+                        }
+                        clean &= fact.out.clean;
+                        env.write(&fact, product);
+                    }
+                    assert_eq!(*got, want, "seed {seed}, level {level}, {slots:?}, {iv:?}, {cg:?}");
+                    runs += 1;
+                    rejected += u32::from(want);
+                }
+            }
+        }
+        assert!(runs > 1_200 && rejected > 300, "{runs} pre-pass runs, {rejected} rejected");
+    }
+
     /// Both changes are invisible on the seeded spaces of the narrowing and
     /// replay suites — solved, free, stepped and opaque levels, errors
     /// included — in survivor and tuple mode, under budgets that abort at
@@ -1855,7 +1942,7 @@ mod tests {
         ];
         let (mut unmemoised, mut sliced_out, mut aborted) = (0u32, 0u32, 0u32);
         for (n, lp) in plans.iter().enumerate() {
-            let abs = Counter::new(lp).abs;
+            let abs = AbsSteps::new(lp);
             let mut checks = lp.steps.iter().zip(abs.slice());
             sliced_out += u32::from(checks.any(|(s, p)| matches!(s, LStep::Check { .. }) && !p));
             for (budget, tuples) in budgets.iter().flat_map(|&b| [(b, false), (b, true)]) {

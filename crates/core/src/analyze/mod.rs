@@ -33,13 +33,15 @@
 //! memo.
 //!
 //! [`steps`] compiles every plan step once for abstract evaluation
-//! ([`AbsSteps`]); its one transfer serves the compiled engine's subtree
-//! guards, the counter's pre-pass and the static walk the linter, the
-//! constraint scheduler and the unique-key recogniser read. Its congruence
+//! ([`AbsSteps`]); its one transfer serves the static walk the linter, the
+//! constraint scheduler and the unique-key recogniser read, and [`absprog`]
+//! compiles windows of it into the flat programs the compiled engine's
+//! subtree guards and the counter's pre-pass run. Its congruence
 //! half ([`congruence`]) is where residue facts prune divisibility
 //! constraints (`% == 0`, `!=` against a multiple) that intervals alone
 //! cannot decide.
 
+pub mod absprog;
 pub mod congruence;
 pub mod count;
 pub mod diagnostics;
@@ -51,6 +53,7 @@ pub mod steps;
 use crate::ir::{IntBinOp, IntExpr, LBody, LStep, LoweredPlan};
 use crate::space::NodeTarget;
 
+pub use absprog::{AbsFile, AbsProgs, Verdict, Window};
 pub use congruence::{cg_of_bind, cg_of_values, eval_product, reduce, Congruence, Product};
 pub use count::{CountBudget, CountStats, Counter, EntryRef, LevelStats, LevelView};
 pub use diagnostics::{Diagnostic, LintReport, LintSummary, Severity};

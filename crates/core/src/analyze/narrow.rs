@@ -189,11 +189,37 @@ pub struct Solved {
 /// `a·x + k ≡ 0 (mod 2⁶⁴)`? `None` when that cannot be decided exactly
 /// (`a = 0`, an empty or zero-step range, or the no-wrap obligation of the
 /// module docs failing).
+///
+/// Solved in `i64` with checked operations; only when one of them
+/// overflows does the `i128` reference ([`solve_affine_wide`]) decide, so
+/// the common case stays off the 128-bit division libcalls.
 #[inline]
 pub(crate) fn solve_affine(a: i64, k: i64, start: i64, step: i64, len: u64) -> Option<Solved> {
     if a == 0 || step == 0 || len == 0 {
         return None;
     }
+    let narrow = || {
+        let last = step.checked_mul(i64::try_from(len - 1).ok()?)?.checked_add(start)?;
+        a.checked_mul(start)?.checked_add(k)?;
+        a.checked_mul(last)?.checked_add(k)?;
+        // `x` lies between `start` and `last`, so `x - start` cannot
+        // overflow once the bounds test passed.
+        let on_range =
+            |x: i64| (start.min(last)..=start.max(last)).contains(&x) && (x - start) % step == 0;
+        let hit = match k.checked_rem(a)? {
+            0 => Some(k.checked_div(a)?.checked_neg()?).filter(|&x| on_range(x)),
+            _ => None,
+        };
+        Some(Solved { hit, last })
+    };
+    narrow().or_else(|| solve_affine_wide(a, k, start, step, len))
+}
+
+/// [`solve_affine`] in `i128`, for operands whose products or quotients
+/// leave `i64` (`a`, `step` and `len` already known nonzero).
+#[cold]
+#[inline(never)]
+fn solve_affine_wide(a: i64, k: i64, start: i64, step: i64, len: u64) -> Option<Solved> {
     let (a, k, first, step) = (a as i128, k as i128, start as i128, step as i128);
     // A realized range's last value lies strictly before its `i64` stop.
     let last = first + step * (len as i128 - 1);
@@ -251,6 +277,7 @@ impl Solve {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::iterator::range_len;
 
     fn slot(s: u32) -> IntExpr {
         IntExpr::Slot(s)
@@ -472,5 +499,67 @@ mod tests {
             }
         }
         assert!(answered > 5_000, "grid too conservative: {answered}");
+    }
+
+    /// The `i64` path answers exactly what the `i128` reference does —
+    /// overflowing products, `i64::MIN / -1`, zero and negative strides,
+    /// empty and `i64`-wide ranges — on edge values and 200,000 seeded
+    /// operand sets.
+    #[test]
+    fn solve_affine_matches_the_wide_reference() {
+        let edges = [
+            0,
+            1,
+            -1,
+            2,
+            -2,
+            3,
+            7,
+            -64,
+            1 << 31,
+            1 << 62,
+            i64::MAX,
+            i64::MAX - 1,
+            i64::MIN,
+            i64::MIN + 1,
+            i64::MAX / 3,
+            i64::MIN / 2,
+        ];
+        let mut x = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = || {
+            // xorshift64
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut pick = |small: i64| {
+            let r = next();
+            match r % 4 {
+                0 => edges[(r >> 8) as usize % edges.len()],
+                1 => ((r >> 8) as i64 % (2 * small + 1)) - small,
+                2 => (r >> (r % 64)) as i64,
+                _ => edges[(r >> 8) as usize % edges.len()].wrapping_add((r >> 40) as i64 % 5 - 2),
+            }
+        };
+        let (mut hits, mut decided) = (0u32, 0u32);
+        for n in 0..200_000u32 {
+            let (a, k, start, step) = (pick(40), pick(400), pick(100), pick(6));
+            // A realized range's length, as the engine and the counter
+            // pass it: short, or up to the edge of `i64`.
+            let stop = match n % 2 {
+                0 => start.wrapping_add(pick(30)),
+                _ => pick(1_000),
+            };
+            let len = range_len(start, stop, step);
+            let got = solve_affine(a, k, start, step, len);
+            let want = (a != 0 && step != 0 && len != 0)
+                .then(|| solve_affine_wide(a, k, start, step, len))
+                .flatten();
+            assert_eq!(got, want, "a={a} k={k} start={start} step={step} len={len}");
+            decided += u32::from(got.is_some());
+            hits += u32::from(got.is_some_and(|s| s.hit.is_some()));
+        }
+        assert!(decided > 20_000 && hits > 500, "{decided} decided, {hits} hits");
     }
 }

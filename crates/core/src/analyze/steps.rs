@@ -4,17 +4,17 @@
 //!
 //! [`AbsSteps`] is the abstract twin of [`crate::pointprog::StepProgs`].
 //! Every consumer that asks "what does this step prove over this box" reads
-//! it, through one of three drivers:
+//! it:
 //!
-//! * the compiled engine's subtree guards (`beast_engine::compiled`), over
-//!   the plan suffix below a loop, its slot abstracted to the realized
-//!   domain;
-//! * the exact counter's whole-domain pre-pass ([`super::count`]), over one
-//!   level's run;
 //! * [`AbsSteps::walk`], the static whole-plan walk over the declared
 //!   domains, which the linter ([`super::analyze`]), the constraint
 //!   scheduler ([`crate::schedule`]) and the unique-key recogniser
-//!   ([`super::footprint`]) read.
+//!   ([`super::footprint`]) read, runs [`AbsSteps::eval`] step by step;
+//! * the compiled engine's subtree guards (`beast_engine::compiled`), over
+//!   the plan suffix below a loop, and the exact counter's pre-pass
+//!   ([`super::count`]), over one level's run, run windows of it compiled
+//!   into flat programs ([`super::absprog`]), which decide what
+//!   [`AbsSteps::eval`] would, step by step.
 //!
 //! A step evaluates over the reduced product where it is in the plan's
 //! congruence slice ([`AbsSteps::slice`]), interval-only elsewhere; the
@@ -41,7 +41,7 @@ pub enum BindHull {
 
 /// One compiled step.
 #[derive(Debug, Clone)]
-enum Step {
+pub(super) enum Step {
     /// A range bind; `stride` is the sign of a constant step (0 when the
     /// step is not a constant).
     Range { slot: u32, start: IvProg, stop: IvProg, step: IvProg, stride: i64 },
@@ -224,6 +224,44 @@ impl AbsSteps {
     pub fn with_full_product(mut self) -> AbsSteps {
         self.slice.fill(true);
         self
+    }
+
+    /// Step `i` as compiled.
+    pub(super) fn step(&self, i: usize) -> &Step {
+        &self.steps[i]
+    }
+
+    /// Per plan step: at or after `from`, and reading — directly or through
+    /// the slots earlier such steps write — one of the `inputs` slots. The
+    /// other steps of a window starting at `from` evaluate the same over
+    /// every box that differs only in `inputs`.
+    pub fn dirty(&self, from: usize, inputs: impl IntoIterator<Item = u32>) -> Vec<bool> {
+        let mut dirty_slots = vec![false; self.n_slots];
+        for s in inputs {
+            dirty_slots[s as usize] = true;
+        }
+        let mut dirty = vec![false; self.steps.len()];
+        for (i, d) in dirty.iter_mut().enumerate().skip(from) {
+            if self.reads(i).any(|r| dirty_slots[r as usize]) {
+                *d = true;
+                if let Some(w) = self.written_slot(i) {
+                    dirty_slots[w as usize] = true;
+                }
+            }
+        }
+        dirty
+    }
+
+    /// The slot step `i` writes: a bind's or a define's, opaque ones
+    /// included.
+    fn written_slot(&self, i: usize) -> Option<u32> {
+        match &self.steps[i] {
+            Step::Range { slot, .. } | Step::Values { slot, .. } | Step::Define { slot, .. } => {
+                Some(*slot)
+            }
+            Step::Opaque { slot } => *slot,
+            Step::Check { .. } | Step::Visit => None,
+        }
     }
 
     /// The slots step `i`'s programs read. Opaque steps read nothing: their

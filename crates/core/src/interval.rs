@@ -221,6 +221,7 @@ pub fn iv_ternary(c: IntervalOutcome, t: IntervalOutcome, f: IntervalOutcome) ->
 /// the left operand decides the result, the right operand's cleanliness is
 /// discarded (it would never run), so outcomes match [`interval_of`] and
 /// the recursive walk bit for bit.
+#[inline]
 pub fn iv_bin(op: IntBinOp, a: IntervalOutcome, b: IntervalOutcome) -> IntervalOutcome {
     if matches!(op, IntBinOp::And | IntBinOp::Or) {
         let ta = truth(a.iv);
@@ -563,7 +564,7 @@ impl IvScratch {
 /// [`iv_neg`] with the endpoints negated in `i64`; the reference transfer
 /// runs only when one of them overflows.
 #[inline]
-fn neg_fast(a: IntervalOutcome) -> IntervalOutcome {
+pub(crate) fn neg_fast(a: IntervalOutcome) -> IntervalOutcome {
     match (a.iv.hi.checked_neg(), a.iv.lo.checked_neg()) {
         (Some(lo), Some(hi)) => IntervalOutcome { iv: Interval { lo, hi }, ..a },
         _ => iv_neg(a),
@@ -576,7 +577,7 @@ fn neg_fast(a: IntervalOutcome) -> IntervalOutcome {
 /// overflows, the reference transfer — `i128` and widening — runs instead.
 /// Every other operator is the reference.
 #[inline]
-fn bin_fast(op: IntBinOp, a: IntervalOutcome, b: IntervalOutcome) -> IntervalOutcome {
+pub(crate) fn bin_fast(op: IntBinOp, a: IntervalOutcome, b: IntervalOutcome) -> IntervalOutcome {
     let (x, y) = (a.iv, b.iv);
     let hull = |p: [Option<i64>; 4]| match p {
         [Some(p), Some(q), Some(r), Some(s)] => {
@@ -610,9 +611,10 @@ fn bin_fast(op: IntBinOp, a: IntervalOutcome, b: IntervalOutcome) -> IntervalOut
 }
 
 /// A register-form compilation of an [`IntExpr`] for abstract evaluation.
-/// Plan steps are compiled once, in [`crate::analyze::AbsSteps`], which the
-/// interval guards of `beast_engine`'s compiled engine, the counter's
-/// abstract pre-pass and the static whole-plan walk all run.
+/// Plan steps are compiled once, in [`crate::analyze::AbsSteps`]: the static
+/// whole-plan walk runs these programs, and [`crate::analyze::AbsProgs`]
+/// lays them out as the interval guards of `beast_engine`'s compiled engine
+/// and the counter's abstract pre-pass.
 ///
 /// Instructions read their operands in place — a leaf slot or constant is
 /// an operand of its parent, not a push — and write one register each.
@@ -683,6 +685,16 @@ impl IvProg {
     /// The instruction sequence.
     pub fn ops(&self) -> &[IvOp] {
         &self.ops
+    }
+
+    /// Where the program's value is read.
+    pub(crate) fn root(&self) -> IvArg {
+        self.root
+    }
+
+    /// Registers the program writes.
+    pub(crate) fn regs(&self) -> u32 {
+        self.regs
     }
 
     /// The slots the program reads.

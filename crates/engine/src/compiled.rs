@@ -16,13 +16,15 @@
 //! # Interval block pruning
 //!
 //! On top of the paper's per-point hoisted checks, the engine performs
-//! *block pruning* driven by the plan's abstract step program
-//! ([`beast_core::analyze::AbsSteps`], over the intervals of
-//! [`beast_core::interval`]): at entry to every non-outermost loop it
-//! propagates `[lo, hi]` bounds through the subtree's binds, defines and
-//! checks. A constraint whose interval excludes 0 rejects every point of
-//! the subtree, so the subtree is skipped without enumeration; a constraint
-//! whose interval is exactly `[0, 0]` can never reject, so its per-point
+//! *block pruning* driven by abstract guard programs
+//! ([`beast_core::analyze::AbsProgs`], compiled from the plan's abstract
+//! step program over the intervals of [`beast_core::interval`]): at entry
+//! to every guarded loop it propagates `[lo, hi]` bounds through the
+//! subtree's binds, defines and checks, re-evaluating only what depends on
+//! values bound since the enclosing guard ran. A constraint whose interval
+//! excludes 0 rejects every point of the subtree, so the subtree is skipped
+//! without enumeration; a constraint whose interval is exactly `[0, 0]` can
+//! never reject, so its per-point
 //! evaluation is elided for the duration of the subtree (while still being
 //! *counted* as evaluated-and-passed, which keeps the pruning funnel
 //! bit-for-bit comparable with the walker). Verdicts are only trusted when
@@ -78,7 +80,7 @@ use beast_core::analyze::levels::{levels, LevelPlan};
 use beast_core::analyze::narrow::Solve;
 use beast_core::analyze::steps::{range_box, values_box};
 use beast_core::analyze::{
-    self, AbsEnv, AbsSteps, BindHull, Congruence, LintGate, LintSummary, StepFact,
+    self, AbsFile, AbsProgs, AbsSteps, Congruence, LintGate, LintSummary, Verdict, Window,
 };
 use beast_core::error::EvalError;
 use beast_core::interval::Interval;
@@ -151,8 +153,9 @@ pub struct EngineOptions {
     /// than the few points they can skip; gating them *statically* keeps
     /// the guard set — and therefore every skip/elide decision — identical
     /// across serial and parallel runs at any thread count. The default of
-    /// 4 sits in the middle of the 2–8 plateau measured on the GEMM space
-    /// (see EXPERIMENTS.md); 1 guards every eligible loop.
+    /// 4 was the fastest of {1, 4, 16, 64} on GEMM reduced(32) in the dated
+    /// table of EXPERIMENTS.md ("One abstract program per guard"); 1 guards
+    /// every eligible loop.
     pub min_guard_fanout: u64,
     /// How to order the checks within each loop level (see
     /// [`beast_core::schedule`]). `Declared` — the library default — runs
@@ -347,57 +350,6 @@ struct SchedGroup {
     executed: Vec<u32>,
 }
 
-/// Memoized outcome of one guard step (see [`GuardInfo`]).
-#[derive(Debug, Clone, Copy, Default)]
-struct GCache {
-    /// What the step proved over the subdomain it was last evaluated over.
-    fact: StepFact,
-    /// The check's bit in the elision mask when it passes every point (0
-    /// otherwise).
-    elide: u64,
-    /// Loop id of the guard run that last evaluated this position. A cache
-    /// written by a *deeper* guard was computed with tighter, sibling-
-    /// specific inputs (its point seeds and exact domain) and is not an
-    /// over-approximation for a shallower guard, so a guard at loop `l`
-    /// only reuses entries with `writer <= l`.
-    writer: u16,
-}
-
-/// The interval-guard program attached to one loop's entry.
-///
-/// Every guard runs the plan's one abstract step program ([`AbsSteps`]) from
-/// the step after its loop's bind to the end of the plan, and step outcomes
-/// are memoized per step: a run re-evaluates only
-/// the `dirty` positions — those transitively depending on slots whose
-/// values can have changed since the nearest enclosing kept guard ran — and
-/// reads cached outcomes for the rest. The caches are pure functions of the
-/// current slot values, so verdicts are identical to full re-evaluation
-/// (and hence identical across serial and chunked parallel runs).
-#[derive(Debug, Clone)]
-struct GuardInfo {
-    /// Index of the first step after this loop's bind.
-    start: u32,
-    /// Slot bound by the guarded loop (receives the domain interval).
-    slot: u32,
-    /// Slots bound/defined between the nearest enclosing kept guard's bind
-    /// and this loop's bind: the only point values that can have changed
-    /// since that guard ran, reseeded from `slots` on every run.
-    seed: Vec<u32>,
-    /// Per step: its inputs transitively depend on `seed` or this loop's
-    /// own slot; every other step reads its memoized outcome.
-    dirty: Vec<bool>,
-}
-
-/// Verdict of one guard run.
-enum GuardVerdict {
-    /// Some constraint is statically false over the whole subtree: skip it.
-    /// `by_congruence` is set when only the congruence half could decide it.
-    Skip { by_congruence: bool },
-    /// Bitmask of checks that are statically true over the subtree and can
-    /// be elided (possibly empty).
-    Elide(u64),
-}
-
 /// One narrowed loop: at `Op::Enter` the engine evaluates `a` and `k` and,
 /// when the solve can be decided without wrap-around, credits the check in
 /// closed form and runs the body for the at most one passing value.
@@ -411,6 +363,12 @@ struct LoopSolve {
     elide_mask: u64,
 }
 
+/// What [`Compiled::build`] holds back from the calibration probe.
+struct Tables {
+    narrow: Vec<Option<LoopSolve>>,
+    replay: replay::Table,
+}
+
 /// The compiled evaluation backend.
 pub struct Compiled {
     lp: LoweredPlan,
@@ -418,15 +376,17 @@ pub struct Compiled {
     ops: Vec<Op>,
     /// The run programs its `Op::Run`s execute, and their value file.
     runs: RunProgs,
-    /// The abstract step program every guard runs: steps in its suffix
-    /// slice ([`AbsSteps::slice`]) evaluate over the product when
-    /// `opts.congruence` is on, interval-only otherwise.
+    /// The plan's abstract step program, which the guards are compiled
+    /// from.
     abs: AbsSteps,
-    /// Per-loop interval guards (`None` for the outermost loop, for loops
-    /// with nothing decidable below them, for loops whose guard could never
-    /// decide anything its nearest guarded ancestor didn't already decide,
-    /// or trivially when the program has no loops).
-    guards: Vec<Option<GuardInfo>>,
+    /// Per loop: the guard program run at its entry, an index into
+    /// `gprogs` (`None` for the outermost loop, for loops with nothing
+    /// decidable below them, for loops whose guard could never decide
+    /// anything its nearest guarded ancestor didn't already decide, and
+    /// for every loop with `opts.intervals` off).
+    guards: Vec<Option<u32>>,
+    /// The guard programs (see [`build_guards`]).
+    gprogs: AbsProgs,
     /// Per-loop lower-bound static fanout below one iteration, for
     /// points-skipped estimates.
     fanout_below: Vec<u64>,
@@ -462,15 +422,15 @@ impl Compiled {
     /// declared order, in one bounded calibration pass
     /// (`Compiled::calibrate`) and writes each learned order back into the
     /// lowered plan. The probe that calibrates is the declared program
-    /// itself, and the engine that sweeps is built over the learned plan
-    /// exactly as for a declared schedule, so every chunk, thread, worker
-    /// process and resumed run executes one shared immutable op stream. The
-    /// plan's abstract step program is compiled once per step order: once
-    /// for the declared plan (its regions, the probe's guards, and a
-    /// declared engine's guards and lint gate), and once more only when the
-    /// learned order moved a step.
-    pub fn with_options(mut lp: LoweredPlan, opts: EngineOptions) -> Compiled {
-        let mut abs = AbsSteps::new(&lp);
+    /// itself, with its narrowing and replay tables held back; when the
+    /// learned order moves no step it *is* the engine, once those tables
+    /// and the lint summary are attached. Otherwise the engine is built
+    /// over the learned plan exactly as for a declared schedule. Either
+    /// way every chunk, thread, worker process and resumed run executes one
+    /// shared immutable op stream, and the plan's abstract step program is
+    /// compiled once per step order.
+    pub fn with_options(lp: LoweredPlan, opts: EngineOptions) -> Compiled {
+        let abs = AbsSteps::new(&lp);
         let regions = schedule::check_regions(&lp, &abs);
         let mut sched_groups: Vec<SchedGroup> = regions
             .iter()
@@ -487,52 +447,38 @@ impl Compiled {
                 SchedGroup { level, executed: initial.clone(), initial }
             })
             .collect();
+        let (mut engine, mut tables) = Compiled::build(lp, abs, opts);
         // With no reorder-safe region there is nothing to learn: no probe.
         if opts.schedule == ScheduleMode::Adaptive && !regions.is_empty() {
-            // The probe is never linted (same plan as the real engine, up
-            // to order).
-            let probe_opts = EngineOptions { lint: LintGate::Allow, ..opts };
-            let probe = Compiled::build(lp, abs, probe_opts, true, Vec::new());
-            let orders = probe.calibrate(&regions).unwrap_or_default();
-            (lp, abs) = (probe.lp, probe.abs);
+            let orders = engine.calibrate(&regions).unwrap_or_default();
             let mut moved = false;
             for ((region, order), group) in regions.iter().zip(&orders).zip(&mut sched_groups) {
                 let steps: Vec<usize> = order.iter().map(|&k| region.checks[k]).collect();
-                moved |= schedule::apply_order(&mut lp, region, &steps);
+                moved |= schedule::apply_order(&mut engine.lp, region, &steps);
                 group.executed = order.iter().map(|&k| group.initial[k]).collect();
             }
             if moved {
-                abs = AbsSteps::new(&lp);
+                let abs = AbsSteps::new(&engine.lp);
+                (engine, tables) = Compiled::build(engine.lp, abs, opts);
             }
         }
-        Compiled::build(lp, abs, opts, false, sched_groups)
+        engine.finish(tables, sched_groups)
     }
 
     /// Lower `lp` — already in its final step order, with `abs` its
-    /// compiled abstract step program — to the flat program. `probe` builds
-    /// the adaptive schedule's calibration engine ([`Compiled::calibrate`]):
-    /// the same program with narrowing and replay declined, so every check
-    /// it credits was evaluated (or elided) point by point. `sched_groups`
-    /// is telemetry, stored as given.
-    fn build(
-        lp: LoweredPlan,
-        abs: AbsSteps,
-        opts: EngineOptions,
-        probe: bool,
-        sched_groups: Vec<SchedGroup>,
-    ) -> Compiled {
-        // Pre-sweep lint gate: analyze the exact plan the engine will
-        // execute. `Deny` is enforced lazily in `run` so compilation itself
-        // stays infallible.
-        let lint = (opts.lint != LintGate::Allow)
-            .then(|| analyze::analyze_steps(&lp, &abs).summary());
+    /// compiled abstract step program — to the flat program, holding back
+    /// its narrowing and replay tables: as returned it is the adaptive
+    /// schedule's calibration probe ([`Compiled::calibrate`]), which
+    /// enumerates every loop, so every check it credits was evaluated (or
+    /// elided) point by point. [`Compiled::finish`] attaches the tables.
+    fn build(lp: LoweredPlan, abs: AbsSteps, opts: EngineOptions) -> (Compiled, Tables) {
         let plan = levels(&lp).levels;
         // A narrowed loop's `Enter` steps over its opening check (`ip += 2`),
         // so that check is a run of its own. The outermost loop never
         // narrows: the parallel driver feeds it chunk by chunk, and the
         // narrowing counters — like guards — must not depend on the chunk
         // grid.
-        let narrows = |l: usize, p: &LevelPlan| !probe && l > 0 && p.narrowing.is_some();
+        let narrows = |l: usize, p: &LevelPlan| l > 0 && p.narrowing.is_some();
         let cuts: Vec<usize> = (plan.iter().enumerate())
             .filter(|(l, p)| narrows(*l, p))
             .map(|(_, p)| p.step + 1)
@@ -648,35 +594,46 @@ impl Compiled {
 
         debug_assert_eq!(plan.len(), n_loops as usize);
         let fanout_below: Vec<u64> = plan.iter().map(|p| p.fanout_below).collect();
-        let guards = build_guards(&lp, &abs, &plan, opts.min_guard_fanout);
+        let (guards, gprogs) = build_guards(&lp, &abs, &plan, opts);
 
-        let (narrow, replay) = if !probe {
-            let narrow = plan.iter().enumerate().map(|(l, p)| {
-                let n = p.narrowing.as_ref().filter(|_| narrows(l, p))?;
-                let elide_mask = if n.constraint < 64 { 1u64 << n.constraint } else { 0 };
-                Some(LoopSolve { solve: Solve::new(n), elide_mask })
-            });
-            (narrow.collect(), replay::Table::build(&plan))
-        } else {
-            (vec![None; n_loops as usize], replay::Table::none(n_loops as usize))
-        };
+        let narrow = plan.iter().enumerate().map(|(l, p)| {
+            let n = p.narrowing.as_ref().filter(|_| narrows(l, p))?;
+            let elide_mask = if n.constraint < 64 { 1u64 << n.constraint } else { 0 };
+            Some(LoopSolve { solve: Solve::new(n), elide_mask })
+        });
+        let tables = Tables { narrow: narrow.collect(), replay: replay::Table::build(&plan) };
         let point_names: Arc<[Arc<str>]> =
             Arc::from(lp.slot_names.clone().into_boxed_slice());
-        Compiled {
+        let engine = Compiled {
             lp,
             ops,
             runs,
             abs,
             guards,
+            gprogs,
             fanout_below,
             first_enter,
-            narrow,
-            replay,
-            sched_groups,
+            narrow: vec![None; n_loops as usize],
+            replay: replay::Table::none(n_loops as usize),
+            sched_groups: Vec::new(),
             point_names,
-            lint,
+            lint: None,
             opts,
-        }
+        };
+        (engine, tables)
+    }
+
+    /// The engine that sweeps: `self` with its narrowing and replay tables
+    /// attached, the schedule telemetry `sched_groups` stored as given, and
+    /// the pre-sweep lint gate's summary of the exact plan it executes
+    /// (`Deny` is enforced lazily in `run`, so compilation itself stays
+    /// infallible).
+    fn finish(mut self, tables: Tables, sched_groups: Vec<SchedGroup>) -> Compiled {
+        self.lint = (self.opts.lint != LintGate::Allow)
+            .then(|| analyze::analyze_steps(&self.lp, &self.abs).summary());
+        (self.narrow, self.replay) = (tables.narrow, tables.replay);
+        self.sched_groups = sched_groups;
+        self
     }
 
     /// The space-linter summary recorded at compile time (`None` when the
@@ -724,9 +681,9 @@ impl Compiled {
             stats: PruneStats::new(self.lp.plan.space().constraints().len()),
             blocks: BlockStats::default(),
             visitor,
-            genv: AbsEnv::top(self.lp.n_slots as usize),
-            gcache: vec![GCache::default(); self.lp.steps.len()],
-            gprimed: vec![false; self.guards.len()],
+            gfile: self.gprogs.file(),
+            #[cfg(test)]
+            guard_log: Vec::new(),
             elide: 0,
             budget: u64::MAX,
             faults: Vec::new(),
@@ -749,6 +706,8 @@ impl Compiled {
     #[cfg(test)]
     pub(crate) fn with_full_product(mut self) -> Self {
         self.abs = self.abs.with_full_product();
+        let plan = levels(&self.lp).levels;
+        (self.guards, self.gprogs) = build_guards(&self.lp, &self.abs, &plan, self.opts);
         self
     }
 
@@ -1179,14 +1138,23 @@ impl Compiled {
                     // Interval guard: skip the subtree or elide checks.
                     let mut elide_add = 0u64;
                     if self.opts.intervals {
-                        if let Some(info) = &self.guards[l] {
+                        if let Some(g) = self.guards[l] {
                             // Only the guard reads the domain's exact value
                             // hull and residue class, so unguarded loops
                             // never pay for them.
                             let (iv, cg) = domain_facts(domain, &frames[l], len);
                             state.blocks.guard_runs += 1;
-                            match self.run_guard(l, info, iv, cg, slots, state) {
-                                GuardVerdict::Skip { by_congruence } => {
+                            let gfile = &mut state.gfile;
+                            let verdict = self.gprogs.run(g as usize, gfile, slots, iv, cg);
+                            #[cfg(test)]
+                            state.guard_log.push(GuardCall {
+                                l,
+                                slots: slots[..self.lp.n_slots as usize].to_vec(),
+                                dom: (iv, cg),
+                                verdict,
+                            });
+                            match verdict {
+                                Verdict::Skip { by_congruence } => {
                                     state.blocks.subtree_skips += 1;
                                     if by_congruence {
                                         state.blocks.congruence_skips += 1;
@@ -1198,7 +1166,7 @@ impl Compiled {
                                     ip = exit;
                                     continue;
                                 }
-                                GuardVerdict::Elide(mask) => elide_add = mask,
+                                Verdict::Elide(mask) => elide_add = mask,
                             }
                         }
                     }
@@ -1399,96 +1367,6 @@ impl Compiled {
         }
     }
 
-    /// Run one loop's guard program against the current outer slot values
-    /// and the just-realized domain interval and congruence.
-    ///
-    /// Memoized: only `dirty` positions are re-evaluated; the rest read the
-    /// outcome cached by this guard's own last completed scan or by an
-    /// enclosing guard's run (their inputs are unchanged either way, so the
-    /// cached outcome equals what re-evaluation would produce). A run that
-    /// returns [`GuardVerdict::Skip`] aborts mid-scan and leaves the guard
-    /// unprimed — safe, because a skip means no deeper guard runs under
-    /// this entry, and the next entry re-scans.
-    ///
-    /// With `opts.congruence` on, every step of the congruence slice
-    /// ([`AbsSteps::slice`]) runs over the interval×congruence
-    /// reduced product; the interval halves are bit-identical to the
-    /// interval-only path, so the congruence can only add verdicts (a skip
-    /// where the interval was inconclusive, counted as a congruence skip),
-    /// never change interval ones. Steps outside the slice run interval-only
-    /// and leave the congruence environment alone: no step in the slice
-    /// reads them, and their checks gain no verdict from congruence.
-    fn run_guard<V>(
-        &self,
-        loop_id: usize,
-        info: &GuardInfo,
-        domain_iv: Interval,
-        domain_cg: Congruence,
-        slots: &[i64],
-        state: &mut State<V>,
-    ) -> GuardVerdict {
-        let cg_on = self.opts.congruence;
-        let primed = state.gprimed[loop_id];
-        let env = &mut state.genv;
-        // Point values that can have changed since the enclosing kept guard
-        // ran; everything deeper is overwritten by a (dirty) guard step
-        // before any use (the planner's dependency order guarantees defs
-        // precede uses), or holds a still-valid cached interval.
-        for &q in &info.seed {
-            env.iv[q as usize] = Interval::point(slots[q as usize]);
-            if cg_on {
-                env.cg[q as usize] = Congruence::point(slots[q as usize]);
-            }
-        }
-        env.iv[info.slot as usize] = domain_iv;
-        if cg_on {
-            // Reduce the domain congruence against its (exact) interval.
-            env.cg[info.slot as usize] = if domain_iv.is_point() {
-                Congruence::point(domain_iv.lo)
-            } else {
-                domain_cg
-            };
-        }
-        // `clean` = no step so far can raise an evaluation error, so a
-        // statically-false check really is reached (or the point was
-        // rejected earlier without error) for every point of the subtree.
-        let mut clean = true;
-        let mut elide = 0u64;
-        let w = loop_id as u16;
-        let slice = self.abs.slice();
-        for (i, &sliced) in slice.iter().enumerate().skip(info.start as usize) {
-            let product = cg_on && sliced;
-            // Re-evaluate when nothing is cached yet, when the step's inputs
-            // may have changed, or when the cached entry was written by a
-            // deeper guard: deeper runs compute over a strict subset of this
-            // subtree, so their outcomes don't over-approximate it.
-            let c = &mut state.gcache[i];
-            if !primed || info.dirty[i] || c.writer > w {
-                c.fact = self.abs.eval(i, env, product, BindHull::Bounds);
-                c.writer = w;
-                c.elide = match &self.lp.steps[i] {
-                    _ if !c.fact.passes_all => 0,
-                    LStep::Check { constraint, .. } if *constraint < 64 => 1u64 << constraint,
-                    _ => 0,
-                };
-            }
-            // A reused write restores the slot's interval and congruence,
-            // which a deeper guard's run may have clobbered with tighter,
-            // sibling-specific values that later dirty steps must not read.
-            env.write(&c.fact, product);
-            if c.fact.rejects_all && clean {
-                // Statically false (the expression is the rejection
-                // condition): every point of the subtree is rejected at or
-                // before this check, error-free.
-                return GuardVerdict::Skip { by_congruence: c.fact.out.iv.contains(0) };
-            }
-            elide |= c.elide;
-            clean &= c.fact.out.clean;
-        }
-        state.gprimed[loop_id] = true;
-        GuardVerdict::Elide(elide)
-    }
-
     /// Cold fault path shared by every fallible site in `exec`: annotate the
     /// error with point context and, under [`FaultPolicy::SkipPoint`],
     /// recover by returning the ip of the innermost open loop's `Next` —
@@ -1619,33 +1497,38 @@ impl Compiled {
     }
 }
 
-/// Place the per-loop guards: loop `l >= 1` with a decidable (non-opaque)
-/// check below it runs the abstract step program over the steps after its
-/// bind. The outermost loop gets no guard — its subdomain is
-/// chunk-dependent under the parallel driver, and determinism across thread
-/// counts takes priority over one extra level of block pruning.
+/// Place and compile the per-loop guards: loop `l >= 1` with a decidable
+/// (non-opaque) check below it runs an abstract program ([`AbsProgs`]) over
+/// the steps after its bind. The outermost loop gets no guard — its
+/// subdomain is chunk-dependent under the parallel driver, and determinism
+/// across thread counts takes priority over one extra level of block
+/// pruning. With `opts.intervals` off no guard is placed.
 ///
-/// Each guard records which steps can evaluate differently than they did at
-/// the nearest enclosing *kept* guard: steps transitively depending on
-/// slots bound/defined since that guard's bind (plus this loop's own slot).
-/// A loop where no decidable check is dirty in this sense gets no guard at
-/// all — its verdict would always equal the ancestor's, which already
-/// skipped or elided accordingly — so the dropped guard changes no
-/// decision.
+/// A guard's program evaluates only the steps that can evaluate
+/// differently than they did at the nearest enclosing *kept* guard, its
+/// parent: steps transitively depending on slots bound/defined since the
+/// parent's bind (its seeds) or on this loop's own slot. Every other step's
+/// value and fact is read from the parent's last run, which precedes every
+/// run of this guard with those inputs unchanged, so the verdict is the
+/// one a walk of the whole suffix would reach. A loop where no decidable
+/// check is dirty in this sense gets no guard at all — its verdict would
+/// always equal the ancestor's, which already skipped or elided
+/// accordingly — so the dropped guard changes no decision.
 fn build_guards(
     lp: &LoweredPlan,
     abs: &AbsSteps,
     plan: &[LevelPlan],
-    min_guard_fanout: u64,
-) -> Vec<Option<GuardInfo>> {
+    opts: EngineOptions,
+) -> (Vec<Option<u32>>, AbsProgs) {
     let n_loops = plan.len();
-    let mut guards: Vec<Option<GuardInfo>> = vec![None; n_loops];
+    let mut guards: Vec<Option<u32>> = vec![None; n_loops];
+    let mut windows: Vec<Window> = Vec::new();
     let decidable = |s: &LStep| matches!(s, LStep::Check { body: LBody::Expr(_), .. });
 
     // The first candidate: the shallowest loop l >= 1 with a non-opaque
     // check below its bind. Without one, no guard can ever decide anything.
     let first = (1..n_loops).find(|&l| lp.steps[plan[l].step + 1..].iter().any(decidable));
-    let Some(first) = first else { return guards };
+    let first = first.filter(|_| opts.intervals).unwrap_or(n_loops);
 
     // `prev_kept` tracks the nearest enclosing kept guard; its bind position
     // starts the seed tile (inclusive, so the ancestor's own loop slot —
@@ -1658,37 +1541,25 @@ fn build_guards(
         let tile_begin = prev_kept.map_or(0, |p| plan[p].step);
         let seed: Vec<u32> =
             lp.steps[tile_begin..pos].iter().filter_map(LStep::written_slot).collect();
-
-        // Forward dirtiness pass over this guard's range.
-        let mut dirty_slots: std::collections::BTreeSet<u32> = seed.iter().copied().collect();
-        dirty_slots.insert(slot);
-        let mut dirty = vec![false; lp.steps.len()];
-        let mut any_dirty_check = false;
-        let mut any_check = false;
-        for (i, step) in lp.steps.iter().enumerate().skip(pos + 1) {
-            let check = decidable(step);
-            any_check |= check;
-            if abs.reads(i).any(|r| dirty_slots.contains(&r)) {
-                dirty[i] = true;
-                if let Some(w) = step.written_slot() {
-                    dirty_slots.insert(w);
-                }
-                any_dirty_check |= check;
-            }
-        }
+        let dirty = abs.dirty(pos + 1, seed.iter().copied().chain([slot]));
+        let below = || lp.steps.iter().zip(&dirty).skip(pos + 1);
+        let any_check = below().any(|(s, _)| decidable(s));
+        let any_dirty_check = below().any(|(s, &d)| d && decidable(s));
         // Keep the guard if a decidable check can evaluate differently than
         // it did at the nearest kept guard; the first kept guard has no
         // ancestor verdict to inherit, so plain decidability suffices.
         // Either way, the subtree must be big enough that a skip pays for
         // the guard run (`min_guard_fanout` gates deep, tiny subtrees).
-        if plan[l].fanout_below >= min_guard_fanout
+        if plan[l].fanout_below >= opts.min_guard_fanout
             && (any_dirty_check || (prev_kept.is_none() && any_check))
         {
-            guards[l] = Some(GuardInfo { start: (pos + 1) as u32, slot, seed, dirty });
+            guards[l] = Some(windows.len() as u32);
+            let parent = prev_kept.and_then(|p| guards[p]).map(|g| g as usize);
+            windows.push(Window { start: pos + 1, end: lp.steps.len(), slot, seed, dirty, parent });
             prev_kept = Some(l);
         }
     }
-    guards
+    (guards, AbsProgs::new(lp, abs, opts.congruence, &windows))
 }
 
 /// The box of a just-realized, non-empty domain of `len` values — the
@@ -1759,15 +1630,12 @@ struct State<V> {
     stats: PruneStats,
     blocks: BlockStats,
     visitor: V,
-    /// The guards' box, maintained incrementally across runs (see
-    /// [`GuardInfo`]); its congruences are only touched when
-    /// `opts.congruence` is on.
-    genv: AbsEnv,
-    /// Per-step memoized guard outcomes.
-    gcache: Vec<GCache>,
-    /// Per-loop flag: this guard has completed at least one full scan, so
-    /// every position in its range has a cached outcome.
-    gprimed: Vec<bool>,
+    /// The file the guard programs run over: each guard's values and
+    /// facts stay there for the guards nested in it.
+    gfile: AbsFile,
+    /// Every guard run, for the differential test.
+    #[cfg(test)]
+    guard_log: Vec<GuardCall>,
     /// Bitmask of currently elided checks (bit = constraint index).
     elide: u64,
     /// Calibration loop advances left (`u64::MAX` = unbounded, every real
@@ -1783,6 +1651,16 @@ struct State<V> {
     poll: u32,
     /// Open recordings and their survivor log (see [`crate::replay`]).
     replay: replay::Log,
+}
+
+/// One guard run: its loop, the slot values and domain box it ran over,
+/// and its verdict.
+#[cfg(test)]
+struct GuardCall {
+    l: usize,
+    slots: Vec<i64>,
+    dom: (Interval, Congruence),
+    verdict: Verdict,
 }
 
 impl<V> State<V> {
@@ -2280,15 +2158,9 @@ mod tests {
         assert_eq!(EngineTier::default(), EngineTier::Compiled);
     }
 
-    /// The congruence slice changes no sweep: on the seeded spaces of the
-    /// narrowing and replay suites, with a guard on every eligible loop,
-    /// on either schedule, the engine as built and the one evaluating every
-    /// guard step over the product agree on the survivors' fingerprint, the
-    /// prune and block counters and the learned orders — or fail alike.
-    #[test]
-    fn the_congruence_slice_changes_no_sweep() {
-        use crate::visit::FingerprintVisitor;
-
+    /// The seeded spaces of the narrowing and replay suites, and stepped
+    /// ranges whose residue decides a check only congruence can.
+    fn seeded_plans() -> Vec<(PlanOptions, std::sync::Arc<Space>)> {
         let mut plans = Vec::new();
         for seed in 0..100u64 {
             plans.push((PlanOptions::default(), crate::narrow_gen::generate(seed).space));
@@ -2317,6 +2189,94 @@ mod tests {
                 .unwrap();
             plans.push((PlanOptions::default(), space));
         }
+        plans
+    }
+
+    /// Every guard verdict of a sweep is the one a walk of the guard's
+    /// whole suffix with the per-step transfer (`AbsSteps::eval`) reaches
+    /// over the same box — the outer slots exact points, the loop slot its
+    /// domain — skip, `by_congruence` and elision mask alike, the `clean`
+    /// chain included: on the seeded spaces of the narrowing and replay
+    /// suites (solved, replayed, stepped, opaque and failing levels), with
+    /// a guard on every eligible loop (nested
+    /// kept guards reading their parent's facts) or the default fanout
+    /// gate, on either schedule, with and without the congruence half.
+    #[test]
+    fn guard_programs_match_step_by_step_evaluation() {
+        use beast_core::analyze::{AbsEnv, BindHull};
+
+        let plans = seeded_plans();
+        let (mut runs, mut nested, mut skips, mut cg_skips, mut elided) = (0u64, 0u64, 0, 0, 0);
+        for (n, (options, space)) in plans.iter().enumerate() {
+            let lp = LoweredPlan::new(&Plan::new(space, options.clone()).unwrap()).unwrap();
+            for (fanout, congruence, schedule) in [
+                (1, true, ScheduleMode::Declared),
+                (1, false, ScheduleMode::Declared),
+                (4, true, ScheduleMode::Adaptive),
+            ] {
+                let opts = EngineOptions {
+                    min_guard_fanout: fanout,
+                    congruence,
+                    schedule,
+                    ..EngineOptions::default()
+                };
+                let c = Compiled::with_options(lp.clone(), opts);
+                let mut state = c.fresh_state(CountVisitor::default());
+                let mut slots = c.runs.file();
+                // Failing spaces stop the sweep; the runs before still count.
+                let _ = c.exec(0, None, &mut slots, &mut state, &ChunkCtx::plain());
+                let plan = levels(&c.lp).levels;
+                let kept: Vec<usize> = (0..plan.len()).filter(|&l| c.guards[l].is_some()).collect();
+                for call in &state.guard_log {
+                    let (start, slot) = (plan[call.l].step + 1, plan[call.l].slot as usize);
+                    let mut env = AbsEnv::top(c.lp.n_slots as usize);
+                    env.set_points(&call.slots);
+                    (env.iv[slot], env.cg[slot]) = call.dom;
+                    let (mut clean, mut elide, mut want) = (true, 0u64, None);
+                    for i in start..c.lp.steps.len() {
+                        let product = congruence && c.abs.slice()[i];
+                        let fact = c.abs.eval(i, &mut env, product, BindHull::Bounds);
+                        if fact.rejects_all && clean {
+                            let by_congruence = fact.out.iv.contains(0);
+                            want = Some(Verdict::Skip { by_congruence });
+                            break;
+                        }
+                        if let (true, LStep::Check { constraint, .. }) =
+                            (fact.passes_all, &c.lp.steps[i])
+                        {
+                            elide |= 1u64.checked_shl(*constraint as u32).unwrap_or(0);
+                        }
+                        clean &= fact.out.clean;
+                        env.write(&fact, product);
+                    }
+                    let want = want.unwrap_or(Verdict::Elide(elide));
+                    assert_eq!(call.verdict, want, "plan {n}, {opts:?}, loop {}", call.l);
+                    runs += 1;
+                    nested += u64::from(kept.first().is_some_and(|&f| call.l > f));
+                    match want {
+                        Verdict::Skip { by_congruence } => {
+                            skips += 1;
+                            cg_skips += u32::from(by_congruence);
+                        }
+                        Verdict::Elide(mask) => elided += u32::from(mask != 0),
+                    }
+                }
+            }
+        }
+        assert!(runs > 15_000 && nested > 15_000, "{runs} guard runs, {nested} nested");
+        assert!(skips > 100 && cg_skips > 5 && elided > 2_500, "{skips} / {cg_skips} / {elided}");
+    }
+
+    /// The congruence slice changes no sweep: on the seeded spaces of the
+    /// narrowing and replay suites, with a guard on every eligible loop,
+    /// on either schedule, the engine as built and the one evaluating every
+    /// guard step over the product agree on the survivors' fingerprint, the
+    /// prune and block counters and the learned orders — or fail alike.
+    #[test]
+    fn the_congruence_slice_changes_no_sweep() {
+        use crate::visit::FingerprintVisitor;
+
+        let plans = seeded_plans();
         let (mut sliced_out, mut congruence_skips) = (0u32, 0u64);
         for (n, (options, space)) in plans.iter().enumerate() {
             let lp = LoweredPlan::new(&Plan::new(space, options.clone()).unwrap()).unwrap();
@@ -2326,9 +2286,10 @@ mod tests {
                 let built = Compiled::with_options(lp.clone(), opts);
                 // A real step below the first guard that the slice leaves
                 // out (the trailing `Visit` is never in it).
-                let first = built.guards.iter().flatten().next();
-                let below = |g: &GuardInfo| {
-                    let window = (g.start as usize)..built.lp.steps.len();
+                let plan = levels(&built.lp).levels;
+                let first = built.guards.iter().position(Option::is_some);
+                let below = |l: usize| {
+                    let window = plan[l].step + 1..built.lp.steps.len();
                     built.lp.steps[window.clone()]
                         .iter()
                         .zip(&built.abs.slice()[window])

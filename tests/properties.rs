@@ -1310,3 +1310,247 @@ fn floor_division_overflow_is_an_error_in_every_evaluator() {
         assert_eq!(report.faults[0].error, EvalError::Overflow.to_string(), "{name}");
     }
 }
+
+/// A randomly generated loop nest for the abstract programs: two to five
+/// binds (ranges whose bounds read earlier slots, static lists, opaque
+/// iterators), each followed by expression defines and checks over the
+/// slots written so far — every operator, `i64`-extreme constants, `/`,
+/// `//` and `%` by a possibly-zero divisor — and opaque defines and
+/// checks, then the visit. Returns the steps and the bind positions.
+fn arb_nest(rng: &mut StdRng) -> (Vec<LStep>, Vec<usize>) {
+    fn within(e: IntExpr, avail: u32) -> IntExpr {
+        let b = |x: Box<IntExpr>| Box::new(within(*x, avail));
+        match e {
+            IntExpr::Slot(s) => IntExpr::Slot(s % avail),
+            IntExpr::Const(c) => IntExpr::Const(c),
+            IntExpr::Neg(a) => IntExpr::Neg(b(a)),
+            IntExpr::Not(a) => IntExpr::Not(b(a)),
+            IntExpr::Abs(a) => IntExpr::Abs(b(a)),
+            IntExpr::Bin(op, x, y) => IntExpr::Bin(op, b(x), b(y)),
+            IntExpr::Call2(f, x, y) => IntExpr::Call2(f, b(x), b(y)),
+            IntExpr::Ternary(c, t, f) => IntExpr::Ternary(b(c), b(t), b(f)),
+        }
+    }
+    // Mostly small constants, so intervals stay narrow enough to decide.
+    fn small(rng: &mut StdRng, depth: usize) -> IntExpr {
+        let e = arb_point_expr(rng, depth);
+        fn shrink(e: IntExpr, rng: &mut StdRng) -> IntExpr {
+            if matches!(e, IntExpr::Const(_)) && rng.gen_bool(0.8) {
+                return IntExpr::Const(rng.gen_range(-4..9));
+            }
+            let mut b = |x: Box<IntExpr>| Box::new(shrink(*x, rng));
+            match e {
+                IntExpr::Neg(a) => IntExpr::Neg(b(a)),
+                IntExpr::Not(a) => IntExpr::Not(b(a)),
+                IntExpr::Abs(a) => IntExpr::Abs(b(a)),
+                IntExpr::Bin(op, x, y) => {
+                    let x = b(x);
+                    IntExpr::Bin(op, x, b(y))
+                }
+                IntExpr::Call2(f, x, y) => {
+                    let x = b(x);
+                    IntExpr::Call2(f, x, b(y))
+                }
+                IntExpr::Ternary(c, t, f) => {
+                    let (c, t) = (b(c), b(t));
+                    IntExpr::Ternary(c, t, b(f))
+                }
+                other => other,
+            }
+        }
+        shrink(e, rng)
+    }
+    let (mut steps, mut binds) = (Vec::new(), Vec::new());
+    let (mut slot, mut constraint) = (0u32, 0usize);
+    for depth in 0..rng.gen_range(2..6) {
+        let domain = match rng.gen_range(0u32..8) {
+            _ if slot == 0 => LIter::Range {
+                start: IntExpr::Const(rng.gen_range(-3..3)),
+                stop: IntExpr::Const(rng.gen_range(4..12)),
+                step: IntExpr::Const(rng.gen_range(1..4)),
+            },
+            0 => LIter::Values((0..rng.gen_range(1..5)).map(|_| rng.gen_range(-6..20)).collect()),
+            1 => LIter::Opaque { iter: 0 },
+            2 => LIter::Range {
+                start: within(small(rng, 2), slot),
+                stop: within(small(rng, 2), slot),
+                step: within(small(rng, 1), slot),
+            },
+            _ => LIter::Range {
+                start: within(small(rng, 1), slot),
+                stop: IntExpr::Const(rng.gen_range(8..40)),
+                step: IntExpr::Const([1, 2, 3, 4, 6, -1][rng.gen_range(0..6)]),
+            },
+        };
+        binds.push(steps.len());
+        steps.push(LStep::Bind { iter: 0, slot, depth, domain });
+        slot += 1;
+        for _ in 0..rng.gen_range(0..5) {
+            let e = within(small(rng, 3), slot);
+            match rng.gen_range(0u32..12) {
+                0 => {
+                    steps.push(LStep::Define { derived: 0, slot, body: LBody::Opaque });
+                    slot += 1;
+                }
+                1 => {
+                    steps.push(LStep::Check { constraint, body: LBody::Opaque });
+                    constraint += 1;
+                }
+                2..=5 => {
+                    steps.push(LStep::Define { derived: 0, slot, body: LBody::Expr(e) });
+                    slot += 1;
+                }
+                _ => {
+                    steps.push(LStep::Check { constraint, body: LBody::Expr(e) });
+                    constraint += 1;
+                }
+            }
+        }
+    }
+    steps.push(LStep::Visit);
+    (steps, binds)
+}
+
+/// The abstract programs decide exactly what walking their window one step
+/// at a time with `AbsSteps::eval` does — skip, `by_congruence` and elision
+/// mask, the `clean` chain included (a rejecting check after a step that
+/// may fail must not skip) — on generated nests, with and without the
+/// congruence half:
+///
+/// * a chain of nested windows, one below every loop but the outermost,
+///   each evaluating only its dirty steps and reading the rest from its
+///   parent's last completed run, driven like the engine's guards (a
+///   window runs only after its parent passed; between runs only its own
+///   seeds change);
+/// * one window per level run without a parent, seeded with every slot it
+///   reads from outside, as the counter's pre-pass runs them.
+#[test]
+fn abstract_programs_match_step_by_step_evaluation() {
+    use beast_core::analyze::{AbsEnv, AbsProgs, AbsSteps, BindHull, Verdict, Window};
+    let space = Space::builder("nests").range("x", 0, 1).build().unwrap();
+    let plan = Plan::new(&space, PlanOptions::default()).unwrap();
+    let mut lp = LoweredPlan::new(&plan).unwrap();
+    let mut rng = StdRng::seed_from_u64(0x5EED_0043);
+    let leaf = |rng: &mut StdRng| match rng.gen_range(0u32..6) {
+        0 => POINT_LEAVES[rng.gen_range(0..POINT_LEAVES.len())],
+        _ => rng.gen_range(-6i64..24),
+    };
+    let dom = |rng: &mut StdRng| {
+        let (a, b) = (leaf(rng), leaf(rng));
+        let iv = Interval::new(a, b);
+        let cg = match rng.gen_range(0u32..3) {
+            0 => Congruence::top(),
+            1 => cg_of_bind(Congruence::point(iv.lo), Congruence::point(rng.gen_range(1..7))),
+            _ => cg_of_values(&[a, b, iv.lo.wrapping_add(rng.gen_range(0..9))]),
+        };
+        (iv, cg)
+    };
+    let (mut runs, mut skips, mut cg_skips, mut elides, mut blocked) = (0u32, 0, 0, 0, 0);
+    for case in 0..1500 {
+        let (steps, binds) = arb_nest(&mut rng);
+        lp.n_slots = steps.iter().filter_map(LStep::written_slot).max().unwrap() + 1;
+        lp.slot_names = (0..lp.n_slots).map(|s| Arc::from(format!("v{s}"))).collect();
+        lp.steps = steps;
+        let abs = AbsSteps::new(&lp);
+        let n = lp.steps.len();
+        let slot_of = |pos: usize| lp.steps[pos].written_slot().unwrap();
+        let written = |r: std::ops::Range<usize>| -> Vec<u32> {
+            lp.steps[r].iter().filter_map(LStep::written_slot).collect()
+        };
+        // The engine's chain: a window below every loop but the outermost.
+        let mut windows = Vec::new();
+        for (l, &pos) in binds.iter().enumerate().skip(1) {
+            let (slot, seed) = (slot_of(pos), written(if l == 1 { 0 } else { binds[l - 1] }..pos));
+            let dirty = abs.dirty(pos + 1, seed.iter().copied().chain([slot]));
+            let parent = (l > 1).then(|| l - 2);
+            windows.push(Window { start: pos + 1, end: n, slot, seed, dirty, parent });
+        }
+        let chain = windows.len();
+        // The counter's windows: each level's run, seeded from outside.
+        for (l, &pos) in binds.iter().enumerate() {
+            let end = binds.get(l + 1).copied().unwrap_or(n - 1);
+            let inside = written(pos + 1..end);
+            let mut seed: Vec<u32> = (pos + 1..end)
+                .flat_map(|i| abs.reads(i).collect::<Vec<_>>())
+                .filter(|s| *s != slot_of(pos) && !inside.contains(s))
+                .collect();
+            seed.sort_unstable();
+            seed.dedup();
+            let slot = slot_of(pos);
+            let dirty = abs.dirty(pos + 1, seed.iter().copied().chain([slot]));
+            windows.push(Window { start: pos + 1, end, slot, seed, dirty, parent: None });
+        }
+        for cg in [true, false] {
+            let progs = AbsProgs::new(&lp, &abs, cg, &windows);
+            let mut file = progs.file();
+            let mut slots: Vec<i64> = (0..lp.n_slots).map(|_| leaf(&mut rng)).collect();
+            // Whether each chain window's last run passed, with its parent's
+            // inputs unchanged since.
+            let mut passed = vec![false; chain];
+            let mut check = |w: usize, slots: &[i64], rng: &mut StdRng, file: &mut _| {
+                let win = &windows[w];
+                let (iv, dom_cg) = dom(rng);
+                let got = progs.run(w, file, slots, iv, dom_cg);
+                // The reference: every step of the window, one at a time.
+                let mut env = AbsEnv::top(lp.n_slots as usize);
+                env.set_points(slots);
+                env.iv[win.slot as usize] = iv;
+                env.cg[win.slot as usize] = dom_cg;
+                let (mut clean, mut elide, mut want) = (true, 0u64, None);
+                for i in win.start..win.end {
+                    let product = cg && abs.slice()[i];
+                    let fact = abs.eval(i, &mut env, product, BindHull::Bounds);
+                    if fact.rejects_all && clean {
+                        want = Some(Verdict::Skip { by_congruence: fact.out.iv.contains(0) });
+                        break;
+                    }
+                    blocked += u32::from(fact.rejects_all);
+                    if let (true, LStep::Check { constraint, .. }) = (fact.passes_all, &lp.steps[i])
+                    {
+                        elide |= 1 << constraint;
+                    }
+                    clean &= fact.out.clean;
+                    env.write(&fact, product);
+                }
+                let want = want.unwrap_or(Verdict::Elide(elide));
+                assert_eq!(got, want, "case {case}, window {w}, cg {cg}: {:?}", lp.steps);
+                runs += 1;
+                match got {
+                    Verdict::Skip { by_congruence } => {
+                        skips += 1;
+                        cg_skips += u32::from(by_congruence);
+                    }
+                    Verdict::Elide(mask) => elides += u32::from(mask != 0),
+                }
+                matches!(got, Verdict::Elide(_))
+            };
+            for _ in 0..8 {
+                // Re-enter at a window whose parent passed, with new values
+                // for the slots its seeds cover, then run down the chain.
+                let from = (0..chain).filter(|&w| w == 0 || passed[w - 1]);
+                let from: Vec<usize> = from.collect();
+                let Some(&w0) = from.get(rng.gen_range(0..from.len().max(1))) else { break };
+                for w in w0..chain {
+                    let begin = if w == 0 { 0 } else { binds[w] };
+                    for s in written(begin..binds[w + 1]) {
+                        slots[s as usize] = leaf(&mut rng);
+                    }
+                    passed[w] = check(w, &slots, &mut rng, &mut file);
+                    passed[w + 1..].fill(false);
+                    if !passed[w] {
+                        break;
+                    }
+                }
+            }
+            for w in chain..windows.len() {
+                for s in &mut slots {
+                    *s = leaf(&mut rng);
+                }
+                check(w, &slots, &mut rng, &mut file);
+            }
+        }
+    }
+    assert!(runs > 20_000 && skips > 2_000, "{runs} runs, {skips} skips");
+    assert!(cg_skips > 200 && elides > 2_000, "{cg_skips} congruence skips, {elides} elisions");
+    assert!(blocked > 500, "only {blocked} rejecting checks after a step that may fail");
+}
