@@ -103,14 +103,17 @@
 //! ablation. Survivors are identical either way; only `congruence_skips`
 //! drops to zero.
 //!
-//! The global `--schedule {declared,adaptive}` flag picks the
-//! constraint-schedule mode for the same subcommands (default: `adaptive`,
-//! the profile-guided mode: one bounded calibration pass at engine-build
-//! time measures kill rates, and the learned order is compiled into the
-//! same scalar op stream a declared schedule runs). The initial and learned per-level check orders are
-//! printed alongside the results; survivors and emission order are
-//! identical in both modes, and all counters are identical at every thread
-//! and chunk count. Composes with `--no-intervals` and `--no-congruence`.
+//! Every engine runs a level's checks in the order the planner emitted
+//! them, the paper's order (DESIGN.md §5). `--schedule declared` names that
+//! order and is accepted, as a no-op, where older scripts pass it; any
+//! other `--schedule` value (the retired `adaptive` and `static` modes
+//! included) is an error (exit 2).
+//!
+//! Every GEMM subcommand reads its `[DIM]` the same way: a number `D` is
+//! the reduced(`D`) device, `paper` the paper's K40c device (the space of
+//! §XI, 1,207,600 survivors), and anything else exits 2. Without one,
+//! `lint` and `count` take the paper's device and the others a reduced one
+//! (reduced(32); `threads` reduced(48), `viz` reduced(24)).
 //!
 //! Any other `--flag` a subcommand does not read is an error (exit 2), so a
 //! typo such as `--thread 2` never silently runs the defaults.
@@ -124,8 +127,7 @@
 //! `walker` (for `sweep` only; any other subcommand exits 2) runs the serial
 //! interpreting backend (no parallel driver, no fault tolerance) as a
 //! ground-truth reference and prints its per-constraint funnel, which
-//! `--schedule declared --no-intervals` reproduces count for count on the
-//! other tiers.
+//! `--no-intervals` reproduces count for count on the other tiers.
 //!
 //! Numbers are machine-relative; the paper's *shape* (ordering, rough
 //! factors) is the reproduction target. See EXPERIMENTS.md.
@@ -137,7 +139,6 @@ use beast_codegen::{all_backends, all_toolchains, ToolchainResult};
 use beast_core::ir::LoweredPlan;
 use beast_core::plan::Plan;
 use beast_cuda::{CcLimits, DeviceProps};
-use beast_core::schedule::ScheduleMode;
 use beast_engine::checkpoint::{run_checkpointed, CheckpointConfig, JsonValue};
 use beast_engine::compiled::{Compiled, EngineOptions, EngineTier};
 use beast_engine::distribute::{
@@ -191,17 +192,16 @@ fn main() {
     args.retain(|a| a != "--no-intervals");
     let no_congruence = args.iter().any(|a| a == "--no-congruence");
     args.retain(|a| a != "--no-congruence");
-    let mut schedule = ScheduleMode::Adaptive;
+    // The declared order is the only one; its name stays accepted.
     if let Some(i) = args.iter().position(|a| a == "--schedule") {
-        let Some(value) = args.get(i + 1) else {
-            eprintln!("error: --schedule needs a value: declared or adaptive");
-            std::process::exit(2);
-        };
-        schedule = value.parse().unwrap_or_else(|e| {
-            eprintln!("error: --schedule: {e}");
-            std::process::exit(2);
-        });
-        args.drain(i..=i + 1);
+        match args.get(i + 1).map(String::as_str) {
+            Some("declared") => drop(args.drain(i..=i + 1)),
+            value => {
+                let got = value.map_or("no value".to_string(), |v| format!("`{v}`"));
+                eprintln!("error: --schedule: only `declared` remains, got {got}");
+                std::process::exit(2);
+            }
+        }
     }
     // `walker` is not an engine tier: it selects `repro sweep`'s serial
     // reference run, which no driver takes.
@@ -227,7 +227,6 @@ fn main() {
         EngineOptions::default()
     };
     engine.congruence = !no_congruence;
-    engine.schedule = schedule;
     engine.engine = tier;
     let cmd = args.first().map(String::as_str).unwrap_or("all");
     let Some((_, known)) = SUBCOMMANDS.iter().find(|(name, _)| *name == cmd) else {
@@ -242,13 +241,7 @@ fn main() {
     let arg_num = |default: u64| -> u64 {
         args.get(1).and_then(|s| s.parse().ok()).unwrap_or(default)
     };
-    // `--name value` flag lookup (used by the `threads` subcommand).
-    let flag = |name: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
+    let flags = Flags(&args);
     match cmd {
         "device" => device(),
         "space" => space(),
@@ -256,17 +249,17 @@ fn main() {
         "fig17" => fig17(arg_num(3_000_000)),
         "fig18" => fig18(arg_num(10_000_000)),
         "fig19" => fig19(arg_num(50_000_000)),
-        "headline" => headline(arg_num(32) as i64, engine),
-        "funnel" => funnel(arg_num(32) as i64, engine),
+        "headline" => headline(&flags.device(Some(32)), engine),
+        "funnel" => funnel(&flags.device(Some(32)), engine),
         "table1" => table1(),
         "threads" => threads(
-            arg_num(48) as i64,
-            flag("--threads").and_then(|s| s.parse().ok()),
-            flag("--json"),
+            &flags.device(Some(48)),
+            flags.get("--threads").and_then(|s| s.parse().ok()),
+            flags.get("--json"),
             engine,
         ),
         "search" => {
-            let sampler = match flag("--sampler").as_deref() {
+            let sampler = match flags.get("--sampler").as_deref() {
                 None | Some("rejection") => beast_search::SamplerKind::Rejection,
                 Some("direct") => beast_search::SamplerKind::Direct,
                 Some(other) => {
@@ -274,22 +267,12 @@ fn main() {
                     std::process::exit(2);
                 }
             };
-            search(
-                args.get(1).filter(|s| !s.starts_with("--")).and_then(|s| s.parse().ok()).unwrap_or(32),
-                sampler,
-            )
+            search(&flags.device(Some(32)), sampler)
         }
-        "viz" => viz(arg_num(24) as i64),
+        "viz" => viz(&flags.device(Some(24))),
         "batched" => batched(arg_num(32) as i64),
-        "lint" | "count" => {
-            let dim =
-                args.get(1).filter(|s| !s.starts_with("--")).and_then(|s| s.parse().ok());
-            if cmd == "lint" {
-                lint(dim, flag("--json"))
-            } else {
-                count(dim, flag("--json"))
-            }
-        }
+        "lint" => lint(&flags.device(None), flags.get("--json")),
+        "count" => count(&flags.device(None), flags.get("--json")),
         "sweep" => sweep(&args, engine, walker),
         "distribute" => distribute(&args, engine),
         "worker" => worker_mode(&args, engine),
@@ -302,14 +285,14 @@ fn main() {
             fig17(1_000_000);
             fig18(3_000_000);
             fig19(20_000_000);
-            headline(24, engine);
-            funnel(24, engine);
-            lint(None, None);
-            count(Some(16), None);
+            headline(&reduced(24), engine);
+            funnel(&reduced(24), engine);
+            lint(&paper(), None);
+            count(&reduced(16), None);
             table1();
             batched(32);
-            threads(32, None, None, engine);
-            search(24, beast_search::SamplerKind::Rejection);
+            threads(&reduced(32), None, None, engine);
+            search(&reduced(24), beast_search::SamplerKind::Rejection);
         }
         other => unreachable!("`{other}` is in SUBCOMMANDS but not dispatched"),
     }
@@ -416,6 +399,20 @@ fn reject_unknown_flags(args: &[String], known: &[(&str, bool)]) {
 
 fn header(title: &str) {
     outln!("\n=== {title} ===");
+}
+
+/// A GEMM device as the subcommands name it: its label (`reduced(32)`,
+/// `paper-default`) and its space's parameters.
+type Device = (String, GemmSpaceParams);
+
+/// The reduced synthetic device with `dim`-sized matrices.
+fn reduced(dim: i64) -> Device {
+    (format!("reduced({dim})"), GemmSpaceParams::reduced(dim))
+}
+
+/// The paper's K40c device.
+fn paper() -> Device {
+    ("paper-default".to_string(), GemmSpaceParams::paper_default())
 }
 
 /// The GEMM space for `params`, planned and lowered — every subcommand that
@@ -638,12 +635,12 @@ fn fig19(total: u64) {
 // §XI-B/D headline: GEMM sweep, interpreted vs compiled
 // ---------------------------------------------------------------------------
 
-fn headline(dim: i64, engine: EngineOptions) {
+fn headline((label, params): &Device, engine: EngineOptions) {
     header(&format!(
-        "§XI headline — GEMM space sweep on reduced({dim}) device: interpreted vs compiled"
+        "§XI headline — GEMM space sweep on {label} device: interpreted vs compiled"
     ));
     outln!("(paper: 66 948 s Python → 264 s generated C, ≈253×; shape target: orders of magnitude)");
-    let (plan, lp) = gemm(&GemmSpaceParams::reduced(dim));
+    let (plan, lp) = gemm(params);
 
     let t0 = Instant::now();
     let walker_out = Walker::new(&plan, LoopStyle::RangeLazy)
@@ -671,16 +668,13 @@ fn headline(dim: i64, engine: EngineOptions) {
             comp_out.blocks.subtree_skips, comp_out.blocks.points_skipped
         );
     }
-    out!("{}", compiled.schedule_telemetry().render_text());
     outln!("{:<26} {:>10} {:>10}", "backend", "seconds", "speedup");
     outln!("{:<26} {:>10.3} {:>9.1}x", "walker (Python model)", t_walker, 1.0);
     outln!("{:<26} {:>10.3} {:>9.1}x", "VM (Lua model)", t_vm, t_walker / t_vm);
     outln!("{:<26} {:>10.3} {:>9.1}x", "compiled (C model)", t_comp, t_walker / t_comp);
 
     // Generated C through gcc, when available — the paper's actual artifact.
-    // Codegen consumes the lowered steps in order, so emitting from the
-    // engine's own plan makes the C run the check order the engine runs.
-    let program = beast_codegen::Program::from_lowered(compiled.lowered()).unwrap();
+    let program = beast_codegen::Program::from_lowered(&lp).unwrap();
     let lowered = beast_codegen::lower(&program);
     let toolchain = beast_codegen::Toolchain::c();
     let backend = beast_codegen::CBackend;
@@ -709,13 +703,9 @@ fn headline(dim: i64, engine: EngineOptions) {
 // Space linter (static analysis, BE001–BE010)
 // ---------------------------------------------------------------------------
 
-fn lint(dim: Option<i64>, json_path: Option<String>) {
-    let (label, params) = match dim {
-        Some(d) => (format!("reduced({d})"), GemmSpaceParams::reduced(d)),
-        None => ("paper-default".to_string(), GemmSpaceParams::paper_default()),
-    };
+fn lint((label, params): &Device, json_path: Option<String>) {
     header(&format!("space linter — GEMM space, {label} device"));
-    let (_, lp) = gemm(&params);
+    let (_, lp) = gemm(params);
     let report = beast_core::analyze::analyze_with_counts(&lp);
     out!("{}", report.render_text());
     if let Some(path) = json_path {
@@ -734,15 +724,11 @@ fn lint(dim: Option<i64>, json_path: Option<String>) {
 // Exact survivor counting (model counting over the lowered plan)
 // ---------------------------------------------------------------------------
 
-fn count(dim: Option<i64>, json_path: Option<String>) {
+fn count((label, params): &Device, json_path: Option<String>) {
     use beast_core::analyze::Counter;
 
-    let (label, params) = match dim {
-        Some(d) => (format!("reduced({d})"), GemmSpaceParams::reduced(d)),
-        None => ("paper-default".to_string(), GemmSpaceParams::paper_default()),
-    };
     header(&format!("exact survivor count — GEMM space, {label} device"));
-    let (_, lp) = gemm(&params);
+    let (_, lp) = gemm(params);
 
     let t0 = Instant::now();
     let mut counter = Counter::new(&lp);
@@ -896,9 +882,23 @@ impl Flags<'_> {
         self.parsed(name, "an unsigned integer").unwrap_or(default)
     }
 
-    /// The positional `[DIM]` (default 32).
-    fn dim(&self) -> i64 {
-        self.0.get(1).filter(|s| !s.starts_with("--")).and_then(|s| s.parse().ok()).unwrap_or(32)
+    /// The positional `[DIM]`, if given.
+    fn positional(&self) -> Option<&String> {
+        self.0.get(1).filter(|s| !s.starts_with("--"))
+    }
+
+    /// The GEMM device `[DIM]` names: a number `D` is `reduced(D)`, `paper`
+    /// the paper's device (exit 2 on anything else); absent, `reduced` of
+    /// `default`, or the paper's device when `default` is `None`.
+    fn device(&self, default: Option<i64>) -> Device {
+        match self.positional().map(String::as_str) {
+            Some("paper") => paper(),
+            Some(s) => reduced(s.parse().unwrap_or_else(|_| {
+                eprintln!("error: [DIM] needs a number or `paper`, got `{s}`");
+                std::process::exit(2);
+            })),
+            None => default.map_or_else(paper, reduced),
+        }
     }
 
     fn policy(&self) -> FaultPolicy {
@@ -969,7 +969,7 @@ fn finish_sweep(
 
 fn sweep(args: &[String], engine: EngineOptions, walker: bool) {
     let flags = Flags(args);
-    let dim = flags.dim();
+    let (label, params) = flags.device(Some(32));
     let mut opts = ParallelOptions::new(flags.uint("--threads", 4).max(1) as usize);
     opts.engine = engine;
     opts.chunk_count = flags.uint("--chunks", 0) as usize;
@@ -987,9 +987,7 @@ fn sweep(args: &[String], engine: EngineOptions, walker: bool) {
         );
     }
 
-    header(&format!(
-        "§X-C — fault-tolerant sweep, GEMM space on reduced({dim}) device"
-    ));
+    header(&format!("§X-C — fault-tolerant sweep, GEMM space on {label} device"));
     outln!(
         "threads={} policy={} chunks={}{}",
         opts.threads,
@@ -1003,7 +1001,7 @@ fn sweep(args: &[String], engine: EngineOptions, walker: bool) {
             None => String::new(),
         }
     );
-    let (plan, lp) = gemm(&GemmSpaceParams::reduced(dim));
+    let (plan, lp) = gemm(&params);
 
     // The walker is the serial ground-truth reference: no parallel driver,
     // so no fault policies, checkpointing or chunk scheduling.
@@ -1027,8 +1025,8 @@ fn sweep(args: &[String], engine: EngineOptions, walker: bool) {
             out.visitor.hash,
             t.elapsed().as_secs_f64()
         );
-        // The reference funnel: a `--schedule declared --no-intervals` run
-        // of any other tier must reproduce these rows count for count.
+        // The reference funnel: a `--no-intervals` run of any other tier
+        // must reproduce these rows count for count.
         outln!("\n{}", out.stats.render_funnel(plan.space()));
         return;
     }
@@ -1080,23 +1078,22 @@ fn worker_engine_flags(engine: EngineOptions) -> Vec<String> {
     if !engine.congruence {
         flags.push("--no-congruence".to_string());
     }
-    flags.push("--schedule".to_string());
-    flags.push(engine.schedule.to_string());
     flags
 }
 
 fn distribute(args: &[String], engine: EngineOptions) {
     let flags = Flags(args);
-    let dim = flags.dim();
+    let (label, params) = flags.device(Some(32));
 
     // The worker command is this very binary in its hidden `worker` mode,
-    // with the supervisor's engine configuration replicated so the
-    // structural/signature handshake passes. Chaos flags ride along.
+    // given the same `[DIM]` and the supervisor's engine configuration, so
+    // the structural/signature handshake passes. Chaos flags ride along.
     let exe = std::env::current_exe().unwrap_or_else(|e| {
         eprintln!("error: cannot locate own executable for worker spawning: {e}");
         std::process::exit(1);
     });
-    let mut worker_cmd = vec![exe.to_string_lossy().into_owned(), "worker".to_string(), dim.to_string()];
+    let mut worker_cmd = vec![exe.to_string_lossy().into_owned(), "worker".to_string()];
+    worker_cmd.extend(flags.positional().cloned());
     worker_cmd.extend(worker_engine_flags(engine));
     for chaos_flag in ["--die-after", "--stall-after"] {
         if let Some(v) = flags.get(chaos_flag) {
@@ -1116,9 +1113,7 @@ fn distribute(args: &[String], engine: EngineOptions) {
     opts.stop_after_chunks = flags.uint("--stop-after", 0) as usize;
     opts.chaos_kill_after = flags.parsed("--chaos-kill-after", "a shard ordinal");
 
-    header(&format!(
-        "§X-D — distributed sweep, GEMM space on reduced({dim}) device"
-    ));
+    header(&format!("§X-D — distributed sweep, GEMM space on {label} device"));
     outln!(
         "workers={} policy={} chunks={} heartbeat={}ms retry={} backoff={}ms",
         opts.workers,
@@ -1128,7 +1123,7 @@ fn distribute(args: &[String], engine: EngineOptions) {
         opts.shard_retry_max,
         opts.shard_backoff_ms,
     );
-    let (_, lp) = gemm(&GemmSpaceParams::reduced(dim));
+    let (_, lp) = gemm(&params);
 
     let result = match flags.checkpoint() {
         Some(ck) => run_distributed_checkpointed(&lp, &opts, &ck, FingerprintVisitor::default),
@@ -1145,7 +1140,7 @@ fn worker_mode(args: &[String], engine: EngineOptions) {
     let ordinal = |name: &str| flags.get(name).and_then(|s| s.parse().ok());
     let chaos =
         WorkerChaos { die_after: ordinal("--die-after"), stall_after: ordinal("--stall-after") };
-    let (_, lp) = gemm(&GemmSpaceParams::reduced(flags.dim()));
+    let (_, lp) = gemm(&flags.device(Some(32)).1);
     let stdin = std::io::stdin().lock();
     let stdout = std::io::stdout();
     if let Err(e) = serve_worker(&lp, engine, FingerprintVisitor::default, &chaos, stdin, stdout) {
@@ -1158,16 +1153,14 @@ fn worker_mode(args: &[String], engine: EngineOptions) {
 // §VI: pruning funnel
 // ---------------------------------------------------------------------------
 
-fn funnel(dim: i64, engine: EngineOptions) {
-    header(&format!("§VI — pruning funnel, GEMM space on reduced({dim}) device"));
-    let (plan, lp) = gemm(&GemmSpaceParams::reduced(dim));
-    let compiled = Compiled::with_options(lp, engine);
-    let out = compiled.run(CountVisitor::default()).unwrap();
+fn funnel((label, params): &Device, engine: EngineOptions) {
+    header(&format!("§VI — pruning funnel, GEMM space on {label} device"));
+    let (plan, lp) = gemm(params);
+    let out = Compiled::with_options(lp, engine).run(CountVisitor::default()).unwrap();
     outln!("{}", out.stats.render_funnel(plan.space()));
     if let Some(line) = out.blocks.render_line() {
         outln!("{line}");
     }
-    out!("{}", compiled.schedule_telemetry().render_text());
 }
 
 // ---------------------------------------------------------------------------
@@ -1348,9 +1341,9 @@ fn batched(n: i64) {
 // Visualization (paper companion work [7])
 // ---------------------------------------------------------------------------
 
-fn viz(dim: i64) {
-    header(&format!("[7] — pruning visualizations, GEMM on reduced({dim}) device"));
-    let (plan, lp) = gemm(&GemmSpaceParams::reduced(dim));
+fn viz((label, params): &Device) {
+    header(&format!("[7] — pruning visualizations, GEMM on {label} device"));
+    let (plan, lp) = gemm(params);
     let space = plan.space();
     let out = Compiled::new(lp).run(CountVisitor::default()).unwrap();
     let funnel = beast_engine::viz::funnel_svg(&out.stats, space);
@@ -1368,9 +1361,9 @@ fn viz(dim: i64) {
 // §XII extension: statistical search methods
 // ---------------------------------------------------------------------------
 
-fn search(dim: i64, sampler: beast_search::SamplerKind) {
+fn search((label, params): &Device, sampler: beast_search::SamplerKind) {
     header(&format!(
-        "§XII extension — statistical search vs exhaustive, GEMM on reduced({dim}) device"
+        "§XII extension — statistical search vs exhaustive, GEMM on {label} device"
     ));
     outln!("sampler: {sampler:?}");
     use beast_engine::point::Point;
@@ -1378,11 +1371,10 @@ fn search(dim: i64, sampler: beast_search::SamplerKind) {
     use beast_gpu_sim::estimate;
     use beast_search::{hill_climb, random_search, simulated_annealing, SearchBudget};
 
-    let params = GemmSpaceParams::reduced(dim);
-    let (_, lp) = gemm(&params);
+    let (_, lp) = gemm(params);
 
     let t0 = Instant::now();
-    let exhaustive = beast_gemm::tune_gemm(&params, 1, 2).unwrap();
+    let exhaustive = beast_gemm::tune_gemm(params, 1, 2).unwrap();
     let t_exh = t0.elapsed();
     let exhaustive_best = exhaustive.best[0].perf.gflops;
 
@@ -1439,11 +1431,16 @@ fn search(dim: i64, sampler: beast_search::SamplerKind) {
 // §X-B: multithreaded scaling
 // ---------------------------------------------------------------------------
 
-fn threads(dim: i64, only: Option<usize>, json_path: Option<String>, engine: EngineOptions) {
-    header(&format!("§X-B — multithreaded sweep of the GEMM space, reduced({dim}) device"));
+fn threads(
+    (label, params): &Device,
+    only: Option<usize>,
+    json_path: Option<String>,
+    engine: EngineOptions,
+) {
+    header(&format!("§X-B — multithreaded sweep of the GEMM space, {label} device"));
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     outln!("(host has {cores} hardware thread(s); scaling saturates there)");
-    let (_, lp) = gemm(&GemmSpaceParams::reduced(dim));
+    let (_, lp) = gemm(params);
 
     let counts: Vec<usize> = match only {
         Some(n) => vec![n.max(1)],

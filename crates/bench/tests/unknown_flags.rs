@@ -1,10 +1,10 @@
 //! `repro` refuses a `--flag` it does not read (exit 2, one line on stderr
 //! naming the flag) instead of silently running the defaults — a typo like
-//! `--thread 2`, or a stale `--no-batch` / `--schedule static` from before
-//! the lane tier and the static mode were deleted — on every subcommand,
-//! flagless ones included. Drives the real binary
+//! `--thread 2`, or a stale `--no-batch` / `--schedule static` / `--schedule
+//! adaptive` from before the lane tier and those modes were deleted — on
+//! every subcommand, flagless ones included. Drives the real binary
 //! (`CARGO_BIN_EXE_repro`); every flag-reading subcommand also gets its
-//! full flag set through.
+//! full flag set through, with `--schedule declared`, which stays accepted.
 
 use std::io::{BufRead, BufReader, Read};
 use std::path::PathBuf;
@@ -49,6 +49,12 @@ fn unknown_and_retired_flags_exit_2_naming_the_flag() {
     assert_refused(&["sweep", "16", "--thread", "2"], "`--thread`");
     assert_refused(&["sweep", "16", "--no-batch"], "`--no-batch`");
     assert_refused(&["sweep", "16", "--schedule", "static"], "--schedule");
+    // The adaptive schedule is retired too; only `declared` stays accepted.
+    assert_refused(&["sweep", "16", "--schedule", "adaptive"], "--schedule");
+    assert_refused(&["worker", "16", "--schedule", "adaptive"], "--schedule");
+    assert_refused(&["sweep", "16", "--schedule"], "--schedule");
+    // `[DIM]` is a number or `paper`, never silently the default.
+    assert_refused(&["sweep", "sixteen"], "`sixteen`");
     for cmd in ["distribute", "worker", "threads", "search", "lint", "count", "serve", "client"] {
         assert_refused(&[cmd, "16", "--bogus"], "`--bogus`");
     }

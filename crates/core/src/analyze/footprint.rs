@@ -124,7 +124,7 @@ pub(crate) fn unique_key_levels(
     if !single_assignment(lp) {
         return vec![false; levels.len()];
     }
-    let ivs = abs.walk(false, |_, _, _| {}).iv;
+    let ivs = abs.walk(false, |_, _| {}).iv;
     (0..levels.len())
         .map(|l| {
             if free[l] || solved[l] {

@@ -180,7 +180,7 @@ fn walk_passes(lp: &LoweredPlan, abs: &AbsSteps, diags: &mut Vec<Diagnostic>) {
         need
     };
 
-    abs.walk(true, |i, _, fact| match &lp.steps[i] {
+    abs.walk(true, |i, fact| match &lp.steps[i] {
         LStep::Bind { slot, depth, .. } => {
             cur_level = *depth as i64;
             slot_level[*slot as usize] = cur_level;

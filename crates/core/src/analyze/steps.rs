@@ -341,15 +341,14 @@ impl AbsSteps {
     /// The static whole-plan walk: every step in plan order from a ⊤ box,
     /// range binds hulled with [`BindHull::Stride`], over the product on
     /// the plan's congruence slice when `cg` (interval-only otherwise).
-    /// `f` sees each step's index, the box it was evaluated in and its
-    /// fact, before the step writes its slot. Returns the final box: a
+    /// `f` sees each step's index and its fact. Returns the final box: a
     /// sound per-slot hull over the whole plan.
-    pub fn walk(&self, cg: bool, mut f: impl FnMut(usize, &AbsEnv, &StepFact)) -> AbsEnv {
+    pub fn walk(&self, cg: bool, mut f: impl FnMut(usize, &StepFact)) -> AbsEnv {
         let mut env = AbsEnv::top(self.n_slots);
         for i in 0..self.steps.len() {
             let product = cg && self.slice[i];
             let fact = self.eval(i, &mut env, product, BindHull::Stride);
-            f(i, &env, &fact);
+            f(i, &fact);
             env.write(&fact, product);
         }
         env
@@ -393,7 +392,7 @@ mod tests {
         };
         for cg in [true, false] {
             let mut facts = Vec::new();
-            let env = abs.walk(cg, |_, _, fact| facts.push(*fact));
+            let env = abs.walk(cg, |_, fact| facts.push(*fact));
             // `b` ascends from `4a` below 100: [4, 99], not the bounds' [4, 100].
             assert_eq!(env.iv[slot("b")], Interval { lo: 4, hi: 99 });
             let off = facts[check("b_off")];

@@ -219,9 +219,7 @@ impl IntExpr {
         }
     }
 
-    /// Number of IR nodes — the cost unit of the constraint scheduler
-    /// (`crate::schedule`) and of the compiled engine's adaptive
-    /// calibration: every operator and every leaf operand it reads.
+    /// Number of IR nodes: every operator and every leaf operand it reads.
     pub fn op_count(&self) -> u32 {
         match self {
             IntExpr::Const(_) | IntExpr::Slot(_) => 1,
@@ -230,36 +228,6 @@ impl IntExpr {
                 1 + a.op_count() + b.op_count()
             }
             IntExpr::Ternary(c, t, f) => 1 + c.op_count() + t.op_count() + f.op_count(),
-        }
-    }
-
-    /// True if evaluation can never fail for *any* slot values: no
-    /// division/remainder by a possibly-zero divisor, no floor division
-    /// that can reach `i64::MIN // -1`, and no `div_ceil`/`round_up` (whose
-    /// inner floor division can reach either).
-    ///
-    /// Only infallible checks may be reordered by the constraint scheduler —
-    /// a rejection by a reordered check must not mask (or unmask) an
-    /// evaluation error another check in the same run would have raised.
-    pub fn infallible(&self) -> bool {
-        match self {
-            IntExpr::Const(_) | IntExpr::Slot(_) => true,
-            IntExpr::Neg(a) | IntExpr::Not(a) | IntExpr::Abs(a) => a.infallible(),
-            IntExpr::Bin(IntBinOp::Div | IntBinOp::Rem, a, b) => {
-                a.infallible() && matches!(b.as_const(), Some(k) if k != 0)
-            }
-            // `i64::MIN // -1` is an `Overflow` error.
-            IntExpr::Bin(IntBinOp::FloorDiv, a, b) => {
-                a.infallible() && matches!(b.as_const(), Some(k) if k != 0 && k != -1)
-            }
-            IntExpr::Bin(_, a, b) => a.infallible() && b.infallible(),
-            IntExpr::Call2(Builtin::Min | Builtin::Max | Builtin::Gcd, a, b) => {
-                a.infallible() && b.infallible()
-            }
-            IntExpr::Call2(_, _, _) => false,
-            IntExpr::Ternary(c, t, f) => {
-                c.infallible() && t.infallible() && f.infallible()
-            }
         }
     }
 

@@ -60,6 +60,7 @@ pub mod iterator;
 mod macros;
 pub mod plan;
 pub mod pointprog;
+#[doc(hidden)]
 pub mod schedule;
 pub mod space;
 pub mod value;
@@ -78,7 +79,6 @@ pub mod prelude {
     pub use crate::iterator::{build as iter_build, IterKind, Realized};
     pub use crate::plan::{LoopOrder, Plan, PlanOptions, Step};
     pub use crate::pointprog::PointProg;
-    pub use crate::schedule::ScheduleMode;
     pub use crate::space::{Space, SpaceBuilder};
     pub use crate::value::Value;
 }

@@ -87,15 +87,14 @@ use beast_core::interval::Interval;
 use beast_core::ir::{LBody, LIter, LStep, LoweredPlan};
 use beast_core::iterator::{range_len, Realized};
 use beast_core::pointprog::{PointProg, RunExit, RunProgs, RunSpec, SlotView};
-use beast_core::schedule::{self, ScheduleMode};
+use beast_core::schedule::ScheduleMode;
 
 use crate::point::PointRef;
 
 use crate::fault::{CancelProbe, FaultAction, FaultInjector, FaultKind, FaultPolicy, FaultRecord};
 use crate::replay::{self, Closed};
 use crate::stats::{BlockStats, PruneStats};
-use crate::telemetry::{GroupSchedule, ScheduleTelemetry};
-use crate::visit::{CountVisitor, Visitor};
+use crate::visit::Visitor;
 use crate::walker::SweepOutcome;
 
 /// Which evaluation tier executes a sweep (see
@@ -141,6 +140,11 @@ impl std::fmt::Display for EngineTier {
 }
 
 /// Tuning knobs for the compiled engine.
+///
+/// There is no check-order knob: every engine runs a level's checks in the
+/// order the planner emitted them, as the walker, the counter and the
+/// generated C do, so `PruneStats` rows equal the walker's whenever
+/// intervals are off (DESIGN.md §5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineOptions {
     /// Enable interval-based block pruning (subtree skips and check
@@ -157,18 +161,6 @@ pub struct EngineOptions {
     /// table of EXPERIMENTS.md ("One abstract program per guard"); 1 guards
     /// every eligible loop.
     pub min_guard_fanout: u64,
-    /// How to order the checks within each loop level (see
-    /// [`beast_core::schedule`]). `Declared` — the library default — runs
-    /// checks in plan order and reproduces the walker's per-constraint
-    /// statistics exactly. `Adaptive` reorders reorder-safe groups, which
-    /// never changes survivors or emission order but does shift *which*
-    /// constraint gets credit for a kill, so `PruneStats` may differ from
-    /// declared-order runs. Either mode is a *compile-time* decision:
-    /// `Adaptive` learns its order in one bounded calibration pass inside
-    /// [`Compiled::with_options`] (a pure function of plan and options) and
-    /// writes it into the plan before the guards are built, so all counters
-    /// are invariant across thread and chunk counts in both modes.
-    pub schedule: ScheduleMode,
     /// Track the congruence domain (`x ≡ r (mod m)`) alongside intervals in
     /// the block-pruning guards, so divisibility constraints can skip
     /// subtrees the interval hull cannot decide. Only meaningful with
@@ -193,7 +185,6 @@ impl Default for EngineOptions {
         EngineOptions {
             intervals: true,
             min_guard_fanout: 4,
-            schedule: ScheduleMode::Declared,
             congruence: true,
             lint: LintGate::Warn,
             engine: EngineTier::Compiled,
@@ -214,9 +205,12 @@ impl EngineOptions {
         EngineOptions { congruence: false, ..EngineOptions::default() }
     }
 
-    /// Default options with the given constraint-schedule mode.
-    pub fn scheduled(mode: ScheduleMode) -> EngineOptions {
-        EngineOptions { schedule: mode, ..EngineOptions::default() }
+    /// Alias of [`EngineOptions::default`]: every schedule mode now runs
+    /// the declared check order, but the untouchable `benchmark/` crate
+    /// still compiles against the name (goes with ROADMAP item 1a).
+    #[doc(hidden)]
+    pub fn scheduled(_mode: ScheduleMode) -> EngineOptions {
+        EngineOptions::default()
     }
 
     /// Alias of [`EngineOptions::default`]: the lane tier it used to switch
@@ -242,14 +236,15 @@ impl EngineOptions {
     /// configurations — a pinned test asserts the exact default string and
     /// the struct size, forcing this function to be revisited whenever a
     /// field is added. The lint gate is excluded: it gates compilation but
-    /// never alters sweep results.
+    /// never alters sweep results. `Declared` names the one check order, so
+    /// a checkpoint or cache file written under the retired adaptive
+    /// schedule (`…Adaptive…`) never matches.
     pub fn signature(&self) -> String {
         format!(
-            "iv{}cg{}g{}{:?}e{}",
+            "iv{}cg{}g{}Declarede{}",
             u8::from(self.intervals),
             u8::from(self.congruence),
             self.min_guard_fanout,
-            self.schedule,
             self.engine.as_str()
         )
     }
@@ -328,28 +323,6 @@ fn credit_passes(
     (n, elided)
 }
 
-/// Level-0 values the calibration pass samples first, evenly strided over
-/// the realized outer domain; each may spend `CALIB_BUDGET / CALIB_SAMPLES`.
-const CALIB_SAMPLES: usize = 8;
-
-/// Loop advances (`Op::Next` executions) the whole calibration pass may
-/// spend. Fixed, so calibration costs about the same on every space:
-/// ≈ 0.9–1.4 ms on reduced(32) GEMM. It is 8× the smallest power of two
-/// that learned the same orders on the 502 spaces checked when it was
-/// chosen (EXPERIMENTS.md, "One program calibrates").
-const CALIB_BUDGET: u64 = 1 << 12;
-
-/// A reorder-safe check group as reported in telemetry (tracked in every
-/// mode, so reports can always show the per-level order): its loop level
-/// and member constraints in declared order and in executed order —
-/// the two differ only where adaptive calibration re-ranked the group.
-#[derive(Debug, Clone)]
-struct SchedGroup {
-    level: usize,
-    initial: Vec<u32>,
-    executed: Vec<u32>,
-}
-
 /// One narrowed loop: at `Op::Enter` the engine evaluates `a` and `k` and,
 /// when the solve can be decided without wrap-around, credits the check in
 /// closed form and runs the body for the at most one passing value.
@@ -363,12 +336,6 @@ struct LoopSolve {
     elide_mask: u64,
 }
 
-/// What [`Compiled::build`] holds back from the calibration probe.
-struct Tables {
-    narrow: Vec<Option<LoopSolve>>,
-    replay: replay::Table,
-}
-
 /// The compiled evaluation backend.
 pub struct Compiled {
     lp: LoweredPlan,
@@ -376,9 +343,6 @@ pub struct Compiled {
     ops: Vec<Op>,
     /// The run programs its `Op::Run`s execute, and their value file.
     runs: RunProgs,
-    /// The plan's abstract step program, which the guards are compiled
-    /// from.
-    abs: AbsSteps,
     /// Per loop: the guard program run at its entry, an index into
     /// `gprogs` (`None` for the outermost loop, for loops with nothing
     /// decidable below them, for loops whose guard could never decide
@@ -393,14 +357,10 @@ pub struct Compiled {
     /// Instruction index of the outermost `Enter` (None for loop-free
     /// programs, which cannot occur for valid spaces).
     first_enter: Option<usize>,
-    /// Per-loop narrowing table (all `None` in the adaptive probe engine:
-    /// a solved loop credits its check in closed form, which a budget of
-    /// loop advances would not see).
+    /// Per-loop narrowing table.
     narrow: Vec<Option<LoopSolve>>,
-    /// Per-loop replay table (declined, like `narrow`, in the probe engine).
+    /// Per-loop replay table.
     replay: replay::Table,
-    /// Reorder-safe groups, for telemetry (all modes).
-    sched_groups: Vec<SchedGroup>,
     point_names: Arc<[Arc<str>]>,
     /// Space-linter summary recorded at compile time (`None` when
     /// `opts.lint` is [`LintGate::Allow`]).
@@ -415,63 +375,13 @@ impl Compiled {
         Compiled::with_options(lp, EngineOptions::default())
     }
 
-    /// Build the flat program with explicit engine options.
-    ///
-    /// The constraint schedule is fixed here, before anything is built on
-    /// top of it: `Adaptive` measures real kill rates, starting from the
-    /// declared order, in one bounded calibration pass
-    /// (`Compiled::calibrate`) and writes each learned order back into the
-    /// lowered plan. The probe that calibrates is the declared program
-    /// itself, with its narrowing and replay tables held back; when the
-    /// learned order moves no step it *is* the engine, once those tables
-    /// and the lint summary are attached. Otherwise the engine is built
-    /// over the learned plan exactly as for a declared schedule. Either
-    /// way every chunk, thread, worker process and resumed run executes one
-    /// shared immutable op stream, and the plan's abstract step program is
-    /// compiled once per step order.
+    /// Build the flat program with explicit engine options: its run
+    /// programs, guards, narrowing and replay tables, plus the pre-sweep
+    /// lint gate's summary of the plan (`Deny` is enforced lazily in `run`,
+    /// so compilation itself stays infallible). Every chunk, thread, worker
+    /// process and resumed run executes this one shared immutable op stream.
     pub fn with_options(lp: LoweredPlan, opts: EngineOptions) -> Compiled {
         let abs = AbsSteps::new(&lp);
-        let regions = schedule::check_regions(&lp, &abs);
-        let mut sched_groups: Vec<SchedGroup> = regions
-            .iter()
-            .map(|r| {
-                let initial: Vec<u32> = r
-                    .checks
-                    .iter()
-                    .map(|&si| match &lp.steps[si] {
-                        LStep::Check { constraint, .. } => *constraint as u32,
-                        other => unreachable!("check group holds non-check step {other:?}"),
-                    })
-                    .collect();
-                let level = schedule::group_level(&lp, &r.checks);
-                SchedGroup { level, executed: initial.clone(), initial }
-            })
-            .collect();
-        let (mut engine, mut tables) = Compiled::build(lp, abs, opts);
-        // With no reorder-safe region there is nothing to learn: no probe.
-        if opts.schedule == ScheduleMode::Adaptive && !regions.is_empty() {
-            let orders = engine.calibrate(&regions).unwrap_or_default();
-            let mut moved = false;
-            for ((region, order), group) in regions.iter().zip(&orders).zip(&mut sched_groups) {
-                let steps: Vec<usize> = order.iter().map(|&k| region.checks[k]).collect();
-                moved |= schedule::apply_order(&mut engine.lp, region, &steps);
-                group.executed = order.iter().map(|&k| group.initial[k]).collect();
-            }
-            if moved {
-                let abs = AbsSteps::new(&engine.lp);
-                (engine, tables) = Compiled::build(engine.lp, abs, opts);
-            }
-        }
-        engine.finish(tables, sched_groups)
-    }
-
-    /// Lower `lp` — already in its final step order, with `abs` its
-    /// compiled abstract step program — to the flat program, holding back
-    /// its narrowing and replay tables: as returned it is the adaptive
-    /// schedule's calibration probe ([`Compiled::calibrate`]), which
-    /// enumerates every loop, so every check it credits was evaluated (or
-    /// elided) point by point. [`Compiled::finish`] attaches the tables.
-    fn build(lp: LoweredPlan, abs: AbsSteps, opts: EngineOptions) -> (Compiled, Tables) {
         let plan = levels(&lp).levels;
         // A narrowed loop's `Enter` steps over its opening check (`ip += 2`),
         // so that check is a run of its own. The outermost loop never
@@ -601,39 +511,24 @@ impl Compiled {
             let elide_mask = if n.constraint < 64 { 1u64 << n.constraint } else { 0 };
             Some(LoopSolve { solve: Solve::new(n), elide_mask })
         });
-        let tables = Tables { narrow: narrow.collect(), replay: replay::Table::build(&plan) };
         let point_names: Arc<[Arc<str>]> =
             Arc::from(lp.slot_names.clone().into_boxed_slice());
-        let engine = Compiled {
+        let lint = (opts.lint != LintGate::Allow)
+            .then(|| analyze::analyze_steps(&lp, &abs).summary());
+        Compiled {
             lp,
             ops,
             runs,
-            abs,
             guards,
             gprogs,
             fanout_below,
             first_enter,
-            narrow: vec![None; n_loops as usize],
-            replay: replay::Table::none(n_loops as usize),
-            sched_groups: Vec::new(),
+            narrow: narrow.collect(),
+            replay: replay::Table::build(&plan),
             point_names,
-            lint: None,
+            lint,
             opts,
-        };
-        (engine, tables)
-    }
-
-    /// The engine that sweeps: `self` with its narrowing and replay tables
-    /// attached, the schedule telemetry `sched_groups` stored as given, and
-    /// the pre-sweep lint gate's summary of the exact plan it executes
-    /// (`Deny` is enforced lazily in `run`, so compilation itself stays
-    /// infallible).
-    fn finish(mut self, tables: Tables, sched_groups: Vec<SchedGroup>) -> Compiled {
-        self.lint = (self.opts.lint != LintGate::Allow)
-            .then(|| analyze::analyze_steps(&self.lp, &self.abs).summary());
-        (self.narrow, self.replay) = (tables.narrow, tables.replay);
-        self.sched_groups = sched_groups;
-        self
+        }
     }
 
     /// The space-linter summary recorded at compile time (`None` when the
@@ -685,7 +580,6 @@ impl Compiled {
             #[cfg(test)]
             guard_log: Vec::new(),
             elide: 0,
-            budget: u64::MAX,
             faults: Vec::new(),
             visit_ordinal: 0,
             poll: 0,
@@ -705,90 +599,10 @@ impl Compiled {
     /// slice, as before the slice existed.
     #[cfg(test)]
     pub(crate) fn with_full_product(mut self) -> Self {
-        self.abs = self.abs.with_full_product();
+        let abs = AbsSteps::new(&self.lp).with_full_product();
         let plan = levels(&self.lp).levels;
-        (self.guards, self.gprogs) = build_guards(&self.lp, &self.abs, &plan, self.opts);
+        (self.guards, self.gprogs) = build_guards(&self.lp, &abs, &plan, self.opts);
         self
-    }
-
-    /// The adaptive schedule's calibration pass, run on the probe engine:
-    /// sweep level-0 values — [`CALIB_SAMPLES`] evenly strided ones first —
-    /// with a discarded visitor, each under at most an equal share of
-    /// [`CALIB_BUDGET`] and until the budget is spent, summing the
-    /// samples' [`PruneStats`]. Returns, per region, its check positions
-    /// sorted once by kill rate per op ([`schedule::unit_cost`]),
-    /// descending: a check never evaluated sinks, and ties keep the
-    /// declared order. Sample and budget depend on nothing but the plan and
-    /// the options — never on the chunk grid, thread count or wall clock —
-    /// so every build of the same plan learns the same orders. `None`
-    /// keeps the declared order: an evaluation error ends calibration, and
-    /// the real run reports it under its own fault policy.
-    fn calibrate(&self, regions: &[schedule::Region]) -> Option<Vec<Vec<usize>>> {
-        let first_enter = self.first_enter?;
-        let outer = self.outer_domain().ok()?;
-        let mut slots = self.runs.file();
-        if !self.preamble(&mut slots, None).ok()? {
-            return None;
-        }
-        // Evenly strided values first, then the rest in order: a sample that
-        // dies early passes its unused share on instead of wasting it.
-        let samples = outer.len().min(CALIB_SAMPLES);
-        let strided: Vec<usize> = (0..samples).map(|k| k * outer.len() / samples).collect();
-        let rest = (0..outer.len()).filter(|i| !strided.contains(i));
-        let mut seen = PruneStats::new(self.lp.plan.space().constraints().len());
-        let mut left = CALIB_BUDGET;
-        for i in strided.iter().copied().chain(rest) {
-            if left == 0 {
-                break;
-            }
-            // A fresh state per sample: a budget stop leaves elision masks
-            // and guard caches mid-subtree.
-            let mut state = self.fresh_state(CountVisitor::default());
-            state.budget = left.min(CALIB_BUDGET / samples as u64);
-            left -= state.budget;
-            let run = self.exec(
-                first_enter,
-                Some(&[outer[i]]),
-                &mut slots,
-                &mut state,
-                &ChunkCtx::plain(),
-            );
-            left += state.budget;
-            seen.merge(&state.stats);
-            if !matches!(run, Ok(()) | Err(EvalError::Cancelled)) {
-                return None;
-            }
-        }
-        let orders = regions.iter().map(|region| {
-            let score: Vec<f64> = (0..region.checks.len())
-                .map(|k| {
-                    let LStep::Check { constraint, body: LBody::Expr(e) } =
-                        &self.lp.steps[region.checks[k]]
-                    else {
-                        unreachable!("region check without an expression body");
-                    };
-                    if seen.evaluated[*constraint] == 0 {
-                        return -1.0;
-                    }
-                    let cost = schedule::unit_cost(&self.lp, region, k, e.op_count()).max(1);
-                    seen.kill_rate(*constraint) / f64::from(cost)
-                })
-                .collect();
-            // A stable sort: ties keep the declared order.
-            let mut order: Vec<usize> = (0..region.checks.len()).collect();
-            order.sort_by(|&a, &b| score[b].total_cmp(&score[a]));
-            order
-        });
-        Some(orders.collect())
-    }
-
-    /// Per reorder-safe group, the member constraints in the order the
-    /// adaptive calibration pass learned — the order this engine executes
-    /// (`None` unless built with an adaptive schedule). A property of the
-    /// engine, identical for every run, chunk and worker of a sweep.
-    pub fn learned_orders(&self) -> Option<Vec<Vec<u32>>> {
-        (self.opts.schedule == ScheduleMode::Adaptive)
-            .then(|| self.sched_groups.iter().map(|g| g.executed.clone()).collect())
     }
 
     /// Run the full sweep.
@@ -800,7 +614,6 @@ impl Compiled {
         Ok(SweepOutcome {
             stats: state.stats,
             blocks: state.blocks,
-            schedule: self.learned_orders(),
             visitor: state.visitor,
         })
     }
@@ -812,9 +625,7 @@ impl Compiled {
     /// re-executed per chunk; they are loop-invariant so this is correct,
     /// and they are evaluated against constants so it is cheap. Their
     /// constraint counters are *not* re-recorded to keep merged statistics
-    /// meaningful. Chunk outcomes carry no `schedule`: the learned order is
-    /// a property of the engine ([`Compiled::learned_orders`]), reported
-    /// once per sweep.
+    /// meaningful.
     pub fn run_outer_chunk<V: Visitor>(
         &self,
         outer_values: &[i64],
@@ -848,7 +659,6 @@ impl Compiled {
             outcome: SweepOutcome {
                 stats: state.stats,
                 blocks: state.blocks,
-                schedule: None,
                 visitor: state.visitor,
             },
             faults: state.faults,
@@ -934,32 +744,6 @@ impl Compiled {
         Ok(true)
     }
 
-    /// The constraint schedule this backend runs, for
-    /// [`SweepReport`](crate::telemetry::SweepReport)s: mode, per-constraint
-    /// ranks in the executed check order, and per-group initial (static or
-    /// declared) and final member orders — the final order differs from the
-    /// initial one only where adaptive calibration re-ranked a group.
-    pub fn schedule_telemetry(&self) -> ScheduleTelemetry {
-        let constraints = self.lp.plan.space().constraints();
-        let names = |order: &[u32]| -> Vec<String> {
-            order.iter().map(|&c| constraints[c as usize].name.to_string()).collect()
-        };
-        let groups = self
-            .sched_groups
-            .iter()
-            .map(|g| GroupSchedule {
-                level: g.level,
-                initial: names(&g.initial),
-                final_order: names(&g.executed),
-            })
-            .collect();
-        ScheduleTelemetry {
-            mode: self.opts.schedule.to_string(),
-            ranks: schedule::check_ranks(&self.lp),
-            groups,
-        }
-    }
-
     /// Realize the outermost (level-0) loop's domain.
     ///
     /// Level-0 iterators depend only on constants, so this is cheap and
@@ -1038,8 +822,6 @@ impl Compiled {
             })
             .collect();
         let poll_cancel = ctx.cancel.is_some_and(|p| p.armed());
-        // Calibration runs spend a work budget; sweeps never do.
-        let budgeted = state.budget != u64::MAX;
         let ops: &[Op] = &self.ops;
         let mut ip = start_ip;
         // Evaluate a fallible expression; on error, hand the fault to
@@ -1224,9 +1006,6 @@ impl Compiled {
                     ip += 1;
                 }
                 Op::Next { loop_id, slot, body } => {
-                    if budgeted && !state.spend() {
-                        return Err(EvalError::Cancelled);
-                    }
                     if poll_cancel {
                         state.poll += 1;
                         if state.poll >= CANCEL_POLL_EVERY {
@@ -1638,9 +1417,6 @@ struct State<V> {
     guard_log: Vec<GuardCall>,
     /// Bitmask of currently elided checks (bit = constraint index).
     elide: u64,
-    /// Calibration loop advances left (`u64::MAX` = unbounded, every real
-    /// sweep); see [`CALIB_BUDGET`].
-    budget: u64,
     /// Faults recovered from during this run (only under
     /// [`FaultPolicy::SkipPoint`]); drained by the supervisor.
     faults: Vec<FaultRecord>,
@@ -1661,16 +1437,6 @@ struct GuardCall {
     slots: Vec<i64>,
     dom: (Interval, Congruence),
     verdict: Verdict,
-}
-
-impl<V> State<V> {
-    /// Spend one calibration loop advance; `false` once the budget is gone.
-    #[inline]
-    fn spend(&mut self) -> bool {
-        let left = self.budget > 0;
-        self.budget = self.budget.saturating_sub(1);
-        left
-    }
 }
 
 /// How many loop advances may pass between two cancel/deadline polls: the
@@ -1988,116 +1754,6 @@ mod tests {
         assert_eq!(off.unwrap_err().root(), &EvalError::DivisionByZero);
     }
 
-    /// A space with a run of three reorder-safe checks at the innermost
-    /// level, declared weakest-first so scheduling has room to improve.
-    fn sched_space() -> std::sync::Arc<Space> {
-        Space::builder("sched")
-            .constant("cap", 60)
-            .range("a", 1, 9)
-            .range("b", 1, 9)
-            .range("c", 1, 9)
-            .derived("abc", var("a") * var("b") * var("c"))
-            // Declared first, kills almost nothing.
-            .constraint("rare", ConstraintClass::Soft, var("abc").gt(500))
-            // Declared second, kills some.
-            .constraint("mid", ConstraintClass::Soft, var("abc").gt(200))
-            // Declared last, kills most.
-            .constraint("deadly", ConstraintClass::Hard, var("abc").gt(var("cap")))
-            .build()
-            .unwrap()
-    }
-
-    fn scheduled(space: &std::sync::Arc<Space>, mode: ScheduleMode) -> Compiled {
-        let plan = Plan::new(space, PlanOptions::default()).unwrap();
-        Compiled::with_options(
-            LoweredPlan::new(&plan).unwrap(),
-            EngineOptions::scheduled(mode),
-        )
-    }
-
-    #[test]
-    fn schedule_modes_agree_on_survivors_and_order() {
-        let space = sched_space();
-        let mut baseline: Option<Vec<Vec<i64>>> = None;
-        for mode in [ScheduleMode::Declared, ScheduleMode::Adaptive] {
-            let c = scheduled(&space, mode);
-            let out = c
-                .run(CollectVisitor::new(c.point_names().clone(), usize::MAX))
-                .unwrap();
-            let points: Vec<Vec<i64>> = out
-                .visitor
-                .points
-                .iter()
-                .map(|p| p.values().iter().map(|v| v.as_int().unwrap()).collect())
-                .collect();
-            match &baseline {
-                None => baseline = Some(points),
-                Some(b) => assert_eq!(&points, b, "{mode} diverged from declared"),
-            }
-        }
-    }
-
-    #[test]
-    fn adaptive_run_reports_final_orders() {
-        let space = sched_space();
-        let c = scheduled(&space, ScheduleMode::Adaptive);
-        let out = c.run(CountVisitor::default()).unwrap();
-        let finals = out.schedule.as_ref().expect("adaptive runs report a schedule");
-        assert_eq!(Some(finals), c.learned_orders().as_ref());
-        assert_eq!(finals.len(), 1);
-        // Calibration starts from the declared order ...
-        let tele = c.schedule_telemetry();
-        assert_eq!(tele.mode, "adaptive");
-        assert_eq!(tele.groups.len(), 1);
-        assert_eq!(tele.groups[0].initial, ["rare", "mid", "deadly"]);
-        // ... and the calibration budget covers all 8^3 = 512 points;
-        // "deadly" (constraint 2) has by far the best kill rate per op and
-        // must end up first — in the report and in the executed check order.
-        assert_eq!(tele.groups[0].final_order[0], "deadly");
-        assert_eq!(tele.ranks[2], 0);
-        // Declared-mode runs don't carry a schedule, and report the
-        // declared order untouched.
-        let d = scheduled(&space, ScheduleMode::Declared);
-        assert!(d.run(CountVisitor::default()).unwrap().schedule.is_none());
-        assert_eq!(d.schedule_telemetry().groups[0].final_order, ["rare", "mid", "deadly"]);
-        // Members that tie in calibration — here two checks that never
-        // reject — keep their declared order behind the deadly one,
-        // whichever way round they are declared.
-        for never in [["zeta", "alpha"], ["alpha", "zeta"]] {
-            let mut builder = Space::builder("ties")
-                .range("a", 1, 9)
-                .range("b", 1, 9)
-                .range("c", 1, 9)
-                .derived("abc", var("a") * var("b") * var("c"));
-            for name in never {
-                builder = builder.constraint(name, ConstraintClass::Soft, var("abc").gt(1000));
-            }
-            let space = builder
-                .constraint("deadly", ConstraintClass::Hard, var("abc").gt(60))
-                .build()
-                .unwrap();
-            let tele = scheduled(&space, ScheduleMode::Adaptive).schedule_telemetry();
-            assert_eq!(tele.groups[0].final_order, ["deadly", never[0], never[1]]);
-        }
-    }
-
-    #[test]
-    fn adaptive_stats_still_count_every_tuple_once() {
-        // Reordering shifts which constraint gets the kill credit, but the
-        // totals must still account for every tuple: survivors + pruned
-        // equals the full cross product at the innermost level.
-        let space = sched_space();
-        let out = scheduled(&space, ScheduleMode::Adaptive)
-            .run(CountVisitor::default())
-            .unwrap();
-        let declared = scheduled(&space, ScheduleMode::Declared)
-            .run(CountVisitor::default())
-            .unwrap();
-        assert_eq!(out.stats.survivors, declared.stats.survivors);
-        assert_eq!(out.stats.total_pruned(), declared.stats.total_pruned());
-        assert_eq!(out.visitor.count, declared.visitor.count);
-    }
-
     /// The options signature keys the sub-sweep cache and the checkpoint
     /// compatibility check, so its exact shape is pinned: the default string
     /// must never change silently, every semantic knob must perturb it, and
@@ -2113,7 +1769,6 @@ mod tests {
             EngineOptions { intervals: false, ..d },
             EngineOptions { congruence: false, ..d },
             EngineOptions { min_guard_fanout: 2, ..d },
-            EngineOptions { schedule: ScheduleMode::Adaptive, ..d },
             EngineOptions { engine: EngineTier::Native, ..d },
         ];
         let mut seen = vec![d.signature()];
@@ -2200,7 +1855,7 @@ mod tests {
     /// suites (solved, replayed, stepped, opaque and failing levels), with
     /// a guard on every eligible loop (nested
     /// kept guards reading their parent's facts) or the default fanout
-    /// gate, on either schedule, with and without the congruence half.
+    /// gate, with and without the congruence half.
     #[test]
     fn guard_programs_match_step_by_step_evaluation() {
         use beast_core::analyze::{AbsEnv, BindHull};
@@ -2209,23 +1864,16 @@ mod tests {
         let (mut runs, mut nested, mut skips, mut cg_skips, mut elided) = (0u64, 0u64, 0, 0, 0);
         for (n, (options, space)) in plans.iter().enumerate() {
             let lp = LoweredPlan::new(&Plan::new(space, options.clone()).unwrap()).unwrap();
-            for (fanout, congruence, schedule) in [
-                (1, true, ScheduleMode::Declared),
-                (1, false, ScheduleMode::Declared),
-                (4, true, ScheduleMode::Adaptive),
-            ] {
-                let opts = EngineOptions {
-                    min_guard_fanout: fanout,
-                    congruence,
-                    schedule,
-                    ..EngineOptions::default()
-                };
+            for (fanout, congruence) in [(1, true), (1, false), (4, true)] {
+                let opts =
+                    EngineOptions { min_guard_fanout: fanout, congruence, ..EngineOptions::default() };
                 let c = Compiled::with_options(lp.clone(), opts);
                 let mut state = c.fresh_state(CountVisitor::default());
                 let mut slots = c.runs.file();
                 // Failing spaces stop the sweep; the runs before still count.
                 let _ = c.exec(0, None, &mut slots, &mut state, &ChunkCtx::plain());
                 let plan = levels(&c.lp).levels;
+                let abs = AbsSteps::new(&c.lp);
                 let kept: Vec<usize> = (0..plan.len()).filter(|&l| c.guards[l].is_some()).collect();
                 for call in &state.guard_log {
                     let (start, slot) = (plan[call.l].step + 1, plan[call.l].slot as usize);
@@ -2234,8 +1882,8 @@ mod tests {
                     (env.iv[slot], env.cg[slot]) = call.dom;
                     let (mut clean, mut elide, mut want) = (true, 0u64, None);
                     for i in start..c.lp.steps.len() {
-                        let product = congruence && c.abs.slice()[i];
-                        let fact = c.abs.eval(i, &mut env, product, BindHull::Bounds);
+                        let product = congruence && abs.slice()[i];
+                        let fact = abs.eval(i, &mut env, product, BindHull::Bounds);
                         if fact.rejects_all && clean {
                             let by_congruence = fact.out.iv.contains(0);
                             want = Some(Verdict::Skip { by_congruence });
@@ -2269,9 +1917,9 @@ mod tests {
 
     /// The congruence slice changes no sweep: on the seeded spaces of the
     /// narrowing and replay suites, with a guard on every eligible loop,
-    /// on either schedule, the engine as built and the one evaluating every
-    /// guard step over the product agree on the survivors' fingerprint, the
-    /// prune and block counters and the learned orders — or fail alike.
+    /// the engine as built and the one evaluating every guard step over the
+    /// product agree on the survivors' fingerprint and the prune and block
+    /// counters — or fail alike.
     #[test]
     fn the_congruence_slice_changes_no_sweep() {
         use crate::visit::FingerprintVisitor;
@@ -2280,36 +1928,31 @@ mod tests {
         let (mut sliced_out, mut congruence_skips) = (0u32, 0u64);
         for (n, (options, space)) in plans.iter().enumerate() {
             let lp = LoweredPlan::new(&Plan::new(space, options.clone()).unwrap()).unwrap();
-            for schedule in [ScheduleMode::Declared, ScheduleMode::Adaptive] {
-                let opts =
-                    EngineOptions { min_guard_fanout: 1, schedule, ..EngineOptions::default() };
-                let built = Compiled::with_options(lp.clone(), opts);
-                // A real step below the first guard that the slice leaves
-                // out (the trailing `Visit` is never in it).
-                let plan = levels(&built.lp).levels;
-                let first = built.guards.iter().position(Option::is_some);
-                let below = |l: usize| {
-                    let window = plan[l].step + 1..built.lp.steps.len();
-                    built.lp.steps[window.clone()]
-                        .iter()
-                        .zip(&built.abs.slice()[window])
-                        .any(|(s, &sliced)| !sliced && !matches!(s, LStep::Visit))
-                };
-                sliced_out += u32::from(first.is_some_and(below));
-                let outcome = |c: &Compiled| match c.run(FingerprintVisitor::new()) {
-                    Ok(out) => {
-                        let v = &out.visitor;
-                        Ok((v.hash, v.count, out.stats, out.blocks, out.schedule))
-                    }
-                    Err(e) => Err(e.to_string()),
-                };
-                let want = outcome(&built);
-                if let Ok((.., blocks, _)) = &want {
-                    congruence_skips += blocks.congruence_skips;
-                }
-                let full = Compiled::with_options(lp.clone(), opts).with_full_product();
-                assert_eq!(outcome(&full), want, "plan {n}, {schedule:?}");
+            let opts = EngineOptions { min_guard_fanout: 1, ..EngineOptions::default() };
+            let built = Compiled::with_options(lp.clone(), opts);
+            // A real step below the first guard that the slice leaves
+            // out (the trailing `Visit` is never in it).
+            let plan = levels(&built.lp).levels;
+            let abs = AbsSteps::new(&built.lp);
+            let first = built.guards.iter().position(Option::is_some);
+            let below = |l: usize| {
+                let window = plan[l].step + 1..built.lp.steps.len();
+                built.lp.steps[window.clone()]
+                    .iter()
+                    .zip(&abs.slice()[window])
+                    .any(|(s, &sliced)| !sliced && !matches!(s, LStep::Visit))
+            };
+            sliced_out += u32::from(first.is_some_and(below));
+            let outcome = |c: &Compiled| match c.run(FingerprintVisitor::new()) {
+                Ok(out) => Ok((out.visitor.hash, out.visitor.count, out.stats, out.blocks)),
+                Err(e) => Err(e.to_string()),
+            };
+            let want = outcome(&built);
+            if let Ok((.., blocks)) = &want {
+                congruence_skips += blocks.congruence_skips;
             }
+            let full = Compiled::with_options(lp, opts).with_full_product();
+            assert_eq!(outcome(&full), want, "plan {n}");
         }
         assert!(
             sliced_out > 100 && congruence_skips > 0,

@@ -284,7 +284,7 @@ fn parse_done<V: Visitor + SaveState>(
             visitor
                 .load_state(o.get("visitor").ok_or_else(|| "worker: outcome.visitor missing".to_string())?)
                 .map_err(|e| format!("worker: {e}"))?;
-            Some(SweepOutcome { stats, blocks, schedule: None, visitor })
+            Some(SweepOutcome { stats, blocks, visitor })
         }
     };
     Ok(ChunkDone { outcome, faults })

@@ -263,7 +263,6 @@ impl NativeContext {
         Ok(SweepOutcome {
             stats: reply.stats,
             blocks: reply.blocks,
-            schedule: None,
             visitor,
         })
     }
@@ -472,7 +471,6 @@ mod tests {
         let norm = EngineOptions {
             intervals: false,
             congruence: false,
-            schedule: Default::default(),
             ..EngineOptions::native()
         };
         Compiled::with_options(lp.clone(), norm)

@@ -542,8 +542,8 @@ where
             &InThread,
         );
     };
-    // Native workers account per point in declared order (no block pruning,
-    // no reordering), so when the tier is active the in-process engine that
+    // Native workers account per point in declared order with no block
+    // pruning, so when the tier is active the in-process engine that
     // evaluates fallback chunks is normalized to the same accounting —
     // otherwise a fallback chunk's PruneStats would diverge from its
     // worker-evaluated twin. Survivors, order and fingerprints are identical
@@ -551,7 +551,6 @@ where
     let engine = EngineOptions {
         intervals: false,
         congruence: false,
-        schedule: Default::default(),
         ..opts.engine
     };
     let compiled = Compiled::with_options(lp.clone(), engine);
@@ -636,7 +635,6 @@ where
             grid.2,
             t_start.elapsed(),
             workers,
-            compiled.schedule_telemetry(),
             compiled.lint_summary(),
         );
         report.resumed_at = resumed_at;
@@ -655,7 +653,6 @@ where
             SweepOutcome {
                 stats,
                 blocks: seed_blocks,
-                schedule: None,
                 visitor: seed_visitor.unwrap_or_else(&make_visitor),
             },
             report,
@@ -904,7 +901,6 @@ where
         SweepOutcome {
             stats,
             blocks,
-            schedule: compiled.learned_orders(),
             visitor: visitor.unwrap_or_else(make_visitor),
         },
         report,

@@ -60,12 +60,6 @@ impl Table {
         Table { loops: levels.iter().map(|l| l.replayable).collect(), cap: LOG_CAP }
     }
 
-    /// A table that replays nothing: the adaptive probe engine's, so
-    /// calibration spends the same budget and learns the same orders.
-    pub(crate) fn none(n_loops: usize) -> Table {
-        Table { loops: vec![false; n_loops], cap: LOG_CAP }
-    }
-
     /// Does loop `l` replay?
     #[inline]
     pub(crate) fn replays(&self, l: usize) -> bool {
@@ -81,7 +75,7 @@ impl Table {
     /// The same program with replay declined everywhere.
     #[cfg(test)]
     pub(crate) fn declined(self) -> Table {
-        Table::none(self.loops.len())
+        Table { loops: vec![false; self.loops.len()], ..self }
     }
 
     /// A fresh, empty log for one interpreter state over `width` slots.
@@ -670,7 +664,7 @@ mod tests {
     }
 
     #[test]
-    fn the_table_follows_the_recogniser_and_the_probe_replays_nothing() {
+    fn the_table_follows_the_recogniser_and_a_declined_one_replays_nothing() {
         use beast_core::constraint::ConstraintClass;
         use beast_core::expr::var;
         use beast_core::plan::{Plan, PlanOptions};
@@ -688,8 +682,8 @@ mod tests {
         let table = Table::build(&beast_core::analyze::levels::levels(&lp).levels);
         let replays: Vec<bool> = (0..lp.n_loops()).map(|l| table.replays(l)).collect();
         assert_eq!(replays, [false, true, false, true]);
-        let probe = Table::none(lp.n_loops());
-        assert!((0..lp.n_loops()).all(|l| !probe.replays(l)));
+        let declined = table.clone().declined();
+        assert!((0..lp.n_loops()).all(|l| !declined.replays(l)));
         assert_eq!(table.with_cap(9).new_log(4).cap, 9);
     }
 
@@ -701,7 +695,6 @@ mod tests {
     use beast_core::expr::{lit, var};
     use beast_core::ir::LoweredPlan;
     use beast_core::plan::{LoopOrder, Plan, PlanOptions};
-    use beast_core::schedule::ScheduleMode;
     use beast_core::space::{Space, SpaceBuilder};
 
     use crate::compiled::{ChunkCtx, Compiled, EngineOptions};
@@ -782,7 +775,6 @@ mod tests {
             EngineOptions::default(),
             EngineOptions::no_intervals(),
             EngineOptions { min_guard_fanout: 1, ..EngineOptions::default() },
-            EngineOptions::scheduled(ScheduleMode::Adaptive),
         ];
         for (name, lp) in shapes() {
             for opts in options {

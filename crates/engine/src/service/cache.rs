@@ -15,9 +15,9 @@
 //!    bound-prefix value slice, so overlapping sweeps hit on shared chunks
 //!    regardless of chunk *indices*.
 //! 3. **The evaluation scope** — a caller-supplied string naming the device/
-//!    request scope plus [`crate::compiled::EngineOptions::signature`] — the execution-options
-//!    fingerprint (schedule mode, interval/congruence pruning, guard fanout,
-//!    engine tier) shared with the checkpoint compatibility check.
+//!    request scope plus [`crate::compiled::EngineOptions::signature`] — the
+//!    execution-options fingerprint (interval/congruence pruning, guard
+//!    fanout, engine tier) shared with the checkpoint compatibility check.
 //!    This is belt-and-suspenders on top of (1): the structural hash already
 //!    separates devices, but the scope string keeps the key auditable and
 //!    protects against option changes that alter *statistics* without
@@ -282,9 +282,6 @@ impl<V: Visitor + SaveState + Clone + Send + Sync> ChunkMemo<V> for ScopedMemo<'
                 Some(SweepOutcome {
                     stats: e.stats.clone(),
                     blocks: e.blocks,
-                    // Per sweep, not per chunk: the driver reports the
-                    // engine's learned order whether or not chunks replay.
-                    schedule: None,
                     visitor: e.visitor.clone(),
                 })
             }
@@ -344,8 +341,7 @@ where
 /// sweeps one space many times (the daemon) resolves and compiles it once.
 ///
 /// `plan_hash` is the [`LoweredPlan::structural_hash`] of the plan the engine
-/// was built from, taken before the build (an adaptive schedule reorders the
-/// engine's own copy). `t_start` is the report clock: start it before the
+/// was built from, which the caller hashes once per space. `t_start` is the report clock: start it before the
 /// build to have `elapsed` cover it. The cache scope's options are the
 /// engine's ([`Compiled::options`]); `opts.engine` is not read. Only the
 /// in-process compiled tier runs here: an engine built for another tier is

@@ -17,11 +17,8 @@ use crate::fault::{FaultAction, FaultKind, FaultRecord};
 ///
 /// The per-constraint split depends on *check order*: within a run of
 /// checks, the first rejecting constraint gets the kill credit and later
-/// ones are never evaluated for that tuple. Under non-declared constraint
-/// scheduling ([`crate::compiled::EngineOptions::schedule`]) the engine
-/// reorders reorder-safe runs, so `evaluated`/`pruned` shift between the
-/// members of a group — while `survivors`, `total_pruned()` and the visit
-/// order stay bit-for-bit identical.
+/// ones are never evaluated for that tuple. Every backend runs the declared
+/// order, so with block pruning off the rows equal the walker's.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PruneStats {
     /// Times each constraint was evaluated (indexed like

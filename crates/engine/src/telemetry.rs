@@ -92,10 +92,6 @@ pub struct ConstraintTelemetry {
     pub class: String,
     /// DAG level the planner hoisted the check to (0 = outermost).
     pub level: usize,
-    /// Position of this constraint's check in the engine's flattened check
-    /// order — the *scheduled* order, which differs from plan order under
-    /// static/adaptive constraint scheduling.
-    pub schedule_rank: usize,
     /// Times evaluated.
     pub evaluated: u64,
     /// Times it rejected the tuple.
@@ -133,55 +129,6 @@ impl LevelTelemetry {
         } else {
             self.pruned as f64 / self.evaluated as f64
         }
-    }
-}
-
-/// How one reorder-safe check group (the checks sharing a loop level) was
-/// ordered by the constraint scheduler.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct GroupSchedule {
-    /// Loop level of the group (0 = directly under the outermost loop).
-    pub level: usize,
-    /// Constraint names in the order checks *started* executing (the
-    /// declared order, under either schedule).
-    pub initial: Vec<String>,
-    /// Constraint names in the order in effect when the sweep finished
-    /// (differs from `initial` only when adaptive re-sorting fired; under
-    /// the parallel driver this is chunk 0's final order).
-    pub final_order: Vec<String>,
-}
-
-/// The constraint schedule a sweep ran with.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ScheduleTelemetry {
-    /// Schedule mode name: `declared` or `adaptive`.
-    pub mode: String,
-    /// Constraint index → rank in the engine's flattened check order
-    /// (surfaced per constraint as `schedule_rank`).
-    pub ranks: Vec<usize>,
-    /// Per-group orders, outermost group first.
-    pub groups: Vec<GroupSchedule>,
-}
-
-impl ScheduleTelemetry {
-    /// The human-readable schedule block: one line per group in its
-    /// declared order, plus a `(final)` line where calibration re-ranked
-    /// it. Empty when the plan has no reorder-safe group.
-    pub fn render_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        if self.groups.is_empty() {
-            return out;
-        }
-        let _ = writeln!(out, "check schedule ({}):", self.mode);
-        for g in &self.groups {
-            let _ = writeln!(out, "  level {}: {}", g.level, g.initial.join(" → "));
-            if g.final_order != g.initial {
-                let order = g.final_order.join(" → ");
-                let _ = writeln!(out, "  level {} (final): {order}", g.level);
-            }
-        }
-        out
     }
 }
 
@@ -252,8 +199,6 @@ pub struct SweepReport {
     pub levels: Vec<LevelTelemetry>,
     /// Per-worker load, ascending by worker index.
     pub workers: Vec<WorkerTelemetry>,
-    /// The constraint schedule the sweep ran with.
-    pub schedule: ScheduleTelemetry,
     /// True when the sweep stopped early (cancel, deadline, or a simulated
     /// kill) and the outcome covers only a prefix of the chunk grid; a
     /// checkpointed partial sweep can be resumed to completion.
@@ -285,7 +230,6 @@ impl SweepReport {
         chunks: usize,
         elapsed: Duration,
         workers: Vec<WorkerTelemetry>,
-        schedule: ScheduleTelemetry,
         lint: Option<LintSummary>,
     ) -> SweepReport {
         let dag = space.dag();
@@ -297,7 +241,6 @@ impl SweepReport {
                 name: c.name.to_string(),
                 class: c.class.to_string(),
                 level: dag.level(space.constraint_node(i)),
-                schedule_rank: schedule.ranks.get(i).copied().unwrap_or(i),
                 evaluated: stats.evaluated[i],
                 pruned: stats.pruned[i],
             })
@@ -342,7 +285,6 @@ impl SweepReport {
             constraints,
             levels,
             workers,
-            schedule,
             partial: false,
             resumed_at: None,
             fault_policy: "abort".to_string(),
@@ -517,8 +459,6 @@ impl SweepReport {
             out.push(',');
             json_num(&mut out, "level", c.level as f64);
             out.push(',');
-            json_num(&mut out, "schedule_rank", c.schedule_rank as f64);
-            out.push(',');
             json_num(&mut out, "evaluated", c.evaluated as f64);
             out.push(',');
             json_num(&mut out, "pruned", c.pruned as f64);
@@ -541,22 +481,7 @@ impl SweepReport {
             json_num(&mut out, "kill_rate", l.kill_rate());
             out.push('}');
         }
-        out.push_str("],\"schedule\":{");
-        json_str(&mut out, "mode", &self.schedule.mode);
-        out.push_str(",\"levels\":[");
-        for (i, g) in self.schedule.groups.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('{');
-            json_num(&mut out, "level", g.level as f64);
-            out.push_str(",\"initial\":");
-            json_str_array(&mut out, &g.initial);
-            out.push_str(",\"final\":");
-            json_str_array(&mut out, &g.final_order);
-            out.push('}');
-        }
-        out.push_str("]},\"workers\":[");
+        out.push_str("],\"workers\":[");
         for (i, w) in self.workers.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -703,10 +628,6 @@ impl SweepReport {
                 100.0 * l.kill_rate()
             );
         }
-        if !self.schedule.groups.is_empty() {
-            out.push('\n');
-            out.push_str(&self.schedule.render_text());
-        }
         let _ = writeln!(
             out,
             "\n{:<7} {:>7} {:>10} {:>14} {:>12}",
@@ -770,18 +691,6 @@ pub(crate) fn json_str(out: &mut String, key: &str, value: &str) {
     out.push_str(key);
     out.push_str("\":");
     json_str_value(out, value);
-}
-
-/// Append `["a","b",...]` of escaped strings.
-fn json_str_array(out: &mut String, items: &[String]) {
-    out.push('[');
-    for (i, item) in items.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        json_str_value(out, item);
-    }
-    out.push(']');
 }
 
 /// Append `"key":number` (non-finite values become 0 — JSON has no NaN).
@@ -853,15 +762,6 @@ mod tests {
             loops_replayed: 2,
             rows_replayed: 9,
         };
-        let schedule = ScheduleTelemetry {
-            mode: "adaptive".to_string(),
-            ranks: vec![0, 1],
-            groups: vec![GroupSchedule {
-                level: 1,
-                initial: vec!["a_odd".to_string(), "over".to_string()],
-                final_order: vec!["over".to_string(), "a_odd".to_string()],
-            }],
-        };
         SweepReport::new(
             &space,
             &stats,
@@ -872,7 +772,6 @@ mod tests {
             4,
             Duration::from_millis(40),
             workers,
-            schedule,
             Some(LintSummary { errors: 0, warnings: 2, infos: 5 }),
         )
     }
@@ -931,8 +830,6 @@ mod tests {
             "\"loops_replayed\":2",
             "\"rows_replayed\":9",
             "\"lint\":{\"errors\":0,\"warnings\":2,\"infos\":5}",
-            "\"schedule_rank\":",
-            "\"schedule\":{\"mode\":\"adaptive\"",
             "\"partial\":false",
             "\"resumed_at\":null",
             "\"fault_policy\":\"abort\"",
@@ -1045,26 +942,17 @@ mod tests {
         assert!(text.contains("lint: 0 error(s), 2 warning(s), 5 info(s)"), "{text}");
     }
 
-    /// Pin the serialized shape of the scheduling fields: per-constraint
-    /// `schedule_rank`, per-level `kill_rate`, and the `schedule` section
-    /// with per-group initial/final orders.
+    /// Pin the serialized shape of a constraint row and a level row.
     #[test]
-    fn schedule_fields_have_pinned_json_shape() {
-        let r = sample_report();
-        let json = r.to_json();
+    fn constraint_and_level_rows_have_pinned_json_shape() {
+        let json = sample_report().to_json();
         assert!(
             json.contains(
-                "\"schedule\":{\"mode\":\"adaptive\",\"levels\":[{\"level\":1,\
-                 \"initial\":[\"a_odd\",\"over\"],\"final\":[\"over\",\"a_odd\"]}]}"
+                "{\"name\":\"a_odd\",\"class\":\"soft\",\"level\":1,\"evaluated\":8,\
+                 \"pruned\":0,\"kill_rate\":0}"
             ),
-            "schedule section shape changed: {json}"
-        );
-        // Each constraint row carries its rank in the scheduled check order.
-        assert!(
-            json.contains("\"name\":\"a_odd\",\"class\":\"soft\",\"level\":1,\"schedule_rank\":0"),
             "{json}"
         );
-        assert!(json.contains("\"schedule_rank\":1"));
         // Levels carry a kill_rate (over: 16 pruned / 64 evaluated = 0.25).
         assert!(json.contains("\"pruned\":16,\"kill_rate\":0.25"), "{json}");
     }

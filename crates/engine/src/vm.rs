@@ -198,7 +198,6 @@ impl Vm {
         Ok(SweepOutcome {
             stats,
             blocks: BlockStats::default(),
-            schedule: None,
             visitor,
         })
     }

@@ -49,13 +49,6 @@ pub struct SweepOutcome<V> {
     /// block pruning (walker, VM) and for the compiled engine with
     /// intervals disabled.
     pub blocks: BlockStats,
-    /// Per-group check order an adaptive-schedule engine learned at compile
-    /// time and ran (constraint indices, one inner `Vec` per reorder-safe
-    /// check group; see `Compiled::learned_orders`). One value per sweep:
-    /// `None` on per-chunk outcomes, and for backends and modes without
-    /// measured scheduling (walker, VM, and the compiled engine under
-    /// a declared schedule).
-    pub schedule: Option<Vec<Vec<u32>>>,
     /// The visitor, holding whatever it accumulated.
     pub visitor: V,
 }
@@ -98,7 +91,6 @@ impl<'p> Walker<'p> {
         Ok(SweepOutcome {
             stats: state.stats,
             blocks: BlockStats::default(),
-            schedule: None,
             visitor: state.visitor,
         })
     }

@@ -180,6 +180,28 @@ fn mismatched_engine_or_space_is_refused() {
     assert!(!err.is_empty());
 }
 
+/// The adaptive schedule is retired, and its name is in the engine
+/// signature: a checkpoint an older build took under it — the declared
+/// fixture with that engine key and a valid crc — is refused, while the
+/// declared file itself resumes bit-identically.
+#[test]
+fn a_checkpoint_taken_under_the_adaptive_schedule_is_refused() {
+    let lp = gemm_lowered();
+    let (path, text, reference) = valid_checkpoint("adaptive.json");
+    let declared = "\"engine\":\"iv1cg1g4Declaredecompiled\"";
+    assert!(text.contains(declared), "the fixture records the declared signature");
+    let body = &text[..text.rfind(",\"crc\":\"").expect("the fixture ends with its crc")];
+    let adaptive = body.replacen(declared, "\"engine\":\"iv1cg1g4Adaptiveecompiled\"", 1);
+    let mut crc = Fnv1a::new();
+    crc.write_raw(adaptive.as_bytes());
+    std::fs::write(&path, format!("{adaptive},\"crc\":\"{:016x}\"}}", crc.finish())).unwrap();
+    let err = try_resume(&lp, &path).expect_err("an adaptive checkpoint must be refused");
+    assert!(err.contains("engine options `iv1cg1g4Adaptiveecompiled`"), "{err}");
+    std::fs::write(&path, &text).unwrap();
+    let resumed = try_resume(&lp, &path).expect("the declared file must resume");
+    assert_eq!(resumed, reference, "a declared resume must be bit-identical");
+}
+
 /// An empty and a non-JSON file both produce structured errors (the
 /// degenerate corruption cases a crashed writer can leave behind).
 #[test]

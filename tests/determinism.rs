@@ -319,54 +319,6 @@ fn congruence_on_and_off_agree_at_every_thread_count() {
     );
 }
 
-/// Constraint scheduling is invisible in results: declared and adaptive
-/// check ordering — with intervals on or off, serial and parallel at every
-/// thread count — reproduce the same survivors in the identical emission
-/// order. Only the per-constraint kill *credit* may move between the
-/// members of a reorder-safe group.
-#[test]
-fn schedule_modes_agree_at_every_thread_count() {
-    use beast_core::schedule::ScheduleMode;
-    for (name, space) in all_spaces() {
-        let lp = lower(&space);
-        let baseline_engine = Compiled::new(lp.clone());
-        let names = baseline_engine.point_names().clone();
-        let baseline = baseline_engine
-            .run(CollectVisitor::new(names.clone(), usize::MAX))
-            .unwrap();
-        for mode in [ScheduleMode::Declared, ScheduleMode::Adaptive] {
-            for intervals in [true, false] {
-                let mut engine = if intervals {
-                    EngineOptions::default()
-                } else {
-                    EngineOptions::no_intervals()
-                };
-                engine.schedule = mode;
-                let serial = Compiled::with_options(lp.clone(), engine)
-                    .run(CollectVisitor::new(names.clone(), usize::MAX))
-                    .unwrap();
-                assert_eq!(
-                    serial.visitor.points, baseline.visitor.points,
-                    "{name}: {mode} (intervals={intervals}) changed survivors or order"
-                );
-                assert_eq!(serial.stats.survivors, baseline.stats.survivors, "{name}");
-                for threads in THREAD_COUNTS {
-                    let opts = ParallelOptions { threads, engine, ..ParallelOptions::default() };
-                    let (par, report) = run_parallel_report(&lp, &opts, || {
-                        CollectVisitor::new(names.clone(), usize::MAX)
-                    })
-                    .unwrap();
-                    assert_eq!(
-                        par.visitor.points, baseline.visitor.points,
-                        "{name}: {mode} (intervals={intervals}) diverged at {threads} threads"
-                    );
-                    assert_eq!(report.schedule.mode, mode.as_str(), "{name}");
-                }
-            }
-        }
-    }
-}
-
 /// The determinism contract survives fault recovery: with a pinned chunk
 /// grid and a seeded injector, every space produces the same survivors in
 /// the same order — and the same structured fault records — at every
@@ -414,60 +366,41 @@ fn faulted_sweeps_are_thread_count_invariant() {
 /// spaces the fingerprint, survivor count, every `PruneStats` row and every
 /// `BlockStats` counter (replay's included) equal the values the last
 /// commit that still had a lane tier printed, with the tier switched off,
-/// for `repro sweep DIM --threads 1 --chunks 32` under each schedule mode
-/// with intervals on and off. Deleting the tier may not move one of them,
-/// nor may the register-form guard evaluator. `guard_runs` counts the
-/// sweep's own verdicts, so it is the same on both schedules (adaptive
-/// calibration runs guards at engine-build time, outside every sweep).
+/// in the declared check order, for `repro sweep DIM --threads 1 --chunks
+/// 32` with intervals on and off. Deleting the tier, the register-form
+/// guard evaluator and the adaptive schedule moved none of them.
 #[test]
 fn scalar_engine_reproduces_the_pinned_gemm_fingerprints_and_counters() {
-    use beast_core::schedule::ScheduleMode::{Adaptive, Declared};
-    // (dim, schedule, intervals, evaluated, pruned, [guard_runs,
+    // (dim, intervals, evaluated, pruned, [guard_runs,
     // subtree_skips, congruence_skips, points_skipped, checks_elided,
     // loops_solved, points_solved, loops_replayed, rows_replayed]).
     #[rustfmt::skip]
     let pins = [
-        (16, Declared, true,
+        (16, true,
          [256, 16064, 16064, 16064, 16064, 16064, 16064, 256, 109440, 91136, 2240, 2112],
          [0, 0, 0, 0, 0, 0, 15312, 236, 107200, 89024, 1120, 288],
          [794, 370, 57, 7536, 48448, 17344, 200576, 723, 1767]),
-        (16, Declared, false,
+        (16, false,
          [256, 32256, 32256, 32256, 32256, 32256, 32256, 256, 222912, 91136, 3904, 2112],
          [0, 0, 0, 0, 0, 0, 30048, 236, 219008, 89024, 2784, 288],
          [0, 0, 0, 0, 0, 37568, 314048, 2698, 1767]),
-        (16, Adaptive, true,
-         [20, 16064, 16064, 16064, 752, 752, 16064, 256, 109440, 91136, 2240, 2112],
-         [0, 0, 0, 0, 0, 0, 15312, 236, 107200, 89024, 1120, 288],
-         [794, 370, 57, 7536, 48212, 17344, 200576, 723, 1767]),
-        (16, Adaptive, false,
-         [20, 32256, 32256, 32256, 2208, 2208, 32256, 256, 222912, 91136, 3904, 2112],
-         [0, 0, 0, 0, 0, 0, 30048, 236, 219008, 89024, 2784, 288],
-         [0, 0, 0, 0, 0, 37568, 314048, 2698, 1767]),
-        (32, Declared, true,
+        (32, true,
          [1024, 346240, 346240, 346240, 346240, 346240, 282208, 1024, 8043776, 4744128, 90560, 61792],
          [0, 0, 0, 0, 0, 64032, 257824, 912, 7953216, 4682336, 61472, 29920],
          [8568, 3952, 718, 81856, 1039744, 817936, 12787904, 9488, 30693]),
-        (32, Declared, false,
+        (32, false,
          [1024, 587776, 587776, 587776, 587776, 587776, 503488, 1024, 15501856, 4744128, 162016, 61792],
          [0, 0, 0, 0, 0, 84288, 450912, 912, 15339840, 4682336, 132928, 29920],
          [0, 0, 0, 0, 0, 1503472, 20245984, 31714, 30693]),
-        (32, Adaptive, true,
-         [112, 346240, 346240, 346240, 38624, 38624, 346240, 1024, 8043776, 4744128, 90560, 61792],
-         [0, 0, 0, 0, 0, 14240, 307616, 912, 7953216, 4682336, 61472, 29920],
-         [8568, 3952, 718, 81856, 1038832, 817936, 12787904, 9488, 30693]),
-        (32, Adaptive, false,
-         [112, 587776, 587776, 587776, 75584, 75584, 587776, 1024, 15501856, 4744128, 162016, 61792],
-         [0, 0, 0, 0, 0, 23008, 512192, 912, 15339840, 4682336, 132928, 29920],
-         [0, 0, 0, 0, 0, 1503472, 20245984, 31714, 30693]),
     ];
-    for (dim, schedule, intervals, evaluated, pruned, b) in pins {
+    for (dim, intervals, evaluated, pruned, b) in pins {
         let (hash, survivors) =
             if dim == 16 { (0x1096600c503f5220, 1824) } else { (0x828fe8248da94e00, 31872) };
         let lp = lower(&build_gemm_space(&GemmSpaceParams::reduced(dim)).unwrap());
-        let engine = EngineOptions { intervals, schedule, ..EngineOptions::default() };
+        let engine = EngineOptions { intervals, ..EngineOptions::default() };
         let opts = ParallelOptions { threads: 1, chunk_count: 32, engine, ..Default::default() };
         let (out, _) = run_parallel_report(&lp, &opts, FingerprintVisitor::new).unwrap();
-        let at = format!("reduced({dim}) {schedule} intervals={intervals}");
+        let at = format!("reduced({dim}) intervals={intervals}");
         assert_eq!((out.visitor.hash, out.visitor.count), (hash, survivors), "{at}");
         let stats = PruneStats { evaluated: evaluated.into(), pruned: pruned.into(), survivors };
         assert_eq!(out.stats, stats, "{at}: PruneStats");
@@ -573,24 +506,20 @@ fn guard_verdicts_are_pinned_on_generated_spaces() {
 /// still produce the identical outcome.
 #[test]
 fn native_tier_matches_compiled_bit_for_bit() {
-    use beast_core::schedule::ScheduleMode;
-
     let lp = lower(&gemm_space());
     let compiled = Compiled::new(lp.clone());
     let names = compiled.point_names().clone();
     let baseline = compiled
         .run(CollectVisitor::new(names.clone(), usize::MAX))
         .unwrap();
-    // Stats reference: native workers account per point in declared order
-    // with no block pruning, so the comparable in-process run disables the
-    // interval/congruence product and reordering (batching stays on — it is
-    // stats-invisible, see `batch_on_and_off_agree_at_every_thread_count`).
+    // Stats reference: native workers account per point with no block
+    // pruning, so the comparable in-process run disables the interval /
+    // congruence product.
     let normalized = Compiled::with_options(
         lp.clone(),
         EngineOptions {
             intervals: false,
             congruence: false,
-            schedule: ScheduleMode::Declared,
             ..EngineOptions::native()
         },
     )
@@ -697,132 +626,6 @@ fn chunk_granularity_is_invisible() {
     }
 }
 
-/// The adaptive schedule is a compile-time decision: calibration is a pure
-/// function of plan and options, and the learned order is compiled into
-/// the same op stream a declared schedule runs. So — strictly stronger than
-/// "credit may move" — at every thread count and on every chunk grid,
-/// survivors and emission order equal the walker's, and `PruneStats`,
-/// `BlockStats` and the reported schedule are *equal across all grids*.
-#[test]
-fn adaptive_counters_are_invariant_across_threads_and_chunk_grids() {
-    use beast_core::schedule::ScheduleMode;
-    for (name, space) in all_spaces() {
-        let lp = lower(&space);
-        let plan = Plan::new(&space, PlanOptions::default()).unwrap();
-        let walker = Walker::new(&plan, LoopStyle::RangeLazy);
-        let names = walker.point_names().clone();
-        let reference = walker
-            .run(CollectVisitor::new(names.clone(), usize::MAX))
-            .unwrap()
-            .visitor
-            .points;
-        let engine = EngineOptions::scheduled(ScheduleMode::Adaptive);
-        let mut baseline = None;
-        for threads in THREAD_COUNTS {
-            for chunk_count in [1, 7, 32] {
-                let opts = ParallelOptions {
-                    threads,
-                    chunk_count,
-                    engine,
-                    ..ParallelOptions::default()
-                };
-                let (par, _) = run_parallel_report(&lp, &opts, || {
-                    CollectVisitor::new(names.clone(), usize::MAX)
-                })
-                .unwrap();
-                let at = format!("{name}: threads={threads} chunks={chunk_count}");
-                assert_eq!(par.visitor.points, reference, "{at}: survivors or order");
-                assert!(par.schedule.is_some(), "{at}: adaptive sweeps report a schedule");
-                let counters = (par.stats, par.blocks, par.schedule);
-                match &baseline {
-                    None => baseline = Some(counters),
-                    Some(b) => assert_eq!(&counters, b, "{at}: counters moved"),
-                }
-            }
-        }
-        let (_, _, schedule) = baseline.unwrap();
-        // The serial engine agrees with every grid.
-        let serial = Compiled::with_options(lp.clone(), engine);
-        assert_eq!(serial.learned_orders(), schedule, "{name}");
-    }
-}
-
-/// Two builds of the same plan calibrate to the same engine: identical
-/// learned orders, identical executed check ranks, identical counters.
-#[test]
-fn adaptive_calibration_is_deterministic() {
-    use beast_core::schedule::ScheduleMode;
-    for (name, space) in all_spaces() {
-        let lp = lower(&space);
-        let engine = EngineOptions::scheduled(ScheduleMode::Adaptive);
-        let a = Compiled::with_options(lp.clone(), engine);
-        let b = Compiled::with_options(lp.clone(), engine);
-        assert_eq!(a.learned_orders(), b.learned_orders(), "{name}");
-        assert_eq!(a.schedule_telemetry().ranks, b.schedule_telemetry().ranks, "{name}");
-        let (ra, rb) = (
-            a.run(CountVisitor::default()).unwrap(),
-            b.run(CountVisitor::default()).unwrap(),
-        );
-        assert_eq!((ra.stats, ra.blocks), (rb.stats, rb.blocks), "{name}");
-    }
-}
-
-/// A space whose very first calibration sample raises an evaluation error
-/// still compiles (calibration keeps the declared order), and the error
-/// surfaces from the real run exactly as under a declared schedule, for
-/// each fault policy.
-#[test]
-fn calibration_errors_surface_from_the_real_run_under_each_policy() {
-    use beast_core::schedule::ScheduleMode;
-    use beast_engine::fault::FaultPolicy;
-    let space = Space::builder("det_calib_err")
-        .range("x", 0, 12)
-        .derived("inv", lit(60) / var("x"))
-        .range("y", 1, 9)
-        .range("z", 1, 9)
-        .derived("yz", var("y") * var("z") + var("inv"))
-        .constraint("rare", ConstraintClass::Soft, var("yz").gt(120))
-        .constraint("deadly", ConstraintClass::Hard, var("yz").gt(30))
-        .build()
-        .unwrap();
-    let lp = lower(&space);
-    let adaptive = EngineOptions::scheduled(ScheduleMode::Adaptive);
-    let engine = Compiled::with_options(lp.clone(), adaptive);
-    let names = engine.point_names().clone();
-    assert_eq!(engine.learned_orders().map(|o| o.len()), Some(1), "one reorder-safe group");
-    for policy in [
-        FaultPolicy::Abort,
-        FaultPolicy::SkipPoint,
-        FaultPolicy::QuarantineChunk,
-        FaultPolicy::Retry { max: 1, backoff_ms: 0 },
-    ] {
-        let run = |engine| {
-            let opts = ParallelOptions {
-                threads: 2,
-                chunk_count: 4,
-                fault_policy: policy,
-                engine,
-                ..ParallelOptions::default()
-            };
-            run_parallel_report(&lp, &opts, || CollectVisitor::new(names.clone(), usize::MAX))
-        };
-        match (run(adaptive), run(EngineOptions::default())) {
-            (Err(a), Err(d)) => {
-                assert_eq!(policy, FaultPolicy::Abort);
-                assert_eq!(a.to_string(), d.to_string());
-                assert!(a.to_string().contains("division by zero"), "{a}");
-            }
-            (Ok((a, ra)), Ok((d, rd))) => {
-                assert_ne!(policy, FaultPolicy::Abort);
-                assert_eq!(a.visitor.points, d.visitor.points, "{policy:?}");
-                assert_eq!(ra.faults, rd.faults, "{policy:?}");
-                assert!(!ra.faults.is_empty(), "{policy:?}: the x = 0 fault must be recorded");
-            }
-            _ => panic!("{policy:?}: adaptive and declared disagree on failing"),
-        }
-    }
-}
-
 /// A sweep's outcome as digest text: prune and block counters, the
 /// survivors' fingerprint and count, or the error.
 fn outcome_text(out: Result<SweepOutcome<FingerprintVisitor>, EvalError>) -> String {
@@ -836,30 +639,19 @@ fn outcome_text(out: Result<SweepOutcome<FingerprintVisitor>, EvalError>) -> Str
 }
 
 /// One FNV-1a digest of every static decision the abstract step program
-/// feeds, on one lowered plan: the reorder-safe regions, the lint report,
-/// the adaptive engine's learned orders and its sweep's outcome, the
-/// counter's memo choices in survivor and tuple mode (the unique-key
-/// recogniser) with its survivor count and statistics, and the engine's
-/// `PruneStats` / `BlockStats` and fingerprint under a declared schedule
-/// with intervals on — at the default guard placement and with a guard on
-/// every eligible loop, congruence on and off. Asserts on the way that the
-/// engine's lint gate, under either schedule, reports on the plan it runs.
+/// feeds, on one lowered plan: the lint report, the counter's memo choices
+/// in survivor and tuple mode (the unique-key recogniser) with its survivor
+/// count and statistics, and the engine's `PruneStats` / `BlockStats` and
+/// fingerprint with intervals on — at the default guard placement and with
+/// a guard on every eligible loop, congruence on and off. Asserts on the
+/// way that the engine's lint gate reports on the plan it runs.
 fn static_decisions(lp: &LoweredPlan, fnv: &mut u64) {
-    use beast_core::analyze::{self, AbsSteps, Counter};
-    use beast_core::schedule::{check_regions, ScheduleMode};
+    use beast_core::analyze::{self, Counter};
     let lint = analyze::analyze(lp);
-    let mut text = format!("{:?}|{lint:?}", check_regions(lp, &AbsSteps::new(lp)));
-    // The engine's lint gate reports on the plan it runs: the declared
-    // plan, or the plan in its learned order.
-    for schedule in [ScheduleMode::Declared, ScheduleMode::Adaptive] {
-        let engine = Compiled::with_options(lp.clone(), EngineOptions::scheduled(schedule));
-        let gate = Some(analyze::analyze(engine.lowered()).summary());
-        assert_eq!(engine.lint_summary(), gate, "{schedule}");
-        if schedule == ScheduleMode::Adaptive {
-            text += &format!("|{:?}", engine.learned_orders());
-            text += &outcome_text(engine.run(FingerprintVisitor::new()));
-        }
-    }
+    let mut text = format!("{lint:?}");
+    // The engine's lint gate reports on the plan it runs.
+    let engine = Compiled::new(lp.clone());
+    assert_eq!(engine.lint_summary(), Some(lint.summary()));
     for mut counter in [Counter::new(lp), Counter::tuples(lp)] {
         let memo: Vec<bool> = counter.stats().levels.iter().map(|l| l.memo).collect();
         let total = counter.total();
@@ -875,9 +667,8 @@ fn static_decisions(lp: &LoweredPlan, fnv: &mut u64) {
     }
 }
 
-/// The static decisions — regions, lint findings, memo choices,
-/// pre-pass and guard verdicts, the adaptive schedule's learned orders and
-/// the sweep they run — are pinned on spaces nobody hand-picked:
+/// The static decisions — lint findings, memo choices, pre-pass and guard
+/// verdicts — are pinned on spaces nobody hand-picked:
 /// every seed the counter's differential suite draws from the narrowing,
 /// parent-solve and replay generators, plus GEMM reduced(16) and (32).
 #[test]
@@ -899,8 +690,8 @@ fn static_decisions_are_pinned_on_generated_and_gemm_spaces() {
     let got = [narrow, parent, replay, gemm[0], gemm[1]];
     #[rustfmt::skip]
     let want = [
-        0x8fc2dbb4d44eefc8, 0x9b687b7fcd7e83b4, 0xa9d2a94bfed634e7,
-        0xcf35b6bb5b477cbb, 0xabdf832d2db483ac,
+        0x6290ba303bc05b77, 0x2a378c084e5e97c9, 0x0e677c24a8825c99,
+        0x200b15e8c5e46c95, 0x489085ab66b7089a,
     ];
     assert_eq!(got, want, "narrow, parent, replay, reduced(16), reduced(32)");
 }

@@ -146,9 +146,9 @@ fn a_solved_loop_leaves_its_last_value_in_the_slot() {
     }
 }
 
-/// GEMM is the motivating case: both reshape loops narrow, on the CLI's
-/// adaptive schedule and on the declared one, and the funnel is the
-/// walker's to the last count when the guards are off.
+/// GEMM is the motivating case: both reshape loops narrow, with the guards
+/// on and off, and the funnel is the walker's to the last count when the
+/// guards are off.
 #[test]
 fn gemm_reshape_loops_are_solved_with_an_exact_funnel() {
     let space = beast_gemm::build_gemm_space(&beast_gemm::GemmSpaceParams::reduced(16)).unwrap();
@@ -167,9 +167,7 @@ fn gemm_reshape_loops_are_solved_with_an_exact_funnel() {
     // solved rows alone account for every value covered.
     assert!(declared.blocks.points_solved >= declared.blocks.loops_solved);
 
-    let adaptive = Compiled::with_options(lp, EngineOptions::scheduled(ScheduleMode::Adaptive))
-        .run(FingerprintVisitor::default())
-        .unwrap();
-    assert_eq!(adaptive.visitor, w.visitor);
-    assert!(adaptive.blocks.loops_solved > 0, "adaptive order moved the check off the loop head");
+    let guarded = Compiled::new(lp).run(FingerprintVisitor::default()).unwrap();
+    assert_eq!(guarded.visitor, w.visitor);
+    assert!(guarded.blocks.loops_solved > 0, "the guards moved the check off the loop head");
 }

@@ -201,8 +201,8 @@ fn an_unread_loop_below_a_narrowed_parent_replays() {
 }
 
 /// GEMM is the motivating case: exactly the five iterators no derived
-/// variable and no constraint mentions replay, on every schedule, and the
-/// sweep equals the walker's.
+/// variable and no constraint mentions replay, with the guards on and off,
+/// and the sweep equals the walker's.
 #[test]
 fn gemm_replays_exactly_its_five_unread_iterators() {
     let space = beast_gemm::build_gemm_space(&beast_gemm::GemmSpaceParams::reduced(16)).unwrap();
@@ -220,18 +220,10 @@ fn gemm_replays_exactly_its_five_unread_iterators() {
     assert_eq!(declared.visitor, w.visitor);
     assert_eq!(declared.stats, w.stats, "closed-form credit must be exact");
 
-    for schedule in [ScheduleMode::Declared, ScheduleMode::Adaptive] {
-        let out = Compiled::with_options(lp.clone(), EngineOptions::scheduled(schedule))
-            .run(FingerprintVisitor::default())
-            .unwrap();
-        assert_eq!(out.visitor, w.visitor, "{schedule}");
-        // Pinned: 1,767 of reduced(16)'s 1,824 survivors are re-emitted from
-        // a recording by 723 replay events; 57 are evaluated.
-        assert_eq!(out.stats.survivors, 1824);
-        assert_eq!(
-            (out.blocks.loops_replayed, out.blocks.rows_replayed),
-            (723, 1767),
-            "{schedule}"
-        );
-    }
+    let out = Compiled::new(lp).run(FingerprintVisitor::default()).unwrap();
+    assert_eq!(out.visitor, w.visitor);
+    // Pinned: 1,767 of reduced(16)'s 1,824 survivors are re-emitted from a
+    // recording by 723 replay events; 57 are evaluated.
+    assert_eq!(out.stats.survivors, 1824);
+    assert_eq!((out.blocks.loops_replayed, out.blocks.rows_replayed), (723, 1767));
 }
