@@ -85,7 +85,7 @@ use beast_core::analyze::{
 use beast_core::error::EvalError;
 use beast_core::interval::Interval;
 use beast_core::ir::{LBody, LIter, LStep, LoweredPlan};
-use beast_core::iterator::{range_len, Realized};
+use beast_core::iterator::range_len;
 use beast_core::pointprog::{PointProg, RunExit, RunProgs, RunSpec, SlotView};
 use beast_core::schedule::ScheduleMode;
 
@@ -94,7 +94,7 @@ use crate::point::PointRef;
 use crate::fault::{CancelProbe, FaultAction, FaultInjector, FaultKind, FaultPolicy, FaultRecord};
 use crate::replay::{self, Closed};
 use crate::stats::{BlockStats, PruneStats};
-use crate::visit::Visitor;
+use crate::visit::{CountVisitor, Visitor};
 use crate::walker::SweepOutcome;
 
 /// Which evaluation tier executes a sweep (see
@@ -267,8 +267,10 @@ enum CDomain {
 /// Jump fields are absolute instruction indices. Control flow is a single
 /// `ip` cursor: checks jump to the innermost enclosing loop's [`Op::Next`]
 /// on rejection (`continue`), loop entries jump past their [`Op::Next`]
-/// when the domain is empty or the subtree is block-pruned, and preamble
-/// checks jump to [`Op::Halt`].
+/// when the domain is empty or the subtree is block-pruned. The program is
+/// `[preamble…, Halt, loops…, Halt]`: the preamble — the defines and checks
+/// before the first loop — ends at its own [`Op::Halt`], which its checks
+/// jump to on rejection, so the build runs it alone (see [`Preamble`]).
 #[derive(Debug, Clone)]
 enum Op {
     /// Enter loop `loop_id`: realize the domain, run the interval guard,
@@ -288,7 +290,7 @@ enum Op {
     CheckOpaque { constraint: u32, on_reject: u32 },
     /// Record a survivor and invoke the visitor.
     Visit,
-    /// End of program.
+    /// End of the preamble, or of the program.
     Halt,
 }
 
@@ -323,6 +325,19 @@ fn credit_passes(
     (n, elided)
 }
 
+/// Point the checks at `check_ips` (runs and opaque checks) at `target` on
+/// rejection: the end of the scope they sit in.
+fn patch_rejects(ops: &mut [Op], check_ips: Vec<usize>, target: usize) {
+    for check_ip in check_ips {
+        match &mut ops[check_ip] {
+            Op::Run { on_reject, .. } | Op::CheckOpaque { on_reject, .. } => {
+                *on_reject = target as u32;
+            }
+            _ => unreachable!("check ip points at a check"),
+        }
+    }
+}
+
 /// One narrowed loop: at `Op::Enter` the engine evaluates `a` and `k` and,
 /// when the solve can be decided without wrap-around, credits the check in
 /// closed form and runs the body for the at most one passing value.
@@ -334,6 +349,21 @@ struct LoopSolve {
     /// none): a check the guard elided is statically true over the subtree
     /// — nothing to solve — and is credited through the elision counters.
     elide_mask: u64,
+}
+
+/// The build's one run of the preamble (the defines and checks before the
+/// first loop, which read only constants and each other), by `exec` itself:
+/// every sweep, chunk and level-0 realization starts from this record, so
+/// none re-evaluates the preamble and all see the same values, rows and
+/// errors.
+struct Preamble {
+    /// The value file with the preamble's slots written.
+    file: Vec<i64>,
+    /// The rows its checks recorded: a sweep adds them once.
+    stats: PruneStats,
+    /// `Ok(true)` when every check passed, `Ok(false)` when one rejected
+    /// (the space is empty), or `exec`'s point-annotated error.
+    outcome: Result<bool, EvalError>,
 }
 
 /// The compiled evaluation backend.
@@ -354,9 +384,11 @@ pub struct Compiled {
     /// Per-loop lower-bound static fanout below one iteration, for
     /// points-skipped estimates.
     fanout_below: Vec<u64>,
-    /// Instruction index of the outermost `Enter` (None for loop-free
-    /// programs, which cannot occur for valid spaces).
-    first_enter: Option<usize>,
+    /// Instruction index of the outermost `Enter`, right after the
+    /// preamble's `Halt` (a space has at least one iterator).
+    first_enter: usize,
+    /// The preamble's one run, made by the build.
+    preamble: Preamble,
     /// Per-loop narrowing table.
     narrow: Vec<Option<LoopSolve>>,
     /// Per-loop replay table.
@@ -404,11 +436,13 @@ impl Compiled {
         let runs = RunProgs::new(&lp, spec);
 
         let mut ops: Vec<Op> = Vec::new();
-        // Open loops: (loop_id, enter_ip, check ips awaiting this loop's
-        // Next as their reject target).
+        // Open loops: (loop_id, enter_ip); per open scope (the preamble,
+        // then each open loop), the check ips awaiting its end as their
+        // reject target.
         let mut open: Vec<(u32, usize)> = Vec::new();
         let mut pending_rejects: Vec<Vec<usize>> = vec![Vec::new()];
         let mut n_loops = 0u32;
+        let mut first_enter = None;
 
         let mut i = 0;
         while i < lp.steps.len() {
@@ -446,6 +480,15 @@ impl Compiled {
                         }
                         LIter::Opaque { .. } => CDomain::Opaque { iter: *iter },
                     };
+                    if first_enter.is_none() {
+                        // The preamble ends here, at a `Halt` of its own
+                        // that its rejections (an empty space) jump to.
+                        let halt_ip = ops.len();
+                        ops.push(Op::Halt);
+                        let preamble = pending_rejects.pop().expect("preamble scope");
+                        patch_rejects(&mut ops, preamble, halt_ip);
+                        first_enter = Some(ops.len());
+                    }
                     let loop_id = n_loops;
                     n_loops += 1;
                     open.push((loop_id, ops.len()));
@@ -468,7 +511,6 @@ impl Compiled {
 
         // Close loops innermost-first: emit each Next, patch its Enter and
         // the reject targets of the checks in its body.
-        let mut first_enter = None;
         while let Some((loop_id, enter_ip)) = open.pop() {
             let next_ip = ops.len();
             let slot = match &ops[enter_ip] {
@@ -479,27 +521,9 @@ impl Compiled {
             if let Op::Enter { next, .. } = &mut ops[enter_ip] {
                 *next = next_ip as u32;
             }
-            for check_ip in pending_rejects.pop().expect("scope") {
-                match &mut ops[check_ip] {
-                    Op::Run { on_reject, .. } | Op::CheckOpaque { on_reject, .. } => {
-                        *on_reject = next_ip as u32;
-                    }
-                    _ => unreachable!("check ip points at a check"),
-                }
-            }
-            first_enter = Some(enter_ip);
+            patch_rejects(&mut ops, pending_rejects.pop().expect("scope"), next_ip);
         }
-        let halt_ip = ops.len();
         ops.push(Op::Halt);
-        // Preamble checks (outside every loop) reject the whole space.
-        for check_ip in pending_rejects.pop().expect("preamble scope") {
-            match &mut ops[check_ip] {
-                Op::Run { on_reject, .. } | Op::CheckOpaque { on_reject, .. } => {
-                    *on_reject = halt_ip as u32;
-                }
-                _ => unreachable!("check ip points at a check"),
-            }
-        }
         debug_assert!(pending_rejects.is_empty());
 
         debug_assert_eq!(plan.len(), n_loops as usize);
@@ -515,20 +539,37 @@ impl Compiled {
             Arc::from(lp.slot_names.clone().into_boxed_slice());
         let lint = (opts.lint != LintGate::Allow)
             .then(|| analyze::analyze_steps(&lp, &abs).summary());
-        Compiled {
+        let mut compiled = Compiled {
             lp,
             ops,
             runs,
             guards,
             gprogs,
             fanout_below,
-            first_enter,
+            first_enter: first_enter.expect("a space has at least one iterator"),
+            preamble: Preamble {
+                file: Vec::new(),
+                stats: PruneStats::default(),
+                outcome: Ok(false),
+            },
             narrow: narrow.collect(),
             replay: replay::Table::build(&plan),
             point_names,
             lint,
             opts,
-        }
+        };
+        compiled.preamble = compiled.run_preamble();
+        compiled
+    }
+
+    /// Run the preamble, from the top of the program to its `Halt`: a
+    /// rejection is the one pruned row it leaves.
+    fn run_preamble(&self) -> Preamble {
+        let mut file = self.runs.file();
+        let mut state = self.fresh_state(CountVisitor::default());
+        let ran = self.exec(0, None, &mut file, &mut state, &ChunkCtx::plain());
+        let outcome = ran.map(|()| state.stats.total_pruned() == 0);
+        Preamble { file, stats: state.stats, outcome }
     }
 
     /// The space-linter summary recorded at compile time (`None` when the
@@ -605,55 +646,49 @@ impl Compiled {
         self
     }
 
-    /// Run the full sweep.
+    /// Run the full sweep: the loops from the preamble record, plus its
+    /// rows.
     pub fn run<V: Visitor>(&self, visitor: V) -> Result<SweepOutcome<V>, EvalError> {
         self.lint_denied()?;
-        let mut slots = self.runs.file();
-        let mut state = self.fresh_state(visitor);
-        self.exec(0, None, &mut slots, &mut state, &ChunkCtx::plain())?;
-        Ok(SweepOutcome {
-            stats: state.stats,
-            blocks: state.blocks,
-            visitor: state.visitor,
-        })
+        let mut outcome = self.run_loops(None, visitor, &ChunkCtx::plain())?.outcome;
+        outcome.stats.merge(&self.preamble.stats);
+        Ok(outcome)
     }
 
     /// Run only a chunk of the outermost loop's domain — the parallel driver
     /// realizes the outer domain once, splits it, and calls this per worker.
     ///
-    /// Preamble instructions (defines/checks before the first loop) are
-    /// re-executed per chunk; they are loop-invariant so this is correct,
-    /// and they are evaluated against constants so it is cheap. Their
-    /// constraint counters are *not* re-recorded to keep merged statistics
-    /// meaningful.
+    /// The chunk starts from the values the build's one preamble run wrote;
+    /// the preamble's constraint rows are not in its statistics (a sweep
+    /// adds them once), so merged chunk statistics stay meaningful. A
+    /// rejecting preamble leaves the chunk empty, a failing one is its
+    /// error.
     pub fn run_outer_chunk<V: Visitor>(
         &self,
         outer_values: &[i64],
         visitor: V,
     ) -> Result<SweepOutcome<V>, EvalError> {
-        self.run_outer_chunk_supervised(outer_values, visitor, &ChunkCtx::plain())
-            .map(|run| run.outcome)
+        self.run_loops(Some(outer_values), visitor, &ChunkCtx::plain()).map(|run| run.outcome)
     }
 
-    /// [`Compiled::run_outer_chunk`] with fault supervision: the chunk
-    /// context selects the fault policy, the injector, and the cancel probe,
-    /// and the result carries the faults that were skipped over. Errors that
-    /// still escape (any policy but `SkipPoint`, or a fault outside every
-    /// loop) carry point context; [`EvalError::Cancelled`] escapes as-is.
-    pub(crate) fn run_outer_chunk_supervised<V: Visitor>(
+    /// Run the loops from the preamble record — all of level 0, or the
+    /// chunk `outer_override` — over a copy of its value file, unless the
+    /// preamble rejected (nothing to run) or failed (its error). The
+    /// preamble's rows are the caller's to add. The chunk context selects
+    /// the fault policy, the injector, and the cancel probe, and the result
+    /// carries the faults that were skipped over. Errors that still escape
+    /// (any policy but `SkipPoint`) carry point context;
+    /// [`EvalError::Cancelled`] escapes as-is.
+    pub(crate) fn run_loops<V: Visitor>(
         &self,
-        outer_values: &[i64],
+        outer_override: Option<&[i64]>,
         visitor: V,
         ctx: &ChunkCtx<'_>,
     ) -> Result<ChunkRun<V>, EvalError> {
-        let mut slots = self.runs.file();
         let mut state = self.fresh_state(visitor);
-        if let Some(first_enter) = self.first_enter {
-            // Execute the preamble quietly; a constants-only constraint that
-            // rejects leaves the chunk empty.
-            if self.preamble(&mut slots, None)? {
-                self.exec(first_enter, Some(outer_values), &mut slots, &mut state, ctx)?;
-            }
+        if self.preamble.outcome.clone()? {
+            let mut file = self.preamble.file.clone();
+            self.exec(self.first_enter, outer_override, &mut file, &mut state, ctx)?;
         }
         Ok(ChunkRun {
             outcome: SweepOutcome {
@@ -665,118 +700,77 @@ impl Compiled {
         })
     }
 
-    /// Execute the preamble (pre-loop defines/checks) once, *recording* the
-    /// constraint evaluations into `stats`. Returns `false` if a preamble
-    /// constraint rejected, in which case the whole space is empty. The
-    /// parallel driver calls this once so that merged statistics match a
-    /// serial run (workers execute the preamble quietly).
-    pub(crate) fn preamble_record(&self, stats: &mut PruneStats) -> Result<bool, EvalError> {
-        let mut slots = self.runs.file();
-        self.preamble(&mut slots, Some(stats))
-    }
-
-    /// Shared preamble executor; records into `stats` when provided.
-    fn preamble(
-        &self,
-        slots: &mut [i64],
-        mut stats: Option<&mut PruneStats>,
-    ) -> Result<bool, EvalError> {
-        let end = self.first_enter.unwrap_or(self.ops.len().saturating_sub(1));
-        // Preamble expressions read only constants; errors here are
-        // space-level, so the context carries the site name and no bindings.
-        let at = |slot: &u32| self.lp.slot_names[*slot as usize].to_string();
-        for op in &self.ops[..end] {
-            match op {
-                Op::Run { run, checks, .. } => {
-                    let prog = &self.runs[*run as usize];
-                    let exit = prog.run(slots, 0).map_err(|f| {
-                        let site = self.step_site(prog.steps()[f.step as usize]);
-                        f.error.with_point(self.site_label(site), Vec::new())
-                    })?;
-                    let upto = match exit {
-                        RunExit::Pass => u32::MAX,
-                        RunExit::Reject(k) => k,
-                    };
-                    if let Some(stats) = stats.as_deref_mut() {
-                        let (n, _) = credit_passes(checks, upto, 0, stats);
-                        if upto != u32::MAX {
-                            stats.record(checks[n].constraint as usize, true);
-                        }
-                    }
-                    if upto != u32::MAX {
-                        return Ok(false);
-                    }
-                }
-                Op::DefineOpaque { slot, derived } => {
-                    let v = {
-                        let view = self.bindings_view(slots);
-                        self.lp.plan.space().deriveds()[*derived]
-                            .kind
-                            .eval(&view)
-                            .map_err(|e| e.with_point(at(slot), Vec::new()))?
-                    };
-                    slots[*slot as usize] =
-                        v.as_int().map_err(|e| e.with_point(at(slot), Vec::new()))?;
-                }
-                Op::CheckOpaque { constraint, .. } => {
-                    let rejected = {
-                        let view = self.bindings_view(slots);
-                        self.lp.plan.space().constraints()[*constraint as usize]
-                            .kind
-                            .rejects(&view)
-                            .map_err(|e| {
-                                let name = &self.lp.plan.space().constraints()
-                                    [*constraint as usize]
-                                    .name;
-                                e.with_point(name.to_string(), Vec::new())
-                            })?
-                    };
-                    if let Some(stats) = stats.as_deref_mut() {
-                        stats.record(*constraint as usize, rejected);
-                    }
-                    if rejected {
-                        return Ok(false);
-                    }
-                }
-                Op::Visit | Op::Enter { .. } | Op::Next { .. } | Op::Halt => break,
-            }
-        }
-        Ok(true)
+    /// The constraint rows the build's preamble run recorded: a sweep adds
+    /// them once to its merged statistics (a resumed one already holds
+    /// them).
+    pub(crate) fn preamble_stats(&self) -> &PruneStats {
+        &self.preamble.stats
     }
 
     /// Realize the outermost (level-0) loop's domain.
     ///
-    /// Level-0 iterators depend only on constants, so this is cheap and
-    /// side-effect free. The parallel driver splits this domain into
-    /// scheduler chunks; it is public so external tooling can size or
+    /// Level-0 bounds read only constants and preamble values, so this
+    /// realizes the domain over the build's preamble record exactly as a
+    /// serial run's first `Enter` does — same values, same errors — and is
+    /// side-effect free. A rejecting preamble empties the domain; a failing
+    /// one is this function's error. The parallel driver splits the domain
+    /// into scheduler chunks; it is public so external tooling can size or
     /// inspect a sweep before running it.
     pub fn outer_domain(&self) -> Result<Vec<i64>, EvalError> {
-        let slots = vec![0i64; self.lp.n_slots as usize];
-        let Some(first_enter) = self.first_enter else {
+        let pre = &self.preamble;
+        if !pre.outcome.clone()? {
             return Ok(Vec::new());
-        };
-        let Op::Enter { slot, domain, .. } = &self.ops[first_enter] else {
+        }
+        let Op::Enter { slot, domain, .. } = &self.ops[self.first_enter] else {
             unreachable!("first_enter points at Enter");
         };
-        let at = |e: EvalError| {
-            e.with_point(self.lp.slot_names[*slot as usize].to_string(), Vec::new())
-        };
-        match domain {
+        let mut f = Frame::default();
+        let (first, _) = self.realize(domain, &pre.file, &mut f).map_err(|e| {
+            self.at_point(e, Site::Slot(*slot), self.first_enter, 0, &pre.file)
+        })?;
+        Ok(std::iter::successors(first, |_| advance_frame(&mut f)).collect())
+    }
+
+    /// Realize `domain` into frame `f` over the value file `slots`: the one
+    /// definition of a loop domain's values, shared by `Op::Enter` and
+    /// [`Compiled::outer_domain`]. Returns the first value (`None` when the
+    /// domain is empty) and the length; the frame then yields the rest
+    /// through [`advance_frame`].
+    #[inline]
+    fn realize(
+        &self,
+        domain: &CDomain,
+        slots: &[i64],
+        f: &mut Frame,
+    ) -> Result<(Option<i64>, u64), EvalError> {
+        Ok(match domain {
             CDomain::Range { start, stop, step } => {
-                let r = Realized::Range {
-                    start: start.eval(&slots).map_err(at)?,
-                    stop: stop.eval(&slots).map_err(at)?,
-                    step: step.eval(&slots).map_err(at)?,
-                };
-                r.iter().map(|v| v.as_int().map_err(at)).collect()
+                let (start, stop, step) =
+                    (start.eval(slots)?, stop.eval(slots)?, step.eval(slots)?);
+                f.kind = FrameKind::Range;
+                f.cur = start;
+                f.stop = stop;
+                f.step = step;
+                let n = range_len(start, stop, step);
+                ((n > 0).then_some(start), n)
             }
-            CDomain::Values { values, .. } => Ok(values.to_vec()),
+            CDomain::Values { values, .. } => {
+                f.kind = FrameKind::Values;
+                f.vals = values.clone();
+                f.idx = 0;
+                (values.first().copied(), values.len() as u64)
+            }
             CDomain::Opaque { iter } => {
-                let view = self.bindings_view(&slots);
-                let r = self.lp.plan.space().realize_iter(*iter, &view).map_err(at)?;
-                r.iter().map(|v| v.as_int().map_err(at)).collect()
+                f.buf.clear();
+                let view = self.bindings_view(slots);
+                for v in self.lp.plan.space().realize_iter(*iter, &view)?.iter() {
+                    f.buf.push(v.as_int()?);
+                }
+                f.kind = FrameKind::Buffer;
+                f.idx = 0;
+                (f.buf.first().copied(), f.buf.len() as u64)
             }
-        }
+        })
     }
 
     fn bindings_view<'a>(&'a self, slots: &'a [i64]) -> SlotView<'a> {
@@ -808,19 +802,7 @@ impl Compiled {
     ) -> Result<(), EvalError> {
         // Loop frames, indexed by loop id and fully initialized at each
         // `Enter`.
-        let empty: Arc<[i64]> = Arc::from([] as [i64; 0]);
-        let mut frames: Vec<Frame> = (0..self.guards.len())
-            .map(|_| Frame {
-                kind: FrameKind::Range,
-                cur: 0,
-                stop: 0,
-                step: 0,
-                idx: 0,
-                vals: empty.clone(),
-                buf: Vec::new(),
-                saved_elide: 0,
-            })
-            .collect();
+        let mut frames: Vec<Frame> = (0..self.guards.len()).map(|_| Frame::default()).collect();
         let poll_cancel = ctx.cancel.is_some_and(|p| p.armed());
         let ops: &[Op] = &self.ops;
         let mut ip = start_ip;
@@ -861,58 +843,15 @@ impl Compiled {
                     let exit = *next as usize + 1;
                     // Realize the domain into the loop frame.
                     let f = &mut frames[l];
-                    let (first, len): (Option<i64>, u64) =
-                        if let (0, Some(chunk)) = (l, outer_override) {
-                            f.kind = FrameKind::Buffer;
-                            f.buf.clear();
-                            f.buf.extend_from_slice(chunk);
-                            f.idx = 0;
-                            (chunk.first().copied(), chunk.len() as u64)
-                        } else {
-                            match domain {
-                                CDomain::Range { start, stop, step } => {
-                                    let start =
-                                        try_eval!('interp, Site::Slot(*slot), start.eval(slots));
-                                    let stop =
-                                        try_eval!('interp, Site::Slot(*slot), stop.eval(slots));
-                                    let step =
-                                        try_eval!('interp, Site::Slot(*slot), step.eval(slots));
-                                    f.kind = FrameKind::Range;
-                                    f.cur = start;
-                                    f.stop = stop;
-                                    f.step = step;
-                                    let n = range_len(start, stop, step);
-                                    ((n > 0).then_some(start), n)
-                                }
-                                CDomain::Values { values, .. } => {
-                                    f.kind = FrameKind::Values;
-                                    f.vals = values.clone();
-                                    f.idx = 0;
-                                    (values.first().copied(), values.len() as u64)
-                                }
-                                CDomain::Opaque { iter } => {
-                                    f.buf.clear();
-                                    let realized = try_eval!('interp, Site::Slot(*slot), {
-                                        let view = SlotView {
-                                            names: &self.lp.slot_names,
-                                            slots,
-                                            consts: self.lp.plan.space().consts(),
-                                        };
-                                        self.lp.plan.space().realize_iter(*iter, &view)
-                                    });
-                                    for v in realized.iter() {
-                                        f.buf.push(try_eval!(
-                                            'interp,
-                                            Site::Slot(*slot),
-                                            v.as_int()
-                                        ));
-                                    }
-                                    f.kind = FrameKind::Buffer;
-                                    f.idx = 0;
-                                    (f.buf.first().copied(), f.buf.len() as u64)
-                                }
-                            }
-                        };
+                    let (first, len) = if let (0, Some(chunk)) = (l, outer_override) {
+                        f.kind = FrameKind::Buffer;
+                        f.buf.clear();
+                        f.buf.extend_from_slice(chunk);
+                        f.idx = 0;
+                        (chunk.first().copied(), chunk.len() as u64)
+                    } else {
+                        try_eval!('interp, Site::Slot(*slot), self.realize(domain, slots, f))
+                    };
                     let Some(first) = first else {
                         ip = exit;
                         continue;
@@ -1151,7 +1090,8 @@ impl Compiled {
     /// recover by returning the ip of the innermost open loop's `Next` —
     /// the exact transition a check rejection takes, so frames, elision
     /// masks and guard caches stay consistent. Faults with no enclosing
-    /// loop (chunk preamble) and [`EvalError::Cancelled`] always propagate.
+    /// loop (the preamble, run once by the build) and
+    /// [`EvalError::Cancelled`] always propagate.
     /// `done` counts the steps of an `Op::Run` at `ip` that completed
     /// before its fault.
     #[cold]
@@ -1171,7 +1111,7 @@ impl Compiled {
         if matches!(e, EvalError::Cancelled) {
             return Err(e);
         }
-        let e = e.with_point(self.site_label(site), self.point_bindings(ip, done, slots));
+        let e = self.at_point(e, site, ip, done, slots);
         if ctx.policy == FaultPolicy::SkipPoint {
             if let Some(next_ip) = self.innermost_open_next(ip) {
                 let (site, bindings) = match e.point_context() {
@@ -1192,6 +1132,19 @@ impl Compiled {
             }
         }
         Err(e)
+    }
+
+    /// `e` annotated with the point it fired at: `site`'s name and the
+    /// bindings at `ip` (see [`Compiled::point_bindings`]).
+    fn at_point(
+        &self,
+        e: EvalError,
+        site: Site,
+        ip: usize,
+        done: usize,
+        slots: &[i64],
+    ) -> EvalError {
+        e.with_point(self.site_label(site), self.point_bindings(ip, done, slots))
     }
 
     /// Human-readable name for a fault site.
@@ -1352,6 +1305,7 @@ fn domain_facts(domain: &CDomain, f: &Frame, len: u64) -> (Interval, Congruence)
 }
 
 /// Runtime iteration state for one loop of the flat program.
+#[derive(Default)]
 struct Frame {
     kind: FrameKind,
     /// Range iteration.
@@ -1369,7 +1323,9 @@ struct Frame {
 }
 
 /// Which iteration fields of a [`Frame`] are live.
+#[derive(Default)]
 enum FrameKind {
+    #[default]
     Range,
     Values,
     Buffer,
@@ -1622,18 +1578,38 @@ mod tests {
         assert_eq!(blocks, full.blocks);
     }
 
-    #[test]
-    fn preamble_constraint_can_empty_the_space() {
-        let space = Space::builder("pre")
+    /// A preamble check that rejects empties the space: an expression check
+    /// of a constant, and a closure check of a preamble define.
+    fn rejecting_preambles() -> [std::sync::Arc<Space>; 2] {
+        let closure = Space::builder("pre_fn")
+            .constant("cap", 0)
+            .derived("a", var("cap") + 1)
+            .range("x", 0, 100)
+            .constraint_fn("off", ConstraintClass::Generic, &["a"], |env| {
+                Ok(env.require_int("a")? == 1)
+            })
+            .build()
+            .unwrap();
+        let expr = Space::builder("pre")
             .constant("enabled", 0)
             .range("x", 0, 100)
             .constraint("disabled", ConstraintClass::Generic, var("enabled").eq(0))
             .build()
             .unwrap();
-        let compiled = compile(&space);
-        let out = compiled.run(CountVisitor::default()).unwrap();
-        assert_eq!(out.visitor.count, 0);
-        assert_eq!(out.stats.pruned[0], 1);
+        [expr, closure]
+    }
+
+    #[test]
+    fn preamble_constraint_can_empty_the_space() {
+        for space in rejecting_preambles() {
+            let compiled = compile(&space);
+            let out = compiled.run(CountVisitor::default()).unwrap();
+            assert_eq!(out.visitor.count, 0);
+            assert_eq!((out.stats.evaluated[0], out.stats.pruned[0]), (1, 1));
+            assert_eq!(compiled.outer_domain().unwrap(), Vec::<i64>::new());
+            let chunk = compiled.run_outer_chunk(&[0, 1], CountVisitor::default()).unwrap();
+            assert_eq!((chunk.visitor.count, chunk.stats.evaluated[0]), (0, 0));
+        }
     }
 
     #[test]
@@ -1869,9 +1845,11 @@ mod tests {
                     EngineOptions { min_guard_fanout: fanout, congruence, ..EngineOptions::default() };
                 let c = Compiled::with_options(lp.clone(), opts);
                 let mut state = c.fresh_state(CountVisitor::default());
-                let mut slots = c.runs.file();
+                let mut slots = c.preamble.file.clone();
                 // Failing spaces stop the sweep; the runs before still count.
-                let _ = c.exec(0, None, &mut slots, &mut state, &ChunkCtx::plain());
+                if c.preamble.outcome == Ok(true) {
+                    let _ = c.exec(c.first_enter, None, &mut slots, &mut state, &ChunkCtx::plain());
+                }
                 let plan = levels(&c.lp).levels;
                 let abs = AbsSteps::new(&c.lp);
                 let kept: Vec<usize> = (0..plan.len()).filter(|&l| c.guards[l].is_some()).collect();

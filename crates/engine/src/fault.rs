@@ -42,8 +42,10 @@ pub enum FaultPolicy {
     #[default]
     Abort,
     /// Drop the failing point, record a [`FaultRecord`], and continue with
-    /// the next tuple of the innermost enclosing iterator. Errors that fire
-    /// outside any loop (chunk preamble) escalate to a quarantined chunk.
+    /// the next tuple of the innermost enclosing iterator. An error outside
+    /// every loop (in the preamble, which the engine's build runs once)
+    /// has no tuple to skip: under this and every other policy it fails
+    /// the sweep before any chunk is dealt.
     SkipPoint,
     /// Drop the whole chunk containing the fault (its survivors and stats are
     /// excluded) and continue with the remaining chunks.

@@ -12,7 +12,8 @@
 //! # Dynamic scheduling
 //!
 //! The driver realizes the outermost loop's domain once (level-0 iterators
-//! depend only on constants by construction) and splits it into chunks that
+//! read only constants and preamble values, which the engine's build
+//! evaluated once) and splits it into chunks that
 //! are deliberately *finer* than one-per-slot. Slots then pull chunks from a
 //! shared cursor as they finish — a work-stealing-style dynamic schedule
 //! with a single global queue. A one-slot sweep runs inline on the caller's
@@ -80,7 +81,11 @@
 //!   to take a chunk, and where it ran, never affects the merged outcome;
 //! * chunk boundaries only partition the level-0 domain, so concatenating
 //!   chunk results in order reproduces the serial visit order exactly;
-//! * preamble (constants-only) constraints are recorded once, not per chunk.
+//! * the preamble (the defines and checks before the first loop) runs once,
+//!   when the engine is built, by the same interpreter as the loops: every
+//!   chunk starts from its values, its rows join the merged statistics
+//!   once, and its error — annotated exactly as a serial run's — fails the
+//!   sweep before any chunk is dealt.
 //!
 //! Faults extend the contract rather than break it: injector decisions and
 //! recovery actions are keyed on `(chunk, point ordinal, attempt)` — never on
@@ -454,7 +459,7 @@ pub(crate) fn attempt_chunk<V: Visitor>(
             if injector.is_some_and(|inj| inj.chunk_panic(chunk, attempt)) {
                 panic!("injected panic (chunk {chunk})");
             }
-            compiled.run_outer_chunk_supervised(values, make_visitor(), &ctx)
+            compiled.run_loops(Some(values), make_visitor(), &ctx)
         }));
         let (kind, error, site, bindings) = match attempt_result {
             Ok(Ok(run)) => {
@@ -557,8 +562,8 @@ where
     run_supervised(&compiled, t_start, opts, make_visitor, resume, sink, memo, native)
 }
 
-/// The one sweep frame: set-up (resume seeding, once-only preamble, level-0
-/// grid) → deal (`opts.threads` slots drain one cursor, each asking `exec`
+/// The one sweep frame: set-up (resume seeding, the build's preamble rows,
+/// level-0 grid) → deal (`opts.threads` slots drain one cursor, each asking `exec`
 /// where its chunk runs and re-dealing it after a worker-level fault) →
 /// chunk-order fold (the single [`Collector::add`] call site, with periodic
 /// checkpoints) → report.
@@ -607,16 +612,14 @@ where
         ),
     };
 
-    // Preamble constraints (constants only) run once per sweep, on the
-    // supervisor. A resumed run's seed statistics already include them, so it
-    // re-executes the preamble (errors still surface) but records into
-    // scratch counters.
-    let preamble_ok = if resumed_at.is_some() {
-        let mut scratch = PruneStats::new(space.constraints().len());
-        compiled.preamble_record(&mut scratch).map_err(SweepError::Eval)?
-    } else {
-        compiled.preamble_record(&mut stats).map_err(SweepError::Eval)?
-    };
+    // The build ran the preamble once: its error fails the sweep before any
+    // chunk is dealt (under every policy), a rejection leaves the level-0
+    // domain empty, and its rows join a fresh sweep's statistics — a resumed
+    // sweep's seed already holds them.
+    let outer = compiled.outer_domain().map_err(SweepError::Eval)?;
+    if resumed_at.is_none() {
+        stats.merge(compiled.preamble_stats());
+    }
 
     // `grid` is (level-0 values, chunk length, chunks): zeros when the sweep
     // ends before any chunk is cut.
@@ -645,8 +648,6 @@ where
         report
     };
 
-    let outer =
-        if preamble_ok { compiled.outer_domain().map_err(SweepError::Eval)? } else { Vec::new() };
     if outer.is_empty() {
         let report = report(&stats, &seed_blocks, seed_faults, (0, 0, 0), vec![]);
         return Ok((
@@ -1090,17 +1091,29 @@ mod tests {
 
     #[test]
     fn preamble_rejection_short_circuits() {
-        let s = Space::builder("pre")
+        let expr = Space::builder("pre")
             .constant("off", 1)
             .range("x", 0, 1000)
             .constraint("disabled", ConstraintClass::Generic, var("off").eq(1))
             .build()
             .unwrap();
-        let lp = lowered(&s);
-        let out = run_parallel(&lp, 4, CountVisitor::default).unwrap();
-        assert_eq!(out.visitor.count, 0);
-        assert_eq!(out.stats.pruned[0], 1);
-        assert_eq!(out.stats.evaluated[0], 1);
+        // A closure check of a preamble define.
+        let closure = Space::builder("pre_fn")
+            .constant("cap", 0)
+            .derived("a", var("cap") + 1)
+            .range("x", 0, 1000)
+            .constraint_fn("off", ConstraintClass::Generic, &["a"], |env| {
+                Ok(env.require_int("a")? == 1)
+            })
+            .build()
+            .unwrap();
+        for s in [expr, closure] {
+            let lp = lowered(&s);
+            let out = run_parallel(&lp, 4, CountVisitor::default).unwrap();
+            assert_eq!(out.visitor.count, 0);
+            assert_eq!(out.stats.pruned[0], 1);
+            assert_eq!(out.stats.evaluated[0], 1);
+        }
     }
 
     #[test]

@@ -839,7 +839,7 @@ mod tests {
             attempt: 0,
             cancel: Some(&probe),
         };
-        let run = c.run_outer_chunk_supervised(&[0], CountVisitor::default(), &ctx);
+        let run = c.run_loops(Some(&[0]), CountVisitor::default(), &ctx);
         assert!(matches!(run, Err(beast_core::error::EvalError::Cancelled)));
     }
 }

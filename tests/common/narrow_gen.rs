@@ -224,3 +224,72 @@ pub fn generate_parent(seed: u64, spelled: bool) -> ParentGenerated {
         in_parent: !spelled && !bounds_read_o && !define_between,
     }
 }
+
+/// One random space whose level 0 reads a preamble — the defines and
+/// checks the planner places before the first loop, because they read only
+/// constants:
+///
+/// ```text
+/// n in 2..=7, k in {-2, 0, 1, 3}          constants; k = 0 on some seeds
+/// p = n·c + k                             expression define
+/// [q = 12 / k | n / (k - k)]              divides by a constant zero at k = 0 / always
+/// r = opaque(n, k)                        closure: n + |k|, or n / k (faults at k = 0)
+/// [check p > lim]                         rejects the whole space on some seeds
+/// x in range_step(lo, hi, s)              bounds drawn from {0, k, p, q, r, 12 - r}
+///   [check (x + r) % 3 == 0 | x < q]      a level-0 check reading the preamble
+///   y in 0 .. 1 + (x % 2 + 2) % 2
+///     [check (x + y + p) % 2 == 0]
+/// ```
+///
+/// Domains stay small (at most a few dozen level-0 values).
+#[allow(dead_code)]
+pub fn generate_with_preamble(seed: u64) -> Arc<Space> {
+    let mut rng = Lcg(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x9A9A);
+    let (n, k, r) = (|| var("n"), || var("k"), || var("r"));
+    let (p, q, x) = (|| var("p"), || var("q"), || var("x"));
+
+    let n_val = 2 + rng.below(6) as i64;
+    let k_val = rng.of(&[-2i64, 0, 1, 3]);
+    let mut b = Space::builder(&format!("preamble_{seed}"))
+        .constant("n", n_val)
+        .constant("k", k_val)
+        .derived("p", n() * rng.of(&[1i64, 2, -1]) + k());
+    let with_q = rng.below(3) > 0;
+    if with_q {
+        b = b.derived("q", if rng.below(4) == 0 { n() / (k() - k()) } else { lit(12) / k() });
+    }
+    let faulting_closure = rng.below(4) == 0;
+    b = b.derived_fn("r", &["n", "k"], move |env| {
+        let (n, k) = (env.require_int("n")?, env.require_int("k")?);
+        if faulting_closure {
+            if k == 0 {
+                return Err(EvalError::DivisionByZero);
+            }
+            Ok(Value::Int(n / k))
+        } else {
+            Ok(Value::Int(n + k.abs()))
+        }
+    });
+    if rng.below(4) == 0 {
+        let lim = rng.of(&[0i64, 4, 9, 100]);
+        b = b.constraint("p_big", ConstraintClass::Hard, p().gt(lim));
+    }
+    let mut bounds = vec![lit(0), k(), p(), r(), lit(12) - r()];
+    if with_q {
+        bounds.push(q());
+    }
+    let lo = rng.of(&bounds[..2]);
+    let hi = rng.of(&bounds);
+    let step = rng.of(&[1i64, 1, 2, -1]);
+    b = if step > 0 { b.range_step("x", lo, hi, step) } else { b.range_step("x", hi, lo, step) };
+    match rng.below(3) {
+        0 => b = b.constraint("xr", ConstraintClass::Soft, ((x() + r()) % 3).eq(0)),
+        1 if with_q => b = b.constraint("xq", ConstraintClass::Soft, x().lt(q())),
+        _ => {}
+    }
+    b = b.range("y", 0, lit(1) + (x() % 2 + 2) % 2);
+    if rng.below(2) == 0 {
+        b = b.constraint("xyp", ConstraintClass::Soft, ((x() + var("y") + p()) % 2).eq(0));
+    }
+    b.build().unwrap()
+}

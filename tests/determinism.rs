@@ -14,6 +14,7 @@ use beast::prelude::*;
 use beast_core::ir::LoweredPlan;
 use beast_engine::compiled::EngineOptions;
 use beast_engine::parallel::{run_parallel, run_parallel_report, ParallelOptions};
+use beast_engine::sweep::SweepError;
 use beast_gemm::{build_gemm_space, GemmSpaceParams};
 
 #[path = "common/narrow_gen.rs"]
@@ -694,4 +695,265 @@ fn static_decisions_are_pinned_on_generated_and_gemm_spaces() {
         0x200b15e8c5e46c95, 0x489085ab66b7089a,
     ];
     assert_eq!(got, want, "narrow, parent, replay, reduced(16), reduced(32)");
+}
+
+/// A sweep's outcome in comparable form: the survivors' fingerprint and
+/// count with the prune and block counters, or the error in full (site and
+/// bindings included).
+type Digest = Result<(u64, u64, PruneStats, BlockStats), String>;
+
+fn digest(out: Result<SweepOutcome<FingerprintVisitor>, SweepError>) -> Digest {
+    match out {
+        Ok(o) => Ok((o.visitor.hash, o.visitor.count, o.stats, o.blocks)),
+        Err(SweepError::Eval(e)) => Err(format!("{e:?}")),
+        Err(e) => Err(format!("not an evaluation error: {e:?}")),
+    }
+}
+
+/// Sweep `lp` every way there is and assert each agrees with the serial
+/// [`Compiled::run`], which is returned: the walker (survivors and
+/// `PruneStats` against the engine with block pruning off, or the same
+/// root error); `run_parallel_report` at threads {1, 2, 8} × chunks
+/// {1, 7}; `run_distributed` in process; `run_cached` cold and warm;
+/// `run_checkpointed` stopped after one chunk and then resumed; and the
+/// native tier against the engine normalized to its accounting (it falls
+/// back in process where there is no C compiler or the plan has closures).
+/// Every supervised run uses `policy`.
+fn assert_every_path_agrees(
+    lp: &LoweredPlan,
+    policy: FaultPolicy,
+    tag: &str,
+) -> Result<SweepOutcome<FingerprintVisitor>, EvalError> {
+    let serial = Compiled::new(lp.clone()).run(FingerprintVisitor::new());
+    let want = match &serial {
+        Ok(o) => Ok((o.visitor.hash, o.visitor.count, o.stats.clone(), o.blocks)),
+        Err(e) => Err(format!("{e:?}")),
+    };
+    let normalized =
+        EngineOptions { intervals: false, congruence: false, ..EngineOptions::native() };
+    let plain = Compiled::with_options(lp.clone(), normalized).run(FingerprintVisitor::new());
+    let walker = Walker::new(&lp.plan, LoopStyle::RangeLazy).run(FingerprintVisitor::new());
+    match (&plain, &walker) {
+        (Ok(p), Ok(w)) => assert_eq!(
+            (p.visitor.hash, p.visitor.count, &p.stats),
+            (w.visitor.hash, w.visitor.count, &w.stats),
+            "{tag}: walker"
+        ),
+        (Err(p), Err(w)) => assert_eq!(p.root(), w.root(), "{tag}: walker"),
+        _ => panic!("{tag}: walker {walker:?} against {plain:?}", walker = walker.is_ok()),
+    }
+
+    let opts = |threads, chunk_count| ParallelOptions {
+        threads,
+        chunk_count,
+        fault_policy: policy,
+        ..ParallelOptions::default()
+    };
+    let mut got: Vec<(String, Digest)> = Vec::new();
+    for threads in THREAD_COUNTS {
+        for chunks in [1, 7] {
+            let out = run_parallel_report(lp, &opts(threads, chunks), FingerprintVisitor::new);
+            got.push((format!("{threads} threads, {chunks} chunks"), digest(out.map(|o| o.0))));
+        }
+    }
+    let mut d = DistributeOptions::new(2, Vec::new());
+    d.chunk_count = 7;
+    d.fault_policy = policy;
+    let out = run_distributed(lp, &d, FingerprintVisitor::new);
+    got.push(("distributed".into(), digest(out.map(|o| o.0))));
+    let cache = SweepCache::new();
+    for pass in ["cold", "warm"] {
+        let out = run_cached(lp, &opts(2, 7), &cache, tag, FingerprintVisitor::new);
+        got.push((format!("cached, {pass}"), digest(out.map(|o| o.0))));
+    }
+    let dir = std::env::temp_dir().join("beast-determinism");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("{tag}.json"));
+    let _ = std::fs::remove_file(&path);
+    let stopped = ParallelOptions { stop_after_chunks: 1, ..opts(2, 7) };
+    let ck = CheckpointConfig { path: path.clone(), every_chunks: 1, resume: false };
+    let out = match run_checkpointed(lp, &stopped, &ck, FingerprintVisitor::new) {
+        Ok((_, report)) if report.partial => {
+            let ck = CheckpointConfig { resume: true, ..ck };
+            run_checkpointed(lp, &opts(2, 7), &ck, FingerprintVisitor::new)
+        }
+        done => done,
+    };
+    let _ = std::fs::remove_file(&path);
+    got.push(("checkpointed, resumed".into(), digest(out.map(|o| o.0))));
+    for (label, digest) in &got {
+        assert_eq!(digest, &want, "{tag}: {label} against the serial run");
+    }
+
+    let native = ParallelOptions { engine: EngineOptions::native(), ..opts(2, 7) };
+    let out = run_parallel_report(lp, &native, FingerprintVisitor::new);
+    assert_eq!(
+        digest(out.map(|o| o.0)),
+        digest(plain.map_err(SweepError::Eval)),
+        "{tag}: native tier against the normalized engine"
+    );
+    serial
+}
+
+/// Space A of the preamble suite: an expression define of a constant
+/// bounds level 0 — with a passing preamble check when `checked` (the
+/// emitted C worker takes the plan only without one).
+fn preamble_expr_space(checked: bool) -> Arc<Space> {
+    let mut b = Space::builder("preamble_expr").constant("cap", 5).derived("tile", var("cap") * 2);
+    if checked {
+        b = b.constraint("tile_cap", ConstraintClass::Hard, var("tile").gt(64));
+    }
+    b.range("x", 0, var("tile"))
+        .range("y", 0, var("x") % 3 + 1)
+        .constraint("xy", ConstraintClass::Soft, ((var("x") + var("y")) % 3).eq(0))
+        .build()
+        .unwrap()
+}
+
+/// Space B: an opaque closure of constants bounds level 0.
+fn preamble_closure_space() -> Arc<Space> {
+    Space::builder("preamble_closure")
+        .constant("cap", 5)
+        .derived_fn("tile", &["cap"], |env| Ok(Value::Int(env.require_int("cap")? * 2)))
+        .range("x", 0, var("tile"))
+        .range("y", 0, var("x") % 3 + 1)
+        .constraint("xy", ConstraintClass::Soft, ((var("x") + var("y")) % 3).eq(0))
+        .build()
+        .unwrap()
+}
+
+/// A level-0 loop bounded by a preamble define — the shape of a tile count
+/// derived from the problem size — sweeps to the same survivors,
+/// fingerprint and counters on every path: every path realizes level 0
+/// over the values the preamble wrote, not over zeroed slots.
+#[test]
+fn a_preamble_bounded_level_zero_is_identical_on_every_path() {
+    let spaces = [
+        ("expr", preamble_expr_space(false)),
+        ("expr-checked", preamble_expr_space(true)),
+        ("closure", preamble_closure_space()),
+    ];
+    for (tag, space) in spaces {
+        let lp = lower(&space);
+        let out = assert_every_path_agrees(&lp, FaultPolicy::Abort, tag).unwrap();
+        assert_eq!(Compiled::new(lp.clone()).outer_domain().unwrap(), (0..10).collect::<Vec<_>>());
+        let sums = (0..10i64).flat_map(|x| (0..x % 3 + 1).map(move |y| x + y));
+        let want = sums.filter(|s| s % 3 != 0);
+        assert_eq!(out.visitor.count, want.count() as u64, "{tag}");
+        if tag == "expr-checked" {
+            let row = (out.stats.evaluated[0], out.stats.pruned[0]);
+            assert_eq!(row, (1, 0), "{tag}: preamble row");
+        }
+        if tag == "expr" && beast_codegen::find_c_compiler().is_some() {
+            // The emitted C worker evaluates the preamble define itself.
+            let opts = ParallelOptions {
+                threads: 2,
+                chunk_count: 7,
+                engine: EngineOptions::native(),
+                ..ParallelOptions::default()
+            };
+            let (_, report) = run_parallel_report(&lp, &opts, FingerprintVisitor::new).unwrap();
+            let native = report.native.expect("a C compiler is present");
+            assert!(native.chunks_native > 0 && native.chunks_fallback == 0, "{native:?}");
+        }
+    }
+}
+
+/// `cap = 0`, `a = cap + 1`, `b = 1 / cap`, `x in range(0, a + b)`.
+fn faulting_preamble_space() -> Arc<Space> {
+    Space::builder("preamble_fault")
+        .constant("cap", 0)
+        .derived("a", var("cap") + 1)
+        .derived("b", lit(1) / var("cap"))
+        .range("x", 0, var("a") + var("b"))
+        .build()
+        .unwrap()
+}
+
+/// A preamble that divides by zero raises one error everywhere — the
+/// serial run's, with the site and the preamble value already written —
+/// under every fault policy (there is no point to skip and no chunk to
+/// quarantine: the sweep fails before any chunk is dealt).
+#[test]
+fn a_faulting_preamble_raises_the_same_error_at_every_entry_point() {
+    let lp = lower(&faulting_preamble_space());
+    for policy in [
+        FaultPolicy::Abort,
+        FaultPolicy::SkipPoint,
+        FaultPolicy::QuarantineChunk,
+        FaultPolicy::Retry { max: 1, backoff_ms: 0 },
+    ] {
+        let err = assert_every_path_agrees(&lp, policy, "fault").unwrap_err();
+        assert_eq!(err.root(), &EvalError::DivisionByZero);
+        let ctx = err.point_context().expect("point context");
+        assert_eq!((ctx.site.as_str(), &ctx.bindings[..]), ("b", &[("a".to_string(), 1)][..]));
+    }
+    assert_eq!(Compiled::new(lp).outer_domain().unwrap_err().root(), &EvalError::DivisionByZero);
+}
+
+/// A preamble check that rejects the space records its row once —
+/// `evaluated = pruned = 1` — on every path, a resumed checkpoint included.
+#[test]
+fn a_rejecting_preamble_records_its_row_once() {
+    let space = Space::builder("preamble_reject")
+        .constant("cap", 0)
+        .derived("a", var("cap") + 1)
+        .constraint("off", ConstraintClass::Generic, var("a").eq(1))
+        .range("x", 0, 100)
+        .build()
+        .unwrap();
+    let out = assert_every_path_agrees(&lower(&space), FaultPolicy::Abort, "reject").unwrap();
+    assert_eq!(out.visitor.count, 0);
+    assert_eq!((out.stats.evaluated[0], out.stats.pruned[0]), (1, 1));
+}
+
+/// An opaque preamble define is evaluated once per engine: not per chunk,
+/// per thread, per sweep or per level-0 realization.
+#[test]
+fn an_opaque_preamble_closure_runs_once_per_engine() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+    let space = Space::builder("preamble_once")
+        .constant("cap", 40)
+        .derived_fn("tile", &["cap"], |env| {
+            CALLS.fetch_add(1, Ordering::SeqCst);
+            Ok(Value::Int(env.require_int("cap")?))
+        })
+        .range("x", 0, var("tile"))
+        .range("y", 0, 4)
+        .build()
+        .unwrap();
+    let lp = lower(&space);
+    let compiled = Compiled::new(lp.clone());
+    let outer = compiled.outer_domain().unwrap();
+    for chunk in outer.chunks(7) {
+        compiled.run_outer_chunk(chunk, CountVisitor::default()).unwrap();
+    }
+    assert_eq!(compiled.run(CountVisitor::default()).unwrap().visitor.count, 160);
+    assert_eq!(CALLS.swap(0, Ordering::SeqCst), 1, "one engine");
+    for threads in THREAD_COUNTS {
+        let opts = ParallelOptions { threads, chunk_count: 40, ..ParallelOptions::default() };
+        let (out, _) = run_parallel_report(&lp, &opts, CountVisitor::default).unwrap();
+        assert_eq!(out.visitor.count, 160);
+        assert_eq!(CALLS.swap(0, Ordering::SeqCst), 1, "one sweep at {threads} threads");
+    }
+}
+
+/// The generated preamble family: constant-only expression and opaque
+/// defines before level 0, read by its bounds and checks, some dividing by
+/// a constant zero or rejecting the space — every seed agrees on every
+/// path, and the family covers passing, rejecting and faulting preambles.
+#[test]
+fn generated_preamble_spaces_agree_on_every_path() {
+    let (mut swept, mut empty, mut failed) = (0, 0, 0);
+    for seed in 0..120u64 {
+        let lp = lower(&narrow_gen::generate_with_preamble(seed));
+        match assert_every_path_agrees(&lp, FaultPolicy::Abort, &format!("gen-{seed}")) {
+            Ok(out) if out.visitor.count > 0 => swept += 1,
+            Ok(_) => empty += 1,
+            Err(_) => failed += 1,
+        }
+    }
+    let counts = format!("{swept} swept, {empty} empty, {failed} failed");
+    assert!(swept > 30 && empty > 5 && failed > 10, "{counts}");
 }
