@@ -139,19 +139,16 @@ use beast_codegen::{all_backends, all_toolchains, ToolchainResult};
 use beast_core::ir::LoweredPlan;
 use beast_core::plan::Plan;
 use beast_cuda::{CcLimits, DeviceProps};
-use beast_engine::checkpoint::{run_checkpointed, CheckpointConfig, JsonValue};
+use beast_engine::checkpoint::{CheckpointConfig, JsonValue};
 use beast_engine::compiled::{Compiled, EngineOptions, EngineTier};
-use beast_engine::distribute::{
-    run_distributed, run_distributed_checkpointed, serve_worker, DistributeOptions, WorkerChaos,
-};
+use beast_engine::distribute::{serve_worker, WorkerChaos, Workers};
 use beast_engine::fault::{FaultInjector, FaultPolicy};
-use beast_engine::parallel::{run_parallel_report, ParallelOptions};
 use beast_engine::service::{ServiceConfig, SweepService};
-use beast_engine::sweep::SweepError;
+use beast_engine::sweep::{refuse_pairings, sweep, SweepSpec};
 use beast_engine::telemetry::SweepReport;
 use beast_engine::visit::{CountVisitor, FingerprintVisitor};
 use beast_engine::vm::{Vm, VmStyle};
-use beast_engine::walker::{LoopStyle, SweepOutcome, Walker};
+use beast_engine::walker::{LoopStyle, Walker};
 use beast_gemm::{build_gemm_space, gemm_resolver, GemmSpaceParams};
 use beast_gpu_sim::Transpose;
 use beast_kernels::{
@@ -273,7 +270,7 @@ fn main() {
         "batched" => batched(arg_num(32) as i64),
         "lint" => lint(&flags.device(None), flags.get("--json")),
         "count" => count(&flags.device(None), flags.get("--json")),
-        "sweep" => sweep(&args, engine, walker),
+        "sweep" => sweep_cmd(&args, engine, walker),
         "distribute" => distribute(&args, engine),
         "worker" => worker_mode(&args, engine),
         "serve" => serve(&args),
@@ -913,37 +910,88 @@ impl Flags<'_> {
         }
     }
 
-    /// `--checkpoint PATH [--resume] [--every N]`, announced on stdout.
+    /// `--checkpoint PATH [--resume] [--every N]`.
     fn checkpoint(&self) -> Option<CheckpointConfig> {
         let mut ck = CheckpointConfig::new(self.get("--checkpoint")?);
         ck.resume = self.has("--resume");
         ck.every_chunks = self.uint("--every", ck.every_chunks as u64).max(1) as usize;
-        outln!(
-            "checkpoint: {} (every {} chunk(s){})",
-            ck.path.display(),
-            ck.every_chunks,
-            if ck.resume { ", resuming" } else { "" }
-        );
         Some(ck)
+    }
+
+    /// The one flag parser of `sweep` and `distribute`: the spec their
+    /// flags describe, slots from `--workers` when `workers` is attached
+    /// (`distribute`) and from `--threads` otherwise. A flag the run would
+    /// read and then ignore is refused first (exit 2, one line naming both
+    /// flags) from the library's table of refused pairings, the one
+    /// [`SweepSpec::validate`] reads.
+    fn spec(
+        &self,
+        engine: EngineOptions,
+        walker: bool,
+        workers: Option<Workers>,
+    ) -> SweepSpec<'static, FingerprintVisitor> {
+        let named = [
+            (walker, "--engine walker"),
+            (engine.engine == EngineTier::Native, "--engine native"),
+            (workers.is_some(), "--workers"),
+            (!self.has("--checkpoint"), "no --checkpoint"),
+        ];
+        let flags = self.0[1..].iter().map(String::as_str).filter(|a| a.starts_with("--"));
+        let named = named.iter().filter(|(on, _)| *on).map(|(_, name)| *name);
+        let set: Vec<&str> = flags.chain(named).collect();
+        if let Err(e) = refuse_pairings(&set) {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        }
+        let rate = |name: &str| self.parsed(name, "a probability in [0,1]").unwrap_or(0.0);
+        let (errors, panics) = (rate("--inject-errors"), rate("--inject-panics"));
+        let slots = self.uint(if workers.is_some() { "--workers" } else { "--threads" }, 4);
+        let mut spec = SweepSpec {
+            chunk_count: self.uint("--chunks", 0) as usize,
+            engine,
+            fault_policy: self.policy(),
+            injector: (errors > 0.0 || panics > 0.0).then(|| {
+                FaultInjector::new(self.uint("--seed", 0))
+                    .error_rate(errors)
+                    .panic_rate(panics)
+                    .transient(self.has("--transient"))
+            }),
+            deadline: self.parsed("--deadline", "seconds").map(std::time::Duration::from_secs_f64),
+            stop_after_chunks: self.uint("--stop-after", 0) as usize,
+            ..SweepSpec::new(slots.max(1) as usize)
+        };
+        if let Some(workers) = workers {
+            spec = spec.workers(workers);
+        }
+        if let Some(ck) = self.checkpoint() {
+            spec = spec.checkpoint(ck);
+        }
+        spec
     }
 }
 
-/// The tail of `sweep` and `distribute`: fingerprint line, report, `--json`
-/// dump, and exit 3 when the result is partial — a distinct code so scripts
-/// (and the CI smoke job) can tell a resumable partial result from success
-/// (0) and failure (1). `kind` / `noun` name the subcommand in messages.
-fn finish_sweep(
-    result: Result<(SweepOutcome<FingerprintVisitor>, SweepReport), SweepError>,
-    json_path: Option<String>,
+/// The tail of `sweep` and `distribute`: the checkpoint line, the sweep,
+/// the fingerprint line, report, `--json` dump, and exit 3 when the result
+/// is partial — a distinct code so scripts (and the CI smoke job) can tell a
+/// resumable partial result from success (0) and failure (1). `kind` /
+/// `noun` name the subcommand in messages.
+fn run_sweep(
+    flags: &Flags<'_>,
+    lp: &LoweredPlan,
+    spec: &SweepSpec<'_, FingerprintVisitor>,
     (kind, noun): (&str, &str),
 ) -> FingerprintVisitor {
-    let (out, report) = result.unwrap_or_else(|e| {
+    if let Some(ck) = flags.checkpoint() {
+        let resuming = if ck.resume { ", resuming" } else { "" };
+        outln!("checkpoint: {} (every {} chunk(s){resuming})", ck.path.display(), ck.every_chunks);
+    }
+    let (out, report) = sweep(lp, spec, FingerprintVisitor::default).unwrap_or_else(|e| {
         eprintln!("error: {kind} failed: {e}");
         std::process::exit(1);
     });
     outln!("survivors: {}  fingerprint: {:016x}", out.visitor.count, out.visitor.hash);
     outln!("\n{}", report.render_text());
-    if let Some(path) = json_path {
+    if let Some(path) = flags.get("--json") {
         let json = format!(
             "{{\"fingerprint\":\"{:016x}\",\"survivors\":{},\"partial\":{},\"report\":{}}}",
             out.visitor.hash,
@@ -967,36 +1015,24 @@ fn finish_sweep(
 // §X-C: fault-tolerant sweep driver (checkpoint/resume, policies, injection)
 // ---------------------------------------------------------------------------
 
-fn sweep(args: &[String], engine: EngineOptions, walker: bool) {
+fn sweep_cmd(args: &[String], engine: EngineOptions, walker: bool) {
     let flags = Flags(args);
     let (label, params) = flags.device(Some(32));
-    let mut opts = ParallelOptions::new(flags.uint("--threads", 4).max(1) as usize);
-    opts.engine = engine;
-    opts.chunk_count = flags.uint("--chunks", 0) as usize;
-    opts.fault_policy = flags.policy();
-    opts.stop_after_chunks = flags.uint("--stop-after", 0) as usize;
-    opts.deadline = flags.parsed("--deadline", "seconds").map(std::time::Duration::from_secs_f64);
+    let spec = flags.spec(engine, walker, None);
     let rate = |name: &str| flags.parsed(name, "a probability in [0,1]").unwrap_or(0.0);
-    let (err_rate, panic_rate) = (rate("--inject-errors"), rate("--inject-panics"));
-    if err_rate > 0.0 || panic_rate > 0.0 {
-        opts.injector = Some(
-            FaultInjector::new(flags.uint("--seed", 0))
-                .error_rate(err_rate)
-                .panic_rate(panic_rate)
-                .transient(flags.has("--transient")),
-        );
-    }
 
     header(&format!("§X-C — fault-tolerant sweep, GEMM space on {label} device"));
     outln!(
         "threads={} policy={} chunks={}{}",
-        opts.threads,
-        opts.fault_policy.name(),
-        if opts.chunk_count > 0 { opts.chunk_count.to_string() } else { "auto".to_string() },
-        match &opts.injector {
+        spec.slots,
+        spec.fault_policy.name(),
+        if spec.chunk_count > 0 { spec.chunk_count.to_string() } else { "auto".to_string() },
+        match &spec.injector {
             Some(inj) => format!(
-                " injector(seed={}, errors={err_rate}, panics={panic_rate})",
-                inj.seed()
+                " injector(seed={}, errors={}, panics={})",
+                inj.seed(),
+                rate("--inject-errors"),
+                rate("--inject-panics")
             ),
             None => String::new(),
         }
@@ -1004,15 +1040,9 @@ fn sweep(args: &[String], engine: EngineOptions, walker: bool) {
     let (plan, lp) = gemm(&params);
 
     // The walker is the serial ground-truth reference: no parallel driver,
-    // so no fault policies, checkpointing or chunk scheduling.
+    // so no fault policies, checkpointing or chunk scheduling (the spec
+    // refused those flags).
     if walker {
-        if opts.injector.is_some() || flags.has("--checkpoint") {
-            eprintln!(
-                "error: --engine walker is serial-only and composes with \
-                 neither fault injection nor checkpointing"
-            );
-            std::process::exit(2);
-        }
         let walker = Walker::new(&plan, LoopStyle::RangeLazy);
         let t = Instant::now();
         let out = walker.run(FingerprintVisitor::default()).unwrap_or_else(|e| {
@@ -1031,25 +1061,21 @@ fn sweep(args: &[String], engine: EngineOptions, walker: bool) {
         return;
     }
 
-    let result = match flags.checkpoint() {
-        Some(ck) => run_checkpointed(&lp, &opts, &ck, FingerprintVisitor::default),
-        None => run_parallel_report(&lp, &opts, FingerprintVisitor::default),
-    };
-    let got = finish_sweep(result, flags.get("--json"), ("sweep", "sweep"));
+    let got = run_sweep(&flags, &lp, &spec, ("sweep", "sweep"));
     if flags.has("--verify") {
         // Re-run on the in-process compiled tier with otherwise identical
         // options and demand the exact bit-identity contract the native
         // tier is built around. Exit 6 is distinct from partial (3) and the
         // service client's mismatch codes (4/5).
-        let mut vopts = ParallelOptions::new(opts.threads);
-        vopts.chunk_count = opts.chunk_count;
-        vopts.engine = engine;
-        vopts.engine.engine = EngineTier::Compiled;
-        let (vout, _) = run_parallel_report(&lp, &vopts, FingerprintVisitor::default)
-            .unwrap_or_else(|e| {
-                eprintln!("error: verification sweep failed: {e}");
-                std::process::exit(1);
-            });
+        let verify = SweepSpec {
+            chunk_count: spec.chunk_count,
+            engine: EngineOptions { engine: EngineTier::Compiled, ..engine },
+            ..SweepSpec::new(spec.slots)
+        };
+        let (vout, _) = sweep(&lp, &verify, FingerprintVisitor::default).unwrap_or_else(|e| {
+            eprintln!("error: verification sweep failed: {e}");
+            std::process::exit(1);
+        });
         if vout.visitor.count != got.count || vout.visitor.hash != got.hash {
             eprintln!(
                 "verify FAILED: {} tier gave {} survivors / {:016x}, compiled tier gave {} / {:016x}",
@@ -1092,44 +1118,40 @@ fn distribute(args: &[String], engine: EngineOptions) {
         eprintln!("error: cannot locate own executable for worker spawning: {e}");
         std::process::exit(1);
     });
-    let mut worker_cmd = vec![exe.to_string_lossy().into_owned(), "worker".to_string()];
-    worker_cmd.extend(flags.positional().cloned());
-    worker_cmd.extend(worker_engine_flags(engine));
+    let mut cmd = vec![exe.to_string_lossy().into_owned(), "worker".to_string()];
+    cmd.extend(flags.positional().cloned());
+    cmd.extend(worker_engine_flags(engine));
     for chaos_flag in ["--die-after", "--stall-after"] {
         if let Some(v) = flags.get(chaos_flag) {
-            worker_cmd.push(chaos_flag.to_string());
-            worker_cmd.push(v);
+            cmd.push(chaos_flag.to_string());
+            cmd.push(v);
         }
     }
-
-    let mut opts = DistributeOptions::new(flags.uint("--workers", 4).max(1) as usize, worker_cmd);
-    opts.engine = engine;
-    opts.chunk_count = flags.uint("--chunks", 0) as usize;
-    opts.fault_policy = flags.policy();
-    opts.heartbeat = std::time::Duration::from_millis(flags.uint("--heartbeat-ms", 10_000).max(1));
-    opts.shard_retry_max = flags.uint("--retry", 3) as u32;
-    opts.shard_backoff_ms = flags.uint("--backoff", 50);
-    opts.restart_max = flags.uint("--restarts", 0) as usize;
-    opts.stop_after_chunks = flags.uint("--stop-after", 0) as usize;
-    opts.chaos_kill_after = flags.parsed("--chaos-kill-after", "a shard ordinal");
+    let workers = Workers {
+        heartbeat: std::time::Duration::from_millis(flags.uint("--heartbeat-ms", 10_000).max(1)),
+        retry_max: flags.uint("--retry", 3) as u32,
+        backoff_ms: flags.uint("--backoff", 50),
+        restart_max: flags.uint("--restarts", 0) as usize,
+        chaos_kill_after: flags.parsed("--chaos-kill-after", "a shard ordinal"),
+        ..Workers::new(cmd)
+    };
+    let settings = format!(
+        "heartbeat={}ms retry={} backoff={}ms",
+        workers.heartbeat.as_millis(),
+        workers.retry_max,
+        workers.backoff_ms
+    );
+    let spec = flags.spec(engine, false, Some(workers));
 
     header(&format!("§X-D — distributed sweep, GEMM space on {label} device"));
     outln!(
-        "workers={} policy={} chunks={} heartbeat={}ms retry={} backoff={}ms",
-        opts.workers,
-        opts.fault_policy.name(),
-        if opts.chunk_count > 0 { opts.chunk_count.to_string() } else { "auto".to_string() },
-        opts.heartbeat.as_millis(),
-        opts.shard_retry_max,
-        opts.shard_backoff_ms,
+        "workers={} policy={} chunks={} {settings}",
+        spec.slots,
+        spec.fault_policy.name(),
+        if spec.chunk_count > 0 { spec.chunk_count.to_string() } else { "auto".to_string() },
     );
     let (_, lp) = gemm(&params);
-
-    let result = match flags.checkpoint() {
-        Some(ck) => run_distributed_checkpointed(&lp, &opts, &ck, FingerprintVisitor::default),
-        None => run_distributed(&lp, &opts, FingerprintVisitor::default),
-    };
-    finish_sweep(result, flags.get("--json"), ("distributed sweep", "distribute"));
+    run_sweep(&flags, &lp, &spec, ("distributed sweep", "distribute"));
 }
 
 /// Hidden worker mode: serve protocol-v1 shards for the GEMM space over
@@ -1449,8 +1471,8 @@ fn threads(
     let mut reports = Vec::new();
     let mut t1 = 0.0;
     for &threads in &counts {
-        let opts = ParallelOptions { threads, engine, ..ParallelOptions::default() };
-        let (out, report) = run_parallel_report(&lp, &opts, CountVisitor::default).unwrap();
+        let spec = SweepSpec { engine, ..SweepSpec::new(threads) };
+        let (out, report) = sweep(&lp, &spec, CountVisitor::default).unwrap();
         let dt = report.elapsed.as_secs_f64();
         if threads == counts[0] {
             t1 = dt; // speedups are relative to the first count run

@@ -147,3 +147,31 @@ fn every_subcommand_accepts_its_full_flag_set() {
     );
     assert_eq!(daemon.wait().expect("daemon exits").code(), Some(0));
 }
+
+/// A flag that a run would read and then ignore is refused too (exit 2, one
+/// line naming both flags), from the library's table of refused pairings:
+/// the serial walker has no chunks to stop after, polls no deadline, has no
+/// fault policy and is itself the reference `--verify` checks against; and
+/// `--resume` and `--every` need a `--checkpoint` on both chunked front ends.
+#[test]
+fn flags_a_run_would_ignore_exit_2_naming_both() {
+    let refused = |args: &[&str], first: &str, second: &str| {
+        let (code, stderr) = repro(args);
+        assert_eq!(code, Some(2), "`repro {}` must exit 2:\n{stderr}", args.join(" "));
+        assert_eq!(stderr.lines().count(), 1, "one-line error expected:\n{stderr}");
+        assert!(stderr.starts_with("error: "), "{stderr}");
+        assert!(stderr.contains(first) && stderr.contains(second), "{stderr}");
+    };
+    let ignored: [&[&str]; 4] =
+        [&["--stop-after", "1"], &["--deadline", "60"], &["--policy", "skip"], &["--verify"]];
+    for ignored in ignored {
+        let args = [&["sweep", "16", "--engine", "walker"][..], ignored].concat();
+        refused(&args, "--engine walker", ignored[0]);
+    }
+    for cmd in ["sweep", "distribute"] {
+        refused(&[cmd, "16", "--resume"], "--resume", "--checkpoint");
+        refused(&[cmd, "16", "--every", "2"], "--every", "--checkpoint");
+    }
+    // The library's own refusals reach the CLI the same way.
+    refused(&["distribute", "16", "--engine", "native"], "--engine native", "--workers");
+}

@@ -600,7 +600,7 @@ impl LoweredPlan {
     /// subtree cost is non-uniform and a parallel driver should prefer
     /// fine-grained level-0 chunks. The multithreaded engine uses this to
     /// size its work-stealing chunks; see
-    /// `beast_engine::parallel::run_parallel_report`.
+    /// `beast_engine::sweep::sweep`.
     pub fn static_fanout_below_outer(&self) -> Option<u128> {
         let mut domains = self.steps.iter().filter_map(|s| match s {
             LStep::Bind { domain, .. } => Some(domain),

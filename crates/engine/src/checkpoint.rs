@@ -27,16 +27,12 @@
 use std::path::{Path, PathBuf};
 
 use beast_core::hash::Fnv1a;
-use beast_core::ir::LoweredPlan;
 
-use crate::compiled::EngineOptions;
 use crate::fault::{FaultAction, FaultKind, FaultRecord};
-use crate::parallel::{run_threaded, CkSink, CkSnapshot, ParallelOptions, ResumeSeed};
+use crate::parallel::Collector;
 use crate::stats::{BlockStats, PruneStats};
-use crate::sweep::SweepError;
-use crate::telemetry::{fault_record_json, json_str, SweepReport};
+use crate::telemetry::{fault_record_json, json_str};
 use crate::visit::{CountVisitor, FingerprintVisitor, Visitor};
-use crate::walker::SweepOutcome;
 
 /// Current (and only supported) checkpoint file format version.
 ///
@@ -362,6 +358,29 @@ pub trait SaveState {
     fn load_state(&mut self, v: &JsonValue) -> Result<(), String>;
 }
 
+/// [`SaveState`] as a pair of function pointers, taken where the bound
+/// holds (the methods that attach a checkpoint or worker processes to a
+/// [`crate::sweep::SweepSpec`]), so the sweep itself asks only [`Visitor`]
+/// of its visitor.
+pub(crate) struct StateCodec<V> {
+    pub(crate) save: fn(&V) -> String,
+    pub(crate) load: fn(&mut V, &JsonValue) -> Result<(), String>,
+}
+
+impl<V> Clone for StateCodec<V> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<V> Copy for StateCodec<V> {}
+
+impl<V: SaveState> StateCodec<V> {
+    pub(crate) fn of() -> StateCodec<V> {
+        StateCodec { save: V::save_state, load: V::load_state }
+    }
+}
+
 impl SaveState for CountVisitor {
     fn save_state(&self) -> String {
         format!("{{\"count\":{}}}", self.count)
@@ -417,73 +436,15 @@ impl CheckpointConfig {
     }
 }
 
-/// [`crate::parallel::run_parallel_report`] with checkpoint persistence and
-/// optional resume.
-///
-/// On resume the chunk grid is pinned from the file (never re-derived from
-/// the thread count), the completed prefix `0..next` is seeded into the
-/// merge, and workers evaluate only chunks `next..`; the final outcome is
-/// bit-identical to an uninterrupted run. A missing file with
-/// [`CheckpointConfig::resume`] set, or a checkpoint recorded for a
-/// different space shape, fails with [`SweepError::Checkpoint`].
-pub fn run_checkpointed<V, F>(
-    lp: &LoweredPlan,
-    opts: &ParallelOptions,
-    ck: &CheckpointConfig,
-    make_visitor: F,
-) -> Result<(SweepOutcome<V>, SweepReport), SweepError>
-where
-    V: Visitor + Send + SaveState,
-    F: Fn() -> V + Sync,
-{
-    with_checkpoint(lp, &opts.engine, ck, &make_visitor, |seed, sink| {
-        run_threaded(lp, opts, &make_visitor, seed, Some(sink), None)
-    })
-}
-
-/// The checkpoint wiring shared by [`run_checkpointed`] and
-/// [`crate::distribute::run_distributed_checkpointed`]: read and validate
-/// the resume seed when [`CheckpointConfig::resume`] is set, build the write
-/// sink, and hand both to `run`.
-pub(crate) fn with_checkpoint<V, T>(
-    lp: &LoweredPlan,
-    engine: &EngineOptions,
-    ck: &CheckpointConfig,
-    make_visitor: &dyn Fn() -> V,
-    run: impl FnOnce(Option<ResumeSeed<V>>, &CkSink<'_, V>) -> Result<T, SweepError>,
-) -> Result<T, SweepError>
-where
-    V: Visitor + SaveState,
-{
-    let space_name = lp.plan.space().name().to_string();
-    // The same execution-options fingerprint that scopes the sub-sweep cache
-    // is recorded in every checkpoint: resuming a prefix evaluated under
-    // different options (another engine tier, pruning toggles, schedule)
-    // would merge counters with incompatible accounting.
-    let engine_sig = engine.signature();
-    let seed = if ck.resume {
-        let text = std::fs::read_to_string(&ck.path).map_err(|e| {
-            SweepError::Checkpoint(format!(
-                "cannot read checkpoint {}: {e}",
-                ck.path.display()
-            ))
-        })?;
-        parse_checkpoint(&text, &space_name, &engine_sig, make_visitor)
-            .map_err(SweepError::Checkpoint)?
-    } else {
-        None
-    };
-    let writer =
-        |snap: &CkSnapshot<'_, V>| write_checkpoint(&ck.path, &space_name, &engine_sig, snap);
-    run(seed, &CkSink { every: ck.every_chunks.max(1), write: &writer })
-}
-
-/// Serialize and atomically persist one snapshot.
-pub(crate) fn write_checkpoint<V: SaveState>(
+/// Serialize and atomically persist the folded prefix of `prefix`, whose
+/// merged visitor is `visitor`.
+pub(crate) fn write_checkpoint<V>(
     path: &Path,
     space: &str,
     engine_sig: &str,
-    snap: &CkSnapshot<'_, V>,
+    prefix: &Collector<V>,
+    visitor: &V,
+    codec: StateCodec<V>,
 ) -> Result<(), String> {
     use std::fmt::Write as _;
     let mut out = String::with_capacity(1024);
@@ -494,21 +455,21 @@ pub(crate) fn write_checkpoint<V: SaveState>(
     let _ = write!(
         out,
         ",\"outer_len\":{},\"chunk_len\":{},\"chunks\":{},\"next\":{}",
-        snap.outer_len, snap.chunk_len, snap.chunks, snap.next
+        prefix.outer_len, prefix.chunk_len, prefix.chunks, prefix.next
     );
     out.push_str(",\"stats\":");
-    stats_json(&mut out, snap.stats);
+    stats_json(&mut out, &prefix.stats);
     out.push_str(",\"blocks\":");
-    blocks_json(&mut out, snap.blocks);
+    blocks_json(&mut out, &prefix.blocks);
     out.push_str(",\"faults\":[");
-    for (i, r) in snap.faults.iter().enumerate() {
+    for (i, r) in prefix.faults.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         fault_record_json(&mut out, r);
     }
     out.push_str("],\"visitor\":");
-    out.push_str(&snap.visitor.save_state());
+    out.push_str(&(codec.save)(visitor));
     // Format 2 integrity suffix: the checksum covers every byte before it,
     // so the parser can recompute the same prefix with a single `rfind`.
     let crc = crc64(out.as_bytes());
@@ -618,14 +579,16 @@ pub(crate) fn parse_blocks(doc: &JsonValue, ctx: &str) -> Result<BlockStats, Str
     })
 }
 
-/// Parse and validate a checkpoint file into a [`ResumeSeed`]. Returns
-/// `Ok(None)` when the file records no completed chunks (fresh start).
-pub(crate) fn parse_checkpoint<V: Visitor + SaveState>(
+/// Parse and validate a checkpoint file into the folded prefix a resumed
+/// sweep starts from. Returns `Ok(None)` when the file records no
+/// completed chunks (fresh start).
+pub(crate) fn parse_checkpoint<V: Visitor>(
     text: &str,
     space: &str,
     engine_sig: &str,
     make_visitor: &dyn Fn() -> V,
-) -> Result<Option<ResumeSeed<V>>, String> {
+    codec: StateCodec<V>,
+) -> Result<Option<Collector<V>>, String> {
     let doc = JsonValue::parse(text).map_err(|e| format!("malformed checkpoint: {e}"))?;
     let field = |key: &str| doc.get(key).ok_or_else(|| format!("checkpoint: missing `{key}`"));
     let usize_field = |key: &str| {
@@ -679,9 +642,19 @@ pub(crate) fn parse_checkpoint<V: Visitor + SaveState>(
         .collect::<Result<Vec<_>, _>>()?;
 
     let mut visitor = make_visitor();
-    visitor.load_state(field("visitor")?)?;
+    (codec.load)(&mut visitor, field("visitor")?)?;
 
-    Ok(Some(ResumeSeed { outer_len, chunk_len, next, stats, blocks, faults, visitor }))
+    Ok(Some(Collector {
+        next,
+        stats,
+        blocks,
+        faults,
+        visitor: Some(visitor),
+        outer_len,
+        chunk_len,
+        chunks,
+        ..Collector::new(0)
+    }))
 }
 
 /// Verify the trailing `,"crc":"…"` suffix of a format-2 checkpoint:
@@ -915,49 +888,42 @@ mod tests {
             bindings: vec![("x".to_string(), 10)],
         }];
         let sig = EngineOptions::default().signature();
-        write_checkpoint(
-            &path,
-            "unit",
-            &sig,
-            &CkSnapshot {
-                outer_len: 64,
-                chunk_len: 8,
-                chunks: 8,
-                next: 5,
-                stats: &stats,
-                blocks: &blocks,
-                faults: &faults,
-                visitor: &visitor,
-            },
-        )
-        .unwrap();
+        let prefix = Collector {
+            next: 5,
+            stats: stats.clone(),
+            blocks,
+            faults: faults.clone(),
+            outer_len: 64,
+            chunk_len: 8,
+            chunks: 8,
+            ..Collector::new(0)
+        };
+        write_checkpoint(&path, "unit", &sig, &prefix, &visitor, StateCodec::of()).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         let seed =
-            parse_checkpoint::<FingerprintVisitor>(&text, "unit", &sig, &FingerprintVisitor::new)
+            parse_checkpoint(&text, "unit", &sig, &FingerprintVisitor::new, StateCodec::of())
                 .unwrap()
                 .expect("next > 0 must produce a seed");
         assert_eq!((seed.outer_len, seed.chunk_len, seed.next), (64, 8, 5));
         assert_eq!(seed.stats, stats);
         assert_eq!(seed.blocks, blocks);
         assert_eq!(seed.faults, faults);
-        assert_eq!(seed.visitor, visitor);
+        assert_eq!(seed.visitor, Some(visitor));
         // Space mismatch is refused.
-        assert!(parse_checkpoint::<FingerprintVisitor>(
-            &text,
-            "other",
-            &sig,
-            &FingerprintVisitor::new
-        )
-        .is_err());
+        assert!(
+            parse_checkpoint(&text, "other", &sig, &FingerprintVisitor::new, StateCodec::of())
+                .is_err()
+        );
         // Engine-options mismatch is refused: a prefix evaluated under the
         // native tier (or different pruning toggles) cannot be merged with
         // chunks evaluated under the defaults.
         let native_sig = EngineOptions::native().signature();
-        let mismatch = parse_checkpoint::<FingerprintVisitor>(
+        let mismatch = parse_checkpoint(
             &text,
             "unit",
             &native_sig,
             &FingerprintVisitor::new,
+            StateCodec::of(),
         );
         match mismatch {
             Err(err) => assert!(err.contains("engine options"), "{err}"),
@@ -973,7 +939,7 @@ mod tests {
         let crc_at = legacy.rfind(",\"crc\":\"").expect("crc suffix must be present to strip");
         let legacy = format!("{}}}", &legacy[..crc_at]);
         let parse = |t: &str| {
-            parse_checkpoint::<FingerprintVisitor>(t, "unit", &sig, &FingerprintVisitor::new)
+            parse_checkpoint(t, "unit", &sig, &FingerprintVisitor::new, StateCodec::of())
         };
         let err = parse(&legacy).err().expect("a format-1 file must be refused");
         assert!(err.contains("unsupported format 1"), "{err}");
@@ -999,26 +965,20 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("crc.json");
         let sig = EngineOptions::default().signature();
-        write_checkpoint(
-            &path,
-            "unit",
-            &sig,
-            &CkSnapshot {
-                outer_len: 16,
-                chunk_len: 4,
-                chunks: 4,
-                next: 2,
-                stats: &stats,
-                blocks: &blocks,
-                faults: &[],
-                visitor: &visitor,
-            },
-        )
-        .unwrap();
+        let prefix = Collector {
+            next: 2,
+            stats,
+            blocks,
+            outer_len: 16,
+            chunk_len: 4,
+            chunks: 4,
+            ..Collector::new(0)
+        };
+        write_checkpoint(&path, "unit", &sig, &prefix, &visitor, StateCodec::of()).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_file(&path).ok();
         let parse = |t: &str| {
-            parse_checkpoint::<CountVisitor>(t, "unit", &sig, &CountVisitor::default)
+            parse_checkpoint(t, "unit", &sig, &CountVisitor::default, StateCodec::of())
         };
         assert!(parse(&text).unwrap().is_some(), "pristine file must parse");
 

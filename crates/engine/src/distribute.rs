@@ -36,7 +36,7 @@
 //! [`FaultKind::ProtocolError`] and has the slot re-deal the shard with
 //! exponential backoff — to a respawned worker while the restart budget
 //! lasts, then to the supervisor's own in-process engine. After
-//! [`DistributeOptions::shard_retry_max`] failed deals the shard is
+//! [`Workers::retry_max`] failed deals the shard is
 //! quarantined exactly like a chunk under [`FaultPolicy::QuarantineChunk`].
 //! When spawning fails entirely the run degrades to in-process evaluation
 //! and still completes. Because nothing from a failed attempt is ever folded
@@ -45,36 +45,35 @@
 //! emission order, statistics and fingerprints are bit-identical to a serial
 //! run at any worker count.
 //!
-//! Checkpointing is the frame's too: [`run_distributed_checkpointed`] and
-//! [`crate::checkpoint::run_checkpointed`] share one wiring and one file
-//! format, so `kill -9` of the *supervisor* is resumable, either entry point
-//! resumes the other's files, and a resumed run is bit-identical to an
-//! uninterrupted one (`tests/fault_tolerance.rs`, and end to end
-//! `tests/distribute.rs` in `beast-bench`).
+//! Everything else is the frame's and the spec's: a [`SweepSpec`] with
+//! [`SweepSpec::workers`] attached is swept by [`crate::sweep::sweep`] like
+//! any other, so a checkpoint or a cache attaches to it the same way. One
+//! file format means `kill -9` of the *supervisor* is resumable, a threaded
+//! sweep resumes a distributed sweep's file and the other way round, and a
+//! resumed run is bit-identical to an uninterrupted one
+//! (`tests/fault_tolerance.rs`, and end to end `tests/distribute.rs` in
+//! `beast-bench`).
 
 use std::io::{ErrorKind, Read, Write};
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use beast_core::error::EvalError;
 use beast_core::ir::LoweredPlan;
 
 use crate::checkpoint::{
-    blocks_json, parse_blocks, parse_fault_record, parse_stats, stats_json, with_checkpoint,
-    CheckpointConfig, JsonValue, SaveState,
+    blocks_json, parse_blocks, parse_fault_record, parse_stats, stats_json, JsonValue, SaveState,
+    StateCodec,
 };
-use crate::compiled::{Compiled, EngineOptions, EngineTier};
+use crate::compiled::{Compiled, EngineOptions};
 use crate::fault::{FaultKind, FaultPolicy};
-use crate::parallel::{
-    attempt_chunk, run_supervised, Answer, ChunkDone, ChunkExecutor, CkSink, ParallelOptions,
-    ResumeSeed,
-};
-use crate::sweep::SweepError;
-use crate::telemetry::{fault_record_json, json_str, SweepProgress, SweepReport};
-use crate::visit::Visitor;
+use crate::parallel::{attempt_chunk, Answer, ChunkDone, ChunkExecutor};
+use crate::sweep::{sweep, SweepError, SweepSpec};
+use crate::telemetry::{fault_record_json, json_str, SweepReport};
+use crate::visit::{FingerprintVisitor, Visitor};
 use crate::walker::SweepOutcome;
 
 /// Wire protocol version spoken by [`serve_worker`] and the supervisor.
@@ -84,26 +83,16 @@ pub const PROTOCOL_VERSION: u64 = 1;
 /// this is treated as a protocol violation, not an allocation request.
 const MAX_FRAME: u32 = 64 * 1024 * 1024;
 
-/// Configuration for [`run_distributed`].
+/// The worker-process transport of a [`SweepSpec`] ([`SweepSpec::workers`]):
+/// the command each slot runs and how a slot recovers when its worker dies,
+/// stalls or lies.
 #[derive(Debug, Clone)]
-pub struct DistributeOptions {
-    /// Worker *processes* to spawn (values below 1 are treated as 1).
-    pub workers: usize,
+pub struct Workers {
     /// Command line for one worker: program plus arguments. The worker must
     /// speak protocol v1 on stdin/stdout — normally this is
     /// `[repro, "worker", <dim>, ...]` built by the CLI. An empty command
     /// skips spawning entirely and evaluates every shard in-process.
-    pub worker_cmd: Vec<String>,
-    /// Explicit total number of scheduler chunks (0 = derive from the worker
-    /// count like [`crate::parallel::ParallelOptions::chunk_count`]). Pin
-    /// this for fault injection and cross-worker-count determinism checks.
-    pub chunk_count: usize,
-    /// Compiled-engine options; workers must be configured identically
-    /// (verified at handshake via [`EngineOptions::signature`]).
-    pub engine: EngineOptions,
-    /// What an evaluation error or chunk panic does inside a worker — the
-    /// same policy semantics as a threaded sweep, applied worker-side.
-    pub fault_policy: FaultPolicy,
+    pub cmd: Vec<String>,
     /// Heartbeat/read deadline per worker: if no frame (heartbeats included)
     /// arrives within this window while a shard is in flight, the worker is
     /// declared hung, killed, and the shard re-dealt.
@@ -111,44 +100,71 @@ pub struct DistributeOptions {
     /// Worker-level attempts per shard beyond the first; when exhausted the
     /// shard is quarantined as a
     /// [`FaultAction::QuarantinedChunk`](crate::fault::FaultAction::QuarantinedChunk).
-    pub shard_retry_max: u32,
+    pub retry_max: u32,
     /// Base backoff before re-dealing a failed shard; doubles per attempt,
     /// capped at 2 s.
-    pub shard_backoff_ms: u64,
+    pub backoff_ms: u64,
     /// Total worker respawns allowed across the run (0 = automatic:
-    /// `2 × workers`). Once spent, slots that lose their worker degrade to
+    /// `2 × slots`). Once spent, slots that lose their worker degrade to
     /// in-process evaluation instead of respawning.
     pub restart_max: usize,
-    /// Optional shared progress counters, bumped once per folded chunk.
-    pub progress: Option<Arc<SweepProgress>>,
-    /// Stop dealing new shards after this many chunks (0 = no limit) — the
-    /// deterministic interruption knob for checkpoint/resume tests.
-    pub stop_after_chunks: usize,
     /// Chaos knob: `kill -9` the worker that receives the Nth dealt shard
     /// (1-based) right after dispatching it. Exercises the `WorkerExit`
     /// recovery path deterministically in tests and the CI smoke job.
     pub chaos_kill_after: Option<u64>,
 }
 
-impl DistributeOptions {
-    /// Options for `workers` processes running `worker_cmd`, with default
-    /// robustness settings (10 s heartbeat, 3 retries, 50 ms base backoff).
-    pub fn new(workers: usize, worker_cmd: Vec<String>) -> DistributeOptions {
-        DistributeOptions {
-            workers: workers.max(1),
-            worker_cmd,
-            chunk_count: 0,
-            engine: EngineOptions::default(),
-            fault_policy: FaultPolicy::default(),
+impl Workers {
+    /// Workers running `cmd`, with default robustness settings (10 s
+    /// heartbeat, 3 retries, 50 ms base backoff).
+    pub fn new(cmd: Vec<String>) -> Workers {
+        Workers {
+            cmd,
             heartbeat: Duration::from_secs(10),
-            shard_retry_max: 3,
-            shard_backoff_ms: 50,
+            retry_max: 3,
+            backoff_ms: 50,
             restart_max: 0,
-            progress: None,
-            stop_after_chunks: 0,
             chaos_kill_after: None,
         }
     }
+}
+
+/// A [`SweepSpec`] with [`Workers`] attached, under its former name, kept
+/// for the benchmark harness; it derefs to the spec.
+pub struct DistributeOptions<V: 'static = FingerprintVisitor>(SweepSpec<'static, V>);
+
+impl<V: Visitor + SaveState + 'static> DistributeOptions<V> {
+    /// `workers` slots running `worker_cmd` with default robustness settings.
+    pub fn new(workers: usize, worker_cmd: Vec<String>) -> DistributeOptions<V> {
+        DistributeOptions(SweepSpec::new(workers).workers(Workers::new(worker_cmd)))
+    }
+}
+
+impl<V: 'static> std::ops::Deref for DistributeOptions<V> {
+    type Target = SweepSpec<'static, V>;
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
+
+impl<V: 'static> std::ops::DerefMut for DistributeOptions<V> {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.0
+    }
+}
+
+/// [`sweep`] of a spec with [`Workers`] attached, under its former name,
+/// kept for the benchmark harness.
+pub fn run_distributed<V, F>(
+    lp: &LoweredPlan,
+    opts: &DistributeOptions<V>,
+    make_visitor: F,
+) -> Result<(SweepOutcome<V>, SweepReport), SweepError>
+where
+    V: Visitor + Send + 'static,
+    F: Fn() -> V + Sync,
+{
+    sweep(lp, opts, make_visitor)
 }
 
 /// Deterministic failure injection for [`serve_worker`], driven by the
@@ -240,11 +256,12 @@ fn done_frame<V: Visitor + SaveState>(chunk: usize, done: &ChunkDone<V>) -> Stri
 /// (blocks, visitor state, fault records) must parse. Any
 /// violation is a [`FaultKind::ProtocolError`] — the shard is re-dealt and
 /// nothing from the lying worker reaches the merge.
-fn parse_done<V: Visitor + SaveState>(
+fn parse_done<V: Visitor>(
     doc: &JsonValue,
     expect_chunk: usize,
     n_constraints: usize,
     make_visitor: &dyn Fn() -> V,
+    codec: StateCodec<V>,
 ) -> Result<ChunkDone<V>, String> {
     let done = doc.get("done").ok_or_else(|| "worker: missing done body".to_string())?;
     let chunk = done
@@ -281,9 +298,8 @@ fn parse_done<V: Visitor + SaveState>(
                 "worker",
             )?;
             let mut visitor = make_visitor();
-            visitor
-                .load_state(o.get("visitor").ok_or_else(|| "worker: outcome.visitor missing".to_string())?)
-                .map_err(|e| format!("worker: {e}"))?;
+            let state = o.get("visitor").ok_or_else(|| "worker: outcome.visitor missing".to_string())?;
+            (codec.load)(&mut visitor, state).map_err(|e| format!("worker: {e}"))?;
             Some(SweepOutcome { stats, blocks, visitor })
         }
     };
@@ -579,8 +595,9 @@ struct LinkSlot {
 /// reply is awaited under the heartbeat deadline. Worker death, silence and
 /// lies are answered as worker-level faults — the frame re-deals or
 /// quarantines — and a slot that cannot (re)spawn answers *evaluate locally*.
-struct LinkExecutor<'a> {
-    opts: &'a DistributeOptions,
+pub(crate) struct LinkExecutor<'a, V> {
+    workers: &'a Workers,
+    codec: StateCodec<V>,
     hello: String,
     structural: String,
     engine_sig: String,
@@ -597,7 +614,7 @@ struct LinkExecutor<'a> {
     respawned: AtomicU64,
 }
 
-impl<V: Visitor + SaveState> ChunkExecutor<V> for LinkExecutor<'_> {
+impl<V: Visitor> ChunkExecutor<V> for LinkExecutor<'_, V> {
     fn run(
         &self,
         slot: usize,
@@ -614,11 +631,11 @@ impl<V: Visitor + SaveState> ChunkExecutor<V> for LinkExecutor<'_> {
                 slot.inproc = true;
             } else {
                 match Link::connect(
-                    &self.opts.worker_cmd,
+                    &self.workers.cmd,
                     &self.hello,
                     &self.structural,
                     &self.engine_sig,
-                    self.opts.heartbeat,
+                    self.workers.heartbeat,
                 ) {
                     Ok(l) => {
                         self.spawned.fetch_add(1, Ordering::Relaxed);
@@ -654,7 +671,7 @@ impl<V: Visitor + SaveState> ChunkExecutor<V> for LinkExecutor<'_> {
             frame.push_str("]}}");
         }
         let dispatched = write_frame(&mut l.stdin, &frame);
-        if self.opts.chaos_kill_after == Some(shard_no) {
+        if self.workers.chaos_kill_after == Some(shard_no) {
             // Deterministic chaos: SIGKILL our own worker with the shard
             // in flight. Recovery must be indistinguishable from a real
             // crash.
@@ -663,7 +680,7 @@ impl<V: Visitor + SaveState> ChunkExecutor<V> for LinkExecutor<'_> {
         let answer = if dispatched.is_err() {
             Answer::Fault { kind: FaultKind::WorkerExit, error: "worker closed its pipe".to_string() }
         } else {
-            await_reply(l, chunk, self.n_constraints, make_visitor, self.opts.heartbeat)
+            await_reply(l, chunk, self.n_constraints, make_visitor, self.codec, self.workers.heartbeat)
         };
         if matches!(answer, Answer::Fault { .. }) {
             // Nothing this worker says can be trusted now.
@@ -675,7 +692,7 @@ impl<V: Visitor + SaveState> ChunkExecutor<V> for LinkExecutor<'_> {
     }
 
     fn redeal(&self) -> (u32, u64) {
-        (self.opts.shard_retry_max, self.opts.shard_backoff_ms)
+        (self.workers.retry_max, self.workers.backoff_ms)
     }
 
     fn close(&self, slot: usize) {
@@ -690,110 +707,51 @@ impl<V: Visitor + SaveState> ChunkExecutor<V> for LinkExecutor<'_> {
     }
 }
 
-/// Run a lowered plan across worker processes; see the module docs for the
-/// protocol and robustness model.
-///
-/// The merged outcome is bit-identical to [`crate::parallel::run_parallel`]
-/// and to the serial engine — same survivors, same emission order, same
-/// statistics — at any worker count, including under worker crashes and
-/// re-dealt shards (as long as no shard exhausts its retry budget and is
-/// quarantined).
-pub fn run_distributed<V, F>(
-    lp: &LoweredPlan,
-    opts: &DistributeOptions,
-    make_visitor: F,
-) -> Result<(SweepOutcome<V>, SweepReport), SweepError>
-where
-    V: Visitor + Send + SaveState,
-    F: Fn() -> V + Sync,
-{
-    deal_to_workers(lp, opts, make_visitor, None, None)
-}
-
-/// [`run_distributed`] with checkpoint persistence and optional resume —
-/// the distributed twin of [`crate::checkpoint::run_checkpointed`], writing
-/// the same format-2 files, so killing the *supervisor* is recoverable too.
-pub fn run_distributed_checkpointed<V, F>(
-    lp: &LoweredPlan,
-    opts: &DistributeOptions,
-    ck: &CheckpointConfig,
-    make_visitor: F,
-) -> Result<(SweepOutcome<V>, SweepReport), SweepError>
-where
-    V: Visitor + Send + SaveState,
-    F: Fn() -> V + Sync,
-{
-    with_checkpoint(lp, &opts.engine, ck, &make_visitor, |seed, sink| {
-        deal_to_workers(lp, opts, &make_visitor, seed, Some(sink))
-    })
-}
-
-/// Map [`DistributeOptions`] onto the shared sweep frame: the frame options
-/// (one slot per worker, no injector, cancel or deadline) plus the link
-/// executor that carries everything process-specific.
-fn deal_to_workers<V, F>(
-    lp: &LoweredPlan,
-    opts: &DistributeOptions,
-    make_visitor: F,
-    resume: Option<ResumeSeed<V>>,
-    sink: Option<&CkSink<'_, V>>,
-) -> Result<(SweepOutcome<V>, SweepReport), SweepError>
-where
-    V: Visitor + Send + SaveState,
-    F: Fn() -> V + Sync,
-{
-    if opts.engine.engine == EngineTier::Native {
-        return Err(SweepError::Config(
-            "the native tier cannot be distributed: shards already run in worker \
-             processes; use the compiled tier"
-                .to_string(),
-        ));
+impl<'a, V> LinkExecutor<'a, V> {
+    /// The executor for `spec`'s slots, each owning at most one process
+    /// running `workers.cmd`; nothing is spawned until a slot is dealt a
+    /// chunk.
+    pub(crate) fn new(
+        lp: &LoweredPlan,
+        spec: &SweepSpec<'_, V>,
+        workers: &'a Workers,
+        codec: StateCodec<V>,
+    ) -> LinkExecutor<'a, V> {
+        let slots = spec.slots.max(1);
+        let space = lp.plan.space();
+        let structural = format!("{:016x}", lp.structural_hash());
+        let engine_sig = spec.engine.signature();
+        let hello = {
+            let mut h = String::with_capacity(160);
+            use std::fmt::Write as _;
+            let _ = write!(h, "{{\"v\":{PROTOCOL_VERSION},\"hello\":{{");
+            json_str(&mut h, "space", space.name());
+            let _ = write!(
+                h,
+                ",\"structural\":\"{structural}\",\"engine\":\"{engine_sig}\",\"policy\":\"{}\",\
+                 \"hb_ms\":{}}}}}",
+                spec.fault_policy.spec(),
+                u64::try_from(workers.heartbeat.as_millis()).unwrap_or(u64::MAX).max(1)
+            );
+            h
+        };
+        LinkExecutor {
+            workers,
+            codec,
+            hello,
+            structural,
+            engine_sig,
+            n_constraints: space.constraints().len(),
+            restart_budget: if workers.restart_max > 0 { workers.restart_max } else { 2 * slots },
+            slots: (0..slots)
+                .map(|_| Mutex::new(LinkSlot { inproc: workers.cmd.is_empty(), ..LinkSlot::default() }))
+                .collect(),
+            dealt: AtomicU64::new(0),
+            restarts: AtomicUsize::new(0),
+            spawned: AtomicU64::new(0),
+            respawned: AtomicU64::new(0),
+        }
     }
-    let workers = opts.workers.max(1);
-    let space = lp.plan.space();
-    let structural = format!("{:016x}", lp.structural_hash());
-    let engine_sig = opts.engine.signature();
-    let hello = {
-        let mut h = String::with_capacity(160);
-        use std::fmt::Write as _;
-        let _ = write!(h, "{{\"v\":{PROTOCOL_VERSION},\"hello\":{{");
-        json_str(&mut h, "space", space.name());
-        let _ = write!(
-            h,
-            ",\"structural\":\"{structural}\",\"engine\":\"{engine_sig}\",\"policy\":\"{}\",\
-             \"hb_ms\":{}}}}}",
-            opts.fault_policy.spec(),
-            u64::try_from(opts.heartbeat.as_millis()).unwrap_or(u64::MAX).max(1)
-        );
-        h
-    };
-    let exec = LinkExecutor {
-        opts,
-        hello,
-        structural,
-        engine_sig,
-        n_constraints: space.constraints().len(),
-        restart_budget: if opts.restart_max > 0 { opts.restart_max } else { 2 * workers },
-        slots: (0..workers)
-            .map(|_| Mutex::new(LinkSlot { inproc: opts.worker_cmd.is_empty(), ..LinkSlot::default() }))
-            .collect(),
-        dealt: AtomicU64::new(0),
-        restarts: AtomicUsize::new(0),
-        spawned: AtomicU64::new(0),
-        respawned: AtomicU64::new(0),
-    };
-    let frame = ParallelOptions {
-        threads: workers,
-        chunk_count: opts.chunk_count,
-        progress: opts.progress.clone(),
-        fault_policy: opts.fault_policy,
-        stop_after_chunks: opts.stop_after_chunks,
-        ..ParallelOptions::default()
-    };
-    // In-process slots evaluate on this engine; workers build their own.
-    let t_start = Instant::now();
-    let compiled = Compiled::with_options(lp.clone(), opts.engine);
-    run_supervised(&compiled, t_start, &frame, make_visitor, resume, sink, None, &exec)
 }
 
 /// Wait for the worker's reply to an in-flight shard, treating heartbeat
@@ -804,11 +762,12 @@ where
 /// * silence past the deadline — `WorkerTimeout`;
 /// * closed pipe / read error — `WorkerExit`;
 /// * anything malformed — `ProtocolError`.
-fn await_reply<V: Visitor + SaveState>(
+fn await_reply<V: Visitor>(
     link: &mut Link,
     chunk: usize,
     n_constraints: usize,
     make_visitor: &dyn Fn() -> V,
+    codec: StateCodec<V>,
     deadline: Duration,
 ) -> Answer<V> {
     let fault = |kind, error| Answer::Fault { kind, error };
@@ -845,7 +804,7 @@ fn await_reply<V: Visitor + SaveState>(
             });
         }
         if doc.get("done").is_some() {
-            return match parse_done(&doc, chunk, n_constraints, make_visitor) {
+            return match parse_done(&doc, chunk, n_constraints, make_visitor, codec) {
                 Ok(done) => Answer::Done(done),
                 Err(e) => fault(FaultKind::ProtocolError, e),
             };
@@ -862,7 +821,6 @@ mod tests {
     use beast_core::plan::{Plan, PlanOptions};
     use beast_core::space::Space;
 
-    use crate::parallel::{run_parallel_report, ParallelOptions};
     use crate::visit::FingerprintVisitor;
 
     fn lowered() -> LoweredPlan {
@@ -949,7 +907,7 @@ mod tests {
         let done = read_frame(&mut r).unwrap().unwrap();
         let done = JsonValue::parse(&done).unwrap();
         let parsed: ChunkDone<FingerprintVisitor> =
-            parse_done(&done, 0, 2, &FingerprintVisitor::new).unwrap();
+            parse_done(&done, 0, 2, &FingerprintVisitor::new, StateCodec::of()).unwrap();
         assert!(parsed.faults.is_empty());
         let from_worker = parsed.outcome.expect("clean chunk has an outcome");
 
@@ -983,9 +941,8 @@ mod tests {
         opts.chunk_count = 4;
         let (dist, report) = run_distributed(&lp, &opts, FingerprintVisitor::new).unwrap();
 
-        let mut popts = ParallelOptions::new(1);
-        popts.chunk_count = 4;
-        let (serial, _) = run_parallel_report(&lp, &popts, FingerprintVisitor::new).unwrap();
+        let serial_spec = SweepSpec { chunk_count: 4, ..SweepSpec::new(1) };
+        let (serial, _) = sweep(&lp, &serial_spec, FingerprintVisitor::new).unwrap();
         assert_eq!(dist.visitor, serial.visitor);
         assert_eq!(dist.stats, serial.stats);
         assert_eq!(report.fault_counters.workers_spawned, 0);
@@ -1022,7 +979,7 @@ mod tests {
             .build()
             .unwrap();
         let lp = LoweredPlan::new(&Plan::new(&space, PlanOptions::default()).unwrap()).unwrap();
-        let threaded = run_parallel_report(&lp, &ParallelOptions::new(2), FingerprintVisitor::new);
+        let threaded = sweep(&lp, &SweepSpec::new(2), FingerprintVisitor::new);
         let Err(SweepError::Eval(want)) = threaded else { panic!("dz must abort the threaded sweep") };
         assert!(want.point_context().is_some());
         for cmd in [Vec::new(), vec!["/nonexistent/beast-worker-binary".to_string()]] {
@@ -1032,16 +989,6 @@ mod tests {
             assert_eq!(got.root(), want.root(), "{cmd:?}");
             assert_eq!(got.point_context(), want.point_context(), "{cmd:?}");
         }
-    }
-
-    /// Tier gating: the native tier is refused with a config error.
-    #[test]
-    fn the_native_tier_is_rejected() {
-        let lp = lowered();
-        let mut opts = DistributeOptions::new(1, Vec::new());
-        opts.engine.engine = EngineTier::Native;
-        let err = run_distributed(&lp, &opts, FingerprintVisitor::new).err().unwrap();
-        assert!(matches!(err, SweepError::Config(_)), "native tier not rejected");
     }
 
     /// A lying worker reply (wrong chunk, short stats) is a protocol error;
@@ -1056,15 +1003,15 @@ mod tests {
                     \"guard_runs\":5},\
                     \"visitor\":{\"hash\":1,\"pow\":2,\"count\":1}},\"faults\":[]}}";
         let doc = JsonValue::parse(good).unwrap();
-        let done = parse_done::<FingerprintVisitor>(&doc, 3, 2, &mk).unwrap();
+        let done = parse_done(&doc, 3, 2, &mk, StateCodec::of()).unwrap();
         assert_eq!(done.outcome.unwrap().blocks.guard_runs, 5);
         // Wrong chunk id.
-        assert!(parse_done::<FingerprintVisitor>(&doc, 4, 2, &mk).is_err());
+        assert!(parse_done(&doc, 4, 2, &mk, StateCodec::of()).is_err());
         // Counter arrays shorter than the constraint list.
-        assert!(parse_done::<FingerprintVisitor>(&doc, 3, 3, &mk).is_err());
+        assert!(parse_done(&doc, 3, 3, &mk, StateCodec::of()).is_err());
         // Missing visitor state.
         let broken = good.replace(",\"visitor\":{\"hash\":1,\"pow\":2,\"count\":1}", "");
         let doc = JsonValue::parse(&broken).unwrap();
-        assert!(parse_done::<FingerprintVisitor>(&doc, 3, 2, &mk).is_err());
+        assert!(parse_done(&doc, 3, 2, &mk, StateCodec::of()).is_err());
     }
 }

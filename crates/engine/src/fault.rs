@@ -21,7 +21,7 @@
 //! the injector hashes `(seed, kind, chunk, ordinal)` and the recovery
 //! actions (skip point, quarantine chunk) only ever remove work in units that
 //! are merged in chunk order. Pinning the grid with
-//! [`ParallelOptions::chunk_count`](crate::parallel::ParallelOptions) makes
+//! [`SweepSpec::chunk_count`](crate::sweep::SweepSpec::chunk_count) makes
 //! the full fault set and the surviving-point sequence invariant across
 //! thread counts — asserted in `tests/fault_tolerance.rs`.
 

@@ -9,7 +9,7 @@
 //! | [`walker::Walker`] | Python (Fig. 17) | AST interpretation, hash-map variable access, three loop syntaxes |
 //! | [`vm::Vm`] | Lua (Fig. 18) | register bytecode, dispatch per op, three loop syntaxes |
 //! | [`compiled::Compiled`] | generated C (Fig. 19) | folded constants, flat `i64` slots, native loop control |
-//! | [`parallel::run_parallel`] | multithreaded generated C (Section X-B) | compiled backend, dynamically scheduled over level-0 chunks |
+//! | [`sweep::sweep`] | multithreaded generated C (Section X-B) | compiled backend, dynamically scheduled over level-0 chunks |
 //!
 //! All backends execute the *same* plan and produce identical survivors and
 //! pruning statistics (cross-checked by integration tests); they differ only
@@ -58,24 +58,18 @@ pub mod walker;
 
 /// Commonly used items, re-exported.
 pub mod prelude {
-    pub use crate::checkpoint::{run_checkpointed, CheckpointConfig, SaveState};
+    pub use crate::checkpoint::{CheckpointConfig, SaveState};
     pub use crate::compiled::{Compiled, EngineOptions, EngineTier};
-    pub use crate::distribute::{
-        run_distributed, run_distributed_checkpointed, serve_worker, DistributeOptions,
-        WorkerChaos,
-    };
+    pub use crate::distribute::{serve_worker, WorkerChaos, Workers};
     pub use crate::fault::{CancelToken, FaultInjector, FaultPolicy, FaultRecord};
     pub use crate::native::{NativeContext, NativeStats};
-    pub use crate::parallel::{run_parallel, run_parallel_report, ParallelOptions};
     pub use crate::point::{Point, PointRef};
-    pub use crate::service::cache::{run_cached, run_cached_on, CacheStats, SweepCache};
+    pub use crate::service::cache::{CacheStats, SweepCache};
     pub use crate::service::{ResolvedSpace, ServiceConfig, SpaceResolver, SweepService};
     pub use crate::stats::{BlockStats, FaultCounters, PruneStats};
-    pub use crate::sweep::SweepError;
+    pub use crate::sweep::{sweep, SweepError, SweepSpec};
     pub use crate::telemetry::{SweepProgress, SweepReport};
-    pub use crate::visit::{
-        BestK, CollectVisitor, CountVisitor, FingerprintVisitor, Reservoir, Visitor,
-    };
+    pub use crate::visit::{BestK, CollectVisitor, CountVisitor, FingerprintVisitor, Visitor};
     pub use crate::vm::{Vm, VmStyle};
     pub use crate::walker::{LoopStyle, SweepOutcome, Walker};
 }

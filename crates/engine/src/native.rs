@@ -442,7 +442,8 @@ fn read_reply<R: Read>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parallel::{run_supervised, ParallelOptions};
+    use crate::parallel::run_supervised;
+    use crate::sweep::SweepSpec;
     use crate::visit::{CollectVisitor, CountVisitor, FingerprintVisitor};
     use beast_core::constraint::ConstraintClass;
     use beast_core::expr::var;
@@ -465,8 +466,8 @@ mod tests {
         LoweredPlan::new(&plan).unwrap()
     }
 
-    /// The in-process engine normalized the way `run_threaded` does for
-    /// native runs.
+    /// The in-process engine normalized the way [`crate::sweep::sweep`]
+    /// builds it for native runs.
     fn reference_engine(lp: &LoweredPlan) -> Compiled {
         let norm = EngineOptions {
             intervals: false,
@@ -645,7 +646,7 @@ mod tests {
             }
             FingerprintVisitor::new()
         };
-        let opts = ParallelOptions { threads: 1, chunk_count: 4, ..ParallelOptions::default() };
+        let opts = SweepSpec { slots: 1, chunk_count: 4, ..SweepSpec::default() };
         let (out, report) = run_supervised(
             &reference,
             std::time::Instant::now(),

@@ -1,7 +1,8 @@
 //! The sweep supervisor — the paper's Section X-B observation that
 //! parallelization "can be very beneficial at the outermost loop nests,
 //! close to level 0", implemented once: one frame (`run_supervised`: set-up
-//! → deal → chunk-order fold → report) that keeps a multi-hour sweep alive
+//! → deal → chunk-order fold → report), reached only through
+//! [`crate::sweep::sweep`] and the [`SweepSpec`] it runs, that keeps a multi-hour sweep alive
 //! across bad points, panicking chunks, dead workers, deadlines and process
 //! restarts, and one question it asks per chunk — *where does this chunk
 //! run?* — answered by a crate-private `ChunkExecutor`: on the slot's own
@@ -34,7 +35,7 @@
 //! chunks per thread suffices; when inner domains depend on outer variables
 //! (the skewed regime), the driver cuts finer chunks. Callers that need a
 //! *thread-invariant* grid (fault injection, checkpoint/resume) pin it with
-//! [`ParallelOptions::chunk_count`].
+//! [`SweepSpec::chunk_count`].
 //!
 //! # Who owns what
 //!
@@ -52,7 +53,7 @@
 //!
 //! # Fault supervision
 //!
-//! [`ParallelOptions::fault_policy`] decides what an
+//! [`SweepSpec::fault_policy`] decides what an
 //! [`EvalError`] or a chunk panic does to the
 //! sweep: abort it (the default, with panics surfaced as structured
 //! [`SweepError::WorkerPanic`] instead of poisoning the orchestrator), skip
@@ -61,8 +62,8 @@
 //! surfaced in the [`SweepReport`]. Per-chunk state is private, so a
 //! poisoned chunk never corrupts the merged outcome.
 //!
-//! Cooperative cancellation ([`ParallelOptions::cancel`]) and wall-clock
-//! deadlines ([`ParallelOptions::deadline`]) are polled both between chunks
+//! Cooperative cancellation ([`SweepSpec::cancel`]) and wall-clock
+//! deadlines ([`SweepSpec::deadline`]) are polled both between chunks
 //! and *inside* chunks (every few thousand loop advances), so stopping
 //! latency is bounded by the poll interval, not by chunk length. A stopped
 //! sweep returns the merged chunk-order prefix with
@@ -71,9 +72,9 @@
 //!
 //! # Determinism contract
 //!
-//! For a given plan, [`run_parallel`] and [`run_parallel_report`] produce
-//! results **bit-for-bit identical to the serial [`Compiled::run`] and to
-//! themselves at every thread count**:
+//! For a given plan, [`crate::sweep::sweep`] produces results **bit-for-bit
+//! identical to the serial [`Compiled::run`] and to itself at every slot
+//! count, and wherever its chunks run**:
 //!
 //! * each chunk is evaluated with a private visitor and statistics block
 //!   (no shared mutable state on the hot path);
@@ -97,7 +98,7 @@
 //! `tests/determinism.rs` and `tests/fault_tolerance.rs`.
 //!
 //! The same contract is what makes chunk-level *memoization* sound: the
-//! frame consults an internal `ChunkMemo` hook at each chunk boundary, and
+//! frame consults the spec's cache (a `ScopedMemo`) at each chunk boundary, and
 //! because a stored fault-free outcome is folded exactly where evaluation
 //! would have folded, a cache hit cannot change the merge. The
 //! fingerprint-keyed cache in [`crate::service::cache`] builds on this;
@@ -113,15 +114,14 @@ use std::time::{Duration, Instant};
 use beast_core::error::EvalError;
 use beast_core::ir::LoweredPlan;
 
-use crate::compiled::{ChunkCtx, Compiled, EngineOptions, EngineTier};
-use crate::fault::{
-    CancelProbe, CancelToken, FaultAction, FaultInjector, FaultKind, FaultPolicy, FaultRecord,
-};
-use crate::native::NativeContext;
+use crate::checkpoint::{write_checkpoint, CheckpointConfig, StateCodec};
+use crate::compiled::{ChunkCtx, Compiled};
+use crate::fault::{CancelProbe, FaultAction, FaultInjector, FaultKind, FaultPolicy, FaultRecord};
+use crate::service::cache::ScopedMemo;
 use crate::stats::{BlockStats, FaultCounters, PruneStats};
-use crate::sweep::SweepError;
+use crate::sweep::{sweep, SweepError, SweepSpec};
 use crate::telemetry::{SweepProgress, SweepReport, WorkerTelemetry};
-use crate::visit::Visitor;
+use crate::visit::{FingerprintVisitor, Visitor};
 use crate::walker::SweepOutcome;
 
 /// Chunks per thread when inner loop domains are statically sized (near-
@@ -132,144 +132,31 @@ const CHUNKS_PER_THREAD_UNIFORM: usize = 8;
 /// is opaque (skewed subtree cost; fine chunks are what balances the load).
 const CHUNKS_PER_THREAD_SKEWED: usize = 32;
 
-/// Configuration for [`run_parallel_report`].
-#[derive(Debug, Clone, Default)]
-pub struct ParallelOptions {
-    /// Worker threads (values below 1 are treated as 1).
-    pub threads: usize,
-    /// Explicit total number of scheduler chunks, independent of the thread
-    /// count (0 = pick chunks per thread from the plan's static fanout: fine
-    /// chunks for skewed spaces, coarser for uniform ones). Fault
-    /// injection, checkpointing and the cross-thread-count determinism
-    /// assertions all require a pinned grid, because chunk indices key both
-    /// injector decisions and the completed-chunk prefix.
-    pub chunk_count: usize,
-    /// Optional shared progress counters, bumped once per completed chunk.
-    pub progress: Option<Arc<SweepProgress>>,
-    /// Compiled-engine options (interval block pruning is on by default;
-    /// results are identical either way, see the determinism contract).
-    pub engine: EngineOptions,
-    /// What an evaluation error or chunk panic does to the sweep.
-    pub fault_policy: FaultPolicy,
-    /// Optional deterministic fault injector (tests, CI, chaos drills).
-    pub injector: Option<FaultInjector>,
-    /// Optional cooperative cancellation token shared with the caller.
-    pub cancel: Option<Arc<CancelToken>>,
-    /// Optional wall-clock budget; when it expires the sweep degrades to a
-    /// partial result exactly as if cancelled.
-    pub deadline: Option<Duration>,
-    /// Stop pulling new chunks after this many (0 = no limit). This is the
-    /// deterministic "kill the process after K chunks" knob used by the
-    /// checkpoint/resume tests and the CI smoke job; unlike a deadline it
-    /// always stops at a chunk boundary.
-    pub stop_after_chunks: usize,
-}
+/// [`SweepSpec`] under its former name, kept for the benchmark harness;
+/// the default visitor is the one it sweeps with.
+pub type ParallelOptions<V = FingerprintVisitor> = SweepSpec<'static, V>;
 
-impl ParallelOptions {
-    /// Options for `threads` workers with automatic chunk sizing.
-    pub fn new(threads: usize) -> ParallelOptions {
-        ParallelOptions { threads, ..ParallelOptions::default() }
-    }
-}
-
-/// Run a lowered plan across `threads` worker threads.
-///
-/// `make_visitor` constructs one private visitor per scheduler chunk; the
-/// per-chunk results are merged in chunk order, so the merged visitor sees
-/// points in exactly the serial order regardless of thread count or
-/// scheduling — see the module-level determinism contract.
-///
-/// With `threads == 1` this degenerates to a serial run with identical
-/// statistics to [`Compiled::run`].
-pub fn run_parallel<V, F>(
-    lp: &LoweredPlan,
-    threads: usize,
-    make_visitor: F,
-) -> Result<SweepOutcome<V>, SweepError>
-where
-    V: Visitor + Send,
-    F: Fn() -> V + Sync,
-{
-    run_parallel_report(lp, &ParallelOptions::new(threads), make_visitor)
-        .map(|(outcome, _)| outcome)
-}
-
-/// [`run_parallel`] plus a [`SweepReport`] with the pruning funnel,
-/// per-worker timings, scheduler telemetry and fault records.
-///
-/// The sweep outcome obeys the module-level determinism contract; only the
-/// report's timing fields vary between runs.
+/// [`sweep`] under its former name, kept for the benchmark harness.
 pub fn run_parallel_report<V, F>(
     lp: &LoweredPlan,
-    opts: &ParallelOptions,
+    opts: &SweepSpec<'_, V>,
     make_visitor: F,
 ) -> Result<(SweepOutcome<V>, SweepReport), SweepError>
 where
     V: Visitor + Send,
     F: Fn() -> V + Sync,
 {
-    run_threaded(lp, opts, make_visitor, None, None, None)
+    sweep(lp, opts, make_visitor)
 }
 
-/// Merged state an interrupted sweep hands back to [`run_supervised`] so the
-/// resumed run completes only the missing chunk suffix.
-pub(crate) struct ResumeSeed<V> {
-    /// Level-0 domain length the interrupted run saw; re-validated against
-    /// the freshly realized domain so a checkpoint from a different space
-    /// shape fails loudly instead of merging nonsense.
-    pub outer_len: usize,
-    /// Chunk length of the interrupted run — pinned, because chunk indices
-    /// key the completed prefix and the injector.
-    pub chunk_len: usize,
-    /// First chunk index not yet folded (the completed prefix is `0..next`).
-    pub next: usize,
-    /// Merged statistics of the completed prefix (preamble included).
-    pub stats: PruneStats,
-    /// Merged block-pruning counters of the completed prefix.
-    pub blocks: BlockStats,
-    /// Fault records of the completed prefix.
-    pub faults: Vec<FaultRecord>,
-    /// Merged visitor state of the completed prefix.
-    pub visitor: V,
-}
-
-/// A point-in-time view of the merged chunk-order prefix, handed to the
-/// checkpoint writer.
-pub(crate) struct CkSnapshot<'a, V> {
-    pub outer_len: usize,
-    pub chunk_len: usize,
-    pub chunks: usize,
-    pub next: usize,
-    pub stats: &'a PruneStats,
-    pub blocks: &'a BlockStats,
-    pub faults: &'a [FaultRecord],
-    pub visitor: &'a V,
-}
-
-/// Where and how often to persist checkpoints during a supervised run.
+/// Where and how often to persist checkpoints during a supervised run; a
+/// failed write aborts the sweep with [`SweepError::Checkpoint`].
 pub(crate) struct CkSink<'a, V> {
-    /// Persist after this many newly folded chunks (and always at the end).
-    pub every: usize,
-    /// Writer; failures abort the sweep with [`SweepError::Checkpoint`].
-    #[allow(clippy::type_complexity)]
-    pub write: &'a (dyn Fn(&CkSnapshot<'_, V>) -> Result<(), String> + Sync),
-}
-
-/// Sub-sweep memo consulted by [`run_supervised`] at every chunk boundary.
-///
-/// A hit replaces chunk evaluation entirely: the returned outcome is folded
-/// exactly where a freshly evaluated one would be, so the merged result is
-/// bit-identical as long as implementations only return outcomes previously
-/// stored for the *same* `(chunk index, level-0 values)` under the same plan
-/// — the contract `crate::service::cache` enforces with its structural-hash
-/// key. Only fault-free chunks are offered to [`ChunkMemo::store`]; a
-/// skipped-point or quarantined chunk must never be replayed from cache
-/// because its outcome depends on the fault policy, not just the plan.
-pub(crate) trait ChunkMemo<V>: Sync {
-    /// Return the memoized outcome for `chunk` covering `values`, if any.
-    fn lookup(&self, chunk: usize, values: &[i64]) -> Option<SweepOutcome<V>>;
-    /// Offer a freshly evaluated, fault-free chunk outcome for storage.
-    fn store(&self, chunk: usize, values: &[i64], outcome: &SweepOutcome<V>);
+    pub ck: &'a CheckpointConfig,
+    pub space: &'a str,
+    /// [`crate::compiled::EngineOptions::signature`] of the sweep.
+    pub engine_sig: &'a str,
+    pub codec: StateCodec<V>,
 }
 
 /// What one finished chunk contributes to the merge: its outcome (`None`
@@ -286,6 +173,12 @@ pub(crate) struct ChunkDone<V> {
 /// not chunk completion — is the unit of progress accounting, which makes
 /// the `tuples_decided` counter idempotent under retries: a chunk index is
 /// folded exactly once no matter how many attempts it took.
+///
+/// The folded prefix and its grid are also all a checkpoint holds: the
+/// file is written from the collector, and a resumed sweep starts from the
+/// collector read back from it (its `outer_len` re-validated against the
+/// realized domain, its `chunk_len` pinning the grid, because chunk indices
+/// key the completed prefix and the injector).
 pub(crate) struct Collector<V> {
     pub(crate) next: usize,
     pub(crate) pending: BTreeMap<usize, ChunkDone<V>>,
@@ -300,6 +193,22 @@ pub(crate) struct Collector<V> {
 }
 
 impl<V: Visitor> Collector<V> {
+    /// An empty prefix of a sweep over `n_constraints` constraints.
+    pub(crate) fn new(n_constraints: usize) -> Collector<V> {
+        Collector {
+            next: 0,
+            pending: BTreeMap::new(),
+            stats: PruneStats::new(n_constraints),
+            blocks: BlockStats::default(),
+            faults: Vec::new(),
+            visitor: None,
+            outer_len: 0,
+            chunk_len: 0,
+            chunks: 0,
+            since_save: 0,
+        }
+    }
+
     /// Park `done` under chunk index `i`, fold the contiguous prefix, and
     /// persist a checkpoint when the sink interval elapsed.
     pub(crate) fn add(
@@ -339,7 +248,7 @@ impl<V: Visitor> Collector<V> {
         }
         if advanced {
             if let Some(sink) = sink {
-                if self.since_save >= sink.every.max(1) {
+                if self.since_save >= sink.ck.every_chunks.max(1) {
                     self.save(sink)?;
                 }
             }
@@ -351,16 +260,7 @@ impl<V: Visitor> Collector<V> {
         // The visitor may be `None` before any chunk folded; persist only
         // once there is real progress (a fresh run needs no checkpoint).
         if let Some(visitor) = &self.visitor {
-            (sink.write)(&CkSnapshot {
-                outer_len: self.outer_len,
-                chunk_len: self.chunk_len,
-                chunks: self.chunks,
-                next: self.next,
-                stats: &self.stats,
-                blocks: &self.blocks,
-                faults: &self.faults,
-                visitor,
-            })?;
+            write_checkpoint(&sink.ck.path, sink.space, sink.engine_sig, self, visitor, sink.codec)?;
             self.since_save = 0;
         }
         Ok(())
@@ -505,112 +405,40 @@ pub(crate) fn attempt_chunk<V: Visitor>(
     Ok(ChunkDone { outcome, faults })
 }
 
-/// The threaded entry behind [`run_parallel_report`],
-/// [`crate::checkpoint::run_checkpointed`] and
-/// [`crate::service::cache::run_cached`]: picks the in-thread or the native
-/// executor, builds the engine and hands the sweep to [`run_supervised`].
-pub(crate) fn run_threaded<V, F>(
-    lp: &LoweredPlan,
-    opts: &ParallelOptions,
-    make_visitor: F,
-    resume: Option<ResumeSeed<V>>,
-    sink: Option<&CkSink<'_, V>>,
-    memo: Option<&dyn ChunkMemo<V>>,
-) -> Result<(SweepOutcome<V>, SweepReport), SweepError>
-where
-    V: Visitor + Send,
-    F: Fn() -> V + Sync,
-{
-    // Runtime-native tier: lower the plan to a C chunk worker and compile it
-    // once up front. Preparation failure (no compiler, opaque steps, compile
-    // error) silently falls back to the in-process engine — the tier is an
-    // accelerator, never a requirement. Fault injection stays in-process:
-    // injected faults are keyed to evaluation sites the worker binary cannot
-    // observe.
-    let native = if opts.engine.engine == EngineTier::Native && opts.injector.is_none() {
-        NativeContext::prepare(lp, &opts.engine).ok()
-    } else {
-        None
-    };
-    // The report clock starts before the engine build, so `elapsed` covers it.
-    let t_start = Instant::now();
-    let Some(native) = &native else {
-        let compiled = Compiled::with_options(lp.clone(), opts.engine);
-        return run_supervised(
-            &compiled,
-            t_start,
-            opts,
-            make_visitor,
-            resume,
-            sink,
-            memo,
-            &InThread,
-        );
-    };
-    // Native workers account per point in declared order with no block
-    // pruning, so when the tier is active the in-process engine that
-    // evaluates fallback chunks is normalized to the same accounting —
-    // otherwise a fallback chunk's PruneStats would diverge from its
-    // worker-evaluated twin. Survivors, order and fingerprints are identical
-    // under any options; only the evaluated/pruned split is at stake.
-    let engine = EngineOptions {
-        intervals: false,
-        congruence: false,
-        ..opts.engine
-    };
-    let compiled = Compiled::with_options(lp.clone(), engine);
-    run_supervised(&compiled, t_start, opts, make_visitor, resume, sink, memo, native)
-}
-
 /// The one sweep frame: set-up (resume seeding, the build's preamble rows,
-/// level-0 grid) → deal (`opts.threads` slots drain one cursor, each asking `exec`
+/// level-0 grid) → deal (`opts.slots` slots drain one cursor, each asking `exec`
 /// where its chunk runs and re-dealing it after a worker-level fault) →
 /// chunk-order fold (the single [`Collector::add`] call site, with periodic
 /// checkpoints) → report.
 /// Threaded, native-process and distributed sweeps differ only in `exec`.
 ///
-/// The frame sweeps an engine its caller built: `opts.engine` is not read,
-/// `compiled`'s own options are what runs. `t_start` is the report clock and
+/// The frame sweeps the engine [`sweep`] decided on: `opts.engine` is not
+/// read, `compiled`'s own options are what runs. `t_start` is the report clock and
 /// the deadline's origin; callers start it before the build they want
 /// `elapsed` to cover.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_supervised<V, F>(
     compiled: &Compiled,
     t_start: Instant,
-    opts: &ParallelOptions,
+    opts: &SweepSpec<'_, V>,
     make_visitor: F,
-    resume: Option<ResumeSeed<V>>,
+    resume: Option<Collector<V>>,
     sink: Option<&CkSink<'_, V>>,
-    memo: Option<&dyn ChunkMemo<V>>,
+    memo: Option<&ScopedMemo<'_, V>>,
     exec: &dyn ChunkExecutor<V>,
 ) -> Result<(SweepOutcome<V>, SweepReport), SweepError>
 where
     V: Visitor + Send,
     F: Fn() -> V + Sync,
 {
-    let threads = opts.threads.max(1);
+    let threads = opts.slots.max(1);
     compiled.lint_denied()?;
     let lp = compiled.lowered();
     let space = lp.plan.space();
     let policy = opts.fault_policy;
 
-    let resumed_at = resume.as_ref().map(|r| r.next);
-    let (mut stats, seed_blocks, seed_faults, seed_visitor, pinned) = match resume {
-        Some(seed) => (
-            seed.stats,
-            seed.blocks,
-            seed.faults,
-            Some(seed.visitor),
-            Some((seed.chunk_len, seed.outer_len)),
-        ),
-        None => (
-            PruneStats::new(space.constraints().len()),
-            BlockStats::default(),
-            Vec::new(),
-            None,
-            None,
-        ),
-    };
+    let resumed_at = resume.as_ref().map(|seed| seed.next);
+    let mut collector = resume.unwrap_or_else(|| Collector::new(space.constraints().len()));
 
     // The build ran the preamble once: its error fails the sweep before any
     // chunk is dealt (under every policy), a rejection leaves the level-0
@@ -618,7 +446,7 @@ where
     // sweep's seed already holds them.
     let outer = compiled.outer_domain().map_err(SweepError::Eval)?;
     if resumed_at.is_none() {
-        stats.merge(compiled.preamble_stats());
+        collector.stats.merge(compiled.preamble_stats());
     }
 
     // `grid` is (level-0 values, chunk length, chunks): zeros when the sweep
@@ -649,31 +477,26 @@ where
     };
 
     if outer.is_empty() {
-        let report = report(&stats, &seed_blocks, seed_faults, (0, 0, 0), vec![]);
-        return Ok((
-            SweepOutcome {
-                stats,
-                blocks: seed_blocks,
-                visitor: seed_visitor.unwrap_or_else(&make_visitor),
-            },
-            report,
-        ));
+        let Collector { stats, blocks, faults, visitor, .. } = collector;
+        let report = report(&stats, &blocks, faults, (0, 0, 0), vec![]);
+        let visitor = visitor.unwrap_or_else(&make_visitor);
+        return Ok((SweepOutcome { stats, blocks, visitor }, report));
     }
 
-    if let Some((_, expected_outer)) = pinned {
-        if outer.len() != expected_outer {
+    let chunk_len = match resumed_at {
+        Some(_) if outer.len() != collector.outer_len => {
             return Err(SweepError::Checkpoint(format!(
-                "checkpointed level-0 domain has {expected_outer} value(s) but the \
-                 realized domain has {}; the space changed since the checkpoint",
+                "checkpointed level-0 domain has {} value(s) but the realized domain has \
+                 {}; the space changed since the checkpoint",
+                collector.outer_len,
                 outer.len()
             )));
         }
-    }
-    let chunk_len = pinned.map(|(len, _)| len).unwrap_or_else(|| {
-        chunk_len_for(lp, outer.len(), threads, opts.chunk_count)
-    });
+        Some(_) => collector.chunk_len,
+        None => chunk_len_for(lp, outer.len(), threads, opts.chunk_count),
+    };
     let chunks: Vec<&[i64]> = outer.chunks(chunk_len.max(1)).collect();
-    let start = resumed_at.unwrap_or(0).min(chunks.len());
+    let start = collector.next.min(chunks.len());
     let limit = if opts.stop_after_chunks > 0 {
         (start + opts.stop_after_chunks).min(chunks.len())
     } else {
@@ -684,7 +507,7 @@ where
         progress.chunks_done.store(start, Ordering::Relaxed);
         progress
             .tuples_decided
-            .store(stats.survivors + stats.total_pruned(), Ordering::Relaxed);
+            .store(collector.stats.survivors + collector.stats.total_pruned(), Ordering::Relaxed);
     }
 
     let probe = CancelProbe::new(opts.cancel.clone(), opts.deadline.map(|d| t_start + d));
@@ -695,18 +518,11 @@ where
     let memo_misses = AtomicU64::new(0);
     let abort = AtomicBool::new(false);
     let first_error: Mutex<Option<SweepError>> = Mutex::new(None);
-    let collector = Mutex::new(Collector {
-        next: start,
-        pending: BTreeMap::new(),
-        stats,
-        blocks: seed_blocks,
-        faults: seed_faults,
-        visitor: seed_visitor,
-        outer_len: outer.len(),
-        chunk_len,
-        chunks: chunks.len(),
-        since_save: 0,
-    });
+    collector.next = start;
+    collector.outer_len = outer.len();
+    collector.chunk_len = chunk_len;
+    collector.chunks = chunks.len();
+    let collector = Mutex::new(collector);
 
     let fail = |err: SweepError| {
         let mut slot = first_error.lock().unwrap();
@@ -787,7 +603,7 @@ where
             // policy (skipped points, retries) must be recomputed, not
             // replayed under a possibly different policy.
             if done.faults.is_empty() {
-                memo.store(i, chunks[i], out);
+                memo.store(chunks[i], out);
             }
         }
         Ok(done)
@@ -819,7 +635,7 @@ where
             // the memoized outcome, folded exactly where a fresh one would
             // be — the merge path cannot tell the difference.
             let cached = memo.and_then(|memo| {
-                let hit = memo.lookup(i, chunks[i]);
+                let hit = memo.lookup(chunks[i]);
                 let counter = if hit.is_some() { &memo_hits } else { &memo_misses };
                 counter.fetch_add(1, Ordering::Relaxed);
                 hit
@@ -956,7 +772,17 @@ mod tests {
     use beast_core::plan::{Plan, PlanOptions};
     use beast_core::space::Space;
 
+    use crate::fault::CancelToken;
     use crate::visit::{CollectVisitor, CountVisitor};
+
+    /// A plain sweep on `threads` threads, its outcome only.
+    fn run<V: Visitor + Send>(
+        lp: &LoweredPlan,
+        threads: usize,
+        make_visitor: impl Fn() -> V + Sync,
+    ) -> Result<SweepOutcome<V>, SweepError> {
+        sweep(lp, &SweepSpec::new(threads), make_visitor).map(|(outcome, _)| outcome)
+    }
 
     fn lowered(space: &std::sync::Arc<Space>) -> LoweredPlan {
         let plan = Plan::new(space, PlanOptions::default()).unwrap();
@@ -980,7 +806,7 @@ mod tests {
         let lp = lowered(&space());
         let serial = Compiled::new(lp.clone()).run(CountVisitor::default()).unwrap();
         for threads in [1, 2, 3, 8, 64] {
-            let par = run_parallel(&lp, threads, CountVisitor::default).unwrap();
+            let par = run(&lp, threads, CountVisitor::default).unwrap();
             assert_eq!(par.visitor.count, serial.visitor.count, "{threads} threads");
             assert_eq!(par.stats, serial.stats, "{threads} threads");
         }
@@ -993,8 +819,7 @@ mod tests {
         let serial = Compiled::new(lp.clone())
             .run(CollectVisitor::new(names.clone(), usize::MAX))
             .unwrap();
-        let par = run_parallel(&lp, 4, || CollectVisitor::new(names.clone(), usize::MAX))
-            .unwrap();
+        let par = run(&lp, 4, || CollectVisitor::new(names.clone(), usize::MAX)).unwrap();
         assert_eq!(par.visitor.points, serial.visitor.points);
     }
 
@@ -1003,13 +828,13 @@ mod tests {
         let lp = lowered(&space());
         let mut reports = Vec::new();
         for threads in [1, 3, 8] {
-            let opts = ParallelOptions {
-                threads,
+            let opts = SweepSpec {
+                slots: threads,
                 chunk_count: 5,
-                ..ParallelOptions::default()
+                ..SweepSpec::default()
             };
             let (_, report) =
-                run_parallel_report(&lp, &opts, CountVisitor::default).unwrap();
+                sweep(&lp, &opts, CountVisitor::default).unwrap();
             reports.push(report);
         }
         assert!(reports.iter().all(|r| r.chunk_len == reports[0].chunk_len));
@@ -1047,7 +872,7 @@ mod tests {
         let lp = lowered(&space());
         let serial = Compiled::new(lp.clone()).run(CountVisitor::default()).unwrap();
         let (out, report) =
-            run_parallel_report(&lp, &ParallelOptions::new(4), CountVisitor::default).unwrap();
+            sweep(&lp, &SweepSpec::new(4), CountVisitor::default).unwrap();
         assert_eq!(out.stats, serial.stats);
         assert_eq!(report.chunks, report.outer_len.div_ceil(report.chunk_len));
         let worker_chunks: u64 = report.workers.iter().map(|w| w.chunks).sum();
@@ -1068,12 +893,12 @@ mod tests {
     fn progress_counters_reach_totals() {
         let lp = lowered(&space());
         let progress = Arc::new(SweepProgress::default());
-        let opts = ParallelOptions {
-            threads: 4,
+        let opts = SweepSpec {
+            slots: 4,
             progress: Some(progress.clone()),
-            ..ParallelOptions::default()
+            ..SweepSpec::default()
         };
-        let (out, report) = run_parallel_report(&lp, &opts, CountVisitor::default).unwrap();
+        let (out, report) = sweep(&lp, &opts, CountVisitor::default).unwrap();
         let snap = progress.snapshot();
         assert_eq!(snap.chunks_done, snap.chunks_total);
         assert_eq!(snap.chunks_total, report.chunks);
@@ -1085,7 +910,7 @@ mod tests {
     fn more_threads_than_outer_values() {
         let s = Space::builder("tiny").range("x", 0, 3).build().unwrap();
         let lp = lowered(&s);
-        let out = run_parallel(&lp, 16, CountVisitor::default).unwrap();
+        let out = run(&lp, 16, CountVisitor::default).unwrap();
         assert_eq!(out.visitor.count, 3);
     }
 
@@ -1109,7 +934,7 @@ mod tests {
             .unwrap();
         for s in [expr, closure] {
             let lp = lowered(&s);
-            let out = run_parallel(&lp, 4, CountVisitor::default).unwrap();
+            let out = run(&lp, 4, CountVisitor::default).unwrap();
             assert_eq!(out.visitor.count, 0);
             assert_eq!(out.stats.pruned[0], 1);
             assert_eq!(out.stats.evaluated[0], 1);
@@ -1120,7 +945,7 @@ mod tests {
     fn empty_outer_domain() {
         let s = Space::builder("empty").range("x", 5, 5).build().unwrap();
         let lp = lowered(&s);
-        let out = run_parallel(&lp, 4, CountVisitor::default).unwrap();
+        let out = run(&lp, 4, CountVisitor::default).unwrap();
         assert_eq!(out.visitor.count, 0);
     }
 
@@ -1135,7 +960,7 @@ mod tests {
     #[test]
     fn errors_propagate_from_workers_with_point_context() {
         let lp = lowered(&dz_space());
-        let err = run_parallel(&lp, 4, CountVisitor::default).unwrap_err();
+        let err = run(&lp, 4, CountVisitor::default).unwrap_err();
         let SweepError::Eval(e) = err else {
             panic!("expected Eval error, got {err:?}")
         };
@@ -1148,12 +973,12 @@ mod tests {
     #[test]
     fn skip_point_policy_drops_only_the_bad_point() {
         let lp = lowered(&dz_space());
-        let opts = ParallelOptions {
-            threads: 4,
+        let opts = SweepSpec {
+            slots: 4,
             fault_policy: FaultPolicy::SkipPoint,
-            ..ParallelOptions::default()
+            ..SweepSpec::default()
         };
-        let (out, report) = run_parallel_report(&lp, &opts, CountVisitor::default).unwrap();
+        let (out, report) = sweep(&lp, &opts, CountVisitor::default).unwrap();
         // Only x = 10 divides by zero; the other 63 values survive.
         assert_eq!(out.visitor.count, 63);
         assert_eq!(report.fault_counters.points_skipped, 1);
@@ -1169,13 +994,13 @@ mod tests {
     #[test]
     fn quarantine_policy_drops_the_chunk_and_continues() {
         let lp = lowered(&dz_space());
-        let opts = ParallelOptions {
-            threads: 2,
+        let opts = SweepSpec {
+            slots: 2,
             chunk_count: 16, // 64 values → chunk_len 4; x = 10 is in chunk 2
             fault_policy: FaultPolicy::QuarantineChunk,
-            ..ParallelOptions::default()
+            ..SweepSpec::default()
         };
-        let (out, report) = run_parallel_report(&lp, &opts, CountVisitor::default).unwrap();
+        let (out, report) = sweep(&lp, &opts, CountVisitor::default).unwrap();
         assert_eq!(out.visitor.count, 60, "one 4-value chunk dropped");
         assert_eq!(report.fault_counters.chunks_quarantined, 1);
         assert_eq!(report.faults[0].chunk, 2);
@@ -1185,13 +1010,13 @@ mod tests {
     #[test]
     fn retry_policy_quarantines_after_exhaustion() {
         let lp = lowered(&dz_space());
-        let opts = ParallelOptions {
-            threads: 2,
+        let opts = SweepSpec {
+            slots: 2,
             chunk_count: 16,
             fault_policy: FaultPolicy::Retry { max: 2, backoff_ms: 0 },
-            ..ParallelOptions::default()
+            ..SweepSpec::default()
         };
-        let (out, report) = run_parallel_report(&lp, &opts, CountVisitor::default).unwrap();
+        let (out, report) = sweep(&lp, &opts, CountVisitor::default).unwrap();
         // The fault is persistent, so every retry fails and the chunk is
         // quarantined; the record trail shows both retries.
         assert_eq!(out.visitor.count, 60);
@@ -1212,15 +1037,15 @@ mod tests {
     #[test]
     fn injected_panics_are_isolated_and_recorded() {
         let lp = lowered(&space());
-        let clean = run_parallel(&lp, 2, CountVisitor::default).unwrap();
-        let opts = ParallelOptions {
-            threads: 2,
+        let clean = run(&lp, 2, CountVisitor::default).unwrap();
+        let opts = SweepSpec {
+            slots: 2,
             chunk_count: 8,
             fault_policy: FaultPolicy::QuarantineChunk,
             injector: Some(FaultInjector::new(11).panic_rate(0.3)),
-            ..ParallelOptions::default()
+            ..SweepSpec::default()
         };
-        let (out, report) = run_parallel_report(&lp, &opts, CountVisitor::default).unwrap();
+        let (out, report) = sweep(&lp, &opts, CountVisitor::default).unwrap();
         assert!(report.fault_counters.panics > 0, "seed 11 at 30% must hit ≥ 1 of 8 chunks");
         assert!(out.visitor.count < clean.visitor.count);
         assert!(report.faults.iter().all(|r| r.kind == FaultKind::Panic));
@@ -1230,13 +1055,13 @@ mod tests {
     #[test]
     fn abort_policy_surfaces_panic_as_structured_error() {
         let lp = lowered(&space());
-        let opts = ParallelOptions {
-            threads: 2,
+        let opts = SweepSpec {
+            slots: 2,
             chunk_count: 8,
             injector: Some(FaultInjector::new(11).panic_rate(0.3)),
-            ..ParallelOptions::default()
+            ..SweepSpec::default()
         };
-        let err = run_parallel_report(&lp, &opts, CountVisitor::default).unwrap_err();
+        let err = sweep(&lp, &opts, CountVisitor::default).unwrap_err();
         let SweepError::WorkerPanic { chunk, message } = err else {
             panic!("expected WorkerPanic, got {err:?}")
         };
@@ -1248,14 +1073,14 @@ mod tests {
     fn stop_after_chunks_yields_partial_prefix() {
         let lp = lowered(&space());
         let progress = Arc::new(SweepProgress::default());
-        let opts = ParallelOptions {
-            threads: 2,
+        let opts = SweepSpec {
+            slots: 2,
             chunk_count: 8,
             stop_after_chunks: 3,
             progress: Some(progress.clone()),
-            ..ParallelOptions::default()
+            ..SweepSpec::default()
         };
-        let (out, report) = run_parallel_report(&lp, &opts, CountVisitor::default).unwrap();
+        let (out, report) = sweep(&lp, &opts, CountVisitor::default).unwrap();
         assert!(report.partial);
         assert_eq!(progress.snapshot().chunks_done, 3);
         // The partial outcome is exactly the serial prefix of 3 chunks.
@@ -1272,13 +1097,13 @@ mod tests {
         let lp = lowered(&space());
         let cancel = Arc::new(CancelToken::new());
         cancel.cancel();
-        let opts = ParallelOptions {
-            threads: 2,
+        let opts = SweepSpec {
+            slots: 2,
             chunk_count: 8,
             cancel: Some(cancel),
-            ..ParallelOptions::default()
+            ..SweepSpec::default()
         };
-        let (out, report) = run_parallel_report(&lp, &opts, CountVisitor::default).unwrap();
+        let (out, report) = sweep(&lp, &opts, CountVisitor::default).unwrap();
         assert!(report.partial);
         assert_eq!(out.visitor.count, 0);
     }

@@ -32,7 +32,7 @@
 //! Three guards keep that function pure in practice — plans with opaque
 //! (closure-backed) steps are never cached, sweeps with a fault injector
 //! bypass the cache entirely, and only fault-free chunks are stored (see
-//! [`crate::parallel`]'s `ChunkMemo` contract). `tests/service.rs` asserts
+//! `ScopedMemo`'s contract). `tests/service.rs` asserts
 //! the survivor fingerprint equality end to end.
 //!
 //! The on-disk store reuses the checkpoint machinery from
@@ -44,16 +44,13 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 use beast_core::hash::Fnv1a;
 use beast_core::ir::LoweredPlan;
 
 use crate::checkpoint::{blocks_json, parse_blocks, parse_stats, stats_json, JsonValue, SaveState};
-use crate::compiled::{Compiled, EngineOptions, EngineTier};
-use crate::parallel::{run_supervised, run_threaded, ChunkMemo, InThread, ParallelOptions};
 use crate::stats::{BlockStats, PruneStats};
-use crate::sweep::SweepError;
+use crate::sweep::{sweep, SweepError, SweepSpec};
 use crate::telemetry::{json_num, json_str, SweepReport};
 use crate::visit::Visitor;
 use crate::walker::SweepOutcome;
@@ -227,16 +224,6 @@ impl<V: Visitor + SaveState + Clone> SweepCache<V> {
             stores: self.stores.load(Ordering::Relaxed),
         }
     }
-
-    /// Bind this cache to one (plan, scope, engine options) triple, yielding
-    /// the `ChunkMemo` view the sweep frame consults at each chunk boundary.
-    fn scoped(&self, plan_hash: u64, scope: &str, engine: &EngineOptions) -> ScopedMemo<'_, V> {
-        // [`EngineOptions::signature`] is the single execution-options
-        // fingerprint shared with the checkpoint compatibility check; folding
-        // it into the scope keeps any two option sets (including engine
-        // tiers, whose PruneStats accounting differs) from sharing entries.
-        ScopedMemo { cache: self, plan_hash, scope: format!("{scope}|{}", engine.signature()) }
-    }
 }
 
 impl<V: Visitor + SaveState + Clone> Default for SweepCache<V> {
@@ -245,14 +232,79 @@ impl<V: Visitor + SaveState + Clone> Default for SweepCache<V> {
     }
 }
 
-/// A [`SweepCache`] bound to one (structural plan hash, scope string) pair.
-struct ScopedMemo<'a, V> {
-    cache: &'a SweepCache<V>,
+/// The entry map of a [`SweepCache`], reached through this object so that a
+/// sweep asks only [`Visitor`] of its visitor: the bounds the cache needs
+/// are checked where [`crate::sweep::SweepSpec::cache`] attaches it.
+pub(crate) trait MemoStore<V>: Sync {
+    /// The outcome stored under `key`, counting a hit or a miss.
+    fn get(&self, key: &str) -> Option<SweepOutcome<V>>;
+    /// Store `outcome` under `key` unless an entry is there already.
+    fn put(&self, key: String, outcome: &SweepOutcome<V>);
+}
+
+impl<V: Visitor + SaveState + Clone + Send + Sync> MemoStore<V> for SweepCache<V> {
+    fn get(&self, key: &str) -> Option<SweepOutcome<V>> {
+        let entries = self.entries.lock().unwrap();
+        match entries.get(key) {
+            Some(e) => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                Some(SweepOutcome {
+                    stats: e.stats.clone(),
+                    blocks: e.blocks,
+                    visitor: e.visitor.clone(),
+                })
+            }
+            None => {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                None
+            }
+        }
+    }
+
+    fn put(&self, key: String, outcome: &SweepOutcome<V>) {
+        let mut entries = self.entries.lock().unwrap();
+        if let std::collections::hash_map::Entry::Vacant(slot) = entries.entry(key) {
+            self.stores.fetch_add(1, Ordering::Relaxed);
+            slot.insert(Entry {
+                stats: outcome.stats.clone(),
+                blocks: outcome.blocks,
+                visitor: outcome.visitor.clone(),
+            });
+        }
+    }
+}
+
+/// A cache bound to one (structural plan hash, scope) pair: the memo the
+/// sweep frame consults at each chunk boundary.
+///
+/// A hit replaces chunk evaluation entirely: the returned outcome is folded
+/// exactly where a freshly evaluated one would be, so the merged result is
+/// bit-identical because a key only ever names outcomes of the *same*
+/// level-0 values under the same plan and options. The frame offers only
+/// fault-free chunks to [`ScopedMemo::store`]: a skipped-point or
+/// quarantined chunk's outcome depends on the fault policy, not just the
+/// plan, and must never be replayed.
+pub(crate) struct ScopedMemo<'a, V> {
+    cache: &'a dyn MemoStore<V>,
     plan_hash: u64,
     scope: String,
 }
 
-impl<V> ScopedMemo<'_, V> {
+impl<'a, V> ScopedMemo<'a, V> {
+    /// `cache` under the request `scope` and the sweep's engine options.
+    /// [`crate::compiled::EngineOptions::signature`] is the execution-options
+    /// fingerprint shared with the checkpoint compatibility check; folding
+    /// it into the scope keeps any two option sets (including engine
+    /// tiers, whose PruneStats accounting differs) from sharing entries.
+    pub(crate) fn new(
+        cache: &'a dyn MemoStore<V>,
+        plan_hash: u64,
+        scope: &str,
+        engine_sig: &str,
+    ) -> ScopedMemo<'a, V> {
+        ScopedMemo { cache, plan_hash, scope: format!("{scope}|{engine_sig}") }
+    }
+
     /// Full entry key: plan hash, digest + length of the chunk's level-0
     /// value slice, and the scope string. Chunk *indices* are deliberately
     /// absent so overlapping sweeps with different grids can still share
@@ -270,60 +322,24 @@ impl<V> ScopedMemo<'_, V> {
             self.scope
         )
     }
-}
 
-impl<V: Visitor + SaveState + Clone + Send + Sync> ChunkMemo<V> for ScopedMemo<'_, V> {
-    fn lookup(&self, _chunk: usize, values: &[i64]) -> Option<SweepOutcome<V>> {
-        let key = self.key(values);
-        let entries = self.cache.entries.lock().unwrap();
-        match entries.get(&key) {
-            Some(e) => {
-                self.cache.hits.fetch_add(1, Ordering::Relaxed);
-                Some(SweepOutcome {
-                    stats: e.stats.clone(),
-                    blocks: e.blocks,
-                    visitor: e.visitor.clone(),
-                })
-            }
-            None => {
-                self.cache.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+    /// The memoized outcome of the chunk covering `values`, if any.
+    pub(crate) fn lookup(&self, values: &[i64]) -> Option<SweepOutcome<V>> {
+        self.cache.get(&self.key(values))
     }
 
-    fn store(&self, _chunk: usize, values: &[i64], outcome: &SweepOutcome<V>) {
-        let key = self.key(values);
-        let mut entries = self.cache.entries.lock().unwrap();
-        if let std::collections::hash_map::Entry::Vacant(slot) = entries.entry(key) {
-            self.cache.stores.fetch_add(1, Ordering::Relaxed);
-            slot.insert(Entry {
-                stats: outcome.stats.clone(),
-                blocks: outcome.blocks,
-                visitor: outcome.visitor.clone(),
-            });
-        }
+    /// Store a freshly evaluated, fault-free chunk outcome.
+    pub(crate) fn store(&self, values: &[i64], outcome: &SweepOutcome<V>) {
+        self.cache.put(self.key(values), outcome);
     }
 }
 
-/// [`crate::parallel::run_parallel_report`] with chunk-level memoization.
-///
-/// Cache-eligible sweeps consult `cache` before evaluating each chunk and
-/// offer fault-free chunk outcomes back to it; the merged outcome is
-/// bit-identical to an uncached run (see the module-level soundness
-/// argument). Two kinds of sweep bypass the cache entirely and run exactly
-/// like [`crate::parallel::run_parallel_report`]:
-///
-/// * plans with opaque (closure-backed) steps — their behavior is not pinned
-///   by the structural hash;
-/// * sweeps with a fault injector — replaying a clean outcome would skip the
-///   injection a cold run performs.
-///
-/// The report's [`SweepReport::cache_hits`] / `cache_misses` count this
-/// run's chunk-level cache traffic; `cache.stats()` tracks lifetime totals.
+/// [`sweep`] of `opts` with `cache` attached under `scope`
+/// ([`SweepSpec::cache`]), under its former name, kept for the benchmark
+/// harness.
 pub fn run_cached<V, F>(
     lp: &LoweredPlan,
-    opts: &ParallelOptions,
+    opts: &SweepSpec<'_, V>,
     cache: &SweepCache<V>,
     scope: &str,
     make_visitor: F,
@@ -332,49 +348,7 @@ where
     V: Visitor + SaveState + Clone + Send + Sync,
     F: Fn() -> V + Sync,
 {
-    let memo = cacheable(lp, opts).then(|| cache.scoped(lp.structural_hash(), scope, &opts.engine));
-    let memo = memo.as_ref().map(|memo| memo as &dyn ChunkMemo<V>);
-    run_threaded(lp, opts, make_visitor, None, None, memo)
-}
-
-/// [`run_cached`] on an engine the caller already built, so a caller that
-/// sweeps one space many times (the daemon) resolves and compiles it once.
-///
-/// `plan_hash` is the [`LoweredPlan::structural_hash`] of the plan the engine
-/// was built from, which the caller hashes once per space. `t_start` is the report clock: start it before the
-/// build to have `elapsed` cover it. The cache scope's options are the
-/// engine's ([`Compiled::options`]); `opts.engine` is not read. Only the
-/// in-process compiled tier runs here: an engine built for another tier is
-/// refused with [`SweepError::Config`], since [`run_cached`] serves those.
-pub fn run_cached_on<V, F>(
-    compiled: &Compiled,
-    plan_hash: u64,
-    t_start: Instant,
-    opts: &ParallelOptions,
-    cache: &SweepCache<V>,
-    scope: &str,
-    make_visitor: F,
-) -> Result<(SweepOutcome<V>, SweepReport), SweepError>
-where
-    V: Visitor + SaveState + Clone + Send + Sync,
-    F: Fn() -> V + Sync,
-{
-    let engine = compiled.options();
-    if engine.engine != EngineTier::Compiled {
-        return Err(SweepError::Config(format!(
-            "run_cached_on sweeps in process; an engine built for the {} tier goes \
-             through run_cached",
-            engine.engine.as_str()
-        )));
-    }
-    let memo = cacheable(compiled.lowered(), opts).then(|| cache.scoped(plan_hash, scope, &engine));
-    let memo = memo.as_ref().map(|memo| memo as &dyn ChunkMemo<V>);
-    run_supervised(compiled, t_start, opts, make_visitor, None, None, memo, &InThread)
-}
-
-/// Whether a sweep may consult the cache at all (the bypass rules above).
-fn cacheable(lp: &LoweredPlan, opts: &ParallelOptions) -> bool {
-    !lp.has_opaque_steps() && opts.injector.is_none()
+    sweep(lp, &opts.clone().cache(cache, scope), make_visitor)
 }
 
 #[cfg(test)]
@@ -385,7 +359,9 @@ mod tests {
     use beast_core::plan::{Plan, PlanOptions};
     use beast_core::space::Space;
 
-    use crate::parallel::run_parallel_report;
+    use std::time::Instant;
+
+    use crate::compiled::Compiled;
     use crate::visit::FingerprintVisitor;
 
     fn lowered(cap: i64) -> LoweredPlan {
@@ -401,8 +377,8 @@ mod tests {
         LoweredPlan::new(&plan).unwrap()
     }
 
-    fn opts() -> ParallelOptions {
-        ParallelOptions { threads: 2, chunk_count: 8, ..ParallelOptions::default() }
+    fn opts() -> SweepSpec<'static, FingerprintVisitor> {
+        SweepSpec { slots: 2, chunk_count: 8, ..SweepSpec::default() }
     }
 
     #[test]
@@ -410,7 +386,7 @@ mod tests {
         let lp = lowered(300);
         let cache: SweepCache<FingerprintVisitor> = SweepCache::new();
         let (cold_ref, _) =
-            run_parallel_report(&lp, &opts(), FingerprintVisitor::new).unwrap();
+            sweep(&lp, &opts(), FingerprintVisitor::new).unwrap();
         let (cold, cold_rep) =
             run_cached(&lp, &opts(), &cache, "unit", FingerprintVisitor::new).unwrap();
         assert_eq!(cold.visitor, cold_ref.visitor, "caching must not change a cold run");
@@ -429,38 +405,20 @@ mod tests {
     }
 
     #[test]
-    fn a_prebuilt_engine_shares_entries_with_run_cached() {
+    fn a_prebuilt_engine_shares_entries_with_a_built_one() {
         let lp = lowered(300);
         let cache: SweepCache<FingerprintVisitor> = SweepCache::new();
         let (cold, _) =
             run_cached(&lp, &opts(), &cache, "unit", FingerprintVisitor::new).unwrap();
         let engine = Compiled::with_options(lp.clone(), opts().engine);
         for _ in 0..2 {
-            let (warm, rep) = run_cached_on(
-                &engine,
-                lp.structural_hash(),
-                Instant::now(),
-                &opts(),
-                &cache,
-                "unit",
-                FingerprintVisitor::new,
-            )
-            .unwrap();
+            let spec = opts().on_engine(&engine, lp.structural_hash(), Instant::now());
+            let (warm, rep) =
+                sweep(&lp, &spec.cache(&cache, "unit"), FingerprintVisitor::new).unwrap();
             assert_eq!((rep.cache_hits, rep.cache_misses), (8, 0));
             assert_eq!(warm.visitor, cold.visitor);
             assert_eq!(warm.stats, cold.stats);
         }
-        let native = Compiled::with_options(lp.clone(), EngineOptions::native());
-        let refused = run_cached_on(
-            &native,
-            0,
-            Instant::now(),
-            &opts(),
-            &cache,
-            "unit",
-            FingerprintVisitor::new,
-        );
-        assert!(matches!(refused, Err(SweepError::Config(_))));
     }
 
     #[test]
@@ -487,7 +445,7 @@ mod tests {
         let lp = lowered(300);
         let cache: SweepCache<FingerprintVisitor> = SweepCache::new();
         run_cached(&lp, &opts(), &cache, "unit", FingerprintVisitor::new).unwrap();
-        let with_injector = ParallelOptions {
+        let with_injector = SweepSpec {
             injector: Some(crate::fault::FaultInjector::new(7)),
             fault_policy: crate::fault::FaultPolicy::QuarantineChunk,
             ..opts()

@@ -45,11 +45,11 @@ use beast_core::ir::LoweredPlan;
 
 use crate::checkpoint::{JsonValue, SaveState};
 use crate::compiled::{Compiled, EngineOptions};
-use crate::parallel::ParallelOptions;
+use crate::sweep::{sweep, SweepSpec};
 use crate::telemetry::{json_num, json_str, SweepProgress};
 use crate::visit::FingerprintVisitor;
 
-use cache::{run_cached_on, SweepCache};
+use cache::SweepCache;
 use http::{configure_stream, read_request, write_error, write_json, ChunkedWriter, Reply, Request};
 
 use beast_core::analyze::LintGate;
@@ -85,8 +85,8 @@ pub struct ServiceConfig {
     /// Bind address, e.g. `127.0.0.1:7411` — port 0 picks a free port
     /// (the realized address is available from [`SweepService::addr`]).
     pub addr: String,
-    /// Worker threads per sweep (the `ParallelOptions::threads` each job
-    /// runs with).
+    /// Worker threads per sweep (the [`SweepSpec::slots`] each job runs
+    /// with).
     pub threads: usize,
     /// Sweeps executed concurrently (executor pool size). Queued jobs wait.
     pub executors: usize,
@@ -616,33 +616,26 @@ fn executor_loop(state: &Arc<ServerState>) {
 /// Run one job to a terminal state.
 fn run_job(state: &ServerState, job: &Job) {
     job.set_state(JobState::Running);
-    let opts = ParallelOptions {
-        chunk_count: state.cfg.chunk_count,
-        progress: Some(Arc::clone(&job.progress)),
-        engine: EngineOptions {
-            // The daemon serves programmatic clients; linting belongs to
-            // the space author's workflow, not the request path.
-            lint: LintGate::Allow,
-            ..EngineOptions::default()
-        },
-        ..ParallelOptions::new(state.cfg.threads)
-    };
     let space = &job.space;
     // The clock starts before the engine is fetched, so the job that builds
     // it reports the build in its `elapsed_s`.
     let t_start = Instant::now();
-    let (engine, built) = space.engine(opts.engine);
+    let (engine, built) = space.engine(EngineOptions {
+        // The daemon serves programmatic clients; linting belongs to the
+        // space author's workflow, not the request path.
+        lint: LintGate::Allow,
+        ..EngineOptions::default()
+    });
     let counter = if built { &state.engine_builds } else { &state.engine_reuses };
     counter.fetch_add(1, Ordering::Relaxed);
-    let run = run_cached_on(
-        engine,
-        space.plan_hash,
-        t_start,
-        &opts,
-        &state.cache,
-        &space.scope,
-        FingerprintVisitor::new,
-    );
+    let spec = SweepSpec {
+        chunk_count: state.cfg.chunk_count,
+        progress: Some(Arc::clone(&job.progress)),
+        ..SweepSpec::new(state.cfg.threads)
+    }
+    .on_engine(engine, space.plan_hash, t_start)
+    .cache(&state.cache, &space.scope);
+    let run = sweep(engine.lowered(), &spec, FingerprintVisitor::new);
     match run {
         Ok((outcome, report)) => {
             let mut out = String::from("{");

@@ -135,7 +135,7 @@ impl LevelTelemetry {
 /// Machine-readable record of one parallel sweep: configuration, pruning
 /// funnel, per-worker load, and throughput.
 ///
-/// Produced by [`crate::parallel::run_parallel_report`], printed by
+/// Produced by [`crate::sweep::sweep`], printed by
 /// `repro threads` / `repro sweep`, and read by the `benchmark/` probes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepReport {

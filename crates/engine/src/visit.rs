@@ -3,7 +3,6 @@
 use std::sync::Arc;
 
 use beast_core::hash::{Fnv1a, FNV_PRIME};
-use rand::Rng;
 
 use crate::point::{Point, PointRef};
 
@@ -232,57 +231,10 @@ impl std::fmt::Debug for BestK {
     }
 }
 
-/// Reservoir sampler: a uniform random sample of `k` survivors, useful for
-/// inspecting what a pruning configuration lets through.
-pub struct Reservoir<R: Rng> {
-    names: Arc<[Arc<str>]>,
-    k: usize,
-    /// The sample.
-    pub sample: Vec<Point>,
-    /// Total survivors seen.
-    pub total: u64,
-    rng: R,
-}
-
-impl<R: Rng> Reservoir<R> {
-    /// Sample `k` points uniformly using the given RNG.
-    pub fn new(names: Arc<[Arc<str>]>, k: usize, rng: R) -> Reservoir<R> {
-        Reservoir { names, k, sample: Vec::new(), total: 0, rng }
-    }
-}
-
-impl<R: Rng> Visitor for Reservoir<R> {
-    fn visit(&mut self, point: &PointRef<'_>) {
-        self.total += 1;
-        if self.sample.len() < self.k {
-            self.sample.push(point.to_point(&self.names));
-        } else {
-            let j = self.rng.gen_range(0..self.total);
-            if (j as usize) < self.k {
-                self.sample[j as usize] = point.to_point(&self.names);
-            }
-        }
-    }
-
-    fn merge(&mut self, other: Self) {
-        // Cheap approximate merge: pool and re-trim. Statistically exact
-        // merging would weight by totals; for inspection purposes pooling is
-        // sufficient and documented.
-        self.total += other.total;
-        self.sample.extend(other.sample);
-        while self.sample.len() > self.k {
-            let i = self.rng.gen_range(0..self.sample.len());
-            self.sample.swap_remove(i);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use beast_core::value::Value;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn names() -> Arc<[Arc<str>]> {
         Arc::from(vec![Arc::<str>::from("x")].into_boxed_slice())
@@ -353,16 +305,5 @@ mod tests {
         visit_ints(&mut swapped, &[2, 1, 3, 4, 5]);
         assert_ne!(swapped.hash, serial.hash);
         assert_eq!(serial.count, 5);
-    }
-
-    #[test]
-    fn reservoir_is_bounded_and_unbiased_enough() {
-        let rng = StdRng::seed_from_u64(42);
-        let mut r = Reservoir::new(names(), 10, rng);
-        visit_ints(&mut r, &(0..1000).collect::<Vec<i64>>());
-        assert_eq!(r.sample.len(), 10);
-        assert_eq!(r.total, 1000);
-        // All sampled values must come from the visited set.
-        assert!(r.sample.iter().all(|p| (0..1000).contains(&p.get_int("x"))));
     }
 }

@@ -10,10 +10,9 @@
 use beast_core::error::{EvalError, SpaceError};
 use beast_core::ir::LoweredPlan;
 use beast_core::plan::{Plan, PlanOptions};
-use beast_engine::parallel::run_parallel;
 use beast_engine::point::{Point, PointRef};
 use beast_engine::stats::PruneStats;
-use beast_engine::sweep::SweepError;
+use beast_engine::sweep::{sweep, SweepError, SweepSpec};
 use beast_engine::visit::BestK;
 use beast_gpu_sim::{estimate, model_peak, GemmConfig, Matrix, PerfEstimate};
 
@@ -129,7 +128,7 @@ pub fn tune_gemm(
         })
     };
 
-    let out = run_parallel(&lowered, threads, make)?;
+    let (out, _) = sweep(&lowered, &SweepSpec::new(threads), make)?;
     let survivors = out.stats.survivors;
     let best = out
         .visitor
@@ -194,11 +193,8 @@ pub fn count_survivors(
     let space = build_gemm_space(params)?;
     let plan = Plan::new(&space, PlanOptions::default())?;
     let lowered = LoweredPlan::new(&plan)?;
-    let out = run_parallel(
-        &lowered,
-        threads,
-        beast_engine::visit::CountVisitor::default,
-    )?;
+    let (out, _) =
+        sweep(&lowered, &SweepSpec::new(threads), beast_engine::visit::CountVisitor::default)?;
     Ok((out.visitor.count, out.stats))
 }
 

@@ -12,8 +12,8 @@
 
 use beast::prelude::*;
 use beast_core::ir::LoweredPlan;
-use beast_engine::checkpoint::{run_checkpointed, CheckpointConfig, JsonValue};
-use beast_engine::parallel::{run_parallel_report, ParallelOptions};
+use beast_engine::checkpoint::{CheckpointConfig, JsonValue};
+use beast_engine::sweep::{sweep, SweepSpec};
 use beast_gemm::{build_gemm_space, GemmSpaceParams};
 
 const CHUNKS: usize = 16;
@@ -24,8 +24,8 @@ fn gemm_lowered() -> LoweredPlan {
     LoweredPlan::new(&plan).unwrap()
 }
 
-fn opts() -> ParallelOptions {
-    ParallelOptions { threads: 2, chunk_count: CHUNKS, ..ParallelOptions::default() }
+fn opts() -> SweepSpec<'static, FingerprintVisitor> {
+    SweepSpec { slots: 2, chunk_count: CHUNKS, ..SweepSpec::default() }
 }
 
 fn scratch(name: &str) -> std::path::PathBuf {
@@ -45,10 +45,10 @@ fn valid_checkpoint(name: &str) -> (std::path::PathBuf, String, FingerprintVisit
     let mut ck = CheckpointConfig::new(&path);
     ck.every_chunks = 1;
     let (_, report) =
-        run_checkpointed(&lp, &interrupted, &ck, FingerprintVisitor::default).unwrap();
+        sweep(&lp, &interrupted.checkpoint(ck), FingerprintVisitor::default).unwrap();
     assert!(report.partial, "the seed run must stop mid-sweep");
     let text = std::fs::read_to_string(&path).unwrap();
-    let (reference, _) = run_parallel_report(&lp, &opts(), FingerprintVisitor::default).unwrap();
+    let (reference, _) = sweep(&lp, &opts(), FingerprintVisitor::default).unwrap();
     (path, text, reference.visitor)
 }
 
@@ -57,7 +57,7 @@ fn valid_checkpoint(name: &str) -> (std::path::PathBuf, String, FingerprintVisit
 fn try_resume(lp: &LoweredPlan, path: &std::path::Path) -> Result<FingerprintVisitor, String> {
     let mut ck = CheckpointConfig::new(path);
     ck.resume = true;
-    match run_checkpointed(lp, &opts(), &ck, FingerprintVisitor::default) {
+    match sweep(lp, &opts().checkpoint(ck), FingerprintVisitor::default) {
         Ok((out, _)) => Ok(out.visitor),
         Err(SweepError::Checkpoint(msg)) => Err(msg),
         Err(other) => panic!("resume must fail as SweepError::Checkpoint, got: {other}"),
@@ -163,7 +163,7 @@ fn mismatched_engine_or_space_is_refused() {
     other_engine.engine = EngineOptions::no_intervals();
     let mut ck = CheckpointConfig::new(&path);
     ck.resume = true;
-    match run_checkpointed(&lp, &other_engine, &ck, FingerprintVisitor::default) {
+    match sweep(&lp, &other_engine.checkpoint(ck), FingerprintVisitor::default) {
         Err(SweepError::Checkpoint(msg)) => {
             assert!(msg.contains("engine"), "diagnostic should name the engine: {msg}")
         }

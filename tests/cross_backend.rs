@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use beast::prelude::*;
 use beast_engine::compiled::EngineOptions;
-use beast_engine::parallel::{run_parallel_report, ParallelOptions};
+use beast_engine::sweep::{sweep, SweepSpec};
 
 /// Canonical result of a sweep: survivors as sorted tuples + stats.
 fn all_backend_results(space: &Arc<Space>) -> Vec<(String, PruneStats, Vec<Vec<i64>>)> {
@@ -63,12 +63,12 @@ fn all_backend_results(space: &Arc<Space>) -> Vec<(String, PruneStats, Vec<Vec<i
     }
     for threads in [2usize, 5] {
         let names = Compiled::new(lowered.clone()).point_names().clone();
-        let opts = ParallelOptions {
-            threads,
+        let opts = SweepSpec {
+            slots: threads,
             engine: EngineOptions::no_intervals(),
-            ..ParallelOptions::default()
+            ..SweepSpec::default()
         };
-        let (out, _) = run_parallel_report(&lowered, &opts, || {
+        let (out, _) = sweep(&lowered, &opts, || {
             CollectVisitor::new(names.clone(), usize::MAX)
         })
         .unwrap();
@@ -109,8 +109,8 @@ fn interval_backend_results(
     }
     for threads in [2usize, 5] {
         let names = Compiled::new(lowered.clone()).point_names().clone();
-        let opts = ParallelOptions { threads, ..ParallelOptions::default() };
-        let (out, _) = run_parallel_report(&lowered, &opts, || {
+        let opts = SweepSpec { slots: threads, ..SweepSpec::default() };
+        let (out, _) = sweep(&lowered, &opts, || {
             CollectVisitor::new(names.clone(), usize::MAX)
         })
         .unwrap();
@@ -516,13 +516,13 @@ fn native_tier_fingerprints_all_precision_transpose_cases() {
             let serial = Compiled::new(lowered.clone())
                 .run(FingerprintVisitor::new())
                 .unwrap();
-            let opts = ParallelOptions {
-                threads: 2,
+            let opts = SweepSpec {
+                slots: 2,
                 engine: EngineOptions::native(),
-                ..ParallelOptions::default()
+                ..SweepSpec::default()
             };
             let (out, report) =
-                run_parallel_report(&lowered, &opts, FingerprintVisitor::new).unwrap();
+                sweep(&lowered, &opts, FingerprintVisitor::new).unwrap();
             assert_eq!(
                 (out.visitor.count, out.visitor.hash),
                 (serial.visitor.count, serial.visitor.hash),
@@ -586,13 +586,13 @@ fn narrowed_native_worker_matches_the_enumerating_oracles_on_seeded_spaces() {
             .unwrap();
 
         let names = vm.point_names().clone();
-        let opts = ParallelOptions {
-            threads: 2,
+        let opts = SweepSpec {
+            slots: 2,
             chunk_count: 3,
             engine: EngineOptions::native(),
-            ..ParallelOptions::default()
+            ..SweepSpec::default()
         };
-        let (out, report) = run_parallel_report(&lp, &opts, || {
+        let (out, report) = sweep(&lp, &opts, || {
             CollectVisitor::new(names.clone(), usize::MAX)
         })
         .unwrap();

@@ -1,6 +1,6 @@
 //! Determinism regression suite for the dynamic parallel scheduler.
 //!
-//! `run_parallel` pulls level-0 chunks off a shared atomic cursor, so *which
+//! [`sweep`] pulls level-0 chunks off a shared atomic cursor, so *which
 //! worker evaluates which chunk* is a race — but the merged outcome must not
 //! be. These tests pin the contract documented on
 //! [`beast_engine::parallel`]: for every space and every thread count, the
@@ -12,9 +12,11 @@ use std::sync::Arc;
 
 use beast::prelude::*;
 use beast_core::ir::LoweredPlan;
+use beast_engine::checkpoint::CheckpointConfig;
 use beast_engine::compiled::EngineOptions;
-use beast_engine::parallel::{run_parallel, run_parallel_report, ParallelOptions};
-use beast_engine::sweep::SweepError;
+use beast_engine::distribute::Workers;
+use beast_engine::service::cache::SweepCache;
+use beast_engine::sweep::{sweep, SweepError, SweepSpec};
 use beast_gemm::{build_gemm_space, GemmSpaceParams};
 
 #[path = "common/narrow_gen.rs"]
@@ -80,7 +82,7 @@ fn counts_and_stats_are_thread_count_invariant() {
         let serial = Compiled::new(lp.clone()).run(CountVisitor::default()).unwrap();
         assert!(serial.visitor.count > 0, "{name}: degenerate test space");
         for threads in THREAD_COUNTS {
-            let par = run_parallel(&lp, threads, CountVisitor::default).unwrap();
+            let (par, _) = sweep(&lp, &SweepSpec::new(threads), CountVisitor::default).unwrap();
             assert_eq!(
                 par.visitor.count, serial.visitor.count,
                 "{name}: survivor count diverged at {threads} threads"
@@ -105,7 +107,7 @@ fn visit_order_matches_serial_exactly() {
             .run(CollectVisitor::new(names.clone(), usize::MAX))
             .unwrap();
         for threads in THREAD_COUNTS {
-            let par = run_parallel(&lp, threads, || {
+            let (par, _) = sweep(&lp, &SweepSpec::new(threads), || {
                 CollectVisitor::new(names.clone(), usize::MAX)
             })
             .unwrap();
@@ -132,8 +134,9 @@ fn capped_collection_keeps_the_same_prefix() {
         let names = compiled.point_names().clone();
         let serial = compiled.run(CollectVisitor::new(names.clone(), 13)).unwrap();
         for threads in THREAD_COUNTS {
-            let par =
-                run_parallel(&lp, threads, || CollectVisitor::new(names.clone(), 13)).unwrap();
+            let (par, _) =
+                sweep(&lp, &SweepSpec::new(threads), || CollectVisitor::new(names.clone(), 13))
+                    .unwrap();
             assert_eq!(
                 par.visitor.points, serial.visitor.points,
                 "{name}: capped prefix diverged at {threads} threads"
@@ -149,9 +152,9 @@ fn repeated_runs_and_reports_agree() {
     for (name, space) in all_spaces() {
         let lp = lower(&space);
         for threads in THREAD_COUNTS {
-            let opts = ParallelOptions::new(threads);
-            let (a, ra) = run_parallel_report(&lp, &opts, CountVisitor::default).unwrap();
-            let (b, rb) = run_parallel_report(&lp, &opts, CountVisitor::default).unwrap();
+            let opts = SweepSpec::new(threads);
+            let (a, ra) = sweep(&lp, &opts, CountVisitor::default).unwrap();
+            let (b, rb) = sweep(&lp, &opts, CountVisitor::default).unwrap();
             assert_eq!(a.stats, b.stats, "{name}: reruns diverged at {threads} threads");
             assert_eq!(a.visitor.count, b.visitor.count, "{name}");
             // Scheduler shape is deterministic even though worker
@@ -222,8 +225,8 @@ fn intervals_on_and_off_agree_at_every_thread_count() {
                 ("on", EngineOptions::default(), &serial_on),
                 ("off", EngineOptions::no_intervals(), &serial_off),
             ] {
-                let opts = ParallelOptions { threads, engine, ..ParallelOptions::default() };
-                let (par, _) = run_parallel_report(&lp, &opts, || {
+                let opts = SweepSpec { slots: threads, engine, ..SweepSpec::default() };
+                let (par, _) = sweep(&lp, &opts, || {
                     CollectVisitor::new(names.clone(), usize::MAX)
                 })
                 .unwrap();
@@ -293,8 +296,8 @@ fn congruence_on_and_off_agree_at_every_thread_count() {
                 ("on", EngineOptions::default(), &serial_on),
                 ("off", EngineOptions::no_congruence(), &serial_off),
             ] {
-                let opts = ParallelOptions { threads, engine, ..ParallelOptions::default() };
-                let (par, _) = run_parallel_report(&lp, &opts, || {
+                let opts = SweepSpec { slots: threads, engine, ..SweepSpec::default() };
+                let (par, _) = sweep(&lp, &opts, || {
                     CollectVisitor::new(names.clone(), usize::MAX)
                 })
                 .unwrap();
@@ -334,14 +337,14 @@ fn faulted_sweeps_are_thread_count_invariant() {
         for policy in [FaultPolicy::SkipPoint, FaultPolicy::QuarantineChunk] {
             let mut baseline = None;
             for threads in THREAD_COUNTS {
-                let opts = ParallelOptions {
-                    threads,
+                let opts = SweepSpec {
+                    slots: threads,
                     chunk_count: 12,
                     fault_policy: policy,
                     injector: Some(FaultInjector::new(7).error_rate(0.002)),
-                    ..ParallelOptions::default()
+                    ..SweepSpec::default()
                 };
-                let (par, report) = run_parallel_report(&lp, &opts, || {
+                let (par, report) = sweep(&lp, &opts, || {
                     CollectVisitor::new(names.clone(), usize::MAX)
                 })
                 .unwrap();
@@ -399,8 +402,8 @@ fn scalar_engine_reproduces_the_pinned_gemm_fingerprints_and_counters() {
             if dim == 16 { (0x1096600c503f5220, 1824) } else { (0x828fe8248da94e00, 31872) };
         let lp = lower(&build_gemm_space(&GemmSpaceParams::reduced(dim)).unwrap());
         let engine = EngineOptions { intervals, ..EngineOptions::default() };
-        let opts = ParallelOptions { threads: 1, chunk_count: 32, engine, ..Default::default() };
-        let (out, _) = run_parallel_report(&lp, &opts, FingerprintVisitor::new).unwrap();
+        let opts = SweepSpec { slots: 1, chunk_count: 32, engine, ..Default::default() };
+        let (out, _) = sweep(&lp, &opts, FingerprintVisitor::new).unwrap();
         let at = format!("reduced({dim}) intervals={intervals}");
         assert_eq!((out.visitor.hash, out.visitor.count), (hash, survivors), "{at}");
         let stats = PruneStats { evaluated: evaluated.into(), pruned: pruned.into(), survivors };
@@ -482,8 +485,8 @@ fn guard_verdicts_are_pinned_on_generated_spaces() {
         };
         for threads in [1, 2] {
             for chunk_count in [1, 7] {
-                let opts = ParallelOptions { threads, chunk_count, engine, ..Default::default() };
-                let (out, _) = run_parallel_report(&lp, &opts, FingerprintVisitor::new).unwrap();
+                let opts = SweepSpec { slots: threads, chunk_count, engine, ..Default::default() };
+                let (out, _) = sweep(&lp, &opts, FingerprintVisitor::new).unwrap();
                 let at = format!(
                     "{family} seed {seed}, congruence={congruence}, {threads} threads × {chunk_count} chunks"
                 );
@@ -532,12 +535,12 @@ fn native_tier_matches_compiled_bit_for_bit() {
     );
 
     for threads in THREAD_COUNTS {
-        let opts = ParallelOptions {
-            threads,
+        let opts = SweepSpec {
+            slots: threads,
             engine: EngineOptions::native(),
-            ..ParallelOptions::default()
+            ..SweepSpec::default()
         };
-        let (par, report) = run_parallel_report(&lp, &opts, || {
+        let (par, report) = sweep(&lp, &opts, || {
             CollectVisitor::new(names.clone(), usize::MAX)
         })
         .unwrap();
@@ -587,12 +590,12 @@ fn native_tier_fingerprints_match_on_reduced_32() {
     let baseline = Compiled::new(lp.clone()).run(FingerprintVisitor::new()).unwrap();
     assert!(baseline.visitor.count > 0, "degenerate reduced(32) space");
     for threads in THREAD_COUNTS {
-        let opts = ParallelOptions {
-            threads,
+        let opts = SweepSpec {
+            slots: threads,
             engine: EngineOptions::native(),
-            ..ParallelOptions::default()
+            ..SweepSpec::default()
         };
-        let (par, _) = run_parallel_report(&lp, &opts, FingerprintVisitor::new).unwrap();
+        let (par, _) = sweep(&lp, &opts, FingerprintVisitor::new).unwrap();
         assert_eq!(
             (par.visitor.count, par.visitor.hash),
             (baseline.visitor.count, baseline.visitor.hash),
@@ -613,8 +616,8 @@ fn chunk_granularity_is_invisible() {
             .run(CollectVisitor::new(names.clone(), usize::MAX))
             .unwrap();
         for chunk_count in [3, 21, 3072] {
-            let opts = ParallelOptions { threads: 3, chunk_count, ..ParallelOptions::default() };
-            let (par, _) = run_parallel_report(&lp, &opts, || {
+            let opts = SweepSpec { slots: 3, chunk_count, ..SweepSpec::default() };
+            let (par, _) = sweep(&lp, &opts, || {
                 CollectVisitor::new(names.clone(), usize::MAX)
             })
             .unwrap();
@@ -711,14 +714,16 @@ fn digest(out: Result<SweepOutcome<FingerprintVisitor>, SweepError>) -> Digest {
 }
 
 /// Sweep `lp` every way there is and assert each agrees with the serial
-/// [`Compiled::run`], which is returned: the walker (survivors and
-/// `PruneStats` against the engine with block pruning off, or the same
-/// root error); `run_parallel_report` at threads {1, 2, 8} × chunks
-/// {1, 7}; `run_distributed` in process; `run_cached` cold and warm;
-/// `run_checkpointed` stopped after one chunk and then resumed; and the
-/// native tier against the engine normalized to its accounting (it falls
-/// back in process where there is no C compiler or the plan has closures).
-/// Every supervised run uses `policy`.
+/// [`Compiled::run`], which is returned. The walker must agree too
+/// (survivors and `PruneStats` against the engine with block pruning off,
+/// or the same root error). Then one loop sweeps every shape a spec takes,
+/// within bounds: slots {1, 2, 8} × chunks {1, 7} in process; and on 2
+/// slots and 7 chunks, the worker transport (an empty command, so every
+/// shard runs in process), the cache (cold, then warm), the checkpoint
+/// (stopped after one chunk, then resumed), the pairs of them the frame
+/// composes, and the native tier against the engine normalized to its
+/// accounting (it falls back in process where there is no C compiler or
+/// the plan has closures). Every spec uses `policy`.
 fn assert_every_path_agrees(
     lp: &LoweredPlan,
     policy: FaultPolicy,
@@ -742,56 +747,56 @@ fn assert_every_path_agrees(
         (Err(p), Err(w)) => assert_eq!(p.root(), w.root(), "{tag}: walker"),
         _ => panic!("{tag}: walker {walker:?} against {plain:?}", walker = walker.is_ok()),
     }
+    let want_native = digest(plain.map_err(SweepError::Eval));
 
-    let opts = |threads, chunk_count| ParallelOptions {
-        threads,
-        chunk_count,
-        fault_policy: policy,
-        ..ParallelOptions::default()
-    };
-    let mut got: Vec<(String, Digest)> = Vec::new();
-    for threads in THREAD_COUNTS {
-        for chunks in [1, 7] {
-            let out = run_parallel_report(lp, &opts(threads, chunks), FingerprintVisitor::new);
-            got.push((format!("{threads} threads, {chunks} chunks"), digest(out.map(|o| o.0))));
-        }
-    }
-    let mut d = DistributeOptions::new(2, Vec::new());
-    d.chunk_count = 7;
-    d.fault_policy = policy;
-    let out = run_distributed(lp, &d, FingerprintVisitor::new);
-    got.push(("distributed".into(), digest(out.map(|o| o.0))));
-    let cache = SweepCache::new();
-    for pass in ["cold", "warm"] {
-        let out = run_cached(lp, &opts(2, 7), &cache, tag, FingerprintVisitor::new);
-        got.push((format!("cached, {pass}"), digest(out.map(|o| o.0))));
-    }
     let dir = std::env::temp_dir().join("beast-determinism");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join(format!("{tag}.json"));
-    let _ = std::fs::remove_file(&path);
-    let stopped = ParallelOptions { stop_after_chunks: 1, ..opts(2, 7) };
-    let ck = CheckpointConfig { path: path.clone(), every_chunks: 1, resume: false };
-    let out = match run_checkpointed(lp, &stopped, &ck, FingerprintVisitor::new) {
-        Ok((_, report)) if report.partial => {
-            let ck = CheckpointConfig { resume: true, ..ck };
-            run_checkpointed(lp, &opts(2, 7), &ck, FingerprintVisitor::new)
-        }
-        done => done,
+    // A checkpointed sweep: stopped after one chunk, then resumed.
+    let stopped_then_resumed = |spec: &SweepSpec<'_, FingerprintVisitor>| {
+        let _ = std::fs::remove_file(&path);
+        let ck = CheckpointConfig { path: path.clone(), every_chunks: 1, resume: false };
+        let stopped = SweepSpec { stop_after_chunks: 1, ..spec.clone() }.checkpoint(ck.clone());
+        let out = match sweep(lp, &stopped, FingerprintVisitor::new) {
+            Ok((_, report)) if report.partial => {
+                let resumed = spec.clone().checkpoint(CheckpointConfig { resume: true, ..ck });
+                sweep(lp, &resumed, FingerprintVisitor::new)
+            }
+            done => done,
+        };
+        let _ = std::fs::remove_file(&path);
+        out
     };
-    let _ = std::fs::remove_file(&path);
-    got.push(("checkpointed, resumed".into(), digest(out.map(|o| o.0))));
-    for (label, digest) in &got {
-        assert_eq!(digest, &want, "{tag}: {label} against the serial run");
+    let shapes = THREAD_COUNTS.iter().flat_map(|&slots| [1, 7].map(|chunks| (slots, chunks, "")));
+    let attached = ["workers", "cache", "checkpoint", "cache, checkpoint", "cache, workers", "native"];
+    for (slots, chunks, parts) in shapes.chain(attached.map(|parts| (2, 7, parts))) {
+        let cache = SweepCache::new();
+        let mut spec =
+            SweepSpec { slots, chunk_count: chunks, fault_policy: policy, ..SweepSpec::default() };
+        if parts == "native" {
+            spec.engine = EngineOptions::native();
+        }
+        if parts.contains("workers") {
+            spec = spec.workers(Workers::new(Vec::new()));
+        }
+        if parts.contains("cache") {
+            spec = spec.cache(&cache, tag);
+        }
+        let want = if parts == "native" { &want_native } else { &want };
+        let passes: &[&str] = if parts.contains("cache") { &["cold", "warm"] } else { &[""] };
+        for pass in passes {
+            let out = if parts.contains("checkpoint") {
+                stopped_then_resumed(&spec)
+            } else {
+                sweep(lp, &spec, FingerprintVisitor::new)
+            };
+            assert_eq!(
+                &digest(out.map(|o| o.0)),
+                want,
+                "{tag}: {slots} slots, {chunks} chunks [{parts}] {pass} against the serial run"
+            );
+        }
     }
-
-    let native = ParallelOptions { engine: EngineOptions::native(), ..opts(2, 7) };
-    let out = run_parallel_report(lp, &native, FingerprintVisitor::new);
-    assert_eq!(
-        digest(out.map(|o| o.0)),
-        digest(plain.map_err(SweepError::Eval)),
-        "{tag}: native tier against the normalized engine"
-    );
     serial
 }
 
@@ -846,13 +851,13 @@ fn a_preamble_bounded_level_zero_is_identical_on_every_path() {
         }
         if tag == "expr" && beast_codegen::find_c_compiler().is_some() {
             // The emitted C worker evaluates the preamble define itself.
-            let opts = ParallelOptions {
-                threads: 2,
+            let opts = SweepSpec {
+                slots: 2,
                 chunk_count: 7,
                 engine: EngineOptions::native(),
-                ..ParallelOptions::default()
+                ..SweepSpec::default()
             };
-            let (_, report) = run_parallel_report(&lp, &opts, FingerprintVisitor::new).unwrap();
+            let (_, report) = sweep(&lp, &opts, FingerprintVisitor::new).unwrap();
             let native = report.native.expect("a C compiler is present");
             assert!(native.chunks_native > 0 && native.chunks_fallback == 0, "{native:?}");
         }
@@ -932,8 +937,8 @@ fn an_opaque_preamble_closure_runs_once_per_engine() {
     assert_eq!(compiled.run(CountVisitor::default()).unwrap().visitor.count, 160);
     assert_eq!(CALLS.swap(0, Ordering::SeqCst), 1, "one engine");
     for threads in THREAD_COUNTS {
-        let opts = ParallelOptions { threads, chunk_count: 40, ..ParallelOptions::default() };
-        let (out, _) = run_parallel_report(&lp, &opts, CountVisitor::default).unwrap();
+        let opts = SweepSpec { slots: threads, chunk_count: 40, ..SweepSpec::default() };
+        let (out, _) = sweep(&lp, &opts, CountVisitor::default).unwrap();
         assert_eq!(out.visitor.count, 160);
         assert_eq!(CALLS.swap(0, Ordering::SeqCst), 1, "one sweep at {threads} threads");
     }

@@ -24,10 +24,10 @@ use std::sync::Arc;
 
 use beast::prelude::*;
 use beast_core::ir::LoweredPlan;
-use beast_engine::checkpoint::{run_checkpointed, CheckpointConfig};
-use beast_engine::distribute::{run_distributed, run_distributed_checkpointed, DistributeOptions};
+use beast_engine::checkpoint::CheckpointConfig;
+use beast_engine::distribute::Workers;
 use beast_engine::fault::{FaultKind, FaultPolicy};
-use beast_engine::parallel::{run_parallel_report, ParallelOptions};
+use beast_engine::sweep::{sweep, SweepSpec};
 use beast_gemm::{build_gemm_space, GemmSpaceParams};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -42,11 +42,11 @@ fn gemm_lowered() -> LoweredPlan {
     LoweredPlan::new(&plan).unwrap()
 }
 
-fn opts(threads: usize) -> ParallelOptions {
-    ParallelOptions {
-        threads,
+fn opts<V>(threads: usize) -> SweepSpec<'static, V> {
+    SweepSpec {
+        slots: threads,
         chunk_count: CHUNKS,
-        ..ParallelOptions::default()
+        ..SweepSpec::default()
     }
 }
 
@@ -70,7 +70,7 @@ fn injected_faults_are_thread_count_invariant() {
             o.fault_policy = policy;
             o.injector = Some(FaultInjector::new(42).error_rate(0.001));
             let (out, report) =
-                run_parallel_report(&lp, &o, FingerprintVisitor::default).unwrap();
+                sweep(&lp, &o, FingerprintVisitor::default).unwrap();
             assert!(!report.partial, "{policy:?}: faulted sweep marked partial");
             assert!(
                 !report.faults.is_empty(),
@@ -102,11 +102,11 @@ fn injected_faults_are_thread_count_invariant() {
 #[test]
 fn skip_point_drops_at_most_the_faulted_points() {
     let lp = gemm_lowered();
-    let (clean, _) = run_parallel_report(&lp, &opts(2), FingerprintVisitor::default).unwrap();
+    let (clean, _) = sweep(&lp, &opts(2), FingerprintVisitor::default).unwrap();
     let mut o = opts(2);
     o.fault_policy = FaultPolicy::SkipPoint;
     o.injector = Some(FaultInjector::new(42).error_rate(0.001));
-    let (faulted, report) = run_parallel_report(&lp, &o, FingerprintVisitor::default).unwrap();
+    let (faulted, report) = sweep(&lp, &o, FingerprintVisitor::default).unwrap();
     let skipped = report.fault_counters.points_skipped;
     assert!(skipped > 0, "injector never fired");
     assert!(
@@ -124,14 +124,14 @@ fn skip_point_drops_at_most_the_faulted_points() {
 #[test]
 fn transient_retry_reproduces_the_unfaulted_sweep() {
     let lp = gemm_lowered();
-    let (clean, _) = run_parallel_report(&lp, &opts(2), FingerprintVisitor::default).unwrap();
+    let (clean, _) = sweep(&lp, &opts(2), FingerprintVisitor::default).unwrap();
     for threads in THREAD_COUNTS {
         let progress = Arc::new(SweepProgress::default());
         let mut o = opts(threads);
         o.fault_policy = FaultPolicy::Retry { max: 2, backoff_ms: 0 };
         o.injector = Some(FaultInjector::new(42).error_rate(0.001).transient(true));
         o.progress = Some(progress.clone());
-        let (out, report) = run_parallel_report(&lp, &o, FingerprintVisitor::default).unwrap();
+        let (out, report) = sweep(&lp, &o, FingerprintVisitor::default).unwrap();
         assert_eq!(
             out.visitor, clean.visitor,
             "retry over transient faults diverged at {threads} threads"
@@ -165,7 +165,7 @@ fn injected_panics_never_poison_the_orchestrator() {
         o.fault_policy = FaultPolicy::QuarantineChunk;
         o.injector = Some(FaultInjector::new(11).panic_rate(0.3));
         let (out, report) =
-            run_parallel_report(&lp, &o, FingerprintVisitor::default).unwrap();
+            sweep(&lp, &o, FingerprintVisitor::default).unwrap();
         assert!(report.fault_counters.panics > 0, "injector never fired");
         assert_eq!(
             report.fault_counters.panics, report.fault_counters.chunks_quarantined,
@@ -227,7 +227,7 @@ fn narrowed_loops_fault_exactly_like_enumerated_ones() {
                     if inject {
                         o.injector = Some(FaultInjector::new(7).error_rate(0.05));
                     }
-                    run_parallel_report(lp, &o, FingerprintVisitor::default)
+                    sweep(lp, &o, FingerprintVisitor::default)
                 };
                 let at = format!("{policy:?}, inject={inject}, {threads} threads");
                 match (run(&narrowed), run(&reference)) {
@@ -307,7 +307,7 @@ fn replayed_loops_fault_exactly_like_enumerated_ones() {
                     if inject {
                         o.injector = Some(FaultInjector::new(7).error_rate(0.05));
                     }
-                    run_parallel_report(lp, &o, FingerprintVisitor::default)
+                    sweep(lp, &o, FingerprintVisitor::default)
                 };
                 let at = format!("{policy:?}, inject={inject}, {threads} threads");
                 match (run(&replayed), run(&reference)) {
@@ -392,13 +392,13 @@ fn cancel_mid_replay_drops_the_chunk() {
         .build()
         .unwrap();
     let lp = LoweredPlan::new(&Plan::new(&space, PlanOptions::default()).unwrap()).unwrap();
-    let mut o = opts(1);
-    let (full, report) = run_parallel_report(&lp, &o, CountVisitor::default).unwrap();
+    let (full, report) = sweep(&lp, &opts(1), CountVisitor::default).unwrap();
     assert_eq!((full.visitor.count, report.rows_replayed, report.partial), (5000, 4999, false));
 
     let token = Arc::new(CancelToken::new());
+    let mut o = opts(1);
     o.cancel = Some(token.clone());
-    let (out, report) = run_parallel_report(&lp, &o, || CancelAfter {
+    let (out, report) = sweep(&lp, &o, || CancelAfter {
         token: token.clone(),
         after: 10,
         seen: 0,
@@ -416,7 +416,7 @@ fn expired_deadline_degrades_to_partial() {
     let lp = gemm_lowered();
     let mut o = opts(4);
     o.deadline = Some(std::time::Duration::ZERO);
-    let (out, report) = run_parallel_report(&lp, &o, FingerprintVisitor::default).unwrap();
+    let (out, report) = sweep(&lp, &o, FingerprintVisitor::default).unwrap();
     assert!(report.partial, "expired deadline must mark the report partial");
     assert_eq!(out.visitor.count, 0);
 }
@@ -429,7 +429,7 @@ fn expired_deadline_degrades_to_partial() {
 fn interrupted_then_resumed_equals_uninterrupted() {
     let lp = gemm_lowered();
     let (full, full_report) =
-        run_parallel_report(&lp, &opts(2), FingerprintVisitor::default).unwrap();
+        sweep(&lp, &opts(2), FingerprintVisitor::default).unwrap();
     assert!(full.visitor.count > 0);
     for threads in THREAD_COUNTS {
         let path = scratch(&format!("resume-{threads}.json"));
@@ -440,8 +440,7 @@ fn interrupted_then_resumed_equals_uninterrupted() {
         let mut o = opts(threads);
         o.stop_after_chunks = 5;
         let ck = CheckpointConfig { path: path.clone(), every_chunks: 2, resume: false };
-        let (_, partial) =
-            run_checkpointed(&lp, &o, &ck, FingerprintVisitor::default).unwrap();
+        let (_, partial) = sweep(&lp, &o.checkpoint(ck), FingerprintVisitor::default).unwrap();
         assert!(partial.partial, "stopped sweep must be partial at {threads} threads");
         let pulled: u64 = partial.workers.iter().map(|w| w.chunks).sum();
         assert!(pulled < full_report.chunks as u64, "stop_after_chunks did not stop early");
@@ -449,8 +448,7 @@ fn interrupted_then_resumed_equals_uninterrupted() {
         // Phase 2: resume from the file and finish.
         let o = opts(threads);
         let ck = CheckpointConfig { path: path.clone(), every_chunks: 2, resume: true };
-        let (resumed, report) =
-            run_checkpointed(&lp, &o, &ck, FingerprintVisitor::default).unwrap();
+        let (resumed, report) = sweep(&lp, &o.checkpoint(ck), FingerprintVisitor::default).unwrap();
         assert!(!report.partial, "resumed sweep did not finish at {threads} threads");
         assert!(report.resumed_at.is_some());
         assert_eq!(
@@ -481,10 +479,10 @@ fn resume_refuses_a_mismatched_checkpoint() {
     let ck = CheckpointConfig { path: path.clone(), every_chunks: 1, resume: false };
     let mut o = opts(2);
     o.stop_after_chunks = 2;
-    run_checkpointed(&other_lp, &o, &ck, FingerprintVisitor::default).unwrap();
+    sweep(&other_lp, &o.checkpoint(ck), FingerprintVisitor::default).unwrap();
 
     let ck = CheckpointConfig { path: path.clone(), every_chunks: 1, resume: true };
-    let err = run_checkpointed(&lp, &opts(2), &ck, FingerprintVisitor::default).unwrap_err();
+    let err = sweep(&lp, &opts(2).checkpoint(ck), FingerprintVisitor::default).unwrap_err();
     assert!(
         matches!(err, SweepError::Checkpoint(_)),
         "expected a checkpoint error, got {err}"
@@ -492,19 +490,17 @@ fn resume_refuses_a_mismatched_checkpoint() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// In-process distribute options (no worker command) on the suite's grid.
-fn dist_opts(slots: usize) -> DistributeOptions {
-    let mut o = DistributeOptions::new(slots, Vec::new());
-    o.chunk_count = CHUNKS;
-    o
+/// The worker transport with no worker command (every shard in process)
+/// on the suite's grid.
+fn dist_opts(slots: usize) -> SweepSpec<'static, FingerprintVisitor> {
+    opts(slots).workers(Workers::new(Vec::new()))
 }
 
 /// Dispatcher equivalence: the injector-free recovery cases — a check whose
 /// coefficient divides by zero at `o = 2`, under skip / quarantine / retry —
 /// and the clean GEMM sweep give the same survivors, fingerprint,
 /// `PruneStats`, `BlockStats` and full `FaultRecord` list through
-/// `run_distributed` with 1 and 3 in-process slots as through
-/// `run_parallel_report`.
+/// the worker transport with 1 and 3 in-process slots as through threads.
 #[test]
 fn in_process_distribute_equals_the_threaded_dispatcher() {
     let policies = [
@@ -517,7 +513,7 @@ fn in_process_distribute_equals_the_threaded_dispatcher() {
             let mut o = opts(2);
             o.fault_policy = policy;
             let (want, want_report) =
-                run_parallel_report(&lp, &o, FingerprintVisitor::default).unwrap();
+                sweep(&lp, &o, FingerprintVisitor::default).unwrap();
             assert_eq!(
                 want_report.faults.is_empty(),
                 name == "gemm",
@@ -526,7 +522,7 @@ fn in_process_distribute_equals_the_threaded_dispatcher() {
             for slots in [1, 3] {
                 let mut d = dist_opts(slots);
                 d.fault_policy = policy;
-                let (got, report) = run_distributed(&lp, &d, FingerprintVisitor::default).unwrap();
+                let (got, report) = sweep(&lp, &d, FingerprintVisitor::default).unwrap();
                 let at = format!("{name}, {policy:?}, {slots} slot(s)");
                 assert_eq!(got.visitor, want.visitor, "{at}: survivors / fingerprint");
                 assert_eq!(got.stats, want.stats, "{at}: PruneStats");
@@ -546,18 +542,18 @@ fn in_process_distribute_equals_the_threaded_dispatcher() {
 #[test]
 fn checkpoints_cross_between_threaded_and_distributed_sweeps() {
     let lp = gemm_lowered();
-    let (full, _) = run_parallel_report(&lp, &opts(2), FingerprintVisitor::default).unwrap();
+    let (full, _) = sweep(&lp, &opts(2), FingerprintVisitor::default).unwrap();
     // One leg of a sweep through either dispatcher, 2 threads or 3 slots.
     let leg = |distributed: bool, path: &std::path::Path, stop: usize, resume: bool| {
         let ck = CheckpointConfig { path: path.to_path_buf(), every_chunks: 2, resume };
         if distributed {
             let mut d = dist_opts(3);
             d.stop_after_chunks = stop;
-            run_distributed_checkpointed(&lp, &d, &ck, FingerprintVisitor::default).unwrap()
+            sweep(&lp, &d.checkpoint(ck), FingerprintVisitor::default).unwrap()
         } else {
             let mut o = opts(2);
             o.stop_after_chunks = stop;
-            run_checkpointed(&lp, &o, &ck, FingerprintVisitor::default).unwrap()
+            sweep(&lp, &o.checkpoint(ck), FingerprintVisitor::default).unwrap()
         }
     };
     let cases = [
@@ -700,14 +696,14 @@ fn a_fault_inside_a_run_program_matches_per_step_evaluation() {
     assert!(want.iter().any(|f| f.0 == "q") && want.iter().any(|f| f.0 == "wrap"), "{want:?}");
 
     for engine in [EngineOptions::no_intervals(), EngineOptions::default()] {
-        let o = ParallelOptions {
-            threads: 1,
+        let o = SweepSpec {
+            slots: 1,
             chunk_count: 1,
             engine,
             fault_policy: FaultPolicy::SkipPoint,
-            ..ParallelOptions::default()
+            ..SweepSpec::default()
         };
-        let (out, report) = run_parallel_report(&lp, &o, CountVisitor::default).unwrap();
+        let (out, report) = sweep(&lp, &o, CountVisitor::default).unwrap();
         let got: Vec<FaultSeen> = report
             .faults
             .iter()

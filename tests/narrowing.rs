@@ -85,8 +85,8 @@ fn narrowed_loops_match_the_enumerating_backends_on_seeded_spaces() {
         let names = Compiled::new(lp.clone()).point_names().clone();
         for threads in [1usize, 2, 8] {
             for chunk_count in [1usize, 7, 32] {
-                let opts = ParallelOptions { threads, chunk_count, ..ParallelOptions::default() };
-                let (out, report) = run_parallel_report(&lp, &opts, || {
+                let opts = SweepSpec { slots: threads, chunk_count, ..SweepSpec::default() };
+                let (out, report) = sweep(&lp, &opts, || {
                     CollectVisitor::new(names.clone(), usize::MAX)
                 })
                 .unwrap();

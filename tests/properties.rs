@@ -39,7 +39,6 @@ use beast_core::interval::{
 use beast_core::ir::{IntBinOp, IntExpr, LBody, LIter, LStep};
 use beast_core::iterator::Realized;
 use beast_core::pointprog::PointProg;
-use beast_engine::parallel::run_parallel;
 
 const VARS: [&str; 3] = ["va", "vb", "vc"];
 
@@ -243,7 +242,8 @@ fn random_spaces_agree() {
         let vm_out = Vm::compile(&lowered, VmStyle::RepeatUntil)
             .run(CountVisitor::default())
             .unwrap();
-        let par_out = run_parallel(&lowered, threads, CountVisitor::default).unwrap();
+        let (par_out, _) =
+            sweep(&lowered, &SweepSpec::new(threads), CountVisitor::default).unwrap();
 
         assert_eq!(compiled_out.visitor.count, walker_out.visitor.count, "case {case}");
         assert_eq!(compiled_out.visitor.count, vm_out.visitor.count, "case {case}");
@@ -1260,7 +1260,7 @@ fn floor_division_overflow_is_an_error_in_every_evaluator() {
     use beast_core::analyze::count::Counter;
     use beast_core::error::EvalError;
     use beast_engine::fault::{FaultKind, FaultPolicy};
-    use beast_engine::parallel::{run_parallel_report, ParallelOptions};
+    use beast_engine::sweep::{sweep, SweepSpec};
 
     let call = |f, x: E, y: E| E(Expr::Call(f, vec![x.0, y.0]));
     for (name, q) in [
@@ -1297,13 +1297,13 @@ fn floor_division_overflow_is_an_error_in_every_evaluator() {
             "{name}: rejection sampler"
         );
 
-        let opts = ParallelOptions {
-            threads: 2,
+        let opts = SweepSpec {
+            slots: 2,
             chunk_count: 2,
             fault_policy: FaultPolicy::SkipPoint,
-            ..ParallelOptions::default()
+            ..SweepSpec::default()
         };
-        let (out, report) = run_parallel_report(&lp, &opts, CountVisitor::default).unwrap();
+        let (out, report) = sweep(&lp, &opts, CountVisitor::default).unwrap();
         assert_eq!(out.visitor.count, 3, "{name}: the three other points survive");
         assert_eq!(report.faults.len(), 1, "{name}: {:?}", report.faults);
         assert_eq!(report.faults[0].kind, FaultKind::Error, "{name}");

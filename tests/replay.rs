@@ -93,9 +93,9 @@ fn check_space(at: &str, plan: &Plan, lp: &LoweredPlan) -> (u64, u64) {
     let names = Compiled::new(lp.clone()).point_names().clone();
     for threads in THREADS {
         for chunk_count in CHUNK_GRIDS {
-            let opts = ParallelOptions { threads, chunk_count, ..ParallelOptions::default() };
+            let opts = SweepSpec { slots: threads, chunk_count, ..SweepSpec::default() };
             let grid = format!("{at} at {threads} threads × {chunk_count} chunks");
-            let (out, report) = run_parallel_report(lp, &opts, || {
+            let (out, report) = sweep(lp, &opts, || {
                 CollectVisitor::new(names.clone(), usize::MAX)
             })
             .unwrap();
@@ -105,8 +105,8 @@ fn check_space(at: &str, plan: &Plan, lp: &LoweredPlan) -> (u64, u64) {
             assert_eq!(report.loops_replayed, serial.blocks.loops_replayed, "{grid}: report");
             assert_eq!(report.rows_replayed, serial.blocks.rows_replayed, "{grid}: report");
 
-            let declined = ParallelOptions { injector: Some(FaultInjector::new(1)), ..opts };
-            let (twin, twin_report) = run_parallel_report(lp, &declined, || {
+            let declined = SweepSpec { injector: Some(FaultInjector::new(1)), ..opts };
+            let (twin, twin_report) = sweep(lp, &declined, || {
                 CollectVisitor::new(names.clone(), usize::MAX)
             })
             .unwrap();
@@ -118,13 +118,13 @@ fn check_space(at: &str, plan: &Plan, lp: &LoweredPlan) -> (u64, u64) {
     }
 
     // The declined twin reproduces the walker's fingerprint too.
-    let opts = ParallelOptions {
-        threads: 2,
+    let opts = SweepSpec {
+        slots: 2,
         chunk_count: 3,
         injector: Some(FaultInjector::new(1)),
-        ..ParallelOptions::default()
+        ..SweepSpec::default()
     };
-    let (twin, _) = run_parallel_report(lp, &opts, FingerprintVisitor::default).unwrap();
+    let (twin, _) = sweep(lp, &opts, FingerprintVisitor::default).unwrap();
     assert_eq!(twin.visitor, w_fp, "{at}: declined fingerprint");
     assert_eq!(twin.stats, serial.stats, "{at}: declined PruneStats");
     assert_eq!(twin.blocks, quiet(serial.blocks), "{at}: declined BlockStats");

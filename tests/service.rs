@@ -29,8 +29,8 @@ use std::net::TcpStream;
 use std::sync::Arc;
 
 use beast_engine::checkpoint::JsonValue;
-use beast_engine::parallel::{run_parallel_report, ParallelOptions};
-use beast_engine::service::cache::{run_cached, SweepCache};
+use beast_engine::sweep::{sweep, SweepSpec};
+use beast_engine::service::cache::SweepCache;
 use beast_engine::service::{ServiceConfig, SweepService};
 use beast_engine::visit::FingerprintVisitor;
 use beast_gemm::{gemm_resolver, resolve_gemm_space};
@@ -45,19 +45,19 @@ fn gemm_plan(dim: i64) -> beast_core::ir::LoweredPlan {
     resolve_gemm_space(&doc).unwrap().plan
 }
 
-fn opts() -> ParallelOptions {
-    ParallelOptions { chunk_count: CHUNKS, ..ParallelOptions::new(2) }
+fn opts() -> SweepSpec<'static, FingerprintVisitor> {
+    SweepSpec { chunk_count: CHUNKS, ..SweepSpec::new(2) }
 }
 
 /// Cold, cache-free baseline: (fingerprint hash, survivors).
 fn cold_baseline(dim: i64) -> (u64, u64) {
     let (out, report) =
-        run_parallel_report(&gemm_plan(dim), &opts(), FingerprintVisitor::new).unwrap();
+        sweep(&gemm_plan(dim), &opts(), FingerprintVisitor::new).unwrap();
     (out.visitor.hash, report.survivors)
 }
 
 // ---------------------------------------------------------------------------
-// run_cached-level scenarios
+// library-level cache scenarios
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -67,14 +67,14 @@ fn identical_sweep_hits_every_chunk_and_is_bit_identical() {
     let cache: SweepCache<FingerprintVisitor> = SweepCache::new();
 
     let (first, first_rep) =
-        run_cached(&lp, &opts(), &cache, "t", FingerprintVisitor::new).unwrap();
+        sweep(&lp, &opts().cache(&cache, "t"), FingerprintVisitor::new).unwrap();
     assert_eq!(first.visitor.hash, cold_fp, "cold cached run must match cache-free run");
     assert_eq!(first_rep.cache_hits, 0);
     let chunks = first_rep.chunks as u64;
     assert_eq!(first_rep.cache_misses, chunks);
 
     let (second, second_rep) =
-        run_cached(&lp, &opts(), &cache, "t", FingerprintVisitor::new).unwrap();
+        sweep(&lp, &opts().cache(&cache, "t"), FingerprintVisitor::new).unwrap();
     assert_eq!(second_rep.cache_hits, chunks, "every chunk must be served from cache");
     assert_eq!(second_rep.cache_misses, 0);
     assert_eq!(second.visitor, first.visitor, "fingerprint must be bit-identical");
@@ -90,9 +90,9 @@ fn prefix_overlap_hits_exactly_the_seeded_chunks() {
     let cache: SweepCache<FingerprintVisitor> = SweepCache::new();
 
     // Seed the cache with a strict prefix of the chunk grid.
-    let seed_opts = ParallelOptions { stop_after_chunks: 5, ..opts() };
+    let seed_opts = SweepSpec { stop_after_chunks: 5, ..opts() };
     let (_, seed_rep) =
-        run_cached(&lp, &seed_opts, &cache, "t", FingerprintVisitor::new).unwrap();
+        sweep(&lp, &seed_opts.cache(&cache, "t"), FingerprintVisitor::new).unwrap();
     assert!(seed_rep.partial, "seeding run must stop early");
     let seeded = cache.stats().entries as u64;
     assert!(seeded >= 5, "expected at least 5 seeded chunks, got {seeded}");
@@ -100,7 +100,7 @@ fn prefix_overlap_hits_exactly_the_seeded_chunks() {
     // The full sweep folds the seeded prefix from cache and computes the
     // rest — and is still bit-identical to the cold run.
     let (full, full_rep) =
-        run_cached(&lp, &opts(), &cache, "t", FingerprintVisitor::new).unwrap();
+        sweep(&lp, &opts().cache(&cache, "t"), FingerprintVisitor::new).unwrap();
     assert_eq!(full_rep.cache_hits, seeded, "exactly the seeded chunks must hit");
     assert_eq!(full_rep.cache_misses, full_rep.chunks as u64 - seeded);
     assert_eq!(full.visitor.hash, cold_fp, "partial-hit run must be bit-identical to cold");
@@ -114,9 +114,9 @@ fn device_param_mismatch_never_hits() {
 
     let cache: SweepCache<FingerprintVisitor> = SweepCache::new();
     let (a, _) =
-        run_cached(&gemm_plan(16), &opts(), &cache, "t", FingerprintVisitor::new).unwrap();
+        sweep(&gemm_plan(16), &opts().cache(&cache, "t"), FingerprintVisitor::new).unwrap();
     let (b, rep) =
-        run_cached(&gemm_plan(32), &opts(), &cache, "t", FingerprintVisitor::new).unwrap();
+        sweep(&gemm_plan(32), &opts().cache(&cache, "t"), FingerprintVisitor::new).unwrap();
     assert_eq!(rep.cache_hits, 0, "different device limits must never share entries");
     assert_eq!(a.visitor.hash, fp16);
     assert_eq!(b.visitor.hash, fp32);
