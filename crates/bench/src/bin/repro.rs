@@ -53,7 +53,9 @@
 //!                                    the sweep on the in-process compiled
 //!                                    tier and exits 6 if survivors or
 //!                                    fingerprint differ from the requested
-//!                                    engine tier
+//!                                    engine tier (refused with a nonzero
+//!                                    injection rate: the re-run injects
+//!                                    nothing)
 //! repro distribute [DIM] [--workers N] [--chunks M] [--policy P]
 //!                  [--heartbeat-ms MS] [--retry K] [--backoff MS]
 //!                  [--restarts R] [--checkpoint PATH] [--resume] [--every N]
@@ -930,11 +932,20 @@ impl Flags<'_> {
         walker: bool,
         workers: Option<Workers>,
     ) -> SweepSpec<'static, FingerprintVisitor> {
+        let rate = |name: &str| self.parsed(name, "a probability in [0,1]").unwrap_or(0.0);
+        let (errors, panics) = (rate("--inject-errors"), rate("--inject-panics"));
+        let injector = (errors > 0.0 || panics > 0.0).then(|| {
+            FaultInjector::new(self.uint("--seed", 0))
+                .error_rate(errors)
+                .panic_rate(panics)
+                .transient(self.has("--transient"))
+        });
         let named = [
             (walker, "--engine walker"),
             (engine.engine == EngineTier::Native, "--engine native"),
             (workers.is_some(), "--workers"),
             (!self.has("--checkpoint"), "no --checkpoint"),
+            (injector.is_some(), "an injector"),
         ];
         let flags = self.0[1..].iter().map(String::as_str).filter(|a| a.starts_with("--"));
         let named = named.iter().filter(|(on, _)| *on).map(|(_, name)| *name);
@@ -943,19 +954,12 @@ impl Flags<'_> {
             eprintln!("error: {e}");
             std::process::exit(2);
         }
-        let rate = |name: &str| self.parsed(name, "a probability in [0,1]").unwrap_or(0.0);
-        let (errors, panics) = (rate("--inject-errors"), rate("--inject-panics"));
         let slots = self.uint(if workers.is_some() { "--workers" } else { "--threads" }, 4);
         let mut spec = SweepSpec {
             chunk_count: self.uint("--chunks", 0) as usize,
             engine,
             fault_policy: self.policy(),
-            injector: (errors > 0.0 || panics > 0.0).then(|| {
-                FaultInjector::new(self.uint("--seed", 0))
-                    .error_rate(errors)
-                    .panic_rate(panics)
-                    .transient(self.has("--transient"))
-            }),
+            injector,
             deadline: self.parsed("--deadline", "seconds").map(std::time::Duration::from_secs_f64),
             stop_after_chunks: self.uint("--stop-after", 0) as usize,
             ..SweepSpec::new(slots.max(1) as usize)

@@ -151,8 +151,9 @@ fn every_subcommand_accepts_its_full_flag_set() {
 /// A flag that a run would read and then ignore is refused too (exit 2, one
 /// line naming both flags), from the library's table of refused pairings:
 /// the serial walker has no chunks to stop after, polls no deadline, has no
-/// fault policy and is itself the reference `--verify` checks against; and
-/// `--resume` and `--every` need a `--checkpoint` on both chunked front ends.
+/// fault policy and is itself the reference `--verify` checks against;
+/// `--resume` and `--every` need a `--checkpoint` on both chunked front
+/// ends; and `--verify`'s re-run cannot reproduce injected faults.
 #[test]
 fn flags_a_run_would_ignore_exit_2_naming_both() {
     let refused = |args: &[&str], first: &str, second: &str| {
@@ -174,4 +175,12 @@ fn flags_a_run_would_ignore_exit_2_naming_both() {
     }
     // The library's own refusals reach the CLI the same way.
     refused(&["distribute", "16", "--engine", "native"], "--engine native", "--workers");
+    // `--verify` re-runs without the injector, so a sweep that injects
+    // faults is refused it; an injection rate of 0 builds no injector.
+    for inject in ["--inject-errors", "--inject-panics"] {
+        let args =
+            ["sweep", "16", "--chunks", "8", "--policy", "skip", inject, "0.001", "--verify"];
+        refused(&args, "an injector", "--verify");
+    }
+    assert_runs(&["sweep", "16", "--chunks", "8", "--inject-errors", "0", "--verify"], 0);
 }

@@ -93,7 +93,7 @@ use super::footprint::{suffix_footprints, unique_key_levels};
 use super::levels::{levels, LevelTable};
 #[cfg(doc)]
 use super::levels::LevelPlan;
-use super::narrow::{solve_affine, Solve, Solved};
+use super::narrow::{ChildEntry, ChildProgs, Solve, Solved};
 use super::steps::{range_box, values_box, AbsSteps};
 
 /// Work limits for a counting run. Exceeding either limit aborts the
@@ -427,27 +427,6 @@ struct FreeEntry {
     child: EntryRef,
 }
 
-/// A child solve evaluated for one entry of its parent: the child's range,
-/// offset `k` and coefficient `c·x + d`, all independent of the parent's
-/// value `x`.
-struct ChildEntry {
-    c: i64,
-    d: i64,
-    k: i64,
-    start: i64,
-    step: i64,
-    len: u64,
-}
-
-impl ChildEntry {
-    /// The child's solve under parent value `x` (`None`: enumerate instead).
-    #[inline]
-    fn solve(&self, x: i64) -> Option<Solved> {
-        let a = self.c.wrapping_mul(x).wrapping_add(self.d);
-        solve_affine(a, self.k, self.start, self.step, self.len)
-    }
-}
-
 /// A realized loop domain in integer form.
 #[derive(Debug, Clone)]
 enum Domain<'a> {
@@ -497,7 +476,7 @@ struct Level {
     solve: Option<Solve>,
     /// `c` and `d` of the next level's coefficient `c·x + d`, when this
     /// level solves its child from its own value loop (survivor mode only).
-    child_solve: Option<[PointProg; 2]>,
+    child_solve: Option<ChildProgs>,
     /// A free level: entries in closed form, no memo (survivor mode only).
     free: bool,
     /// Nothing after the bind reads the slot, so every value has the same
@@ -639,9 +618,7 @@ impl<'a> Counter<'a> {
                 slot: p.slot,
                 run: p.run.clone(),
                 solve: p.narrowing.as_ref().filter(|_| survivors).map(Solve::new),
-                child_solve: p.child_solve.as_ref().filter(|_| survivors).map(|s| {
-                    [PointProg::compile(&s.c), PointProg::compile(&s.d)]
-                }),
+                child_solve: p.child_solve.as_ref().filter(|_| survivors).map(ChildProgs::new),
                 free,
                 uniform: if survivors {
                     p.unread_below
@@ -1024,17 +1001,10 @@ impl<'a> Counter<'a> {
     /// `slots` opens; `None` — every value takes the child's own path —
     /// when the level has none or anything fails to evaluate.
     fn child_entry(&self, level: usize, i: usize, slots: &[i64]) -> Option<ChildEntry> {
-        let [c, d] = self.levels[level].child_solve.as_ref()?;
+        let progs = self.levels[level].child_solve.as_ref()?;
         let child = self.levels[level + 1].solve.as_ref()?;
         let (start, stop, step) = self.points.bounds(i + 1, slots).ok()?;
-        Some(ChildEntry {
-            c: c.eval(slots).ok()?,
-            d: d.eval(slots).ok()?,
-            k: child.offset(slots)?,
-            start,
-            step,
-            len: range_len(start, stop, step),
-        })
+        progs.entry(child, slots, start, step, range_len(start, stop, step))
     }
 
     /// Charge one concrete value to the budget; `false` once it is spent.

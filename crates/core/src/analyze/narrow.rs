@@ -22,6 +22,10 @@
 //! is a run-time question answered by [`Solve`], the point programs of `a`
 //! and `k` plus `solve_affine`, which the compiled engine and the exact
 //! counter ([`super::count`]) share; the native worker runs it as emitted C.
+//! A parent that solves its child evaluates one [`ChildEntry`] per entry
+//! (through [`ChildProgs`]): the counter solves the child per parent value
+//! with it, and the engine steps the parent only over its
+//! [`ChildEntry::candidates`].
 //!
 //! # The no-wrap proof obligation
 //!
@@ -204,11 +208,16 @@ pub(crate) fn solve_affine(a: i64, k: i64, start: i64, step: i64, len: u64) -> O
         a.checked_mul(last)?.checked_add(k)?;
         // `x` lies between `start` and `last`, so `x - start` cannot
         // overflow once the bounds test passed.
-        let on_range =
-            |x: i64| (start.min(last)..=start.max(last)).contains(&x) && (x - start) % step == 0;
-        let hit = match k.checked_rem(a)? {
-            0 => Some(k.checked_div(a)?.checked_neg()?).filter(|&x| on_range(x)),
-            _ => None,
+        let on_range = |x: i64| {
+            (start.min(last)..=start.max(last)).contains(&x)
+                && (step.unsigned_abs() == 1 || (x - start) % step == 0)
+        };
+        // `a` divides `k` iff the truncated quotient multiplies back.
+        let q = k.checked_div(a)?;
+        let hit = if q.wrapping_mul(a) == k {
+            Some(q.checked_neg()?).filter(|&x| on_range(x))
+        } else {
+            None
         };
         Some(Solved { hit, last })
     };
@@ -271,6 +280,225 @@ impl Solve {
     /// ([`ChildSolve`]).
     pub fn offset(&self, slots: &[i64]) -> Option<i64> {
         self.k.eval(slots).ok()
+    }
+}
+
+/// A [`ChildSolve`] compiled for evaluation: the point programs of `c` and
+/// `d`, evaluated once per entry of the parent into a [`ChildEntry`].
+#[derive(Debug, Clone)]
+pub struct ChildProgs {
+    c: PointProg,
+    d: PointProg,
+}
+
+impl ChildProgs {
+    /// Compile `s`'s multiplier and rest.
+    pub fn new(s: &ChildSolve) -> ChildProgs {
+        ChildProgs { c: PointProg::compile(&s.c), d: PointProg::compile(&s.d) }
+    }
+
+    /// The child solve for the parent entry `slots` opens, over the child's
+    /// realized range `start, start + step, …` (`len` values), with `child`
+    /// the child's own [`Solve`] (for its offset `k`). `None` — every value
+    /// takes the child's own path — when `c`, `d` or `k` fails to evaluate.
+    pub fn entry(
+        &self,
+        child: &Solve,
+        slots: &[i64],
+        start: i64,
+        step: i64,
+        len: u64,
+    ) -> Option<ChildEntry> {
+        Some(ChildEntry {
+            c: self.c.eval(slots).ok()?,
+            d: self.d.eval(slots).ok()?,
+            k: child.offset(slots)?,
+            start,
+            step,
+            len,
+        })
+    }
+}
+
+/// A child solve evaluated for one entry of its parent: the child's
+/// realized range, its offset `k` and its coefficient `c·x + d` at parent
+/// value `x`, all independent of `x`. The exact counter solves the child
+/// per parent value ([`ChildEntry::solve`]); the compiled engine steps the
+/// parent only over [`ChildEntry::candidates`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChildEntry {
+    /// Multiplier of the parent's value in the child's coefficient.
+    pub c: i64,
+    /// The rest of the child's coefficient.
+    pub d: i64,
+    /// The child's offset.
+    pub k: i64,
+    /// First value of the child's realized range.
+    pub start: i64,
+    /// Its step.
+    pub step: i64,
+    /// Its length.
+    pub len: u64,
+}
+
+impl ChildEntry {
+    /// The child's solve under parent value `x` (`None`: enumerate
+    /// instead): `solve_affine` of the coefficient `c·x + d` in wrapping
+    /// arithmetic, exactly what the child's own [`Solve`] computes.
+    #[inline]
+    pub fn solve(&self, x: i64) -> Option<Solved> {
+        let a = self.c.wrapping_mul(x).wrapping_add(self.d);
+        solve_affine(a, self.k, self.start, self.step, self.len)
+    }
+
+    /// Whether the parent must visit `x`: the child's solve under `x` hits
+    /// or cannot be decided. Every other value is a solved entry with no
+    /// hit, which a caller can credit without visiting it.
+    #[inline]
+    pub fn is_candidate(&self, x: i64) -> bool {
+        !matches!(self.solve(x), Some(Solved { hit: None, .. }))
+    }
+
+    /// The last value of the child's range (`len ≥ 1`): what the child's
+    /// slot holds once a solved entry without a hit has run.
+    pub fn last(&self) -> i64 {
+        self.start.wrapping_add(self.step.wrapping_mul(self.len.wrapping_sub(1) as i64))
+    }
+
+    /// Write into `out` the candidates ([`ChildEntry::is_candidate`]) among
+    /// the parent's values `start, start + step, …` (`len ≥ 1` values of a
+    /// realized range), in that order, and return `true`. Returns `false`
+    /// — visit every value — when `k = 0` (every nonzero coefficient might
+    /// hit), when the child's range is empty (no entry is solved), or when
+    /// the no-wrap obligation of the module docs cannot be shown for every
+    /// parent value at once.
+    ///
+    /// Once it holds, a value is passed over exactly when its coefficient
+    /// `a` is nonzero and either does not divide `k` or solves to a value
+    /// off the child's range. So when `|k|` is small against the parent's
+    /// range — or its divisors are already in `divisors`, which keeps the
+    /// last `|k|`'s — the candidates are read off the divisors `±q` of `|k|`
+    /// inside the coefficient's range (`x = (±q − d) / c`), plus the value
+    /// whose coefficient is 0; otherwise every value is tested.
+    pub fn candidates(
+        &self,
+        start: i64,
+        step: i64,
+        len: u64,
+        divisors: &mut Divisors,
+        out: &mut Vec<i64>,
+    ) -> bool {
+        out.clear();
+        if self.k == 0 || self.len == 0 || len == 0 {
+            return false;
+        }
+        let Some((a_lo, a_hi)) = self.coefficient_range(start, step, len) else {
+            return false;
+        };
+        let m = self.k.unsigned_abs();
+        if self.c == 0 || (divisors.of != m && m.isqrt() > len) {
+            let mut x = start;
+            for _ in 0..len {
+                if self.is_candidate(x) {
+                    out.push(x);
+                }
+                x = x.wrapping_add(step);
+            }
+            return true;
+        }
+        let last = start.wrapping_add(step.wrapping_mul((len - 1) as i64));
+        let (lo, hi) = (start.min(last), start.max(last));
+        let stride = step.unsigned_abs();
+        let on_range = |x: &i64| {
+            (lo..=hi).contains(x) && (stride == 1 || x.abs_diff(start).is_multiple_of(stride))
+        };
+        let reach = a_lo.unsigned_abs().max(a_hi.unsigned_abs());
+        for &q in divisors.of(m) {
+            if q > reach {
+                break;
+            }
+            // `q = 2⁶³` has no positive twin in `i64`.
+            for a in i64::try_from(q).ok().into_iter().chain([0i64.wrapping_sub_unsigned(q)]) {
+                if (a_lo..=a_hi).contains(&a) {
+                    let x = self.parent_value(a).filter(on_range);
+                    out.extend(x.filter(|&x| self.is_candidate(x)));
+                }
+            }
+        }
+        // A zero coefficient: the child enumerates.
+        if (a_lo..=a_hi).contains(&0) {
+            out.extend(self.parent_value(0).filter(on_range));
+        }
+        if step > 0 {
+            out.sort_unstable();
+        } else {
+            out.sort_unstable_by(|x, y| y.cmp(x));
+        }
+        true
+    }
+
+    /// The `x` with `c·x + d = a` (`c ≠ 0`), when it is an integer in
+    /// `i64`: in `i64` unless `a − d` or the quotient leaves it.
+    fn parent_value(&self, a: i64) -> Option<i64> {
+        match (a.checked_sub(self.d), self.c) {
+            (Some(num), 1) => Some(num),
+            (Some(num), c) if !(num == i64::MIN && c == -1) => (num % c == 0).then(|| num / c),
+            _ => {
+                let (num, c) = (a as i128 - self.d as i128, self.c as i128);
+                (num % c == 0).then(|| num / c).and_then(|x| i64::try_from(x).ok())
+            }
+        }
+    }
+
+    /// The range `[lo, hi]` the coefficient `c·x + d` spans over the
+    /// parent's values, when every one of them discharges the no-wrap
+    /// obligation: the coefficient stays inside `i64`, and so does `a·s + k`
+    /// at both ends `s` of the child's range. Both are affine in `x`, so
+    /// the parent's endpoints decide, in `i128`, where they cannot overflow.
+    fn coefficient_range(&self, start: i64, step: i64, len: u64) -> Option<(i64, i64)> {
+        let last = start as i128 + step as i128 * (len as i128 - 1);
+        let child_last = self.start as i128 + self.step as i128 * (self.len as i128 - 1);
+        let mut ends = [0i64; 2];
+        for (end, x) in ends.iter_mut().zip([start as i128, last]) {
+            let a = i64::try_from(self.c as i128 * x + self.d as i128).ok()?;
+            for s in [self.start as i128, child_last] {
+                i64::try_from(a as i128 * s + self.k as i128).ok()?;
+            }
+            *end = a;
+        }
+        Some((ends[0].min(ends[1]), ends[0].max(ends[1])))
+    }
+}
+
+/// The divisors of the last `m` asked for, ascending: a parent keeps one per
+/// loop frame, so an offset that repeats across entries is factored once.
+#[derive(Debug, Clone, Default)]
+pub struct Divisors {
+    of: u64,
+    list: Vec<u64>,
+}
+
+impl Divisors {
+    /// The divisors of `m ≥ 1`, by trial division up to `√m` unless `m`
+    /// was the last one asked for.
+    pub fn of(&mut self, m: u64) -> &[u64] {
+        if self.of != m {
+            self.list.clear();
+            let mut large = Vec::new();
+            let mut q = 1;
+            while q <= m / q {
+                if m.is_multiple_of(q) {
+                    self.list.push(q);
+                    if q != m / q {
+                        large.push(m / q);
+                    }
+                }
+                q += 1;
+            }
+            self.list.extend(large.into_iter().rev());
+            self.of = m;
+        }
+        &self.list
     }
 }
 
@@ -561,5 +789,92 @@ mod tests {
             hits += u32::from(got.is_some_and(|s| s.hit.is_some()));
         }
         assert!(decided > 20_000 && hits > 500, "{decided} decided, {hits} hits");
+    }
+
+    #[test]
+    fn the_gemm_shape_steps_over_the_divisors_of_the_offset() {
+        // dim_m_a · dim_n_a != 1024, dim_n_a in 1..=64, dim_m_a in 1..=256.
+        let entry = ChildEntry { c: 1, d: 0, k: -1024, start: 1, step: 1, len: 64 };
+        let (mut divisors, mut out) = (Divisors::default(), Vec::new());
+        assert!(entry.candidates(1, 1, 256, &mut divisors, &mut out));
+        assert_eq!(out, [16, 32, 64, 128, 256]);
+        assert_eq!(divisors.of(1024).len(), 11);
+        // Descending, over a stride, and with a zero coefficient inside:
+        // a = x - 8 over 32, 28, …, 0.
+        let entry = ChildEntry { c: 1, d: -8, k: -48, start: 1, step: 1, len: 64 };
+        assert!(entry.candidates(32, -4, 9, &mut divisors, &mut out));
+        assert_eq!(out, [32, 24, 20, 16, 12, 8]);
+        // Declined: k = 0, an empty child, and a coefficient that wraps.
+        for entry in [
+            ChildEntry { k: 0, ..entry },
+            ChildEntry { len: 0, ..entry },
+            ChildEntry { c: i64::MAX, ..entry },
+        ] {
+            assert!(!entry.candidates(32, -4, 9, &mut divisors, &mut out), "{entry:?}");
+        }
+    }
+
+    /// The candidate walk keeps exactly the parent values whose per-value
+    /// solve hits or declines — by divisors, by testing each value, with a
+    /// cached and a fresh divisor list — and declines only where it must:
+    /// `k = 0`, an empty child, or a no-wrap obligation it cannot show for
+    /// every parent value.
+    #[test]
+    fn candidates_are_exactly_the_values_the_per_value_solve_visits() {
+        let mut x = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut pick = |xs: &[i64]| xs[next() as usize % xs.len()];
+        let (mut divisors, mut out) = (Divisors::default(), Vec::new());
+        let (mut kept, mut walked, mut declined, mut candidates) = (0u32, 0u32, 0u32, 0u32);
+        for _ in 0..100_000 {
+            let c = pick(&[1, 1, 2, -1, -3, 0, 5, 1 << 40, i64::MAX, i64::MIN]);
+            let d = pick(&[0, 0, 1, -2, 7, -12, 1 << 62, i64::MIN]);
+            let k = pick(&[-12, -24, 36, 60, 0, -7, 1, i64::MIN, i64::MAX, -1 << 40, -720]);
+            let child = ChildEntry {
+                c,
+                d,
+                k,
+                start: pick(&[-6, -1, 0, 1, 3, i64::MIN + 5]),
+                step: pick(&[1, 1, 2, 3, -1, -2]),
+                len: pick(&[0, 1, 2, 5, 13, 40]) as u64,
+            };
+            // Keep the child's range inside `i64`, as a realized one is.
+            let span = child.step as i128 * (child.len as i128 - 1).max(0);
+            if i64::try_from(child.start as i128 + span).is_err() {
+                continue;
+            }
+            let (start, step) =
+                (pick(&[-9, -3, 0, 1, 2, i64::MAX - 20]), pick(&[1, 1, 2, 3, -1, -2]));
+            let len = pick(&[1, 2, 7, 20, 64]) as u64;
+            if i64::try_from(start as i128 + step as i128 * (len as i128 - 1)).is_err() {
+                continue;
+            }
+            let values = (0..len as i64).map(|i| start + step * i);
+            let want: Vec<i64> = values.filter(|&x| child.is_candidate(x)).collect();
+            let cached = divisors.of == k.unsigned_abs();
+            if child.candidates(start, step, len, &mut divisors, &mut out) {
+                assert_eq!(out, want, "{child:?} over {start}, {step}, {len}");
+                kept += 1;
+                walked += u32::from(c != 0 && (cached || k.unsigned_abs().isqrt() <= len));
+                candidates += out.len() as u32;
+            } else {
+                assert!(
+                    k == 0 || child.len == 0 || child.coefficient_range(start, step, len).is_none(),
+                    "{child:?} declined over {start}, {step}, {len}"
+                );
+                declined += 1;
+            }
+        }
+        let counts =
+            format!("{kept} kept ({walked} walked, {candidates} candidates), {declined} declined");
+        assert!(
+            kept > 20_000 && walked > 10_000 && candidates > 10_000 && declined > 10_000,
+            "{counts}"
+        );
     }
 }

@@ -77,7 +77,7 @@
 use std::sync::Arc;
 
 use beast_core::analyze::levels::{levels, LevelPlan};
-use beast_core::analyze::narrow::Solve;
+use beast_core::analyze::narrow::{ChildEntry, ChildProgs, Divisors, Solve};
 use beast_core::analyze::steps::{range_box, values_box};
 use beast_core::analyze::{
     self, AbsFile, AbsProgs, AbsSteps, Congruence, LintGate, LintSummary, Verdict, Window,
@@ -325,6 +325,37 @@ fn credit_passes(
     (n, elided)
 }
 
+/// Credit `entries` solved entries of a loop whose opening check is
+/// constraint `c`, each over `len` values with `hits` passing values in all:
+/// exactly what `entries · len` scalar evaluations of the check would
+/// record — all evaluated, all but the hits rejected.
+#[inline]
+fn credit_solved(
+    stats: &mut PruneStats,
+    blocks: &mut BlockStats,
+    c: usize,
+    entries: u64,
+    len: u64,
+    hits: u64,
+) {
+    stats.evaluated[c] += entries * len;
+    stats.pruned[c] += entries * len - hits;
+    blocks.loops_solved += entries;
+    blocks.points_solved += entries * len;
+}
+
+/// Advance the cancel-poll countdown by `ticks` loop advances; once
+/// [`CANCEL_POLL_EVERY`] have passed, restart it and ask the chunk's probe.
+/// `true` when the chunk is cancelled.
+#[inline]
+fn poll_tick(poll: &mut u32, ticks: u32, ctx: &ChunkCtx<'_>) -> bool {
+    *poll = poll.saturating_add(ticks);
+    *poll >= CANCEL_POLL_EVERY && {
+        *poll = 0;
+        ctx.cancel.is_some_and(|p| p.cancelled())
+    }
+}
+
 /// Point the checks at `check_ips` (runs and opaque checks) at `target` on
 /// rejection: the end of the scope they sit in.
 fn patch_rejects(ops: &mut [Op], check_ips: Vec<usize>, target: usize) {
@@ -349,6 +380,21 @@ struct LoopSolve {
     /// none): a check the guard elided is statically true over the subtree
     /// — nothing to solve — and is credited through the elision counters.
     elide_mask: u64,
+}
+
+/// One loop that solves its child (a [`LoopSolve`] one step below, whose
+/// coefficient is `c·x + d` in this loop's slot `x`): at its `Op::Enter` the
+/// engine evaluates `c`, `d`, the child's offset and range once, steps only
+/// over the values whose child solve hits or cannot be decided
+/// ([`ChildEntry::candidates`]), and credits every other value as the
+/// child's own solve would. Not placed where the child has a guard, whose
+/// runs and verdicts are per value.
+#[derive(Debug, Clone)]
+struct ParentSolve {
+    progs: ChildProgs,
+    /// The child's slot, set to its range's last value when no value is a
+    /// candidate, as the last value's solved entry would leave it.
+    child_slot: u32,
 }
 
 /// The build's one run of the preamble (the defines and checks before the
@@ -391,6 +437,8 @@ pub struct Compiled {
     preamble: Preamble,
     /// Per-loop narrowing table.
     narrow: Vec<Option<LoopSolve>>,
+    /// Per-loop table of loops that solve their child.
+    parents: Vec<Option<ParentSolve>>,
     /// Per-loop replay table.
     replay: replay::Table,
     point_names: Arc<[Arc<str>]>,
@@ -530,11 +578,14 @@ impl Compiled {
         let fanout_below: Vec<u64> = plan.iter().map(|p| p.fanout_below).collect();
         let (guards, gprogs) = build_guards(&lp, &abs, &plan, opts);
 
-        let narrow = plan.iter().enumerate().map(|(l, p)| {
-            let n = p.narrowing.as_ref().filter(|_| narrows(l, p))?;
-            let elide_mask = if n.constraint < 64 { 1u64 << n.constraint } else { 0 };
-            Some(LoopSolve { solve: Solve::new(n), elide_mask })
-        });
+        let narrow: Vec<Option<LoopSolve>> = (plan.iter().enumerate())
+            .map(|(l, p)| {
+                let n = p.narrowing.as_ref().filter(|_| narrows(l, p))?;
+                let elide_mask = if n.constraint < 64 { 1u64 << n.constraint } else { 0 };
+                Some(LoopSolve { solve: Solve::new(n), elide_mask })
+            })
+            .collect();
+        let parents = parent_table(&plan, &narrow, &guards);
         let point_names: Arc<[Arc<str>]> =
             Arc::from(lp.slot_names.clone().into_boxed_slice());
         let lint = (opts.lint != LintGate::Allow)
@@ -552,7 +603,8 @@ impl Compiled {
                 stats: PruneStats::default(),
                 outcome: Ok(false),
             },
-            narrow: narrow.collect(),
+            narrow,
+            parents,
             replay: replay::Table::build(&plan),
             point_names,
             lint,
@@ -620,6 +672,8 @@ impl Compiled {
             gfile: self.gprogs.file(),
             #[cfg(test)]
             guard_log: Vec::new(),
+            #[cfg(test)]
+            parent_entries: 0,
             elide: 0,
             faults: Vec::new(),
             visit_ordinal: 0,
@@ -643,6 +697,15 @@ impl Compiled {
         let abs = AbsSteps::new(&self.lp).with_full_product();
         let plan = levels(&self.lp).levels;
         (self.guards, self.gprogs) = build_guards(&self.lp, &abs, &plan, self.opts);
+        self.parents = parent_table(&plan, &self.narrow, &self.guards);
+        self
+    }
+
+    /// Test hook: the same engine with no loop solving its child, so every
+    /// value of a parent enters the child's own solve.
+    #[cfg(test)]
+    pub(crate) fn decline_parents(mut self) -> Self {
+        self.parents.fill(None);
         self
     }
 
@@ -773,6 +836,26 @@ impl Compiled {
         })
     }
 
+    /// The child solve loop `ps`, entered at `ip`, runs for the entry
+    /// `slots` opens: the child's range bounds (its `Enter` is the next
+    /// instruction) and `ps`'s `c`, `d` and `child`'s offset, evaluated
+    /// once. `None` when any of them fails to evaluate.
+    fn child_entry(
+        &self,
+        ps: &ParentSolve,
+        child: &Solve,
+        ip: usize,
+        slots: &[i64],
+    ) -> Option<ChildEntry> {
+        let Op::Enter { domain: CDomain::Range { start, stop, step }, .. } = &self.ops[ip + 1]
+        else {
+            unreachable!("a solved child is a range loop entered first in its parent's body")
+        };
+        let (start, stop, step) =
+            (start.eval(slots).ok()?, stop.eval(slots).ok()?, step.eval(slots).ok()?);
+        ps.progs.entry(child, slots, start, step, range_len(start, stop, step))
+    }
+
     fn bindings_view<'a>(&'a self, slots: &'a [i64]) -> SlotView<'a> {
         SlotView {
             names: &self.lp.slot_names,
@@ -894,6 +977,51 @@ impl Compiled {
                     let f = &mut frames[l];
                     f.saved_elide = state.elide;
                     state.elide |= elide_add;
+                    // In-parent solve: step only over the values whose
+                    // child solve hits or cannot be decided, and credit
+                    // every other one exactly as the child's own solve would
+                    // (see `ParentSolve`). Not over a chunk's values, nor
+                    // when the child's check is elided here or anything
+                    // fails to evaluate or to be proven: those enter the
+                    // child for every value.
+                    if let (Some(ps), FrameKind::Range) = (&self.parents[l], &f.kind) {
+                        let child = self.narrow[l + 1].as_ref().expect("a solved child");
+                        let entry = (state.elide & child.elide_mask == 0)
+                            .then(|| self.child_entry(ps, &child.solve, ip, slots))
+                            .flatten()
+                            .filter(|e| {
+                                e.candidates(f.cur, f.step, len, &mut f.divisors, &mut f.buf)
+                            });
+                        if let Some(entry) = entry {
+                            let passed = len - f.buf.len() as u64;
+                            let (c, stats) = (child.solve.constraint, &mut state.stats);
+                            credit_solved(stats, &mut state.blocks, c, passed, entry.len, 0);
+                            #[cfg(test)]
+                            {
+                                state.parent_entries += 1;
+                            }
+                            // One poll tick per value passed over, as one
+                            // per loop advance elsewhere.
+                            let ticks = u32::try_from(passed).unwrap_or(u32::MAX);
+                            if poll_cancel && poll_tick(&mut state.poll, ticks, ctx) {
+                                return Err(EvalError::Cancelled);
+                            }
+                            let last = f.cur.wrapping_add(f.step.wrapping_mul((len - 1) as i64));
+                            if let Some(&x) = f.buf.first() {
+                                f.kind = FrameKind::Candidates;
+                                f.idx = 0;
+                                f.cur = last;
+                                slots[*slot as usize] = x;
+                                ip += 1;
+                            } else {
+                                slots[*slot as usize] = last;
+                                slots[ps.child_slot as usize] = entry.last();
+                                state.elide = f.saved_elide;
+                                ip = exit;
+                            }
+                            continue;
+                        }
+                    }
                     // Loop narrowing: when the body opens with a reject-
                     // unless-equal check affine in the loop slot, solve for
                     // the ≤ 1 passing value instead of enumerating (see
@@ -903,14 +1031,8 @@ impl Compiled {
                             .then(|| ns.solve.solve(slots, f.cur, f.step, len))
                             .flatten();
                         if let Some(sol) = solved {
-                            // Credit exactly what `len` scalar evaluations
-                            // of the check would: all evaluated, all but
-                            // the hit rejected.
-                            let c = ns.solve.constraint;
-                            state.stats.evaluated[c] += len;
-                            state.stats.pruned[c] += len - u64::from(sol.hit.is_some());
-                            state.blocks.loops_solved += 1;
-                            state.blocks.points_solved += len;
+                            let (c, hits) = (ns.solve.constraint, u64::from(sol.hit.is_some()));
+                            credit_solved(&mut state.stats, &mut state.blocks, c, 1, len, hits);
                             if let Some(x) = sol.hit {
                                 // Run the body once; `Next` then finds the
                                 // frame dry and parks the slot on `last`.
@@ -945,14 +1067,8 @@ impl Compiled {
                     ip += 1;
                 }
                 Op::Next { loop_id, slot, body } => {
-                    if poll_cancel {
-                        state.poll += 1;
-                        if state.poll >= CANCEL_POLL_EVERY {
-                            state.poll = 0;
-                            if ctx.cancel.is_some_and(|p| p.cancelled()) {
-                                return Err(EvalError::Cancelled);
-                            }
-                        }
+                    if poll_cancel && poll_tick(&mut state.poll, 1, ctx) {
+                        return Err(EvalError::Cancelled);
                     }
                     let f = &mut frames[*loop_id as usize];
                     // A recording this entry opened (and nothing abandoned
@@ -973,11 +1089,7 @@ impl Compiled {
                                 visitor.visit(&PointRef::Slots { names, slots: row });
                                 // One poll tick per replayed point, as one
                                 // per loop advance elsewhere.
-                                *poll += u32::from(poll_cancel);
-                                *poll >= CANCEL_POLL_EVERY && {
-                                    *poll = 0;
-                                    ctx.cancel.is_some_and(|p| p.cancelled())
-                                }
+                                poll_cancel && poll_tick(poll, 1, ctx)
                             },
                         );
                         match closed {
@@ -997,8 +1109,11 @@ impl Compiled {
                             ip = *body as usize;
                         }
                         None => {
-                            if let FrameKind::Solved = f.kind {
-                                slots[*slot as usize] = f.cur;
+                            match f.kind {
+                                FrameKind::Solved | FrameKind::Candidates => {
+                                    slots[*slot as usize] = f.cur
+                                }
+                                _ => {}
                             }
                             state.elide = f.saved_elide;
                             ip += 1;
@@ -1294,6 +1409,22 @@ fn build_guards(
     (guards, AbsProgs::new(lp, abs, opts.congruence, &windows))
 }
 
+/// Per loop: its [`ParentSolve`], when the level plan has it solve its child
+/// (`LevelPlan::child_solve`), the child narrows and the child has no guard.
+fn parent_table(
+    plan: &[LevelPlan],
+    narrow: &[Option<LoopSolve>],
+    guards: &[Option<u32>],
+) -> Vec<Option<ParentSolve>> {
+    (plan.iter().enumerate())
+        .map(|(l, p)| {
+            let s = p.child_solve.as_ref()?;
+            (narrow.get(l + 1)?.is_some() && guards[l + 1].is_none())
+                .then(|| ParentSolve { progs: ChildProgs::new(s), child_slot: plan[l + 1].slot })
+        })
+        .collect()
+}
+
 /// The box of a just-realized, non-empty domain of `len` values — the
 /// guard's view of the loop slot.
 fn domain_facts(domain: &CDomain, f: &Frame, len: u64) -> (Interval, Congruence) {
@@ -1320,6 +1451,8 @@ struct Frame {
     buf: Vec<i64>,
     /// Elision mask to restore when this loop exhausts.
     saved_elide: u64,
+    /// A solving parent's cache of the divisors of its child's last offset.
+    divisors: Divisors,
 }
 
 /// Which iteration fields of a [`Frame`] are live.
@@ -1332,6 +1465,11 @@ enum FrameKind {
     /// A narrowed range running its body for the one solved value: dry,
     /// with `cur` holding the range's last value for the slot's exit state.
     Solved,
+    /// A range that solves its child, stepping over its candidates in
+    /// `buf`, with `cur` holding the range's last value for the slot's exit
+    /// state. The child's slot needs no parking: each candidate's entry of
+    /// the child leaves it on the child range's last value.
+    Candidates,
 }
 
 /// One loop advance — the single definition of `Op::Next`'s stepping
@@ -1354,7 +1492,7 @@ fn advance_frame(f: &mut Frame) -> Option<i64> {
             f.idx += 1;
             f.vals.get(f.idx).copied()
         }
-        FrameKind::Buffer => {
+        FrameKind::Buffer | FrameKind::Candidates => {
             f.idx += 1;
             f.buf.get(f.idx).copied()
         }
@@ -1371,6 +1509,9 @@ struct State<V> {
     /// Every guard run, for the differential test.
     #[cfg(test)]
     guard_log: Vec<GuardCall>,
+    /// Loop entries that stepped over their candidates only.
+    #[cfg(test)]
+    parent_entries: u64,
     /// Bitmask of currently elided checks (bit = constraint index).
     elide: u64,
     /// Faults recovered from during this run (only under
@@ -1936,5 +2077,137 @@ mod tests {
             sliced_out > 100 && congruence_skips > 0,
             "{sliced_out} engines with steps outside the slice, {congruence_skips} congruence skips"
         );
+    }
+
+    /// A serial run of `c` from its preamble record, as digest text —
+    /// fingerprint, count, prune and block counters, or the error — with
+    /// the number of loop entries that stepped over their candidates only.
+    fn run_counting_parents(c: &Compiled) -> (String, u64) {
+        use crate::visit::FingerprintVisitor;
+
+        let mut state = c.fresh_state(FingerprintVisitor::new());
+        let mut file = c.preamble.file.clone();
+        let ran = match c.preamble.outcome.clone() {
+            Ok(true) => c.exec(c.first_enter, None, &mut file, &mut state, &ChunkCtx::plain()),
+            other => other.map(drop),
+        };
+        let v = &state.visitor;
+        let text = match ran {
+            Ok(()) => format!("{:x} {} {:?} {:?}", v.hash, v.count, state.stats, state.blocks),
+            Err(e) => format!("{e:?}"),
+        };
+        (text, state.parent_entries)
+    }
+
+    /// GEMM reduced(16) and the parent-coefficient family of the counter's
+    /// suites (zero, faulting and wrap-adjacent coefficients, `k = 0`,
+    /// negative steps, empty ranges).
+    fn parent_spaces() -> Vec<(String, LoweredPlan)> {
+        let lower = |space: &std::sync::Arc<Space>| {
+            LoweredPlan::new(&Plan::new(space, PlanOptions::default()).unwrap()).unwrap()
+        };
+        let gemm = beast_gemm::build_gemm_space(&beast_gemm::GemmSpaceParams::reduced(16)).unwrap();
+        let seeds = (0..120u64).map(|seed| {
+            (format!("seed {seed}"), lower(&crate::narrow_gen::generate_parent(seed, false).space))
+        });
+        std::iter::once(("gemm reduced(16)".to_string(), lower(&gemm))).chain(seeds).collect()
+    }
+
+    /// A loop that solves its child changes nothing but time: against the
+    /// same engine with the path declined, the survivors' fingerprint,
+    /// `PruneStats` and every `BlockStats` counter — or the error — are
+    /// equal serially, and so are they and the `FaultRecord`s on every
+    /// thread × chunk grid under every fault policy. The path must engage on
+    /// GEMM and on generated seeds, or this proves nothing.
+    #[test]
+    fn a_solving_parent_changes_no_counter_and_engages() {
+        use crate::sweep::{sweep, SweepSpec};
+        use crate::visit::FingerprintVisitor;
+        use std::time::Instant;
+
+        let options = [
+            EngineOptions::default(),
+            EngineOptions::no_intervals(),
+            EngineOptions { min_guard_fanout: 1, ..EngineOptions::default() },
+        ];
+        let policies = [
+            FaultPolicy::Abort,
+            FaultPolicy::SkipPoint,
+            FaultPolicy::QuarantineChunk,
+            FaultPolicy::Retry { max: 1, backoff_ms: 0 },
+        ];
+        let (mut engaged_seeds, mut entries_total) = (0u32, 0u64);
+        for (name, lp) in parent_spaces() {
+            let mut engaged = 0;
+            for opts in options {
+                let on = Compiled::with_options(lp.clone(), opts);
+                let off = Compiled::with_options(lp.clone(), opts).decline_parents();
+                let at = format!("{name} under {}", opts.signature());
+                let ((want, none), (got, entries)) =
+                    (run_counting_parents(&off), run_counting_parents(&on));
+                assert_eq!(none, 0, "{at}: the declined engine solved from a parent");
+                assert_eq!(got, want, "{at}: serial run");
+                engaged += entries;
+                for (slots, chunk_count) in [1, 2, 8].into_iter().flat_map(|s| [(s, 1), (s, 7)]) {
+                    for fault_policy in policies {
+                        let spec =
+                            SweepSpec { slots, chunk_count, fault_policy, ..SweepSpec::default() };
+                        let run = |c: &Compiled| {
+                            let spec = spec.clone().on_engine(c, 0, Instant::now());
+                            match sweep(&lp, &spec, FingerprintVisitor::new) {
+                                Ok((o, r)) => Ok((o.visitor, o.stats, o.blocks, r.faults)),
+                                Err(e) => Err(format!("{e:?}")),
+                            }
+                        };
+                        let at =
+                            format!("{at}, {slots} slots × {chunk_count} chunks, {fault_policy:?}");
+                        assert_eq!(run(&on), run(&off), "{at}");
+                    }
+                }
+            }
+            if name.starts_with("gemm") {
+                assert!(engaged > 0, "{name}: no loop solved its child");
+            }
+            engaged_seeds += u32::from(engaged > 0);
+            entries_total += engaged;
+        }
+        assert!(engaged_seeds > 40, "{engaged_seeds} spaces engaged ({entries_total} entries)");
+    }
+
+    /// Values a solving parent passes over tick the cancel poll, as the
+    /// loop advances they replace did: one outer value, a parent of 5000
+    /// values none of which is a candidate (7919 is prime and the child's
+    /// range stops at 2), so the loop advances alone poll far below the
+    /// cadence and a tripped probe is noticed only through the passed-over
+    /// values.
+    #[test]
+    fn a_cancel_while_passing_over_values_is_noticed() {
+        use crate::fault::{CancelProbe, CancelToken};
+
+        let space = Space::builder("cancel_parent")
+            .range("o", 0, 1)
+            .range("m", 1, 5001)
+            .range("x", 1, 2)
+            .constraint("mx", ConstraintClass::Correctness, (var("m") * var("x")).ne(7919))
+            .build()
+            .unwrap();
+        let order =
+            beast_core::plan::LoopOrder::Explicit(["o", "m", "x"].map(String::from).to_vec());
+        let plan = Plan::new(&space, PlanOptions { order, ..PlanOptions::default() }).unwrap();
+        let c = Compiled::new(LoweredPlan::new(&plan).unwrap());
+        let (_, entries) = run_counting_parents(&c);
+        assert_eq!(entries, 1, "m did not solve its child");
+        let token = std::sync::Arc::new(CancelToken::new());
+        token.cancel();
+        let probe = CancelProbe::new(Some(token), None);
+        let ctx = ChunkCtx {
+            policy: FaultPolicy::Abort,
+            injector: None,
+            chunk: 0,
+            attempt: 0,
+            cancel: Some(&probe),
+        };
+        let run = c.run_loops(Some(&[0]), CountVisitor::default(), &ctx);
+        assert!(matches!(run, Err(EvalError::Cancelled)));
     }
 }

@@ -61,6 +61,8 @@ pub struct BlockStats {
     /// the at most one passing value was computed in closed form (see
     /// `beast_core::analyze::narrow`). The check is still credited in
     /// [`PruneStats`] as evaluated once per value of the realized range.
+    /// An entry its parent solved in closed form, without entering it,
+    /// counts the same.
     pub loops_solved: u64,
     /// Loop values covered by those solved entries (the sum of their
     /// realized range lengths) — check evaluations credited, not executed.

@@ -266,6 +266,7 @@ const WALKER: &str = "--engine walker";
 const REFUSED: &[(&str, &str, &str)] = &[
     (NATIVE, WORKERS, "the native tier already runs its chunks in worker processes"),
     (INJECTOR, WORKERS, "a worker process cannot observe injected faults"),
+    (INJECTOR, "--verify", "the verifying re-run injects no faults, so it cannot match"),
     (PREBUILT, NATIVE, "a prebuilt engine sweeps in process"),
     (PREBUILT, OTHER_OPTIONS, "the engine runs the options it was built with"),
     ("--resume", NO_CHECKPOINT, "there is no checkpoint to resume from"),
@@ -281,7 +282,7 @@ const REFUSED: &[(&str, &str, &str)] = &[
 
 /// Refuse the first refused pairing whose two options `set` both holds,
 /// with [`SweepError::Config`] naming them and why. The pairings: the
-/// native tier or an injector with worker processes; a prebuilt engine with
+/// native tier or an injector with worker processes or `--verify`; a prebuilt engine with
 /// the native tier or other options; `--resume` or `--every` with no
 /// `--checkpoint`; and the serial walker with a flag only a chunked sweep
 /// reads (`--stop-after`, `--deadline`, `--policy`, `--verify`,
@@ -403,7 +404,7 @@ where
 {
     let plan = Plan::new(space, PlanOptions::default())?;
     let lowered = LoweredPlan::new(&plan)?;
-    let names = Compiled::new(lowered.clone()).point_names().clone();
+    let names: Arc<[Arc<str>]> = lowered.slot_names.clone().into();
     let (out, _) = sweep(&lowered, &SweepSpec::new(threads), move || {
         BestK::new(names.clone(), k, score.clone())
     })?;

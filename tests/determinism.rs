@@ -962,3 +962,64 @@ fn generated_preamble_spaces_agree_on_every_path() {
     let counts = format!("{swept} swept, {empty} empty, {failed} failed");
     assert!(swept > 30 && empty > 5 && failed > 10, "{counts}");
 }
+
+/// The parent-coefficient family — a loop that solves its child, with
+/// zero, faulting and wrap-adjacent coefficients, `k = 0`, negative steps
+/// and empty ranges — agrees with the walker (survivors, fingerprint and
+/// `PruneStats` with block pruning off, or the root error) wherever the
+/// walker's checked arithmetic does not overflow on a value the wrapping
+/// engine accepts, and with the serial run on every thread × chunk grid,
+/// through the worker transport and the cache, counters included. (The
+/// native tier is left out: its workers do not replay, and this family
+/// has unread loops.)
+#[test]
+fn generated_parent_solves_agree_on_every_path() {
+    let (mut swept, mut failed, mut wrapped) = (0, 0, 0);
+    for seed in 0..60u64 {
+        let lp = lower(&narrow_gen::generate_parent(seed, false).space);
+        let plain = Compiled::with_options(lp.clone(), EngineOptions::no_intervals())
+            .run(FingerprintVisitor::new());
+        let walker = Walker::new(&lp.plan, LoopStyle::RangeLazy).run(FingerprintVisitor::new());
+        match (&plain, &walker) {
+            (Ok(p), Ok(w)) => assert_eq!(
+                (p.visitor.hash, p.visitor.count, &p.stats),
+                (w.visitor.hash, w.visitor.count, &w.stats),
+                "seed {seed}: walker"
+            ),
+            (Err(p), Err(w)) => assert_eq!(p.root(), w.root(), "seed {seed}: walker"),
+            _ => {
+                wrapped += 1;
+                continue;
+            }
+        }
+        let want = digest(
+            Compiled::new(lp.clone()).run(FingerprintVisitor::new()).map_err(SweepError::Eval),
+        );
+        let shapes =
+            THREAD_COUNTS.iter().flat_map(|&slots| [1, 7].map(|chunks| (slots, chunks, "")));
+        for (slots, chunks, parts) in shapes.chain(["workers", "cache"].map(|parts| (2, 7, parts)))
+        {
+            let cache = SweepCache::new();
+            let mut spec = SweepSpec { slots, chunk_count: chunks, ..SweepSpec::default() };
+            if parts == "workers" {
+                spec = spec.workers(Workers::new(Vec::new()));
+            }
+            if parts == "cache" {
+                spec = spec.cache(&cache, "parent");
+            }
+            let passes: &[&str] = if parts == "cache" { &["cold", "warm"] } else { &[""] };
+            for pass in passes {
+                let out = sweep(&lp, &spec, FingerprintVisitor::new).map(|o| o.0);
+                let at = format!("seed {seed}: {slots} slots, {chunks} chunks [{parts}] {pass}");
+                assert_eq!(digest(out), want, "{at}");
+            }
+        }
+        if want.is_ok() {
+            swept += 1;
+        } else {
+            failed += 1;
+        }
+    }
+    let counts = format!("{swept} swept, {failed} failed, {wrapped} wrapped");
+    assert!(swept > 30 && failed > 5 && wrapped < 15, "{counts}");
+}

@@ -254,6 +254,75 @@ fn narrowed_loops_fault_exactly_like_enumerated_ones() {
     }
 }
 
+#[path = "common/narrow_gen.rs"]
+#[allow(dead_code)]
+mod narrow_gen;
+
+/// A loop that solves its child under every fault policy, with and
+/// without the injector, on the parent-coefficient family (coefficients
+/// and offsets that divide by zero at `g = 1`, zero, wrap-adjacent, `k =
+/// 0`): against its spelled twin, which nothing narrows or solves, the
+/// survivors' fingerprint, `PruneStats` and `FaultRecord`s — sites,
+/// ordinals, bindings — are equal on every thread × chunk grid, or both
+/// fail (with the same error on one thread). A coefficient that cannot be evaluated sends
+/// every value into the child, whose check then faults where the
+/// enumerating twin's does.
+#[test]
+fn parent_solved_loops_fault_exactly_like_enumerated_ones() {
+    let lower = |spelled, seed| {
+        let g = narrow_gen::generate_parent(seed, spelled);
+        LoweredPlan::new(&Plan::new(&g.space, PlanOptions::default()).unwrap()).unwrap()
+    };
+    let policies = [
+        FaultPolicy::SkipPoint,
+        FaultPolicy::Retry { max: 1, backoff_ms: 0 },
+        FaultPolicy::QuarantineChunk,
+        FaultPolicy::Abort,
+    ];
+    let (mut faulted, mut solved) = (0u32, 0u64);
+    for seed in 0..60u64 {
+        let (parent, twin) = (lower(false, seed), lower(true, seed));
+        for policy in policies {
+            for inject in [false, true] {
+                for (threads, chunk_count) in
+                    THREAD_COUNTS.into_iter().flat_map(|t| [(t, 4), (t, 7)])
+                {
+                    let run = |lp: &LoweredPlan| {
+                        let mut o = SweepSpec { chunk_count, ..opts(threads) };
+                        o.engine = EngineOptions::no_intervals();
+                        o.fault_policy = policy;
+                        if inject {
+                            o.injector = Some(FaultInjector::new(seed).error_rate(0.05));
+                        }
+                        sweep(lp, &o, FingerprintVisitor::default)
+                    };
+                    let at = format!(
+                        "seed {seed}, {policy:?}, inject={inject}, {threads} × {chunk_count}"
+                    );
+                    match (run(&parent), run(&twin)) {
+                        (Ok((p, p_report)), Ok((t, t_report))) => {
+                            assert_eq!(p.visitor, t.visitor, "{at}: fingerprint");
+                            assert_eq!(p.stats, t.stats, "{at}: PruneStats");
+                            assert_eq!(p_report.faults, t_report.faults, "{at}: fault records");
+                            assert_eq!(t.blocks.loops_solved, 0, "{at}: the twin solved");
+                            faulted += u32::from(!inject && !p_report.faults.is_empty());
+                            solved += p.blocks.loops_solved;
+                        }
+                        // The error that stops a sweep is the first one to
+                        // fire, which only one thread pins.
+                        (Err(_), Err(_)) if threads > 1 => {}
+                        (Err(p), Err(t)) => assert_eq!(p.to_string(), t.to_string(), "{at}"),
+                        (p, t) => {
+                            panic!("{at}: one side failed: {:?} vs {:?}", p.is_ok(), t.is_ok())
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(faulted > 20 && solved > 1000, "{faulted} faulting runs, {solved} loops solved");
+}
+
 /// A space whose `u` and `v` loops are read by nothing, so the engine
 /// replays them (`spelled` = false) — or, with `u - u` spelled into a later
 /// bind bound (never folded, always zero), enumerates `u` like any other
