@@ -174,3 +174,116 @@ fn interrupted_distribute_resumes_bit_identically() {
         "the resume must pick up exactly where the interruption stopped"
     );
 }
+
+/// The fault records of a `--json` dump as `(chunk, kind, attempt)`.
+fn fault_records(doc: &JsonValue) -> Vec<(u64, String, u64)> {
+    let faults = doc.get("report").unwrap().get("faults").unwrap().items().unwrap();
+    let field = |f: &JsonValue, k: &str| f.get(k).unwrap().clone();
+    faults
+        .iter()
+        .map(|f| {
+            let kind = field(f, "kind").as_str().unwrap().to_string();
+            (field(f, "chunk").as_u64().unwrap(), kind, field(f, "attempt").as_u64().unwrap())
+        })
+        .collect()
+}
+
+/// A report with the fields CI's "Front ends agree" step drops: timing,
+/// per-worker rows and the transport's fault counters.
+fn comparable(doc: &JsonValue) -> Vec<(String, JsonValue)> {
+    const DROP: [&str; 5] =
+        ["elapsed_s", "tuples_per_sec", "imbalance", "workers", "fault_counters"];
+    let Some(JsonValue::Obj(fields)) = doc.get("report") else { panic!("report is an object") };
+    fields.iter().filter(|(k, _)| !DROP.contains(&k.as_str())).cloned().collect()
+}
+
+/// Real worker processes on the pipelined path: at every worker count and
+/// chunk grid — one chunk, fewer chunks than two per worker, many — the
+/// report equals `repro sweep`'s on the same grid, and a clean run spawns
+/// one worker per slot dealt a shard, restarting, retrying and timing out
+/// nothing.
+#[test]
+fn distribute_writes_the_sweep_report_on_every_grid() {
+    for chunks in ["1", "7", "64"] {
+        for workers in ["1", "2", "3"] {
+            let at = format!("--workers {workers} --chunks {chunks}");
+            let (want, got) = (scratch("grid-sweep.json"), scratch("grid-dist.json"));
+            let (code, _, err) = repro(&[
+                "sweep", DIM, "--threads", workers, "--chunks", chunks,
+                "--json", want.to_str().unwrap(),
+            ]);
+            assert_eq!(code, Some(0), "sweep {at}: {err}");
+            let (code, _, err) = repro(&[
+                "distribute", DIM, "--workers", workers, "--chunks", chunks,
+                "--json", got.to_str().unwrap(),
+            ]);
+            assert_eq!(code, Some(0), "distribute {at}: {err}");
+            let ((want_fp, _, want), (fp, _, doc)) = (read_json(&want), read_json(&got));
+            assert_eq!(fp, want_fp, "{at}: fingerprint");
+            assert_eq!(comparable(&doc), comparable(&want), "{at}: report");
+            let slots = workers.parse::<u64>().unwrap().min(chunks.parse().unwrap());
+            assert_eq!(counter(&doc, "workers_spawned"), slots, "{at}: one worker per slot dealt");
+            for clean in ["worker_restarts", "shards_retried", "heartbeat_timeouts"] {
+                assert_eq!(counter(&doc, clean), 0, "{at}: {clean}");
+            }
+        }
+    }
+}
+
+/// A worker that dies holding a queued shard: the fault belongs to the
+/// shard the slot was waiting on, and the queued one is re-dealt with no
+/// record of its own. `--die-after 2` kills every worker on its second
+/// shard, so each of the three the default budget allows one slot (the
+/// first and two respawns) dies once — on the awaited chunks 1, 2 and 3,
+/// with 2, 3 and 4 queued behind them — before the slot degrades to
+/// evaluating in process.
+#[test]
+fn a_worker_dying_with_a_queued_shard_faults_only_the_awaited_one() {
+    let (serial_fp, _) = serial_reference(&scratch("queued-die-serial.json"));
+    let json = scratch("queued-die.json");
+    let (code, _, err) = repro(&[
+        "distribute", DIM, "--workers", "1", "--chunks", CHUNKS, "--die-after", "2",
+        "--json", json.to_str().unwrap(),
+    ]);
+    assert_eq!(code, Some(0), "{err}");
+    let (fp, _, doc) = read_json(&json);
+    assert_eq!(fp, serial_fp);
+    let exit = |chunk| (chunk, "worker_exit".to_string(), 0);
+    assert_eq!(fault_records(&doc), vec![exit(1), exit(2), exit(3)]);
+}
+
+/// `--chaos-kill-after 2` on one worker: the supervisor writes shards 0
+/// and 1 back to back while the worker boots, and SIGKILLs it right after
+/// the second, so it dies before it can answer either. The one record is
+/// on chunk 0, the awaited shard; chunk 1 is re-dealt without one.
+#[test]
+fn a_supervisor_kill_with_a_queued_shard_faults_only_the_awaited_one() {
+    let (serial_fp, _) = serial_reference(&scratch("queued-kill-serial.json"));
+    let json = scratch("queued-kill.json");
+    let (code, _, err) = repro(&[
+        "distribute", DIM, "--workers", "1", "--chunks", CHUNKS, "--chaos-kill-after", "2",
+        "--json", json.to_str().unwrap(),
+    ]);
+    assert_eq!(code, Some(0), "{err}");
+    let (fp, _, doc) = read_json(&json);
+    assert_eq!(fp, serial_fp);
+    assert_eq!(fault_records(&doc), vec![(0, "worker_exit".to_string(), 0)]);
+    assert_eq!((counter(&doc, "workers_spawned"), counter(&doc, "worker_restarts")), (2, 1));
+}
+
+/// `--stop-after 5` deals no sixth chunk, queued or not: the checkpoint
+/// holds exactly five.
+#[test]
+fn stop_after_never_claims_past_its_limit() {
+    for workers in ["1", "2"] {
+        let ck = scratch(&format!("stop-w{workers}.ck.json"));
+        let _ = std::fs::remove_file(&ck);
+        let (code, _, err) = repro(&[
+            "distribute", DIM, "--workers", workers, "--chunks", CHUNKS,
+            "--checkpoint", ck.to_str().unwrap(), "--stop-after", "5",
+        ]);
+        assert_eq!(code, Some(3), "{workers} worker(s): {err}");
+        let doc = JsonValue::parse(&std::fs::read_to_string(&ck).unwrap()).unwrap();
+        assert_eq!(doc.get("next").unwrap().as_u64(), Some(5), "{workers} worker(s)");
+    }
+}

@@ -26,24 +26,44 @@
 //! faults), `fail` (abort-policy error or panic). The full grammar and
 //! failure matrix live in `docs/DISTRIBUTED.md`.
 //!
+//! # Overlapping the hop
+//!
+//! A worker reads its frames in order and answers each shard in turn, so
+//! the supervisor need not wait for one reply before dealing the next:
+//!
+//! * each slot keeps **two shards in flight** — it claims its next chunk
+//!   and writes that shard before it waits on the current reply, so the
+//!   worker finds its next shard in the pipe as it writes a `done`. Replies
+//!   match the oldest shard in flight. A slot keeps one once fewer undealt
+//!   chunks remain than slots, so idle slots get the tail;
+//! * the **handshake is off the critical path** — the first slot's worker
+//!   is spawned and sent `hello` when [`sweep`] creates the executor, before
+//!   the supervisor builds its own engine; the other slots' when the frame
+//!   knows how many slots it deals to. Shards follow right behind `hello`,
+//!   and `ready` is checked before the first reply is accepted.
+//!
 //! # Robustness model
 //!
 //! Worker death (crash, `kill -9`, closed pipe), silence (heartbeat/read
 //! deadline expired) and lies (malformed or mismatched replies) are all
-//! *worker-level faults*, which is all this module says about them: the
-//! frame records each as a `FaultRecord` with kind
-//! [`FaultKind::WorkerExit`] / [`FaultKind::WorkerTimeout`] /
+//! *worker-level faults* of the shard being waited on, which is all this
+//! module says about them: the frame records each as a `FaultRecord` with
+//! kind [`FaultKind::WorkerExit`] / [`FaultKind::WorkerTimeout`] /
 //! [`FaultKind::ProtocolError`] and has the slot re-deal the shard with
 //! exponential backoff — to a respawned worker while the restart budget
-//! lasts, then to the supervisor's own in-process engine. After
-//! [`Workers::retry_max`] failed deals the shard is
-//! quarantined exactly like a chunk under [`FaultPolicy::QuarantineChunk`].
-//! When spawning fails entirely the run degrades to in-process evaluation
-//! and still completes. Because nothing from a failed attempt is ever folded
-//! (a worker's reply is validated in full first, and evaluation is
-//! deterministic), retries cannot change the merged outcome: survivors,
-//! emission order, statistics and fingerprints are bit-identical to a serial
-//! run at any worker count.
+//! lasts, then to the supervisor's own in-process engine. A shard queued
+//! behind it that the dead worker never answered is re-dealt when its turn
+//! comes, with no record of its own. After [`Workers::retry_max`] failed
+//! deals the shard is quarantined exactly like a chunk under
+//! [`FaultPolicy::QuarantineChunk`]. A worker whose `ready` names another
+//! plan or other engine options, and a worker command that cannot spawn,
+//! degrade the slot to in-process evaluation, and the run still completes.
+//! Because nothing from a failed attempt is ever folded (a worker's reply
+//! is validated in full first, and evaluation is deterministic), retries
+//! cannot change the merged outcome: survivors, emission order, statistics
+//! and fingerprints are bit-identical to a serial run at any worker count.
+//! Every worker started is shut down and reaped on every exit path,
+//! returns before the first deal included.
 //!
 //! Everything else is the frame's and the spec's: a [`SweepSpec`] with
 //! [`SweepSpec::workers`] attached is swept by [`crate::sweep::sweep`] like
@@ -54,6 +74,7 @@
 //! (`tests/fault_tolerance.rs`, and end to end `tests/distribute.rs` in
 //! `beast-bench`).
 
+use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -108,9 +129,10 @@ pub struct Workers {
     /// `2 × slots`). Once spent, slots that lose their worker degrade to
     /// in-process evaluation instead of respawning.
     pub restart_max: usize,
-    /// Chaos knob: `kill -9` the worker that receives the Nth dealt shard
-    /// (1-based) right after dispatching it. Exercises the `WorkerExit`
-    /// recovery path deterministically in tests and the CI smoke job.
+    /// Chaos knob: `kill -9` the worker that is written the Nth dealt shard
+    /// (1-based) right after writing it; the fault lands on the oldest shard
+    /// that worker holds. Exercises the `WorkerExit` recovery path
+    /// deterministically in tests and the CI smoke job.
     pub chaos_kill_after: Option<u64>,
 }
 
@@ -471,25 +493,53 @@ where
 // Supervisor side
 // ---------------------------------------------------------------------------
 
-/// A live worker process: its child handle, its stdin for frames out, and a
+/// A shard frame up to this long is written the moment it is dealt, while
+/// the worker may still be booting or busy: `hello` and two such frames
+/// fit in a pipe's buffer (64 KiB by default on Linux, 16 KiB on macOS), so
+/// the write cannot block on a worker that reads nothing. A longer frame
+/// waits until the worker has answered every shard before it.
+const AHEAD_BYTES: usize = 4096;
+
+/// How a worker failed its `ready` check.
+enum Handshake {
+    /// It died or went silent with shards in flight: a worker-level fault
+    /// of the shard being waited on.
+    Fault(FaultKind, String),
+    /// It answered with something other than this plan under these
+    /// options: the slot degrades to in-process evaluation.
+    Refused,
+}
+
+/// A shard dealt to a worker: its chunk and, while it is unwritten, its
+/// frame (held back by [`AHEAD_BYTES`], or not delivered because the pipe
+/// closed).
+struct Flight {
+    chunk: usize,
+    held: Option<String>,
+}
+
+/// A live worker process: its child handle, its stdin for frames out, a
 /// channel fed by a reader thread draining its stdout — so the supervisor
-/// can wait on replies *with a deadline* (the stall detector).
+/// can wait on replies *with a deadline* (the stall detector) — and the
+/// shards it holds, oldest first, which is the order it answers them in.
 struct Link {
     child: Child,
     stdin: ChildStdin,
     rx: Receiver<Result<String, String>>,
+    /// Its `ready` was read and matched.
+    ready: bool,
+    /// It was dealt a shard.
+    dealt: bool,
+    /// A write failed: the worker closed its pipe, and nothing more is
+    /// written to it.
+    closed: bool,
+    flights: VecDeque<Flight>,
 }
 
 impl Link {
-    /// Spawn the worker command and complete the `hello`/`ready` handshake,
-    /// verifying it evaluates the same plan under the same engine options.
-    fn connect(
-        cmd: &[String],
-        hello: &str,
-        structural: &str,
-        engine_sig: &str,
-        deadline: Duration,
-    ) -> Result<Link, String> {
+    /// Spawn the worker command and write `hello`, without waiting for
+    /// `ready`: that is read before the first reply ([`Link::check_ready`]).
+    fn spawn(cmd: &[String], hello: &str) -> Result<Link, String> {
         let (head, rest) = cmd.split_first().ok_or_else(|| "empty worker command".to_string())?;
         let mut child = Command::new(head)
             .args(rest)
@@ -514,51 +564,84 @@ impl Link {
                 }
             }
         });
-        let mut link = Link { child, stdin, rx };
-        if let Err(e) = link.handshake(hello, structural, engine_sig, deadline) {
-            link.kill();
-            return Err(e);
-        }
+        let flights = VecDeque::new();
+        let mut link =
+            Link { child, stdin, rx, ready: false, dealt: false, closed: false, flights };
+        // A worker gone before it reads `hello` fails its `ready` check.
+        link.closed = write_frame(&mut link.stdin, hello).is_err();
         Ok(link)
     }
 
-    fn handshake(
+    /// Queue `frame` for `chunk` behind the shards in flight, writing it
+    /// now where that cannot block (see [`AHEAD_BYTES`]); true if written.
+    fn post(&mut self, chunk: usize, frame: String) -> bool {
+        let idle = self.ready && self.flights.is_empty();
+        let now = self.flights.iter().all(|f| f.held.is_none())
+            && (idle || frame.len() <= AHEAD_BYTES);
+        let held = if now { self.write(frame) } else { Some(frame) };
+        let written = held.is_none();
+        self.flights.push_back(Flight { chunk, held });
+        written
+    }
+
+    /// Write `frame`, or hand it back if the pipe is closed.
+    fn write(&mut self, frame: String) -> Option<String> {
+        if self.closed || write_frame(&mut self.stdin, &frame).is_err() {
+            self.closed = true;
+            return Some(frame);
+        }
+        None
+    }
+
+    /// Read the worker's `ready` and check that it evaluates the same plan
+    /// under the same engine options.
+    fn check_ready(
         &mut self,
-        hello: &str,
         structural: &str,
         engine_sig: &str,
         deadline: Duration,
-    ) -> Result<(), String> {
-        write_frame(&mut self.stdin, hello).map_err(|e| format!("send hello: {e}"))?;
+    ) -> Result<(), Handshake> {
+        let fault = |kind, error: &str| Err(Handshake::Fault(kind, error.to_string()));
         let frame = match self.rx.recv_timeout(deadline) {
             Ok(Ok(f)) => f,
-            Ok(Err(e)) => return Err(format!("handshake: {e}")),
-            Err(_) => return Err("no ready frame before the deadline".to_string()),
+            Ok(Err(e)) => return fault(FaultKind::WorkerExit, &format!("handshake: {e}")),
+            Err(RecvTimeoutError::Timeout) => {
+                let error = format!("no ready frame within {deadline:?}");
+                return fault(FaultKind::WorkerTimeout, &error);
+            }
+            Err(RecvTimeoutError::Disconnected) => {
+                return fault(FaultKind::WorkerExit, "worker exited before its ready frame")
+            }
         };
-        let doc = JsonValue::parse(&frame).map_err(|e| format!("ready: {e}"))?;
-        let ready = doc.get("ready").ok_or_else(|| "first frame is not ready".to_string())?;
-        if ready.get("structural").and_then(JsonValue::as_str) != Some(structural) {
-            return Err("worker evaluates a different plan (structural fingerprint mismatch)"
-                .to_string());
+        let doc = JsonValue::parse(&frame).map_err(|_| Handshake::Refused)?;
+        let ready = doc.get("ready").ok_or(Handshake::Refused)?;
+        let same = ready.get("structural").and_then(JsonValue::as_str) == Some(structural)
+            && ready.get("engine").and_then(JsonValue::as_str) == Some(engine_sig);
+        if !same {
+            return Err(Handshake::Refused);
         }
-        if ready.get("engine").and_then(JsonValue::as_str) != Some(engine_sig) {
-            return Err("worker runs different engine options (signature mismatch)".to_string());
-        }
+        self.ready = true;
         Ok(())
     }
 
-    /// Kill and reap immediately (fault paths).
-    fn kill(&mut self) {
+    /// Kill and reap immediately.
+    fn kill(mut self) {
         let _ = self.child.kill();
         let _ = self.child.wait();
     }
 
-    /// Graceful shutdown: send `bye`, give the worker a short grace period
-    /// to exit on its own, then kill and reap — children are never leaked.
-    /// The reader thread hangs up at the worker's stdout EOF, i.e. as it
-    /// exits, so a healthy worker is reaped the moment it is gone.
+    /// Release the worker; children are never leaked. One that still holds
+    /// shards nobody will wait for, or never got past `hello`, is killed
+    /// and reaped at once. One that answered everything it was dealt gets
+    /// `bye` and a short grace period to exit on its own, then is killed
+    /// and reaped: the reader thread hangs up at the worker's stdout EOF,
+    /// i.e. as it exits, so a healthy worker is reaped the moment it is
+    /// gone.
     fn shutdown(self) {
-        let Link { mut child, mut stdin, rx } = self;
+        if !self.ready || !self.flights.is_empty() {
+            return self.kill();
+        }
+        let Link { mut child, mut stdin, rx, .. } = self;
         let _ = write_frame(&mut stdin, &format!("{{\"v\":{PROTOCOL_VERSION},\"bye\":{{}}}}"));
         drop(stdin);
         let grace = Instant::now() + Duration::from_millis(500);
@@ -586,15 +669,19 @@ struct LinkSlot {
     /// A worker was spawned for this slot before (a new one is a respawn).
     started: bool,
     /// Permanent degradation to in-process evaluation: entered when spawning
-    /// fails or the restart budget is spent (or with no worker command).
+    /// fails, a worker fails its `ready` check or the restart budget is
+    /// spent (or with no worker command).
     inproc: bool,
 }
 
 /// The distribute executor of the sweep frame: slot *s* owns at most one
-/// worker process, to which its chunk is written as a `shard` frame and whose
-/// reply is awaited under the heartbeat deadline. Worker death, silence and
-/// lies are answered as worker-level faults — the frame re-deals or
-/// quarantines — and a slot that cannot (re)spawn answers *evaluate locally*.
+/// worker process, to which its chunks are written as `shard` frames — up
+/// to two in flight — and whose replies are awaited, oldest
+/// first, under the heartbeat deadline. Worker death, silence and lies are
+/// answered as worker-level faults of the awaited shard — the frame
+/// re-deals or quarantines it, and re-deals the shards queued behind it
+/// when their turn comes — and a slot that cannot (re)spawn answers
+/// *evaluate locally*.
 pub(crate) struct LinkExecutor<'a, V> {
     workers: &'a Workers,
     codec: StateCodec<V>,
@@ -604,17 +691,31 @@ pub(crate) struct LinkExecutor<'a, V> {
     n_constraints: usize,
     restart_budget: usize,
     slots: Vec<Mutex<LinkSlot>>,
-    /// Shards dispatched to worker processes (the chaos-kill ordinal).
+    /// Shards written to worker processes (the chaos-kill ordinal).
     dealt: AtomicU64,
     /// Worker respawns consumed from the restart budget.
     restarts: AtomicUsize,
-    /// Successful spawns (handshake included).
+    /// Workers dealt a shard.
     spawned: AtomicU64,
-    /// Successful re-spawns after a worker died mid-run.
+    /// Workers spawned to replace one that died mid-run.
     respawned: AtomicU64,
 }
 
 impl<V: Visitor> ChunkExecutor<V> for LinkExecutor<'_, V> {
+    fn start(&self, slots: usize) {
+        for slot in self.slots.iter().take(slots).skip(1) {
+            self.acquire(&mut slot.lock().unwrap());
+        }
+    }
+
+    fn queues(&self) -> bool {
+        true
+    }
+
+    fn send(&self, slot: usize, chunk: usize, values: &[i64]) {
+        self.post(&mut self.slots[slot].lock().unwrap(), chunk, values);
+    }
+
     fn run(
         &self,
         slot: usize,
@@ -624,67 +725,30 @@ impl<V: Visitor> ChunkExecutor<V> for LinkExecutor<'_, V> {
         make_visitor: &dyn Fn() -> V,
     ) -> Answer<V> {
         let mut slot = self.slots[slot].lock().unwrap();
-        // Worker acquisition: first spawn is free, respawns draw on the
-        // shared restart budget; failures degrade this slot permanently.
-        if !slot.inproc && slot.link.is_none() {
-            if slot.started && self.restarts.fetch_add(1, Ordering::Relaxed) >= self.restart_budget {
-                slot.inproc = true;
-            } else {
-                match Link::connect(
-                    &self.workers.cmd,
-                    &self.hello,
-                    &self.structural,
-                    &self.engine_sig,
-                    self.workers.heartbeat,
-                ) {
-                    Ok(l) => {
-                        self.spawned.fetch_add(1, Ordering::Relaxed);
-                        if slot.started {
-                            self.respawned.fetch_add(1, Ordering::Relaxed);
-                        }
-                        slot.started = true;
-                        slot.link = Some(l);
-                    }
-                    Err(_) => slot.inproc = true,
-                }
-            }
-        }
+        // Deal the chunk unless it is in flight already; either way it is
+        // the oldest shard in flight, because the frame deals in chunk
+        // order and a fault drops every shard its worker held.
+        self.post(&mut slot, chunk, values);
         // Graceful degradation: the supervisor's own engine evaluates the
         // shard — bit-identical by the determinism contract, merely slower.
         let Some(l) = slot.link.as_mut() else { return Answer::Local };
-
-        let shard_no = self.dealt.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut frame = String::with_capacity(64 + values.len() * 8);
-        {
-            use std::fmt::Write as _;
-            let _ = write!(
-                frame,
-                "{{\"v\":{PROTOCOL_VERSION},\"shard\":{{\"chunk\":{chunk},\"values\":"
-            );
-            frame.push('[');
-            for (i, v) in values.iter().enumerate() {
-                if i > 0 {
-                    frame.push(',');
-                }
-                let _ = write!(frame, "{v}");
-            }
-            frame.push_str("]}}");
-        }
-        let dispatched = write_frame(&mut l.stdin, &frame);
-        if self.workers.chaos_kill_after == Some(shard_no) {
-            // Deterministic chaos: SIGKILL our own worker with the shard
-            // in flight. Recovery must be indistinguishable from a real
-            // crash.
-            let _ = l.child.kill();
-        }
-        let answer = if dispatched.is_err() {
-            Answer::Fault { kind: FaultKind::WorkerExit, error: "worker closed its pipe".to_string() }
-        } else {
-            await_reply(l, chunk, self.n_constraints, make_visitor, self.codec, self.workers.heartbeat)
+        debug_assert_eq!(l.flights.front().map(|f| f.chunk), Some(chunk));
+        let checked = match l.ready {
+            true => Ok(()),
+            false => l.check_ready(&self.structural, &self.engine_sig, self.workers.heartbeat),
         };
-        if matches!(answer, Answer::Fault { .. }) {
+        let answer = match checked {
+            Ok(()) => self.reply(l, chunk, make_visitor),
+            Err(Handshake::Fault(kind, error)) => Answer::Fault { kind, error },
+            Err(Handshake::Refused) => {
+                // Nothing it sent is folded, and the slot spawns no more.
+                slot.inproc = true;
+                Answer::Local
+            }
+        };
+        if !matches!(answer, Answer::Done(_) | Answer::Abort(_)) {
             // Nothing this worker says can be trusted now.
-            if let Some(mut l) = slot.link.take() {
+            if let Some(l) = slot.link.take() {
                 l.kill();
             }
         }
@@ -696,9 +760,7 @@ impl<V: Visitor> ChunkExecutor<V> for LinkExecutor<'_, V> {
     }
 
     fn close(&self, slot: usize) {
-        if let Some(l) = self.slots[slot].lock().unwrap().link.take() {
-            l.shutdown();
-        }
+        self.release(slot);
     }
 
     fn stamp(&self, report: &mut SweepReport) {
@@ -709,8 +771,12 @@ impl<V: Visitor> ChunkExecutor<V> for LinkExecutor<'_, V> {
 
 impl<'a, V> LinkExecutor<'a, V> {
     /// The executor for `spec`'s slots, each owning at most one process
-    /// running `workers.cmd`; nothing is spawned until a slot is dealt a
-    /// chunk.
+    /// running `workers.cmd`. The first slot's worker is spawned and sent
+    /// `hello` here, so that it boots while the supervisor builds its own
+    /// engine; the other slots' start when the frame knows how many slots
+    /// it deals to. A worker is counted in `workers_spawned` once it is
+    /// dealt a shard; one that never is is killed and reaped when its slot
+    /// closes, or when the executor is dropped on an early return.
     pub(crate) fn new(
         lp: &LoweredPlan,
         spec: &SweepSpec<'_, V>,
@@ -735,7 +801,7 @@ impl<'a, V> LinkExecutor<'a, V> {
             );
             h
         };
-        LinkExecutor {
+        let exec = LinkExecutor {
             workers,
             codec,
             hello,
@@ -750,8 +816,119 @@ impl<'a, V> LinkExecutor<'a, V> {
             restarts: AtomicUsize::new(0),
             spawned: AtomicU64::new(0),
             respawned: AtomicU64::new(0),
+        };
+        exec.acquire(&mut exec.slots[0].lock().unwrap());
+        exec
+    }
+
+    /// Give `slot` a worker unless it has one or is degraded: the first
+    /// spawn is free, respawns draw on the shared restart budget, and a
+    /// failure degrades the slot permanently.
+    fn acquire(&self, slot: &mut LinkSlot) {
+        if slot.inproc || slot.link.is_some() {
+            return;
+        }
+        if slot.started && self.restarts.fetch_add(1, Ordering::Relaxed) >= self.restart_budget {
+            slot.inproc = true;
+            return;
+        }
+        match Link::spawn(&self.workers.cmd, &self.hello) {
+            Ok(l) => {
+                if slot.started {
+                    self.respawned.fetch_add(1, Ordering::Relaxed);
+                }
+                slot.started = true;
+                slot.link = Some(l);
+            }
+            Err(_) => slot.inproc = true,
         }
     }
+
+    /// Deal `chunk` to `slot`'s worker, spawning one if needed, unless it
+    /// is in flight there already or the slot evaluates in process.
+    fn post(&self, slot: &mut LinkSlot, chunk: usize, values: &[i64]) {
+        if slot.link.as_ref().is_some_and(|l| l.flights.iter().any(|f| f.chunk == chunk)) {
+            return;
+        }
+        self.acquire(slot);
+        let Some(l) = slot.link.as_mut() else { return };
+        if !l.dealt {
+            l.dealt = true;
+            self.spawned.fetch_add(1, Ordering::Relaxed);
+        }
+        if l.post(chunk, shard_frame(chunk, values)) {
+            self.wrote(l);
+        }
+    }
+
+    /// Count a shard written to `l`, and run the chaos knob on it.
+    fn wrote(&self, l: &mut Link) {
+        let shard_no = self.dealt.fetch_add(1, Ordering::Relaxed) + 1;
+        if self.workers.chaos_kill_after == Some(shard_no) {
+            // Deterministic chaos: SIGKILL our own worker with the shard
+            // in flight. Recovery must be indistinguishable from a real
+            // crash.
+            let _ = l.child.kill();
+        }
+    }
+
+    /// The reply to `l`'s oldest shard in flight, `chunk`: written now if
+    /// it was held back, then awaited and, unless it is a fault, taken off
+    /// the queue.
+    fn reply(&self, l: &mut Link, chunk: usize, make_visitor: &dyn Fn() -> V) -> Answer<V>
+    where
+        V: Visitor,
+    {
+        if let Some(frame) = l.flights.front_mut().and_then(|f| f.held.take()) {
+            if l.write(frame).is_some() {
+                return Answer::Fault {
+                    kind: FaultKind::WorkerExit,
+                    error: "worker closed its pipe".to_string(),
+                };
+            }
+            self.wrote(l);
+        }
+        let (n, codec, deadline) = (self.n_constraints, self.codec, self.workers.heartbeat);
+        let answer = await_reply(l, chunk, n, make_visitor, codec, deadline);
+        if !matches!(answer, Answer::Fault { .. }) {
+            l.flights.pop_front();
+        }
+        answer
+    }
+
+    /// Shut `slot`'s worker down, if it has one.
+    fn release(&self, slot: usize) {
+        let link = self.slots[slot].lock().unwrap().link.take();
+        if let Some(l) = link {
+            l.shutdown();
+        }
+    }
+}
+
+impl<V> Drop for LinkExecutor<'_, V> {
+    /// Every exit path reaps: a sweep that returns before its slots close
+    /// (lint gate, preamble error, empty level-0 domain, checkpoint
+    /// mismatch, a failure) still holds the workers it started.
+    fn drop(&mut self) {
+        for slot in 0..self.slots.len() {
+            self.release(slot);
+        }
+    }
+}
+
+/// The `shard` frame dealing `chunk`, whose level-0 values are `values`.
+fn shard_frame(chunk: usize, values: &[i64]) -> String {
+    use std::fmt::Write as _;
+    let mut frame = String::with_capacity(64 + values.len() * 8);
+    let _ = write!(frame, "{{\"v\":{PROTOCOL_VERSION},\"shard\":{{\"chunk\":{chunk},\"values\":[");
+    for (i, v) in values.iter().enumerate() {
+        if i > 0 {
+            frame.push(',');
+        }
+        let _ = write!(frame, "{v}");
+    }
+    frame.push_str("]}}");
+    frame
 }
 
 /// Wait for the worker's reply to an in-flight shard, treating heartbeat
@@ -930,6 +1107,77 @@ mod tests {
         assert_eq!(from_worker.stats, direct.stats);
     }
 
+    /// Shards written behind `hello` before `ready` is read, two at a time
+    /// — the supervisor's queue — are answered in order, one `done` each,
+    /// each equal to the chunk evaluated in process.
+    #[test]
+    fn serve_worker_answers_queued_shards_in_order() {
+        let lp = lowered();
+        let compiled = Compiled::with_options(lp.clone(), EngineOptions::default());
+        let outer = compiled.outer_domain().unwrap();
+        let (first, second) = outer.split_at(outer.len() / 2);
+
+        let mut script = Vec::new();
+        let hello = "{\"v\":1,\"hello\":{\"policy\":\"abort\",\"hb_ms\":10000}}";
+        write_frame(&mut script, hello).unwrap();
+        write_frame(&mut script, &shard_frame(4, first)).unwrap();
+        write_frame(&mut script, &shard_frame(5, second)).unwrap();
+        write_frame(&mut script, "{\"v\":1,\"bye\":{}}").unwrap();
+        let mut replies: Vec<u8> = Vec::new();
+        serve_worker(
+            &lp,
+            EngineOptions::default(),
+            FingerprintVisitor::new,
+            &WorkerChaos::default(),
+            &script[..],
+            &mut replies,
+        )
+        .unwrap();
+
+        let mut r = &replies[..];
+        let ready = JsonValue::parse(&read_frame(&mut r).unwrap().unwrap()).unwrap();
+        assert!(ready.get("ready").is_some());
+        for (chunk, values) in [(4, first), (5, second)] {
+            let done = JsonValue::parse(&read_frame(&mut r).unwrap().unwrap()).unwrap();
+            let parsed: ChunkDone<FingerprintVisitor> =
+                parse_done(&done, chunk, 2, &FingerprintVisitor::new, StateCodec::of()).unwrap();
+            let direct = attempt_chunk(
+                &compiled,
+                values,
+                chunk,
+                FaultPolicy::Abort,
+                None,
+                None,
+                &FingerprintVisitor::new,
+            )
+            .ok()
+            .unwrap()
+            .outcome
+            .unwrap();
+            let from_worker = parsed.outcome.expect("clean chunk has an outcome");
+            assert_eq!((from_worker.visitor, from_worker.stats), (direct.visitor, direct.stats));
+        }
+        assert_eq!(read_frame(&mut r).unwrap(), None, "two shards, two replies");
+    }
+
+    /// While a worker boots or works, a short shard frame is written the
+    /// moment it is dealt, a long one — which could fill the pipe of a
+    /// worker that reads nothing — is held back, and nothing overtakes it.
+    #[test]
+    fn long_shards_are_held_back_until_their_turn() {
+        // `sleep` reads nothing: it stands for a worker that never gets to
+        // its next frame.
+        let mut link = Link::spawn(&["sleep".to_string(), "60".to_string()], "{}").unwrap();
+        assert!(link.post(0, shard_frame(0, &[1, 2, 3])), "a short shard is written at once");
+        let long = shard_frame(1, &[-1_234_567; 512]);
+        assert!(long.len() > AHEAD_BYTES);
+        assert!(!link.post(1, long), "a long shard waits");
+        assert!(!link.post(2, shard_frame(2, &[4])), "a short shard does not overtake it");
+        let held: Vec<_> = link.flights.iter().map(|f| (f.chunk, f.held.is_some())).collect();
+        assert_eq!(held, [(0, false), (1, true), (2, true)]);
+        link.kill();
+    }
+
     /// A worker command that cannot spawn degrades every slot to in-process
     /// evaluation — the sweep still completes, bit-identical to a threaded
     /// run.
@@ -947,6 +1195,23 @@ mod tests {
         assert_eq!(dist.stats, serial.stats);
         assert_eq!(report.fault_counters.workers_spawned, 0);
         assert!(!report.partial);
+    }
+
+    /// A sweep that returns before it deals anything — here its level-0
+    /// domain is empty — kills and reaps the worker spawned early for its
+    /// first slot (a `sleep` that would hold a graceful shutdown for its
+    /// whole grace period) and counts no worker spawned.
+    #[test]
+    fn an_early_return_reaps_the_early_worker_and_counts_none() {
+        let space = Space::builder("none").range("x", 5, 5).build().unwrap();
+        let lp = LoweredPlan::new(&Plan::new(&space, PlanOptions::default()).unwrap()).unwrap();
+        let spec: SweepSpec<'_, FingerprintVisitor> =
+            SweepSpec::new(2).workers(Workers::new(vec!["sleep".to_string(), "60".to_string()]));
+        let t = Instant::now();
+        let (out, report) = sweep(&lp, &spec, FingerprintVisitor::new).unwrap();
+        assert!(t.elapsed() < Duration::from_secs(10), "{:?}", t.elapsed());
+        assert_eq!((out.visitor.count, report.chunks), (0, 0));
+        assert_eq!(report.fault_counters.workers_spawned, 0);
     }
 
     /// An empty worker command skips spawning entirely (pure in-process

@@ -17,8 +17,12 @@
 //! evaluated once) and splits it into chunks that
 //! are deliberately *finer* than one-per-slot. Slots then pull chunks from a
 //! shared cursor as they finish — a work-stealing-style dynamic schedule
-//! with a single global queue. A one-slot sweep runs inline on the caller's
-//! thread.
+//! with a single global queue. Slot *s* is dealt chunk *s* first, so every
+//! slot the frame starts is dealt a chunk however late its thread runs. A
+//! one-slot sweep runs inline on the caller's thread. An executor whose
+//! chunks cross a pipe (the distribute link) keeps two in flight per slot:
+//! the slot claims and deals its next chunk before it waits on the current
+//! one, and keeps one once fewer undealt chunks remain than slots.
 //!
 //! Static one-chunk-per-thread splitting (what this module did originally)
 //! assumes the cost below each level-0 value is uniform. DAG-hoisted pruning
@@ -60,7 +64,10 @@
 //! the failing point, quarantine the chunk, or retry the chunk with backoff.
 //! Every recovered fault becomes a [`FaultRecord`] merged in chunk order and
 //! surfaced in the [`SweepReport`]. Per-chunk state is private, so a
-//! poisoned chunk never corrupts the merged outcome.
+//! poisoned chunk never corrupts the merged outcome. An aborted sweep
+//! returns the lowest failing chunk's error — the one a serial run stops
+//! at — whichever slot's failure arrives first: the chunks below it still
+//! finish, and the ones above it are dropped.
 //!
 //! Cooperative cancellation ([`SweepSpec::cancel`]) and wall-clock
 //! deadlines ([`SweepSpec::deadline`]) are polled both between chunks
@@ -107,7 +114,7 @@
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -304,6 +311,21 @@ pub(crate) trait ChunkExecutor<V>: Sync {
     fn redeal(&self) -> (u32, u64) {
         (0, 0)
     }
+
+    /// The frame deals to slots `0..slots`: start what they run on.
+    fn start(&self, _slots: usize) {}
+
+    /// Whether a slot keeps two chunks in flight: it claims its next chunk
+    /// and [`send`](ChunkExecutor::send)s it before it waits on the current
+    /// one, so the two round trips overlap.
+    fn queues(&self) -> bool {
+        false
+    }
+
+    /// Deal `chunk` (covering `values`) to `slot` ahead of the
+    /// [`run`](ChunkExecutor::run) that answers it, behind the chunks in
+    /// flight there; a chunk in flight already is not dealt again.
+    fn send(&self, _slot: usize, _chunk: usize, _values: &[i64]) {}
 
     /// Slot `slot` pulls no more chunks: release what it holds.
     fn close(&self, _slot: usize) {}
@@ -512,25 +534,36 @@ where
 
     let probe = CancelProbe::new(opts.cancel.clone(), opts.deadline.map(|d| t_start + d));
     let n_slots = threads.min((limit - start).max(1));
+    exec.start(n_slots);
     let (redeal_max, redeal_backoff_ms) = exec.redeal();
-    let cursor = AtomicUsize::new(start);
+    // Slot `s` is dealt chunk `start + s` first, however late its thread
+    // starts; the cursor deals the rest.
+    let cursor = AtomicUsize::new(start + n_slots);
     let memo_hits = AtomicU64::new(0);
     let memo_misses = AtomicU64::new(0);
-    let abort = AtomicBool::new(false);
-    let first_error: Mutex<Option<SweepError>> = Mutex::new(None);
     collector.next = start;
     collector.outer_len = outer.len();
     collector.chunk_len = chunk_len;
     collector.chunks = chunks.len();
     let collector = Mutex::new(collector);
 
-    let fail = |err: SweepError| {
-        let mut slot = first_error.lock().unwrap();
-        if slot.is_none() {
-            *slot = Some(err);
+    // The error that fails the sweep is the lowest failing chunk's, the
+    // one a serial run stops at, whichever slot's failure arrives first:
+    // `fail_at` is that chunk (`usize::MAX` while none failed). Every chunk
+    // below it still runs (one of them may fail lower) and every chunk
+    // above it is dropped — the cursor deals in order, so that is every
+    // chunk it would deal next. A failure of no chunk (a checkpoint write,
+    // a slot's own panic) ranks first.
+    let fail_at = AtomicUsize::new(usize::MAX);
+    let first_error: Mutex<Option<(usize, SweepError)>> = Mutex::new(None);
+    let fail = |at: usize, err: SweepError| {
+        let mut kept = first_error.lock().unwrap();
+        if kept.as_ref().is_none_or(|(k, _)| at < *k) {
+            *kept = Some((at, err));
         }
-        abort.store(true, Ordering::Relaxed);
+        fail_at.fetch_min(at, Ordering::Relaxed);
     };
+    let dropped = |i: usize| i > fail_at.load(Ordering::Relaxed);
 
     // Get chunk `i` evaluated for `slot`, wherever `exec` says. The slot that
     // dealt a chunk re-deals it until it is done or quarantined, so a dead
@@ -589,7 +622,7 @@ where
                     if backoff_ms > 0 {
                         std::thread::sleep(Duration::from_millis(backoff_ms));
                     }
-                    if abort.load(Ordering::Relaxed) {
+                    if dropped(i) {
                         return Err(None);
                     }
                 }
@@ -614,6 +647,7 @@ where
     // of the race for chunks and of where a chunk was evaluated. Errors,
     // panics and worker-level faults are resolved right here, at the chunk
     // boundary.
+    let queues = exec.queues();
     let run_slot = |slot: usize| -> WorkerTelemetry {
         let mut telemetry = WorkerTelemetry {
             worker: slot,
@@ -622,31 +656,45 @@ where
             evaluated: 0,
             survivors: 0,
         };
-        loop {
-            if abort.load(Ordering::Relaxed) || probe.cancelled() {
-                break;
+        // Chunk `i` unless the sweep stopped dealing it, with the cache's
+        // outcome for it (a hit replaces evaluation of the chunk, folded
+        // exactly where a fresh one would be — the merge path cannot tell
+        // the difference).
+        let take = |i: usize| {
+            if i >= limit || dropped(i) || probe.cancelled() {
+                return None;
             }
-            let i = cursor.fetch_add(1, Ordering::Relaxed);
-            if i >= limit {
-                break;
-            }
-            let t0 = Instant::now();
-            // Sub-sweep cache: a hit replaces evaluation of this chunk with
-            // the memoized outcome, folded exactly where a fresh one would
-            // be — the merge path cannot tell the difference.
             let cached = memo.and_then(|memo| {
                 let hit = memo.lookup(chunks[i]);
                 let counter = if hit.is_some() { &memo_hits } else { &memo_misses };
                 counter.fetch_add(1, Ordering::Relaxed);
                 hit
             });
+            Some((i, cached))
+        };
+        let claim = || take(cursor.fetch_add(1, Ordering::Relaxed));
+        let mut next = take(start + slot);
+        while let Some((i, cached)) = next.take() {
+            if cached.is_none() {
+                exec.send(slot, i, chunks[i]);
+            }
+            // With a queue, claim and deal the next chunk before waiting on
+            // this one — unless fewer undealt chunks remain than slots:
+            // those are left to whichever slot frees up first.
+            if queues && limit.saturating_sub(cursor.load(Ordering::Relaxed)) >= n_slots {
+                next = claim();
+                if let Some((j, None)) = &next {
+                    exec.send(slot, *j, chunks[*j]);
+                }
+            }
+            let t0 = Instant::now();
             let done = match cached {
                 Some(cached) => ChunkDone { outcome: Some(cached), faults: Vec::new() },
                 None => match evaluate(slot, i) {
                     Ok(done) => done,
                     Err(stop) => {
                         if let Some(e) = stop {
-                            fail(e);
+                            fail(i, e);
                         }
                         telemetry.busy += t0.elapsed();
                         break;
@@ -663,8 +711,15 @@ where
             }
             let folded = collector.lock().unwrap().add(i, done, opts.progress.as_ref(), sink);
             if let Err(msg) = folded {
-                fail(SweepError::Checkpoint(msg));
+                fail(0, SweepError::Checkpoint(msg));
                 break;
+            }
+            match &next {
+                // A queued chunk is dropped like any unfinished one when the
+                // sweep is cancelled, or when it lies above a failure.
+                Some((j, _)) if probe.cancelled() || dropped(*j) => break,
+                Some(_) => {}
+                None => next = claim(),
             }
         }
         exec.close(slot);
@@ -686,7 +741,7 @@ where
                         // The slot loop itself panicked (outside the
                         // per-chunk catch_unwind). Surface it as a structured
                         // error instead of re-panicking in the orchestrator.
-                        fail(SweepError::WorkerPanic {
+                        fail(0, SweepError::WorkerPanic {
                             chunk: None,
                             message: panic_message(payload),
                         });
@@ -698,7 +753,7 @@ where
     };
     workers.sort_by_key(|w| w.worker);
 
-    if let Some(err) = first_error.into_inner().unwrap() {
+    if let Some((_, err)) = first_error.into_inner().unwrap() {
         return Err(err);
     }
 

@@ -350,6 +350,10 @@ where
     let native = (spec.engine.engine == EngineTier::Native && spec.injector.is_none())
         .then(|| NativeContext::prepare(lp, &spec.engine).ok())
         .flatten();
+    // The report clock starts before the first worker is spawned and the
+    // engine built, so `elapsed` covers both.
+    let t_start = Instant::now();
+    // Created before the build: its first worker boots meanwhile.
     let link = at.workers.as_ref().map(|(workers, codec)| LinkExecutor::new(lp, spec, workers, *codec));
     let exec: &dyn ChunkExecutor<V> = match (&link, &native) {
         (Some(link), _) => link,
@@ -364,8 +368,6 @@ where
     let (compiled, t_start) = match at.built {
         Some(built) => (built.engine, built.since),
         None => {
-            // The report clock starts before the build, so `elapsed` covers it.
-            let t_start = Instant::now();
             owned = Compiled::with_options(lp.clone(), engine);
             (&owned, t_start)
         }

@@ -264,14 +264,28 @@ mod narrow_gen;
 /// 0`): against its spelled twin, which nothing narrows or solves, the
 /// survivors' fingerprint, `PruneStats` and `FaultRecord`s — sites,
 /// ordinals, bindings — are equal on every thread × chunk grid, or both
-/// fail (with the same error on one thread). A coefficient that cannot be evaluated sends
+/// fail with the same error. A coefficient that cannot be evaluated sends
 /// every value into the child, whose check then faults where the
 /// enumerating twin's does.
+///
+/// The outcome, or the error, is also the one-thread run's at every
+/// thread count — under `Abort` the lowest failing chunk's error, whichever
+/// slot's failure arrives first — and, without the injector, the worker
+/// transport's (an empty command: every shard in process, two in flight
+/// per slot).
 #[test]
 fn parent_solved_loops_fault_exactly_like_enumerated_ones() {
     let lower = |spelled, seed| {
         let g = narrow_gen::generate_parent(seed, spelled);
         LoweredPlan::new(&Plan::new(&g.space, PlanOptions::default()).unwrap()).unwrap()
+    };
+    type Digest = Result<(u64, u64, PruneStats, Vec<FaultRecord>), String>;
+    type Run = Result<(SweepOutcome<FingerprintVisitor>, SweepReport), SweepError>;
+    let digest = |run: Run| -> Digest {
+        match run {
+            Ok((o, report)) => Ok((o.visitor.hash, o.visitor.count, o.stats, report.faults)),
+            Err(e) => Err(format!("{e:?}")),
+        }
     };
     let policies = [
         FaultPolicy::SkipPoint,
@@ -279,48 +293,80 @@ fn parent_solved_loops_fault_exactly_like_enumerated_ones() {
         FaultPolicy::QuarantineChunk,
         FaultPolicy::Abort,
     ];
-    let (mut faulted, mut solved) = (0u32, 0u64);
+    let (mut faulted, mut solved, mut aborted) = (0u32, 0u64, 0u32);
     for seed in 0..60u64 {
         let (parent, twin) = (lower(false, seed), lower(true, seed));
         for policy in policies {
             for inject in [false, true] {
-                for (threads, chunk_count) in
-                    THREAD_COUNTS.into_iter().flat_map(|t| [(t, 4), (t, 7)])
-                {
-                    let run = |lp: &LoweredPlan| {
-                        let mut o = SweepSpec { chunk_count, ..opts(threads) };
-                        o.engine = EngineOptions::no_intervals();
-                        o.fault_policy = policy;
+                for chunk_count in [4, 7] {
+                    let mut one_thread: Option<Digest> = None;
+                    for threads in THREAD_COUNTS {
+                        let mut spec = SweepSpec { chunk_count, ..opts(threads) };
+                        spec.engine = EngineOptions::no_intervals();
+                        spec.fault_policy = policy;
                         if inject {
-                            o.injector = Some(FaultInjector::new(seed).error_rate(0.05));
+                            spec.injector = Some(FaultInjector::new(seed).error_rate(0.05));
                         }
-                        sweep(lp, &o, FingerprintVisitor::default)
-                    };
-                    let at = format!(
-                        "seed {seed}, {policy:?}, inject={inject}, {threads} × {chunk_count}"
-                    );
-                    match (run(&parent), run(&twin)) {
-                        (Ok((p, p_report)), Ok((t, t_report))) => {
-                            assert_eq!(p.visitor, t.visitor, "{at}: fingerprint");
-                            assert_eq!(p.stats, t.stats, "{at}: PruneStats");
-                            assert_eq!(p_report.faults, t_report.faults, "{at}: fault records");
+                        let at = format!(
+                            "seed {seed}, {policy:?}, inject={inject}, {threads} × {chunk_count}"
+                        );
+                        let (p, t) = (
+                            sweep(&parent, &spec, FingerprintVisitor::default),
+                            sweep(&twin, &spec, FingerprintVisitor::default),
+                        );
+                        if let (Ok((p, p_report)), Ok((t, _))) = (&p, &t) {
                             assert_eq!(t.blocks.loops_solved, 0, "{at}: the twin solved");
                             faulted += u32::from(!inject && !p_report.faults.is_empty());
                             solved += p.blocks.loops_solved;
                         }
-                        // The error that stops a sweep is the first one to
-                        // fire, which only one thread pins.
-                        (Err(_), Err(_)) if threads > 1 => {}
-                        (Err(p), Err(t)) => assert_eq!(p.to_string(), t.to_string(), "{at}"),
-                        (p, t) => {
-                            panic!("{at}: one side failed: {:?} vs {:?}", p.is_ok(), t.is_ok())
+                        let (p, t) = (digest(p), digest(t));
+                        assert_eq!(p, t, "{at}: against the enumerating twin");
+                        aborted += u32::from(threads > 1 && p.is_err());
+                        if !inject {
+                            let workers = spec.clone().workers(Workers::new(Vec::new()));
+                            let w = digest(sweep(&parent, &workers, FingerprintVisitor::default));
+                            assert_eq!(w, p, "{at}: through the worker transport");
                         }
+                        let first = one_thread.get_or_insert_with(|| p.clone());
+                        assert_eq!(&p, first, "{at}: against one thread");
                     }
                 }
             }
         }
     }
     assert!(faulted > 20 && solved > 1000, "{faulted} faulting runs, {solved} loops solved");
+    assert!(aborted > 20, "{aborted} aborted runs on more than one thread");
+}
+
+/// Under `Abort` the error that stops a sweep is the lowest failing
+/// chunk's — the serial run's — not the first to arrive: chunk 0 sleeps
+/// before it divides by zero and chunk 1 divides at once, so on two slots
+/// chunk 1's error comes first, and must lose. In process and through the
+/// worker transport alike.
+#[test]
+fn the_lowest_failing_chunk_s_error_wins_over_the_first_to_arrive() {
+    let space = Space::builder("late_low_error")
+        .range("x", 0, 2)
+        .derived_fn("slow", &["x"], |env| {
+            if env.require_int("x")? == 0 {
+                std::thread::sleep(std::time::Duration::from_millis(100));
+            }
+            Ok(Value::Int(1))
+        })
+        .derived("bad", var("slow") / (var("x") - var("x")))
+        .build()
+        .unwrap();
+    let lp = LoweredPlan::new(&Plan::new(&space, PlanOptions::default()).unwrap()).unwrap();
+    let serial = Compiled::new(lp.clone()).run(FingerprintVisitor::new()).unwrap_err();
+    assert_eq!(serial.point_context().unwrap().bindings[0], ("x".to_string(), 0));
+    let spec = SweepSpec { slots: 2, chunk_count: 2, ..SweepSpec::default() };
+    let workers = spec.clone().workers(Workers::new(Vec::new()));
+    for (how, spec) in [("threads", spec), ("workers", workers)] {
+        let Err(SweepError::Eval(e)) = sweep(&lp, &spec, FingerprintVisitor::new) else {
+            panic!("{how}: the sweep must fail")
+        };
+        assert_eq!(format!("{e:?}"), format!("{serial:?}"), "{how}");
+    }
 }
 
 /// A space whose `u` and `v` loops are read by nothing, so the engine
