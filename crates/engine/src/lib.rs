@@ -37,6 +37,14 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+// Under `panic = "abort"` a panic the fault policies or the daemon catch
+// would end the process instead.
+#[cfg(not(panic = "unwind"))]
+compile_error!(
+    "beast-engine needs panic = \"unwind\": parallel::attempt_chunk (per-chunk fault policies) \
+     and service::handle_connection (per-connection isolation) catch panics with catch_unwind"
+);
+
 pub mod checkpoint;
 pub mod compiled;
 pub mod distribute;
