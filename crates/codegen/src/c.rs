@@ -72,7 +72,7 @@ fn expr(e: &PExpr) -> String {
 /// Emit the arithmetic runtime shared by every C-family emitter (plain C,
 /// OpenMP, and the native chunk worker).
 ///
-/// The helpers replicate the engine's point programs (`beast_core::ir`'s
+/// The helpers replicate the engine's compiled programs (`beast_core::ir`'s
 /// `eval_bin` / `eval_call2`) bit for bit, i64 extremes included:
 /// `+`/`-`/`*`/negate/abs wrap modulo 2^64 (via unsigned arithmetic, so no
 /// signed-overflow UB); `/` and `%` are the wrapping truncated forms

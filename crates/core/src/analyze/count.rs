@@ -84,7 +84,7 @@ use crate::error::EvalError;
 use crate::interval::Interval;
 use crate::ir::{IntBinOp, IntExpr, LBody, LIter, LStep, LoweredPlan};
 use crate::iterator::{range_len, Realized};
-use crate::pointprog::{PointProg, RunExit, RunSpec, StepProgs};
+use crate::pointprog::{RootProg, RunExit, RunSpec, StepProgs};
 use crate::value::Value;
 
 use super::absprog::{AbsFile, AbsProgs, Verdict, Window};
@@ -491,7 +491,7 @@ struct Level {
     pre: Option<u32>,
     /// `%`-divisor expressions inside the run whose reads are all bound
     /// before the level — residue-filter candidates.
-    rem_divisors: Vec<PointProg>,
+    rem_divisors: Vec<RootProg>,
     table: Table,
     /// A free level's entries.
     frees: Vec<FreeEntry>,
@@ -566,6 +566,16 @@ impl<'a> Counter<'a> {
         let LevelTable { levels: plan, footprints } = levels(lp);
         let footprints = if survivors { footprints } else { suffix_footprints(lp, false) };
 
+        // A solved entry resumes after its level's opening check. Every
+        // concrete program — runs, bounds, solves, divisors — is compiled
+        // into the runs' one value file.
+        let cuts: Vec<usize> = (plan.iter())
+            .filter(|p| survivors && p.narrowing.is_some())
+            .map(|p| p.step + 1)
+            .collect();
+        let spec = RunSpec { checks: survivors, cuts: &cuts, skip_bit: &|_| None, derive: true };
+        let mut points = StepProgs::new(lp, spec);
+
         let mut level_of = vec![usize::MAX; lp.steps.len()];
         let mut levels = Vec::with_capacity(plan.len());
         let mut level_stats = Vec::with_capacity(plan.len());
@@ -607,7 +617,7 @@ impl<'a> Counter<'a> {
                         let mut ok = true;
                         d.for_each_slot(&mut |s| ok &= written[s as usize]);
                         if ok {
-                            rem_divisors.push(PointProg::compile(d));
+                            rem_divisors.push(points.runs.root(d));
                         }
                     });
                 }
@@ -617,8 +627,10 @@ impl<'a> Counter<'a> {
                 step: p.step,
                 slot: p.slot,
                 run: p.run.clone(),
-                solve: p.narrowing.as_ref().filter(|_| survivors).map(Solve::new),
-                child_solve: p.child_solve.as_ref().filter(|_| survivors).map(ChildProgs::new),
+                solve: (p.narrowing.as_ref().filter(|_| survivors))
+                    .map(|n| Solve::new(n, &mut points.runs)),
+                child_solve: (p.child_solve.as_ref().filter(|_| survivors))
+                    .map(|c| ChildProgs::new(c, &mut points.runs)),
                 free,
                 uniform: if survivors {
                     p.unread_below
@@ -636,9 +648,6 @@ impl<'a> Counter<'a> {
             });
         }
 
-        // A solved entry resumes after its level's opening check.
-        let cuts: Vec<usize> =
-            levels.iter().filter(|l| l.solve.is_some()).map(|l| l.step + 1).collect();
         let free: Vec<bool> = levels.iter().map(|l| l.free).collect();
         let solved: Vec<bool> = levels.iter().map(|l| l.solve.is_some()).collect();
         let abs = AbsSteps::new(lp);
@@ -659,15 +668,7 @@ impl<'a> Counter<'a> {
             #[cfg(test)]
             pre_log: Vec::new(),
             pre,
-            points: StepProgs::new(
-                lp,
-                RunSpec {
-                    checks: survivors,
-                    cuts: &cuts,
-                    skip_bit: &|_| None,
-                    derive: true,
-                },
-            ),
+            points,
             level_of,
             levels,
             memo_len: 0,
@@ -771,7 +772,7 @@ impl<'a> Counter<'a> {
     /// A fresh value file for [`Counter::fill_derived`]: the plan's slots
     /// (zero), then the constants and temporaries of its run programs.
     pub fn file(&self) -> Vec<i64> {
-        self.points.runs().file()
+        self.points.runs.file()
     }
 
     /// Evaluate every define of the plan in step order against `file`, a
@@ -799,7 +800,7 @@ impl<'a> Counter<'a> {
             if self.aborted {
                 return Ok((0, EntryRef::EMPTY));
             }
-            if let Some(run) = self.points.runs().at(i) {
+            if let Some(run) = self.points.runs.at(i) {
                 match run.run(slots, 0) {
                     Ok(RunExit::Pass) => i = run.end(),
                     Ok(RunExit::Reject(_)) => return Ok((0, EntryRef::EMPTY)),
@@ -991,19 +992,19 @@ impl<'a> Counter<'a> {
     /// solvable, when the range bounds, `a` or `k` fail to evaluate (the
     /// enumerating path reproduces the error where it arises, or finds the
     /// range empty), or when the solve cannot decide the entry.
-    fn solve_level(&self, level: usize, i: usize, slots: &[i64]) -> Option<Solved> {
+    fn solve_level(&self, level: usize, i: usize, slots: &mut [i64]) -> Option<Solved> {
         let solve = self.levels[level].solve.as_ref()?;
-        let (start, stop, step) = self.points.bounds(i, slots).ok()?;
+        let (start, stop, step) = self.points.runs.bounds(i, slots).ok()?;
         solve.solve(slots, start, step, range_len(start, stop, step))
     }
 
     /// The child solve of level `level` (bound at step `i`) for the entry
     /// `slots` opens; `None` — every value takes the child's own path —
     /// when the level has none or anything fails to evaluate.
-    fn child_entry(&self, level: usize, i: usize, slots: &[i64]) -> Option<ChildEntry> {
+    fn child_entry(&self, level: usize, i: usize, slots: &mut [i64]) -> Option<ChildEntry> {
         let progs = self.levels[level].child_solve.as_ref()?;
         let child = self.levels[level + 1].solve.as_ref()?;
-        let (start, stop, step) = self.points.bounds(i + 1, slots).ok()?;
+        let (start, stop, step) = self.points.runs.bounds(i + 1, slots).ok()?;
         progs.entry(child, slots, start, step, range_len(start, stop, step))
     }
 
@@ -1101,10 +1102,15 @@ impl<'a> Counter<'a> {
     }
 
     /// Realize the domain of the level bound at step `i` under `slots`.
-    fn realize(&self, i: usize, domain: &'a LIter, slots: &[i64]) -> Result<Domain<'a>, EvalError> {
+    fn realize(
+        &self,
+        i: usize,
+        domain: &'a LIter,
+        slots: &mut [i64],
+    ) -> Result<Domain<'a>, EvalError> {
         Ok(match domain {
             LIter::Range { .. } => {
-                let (start, stop, step) = self.points.bounds(i, slots)?;
+                let (start, stop, step) = self.points.runs.bounds(i, slots)?;
                 Domain::range(start, stop, step)
             }
             LIter::Values(v) => Domain::Ints(Cow::Borrowed(v)),
@@ -1146,7 +1152,7 @@ impl<'a> Counter<'a> {
     fn rejected_residue_classes(
         &mut self,
         level: usize,
-        slots: &[i64],
+        slots: &mut [i64],
         dom: &Domain<'_>,
         dom_iv: Interval,
     ) -> Option<(i64, Vec<i64>)> {

@@ -19,8 +19,8 @@
 //! child ([`ChildSolve`]) — is a fact of the level plan
 //! ([`super::levels`]). Whether the congruence has a solution in a
 //! *realized* range — and whether it can be decided without wrap-around —
-//! is a run-time question answered by [`Solve`], the point programs of `a`
-//! and `k` plus `solve_affine`, which the compiled engine and the exact
+//! is a run-time question answered by [`Solve`], the one-root programs of
+//! `a` and `k` plus `solve_affine`, which the compiled engine and the exact
 //! counter ([`super::count`]) share; the native worker runs it as emitted C.
 //! A parent that solves its child evaluates one [`ChildEntry`] per entry
 //! (through [`ChildProgs`]): the counter solves the child per parent value
@@ -37,7 +37,7 @@
 //! covers the range. A wrapped or wrapping candidate is never guessed at.
 
 use crate::ir::{IntBinOp, IntExpr};
-use crate::pointprog::PointProg;
+use crate::pointprog::{RootProg, RunProgs};
 
 /// `coeff · slot + offset` under wrapping (mod 2⁶⁴) arithmetic. `None`
 /// stands for a literal zero, so the common shapes carry no synthetic
@@ -243,76 +243,75 @@ fn solve_affine_wide(a: i64, k: i64, start: i64, step: i64, len: u64) -> Option<
     Some(Solved { hit: hit.map(|x| x as i64), last: last as i64 })
 }
 
-/// A [`Narrowing`] compiled for evaluation: the point programs of `a` and
-/// `k`, solved over a realized range by `solve_affine`. The one solve the
-/// compiled engine and the exact counter run.
+/// A [`Narrowing`] compiled for evaluation: the one-root programs of `a`
+/// and `k` in the caller's value file, solved over a realized range by
+/// `solve_affine`. The one solve the compiled engine and the exact counter
+/// run.
 #[derive(Debug, Clone)]
 pub struct Solve {
     /// Constraint index of the solved check (its `PruneStats` row).
     pub constraint: usize,
-    a: PointProg,
-    k: PointProg,
+    a: RootProg,
+    k: RootProg,
 }
 
 impl Solve {
-    /// Compile `n`'s coefficient and offset.
-    pub fn new(n: &Narrowing) -> Solve {
-        Solve {
-            constraint: n.constraint,
-            a: PointProg::compile(&n.check.coeff),
-            k: PointProg::compile(&n.check.offset),
-        }
+    /// Compile `n`'s coefficient and offset into `runs`' value file.
+    pub fn new(n: &Narrowing, runs: &mut RunProgs) -> Solve {
+        let (a, k) = (runs.root(&n.check.coeff), runs.root(&n.check.offset));
+        Solve { constraint: n.constraint, a, k }
     }
 
     /// Solve one entry of the loop over `start, start + step, …` (`len`
-    /// values) under `slots`. `None` — enumerate instead — when `a` or `k`
-    /// fails to evaluate (the enumerating path reproduces the error where it
-    /// arises), when `a = 0`, or when the no-wrap obligation cannot be
-    /// discharged.
+    /// values) over the value file `file`. `None` — enumerate instead —
+    /// when `a` or `k` fails to evaluate (the enumerating path reproduces
+    /// the error where it arises), when `a = 0`, or when the no-wrap
+    /// obligation cannot be discharged.
     #[inline]
-    pub fn solve(&self, slots: &[i64], start: i64, step: i64, len: u64) -> Option<Solved> {
-        let a = self.a.eval(slots).ok()?;
-        let k = self.k.eval(slots).ok()?;
+    pub fn solve(&self, file: &mut [i64], start: i64, step: i64, len: u64) -> Option<Solved> {
+        let a = self.a.eval(file).ok()?;
+        let k = self.k.eval(file).ok()?;
         solve_affine(a, k, start, step, len)
     }
 
-    /// `k` alone under `slots`, for a parent that supplies `a` itself
+    /// `k` alone over `file`, for a parent that supplies `a` itself
     /// ([`ChildSolve`]).
-    pub fn offset(&self, slots: &[i64]) -> Option<i64> {
-        self.k.eval(slots).ok()
+    pub fn offset(&self, file: &mut [i64]) -> Option<i64> {
+        self.k.eval(file).ok()
     }
 }
 
-/// A [`ChildSolve`] compiled for evaluation: the point programs of `c` and
-/// `d`, evaluated once per entry of the parent into a [`ChildEntry`].
+/// A [`ChildSolve`] compiled for evaluation: the one-root programs of `c`
+/// and `d` in the caller's value file, evaluated once per entry of the
+/// parent into a [`ChildEntry`].
 #[derive(Debug, Clone)]
 pub struct ChildProgs {
-    c: PointProg,
-    d: PointProg,
+    c: RootProg,
+    d: RootProg,
 }
 
 impl ChildProgs {
-    /// Compile `s`'s multiplier and rest.
-    pub fn new(s: &ChildSolve) -> ChildProgs {
-        ChildProgs { c: PointProg::compile(&s.c), d: PointProg::compile(&s.d) }
+    /// Compile `s`'s multiplier and rest into `runs`' value file.
+    pub fn new(s: &ChildSolve, runs: &mut RunProgs) -> ChildProgs {
+        ChildProgs { c: runs.root(&s.c), d: runs.root(&s.d) }
     }
 
-    /// The child solve for the parent entry `slots` opens, over the child's
+    /// The child solve for the parent entry `file` opens, over the child's
     /// realized range `start, start + step, …` (`len` values), with `child`
     /// the child's own [`Solve`] (for its offset `k`). `None` — every value
     /// takes the child's own path — when `c`, `d` or `k` fails to evaluate.
     pub fn entry(
         &self,
         child: &Solve,
-        slots: &[i64],
+        file: &mut [i64],
         start: i64,
         step: i64,
         len: u64,
     ) -> Option<ChildEntry> {
         Some(ChildEntry {
-            c: self.c.eval(slots).ok()?,
-            d: self.d.eval(slots).ok()?,
-            k: child.offset(slots)?,
+            c: self.c.eval(file).ok()?,
+            d: self.d.eval(file).ok()?,
+            k: child.offset(file)?,
             start,
             step,
             len,

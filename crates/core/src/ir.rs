@@ -105,7 +105,7 @@ pub fn round_up(a: i64, b: i64) -> Result<i64, EvalError> {
 /// semantics: `+ - *` wrap, `/` and `%` truncate (wrapping at
 /// `i64::MIN / -1`), `//` is [`floor_div`], comparisons and logic yield
 /// 0/1. The one definition of every operator, shared by [`IntExpr::eval`],
-/// the point programs and the VM; for `&&` / `||` it is the strict combine
+/// the compiled programs and the VM; for `&&` / `||` it is the strict combine
 /// — short-circuiting is the caller's business.
 #[inline(always)]
 pub fn eval_bin(op: IntBinOp, x: i64, y: i64) -> Result<i64, EvalError> {
@@ -163,8 +163,8 @@ impl IntExpr {
     /// divisor and `i64::MIN // -1` are checked errors.
     ///
     /// The recursive reference evaluator: the engine, the counter and the
-    /// samplers run the register-form [`crate::pointprog::PointProg`] and
-    /// [`crate::pointprog::RunProg`], which produce identical outcomes.
+    /// samplers run the one compiler's [`crate::pointprog::RunProg`] and
+    /// [`crate::pointprog::RootProg`], which produce identical outcomes.
     pub fn eval(&self, slots: &[i64]) -> Result<i64, EvalError> {
         match self {
             IntExpr::Const(c) => Ok(*c),

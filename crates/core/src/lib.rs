@@ -78,7 +78,7 @@ pub mod prelude {
     pub use crate::ir::{IntExpr, LoweredPlan};
     pub use crate::iterator::{build as iter_build, IterKind, Realized};
     pub use crate::plan::{LoopOrder, Plan, PlanOptions, Step};
-    pub use crate::pointprog::PointProg;
+    pub use crate::pointprog::{RootProg, RunProgs};
     pub use crate::space::{Space, SpaceBuilder};
     pub use crate::value::Value;
 }

@@ -7,9 +7,11 @@
 //! tree and no recursion on the hot path, mirroring the shape of the paper's
 //! generated C (a single function of nested `for` loops and `continue`s).
 //! Loop bounds are evaluated once at loop entry (they are invariant inside
-//! the loop by the planner's dependency ordering), and every expression is a
-//! constant-folded register program ([`PointProg`]) reading its leaves in
-//! place. This is the backend that turns the
+//! the loop by the planner's dependency ordering), and every expression —
+//! a level's defines and checks, a bound, a solve's coefficients — is
+//! compiled once, constants folded, into one value file
+//! ([`RunProgs`]) whose programs read their leaves in place. This is the
+//! backend that turns the
 //! paper's 18.5-hour Python sweep into minutes (Section XI-D), and the one
 //! the multithreaded driver parallelizes.
 //!
@@ -86,7 +88,7 @@ use beast_core::error::EvalError;
 use beast_core::interval::Interval;
 use beast_core::ir::{LBody, LIter, LStep, LoweredPlan};
 use beast_core::iterator::range_len;
-use beast_core::pointprog::{PointProg, RunExit, RunProgs, RunSpec, SlotView};
+use beast_core::pointprog::{RunExit, RunProgs, RunSpec, SlotView};
 use beast_core::schedule::ScheduleMode;
 
 use crate::point::PointRef;
@@ -253,8 +255,9 @@ impl EngineOptions {
 /// A loop domain in the flat program.
 #[derive(Debug, Clone)]
 enum CDomain {
-    /// Range with compiled bounds evaluated once at loop entry.
-    Range { start: PointProg, stop: PointProg, step: PointProg },
+    /// Range whose bounds ([`RunProgs::bounds`] of plan step `bind`) are
+    /// evaluated once at loop entry.
+    Range { bind: u32 },
     /// Static list of values, shared (not deep-copied) across clones and
     /// parallel chunk runs, with its box for the guard ([`values_box`]).
     Values { values: Arc<[i64]>, iv: Interval, cg: Congruence },
@@ -481,7 +484,7 @@ impl Compiled {
             _ => None,
         };
         let spec = RunSpec { checks: true, cuts: &cuts, skip_bit: &elide_bit, derive: false };
-        let runs = RunProgs::new(&lp, spec);
+        let mut runs = RunProgs::new(&lp, spec);
 
         let mut ops: Vec<Op> = Vec::new();
         // Open loops: (loop_id, enter_ip); per open scope (the preamble,
@@ -517,11 +520,7 @@ impl Compiled {
             match &lp.steps[i] {
                 LStep::Bind { slot, domain, iter, .. } => {
                     let d = match domain {
-                        LIter::Range { start, stop, step } => CDomain::Range {
-                            start: PointProg::compile(start),
-                            stop: PointProg::compile(stop),
-                            step: PointProg::compile(step),
-                        },
+                        LIter::Range { .. } => CDomain::Range { bind: i as u32 },
                         LIter::Values(v) => {
                             let (iv, cg) = values_box(v);
                             CDomain::Values { values: Arc::from(v.as_slice()), iv, cg }
@@ -582,10 +581,10 @@ impl Compiled {
             .map(|(l, p)| {
                 let n = p.narrowing.as_ref().filter(|_| narrows(l, p))?;
                 let elide_mask = if n.constraint < 64 { 1u64 << n.constraint } else { 0 };
-                Some(LoopSolve { solve: Solve::new(n), elide_mask })
+                Some(LoopSolve { solve: Solve::new(n, &mut runs), elide_mask })
             })
             .collect();
-        let parents = parent_table(&plan, &narrow, &guards);
+        let parents = parent_table(&plan, &narrow, &guards, &mut runs);
         let point_names: Arc<[Arc<str>]> =
             Arc::from(lp.slot_names.clone().into_boxed_slice());
         let lint = (opts.lint != LintGate::Allow)
@@ -697,7 +696,9 @@ impl Compiled {
         let abs = AbsSteps::new(&self.lp).with_full_product();
         let plan = levels(&self.lp).levels;
         (self.guards, self.gprogs) = build_guards(&self.lp, &abs, &plan, self.opts);
-        self.parents = parent_table(&plan, &self.narrow, &self.guards);
+        self.parents = parent_table(&plan, &self.narrow, &self.guards, &mut self.runs);
+        // A child program compiled just now may have lengthened the file.
+        self.preamble = self.run_preamble();
         self
     }
 
@@ -787,8 +788,8 @@ impl Compiled {
         let Op::Enter { slot, domain, .. } = &self.ops[self.first_enter] else {
             unreachable!("first_enter points at Enter");
         };
-        let mut f = Frame::default();
-        let (first, _) = self.realize(domain, &pre.file, &mut f).map_err(|e| {
+        let (mut f, mut file) = (Frame::default(), pre.file.clone());
+        let (first, _) = self.realize(domain, &mut file, &mut f).map_err(|e| {
             self.at_point(e, Site::Slot(*slot), self.first_enter, 0, &pre.file)
         })?;
         Ok(std::iter::successors(first, |_| advance_frame(&mut f)).collect())
@@ -803,13 +804,12 @@ impl Compiled {
     fn realize(
         &self,
         domain: &CDomain,
-        slots: &[i64],
+        slots: &mut [i64],
         f: &mut Frame,
     ) -> Result<(Option<i64>, u64), EvalError> {
         Ok(match domain {
-            CDomain::Range { start, stop, step } => {
-                let (start, stop, step) =
-                    (start.eval(slots)?, stop.eval(slots)?, step.eval(slots)?);
+            CDomain::Range { bind } => {
+                let (start, stop, step) = self.runs.bounds(*bind as usize, slots)?;
                 f.kind = FrameKind::Range;
                 f.cur = start;
                 f.stop = stop;
@@ -845,14 +845,12 @@ impl Compiled {
         ps: &ParentSolve,
         child: &Solve,
         ip: usize,
-        slots: &[i64],
+        slots: &mut [i64],
     ) -> Option<ChildEntry> {
-        let Op::Enter { domain: CDomain::Range { start, stop, step }, .. } = &self.ops[ip + 1]
-        else {
+        let Op::Enter { domain: CDomain::Range { bind }, .. } = &self.ops[ip + 1] else {
             unreachable!("a solved child is a range loop entered first in its parent's body")
         };
-        let (start, stop, step) =
-            (start.eval(slots).ok()?, stop.eval(slots).ok()?, step.eval(slots).ok()?);
+        let (start, stop, step) = self.runs.bounds(*bind as usize, slots).ok()?;
         ps.progs.entry(child, slots, start, step, range_len(start, stop, step))
     }
 
@@ -1415,12 +1413,15 @@ fn parent_table(
     plan: &[LevelPlan],
     narrow: &[Option<LoopSolve>],
     guards: &[Option<u32>],
+    runs: &mut RunProgs,
 ) -> Vec<Option<ParentSolve>> {
     (plan.iter().enumerate())
         .map(|(l, p)| {
             let s = p.child_solve.as_ref()?;
-            (narrow.get(l + 1)?.is_some() && guards[l + 1].is_none())
-                .then(|| ParentSolve { progs: ChildProgs::new(s), child_slot: plan[l + 1].slot })
+            (narrow.get(l + 1)?.is_some() && guards[l + 1].is_none()).then(|| ParentSolve {
+                progs: ChildProgs::new(s, runs),
+                child_slot: plan[l + 1].slot,
+            })
         })
         .collect()
 }

@@ -51,7 +51,7 @@ use beast_core::ir::LoweredPlan;
 use crate::checkpoint::{blocks_json, parse_blocks, parse_stats, stats_json, JsonValue, SaveState};
 use crate::stats::{BlockStats, PruneStats};
 use crate::sweep::{sweep, SweepError, SweepSpec};
-use crate::telemetry::{json_num, json_str, SweepReport};
+use crate::telemetry::{json_int, json_str, SweepReport};
 use crate::visit::Visitor;
 use crate::walker::SweepOutcome;
 
@@ -84,13 +84,13 @@ impl CacheStats {
     /// Render as a JSON object with stable key order.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{");
-        json_num(&mut out, "entries", self.entries as f64);
+        json_int(&mut out, "entries", self.entries);
         out.push(',');
-        json_num(&mut out, "hits", self.hits as f64);
+        json_int(&mut out, "hits", self.hits);
         out.push(',');
-        json_num(&mut out, "misses", self.misses as f64);
+        json_int(&mut out, "misses", self.misses);
         out.push(',');
-        json_num(&mut out, "stores", self.stores as f64);
+        json_int(&mut out, "stores", self.stores);
         out.push('}');
         out
     }

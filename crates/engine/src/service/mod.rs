@@ -46,7 +46,7 @@ use beast_core::ir::LoweredPlan;
 use crate::checkpoint::{JsonValue, SaveState};
 use crate::compiled::{Compiled, EngineOptions};
 use crate::sweep::{sweep, SweepSpec};
-use crate::telemetry::{json_num, json_str, SweepProgress};
+use crate::telemetry::{json_int, json_num, json_str, SweepProgress};
 use crate::visit::FingerprintVisitor;
 
 use cache::SweepCache;
@@ -197,7 +197,7 @@ impl Job {
             JobState::Done(body) => body.clone(),
             other => {
                 let mut out = String::from("{");
-                json_num(&mut out, "id", self.id as f64);
+                json_int(&mut out, "id", self.id);
                 out.push(',');
                 json_str(&mut out, "label", &self.space.label);
                 out.push(',');
@@ -209,11 +209,11 @@ impl Job {
                 if matches!(other, JobState::Running) {
                     let snap = self.progress.snapshot();
                     out.push(',');
-                    json_num(&mut out, "chunks_done", snap.chunks_done as f64);
+                    json_int(&mut out, "chunks_done", snap.chunks_done);
                     out.push(',');
-                    json_num(&mut out, "chunks_total", snap.chunks_total as f64);
+                    json_int(&mut out, "chunks_total", snap.chunks_total);
                     out.push(',');
-                    json_num(&mut out, "tuples_decided", snap.tuples_decided as f64);
+                    json_int(&mut out, "tuples_decided", snap.tuples_decided);
                 }
                 out.push('}');
                 out
@@ -226,15 +226,15 @@ impl Job {
         let snap = self.progress.snapshot();
         let state = self.state.lock().unwrap();
         let mut out = String::from("{");
-        json_num(&mut out, "id", self.id as f64);
+        json_int(&mut out, "id", self.id);
         out.push(',');
         json_str(&mut out, "state", state.name());
         out.push(',');
-        json_num(&mut out, "chunks_done", snap.chunks_done as f64);
+        json_int(&mut out, "chunks_done", snap.chunks_done);
         out.push(',');
-        json_num(&mut out, "chunks_total", snap.chunks_total as f64);
+        json_int(&mut out, "chunks_total", snap.chunks_total);
         out.push(',');
-        json_num(&mut out, "tuples_decided", snap.tuples_decided as f64);
+        json_int(&mut out, "tuples_decided", snap.tuples_decided);
         out.push_str("}\n");
         out
     }
@@ -343,11 +343,11 @@ impl ServerState {
         let mut out = self.cache.stats().to_json();
         out.pop(); // reopen the cache's object
         out.push(',');
-        json_num(&mut out, "engines", engines as f64);
+        json_int(&mut out, "engines", engines);
         out.push(',');
-        json_num(&mut out, "engine_builds", self.engine_builds.load(Ordering::Relaxed) as f64);
+        json_int(&mut out, "engine_builds", self.engine_builds.load(Ordering::Relaxed));
         out.push(',');
-        json_num(&mut out, "engine_reuses", self.engine_reuses.load(Ordering::Relaxed) as f64);
+        json_int(&mut out, "engine_reuses", self.engine_reuses.load(Ordering::Relaxed));
         out.push('}');
         out
     }
@@ -416,13 +416,13 @@ impl ServerState {
         let jobs = self.jobs.lock().unwrap().len();
         let pool = self.acceptors.lock().unwrap();
         let mut out = String::from("{\"ok\":true,");
-        json_num(&mut out, "jobs", jobs as f64);
+        json_int(&mut out, "jobs", jobs);
         out.push(',');
-        json_num(&mut out, "acceptors", pool.live as f64);
+        json_int(&mut out, "acceptors", pool.live);
         out.push(',');
-        json_num(&mut out, "idle", pool.idle as f64);
+        json_int(&mut out, "idle", pool.idle);
         out.push(',');
-        json_num(&mut out, "acceptors_spawned", pool.spawned as f64);
+        json_int(&mut out, "acceptors_spawned", pool.spawned);
         out.push('}');
         out
     }
@@ -639,19 +639,19 @@ fn run_job(state: &ServerState, job: &Job) {
     match run {
         Ok((outcome, report)) => {
             let mut out = String::from("{");
-            json_num(&mut out, "id", job.id as f64);
+            json_int(&mut out, "id", job.id);
             out.push(',');
             json_str(&mut out, "label", &space.label);
             out.push(',');
             json_str(&mut out, "state", "done");
             out.push(',');
-            json_num(&mut out, "survivors", report.survivors as f64);
+            json_int(&mut out, "survivors", report.survivors);
             out.push(',');
             json_num(&mut out, "elapsed_s", report.elapsed.as_secs_f64());
             out.push(',');
-            json_num(&mut out, "cache_hits", report.cache_hits as f64);
+            json_int(&mut out, "cache_hits", report.cache_hits);
             out.push(',');
-            json_num(&mut out, "cache_misses", report.cache_misses as f64);
+            json_int(&mut out, "cache_misses", report.cache_misses);
             out.push_str(",\"fingerprint\":");
             out.push_str(&outcome.visitor.save_state());
             out.push_str(",\"report\":");

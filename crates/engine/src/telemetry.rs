@@ -336,45 +336,45 @@ impl SweepReport {
         out.push('{');
         json_str(&mut out, "space", &self.space);
         out.push(',');
-        json_num(&mut out, "threads", self.threads as f64);
+        json_int(&mut out, "threads", self.threads);
         out.push(',');
-        json_num(&mut out, "outer_len", self.outer_len as f64);
+        json_int(&mut out, "outer_len", self.outer_len);
         out.push(',');
-        json_num(&mut out, "chunk_len", self.chunk_len as f64);
+        json_int(&mut out, "chunk_len", self.chunk_len);
         out.push(',');
-        json_num(&mut out, "chunks", self.chunks as f64);
+        json_int(&mut out, "chunks", self.chunks);
         out.push(',');
         json_num(&mut out, "elapsed_s", self.elapsed.as_secs_f64());
         out.push(',');
         json_num(&mut out, "tuples_per_sec", self.tuples_per_sec());
         out.push(',');
-        json_num(&mut out, "survivors", self.survivors as f64);
+        json_int(&mut out, "survivors", self.survivors);
         out.push(',');
-        json_num(&mut out, "evaluated", self.evaluated as f64);
+        json_int(&mut out, "evaluated", self.evaluated);
         out.push(',');
-        json_num(&mut out, "pruned", self.pruned as f64);
+        json_int(&mut out, "pruned", self.pruned);
         out.push(',');
-        json_num(&mut out, "subtree_skips", self.subtree_skips as f64);
+        json_int(&mut out, "subtree_skips", self.subtree_skips);
         out.push(',');
-        json_num(&mut out, "congruence_skips", self.congruence_skips as f64);
+        json_int(&mut out, "congruence_skips", self.congruence_skips);
         out.push(',');
-        json_num(&mut out, "points_skipped", self.points_skipped as f64);
+        json_int(&mut out, "points_skipped", self.points_skipped);
         out.push(',');
-        json_num(&mut out, "checks_elided", self.checks_elided as f64);
+        json_int(&mut out, "checks_elided", self.checks_elided);
         out.push(',');
-        json_num(&mut out, "guard_runs", self.guard_runs as f64);
+        json_int(&mut out, "guard_runs", self.guard_runs);
         out.push(',');
-        json_num(&mut out, "loops_solved", self.loops_solved as f64);
+        json_int(&mut out, "loops_solved", self.loops_solved);
         out.push(',');
-        json_num(&mut out, "points_solved", self.points_solved as f64);
+        json_int(&mut out, "points_solved", self.points_solved);
         out.push(',');
-        json_num(&mut out, "loops_replayed", self.loops_replayed as f64);
+        json_int(&mut out, "loops_replayed", self.loops_replayed);
         out.push(',');
-        json_num(&mut out, "rows_replayed", self.rows_replayed as f64);
+        json_int(&mut out, "rows_replayed", self.rows_replayed);
         out.push(',');
-        json_num(&mut out, "cache_hits", self.cache_hits as f64);
+        json_int(&mut out, "cache_hits", self.cache_hits);
         out.push(',');
-        json_num(&mut out, "cache_misses", self.cache_misses as f64);
+        json_int(&mut out, "cache_misses", self.cache_misses);
         out.push(',');
         json_num(&mut out, "imbalance", self.imbalance());
         out.push_str(",\"native\":");
@@ -407,25 +407,21 @@ impl SweepReport {
         out.push(',');
         json_str(&mut out, "fault_policy", &self.fault_policy);
         out.push_str(",\"fault_counters\":{");
-        json_num(&mut out, "points_skipped", self.fault_counters.points_skipped as f64);
+        json_int(&mut out, "points_skipped", self.fault_counters.points_skipped);
         out.push(',');
-        json_num(
-            &mut out,
-            "chunks_quarantined",
-            self.fault_counters.chunks_quarantined as f64,
-        );
+        json_int(&mut out, "chunks_quarantined", self.fault_counters.chunks_quarantined);
         out.push(',');
-        json_num(&mut out, "retries", self.fault_counters.retries as f64);
+        json_int(&mut out, "retries", self.fault_counters.retries);
         out.push(',');
-        json_num(&mut out, "panics", self.fault_counters.panics as f64);
+        json_int(&mut out, "panics", self.fault_counters.panics);
         out.push(',');
-        json_num(&mut out, "workers_spawned", self.fault_counters.workers_spawned as f64);
+        json_int(&mut out, "workers_spawned", self.fault_counters.workers_spawned);
         out.push(',');
-        json_num(&mut out, "worker_restarts", self.fault_counters.worker_restarts as f64);
+        json_int(&mut out, "worker_restarts", self.fault_counters.worker_restarts);
         out.push(',');
-        json_num(&mut out, "shards_retried", self.fault_counters.shards_retried as f64);
+        json_int(&mut out, "shards_retried", self.fault_counters.shards_retried);
         out.push(',');
-        json_num(&mut out, "heartbeat_timeouts", self.fault_counters.heartbeat_timeouts as f64);
+        json_int(&mut out, "heartbeat_timeouts", self.fault_counters.heartbeat_timeouts);
         out.push_str("},\"faults\":[");
         for (i, r) in self.faults.iter().enumerate() {
             if i > 0 {
@@ -438,11 +434,11 @@ impl SweepReport {
         match self.lint {
             Some(s) => {
                 out.push('{');
-                json_num(&mut out, "errors", s.errors as f64);
+                json_int(&mut out, "errors", s.errors);
                 out.push(',');
-                json_num(&mut out, "warnings", s.warnings as f64);
+                json_int(&mut out, "warnings", s.warnings);
                 out.push(',');
-                json_num(&mut out, "infos", s.infos as f64);
+                json_int(&mut out, "infos", s.infos);
                 out.push('}');
             }
             None => out.push_str("null"),
@@ -457,11 +453,11 @@ impl SweepReport {
             out.push(',');
             json_str(&mut out, "class", &c.class);
             out.push(',');
-            json_num(&mut out, "level", c.level as f64);
+            json_int(&mut out, "level", c.level);
             out.push(',');
-            json_num(&mut out, "evaluated", c.evaluated as f64);
+            json_int(&mut out, "evaluated", c.evaluated);
             out.push(',');
-            json_num(&mut out, "pruned", c.pruned as f64);
+            json_int(&mut out, "pruned", c.pruned);
             out.push(',');
             json_num(&mut out, "kill_rate", c.kill_rate());
             out.push('}');
@@ -472,11 +468,11 @@ impl SweepReport {
                 out.push(',');
             }
             out.push('{');
-            json_num(&mut out, "level", l.level as f64);
+            json_int(&mut out, "level", l.level);
             out.push(',');
-            json_num(&mut out, "evaluated", l.evaluated as f64);
+            json_int(&mut out, "evaluated", l.evaluated);
             out.push(',');
-            json_num(&mut out, "pruned", l.pruned as f64);
+            json_int(&mut out, "pruned", l.pruned);
             out.push(',');
             json_num(&mut out, "kill_rate", l.kill_rate());
             out.push('}');
@@ -487,15 +483,15 @@ impl SweepReport {
                 out.push(',');
             }
             out.push('{');
-            json_num(&mut out, "worker", w.worker as f64);
+            json_int(&mut out, "worker", w.worker);
             out.push(',');
-            json_num(&mut out, "chunks", w.chunks as f64);
+            json_int(&mut out, "chunks", w.chunks);
             out.push(',');
             json_num(&mut out, "busy_s", w.busy.as_secs_f64());
             out.push(',');
-            json_num(&mut out, "evaluated", w.evaluated as f64);
+            json_int(&mut out, "evaluated", w.evaluated);
             out.push(',');
-            json_num(&mut out, "survivors", w.survivors as f64);
+            json_int(&mut out, "survivors", w.survivors);
             out.push('}');
         }
         out.push_str("]}");
@@ -693,7 +689,15 @@ pub(crate) fn json_str(out: &mut String, key: &str, value: &str) {
     json_str_value(out, value);
 }
 
-/// Append `"key":number` (non-finite values become 0 — JSON has no NaN).
+/// Append `"key":integer` for a counter: exact decimal, never through
+/// `f64`, which rounds above 2^53.
+pub(crate) fn json_int(out: &mut String, key: &str, value: impl std::fmt::Display) {
+    use std::fmt::Write as _;
+    let _ = write!(out, "\"{key}\":{value}");
+}
+
+/// Append `"key":number` for a real value (non-finite values become 0 —
+/// JSON has no NaN).
 pub(crate) fn json_num(out: &mut String, key: &str, value: f64) {
     out.push('"');
     out.push_str(key);
@@ -774,6 +778,45 @@ mod tests {
             workers,
             Some(LintSummary { errors: 0, warnings: 2, infos: 5 }),
         )
+    }
+
+    /// Counters past 2^53 — a solved loop credits `entries · len` at once —
+    /// come back from the JSON exactly: the top-level counters and every
+    /// constraint and level row.
+    #[test]
+    fn counters_past_2_pow_53_are_exact_in_json() {
+        use crate::checkpoint::JsonValue;
+        use crate::sweep::{sweep, SweepSpec};
+        use crate::visit::CountVisitor;
+        use beast_core::ir::LoweredPlan;
+        use beast_core::plan::{Plan, PlanOptions};
+
+        let space = Space::builder("wide")
+            .range("a", 0, 4)
+            .range("x", 0, 1i64 << 60)
+            .constraint("x7", ConstraintClass::Hard, var("x").ne(7))
+            .build()
+            .unwrap();
+        let lp = LoweredPlan::new(&Plan::new(&space, PlanOptions::default()).unwrap()).unwrap();
+        let (_, r) = sweep(&lp, &SweepSpec::new(1), CountVisitor::default).unwrap();
+        assert_eq!((r.survivors, r.evaluated, r.pruned), (4, 1 << 62, (1 << 62) - 4));
+
+        let json = JsonValue::parse(&r.to_json()).unwrap();
+        let int = |v: &JsonValue, k: &str| v.get(k).and_then(JsonValue::as_u64);
+        let top = [r.survivors, r.evaluated, r.pruned, r.loops_solved, r.points_solved];
+        let keys = ["survivors", "evaluated", "pruned", "loops_solved", "points_solved"];
+        for (k, want) in keys.into_iter().zip(top) {
+            assert_eq!(int(&json, k), Some(want), "{k}");
+        }
+        let rows = |k: &str| json.get(k).and_then(JsonValue::items).unwrap().to_vec();
+        let constraints: Vec<_> = r.constraints.iter().map(|c| (c.evaluated, c.pruned)).collect();
+        let levels: Vec<_> = r.levels.iter().map(|l| (l.evaluated, l.pruned)).collect();
+        for (k, want) in [("constraints", constraints), ("levels", levels)] {
+            let got: Vec<_> = (rows(k).iter())
+                .map(|row| (int(row, "evaluated").unwrap(), int(row, "pruned").unwrap()))
+                .collect();
+            assert_eq!(got, want, "{k}");
+        }
     }
 
     #[test]

@@ -474,7 +474,7 @@ mod tests {
         assert_eq!((soft, correctness), (4, 4));
     }
 
-    /// Point programs pay for themselves on the paper's own workload:
+    /// One-root programs pay for themselves on the paper's own workload:
     /// across the lowered GEMM plan's derived/constraint expressions and
     /// range bounds, a program has at most one instruction per operator of
     /// its tree and strictly fewer in aggregate (leaves are operands, the
@@ -483,7 +483,7 @@ mod tests {
     #[test]
     fn point_programs_fold_lowered_gemm_expressions() {
         use beast_core::ir::{IntBinOp, IntExpr, LBody, LIter, LStep, LoweredPlan};
-        use beast_core::pointprog::PointProg;
+        use beast_core::pointprog::RootProg;
 
         let space = build_gemm_space(&GemmSpaceParams::paper_default()).unwrap();
         let plan = Plan::new(&space, PlanOptions::default()).unwrap();
@@ -542,12 +542,12 @@ mod tests {
 
         let (mut ins, mut ops, mut spliced) = (0usize, 0usize, 0usize);
         for e in exprs {
-            let p = PointProg::compile(e);
+            let p = RootProg::compile(e);
             assert!(p.len() <= operators(e), "{} instructions for {e}", p.len());
             ins += p.len();
             ops += operators(e);
             if let Some(s) = splice(e) {
-                assert_eq!(PointProg::compile(&s), p, "spliced constant in {e}");
+                assert_eq!(RootProg::compile(&s), p, "spliced constant in {e}");
                 spliced += 1;
             }
         }

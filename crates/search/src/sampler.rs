@@ -59,7 +59,7 @@ impl<'a, R: Rng> Sampler<'a, R> {
         let progs = StepProgs::new(lp, RunSpec::CHECKED);
         Sampler {
             lp,
-            file: progs.runs().file(),
+            file: progs.runs.file(),
             progs,
             rng,
             names,
@@ -158,7 +158,7 @@ impl<'a, R: Rng> Sampler<'a, R> {
         let mutate_slot = neighbor_of.map(|(m, _)| m);
 
         loop {
-            if let Some(run) = self.progs.runs().at(i) {
+            if let Some(run) = self.progs.runs.at(i) {
                 match run.run(slots, 0).map_err(|f| f.error)? {
                     RunExit::Pass => i = run.end(),
                     RunExit::Reject(_) => {
@@ -269,7 +269,7 @@ impl<'a, R: Rng> Sampler<'a, R> {
         };
         let mut i = 0;
         loop {
-            if let Some(run) = self.progs.runs().at(i) {
+            if let Some(run) = self.progs.runs.at(i) {
                 match run.run(slots, 0).map_err(|f| f.error)? {
                     RunExit::Pass => i = run.end(),
                     RunExit::Reject(_) => return Ok(false),

@@ -38,7 +38,12 @@ use beast_core::interval::{
 };
 use beast_core::ir::{IntBinOp, IntExpr, LBody, LIter, LStep};
 use beast_core::iterator::Realized;
-use beast_core::pointprog::PointProg;
+use beast_core::ir::LoweredPlan;
+use beast_core::pointprog::{RootProg, RunProgs, RunSpec};
+
+#[path = "common/narrow_gen.rs"]
+#[allow(dead_code)]
+mod narrow_gen;
 
 const VARS: [&str; 3] = ["va", "vb", "vc"];
 
@@ -411,8 +416,8 @@ fn hide_consts(e: &IntExpr, first: u32, consts: &mut Vec<i64>) -> IntExpr {
     }
 }
 
-/// Compile-time folding shortens the real GEMM plan's point programs: every
-/// program is no longer than the one compiled from the same tree with its
+/// Compile-time folding shortens the real GEMM plan's one-root programs:
+/// every program is no longer than the one compiled from the same tree with its
 /// constants hidden behind slots (where nothing folds), computes the same
 /// value, and the plan as a whole gets strictly shorter (`x || 0` and a
 /// `!= 0` after a 0/1 operand fold away). A constant subtree spliced in for
@@ -458,17 +463,20 @@ fn gemm_point_program_folding_reduces_ops() {
             _ => vec![],
         };
         for e in exprs {
-            let folded = PointProg::compile(e);
+            let folded = RootProg::compile(e);
             let mut consts = Vec::new();
-            let hidden = PointProg::compile(&hide_consts(e, n, &mut consts));
+            let hidden_e = hide_consts(e, n, &mut consts);
+            let hidden = RootProg::compile(&hidden_e);
             assert!(folded.len() <= hidden.len(), "folding grew {e}: {folded:?} vs {hidden:?}");
+            let mut runs = RunProgs::new(&bare_plan(n + consts.len() as u32), RunSpec::CHECKED);
+            let (folded_in, hidden_in) = (runs.root(e), runs.root(&hidden_e));
             for _ in 0..8 {
                 let mut slots: Vec<i64> = (0..n).map(|_| rng.gen_range(1i64..64)).collect();
-                let want = folded.eval(&slots);
                 slots.extend(&consts);
-                assert_eq!(hidden.eval(&slots), want, "{e} at {slots:?}");
+                let want = folded_in.eval(&mut junk_file(&runs, &slots));
+                assert_eq!(hidden_in.eval(&mut junk_file(&runs, &slots)), want, "{e} at {slots:?}");
             }
-            assert_eq!(PointProg::compile(&splice(e)), folded, "a spliced constant in {e}");
+            assert_eq!(RootProg::compile(&splice(e)), folded, "a spliced constant in {e}");
             folded_total += folded.len();
             hidden_total += hidden.len();
             leaves += usize::from(folded.is_empty());
@@ -1013,8 +1021,8 @@ fn arb_point_expr(rng: &mut StdRng, depth: usize) -> IntExpr {
 }
 
 /// A right spine 24 operators deep whose left operands are computed, so
-/// every level holds a register while the rest of the spine runs: more
-/// registers than the local array, so the heap evaluator runs.
+/// every level holds a temporary while the rest of the spine runs: more
+/// than 16 temporaries.
 fn deep_point_expr(rng: &mut StdRng) -> IntExpr {
     use IntBinOp::*;
     const SPINE: [IntBinOp; 8] = [Add, Sub, Mul, Lt, Ne, And, Or, Rem];
@@ -1070,51 +1078,178 @@ fn skips_a_failing_operand(e: &IntExpr, slots: &[i64]) -> bool {
     }
 }
 
-/// The register-form point program is outcome-identical to the recursive
-/// reference: `PointProg::eval` returns exactly what `IntExpr::eval` does,
-/// error variant included, on random trees over every operator and
-/// builtin, `i64::MIN` / `MAX` constants and slots, zero and `-1` divisors
-/// — under `&&` / `||` / ternaries whose dead operand would fault, and in
-/// constant subtrees the folder must keep — and on spines deep enough to
-/// run the heap evaluator.
+/// A lowered plan of `n_slots` slots whose only step is the visit: a value
+/// file to compile one-root programs into.
+fn bare_plan(n_slots: u32) -> LoweredPlan {
+    let space = Space::builder("roots").range("x", 0, 1).build().unwrap();
+    let mut lp = LoweredPlan::new(&Plan::new(&space, PlanOptions::default()).unwrap()).unwrap();
+    lp.steps = vec![LStep::Visit];
+    lp.n_slots = n_slots;
+    lp
+}
+
+/// A value file of `runs` holding `slots` and junk in every temporary, so
+/// that a program reading a temporary it never wrote shows.
+fn junk_file(runs: &RunProgs, slots: &[i64]) -> Vec<i64> {
+    let mut file = runs.file();
+    file[..slots.len()].copy_from_slice(slots);
+    for &t in runs.temps() {
+        file[t as usize] = i64::MIN;
+    }
+    file
+}
+
+/// The temporaries `e` needs as a one-root program.
+fn temporaries(e: &IntExpr) -> usize {
+    let mut runs = RunProgs::new(&bare_plan(4), RunSpec::CHECKED);
+    runs.root(e);
+    runs.temps().len()
+}
+
+/// Random slot values over [`POINT_LEAVES`] and small integers.
+fn point_slots(rng: &mut StdRng, n: u32) -> Vec<i64> {
+    (0..n)
+        .map(|_| match rng.gen_range(0u32..3) {
+            0 => POINT_LEAVES[rng.gen_range(0..POINT_LEAVES.len())],
+            _ => rng.gen_range(-9i64..10),
+        })
+        .collect()
+}
+
+/// The one compiler's one-root programs are outcome-identical to the
+/// recursive reference: `RootProg::eval` returns exactly what
+/// `IntExpr::eval` does, error variant included, on random trees over
+/// every operator and builtin, `i64::MIN` / `MAX` constants and slots, zero
+/// and `-1` divisors — under `&&` / `||` / ternaries whose dead operand
+/// would fault, and in constant subtrees the folder must keep — and on
+/// spines needing more than 16 temporaries. Every program is compiled into
+/// one shared value file and run over junk temporaries.
 #[test]
 fn point_programs_match_the_tree_evaluator() {
     let mut rng = StdRng::seed_from_u64(0xBEA5_700B);
     let mut exprs: Vec<IntExpr> = (0..4000).map(|_| arb_point_expr(&mut rng, 5)).collect();
     exprs.extend((0..300).map(|_| deep_point_expr(&mut rng)));
 
-    let (mut div0, mut overflow, mut dead, mut kept, mut heap, mut heap_ok) = (0, 0, 0, 0, 0, 0);
+    let mut runs = RunProgs::new(&bare_plan(4), RunSpec::CHECKED);
+    let (mut div0, mut overflow, mut dead, mut kept, mut deep, mut deep_ok) = (0, 0, 0, 0, 0, 0);
     for (case, e) in exprs.iter().enumerate() {
-        let prog = PointProg::compile(e);
-        let deep = prog.regs() as usize > beast_core::pointprog::LOCAL_REGS;
+        let prog = runs.root(e);
+        let is_deep = temporaries(e) > 16;
         kept += u32::from(holds_failing_constant(e));
         for _ in 0..6 {
-            let slots: Vec<i64> = (0..4)
-                .map(|_| match rng.gen_range(0u32..3) {
-                    0 => POINT_LEAVES[rng.gen_range(0..POINT_LEAVES.len())],
-                    _ => rng.gen_range(-9i64..10),
-                })
-                .collect();
+            let slots = point_slots(&mut rng, 4);
             let want = e.eval(&slots);
-            assert_eq!(prog.eval(&slots), want, "case {case}: {e} at {slots:?}");
+            let got = prog.eval(&mut junk_file(&runs, &slots));
+            assert_eq!(got, want, "case {case}: {e} at {slots:?}");
             div0 += u32::from(want == Err(beast_core::error::EvalError::DivisionByZero));
             overflow += u32::from(want == Err(beast_core::error::EvalError::Overflow));
             dead += u32::from(want.is_ok() && skips_a_failing_operand(e, &slots));
-            heap += u32::from(deep);
-            heap_ok += u32::from(deep && want.is_ok());
+            deep += u32::from(is_deep);
+            deep_ok += u32::from(is_deep && want.is_ok());
         }
     }
     // The case set must reach every corner the evaluators could part on.
     assert!(div0 > 100 && overflow > 10, "{div0} zero divisors, {overflow} overflows");
     assert!(dead > 100, "only {dead} short-circuits past a failing operand");
     assert!(kept > 100, "only {kept} trees hold a failing constant subtree");
-    assert!(heap > 100 && heap_ok > 10, "{heap} heap evaluations, {heap_ok} of them Ok");
+    assert!(deep > 100 && deep_ok > 10, "{deep} deep evaluations, {deep_ok} of them Ok");
+}
+
+/// The divisors of every `%` in `e`.
+fn rem_divisors<'e>(e: &'e IntExpr, out: &mut Vec<&'e IntExpr>) {
+    match e {
+        IntExpr::Const(_) | IntExpr::Slot(_) => {}
+        IntExpr::Neg(a) | IntExpr::Not(a) | IntExpr::Abs(a) => rem_divisors(a, out),
+        IntExpr::Bin(IntBinOp::Rem, a, b) => {
+            rem_divisors(a, out);
+            out.push(b);
+            rem_divisors(b, out);
+        }
+        IntExpr::Bin(_, a, b) | IntExpr::Call2(_, a, b) => {
+            rem_divisors(a, out);
+            rem_divisors(b, out);
+        }
+        IntExpr::Ternary(c, t, f) => {
+            rem_divisors(c, out);
+            rem_divisors(t, out);
+            rem_divisors(f, out);
+        }
+    }
+}
+
+/// The one-root programs the consumers compile into a plan's value file —
+/// every range bound ([`RunProgs::bounds`]) of GEMM reduced(16), (32) and
+/// (48), the `%` divisors of their checks (the counter's residue filter),
+/// and the narrowing `a` / `k` and child-solve `c` / `d` of the generated
+/// child and parent families — return exactly what `IntExpr::eval` does
+/// over a file whose temporaries hold junk, errors included.
+#[test]
+fn one_root_programs_of_real_plans_match_the_tree_evaluator() {
+    use beast_core::analyze::levels::levels;
+    let lower = |space: &Arc<Space>| {
+        LoweredPlan::new(&Plan::new(space, PlanOptions::default()).unwrap()).unwrap()
+    };
+    let gemm = |dim| beast::gemm::build_gemm_space(&beast::gemm::GemmSpaceParams::reduced(dim));
+    let mut plans: Vec<LoweredPlan> = [16, 32, 48].map(|dim| lower(&gemm(dim).unwrap())).into();
+    for seed in 0..120 {
+        plans.push(lower(&narrow_gen::generate(seed).space));
+        plans.push(lower(&narrow_gen::generate_parent(seed, false).space));
+    }
+
+    let mut rng = StdRng::seed_from_u64(0x0E_400F);
+    let (mut bounds, mut divisors, mut solves, mut runs_ok, mut faults) = (0, 0, 0, 0, 0);
+    for lp in &plans {
+        let mut runs = RunProgs::new(lp, RunSpec::CHECKED);
+        let mut divs: Vec<&IntExpr> = Vec::new();
+        for step in &lp.steps {
+            if let LStep::Check { body: LBody::Expr(e), .. } = step {
+                rem_divisors(e, &mut divs);
+            }
+        }
+        divisors += divs.len();
+        let mut exprs: Vec<IntExpr> = divs.into_iter().cloned().collect();
+        for p in levels(lp).levels {
+            let n = p.narrowing.map(|n| [n.check.coeff, n.check.offset]);
+            let c = p.child_solve.map(|c| [c.c, c.d]);
+            let coefficients: Vec<IntExpr> = n.into_iter().chain(c).flatten().collect();
+            solves += coefficients.len();
+            exprs.extend(coefficients);
+        }
+        let roots: Vec<RootProg> = exprs.iter().map(|e| runs.root(e)).collect();
+        let ranges: Vec<(usize, [&IntExpr; 3])> = (lp.steps.iter().enumerate())
+            .filter_map(|(i, s)| match s {
+                LStep::Bind { domain: LIter::Range { start, stop, step }, .. } => {
+                    Some((i, [start, stop, step]))
+                }
+                _ => None,
+            })
+            .collect();
+        bounds += ranges.len();
+        for _ in 0..8 {
+            let slots = point_slots(&mut rng, lp.n_slots);
+            for (i, [start, stop, step]) in &ranges {
+                let want = (|| Ok((start.eval(&slots)?, stop.eval(&slots)?, step.eval(&slots)?)))();
+                let got = runs.bounds(*i, &mut junk_file(&runs, &slots));
+                assert_eq!(got, want, "bounds of step {i} at {slots:?}");
+                runs_ok += u32::from(want.is_ok());
+                faults += u32::from(want.is_err());
+            }
+            for (e, p) in exprs.iter().zip(&roots) {
+                let want = e.eval(&slots);
+                assert_eq!(p.eval(&mut junk_file(&runs, &slots)), want, "{e} at {slots:?}");
+                runs_ok += u32::from(want.is_ok());
+                faults += u32::from(want.is_err());
+            }
+        }
+    }
+    assert!(bounds > 300 && divisors > 100 && solves > 100, "{bounds} {divisors} {solves}");
+    assert!(runs_ok > 5000 && faults > 20, "{runs_ok} values, {faults} faults");
 }
 
 /// One randomly generated level run over 4 bound slots: expression defines
 /// writing slots 4.., each reading the slots written before it, and checks
 /// between them, `%` / `/` / `//` by zero and `i64::MIN // -1` reachable
-/// through the leaves, spines deep enough to overflow `LOCAL_REGS`.
+/// through the leaves, spines needing more than 16 temporaries.
 fn arb_run(rng: &mut StdRng) -> Vec<LStep> {
     // Re-point a generated expression's slot reads at the `avail` slots
     // written so far.
@@ -1157,11 +1292,11 @@ fn arb_run(rng: &mut StdRng) -> Vec<LStep> {
 /// first rejecting check), the same error kind at the same step — with the
 /// defines before it written and nothing after — on generated runs whose
 /// `&&` / `||` / ternaries skip faulting operands and whose deep spines
-/// need more registers than `LOCAL_REGS`. Checks whose skip bit the mask
-/// sets pass unevaluated.
+/// need more than 16 temporaries. The file's temporaries start as junk.
+/// Checks whose skip bit the mask sets pass unevaluated.
 #[test]
 fn run_programs_match_step_by_step_evaluation() {
-    use beast_core::pointprog::{RunExit, RunProgs, RunSpec};
+    use beast_core::pointprog::RunExit;
     let space = Space::builder("runs").range("x", 0, 1).build().unwrap();
     let plan = Plan::new(&space, PlanOptions::default()).unwrap();
     let mut lp = LoweredPlan::new(&plan).unwrap();
@@ -1181,13 +1316,7 @@ fn run_programs_match_step_by_step_evaluation() {
         let runs = RunProgs::new(&lp, spec);
         let run = runs.at(1).expect("a run opens after the bind");
         assert_eq!(run.end(), lp.steps.len() - 1, "case {case}");
-        deep += u32::from(lp.steps.iter().any(|s| match s {
-            LStep::Define { body: LBody::Expr(e), .. }
-            | LStep::Check { body: LBody::Expr(e), .. } => {
-                PointProg::compile(e).regs() as usize > beast_core::pointprog::LOCAL_REGS
-            }
-            _ => false,
-        }));
+        deep += u32::from(runs.temps().len() > 16);
         for _ in 0..4 {
             let skip: u64 = if rng.gen_bool(0.3) { rng.gen_range(0..16) } else { 0 };
             let mut slots: Vec<i64> = (0..lp.n_slots)
@@ -1196,8 +1325,7 @@ fn run_programs_match_step_by_step_evaluation() {
                     _ => rng.gen_range(-9i64..10),
                 })
                 .collect();
-            let mut file = runs.file();
-            file[..slots.len()].copy_from_slice(&slots);
+            let mut file = junk_file(&runs, &slots);
             // The reference: one step at a time.
             let mut want = Ok(RunExit::Pass);
             for (k, step) in lp.steps[1..lp.steps.len() - 1].iter().enumerate() {
