@@ -84,7 +84,7 @@ use crate::error::EvalError;
 use crate::interval::Interval;
 use crate::ir::{IntBinOp, IntExpr, LBody, LIter, LStep, LoweredPlan};
 use crate::iterator::{range_len, Realized};
-use crate::pointprog::{RootProg, RunExit, RunSpec, StepProgs};
+use crate::pointprog::{RootProg, RunExit, RunProgs, RunSpec, StepProgs};
 use crate::value::Value;
 
 use super::absprog::{AbsFile, AbsProgs, Verdict, Window};
@@ -574,7 +574,7 @@ impl<'a> Counter<'a> {
             .map(|p| p.step + 1)
             .collect();
         let spec = RunSpec { checks: survivors, cuts: &cuts, skip_bit: &|_| None, derive: true };
-        let mut points = StepProgs::new(lp, spec);
+        let mut runs = RunProgs::builder(lp, spec);
 
         let mut level_of = vec![usize::MAX; lp.steps.len()];
         let mut levels = Vec::with_capacity(plan.len());
@@ -617,7 +617,7 @@ impl<'a> Counter<'a> {
                         let mut ok = true;
                         d.for_each_slot(&mut |s| ok &= written[s as usize]);
                         if ok {
-                            rem_divisors.push(points.runs.root(d));
+                            rem_divisors.push(runs.root(d));
                         }
                     });
                 }
@@ -628,9 +628,9 @@ impl<'a> Counter<'a> {
                 slot: p.slot,
                 run: p.run.clone(),
                 solve: (p.narrowing.as_ref().filter(|_| survivors))
-                    .map(|n| Solve::new(n, &mut points.runs)),
+                    .map(|n| Solve::new(n, &mut runs)),
                 child_solve: (p.child_solve.as_ref().filter(|_| survivors))
-                    .map(|c| ChildProgs::new(c, &mut points.runs)),
+                    .map(|c| ChildProgs::new(c, &mut runs)),
                 free,
                 uniform: if survivors {
                     p.unread_below
@@ -648,6 +648,7 @@ impl<'a> Counter<'a> {
             });
         }
 
+        let points = StepProgs::new(lp, runs.finish());
         let free: Vec<bool> = levels.iter().map(|l| l.free).collect();
         let solved: Vec<bool> = levels.iter().map(|l| l.solve.is_some()).collect();
         let abs = AbsSteps::new(lp);
@@ -800,7 +801,7 @@ impl<'a> Counter<'a> {
             if self.aborted {
                 return Ok((0, EntryRef::EMPTY));
             }
-            if let Some(run) = self.points.runs.at(i) {
+            if let Some((_, run)) = self.points.runs.at(i) {
                 match run.run(slots, 0) {
                     Ok(RunExit::Pass) => i = run.end(),
                     Ok(RunExit::Reject(_)) => return Ok((0, EntryRef::EMPTY)),
@@ -1289,9 +1290,6 @@ mod tests {
 
     /// Every survivor's slots, in loop order, by the same brute-force walk.
     fn brute_survivors(lp: &LoweredPlan) -> Vec<Vec<i64>> {
-        fn view<'v>(lp: &'v LoweredPlan, slots: &'v [i64]) -> SlotView<'v> {
-            SlotView { names: &lp.slot_names, slots, consts: lp.plan.space().consts() }
-        }
         fn walk(lp: &LoweredPlan, i: usize, slots: &mut Vec<i64>, out: &mut Vec<Vec<i64>>) {
             let space = lp.plan.space();
             match &lp.steps[i] {
@@ -1300,7 +1298,7 @@ mod tests {
                     slots[*slot as usize] = match body {
                         LBody::Expr(e) => e.eval(slots).unwrap(),
                         LBody::Opaque => {
-                            let v = space.deriveds()[*derived].kind.eval(&view(lp, slots));
+                            let v = space.deriveds()[*derived].kind.eval(&SlotView::new(lp, slots));
                             v.unwrap().as_int().unwrap()
                         }
                     };
@@ -1311,7 +1309,7 @@ mod tests {
                         LBody::Expr(e) => e.eval(slots).unwrap() != 0,
                         LBody::Opaque => space.constraints()[*constraint]
                             .kind
-                            .rejects(&view(lp, slots))
+                            .rejects(&SlotView::new(lp, slots))
                             .unwrap(),
                     };
                     if !rejects {
@@ -1329,7 +1327,7 @@ mod tests {
                             Realized::Values(v.iter().map(|&x| Value::Int(x)).collect())
                         }
                         LIter::Opaque { .. } => {
-                            space.realize_iter(*iter, &view(lp, slots)).unwrap()
+                            space.realize_iter(*iter, &SlotView::new(lp, slots)).unwrap()
                         }
                     };
                     for k in 0..realized.len() {

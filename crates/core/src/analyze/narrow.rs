@@ -37,7 +37,7 @@
 //! covers the range. A wrapped or wrapping candidate is never guessed at.
 
 use crate::ir::{IntBinOp, IntExpr};
-use crate::pointprog::{RootProg, RunProgs};
+use crate::pointprog::{RootProg, RunProgsBuilder};
 
 /// `coeff · slot + offset` under wrapping (mod 2⁶⁴) arithmetic. `None`
 /// stands for a literal zero, so the common shapes carry no synthetic
@@ -257,7 +257,7 @@ pub struct Solve {
 
 impl Solve {
     /// Compile `n`'s coefficient and offset into `runs`' value file.
-    pub fn new(n: &Narrowing, runs: &mut RunProgs) -> Solve {
+    pub fn new(n: &Narrowing, runs: &mut RunProgsBuilder) -> Solve {
         let (a, k) = (runs.root(&n.check.coeff), runs.root(&n.check.offset));
         Solve { constraint: n.constraint, a, k }
     }
@@ -292,7 +292,7 @@ pub struct ChildProgs {
 
 impl ChildProgs {
     /// Compile `s`'s multiplier and rest into `runs`' value file.
-    pub fn new(s: &ChildSolve, runs: &mut RunProgs) -> ChildProgs {
+    pub fn new(s: &ChildSolve, runs: &mut RunProgsBuilder) -> ChildProgs {
         ChildProgs { c: runs.root(&s.c), d: runs.root(&s.d) }
     }
 

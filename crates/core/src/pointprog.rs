@@ -39,6 +39,13 @@ pub struct SlotView<'a> {
     pub consts: &'a [(Arc<str>, Value)],
 }
 
+impl<'a> SlotView<'a> {
+    /// `lp`'s slots over `slots`, a slot array or a value file.
+    pub fn new(lp: &'a LoweredPlan, slots: &'a [i64]) -> SlotView<'a> {
+        SlotView { names: &lp.slot_names, slots, consts: lp.plan.space().consts() }
+    }
+}
+
 impl Bindings for SlotView<'_> {
     fn get(&self, name: &str) -> Option<Value> {
         if let Some(i) = self.names.iter().position(|n| &**n == name) {
@@ -78,9 +85,12 @@ enum RIns {
     Abs(Vx, Vx),
     Mov(Vx, Vx),
     Select { d: Vx, c: Vx, t: Vx, f: Vx },
-    /// The `&&` (`set` false) or `||` (`set` true) guard: when `a`'s truth
-    /// is `set`, `d = set` and jump past the right operand.
-    Guard { a: Vx, d: Vx, to: u32, set: bool },
+    /// The `&&` guard: when `a` is 0, `d = 0` and jump past the right
+    /// operand.
+    JzSet { a: Vx, d: Vx, to: u32 },
+    /// The `||` guard: when `a` is nonzero, `d = 1` and jump past the right
+    /// operand.
+    JnzSet { a: Vx, d: Vx, to: u32 },
     /// The ternary guard: when `a` is 0, jump to the else branch.
     Jz { a: Vx, to: u32 },
     Jmp { to: u32 },
@@ -147,9 +157,15 @@ fn exec(ins: &[RIns], v: &mut [i64], skip: u64) -> Result<RunExit, (usize, EvalE
             RIns::Select { d, c, t, f } => {
                 v[d as usize] = if v[c as usize] != 0 { v[t as usize] } else { v[f as usize] };
             }
-            RIns::Guard { a, d, to, set } => {
-                if (v[a as usize] != 0) == set {
-                    v[d as usize] = i64::from(set);
+            RIns::JzSet { a, d, to } => {
+                if v[a as usize] == 0 {
+                    v[d as usize] = 0;
+                    pc = to as usize;
+                }
+            }
+            RIns::JnzSet { a, d, to } => {
+                if v[a as usize] != 0 {
+                    v[d as usize] = 1;
                     pc = to as usize;
                 }
             }
@@ -184,8 +200,8 @@ fn exec(ins: &[RIns], v: &mut [i64], skip: u64) -> Result<RunExit, (usize, EvalE
 /// and temporary in the order it is first needed.
 #[derive(Debug, Clone)]
 struct Layout {
-    /// The file a program starts from: zero slots and temporaries, the
-    /// constants.
+    /// The file a program starts from: zero slots, the constants, junk
+    /// temporaries.
     file: Vec<i64>,
     pool: HashMap<i64, Vx>,
     /// The temporary of each depth.
@@ -208,7 +224,7 @@ impl Layout {
     fn temp(&mut self, d: u32) -> Vx {
         while self.temps.len() <= d as usize {
             self.temps.push(self.file.len() as Vx);
-            self.file.push(0);
+            self.file.push(i64::MIN);
         }
         self.temps[d as usize]
     }
@@ -364,7 +380,11 @@ impl Compiler<'_> {
     /// then the right operand's truth in the join entry.
     fn guarded(&mut self, to: To, d: u32, a: Vx, set: bool, b: &IntExpr) -> Opd {
         let j = self.join(to, d);
-        let at = self.jump(RIns::Guard { a, d: j, to: 0, set });
+        let at = self.jump(if set {
+            RIns::JnzSet { a, d: j, to: 0 }
+        } else {
+            RIns::JzSet { a, d: j, to: 0 }
+        });
         let b = self.truth(b, d, To::At(j));
         self.land(j, b);
         self.patch(at);
@@ -448,7 +468,8 @@ impl Compiler<'_> {
     fn patch(&mut self, at: usize) {
         let end = self.code.len() as u32;
         match &mut self.code[at] {
-            RIns::Guard { to, .. }
+            RIns::JzSet { to, .. }
+            | RIns::JnzSet { to, .. }
             | RIns::Jz { to, .. }
             | RIns::Jmp { to }
             | RIns::Skip { to, .. } => *to = end,
@@ -539,7 +560,8 @@ pub struct RootProg {
 
 impl RootProg {
     /// Compile `e` alone, into a file of its own: the slots it reads, then
-    /// its constants and temporaries (a consumer uses [`RunProgs::root`]).
+    /// its constants and temporaries (a consumer of a plan's programs uses
+    /// [`RunProgsBuilder::root`]).
     pub fn compile(e: &IntExpr) -> RootProg {
         let mut n_slots = 0;
         e.for_each_slot(&mut |s| n_slots = n_slots.max(s + 1));
@@ -663,9 +685,9 @@ impl RunSpec<'_> {
 }
 
 /// A lowered plan's programs and the value file they share: its runs, the
-/// [`RootProg`]s of its range bounds, and the roots its consumers compile
-/// into the same file ([`RunProgs::root`]). [`RunProgs::file`] hands out a
-/// fresh file; its slot prefix is the plan's slot array.
+/// [`RootProg`]s of its range bounds, and the roots its consumers compiled
+/// into the same file ([`RunProgsBuilder::root`]). [`RunProgs::file`] hands
+/// out a fresh file; its slot prefix is the plan's slot array.
 ///
 /// A run is a maximal straight-line sequence of the steps the
 /// [`RunSpec`] executes: it starts at a step that follows a bind, an opaque
@@ -686,8 +708,9 @@ pub struct RunProgs {
 
 impl RunProgs {
     /// Compile the runs of `lp` under `spec`, its derive program when
-    /// `spec` asks for it, and its range bounds.
-    pub fn new(lp: &LoweredPlan, spec: RunSpec<'_>) -> RunProgs {
+    /// `spec` asks for it, and its range bounds; the consumers' roots go in
+    /// before [`RunProgsBuilder::finish`].
+    pub fn builder(lp: &LoweredPlan, spec: RunSpec<'_>) -> RunProgsBuilder {
         // What a run executes, and what it passes over without executing:
         // unchecked checks, and in the derive program binds and checks.
         let executes = |s: &LStep, derive: bool| match s {
@@ -745,43 +768,21 @@ impl RunProgs {
                 _ => None,
             })
             .collect();
-        RunProgs {
-            at: at.into(),
-            derive_at: derive_at.into(),
-            runs: runs.into(),
-            ranges,
-            lay,
-        }
+        let (at, derive_at, runs) = (at.into(), derive_at.into(), runs.into());
+        RunProgsBuilder(RunProgs { at, derive_at, runs, ranges, lay })
     }
 
-    /// Compile `e` into a one-root program over this value file. Compile
-    /// every root before handing out a file: a new constant or temporary
-    /// lengthens the file.
-    pub fn root(&mut self, e: &IntExpr) -> RootProg {
-        self.lay.root(e)
-    }
-
-    /// A fresh value file: zero slots, the constants, zero temporaries.
+    /// A fresh value file: zero slots, the constants, and junk
+    /// (`i64::MIN`) in the temporaries, which every program writes before
+    /// it reads them.
     pub fn file(&self) -> Vec<i64> {
         self.lay.file.clone()
     }
 
-    /// The file indices of the temporaries, shallowest first: no program
-    /// reads one before writing it.
-    pub fn temps(&self) -> &[u32] {
-        &self.lay.temps
-    }
-
-    /// The index of the run starting at plan step `step`, if one does.
+    /// The run starting at plan step `step`, if one does, and its index.
     #[inline]
-    pub fn find(&self, step: usize) -> Option<usize> {
-        self.at[step].map(|r| r as usize)
-    }
-
-    /// The run starting at plan step `step`, if one does.
-    #[inline]
-    pub fn at(&self, step: usize) -> Option<&RunProg> {
-        self.find(step).map(|r| &self.runs[r])
+    pub fn at(&self, step: usize) -> Option<(usize, &RunProg)> {
+        self.at[step].map(|r| (r as usize, &self.runs[r as usize]))
     }
 
     /// The derive run starting at plan step `step`, if one does: the plan's
@@ -806,6 +807,25 @@ impl RunProgs {
     }
 }
 
+/// A [`RunProgs`] being compiled: its consumers compile their one-root
+/// programs into its value file, and [`RunProgsBuilder::finish`] seals it.
+/// Only sealed programs hand out files, so no file is shorter than a
+/// program compiled into it.
+#[derive(Debug)]
+pub struct RunProgsBuilder(RunProgs);
+
+impl RunProgsBuilder {
+    /// Compile `e` into a one-root program over this value file.
+    pub fn root(&mut self, e: &IntExpr) -> RootProg {
+        self.0.lay.root(e)
+    }
+
+    /// The compiled programs.
+    pub fn finish(self) -> RunProgs {
+        self.0
+    }
+}
+
 impl std::ops::Index<usize> for RunProgs {
     type Output = RunProg;
 
@@ -820,14 +840,14 @@ impl std::ops::Index<usize> for RunProgs {
 #[derive(Debug, Clone)]
 pub struct StepProgs<'a> {
     lp: &'a LoweredPlan,
-    /// The plan's programs; a consumer compiles its own roots into them.
+    /// The plan's programs.
     pub runs: RunProgs,
 }
 
 impl<'a> StepProgs<'a> {
-    /// Compile `lp`'s runs and range bounds under `spec`.
-    pub fn new(lp: &'a LoweredPlan, spec: RunSpec<'_>) -> StepProgs<'a> {
-        StepProgs { lp, runs: RunProgs::new(lp, spec) }
+    /// `lp`'s evaluator over its compiled programs `runs`.
+    pub fn new(lp: &'a LoweredPlan, runs: RunProgs) -> StepProgs<'a> {
+        StepProgs { lp, runs }
     }
 
     /// The value of the opaque define at step `i`, through the space's
@@ -882,9 +902,7 @@ impl<'a> StepProgs<'a> {
     }
 
     fn view<'s>(&'s self, slots: &'s [i64]) -> SlotView<'s> {
-        let n = self.lp.n_slots as usize;
-        let consts = self.lp.plan.space().consts();
-        SlotView { names: &self.lp.slot_names, slots: &slots[..n], consts }
+        SlotView::new(self.lp, slots)
     }
 }
 

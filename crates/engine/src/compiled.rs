@@ -88,7 +88,7 @@ use beast_core::error::EvalError;
 use beast_core::interval::Interval;
 use beast_core::ir::{LBody, LIter, LStep, LoweredPlan};
 use beast_core::iterator::range_len;
-use beast_core::pointprog::{RunExit, RunProgs, RunSpec, SlotView};
+use beast_core::pointprog::{RunExit, RunProgs, RunProgsBuilder, RunSpec, SlotView};
 use beast_core::schedule::ScheduleMode;
 
 use crate::point::PointRef;
@@ -465,6 +465,11 @@ impl Compiled {
     /// process and resumed run executes this one shared immutable op stream.
     pub fn with_options(lp: LoweredPlan, opts: EngineOptions) -> Compiled {
         let abs = AbsSteps::new(&lp);
+        Compiled::build(lp, opts, abs)
+    }
+
+    /// [`Compiled::with_options`] over the abstract steps `abs` of `lp`.
+    fn build(lp: LoweredPlan, opts: EngineOptions, abs: AbsSteps) -> Compiled {
         let plan = levels(&lp).levels;
         // A narrowed loop's `Enter` steps over its opening check (`ip += 2`),
         // so that check is a run of its own. The outermost loop never
@@ -484,7 +489,17 @@ impl Compiled {
             _ => None,
         };
         let spec = RunSpec { checks: true, cuts: &cuts, skip_bit: &elide_bit, derive: false };
-        let mut runs = RunProgs::new(&lp, spec);
+        let mut runs = RunProgs::builder(&lp, spec);
+        let (guards, gprogs) = build_guards(&lp, &abs, &plan, opts);
+        let narrow: Vec<Option<LoopSolve>> = (plan.iter().enumerate())
+            .map(|(l, p)| {
+                let n = p.narrowing.as_ref().filter(|_| narrows(l, p))?;
+                let elide_mask = if n.constraint < 64 { 1u64 << n.constraint } else { 0 };
+                Some(LoopSolve { solve: Solve::new(n, &mut runs), elide_mask })
+            })
+            .collect();
+        let parents = parent_table(&plan, &narrow, &guards, &mut runs);
+        let runs = runs.finish();
 
         let mut ops: Vec<Op> = Vec::new();
         // Open loops: (loop_id, enter_ip); per open scope (the preamble,
@@ -497,8 +512,7 @@ impl Compiled {
 
         let mut i = 0;
         while i < lp.steps.len() {
-            if let Some(r) = runs.find(i) {
-                let run = &runs[r];
+            if let Some((r, run)) = runs.at(i) {
                 let checks: Box<[RunCheck]> = (run.steps().iter().enumerate())
                     .filter_map(|(k, &s)| match &lp.steps[s as usize] {
                         LStep::Check { constraint, .. } => Some(RunCheck {
@@ -575,16 +589,6 @@ impl Compiled {
 
         debug_assert_eq!(plan.len(), n_loops as usize);
         let fanout_below: Vec<u64> = plan.iter().map(|p| p.fanout_below).collect();
-        let (guards, gprogs) = build_guards(&lp, &abs, &plan, opts);
-
-        let narrow: Vec<Option<LoopSolve>> = (plan.iter().enumerate())
-            .map(|(l, p)| {
-                let n = p.narrowing.as_ref().filter(|_| narrows(l, p))?;
-                let elide_mask = if n.constraint < 64 { 1u64 << n.constraint } else { 0 };
-                Some(LoopSolve { solve: Solve::new(n, &mut runs), elide_mask })
-            })
-            .collect();
-        let parents = parent_table(&plan, &narrow, &guards, &mut runs);
         let point_names: Arc<[Arc<str>]> =
             Arc::from(lp.slot_names.clone().into_boxed_slice());
         let lint = (opts.lint != LintGate::Allow)
@@ -689,17 +693,12 @@ impl Compiled {
         self
     }
 
-    /// Test hook: the same engine with every guard step in the congruence
-    /// slice, as before the slice existed.
+    /// Test hook: the engine [`Compiled::with_options`] builds with every
+    /// guard step in the congruence slice, as before the slice existed.
     #[cfg(test)]
-    pub(crate) fn with_full_product(mut self) -> Self {
-        let abs = AbsSteps::new(&self.lp).with_full_product();
-        let plan = levels(&self.lp).levels;
-        (self.guards, self.gprogs) = build_guards(&self.lp, &abs, &plan, self.opts);
-        self.parents = parent_table(&plan, &self.narrow, &self.guards, &mut self.runs);
-        // A child program compiled just now may have lengthened the file.
-        self.preamble = self.run_preamble();
-        self
+    pub(crate) fn with_full_product(lp: LoweredPlan, opts: EngineOptions) -> Self {
+        let abs = AbsSteps::new(&lp).with_full_product();
+        Compiled::build(lp, opts, abs)
     }
 
     /// Test hook: the same engine with no loop solving its child, so every
@@ -825,7 +824,7 @@ impl Compiled {
             }
             CDomain::Opaque { iter } => {
                 f.buf.clear();
-                let view = self.bindings_view(slots);
+                let view = SlotView::new(&self.lp, slots);
                 for v in self.lp.plan.space().realize_iter(*iter, &view)?.iter() {
                     f.buf.push(v.as_int()?);
                 }
@@ -852,14 +851,6 @@ impl Compiled {
         };
         let (start, stop, step) = self.runs.bounds(*bind as usize, slots).ok()?;
         ps.progs.entry(child, slots, start, step, range_len(start, stop, step))
-    }
-
-    fn bindings_view<'a>(&'a self, slots: &'a [i64]) -> SlotView<'a> {
-        SlotView {
-            names: &self.lp.slot_names,
-            slots,
-            consts: self.lp.plan.space().consts(),
-        }
     }
 
     /// The threaded-code interpreter: a single `ip` cursor over the flat
@@ -1151,7 +1142,7 @@ impl Compiled {
                 }
                 Op::DefineOpaque { slot, derived } => {
                     let v = try_eval!('interp, Site::Slot(*slot), {
-                        let view = self.bindings_view(slots);
+                        let view = SlotView::new(&self.lp, slots);
                         self.lp.plan.space().deriveds()[*derived].kind.eval(&view)
                     });
                     slots[*slot as usize] =
@@ -1160,7 +1151,7 @@ impl Compiled {
                 }
                 Op::CheckOpaque { constraint, on_reject } => {
                     let rejected = try_eval!('interp, Site::Constraint(*constraint), {
-                        let view = self.bindings_view(slots);
+                        let view = SlotView::new(&self.lp, slots);
                         self.lp.plan.space().constraints()[*constraint as usize]
                             .kind
                             .rejects(&view)
@@ -1413,7 +1404,7 @@ fn parent_table(
     plan: &[LevelPlan],
     narrow: &[Option<LoopSolve>],
     guards: &[Option<u32>],
-    runs: &mut RunProgs,
+    runs: &mut RunProgsBuilder,
 ) -> Vec<Option<ParentSolve>> {
     (plan.iter().enumerate())
         .map(|(l, p)| {
@@ -2071,7 +2062,7 @@ mod tests {
             if let Ok((.., blocks)) = &want {
                 congruence_skips += blocks.congruence_skips;
             }
-            let full = Compiled::with_options(lp, opts).with_full_product();
+            let full = Compiled::with_full_product(lp, opts);
             assert_eq!(outcome(&full), want, "plan {n}");
         }
         assert!(

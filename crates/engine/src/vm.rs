@@ -377,15 +377,8 @@ fn h_for_loop<V: Visitor>(ex: &mut Exec<'_, V>, op: &Op) -> Result<Ctl, EvalErro
 
 fn h_iter_init<V: Visitor>(ex: &mut Exec<'_, V>, op: &Op) -> Result<Ctl, EvalError> {
     let Op::IterInit { state, iter } = op else { unreachable!("mis-dispatched opcode") };
-    let space = ex.lp.plan.space();
-    let realized = {
-        let view = SlotView {
-            names: &ex.lp.slot_names,
-            slots: &ex.regs[..ex.n_slots],
-            consts: space.consts(),
-        };
-        space.realize_iter(*iter as usize, &view)?
-    };
+    let (space, view) = (ex.lp.plan.space(), SlotView::new(ex.lp, &ex.regs[..ex.n_slots]));
+    let realized = space.realize_iter(*iter as usize, &view)?;
     ex.states[*state as usize] = Cursor::new(realized);
     Ok(Ctl::Next)
 }
@@ -403,15 +396,8 @@ fn h_iter_next<V: Visitor>(ex: &mut Exec<'_, V>, op: &Op) -> Result<Ctl, EvalErr
 
 fn h_define_opaque<V: Visitor>(ex: &mut Exec<'_, V>, op: &Op) -> Result<Ctl, EvalError> {
     let Op::DefineOpaque { derived, dst } = op else { unreachable!("mis-dispatched opcode") };
-    let space = ex.lp.plan.space();
-    let v = {
-        let view = SlotView {
-            names: &ex.lp.slot_names,
-            slots: &ex.regs[..ex.n_slots],
-            consts: space.consts(),
-        };
-        space.deriveds()[*derived as usize].kind.eval(&view)?
-    };
+    let (space, view) = (ex.lp.plan.space(), SlotView::new(ex.lp, &ex.regs[..ex.n_slots]));
+    let v = space.deriveds()[*derived as usize].kind.eval(&view)?;
     ex.regs[*dst as usize] = v.as_int()?;
     Ok(Ctl::Next)
 }
@@ -425,15 +411,8 @@ fn h_check<V: Visitor>(ex: &mut Exec<'_, V>, op: &Op) -> Result<Ctl, EvalError> 
 
 fn h_check_opaque<V: Visitor>(ex: &mut Exec<'_, V>, op: &Op) -> Result<Ctl, EvalError> {
     let Op::CheckOpaque { constraint, to } = op else { unreachable!("mis-dispatched opcode") };
-    let space = ex.lp.plan.space();
-    let rejected = {
-        let view = SlotView {
-            names: &ex.lp.slot_names,
-            slots: &ex.regs[..ex.n_slots],
-            consts: space.consts(),
-        };
-        space.constraints()[*constraint as usize].kind.rejects(&view)?
-    };
+    let (space, view) = (ex.lp.plan.space(), SlotView::new(ex.lp, &ex.regs[..ex.n_slots]));
+    let rejected = space.constraints()[*constraint as usize].kind.rejects(&view)?;
     ex.stats.record(*constraint as usize, rejected);
     Ok(if rejected { Ctl::Jump(*to as usize) } else { Ctl::Next })
 }

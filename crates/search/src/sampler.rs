@@ -13,7 +13,7 @@ use std::sync::Arc;
 use beast_core::error::EvalError;
 use beast_core::ir::{LStep, LoweredPlan};
 use beast_core::iterator::Realized;
-use beast_core::pointprog::{RunExit, RunSpec, StepProgs};
+use beast_core::pointprog::{RunExit, RunProgs, RunSpec, StepProgs};
 use beast_engine::point::Point;
 use rand::Rng;
 
@@ -56,7 +56,7 @@ impl<'a, R: Rng> Sampler<'a, R> {
     /// Create a sampler over a lowered plan.
     pub fn new(lp: &'a LoweredPlan, rng: R) -> Sampler<'a, R> {
         let names: Arc<[Arc<str>]> = Arc::from(lp.slot_names.clone().into_boxed_slice());
-        let progs = StepProgs::new(lp, RunSpec::CHECKED);
+        let progs = StepProgs::new(lp, RunProgs::builder(lp, RunSpec::CHECKED).finish());
         Sampler {
             lp,
             file: progs.runs.file(),
@@ -158,7 +158,7 @@ impl<'a, R: Rng> Sampler<'a, R> {
         let mutate_slot = neighbor_of.map(|(m, _)| m);
 
         loop {
-            if let Some(run) = self.progs.runs.at(i) {
+            if let Some((_, run)) = self.progs.runs.at(i) {
                 match run.run(slots, 0).map_err(|f| f.error)? {
                     RunExit::Pass => i = run.end(),
                     RunExit::Reject(_) => {
@@ -269,7 +269,7 @@ impl<'a, R: Rng> Sampler<'a, R> {
         };
         let mut i = 0;
         loop {
-            if let Some(run) = self.progs.runs.at(i) {
+            if let Some((_, run)) = self.progs.runs.at(i) {
                 match run.run(slots, 0).map_err(|f| f.error)? {
                     RunExit::Pass => i = run.end(),
                     RunExit::Reject(_) => return Ok(false),

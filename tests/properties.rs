@@ -468,8 +468,10 @@ fn gemm_point_program_folding_reduces_ops() {
             let hidden_e = hide_consts(e, n, &mut consts);
             let hidden = RootProg::compile(&hidden_e);
             assert!(folded.len() <= hidden.len(), "folding grew {e}: {folded:?} vs {hidden:?}");
-            let mut runs = RunProgs::new(&bare_plan(n + consts.len() as u32), RunSpec::CHECKED);
-            let (folded_in, hidden_in) = (runs.root(e), runs.root(&hidden_e));
+            let bare = bare_plan(n + consts.len() as u32);
+            let mut build = RunProgs::builder(&bare, RunSpec::CHECKED);
+            let (folded_in, hidden_in) = (build.root(e), build.root(&hidden_e));
+            let runs = build.finish();
             for _ in 0..8 {
                 let mut slots: Vec<i64> = (0..n).map(|_| rng.gen_range(1i64..64)).collect();
                 slots.extend(&consts);
@@ -1088,22 +1090,23 @@ fn bare_plan(n_slots: u32) -> LoweredPlan {
     lp
 }
 
-/// A value file of `runs` holding `slots` and junk in every temporary, so
-/// that a program reading a temporary it never wrote shows.
+/// A value file of `runs` holding `slots`. `RunProgs::file` leaves junk
+/// (`i64::MIN`) in every temporary, so a program reading a temporary it
+/// never wrote shows.
 fn junk_file(runs: &RunProgs, slots: &[i64]) -> Vec<i64> {
     let mut file = runs.file();
     file[..slots.len()].copy_from_slice(slots);
-    for &t in runs.temps() {
-        file[t as usize] = i64::MIN;
-    }
     file
 }
 
-/// The temporaries `e` needs as a one-root program.
-fn temporaries(e: &IntExpr) -> usize {
-    let mut runs = RunProgs::new(&bare_plan(4), RunSpec::CHECKED);
-    runs.root(e);
-    runs.temps().len()
+/// The depth of `e`'s tree: a leaf is 1.
+fn depth(e: &IntExpr) -> usize {
+    1 + match e {
+        IntExpr::Const(_) | IntExpr::Slot(_) => 0,
+        IntExpr::Neg(a) | IntExpr::Not(a) | IntExpr::Abs(a) => depth(a),
+        IntExpr::Bin(_, a, b) | IntExpr::Call2(_, a, b) => depth(a).max(depth(b)),
+        IntExpr::Ternary(c, t, f) => depth(c).max(depth(t)).max(depth(f)),
+    }
 }
 
 /// Random slot values over [`POINT_LEAVES`] and small integers.
@@ -1122,19 +1125,20 @@ fn point_slots(rng: &mut StdRng, n: u32) -> Vec<i64> {
 /// every operator and builtin, `i64::MIN` / `MAX` constants and slots, zero
 /// and `-1` divisors — under `&&` / `||` / ternaries whose dead operand
 /// would fault, and in constant subtrees the folder must keep — and on
-/// spines needing more than 16 temporaries. Every program is compiled into
-/// one shared value file and run over junk temporaries.
+/// spines more than 16 deep. Every program is compiled into one shared
+/// value file and run over junk temporaries.
 #[test]
 fn point_programs_match_the_tree_evaluator() {
     let mut rng = StdRng::seed_from_u64(0xBEA5_700B);
     let mut exprs: Vec<IntExpr> = (0..4000).map(|_| arb_point_expr(&mut rng, 5)).collect();
     exprs.extend((0..300).map(|_| deep_point_expr(&mut rng)));
 
-    let mut runs = RunProgs::new(&bare_plan(4), RunSpec::CHECKED);
+    let mut build = RunProgs::builder(&bare_plan(4), RunSpec::CHECKED);
+    let progs: Vec<RootProg> = exprs.iter().map(|e| build.root(e)).collect();
+    let runs = build.finish();
     let (mut div0, mut overflow, mut dead, mut kept, mut deep, mut deep_ok) = (0, 0, 0, 0, 0, 0);
-    for (case, e) in exprs.iter().enumerate() {
-        let prog = runs.root(e);
-        let is_deep = temporaries(e) > 16;
+    for (case, (e, prog)) in exprs.iter().zip(&progs).enumerate() {
+        let is_deep = depth(e) > 16;
         kept += u32::from(holds_failing_constant(e));
         for _ in 0..6 {
             let slots = point_slots(&mut rng, 4);
@@ -1199,7 +1203,7 @@ fn one_root_programs_of_real_plans_match_the_tree_evaluator() {
     let mut rng = StdRng::seed_from_u64(0x0E_400F);
     let (mut bounds, mut divisors, mut solves, mut runs_ok, mut faults) = (0, 0, 0, 0, 0);
     for lp in &plans {
-        let mut runs = RunProgs::new(lp, RunSpec::CHECKED);
+        let mut build = RunProgs::builder(lp, RunSpec::CHECKED);
         let mut divs: Vec<&IntExpr> = Vec::new();
         for step in &lp.steps {
             if let LStep::Check { body: LBody::Expr(e), .. } = step {
@@ -1215,7 +1219,8 @@ fn one_root_programs_of_real_plans_match_the_tree_evaluator() {
             solves += coefficients.len();
             exprs.extend(coefficients);
         }
-        let roots: Vec<RootProg> = exprs.iter().map(|e| runs.root(e)).collect();
+        let roots: Vec<RootProg> = exprs.iter().map(|e| build.root(e)).collect();
+        let runs = build.finish();
         let ranges: Vec<(usize, [&IntExpr; 3])> = (lp.steps.iter().enumerate())
             .filter_map(|(i, s)| match s {
                 LStep::Bind { domain: LIter::Range { start, stop, step }, .. } => {
@@ -1291,8 +1296,8 @@ fn arb_run(rng: &mut StdRng) -> Vec<LStep> {
 /// by one with `IntExpr::eval`: the same slot writes, the same exit (the
 /// first rejecting check), the same error kind at the same step — with the
 /// defines before it written and nothing after — on generated runs whose
-/// `&&` / `||` / ternaries skip faulting operands and whose deep spines
-/// need more than 16 temporaries. The file's temporaries start as junk.
+/// `&&` / `||` / ternaries skip faulting operands and whose spines run more
+/// than 16 deep. The file's temporaries start as junk.
 /// Checks whose skip bit the mask sets pass unevaluated.
 #[test]
 fn run_programs_match_step_by_step_evaluation() {
@@ -1313,10 +1318,14 @@ fn run_programs_match_step_by_step_evaluation() {
             _ => None,
         };
         let spec = RunSpec { checks: true, cuts: &[], skip_bit: &bit, derive: false };
-        let runs = RunProgs::new(&lp, spec);
-        let run = runs.at(1).expect("a run opens after the bind");
+        let runs = RunProgs::builder(&lp, spec).finish();
+        let (_, run) = runs.at(1).expect("a run opens after the bind");
         assert_eq!(run.end(), lp.steps.len() - 1, "case {case}");
-        deep += u32::from(runs.temps().len() > 16);
+        deep += u32::from(lp.steps.iter().any(|s| match s {
+            LStep::Define { body: LBody::Expr(e), .. }
+            | LStep::Check { body: LBody::Expr(e), .. } => depth(e) > 16,
+            _ => false,
+        }));
         for _ in 0..4 {
             let skip: u64 = if rng.gen_bool(0.3) { rng.gen_range(0..16) } else { 0 };
             let mut slots: Vec<i64> = (0..lp.n_slots)
